@@ -10,7 +10,9 @@
 # through the cluster router and three local shard workers (scatter, merge,
 # document gather); BenchmarkFilteredSearch and BenchmarkRelated cover the
 # DocFilter plane: fused search under time-window and entity-facet filters
-# (with pruning counters) and related-news search on both BON legs.
+# (with pruning counters) and related-news search on both BON legs;
+# BenchmarkGather covers result materialization: k=10 DocAt + snippet with
+# the query's term set compiled once, which must stay at 0 allocs/op.
 # CI uploads the file as an artifact so the performance trajectory has a
 # reproducible, CI-generated source; run locally as
 #
@@ -25,7 +27,7 @@ cd "$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 
 BENCHTIME="${1:-1s}"
 OUT="${2:-BENCH.json}"
-BENCHES='BenchmarkTopKStrategies|BenchmarkParallelFusedSearch|BenchmarkSnapshotServing|BenchmarkSegmentChurn|BenchmarkQueryEmbed|BenchmarkSustainedIngestServe|BenchmarkClusterScatterGather|BenchmarkFilteredSearch|BenchmarkRelated'
+BENCHES='BenchmarkTopKStrategies|BenchmarkParallelFusedSearch|BenchmarkSnapshotServing|BenchmarkSegmentChurn|BenchmarkQueryEmbed|BenchmarkSustainedIngestServe|BenchmarkClusterScatterGather|BenchmarkFilteredSearch|BenchmarkRelated|BenchmarkGather'
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"newslink/internal/index"
+	"newslink/internal/nlp"
 )
 
 // Engine surface for the cluster tier (internal/cluster).
@@ -130,6 +131,11 @@ func (e *Engine) DocAt(pos int) (Document, error) {
 	return snap.doc(pos), nil
 }
 
-// Snippet picks the sentence of text with the highest query-term overlap,
-// exactly as the engine's own result materialization does.
-func Snippet(text string, qTerms []string) string { return snippet(text, qTerms) }
+// Snippet picks the sentence of text with the highest query-term overlap
+// (the first one on ties, "" when nothing overlaps) — the keyword-in-context
+// preview search UIs show, exactly as the engine's own result
+// materialization computes it. A loop over many documents compiles the
+// terms once with nlp.NewTermSet and calls BestSentence per document.
+func Snippet(text string, qTerms []string) string {
+	return nlp.NewTermSet(qTerms).BestSentence(text)
+}

@@ -135,7 +135,7 @@ func bruteForceSearch(t *testing.T, e *Engine, q Query) []Result {
 	out := make([]Result, len(fused))
 	for i, h := range fused {
 		doc := snap.doc(int(h.Doc))
-		out[i] = Result{ID: doc.ID, Title: doc.Title, Score: h.Score, Snippet: snippet(doc.Text, qTerms)}
+		out[i] = Result{ID: doc.ID, Title: doc.Title, Score: h.Score, Snippet: referenceSnippet(doc.Text, qTerms)}
 	}
 	return out
 }

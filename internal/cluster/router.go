@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -830,25 +831,27 @@ func (rt *Router) gatherDocs(ctx context.Context, target []*slot, fused []search
 	if len(fused) == 0 {
 		return results, nil
 	}
-	bySlot := make(map[int][]int) // slot idx -> ranks served there
-	slotByIdx := make(map[int]*slot, len(target))
-	for _, sl := range target {
-		slotByIdx[sl.idx] = sl
-	}
-	for rank, h := range fused {
-		bySlot[rt.plan.slotOfPos(int(h.Doc))] = append(bySlot[rt.plan.slotOfPos(int(h.Doc))], rank)
-	}
+	// ranks[i] lists the fused ranks target[i] serves. A plan has a
+	// handful of slots, so finding a hit's slot in target is a short scan.
+	ranks := make([][]int, len(target))
 	var mu sync.Mutex
 	var lost []int
-	var wg sync.WaitGroup
-	for idx, ranks := range bySlot {
-		sl, ok := slotByIdx[idx]
-		if !ok {
+	for rank, h := range fused {
+		idx := rt.plan.slotOfPos(int(h.Doc))
+		ti := slices.IndexFunc(target, func(sl *slot) bool { return sl.idx == idx })
+		if ti < 0 {
 			// A merged hit can only come from a target slot; this is a
 			// plan/merge invariant violation, treat the slot as lost.
-			mu.Lock()
-			lost = append(lost, idx)
-			mu.Unlock()
+			if !slices.Contains(lost, idx) {
+				lost = append(lost, idx)
+			}
+			continue
+		}
+		ranks[ti] = append(ranks[ti], rank)
+	}
+	var wg sync.WaitGroup
+	for ti, sl := range target {
+		if len(ranks[ti]) == 0 {
 			continue
 		}
 		wg.Add(1)
@@ -873,7 +876,7 @@ func (rt *Router) gatherDocs(ctx context.Context, target []*slot, fused []search
 					Snippet: resp.Docs[i].Snippet,
 				}
 			}
-		}(sl, ranks)
+		}(sl, ranks[ti])
 	}
 	wg.Wait()
 	return results, lost

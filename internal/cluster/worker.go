@@ -20,6 +20,7 @@ import (
 	"newslink/internal/faults"
 	"newslink/internal/index"
 	"newslink/internal/kg"
+	"newslink/internal/nlp"
 	"newslink/internal/search"
 	"newslink/internal/server"
 )
@@ -425,13 +426,14 @@ func (w *Worker) handleDocs(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := DocsResponse{Plan: req.Plan, Docs: make([]WireDoc, len(req.Positions))}
+	snippets := nlp.NewTermSet(req.Terms)
 	for i, pos := range req.Positions {
 		doc, err := engine.DocAt(pos)
 		if err != nil {
 			server.WriteError(rw, http.StatusNotFound, "unknown_document", "%v", err)
 			return
 		}
-		resp.Docs[i] = WireDoc{ID: doc.ID, Title: doc.Title, Snippet: newslink.Snippet(doc.Text, req.Terms)}
+		resp.Docs[i] = WireDoc{ID: doc.ID, Title: doc.Title, Snippet: snippets.BestSentence(doc.Text)}
 	}
 	w.writeRPC(rw, &resp)
 }

@@ -66,73 +66,81 @@ type Pipeline struct {
 // NewPipeline returns a Pipeline over the given gazetteer.
 func NewPipeline(gaz Gazetteer) *Pipeline { return &Pipeline{Gaz: gaz, MaxSpan: 4} }
 
-// Process runs the full NLP pipeline on a news text.
+// Process runs the full NLP pipeline on a news text: one scanner pass
+// yields each sentence's BOW terms, word count and the word view NER
+// matches over.
 func (p *Pipeline) Process(text string) *Document {
 	maxSpan := p.MaxSpan
 	if maxSpan <= 0 {
 		maxSpan = 4
 	}
 	doc := &Document{}
-	for _, st := range SplitSentences(text) {
-		toks := Tokenize(st)
-		words := 0
-		for _, t := range toks {
-			if t.Word {
-				words++
+	// Every sentence's Terms is a window of one backing array, capped so an
+	// append by the caller copies instead of running into the next sentence.
+	terms := make([]string, 0, len(text)/8+1)
+	words := make([]nerWord, 0, 64)
+	adj := true // no punctuation token since the previous word
+	sc := scanner{text: text}
+	for {
+		switch sc.next() {
+		case tokWord:
+			w := text[sc.start:sc.end]
+			words = append(words, nerWord{text: w, cap: startsUpper(w), adj: adj})
+			adj = true
+			if t, ok := sc.term(); ok {
+				terms = append(terms, t)
 			}
+		case tokPunct:
+			adj = false
+		case tokSentenceEnd:
+			doc.Sentences = append(doc.Sentences, Sentence{
+				Text:     sc.sentence(),
+				Terms:    terms[:len(terms):len(terms)],
+				Mentions: p.recognize(words, maxSpan),
+				tokens:   len(words),
+			})
+			terms = terms[len(terms):]
+			words = words[:0]
+			adj = true
+		case tokEOF:
+			return doc
 		}
-		s := Sentence{
-			Text:     st,
-			Terms:    Terms(st),
-			Mentions: p.recognize(toks, maxSpan),
-			tokens:   words,
-		}
-		doc.Sentences = append(doc.Sentences, s)
 	}
-	return doc
+}
+
+// nerWord is one word token of a sentence as entity recognition sees it.
+type nerWord struct {
+	text string
+	cap  bool // first rune is uppercase
+	adj  bool // directly follows the previous word: no punctuation between
 }
 
 // recognize finds entity mentions by longest match over spans of capitalized
-// word tokens (connectors "of"/"the"/"al" allowed inside a span). A span is
-// a mention if the gazetteer contains it; otherwise a maximal capitalized
+// words (connectors "of"/"the"/"al" allowed inside a span). A span is a
+// mention if the gazetteer contains it; otherwise a maximal capitalized
 // span of >=1 words that is not a stopword and not sentence-initial-only is
 // reported as an identified-but-unmatched entity (needed for the entity
 // matching ratio of Table V).
-func (p *Pipeline) recognize(toks []Token, maxSpan int) []Mention {
-	// Collect indexes of word tokens.
-	var words []int
-	for i, t := range toks {
-		if t.Word {
-			words = append(words, i)
-		}
-	}
+func (p *Pipeline) recognize(words []nerWord, maxSpan int) []Mention {
 	var out []Mention
-	used := make([]bool, len(words))
 	for wi := 0; wi < len(words); wi++ {
-		if used[wi] {
-			continue
-		}
-		t := toks[words[wi]]
-		if !t.Cap || IsStopword(t.Text) {
+		if !words[wi].cap || IsStopword(words[wi].text) {
 			continue
 		}
 		// Try the longest gazetteer match starting here.
 		matched := 0
 		var matchedText string
 		for span := min(maxSpan, len(words)-wi); span >= 1; span-- {
-			if !spanOK(toks, words, wi, span) {
+			if !spanOK(words[wi : wi+span]) {
 				continue
 			}
-			text := spanText(toks, words, wi, span)
+			text := spanText(words[wi : wi+span])
 			if p.Gaz != nil && p.Gaz.Contains(text) {
 				matched, matchedText = span, text
 				break
 			}
 		}
 		if matched > 0 {
-			for k := wi; k < wi+matched; k++ {
-				used[k] = true
-			}
 			out = append(out, Mention{Text: matchedText, Label: Fold(matchedText), Linked: true})
 			wi += matched - 1
 			continue
@@ -140,8 +148,8 @@ func (p *Pipeline) recognize(toks []Token, maxSpan int) []Mention {
 		// Unmatched: take the maximal run of capitalized words.
 		span := 1
 		for wi+span < len(words) && span < maxSpan {
-			nt := toks[words[wi+span]]
-			if !nt.Cap || IsStopword(nt.Text) || !adjacent(toks, words, wi+span) {
+			nt := words[wi+span]
+			if !nt.cap || IsStopword(nt.text) || !nt.adj {
 				break
 			}
 			span++
@@ -151,35 +159,30 @@ func (p *Pipeline) recognize(toks []Token, maxSpan int) []Mention {
 		if wi == 0 && span == 1 {
 			continue
 		}
-		text := spanText(toks, words, wi, span)
-		for k := wi; k < wi+span; k++ {
-			used[k] = true
-		}
+		text := spanText(words[wi : wi+span])
 		out = append(out, Mention{Text: text, Label: Fold(text), Linked: false})
 		wi += span - 1
 	}
 	return out
 }
 
-// spanOK reports whether words wi..wi+span-1 form a plausible mention: the
-// first and last are capitalized, interior words are capitalized or
-// connectors, and consecutive words are adjacent (no intervening
-// punctuation).
-func spanOK(toks []Token, words []int, wi, span int) bool {
-	for k := 0; k < span; k++ {
-		t := toks[words[wi+k]]
-		if k == 0 && !t.Cap {
+// spanOK reports whether the words form a plausible mention: the first and
+// last are capitalized, interior words are capitalized or connectors, and
+// consecutive words are adjacent (no intervening punctuation).
+func spanOK(span []nerWord) bool {
+	for k, w := range span {
+		if k == 0 && !w.cap {
 			return false // mentions start with a capitalized word
 		}
 		// Numbers are legal inside and at the end of names ("US
 		// presidential election 2016", "Swatara Cup 2019").
-		if !t.Cap && !connector(t.Text) && !allDigits(t.Text) {
+		if !w.cap && !connector(w.text) && !allDigits(w.text) {
 			return false
 		}
-		if k == span-1 && !t.Cap && !allDigits(t.Text) {
+		if k == len(span)-1 && !w.cap && !allDigits(w.text) {
 			return false
 		}
-		if k > 0 && !adjacent(toks, words, wi+k) {
+		if k > 0 && !w.adj {
 			return false
 		}
 	}
@@ -199,12 +202,6 @@ func allDigits(s string) bool {
 	return true
 }
 
-// adjacent reports whether word index w directly follows word w-1 with no
-// punctuation token between them.
-func adjacent(toks []Token, words []int, w int) bool {
-	return words[w] == words[w-1]+1
-}
-
 func connector(w string) bool {
 	switch strings.ToLower(w) {
 	case "of", "the", "al", "and", "de", "la":
@@ -213,13 +210,17 @@ func connector(w string) bool {
 	return false
 }
 
-func spanText(toks []Token, words []int, wi, span int) string {
+// spanText joins the words of a span with single spaces.
+func spanText(span []nerWord) string {
+	if len(span) == 1 {
+		return span[0].text
+	}
 	var sb strings.Builder
-	for k := 0; k < span; k++ {
+	for k, w := range span {
 		if k > 0 {
 			sb.WriteByte(' ')
 		}
-		sb.WriteString(toks[words[wi+k]].Text)
+		sb.WriteString(w.text)
 	}
 	return sb.String()
 }

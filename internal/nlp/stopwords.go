@@ -1,6 +1,9 @@
 package nlp
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
 // stopwords is a compact English stopword list used for BOW term extraction
 // and for rejecting single-stopword entity candidates during NER.
@@ -20,63 +23,101 @@ will with you your yours yourself yourselves said says say according
 would could also may might must shall new news reported report told
 `) {
 		stopwords[w] = true
+		if len(w) > maxStopword {
+			maxStopword = len(w)
+		}
 	}
 }
 
-// IsStopword reports whether the lowercase word is a stopword.
-func IsStopword(w string) bool { return stopwords[strings.ToLower(w)] }
+// maxStopword is the longest stopword, set by init; maxStopwordBuf bounds
+// it for IsStopword's stack buffer.
+var maxStopword int
+
+const maxStopwordBuf = 16
+
+// IsStopword reports whether w, lower-cased, is a stopword. ASCII input is
+// folded on the stack; only a word with non-ASCII bytes pays for
+// strings.ToLower (whose Unicode mappings can land on ASCII).
+func IsStopword(w string) bool {
+	var buf [maxStopwordBuf]byte
+	for i := 0; i < len(w); i++ {
+		c := w[i]
+		if c >= utf8.RuneSelf {
+			return stopwords[strings.ToLower(w)]
+		}
+		if i < len(buf) {
+			buf[i] = lowerASCII(c)
+		}
+	}
+	return len(w) <= maxStopword && stopwords[string(buf[:len(w)])]
+}
 
 // Terms extracts normalized BOW terms from text: lowercased word tokens,
 // stopwords removed, light suffix stemming applied. This is the analyzer
 // used for the text inverted index (the paper's NS component uses Lucene's
 // default analyzer; this plays the same role).
 func Terms(text string) []string {
-	toks := Tokenize(text)
-	out := make([]string, 0, len(toks))
-	for _, t := range toks {
-		if !t.Word {
-			continue
+	// Prose yields about one term per eleven bytes; eight leaves headroom.
+	out := make([]string, 0, len(text)/8+1)
+	sc := scanner{text: text}
+	for {
+		switch sc.next() {
+		case tokWord:
+			if t, ok := sc.term(); ok {
+				out = append(out, t)
+			}
+		case tokEOF:
+			return out
 		}
-		w := strings.ToLower(t.Text)
-		if stopwords[w] || len(w) < 2 {
-			continue
-		}
-		out = append(out, Stem(w))
 	}
-	return out
 }
 
 // Stem applies a light suffix-stripping stemmer (a small subset of Porter's
 // rules: plural -s/-es/-ies, -ed, -ing, -ly). It never shortens a word below
 // three characters.
 func Stem(w string) string {
-	n := len(w)
-	switch {
-	case n > 4 && strings.HasSuffix(w, "ies"):
-		return w[:n-3] + "y"
-	case n > 4 && strings.HasSuffix(w, "sses"):
-		return w[:n-2]
-	case n > 3 && strings.HasSuffix(w, "es") && !strings.HasSuffix(w, "ses"):
-		return w[:n-1] // "bombes"→"bombe" is fine for matching purposes
-	case n > 3 && strings.HasSuffix(w, "s") && !strings.HasSuffix(w, "ss") && !strings.HasSuffix(w, "us"):
-		return w[:n-1]
-	case n > 5 && strings.HasSuffix(w, "ing"):
-		return undouble(w[:n-3])
-	case n > 4 && strings.HasSuffix(w, "ed"):
-		return undouble(w[:n-2])
-	case n > 4 && strings.HasSuffix(w, "ly"):
-		return w[:n-2]
+	n, y := stemCut(w)
+	if y {
+		return w[:n] + "y"
 	}
-	return w
+	return w[:n]
 }
 
-// undouble collapses a doubled final consonant ("stopp" → "stop").
-func undouble(w string) string {
-	n := len(w)
-	if n >= 2 && w[n-1] == w[n-2] && !isVowel(w[n-1]) && w[n-1] != 'l' && w[n-1] != 's' {
-		return w[:n-1]
+// stemCut is Stem over a string or the scanner's fold buffer: the stem of w
+// is its first n bytes, followed by "y" when y is set ("armies" → "army").
+// Every rule only rewrites a suffix and keeps at least two leading bytes.
+func stemCut[T string | []byte](w T) (n int, y bool) {
+	n = len(w)
+	switch {
+	case n > 4 && hasSuffix(w, "ies"):
+		return n - 3, true
+	case n > 4 && hasSuffix(w, "sses"):
+		return n - 2, false
+	case n > 3 && hasSuffix(w, "es") && !hasSuffix(w, "ses"):
+		return n - 1, false // "bombes"→"bombe" is fine for matching purposes
+	case n > 3 && hasSuffix(w, "s") && !hasSuffix(w, "ss") && !hasSuffix(w, "us"):
+		return n - 1, false
+	case n > 5 && hasSuffix(w, "ing"):
+		return undouble(w, n-3), false
+	case n > 4 && hasSuffix(w, "ed"):
+		return undouble(w, n-2), false
+	case n > 4 && hasSuffix(w, "ly"):
+		return n - 2, false
 	}
-	return w
+	return n, false
+}
+
+func hasSuffix[T string | []byte](w T, suffix string) bool {
+	return len(w) >= len(suffix) && string(w[len(w)-len(suffix):]) == suffix
+}
+
+// undouble collapses a doubled final consonant of w[:n] ("stopp" → "stop")
+// and returns the new length.
+func undouble[T string | []byte](w T, n int) int {
+	if n >= 2 && w[n-1] == w[n-2] && !isVowel(w[n-1]) && w[n-1] != 'l' && w[n-1] != 's' {
+		return n - 1
+	}
+	return n
 }
 
 func isVowel(c byte) bool {

@@ -8,11 +8,7 @@
 // entity labels per news segment, which this package produces identically.
 package nlp
 
-import (
-	"strings"
-	"unicode"
-	"unicode/utf8"
-)
+import "unicode"
 
 // Token is a single lexical token with its byte offsets in the source text.
 type Token struct {
@@ -27,46 +23,20 @@ type Token struct {
 // runs of letters, digits, apostrophes and interior hyphens; every other
 // non-space rune is its own token.
 func Tokenize(text string) []Token {
-	var out []Token
-	i := 0
-	for i < len(text) {
-		r, size := rune(text[i]), 1
-		if r >= 0x80 {
-			r, size = decodeRune(text[i:])
-		}
-		switch {
-		case unicode.IsSpace(r):
-			i += size
-		case isWordRune(r):
-			start := i
-			for i < len(text) {
-				r2, s2 := rune(text[i]), 1
-				if r2 >= 0x80 {
-					r2, s2 = decodeRune(text[i:])
-				}
-				if !isWordRune(r2) && !(r2 == '-' || r2 == '\'') {
-					break
-				}
-				i += s2
-			}
-			// Trim trailing hyphen/apostrophe.
-			end := i
-			for end > start && (text[end-1] == '-' || text[end-1] == '\'') {
-				end--
-			}
-			w := text[start:end]
-			out = append(out, Token{Text: w, Start: start, End: end, Word: true, Cap: startsUpper(w)})
-			// Resume at end so trimmed trailing '-'/'\” re-scan as punctuation.
-			i = end
-			if i == start { // defensive: never stall
-				i++
-			}
-		default:
-			out = append(out, Token{Text: text[i : i+size], Start: i, End: i + size})
-			i += size
+	// Prose runs at about one token per five bytes.
+	out := make([]Token, 0, len(text)/5+1)
+	sc := scanner{text: text}
+	for {
+		switch sc.next() {
+		case tokWord:
+			w := text[sc.start:sc.end]
+			out = append(out, Token{Text: w, Start: sc.start, End: sc.end, Word: true, Cap: startsUpper(w)})
+		case tokPunct:
+			out = append(out, Token{Text: text[sc.start:sc.end], Start: sc.start, End: sc.end})
+		case tokEOF:
+			return out
 		}
 	}
-	return out
 }
 
 func isWordRune(r rune) bool {
@@ -80,83 +50,19 @@ func startsUpper(s string) bool {
 	return false
 }
 
-// decodeRune decodes the first rune of s. Invalid UTF-8 consumes exactly
-// one byte (utf8.DecodeRuneInString's contract), so tokenization always
-// makes progress on arbitrary byte sequences.
-func decodeRune(s string) (rune, int) {
-	return utf8.DecodeRuneInString(s)
-}
-
 // SplitSentences segments text into sentences. A sentence boundary is a
 // '.', '!' or '?' followed by whitespace and an uppercase letter or end of
-// text, except after common abbreviations and single initials.
+// text, except after common abbreviations and single initials; a paragraph
+// break is always a boundary.
 func SplitSentences(text string) []string {
 	var out []string
-	start := 0
-	for i := 0; i < len(text); i++ {
-		c := text[i]
-		if c != '.' && c != '!' && c != '?' {
-			if c == '\n' && i+1 < len(text) && text[i+1] == '\n' {
-				// Paragraph break is always a boundary.
-				if s := strings.TrimSpace(text[start : i+1]); s != "" {
-					out = append(out, s)
-				}
-				start = i + 1
-			}
-			continue
+	sc := scanner{text: text}
+	for {
+		switch sc.next() {
+		case tokSentenceEnd:
+			out = append(out, sc.sentence())
+		case tokEOF:
+			return out
 		}
-		if c == '.' && isAbbrevBefore(text, i) {
-			continue
-		}
-		// Look ahead: whitespace then uppercase (or end).
-		j := i + 1
-		for j < len(text) && (text[j] == ' ' || text[j] == '\n' || text[j] == '\t' || text[j] == '"' || text[j] == '\'') {
-			j++
-		}
-		if j < len(text) && !startsUpper(text[j:]) && !unicode.IsDigit(rune(text[j])) {
-			continue
-		}
-		if j == i+1 && j < len(text) {
-			continue // no whitespace after the period: "3.5", "U.S."
-		}
-		if s := strings.TrimSpace(text[start : i+1]); s != "" {
-			out = append(out, s)
-		}
-		start = i + 1
 	}
-	if s := strings.TrimSpace(text[start:]); s != "" {
-		out = append(out, s)
-	}
-	return out
-}
-
-var abbrevs = map[string]bool{
-	"mr": true, "mrs": true, "ms": true, "dr": true, "prof": true,
-	"gen": true, "col": true, "sen": true, "gov": true, "rep": true,
-	"st": true, "mt": true, "jr": true, "sr": true, "vs": true,
-	"etc": true, "inc": true, "ltd": true, "co": true, "corp": true,
-	"jan": true, "feb": true, "mar": true, "apr": true, "jun": true,
-	"jul": true, "aug": true, "sep": true, "sept": true, "oct": true,
-	"nov": true, "dec": true, "u.s": true, "u.k": true, "a.m": true, "p.m": true,
-}
-
-func isAbbrevBefore(text string, dot int) bool {
-	start := dot
-	for start > 0 {
-		c := text[start-1]
-		if c == ' ' || c == '\n' || c == '\t' {
-			break
-		}
-		start--
-	}
-	w := strings.ToLower(strings.TrimLeft(text[start:dot], "(\"'"))
-	if abbrevs[w] {
-		return true
-	}
-	// Single initial like "K." in "Anthony K. H. Tung".
-	if len(w) == 1 && w[0] >= 'a' && w[0] <= 'z' {
-		return true
-	}
-	// Inner-period abbreviation ("u.s", "p.m") already handled via map.
-	return false
 }

@@ -945,43 +945,19 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (SearchResponse, er
 	e.met.stageObserve(obs.StageFuse, d)
 	sp = tr.Start(obs.StageTopK)
 	out := make([]Result, len(fused))
+	snippets := nlp.NewTermSet(qTerms) // compiled once, probed by every result document
 	for i, h := range fused {
 		doc := snap.doc(int(h.Doc))
 		out[i] = Result{
 			ID:      doc.ID,
 			Title:   doc.Title,
 			Score:   h.Score,
-			Snippet: snippet(doc.Text, qTerms),
+			Snippet: snippets.BestSentence(doc.Text),
 		}
 	}
 	d = sp.End(obs.Int("k", len(out)))
 	e.met.stageObserve(obs.StageTopK, d)
 	return SearchResponse{Results: out, Degraded: ret.degraded, DegradedReason: ret.reason}, nil
-}
-
-// snippet picks the document sentence with the highest query-term overlap,
-// the usual keyword-in-context preview search UIs show.
-func snippet(text string, qTerms []string) string {
-	if len(qTerms) == 0 {
-		return ""
-	}
-	want := make(map[string]bool, len(qTerms))
-	for _, t := range qTerms {
-		want[t] = true
-	}
-	best, bestScore := "", 0
-	for _, sent := range nlp.SplitSentences(text) {
-		score := 0
-		for _, t := range nlp.Terms(sent) {
-			if want[t] {
-				score++
-			}
-		}
-		if score > bestScore {
-			best, bestScore = sent, score
-		}
-	}
-	return best
 }
 
 // Explain computes the intuitive evidence for why document docID is related
