@@ -4,7 +4,9 @@
 # custom metrics the benchmark reports (postings_scored/op,
 # blocks_skipped/op, p99-ns, ingested-docs/sec). The BenchmarkQueryEmbed
 # band covers the KG side: Table-8-style multi-entity query embedding at
-# 100k and 1M synthetic nodes; BenchmarkSustainedIngestServe covers the
+# 100k and 1M synthetic nodes, cold, warm, and on a group with no common
+# root (rootless: G* exhausts every label's ball, the bench/ search-cold
+# shape); BenchmarkSustainedIngestServe covers the
 # write side: search p99 while the streaming pipeline absorbs ~1k docs/sec;
 # BenchmarkClusterScatterGather covers the serving tier: one warm search
 # through the cluster router and three local shard workers (scatter, merge,

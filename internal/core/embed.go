@@ -88,8 +88,16 @@ func (e *Embedder) EmbedGroups(groups [][]string) *DocEmbedding {
 // byte-identical to a sequential run. A nil ctx disables cancellation.
 func (e *Embedder) EmbedGroupsContext(ctx context.Context, groups [][]string) (*DocEmbedding, EmbedStats, error) {
 	stats := EmbedStats{Groups: len(groups)}
-	if len(groups) == 0 {
+	switch len(groups) {
+	case 0:
 		return nil, stats, nil
+	case 1: // nearly every query: no fan-out to set up
+		sg, hit, err := e.embedGroup(ctx, groups[0])
+		if err != nil {
+			return nil, stats, err
+		}
+		d := stats.merge(nil, sg, hit)
+		return d, stats, nil
 	}
 	sgs := make([]*Subgraph, len(groups))
 	hits := make([]bool, len(groups))
@@ -143,24 +151,31 @@ func (e *Embedder) EmbedGroupsContext(ctx context.Context, groups [][]string) (*
 	// Merge in group order — identical to the sequential seed path.
 	var d *DocEmbedding
 	for i, sg := range sgs {
-		if hits[i] {
-			stats.GroupCacheHits++
-		}
-		if sg == nil {
-			continue
-		}
-		stats.Embedded++
-		stats.ResolvedLabels += len(sg.Labels)
-		stats.Expansions += sg.Expansions
-		if d == nil {
-			d = &DocEmbedding{Counts: make(map[kg.NodeID]int)}
-		}
-		d.Subgraphs = append(d.Subgraphs, sg)
-		for _, n := range sg.Nodes {
-			d.Counts[n]++
-		}
+		d = stats.merge(d, sg, hits[i])
 	}
 	return d, stats, nil
+}
+
+// merge folds one group's result into the statistics and into d (created
+// on the first embedded group), and returns d.
+func (stats *EmbedStats) merge(d *DocEmbedding, sg *Subgraph, hit bool) *DocEmbedding {
+	if hit {
+		stats.GroupCacheHits++
+	}
+	if sg == nil {
+		return d
+	}
+	stats.Embedded++
+	stats.ResolvedLabels += len(sg.Labels)
+	stats.Expansions += sg.Expansions
+	if d == nil {
+		d = &DocEmbedding{Counts: make(map[kg.NodeID]int)}
+	}
+	d.Subgraphs = append(d.Subgraphs, sg)
+	for _, n := range sg.Nodes {
+		d.Counts[n]++
+	}
+	return d
 }
 
 // embedGroup embeds one entity group, consulting the per-group cache when

@@ -30,19 +30,19 @@ func (s *Searcher) FindK(labels []string, k int) []*Subgraph {
 		return nil
 	}
 	st.run()
-	if len(st.candidates) == 0 {
+	if len(st.cands) == 0 {
 		return nil
 	}
-	m := len(st.labels)
 	type ranked struct {
+		s   uint32
 		v   kg.NodeID
 		vec []float64
 	}
-	all := make([]ranked, 0, len(st.candidates))
-	for _, v := range st.candidates {
-		vec := make([]float64, m)
-		st.fillVec(vec, v)
-		all = append(all, ranked{v, vec})
+	all := make([]ranked, 0, len(st.cands))
+	for _, s := range st.cands {
+		vec := make([]float64, st.m)
+		st.fillVec(vec, s)
+		all = append(all, ranked{s, st.slots[s].node, vec})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		switch {
@@ -66,7 +66,7 @@ func (s *Searcher) FindK(labels []string, k int) []*Subgraph {
 	}
 	out := make([]*Subgraph, k)
 	for i := 0; i < k; i++ {
-		out[i] = st.reconstruct(all[i].v)
+		out[i] = st.reconstruct(all[i].s)
 	}
 	return out
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -12,13 +14,15 @@ import (
 	"newslink/internal/kg"
 )
 
-// These property tests gate the flat-state rewrite: Find (paged
-// epoch-stamped arrays, pooled state, manual heap) must produce embeddings
-// identical to FindReference (the original map-based implementation kept
-// as an executable specification) — same root, labels, distance vectors,
-// node sets, arcs, and identical serialized bytes — across models,
-// ablations, random label sets, and pooled state reuse. Run them with
-// -race: the pool and the parallel embedder must also be data-race-free.
+// These tests gate the G* search: Find and FindK (node-major epoch-stamped
+// state, bucket queue, parents derived at reconstruction, pooled) must
+// produce embeddings identical to the reference (reference_test.go, the
+// original map-based implementation kept as an executable specification) —
+// same root, labels, distance vectors, node sets, arcs, expansion counts
+// and serialized bytes — across models, ablations, budgets, synthetic
+// worlds, hand-built adversarial graphs, fuzzed graphs and pooled state
+// reuse. Run them with -race: the pool and the parallel embedder must also
+// be data-race-free.
 
 // subgraphBytes serializes one subgraph in the NLEMB1 on-disk encoding,
 // the strictest equality check available: any drift in ordering or content
@@ -37,16 +41,30 @@ func subgraphBytes(t *testing.T, sg *Subgraph) []byte {
 func checkIdentical(t *testing.T, labels []string, got, want *Subgraph) {
 	t.Helper()
 	if (got == nil) != (want == nil) {
-		t.Fatalf("labels %q: flat=%v reference=%v", labels, got != nil, want != nil)
+		t.Fatalf("labels %q: found=%v reference=%v", labels, got != nil, want != nil)
 	}
 	if got == nil {
 		return
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("labels %q: flat-state subgraph differs from reference\n got: %+v\nwant: %+v", labels, got, want)
+		t.Fatalf("labels %q: subgraph differs from reference\n got: %+v\nwant: %+v", labels, got, want)
 	}
 	if gb, wb := subgraphBytes(t, got), subgraphBytes(t, want); !bytes.Equal(gb, wb) {
 		t.Fatalf("labels %q: serialized bytes differ (%d vs %d bytes)", labels, len(gb), len(wb))
+	}
+}
+
+// checkSearcher compares Find and the first k ranks of FindK with the
+// reference.
+func checkSearcher(t *testing.T, s *Searcher, labels []string, k int) {
+	t.Helper()
+	checkIdentical(t, labels, s.Find(labels), s.FindReference(labels))
+	got, want := s.FindK(labels, k), s.findKReference(labels, k)
+	if len(got) != len(want) {
+		t.Fatalf("labels %q: FindK ranked %d roots, reference %d", labels, len(got), len(want))
+	}
+	for i := range got {
+		checkIdentical(t, labels, got[i], want[i])
 	}
 }
 
@@ -99,7 +117,7 @@ func TestFlatStateMatchesReference(t *testing.T) {
 			// leak anything from query to query.
 			for q := 0; q < 25; q++ {
 				labels := randomLabelSet(rng, w)
-				checkIdentical(t, labels, s.Find(labels), s.FindReference(labels))
+				checkSearcher(t, s, labels, 4)
 			}
 		}
 	}
@@ -227,5 +245,320 @@ func TestFindContextCancellation(t *testing.T) {
 	labels := []string{w.Graph.Label(ev.Participants[0]), w.Graph.Label(ev.Location), w.Graph.Label(ev.Country)}
 	if _, err := s.FindContext(ctx, labels); err != context.Canceled {
 		t.Fatalf("FindContext on cancelled ctx: err = %v, want context.Canceled", err)
+	}
+}
+
+// identityVariants are the option sets every adversarial graph is searched
+// under: both models, both ablation switches, bounded and unbounded depth.
+var identityVariants = []Options{
+	{},
+	{MaxDepth: 2.5},
+	{DepthOnly: true},
+	{NoEarlyStop: true},
+	{NoEarlyStop: true, MaxDepth: 3},
+	{Model: ModelTree},
+	{Model: ModelTree, MaxDepth: 2.5},
+	{Model: ModelTree, NoEarlyStop: true},
+}
+
+type testEdge struct {
+	from, to int
+	rel      string
+	w        float64
+}
+
+// buildGraph makes node i carry labels[i]; nodes sharing a label make it
+// ambiguous (several sources).
+func buildGraph(labels []string, edges []testEdge) *kg.Graph {
+	b := kg.NewBuilder(len(labels))
+	for _, l := range labels {
+		b.AddNode(l, kg.KindUnknown, "")
+	}
+	for _, e := range edges {
+		b.AddEdgeByName(kg.NodeID(e.from), kg.NodeID(e.to), e.rel, e.w)
+	}
+	return b.Build()
+}
+
+// adversarialCases are small graphs built to hit what the node-major search
+// derives rather than stores: equal-cost parents, multi-source seeds, levels
+// that receive entries while they drain, parallel and antiparallel edges,
+// tentative distances that fall after a candidate was collected.
+func adversarialCases() []struct {
+	name    string
+	g       *kg.Graph
+	queries [][]string
+} {
+	type c = struct {
+		name    string
+		g       *kg.Graph
+		queries [][]string
+	}
+	// 4x4 unit grid: every interior node has two equal-cost parents per label.
+	var grid []string
+	var gridEdges []testEdge
+	for i := 0; i < 16; i++ {
+		grid = append(grid, fmt.Sprintf("g%d", i))
+		if i%4 != 3 {
+			gridEdges = append(gridEdges, testEdge{i, i + 1, "east", 1})
+		}
+		if i < 12 {
+			gridEdges = append(gridEdges, testEdge{i, i + 4, "south", 1})
+		}
+	}
+	// Four 5-hop arms off one hub (the search-cold shape: labels far apart),
+	// plus a separate component.
+	arms := []string{"hub"}
+	var armEdges []testEdge
+	for a := 0; a < 4; a++ {
+		prev := 0
+		for h := 0; h < 5; h++ {
+			arms = append(arms, fmt.Sprintf("arm%d-%d", a, h))
+			armEdges = append(armEdges, testEdge{len(arms) - 1, prev, "toward", 1})
+			prev = len(arms) - 1
+		}
+	}
+	arms = append(arms, "island", "islet")
+	armEdges = append(armEdges, testEdge{len(arms) - 2, len(arms) - 1, "near", 1})
+	// 70 leaves on two hubs: more labels than a machine word has bits.
+	wide := []string{"hubA", "hubB"}
+	wideEdges := []testEdge{{0, 1, "link", 1}}
+	var wideLabels []string
+	for i := 0; i < 70; i++ {
+		wide = append(wide, fmt.Sprintf("leaf%d", i))
+		wideLabels = append(wideLabels, wide[len(wide)-1])
+		wideEdges = append(wideEdges, testEdge{len(wide) - 1, i % 2, "on", 1})
+	}
+	const tiny = 1e-17 // 1 + tiny == 1 in float64
+	return []c{
+		{"grid-ties", buildGraph(grid, gridEdges), [][]string{
+			{"g0", "g15"}, {"g0", "g3", "g12", "g15"}, {"g5", "g6", "g9"}, {"g0"}, {"g0", "g0", "nope", "g10"},
+		}},
+		{"ambiguous-labels", buildGraph(
+			[]string{"a", "x", "b", "y", "a", "z", "b", "c", "a", "c"},
+			[]testEdge{{0, 1, "r", 1}, {1, 2, "r", 1}, {2, 3, "r", 1}, {3, 4, "r", 1}, {4, 5, "r", 1},
+				{5, 6, "r", 1}, {6, 7, "r", 1}, {7, 8, "r", 1}, {8, 9, "r", 1}, {1, 5, "s", 1}, {3, 7, "s", 1}}),
+			[][]string{{"a", "b"}, {"a", "b", "c"}, {"a", "c", "z"}, {"A ", " b"}}},
+		{"far-apart-and-disconnected", buildGraph(arms, armEdges), [][]string{
+			{"arm0-4", "arm1-4", "arm2-4", "arm3-4"}, // root only beyond any MaxDepth variant
+			{"arm0-4", "island"}, {"island", "islet"}, {"arm0-2", "arm1-1", "hub"},
+		}},
+		{"skewed-weights", buildGraph(
+			[]string{"a", "b", "c", "p", "q", "r", "s", "t"},
+			[]testEdge{{0, 3, "r", 0.1}, {3, 4, "r", 0.3}, {4, 5, "r", 0.7}, {0, 5, "r", 7}, {1, 5, "r", 0.25},
+				{1, 6, "r", 2.5}, {6, 3, "r", 0.1}, {2, 7, "r", 0.35}, {7, 4, "r", 0.15}, {2, 5, "r", 3},
+				{5, 6, "s", 0.05}, {7, 3, "s", 1.1}, {0, 1, "s", 6}}),
+			[][]string{{"a", "b"}, {"a", "b", "c"}, {"a", "c"}, {"b", "c", "s"}}},
+		// A heavy edge reaches the root early; the light path arrives in the
+		// very level in which the other label makes it a candidate, so the
+		// candidate's depth depends on the order inside that level.
+		{"lowered-after-candidate", buildGraph(
+			[]string{"a", "b", "x", "u1", "u2", "w"},
+			[]testEdge{{0, 2, "heavy", 7}, {0, 3, "r", 1}, {3, 2, "r", 1}, {1, 4, "r", 1}, {4, 2, "r", 1},
+				{2, 5, "r", 1}, {0, 5, "r", 2.5}, {1, 5, "r", 2.5}}),
+			[][]string{{"a", "b"}, {"b", "a"}}},
+		// x sits at distance 1; y, z, v hang off it by weights that vanish in
+		// float64, so they are queued into the level while it drains — with
+		// smaller ids than entries already popped.
+		{"vanishing-weights", buildGraph(
+			[]string{"z", "y", "v", "a", "b", "x", "far"},
+			[]testEdge{{3, 5, "r", 1}, {4, 5, "r", 1}, {5, 1, "r", tiny}, {1, 0, "r", tiny}, {0, 2, "r", tiny},
+				{2, 5, "back", tiny}, {4, 2, "r", 1}, {0, 6, "r", 1}, {1, 1, "self", tiny}}),
+			[][]string{{"a", "b"}, {"a", "far"}, {"a", "b", "z"}, {"y", "v"}}},
+		{"multi-edges", buildGraph(
+			[]string{"a", "u", "v", "b", "c"},
+			[]testEdge{{0, 1, "r", 1}, {1, 2, "r", 1}, {2, 1, "r", 1}, {1, 2, "r", 1}, {1, 2, "q", 1}, {1, 2, "r", 2},
+				{2, 1, "q", 1}, {2, 3, "r", 1}, {3, 2, "r", 1}, {2, 4, "r", 1}, {0, 2, "r", 2}, {2, 0, "r", 2}, {2, 2, "self", 1}}),
+			[][]string{{"a", "b"}, {"a", "b", "c"}, {"a", "v"}, {"u", "c"}}},
+		{"seventy-labels", buildGraph(wide, wideEdges), [][]string{wideLabels, wideLabels[:65], {"leaf0", "leaf1"}}},
+	}
+}
+
+// TestAdversarialGraphsMatchReference searches every adversarial graph under
+// every option variant, and under every expansion budget from 1 up to the
+// point where the budget no longer binds (which pins where a cut lands
+// inside a level).
+func TestAdversarialGraphsMatchReference(t *testing.T) {
+	for _, c := range adversarialCases() {
+		t.Run(c.name, func(t *testing.T) {
+			for _, opts := range identityVariants {
+				s := NewSearcher(c.g, opts)
+				for _, q := range c.queries {
+					checkSearcher(t, s, q, math.MaxInt)
+				}
+			}
+			for _, model := range []Model{ModelLCAG, ModelTree} {
+				for _, q := range c.queries {
+					if len(q) > 8 {
+						continue // ranking 70-label candidates under hundreds of budgets is slow and adds nothing
+					}
+					full := NewSearcher(c.g, Options{Model: model, NoEarlyStop: true}).FindReference(q)
+					n := 2
+					if full != nil {
+						n = full.Expansions + 1
+					}
+					for budget := 1; budget <= n; budget++ {
+						for _, noStop := range []bool{false, true} {
+							checkSearcher(t, NewSearcher(c.g, Options{Model: model, MaxExpansions: budget, NoEarlyStop: noStop}), q, math.MaxInt)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSearchColdShapeFindsNoRoot pins the case that dominates the
+// search-cold benchmark workload: four labels from events a quarter of the
+// catalogue apart have no common root within MaxDepth, so the search
+// exhausts every ball and both implementations return nil.
+func TestSearchColdShapeFindsNoRoot(t *testing.T) {
+	w := kg.Generate(kg.DefaultConfig(9))
+	g, evs := w.Graph, w.Events
+	s := NewSearcher(g, Options{MaxDepth: 2})
+	none := 0
+	for n := 0; n < 20; n++ {
+		var labels []string
+		for j := 0; j < 4; j++ {
+			ev := evs[(n*7+j*len(evs)/4)%len(evs)]
+			labels = append(labels, g.Label(ev.Participants[0]))
+		}
+		if s.FindReference(labels) == nil {
+			none++
+		}
+		checkSearcher(t, s, labels, math.MaxInt)
+	}
+	if none == 0 {
+		t.Fatal("no root-less query among the cold-shaped label sets; the test no longer covers that path")
+	}
+}
+
+// runState searches labels on st directly, bypassing the Searcher's pool
+// (which, under -race, drops states at random).
+func runState(st *state, labels []string) *Subgraph {
+	st.begin(nil)
+	if !st.init(labels) {
+		return nil
+	}
+	st.run()
+	return st.best()
+}
+
+// TestStateReuseAcrossLabelCounts recycles one state through queries whose
+// label count — the stride of every per-slot record — keeps changing.
+func TestStateReuseAcrossLabelCounts(t *testing.T) {
+	for _, c := range adversarialCases() {
+		for _, opts := range []Options{{}, {Model: ModelTree}} {
+			s := NewSearcher(c.g, opts)
+			st := newState(s)
+			for round := 0; round < 2; round++ {
+				for _, q := range c.queries {
+					checkIdentical(t, q, runState(st, q), s.FindReference(q))
+				}
+			}
+		}
+	}
+}
+
+// TestStateEpochWrapAround drives a state's epoch through the uint32 wrap:
+// slot-index entries stamped before the wrap must not read as live after it.
+func TestStateEpochWrapAround(t *testing.T) {
+	w := kg.Generate(kg.DefaultConfig(4))
+	rng := rand.New(rand.NewSource(8))
+	s := NewSearcher(w.Graph, Options{MaxDepth: 6})
+	st := newState(s)
+	// Leave entries stamped with the epochs the wrap will skip to.
+	for e := uint32(0); e < 3; e++ {
+		st.epoch = e
+		runState(st, randomLabelSet(rng, w))
+	}
+	st.epoch = math.MaxUint32 - 3
+	for q := 0; q < 8; q++ {
+		labels := randomLabelSet(rng, w)
+		checkIdentical(t, labels, runState(st, labels), s.FindReference(labels))
+	}
+	if st.epoch < 1 || st.epoch > 8 {
+		t.Fatalf("epoch = %d after wrapping, want a small positive value", st.epoch)
+	}
+}
+
+// fuzzCase decodes a small weighted graph, a label set and search options
+// from arbitrary bytes. Node i carries label i%nl, so labels are ambiguous
+// whenever nl < n.
+func fuzzCase(data []byte) (*kg.Graph, []string, Options) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	weights := []float64{1, 2, 0.5, 0.1, 0.3, 2.5, 1e-17, 3, 7, 0.25}
+	n := 2 + next()%14
+	nl := 1 + next()%n
+	ob := next()
+	opts := Options{NoEarlyStop: ob&4 != 0, DepthOnly: ob&2 != 0}
+	if ob&1 != 0 {
+		opts.Model = ModelTree
+	}
+	switch ob >> 4 & 3 {
+	case 1:
+		opts.MaxDepth = 2
+	case 2:
+		opts.MaxDepth = 3.5
+	}
+	if ob&64 != 0 {
+		opts.MaxExpansions = 1 + next()%40
+	}
+	uniform := -1 // index of the one weight every edge gets, or -1
+	if ob&8 != 0 {
+		uniform = next() % len(weights)
+	}
+	var labels []string
+	for i, q := 0, 1+next()%5; i < q; i++ {
+		labels = append(labels, fmt.Sprintf("e%d", next()%(nl+1))) // e<nl> resolves to nothing
+	}
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("e%d", i%nl)
+	}
+	var edges []testEdge
+	for len(data) >= 3 {
+		from, to, rw := next()%n, next()%n, next()
+		wi := rw >> 2 % len(weights)
+		if uniform >= 0 {
+			wi = uniform
+		}
+		edges = append(edges, testEdge{from, to, fmt.Sprintf("r%d", rw&3), weights[wi]})
+	}
+	return buildGraph(names, edges), labels, opts
+}
+
+// FuzzFindMatchesReference: on any small weighted graph, label set and
+// option set, Find and every FindK rank equal the reference.
+func FuzzFindMatchesReference(f *testing.F) {
+	f.Add([]byte{6, 3, 0, 2, 0, 1, 0, 1, 0, 1, 2, 4, 2, 3, 8, 3, 4, 12, 4, 5, 16})
+	f.Add([]byte{9, 4, 1, 3, 0, 1, 2, 0, 1, 24, 1, 2, 24, 2, 3, 24, 3, 0, 0, 4, 5, 1, 5, 6, 2})
+	f.Add([]byte{12, 12, 8 | 64, 5, 0, 4, 0, 3, 6, 9, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 0, 4, 5, 0})
+	f.Add([]byte{5, 5, 4 | 16, 2, 0, 4, 0, 1, 24, 1, 2, 24, 2, 3, 0, 3, 4, 24, 1, 1, 25})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, labels, opts := fuzzCase(data)
+		checkSearcher(t, NewSearcher(g, opts), labels, math.MaxInt)
+	})
+}
+
+// TestRandomGraphsMatchReference runs the fuzz decoder over seeded random
+// bytes, so plain `go test` covers ten thousand graph/option shapes.
+func TestRandomGraphsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20211))
+	for i := 0; i < 10000; i++ {
+		data := make([]byte, 12+rng.Intn(90))
+		rng.Read(data)
+		g, labels, opts := fuzzCase(data)
+		checkSearcher(t, NewSearcher(g, opts), labels, math.MaxInt)
+		if t.Failed() {
+			t.Fatalf("case %d: data %v", i, data)
+		}
 	}
 }

@@ -7,21 +7,18 @@ import (
 	"newslink/internal/kg"
 )
 
-// This file preserves the original map-based G* implementation as an
-// executable specification. FindReference is the seed Find, byte for byte
-// modulo renames: per-label map[kg.NodeID]float64 distances,
-// map[kg.NodeID]bool settled sets, a global reached counter map, and
-// container/heap frontier operations. The flat-state fast path
-// (state.go/search.go) must produce embeddings identical to it — root,
-// labels, distance vectors, node set, arcs and serialized bytes — which
-// the identity property tests assert over synthetic worlds, and the
-// benchmark band reports both paths so the speedup stays measured against
-// the true baseline rather than a remembered number.
+// This file is the executable specification of the G* search: the original
+// map-based implementation, byte for byte modulo renames — per-label
+// map[kg.NodeID]float64 distances, map[kg.NodeID]bool settled sets, parent
+// arcs recorded relaxation by relaxation, a global reached counter map and
+// one container/heap frontier in (distance, label, node) order. The
+// node-major search (state.go) must produce embeddings identical to it —
+// root, labels, distance vectors, node set, arcs, expansion count and
+// serialized bytes — which identity_test.go asserts on synthetic worlds,
+// hand-built adversarial graphs and fuzzed ones.
 
-// FindReference computes the same optimal subgraph embedding as Find using
-// the original (pre-flat-state) map-based traversal. It allocates its
-// entire state per call and is retained for verification and baseline
-// benchmarking only; use Find for production traffic.
+// FindReference computes the same optimal subgraph embedding as Find with
+// the reference traversal.
 func (s *Searcher) FindReference(labels []string) *Subgraph {
 	st := newRefState(s.g, s.opts, labels)
 	if st == nil {
@@ -29,6 +26,50 @@ func (s *Searcher) FindReference(labels []string) *Subgraph {
 	}
 	st.run()
 	return st.best()
+}
+
+// findKReference is FindK over the reference traversal's candidate set.
+func (s *Searcher) findKReference(labels []string, k int) []*Subgraph {
+	st := newRefState(s.g, s.opts, labels)
+	if st == nil || k <= 0 {
+		return nil
+	}
+	st.run()
+	type ranked struct {
+		v   kg.NodeID
+		vec []float64
+	}
+	var all []ranked
+	for _, v := range st.candidates {
+		vec := make([]float64, len(st.ls))
+		for i := range st.ls {
+			vec[i] = st.ls[i].dist[v]
+		}
+		sort.Sort(sort.Reverse(sort.Float64Slice(vec)))
+		all = append(all, ranked{v, vec})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		switch {
+		case st.opts.Model == ModelTree:
+			si, sj := sumVec(all[i].vec), sumVec(all[j].vec)
+			if si != sj {
+				return si < sj
+			}
+		case st.opts.DepthOnly:
+			if all[i].vec[0] != all[j].vec[0] {
+				return all[i].vec[0] < all[j].vec[0]
+			}
+		}
+		if c := CompareCompactness(all[i].vec, all[j].vec); c != 0 {
+			return c < 0
+		}
+		return all[i].v < all[j].v
+	})
+	var out []*Subgraph
+	for _, r := range all[:min(k, len(all))] {
+		out = append(out, st.reconstruct(r.v))
+	}
+	return out
 }
 
 // refLabelState is the per-label Dijkstra state (the paper's F_i plus the

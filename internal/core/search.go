@@ -15,6 +15,15 @@ type Searcher struct {
 	g    *kg.Graph
 	opts Options
 	pool sync.Pool // of *state
+
+	// What the traversal reads of g, 4 bytes an arc where kg.Arc is 24:
+	// v's neighbours are adjTo[adjOff[v]:adjOff[v+1]], in g.Neighbors(v)
+	// order. A cold query touches thousands of adjacency lists once each,
+	// so their size is its cache-miss bill. Weights stay in g; a graph
+	// whose arcs all weigh the same (minW == maxW) never needs them.
+	adjOff     []uint64
+	adjTo      []kg.NodeID
+	minW, maxW float64
 }
 
 // NewSearcher returns a Searcher over g with the given options.
@@ -23,8 +32,28 @@ func NewSearcher(g *kg.Graph, opts Options) *Searcher {
 		opts.MaxExpansions = DefaultMaxExpansions
 	}
 	s := &Searcher{g: g, opts: opts}
-	s.pool.New = func() any { return newState(s.g, s.opts) }
+	s.scanArcs()
+	s.pool.New = func() any { return newState(s) }
 	return s
+}
+
+// scanArcs copies g's adjacency into the searcher's compact form and notes
+// the smallest and largest arc weight (0, 0 for a graph without arcs).
+func (s *Searcher) scanArcs() {
+	n := s.g.NumNodes()
+	s.adjOff = make([]uint64, n+1)
+	s.adjTo = make([]kg.NodeID, 0, 2*s.g.NumEdges())
+	s.minW = inf
+	for v := 0; v < n; v++ {
+		for _, a := range s.g.Neighbors(kg.NodeID(v)) {
+			s.adjTo = append(s.adjTo, a.To)
+			s.minW, s.maxW = min(s.minW, a.Weight), max(s.maxW, a.Weight)
+		}
+		s.adjOff[v+1] = uint64(len(s.adjTo))
+	}
+	if len(s.adjTo) == 0 {
+		s.minW = 0
+	}
 }
 
 // Graph returns the knowledge graph the searcher operates on.
@@ -69,11 +98,9 @@ type item struct {
 	v  kg.NodeID
 }
 
-// less is the frontier's strict total order implementing Equation 2: the
-// next path enumerated is the globally smallest distance across all labels'
-// queues F_i. Ties break on label then node for determinism — and because
-// the order is total, the manual heap below pops in exactly the sequence
-// container/heap produced for the reference implementation.
+// less is the reference frontier's strict total order implementing
+// Equation 2: the next path enumerated is the globally smallest distance
+// across all labels' queues F_i, ties broken on label then node.
 func (a item) less(b item) bool {
 	if a.d != b.d {
 		return a.d < b.d
@@ -84,10 +111,9 @@ func (a item) less(b item) bool {
 	return a.v < b.v
 }
 
-// frontier is the global min-priority queue. The hot path uses the manual
-// push/popMin below (no interface boxing ⇒ no per-operation allocation);
-// the heap.Interface methods remain for container/heap users such as the
-// exact GST baseline's Dijkstra relaxation.
+// frontier is a container/heap min-priority queue of items: the exact GST
+// baseline's Dijkstra relaxation and the reference G* (reference_test.go)
+// use it. The G* search itself runs on the bucket queue in state.go.
 type frontier []item
 
 func (f frontier) Len() int           { return len(f) }
@@ -100,47 +126,4 @@ func (f *frontier) Pop() any {
 	it := old[n-1]
 	*f = old[:n-1]
 	return it
-}
-
-// push inserts it, sifting up.
-func (f *frontier) push(it item) {
-	h := append(*f, it)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].less(h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	*f = h
-}
-
-// popMin removes and returns the minimum entry. The caller must ensure the
-// frontier is non-empty.
-func (f *frontier) popMin() item {
-	h := *f
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h[l].less(h[small]) {
-			small = l
-		}
-		if r < n && h[r].less(h[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	*f = h
-	return top
 }

@@ -480,10 +480,3 @@ func TestCompareCompactness(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,176 +1,158 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"newslink/internal/kg"
 )
 
-// This file holds the flat traversal state of the G* search. The original
-// implementation (retained verbatim as FindReference, reference.go) kept
-// per-label map[kg.NodeID]float64 distance maps, map[kg.NodeID]bool settled
-// sets and a global reached map — at 10⁶⁺ nodes every relaxation was a hash
-// probe into a pointer-chasing table, and every query re-allocated the
-// whole visited set. The layout below replaces all of it:
+// This file holds the traversal state of the G* search (Algorithms 1-3).
+// It is node-major: every node a query touches owns one dense record, and
+// nothing is keyed by label first.
 //
-//   - Per-label state lives in fixed-size pages of statePageSize node IDs
-//     (dist array, settled bitset words, parent-arc slices), allocated
-//     lazily for the pages the traversal actually touches, so memory stays
-//     proportional to the visited set rather than the graph.
-//   - Every page carries an epoch stamp. A query bumps the state's epoch
-//     once; a page whose stamp is stale is reset (dist=+Inf, settled=0,
-//     parents truncated in place) on first touch. Nothing is cleared at
-//     release time, so recycling a state costs O(1).
-//   - The candidate set and reconstruction visited sets are kg.Bitset
-//     values with sparse reset: clearing costs O(words touched).
-//   - States are recycled through the owning Searcher's sync.Pool, so a
-//     steady-state query performs zero allocations in the enumeration loop
-//     (the returned Subgraph is freshly allocated — it outlives the state).
+//   - idx maps node → slot for the whole graph (8 B per node, per pooled
+//     state). An entry is live only if its high half equals the state's
+//     epoch, so one epoch bump per query invalidates all of it; nothing is
+//     cleared at release time.
+//   - A slot's record is dist[slot·m : slot·m+m] (every label's tentative
+//     distance, contiguous; +Inf ⇔ undiscovered), ord (the same shape: 0 ⇔
+//     unsettled, otherwise the 1-based position in the pop sequence) and a
+//     slotRec (node id, reached-label count, reconstruction mark). Slots are
+//     handed out in first-touch order, so a pooled state retains memory
+//     proportional to its largest query.
+//   - The frontier is a monotone bucket queue (a radix heap) keyed on the
+//     bit pattern of the non-negative float64 distance: bucket i holds the
+//     entries whose key first differs from the last popped key at bit i-1,
+//     bucket 0 therefore exactly the entries at the current distance — one
+//     level. Levels are drained whole.
+//   - No parents are stored. reconstruct derives label li's parents of v as
+//     the settled neighbours u with dist(li,u) + w == dist(li,v), which is
+//     the set the reference implementation records relaxation by
+//     relaxation (reference_test.go); ord recovers which came first.
 //
-// The enumeration order is bit-for-bit identical to the reference: the
-// frontier is the same (distance, label, node) strict total order, page
-// lookups preserve the map semantics (+Inf ⇔ absent), and the identity
-// property tests compare entire serialized embeddings against
-// FindReference on synthetic worlds.
+// Results are identical to the reference, which pops one global
+// (distance, label, node) order. With strictly positive weights the G*
+// stop (C1 and C2) can only fire between levels, so the settled set, the
+// distances, the candidate set and the expansion count do not depend on
+// the order inside a level — provided no tentative distance is ever
+// lowered, because a candidate's depth is taken when its last label
+// arrives. That holds on a uniform-weight graph (a node discovered from
+// level d always gets d+w), which Searcher establishes once per graph. A
+// level is put in (label, node) order when it is opened wherever that
+// argument does not apply: non-uniform weights, ModelTree (its sum bound
+// can stop inside a level) and a level longer than the remaining
+// MaxExpansions budget. DESIGN.md §12 has the full argument.
 
-const (
-	statePageBits  = 10
-	statePageSize  = 1 << statePageBits
-	statePageMask  = statePageSize - 1
-	statePageWords = statePageSize / 64
-)
-
-// infDists is the reset image of a page's distance array.
-var infDists = func() (d [statePageSize]float64) {
-	for i := range d {
-		d[i] = math.Inf(1)
-	}
-	return
-}()
-
-// statePage is the per-label traversal state of one aligned block of
-// statePageSize node IDs: tentative distances (+Inf = undiscovered),
-// settled bits, and the shortest-path DAG parent arcs. Parent slices keep
-// their capacity across epochs, so re-expanding a recycled page allocates
-// only when a node collects more equal-cost parents than it ever had.
-type statePage struct {
-	epoch   uint64
-	settled [statePageWords]uint64
-	dist    [statePageSize]float64
-	parents [statePageSize][]PathArc
-}
-
-func (p *statePage) reset(epoch uint64) {
-	p.epoch = epoch
-	copy(p.dist[:], infDists[:])
-	p.settled = [statePageWords]uint64{}
-	for i := range p.parents {
-		p.parents[i] = p.parents[i][:0]
-	}
-}
-
-// labelState is one label's paged Dijkstra state (the paper's F_i distance
-// structure plus parents for reconstruction).
-type labelState struct {
-	pages []*statePage
-}
-
-// page returns the page holding node block pi, fresh for epoch.
-func (ls *labelState) page(pi int, epoch uint64) *statePage {
-	p := ls.pages[pi]
-	if p == nil {
-		p = new(statePage)
-		ls.pages[pi] = p
-	}
-	if p.epoch != epoch {
-		p.reset(epoch)
-	}
-	return p
-}
-
-// reachPage counts, per node of one block, how many labels have assigned a
-// finite distance (the candidate test of Algorithm 3).
-type reachPage struct {
-	epoch uint64
-	cnt   [statePageSize]int32
-}
-
-func pageOf(v kg.NodeID) (pi, off int) {
-	return int(v) >> statePageBits, int(v) & statePageMask
+// slotRec is the per-node part of a touched node's record.
+type slotRec struct {
+	node  kg.NodeID
+	reach int32  // labels that have assigned a finite distance (Algorithm 3)
+	mark  uint32 // reconstruct's visit stamp
 }
 
 // state is one pooled G* traversal. It is owned by a single Find/FindK
 // call at a time and recycled through the Searcher's pool.
 type state struct {
-	g      *kg.Graph
-	opts   Options
-	epoch  uint64
-	nPages int
+	g       *kg.Graph
+	opts    Options
+	adjOff  []uint64    // the Searcher's compact adjacency
+	adjTo   []kg.NodeID //
+	minW    float64     // smallest arc weight of g
+	uniform bool        // every arc of g has the same weight
 
-	labels     []string // deduplicated labels that resolved to >=1 node
-	ls         []labelState
-	h          frontier
-	reach      []*reachPage
-	candSet    *kg.Bitset
-	candidates []kg.NodeID
-	minDepth   float64 // min over candidates of depth at insertion (C2)
-	minSum     float64 // min over candidates of distance sum (ModelTree)
+	epoch  uint32
+	idx    []uint64 // node → epoch<<32 | slot
+	labels []string // deduplicated labels that resolved to >=1 node
+	m      int      // len(labels)
+	slots  []slotRec
+	dist   []float64
+	ord    []uint32
+
+	// Bucket queue. buckets[0][pos:] is the undrained part of the level at
+	// distance Float64frombits(last); sorted says it is in (label, node)
+	// order and must stay so.
+	buckets [65][]item
+	last    uint64
+	pos     int
+	sorted  bool
+
+	cands      []uint32 // candidate root slots
+	minDepth   float64  // min over candidates of depth at insertion (C2)
+	minSum     float64  // min over candidates of distance sum (ModelTree)
 	expansions int
 
 	// reconstruction scratch, reused across calls
-	nodeSeen  *kg.Bitset
-	visitSeen *kg.Bitset
-	nodeBuf   []kg.NodeID
-	stack     []kg.NodeID
-	vecA      []float64
-	vecB      []float64
+	stamp   uint32
+	stack   []uint32
+	nodeBuf []kg.NodeID
+	arcBuf  []PathArc
+	arcEnd  []int
+	vecA    []float64
+	vecB    []float64
 
-	// ctx, polled every ctxPollMask+1 loop iterations when non-nil, lets
+	// ctx, polled every ctxPollMask+1 expansions when non-nil, lets
 	// EmbedGroupsContext cancel a long enumeration cooperatively.
-	ctx   context.Context
-	steps int
-	err   error
+	ctx context.Context
+	err error
 }
 
 // ctxPollMask throttles context polling in the enumeration loop.
 const ctxPollMask = 255
 
-func newState(g *kg.Graph, opts Options) *state {
-	n := g.NumNodes()
-	np := (n + statePageSize - 1) / statePageSize
-	return &state{
-		g:         g,
-		opts:      opts,
-		nPages:    np,
-		reach:     make([]*reachPage, np),
-		candSet:   kg.NewBitset(n),
-		nodeSeen:  kg.NewBitset(n),
-		visitSeen: kg.NewBitset(n),
-	}
+func newState(s *Searcher) *state {
+	return &state{g: s.g, opts: s.opts, adjOff: s.adjOff, adjTo: s.adjTo, minW: s.minW, uniform: s.minW == s.maxW,
+		idx: make([]uint64, s.g.NumNodes())}
 }
 
-// begin readies a (possibly recycled) state for one query: a single epoch
-// bump invalidates every page lazily; only the bitsets and slice headers
-// are reset eagerly, each in O(touched).
+// begin readies a (possibly recycled) state for one query: the epoch bump
+// orphans every slot, the per-slot arrays are truncated, not cleared.
 func (st *state) begin(ctx context.Context) {
 	st.epoch++
+	if st.epoch == 0 { // wrapped: entries stamped in the previous cycle would read live
+		clear(st.idx)
+		st.epoch = 1
+	}
 	st.labels = st.labels[:0]
-	st.h = st.h[:0]
-	st.candidates = st.candidates[:0]
-	st.candSet.Reset()
+	st.slots, st.dist, st.ord = st.slots[:0], st.dist[:0], st.ord[:0]
+	for i := range st.buckets {
+		st.buckets[i] = st.buckets[i][:0]
+	}
+	st.last, st.pos, st.sorted = 0, 0, false
+	st.cands = st.cands[:0]
 	st.minDepth, st.minSum = inf, inf
 	st.expansions = 0
+	st.stamp = 0
 	st.ctx = ctx
-	st.steps = 0
 	st.err = nil
 }
 
 // release drops request-scoped references before the state returns to the
 // pool.
 func (st *state) release() { st.ctx = nil }
+
+// slotOf returns v's slot, if the query has touched v.
+func (st *state) slotOf(v kg.NodeID) (uint32, bool) {
+	e := st.idx[v]
+	return uint32(e), uint32(e>>32) == st.epoch
+}
+
+// newSlot gives v, untouched so far, a fresh record.
+func (st *state) newSlot(v kg.NodeID) uint32 {
+	s := uint32(len(st.slots))
+	st.idx[v] = uint64(st.epoch)<<32 | uint64(s)
+	st.slots = append(st.slots, slotRec{node: v})
+	lo, hi := len(st.dist), len(st.dist)+st.m
+	st.dist = slices.Grow(st.dist, st.m)[:hi]
+	st.ord = slices.Grow(st.ord, st.m)[:hi]
+	for i := lo; i < hi; i++ {
+		st.dist[i], st.ord[i] = inf, 0
+	}
+	return s
+}
 
 // hasLabel reports whether the folded key is already registered. Label
 // sets are tiny (one news segment's entities), so a linear scan beats a
@@ -200,58 +182,40 @@ func (st *state) init(labels []string) bool {
 		}
 		st.labels = append(st.labels, key)
 	}
-	if len(st.labels) == 0 {
+	st.m = len(st.labels)
+	if st.m == 0 {
 		return false
-	}
-	for len(st.ls) < len(st.labels) {
-		st.ls = append(st.ls, labelState{pages: make([]*statePage, st.nPages)})
 	}
 	// Second pass: seed the per-label frontiers F_i (Algorithm 1 lines 1-5).
 	for li, key := range st.labels {
-		ls := &st.ls[li]
 		for _, v := range st.g.Lookup(key) {
-			pi, off := pageOf(v)
-			p := ls.page(pi, st.epoch)
-			if p.dist[off] != inf {
+			s, ok := st.slotOf(v)
+			if !ok {
+				s = st.newSlot(v)
+			}
+			i := int(s)*st.m + li
+			if st.dist[i] != inf {
 				continue
 			}
-			p.dist[off] = 0
-			st.noteReached(v)
-			st.h.push(item{0, int32(li), v})
+			st.dist[i] = 0
+			st.noteReached(s)
+			st.push(item{0, int32(li), v})
 		}
 	}
 	return true
 }
 
-// distOf returns label li's distance to v. The caller guarantees li has
-// discovered v this epoch (candidates and heap entries always have).
-func (st *state) distOf(li int, v kg.NodeID) float64 {
-	pi, off := pageOf(v)
-	return st.ls[li].pages[pi].dist[off]
-}
-
-// noteReached records that one more label reached v and promotes v to a
-// candidate root when all labels have (Algorithm 3).
-func (st *state) noteReached(v kg.NodeID) {
-	pi, off := pageOf(v)
-	rp := st.reach[pi]
-	if rp == nil {
-		rp = new(reachPage)
-		st.reach[pi] = rp
-	}
-	if rp.epoch != st.epoch {
-		rp.epoch = st.epoch
-		clear(rp.cnt[:])
-	}
-	rp.cnt[off]++
-	if int(rp.cnt[off]) != len(st.labels) || st.candSet.Test(int(v)) {
+// noteReached records that one more label reached slot s and promotes it to
+// a candidate root when all labels have (Algorithm 3).
+func (st *state) noteReached(s uint32) {
+	r := &st.slots[s]
+	r.reach++
+	if int(r.reach) != st.m {
 		return
 	}
-	st.candSet.Set(int(v))
-	st.candidates = append(st.candidates, v)
+	st.cands = append(st.cands, s)
 	depth, sum := 0.0, 0.0
-	for i := range st.labels {
-		d := st.distOf(i, v)
+	for _, d := range st.dists(s) {
 		sum += d
 		if d > depth {
 			depth = d
@@ -265,91 +229,152 @@ func (st *state) noteReached(v kg.NodeID) {
 	}
 }
 
-// peekValid returns the distance of the next non-stale frontier entry
-// (D'_min at Algorithm 1 line 11), discarding stale entries as it goes.
-func (st *state) peekValid() float64 {
-	for len(st.h) > 0 {
-		top := st.h[0]
-		pi, off := pageOf(top.v)
-		p := st.ls[top.li].pages[pi]
-		if p.settled[off>>6]&(1<<(off&63)) != 0 || top.d > p.dist[off] {
-			st.h.popMin()
-			continue
-		}
-		return top.d
+// dists returns slot s's per-label distances.
+func (st *state) dists(s uint32) []float64 {
+	return st.dist[int(s)*st.m:][:st.m]
+}
+
+// byLabelNode is the reference frontier's order among entries at one
+// distance.
+func byLabelNode(a, b item) int {
+	if c := cmp.Compare(a.li, b.li); c != 0 {
+		return c
 	}
-	return inf
+	return cmp.Compare(a.v, b.v)
+}
+
+// push queues it. Distances never decrease along a traversal, so the key
+// is never below last and the bucket index is well defined.
+func (st *state) push(it item) {
+	b := bits.Len64(math.Float64bits(it.d) ^ st.last)
+	if b == 0 && st.sorted {
+		// d + w == d in float64: the entry lands in the level being drained
+		// and takes its place among the entries still to come, as it would
+		// in the reference heap.
+		tail := st.buckets[0][st.pos+1:]
+		j, _ := slices.BinarySearchFunc(tail, it, byLabelNode)
+		st.buckets[0] = slices.Insert(st.buckets[0], st.pos+1+j, it)
+		return
+	}
+	st.buckets[b] = append(st.buckets[b], it)
+}
+
+// openLevel makes buckets[0][pos:] the entries at the smallest queued
+// distance, in reference order where the order can be observed. It returns
+// false when the queue is empty.
+func (st *state) openLevel() bool {
+	if st.pos == len(st.buckets[0]) {
+		st.buckets[0], st.pos = st.buckets[0][:0], 0
+		i := 1
+		for i < len(st.buckets) && len(st.buckets[i]) == 0 {
+			i++
+		}
+		if i == len(st.buckets) {
+			return false
+		}
+		b := st.buckets[i]
+		lo, hi := uint64(math.MaxUint64), uint64(0)
+		for _, it := range b {
+			k := math.Float64bits(it.d)
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		st.last = lo
+		if lo == hi {
+			// One distance in the bucket (always, on a unit-weight graph):
+			// the bucket is the level.
+			st.buckets[0], st.buckets[i] = b, st.buckets[0]
+		} else {
+			// Every entry moves to a strictly lower bucket.
+			st.buckets[i] = b[:0]
+			for _, it := range b {
+				j := bits.Len64(math.Float64bits(it.d) ^ lo)
+				st.buckets[j] = append(st.buckets[j], it)
+			}
+		}
+	}
+	level := st.buckets[0][st.pos:]
+	st.sorted = !st.uniform || st.opts.Model == ModelTree ||
+		len(level) > st.opts.MaxExpansions-st.expansions
+	if st.sorted {
+		slices.SortFunc(level, byLabelNode)
+	}
+	return true
 }
 
 // run is the PathEnumeration / CandidateCollection loop (Algorithm 1 lines
-// 8-13, Algorithm 2).
+// 8-13, Algorithm 2), one level of the frontier at a time.
 func (st *state) run() {
-	m := len(st.labels)
-	for st.expansions < st.opts.MaxExpansions {
-		if st.ctx != nil {
-			if st.steps&ctxPollMask == 0 {
+	m, maxDepth := st.m, st.opts.MaxDepth
+	idx, epoch := st.idx, st.epoch
+	for st.openLevel() {
+		d := math.Float64frombits(st.last) // D'_min at Algorithm 1 line 11
+		// At the rim of the MaxDepth ball no arc can pass the depth test, so
+		// the level's adjacency lists are not even read.
+		rim := maxDepth > 0 && d+st.minW > maxDepth
+		for ; st.pos < len(st.buckets[0]); st.pos++ {
+			it := st.buckets[0][st.pos]
+			li := int(it.li)
+			s, _ := st.slotOf(it.v)
+			if st.dist[int(s)*m+li] != d {
+				continue // stale: a shorter path was found after this entry was queued
+			}
+			if st.expansions >= st.opts.MaxExpansions {
+				return
+			}
+			if st.ctx != nil && st.expansions&ctxPollMask == 0 {
 				if err := st.ctx.Err(); err != nil {
 					st.err = err
 					return
 				}
 			}
-			st.steps++
-		}
-		// Termination test: C1 (a candidate exists) and C2 (the next frontier
-		// distance exceeds the collected depth). TreeEmb uses the Steiner
-		// lower bound m*D'_min instead.
-		next := st.peekValid()
-		if next == inf {
-			return // graph exhausted
-		}
-		// Termination. G* stops under C1 (a candidate exists) and C2 (the
-		// next frontier distance exceeds the collected depth). ModelTree
-		// stops under the Steiner lower bound: any undiscovered root has
-		// every label at distance >= next, hence sum >= m*next — a sound,
-		// quality-preserving cut that the as-published bidirectional-
-		// expansion baseline LACKS; pass NoEarlyStop to time that original
-		// exhaustive behaviour (Figure 7 reproduces the published gap).
-		if len(st.candidates) > 0 && !st.opts.NoEarlyStop {
-			if st.opts.Model == ModelTree {
-				if st.minSum <= float64(m)*next {
+			// Termination. G* stops under C1 (a candidate exists) and C2 (the
+			// next frontier distance exceeds the collected depth). ModelTree
+			// stops under the Steiner lower bound: any undiscovered root has
+			// every label at distance >= d, hence sum >= m*d — a sound,
+			// quality-preserving cut that the as-published bidirectional-
+			// expansion baseline LACKS; pass NoEarlyStop to time that original
+			// exhaustive behaviour (Figure 7 reproduces the published gap).
+			if len(st.cands) > 0 && !st.opts.NoEarlyStop {
+				if st.opts.Model == ModelTree {
+					if st.minSum <= float64(m)*d {
+						return
+					}
+				} else if st.minDepth < d {
 					return
 				}
-			} else if st.minDepth < next {
-				return
 			}
-		}
-		// PathEnumeration: pop the globally smallest frontier entry.
-		it := st.h.popMin()
-		ls := &st.ls[it.li]
-		pi, off := pageOf(it.v)
-		p := ls.pages[pi]
-		w, bit := off>>6, uint64(1)<<(off&63)
-		if p.settled[w]&bit != 0 || it.d > p.dist[off] {
-			continue // stale
-		}
-		p.settled[w] |= bit
-		st.expansions++
-		for _, a := range st.g.Neighbors(it.v) {
-			nd := it.d + a.Weight
-			if st.opts.MaxDepth > 0 && nd > st.opts.MaxDepth {
+			// PathEnumeration: settle (li, v) and relax its arcs.
+			st.expansions++
+			st.ord[int(s)*m+li] = uint32(st.expansions)
+			if rim {
 				continue
 			}
-			npi, noff := pageOf(a.To)
-			np := ls.page(npi, st.epoch)
-			cur := np.dist[noff] // +Inf ⇔ undiscovered
-			arc := PathArc{From: it.v, To: a.To, Rel: a.Rel, Reverse: a.Reverse}
-			switch {
-			case nd < cur:
-				np.dist[noff] = nd
-				np.parents[noff] = append(np.parents[noff][:0], arc)
-				st.h.push(item{nd, it.li, a.To})
-				if cur == inf {
-					st.noteReached(a.To)
+			var arcs []kg.Arc // read for their weights only where weights differ
+			if !st.uniform {
+				arcs = st.g.Neighbors(it.v)
+			}
+			for k, to := range st.adjTo[st.adjOff[it.v]:st.adjOff[it.v+1]] {
+				w := st.minW
+				if arcs != nil {
+					w = arcs[k].Weight
 				}
-			case nd == cur:
-				// An equal-cost path: preserve it for the "width" of the
-				// embedding (Definition 3 keeps all shortest paths).
-				np.parents[noff] = append(np.parents[noff], arc)
+				nd := d + w
+				if maxDepth > 0 && nd > maxDepth {
+					continue
+				}
+				e := idx[to] // slotOf, on locals
+				t := uint32(e)
+				if uint32(e>>32) != epoch {
+					t = st.newSlot(to)
+				}
+				i := int(t)*m + li
+				if cur := st.dist[i]; nd < cur {
+					st.dist[i] = nd
+					st.push(item{nd, it.li, to})
+					if cur == inf {
+						st.noteReached(t)
+					}
+				}
 			}
 		}
 	}
@@ -370,11 +395,9 @@ func sortDescending(v []float64) {
 	}
 }
 
-// fillVec writes v's descending-sorted distance vector into out.
-func (st *state) fillVec(out []float64, v kg.NodeID) {
-	for i := range out {
-		out[i] = st.distOf(i, v)
-	}
+// fillVec writes slot s's descending-sorted distance vector into out.
+func (st *state) fillVec(out []float64, s uint32) {
+	copy(out, st.dists(s))
 	sortDescending(out)
 }
 
@@ -382,19 +405,19 @@ func (st *state) fillVec(out []float64, v kg.NodeID) {
 // reconstruction, returning nil when no candidate was collected. The two
 // comparison vectors live in pooled scratch buffers.
 func (st *state) best() *Subgraph {
-	if len(st.candidates) == 0 {
+	if len(st.cands) == 0 {
 		return nil
 	}
-	m := len(st.labels)
-	if cap(st.vecA) < m {
-		st.vecA = make([]float64, m)
-		st.vecB = make([]float64, m)
+	if cap(st.vecA) < st.m {
+		st.vecA = make([]float64, st.m)
+		st.vecB = make([]float64, st.m)
 	}
-	bestVec, cand := st.vecA[:m], st.vecB[:m]
-	bestV := st.candidates[0]
-	st.fillVec(bestVec, bestV)
-	for _, v := range st.candidates[1:] {
-		st.fillVec(cand, v)
+	bestVec, cand := st.vecA[:st.m], st.vecB[:st.m]
+	bestS := st.cands[0]
+	st.fillVec(bestVec, bestS)
+	for _, s := range st.cands[1:] {
+		st.fillVec(cand, s)
+		v, bestV := st.slots[s].node, st.slots[bestS].node
 		var better bool
 		switch {
 		case st.opts.Model == ModelTree:
@@ -411,84 +434,139 @@ func (st *state) best() *Subgraph {
 			better = c < 0 || c == 0 && v < bestV
 		}
 		if better {
-			bestV = v
+			bestS = s
 			bestVec, cand = cand, bestVec
 		}
 	}
-	return st.reconstruct(bestV)
+	return st.reconstruct(bestS)
 }
 
 // reconstruct builds the subgraph G_r(L) = union over labels of the
 // shortest paths from the label's sources to the root (Definition 3 /
-// Equation 1). For ModelTree only the first recorded parent is followed,
-// yielding a single path per label. The visited tracking uses the pooled
-// sparse-reset bitsets; only the returned Subgraph allocates.
-func (st *state) reconstruct(root kg.NodeID) *Subgraph {
-	m := len(st.labels)
+// Equation 1), walking the shortest-path DAG backwards from the root. Arcs
+// are oriented From(parent, closer to the label) -> To(closer to root).
+// Only the returned Subgraph allocates; its arc slices share one array.
+func (st *state) reconstruct(root uint32) *Subgraph {
+	m := st.m
 	sg := &Subgraph{
-		Root:       root,
-		Labels:     append([]string(nil), st.labels...),
-		Dists:      make([]float64, m),
+		Root:       st.slots[root].node,
+		Labels:     slices.Clone(st.labels),
+		Dists:      slices.Clone(st.dists(root)),
+		LabelArcs:  make([][]PathArc, m),
 		Expansions: st.expansions,
 	}
-	sg.LabelArcs = make([][]PathArc, m)
-	st.nodeSeen.Reset()
-	st.nodeSeen.Set(int(root))
-	st.nodeBuf = append(st.nodeBuf[:0], root)
-	arcSet := map[PathArc]bool{}
-	for i := 0; i < m; i++ {
-		ls := &st.ls[i]
-		sg.Dists[i] = st.distOf(i, root)
-		// Walk the shortest-path DAG backwards from the root. Arcs are
-		// oriented From(parent, closer to the label) -> To(closer to root).
-		st.visitSeen.Reset()
-		st.visitSeen.Set(int(root))
-		labelSeen := map[PathArc]bool{}
+	// A slot's mark is the stamp of the last label walk that visited it:
+	// == cur ⇔ visited by this label, > base ⇔ already in nodeBuf.
+	base := st.stamp
+	st.stamp += uint32(m)
+	st.nodeBuf = append(st.nodeBuf[:0], sg.Root)
+	st.arcBuf, st.arcEnd = st.arcBuf[:0], st.arcEnd[:0]
+	for li := 0; li < m; li++ {
+		cur := base + 1 + uint32(li)
+		start := len(st.arcBuf)
+		st.slots[root].mark = cur
 		st.stack = append(st.stack[:0], root)
 		for len(st.stack) > 0 {
-			v := st.stack[len(st.stack)-1]
+			s := st.stack[len(st.stack)-1]
 			st.stack = st.stack[:len(st.stack)-1]
-			pi, off := pageOf(v)
-			parents := ls.pages[pi].parents[off]
-			if st.opts.Model == ModelTree && len(parents) > 1 {
-				parents = parents[:1]
-			}
-			for _, p := range parents {
-				arcSet[p] = true
-				if !labelSeen[p] {
-					labelSeen[p] = true
-					sg.LabelArcs[i] = append(sg.LabelArcs[i], p)
+			n := len(st.arcBuf)
+			st.appendParents(li, s)
+			for _, p := range st.arcBuf[n:] {
+				ps, _ := st.slotOf(p.From)
+				r := &st.slots[ps]
+				if r.mark == cur {
+					continue
 				}
-				if !st.nodeSeen.TestSet(int(p.From)) {
+				if r.mark <= base {
 					st.nodeBuf = append(st.nodeBuf, p.From)
 				}
-				if !st.visitSeen.TestSet(int(p.From)) {
-					st.stack = append(st.stack, p.From)
-				}
+				r.mark = cur
+				st.stack = append(st.stack, ps)
 			}
 		}
-		sortArcs(sg.LabelArcs[i])
+		arcs := st.arcBuf[start:]
+		sortArcs(arcs)
+		st.arcBuf = st.arcBuf[:start+len(slices.Compact(arcs))]
+		st.arcEnd = append(st.arcEnd, len(st.arcBuf))
 	}
-	sg.Nodes = append([]kg.NodeID(nil), st.nodeBuf...)
+	total := len(st.arcBuf)
+	st.arcBuf = append(st.arcBuf, st.arcBuf...)
+	union := st.arcBuf[total:]
+	sortArcs(union)
+	union = slices.Compact(union)
+	out := make([]PathArc, total+len(union))
+	copy(out, st.arcBuf[:total])
+	copy(out[total:], union)
+	start := 0
+	for li, end := range st.arcEnd {
+		if end > start {
+			sg.LabelArcs[li] = out[start:end:end]
+		}
+		start = end
+	}
+	sg.Arcs = out[total:]
+	sg.Nodes = slices.Clone(st.nodeBuf)
 	slices.Sort(sg.Nodes)
-	sg.Arcs = make([]PathArc, 0, len(arcSet))
-	for a := range arcSet {
-		sg.Arcs = append(sg.Arcs, a)
-	}
-	sortArcs(sg.Arcs)
 	return sg
 }
 
-// sortArcs orders arcs by (From, To, Rel) for deterministic output.
+// appendParents appends to arcBuf label li's shortest-path parent arcs of
+// slot s: one per arc (u, v) whose tail u is settled with dist(u) + w == dist(v).
+// These are exactly the arcs a relaxation-time parent list ends up with
+// (an arc recorded at a longer distance is dropped when v's distance
+// falls, and only expanded nodes relax), found from v's side because every
+// edge is stored in both directions with the same weight. ModelTree keeps
+// the first arc such a list would hold: the first qualifying arc, in u's
+// adjacency order, of the earliest-settled qualifying u.
+func (st *state) appendParents(li int, s uint32) {
+	m := st.m
+	v, dv := st.slots[s].node, st.dist[int(s)*m+li]
+	var first, firstOrd uint32 // ModelTree: the earliest-settled parent's slot and ord
+	for _, a := range st.g.Neighbors(v) {
+		us, ok := st.slotOf(a.To)
+		if !ok {
+			continue
+		}
+		i := int(us)*m + li
+		if st.ord[i] == 0 || st.dist[i]+a.Weight != dv {
+			continue
+		}
+		if st.opts.Model != ModelTree {
+			st.arcBuf = append(st.arcBuf, PathArc{From: a.To, To: v, Rel: a.Rel, Reverse: !a.Reverse})
+		} else if firstOrd == 0 || st.ord[i] < firstOrd {
+			first, firstOrd = us, st.ord[i]
+		}
+	}
+	if firstOrd != 0 {
+		u, du := st.slots[first].node, st.dist[int(first)*m+li]
+		for _, a := range st.g.Neighbors(u) {
+			if a.To == v && du+a.Weight == dv {
+				st.arcBuf = append(st.arcBuf, PathArc{From: u, To: v, Rel: a.Rel, Reverse: a.Reverse})
+				return
+			}
+		}
+	}
+}
+
+// sortArcs orders arcs by (From, To, Rel, Reverse) for deterministic
+// output.
 func sortArcs(arcs []PathArc) {
-	sort.Slice(arcs, func(i, j int) bool {
-		a, b := arcs[i], arcs[j]
-		if a.From != b.From {
-			return a.From < b.From
+	slices.SortFunc(arcs, func(a, b PathArc) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		if a.To != b.To {
-			return a.To < b.To
+		if c := cmp.Compare(a.To, b.To); c != 0 {
+			return c
 		}
-		return a.Rel < b.Rel
+		if c := cmp.Compare(a.Rel, b.Rel); c != 0 {
+			return c
+		}
+		switch {
+		case a.Reverse == b.Reverse:
+			return 0
+		case b.Reverse:
+			return -1
+		}
+		return 1
 	})
 }
