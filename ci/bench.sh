@@ -12,7 +12,7 @@
 # through the cluster router and three local shard workers (scatter, merge,
 # document gather); BenchmarkFilteredSearch and BenchmarkRelated cover the
 # DocFilter plane: fused search under time-window and entity-facet filters
-# (with pruning counters) and related-news search on both BON legs;
+# (with pruning counters) and related-news search off a stored embedding;
 # BenchmarkGather covers result materialization: k=10 DocAt + snippet with
 # the query's term set compiled once, which must stay at 0 allocs/op.
 # CI uploads the file as an artifact so the performance trajectory has a
@@ -22,8 +22,7 @@
 #
 # with a real benchtime (e.g. 2s) for publishable numbers — CI uses a short
 # smoke time so the job stays fast. The default outfile is the unversioned
-# BENCH.json; callers that archive a PR's numbers (ci.yml, reproduce.sh)
-# pass the versioned BENCH_prN.json name explicitly.
+# BENCH.json, which ci.yml and reproduce.sh use.
 set -eu
 cd "$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 

@@ -16,7 +16,8 @@ import (
 
 // queryFilter is one compiled, request-scoped document filter over a
 // segment set's global position space. All fields are immutable after
-// compileFilter, so concurrent traversal shards share it lock-free.
+// compileFilter, so the concurrent BOW and BON traversals share it
+// lock-free.
 type queryFilter struct {
 	// times is the set's concatenated time column; consulted only when a
 	// temporal bound is set.

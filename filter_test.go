@@ -183,10 +183,9 @@ func TestFilteredSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestFilteredShardedTraversalAgrees runs the sharded block-max traversal
-// directly over the engine's composed-filter sources and compares it to
-// exact TAAT — the multi-core leg of the same identity, independent of
-// GOMAXPROCS and corpus-size routing.
+// TestFilteredShardedTraversalAgrees runs the block-max kernel directly
+// over the engine's composed-filter sources and compares it to exact TAAT
+// — the same identity below the engine's pool clamping and fusion.
 func TestFilteredShardedTraversalAgrees(t *testing.T) {
 	e, w, arts := filterFixture(t)
 	snap, err := e.acquire()
@@ -209,17 +208,12 @@ func TestFilteredShardedTraversalAgrees(t *testing.T) {
 			tq := search.NewQuery(terms)
 			for _, k := range []int{1, 10, snap.numDocs} {
 				want := search.TopK(src, scorer, tq, k)
-				got, _, err := search.TopKBlockMaxShardedStats(ctx, src, scorer, tq, k, 4)
+				got, _, err := search.TopKBlockMaxStats(ctx, src, scorer, tq, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("%s q=%q k=%d: sharded returned %d hits, TAAT %d", name, qText, k, len(got), len(want))
-				}
-				for i := range got {
-					if got[i].Doc != want[i].Doc || math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-						t.Fatalf("%s q=%q k=%d: sharded filtered block-max != TAAT\n%v\nvs\n%v", name, qText, k, got, want)
-					}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s q=%q k=%d: filtered block-max != TAAT\n%v\nvs\n%v", name, qText, k, got, want)
 				}
 			}
 		}
@@ -413,7 +407,7 @@ func TestRelatedMatchesBruteForce(t *testing.T) {
 }
 
 // TestRelatedSemantics: self-exclusion, error contract, and the
-// filtered-subsequence property on both BON legs (float and quantized).
+// filtered-subsequence property of the BON leg.
 // With an exhaustive pool the filtered ranking must be exactly the
 // unfiltered ranking minus the filtered documents (normalization rescales
 // scores but never reorders a pure-BON ranking).
@@ -423,7 +417,6 @@ func TestRelatedSemantics(t *testing.T) {
 		opts []Option
 	}{
 		{"float", nil},
-		{"quantized", []Option{WithQuantizedEmbeddings()}},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			e, _, arts := filterFixture(t, leg.opts...)

@@ -17,7 +17,7 @@ import (
 // position range [Base, Base+Docs) — exactly the positions they hold in
 // a single-process engine over the full snapshot. That alignment is what
 // lets the router rebase worker-local hit positions by addition and
-// merge them with the in-process sharded-merge comparator.
+// merge them with the engine's own comparator (search.MergeTopK).
 type Plan struct {
 	// ID identifies the plan: a digest of the config, graph fingerprint
 	// and per-slot segment assignment. Every RPC carries it; workers

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -24,10 +23,6 @@ import (
 	"newslink/internal/search"
 	"newslink/internal/server"
 )
-
-// shardedMinDocs mirrors the engine's own threshold for fanning a
-// traversal across cores (newslink.shardedSearchMinDocs).
-const shardedMinDocs = 4096
 
 // Worker serves one shard of a partitioned snapshot: it holds the slice
 // of segments a router assigned to it, answers stats/search/docs/explain
@@ -394,14 +389,9 @@ func (w *Worker) handleSearch(rw http.ResponseWriter, r *http.Request) {
 }
 
 // orderedTopK runs the globally ordered block-max evaluation over one
-// local index, fanning out across cores on large slices exactly like the
-// engine's own traversal.
+// local index — the engine's own kernel, given the router's term order.
 func orderedTopK(ctx context.Context, idx index.Source, params ScorerParams, terms []search.OrderedTerm, k int) ([]WireHit, error) {
-	shards := 1
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && idx.NumDocs() >= shardedMinDocs {
-		shards = workers
-	}
-	hits, _, err := search.TopKBlockMaxOrderedStats(ctx, idx, params.scorer(), terms, k, shards)
+	hits, _, err := search.TopKBlockMaxOrderedStats(ctx, idx, params.scorer(), terms, k)
 	if err != nil {
 		return nil, err
 	}

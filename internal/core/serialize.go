@@ -7,12 +7,11 @@ import (
 	"io"
 
 	"newslink/internal/kg"
-	"newslink/internal/textembed"
 )
 
 // Binary embedding snapshot format (little endian):
 //
-//	magic "NLEMB1\n" or "NLEMB2\n"
+//	magic "NLEMB1\n"
 //	uint32 numDocs
 //	per doc: uint8 present; if present:
 //	  uint32 numSubgraphs
@@ -23,68 +22,17 @@ import (
 //	    uint32 numArcs;   per arc: from u32, to u32, rel u16, reverse u8
 //	    per label: uint32 count; arcs in the same encoding
 //
-// Version 2 appends one int8-quantized signature per document after the
-// embedding payload:
-//
-//	per doc: float32 scale, uint16 dim, dim × int8
-//
-// (dim 0 encodes "no signature" — unembeddable document). Version 2 is
-// written only when signatures exist, so engines without quantization keep
-// emitting byte-identical NLEMB1 snapshots, and either version loads.
-//
 // Counts maps are rebuilt from the subgraph node sets on load.
 
-const (
-	embMagic   = "NLEMB1\n"
-	embMagicV2 = "NLEMB2\n"
-)
+const embMagic = "NLEMB1\n"
 
 // WriteEmbeddings serializes per-document embeddings (nil entries are
 // preserved as absent).
 func WriteEmbeddings(w io.Writer, embs []*DocEmbedding) error {
-	return WriteEmbeddingsSigs(w, embs, nil)
-}
-
-// WriteEmbeddingsSigs serializes embeddings plus optional int8-quantized
-// signatures (aligned with embs). A nil sigs slice writes the version-1
-// format byte for byte, preserving snapshot determinism for engines that
-// don't quantize.
-func WriteEmbeddingsSigs(w io.Writer, embs []*DocEmbedding, sigs []textembed.Int8Vector) error {
-	if sigs != nil && len(sigs) != len(embs) {
-		return fmt.Errorf("core: %d signatures for %d embeddings", len(sigs), len(embs))
-	}
 	bw := bufio.NewWriter(w)
-	magic := embMagic
-	if sigs != nil {
-		magic = embMagicV2
-	}
-	if _, err := bw.WriteString(magic); err != nil {
+	if _, err := bw.WriteString(embMagic); err != nil {
 		return err
 	}
-	if err := writeEmbBody(bw, embs); err != nil {
-		return err
-	}
-	le := func(data any) error { return binary.Write(bw, binary.LittleEndian, data) }
-	for _, q := range sigs {
-		if len(q.Data) > 1<<16-1 {
-			return fmt.Errorf("core: signature dimension %d exceeds uint16", len(q.Data))
-		}
-		if err := le(q.Scale); err != nil {
-			return err
-		}
-		if err := le(uint16(len(q.Data))); err != nil {
-			return err
-		}
-		if err := le(q.Data); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// writeEmbBody writes the shared per-document embedding payload (everything
-// after the magic string).
-func writeEmbBody(bw *bufio.Writer, embs []*DocEmbedding) error {
 	le := func(data any) error { return binary.Write(bw, binary.LittleEndian, data) }
 	if err := le(uint32(len(embs))); err != nil {
 		return err
@@ -108,7 +56,7 @@ func writeEmbBody(bw *bufio.Writer, embs []*DocEmbedding) error {
 			}
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
 func writeSubgraph(w io.Writer, sg *Subgraph) error {
@@ -170,61 +118,17 @@ func writeArcs(w io.Writer, arcs []PathArc) error {
 	return nil
 }
 
-// ReadEmbeddings parses a snapshot written by WriteEmbeddings (either
-// version), validating node and relation ids against g. Signatures, if
-// present, are discarded; use ReadEmbeddingsSigs to keep them.
+// ReadEmbeddings parses a snapshot written by WriteEmbeddings, validating
+// node and relation ids against g.
 func ReadEmbeddings(r io.Reader, g *kg.Graph) ([]*DocEmbedding, error) {
-	embs, _, err := ReadEmbeddingsSigs(r, g)
-	return embs, err
-}
-
-// ReadEmbeddingsSigs parses either snapshot version, returning the
-// embeddings plus the quantized signatures when the snapshot carries them
-// (nil for version-1 snapshots — the caller re-encodes from the embeddings
-// if it needs signatures).
-func ReadEmbeddingsSigs(r io.Reader, g *kg.Graph) ([]*DocEmbedding, []textembed.Int8Vector, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(embMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, nil, fmt.Errorf("core: reading magic: %w", err)
+		return nil, fmt.Errorf("core: reading magic: %w", err)
 	}
-	hasSigs := false
-	switch string(magic) {
-	case embMagic:
-	case embMagicV2:
-		hasSigs = true
-	default:
-		return nil, nil, fmt.Errorf("core: bad magic %q", magic)
+	if string(magic) != embMagic {
+		return nil, fmt.Errorf("core: bad magic %q", magic)
 	}
-	embs, err := readEmbBody(br, g)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !hasSigs {
-		return embs, nil, nil
-	}
-	le := func(data any) error { return binary.Read(br, binary.LittleEndian, data) }
-	sigs := make([]textembed.Int8Vector, len(embs))
-	for i := range sigs {
-		var scale float32
-		if err := le(&scale); err != nil {
-			return nil, nil, fmt.Errorf("core: doc %d signature: %w", i, err)
-		}
-		var dim uint16
-		if err := le(&dim); err != nil {
-			return nil, nil, fmt.Errorf("core: doc %d signature: %w", i, err)
-		}
-		sigs[i].Scale = scale
-		sigs[i].Data = make([]int8, dim)
-		if err := le(sigs[i].Data); err != nil {
-			return nil, nil, fmt.Errorf("core: doc %d signature: %w", i, err)
-		}
-	}
-	return embs, sigs, nil
-}
-
-// readEmbBody parses the shared per-document embedding payload.
-func readEmbBody(br *bufio.Reader, g *kg.Graph) ([]*DocEmbedding, error) {
 	le := func(data any) error { return binary.Read(br, binary.LittleEndian, data) }
 	var nDocs uint32
 	if err := le(&nDocs); err != nil {

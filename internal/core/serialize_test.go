@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"newslink/internal/kg"
-	"newslink/internal/textembed"
 )
 
 func TestEmbeddingsRoundTrip(t *testing.T) {
@@ -84,10 +83,10 @@ func eqArcs(a, b []PathArc) bool {
 	return true
 }
 
-// TestEmbeddingsSigsRoundTrip covers the version-2 format: signatures
-// survive the round trip exactly; writing nil signatures stays
-// byte-identical to version 1 (snapshot determinism for non-quantized
-// engines); version-1 data reads back with nil signatures.
+// TestEmbeddingsSigsRoundTrip: the retired version-2 layout — the NLEMB2
+// magic, the version-1 body, then one int8 signature per document — no
+// longer loads, while the same body under NLEMB1 reads back and re-encodes
+// to identical bytes (snapshot determinism).
 func TestEmbeddingsSigsRoundTrip(t *testing.T) {
 	g := figure1Graph()
 	e := NewEmbedder(g, Options{})
@@ -96,64 +95,27 @@ func TestEmbeddingsSigsRoundTrip(t *testing.T) {
 		nil,
 		e.EmbedGroups([][]string{{"taliban"}}),
 	}
-	sigs := []textembed.Int8Vector{
-		{Scale: 0.0123, Data: []int8{127, -128, 0, 5, -7}},
-		{}, // unembeddable document: no signature
-		{Scale: 1, Data: []int8{1, 2, 3}},
-	}
-	var v2 bytes.Buffer
-	if err := WriteEmbeddingsSigs(&v2, embs, sigs); err != nil {
+	var v1 bytes.Buffer
+	if err := WriteEmbeddings(&v1, embs); err != nil {
 		t.Fatal(err)
 	}
-	gotEmbs, gotSigs, err := ReadEmbeddingsSigs(bytes.NewReader(v2.Bytes()), g)
+	got, err := ReadEmbeddings(bytes.NewReader(v1.Bytes()), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotEmbs) != len(embs) || gotEmbs[1] != nil {
-		t.Fatalf("embeddings not preserved: %d docs", len(gotEmbs))
-	}
-	if len(gotSigs) != len(sigs) {
-		t.Fatalf("signatures = %d, want %d", len(gotSigs), len(sigs))
-	}
-	for i := range sigs {
-		if gotSigs[i].Scale != sigs[i].Scale {
-			t.Fatalf("doc %d scale = %v, want %v", i, gotSigs[i].Scale, sigs[i].Scale)
-		}
-		if len(gotSigs[i].Data) != len(sigs[i].Data) {
-			t.Fatalf("doc %d dim = %d, want %d", i, len(gotSigs[i].Data), len(sigs[i].Data))
-		}
-		for j := range sigs[i].Data {
-			if gotSigs[i].Data[j] != sigs[i].Data[j] {
-				t.Fatalf("doc %d component %d = %d, want %d", i, j, gotSigs[i].Data[j], sigs[i].Data[j])
-			}
-		}
-	}
-	// Nil signatures → exactly the version-1 bytes.
-	var v1a, v1b bytes.Buffer
-	if err := WriteEmbeddings(&v1a, embs); err != nil {
+	var again bytes.Buffer
+	if err := WriteEmbeddings(&again, got); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteEmbeddingsSigs(&v1b, embs, nil); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(again.Bytes(), v1.Bytes()) {
+		t.Fatal("re-encoded embeddings diverged from the bytes they were read from")
 	}
-	if !bytes.Equal(v1a.Bytes(), v1b.Bytes()) {
-		t.Fatal("nil-signature write diverged from version-1 bytes")
+	v2 := append([]byte("NLEMB2\n"), v1.Bytes()[len(embMagic):]...)
+	for range embs {
+		v2 = append(v2, 0, 0, 0x80, 0x3f, 3, 0, 1, 2, 3) // scale 1.0, dim 3, data
 	}
-	// Version-1 data reads back with nil signatures through either entry.
-	if _, s, err := ReadEmbeddingsSigs(bytes.NewReader(v1a.Bytes()), g); err != nil || s != nil {
-		t.Fatalf("version-1 read: sigs=%v err=%v", s, err)
-	}
-	if _, err := ReadEmbeddings(bytes.NewReader(v2.Bytes()), g); err != nil {
-		t.Fatalf("version-2 via ReadEmbeddings: %v", err)
-	}
-	// Mismatched lengths must be rejected at write time.
-	if err := WriteEmbeddingsSigs(&bytes.Buffer{}, embs, sigs[:2]); err == nil {
-		t.Fatal("mismatched signature count: expected error")
-	}
-	// A truncated signature section must fail, not silently yield fewer.
-	trunc := v2.Bytes()[:v2.Len()-2]
-	if _, _, err := ReadEmbeddingsSigs(bytes.NewReader(trunc), g); err == nil {
-		t.Fatal("truncated signatures: expected error")
+	if _, err := ReadEmbeddings(bytes.NewReader(v2), g); err == nil {
+		t.Fatal("version-2 snapshot: expected a bad-magic error")
 	}
 }
 
@@ -169,10 +131,11 @@ func TestReadEmbeddingsRejectsCorruption(t *testing.T) {
 	if _, err := ReadEmbeddings(bytes.NewReader(data[:len(data)/2]), g); err == nil {
 		t.Error("truncated: expected error")
 	}
-	bad := append([]byte(nil), data...)
-	bad[0] = 'X'
-	if _, err := ReadEmbeddings(bytes.NewReader(bad), g); err == nil {
-		t.Error("bad magic: expected error")
+	for _, magic := range []string{"XLEMB1\n", "NLEMB2\n"} {
+		bad := append([]byte(magic), data[len(embMagic):]...)
+		if _, err := ReadEmbeddings(bytes.NewReader(bad), g); err == nil {
+			t.Errorf("magic %q: expected error", magic)
+		}
 	}
 	// A graph too small for the stored node ids must be rejected.
 	tb := kg.NewBuilder(2)

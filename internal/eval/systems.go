@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"newslink"
@@ -80,12 +81,20 @@ func NewLucene(d *Dataset) *LuceneSystem {
 	return &LuceneSystem{idx: b.Build()}
 }
 
+// topK ranks an in-memory index with default BM25 through the engine's
+// block-max kernel. The error is dropped: it can only report a cancelled
+// context or a disk read, and neither exists here.
+func topK(idx *index.Index, q search.Query, k int) []search.Hit {
+	hits, _, _ := search.TopKBlockMaxStats(context.Background(), idx, search.NewBM25(idx), q, k)
+	return hits
+}
+
 // Name implements System.
 func (s *LuceneSystem) Name() string { return "Lucene" }
 
 // Search implements System.
 func (s *LuceneSystem) Search(query string, k int) []int {
-	hits := search.TopKMaxScore(s.idx, search.NewBM25(s.idx), search.NewQuery(nlp.Terms(query)), k)
+	hits := topK(s.idx, search.NewQuery(nlp.Terms(query)), k)
 	out := make([]int, len(hits))
 	for i, h := range hits {
 		out[i] = int(h.Doc)

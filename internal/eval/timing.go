@@ -177,14 +177,14 @@ func RunTable8(scale Scale) Table8Result {
 		r.NE += time.Since(t0)
 
 		t0 = time.Now()
-		bow := search.TopKMaxScore(textIdx, search.NewBM25(textIdx), search.NewQuery(terms), 100)
+		bow := topK(textIdx, search.NewQuery(terms), 100)
 		var bon []search.Hit
 		if emb != nil {
 			nq := make(search.Query, len(emb.Counts))
 			for n, c := range emb.Counts {
 				nq[strconv.FormatUint(uint64(n), 36)] = float64(c)
 			}
-			bon = search.TopKMaxScore(nodeIdx, search.NewBM25(nodeIdx), nq, 100)
+			bon = topK(nodeIdx, nq, 100)
 		}
 		search.Fuse(bow, bon, 0.2, 20)
 		r.NS += time.Since(t0)

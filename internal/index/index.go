@@ -24,8 +24,8 @@ type Source interface {
 	Postings(term string) []Posting
 	// TermCursor returns a new block-granular iterator over a term's
 	// postings, or nil if the term is absent. Every call returns an
-	// independent cursor, so concurrent traversals (the sharded top-k
-	// path) each position their own.
+	// independent cursor, so concurrent traversals each position their
+	// own.
 	TermCursor(term string) Cursor
 	// DF returns the document frequency of a term.
 	DF(term string) int

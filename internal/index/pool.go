@@ -5,10 +5,9 @@ import "sync"
 // Cursor pooling.
 //
 // TermCursor hands out a fresh cursor per term per traversal; a fused
-// query touches tens of terms across two indexes and, on the sharded
-// path, multiplies that by the worker count. Each cursor also owns decode
-// scratch — a block-sized []Posting and, for disk cursors, a raw read
-// buffer — so letting cursors die with the request throws the scratch
+// query touches tens of terms across two indexes. Each cursor also owns
+// decode scratch — a block-sized []Posting and, for disk cursors, a raw
+// read buffer — so letting cursors die with the request throws the scratch
 // away with them. The pools below recycle cursors (scratch attached)
 // across requests; TermCursor implementations draw from them and
 // ReleaseCursor returns them.

@@ -60,15 +60,15 @@ type Span struct {
 	Start time.Duration `json:"start_us"`
 	// Dur is the stage duration.
 	Dur time.Duration `json:"dur_us"`
-	// Attrs are stage attributes (candidate counts, cache hit/miss, shard
-	// fan-out).
+	// Attrs are stage attributes (candidate counts, cache hit/miss, pruning
+	// statistics).
 	Attrs []Attr `json:"attrs,omitempty"`
 }
 
 // MarshalJSON renders durations in integer microseconds and flattens attrs
 // into the span object, the shape the /v1/search?trace=1 response exposes:
 //
-//	{"stage":"bow-retrieve","start_us":12,"dur_us":340,"candidates":100,"shards":4}
+//	{"stage":"bow-retrieve","start_us":12,"dur_us":340,"candidates":100,"scored":812}
 func (s Span) MarshalJSON() ([]byte, error) {
 	var b strings.Builder
 	b.WriteString(`{"stage":`)

@@ -76,7 +76,7 @@ func TestTraceConcurrentSpans(t *testing.T) {
 
 func TestSpanJSONFlattensAttrs(t *testing.T) {
 	tr := NewTrace()
-	tr.Start(StageBOW).End(Int("candidates", 100), Int("shards", 4))
+	tr.Start(StageBOW).End(Int("candidates", 100), Int("scored", 812))
 	out, err := json.Marshal(tr.Spans())
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestSpanJSONFlattensAttrs(t *testing.T) {
 	if sp["stage"] != "bow-retrieve" {
 		t.Fatalf("stage = %v", sp["stage"])
 	}
-	if sp["candidates"].(float64) != 100 || sp["shards"].(float64) != 4 {
+	if sp["candidates"].(float64) != 100 || sp["scored"].(float64) != 812 {
 		t.Fatalf("attrs not flattened: %v", sp)
 	}
 	for _, key := range []string{"start_us", "dur_us"} {

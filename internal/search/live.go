@@ -3,12 +3,12 @@ package search
 import "newslink/internal/index"
 
 // LiveSource is the optional interface an index.Source implements when it
-// carries a tombstone mask (index.LiveFiltered). Every retrieval path —
-// TopK, TopKMaxScore*, TopKBlockMax* and the sharded variants — consults it
-// so a tombstoned document is never scored, admitted to an accumulator, or
-// returned, while the source's corpus statistics (DF, AvgDocLen) keep
-// including tombstoned docs until a merge rewrites them (Lucene deletion
-// semantics; see DESIGN.md §11).
+// carries a tombstone mask (index.LiveFiltered). Both retrieval paths — the
+// TopK oracle and the block-max kernel — consult it so a tombstoned
+// document is never scored, admitted to an accumulator, or returned, while
+// the source's corpus statistics (DF, AvgDocLen) keep including tombstoned
+// docs until a merge rewrites them (Lucene deletion semantics; see
+// DESIGN.md §11).
 //
 // Pruning stays safe unchanged: term and block bounds computed over all
 // postings are still valid upper bounds for the live subset, and the

@@ -2,32 +2,20 @@ package search
 
 import (
 	"context"
-	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
 	"newslink/internal/index"
 )
 
-// sameHits compares rankings the way the other traversal tests do: exact
-// document order, scores within float tolerance (term-at-a-time
-// accumulation order follows Go map iteration, so last-ulp differences
-// between separate traversals are expected).
-func sameHits(a, b []Hit) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Doc != b[i].Doc || math.Abs(a[i].Score-b[i].Score) > 1e-9 {
-			return false
-		}
-	}
-	return true
-}
+// sameHits compares rankings exactly — same documents, bitwise-equal
+// scores, same order — treating a nil and an empty ranking alike.
+func sameHits(a, b []Hit) bool { return slices.Equal(a, b) }
 
 // buildRandIdx builds a deterministic synthetic index for the live-mask
-// tests, large enough that MaxScore and block-max pruning actually engage.
+// tests, large enough that block-max pruning actually engages.
 func buildRandIdx(seed int64, nDocs int) *index.Index {
 	rng := rand.New(rand.NewSource(seed))
 	b := index.NewBuilder()
@@ -42,7 +30,7 @@ func buildRandIdx(seed int64, nDocs int) *index.Index {
 	return b.Build()
 }
 
-// TestLiveFilteredTraversalsAgree: every traversal strategy must return
+// TestLiveFilteredTraversalsAgree: the kernel and the oracle must return
 // the same ranking over a tombstone-filtered source, that ranking must be
 // exactly the unfiltered ranking with dead documents removed (Lucene
 // semantics: tombstones mask results but keep contributing to DF and
@@ -90,28 +78,12 @@ func TestLiveFilteredTraversalsAgree(t *testing.T) {
 			if !sameHits(want, masked) {
 				t.Fatalf("q%d k=%d: filtered TopK != full-minus-dead\n%v\nvs\n%v", qi, k, want, masked)
 			}
-			ms, _, err := TopKMaxScoreStats(ctx, lf, scorer, q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
 			bm, _, err := TopKBlockMaxStats(ctx, lf, scorer, q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mss, _, err := TopKMaxScoreShardedStats(ctx, lf, scorer, q, k, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bms, _, err := TopKBlockMaxShardedStats(ctx, lf, scorer, q, k, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, got := range map[string][]Hit{
-				"MaxScore": ms, "BlockMax": bm, "MaxScoreSharded": mss, "BlockMaxSharded": bms,
-			} {
-				if !sameHits(got, want) {
-					t.Fatalf("q%d k=%d: %s disagrees with TAAT on filtered source\n%v\nvs\n%v", qi, k, name, got, want)
-				}
+			if !sameHits(bm, want) {
+				t.Fatalf("q%d k=%d: block-max disagrees with TAAT on filtered source\n%v\nvs\n%v", qi, k, bm, want)
 			}
 		}
 	}

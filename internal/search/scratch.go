@@ -11,8 +11,8 @@ import (
 //
 // One fused query at 100k documents used to allocate ~1.6 MB before this
 // file existed: every blockMaxAccumulate call built a fresh dense
-// accumulator (8 bytes per document in its range) plus two bitmaps, and
-// every per-term threshold refresh built a fresh top-k heap. None of that
+// accumulator (8 bytes per document) plus two bitmaps, and every
+// per-term threshold refresh built a fresh top-k heap. None of that
 // state outlives the request, so it is recycled through a sync.Pool
 // instead: acquire hands out an accumulator whose arrays are guaranteed
 // all-zero, and release scrubs exactly the words the request dirtied
@@ -35,14 +35,12 @@ import (
 // only costs a re-allocation.
 var bmAccPool = sync.Pool{New: func() any { return new(bmAcc) }}
 
-// acquireBMAcc returns a pooled accumulator covering [lo, hi), with score,
-// seen and viable all-zero. Release it with bmAcc.release when the request
-// is done with it (after selectTop has copied the winners out).
-func acquireBMAcc(lo, hi index.DocID) *bmAcc {
-	span := int(hi - lo)
+// acquireBMAcc returns a pooled accumulator covering documents [0, span),
+// with score, seen and viable all-zero. Release it with bmAcc.release when
+// the request is done with it (after selectTop has copied the winners out).
+func acquireBMAcc(span int) *bmAcc {
 	words := (span + 63) / 64
 	a := bmAccPool.Get().(*bmAcc)
-	a.lo = lo
 	a.n = 0
 	if cap(a.score) < span {
 		a.score = make([]float64, span)
@@ -80,9 +78,9 @@ func (a *bmAcc) release() {
 	bmAccPool.Put(a)
 }
 
-// mapAccPool recycles the map accumulators of the exact TAAT paths
-// (TopK, maxScoreAccumulate). Maps are cleared on release, so reuse keeps
-// the buckets warm without leaking scores between requests.
+// mapAccPool recycles the map accumulator of the exact TAAT oracle (TopK).
+// Maps are cleared on release, so reuse keeps the buckets warm without
+// leaking scores between requests.
 var mapAccPool = sync.Pool{New: func() any { return make(map[index.DocID]float64) }}
 
 func acquireMapAcc() map[index.DocID]float64 { return mapAccPool.Get().(map[index.DocID]float64) }

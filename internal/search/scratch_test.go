@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -12,16 +13,15 @@ import (
 
 // TestScratchReleaseScrubs: an accumulator that has scored documents must
 // come back from the pool with every array entry zero, whatever the next
-// request's range is — the invariant the pooled-reuse safety argument
+// request's span is — the invariant the pooled-reuse safety argument
 // rests on.
 func TestScratchReleaseScrubs(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 50; trial++ {
-		lo := index.DocID(rng.Intn(100))
-		hi := lo + index.DocID(1+rng.Intn(5000))
-		a := acquireBMAcc(lo, hi)
+		span := 1 + rng.Intn(5000)
+		a := acquireBMAcc(span)
 		for i := 0; i < 200; i++ {
-			d := lo + index.DocID(rng.Intn(int(hi-lo)))
+			d := index.DocID(rng.Intn(span))
 			if !a.isSeen(d) {
 				a.admit(d)
 			}
@@ -33,7 +33,7 @@ func TestScratchReleaseScrubs(t *testing.T) {
 		// Drain the pool until we get an accumulator back (the pool may
 		// hold several), checking each is fully scrubbed across its whole
 		// capacity, not just the last request's span.
-		b := acquireBMAcc(0, index.DocID(cap(a.score)))
+		b := acquireBMAcc(cap(a.score))
 		for i, s := range b.score {
 			if s != 0 {
 				t.Fatalf("trial %d: pooled score[%d] = %v, want 0", trial, i, s)
@@ -53,8 +53,8 @@ func TestScratchReleaseScrubs(t *testing.T) {
 }
 
 // TestPooledReuseIdentityUnderConcurrency mirrors core/identity_test.go for
-// the retrieval scratch: many goroutines run the pooled block-max paths
-// concurrently over shared immutable indexes, recycling accumulators,
+// the retrieval scratch: many goroutines run the pooled block-max kernel
+// (through both entry points) concurrently over shared immutable indexes, recycling accumulators,
 // heaps and cursors through the pools at high frequency, and every single
 // result must stay bitwise identical to the sequential exact reference
 // computed up front. Run under -race this doubles as the data-race proof
@@ -79,10 +79,10 @@ func TestPooledReuseIdentityUnderConcurrency(t *testing.T) {
 			q[vocab[rng.Intn(len(vocab))]] = 0.5 + rng.Float64()
 		}
 		k := 1 + rng.Intn(15)
-		// The block-max paths are bitwise identical to max-score (same term
+		// The kernel is bitwise identical to the TAAT oracle (same term
 		// order, same summation order), so the reference comparison below
 		// can demand exact equality, not tolerance.
-		cases[ci] = testCase{idx, s, q, k, TopKMaxScore(idx, s, q, k)}
+		cases[ci] = testCase{idx, s, q, k, TopK(idx, s, q, k)}
 	}
 	ctx := context.Background()
 	const goroutines = 8
@@ -97,14 +97,11 @@ func TestPooledReuseIdentityUnderConcurrency(t *testing.T) {
 				tc := cases[(g+it)%len(cases)]
 				var got []Hit
 				var err error
-				switch it % 3 {
-				case 0:
+				if it%2 == 0 {
 					got, _, err = TopKBlockMaxStats(ctx, tc.idx, tc.s, tc.q, tc.k)
-				case 1:
-					got, _, err = TopKBlockMaxShardedStats(ctx, tc.idx, tc.s, tc.q, tc.k, 2+it%3)
-				case 2:
+				} else {
 					ordered, _ := OrderTerms(tc.s, tc.q, TermSummaries(tc.idx, queryTerms(tc.q)))
-					got, _, err = TopKBlockMaxOrderedStats(ctx, tc.idx, tc.s, ordered, tc.k, 1+it%4)
+					got, _, err = TopKBlockMaxOrderedStats(ctx, tc.idx, tc.s, ordered, tc.k)
 				}
 				if err != nil {
 					errs <- err.Error()
@@ -139,9 +136,9 @@ func queryTerms(q Query) []string {
 	return out
 }
 
-// TestPooledHeapAndMapReuse: the exact TAAT and TA-fusion paths share the
-// pooled map accumulators and reusable threshold heaps; interleaving them
-// must not corrupt results.
+// TestPooledHeapAndMapReuse: the exact TAAT oracle's pooled map
+// accumulator and the kernel's pooled dense accumulator and heap are
+// recycled between calls; interleaving them must not corrupt results.
 func TestPooledHeapAndMapReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
 	vocab := []string{"x", "y", "z", "w", "v"}
@@ -153,23 +150,13 @@ func TestPooledHeapAndMapReuse(t *testing.T) {
 			q[vocab[rng.Intn(len(vocab))]] = 0.5 + rng.Float64()
 		}
 		k := 1 + rng.Intn(10)
-		want := TopKMaxScore(idx, s, q, k)
-		exact := TopK(idx, s, q, k)
-		if len(want) != len(exact) {
-			t.Fatalf("trial %d: maxscore length %d, exact %d", trial, len(want), len(exact))
-		}
+		want := TopK(idx, s, q, k)
 		for rep := 0; rep < 3; rep++ {
-			got := TopKMaxScore(idx, s, q, k)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d rep %d: maxscore length %d want %d", trial, rep, len(got), len(want))
+			if got := blockMax(t, idx, s, q, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d rep %d: block-max %v want %v", trial, rep, got, want)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d rep %d rank %d: %v want %v", trial, rep, i, got[i], want[i])
-				}
-			}
-			if got := TopK(idx, s, q, k); len(got) != len(exact) {
-				t.Fatalf("trial %d rep %d: TopK length drifted on reuse", trial, rep)
+			if got := TopK(idx, s, q, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d rep %d: TopK drifted on reuse: %v want %v", trial, rep, got, want)
 			}
 		}
 	}

@@ -1,9 +1,6 @@
 package search
 
 import (
-	"context"
-	"sort"
-
 	"newslink/internal/index"
 )
 
@@ -31,214 +28,54 @@ func NewQuery(terms []string) Query {
 	return q
 }
 
-// TopK evaluates the query with exact term-at-a-time accumulation and
-// returns the k best documents ordered by descending score (ties by
-// ascending DocID for determinism).
+// TopK evaluates the query with exact, exhaustive term-at-a-time
+// accumulation and returns the k best documents ordered by descending score
+// (ties by ascending DocID). It is the executable specification of the
+// block-max kernel: terms are folded in the kernel's canonical order
+// (orderTerms), so both add the same floats in the same order and their
+// results compare bitwise, not within a tolerance.
 func TopK(idx index.Source, s Scorer, q Query, k int) []Hit {
 	if k <= 0 || len(q) == 0 {
+		return nil
+	}
+	terms, _ := orderIndexTerms(idx, s, q)
+	if len(terms) == 0 {
 		return nil
 	}
 	live := liveMask(idx)
 	acc := acquireMapAcc()
 	defer releaseMapAcc(acc)
-	for term, qw := range q {
-		df := idx.DF(term)
-		if df == 0 {
-			continue
-		}
-		for _, p := range idx.Postings(term) {
+	for _, t := range terms {
+		for _, p := range idx.Postings(t.Term) {
 			if live != nil && !live.Live(p.Doc) {
 				continue
 			}
-			acc[p.Doc] += qw * s.Weight(float64(p.TF), df, idx.DocLen(p.Doc))
+			acc[p.Doc] += t.Weight * s.Weight(float64(p.TF), t.DF, idx.DocLen(p.Doc))
 		}
 	}
 	return selectTop(acc, k)
 }
 
-// termInfo is one query term prepared for max-score evaluation: its
-// postings, document frequency and score upper bound.
-type termInfo struct {
-	term  string
-	qw    float64
-	df    int
-	bound float64
-	posts []index.Posting
-}
-
-// prepareTerms fetches postings and score bounds for every query term and
-// orders them by decreasing bound (ties by term for determinism). Returns
-// nil when no term matches.
-func prepareTerms(idx index.Source, s Scorer, q Query) []termInfo {
-	terms := make([]termInfo, 0, len(q))
-	for term, qw := range q {
-		posts := idx.Postings(term)
-		if len(posts) == 0 {
-			continue
-		}
-		maxTF := 0.0
-		for _, p := range posts {
-			if float64(p.TF) > maxTF {
-				maxTF = float64(p.TF)
-			}
-		}
-		terms = append(terms, termInfo{term, qw, len(posts), qw * s.MaxWeight(maxTF, len(posts)), posts})
-	}
-	if len(terms) == 0 {
-		return nil
-	}
-	sort.Slice(terms, func(i, j int) bool {
-		if terms[i].bound != terms[j].bound {
-			return terms[i].bound > terms[j].bound
-		}
-		return terms[i].term < terms[j].term
-	})
-	return terms
-}
-
-// suffixBounds returns cumulative bound sums: out[i] = sum of bounds of
-// terms[i:].
-func suffixBounds(terms []termInfo) []float64 {
-	out := make([]float64, len(terms)+1)
-	for i := len(terms) - 1; i >= 0; i-- {
-		out[i] = out[i+1] + terms[i].bound
-	}
-	return out
-}
-
 // RetrievalStats reports how one top-k retrieval traversed the index: how
-// much of the candidate space the max-score bound pruned and how wide the
-// traversal fanned out. The engine attaches these to the per-request trace
-// spans (internal/obs) so pruning efficiency is visible per query.
+// much of the candidate space the block bounds pruned. The engine attaches
+// these to the per-request trace spans (internal/obs) so pruning efficiency
+// is visible per query.
 type RetrievalStats struct {
 	Terms    int // query terms with at least one posting
 	Postings int // postings available across those terms
 	Scored   int // postings actually scored into an accumulator
 	Skipped  int // postings decoded/inspected but skipped by the bound
 	// Postings − Scored − Skipped = postings in pruned blocks, never decoded.
-	BlocksDecoded int // postings blocks decoded (block-max path only)
+	BlocksDecoded int // postings blocks decoded
 	BlocksSkipped int // postings blocks pruned without decoding
-	Shards        int // traversal fan-out (1 = sequential)
 }
 
-// add accumulates per-shard stats.
-func (st *RetrievalStats) add(o RetrievalStats) {
-	st.Scored += o.Scored
-	st.Skipped += o.Skipped
-	st.BlocksDecoded += o.BlocksDecoded
-	st.BlocksSkipped += o.BlocksSkipped
-}
-
-// TopKMaxScore evaluates the query with max-score pruning: terms are
-// processed in decreasing score-bound order and accumulation stops scanning
-// new candidate documents once the remaining bounds cannot lift a document
-// into the top k (Turtle & Flood max-score; the threshold-algorithm family
-// the paper cites for its top-k ranking [49]). Results equal TopK exactly.
-func TopKMaxScore(idx index.Source, s Scorer, q Query, k int) []Hit {
-	hits, _ := TopKMaxScoreContext(context.Background(), idx, s, q, k)
-	return hits
-}
-
-// TopKMaxScoreContext is TopKMaxScore with cooperative cancellation:
-// between terms and every cancelCheckEvery postings the context is polled,
-// and a done context aborts the traversal with ctx.Err().
-func TopKMaxScoreContext(ctx context.Context, idx index.Source, s Scorer, q Query, k int) ([]Hit, error) {
-	hits, _, err := TopKMaxScoreStats(ctx, idx, s, q, k)
-	return hits, err
-}
-
-// TopKMaxScoreStats is TopKMaxScoreContext reporting retrieval statistics.
-// The counters are plain local increments folded into the returned struct,
-// so the statistics cost nothing measurable on the traversal.
-func TopKMaxScoreStats(ctx context.Context, idx index.Source, s Scorer, q Query, k int) ([]Hit, RetrievalStats, error) {
-	var st RetrievalStats
-	st.Shards = 1
-	if k <= 0 || len(q) == 0 {
-		return nil, st, ctx.Err()
-	}
-	terms := prepareTerms(idx, s, q)
-	if terms == nil {
-		return nil, st, ctx.Err()
-	}
-	st.Terms = len(terms)
-	for _, t := range terms {
-		st.Postings += len(t.posts)
-	}
-	suffixBound := suffixBounds(terms)
-	hits, shardST, err := maxScoreAccumulate(ctx, idx, s, terms, suffixBound, k, nil)
-	if err != nil {
-		return nil, st, err
-	}
-	st.add(shardST)
-	return hits, st, nil
-}
-
-// docRange restricts an accumulation to documents in [Lo, Hi); nil means
-// the whole document space.
-type docRange struct {
-	Lo, Hi index.DocID
-}
-
-// maxScoreAccumulate runs the max-score accumulation loop over prepared
-// terms, optionally restricted to a DocID range (the sharded path), and
-// returns the local top k plus scan statistics. Tombstoned documents (the
-// source's LiveSource mask) are dropped before the seen/admission check,
-// so they are never scored and never influence the threshold.
-func maxScoreAccumulate(ctx context.Context, idx index.Source, s Scorer, terms []termInfo, suffixBound []float64, k int, rng *docRange) ([]Hit, RetrievalStats, error) {
-	var st RetrievalStats
-	live := liveMask(idx)
-	acc := acquireMapAcc()
-	defer releaseMapAcc(acc)
-	var th threshold // k-th best score so far
-	th.init(k)
-	sinceCheck := 0
-	scored, skipped := 0, 0
-	for i, t := range terms {
-		if err := ctx.Err(); err != nil {
-			return nil, st, err
-		}
-		// >= keeps tie-breaking exact: a new doc bounded at exactly the
-		// current threshold could still win a tie on DocID.
-		newDocsAllowed := suffixBound[i] >= th.min()
-		posts := t.posts
-		if rng != nil {
-			posts = postingsRange(posts, rng.Lo, rng.Hi)
-		}
-		for _, p := range posts {
-			if sinceCheck++; sinceCheck >= cancelCheckEvery {
-				sinceCheck = 0
-				if err := ctx.Err(); err != nil {
-					return nil, st, err
-				}
-			}
-			if live != nil && !live.Live(p.Doc) {
-				skipped++
-				continue
-			}
-			if _, seen := acc[p.Doc]; !seen && !newDocsAllowed {
-				// This document can only score within terms[i:], bounded by
-				// suffixBound[i] <= current k-th score: skip it.
-				skipped++
-				continue
-			}
-			scored++
-			acc[p.Doc] += t.qw * s.Weight(float64(p.TF), t.df, idx.DocLen(p.Doc))
-		}
-		// Refresh the running threshold from the accumulator.
-		th.refresh(acc, k)
-	}
-	st.Scored, st.Skipped = scored, skipped
-	return selectTop(acc, k), st, nil
-}
-
-// threshold tracks the k-th best accumulated score. h is a reusable heap
-// scratch: refresh runs once per term, so reusing its backing array makes
-// the per-term threshold recomputation allocation-free after the first.
+// threshold tracks the k-th best accumulated score (bmAcc.refresh updates
+// it once per term).
 type threshold struct {
 	k int
 	v float64
 	n int
-	h hitHeap
 }
 
 func (t *threshold) init(k int) { t.k = k; t.v = 0; t.n = 0 }
@@ -247,23 +84,6 @@ func (t *threshold) min() float64 {
 		return 0
 	}
 	return t.v
-}
-
-func (t *threshold) refresh(acc map[index.DocID]float64, k int) {
-	if len(acc) < k {
-		t.n = len(acc)
-		t.v = 0
-		return
-	}
-	h := t.h[:0]
-	for d, s := range acc {
-		pushTop(&h, Hit{d, s}, k)
-	}
-	t.h = h
-	t.n = len(acc)
-	if len(h) == k {
-		t.v = h[0].Score
-	}
 }
 
 // selectTop extracts the k best hits from an accumulator. The heap holds at

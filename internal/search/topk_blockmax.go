@@ -3,177 +3,56 @@ package search
 import (
 	"context"
 	"math/bits"
-	"sort"
 
 	"newslink/internal/index"
 )
 
 // Block-Max MaxScore evaluation.
 //
-// TopKMaxScore prunes at whole-list granularity: once the suffix bound of
-// the remaining terms drops below the running threshold, new documents stop
-// being admitted — but every posting of every term is still decoded and
-// inspected. The block layout (internal/index) stores a summary (last doc
-// ID, max TF) per 128-posting block, which yields a much tighter per-block
-// upper bound: qw·MaxWeight(blockMaxTF, df) + suffixBound[i+1]. A block
-// whose bound cannot reach the threshold and that contains no already-
-// accumulated document is skipped without being decoded — on a DiskIndex
-// its bytes are never read at all.
+// Terms are processed in decreasing score-bound order (Turtle & Flood
+// max-score; the threshold-algorithm family the paper cites for its top-k
+// ranking [49]): once the suffix bound of the remaining terms drops below
+// the running threshold, new documents stop being admitted. The block
+// layout (internal/index) stores a summary (last doc ID, max TF) per
+// 128-posting block, which yields a much tighter per-block upper bound:
+// qw·MaxWeight(blockMaxTF, df) + suffixBound[i+1]. A block whose bound
+// cannot reach the threshold and that contains no already-accumulated
+// document is skipped without being decoded — on a DiskIndex its bytes are
+// never read at all.
 //
-// The result is provably rank- and score-identical to TopK (exact TAAT) and
-// TopKMaxScore — see DESIGN.md §10 for the safety argument; the short form:
-// a document's first-appearance block is never skipped unless its total
-// score is strictly below the final k-th score; an accumulated document is
-// rescored (hasAcc forces the decode) until its partial score plus every
-// remaining term bound falls strictly below the threshold, after which its
-// total provably cannot reach the final k-th score either; and winners'
-// scores are summed in the same term order as TopKMaxScore, so the
-// surviving top k is bitwise identical.
+// The result is provably rank- and score-identical to TopK (exact TAAT) —
+// see DESIGN.md §10 for the safety argument; the short form: a document's
+// first-appearance block is never skipped unless its total score is
+// strictly below the final k-th score; an accumulated document is rescored
+// (hasAcc forces the decode) until its partial score plus every remaining
+// term bound falls strictly below the threshold, after which its total
+// provably cannot reach the final k-th score either; and winners' scores
+// are summed in the same term order as TopK, so the surviving top k is
+// bitwise identical.
 
-// bmTerm is one query term prepared for block-max evaluation. Unlike
-// termInfo it carries no postings — only directory-level summaries — so
-// preparation decodes nothing.
-type bmTerm struct {
-	term  string
-	qw    float64
-	df    int
-	bound float64
-}
-
-// prepareBlockTerms orders the matching query terms by decreasing score
-// bound (ties by term for determinism) using only cursor summaries. The
-// second result is the total number of postings across the terms.
-func prepareBlockTerms(idx index.Source, s Scorer, q Query) ([]bmTerm, int) {
-	terms := make([]bmTerm, 0, len(q))
-	total := 0
-	for term, qw := range q {
-		c := idx.TermCursor(term)
-		if c == nil {
-			continue
-		}
-		df := c.Count()
-		maxTF := float64(c.MaxTF())
-		index.ReleaseCursor(c)
-		if df == 0 {
-			continue
-		}
-		total += df
-		terms = append(terms, bmTerm{term, qw, df, qw * s.MaxWeight(maxTF, df)})
-	}
-	if len(terms) == 0 {
-		return nil, 0
-	}
-	sortBMTerms(terms)
-	return terms, total
-}
-
-// sortBMTerms applies the canonical execution order: decreasing bound,
-// ties by term for determinism.
-func sortBMTerms(terms []bmTerm) {
-	sort.Slice(terms, func(i, j int) bool {
-		if terms[i].bound != terms[j].bound {
-			return terms[i].bound > terms[j].bound
-		}
-		return terms[i].term < terms[j].term
-	})
-}
-
-// bmSuffixBounds is suffixBounds over block-max terms.
-func bmSuffixBounds(terms []bmTerm) []float64 {
-	out := make([]float64, len(terms)+1)
-	for i := len(terms) - 1; i >= 0; i-- {
-		out[i] = out[i+1] + terms[i].bound
-	}
-	return out
-}
-
-// TopKBlockMax evaluates the query with block-max pruning. Results equal
-// TopK exactly.
-func TopKBlockMax(idx index.Source, s Scorer, q Query, k int) []Hit {
-	hits, _ := TopKBlockMaxContext(context.Background(), idx, s, q, k)
-	return hits
-}
-
-// TopKBlockMaxContext is TopKBlockMax with cooperative cancellation. Unlike
-// Postings-based traversal — where a disk read failure looks like an absent
-// term — block decode/IO errors surface as errors.
-func TopKBlockMaxContext(ctx context.Context, idx index.Source, s Scorer, q Query, k int) ([]Hit, error) {
-	hits, _, err := TopKBlockMaxStats(ctx, idx, s, q, k)
-	return hits, err
-}
-
-// TopKBlockMaxStats is TopKBlockMaxContext reporting retrieval statistics,
-// including how many blocks the bound pruned without decoding.
+// TopKBlockMaxStats evaluates the query with block-max pruning, ordering
+// the terms from the source's own cursor summaries, and reports retrieval
+// statistics. Results equal TopK exactly. Unlike Postings-based traversal —
+// where a disk read failure looks like an absent term — block decode/IO
+// errors surface as errors, and a done context aborts with ctx.Err().
 func TopKBlockMaxStats(ctx context.Context, idx index.Source, s Scorer, q Query, k int) ([]Hit, RetrievalStats, error) {
-	var st RetrievalStats
-	st.Shards = 1
-	if k <= 0 || len(q) == 0 {
-		return nil, st, ctx.Err()
-	}
-	terms, total := prepareBlockTerms(idx, s, q)
-	if terms == nil {
-		return nil, st, ctx.Err()
-	}
-	st.Terms = len(terms)
-	st.Postings = total
-	suffixBound := bmSuffixBounds(terms)
-	hits, shardST, err := blockMaxAccumulate(ctx, idx, s, terms, suffixBound, k, nil)
-	if err != nil {
-		return nil, st, err
-	}
-	st.add(shardST)
-	return hits, st, nil
+	ordered, _ := orderIndexTerms(idx, s, q)
+	return TopKBlockMaxOrderedStats(ctx, idx, s, ordered, k)
 }
 
-// TopKBlockMaxSharded is the block-max counterpart of TopKMaxScoreSharded:
-// the document space is split into contiguous DocID ranges and every shard
-// runs the block-max loop with its own cursors (cursors are single-owner;
-// index sources are immutable, so any number may traverse concurrently).
-func TopKBlockMaxSharded(ctx context.Context, idx index.Source, s Scorer, q Query, k, shards int) ([]Hit, error) {
-	hits, _, err := TopKBlockMaxShardedStats(ctx, idx, s, q, k, shards)
-	return hits, err
-}
-
-// TopKBlockMaxShardedStats is TopKBlockMaxSharded reporting retrieval
-// statistics aggregated across shards.
-func TopKBlockMaxShardedStats(ctx context.Context, idx index.Source, s Scorer, q Query, k, shards int) ([]Hit, RetrievalStats, error) {
-	var st RetrievalStats
-	st.Shards = max(shards, 1)
-	if k <= 0 || len(q) == 0 {
-		return nil, st, ctx.Err()
-	}
-	terms, total := prepareBlockTerms(idx, s, q)
-	if terms == nil {
-		return nil, st, ctx.Err()
-	}
-	st.Terms = len(terms)
-	st.Postings = total
-	suffixBound := bmSuffixBounds(terms)
-	hits, fanST, err := blockMaxFanout(ctx, idx, s, terms, suffixBound, k, shards)
-	if err != nil {
-		return nil, st, err
-	}
-	st.add(fanST)
-	st.Shards = fanST.Shards
-	return hits, st, nil
-}
-
-// bmAcc is a dense score accumulator over one contiguous DocID range
-// [lo, hi). Each blockMaxAccumulate call owns such a range (the whole
-// index, or one shard), so plain array indexing replaces the map the
-// TAAT paths use — the accumulator's memory is proportional to the range,
-// comparable to the index's own per-document overhead, and every
-// per-posting operation is O(1) without hashing. Two bitmaps ride along:
-// seen marks documents with an accumulator entry; viable marks the subset
-// that can still reach the top k, which is what the per-block skip
-// decision consults.
+// bmAcc is a dense score accumulator over the whole document space
+// [0, NumDocs), so plain array indexing replaces the map the TAAT oracle
+// uses — the accumulator's memory is comparable to the index's own
+// per-document overhead, and every per-posting operation is O(1) without
+// hashing. Two bitmaps ride along: seen marks documents with an accumulator
+// entry; viable marks the subset that can still reach the top k, which is
+// what the per-block skip decision consults.
 //
 // Accumulators are pooled across requests (scratch.go): obtain one with
 // acquireBMAcc and return it with release once the winners are copied out.
 // h is the request-owned top-k heap scratch shared by refresh and
 // selectTop, recycled with the accumulator.
 type bmAcc struct {
-	lo     index.DocID
 	score  []float64
 	seen   []uint64
 	viable []uint64
@@ -182,35 +61,29 @@ type bmAcc struct {
 }
 
 func (a *bmAcc) isSeen(d index.DocID) bool {
-	i := uint32(d - a.lo)
-	return a.seen[i>>6]&(1<<(i&63)) != 0
+	return a.seen[d>>6]&(1<<(d&63)) != 0
 }
 
 // admit marks a newly seen document; new documents start viable.
 func (a *bmAcc) admit(d index.DocID) {
-	i := uint32(d - a.lo)
-	a.seen[i>>6] |= 1 << (i & 63)
-	a.viable[i>>6] |= 1 << (i & 63)
+	a.seen[d>>6] |= 1 << (d & 63)
+	a.viable[d>>6] |= 1 << (d & 63)
 	a.n++
 }
 
 func (a *bmAcc) add(d index.DocID, w float64) {
-	a.score[d-a.lo] += w
+	a.score[d] += w
 }
 
-// anyViable reports whether any viable document lies in [from, to], both
-// clamped to the accumulator's range.
+// anyViable reports whether any viable document lies in [from, to], with
+// to clamped to the document space.
 func (a *bmAcc) anyViable(from, to index.DocID) bool {
-	if to < a.lo || a.n == 0 {
+	if a.n == 0 {
 		return false
 	}
-	lo := uint32(0)
-	if from > a.lo {
-		lo = uint32(from - a.lo)
-	}
-	hi := uint32(len(a.score)) - 1
-	if t := uint32(to - a.lo); t < hi {
-		hi = t
+	lo, hi := uint32(from), uint32(len(a.score))-1
+	if uint32(to) < hi {
+		hi = uint32(to)
 	}
 	if lo > hi {
 		return false
@@ -278,7 +151,7 @@ func (a *bmAcc) forEachSeen(fn func(index.DocID, float64)) {
 			b := word & (-word)
 			word &^= b
 			i := uint32(w)<<6 | uint32(bits.TrailingZeros64(b))
-			fn(a.lo+index.DocID(i), a.score[i])
+			fn(index.DocID(i), a.score[i])
 		}
 	}
 }
@@ -299,24 +172,31 @@ func (a *bmAcc) selectTop(k int) []Hit {
 	return out
 }
 
-// blockMaxAccumulate runs the block-max accumulation loop over prepared
-// terms, optionally restricted to a DocID range (the sharded path). Per
-// block it decides, from the summary alone, whether the block must be
-// decoded: yes when it may contain a still-viable accumulated document
-// (those must be rescored for exactness) or when its score upper bound
-// can still lift a new document into the top k; otherwise the block is
-// skipped undecoded.
-func blockMaxAccumulate(ctx context.Context, idx index.Source, s Scorer, terms []bmTerm, suffixBound []float64, k int, rng *docRange) ([]Hit, RetrievalStats, error) {
-	var st RetrievalStats
-	live := liveMask(idx)
-	lo, hi := index.DocID(0), index.DocID(idx.NumDocs())
-	if rng != nil {
-		lo, hi = rng.Lo, rng.Hi
+// blockMaxAccumulate is the one postings traversal: the block-max
+// accumulation loop over terms in canonical order, across the whole
+// document space. Per block it decides, from the summary alone, whether
+// the block must be decoded: yes when it may contain a still-viable
+// accumulated document (those must be rescored for exactness) or when its
+// score upper bound can still lift a new document into the top k;
+// otherwise the block is skipped undecoded. Tombstoned documents (the
+// source's LiveSource mask) are dropped before the seen/admission check,
+// so they are never scored and never influence the threshold. On error
+// the statistics cover the work done before the abort.
+func blockMaxAccumulate(ctx context.Context, idx index.Source, s Scorer, terms []OrderedTerm, k int) ([]Hit, RetrievalStats, error) {
+	st := RetrievalStats{Terms: len(terms)}
+	// suffixBound[i] = sum of the bounds of terms[i:].
+	suffixBound := make([]float64, len(terms)+1)
+	for i := len(terms) - 1; i >= 0; i-- {
+		suffixBound[i] = suffixBound[i+1] + terms[i].Bound
+		st.Postings += terms[i].DF
 	}
-	if lo >= hi {
+	numDocs := idx.NumDocs()
+	if numDocs == 0 {
 		return nil, st, ctx.Err()
 	}
-	acc := acquireBMAcc(lo, hi)
+	live := liveMask(idx)
+	last := index.DocID(numDocs - 1)
+	acc := acquireBMAcc(numDocs)
 	defer acc.release()
 	var th threshold // k-th best score so far
 	th.init(k)
@@ -325,23 +205,18 @@ func blockMaxAccumulate(ctx context.Context, idx index.Source, s Scorer, terms [
 		if err := ctx.Err(); err != nil {
 			return nil, st, err
 		}
-		// >= keeps tie-breaking exact, as in maxScoreAccumulate.
+		// >= keeps tie-breaking exact: a new doc bounded at exactly the
+		// current threshold could still win a tie on DocID.
 		newDocsAllowed := suffixBound[i] >= th.min()
 		if min := th.min(); min > 0 {
 			acc.sweep(suffixBound[i], min)
 		}
-		cur := idx.TermCursor(t.term)
+		cur := idx.TermCursor(t.Term)
 		if cur == nil {
 			continue
 		}
-		var ok bool
-		if lo > 0 {
-			ok = cur.SeekBlock(lo)
-		} else {
-			ok = cur.NextBlock()
-		}
-		from := lo // blocks at or below from-1 have been accounted for
-		for ; ok; ok = cur.NextBlock() {
+		from := index.DocID(0) // blocks at or below from-1 have been accounted for
+		for cur.NextBlock() {
 			blockLast := cur.BlockLast()
 			// Does the block's doc range cover any still-viable accumulated
 			// document?
@@ -350,26 +225,22 @@ func blockMaxAccumulate(ctx context.Context, idx index.Source, s Scorer, terms [
 			// Its score is at most this block's bound plus the remaining
 			// terms' bounds.
 			blockNewOK := newDocsAllowed &&
-				t.qw*s.MaxWeight(float64(cur.BlockMaxTF()), t.df)+suffixBound[i+1] >= th.min()
+				t.Weight*s.MaxWeight(float64(cur.BlockMaxTF()), t.DF)+suffixBound[i+1] >= th.min()
+			from = blockLast + 1
 			// Neither pruning reason requires the block's contents: skip it
 			// undecoded. Its postings count toward neither Scored nor
 			// Skipped — Postings − Scored − Skipped is the traffic the
 			// block layout saved.
 			if !hasAcc && !blockNewOK {
 				st.BlocksSkipped++
-				if !newDocsAllowed && !acc.anyViable(blockLast+1, hi-1) {
+				if !newDocsAllowed && !acc.anyViable(from, last) {
 					// No viable docs remain above this block and the term
 					// admits no new ones: the rest of the list cannot
 					// contribute.
 					break
 				}
-				if blockLast+1 >= hi {
-					break
-				}
-				from = blockLast + 1
 				continue
 			}
-			from = blockLast + 1
 			pl, err := cur.Block()
 			if err != nil {
 				index.ReleaseCursor(cur)
@@ -384,12 +255,6 @@ func blockMaxAccumulate(ctx context.Context, idx index.Source, s Scorer, terms [
 				}
 			}
 			for _, p := range pl {
-				if p.Doc < lo {
-					continue
-				}
-				if p.Doc >= hi {
-					break
-				}
 				// Tombstoned documents are dropped before the seen check:
 				// never admitted, never scored, invisible to the threshold.
 				if live != nil && !live.Live(p.Doc) {
@@ -404,10 +269,7 @@ func blockMaxAccumulate(ctx context.Context, idx index.Source, s Scorer, terms [
 					acc.admit(p.Doc)
 				}
 				st.Scored++
-				acc.add(p.Doc, t.qw*s.Weight(float64(p.TF), t.df, idx.DocLen(p.Doc)))
-			}
-			if blockLast+1 >= hi {
-				break
+				acc.add(p.Doc, t.Weight*s.Weight(float64(p.TF), t.DF, idx.DocLen(p.Doc)))
 			}
 		}
 		index.ReleaseCursor(cur)

@@ -2,9 +2,9 @@ package search
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"testing"
 
 	"newslink/internal/index"
@@ -31,9 +31,9 @@ func randomCorpus(rng *rand.Rand, nDocs int, vocab []string) *index.Index {
 }
 
 // TestBlockMaxAgreesWithExact: the block-pruned evaluation must return
-// exactly the same ranking and scores as exhaustive accumulation and as
-// whole-list max-score, on random corpora sized to span many blocks, for
-// both the sequential and the sharded paths.
+// exactly the same ranking and scores as exhaustive accumulation, on random
+// corpora sized to span many blocks. Both sum in the same term order over
+// the same documents, so equality is bitwise.
 func TestBlockMaxAgreesWithExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	vocab := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
@@ -49,33 +49,12 @@ func TestBlockMaxAgreesWithExact(t *testing.T) {
 		}
 		k := 1 + rng.Intn(12)
 		exact := TopK(idx, s, q, k)
-		maxscore := TopKMaxScore(idx, s, q, k)
 		blockmax, bmStats, err := TopKBlockMaxStats(ctx, idx, s, q, k)
 		if err != nil {
 			t.Fatalf("trial %d: block-max error: %v", trial, err)
 		}
-		shards := 2 + rng.Intn(4)
-		sharded, _, err := TopKBlockMaxShardedStats(ctx, idx, s, q, k, shards)
-		if err != nil {
-			t.Fatalf("trial %d: sharded block-max error: %v", trial, err)
-		}
-		if len(blockmax) != len(exact) || len(sharded) != len(exact) {
-			t.Fatalf("trial %d: lengths exact=%d blockmax=%d sharded=%d",
-				trial, len(exact), len(blockmax), len(sharded))
-		}
-		for i := range exact {
-			if blockmax[i].Doc != exact[i].Doc || math.Abs(blockmax[i].Score-exact[i].Score) > 1e-9 {
-				t.Fatalf("trial %d rank %d: exact %v blockmax %v (query %v k=%d)",
-					trial, i, exact[i], blockmax[i], q, k)
-			}
-			// Against max-score the sums run in the same term order over the
-			// same documents, so equality is bitwise.
-			if blockmax[i] != maxscore[i] {
-				t.Fatalf("trial %d rank %d: maxscore %v blockmax %v", trial, i, maxscore[i], blockmax[i])
-			}
-			if sharded[i] != maxscore[i] {
-				t.Fatalf("trial %d rank %d: maxscore %v sharded blockmax %v", trial, i, maxscore[i], sharded[i])
-			}
+		if !reflect.DeepEqual(blockmax, exact) {
+			t.Fatalf("trial %d: exact %v blockmax %v (query %v k=%d)", trial, exact, blockmax, q, k)
 		}
 		if bmStats.Scored+bmStats.Skipped > bmStats.Postings {
 			t.Fatalf("trial %d: scored %d + skipped %d > postings %d",
@@ -99,7 +78,6 @@ func TestBlockMaxAgreesOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	ctx := context.Background()
 	for trial := 0; trial < 10; trial++ {
 		q := Query{}
 		for i := 0; i <= rng.Intn(3); i++ {
@@ -107,25 +85,8 @@ func TestBlockMaxAgreesOnDisk(t *testing.T) {
 		}
 		k := 1 + rng.Intn(10)
 		exact := TopK(idx, NewBM25(idx), q, k)
-		got, _, err := TopKBlockMaxStats(ctx, d, NewBM25(d), q, k)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		sharded, _, err := TopKBlockMaxShardedStats(ctx, d, NewBM25(d), q, k, 3)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if len(got) != len(exact) || len(sharded) != len(exact) {
-			t.Fatalf("trial %d: lengths exact=%d blockmax=%d sharded=%d", trial, len(exact), len(got), len(sharded))
-		}
-		for i := range exact {
-			// TopK folds terms in map order, so scores may differ in ULPs.
-			if got[i].Doc != exact[i].Doc || math.Abs(got[i].Score-exact[i].Score) > 1e-9 {
-				t.Fatalf("trial %d rank %d: exact %v blockmax %v", trial, i, exact[i], got[i])
-			}
-			if sharded[i] != got[i] {
-				t.Fatalf("trial %d rank %d: blockmax %v sharded %v", trial, i, got[i], sharded[i])
-			}
+		if got := blockMax(t, d, NewBM25(d), q, k); !reflect.DeepEqual(got, exact) {
+			t.Fatalf("trial %d: exact %v blockmax %v", trial, exact, got)
 		}
 	}
 }
@@ -147,8 +108,7 @@ func writeIndexFile(idx *index.Index, path string) error {
 // high-IDF term plus a frequent, low-IDF one — must skip most of the
 // frequent term's blocks: after the rare term, the accumulator holds only
 // its few documents, and frequent-term blocks containing none of them fall
-// below the threshold. The whole-list max-score path scans every posting of
-// the frequent term, so Scored must drop measurably too.
+// below the threshold, leaving a large share of its postings undecoded.
 func TestBlockMaxPrunesBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	b := index.NewBuilder()
@@ -175,15 +135,6 @@ func TestBlockMaxPrunesBlocks(t *testing.T) {
 	if bmStats.BlocksDecoded == 0 || bmStats.Scored == 0 {
 		t.Fatalf("expected decoded blocks and scored postings, stats %+v", bmStats)
 	}
-	_, msStats, err := TopKMaxScoreStats(context.Background(), idx, sc, q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Max-score inspects every posting (Scored+Skipped == Postings); the
-	// block path must leave a large share of postings entirely undecoded.
-	if msStats.Scored+msStats.Skipped != msStats.Postings {
-		t.Fatalf("max-score inspected %d+%d of %d postings", msStats.Scored, msStats.Skipped, msStats.Postings)
-	}
 	bmTouched := bmStats.Scored + bmStats.Skipped
 	if bmTouched*2 > bmStats.Postings {
 		t.Fatalf("block-max decoded %d of %d postings — expected < half, stats %+v",
@@ -194,16 +145,16 @@ func TestBlockMaxPrunesBlocks(t *testing.T) {
 func TestBlockMaxEdgeCases(t *testing.T) {
 	idx := buildIdx("a b", "b c")
 	sc := NewBM25(idx)
-	if TopKBlockMax(idx, sc, NewQuery(nil), 5) != nil {
+	if blockMax(t, idx, sc, NewQuery(nil), 5) != nil {
 		t.Fatal("empty query should return nil")
 	}
-	if TopKBlockMax(idx, sc, NewQuery([]string{"a"}), 0) != nil {
+	if blockMax(t, idx, sc, NewQuery([]string{"a"}), 0) != nil {
 		t.Fatal("k=0 should return nil")
 	}
-	if got := TopKBlockMax(idx, sc, NewQuery([]string{"zzz"}), 5); got != nil {
+	if got := blockMax(t, idx, sc, NewQuery([]string{"zzz"}), 5); got != nil {
 		t.Fatalf("unknown term hits = %v", got)
 	}
-	if got := TopKBlockMax(idx, sc, NewQuery([]string{"a", "zzz"}), 100); len(got) != 1 {
+	if got := blockMax(t, idx, sc, NewQuery([]string{"a", "zzz"}), 100); len(got) != 1 {
 		t.Fatalf("k > matches: %v", got)
 	}
 }
@@ -215,10 +166,7 @@ func TestBlockMaxCancellation(t *testing.T) {
 	sc := NewBM25(idx)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := TopKBlockMaxContext(ctx, idx, sc, Query{"x": 1, "y": 1}, 10); err != context.Canceled {
+	if _, _, err := TopKBlockMaxStats(ctx, idx, sc, Query{"x": 1, "y": 1}, 10); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if _, err := TopKBlockMaxSharded(ctx, idx, sc, Query{"x": 1, "y": 1}, 10, 4); err != context.Canceled {
-		t.Fatalf("sharded err = %v, want context.Canceled", err)
 	}
 }

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,13 +11,13 @@ import (
 	"newslink/internal/index"
 )
 
-// randomIndex builds a deterministic synthetic corpus: docs draw a
+// randomDocs draws a deterministic synthetic corpus: docs draw a
 // zipf-flavoured number of terms from a bounded vocabulary so postings
 // lists have realistic skew (a few huge, many tiny).
-func randomIndex(nDocs, vocab int, seed int64) *index.Index {
+func randomDocs(nDocs, vocab int, seed int64) [][]string {
 	rng := rand.New(rand.NewSource(seed))
-	b := index.NewBuilder()
-	for d := 0; d < nDocs; d++ {
+	docs := make([][]string, nDocs)
+	for d := range docs {
 		n := 5 + rng.Intn(60)
 		terms := make([]string, n)
 		for i := range terms {
@@ -25,6 +26,14 @@ func randomIndex(nDocs, vocab int, seed int64) *index.Index {
 			t = t * rng.Intn(vocab) / vocab
 			terms[i] = fmt.Sprintf("t%d", t)
 		}
+		docs[d] = terms
+	}
+	return docs
+}
+
+func buildDocs(docs [][]string) *index.Index {
+	b := index.NewBuilder()
+	for _, terms := range docs {
 		b.Add(terms)
 	}
 	return b.Build()
@@ -38,9 +47,53 @@ func randomQuery(rng *rand.Rand, vocab, nTerms int) Query {
 	return q
 }
 
-// TestShardedTopKMatchesSequential: the sharded traversal must return
-// rankings identical to the sequential max-score path — same documents,
-// same scores (bit for bit), same tie-breaking — for every shard count.
+// splitCorpus is the in-package form of the cluster's partitioning: the
+// same documents cut into separate sources, each with local DocIDs.
+type splitCorpus struct {
+	parts []*index.Index
+	bases []index.DocID
+}
+
+func splitDocs(docs [][]string, shards int) splitCorpus {
+	sc := splitCorpus{make([]*index.Index, shards), make([]index.DocID, shards)}
+	for w := range sc.parts {
+		lo, hi := w*len(docs)/shards, (w+1)*len(docs)/shards
+		sc.parts[w], sc.bases[w] = buildDocs(docs[lo:hi]), index.DocID(lo)
+	}
+	return sc
+}
+
+// topK is the cluster's scatter-gather: the term order comes from the
+// sources' summed summaries, every source runs the ordered kernel under
+// the global scorer, and the rebased shard-local winners are merged.
+func (sc splitCorpus) topK(t *testing.T, global Scorer, q Query, k int) []Hit {
+	t.Helper()
+	stats := map[string]TermSummary{}
+	for _, part := range sc.parts {
+		for term, ts := range TermSummaries(part, queryTerms(q)) {
+			sum := stats[term]
+			stats[term] = TermSummary{DF: sum.DF + ts.DF, MaxTF: math.Max(sum.MaxTF, ts.MaxTF)}
+		}
+	}
+	ordered, _ := OrderTerms(global, q, stats)
+	lists := make([][]Hit, len(sc.parts))
+	for w, part := range sc.parts {
+		hits, _, err := TopKBlockMaxOrderedStats(context.Background(), part, global, ordered, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range hits {
+			hits[i].Doc += sc.bases[w]
+		}
+		lists[w] = hits
+	}
+	return MergeTopK(k, lists...)
+}
+
+// TestShardedTopKMatchesSequential: the identity the cluster relies on —
+// one index and the same documents split across any number of sources,
+// evaluated with global statistics, rank identically: same documents, same
+// scores (bit for bit), same tie-breaking.
 func TestShardedTopKMatchesSequential(t *testing.T) {
 	for _, tc := range []struct {
 		nDocs, vocab int
@@ -49,20 +102,18 @@ func TestShardedTopKMatchesSequential(t *testing.T) {
 		{500, 120},
 		{3000, 400},
 	} {
-		idx := randomIndex(tc.nDocs, tc.vocab, int64(tc.nDocs))
+		docs := randomDocs(tc.nDocs, tc.vocab, int64(tc.nDocs))
+		idx := buildDocs(docs)
 		scorer := NewBM25(idx)
-		rng := rand.New(rand.NewSource(7))
-		for qi := 0; qi < 8; qi++ {
-			q := randomQuery(rng, tc.vocab, 2+qi%7)
-			for _, k := range []int{1, 5, 20, 100} {
-				want := TopKMaxScore(idx, scorer, q, k)
-				for _, shards := range []int{1, 2, 3, 4, 7, 16, tc.nDocs + 5} {
-					got, err := TopKMaxScoreSharded(context.Background(), idx, scorer, q, k, shards)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("docs=%d q=%d k=%d shards=%d:\nsharded   %v\nsequential %v",
+		for _, shards := range []int{1, 2, 3, 4, 7, 16} {
+			split := splitDocs(docs, shards)
+			rng := rand.New(rand.NewSource(7))
+			for qi := 0; qi < 8; qi++ {
+				q := randomQuery(rng, tc.vocab, 2+qi%7)
+				for _, k := range []int{1, 5, 20, 100} {
+					want := blockMax(t, idx, scorer, q, k)
+					if got := split.topK(t, scorer, q, k); !sameHits(got, want) {
+						t.Fatalf("docs=%d q=%d k=%d shards=%d:\nsplit %v\nwhole %v",
 							tc.nDocs, qi, k, shards, got, want)
 					}
 				}
@@ -71,52 +122,39 @@ func TestShardedTopKMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardedTopKAgainstExactTopK cross-checks against the exhaustive
-// accumulator, which uses no pruning at all. TopK accumulates terms in map
-// iteration order, so scores agree only up to float addition reordering;
-// retrieve everything and compare per-document within tolerance.
+// TestShardedTopKAgainstExactTopK cross-checks the split evaluation against
+// the exhaustive accumulator, which uses no pruning at all, retrieving
+// everything: the same floats are added in the same order, so every score
+// matches exactly.
 func TestShardedTopKAgainstExactTopK(t *testing.T) {
-	idx := randomIndex(800, 150, 3)
+	docs := randomDocs(800, 150, 3)
+	idx := buildDocs(docs)
 	scorer := NewBM25(idx)
 	rng := rand.New(rand.NewSource(11))
+	split := splitDocs(docs, 4)
 	for qi := 0; qi < 6; qi++ {
 		q := randomQuery(rng, 150, 3+qi)
 		want := TopK(idx, scorer, q, idx.NumDocs())
-		got, err := TopKMaxScoreSharded(context.Background(), idx, scorer, q, idx.NumDocs(), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("q=%d: %d hits, exact has %d", qi, len(got), len(want))
-		}
-		wantScore := make(map[index.DocID]float64, len(want))
-		for _, h := range want {
-			wantScore[h.Doc] = h.Score
-		}
-		for _, h := range got {
-			exact, ok := wantScore[h.Doc]
-			if !ok {
-				t.Fatalf("q=%d: doc %d missing from exact result", qi, h.Doc)
-			}
-			if diff := h.Score - exact; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("q=%d doc %d: score %v, exact %v", qi, h.Doc, h.Score, exact)
-			}
+		got := split.topK(t, scorer, q, idx.NumDocs())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("q=%d:\nsplit %v\nexact %v", qi, got, want)
 		}
 	}
 }
 
-// TestTopKCancellation: sequential and sharded traversals abort with
-// ctx.Err() on an already-cancelled context.
+// TestTopKCancellation: both kernel entry points abort with ctx.Err() on an
+// already-cancelled context.
 func TestTopKCancellation(t *testing.T) {
-	idx := randomIndex(200, 60, 5)
+	idx := buildDocs(randomDocs(200, 60, 5))
 	scorer := NewBM25(idx)
 	q := Query{"t1": 1, "t2": 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := TopKMaxScoreContext(ctx, idx, scorer, q, 10); err != context.Canceled {
-		t.Fatalf("sequential: err = %v", err)
+	if _, _, err := TopKBlockMaxStats(ctx, idx, scorer, q, 10); err != context.Canceled {
+		t.Fatalf("local order: err = %v", err)
 	}
-	if _, err := TopKMaxScoreSharded(ctx, idx, scorer, q, 10, 4); err != context.Canceled {
-		t.Fatalf("sharded: err = %v", err)
+	ordered, _ := OrderTerms(scorer, q, TermSummaries(idx, queryTerms(q)))
+	if _, _, err := TopKBlockMaxOrderedStats(ctx, idx, scorer, ordered, 10); err != context.Canceled {
+		t.Fatalf("given order: err = %v", err)
 	}
 }

@@ -260,11 +260,6 @@ type Engine struct {
 // to call at any time, including while searches are in flight.
 func (e *Engine) SetBONTimeout(d time.Duration) { e.bonTimeout.Store(int64(d)) }
 
-// shardedSearchMinDocs is the corpus size above which postings traversal is
-// sharded across GOMAXPROCS workers; below it the sequential path wins (the
-// fan-out/merge overhead exceeds the traversal cost).
-const shardedSearchMinDocs = 4096
-
 // graphState bundles the knowledge graph with the components derived from
 // it — the NLP pipeline (entity recognition against the graph's label
 // index) and the subgraph embedder (with its pooled traversal states and
@@ -486,7 +481,6 @@ func (e *Engine) sealPendingLocked() *segment {
 	seg := &segment{
 		docs:  e.pendDocs,
 		embs:  e.pendEmbs,
-		sigs:  e.buildSigs(e.pendEmbs),
 		times: timesOf(e.pendDocs),
 		text:  e.textB.Build(),
 		node:  e.nodeB.Build(),
@@ -733,7 +727,7 @@ func (e *Engine) deleteAtLocked(s *segmentSet, pos int) {
 		dead = index.NewBitmap(len(old.docs))
 	}
 	dead.Set(local)
-	clone := &segment{docs: old.docs, embs: old.embs, sigs: old.sigs, times: old.times, text: old.text, node: old.node, dead: dead}
+	clone := &segment{docs: old.docs, embs: old.embs, times: old.times, text: old.text, node: old.node, dead: dead}
 	// Tombstones are not part of the artifact identity (they live in
 	// meta.json), so the clone keeps the memoized snapshot artifacts.
 	clone.shareArtifact(old)
@@ -847,15 +841,13 @@ func (e *Engine) lookup(s *segmentSet, docID int) (int, error) {
 
 // SearchContext executes one search request, ranked by Equation 3 with the
 // request's (or the engine's) β and candidate pool. BOW and BON retrieval
-// run in parallel goroutines — they touch disjoint indexes — and on corpora
-// past shardedSearchMinDocs each traversal is itself sharded across
-// GOMAXPROCS workers. Cancellation of ctx stops postings traversal
-// cooperatively and returns ctx.Err().
+// run in parallel goroutines — they touch disjoint indexes. Cancellation of
+// ctx stops postings traversal cooperatively and returns ctx.Err().
 //
 // When ctx carries a trace (obs.WithTrace), the pipeline records one span
 // per stage — analyze, bow-retrieve, bon-retrieve, fuse, topk — with stage
-// attributes (candidate counts, pruning statistics, cache hit/miss, shard
-// fan-out). Stage latencies additionally feed the engine's metric registry
+// attributes (candidate counts, pruning statistics, cache hit/miss). Stage
+// latencies additionally feed the engine's metric registry
 // (Metrics) whether or not a trace is attached.
 func (e *Engine) SearchContext(ctx context.Context, q Query) ([]Result, error) {
 	resp, err := e.SearchContextFull(ctx, q)

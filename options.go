@@ -46,12 +46,6 @@ type engineOptions struct {
 	// ingestBatch bounds how many queued writes one applier pass analyzes,
 	// indexes and seals as a single segment.
 	ingestBatch int
-	// quantizedEmb switches the BON stage to int8-quantized dense
-	// signatures (quant.go): each document's subgraph embedding is
-	// projected to a fixed-dimension signature, scalar-quantized to int8
-	// with a per-vector scale, and scored by integer dot product on ¼ the
-	// bytes of the float path.
-	quantizedEmb bool
 }
 
 func defaultEngineOptions() engineOptions {
@@ -148,21 +142,6 @@ func WithWAL(dir string) Option {
 // n <= 0 disables the pipeline.
 func WithIngestQueue(n int) Option {
 	return optionFunc(func(o *engineOptions) { o.ingestQueue = n })
-}
-
-// WithQuantizedEmbeddings switches BON retrieval to int8-quantized dense
-// signatures: each document's subgraph embedding is feature-hashed into a
-// fixed 256-dimension signature, scalar-quantized (one float32 scale + one
-// int8 per dimension, the Lucene scheme), and the BON stage ranks by
-// integer dot product over the signatures instead of traversing the node
-// postings. Signatures are built at seal/merge time, persisted in version-2
-// emb.bin snapshots (version-1 snapshots still load and are re-encoded),
-// and cost ~260 bytes per document. The ranking is approximate — the recall
-// floor (≥0.99 overlap@k against the exact float scoring) is
-// property-tested — so the option is opt-in; without it the engine's
-// behaviour and snapshot bytes are unchanged.
-func WithQuantizedEmbeddings() Option {
-	return optionFunc(func(o *engineOptions) { o.quantizedEmb = true })
 }
 
 // WithIngestBatch bounds how many queued writes the ingest applier folds

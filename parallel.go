@@ -25,9 +25,9 @@ type retrieval struct {
 }
 
 // retrieve runs BOW and BON retrieval for one search request. The two
-// stages touch disjoint indexes and run in parallel goroutines; on
-// corpora past shardedSearchMinDocs each traversal is itself sharded
-// across GOMAXPROCS workers.
+// stages touch disjoint indexes and run in parallel goroutines; each is
+// one sequential block-max traversal (DESIGN.md §6 records why the
+// intra-query DocID-range fan-out was removed).
 //
 // In the fused case (0 < β < 1) the BON stage is sacrificial: it runs
 // under its own deadline when SetBONTimeout is configured, and a BON
@@ -55,7 +55,7 @@ func (e *Engine) retrieve(ctx context.Context, snap *segmentSet, qEmb *core.DocE
 	retrieveBOW := func(ctx context.Context) {
 		sp := tr.Start(obs.StageBOW)
 		var st search.RetrievalStats
-		bow, st, bowErr = topKAuto(ctx, text, search.NewBM25(text), search.NewQuery(qTerms), pool)
+		bow, st, bowErr = search.TopKBlockMaxStats(ctx, text, search.NewBM25(text), search.NewQuery(qTerms), pool)
 		e.met.blocksObserve(st)
 		d := sp.End(retrievalAttrs(len(bow), st)...)
 		e.met.stageObserve(obs.StageBOW, d)
@@ -71,26 +71,7 @@ func (e *Engine) retrieve(ctx context.Context, snap *segmentSet, qEmb *core.DocE
 		if bonErr = faults.FireCtx(ctx, faults.BONStage); bonErr != nil {
 			return
 		}
-		if e.opts.quantizedEmb {
-			// Quantized BON: int8 signature scan plus exact rescore instead
-			// of traversing node postings (quant.go). Same Hit ordering
-			// contract, so fusion and degradation downstream are oblivious.
-			bon, st, bonErr = quantTopK(ctx, snap, docSignature(qEmb), pool, flt)
-			return
-		}
-		nq := make(search.Query, len(qEmb.Counts))
-		for n, c := range qEmb.Counts {
-			nq[nodeTerm(n)] = float64(c)
-		}
-		// BON scoring uses BM25 with b=0 and a small k1: a subgraph
-		// embedding's size is structural, not verbosity (no length
-		// penalty), and node frequencies saturate quickly so BON behaves
-		// as an idf-weighted node-set match. This keeps Equation 3's text
-		// ranking authoritative within clusters of same-event stories.
-		bonScorer := search.NewBM25(node)
-		bonScorer.B = 0
-		bonScorer.K1 = 0.4
-		bon, st, bonErr = topKAuto(ctx, node, bonScorer, nq, pool)
+		bon, st, bonErr = bonTopK(ctx, node, qEmb, pool)
 	}
 	switch {
 	case runBOW && runBON:
@@ -144,19 +125,24 @@ func retrievalAttrs(candidates int, st search.RetrievalStats) []obs.Attr {
 		obs.Int("pruned", st.Skipped),
 		obs.Int("blocks_decoded", st.BlocksDecoded),
 		obs.Int("blocks_skipped", st.BlocksSkipped),
-		obs.Int("shards", st.Shards),
 	}
 }
 
-// topKAuto picks the sequential or sharded block-max traversal by corpus
-// size. Both return rankings identical to exact TAAT (property-tested);
-// block-max additionally leaves provably irrelevant postings blocks
-// undecoded (and, on disk-backed snapshots, unread).
-func topKAuto(ctx context.Context, idx index.Source, s search.Scorer, q search.Query, k int) ([]search.Hit, search.RetrievalStats, error) {
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && idx.NumDocs() >= shardedSearchMinDocs {
-		return search.TopKBlockMaxShardedStats(ctx, idx, s, q, k, workers)
+// bonTopK ranks the node index against a subgraph embedding — the BON leg
+// of a search, and all of a related-news request. BON scoring uses BM25
+// with b=0 and a small k1: a subgraph embedding's size is structural, not
+// verbosity (no length penalty), and node frequencies saturate quickly so
+// BON behaves as an idf-weighted node-set match. This keeps Equation 3's
+// text ranking authoritative within clusters of same-event stories.
+func bonTopK(ctx context.Context, node index.Source, emb *core.DocEmbedding, k int) ([]search.Hit, search.RetrievalStats, error) {
+	nq := make(search.Query, len(emb.Counts))
+	for n, c := range emb.Counts {
+		nq[nodeTerm(n)] = float64(c)
 	}
-	return search.TopKBlockMaxStats(ctx, idx, s, q, k)
+	bonScorer := search.NewBM25(node)
+	bonScorer.B = 0
+	bonScorer.K1 = 0.4
+	return search.TopKBlockMaxStats(ctx, node, bonScorer, nq, k)
 }
 
 // AddAll indexes a batch of documents, running the NLP and NE components

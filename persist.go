@@ -386,7 +386,7 @@ func writeSegment(tmp string, si int, seg *segment, writeArtifact func(string, i
 	}{
 		{"text.idx", func(w io.Writer) error { _, err := textMem.WriteTo(w); return err }},
 		{"node.idx", func(w io.Writer) error { _, err := nodeMem.WriteTo(w); return err }},
-		{"emb.bin", func(w io.Writer) error { return core.WriteEmbeddingsSigs(w, seg.embs, seg.sigs) }},
+		{"emb.bin", func(w io.Writer) error { return core.WriteEmbeddings(w, seg.embs) }},
 	}
 	staged := make([]string, len(writers))
 	for i, a := range writers {
@@ -555,19 +555,6 @@ func load(dir string, g *kg.Graph, onDisk bool, opts []Option) (*Engine, error) 
 		if err != nil {
 			return fail(err)
 		}
-		// Reconcile signatures with the engine's quantization setting: a
-		// version-1 snapshot loaded into a quantized engine re-encodes the
-		// signatures from the embeddings (deterministic, so a later Save
-		// emits the same bytes as a natively quantized engine); a version-2
-		// snapshot loaded without the option drops them, keeping the engine
-		// indistinguishable from one that never quantized.
-		if e.opts.quantizedEmb {
-			if seg.sigs == nil {
-				seg.sigs = e.buildSigs(seg.embs)
-			}
-		} else {
-			seg.sigs = nil
-		}
 		segs = append(segs, seg)
 	}
 	e.mu.Lock()
@@ -625,13 +612,10 @@ func loadSegment(dir string, sm segmentMeta, checksums map[string]string, g *kg.
 	if err != nil {
 		return corrupt(embName, err)
 	}
-	seg.embs, seg.sigs, err = core.ReadEmbeddingsSigs(f, g)
+	seg.embs, err = core.ReadEmbeddings(f, g)
 	f.Close()
 	if err != nil {
 		return corrupt(embName, err)
-	}
-	if seg.sigs != nil && len(seg.sigs) != len(seg.embs) {
-		return corrupt(embName, fmt.Errorf("%d signatures for %d embeddings", len(seg.sigs), len(seg.embs)))
 	}
 	if sm.Dead != "" {
 		raw, err := base64.StdEncoding.DecodeString(sm.Dead)

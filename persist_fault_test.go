@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"newslink/internal/corpus"
@@ -44,6 +45,28 @@ func segArtifact(t *testing.T, dir, suffix string) string {
 	return matches[0]
 }
 
+// editMeta rewrites a snapshot's meta.json through edit, field by field.
+func editMeta(t *testing.T, dir string, edit func(m map[string]json.RawMessage)) {
+	t.Helper()
+	path := filepath.Join(dir, "meta.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	edit(m)
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLoadCorruptionTable drives Load and LoadOnDisk over every corruption
 // class the snapshot format defends against: truncation, a single bit
 // flip, and outright removal of each binary artifact, plus version skew
@@ -62,6 +85,7 @@ func TestLoadCorruptionTable(t *testing.T) {
 		name    string
 		mutate  func(t *testing.T, dir string)
 		wantErr error
+		names   string // file the error message must name, if any
 	}
 	var cases []tc
 	for _, a := range artifacts {
@@ -75,7 +99,7 @@ func TestLoadCorruptionTable(t *testing.T) {
 				if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 					t.Fatal(err)
 				}
-			}, ErrSnapshotCorrupt},
+			}, ErrSnapshotCorrupt, ""},
 			tc{"bitflip/" + a, func(t *testing.T, dir string) {
 				path := segArtifact(t, dir, a)
 				data, err := os.ReadFile(path)
@@ -86,80 +110,67 @@ func TestLoadCorruptionTable(t *testing.T) {
 				if err := os.WriteFile(path, data, 0o644); err != nil {
 					t.Fatal(err)
 				}
-			}, ErrSnapshotCorrupt},
+			}, ErrSnapshotCorrupt, ""},
 			tc{"missing/" + a, func(t *testing.T, dir string) {
 				if err := os.Remove(segArtifact(t, dir, a)); err != nil {
 					t.Fatal(err)
 				}
-			}, ErrSnapshotCorrupt},
+			}, ErrSnapshotCorrupt, ""},
 		)
 	}
 	cases = append(cases,
 		tc{"version-skew", func(t *testing.T, dir string) {
-			path := filepath.Join(dir, "meta.json")
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var m map[string]json.RawMessage
-			if err := json.Unmarshal(data, &m); err != nil {
-				t.Fatal(err)
-			}
-			m["version"] = json.RawMessage("99")
-			out, err := json.Marshal(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, out, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}, ErrSnapshotVersion},
+			editMeta(t, dir, func(m map[string]json.RawMessage) {
+				m["version"] = json.RawMessage("99")
+			})
+		}, ErrSnapshotVersion, ""},
 		// A snapshot from before the block-compressed index format (v3):
 		// the version gate must reject it before any index bytes are read,
 		// so the pre-PR on-disk layout never reaches the parser.
 		tc{"pre-block-format-version", func(t *testing.T, dir string) {
-			path := filepath.Join(dir, "meta.json")
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var m map[string]json.RawMessage
-			if err := json.Unmarshal(data, &m); err != nil {
-				t.Fatal(err)
-			}
-			m["version"] = json.RawMessage("2")
-			out, err := json.Marshal(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, out, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}, ErrSnapshotVersion},
+			editMeta(t, dir, func(m map[string]json.RawMessage) {
+				m["version"] = json.RawMessage("2")
+			})
+		}, ErrSnapshotVersion, ""},
 		tc{"torn-meta", func(t *testing.T, dir string) {
 			if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte(`{"version": 2, "conf`), 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, ErrSnapshotCorrupt},
+		}, ErrSnapshotCorrupt, ""},
 		tc{"missing-checksum", func(t *testing.T, dir string) {
-			path := filepath.Join(dir, "meta.json")
+			editMeta(t, dir, func(m map[string]json.RawMessage) {
+				m["checksums"] = json.RawMessage("{}")
+			})
+		}, ErrSnapshotCorrupt, ""},
+		// The retired int8-signature format: an emb.bin under the NLEMB2
+		// magic whose checksum matches (so verification passes and the
+		// parser sees it) is a corrupt artifact, not a panic and not a
+		// silently empty BON index.
+		tc{"retired-format/emb.bin", func(t *testing.T, dir string) {
+			path := segArtifact(t, dir, "emb.bin")
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var m map[string]json.RawMessage
-			if err := json.Unmarshal(data, &m); err != nil {
+			copy(data, "NLEMB2\n")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			m["checksums"] = json.RawMessage("{}")
-			out, err := json.Marshal(m)
+			sum, err := fileChecksum(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, out, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}, ErrSnapshotCorrupt},
+			editMeta(t, dir, func(m map[string]json.RawMessage) {
+				var sums map[string]string
+				if err := json.Unmarshal(m["checksums"], &sums); err != nil {
+					t.Fatal(err)
+				}
+				sums[filepath.Base(path)] = sum
+				if m["checksums"], err = json.Marshal(sums); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}, ErrSnapshotCorrupt, "emb.bin: core: bad magic"},
 	)
 
 	for _, c := range cases {
@@ -176,8 +187,8 @@ func TestLoadCorruptionTable(t *testing.T) {
 					got.Close()
 					t.Fatalf("%s returned an engine from a corrupt snapshot", loader)
 				}
-				if !errors.Is(err, c.wantErr) {
-					t.Fatalf("%s error = %v, want %v", loader, err, c.wantErr)
+				if !errors.Is(err, c.wantErr) || !strings.Contains(err.Error(), c.names) {
+					t.Fatalf("%s error = %v, want %v naming %q", loader, err, c.wantErr, c.names)
 				}
 			}
 		})

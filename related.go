@@ -15,8 +15,7 @@ import (
 // Graphs" ranks by entity-graph distance; NewsLink's BON leg is the same
 // signal in Equation 3's fusion frame, so Related is a pure-BON (β = 1)
 // search whose query embedding is read from the segment instead of
-// computed from text). Both BON legs are supported: the float node-postings
-// traversal and, under WithQuantizedEmbeddings, the int8 signature scan.
+// computed from text).
 
 // RelatedQuery is one related-news request for RelatedContext. DocID and K
 // are required; zero values of the remaining fields select the engine's
@@ -45,8 +44,7 @@ func (e *Engine) Related(docID, k int) ([]Result, error) {
 
 // RelatedContext executes one related-news request. The source document's
 // stored BON embedding is the query vector; results are ranked by the
-// engine's BON scorer (quantized or float, matching the configured leg),
-// max-normalized into (0,1] like every other ranking, and never include
+// engine's BON scorer, max-normalized into (0,1] like every other ranking, and never include
 // the source document. A tombstoned or never-added DocID returns
 // ErrUnknownDoc; a document that embedded to nothing has no graph
 // neighbourhood and returns empty results. Unlike fused search there is
@@ -97,21 +95,7 @@ func (e *Engine) relatedContext(ctx context.Context, q RelatedQuery) ([]Result, 
 	// temporal or entity clause was requested.
 	flt := e.compileFilter(e.Graph(), snap, q.After, q.Before, q.Entities, pos)
 	sp := obs.FromContext(ctx).Start(obs.StageBON)
-	var bon []search.Hit
-	var st search.RetrievalStats
-	if e.opts.quantizedEmb {
-		bon, st, err = quantTopK(ctx, snap, docSignature(emb), pool, flt)
-	} else {
-		nq := make(search.Query, len(emb.Counts))
-		for n, c := range emb.Counts {
-			nq[nodeTerm(n)] = float64(c)
-		}
-		node := index.NewFiltered(snap.node, flt)
-		bonScorer := search.NewBM25(node)
-		bonScorer.B = 0
-		bonScorer.K1 = 0.4
-		bon, st, err = topKAuto(ctx, node, bonScorer, nq, pool)
-	}
+	bon, st, err := bonTopK(ctx, index.NewFiltered(snap.node, flt), emb, pool)
 	e.met.blocksObserve(st)
 	d := sp.End(retrievalAttrs(len(bon), st)...)
 	e.met.stageObserve(obs.StageBON, d)

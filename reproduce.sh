@@ -19,9 +19,7 @@ echo "== benchmarks =="
 go test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 echo "== benchmark artifact =="
-# Versioned name passed explicitly: ci/bench.sh itself defaults to the
-# unversioned BENCH.json.
-./ci/bench.sh 2s BENCH_pr10.json
+./ci/bench.sh 2s # writes BENCH.json
 
 echo "== experiments (scale=$SCALE) =="
 go run ./cmd/experiments -all -scale "$SCALE" 2>&1 | tee experiments_output.txt

@@ -6,7 +6,6 @@ import (
 
 	"newslink/internal/core"
 	"newslink/internal/index"
-	"newslink/internal/textembed"
 )
 
 // The engine's searchable state is a set of immutable segments, the
@@ -33,10 +32,9 @@ import (
 // segment rewrite on disk).
 type segment struct {
 	docs  []Document
-	embs  []*core.DocEmbedding   // aligned with docs; nil if unembeddable
-	sigs  []textembed.Int8Vector // int8 BON signatures, aligned with docs; nil unless WithQuantizedEmbeddings
-	times []int64                // columnar Document.Time, aligned with docs
-	text  index.Source           // *index.Index, or *index.DiskIndex when loaded on disk
+	embs  []*core.DocEmbedding // aligned with docs; nil if unembeddable
+	times []int64              // columnar Document.Time, aligned with docs
+	text  index.Source         // *index.Index, or *index.DiskIndex when loaded on disk
 	node  index.Source
 	dead  *index.Bitmap // nil = no deletes
 
@@ -246,7 +244,6 @@ func (e *Engine) applyMergePolicyLocked(segs []*segment) []*segment {
 			return segs
 		}
 		merged := mergeRun(segs[lo:hi])
-		merged.sigs = e.buildSigs(merged.embs)
 		e.met.segmentMerges.Inc()
 		out := make([]*segment, 0, len(segs)-(hi-lo)+1)
 		out = append(out, segs[:lo]...)

@@ -48,7 +48,7 @@ func TestSearchAndExplainRecordAllStageSpans(t *testing.T) {
 	}
 
 	// The first analyze span must be a cache miss, and retrieval spans must
-	// carry their candidate/fan-out attributes.
+	// carry their candidate/pruning attributes.
 	if v, ok := got[obs.StageAnalyze].Attr("cache_hit"); !ok || v != 0 {
 		t.Fatalf("first analyze span cache_hit = %d, %v (want recorded miss)", v, ok)
 	}
@@ -57,8 +57,8 @@ func TestSearchAndExplainRecordAllStageSpans(t *testing.T) {
 		if v, ok := sp.Attr("candidates"); !ok || v <= 0 {
 			t.Fatalf("%s candidates attr = %d, %v", stage, v, ok)
 		}
-		if v, ok := sp.Attr("shards"); !ok || v < 1 {
-			t.Fatalf("%s shards attr = %d, %v", stage, v, ok)
+		if v, ok := sp.Attr("blocks_decoded"); !ok || v < 1 {
+			t.Fatalf("%s blocks_decoded attr = %d, %v", stage, v, ok)
 		}
 	}
 	if v, ok := got[obs.StagePaths].Attr("pairs"); !ok || v <= 0 {
