@@ -28,7 +28,7 @@ import (
 // retrieval does not apply. Analysis needs only the knowledge graph, so
 // it works on an engine that indexed no documents (a router).
 func (e *Engine) AnalyzeQuery(ctx context.Context, text string) (terms []string, nodeWeights map[string]float64, err error) {
-	emb, terms, err := e.analyzeQuery(ctx, text)
+	emb, terms, err := e.analyzeQuery(ctx, e.gs.Load(), text)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"newslink/internal/corpus"
 )
@@ -224,35 +223,6 @@ func TestLoadSegmentsSubset(t *testing.T) {
 		t.Fatalf("damaged artifact: %v, want ErrSnapshotCorrupt", err)
 	}
 	if err := os.WriteFile(path, orig, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestOptionConstructors pins that every uniform-style option reaches
-// the engine configuration it claims to set.
-func TestOptionConstructors(t *testing.T) {
-	g, arts := corpus.Sample()
-	cfg := DefaultConfig()
-	cfg.Beta = 0.25
-	e := New(g,
-		WithConfig(cfg),
-		WithGroupCache(8),
-		WithHotLabels(16),
-		WithBONTimeout(123*time.Millisecond),
-	)
-	defer e.Close()
-	if got := e.cfg.Beta; got != 0.25 {
-		t.Fatalf("WithConfig did not apply: beta %v", got)
-	}
-	for _, a := range arts[:4] {
-		if err := e.Add(Document{ID: a.ID, Title: a.Title, Text: a.Text}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Search("Taliban", 2); err != nil {
 		t.Fatal(err)
 	}
 }

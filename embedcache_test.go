@@ -1,6 +1,7 @@
 package newslink
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"sync"
@@ -27,7 +28,7 @@ func TestQueryCacheKeyCanonicalization(t *testing.T) {
 			t.Fatalf("Search(%q): %v", q, err)
 		}
 	}
-	if n := e.queries.len(); n != 1 {
+	if n := e.gs.Load().queries.Len(); n != 1 {
 		t.Fatalf("query cache holds %d entries for one canonical query, want 1", n)
 	}
 	if hits := e.met.cacheHits.Value(); hits != int64(len(variants)-1) {
@@ -56,10 +57,10 @@ func TestEntitySetCacheSharesEmbeddings(t *testing.T) {
 	if got := e.met.embedCacheHits.Value(); got != 1 {
 		t.Fatalf("embed cache hits after rephrased query = %d, want 1", got)
 	}
-	if n := e.queries.len(); n != 2 {
+	if n := e.gs.Load().queries.Len(); n != 2 {
 		t.Fatalf("query cache holds %d entries, want 2 (texts differ)", n)
 	}
-	if n := e.embeds.len(); n != 1 {
+	if n := e.gs.Load().embeds.Len(); n != 1 {
 		t.Fatalf("embed cache holds %d entries, want 1 (entity sets equal)", n)
 	}
 }
@@ -97,37 +98,47 @@ func TestEntitySetKeyCanonical(t *testing.T) {
 }
 
 // TestSwapGraphPurgesEmbedCaches is the invalidation test: entries of both
-// query-cache tiers die on graph swap, so no request can be served a
+// query-cache tiers die on graph swap — including entries a request that
+// started before the swap puts after it — so no request can be served a
 // subgraph of an unpublished graph.
 func TestSwapGraphPurgesEmbedCaches(t *testing.T) {
 	e := sampleEngine(t, DefaultConfig())
-	if _, err := e.Search("Military conflicts between Pakistan and Taliban", 3); err != nil {
+	const query = "Military conflicts between Pakistan and Taliban"
+	if _, err := e.Search(query, 3); err != nil {
 		t.Fatal(err)
 	}
-	if e.queries.len() == 0 || e.embeds.len() == 0 {
-		t.Fatalf("expected warm caches before swap (queries=%d embeds=%d)", e.queries.len(), e.embeds.len())
+	old := e.gs.Load()
+	if old.queries.Len() == 0 || old.embeds.Len() == 0 {
+		t.Fatalf("expected warm caches before swap (queries=%d embeds=%d)", old.queries.Len(), old.embeds.Len())
 	}
-	oldState := e.gs.Load()
 	g2, _ := corpus.Sample() // a fresh snapshot of the same entity universe
 	e.SwapGraph(g2)
-	if e.queries.len() != 0 {
-		t.Fatalf("query cache survived SwapGraph with %d entries", e.queries.len())
-	}
-	if e.embeds.len() != 0 {
-		t.Fatalf("embed cache survived SwapGraph with %d entries", e.embeds.len())
-	}
-	if e.gs.Load() == oldState {
+	gs := e.gs.Load()
+	if gs == old {
 		t.Fatal("graph state not republished")
+	}
+	if gs.queries.Len() != 0 || gs.embeds.Len() != 0 {
+		t.Fatalf("caches survived SwapGraph (queries=%d embeds=%d)", gs.queries.Len(), gs.embeds.Len())
 	}
 	if e.Graph() != g2 {
 		t.Fatal("Graph() does not return the swapped graph")
 	}
-	// The engine keeps serving — and re-embeds against the new graph.
-	if _, err := e.Search("Military conflicts between Pakistan and Taliban", 3); err != nil {
-		t.Fatalf("search after SwapGraph: %v", err)
+	// A request that loaded the old state before the swap finishes its
+	// analysis now and caches it — into the old state, which nothing reads.
+	stale, _, err := e.analyzeQuery(context.Background(), old, query+" again")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e.embeds.len() != 1 {
-		t.Fatalf("embed cache not repopulated after swap (len=%d)", e.embeds.len())
+	// The engine keeps serving — and re-embeds against the new graph.
+	fresh, _, err := e.analyzeQuery(context.Background(), e.gs.Load(), query+" again")
+	if err != nil {
+		t.Fatalf("analysis after SwapGraph: %v", err)
+	}
+	if fresh == stale {
+		t.Fatal("an embedding cached after the swap by a pre-swap request was served")
+	}
+	if gs.queries.Len() != 1 || gs.embeds.Len() != 1 {
+		t.Fatalf("caches not repopulated by exactly the post-swap query (queries=%d embeds=%d)", gs.queries.Len(), gs.embeds.Len())
 	}
 }
 
@@ -173,7 +184,7 @@ func TestSwapGraphConcurrentWithSearches(t *testing.T) {
 // stays a valid option, and the cache/fan-out knobs take effect.
 func TestEngineOptions(t *testing.T) {
 	g, arts := corpus.Sample()
-	e := New(g, DefaultConfig(), WithQueryCache(0), WithEmbedCache(0), WithParallelEmbed(1))
+	e := New(g, DefaultConfig(), WithEmbedCache(0), WithParallelEmbed(1))
 	for _, a := range arts {
 		if err := e.Add(Document{ID: a.ID, Title: a.Title, Text: a.Text}); err != nil {
 			t.Fatal(err)
@@ -187,15 +198,11 @@ func TestEngineOptions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := e.queries.len(); n != 0 {
-		t.Fatalf("disabled query cache stored %d entries", n)
+	if n := e.gs.Load().queries.Len(); n != 1 {
+		t.Fatalf("query cache holds %d entries for one repeated query, want 1", n)
 	}
-	if n := e.embeds.len(); n != 0 {
+	if n := e.gs.Load().embeds.Len(); n != 0 {
 		t.Fatalf("disabled embed cache stored %d entries", n)
-	}
-	// Hot labels still tracked (embedding ran twice, once per uncached query).
-	if len(e.HotLabels(0)) == 0 {
-		t.Fatal("hot-label tracker empty after embedded queries")
 	}
 	// New(g) alone must behave like DefaultConfig.
 	if e2 := New(g); e2.cfg != DefaultConfig() {

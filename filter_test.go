@@ -107,7 +107,7 @@ func bruteForceSearch(t *testing.T, e *Engine, q Query) []Result {
 	if n := snap.numLive(); pool > n {
 		pool = n
 	}
-	qEmb, qTerms, err := e.analyzeQuery(ctx, q.Text)
+	qEmb, qTerms, err := e.analyzeQuery(ctx, e.gs.Load(), q.Text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestFilteredShardedTraversalAgrees(t *testing.T) {
 		}
 		scorer := search.NewBM25(src)
 		for _, qText := range filterQueries {
-			_, terms, err := e.analyzeQuery(ctx, qText)
+			_, terms, err := e.analyzeQuery(ctx, e.gs.Load(), qText)
 			if err != nil {
 				t.Fatal(err)
 			}

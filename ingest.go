@@ -32,11 +32,16 @@ import (
 //     tiered merge policy keeps compacted. A full queue sheds writes with
 //     ErrIngestOverload instead of building an unbounded backlog.
 //
-// Lock order: walMu strictly before e.mu, everywhere. Every write path
-// assigns its WAL record and its queue slot (or its direct apply) under
-// walMu, so WAL order, queue order and apply order are one total order —
-// replaying the log over the same starting state converges to the same
-// searchable state as the original run.
+// Every mutation is a writeOp and takes one path: write decides queued
+// (ingestPipeline.submit) or direct (writeSync); both log before they
+// apply and acknowledge only what is durable, and both — like WAL replay —
+// land in applyLocked.
+//
+// Lock order: walMu strictly before e.mu, everywhere. A write assigns its
+// WAL record and its queue slot (or its direct apply) under walMu, so WAL
+// order, queue order and apply order are one total order — replaying the
+// log over the same starting state converges to the same searchable state
+// as the original run.
 
 // WAL record ops. A record is [op byte][zigzag-varint doc ID] followed,
 // for document-carrying ops, by two length-prefixed strings (title, text)
@@ -124,16 +129,187 @@ func decodeWALOp(p []byte) (byte, Document, error) {
 	return op, doc, nil
 }
 
-// ingestItem is one queued write.
-type ingestItem struct {
+// writeOp is one mutation — the unit every write API reduces to, the WAL
+// logs and the applier queues.
+type writeOp struct {
 	op  byte
 	doc Document
-	// res, when non-nil, receives the apply result: the synchronous APIs
-	// (Add, Update, Delete) route through the queue while the pipeline is
-	// armed — preserving the single total order — and wait here for their
-	// documented return value. Ingest leaves it nil and acknowledges at
-	// durability instead.
+	// res is set only on queued ops whose caller waits: the synchronous
+	// APIs (Add, Update, Delete, AddAll) route through the queue while the
+	// pipeline is armed — preserving the single total order — and receive
+	// their documented return value here. Ingest leaves it nil and
+	// acknowledges at durability instead.
 	res chan error
+}
+
+// Add processes and indexes one document: NLP (Section IV), subgraph
+// embedding (Section V) and both inverted indexes (Section VI). Documents
+// whose entity groups yield no subgraph embedding are still text-indexed
+// (their BON vector is empty). A document ID that was already added is
+// rejected with ErrDuplicateID.
+//
+// Add also works after Build: late documents accumulate in an open segment
+// that is sealed and attached (Lucene-style multi-segment reading) by the
+// next Search or an explicit Refresh. Add is safe to call concurrently with
+// searches and other Adds.
+func (e *Engine) Add(doc Document) error {
+	return e.write(walOpAdd, []Document{doc}, 1, true)
+}
+
+// AddAll indexes a batch of documents, running the NLP and NE components
+// concurrently across workers (Section VII-G of the paper: "for processing
+// corpus data, we can easily parallelize the process"). Results are
+// identical to sequential Add calls in the same order; only wall-clock time
+// changes. workers <= 0 selects GOMAXPROCS. After Build, the batch lands in
+// the open segment like individual Adds, WAL-logged first under one
+// group-commit fsync, so every document of an acknowledged batch survives a
+// crash. A duplicate document ID aborts the batch at the offending
+// document; documents before it stay indexed (replay skips the duplicate
+// the same way, converging to the state this call left behind).
+func (e *Engine) AddAll(docs []Document, workers int) error {
+	return e.write(walOpAdd, docs, workers, true)
+}
+
+// Update replaces the document with doc.ID by tombstoning the old version
+// (when one exists — Update is an upsert, so a new ID is simply added) and
+// indexing the new one. The replacement is atomic from a reader's point of
+// view: any search sees either the old version or the new one, never both.
+// Returns ErrNotBuilt before Build; use Add for initial corpus loading.
+func (e *Engine) Update(doc Document) error {
+	return e.write(walOpUpsert, []Document{doc}, 1, true)
+}
+
+// Delete tombstones a document by ID: it disappears from Search, Explain
+// and ExplainDOT immediately but — Lucene deletion semantics — keeps
+// counting in DF and average document length until a merge (the tiered
+// policy on Refresh, or Compact) rewrites its segment. An unknown or
+// already-deleted ID returns ErrUnknownDoc; an engine without Build
+// returns ErrNotBuilt. Safe to call concurrently with searches — the
+// tombstone is a copy-on-write swap of the published segment set.
+func (e *Engine) Delete(id int) error {
+	return e.write(walOpDelete, []Document{{ID: id}}, 1, true)
+}
+
+// Ingest enqueues one document upsert for asynchronous indexing and
+// returns once the write is acknowledged: durably logged (when WithWAL is
+// armed) and admitted to the bounded queue. The document becomes
+// searchable when its micro-batch is applied — typically milliseconds;
+// FlushIngest waits for everything admitted so far. A full queue returns
+// ErrIngestOverload without logging or queueing anything.
+//
+// Without WithIngestQueue, Ingest is a synchronous upsert (Update), so
+// callers can treat it as the streaming write API at either setting.
+// Like Update it requires a built engine.
+func (e *Engine) Ingest(doc Document) error {
+	return e.write(walOpUpsert, []Document{doc}, 1, false)
+}
+
+// write is the one entry of every mutation. While the ingest pipeline is
+// armed each document goes through its queue — one total order with the
+// WAL — and, when wait is set, blocks for its apply result, so the
+// documented synchronous semantics (ErrDuplicateID, a batch aborting at
+// the offending document, ...) hold at either setting; the applier does
+// the parallel analysis per micro-batch. Otherwise the batch is written
+// synchronously, analyzed on up to workers goroutines.
+func (e *Engine) write(op byte, docs []Document, workers int, wait bool) error {
+	if p := e.ingest.Load(); p != nil {
+		for _, doc := range docs {
+			if err := p.submit(op, doc, wait); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	ops := make([]writeOp, len(docs))
+	for i, doc := range docs {
+		ops[i] = writeOp{op: op, doc: doc}
+	}
+	return e.writeSync(ops, workers)
+}
+
+// writeSync is the direct write path. Analysis reads only immutable engine
+// state, so it runs outside every lock: concurrent writers embed in
+// parallel and searches are not blocked. Then, under walMu (log order is
+// apply order): post-Build writes are logged and made durable with one
+// group-commit wait for the whole batch — pre-Build writes are not logged,
+// the initial corpus is covered by Build/Save — and applied under mu.
+// Indexing is order-dependent (DocIDs are positional), so apply is
+// sequential; it is a tiny fraction of the embedding cost (Figure 7). The
+// first failing op aborts the batch; ops before it stay applied.
+func (e *Engine) writeSync(ops []writeOp, workers int) error {
+	analyzed := e.analyzeBatch(ops, workers)
+	e.walMu.Lock()
+	defer e.walMu.Unlock()
+	built := e.set.Load() != nil
+	for _, w := range ops {
+		if w.op != walOpAdd && !built {
+			return ErrNotBuilt
+		}
+	}
+	if e.walClosed {
+		// A closed log can no longer make the write durable; failing is
+		// honest, silently-not-logging is not. Engines that never armed a
+		// WAL keep accepting writes after Close as before.
+		return ErrClosed
+	}
+	if e.wal != nil && built {
+		ops = e.cutAfterRejectedAdd(ops)
+		var last wal.Pos
+		for _, w := range ops {
+			pos, err := e.wal.Write(encodeWALOp(w.op, w.doc))
+			if err != nil {
+				return err
+			}
+			last = pos
+		}
+		if err := e.wal.WaitDurable(last); err != nil {
+			return err
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i, w := range ops {
+		if err := e.applyLocked(w.op, w.doc, analyzed[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cutAfterRejectedAdd truncates a batch after its first add that
+// applyLocked must reject, so nothing behind the aborting op is logged:
+// the log then holds what was applied plus — like a failed single Add —
+// the one rejected record, which replay skips. Callers hold e.walMu, which
+// keeps the set of taken IDs stable between this check and the apply.
+func (e *Engine) cutAfterRejectedAdd(ops []writeOp) []writeOp {
+	if len(ops) < 2 {
+		return ops
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	seen := make(map[int]bool, len(ops))
+	for i, w := range ops {
+		if w.op == walOpAdd && (seen[w.doc.ID] || e.hasDocLocked(w.doc.ID)) {
+			return ops[:i+1]
+		}
+		seen[w.doc.ID] = true
+	}
+	return ops
+}
+
+// applyLocked applies one analyzed write to the open segment and the
+// published set — the single op switch behind the direct path, the ingest
+// applier and WAL replay. Callers hold e.mu.
+func (e *Engine) applyLocked(op byte, doc Document, an analyzedDoc) error {
+	switch op {
+	case walOpAdd:
+		return e.addLocked(doc, an.emb, an.terms)
+	case walOpUpsert:
+		return e.upsertLocked(doc, an.emb, an.terms)
+	case walOpDelete:
+		return e.deleteLocked(doc.ID)
+	}
+	return fmt.Errorf("%w: unknown op %d", ErrWALCorrupt, op)
 }
 
 // ingestPipeline is the armed async ingest machinery: the bounded queue
@@ -142,7 +318,7 @@ type ingestItem struct {
 // block admissions and wait for the queue to drain without deadlock.
 type ingestPipeline struct {
 	e     *Engine
-	ch    chan ingestItem
+	ch    chan writeOp
 	batch int
 
 	// closed and enqueued are guarded by e.walMu (admission order is WAL
@@ -168,7 +344,7 @@ type ingestPipeline struct {
 func newIngestPipeline(e *Engine, queue, batch int) *ingestPipeline {
 	p := &ingestPipeline{
 		e:     e,
-		ch:    make(chan ingestItem, queue),
+		ch:    make(chan writeOp, queue),
 		batch: batch,
 		done:  make(chan struct{}),
 	}
@@ -209,7 +385,7 @@ func (p *ingestPipeline) submit(op byte, doc Document, wait bool) error {
 	}
 	p.enqueued++
 	// Cannot block: capacity was checked above and walMu serializes senders.
-	p.ch <- ingestItem{op: op, doc: doc, res: res}
+	p.ch <- writeOp{op: op, doc: doc, res: res}
 	e.met.ingestQueued.Inc()
 	e.met.ingestDepth.Set(int64(len(p.ch)))
 	e.walMu.Unlock()
@@ -234,7 +410,7 @@ func (p *ingestPipeline) run() {
 		if !ok {
 			return
 		}
-		batch := make([]ingestItem, 1, p.batch)
+		batch := make([]writeOp, 1, p.batch)
 		batch[0] = first
 	collect:
 		for len(batch) < p.batch {
@@ -260,7 +436,7 @@ func (p *ingestPipeline) run() {
 // acknowledged-but-unapplied window: an injected error drops the batch
 // from memory — exactly what a real crash does — and the crash-recovery
 // tests prove the WAL replays it.
-func (p *ingestPipeline) apply(batch []ingestItem) {
+func (p *ingestPipeline) apply(batch []writeOp) {
 	e := p.e
 	if err := faults.Fire(faults.IngestApply); err != nil {
 		for _, it := range batch {
@@ -269,18 +445,10 @@ func (p *ingestPipeline) apply(batch []ingestItem) {
 			}
 		}
 	} else {
-		analyzed := e.analyzeBatch(batch)
+		analyzed := e.analyzeBatch(batch, 0)
 		e.mu.Lock()
 		for i, it := range batch {
-			var ierr error
-			switch it.op {
-			case walOpAdd:
-				ierr = e.addLocked(it.doc, analyzed[i].emb, analyzed[i].terms)
-			case walOpUpsert:
-				ierr = e.upsertLocked(it.doc, analyzed[i].emb, analyzed[i].terms)
-			case walOpDelete:
-				ierr = e.deleteLocked(it.doc.ID)
-			}
+			ierr := e.applyLocked(it.op, it.doc, analyzed[i])
 			if it.res != nil {
 				it.res <- ierr
 			}
@@ -342,26 +510,30 @@ func retryAfterSeconds(depth int, rate float64) int {
 	return secs
 }
 
-// analyzedDoc is one batch item's NLP/NER output.
+// analyzedDoc is the NLP/NE output for one text: a document about to be
+// indexed, or a query (the value type of the query cache).
 type analyzedDoc struct {
 	emb   *core.DocEmbedding
 	terms []string
 }
 
-// analyzeBatch runs the NLP and NE components over a micro-batch,
-// fanning out across GOMAXPROCS workers (deletes need no analysis).
+// analyzeBatch runs the NLP and NE components over a batch of writes on up
+// to workers goroutines (<= 0 selects GOMAXPROCS; deletes need no
+// analysis) — the one fan-out behind AddAll and the ingest applier.
 // Analysis reads only immutable engine state, so searches and queue
 // admissions proceed concurrently.
-func (e *Engine) analyzeBatch(batch []ingestItem) []analyzedDoc {
+func (e *Engine) analyzeBatch(batch []writeOp, workers int) []analyzedDoc {
 	out := make([]analyzedDoc, len(batch))
-	workers := runtime.GOMAXPROCS(0)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > len(batch) {
 		workers = len(batch)
 	}
 	if workers <= 1 {
 		for i, it := range batch {
 			if it.op != walOpDelete {
-				out[i].emb, out[i].terms = e.analyze(it.doc.Text)
+				out[i] = e.analyze(it.doc.Text)
 			}
 		}
 		return out
@@ -373,7 +545,7 @@ func (e *Engine) analyzeBatch(batch []ingestItem) []analyzedDoc {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out[i].emb, out[i].terms = e.analyze(batch[i].doc.Text)
+				out[i] = e.analyze(batch[i].doc.Text)
 			}
 		}()
 	}
@@ -403,23 +575,6 @@ func (p *ingestPipeline) waitApplied(target int64) {
 // must be in the capture, or pruning the old generation would lose it.
 func (p *ingestPipeline) drainLocked() {
 	p.waitApplied(p.enqueued)
-}
-
-// Ingest enqueues one document upsert for asynchronous indexing and
-// returns once the write is acknowledged: durably logged (when WithWAL is
-// armed) and admitted to the bounded queue. The document becomes
-// searchable when its micro-batch is applied — typically milliseconds;
-// FlushIngest waits for everything admitted so far. A full queue returns
-// ErrIngestOverload without logging or queueing anything.
-//
-// Without WithIngestQueue, Ingest is a synchronous upsert (Update), so
-// callers can treat it as the streaming write API at either setting.
-// Like Update it requires a built engine.
-func (e *Engine) Ingest(doc Document) error {
-	if p := e.ingest.Load(); p != nil {
-		return p.submit(walOpUpsert, doc, false)
-	}
-	return e.Update(doc)
 }
 
 // FlushIngest blocks until every write admitted before the call is
@@ -486,27 +641,14 @@ func (e *Engine) replayWAL(l *wal.Log) error {
 		if err != nil {
 			return err
 		}
-		var an analyzedDoc
-		if op != walOpDelete {
-			an.emb, an.terms = e.analyze(doc.Text)
-		}
+		an := e.analyzeBatch([]writeOp{{op: op, doc: doc}}, 1)[0]
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		switch op {
-		case walOpAdd:
-			if err := e.addLocked(doc, an.emb, an.terms); err != nil && !errors.Is(err, ErrDuplicateID) {
-				return err
-			}
-		case walOpUpsert:
-			return e.upsertLocked(doc, an.emb, an.terms)
-		case walOpDelete:
-			if err := e.deleteLocked(doc.ID); err != nil && !errors.Is(err, ErrUnknownDoc) {
-				return err
-			}
-		default:
-			return fmt.Errorf("%w: unknown op %d", ErrWALCorrupt, op)
+		err = e.applyLocked(op, doc, an)
+		if errors.Is(err, ErrDuplicateID) || errors.Is(err, ErrUnknownDoc) {
+			return nil // the original call failed the same way, changing nothing
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return walErr(err)
@@ -518,24 +660,6 @@ func (e *Engine) replayWAL(l *wal.Log) error {
 		e.mu.Unlock()
 	}
 	return nil
-}
-
-// logSyncLocked appends one write to the WAL and waits for durability —
-// the synchronous write path used when no ingest queue is armed. Callers
-// hold e.walMu (so log order is apply order) but not e.mu. Pre-Build
-// writes are not logged: the initial corpus is covered by Build/Save, not
-// the log.
-func (e *Engine) logSyncLocked(op byte, doc Document) error {
-	if e.walClosed {
-		// A closed log can no longer make the write durable; failing is
-		// honest, silently-not-logging is not. Engines that never armed a
-		// WAL keep accepting writes after Close as before.
-		return ErrClosed
-	}
-	if e.wal == nil || e.set.Load() == nil {
-		return nil
-	}
-	return e.wal.Append(encodeWALOp(op, doc))
 }
 
 // stopIngest shuts the pipeline and the log down: drain the queue, stop

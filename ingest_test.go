@@ -162,34 +162,55 @@ func TestIngestPipelineServes(t *testing.T) {
 	}
 }
 
-// TestIngestCrashRecoveryConverges: every acknowledged Ingest survives an
-// abandon-without-Close crash, and the recovered engine converges to the
-// same searchable state as a clean run that never crashed.
+// TestIngestCrashRecoveryConverges: one operation history run through the
+// direct write path, through the ingest queue, and replayed from either
+// WAL after an abandon-without-Close crash leaves the same searchable
+// state — every acknowledged write survives, and nothing that was not
+// applied (the tail of a batch behind a rejected document) comes back.
 func TestIngestCrashRecoveryConverges(t *testing.T) {
-	dir := t.TempDir()
 	_, arts := corpus.Sample()
-	const n = 25
-
-	crashed := walEngine(t, dir, WithIngestQueue(64), WithIngestBatch(4))
-	for i := 0; i < n; i++ {
-		if err := crashed.Ingest(streamDoc(arts, i)); err != nil {
-			t.Fatal(err)
-		}
+	histories := map[string]func(t *testing.T, e *Engine){
+		"ingest": func(t *testing.T, e *Engine) {
+			for i := 0; i < 25; i++ {
+				if err := e.Ingest(streamDoc(arts, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		"batch-duplicate-update-delete": func(t *testing.T, e *Engine) {
+			batch := []Document{streamDoc(arts, 0), streamDoc(arts, 1), streamDoc(arts, 2),
+				streamDoc(arts, 1), streamDoc(arts, 3)}
+			if err := e.AddAll(batch, 2); !errors.Is(err, ErrDuplicateID) {
+				t.Fatalf("AddAll with a mid-batch duplicate: %v", err)
+			}
+			upd := streamDoc(arts, 0)
+			upd.Title, upd.Text = "updated "+upd.Title, arts[5].Text
+			if err := e.Update(upd); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Delete(streamDoc(arts, 2).ID); err != nil {
+				t.Fatal(err)
+			}
+		},
 	}
-	crashed.FlushIngest()
-	// Crash: no Close, no Save. The WAL is the only durable record.
-
-	recovered := walEngine(t, dir, WithIngestQueue(64))
-	defer recovered.Close()
-
-	clean := walEngine(t, t.TempDir())
-	defer clean.Close()
-	for i := 0; i < n; i++ {
-		if err := clean.Update(streamDoc(arts, i)); err != nil {
-			t.Fatal(err)
-		}
+	for name, run := range histories {
+		t.Run(name, func(t *testing.T) {
+			dirD, dirQ := t.TempDir(), t.TempDir()
+			direct := walEngine(t, dirD)
+			run(t, direct)
+			queued := walEngine(t, dirQ, WithIngestQueue(64), WithIngestBatch(4))
+			run(t, queued)
+			queued.FlushIngest()
+			// Crash: no Close, no Save. The WALs are the only durable record.
+			replayedD := walEngine(t, dirD)
+			defer replayedD.Close()
+			replayedQ := walEngine(t, dirQ, WithIngestQueue(64))
+			defer replayedQ.Close()
+			assertConverged(t, queued, direct)
+			assertConverged(t, replayedD, direct)
+			assertConverged(t, replayedQ, direct)
+		})
 	}
-	assertConverged(t, recovered, clean)
 }
 
 // TestWALSyncPathRecovery: without an ingest queue the synchronous write

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -249,6 +250,44 @@ func TestRouterFilteredMatchesSingleProcess(t *testing.T) {
 						path, got.Results, want.Results)
 				}
 			}
+		}
+	}
+}
+
+// TestMalformedSearchSameOnBothFrontDoors: the router and a single process
+// parse one request grammar, so every malformed search is refused with the
+// same status and the same body on both.
+func TestMalformedSearchSameOnBothFrontDoors(t *testing.T) {
+	dir, g, _, _, ts := startCluster(t, Config{})
+	ref := referenceServer(t, dir, g)
+	body := func(base, path string) (int, string) {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: reading body: %v", path, err)
+		}
+		return resp.StatusCode, string(b)
+	}
+	for _, params := range []string{
+		"", "q=", "q=x&k=abc", "q=x&k=0", "q=x&k=1001", "q=x&k=-3",
+		"q=x&pool=abc", "q=x&pool=-1", "q=x&pool=10001",
+		"q=x&beta=abc", "q=x&beta=7", "q=x&beta=-0.1",
+		"q=x&after=soon", "q=x&before=1.5", "q=x&entity=",
+		"q=x&entity=" + strings.Repeat("a&entity=", 16) + "a",
+		"q=x&beta=7&after=soon", // two faults: both report the same one
+	} {
+		path := "/v1/search?" + params
+		gotStatus, gotBody := body(ts.URL, path)
+		wantStatus, wantBody := body(ref.URL, path)
+		if wantStatus != http.StatusBadRequest {
+			t.Fatalf("%s: single process answered %d, want 400\n%s", path, wantStatus, wantBody)
+		}
+		if gotStatus != wantStatus || gotBody != wantBody {
+			t.Errorf("%s: front doors disagree\nrouter: %d %s\nsingle: %d %s", path, gotStatus, gotBody, wantStatus, wantBody)
 		}
 	}
 }

@@ -381,31 +381,7 @@ func (rt *Router) writeRouterError(w http.ResponseWriter, err error) {
 }
 
 func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "missing query parameter q")
-		return
-	}
-	k, err := intParam(r, "k", 10)
-	if err != nil || k <= 0 || k > 1000 {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "k must be in [1,1000]")
-		return
-	}
-	pool, err := intParam(r, "pool", 0)
-	if err != nil || pool < 0 || pool > 10000 {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "parameter \"pool\" must be an integer in [0,10000]")
-		return
-	}
-	var beta *float64
-	if raw := r.URL.Query().Get("beta"); raw != "" {
-		b, err := strconv.ParseFloat(raw, 64)
-		if err != nil || b < 0 || b > 1 {
-			server.WriteError(w, http.StatusBadRequest, "bad_request", "parameter \"beta\" must be a number in [0,1], got %q", raw)
-			return
-		}
-		beta = &b
-	}
-	flt, err := rt.filterOf(r)
+	q, err := server.SearchParams(r)
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
@@ -416,21 +392,13 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("trace") == "1" {
 		ctx, tr = obs.WithTrace(ctx)
 	}
-	resp, err := rt.search(ctx, q, k, pool, beta, flt)
+	resp, err := rt.search(ctx, q.Text, q.K, q.PoolDepth, q.Beta, rt.wireFilterOf(q.After, q.Before, q.Entities))
 	if err != nil {
 		rt.writeRouterError(w, err)
 		return
 	}
 	resp.Trace = tr.Spans()
 	server.WriteJSON(w, http.StatusOK, resp)
-}
-
-func intParam(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	return strconv.Atoi(raw)
 }
 
 // wireFilter is one request's document-filter clauses in the shape the
@@ -447,21 +415,17 @@ func (f wireFilter) empty() bool {
 	return f.after == 0 && f.before == 0 && len(f.entities) == 0
 }
 
-// filterOf parses the shared filter query parameters (the single-process
-// server's grammar) and resolves entity labels against the router's
-// knowledge graph. A label that resolves to nothing stays as an empty
-// term set: it must reach the workers so the facet matches no document,
-// exactly as on a single process.
-func (rt *Router) filterOf(r *http.Request) (wireFilter, error) {
-	after, before, labels, err := server.FilterParams(r)
-	if err != nil {
-		return wireFilter{}, err
-	}
+// wireFilterOf resolves a request's parsed filter clauses (the
+// single-process server's grammar) against the router's knowledge graph. A
+// label that resolves to nothing stays as an empty term set: it must reach
+// the workers so the facet matches no document, exactly as on a single
+// process.
+func (rt *Router) wireFilterOf(after, before int64, labels []string) wireFilter {
 	f := wireFilter{after: after, before: before}
 	if len(labels) > 0 {
 		f.entities = rt.analyzer.EntityTerms(labels)
 	}
-	return f, nil
+	return f
 }
 
 // search runs the scatter-gather pipeline with graceful degradation:
@@ -888,21 +852,22 @@ func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, "bad_request", "missing query parameter q")
 		return
 	}
-	id, err := intParam(r, "id", -1)
+	id, err := server.IntParam(r, "id", -1)
 	if err != nil || id < 0 {
 		server.WriteError(w, http.StatusBadRequest, "bad_request", "missing or negative parameter id")
 		return
 	}
-	paths, err := intParam(r, "paths", 5)
+	paths, err := server.IntParam(r, "paths", 5)
 	if err != nil || paths < 0 || paths > 1000 {
 		server.WriteError(w, http.StatusBadRequest, "bad_request", "parameter \"paths\" must be in [0,1000]")
 		return
 	}
-	flt, err := rt.filterOf(r)
+	after, before, labels, err := server.FilterParams(r)
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
+	flt := rt.wireFilterOf(after, before, labels)
 	idx, ok := rt.plan.ShardOf(id)
 	if !ok {
 		server.WriteError(w, http.StatusNotFound, "unknown_document", "no live document %d", id)

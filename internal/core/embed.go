@@ -4,10 +4,12 @@ import (
 	"context"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"newslink/internal/kg"
+	"newslink/internal/lru"
 )
 
 // DocEmbedding is the subgraph embedding of a whole news document: the
@@ -48,7 +50,10 @@ type EmbedStats struct {
 type Embedder struct {
 	s       *Searcher
 	workers int
-	cache   *groupCache // nil when Options.GroupCacheSize == 0
+	// cache memoizes entity-group → *Subgraph under groupKey; nil when
+	// Options.GroupCacheSize == 0. Values are shared pointers and must be
+	// treated as immutable.
+	cache *lru.Cache[*Subgraph]
 }
 
 // NewEmbedder returns an Embedder over g. It builds and owns its searcher;
@@ -61,7 +66,7 @@ func NewEmbedder(g *kg.Graph, opts Options) *Embedder {
 func newEmbedder(s *Searcher) *Embedder {
 	e := &Embedder{s: s, workers: s.opts.EmbedWorkers}
 	if n := s.opts.GroupCacheSize; n > 0 {
-		e.cache = newGroupCache(n)
+		e.cache = lru.New[*Subgraph](n)
 	}
 	return e
 }
@@ -186,7 +191,7 @@ func (e *Embedder) embedGroup(ctx context.Context, labels []string) (*Subgraph, 
 	if e.cache != nil {
 		key = e.groupKey(labels)
 		if key != "" {
-			if sg, ok := e.cache.get(key); ok {
+			if sg, ok := e.cache.Get(key); ok {
 				return sg, true, nil
 			}
 		}
@@ -196,9 +201,38 @@ func (e *Embedder) embedGroup(ctx context.Context, labels []string) (*Subgraph, 
 		return nil, false, err
 	}
 	if e.cache != nil && key != "" && sg != nil {
-		e.cache.put(key, sg)
+		e.cache.Put(key, sg)
 	}
 	return sg, false, nil
+}
+
+// groupKey canonicalizes an entity group into its cache key: labels are
+// folded, deduplicated in first-seen order, and dropped unless they resolve
+// to at least one KG node — mirroring Find's own label registration, so
+// equal keys provably enumerate the same frontier and a hit returns a
+// subgraph byte-identical to a fresh search, while groups that differ only
+// in unresolvable labels, duplicate labels, case or whitespace share an
+// entry. Returns "" when nothing resolves (Find would return nil; not
+// worth caching).
+func (e *Embedder) groupKey(labels []string) string {
+	resolved := make([]string, 0, len(labels))
+outer:
+	for _, l := range labels {
+		key := kg.Fold(l)
+		for _, r := range resolved {
+			if r == key {
+				continue outer
+			}
+		}
+		if len(e.s.g.Lookup(key)) == 0 {
+			continue
+		}
+		resolved = append(resolved, key)
+	}
+	if len(resolved) == 0 {
+		return ""
+	}
+	return strings.Join(resolved, "\x1f")
 }
 
 // Nodes returns the distinct nodes of the document embedding in ascending

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -103,8 +104,9 @@ func TestDecodeBlockRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestCursorParity: memory and disk cursors must agree block-for-block, and
-// PostingIter must reproduce the flat list through Next and SeekGE.
+// TestCursorParity: memory, disk and segmented cursors must agree
+// block-for-block with the flat list, sequentially (NextBlock) and at
+// random seek targets (SeekBlock).
 func TestCursorParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	b := NewBuilder()
@@ -152,18 +154,23 @@ func TestCursorParity(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%T %q: cursor traversal differs from Postings", src, term)
 			}
-			// SeekGE from a fresh iterator at random targets.
+			// SeekBlock from a fresh cursor at random targets: it lands on
+			// the block holding the first posting >= target, if one exists.
 			for trial := 0; trial < 50; trial++ {
 				target := DocID(rng.Intn(numDocs + 10))
-				it := NewPostingIter(src.TermCursor(term))
-				wantIdx := 0
-				for wantIdx < len(want) && want[wantIdx].Doc < target {
-					wantIdx++
-				}
-				if ok := it.SeekGE(target); ok != (wantIdx < len(want)) {
-					t.Fatalf("%T %q: SeekGE(%d) = %v, want %v", src, term, target, ok, wantIdx < len(want))
-				} else if ok && it.Doc() != want[wantIdx].Doc {
-					t.Fatalf("%T %q: SeekGE(%d) at doc %d, want %d", src, term, target, it.Doc(), want[wantIdx].Doc)
+				c := src.TermCursor(term)
+				wantIdx := sort.Search(len(want), func(i int) bool { return want[i].Doc >= target })
+				if ok := c.SeekBlock(target); ok != (wantIdx < len(want)) {
+					t.Fatalf("%T %q: SeekBlock(%d) = %v, want %v", src, term, target, ok, wantIdx < len(want))
+				} else if ok {
+					pl, err := c.Block()
+					if err != nil {
+						t.Fatalf("%T %q: %v", src, term, err)
+					}
+					i := sort.Search(len(pl), func(i int) bool { return pl[i].Doc >= target })
+					if i == len(pl) || pl[i] != want[wantIdx] {
+						t.Fatalf("%T %q: SeekBlock(%d) block %v..%v misses posting %v", src, term, target, pl[0].Doc, pl[len(pl)-1].Doc, want[wantIdx])
+					}
 				}
 			}
 		}

@@ -16,16 +16,10 @@ type DocFilter interface {
 	Keep(d DocID) bool
 }
 
-// FilterFunc adapts a plain predicate to DocFilter.
-type FilterFunc func(DocID) bool
-
-// Keep calls f(d).
-func (f FilterFunc) Keep(d DocID) bool { return f(d) }
-
 // Filtered decorates a Source with a conjunction of DocFilters, composing
 // them with whatever liveness the wrapped source already enforces (a
 // LiveFiltered tombstone mask, or another Filtered). It satisfies the same
-// Live/NumLive contract as LiveFiltered, so the retrieval tier's live-mask
+// Live contract as LiveFiltered, so the retrieval tier's live-mask
 // seam (search.LiveSource) picks it up with no hot-loop changes: dead or
 // filtered-out candidates are dropped before scoring or admission, while
 // the statistics the scorers read stay those of the full corpus.
@@ -67,20 +61,5 @@ func (f *Filtered) Live(d DocID) bool {
 	}
 	return true
 }
-
-// NumLive counts the surviving documents. It is O(NumDocs) and exists to
-// honour the LiveFiltered contract; nothing on the query path calls it.
-func (f *Filtered) NumLive() int {
-	n := 0
-	for d := 0; d < f.NumDocs(); d++ {
-		if f.Live(DocID(d)) {
-			n++
-		}
-	}
-	return n
-}
-
-// Unwrap returns the underlying source.
-func (f *Filtered) Unwrap() Source { return f.Source }
 
 var _ Source = (*Filtered)(nil)

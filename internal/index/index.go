@@ -64,74 +64,6 @@ type Cursor interface {
 	Block() ([]Posting, error)
 }
 
-// PostingIter adapts a Cursor to posting-at-a-time traversal (next /
-// seekGE), decoding lazily one block at a time.
-type PostingIter struct {
-	c   Cursor
-	pl  []Posting
-	i   int
-	err error
-}
-
-// NewPostingIter wraps a cursor (which must be freshly created).
-func NewPostingIter(c Cursor) *PostingIter { return &PostingIter{c: c, i: -1} }
-
-// Next advances to the next posting; false at the end or on decode error.
-func (it *PostingIter) Next() bool {
-	if it.err != nil {
-		return false
-	}
-	it.i++
-	if it.i < len(it.pl) {
-		return true
-	}
-	if !it.c.NextBlock() {
-		return false
-	}
-	it.pl, it.err = it.c.Block()
-	it.i = 0
-	return it.err == nil && len(it.pl) > 0
-}
-
-// SeekGE advances to the first posting with Doc >= d, skipping whole blocks
-// using their summaries; false when no such posting exists.
-func (it *PostingIter) SeekGE(d DocID) bool {
-	if it.err != nil {
-		return false
-	}
-	if it.i >= 0 && it.i < len(it.pl) && it.pl[it.i].Doc >= d {
-		return true
-	}
-	// Still inside a decoded block that may contain d?
-	if it.i >= 0 && len(it.pl) > 0 && it.pl[len(it.pl)-1].Doc >= d {
-		it.i += sort.Search(len(it.pl)-it.i, func(j int) bool { return it.pl[it.i+j].Doc >= d })
-		return true
-	}
-	if !it.c.SeekBlock(d) {
-		it.i = len(it.pl)
-		return false
-	}
-	if it.pl, it.err = it.c.Block(); it.err != nil {
-		return false
-	}
-	it.i = sort.Search(len(it.pl), func(j int) bool { return it.pl[j].Doc >= d })
-	if it.i == len(it.pl) {
-		// Summary said the block reaches d; a decoded block that does not
-		// is corrupt, and decodeBlock would have failed first.
-		return false
-	}
-	return true
-}
-
-// Doc returns the current posting's document ID.
-func (it *PostingIter) Doc() DocID { return it.pl[it.i].Doc }
-
-// TF returns the current posting's term frequency.
-func (it *PostingIter) TF() float32 { return it.pl[it.i].TF }
-
-// Err reports a decode/IO error that terminated the iteration, if any.
-func (it *PostingIter) Err() error { return it.err }
-
 // DocID identifies a document in the index, dense from 0.
 type DocID uint32
 

@@ -21,10 +21,4 @@ func NewLiveFiltered(src Source, dead *Bitmap) *LiveFiltered {
 // Live reports whether document d has not been tombstoned.
 func (l *LiveFiltered) Live(d DocID) bool { return !l.dead.Get(int(d)) }
 
-// NumLive returns the number of live (non-tombstoned) documents.
-func (l *LiveFiltered) NumLive() int { return l.NumDocs() - l.dead.Count() }
-
-// Unwrap returns the underlying source (serialization wants the raw index).
-func (l *LiveFiltered) Unwrap() Source { return l.Source }
-
 var _ Source = (*LiveFiltered)(nil)

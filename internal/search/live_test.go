@@ -46,9 +46,6 @@ func TestLiveFilteredTraversalsAgree(t *testing.T) {
 		}
 	}
 	lf := index.NewLiveFiltered(idx, dead)
-	if lf.NumLive() != nDocs-dead.Count() {
-		t.Fatalf("NumLive = %d, want %d", lf.NumLive(), nDocs-dead.Count())
-	}
 	scorer := NewBM25(idx) // statistics over the FULL corpus, dead included
 	ctx := context.Background()
 	for qi := 0; qi < 20; qi++ {
@@ -101,8 +98,5 @@ func TestLiveFilteredPassThrough(t *testing.T) {
 	}
 	if lf.Live(10) || !lf.Live(11) {
 		t.Fatal("Live mask wrong")
-	}
-	if lf.Unwrap() != idx {
-		t.Fatal("Unwrap lost the underlying source")
 	}
 }

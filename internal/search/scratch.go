@@ -89,14 +89,3 @@ func releaseMapAcc(m map[index.DocID]float64) {
 	clear(m)
 	mapAccPool.Put(m)
 }
-
-// seenSetPool recycles the seen sets of the threshold-algorithm fusion
-// path (ThresholdTopK).
-var seenSetPool = sync.Pool{New: func() any { return make(map[index.DocID]bool) }}
-
-func acquireSeenSet() map[index.DocID]bool { return seenSetPool.Get().(map[index.DocID]bool) }
-
-func releaseSeenSet(m map[index.DocID]bool) {
-	clear(m)
-	seenSetPool.Put(m)
-}

@@ -342,7 +342,9 @@ func retryAfterHint(e *newslink.Engine) string {
 	return "1"
 }
 
-func intParam(r *http.Request, name string, def int) (int, error) {
+// IntParam parses an optional integer query parameter (def when absent).
+// Exported for the cluster router, which reads the same grammar.
+func IntParam(r *http.Request, name string, def int) (int, error) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
 		return def, nil
@@ -393,39 +395,50 @@ func FilterParams(r *http.Request) (after, before int64, entities []string, err 
 	return after, before, entities, nil
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		badRequest(w, "missing query parameter q")
-		return
+// SearchParams parses one search request — q, k, pool, beta and the shared
+// document filters — into the engine's Query. It is the only parser of
+// that grammar: the single-process server and the cluster router both
+// call it, so the two front doors accept and reject identical requests
+// with identical messages.
+func SearchParams(r *http.Request) (newslink.Query, error) {
+	q := newslink.Query{Text: r.URL.Query().Get("q")}
+	if q.Text == "" {
+		return q, errors.New("missing query parameter q")
 	}
-	k, err := intParam(r, "k", 10)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
+	if err := rankParams(r, &q); err != nil {
+		return q, err
 	}
-	if k <= 0 || k > 1000 {
-		badRequest(w, "k must be in [1,1000], got %d", k)
-		return
-	}
-	pool, err := intParam(r, "pool", 0)
-	if err != nil || pool < 0 || pool > maxPoolDepth {
-		badRequest(w, "parameter \"pool\" must be an integer in [0,%d]", maxPoolDepth)
-		return
-	}
-	after, before, entities, err := FilterParams(r)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	req := newslink.Query{Text: q, K: k, PoolDepth: pool, After: after, Before: before, Entities: entities}
 	if raw := r.URL.Query().Get("beta"); raw != "" {
 		beta, err := strconv.ParseFloat(raw, 64)
 		if err != nil || beta < 0 || beta > 1 {
-			badRequest(w, "parameter \"beta\" must be a number in [0,1], got %q", raw)
-			return
+			return q, fmt.Errorf("parameter \"beta\" must be a number in [0,1], got %q", raw)
 		}
-		req.Beta = newslink.BetaOverride(beta)
+		q.Beta = &beta
+	}
+	return q, nil
+}
+
+// rankParams parses what search and related requests share — k, pool and
+// the document filters — into q.
+func rankParams(r *http.Request, q *newslink.Query) (err error) {
+	if q.K, err = IntParam(r, "k", 10); err != nil {
+		return err
+	}
+	if q.K <= 0 || q.K > 1000 {
+		return fmt.Errorf("k must be in [1,1000], got %d", q.K)
+	}
+	if q.PoolDepth, err = IntParam(r, "pool", 0); err != nil || q.PoolDepth < 0 || q.PoolDepth > maxPoolDepth {
+		return fmt.Errorf("parameter \"pool\" must be an integer in [0,%d]", maxPoolDepth)
+	}
+	q.After, q.Before, q.Entities, err = FilterParams(r)
+	return err
+}
+
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	req, err := SearchParams(r)
+	if err != nil {
+		badRequest(w, "%v", err)
+		return
 	}
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
@@ -441,8 +454,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logTrace(r, tr)
 	writeJSON(w, http.StatusOK, SearchResponse{
-		Query:          q,
-		K:              k,
+		Query:          req.Text,
+		K:              req.K,
 		Results:        results,
 		Degraded:       resp.Degraded,
 		DegradedReason: resp.DegradedReason,
@@ -461,22 +474,8 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "path parameter id must be a non-negative integer")
 		return
 	}
-	k, err := intParam(r, "k", 10)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	if k <= 0 || k > 1000 {
-		badRequest(w, "k must be in [1,1000], got %d", k)
-		return
-	}
-	pool, err := intParam(r, "pool", 0)
-	if err != nil || pool < 0 || pool > maxPoolDepth {
-		badRequest(w, "parameter \"pool\" must be an integer in [0,%d]", maxPoolDepth)
-		return
-	}
-	after, before, entities, err := FilterParams(r)
-	if err != nil {
+	var q newslink.Query
+	if err := rankParams(r, &q); err != nil {
 		badRequest(w, "%v", err)
 		return
 	}
@@ -484,8 +483,8 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	ctx, tr := maybeTrace(ctx, r)
 	results, err := s.engine.RelatedContext(ctx, newslink.RelatedQuery{
-		DocID: id, K: k, PoolDepth: pool,
-		After: after, Before: before, Entities: entities,
+		DocID: id, K: q.K, PoolDepth: q.PoolDepth,
+		After: q.After, Before: q.Before, Entities: q.Entities,
 	})
 	if err != nil {
 		s.writeEngineError(w, err)
@@ -495,7 +494,7 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 		results = []newslink.Result{}
 	}
 	s.logTrace(r, tr)
-	writeJSON(w, http.StatusOK, RelatedResponse{DocID: id, K: k, Results: results, Trace: tr.Spans()})
+	writeJSON(w, http.StatusOK, RelatedResponse{DocID: id, K: q.K, Results: results, Trace: tr.Spans()})
 }
 
 // maybeTrace attaches a per-request trace to ctx when the request asked for
@@ -514,7 +513,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "missing query parameter q")
 		return
 	}
-	id, err := intParam(r, "id", -1)
+	id, err := IntParam(r, "id", -1)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -523,7 +522,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "missing or negative parameter id")
 		return
 	}
-	paths, err := intParam(r, "paths", 5)
+	paths, err := IntParam(r, "paths", 5)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -553,7 +552,7 @@ func (s *Server) handleDOT(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "missing query parameter q")
 		return
 	}
-	id, err := intParam(r, "id", -1)
+	id, err := IntParam(r, "id", -1)
 	if err != nil || id < 0 {
 		badRequest(w, "missing or invalid parameter id")
 		return

@@ -1,7 +1,6 @@
 package textembed
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"strings"
@@ -209,63 +208,5 @@ func TestTopKCosineTies(t *testing.T) {
 	got := TopKCosine(corpus, Vector{1, 0}, 2)
 	if got[0].Idx != 0 || got[1].Idx != 1 {
 		t.Fatalf("tie order = %v, want ascending idx", got)
-	}
-}
-
-func TestWordVectorsRoundTrip(t *testing.T) {
-	wv := trainToy(t)
-	var buf bytes.Buffer
-	if _, err := wv.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadWordVectors(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Dim != wv.Dim || got.VocabSize() != wv.VocabSize() {
-		t.Fatalf("shape: %d/%d vs %d/%d", got.Dim, got.VocabSize(), wv.Dim, wv.VocabSize())
-	}
-	// Behaviour is identical after the round trip: same vectors, same idf,
-	// same OOV hashing (seed preserved).
-	for _, w := range []string{"taliban", "ballot", "cricket"} {
-		if !reflect.DeepEqual(got.Vector(w), wv.Vector(w)) {
-			t.Fatalf("vector(%s) differs", w)
-		}
-		if got.IDF(w) != wv.IDF(w) {
-			t.Fatalf("idf(%s) differs", w)
-		}
-	}
-	a := wv.EmbedDoc([]string{"taliban", "unseen-word"})
-	b := got.EmbedDoc([]string{"taliban", "unseen-word"})
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("EmbedDoc differs after round trip (OOV seed lost?)")
-	}
-	// Byte-stable.
-	var again bytes.Buffer
-	if _, err := got.WriteTo(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatal("serialization not byte-stable")
-	}
-}
-
-func TestReadWordVectorsRejectsCorruption(t *testing.T) {
-	wv := trainToy(t)
-	var buf bytes.Buffer
-	if _, err := wv.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	if _, err := ReadWordVectors(bytes.NewReader(data[:len(data)/3])); err == nil {
-		t.Error("truncated: expected error")
-	}
-	bad := append([]byte(nil), data...)
-	bad[0] = 'X'
-	if _, err := ReadWordVectors(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic: expected error")
-	}
-	if _, err := ReadWordVectors(bytes.NewReader(nil)); err == nil {
-		t.Error("empty: expected error")
 	}
 }

@@ -32,9 +32,7 @@ package newslink
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -201,10 +199,10 @@ type Engine struct {
 	cfg  Config
 	opts engineOptions
 
-	// gs is the atomically-published graph-side state: the knowledge graph
-	// with its NLP pipeline and embedder. Queries load it once per request
-	// and work against that immutable view; SwapGraph publishes a fresh one
-	// and purges the embedding caches.
+	// gs is the atomically-published graph-side state (querycache.go): the
+	// knowledge graph with its NLP pipeline, embedder and query-analysis
+	// caches. Queries load it once per request and work against that view;
+	// SwapGraph publishes a fresh one.
 	gs atomic.Pointer[graphState]
 
 	// set is the published, immutable segment set (segment.go); nil until
@@ -238,10 +236,6 @@ type Engine struct {
 	textB    *index.Builder
 	nodeB    *index.Builder
 
-	queries *queryCache
-	embeds  *embedCache
-	hot     *kg.HotLabels
-
 	// metrics is the engine's observability registry; met caches the
 	// pre-registered handles the pipeline updates. Both are created in New
 	// and immutable afterwards, so no lock guards them.
@@ -259,18 +253,6 @@ type Engine struct {
 // instead of blocking on a slow graph side. Zero removes the bound. Safe
 // to call at any time, including while searches are in flight.
 func (e *Engine) SetBONTimeout(d time.Duration) { e.bonTimeout.Store(int64(d)) }
-
-// graphState bundles the knowledge graph with the components derived from
-// it — the NLP pipeline (entity recognition against the graph's label
-// index) and the subgraph embedder (with its pooled traversal states and
-// per-group cache). It is immutable once published; SwapGraph replaces the
-// whole bundle atomically, so a request that loaded one graphState keeps a
-// consistent graph view for its entire lifetime.
-type graphState struct {
-	g        *kg.Graph
-	pipe     *nlp.Pipeline
-	embedder *core.Embedder
-}
 
 // New returns an Engine over the knowledge graph g. Options configure the
 // engine beyond the base Config; because Config is itself an Option, both
@@ -293,60 +275,12 @@ func New(g *kg.Graph, opts ...Option) *Engine {
 		pendPos: make(map[int]int),
 		textB:   index.NewBuilder(),
 		nodeB:   index.NewBuilder(),
-		queries: newQueryCache(o.queryCacheSize, met.cacheHits, met.cacheMisses),
-		embeds:  newEmbedCache(o.embedCacheSize, met.embedCacheHits, met.embedCacheMisses),
-		hot:     kg.NewHotLabels(o.hotLabelCap),
 		metrics: registry,
 		met:     met,
 	}
 	e.gs.Store(e.newGraphState(g))
-	e.bonTimeout.Store(int64(o.bonTimeout))
 	return e
 }
-
-// newGraphState derives the graph-side components from g under the
-// engine's configuration.
-func (e *Engine) newGraphState(g *kg.Graph) *graphState {
-	return &graphState{
-		g:    g,
-		pipe: nlp.NewPipeline(g.Index()),
-		embedder: core.NewEmbedder(g, core.Options{
-			Model:          e.cfg.Model,
-			MaxDepth:       e.cfg.MaxDepth,
-			MaxExpansions:  e.cfg.MaxExpansions,
-			EmbedWorkers:   e.opts.embedWorkers,
-			GroupCacheSize: e.opts.groupCacheSize,
-		}),
-	}
-}
-
-// Graph returns the underlying knowledge graph.
-func (e *Engine) Graph() *kg.Graph { return e.gs.Load().g }
-
-// SwapGraph atomically replaces the knowledge graph with an updated
-// snapshot — a re-weighted or extended export of the same entity universe.
-// Every embedding cache derived from the old graph dies with it: the
-// text-keyed query cache, the entity-set embedding cache and the
-// embedder's per-group cache (the new embedder starts cold), so no query
-// can ever be served a subgraph of a graph that is no longer published.
-//
-// Document embeddings indexed in sealed segments are NOT recomputed; they
-// keep describing the graph they were built against. Swapping in a graph
-// whose node IDs are incompatible with the indexed corpus calls for
-// re-indexing (or persist.Load of a matching snapshot) instead.
-func (e *Engine) SwapGraph(g *kg.Graph) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.gs.Store(e.newGraphState(g))
-	e.queries.purge()
-	e.embeds.purge()
-}
-
-// HotLabels returns the k most frequently embedded entity labels of the
-// query stream (Space-Saving estimates; see kg.HotLabels). It identifies
-// the entities whose label → distance work the embedder's group cache is
-// amortizing. k <= 0 returns every tracked label.
-func (e *Engine) HotLabels(k int) []kg.LabelCount { return e.hot.Top(k) }
 
 // NumDocs returns the number of live documents: everything added (sealed
 // or still pending) minus tombstoned deletes.
@@ -379,49 +313,14 @@ func (e *Engine) NumDeletedDocs() int {
 	return 0
 }
 
-// Add processes and indexes one document: NLP (Section IV), subgraph
-// embedding (Section V) and both inverted indexes (Section VI). Documents
-// whose entity groups yield no subgraph embedding are still text-indexed
-// (their BON vector is empty). A document ID that was already added is
-// rejected with ErrDuplicateID.
-//
-// Add also works after Build: late documents accumulate in an open segment
-// that is sealed and attached (Lucene-style multi-segment reading) by the
-// next Search or an explicit Refresh. Add is safe to call concurrently with
-// searches and other Adds.
-func (e *Engine) Add(doc Document) error {
-	// While the ingest pipeline is armed, every write routes through it —
-	// one total order with the WAL — and waits for its apply result, so
-	// the documented synchronous semantics (ErrDuplicateID, ...) hold.
-	if p := e.ingest.Load(); p != nil {
-		return p.submit(walOpAdd, doc, true)
-	}
-	// Analysis touches only immutable state; run it before taking the lock
-	// so concurrent Adds embed in parallel and searches are not blocked.
-	emb, terms := e.analyze(doc.Text)
-	e.walMu.Lock()
-	defer e.walMu.Unlock()
-	if err := e.logSyncLocked(walOpAdd, doc); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.addLocked(doc, emb, terms)
-}
-
 // addLocked appends one analyzed document to the open segment. A document
 // ID is a duplicate when it is pending or live; a tombstoned ID may be
 // re-added (that is what Update does). Callers hold e.mu.
 func (e *Engine) addLocked(doc Document, emb *core.DocEmbedding, terms []string) error {
-	if _, dup := e.pendPos[doc.ID]; dup {
+	if e.hasDocLocked(doc.ID) {
 		return fmt.Errorf("%w: %d", ErrDuplicateID, doc.ID)
 	}
 	s := e.set.Load()
-	if s != nil {
-		if _, dup := s.docPos[doc.ID]; dup {
-			return fmt.Errorf("%w: %d", ErrDuplicateID, doc.ID)
-		}
-	}
 	e.ensureSegment()
 	e.pendPos[doc.ID] = len(e.pendDocs)
 	e.pendDocs = append(e.pendDocs, doc)
@@ -435,6 +334,19 @@ func (e *Engine) addLocked(doc Document, emb *core.DocEmbedding, terms []string)
 	}
 	e.met.docs.Set(int64(live + len(e.pendDocs)))
 	return nil
+}
+
+// hasDocLocked reports whether id is taken: pending in the open segment or
+// live in the published set. Callers hold e.mu.
+func (e *Engine) hasDocLocked(id int) bool {
+	if _, ok := e.pendPos[id]; ok {
+		return true
+	}
+	if s := e.set.Load(); s != nil {
+		_, ok := s.docPos[id]
+		return ok
+	}
+	return false
 }
 
 // ensureSegment opens a fresh accumulation segment after the previous one
@@ -491,96 +403,11 @@ func (e *Engine) sealPendingLocked() *segment {
 	return seg
 }
 
-// analyzeQuery is query analysis with two-tier LRU memoization; Search,
-// Explain and ExplainDOT on the same query text share one NLP + NE pass.
-// Tier one keys on the folded query text (lowercased, whitespace
-// collapsed — "Trump  Putin" and "trump putin" are one entry); tier two,
-// consulted on a text miss, keys on the canonicalized resolved entity set,
-// so differently-phrased queries naming the same entities share one G*
-// computation. It records the "analyze" stage span into the request trace
-// (cache hits included: a hit still shows up in the breakdown, just with a
-// near-zero duration). A non-nil error is ctx's: nothing is cached then.
-func (e *Engine) analyzeQuery(ctx context.Context, text string) (*core.DocEmbedding, []string, error) {
-	sp := obs.FromContext(ctx).Start(obs.StageAnalyze)
-	key := kg.Fold(text)
-	emb, terms, hit := e.queries.get(key)
-	var err error
-	if !hit {
-		emb, terms, err = e.analyzeQueryMiss(ctx, text)
-		if err == nil {
-			e.queries.put(key, emb, terms)
-		}
-	}
-	d := sp.End(obs.Bool("cache_hit", hit), obs.Int("terms", len(terms)))
-	e.met.stageObserve(obs.StageAnalyze, d)
-	return emb, terms, err
-}
-
-// analyzeQueryMiss runs the NLP component, then resolves the embedding
-// through the entity-set cache, embedding the groups only on a full miss.
-// The embed stage span and the newslink_embed_* counters record what
-// happened either way.
-func (e *Engine) analyzeQueryMiss(ctx context.Context, text string) (*core.DocEmbedding, []string, error) {
-	gs := e.gs.Load()
-	doc := gs.pipe.Process(text)
-	var terms []string
-	for _, s := range doc.Sentences {
-		terms = append(terms, s.Terms...)
-	}
-	groups := nlp.MaximalSets(doc.EntityGroups())
-	sp := obs.FromContext(ctx).Start(obs.StageEmbed)
-	var stats core.EmbedStats
-	var emb *core.DocEmbedding
-	key := entitySetKey(gs.g, groups)
-	hit := false
-	if key != "" {
-		emb, hit = e.embeds.get(key)
-	}
-	if hit {
-		stats.Groups = len(groups)
-		stats.CacheHit = true
-	} else {
-		var err error
-		emb, stats, err = gs.embedder.EmbedGroupsContext(ctx, groups)
-		if err != nil {
-			sp.End(obs.Int("groups", len(groups)))
-			return nil, nil, err
-		}
-		if key != "" {
-			e.embeds.put(key, emb)
-		}
-	}
-	d := sp.End(
-		obs.Int("groups", stats.Groups),
-		obs.Int("embedded", stats.Embedded),
-		obs.Int("expansions", stats.Expansions),
-		obs.Bool("cache_hit", stats.CacheHit),
-		obs.Int("group_cache_hits", stats.GroupCacheHits),
-	)
-	e.met.stageObserve(obs.StageEmbed, d)
-	e.met.embedObserve(stats)
-	e.touchHotLabels(emb)
-	return emb, terms, nil
-}
-
-// touchHotLabels feeds the resolved labels of a query embedding into the
-// hot-label tracker.
-func (e *Engine) touchHotLabels(emb *core.DocEmbedding) {
-	if emb == nil {
-		return
-	}
-	for _, sg := range emb.Subgraphs {
-		for _, l := range sg.Labels {
-			e.hot.Touch(l)
-		}
-	}
-}
-
 // analyze runs the NLP and NE components on a document text (the indexing
 // path: no query-side caches, so paper-faithful per-document embedding
 // cost measurements stay meaningful). It reads only immutable engine state
 // and is safe to call without holding e.mu.
-func (e *Engine) analyze(text string) (*core.DocEmbedding, []string) {
+func (e *Engine) analyze(text string) analyzedDoc {
 	gs := e.gs.Load()
 	doc := gs.pipe.Process(text)
 	var terms []string
@@ -588,44 +415,7 @@ func (e *Engine) analyze(text string) (*core.DocEmbedding, []string) {
 		terms = append(terms, s.Terms...)
 	}
 	groups := nlp.MaximalSets(doc.EntityGroups())
-	return gs.embedder.EmbedGroups(groups), terms
-}
-
-// entitySetKey canonicalizes a document's entity groups into the tier-two
-// cache key: within each group the labels are folded, deduplicated and
-// kept only when they resolve to a KG node, then sorted; group keys are
-// themselves sorted (duplicates kept — two equal groups contribute twice
-// to node counts). Queries that differ only in phrasing, label order, case
-// or unresolvable mentions therefore share one key. Returns "" when no
-// group has a resolvable label, which callers treat as "don't cache".
-func entitySetKey(g *kg.Graph, groups [][]string) string {
-	gkeys := make([]string, 0, len(groups))
-	for _, grp := range groups {
-		resolved := make([]string, 0, len(grp))
-	labels:
-		for _, l := range grp {
-			key := kg.Fold(l)
-			for _, r := range resolved {
-				if r == key {
-					continue labels
-				}
-			}
-			if len(g.Lookup(key)) == 0 {
-				continue
-			}
-			resolved = append(resolved, key)
-		}
-		if len(resolved) == 0 {
-			continue // the group cannot embed; it contributes nothing
-		}
-		sort.Strings(resolved)
-		gkeys = append(gkeys, strings.Join(resolved, "\x1f"))
-	}
-	if len(gkeys) == 0 {
-		return ""
-	}
-	sort.Strings(gkeys)
-	return strings.Join(gkeys, "\x1e")
+	return analyzedDoc{emb: gs.embedder.EmbedGroups(groups), terms: terms}
 }
 
 // nodeWeights converts a document embedding into BON term weights.
@@ -669,32 +459,8 @@ func (e *Engine) Build() error {
 	return e.startDurabilityLocked()
 }
 
-// Delete tombstones a document by ID: it disappears from Search, Explain
-// and ExplainDOT immediately but — Lucene deletion semantics — keeps
-// counting in DF and average document length until a merge (the tiered
-// policy on Refresh, or Compact) rewrites its segment. An unknown or
-// already-deleted ID returns ErrUnknownDoc; an engine without Build
-// returns ErrNotBuilt. Safe to call concurrently with searches — the
-// tombstone is a copy-on-write swap of the published segment set.
-func (e *Engine) Delete(id int) error {
-	if p := e.ingest.Load(); p != nil {
-		return p.submit(walOpDelete, Document{ID: id}, true)
-	}
-	e.walMu.Lock()
-	defer e.walMu.Unlock()
-	if e.set.Load() == nil {
-		return ErrNotBuilt
-	}
-	if err := e.logSyncLocked(walOpDelete, Document{ID: id}); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.deleteLocked(id)
-}
-
-// deleteLocked tombstones one document by public ID (the body of Delete;
-// also the replay and ingest-applier delete path). Callers hold e.mu.
+// deleteLocked tombstones one document by public ID (applyLocked's delete
+// case). Callers hold e.mu.
 func (e *Engine) deleteLocked(id int) error {
 	s := e.set.Load()
 	if s == nil {
@@ -737,33 +503,9 @@ func (e *Engine) deleteAtLocked(s *segmentSet, pos int) {
 	e.publishLocked(segs)
 }
 
-// Update replaces the document with doc.ID by tombstoning the old version
-// (when one exists — Update is an upsert, so a new ID is simply added) and
-// indexing the new one. The replacement is atomic from a reader's point of
-// view: any search sees either the old version or the new one, never both.
-// Returns ErrNotBuilt before Build; use Add for initial corpus loading.
-func (e *Engine) Update(doc Document) error {
-	if p := e.ingest.Load(); p != nil {
-		return p.submit(walOpUpsert, doc, true)
-	}
-	// Analysis reads only immutable state; do it before taking the lock.
-	emb, terms := e.analyze(doc.Text)
-	e.walMu.Lock()
-	defer e.walMu.Unlock()
-	if e.set.Load() == nil {
-		return ErrNotBuilt
-	}
-	if err := e.logSyncLocked(walOpUpsert, doc); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.upsertLocked(doc, emb, terms)
-}
-
 // upsertLocked replaces (or adds) one analyzed document: tombstone any
-// previous version, then add the new one — the body of Update and the
-// replay/ingest-applier upsert path. Callers hold e.mu.
+// previous version, then add the new one (applyLocked's upsert case).
+// Callers hold e.mu.
 func (e *Engine) upsertLocked(doc Document, emb *core.DocEmbedding, terms []string) error {
 	s := e.set.Load()
 	if s == nil {
@@ -908,7 +650,11 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (SearchResponse, er
 	if n := snap.numLive(); pool > n {
 		pool = n
 	}
-	qEmb, qTerms, err := e.analyzeQuery(ctx, q.Text)
+	// One graph view for the whole request: analysis and the entity filter
+	// must resolve labels against the same graph even if SwapGraph lands
+	// mid-request.
+	gs := e.gs.Load()
+	qEmb, qTerms, err := e.analyzeQuery(ctx, gs, q.Text)
 	if err != nil {
 		return SearchResponse{}, err
 	}
@@ -918,7 +664,7 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (SearchResponse, er
 	// Filter clauses compile once per request into a composed mask the
 	// retrieval tier consults through the live-mask seam; an unfiltered
 	// request compiles to nil and runs the untouched fast path.
-	flt := e.compileFilter(e.Graph(), snap, q.After, q.Before, q.Entities, -1)
+	flt := e.compileFilter(gs.g, snap, q.After, q.Before, q.Entities, -1)
 	ret, err := e.retrieve(ctx, snap, qEmb, qTerms, beta, pool, flt)
 	if err != nil {
 		return SearchResponse{}, err
@@ -995,12 +741,14 @@ func (e *Engine) explainContext(ctx context.Context, q Query, docID int, maxPath
 	if err != nil {
 		return Explanation{}, err
 	}
+	gs := e.gs.Load() // one graph view: filter, analysis and labels agree
+	g := gs.g
 	if q.filtered() {
-		if flt := e.compileFilter(e.Graph(), snap, q.After, q.Before, q.Entities, -1); flt != nil && !flt.Keep(index.DocID(pos)) {
+		if flt := e.compileFilter(g, snap, q.After, q.Before, q.Entities, -1); flt != nil && !flt.Keep(index.DocID(pos)) {
 			return Explanation{}, fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
 		}
 	}
-	qEmb, _, err := e.analyzeQuery(ctx, q.Text)
+	qEmb, _, err := e.analyzeQuery(ctx, gs, q.Text)
 	if err != nil {
 		return Explanation{}, err
 	}
@@ -1008,13 +756,12 @@ func (e *Engine) explainContext(ctx context.Context, q Query, docID int, maxPath
 	if qEmb == nil || dEmb == nil {
 		return Explanation{}, nil
 	}
-	g := e.Graph()
 	var exp Explanation
 	for _, n := range qEmb.Overlap(dEmb) {
 		exp.SharedEntities = append(exp.SharedEntities, g.Label(n))
 	}
 	sp := obs.FromContext(ctx).Start(obs.StagePaths)
-	paths, pairs, err := e.enumeratePaths(ctx, qEmb, dEmb, maxPaths)
+	paths, pairs, err := enumeratePaths(ctx, g, qEmb, dEmb, maxPaths)
 	d := sp.End(obs.Int("pairs", pairs), obs.Int("paths", len(paths)), obs.Int("shared_entities", len(exp.SharedEntities)))
 	e.met.stageObserve(obs.StagePaths, d)
 	if err != nil {
@@ -1024,11 +771,10 @@ func (e *Engine) explainContext(ctx context.Context, q Query, docID int, maxPath
 	return exp, nil
 }
 
-// enumeratePaths links every query label to every result label until
-// maxPaths relationship paths are collected, shortest pairs first. It
-// returns the paths and the number of label pairs actually explored.
-func (e *Engine) enumeratePaths(ctx context.Context, qEmb, dEmb *core.DocEmbedding, maxPaths int) ([]Path, int, error) {
-	g := e.Graph()
+// enumeratePaths links every query label to every result label through g
+// until maxPaths relationship paths are collected, shortest pairs first.
+// It returns the paths and the number of label pairs actually explored.
+func enumeratePaths(ctx context.Context, g *kg.Graph, qEmb, dEmb *core.DocEmbedding, maxPaths int) ([]Path, int, error) {
 	qLabels := embeddingLabels(qEmb)
 	dLabels := embeddingLabels(dEmb)
 	var out []Path
@@ -1065,7 +811,7 @@ func (e *Engine) enumeratePaths(ctx context.Context, qEmb, dEmb *core.DocEmbeddi
 				r := p.Render(g)
 				if r != "" && !seen[r] {
 					seen[r] = true
-					out = append(out, e.makePath(p, r))
+					out = append(out, makePath(g, p, r))
 				}
 				if len(out) >= maxPaths {
 					return out, pairs, nil
@@ -1077,12 +823,11 @@ func (e *Engine) enumeratePaths(ctx context.Context, qEmb, dEmb *core.DocEmbeddi
 }
 
 // makePath converts an internal relationship path into the public form.
-func (e *Engine) makePath(p core.RelPath, rendered string) Path {
+func makePath(g *kg.Graph, p core.RelPath, rendered string) Path {
 	out := Path{Rendered: rendered}
 	if len(p.Hops) == 0 {
 		return out
 	}
-	g := e.Graph()
 	out.Nodes = append(out.Nodes, g.Label(p.Hops[0].From))
 	for _, h := range p.Hops {
 		out.Nodes = append(out.Nodes, g.Label(h.To))
@@ -1113,7 +858,8 @@ func (e *Engine) ExplainDOTContext(ctx context.Context, query string, docID int,
 	if err != nil {
 		return "", err
 	}
-	qEmb, _, err := e.analyzeQuery(ctx, query)
+	gs := e.gs.Load()
+	qEmb, _, err := e.analyzeQuery(ctx, gs, query)
 	if err != nil {
 		return "", err
 	}
@@ -1121,7 +867,7 @@ func (e *Engine) ExplainDOTContext(ctx context.Context, query string, docID int,
 	if qEmb == nil || dEmb == nil {
 		return "", nil
 	}
-	return core.DOT(e.Graph(), title, qEmb, dEmb), nil
+	return core.DOT(gs.g, title, qEmb, dEmb), nil
 }
 
 // embeddingLabels returns the distinct entity labels a document embedding

@@ -299,40 +299,14 @@ func TestExplainDOT(t *testing.T) {
 	}
 }
 
-func TestQueryCache(t *testing.T) {
-	c := newQueryCache(2, nil, nil)
-	c.put("a", nil, []string{"a"})
-	c.put("b", nil, []string{"b"})
-	if _, terms, ok := c.get("a"); !ok || terms[0] != "a" {
-		t.Fatal("miss on cached entry")
-	}
-	c.put("c", nil, []string{"c"}) // evicts b (a was just touched)
-	if _, _, ok := c.get("b"); ok {
-		t.Fatal("LRU eviction failed")
-	}
-	if _, _, ok := c.get("a"); !ok {
-		t.Fatal("recently used entry evicted")
-	}
-	c.put("a", nil, []string{"a2"})
-	if _, terms, _ := c.get("a"); terms[0] != "a2" {
-		t.Fatal("update in place failed")
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d", c.len())
-	}
-	if c.hits.Value() == 0 || c.misses.Value() == 0 {
-		t.Fatalf("hit/miss counters not recorded: hits=%d misses=%d", c.hits.Value(), c.misses.Value())
-	}
-}
-
 func TestQueryCacheSharedAcrossSearchAndExplain(t *testing.T) {
 	e := sampleEngine(t, DefaultConfig())
 	q := "Taliban fighting near Upper Dir in Pakistan"
 	if _, err := e.Search(q, 3); err != nil {
 		t.Fatal(err)
 	}
-	if e.queries.len() != 1 {
-		t.Fatalf("cache len = %d after Search", e.queries.len())
+	if e.gs.Load().queries.Len() != 1 {
+		t.Fatalf("cache len = %d after Search", e.gs.Load().queries.Len())
 	}
 	if _, err := e.Explain(q, 0, 2); err != nil {
 		t.Fatal(err)
@@ -340,8 +314,8 @@ func TestQueryCacheSharedAcrossSearchAndExplain(t *testing.T) {
 	if _, err := e.ExplainDOT(q, 0, "t"); err != nil {
 		t.Fatal(err)
 	}
-	if e.queries.len() != 1 {
-		t.Fatalf("cache len = %d, query re-analyzed", e.queries.len())
+	if e.gs.Load().queries.Len() != 1 {
+		t.Fatalf("cache len = %d, query re-analyzed", e.gs.Load().queries.Len())
 	}
 }
 

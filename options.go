@@ -1,16 +1,13 @@
 package newslink
 
-import "time"
-
 // Option configures an Engine at construction. Config itself is an Option
 // (it replaces the whole base configuration), so both styles compose:
 //
 //	e := newslink.New(g, newslink.DefaultConfig())
 //	e := newslink.New(g, cfg, newslink.WithEmbedCache(256), newslink.WithParallelEmbed(4))
 //
-// Knobs that must stay adjustable at runtime (the BON stage deadline) keep
-// their atomic setters; the corresponding options only set the initial
-// value.
+// The BON stage deadline is not an option: it must stay adjustable at
+// runtime, so it has an atomic setter (SetBONTimeout) instead.
 type Option interface {
 	apply(*engineOptions)
 }
@@ -18,23 +15,13 @@ type Option interface {
 // engineOptions is the resolved construction-time configuration.
 type engineOptions struct {
 	cfg Config
-	// queryCacheSize bounds the text-keyed query-analysis LRU.
-	queryCacheSize int
 	// embedCacheSize bounds the entity-set-keyed embedding LRU (tier two of
 	// the query cache: different texts naming the same entities share one
 	// embedding). <= 0 disables it.
 	embedCacheSize int
-	// groupCacheSize bounds the embedder's per-entity-group subgraph LRU —
-	// the memoized label-set → subgraph (and thereby label → distance
-	// vector) store for the hottest entity combinations. <= 0 disables it.
-	groupCacheSize int
 	// embedWorkers bounds the per-document entity-group embedding fan-out;
 	// 0 selects GOMAXPROCS.
 	embedWorkers int
-	// hotLabelCap bounds the Space-Saving hot-label tracker.
-	hotLabelCap int
-	// bonTimeout is the initial BON stage deadline (0 = none).
-	bonTimeout time.Duration
 	// walDir, when non-empty, arms the write-ahead log there: every
 	// post-Build write is logged and fsynced (group commit) before it is
 	// acknowledged, and Build/Load replay the log so acknowledged writes
@@ -51,11 +38,8 @@ type engineOptions struct {
 func defaultEngineOptions() engineOptions {
 	return engineOptions{
 		cfg:            DefaultConfig(),
-		queryCacheSize: 64,
 		embedCacheSize: 128,
-		groupCacheSize: 256,
 		embedWorkers:   0, // GOMAXPROCS
-		hotLabelCap:    256,
 		ingestBatch:    256,
 	}
 }
@@ -70,20 +54,6 @@ type optionFunc func(*engineOptions)
 
 func (f optionFunc) apply(o *engineOptions) { f(o) }
 
-// WithConfig replaces the base Config (equivalent to passing the Config
-// directly; provided for call sites that prefer uniform option style).
-func WithConfig(cfg Config) Option {
-	return optionFunc(func(o *engineOptions) { o.cfg = cfg })
-}
-
-// WithQueryCache sets the capacity of the text-keyed query-analysis LRU
-// (default 64). n <= 0 disables query memoization. Cached analyses are
-// safely shared across requests with different After/Before/Entities
-// clauses: filters apply at retrieval, after analysis and embedding.
-func WithQueryCache(n int) Option {
-	return optionFunc(func(o *engineOptions) { o.queryCacheSize = n })
-}
-
 // WithEmbedCache sets the capacity of the entity-set embedding cache
 // (default 128): query embeddings are additionally memoized under their
 // canonicalized resolved entity set, so differently-phrased queries naming
@@ -92,32 +62,11 @@ func WithEmbedCache(n int) Option {
 	return optionFunc(func(o *engineOptions) { o.embedCacheSize = n })
 }
 
-// WithGroupCache sets the capacity of the embedder's per-entity-group
-// subgraph cache (default 256), which memoizes the label → distance-vector
-// work of the hottest entity groups across both indexing and queries.
-// n <= 0 disables it.
-func WithGroupCache(n int) Option {
-	return optionFunc(func(o *engineOptions) { o.groupCacheSize = n })
-}
-
 // WithParallelEmbed bounds how many entity groups of one document are
 // embedded concurrently (default 0 = GOMAXPROCS; 1 forces sequential
 // embedding). Results are deterministic at any setting.
 func WithParallelEmbed(workers int) Option {
 	return optionFunc(func(o *engineOptions) { o.embedWorkers = workers })
-}
-
-// WithHotLabels sets the capacity of the Space-Saving tracker behind
-// HotLabels (default 256). n <= 0 keeps the default.
-func WithHotLabels(n int) Option {
-	return optionFunc(func(o *engineOptions) { o.hotLabelCap = n })
-}
-
-// WithBONTimeout sets the initial BON stage deadline, exactly as if
-// SetBONTimeout(d) were called on the new engine; SetBONTimeout remains
-// the runtime-safe way to adjust it afterwards.
-func WithBONTimeout(d time.Duration) Option {
-	return optionFunc(func(o *engineOptions) { o.bonTimeout = d })
 }
 
 // WithWAL arms the write-ahead log at dir. Build (and Load) open the log,

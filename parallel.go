@@ -3,7 +3,6 @@ package newslink
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"newslink/internal/index"
 	"newslink/internal/obs"
 	"newslink/internal/search"
-	"newslink/internal/wal"
 )
 
 // retrieval is the outcome of the parallel BOW/BON fan-out of one search:
@@ -143,88 +141,4 @@ func bonTopK(ctx context.Context, node index.Source, emb *core.DocEmbedding, k i
 	bonScorer.B = 0
 	bonScorer.K1 = 0.4
 	return search.TopKBlockMaxStats(ctx, node, bonScorer, nq, k)
-}
-
-// AddAll indexes a batch of documents, running the NLP and NE components
-// concurrently across workers (Section VII-G of the paper: "for processing
-// corpus data, we can easily parallelize the process"). Results are
-// identical to sequential Add calls in the same order; only wall-clock time
-// changes. workers <= 0 selects GOMAXPROCS. After Build, the batch lands in
-// the open segment like individual Adds. A duplicate document ID aborts the
-// batch at the offending document; documents before it stay indexed.
-func (e *Engine) AddAll(docs []Document, workers int) error {
-	// While the async ingest pipeline is armed (post-Build, WithIngestQueue)
-	// the batch routes through it document by document, preserving the
-	// single WAL/apply total order; the pipeline's applier does its own
-	// parallel analysis per micro-batch. The fan-out below covers the main
-	// AddAll use — initial corpus loading before Build.
-	if e.ingest.Load() != nil {
-		for _, doc := range docs {
-			if err := e.Add(doc); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	type analyzed struct {
-		emb   *core.DocEmbedding
-		terms []string
-	}
-	// Analysis reads only immutable engine state, so it runs outside the
-	// lock and searches proceed while the batch embeds.
-	out := make([]analyzed, len(docs))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				emb, terms := e.analyze(docs[i].Text)
-				out[i] = analyzed{emb, terms}
-			}
-		}()
-	}
-	for i := range docs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	// Indexing is order-dependent (DocIDs are positional), so it stays
-	// sequential; it is a tiny fraction of the embedding cost (Figure 7).
-	// Post-Build batches are WAL-logged first (one group-commit fsync for
-	// the whole batch), so every document of an acknowledged batch
-	// survives a crash; replay skips the duplicates of a batch that
-	// failed midway, converging to the same state this call left behind.
-	e.walMu.Lock()
-	defer e.walMu.Unlock()
-	if e.wal != nil && !e.walClosed && e.set.Load() != nil {
-		var last wal.Pos
-		for _, doc := range docs {
-			pos, err := e.wal.Write(encodeWALOp(walOpAdd, doc))
-			if err != nil {
-				return err
-			}
-			last = pos
-		}
-		if err := e.wal.WaitDurable(last); err != nil {
-			return err
-		}
-	} else if e.walClosed {
-		return ErrClosed
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, doc := range docs {
-		if err := e.addLocked(doc, out[i].emb, out[i].terms); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,182 +1,204 @@
 package newslink
 
 import (
-	"container/list"
-	"sync"
+	"context"
+	"sort"
+	"strings"
 
 	"newslink/internal/core"
+	"newslink/internal/kg"
+	"newslink/internal/lru"
+	"newslink/internal/nlp"
 	"newslink/internal/obs"
 )
 
-// queryCache memoizes query analysis (NLP + subgraph embedding). A search
-// UI calls Search and then Explain/ExplainDOT for several results of the
-// same query; without the cache each call would re-run the NE component,
-// which dominates query latency (Table VIII). Small LRU, safe for
-// concurrent use. Hit/miss counters feed the engine's metric registry, so
-// cache effectiveness is visible at /v1/metrics.
-type queryCache struct {
-	hits, misses *obs.Counter // incremented outside mu; never nil
+// queryCacheSize bounds the text-keyed query-analysis tier. A search UI
+// calls Search and then Explain/ExplainDOT for several results of the same
+// query; the tier only has to span that burst.
+const queryCacheSize = 64
 
-	mu    sync.Mutex
-	max   int
-	order *list.List // front = most recent; values are *cacheEntry
-	byKey map[string]*list.Element
+// groupCacheSize bounds the embedder's per-entity-group subgraph LRU — the
+// memoized label-set → subgraph (and thereby label → distance vector)
+// store for the hottest entity combinations, shared by indexing and
+// queries.
+const groupCacheSize = 256
+
+// graphState bundles the knowledge graph with everything derived from it:
+// the NLP pipeline (entity recognition against the graph's label index),
+// the subgraph embedder (with its pooled traversal states and per-group
+// cache) and the two query-analysis cache tiers, whose entries are
+// embeddings of this graph. It is immutable once published; SwapGraph
+// replaces the whole bundle atomically, so a request that loaded one
+// graphState keeps a consistent graph view for its entire lifetime and
+// whatever it caches dies with that view.
+type graphState struct {
+	g        *kg.Graph
+	pipe     *nlp.Pipeline
+	embedder *core.Embedder
+
+	// queries is tier one: the analysis (NLP + subgraph embedding, the cost
+	// that dominates query latency — Table VIII) of one query text, keyed
+	// by kg.Fold of the text. Cached analyses are safely shared across
+	// requests with different After/Before/Entities clauses: filters apply
+	// at retrieval, after analysis and embedding.
+	queries *lru.Cache[analyzedDoc]
+	// embeds is tier two, consulted on a text miss: embeddings keyed by the
+	// canonicalized resolved entity set (entitySetKey), so differently
+	// phrased queries naming the same entities — "Trump  Putin summit",
+	// "putin, trump" — share one G* computation. A nil embedding is a valid
+	// entry (the entity set resolved but nothing was embeddable).
+	embeds *lru.Cache[*core.DocEmbedding]
 }
 
-type cacheEntry struct {
-	key   string
-	emb   *core.DocEmbedding
-	terms []string
+// newGraphState derives the graph-side components from g under the
+// engine's configuration, with cold caches.
+func (e *Engine) newGraphState(g *kg.Graph) *graphState {
+	return &graphState{
+		g:    g,
+		pipe: nlp.NewPipeline(g.Index()),
+		embedder: core.NewEmbedder(g, core.Options{
+			Model:          e.cfg.Model,
+			MaxDepth:       e.cfg.MaxDepth,
+			MaxExpansions:  e.cfg.MaxExpansions,
+			EmbedWorkers:   e.opts.embedWorkers,
+			GroupCacheSize: groupCacheSize,
+		}),
+		queries: lru.New[analyzedDoc](queryCacheSize),
+		embeds:  lru.New[*core.DocEmbedding](e.opts.embedCacheSize),
+	}
 }
 
-// newQueryCache builds an LRU of at most max analyses reporting hits and
-// misses into the given counters (both may be shared with a registry; nil
-// counters are replaced with unregistered ones so callers never check).
-func newQueryCache(max int, hits, misses *obs.Counter) *queryCache {
-	if hits == nil {
-		hits = &obs.Counter{}
-	}
-	if misses == nil {
-		misses = &obs.Counter{}
-	}
-	return &queryCache{hits: hits, misses: misses, max: max, order: list.New(), byKey: make(map[string]*list.Element)}
+// Graph returns the underlying knowledge graph.
+func (e *Engine) Graph() *kg.Graph { return e.gs.Load().g }
+
+// SwapGraph atomically replaces the knowledge graph with an updated
+// snapshot — a re-weighted or extended export of the same entity universe.
+// Every embedding cache derived from the old graph dies with it: the
+// text-keyed query cache, the entity-set embedding cache and the
+// embedder's per-group cache all belong to the replaced graphState (the
+// new one starts cold), so no query can ever be served a subgraph of a
+// graph that is no longer published — a request still running against the
+// old state caches into the old state, which nothing reads any more.
+//
+// Document embeddings indexed in sealed segments are NOT recomputed; they
+// keep describing the graph they were built against. Swapping in a graph
+// whose node IDs are incompatible with the indexed corpus calls for
+// re-indexing (or persist.Load of a matching snapshot) instead.
+func (e *Engine) SwapGraph(g *kg.Graph) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.gs.Store(e.newGraphState(g))
 }
 
-// get returns the cached analysis and whether it was present.
-func (c *queryCache) get(key string) (*core.DocEmbedding, []string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		c.misses.Inc()
-		return nil, nil, false
-	}
-	c.hits.Inc()
-	c.order.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.emb, e.terms, true
-}
-
-// put stores an analysis, evicting the least recently used entry if full. A
-// cache built with max <= 0 stores nothing (and in particular never tries
-// to evict from an empty list).
-func (c *queryCache) put(key string, emb *core.DocEmbedding, terms []string) {
-	if c.max <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		c.order.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		e.emb, e.terms = emb, terms
-		return
-	}
-	if c.order.Len() >= c.max {
-		if last := c.order.Back(); last != nil {
-			c.order.Remove(last)
-			delete(c.byKey, last.Value.(*cacheEntry).key)
+// analyzeQuery is query analysis with two-tier LRU memoization against one
+// graphState; Search, Explain and ExplainDOT on the same query text share
+// one NLP + NE pass. Tier one keys on the folded query text (lowercased,
+// whitespace collapsed — "Trump  Putin" and "trump putin" are one entry);
+// tier two, consulted on a text miss, keys on the canonicalized resolved
+// entity set. It records the "analyze" stage span into the request trace
+// (cache hits included: a hit still shows up in the breakdown, just with a
+// near-zero duration). A non-nil error is ctx's: nothing is cached then.
+func (e *Engine) analyzeQuery(ctx context.Context, gs *graphState, text string) (*core.DocEmbedding, []string, error) {
+	sp := obs.FromContext(ctx).Start(obs.StageAnalyze)
+	key := kg.Fold(text)
+	an, hit := gs.queries.Get(key)
+	var err error
+	if hit {
+		e.met.cacheHits.Inc()
+	} else {
+		e.met.cacheMisses.Inc()
+		an, err = e.analyzeQueryMiss(ctx, gs, text)
+		if err == nil {
+			gs.queries.Put(key, an)
 		}
 	}
-	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, emb: emb, terms: terms})
+	d := sp.End(obs.Bool("cache_hit", hit), obs.Int("terms", len(an.terms)))
+	e.met.stageObserve(obs.StageAnalyze, d)
+	return an.emb, an.terms, err
 }
 
-// len returns the number of cached queries.
-func (c *queryCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// purge drops every cached analysis (graph swap invalidation).
-func (c *queryCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.byKey = make(map[string]*list.Element)
-}
-
-// embedCache is tier two of the query cache: document embeddings keyed by
-// the canonicalized resolved entity set (entitySetKey). The text-keyed
-// queryCache above it memoizes exact repeats of one query string; this
-// tier makes differently-phrased queries that name the same entities —
-// "Trump  Putin summit", "putin, trump" — share one G* computation, which
-// is the expensive part of analysis (Table VIII). A nil embedding is a
-// valid entry (the entity set resolved but nothing was embeddable). Safe
-// for concurrent use; hit/miss counters feed the metric registry.
-type embedCache struct {
-	hits, misses *obs.Counter // incremented outside mu; never nil
-
-	mu    sync.Mutex
-	max   int
-	order *list.List // front = most recent; values are *embedEntry
-	byKey map[string]*list.Element
-}
-
-type embedEntry struct {
-	key string
-	emb *core.DocEmbedding
-}
-
-// newEmbedCache builds an entity-set embedding LRU of at most max entries
-// (max <= 0 stores nothing). Nil counters are replaced with unregistered
-// ones so callers never check.
-func newEmbedCache(max int, hits, misses *obs.Counter) *embedCache {
-	if hits == nil {
-		hits = &obs.Counter{}
+// analyzeQueryMiss runs the NLP component, then resolves the embedding
+// through the entity-set cache, embedding the groups only on a full miss.
+// The embed stage span and the newslink_embed_* counters record what
+// happened either way.
+func (e *Engine) analyzeQueryMiss(ctx context.Context, gs *graphState, text string) (analyzedDoc, error) {
+	doc := gs.pipe.Process(text)
+	var terms []string
+	for _, s := range doc.Sentences {
+		terms = append(terms, s.Terms...)
 	}
-	if misses == nil {
-		misses = &obs.Counter{}
-	}
-	return &embedCache{hits: hits, misses: misses, max: max, order: list.New(), byKey: make(map[string]*list.Element)}
-}
-
-// get returns the cached embedding and whether the key was present.
-func (c *embedCache) get(key string) (*core.DocEmbedding, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		c.misses.Inc()
-		return nil, false
-	}
-	c.hits.Inc()
-	c.order.MoveToFront(el)
-	return el.Value.(*embedEntry).emb, true
-}
-
-// put stores an embedding, evicting the least recently used entry if full.
-func (c *embedCache) put(key string, emb *core.DocEmbedding) {
-	if c.max <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		c.order.MoveToFront(el)
-		el.Value.(*embedEntry).emb = emb
-		return
-	}
-	if c.order.Len() >= c.max {
-		if last := c.order.Back(); last != nil {
-			c.order.Remove(last)
-			delete(c.byKey, last.Value.(*embedEntry).key)
+	groups := nlp.MaximalSets(doc.EntityGroups())
+	sp := obs.FromContext(ctx).Start(obs.StageEmbed)
+	var stats core.EmbedStats
+	var emb *core.DocEmbedding
+	key := entitySetKey(gs.g, groups)
+	hit := false
+	if key != "" {
+		if emb, hit = gs.embeds.Get(key); hit {
+			e.met.embedCacheHits.Inc()
+		} else {
+			e.met.embedCacheMisses.Inc()
 		}
 	}
-	c.byKey[key] = c.order.PushFront(&embedEntry{key: key, emb: emb})
+	if hit {
+		stats.Groups = len(groups)
+		stats.CacheHit = true
+	} else {
+		var err error
+		emb, stats, err = gs.embedder.EmbedGroupsContext(ctx, groups)
+		if err != nil {
+			sp.End(obs.Int("groups", len(groups)))
+			return analyzedDoc{}, err
+		}
+		if key != "" {
+			gs.embeds.Put(key, emb)
+		}
+	}
+	d := sp.End(
+		obs.Int("groups", stats.Groups),
+		obs.Int("embedded", stats.Embedded),
+		obs.Int("expansions", stats.Expansions),
+		obs.Bool("cache_hit", stats.CacheHit),
+		obs.Int("group_cache_hits", stats.GroupCacheHits),
+	)
+	e.met.stageObserve(obs.StageEmbed, d)
+	e.met.embedObserve(stats)
+	return analyzedDoc{emb: emb, terms: terms}, nil
 }
 
-// len returns the number of cached embeddings.
-func (c *embedCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// purge drops every cached embedding (graph swap invalidation).
-func (c *embedCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.byKey = make(map[string]*list.Element)
+// entitySetKey canonicalizes a document's entity groups into the tier-two
+// cache key: within each group the labels are folded, deduplicated and
+// kept only when they resolve to a KG node, then sorted; group keys are
+// themselves sorted (duplicates kept — two equal groups contribute twice
+// to node counts). Queries that differ only in phrasing, label order, case
+// or unresolvable mentions therefore share one key. Returns "" when no
+// group has a resolvable label, which callers treat as "don't cache".
+func entitySetKey(g *kg.Graph, groups [][]string) string {
+	gkeys := make([]string, 0, len(groups))
+	for _, grp := range groups {
+		resolved := make([]string, 0, len(grp))
+	labels:
+		for _, l := range grp {
+			key := kg.Fold(l)
+			for _, r := range resolved {
+				if r == key {
+					continue labels
+				}
+			}
+			if len(g.Lookup(key)) == 0 {
+				continue
+			}
+			resolved = append(resolved, key)
+		}
+		if len(resolved) == 0 {
+			continue // the group cannot embed; it contributes nothing
+		}
+		sort.Strings(resolved)
+		gkeys = append(gkeys, strings.Join(resolved, "\x1f"))
+	}
+	if len(gkeys) == 0 {
+		return ""
+	}
+	sort.Strings(gkeys)
+	return strings.Join(gkeys, "\x1e")
 }
