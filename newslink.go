@@ -30,7 +30,6 @@
 package newslink
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"sync"
@@ -42,7 +41,6 @@ import (
 	"newslink/internal/kg"
 	"newslink/internal/nlp"
 	"newslink/internal/obs"
-	"newslink/internal/search"
 	"newslink/internal/wal"
 )
 
@@ -547,13 +545,6 @@ func (e *Engine) Compact() error {
 	return nil
 }
 
-// Search returns the top k documents for the query text, ranked by
-// Equation 3. It is SearchContext with a background context and the
-// engine's configured parameters.
-func (e *Engine) Search(query string, k int) ([]Result, error) {
-	return e.SearchContext(context.Background(), Query{Text: query, K: k})
-}
-
 // acquire returns the published segment set for one read operation, or
 // ErrNotBuilt. When pending documents exist it refreshes first, so a
 // search always sees everything added before it started. The returned set
@@ -579,309 +570,4 @@ func (e *Engine) lookup(s *segmentSet, docID int) (int, error) {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
 	}
 	return pos, nil
-}
-
-// SearchContext executes one search request, ranked by Equation 3 with the
-// request's (or the engine's) β and candidate pool. BOW and BON retrieval
-// run in parallel goroutines — they touch disjoint indexes. Cancellation of
-// ctx stops postings traversal cooperatively and returns ctx.Err().
-//
-// When ctx carries a trace (obs.WithTrace), the pipeline records one span
-// per stage — analyze, bow-retrieve, bon-retrieve, fuse, topk — with stage
-// attributes (candidate counts, pruning statistics, cache hit/miss). Stage
-// latencies additionally feed the engine's metric registry
-// (Metrics) whether or not a trace is attached.
-func (e *Engine) SearchContext(ctx context.Context, q Query) ([]Result, error) {
-	resp, err := e.SearchContextFull(ctx, q)
-	return resp.Results, err
-}
-
-// SearchContextFull is SearchContext returning the full response
-// envelope, including the degradation status servers surface to clients.
-// A BON-stage error or stage-deadline expiry (SetBONTimeout) in a fused
-// request does not fail the request: the response carries the BOW-only
-// ranking with Degraded set and the reason recorded, and the engine
-// counts it in newslink_search_degraded_total{reason}. Pure-BON requests
-// (β = 1) have no text ranking to fall back to and still fail hard.
-func (e *Engine) SearchContextFull(ctx context.Context, q Query) (SearchResponse, error) {
-	start := time.Now()
-	resp, err := e.searchContext(ctx, q)
-	e.met.searches.Inc()
-	e.met.searchSeconds.Observe(time.Since(start).Seconds())
-	if err != nil {
-		e.met.searchErrors.Inc()
-	}
-	if resp.Degraded {
-		if c := e.met.degraded[resp.DegradedReason]; c != nil {
-			c.Inc()
-		}
-	}
-	return resp, err
-}
-
-func (e *Engine) searchContext(ctx context.Context, q Query) (SearchResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return SearchResponse{}, err
-	}
-	if q.K <= 0 {
-		return SearchResponse{}, fmt.Errorf("%w: %d", ErrInvalidK, q.K)
-	}
-	beta := e.cfg.Beta
-	if q.Beta != nil {
-		beta = *q.Beta
-	}
-	if beta < 0 || beta > 1 {
-		return SearchResponse{}, fmt.Errorf("%w: %g", ErrInvalidBeta, beta)
-	}
-	pool := q.PoolDepth
-	if pool <= 0 {
-		pool = e.cfg.PoolDepth
-	}
-	if pool < q.K {
-		pool = q.K
-	}
-	snap, err := e.acquire()
-	if err != nil {
-		return SearchResponse{}, err
-	}
-	// A candidate pool can never usefully exceed the live corpus, so clamp
-	// it to the set size; this keeps an attacker-sized PoolDepth from
-	// driving pool-sized allocations regardless of the calling path.
-	if n := snap.numLive(); pool > n {
-		pool = n
-	}
-	// One graph view for the whole request: analysis and the entity filter
-	// must resolve labels against the same graph even if SwapGraph lands
-	// mid-request.
-	gs := e.gs.Load()
-	qEmb, qTerms, err := e.analyzeQuery(ctx, gs, q.Text)
-	if err != nil {
-		return SearchResponse{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return SearchResponse{}, err
-	}
-	// Filter clauses compile once per request into a composed mask the
-	// retrieval tier consults through the live-mask seam; an unfiltered
-	// request compiles to nil and runs the untouched fast path.
-	flt := e.compileFilter(gs.g, snap, q.After, q.Before, q.Entities, -1)
-	ret, err := e.retrieve(ctx, snap, qEmb, qTerms, beta, pool, flt)
-	if err != nil {
-		return SearchResponse{}, err
-	}
-	tr := obs.FromContext(ctx)
-	sp := tr.Start(obs.StageFuse)
-	fuseBeta := beta
-	if ret.degraded {
-		// No BON ranking survived; fuse as pure text so a degraded reply
-		// is score- and rank-identical to a β = 0 query and the documented
-		// normalization (max score = 1) still holds.
-		fuseBeta = 0
-	}
-	fused := search.Fuse(ret.bow, ret.bon, fuseBeta, q.K)
-	d := sp.End(obs.Int("bow_candidates", len(ret.bow)), obs.Int("bon_candidates", len(ret.bon)), obs.Int("fused", len(fused)))
-	e.met.stageObserve(obs.StageFuse, d)
-	sp = tr.Start(obs.StageTopK)
-	out := make([]Result, len(fused))
-	snippets := nlp.NewTermSet(qTerms) // compiled once, probed by every result document
-	for i, h := range fused {
-		doc := snap.doc(int(h.Doc))
-		out[i] = Result{
-			ID:      doc.ID,
-			Title:   doc.Title,
-			Score:   h.Score,
-			Snippet: snippets.BestSentence(doc.Text),
-		}
-	}
-	d = sp.End(obs.Int("k", len(out)))
-	e.met.stageObserve(obs.StageTopK, d)
-	return SearchResponse{Results: out, Degraded: ret.degraded, DegradedReason: ret.reason}, nil
-}
-
-// Explain computes the intuitive evidence for why document docID is related
-// to the query: the overlap of their subgraph embeddings and up to maxPaths
-// relationship paths through it.
-func (e *Engine) Explain(query string, docID int, maxPaths int) (Explanation, error) {
-	return e.ExplainContext(context.Background(), query, docID, maxPaths)
-}
-
-// ExplainContext is Explain with cooperative cancellation: path enumeration
-// between entity pairs stops and returns ctx.Err() once ctx is done.
-//
-// When ctx carries a trace (obs.WithTrace), the analyze and
-// path-enumeration stages record spans with pair/path counts, mirroring
-// SearchContext's stage breakdown.
-func (e *Engine) ExplainContext(ctx context.Context, query string, docID int, maxPaths int) (Explanation, error) {
-	return e.ExplainQueryContext(ctx, Query{Text: query}, docID, maxPaths)
-}
-
-// ExplainQueryContext is ExplainContext for a full Query: the explanation
-// honours the request's filters (After/Before/Entities; K/PoolDepth/Beta
-// are ignored — an explanation has no ranking), so a document the
-// filtered Search would never return cannot be explained either — it
-// returns ErrUnknownDoc, exactly like a tombstoned document.
-func (e *Engine) ExplainQueryContext(ctx context.Context, q Query, docID int, maxPaths int) (Explanation, error) {
-	exp, err := e.explainContext(ctx, q, docID, maxPaths)
-	e.met.explains.Inc()
-	if err != nil {
-		e.met.explainErrors.Inc()
-	}
-	return exp, err
-}
-
-func (e *Engine) explainContext(ctx context.Context, q Query, docID int, maxPaths int) (Explanation, error) {
-	if err := ctx.Err(); err != nil {
-		return Explanation{}, err
-	}
-	snap, err := e.acquire()
-	if err != nil {
-		return Explanation{}, err
-	}
-	pos, err := e.lookup(snap, docID)
-	if err != nil {
-		return Explanation{}, err
-	}
-	gs := e.gs.Load() // one graph view: filter, analysis and labels agree
-	g := gs.g
-	if q.filtered() {
-		if flt := e.compileFilter(g, snap, q.After, q.Before, q.Entities, -1); flt != nil && !flt.Keep(index.DocID(pos)) {
-			return Explanation{}, fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
-		}
-	}
-	qEmb, _, err := e.analyzeQuery(ctx, gs, q.Text)
-	if err != nil {
-		return Explanation{}, err
-	}
-	dEmb := snap.embedding(pos)
-	if qEmb == nil || dEmb == nil {
-		return Explanation{}, nil
-	}
-	var exp Explanation
-	for _, n := range qEmb.Overlap(dEmb) {
-		exp.SharedEntities = append(exp.SharedEntities, g.Label(n))
-	}
-	sp := obs.FromContext(ctx).Start(obs.StagePaths)
-	paths, pairs, err := enumeratePaths(ctx, g, qEmb, dEmb, maxPaths)
-	d := sp.End(obs.Int("pairs", pairs), obs.Int("paths", len(paths)), obs.Int("shared_entities", len(exp.SharedEntities)))
-	e.met.stageObserve(obs.StagePaths, d)
-	if err != nil {
-		return Explanation{}, err
-	}
-	exp.Paths = paths
-	return exp, nil
-}
-
-// enumeratePaths links every query label to every result label through g
-// until maxPaths relationship paths are collected, shortest pairs first.
-// It returns the paths and the number of label pairs actually explored.
-func enumeratePaths(ctx context.Context, g *kg.Graph, qEmb, dEmb *core.DocEmbedding, maxPaths int) ([]Path, int, error) {
-	qLabels := embeddingLabels(qEmb)
-	dLabels := embeddingLabels(dEmb)
-	var out []Path
-	pairs := 0
-	seen := map[string]bool{}
-	seenPair := map[[2]string]bool{}
-	for _, ql := range qLabels {
-		if err := ctx.Err(); err != nil {
-			return nil, pairs, err
-		}
-		for _, dl := range dLabels {
-			if len(out) >= maxPaths {
-				return out, pairs, nil
-			}
-			if ql == dl {
-				continue
-			}
-			// A label can occur in both embeddings; visit each unordered
-			// pair once so mirror-image paths are not reported twice.
-			pairKey := [2]string{ql, dl}
-			if dl < ql {
-				pairKey = [2]string{dl, ql}
-			}
-			if seenPair[pairKey] {
-				continue
-			}
-			seenPair[pairKey] = true
-			pairs++
-			paths, err := core.CrossPathsContext(ctx, g, qEmb, dEmb, ql, dl, 1)
-			if err != nil {
-				return nil, pairs, err
-			}
-			for _, p := range paths {
-				r := p.Render(g)
-				if r != "" && !seen[r] {
-					seen[r] = true
-					out = append(out, makePath(g, p, r))
-				}
-				if len(out) >= maxPaths {
-					return out, pairs, nil
-				}
-			}
-		}
-	}
-	return out, pairs, nil
-}
-
-// makePath converts an internal relationship path into the public form.
-func makePath(g *kg.Graph, p core.RelPath, rendered string) Path {
-	out := Path{Rendered: rendered}
-	if len(p.Hops) == 0 {
-		return out
-	}
-	out.Nodes = append(out.Nodes, g.Label(p.Hops[0].From))
-	for _, h := range p.Hops {
-		out.Nodes = append(out.Nodes, g.Label(h.To))
-		out.Relations = append(out.Relations, g.RelName(h.Rel))
-	}
-	return out
-}
-
-// ExplainDOT renders the query's and the document's subgraph embeddings as
-// a Graphviz digraph in the style of the paper's Figure 1: one color per
-// embedding, overlap nodes filled orange, subgraph roots boxed. Render with
-// `dot -Tsvg`. An empty string is returned when either side has no
-// embedding.
-func (e *Engine) ExplainDOT(query string, docID int, title string) (string, error) {
-	return e.ExplainDOTContext(context.Background(), query, docID, title)
-}
-
-// ExplainDOTContext is ExplainDOT with a cancellable context.
-func (e *Engine) ExplainDOTContext(ctx context.Context, query string, docID int, title string) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	snap, err := e.acquire()
-	if err != nil {
-		return "", err
-	}
-	pos, err := e.lookup(snap, docID)
-	if err != nil {
-		return "", err
-	}
-	gs := e.gs.Load()
-	qEmb, _, err := e.analyzeQuery(ctx, gs, query)
-	if err != nil {
-		return "", err
-	}
-	dEmb := snap.embedding(pos)
-	if qEmb == nil || dEmb == nil {
-		return "", nil
-	}
-	return core.DOT(gs.g, title, qEmb, dEmb), nil
-}
-
-// embeddingLabels returns the distinct entity labels a document embedding
-// was built from, in deterministic order.
-func embeddingLabels(emb *core.DocEmbedding) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, sg := range emb.Subgraphs {
-		for _, l := range sg.Labels {
-			if !seen[l] {
-				seen[l] = true
-				out = append(out, l)
-			}
-		}
-	}
-	return out
 }

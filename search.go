@@ -3,15 +3,144 @@ package newslink
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
 	"newslink/internal/core"
 	"newslink/internal/faults"
 	"newslink/internal/index"
+	"newslink/internal/nlp"
 	"newslink/internal/obs"
 	"newslink/internal/search"
 )
+
+// The search pipeline: compile (parameters, analysis, filter) → retrieve
+// (BOW ∥ BON) → fuse (Equation 3) → gather (documents and snippets).
+
+// Search returns the top k documents for the query text, ranked by
+// Equation 3. It is SearchContext with a background context and the
+// engine's configured parameters.
+func (e *Engine) Search(query string, k int) ([]Result, error) {
+	return e.SearchContext(context.Background(), Query{Text: query, K: k})
+}
+
+// SearchContext executes one search request, ranked by Equation 3 with the
+// request's (or the engine's) β and candidate pool. BOW and BON retrieval
+// run in parallel goroutines — they touch disjoint indexes. Cancellation of
+// ctx stops postings traversal cooperatively and returns ctx.Err().
+//
+// When ctx carries a trace (obs.WithTrace), the pipeline records one span
+// per stage — analyze, bow-retrieve, bon-retrieve, fuse, topk — with stage
+// attributes (candidate counts, pruning statistics, cache hit/miss). Stage
+// latencies additionally feed the engine's metric registry
+// (Metrics) whether or not a trace is attached.
+func (e *Engine) SearchContext(ctx context.Context, q Query) ([]Result, error) {
+	resp, err := e.SearchContextFull(ctx, q)
+	return resp.Results, err
+}
+
+// SearchContextFull is SearchContext returning the full response
+// envelope, including the degradation status servers surface to clients.
+// A BON-stage error or stage-deadline expiry (SetBONTimeout) in a fused
+// request does not fail the request: the response carries the BOW-only
+// ranking with Degraded set and the reason recorded, and the engine
+// counts it in newslink_search_degraded_total{reason}. Pure-BON requests
+// (β = 1) have no text ranking to fall back to and still fail hard.
+func (e *Engine) SearchContextFull(ctx context.Context, q Query) (SearchResponse, error) {
+	start := time.Now()
+	resp, err := e.searchContext(ctx, q)
+	e.met.searches.Inc()
+	e.met.searchSeconds.Observe(time.Since(start).Seconds())
+	if err != nil {
+		e.met.searchErrors.Inc()
+	}
+	if resp.Degraded {
+		if c := e.met.degraded[resp.DegradedReason]; c != nil {
+			c.Inc()
+		}
+	}
+	return resp, err
+}
+
+func (e *Engine) searchContext(ctx context.Context, q Query) (SearchResponse, error) {
+	if err := ctx.Err(); err != nil {
+		return SearchResponse{}, err
+	}
+	if q.K <= 0 {
+		return SearchResponse{}, fmt.Errorf("%w: %d", ErrInvalidK, q.K)
+	}
+	beta := e.cfg.Beta
+	if q.Beta != nil {
+		beta = *q.Beta
+	}
+	if beta < 0 || beta > 1 {
+		return SearchResponse{}, fmt.Errorf("%w: %g", ErrInvalidBeta, beta)
+	}
+	pool := q.PoolDepth
+	if pool <= 0 {
+		pool = e.cfg.PoolDepth
+	}
+	if pool < q.K {
+		pool = q.K
+	}
+	snap, err := e.acquire()
+	if err != nil {
+		return SearchResponse{}, err
+	}
+	// A candidate pool can never usefully exceed the live corpus, so clamp
+	// it to the set size; this keeps an attacker-sized PoolDepth from
+	// driving pool-sized allocations regardless of the calling path.
+	if n := snap.numLive(); pool > n {
+		pool = n
+	}
+	// One graph view for the whole request: analysis and the entity filter
+	// must resolve labels against the same graph even if SwapGraph lands
+	// mid-request.
+	gs := e.gs.Load()
+	qEmb, qTerms, err := e.analyzeQuery(ctx, gs, q.Text)
+	if err != nil {
+		return SearchResponse{}, err
+	}
+	if err := ctx.Err(); err != nil {
+		return SearchResponse{}, err
+	}
+	// Filter clauses compile once per request into a composed mask the
+	// retrieval tier consults through the live-mask seam; an unfiltered
+	// request compiles to nil and runs the untouched fast path.
+	flt := e.compileFilter(gs.g, snap, q.After, q.Before, q.Entities, -1)
+	ret, err := e.retrieve(ctx, snap, qEmb, qTerms, beta, pool, flt)
+	if err != nil {
+		return SearchResponse{}, err
+	}
+	tr := obs.FromContext(ctx)
+	sp := tr.Start(obs.StageFuse)
+	fuseBeta := beta
+	if ret.degraded {
+		// No BON ranking survived; fuse as pure text so a degraded reply
+		// is score- and rank-identical to a β = 0 query and the documented
+		// normalization (max score = 1) still holds.
+		fuseBeta = 0
+	}
+	fused := search.Fuse(ret.bow, ret.bon, fuseBeta, q.K)
+	d := sp.End(obs.Int("bow_candidates", len(ret.bow)), obs.Int("bon_candidates", len(ret.bon)), obs.Int("fused", len(fused)))
+	e.met.stageObserve(obs.StageFuse, d)
+	sp = tr.Start(obs.StageTopK)
+	out := make([]Result, len(fused))
+	snippets := nlp.NewTermSet(qTerms) // compiled once, probed by every result document
+	for i, h := range fused {
+		doc := snap.doc(int(h.Doc))
+		out[i] = Result{
+			ID:      doc.ID,
+			Title:   doc.Title,
+			Score:   h.Score,
+			Snippet: snippets.BestSentence(doc.Text),
+		}
+	}
+	d = sp.End(obs.Int("k", len(out)))
+	e.met.stageObserve(obs.StageTopK, d)
+	return SearchResponse{Results: out, Degraded: ret.degraded, DegradedReason: ret.reason}, nil
+}
 
 // retrieval is the outcome of the parallel BOW/BON fan-out of one search:
 // the two candidate lists plus whether the request degraded to BOW-only
