@@ -52,11 +52,7 @@ func NodeTerm(id uint64) string { return strconv.FormatUint(id, 36) }
 // and merges publish new sets rather than mutating these — so a caller
 // may traverse them lock-free for the duration of a request.
 func (e *Engine) Sources() (text, node index.Source, err error) {
-	snap, err := e.acquire()
-	if err != nil {
-		return nil, nil, err
-	}
-	return snap.text, snap.node, nil
+	return e.FilteredSources(0, 0, nil)
 }
 
 // EntityTerms resolves entity-facet labels against the knowledge graph:
@@ -82,14 +78,12 @@ func (e *Engine) FilteredSources(after, before int64, entities [][]string) (text
 	if err != nil {
 		return nil, nil, err
 	}
-	if after == 0 && before == 0 && len(entities) == 0 {
-		return snap.text, snap.node, nil
+	flt, err := newQueryFilter(snap, after, before, entities, -1)
+	if err != nil {
+		return nil, nil, err
 	}
-	f := &queryFilter{times: snap.times, after: after, before: before, exclude: -1}
-	if len(entities) > 0 {
-		f.allow = allowBitmap(snap.node, snap.numDocs, entities)
-	}
-	return index.NewFiltered(snap.text, f), index.NewFiltered(snap.node, f), nil
+	text, node = snap.sources(flt)
+	return text, node, nil
 }
 
 // DocVisible reports whether the live document with public ID docID
@@ -106,14 +100,11 @@ func (e *Engine) DocVisible(docID int, after, before int64, entities [][]string)
 	if err != nil {
 		return false, nil
 	}
-	if after == 0 && before == 0 && len(entities) == 0 {
-		return true, nil
+	flt, err := newQueryFilter(snap, after, before, entities, -1)
+	if err != nil {
+		return false, err
 	}
-	f := &queryFilter{times: snap.times, after: after, before: before, exclude: -1}
-	if len(entities) > 0 {
-		f.allow = allowBitmap(snap.node, snap.numDocs, entities)
-	}
-	return f.Keep(index.DocID(pos)), nil
+	return flt == nil || flt.Keep(index.DocID(pos)), nil
 }
 
 // DocAt returns the document at a global position within the engine's

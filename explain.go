@@ -55,10 +55,12 @@ func (e *Engine) explainContext(ctx context.Context, q Query, docID int, maxPath
 	}
 	gs := e.gs.Load() // one graph view: filter, analysis and labels agree
 	g := gs.g
-	if q.filtered() {
-		if flt := e.compileFilter(g, snap, q.After, q.Before, q.Entities, -1); flt != nil && !flt.Keep(index.DocID(pos)) {
-			return Explanation{}, fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
-		}
+	flt, err := newQueryFilter(snap, q.After, q.Before, entityTerms(g, q.Entities), -1)
+	if err != nil {
+		return Explanation{}, err
+	}
+	if flt != nil && !flt.Keep(index.DocID(pos)) {
+		return Explanation{}, fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
 	}
 	qEmb, _, err := e.analyzeQuery(ctx, gs, q.Text)
 	if err != nil {

@@ -1,6 +1,8 @@
 package newslink
 
 import (
+	"fmt"
+
 	"newslink/internal/index"
 	"newslink/internal/kg"
 )
@@ -9,14 +11,14 @@ import (
 // clauses — temporal range, entity must-match facets, and Related's
 // self-exclusion — compile into one queryFilter, an index.DocFilter the
 // retrieval tier consults through the same live-mask seam as tombstones
-// (search.LiveSource via index.Filtered). Filters mask candidates; they
+// (search.LiveSource via index.Masked). Filters mask candidates; they
 // never alter the corpus statistics the scorers read, so every block-max
 // bound computed over the unfiltered postings stays a valid upper bound
 // and pruning remains exact under any filter combination.
 
 // queryFilter is one compiled, request-scoped document filter over a
 // segment set's global position space. All fields are immutable after
-// compileFilter, so the concurrent BOW and BON traversals share it
+// newQueryFilter, so the concurrent BOW and BON traversals share it
 // lock-free.
 type queryFilter struct {
 	// times is the set's concatenated time column; consulted only when a
@@ -49,22 +51,28 @@ func (f *queryFilter) Keep(d index.DocID) bool {
 	return f.allow == nil || f.allow.Get(i)
 }
 
-// compileFilter builds the request's queryFilter over snap, or returns nil
+// newQueryFilter builds a request's queryFilter over snap, or returns nil
 // when the request carries no filter clause (the unfiltered fast path:
-// retrieval then runs on the raw sources, paying nothing). exclude is a
-// global position to hide, or -1. The entity facet resolves each label
-// against the graph and materializes the allowlist bitmap by walking node
-// postings — O(total matching postings), paid once per request, never per
-// candidate.
-func (e *Engine) compileFilter(g *kg.Graph, snap *segmentSet, after, before int64, entities []string, exclude int) *queryFilter {
+// retrieval then runs on the published sources, paying nothing). entities
+// holds one node-term set per requested label (entityTerms); exclude is a
+// global position to hide, or -1. The entity facet materializes the
+// allowlist bitmap by walking node postings — O(total matching postings),
+// paid once per request, never per candidate — and a postings read error
+// fails the request rather than yielding an allowlist that matches
+// nothing.
+func newQueryFilter(snap *segmentSet, after, before int64, entities [][]string, exclude int) (*queryFilter, error) {
 	if after == 0 && before == 0 && len(entities) == 0 && exclude < 0 {
-		return nil
+		return nil, nil
 	}
 	f := &queryFilter{times: snap.times, after: after, before: before, exclude: exclude}
 	if len(entities) > 0 {
-		f.allow = allowBitmap(snap.node, snap.numDocs, entityTerms(g, entities))
+		allow, err := allowBitmap(snap.rawNode, snap.numDocs, entities)
+		if err != nil {
+			return nil, err
+		}
+		f.allow = allow
 	}
-	return f
+	return f, nil
 }
 
 // entityTerms resolves entity labels to node-term sets: labels[i] becomes
@@ -93,13 +101,13 @@ func entityTerms(g *kg.Graph, labels []string) [][]string {
 // harmless. An empty set intersects everything away, so the bitmap (and
 // therefore the filter) matches nothing — the right answer for a label
 // the graph cannot resolve.
-func allowBitmap(node index.Source, numDocs int, termSets [][]string) *index.Bitmap {
+func allowBitmap(node index.Source, numDocs int, termSets [][]string) (*index.Bitmap, error) {
 	var allow *index.Bitmap
 	for _, terms := range termSets {
 		cur := index.NewBitmap(numDocs)
 		for _, t := range terms {
-			for _, p := range node.Postings(t) {
-				cur.Set(int(p.Doc))
+			if err := markPostings(node, t, cur); err != nil {
+				return nil, fmt.Errorf("newslink: entity filter: %w", err)
 			}
 		}
 		if allow == nil {
@@ -108,7 +116,27 @@ func allowBitmap(node index.Source, numDocs int, termSets [][]string) *index.Bit
 			allow = intersectBitmaps(allow, cur, numDocs)
 		}
 	}
-	return allow
+	return allow, nil
+}
+
+// markPostings sets the bit of every document in term's postings list,
+// block by block off the cursor (no full-list copy).
+func markPostings(node index.Source, term string, bm *index.Bitmap) error {
+	c := node.TermCursor(term)
+	if c == nil {
+		return nil
+	}
+	defer index.ReleaseCursor(c)
+	for c.NextBlock() {
+		pl, err := c.Block()
+		if err != nil {
+			return err
+		}
+		for _, p := range pl {
+			bm.Set(int(p.Doc))
+		}
+	}
+	return nil
 }
 
 // intersectBitmaps returns a ∧ b as a fresh bitmap of numDocs bits.

@@ -86,6 +86,26 @@ func sameResults(a, b []Result) bool {
 // ranking the block-max pipeline must reproduce for every filter
 // combination. Scorers read the unfiltered statistics, exactly as the
 // engine's filtered-statistics semantics specify.
+// mustFilter compiles a request filter the way every engine read does.
+func mustFilter(t *testing.T, e *Engine, snap *segmentSet, after, before int64, entities []string, exclude int) *queryFilter {
+	t.Helper()
+	flt, err := newQueryFilter(snap, after, before, entityTerms(e.Graph(), entities), exclude)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flt
+}
+
+// exactTopK is the TAAT oracle with a read error failing the test.
+func exactTopK(t *testing.T, src index.Source, s search.Scorer, q search.Query, k int) []search.Hit {
+	t.Helper()
+	hits, err := search.TopK(src, s, q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hits
+}
+
 func bruteForceSearch(t *testing.T, e *Engine, q Query) []Result {
 	t.Helper()
 	ctx := context.Background()
@@ -111,25 +131,18 @@ func bruteForceSearch(t *testing.T, e *Engine, q Query) []Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flt := e.compileFilter(e.Graph(), snap, q.After, q.Before, q.Entities, -1)
-	text, node := index.Source(snap.text), index.Source(snap.node)
-	if flt != nil {
-		text = index.NewFiltered(text, flt)
-		node = index.NewFiltered(node, flt)
-	}
+	flt := mustFilter(t, e, snap, q.After, q.Before, q.Entities, -1)
+	text, node := snap.sources(flt)
 	var bow, bon []search.Hit
 	if beta < 1 {
-		bow = search.TopK(text, search.NewBM25(text), search.NewQuery(qTerms), pool)
+		bow = exactTopK(t, text, search.NewBM25(text), search.NewQuery(qTerms), pool)
 	}
 	if beta > 0 && qEmb != nil {
 		nq := make(search.Query, len(qEmb.Counts))
 		for n, c := range qEmb.Counts {
 			nq[nodeTerm(n)] = float64(c)
 		}
-		sc := search.NewBM25(node)
-		sc.B = 0
-		sc.K1 = 0.4
-		bon = search.TopK(node, sc, nq, pool)
+		bon = exactTopK(t, node, search.NodeBM25(node.NumDocs(), node.AvgDocLen()), nq, pool)
 	}
 	fused := search.Fuse(bow, bon, beta, q.K)
 	out := make([]Result, len(fused))
@@ -194,11 +207,7 @@ func TestFilteredShardedTraversalAgrees(t *testing.T) {
 	}
 	ctx := context.Background()
 	for name, q := range filterCases(w, arts) {
-		flt := e.compileFilter(e.Graph(), snap, q.After, q.Before, q.Entities, -1)
-		src := index.Source(snap.text)
-		if flt != nil {
-			src = index.NewFiltered(src, flt)
-		}
+		src, _ := snap.sources(mustFilter(t, e, snap, q.After, q.Before, q.Entities, -1))
 		scorer := search.NewBM25(src)
 		for _, qText := range filterQueries {
 			_, terms, err := e.analyzeQuery(ctx, e.gs.Load(), qText)
@@ -207,7 +216,7 @@ func TestFilteredShardedTraversalAgrees(t *testing.T) {
 			}
 			tq := search.NewQuery(terms)
 			for _, k := range []int{1, 10, snap.numDocs} {
-				want := search.TopK(src, scorer, tq, k)
+				want := exactTopK(t, src, scorer, tq, k)
 				got, _, err := search.TopKBlockMaxStats(ctx, src, scorer, tq, k)
 				if err != nil {
 					t.Fatal(err)
@@ -364,16 +373,12 @@ func bruteForceRelated(t *testing.T, e *Engine, q RelatedQuery) []Result {
 	if n := snap.numLive(); pool > n {
 		pool = n
 	}
-	flt := e.compileFilter(e.Graph(), snap, q.After, q.Before, q.Entities, pos)
-	node := index.NewFiltered(snap.node, flt)
+	_, node := snap.sources(mustFilter(t, e, snap, q.After, q.Before, q.Entities, pos))
 	nq := make(search.Query, len(emb.Counts))
 	for n, c := range emb.Counts {
 		nq[nodeTerm(n)] = float64(c)
 	}
-	sc := search.NewBM25(node)
-	sc.B = 0
-	sc.K1 = 0.4
-	bon := search.TopK(node, sc, nq, pool)
+	bon := exactTopK(t, node, search.NodeBM25(node.NumDocs(), node.AvgDocLen()), nq, pool)
 	fused := search.Fuse(nil, bon, 1, q.K)
 	out := make([]Result, len(fused))
 	for i, h := range fused {

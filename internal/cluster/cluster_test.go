@@ -255,8 +255,8 @@ func TestRouterFilteredMatchesSingleProcess(t *testing.T) {
 }
 
 // TestMalformedSearchSameOnBothFrontDoors: the router and a single process
-// parse one request grammar, so every malformed search is refused with the
-// same status and the same body on both.
+// parse one request grammar per route, so every malformed search or
+// explain is refused with the same status and the same body on both.
 func TestMalformedSearchSameOnBothFrontDoors(t *testing.T) {
 	dir, g, _, _, ts := startCluster(t, Config{})
 	ref := referenceServer(t, dir, g)
@@ -272,6 +272,11 @@ func TestMalformedSearchSameOnBothFrontDoors(t *testing.T) {
 		}
 		return resp.StatusCode, string(b)
 	}
+	paths := []string{
+		"/v1/explain?id=1", "/v1/explain?q=x", "/v1/explain?q=x&id=abc", "/v1/explain?q=x&id=-1",
+		"/v1/explain?q=x&id=1&paths=abc", "/v1/explain?q=x&id=1&paths=-1", "/v1/explain?q=x&id=1&paths=1001",
+		"/v1/explain?q=x&id=1&entity=", "/v1/explain?q=x&id=1&after=soon",
+	}
 	for _, params := range []string{
 		"", "q=", "q=x&k=abc", "q=x&k=0", "q=x&k=1001", "q=x&k=-3",
 		"q=x&pool=abc", "q=x&pool=-1", "q=x&pool=10001",
@@ -280,7 +285,9 @@ func TestMalformedSearchSameOnBothFrontDoors(t *testing.T) {
 		"q=x&entity=" + strings.Repeat("a&entity=", 16) + "a",
 		"q=x&beta=7&after=soon", // two faults: both report the same one
 	} {
-		path := "/v1/search?" + params
+		paths = append(paths, "/v1/search?"+params)
+	}
+	for _, path := range paths {
 		gotStatus, gotBody := body(ts.URL, path)
 		wantStatus, wantBody := body(ref.URL, path)
 		if wantStatus != http.StatusBadRequest {

@@ -627,12 +627,10 @@ func (rt *Router) aggregate(target []*slot, textTerms, nodeTerms []string) (aggr
 		textAvg = textTotal / float64(numDocs)
 		nodeAvg = nodeTotal / float64(numDocs)
 	}
-	// Text scoring uses Lucene's default BM25 parameters; node scoring
-	// uses the engine's BON parameterization (b=0, small k1) — see
-	// Engine.retrieve for the rationale. Both carry the aggregated
-	// corpus-level N and average length.
-	agg.textScorer = search.BM25{K1: 1.2, B: 0.75, N: numDocs, AvgLen: textAvg}
-	agg.nodeScorer = search.BM25{K1: 0.4, B: 0, N: numDocs, AvgLen: nodeAvg}
+	// The engine's own two scorers, carrying the aggregated corpus-level
+	// N and average length instead of one index's.
+	agg.textScorer = search.TextBM25(numDocs, textAvg)
+	agg.nodeScorer = search.NodeBM25(numDocs, nodeAvg)
 	for _, term := range textTerms {
 		if sum, ok := rt.sumTerm(target, false, term); ok {
 			agg.textStats[term] = sum
@@ -704,35 +702,47 @@ func (rt *Router) cacheStats(sl *slot, node bool, requested []string, got map[st
 	}
 }
 
+// scatter is the router's one fan-out: it runs fn once per target slot,
+// concurrently, and returns the indexes of the slots whose call failed, in
+// target order. Statistics, search and document gather are each one call
+// per slot whose failure loses that slot for the pass.
+func (rt *Router) scatter(target []*slot, fn func(i int, sl *slot) error) (lost []int) {
+	errs := make([]error, len(target))
+	var wg sync.WaitGroup
+	for i, sl := range target {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i, sl)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			lost = append(lost, target[i].idx)
+		}
+	}
+	return lost
+}
+
 // scatterStats fetches the uncached term summaries from every target
 // slot in parallel. Returns the slots that failed.
 func (rt *Router) scatterStats(ctx context.Context, target []*slot, textTerms, nodeTerms []string) []int {
-	var mu sync.Mutex
-	var lost []int
-	var wg sync.WaitGroup
-	for _, sl := range target {
+	return rt.scatter(target, func(_ int, sl *slot) error {
 		missingText := rt.missingTerms(sl, false, textTerms)
 		missingNode := rt.missingTerms(sl, true, nodeTerms)
 		if len(missingText) == 0 && len(missingNode) == 0 {
-			continue
+			return nil
 		}
-		wg.Add(1)
-		go func(sl *slot, missingText, missingNode []string) {
-			defer wg.Done()
-			req := StatsRequest{Plan: rt.plan.ID, Text: missingText, Node: missingNode}
-			var resp StatsResponse
-			if err := rt.callSlot(ctx, sl, "/v1/shard/stats", &req, &resp); err != nil {
-				mu.Lock()
-				lost = append(lost, sl.idx)
-				mu.Unlock()
-				return
-			}
-			rt.cacheStats(sl, false, missingText, resp.Text)
-			rt.cacheStats(sl, true, missingNode, resp.Node)
-		}(sl, missingText, missingNode)
-	}
-	wg.Wait()
-	return lost
+		req := StatsRequest{Plan: rt.plan.ID, Text: missingText, Node: missingNode}
+		var resp StatsResponse
+		if err := rt.callSlot(ctx, sl, "/v1/shard/stats", &req, &resp); err != nil {
+			return err
+		}
+		rt.cacheStats(sl, false, missingText, resp.Text)
+		rt.cacheStats(sl, true, missingNode, resp.Node)
+		return nil
+	})
 }
 
 // scatterSearch fans the ordered-term evaluation out to every target
@@ -741,36 +751,24 @@ func (rt *Router) scatterStats(ctx context.Context, target []*slot, textTerms, n
 func (rt *Router) scatterSearch(ctx context.Context, target []*slot, pool int, orderedText, orderedNode []search.OrderedTerm, agg aggregated, flt wireFilter) ([]SearchResponse, []int) {
 	tr := obs.FromContext(ctx)
 	perSlot := make([]SearchResponse, len(target))
-	errs := make([]error, len(target))
-	var wg sync.WaitGroup
-	for i, sl := range target {
-		wg.Add(1)
-		go func(i int, sl *slot) {
-			defer wg.Done()
-			sp := tr.Start(obs.StageShard(sl.idx))
-			req := SearchRequest{
-				Plan:       rt.plan.ID,
-				K:          pool,
-				Text:       orderedText,
-				Node:       orderedNode,
-				TextScorer: scorerParams(agg.textScorer),
-				NodeScorer: scorerParams(agg.nodeScorer),
-				After:      flt.after,
-				Before:     flt.before,
-				Entities:   flt.entities,
-			}
-			errs[i] = rt.callSlot(ctx, sl, "/v1/shard/search", &req, &perSlot[i])
-			sp.End(obs.Int("text_hits", len(perSlot[i].Text)), obs.Int("node_hits", len(perSlot[i].Node)),
-				obs.Bool("failed", errs[i] != nil))
-		}(i, sl)
-	}
-	wg.Wait()
-	var lost []int
-	for i, err := range errs {
-		if err != nil {
-			lost = append(lost, target[i].idx)
+	lost := rt.scatter(target, func(i int, sl *slot) error {
+		sp := tr.Start(obs.StageShard(sl.idx))
+		req := SearchRequest{
+			Plan:       rt.plan.ID,
+			K:          pool,
+			Text:       orderedText,
+			Node:       orderedNode,
+			TextScorer: scorerParams(agg.textScorer),
+			NodeScorer: scorerParams(agg.nodeScorer),
+			After:      flt.after,
+			Before:     flt.before,
+			Entities:   flt.entities,
 		}
-	}
+		err := rt.callSlot(ctx, sl, "/v1/shard/search", &req, &perSlot[i])
+		sp.End(obs.Int("text_hits", len(perSlot[i].Text)), obs.Int("node_hits", len(perSlot[i].Node)),
+			obs.Bool("failed", err != nil))
+		return err
+	})
 	return perSlot, lost
 }
 
@@ -798,7 +796,6 @@ func (rt *Router) gatherDocs(ctx context.Context, target []*slot, fused []search
 	// ranks[i] lists the fused ranks target[i] serves. A plan has a
 	// handful of slots, so finding a hit's slot in target is a short scan.
 	ranks := make([][]int, len(target))
-	var mu sync.Mutex
 	var lost []int
 	for rank, h := range fused {
 		idx := rt.plan.slotOfPos(int(h.Doc))
@@ -813,61 +810,42 @@ func (rt *Router) gatherDocs(ctx context.Context, target []*slot, fused []search
 		}
 		ranks[ti] = append(ranks[ti], rank)
 	}
-	var wg sync.WaitGroup
-	for ti, sl := range target {
-		if len(ranks[ti]) == 0 {
-			continue
+	lost = append(lost, rt.scatter(target, func(ti int, sl *slot) error {
+		ranks := ranks[ti]
+		if len(ranks) == 0 {
+			return nil
 		}
-		wg.Add(1)
-		go func(sl *slot, ranks []int) {
-			defer wg.Done()
-			req := DocsRequest{Plan: rt.plan.ID, Positions: make([]int, len(ranks)), Terms: terms}
-			for i, rank := range ranks {
-				req.Positions[i] = int(fused[rank].Doc) - sl.plan.Base
+		req := DocsRequest{Plan: rt.plan.ID, Positions: make([]int, len(ranks)), Terms: terms}
+		for i, rank := range ranks {
+			req.Positions[i] = int(fused[rank].Doc) - sl.plan.Base
+		}
+		var resp DocsResponse
+		if err := rt.callSlot(ctx, sl, "/v1/shard/docs", &req, &resp); err != nil {
+			return err
+		}
+		if len(resp.Docs) != len(ranks) {
+			return fmt.Errorf("cluster: slot %d returned %d documents for %d positions", sl.idx, len(resp.Docs), len(ranks))
+		}
+		for i, rank := range ranks {
+			results[rank] = newslink.Result{
+				ID:      resp.Docs[i].ID,
+				Title:   resp.Docs[i].Title,
+				Score:   fused[rank].Score,
+				Snippet: resp.Docs[i].Snippet,
 			}
-			var resp DocsResponse
-			if err := rt.callSlot(ctx, sl, "/v1/shard/docs", &req, &resp); err != nil || len(resp.Docs) != len(ranks) {
-				mu.Lock()
-				lost = append(lost, sl.idx)
-				mu.Unlock()
-				return
-			}
-			for i, rank := range ranks {
-				results[rank] = newslink.Result{
-					ID:      resp.Docs[i].ID,
-					Title:   resp.Docs[i].Title,
-					Score:   fused[rank].Score,
-					Snippet: resp.Docs[i].Snippet,
-				}
-			}
-		}(sl, ranks[ti])
-	}
-	wg.Wait()
+		}
+		return nil
+	})...)
 	return results, lost
 }
 
 func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "missing query parameter q")
-		return
-	}
-	id, err := server.IntParam(r, "id", -1)
-	if err != nil || id < 0 {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "missing or negative parameter id")
-		return
-	}
-	paths, err := server.IntParam(r, "paths", 5)
-	if err != nil || paths < 0 || paths > 1000 {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "parameter \"paths\" must be in [0,1000]")
-		return
-	}
-	after, before, labels, err := server.FilterParams(r)
+	q, id, paths, err := server.ExplainParams(r)
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	flt := rt.wireFilterOf(after, before, labels)
+	flt := rt.wireFilterOf(q.After, q.Before, q.Entities)
 	idx, ok := rt.plan.ShardOf(id)
 	if !ok {
 		server.WriteError(w, http.StatusNotFound, "unknown_document", "no live document %d", id)
@@ -881,7 +859,7 @@ func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 	defer cancel()
-	req := ExplainRequest{Plan: rt.plan.ID, Query: q, DocID: id, MaxPaths: paths,
+	req := ExplainRequest{Plan: rt.plan.ID, Query: q.Text, DocID: id, MaxPaths: paths,
 		After: flt.after, Before: flt.before, Entities: flt.entities}
 	var resp ExplainResponse
 	if err := rt.callSlot(ctx, sl, "/v1/shard/explain", &req, &resp); err != nil {
@@ -898,5 +876,5 @@ func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	server.WriteJSON(w, http.StatusOK, server.ExplainResponse{Query: q, DocID: id, Explanation: resp.Explanation})
+	server.WriteJSON(w, http.StatusOK, server.ExplainResponse{Query: q.Text, DocID: id, Explanation: resp.Explanation})
 }

@@ -238,7 +238,10 @@ func (s *QEPRFSystem) Name() string { return "QEPRF" }
 
 // Search implements System.
 func (s *QEPRFSystem) Search(query string, k int) []int {
-	hits := s.eng.Search(query, k)
+	hits, err := s.eng.Search(query, k)
+	if err != nil {
+		return nil
+	}
 	out := make([]int, len(hits))
 	for i, h := range hits {
 		out[i] = int(h.Doc)

@@ -15,28 +15,38 @@ import (
 // block carries a summary — its last doc ID and its maximum TF — kept
 // outside the encoded bytes, so the query processor can compute a per-block
 // BM25/TF-IDF upper bound and skip whole blocks without decoding them
-// (Block-Max pruning), and DiskIndex can read exactly the blocks a query
-// touches.
+// (Block-Max pruning), and a file-backed Index can read exactly the blocks
+// a query touches.
 const blockSize = 128
 
 // maxBlockBytes bounds one encoded block: each posting is at most two
 // 10-byte varints. Parsers reject claimed block lengths above this.
 const maxBlockBytes = 2 * binary.MaxVarintLen64 * blockSize
 
-// blockMeta is the in-memory summary of one postings block.
+// blockMeta is the resident summary of one postings block.
 type blockMeta struct {
 	last  DocID   // last (largest) doc ID in the block
 	maxTF float32 // maximum term frequency in the block
-	off   uint32  // byte offset of the block's data in termList.data
+	off   uint32  // byte offset of the block's data within the term's bytes
 	end   uint32  // byte offset one past the block's data
 }
 
-// termList is one term's block-compressed postings list.
+// termList is one directory row: a term, its block summaries, and where
+// the term's encoded blocks start within the index's postings area.
 type termList struct {
+	term   string
 	count  int     // total postings (the term's DF)
 	maxTF  float32 // maximum TF across all blocks
 	blocks []blockMeta
-	data   []byte // concatenated encoded blocks
+	offset int64 // start of this term's bytes within the postings area
+}
+
+// dataLen returns the total encoded size of the term's blocks.
+func (tl *termList) dataLen() int64 {
+	if len(tl.blocks) == 0 {
+		return 0
+	}
+	return int64(tl.blocks[len(tl.blocks)-1].end)
 }
 
 // numBlocksFor returns how many blocks a list of count postings occupies.
@@ -50,19 +60,20 @@ func (tl *termList) blockLen(bi int) int {
 	return tl.count - bi*blockSize
 }
 
-// encodeBlocks compresses a doc-sorted postings list into the block layout.
-func encodeBlocks(pl []Posting) termList {
-	tl := termList{count: len(pl)}
+// appendBlocks compresses a doc-sorted postings list into the block layout,
+// appending the encoded bytes to the postings area data. Called in sorted
+// term order, it lays the area out exactly as the file format does.
+func appendBlocks(data []byte, term string, pl []Posting) (termList, []byte) {
+	tl := termList{term: term, count: len(pl), offset: int64(len(data))}
 	if len(pl) == 0 {
-		return tl
+		return tl, data
 	}
 	var buf [binary.MaxVarintLen64]byte
 	tl.blocks = make([]blockMeta, 0, numBlocksFor(len(pl)))
-	tl.data = make([]byte, 0, len(pl)*3)
 	prev := DocID(0)
 	for start := 0; start < len(pl); start += blockSize {
 		end := min(start+blockSize, len(pl))
-		bm := blockMeta{off: uint32(len(tl.data))}
+		bm := blockMeta{off: uint32(int64(len(data)) - tl.offset)}
 		for i := start; i < end; i++ {
 			p := pl[i]
 			delta := uint32(p.Doc)
@@ -71,24 +82,24 @@ func encodeBlocks(pl []Posting) termList {
 			}
 			prev = p.Doc
 			n := binary.PutUvarint(buf[:], uint64(delta))
-			tl.data = append(tl.data, buf[:n]...)
+			data = append(data, buf[:n]...)
 			n = binary.PutUvarint(buf[:], encodeTF(p.TF))
-			tl.data = append(tl.data, buf[:n]...)
+			data = append(data, buf[:n]...)
 			if p.TF > bm.maxTF {
 				bm.maxTF = p.TF
 			}
 		}
 		bm.last = prev
-		bm.end = uint32(len(tl.data))
+		bm.end = uint32(int64(len(data)) - tl.offset)
 		tl.blocks = append(tl.blocks, bm)
 		if bm.maxTF > tl.maxTF {
 			tl.maxTF = bm.maxTF
 		}
 	}
-	return tl
+	return tl, data
 }
 
-// decodeBlock reverses encodeBlocks for one block. base is the last doc ID
+// decodeBlock reverses appendBlocks for one block. base is the last doc ID
 // of the preceding block (first of the whole list when firstBlock, where the
 // leading delta is the absolute doc ID and may be 0). n postings are
 // expected; dst is reused when it has capacity. The decoder validates
@@ -137,37 +148,17 @@ func decodeBlock(data []byte, dst []Posting, n int, base DocID, firstBlock bool,
 	return dst, nil
 }
 
-// decodeAll materializes a whole termList into a flat postings slice. Each
-// block decodes directly into the output's spare capacity — dst is the
-// empty tail slice out[len(out):], whose capacity always covers a full
-// block — so the whole list costs exactly one allocation.
-func (tl *termList) decodeAll(numDocs uint32) ([]Posting, error) {
-	if tl.count == 0 {
-		return nil, nil
-	}
-	out := make([]Posting, 0, tl.count)
-	base := DocID(0)
-	for bi, bm := range tl.blocks {
-		pl, err := decodeBlock(tl.data[bm.off:bm.end], out[len(out):], tl.blockLen(bi), base, bi == 0, numDocs, bm.last)
-		if err != nil {
-			return nil, err
-		}
-		out = out[:len(out)+len(pl)]
-		base = bm.last
-	}
-	return out, nil
-}
-
-// validate fully decodes a termList and cross-checks the block summaries
-// (per-block max TF included); used when parsing untrusted serialized input.
-func (tl *termList) validate(numDocs uint32) error {
+// validate fully decodes a termList from its bytes (data holds exactly the
+// term's blocks) and cross-checks the block summaries (per-block max TF
+// included); used when parsing untrusted serialized input.
+func (tl *termList) validate(data []byte, numDocs uint32) error {
 	if len(tl.blocks) != numBlocksFor(tl.count) {
 		return fmt.Errorf("index: %d blocks for %d postings", len(tl.blocks), tl.count)
 	}
 	var buf [blockSize]Posting
 	base := DocID(0)
 	for bi, bm := range tl.blocks {
-		pl, err := decodeBlock(tl.data[bm.off:bm.end], buf[:0], tl.blockLen(bi), base, bi == 0, numDocs, bm.last)
+		pl, err := decodeBlock(data[bm.off:bm.end], buf[:0], tl.blockLen(bi), base, bi == 0, numDocs, bm.last)
 		if err != nil {
 			return err
 		}
@@ -185,25 +176,24 @@ func (tl *termList) validate(numDocs uint32) error {
 	return nil
 }
 
-// memCursor iterates an in-memory termList block by block.
-type memCursor struct {
-	tl      *termList
-	numDocs uint32
-	bi      int // current block; -1 before the first NextBlock
-	buf     []Posting
+// cursor iterates one term of an Index block by block. Block decodes from
+// the resident postings area, or — for a file-backed index — fetches the
+// block with a single ReadAt into the cursor-owned raw buffer first.
+type cursor struct {
+	idx *Index
+	tl  *termList
+	bi  int // current block; -1 before the first NextBlock
+	raw []byte
+	buf []Posting
 }
 
-func (c *memCursor) Count() int     { return c.tl.count }
-func (c *memCursor) MaxTF() float32 { return c.tl.maxTF }
-func (c *memCursor) BlockLen() int  { return c.tl.blockLen(c.bi) }
-func (c *memCursor) BlockLast() DocID {
-	return c.tl.blocks[c.bi].last
-}
-func (c *memCursor) BlockMaxTF() float32 {
-	return c.tl.blocks[c.bi].maxTF
-}
+func (c *cursor) Count() int          { return c.tl.count }
+func (c *cursor) MaxTF() float32      { return c.tl.maxTF }
+func (c *cursor) BlockLen() int       { return c.tl.blockLen(c.bi) }
+func (c *cursor) BlockLast() DocID    { return c.tl.blocks[c.bi].last }
+func (c *cursor) BlockMaxTF() float32 { return c.tl.blocks[c.bi].maxTF }
 
-func (c *memCursor) NextBlock() bool {
+func (c *cursor) NextBlock() bool {
 	if c.bi+1 >= len(c.tl.blocks) {
 		return false
 	}
@@ -211,7 +201,7 @@ func (c *memCursor) NextBlock() bool {
 	return true
 }
 
-func (c *memCursor) SeekBlock(d DocID) bool {
+func (c *cursor) SeekBlock(d DocID) bool {
 	if c.bi >= 0 && c.bi < len(c.tl.blocks) && c.tl.blocks[c.bi].last >= d {
 		return true // already positioned at or past d's block
 	}
@@ -221,13 +211,27 @@ func (c *memCursor) SeekBlock(d DocID) bool {
 	return c.bi < len(blocks)
 }
 
-func (c *memCursor) Block() ([]Posting, error) {
+func (c *cursor) Block() ([]Posting, error) {
 	bm := c.tl.blocks[c.bi]
+	lo, n := c.tl.offset+int64(bm.off), int(bm.end-bm.off)
+	var raw []byte
+	if c.idx.f == nil {
+		raw = c.idx.data[lo : lo+int64(n)]
+	} else {
+		if cap(c.raw) < n {
+			c.raw = make([]byte, maxBlockBytes)
+		}
+		raw = c.raw[:n]
+		if _, err := c.idx.f.ReadAt(raw, c.idx.base+lo); err != nil {
+			return nil, fmt.Errorf("index: reading block %d: %w", c.bi, err)
+		}
+		c.idx.bytesRead.Add(int64(n))
+	}
 	base := DocID(0)
 	if c.bi > 0 {
 		base = c.tl.blocks[c.bi-1].last
 	}
-	pl, err := decodeBlock(c.tl.data[bm.off:bm.end], c.buf, c.tl.blockLen(c.bi), base, c.bi == 0, c.numDocs, bm.last)
+	pl, err := decodeBlock(raw, c.buf, c.tl.blockLen(c.bi), base, c.bi == 0, uint32(len(c.idx.docLen)), bm.last)
 	c.buf = pl
 	return pl, err
 }

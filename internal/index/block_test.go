@@ -37,26 +37,33 @@ func sortPostings(pl []Posting) {
 	}
 }
 
-// TestBlockCodecRoundTrip: encodeBlocks → decodeAll must be the identity
+// oneTermIndex wraps one encoded list as a resident index over a docLen-sized
+// document space, so the codec tests decode through the real cursor.
+func oneTermIndex(tl termList, data []byte, docLen []float32) *Index {
+	return newIndex(docLen, []termList{tl}, data)
+}
+
+// TestBlockCodecRoundTrip: appendBlocks → Postings must be the identity
 // for list sizes around every block boundary.
 func TestBlockCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sizes := []int{0, 1, 2, blockSize - 1, blockSize, blockSize + 1, 3 * blockSize, 10*blockSize + 17}
+	docLen := make([]float32, 1<<16)
 	for _, n := range sizes {
 		pl := randPostings(rng, n, 1<<16)
-		tl := encodeBlocks(pl)
+		tl, data := appendBlocks(nil, "t", pl)
 		if tl.count != len(pl) {
 			t.Fatalf("n=%d: count %d", n, tl.count)
 		}
 		if len(tl.blocks) != numBlocksFor(len(pl)) {
 			t.Fatalf("n=%d: %d blocks", n, len(tl.blocks))
 		}
-		if err := tl.validate(1 << 16); err != nil {
+		if err := tl.validate(data, 1<<16); err != nil {
 			t.Fatalf("n=%d: validate: %v", n, err)
 		}
-		got, err := tl.decodeAll(1 << 16)
+		got, err := Postings(oneTermIndex(tl, data, docLen), "t")
 		if err != nil {
-			t.Fatalf("n=%d: decodeAll: %v", n, err)
+			t.Fatalf("n=%d: Postings: %v", n, err)
 		}
 		if len(got) == 0 && len(pl) == 0 {
 			continue
@@ -72,8 +79,8 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 func TestDecodeBlockRejectsCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pl := randPostings(rng, blockSize, 1<<12)
-	tl := encodeBlocks(pl)
-	data := tl.data[tl.blocks[0].off:tl.blocks[0].end]
+	tl, data := appendBlocks(nil, "t", pl)
+	data = data[tl.blocks[0].off:tl.blocks[0].end]
 	decode := func(d []byte) error {
 		_, err := decodeBlock(d, nil, blockSize, 0, true, 1<<12, tl.blocks[0].last)
 		return err
@@ -124,14 +131,14 @@ func TestCursorParity(t *testing.T) {
 	idx := b.Build()
 	path := filepath.Join(t.TempDir(), "idx.bin")
 	writeIndex(t, idx, path)
-	d, err := OpenDiskIndex(path)
+	d, err := OpenIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 
 	for _, term := range []string{"common", "mid", "rare"} {
-		want := idx.Postings(term)
+		want := postings(t, idx, term)
 		for _, src := range []Source{idx, d, NewMulti(idx), NewMulti(d)} {
 			c := src.TermCursor(term)
 			if c == nil {
@@ -182,7 +189,8 @@ func TestCursorParity(t *testing.T) {
 
 // TestDiskIndexReadsOnlyTouchedBlocks: a pruned query must fetch a small
 // fraction of the bytes that materializing its terms' lists would read —
-// the acceptance check that DiskIndex serves queries at block granularity.
+// the acceptance check that a file-backed Index serves queries at block
+// granularity.
 func TestDiskIndexReadsOnlyTouchedBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	b := NewBuilder()
@@ -196,7 +204,7 @@ func TestDiskIndexReadsOnlyTouchedBlocks(t *testing.T) {
 	idx := b.Build()
 	path := filepath.Join(t.TempDir(), "idx.bin")
 	writeIndex(t, idx, path)
-	d, err := OpenDiskIndex(path)
+	d, err := OpenIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +235,8 @@ func TestDiskIndexReadsOnlyTouchedBlocks(t *testing.T) {
 	touched := d.BytesRead()
 
 	// Full materialization of both lists for comparison.
-	if _, err := d.PostingsErr("common"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.PostingsErr("rare"); err != nil {
-		t.Fatal(err)
-	}
+	postings(t, d, "common")
+	postings(t, d, "rare")
 	full := d.BytesRead() - touched
 	if touched == 0 || full == 0 {
 		t.Fatalf("degenerate byte counts: touched=%d full=%d", touched, full)
@@ -248,8 +252,9 @@ func FuzzBlockCodec(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(3))
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint16(300))
+	const numDocs = 1 << 16
+	docLen := make([]float32, numDocs)
 	f.Fuzz(func(t *testing.T, data []byte, n16 uint16) {
-		const numDocs = 1 << 16
 		// First interpretation: data drives a synthetic postings list that
 		// must round-trip exactly.
 		n := int(n16)
@@ -270,10 +275,10 @@ func FuzzBlockCodec(f *testing.F) {
 			}
 			pl = append(pl, Posting{Doc: DocID(doc), TF: tf})
 		}
-		tl := encodeBlocks(pl)
-		got, err := tl.decodeAll(numDocs)
+		tl, area := appendBlocks(nil, "t", pl)
+		got, err := Postings(oneTermIndex(tl, area, docLen), "t")
 		if err != nil {
-			t.Fatalf("decodeAll of encodeBlocks output: %v", err)
+			t.Fatalf("Postings of appendBlocks output: %v", err)
 		}
 		if len(got) != len(pl) {
 			t.Fatalf("round trip length %d want %d", len(got), len(pl))
@@ -283,8 +288,8 @@ func FuzzBlockCodec(f *testing.F) {
 				t.Fatalf("posting %d: %v want %v", i, got[i], pl[i])
 			}
 		}
-		if err := tl.validate(numDocs); err != nil {
-			t.Fatalf("validate of encodeBlocks output: %v", err)
+		if err := tl.validate(area, numDocs); err != nil {
+			t.Fatalf("validate of appendBlocks output: %v", err)
 		}
 		// Second interpretation: data as raw block bytes — must never
 		// panic, and successful decodes must respect the doc-ID range.
@@ -325,8 +330,8 @@ func TestMaxBlockBytesBound(t *testing.T) {
 	for i := range pl {
 		pl[i] = Posting{Doc: DocID(i * 2000000), TF: 0.3}
 	}
-	tl := encodeBlocks(pl)
-	if got := len(tl.data); got > maxBlockBytes {
+	_, data := appendBlocks(nil, "t", pl)
+	if got := len(data); got > maxBlockBytes {
 		t.Fatalf("encoded block %d bytes > bound %d", got, maxBlockBytes)
 	}
 }

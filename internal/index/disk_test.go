@@ -1,6 +1,7 @@
 package index
 
 import (
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -44,7 +45,7 @@ func TestDiskIndexMatchesMemory(t *testing.T) {
 	// One fractional-weight document exercises the float TF encoding.
 	b.AddWeighted(map[string]float32{"t0": 2.5, "frac": 0.25})
 	idx := b.Build()
-	disk, err := OpenDiskIndex(writeTemp(t, idx))
+	disk, err := OpenIndex(writeTemp(t, idx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +60,8 @@ func TestDiskIndexMatchesMemory(t *testing.T) {
 		if disk.DF(term) != idx.DF(term) {
 			t.Fatalf("DF(%s): %d vs %d", term, disk.DF(term), idx.DF(term))
 		}
-		got := disk.Postings(term)
-		want := idx.Postings(term)
+		got := postings(t, disk, term)
+		want := postings(t, idx, term)
 		if len(got) != len(want) {
 			t.Fatalf("postings(%s) lengths %d vs %d", term, len(got), len(want))
 		}
@@ -79,7 +80,7 @@ func TestDiskIndexMatchesMemory(t *testing.T) {
 
 func TestDiskIndexConcurrentReads(t *testing.T) {
 	idx := buildSmall()
-	disk, err := OpenDiskIndex(writeTemp(t, idx))
+	disk, err := OpenIndex(writeTemp(t, idx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +91,9 @@ func TestDiskIndexConcurrentReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				a := disk.Postings("taliban")
-				b := idx.Postings("taliban")
-				if !reflect.DeepEqual(a, b) {
+				a, aerr := Postings(disk, "taliban")
+				b, berr := Postings(idx, "taliban")
+				if aerr != nil || berr != nil || !reflect.DeepEqual(a, b) {
 					panic("concurrent read mismatch")
 				}
 			}
@@ -102,7 +103,7 @@ func TestDiskIndexConcurrentReads(t *testing.T) {
 }
 
 func TestDiskIndexErrors(t *testing.T) {
-	if _, err := OpenDiskIndex("/nonexistent/idx"); err == nil {
+	if _, err := OpenIndex("/nonexistent/idx"); err == nil {
 		t.Fatal("missing file must fail")
 	}
 	// Truncated file.
@@ -116,7 +117,7 @@ func TestDiskIndexErrors(t *testing.T) {
 	if err := os.WriteFile(short, data[:len(data)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDiskIndex(short); err == nil {
+	if _, err := OpenIndex(short); err == nil {
 		t.Fatal("truncated header must fail to open")
 	}
 	// Truncated postings area: opens (directory intact) but reads fail.
@@ -124,19 +125,39 @@ func TestDiskIndexErrors(t *testing.T) {
 	if err := os.WriteFile(almost, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, err := OpenDiskIndex(almost)
+	d, err := OpenIndex(almost)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 	failed := false
-	for term := range d.dir {
-		if _, err := d.PostingsErr(term); err != nil {
+	for term := range d.terms {
+		if _, err := Postings(d, term); err != nil {
 			failed = true
 		}
 	}
 	if !failed {
 		t.Fatal("no term read failed on truncated postings")
+	}
+	// A file that goes bad after it was opened: every consumer of the
+	// postings must report the read error — an unreadable list is never an
+	// empty one.
+	held, err := OpenIndex(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	if err := os.Truncate(path, held.base); err != nil {
+		t.Fatal(err)
+	}
+	if pl, err := Postings(held, "taliban"); err == nil {
+		t.Fatalf("Postings over a truncated file returned %v, no error", pl)
+	}
+	if _, err := MergeSegments([]*Index{idx, held}, nil); err == nil {
+		t.Fatal("MergeSegments over a truncated file returned no error")
+	}
+	if _, err := held.WriteTo(io.Discard); err == nil {
+		t.Fatal("WriteTo over a truncated file returned no error")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // Example shows the index lifecycle: build in memory, serialize, reopen
-// disk-backed, and extend with a segment — all behind the same Source
+// file-backed, and extend with a segment — all behind the same Source
 // interface the query processor consumes.
 func Example() {
 	b := index.NewBuilder()
@@ -36,7 +36,7 @@ func Example() {
 	}
 	f.Close()
 
-	disk, err := index.OpenDiskIndex(path)
+	disk, err := index.OpenIndex(path)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -49,7 +49,12 @@ func Example() {
 
 	fmt.Println("docs:", combined.NumDocs())
 	fmt.Println("df(lahore):", combined.DF("lahore"))
-	for _, p := range combined.Postings("lahore") {
+	pl, err := index.Postings(combined, "lahore")
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	for _, p := range pl {
 		fmt.Printf("doc %d tf %g\n", p.Doc, p.TF)
 	}
 	// Output:

@@ -1,14 +1,14 @@
 package index
 
-// DocFilter is one composable document predicate: Keep reports whether the
-// document at DocID d (the wrapped source's own ID space) should remain
-// visible to retrieval. Filters compose conjunctively — a document survives
-// only when every filter keeps it — and, like the tombstone mask they
-// generalize, they do NOT alter the wrapped source's statistics: postings,
-// DF, DocLen and AvgDocLen still describe the full corpus, so every
-// term/block score bound computed over the unfiltered postings remains a
-// valid upper bound for any filtered subset and block-max pruning stays
-// admissible unchanged (Lucene's deletion semantics, DESIGN.md §16).
+// DocFilter is a document predicate: Keep reports whether the document at
+// DocID d (the wrapped source's own ID space) should remain visible to
+// retrieval. It composes conjunctively with the tombstone mask it
+// generalizes (Masked) and, like that mask, does NOT alter the wrapped
+// source's statistics: postings, DF, DocLen and AvgDocLen still describe
+// the full corpus, so every term/block score bound computed over the
+// unfiltered postings remains a valid upper bound for any filtered subset
+// and block-max pruning stays admissible unchanged (Lucene's deletion
+// semantics, DESIGN.md §16).
 //
 // Keep must be safe for concurrent use and cheap: it runs inside the
 // retrieval hot loops for every candidate document.
@@ -16,50 +16,32 @@ type DocFilter interface {
 	Keep(d DocID) bool
 }
 
-// Filtered decorates a Source with a conjunction of DocFilters, composing
-// them with whatever liveness the wrapped source already enforces (a
-// LiveFiltered tombstone mask, or another Filtered). It satisfies the same
-// Live contract as LiveFiltered, so the retrieval tier's live-mask
-// seam (search.LiveSource) picks it up with no hot-loop changes: dead or
-// filtered-out candidates are dropped before scoring or admission, while
-// the statistics the scorers read stay those of the full corpus.
-type Filtered struct {
+// masked decorates a Source with the two things that hide documents from
+// retrieval: a tombstone bitmap and one request DocFilter, either of which
+// may be absent. The embedded Source keeps Lucene's deletion semantics —
+// cursors, DF, DocLen and AvgDocLen still include hidden documents (a
+// tombstoned document's statistics only disappear when a merge rewrites
+// the postings) — while Live lets the retrieval tier's live-mask seam
+// (search.LiveSource) drop dead or filtered-out candidates before they are
+// scored or admitted, with no hot-loop changes.
+type masked struct {
 	Source
-	live    func(DocID) bool // wrapped source's own liveness; nil = all live
-	filters []DocFilter
+	dead *Bitmap
+	keep DocFilter
 }
 
-// NewFiltered wraps src with filters. Nil filters are dropped; with none
-// remaining src is returned unchanged, so unfiltered requests pay nothing.
-func NewFiltered(src Source, filters ...DocFilter) Source {
-	kept := make([]DocFilter, 0, len(filters))
-	for _, f := range filters {
-		if f != nil {
-			kept = append(kept, f)
-		}
-	}
-	if len(kept) == 0 {
+// Masked wraps src with a tombstone bitmap and/or a filter, both indexed by
+// the source's own DocIDs; a document is live when it is not set in dead
+// and keep (when present) keeps it. With neither, src itself is returned,
+// so unmasked reads pay nothing.
+func Masked(src Source, dead *Bitmap, keep DocFilter) Source {
+	if dead == nil && keep == nil {
 		return src
 	}
-	f := &Filtered{Source: src, filters: kept}
-	if l, ok := src.(interface{ Live(DocID) bool }); ok {
-		f.live = l.Live
-	}
-	return f
+	return &masked{Source: src, dead: dead, keep: keep}
 }
 
-// Live reports whether document d survives the wrapped source's own
-// liveness and every filter.
-func (f *Filtered) Live(d DocID) bool {
-	if f.live != nil && !f.live(d) {
-		return false
-	}
-	for _, flt := range f.filters {
-		if !flt.Keep(d) {
-			return false
-		}
-	}
-	return true
+// Live reports whether document d is neither tombstoned nor filtered out.
+func (m *masked) Live(d DocID) bool {
+	return !m.dead.Get(int(d)) && (m.keep == nil || m.keep.Keep(d))
 }
-
-var _ Source = (*Filtered)(nil)

@@ -7,21 +7,18 @@ package index
 
 import (
 	"fmt"
+	"os"
 	"sort"
+	"sync/atomic"
 )
 
-// Source is the read interface the query processor consumes; the in-memory
-// Index, the segmented Multi and the DiskIndex all satisfy it, so searches
-// run unchanged over any of them.
+// Source is the read interface the query processor consumes; Index
+// (resident or file-backed), the segmented Multi and the Masked decorator
+// all satisfy it, so searches run unchanged over any of them.
 type Source interface {
 	NumDocs() int
 	DocLen(d DocID) float64
 	AvgDocLen() float64
-	// Postings materializes the full postings list for a term, sorted by
-	// DocID, or nil if the term is absent. The slice is freshly decoded
-	// from the block-compressed layout; the hot query path should prefer
-	// TermCursor, which decodes only the blocks it visits.
-	Postings(term string) []Posting
 	// TermCursor returns a new block-granular iterator over a term's
 	// postings, or nil if the term is absent. Every call returns an
 	// independent cursor, so concurrent traversals each position their
@@ -78,12 +75,50 @@ type Posting struct {
 }
 
 // Index is an immutable inverted index storing block-compressed postings
-// (see block.go for the layout). Build one with a Builder.
+// (see block.go for the layout). The in-memory format is the file format
+// (serialize.go): the directory — sorted terms with their per-block
+// summaries — and the document lengths are always resident, and the block
+// bytes form one postings area laid out exactly as WriteTo writes it. That
+// area is either resident (Builder.Build, MergeSegments, ReadIndex) or left
+// in the file OpenIndex holds, in which case a cursor fetches each block it
+// decodes with one ReadAt: a query that prunes a block never reads its
+// bytes, so IO tracks the blocks scored rather than the lists touched, and
+// a snapshot is searchable without a load phase. Safe for concurrent use:
+// cursors carry their own read and decode buffers.
 type Index struct {
 	terms    map[string]TermID
-	lists    []termList
+	lists    []termList // the directory, in sorted term order (TermID order)
 	docLen   []float32
 	totalLen float64
+
+	data      []byte   // the postings area when resident
+	f         *os.File // the file holding it otherwise (OpenIndex)
+	base      int64    // file offset of the postings area
+	bytesRead atomic.Int64
+}
+
+// newIndex assembles an Index around a finished directory. totalLen is one
+// float64 fold in document order — the order every producer (Builder,
+// MergeSegments, the readers) shares, so AvgDocLen is bit-identical
+// however the index came to be.
+func newIndex(docLen []float32, lists []termList, data []byte) *Index {
+	idx := &Index{terms: make(map[string]TermID, len(lists)), lists: lists, docLen: docLen, data: data}
+	for _, l := range docLen {
+		idx.totalLen += float64(l)
+	}
+	for i := range lists {
+		idx.terms[lists[i].term] = TermID(i)
+	}
+	return idx
+}
+
+// areaLen returns the size of the postings area in bytes.
+func (idx *Index) areaLen() int64 {
+	if len(idx.lists) == 0 {
+		return 0
+	}
+	last := &idx.lists[len(idx.lists)-1]
+	return last.offset + last.dataLen()
 }
 
 // Builder accumulates documents and produces an Index. Documents receive
@@ -92,7 +127,6 @@ type Builder struct {
 	terms    map[string]TermID
 	postings [][]Posting
 	docLen   []float32
-	totalLen float64
 }
 
 // NewBuilder returns an empty Builder.
@@ -138,7 +172,6 @@ func (b *Builder) AddWeighted(counts map[string]float32) DocID {
 		total += c
 	}
 	b.docLen = append(b.docLen, total)
-	b.totalLen += float64(total)
 	return doc
 }
 
@@ -151,18 +184,18 @@ func (b *Builder) Build() *Index {
 		names = append(names, t)
 	}
 	sort.Strings(names)
-	idx := &Index{
-		terms:    make(map[string]TermID, len(names)),
-		lists:    make([]termList, len(names)),
-		docLen:   b.docLen,
-		totalLen: b.totalLen,
+	total := 0
+	for _, pl := range b.postings {
+		total += len(pl)
 	}
+	lists := make([]termList, len(names))
+	data := make([]byte, 0, total*3)
 	for i, t := range names {
 		pl := b.postings[b.terms[t]]
 		sort.Slice(pl, func(a, c int) bool { return pl[a].Doc < pl[c].Doc })
-		idx.terms[t] = TermID(i)
-		idx.lists[i] = encodeBlocks(pl)
+		lists[i], data = appendBlocks(data, t, pl)
 	}
+	idx := newIndex(b.docLen, lists, data)
 	b.terms, b.postings, b.docLen = nil, nil, nil
 	return idx
 }
@@ -184,22 +217,6 @@ func (idx *Index) AvgDocLen() float64 {
 	return idx.totalLen / float64(len(idx.docLen))
 }
 
-// Postings materializes the postings list for a term (nil if absent). Each
-// call decodes a fresh slice; the query hot path uses TermCursor instead.
-func (idx *Index) Postings(term string) []Posting {
-	id, ok := idx.terms[term]
-	if !ok {
-		return nil
-	}
-	pl, err := idx.lists[id].decodeAll(uint32(len(idx.docLen)))
-	if err != nil {
-		// The in-memory layout is produced by encodeBlocks or validated at
-		// deserialization time, so decoding cannot fail on reachable data.
-		panic(fmt.Sprintf("index: corrupt in-memory postings for %q: %v", term, err))
-	}
-	return pl
-}
-
 // TermCursor implements Source. Cursors come from a pool (pool.go);
 // callers that finish a traversal may hand them back with ReleaseCursor.
 func (idx *Index) TermCursor(term string) Cursor {
@@ -207,10 +224,8 @@ func (idx *Index) TermCursor(term string) Cursor {
 	if !ok {
 		return nil
 	}
-	c := memCursorPool.Get().(*memCursor)
-	c.tl = &idx.lists[id]
-	c.numDocs = uint32(len(idx.docLen))
-	c.bi = -1
+	c := cursorPool.Get().(*cursor)
+	c.idx, c.tl, c.bi = idx, &idx.lists[id], -1
 	return c
 }
 
@@ -221,6 +236,39 @@ func (idx *Index) DF(term string) int {
 		return 0
 	}
 	return idx.lists[id].count
+}
+
+// ForEachTerm enumerates the vocabulary in sorted order — the directory's
+// own order — until fn returns false.
+func (idx *Index) ForEachTerm(fn func(term string) bool) {
+	for i := range idx.lists {
+		if !fn(idx.lists[i].term) {
+			return
+		}
+	}
+}
+
+// Postings materializes the full postings list of a term, sorted by DocID
+// (nil if the term is absent), by walking its cursor to the end. It is the
+// only full-list decoder: merges, the TopK oracle and tests use it, while
+// the query hot path stays on TermCursor and decodes only the blocks it
+// visits. A read or decode failure is returned, never folded into an empty
+// list.
+func Postings(src Source, term string) ([]Posting, error) {
+	c := src.TermCursor(term)
+	if c == nil {
+		return nil, nil
+	}
+	defer ReleaseCursor(c)
+	out := make([]Posting, 0, c.Count())
+	for c.NextBlock() {
+		pl, err := c.Block()
+		if err != nil {
+			return nil, fmt.Errorf("index: term %q: %w", term, err)
+		}
+		out = append(out, pl...)
+	}
+	return out, nil
 }
 
 // String summarizes the index.

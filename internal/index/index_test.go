@@ -19,6 +19,16 @@ func buildSmall() *Index {
 	return b.Build()
 }
 
+// postings materializes a term's full list through the one decoder.
+func postings(t testing.TB, src Source, term string) []Posting {
+	t.Helper()
+	pl, err := Postings(src, term)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
 func TestIndexBasics(t *testing.T) {
 	idx := buildSmall()
 	if idx.NumDocs() != 4 {
@@ -30,7 +40,7 @@ func TestIndexBasics(t *testing.T) {
 	if idx.DF("nope") != 0 {
 		t.Fatalf("DF(nope) = %d", idx.DF("nope"))
 	}
-	pl := idx.Postings("lahore")
+	pl := postings(t, idx, "lahore")
 	if len(pl) != 2 {
 		t.Fatalf("postings(lahore) = %v", pl)
 	}
@@ -70,7 +80,7 @@ func TestPostingsSortedByDoc(t *testing.T) {
 		b.Add([]string{"common"})
 	}
 	idx := b.Build()
-	pl := idx.Postings("common")
+	pl := postings(t, idx, "common")
 	if len(pl) != 50 {
 		t.Fatalf("len = %d", len(pl))
 	}
@@ -86,7 +96,7 @@ func TestEmptyIndex(t *testing.T) {
 	if idx.NumDocs() != 0 || idx.NumTerms() != 0 || idx.AvgDocLen() != 0 {
 		t.Fatal("empty index not empty")
 	}
-	if idx.Postings("x") != nil {
+	if postings(t, idx, "x") != nil {
 		t.Fatal("postings in empty index")
 	}
 }
@@ -98,7 +108,7 @@ func TestZeroValueBuilder(t *testing.T) {
 	if idx.NumDocs() != 1 || idx.DF("a") != 1 {
 		t.Fatal("zero-value Builder broken")
 	}
-	if got := idx.Postings("a")[0].TF; got != 2 {
+	if got := postings(t, idx, "a")[0].TF; got != 2 {
 		t.Fatalf("TF(a) = %v", got)
 	}
 }

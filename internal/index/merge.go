@@ -2,11 +2,11 @@ package index
 
 import "sort"
 
-// MergeSegments compacts an ordered sequence of segments into a single
-// in-memory Index, dropping documents marked dead in the per-segment
-// tombstone bitmaps (dead may be nil, or hold nil entries, meaning no
-// deletes in that segment). Surviving documents keep their relative order
-// and are renumbered densely from 0.
+// MergeSegments compacts an ordered sequence of segments (resident or
+// file-backed) into a single resident Index, dropping documents marked dead
+// in the per-segment tombstone bitmaps (dead may be nil, or hold nil
+// entries, meaning no deletes in that segment). Surviving documents keep
+// their relative order and are renumbered densely from 0.
 //
 // For inputs without deletes the merge is an identity transform in the
 // strict floating-point sense, which is what makes segmented search
@@ -17,7 +17,7 @@ import "sort"
 //   - totalLen is re-accumulated as one float64 fold in document order —
 //     the same order Builder.AddWeighted used across consecutive Adds;
 //   - postings concatenate in (segment, local DocID) order, so each term's
-//     list is already DocID-sorted and encodeBlocks produces the same
+//     list is already DocID-sorted and appendBlocks produces the same
 //     block layout a single build would;
 //   - TermIDs come out canonical because the term union is enumerated in
 //     sorted order, matching Builder.Build.
@@ -25,8 +25,14 @@ import "sort"
 // With deletes, the rewrite drops the tombstoned postings and their length
 // statistics, so DF/AvgDocLen tighten to the live corpus — the point of
 // compaction.
-func MergeSegments(parts []Source, dead []*Bitmap) *Index {
-	idx := &Index{terms: make(map[string]TermID)}
+//
+// This is the only function that rewrites postings, so any change to how
+// documents are numbered inside a segment lands here. A part whose postings
+// cannot be read fails the merge: an unreadable list is never merged as an
+// empty one.
+func MergeSegments(parts []*Index, dead []*Bitmap) (*Index, error) {
+	var docLen []float32
+	area := int64(0)
 	// Remap each part's local DocIDs to the merged space (-1 = dropped),
 	// copying per-document lengths as we go.
 	remaps := make([][]int32, len(parts))
@@ -45,17 +51,24 @@ func MergeSegments(parts []Source, dead []*Bitmap) *Index {
 			}
 			r[d] = next
 			next++
-			l := float32(p.DocLen(DocID(d)))
-			idx.docLen = append(idx.docLen, l)
-			idx.totalLen += float64(l)
+			docLen = append(docLen, p.docLen[d])
 		}
 		remaps[pi] = r
+		area += p.areaLen()
 	}
+	var lists []termList
+	// Headroom: the merged area runs a few percent over the parts' sum (a
+	// list's first gap in a later part grows by that part's base).
+	data := make([]byte, 0, area+area/8)
 	for _, t := range mergedTerms(parts) {
 		var pl []Posting
 		for pi, p := range parts {
 			r := remaps[pi]
-			for _, e := range p.Postings(t) {
+			src, err := Postings(p, t)
+			if err != nil {
+				return nil, err
+			}
+			for _, e := range src {
 				if nd := r[e.Doc]; nd >= 0 {
 					pl = append(pl, Posting{Doc: DocID(nd), TF: e.TF})
 				}
@@ -64,14 +77,15 @@ func MergeSegments(parts []Source, dead []*Bitmap) *Index {
 		if len(pl) == 0 {
 			continue // every posting of this term was tombstoned
 		}
-		idx.terms[t] = TermID(len(idx.lists))
-		idx.lists = append(idx.lists, encodeBlocks(pl))
+		var tl termList
+		tl, data = appendBlocks(data, t, pl)
+		lists = append(lists, tl)
 	}
-	return idx
+	return newIndex(docLen, lists, data), nil
 }
 
 // mergedTerms returns the sorted union of the parts' vocabularies.
-func mergedTerms(parts []Source) []string {
+func mergedTerms[S Source](parts []S) []string {
 	seen := map[string]bool{}
 	var terms []string
 	for _, p := range parts {

@@ -52,13 +52,16 @@ func TestMergeIdentityNoDeletes(t *testing.T) {
 			total += n
 		}
 		docs := randDocs(7, total)
-		var parts []Source
+		var parts []*Index
 		at := 0
 		for _, n := range splits {
 			parts = append(parts, buildFrom(docs[at:at+n]))
 			at += n
 		}
-		merged := MergeSegments(parts, nil)
+		merged, err := MergeSegments(parts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		mono := buildFrom(docs)
 		if !bytes.Equal(serialize(t, merged), serialize(t, mono)) {
 			t.Fatalf("splits %v: merged index differs from monolithic build", splits)
@@ -77,7 +80,10 @@ func TestMergeDropsTombstoned(t *testing.T) {
 		deadA.Set(d)
 	}
 	// partB has a nil bitmap: no deletes there.
-	merged := MergeSegments([]Source{partA, partB}, []*Bitmap{deadA, nil})
+	merged, err := MergeSegments([]*Index{partA, partB}, []*Bitmap{deadA, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var live [][]string
 	for d, terms := range docs {
 		if d < 14 && deadA.Get(d) {
@@ -104,8 +110,11 @@ func TestMergeDropsFullyDeadTerm(t *testing.T) {
 	part := b.Build()
 	dead := NewBitmap(2)
 	dead.Set(1)
-	merged := MergeSegments([]Source{part}, []*Bitmap{dead})
-	if merged.DF("doomed") != 0 || len(merged.Postings("doomed")) != 0 {
+	merged, err := MergeSegments([]*Index{part}, []*Bitmap{dead})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.DF("doomed") != 0 || len(postings(t, merged, "doomed")) != 0 {
 		t.Fatalf("tombstoned-only term survived: df=%d", merged.DF("doomed"))
 	}
 	if merged.DF("shared") != 1 || merged.DF("alive") != 1 {

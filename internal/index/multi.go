@@ -1,8 +1,6 @@
 package index
 
-import (
-	"sort"
-)
+import "sort"
 
 // Multi is a Source over several index segments, the Lucene-style shape of
 // incremental indexing: a built (possibly disk-backed) base plus freshly
@@ -79,43 +77,10 @@ func (m *Multi) DF(term string) int {
 	return df
 }
 
-// Postings implements Source: per-segment lists are concatenated with their
-// DocID bases applied. Segments own disjoint ascending DocID ranges, so the
-// concatenation is already sorted.
-func (m *Multi) Postings(term string) []Posting {
-	var out []Posting
-	for i, p := range m.parts {
-		pl := p.Postings(term)
-		if len(pl) == 0 {
-			continue
-		}
-		base := m.bases[i]
-		if out == nil {
-			out = make([]Posting, 0, len(pl))
-		}
-		for _, e := range pl {
-			out = append(out, Posting{Doc: e.Doc + base, TF: e.TF})
-		}
-	}
-	return out
-}
-
 // ForEachTerm implements term enumeration over the union of segments, in
 // sorted order, visiting each term once.
 func (m *Multi) ForEachTerm(fn func(term string) bool) {
-	seen := map[string]bool{}
-	var terms []string
-	for _, p := range m.parts {
-		p.ForEachTerm(func(t string) bool {
-			if !seen[t] {
-				seen[t] = true
-				terms = append(terms, t)
-			}
-			return true
-		})
-	}
-	sort.Strings(terms)
-	for _, t := range terms {
+	for _, t := range mergedTerms(m.parts) {
 		if !fn(t) {
 			return
 		}
@@ -212,52 +177,5 @@ func (c *multiCursor) Block() ([]Posting, error) {
 	return c.buf, nil
 }
 
-// Flatten merges all segments into a single in-memory Index (the compaction
-// step of segmented indexing). Document IDs are preserved, and term IDs come
-// out canonical because ForEachTerm enumerates in sorted order.
-func (m *Multi) Flatten() *Index {
-	idx := &Index{
-		terms:    make(map[string]TermID),
-		docLen:   make([]float32, 0, m.numDocs),
-		totalLen: m.totalLen,
-	}
-	for d := 0; d < m.numDocs; d++ {
-		idx.docLen = append(idx.docLen, float32(m.DocLen(DocID(d))))
-	}
-	m.ForEachTerm(func(t string) bool {
-		idx.terms[t] = TermID(len(idx.lists))
-		idx.lists = append(idx.lists, encodeBlocks(m.Postings(t)))
-		return true
-	})
-	return idx
-}
-
-// ForEachTerm enumerates the in-memory index's terms in sorted order.
-func (idx *Index) ForEachTerm(fn func(term string) bool) {
-	terms := make([]string, 0, len(idx.terms))
-	for t := range idx.terms {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	for _, t := range terms {
-		if !fn(t) {
-			return
-		}
-	}
-}
-
-// ForEachTerm enumerates the disk index's terms in sorted order.
-func (d *DiskIndex) ForEachTerm(fn func(term string) bool) {
-	terms := make([]string, 0, len(d.dir))
-	for t := range d.dir {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	for _, t := range terms {
-		if !fn(t) {
-			return
-		}
-	}
-}
-
 var _ Source = (*Multi)(nil)
+var _ Source = (*Index)(nil)

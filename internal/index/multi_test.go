@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -26,7 +27,7 @@ func TestMultiBasics(t *testing.T) {
 		t.Fatalf("DF: z=%d x=%d", m.DF("z"), m.DF("x"))
 	}
 	// DocIDs remap: segment c's doc 0 becomes global doc 2.
-	pl := m.Postings("z")
+	pl := postings(t, m, "z")
 	want := []Posting{{Doc: 1, TF: 1}, {Doc: 2, TF: 3}}
 	if !reflect.DeepEqual(pl, want) {
 		t.Fatalf("postings(z) = %v, want %v", pl, want)
@@ -54,6 +55,7 @@ func TestMultiEquivalentToMonolithic(t *testing.T) {
 	vocab := []string{"a", "b", "c", "d", "e"}
 	var all [][]string
 	var segments []Source
+	var parts []*Index
 	mono := NewBuilder()
 	for s := 0; s < 4; s++ {
 		sb := NewBuilder()
@@ -66,7 +68,8 @@ func TestMultiEquivalentToMonolithic(t *testing.T) {
 			sb.Add(terms)
 			mono.Add(terms)
 		}
-		segments = append(segments, sb.Build())
+		parts = append(parts, sb.Build())
+		segments = append(segments, parts[s])
 	}
 	m := NewMulti(segments...)
 	ref := mono.Build()
@@ -77,8 +80,8 @@ func TestMultiEquivalentToMonolithic(t *testing.T) {
 		t.Fatalf("avg len %v vs %v", m.AvgDocLen(), ref.AvgDocLen())
 	}
 	for _, term := range vocab {
-		if !reflect.DeepEqual(m.Postings(term), ref.Postings(term)) {
-			t.Fatalf("postings(%s): %v vs %v", term, m.Postings(term), ref.Postings(term))
+		if !reflect.DeepEqual(postings(t, m, term), postings(t, ref, term)) {
+			t.Fatalf("postings(%s): %v vs %v", term, postings(t, m, term), postings(t, ref, term))
 		}
 	}
 	for d := 0; d < ref.NumDocs(); d++ {
@@ -86,19 +89,20 @@ func TestMultiEquivalentToMonolithic(t *testing.T) {
 			t.Fatalf("DocLen(%d) differs", d)
 		}
 	}
-	// Flatten equals the monolithic index term by term.
-	flat := m.Flatten()
-	var terms []string
+	// The Multi enumerates the monolithic vocabulary, and merging the
+	// segments reproduces the monolithic index byte for byte.
+	var terms, multiTerms []string
 	ref.ForEachTerm(func(term string) bool { terms = append(terms, term); return true })
-	var flatTerms []string
-	flat.ForEachTerm(func(term string) bool { flatTerms = append(flatTerms, term); return true })
-	if !reflect.DeepEqual(terms, flatTerms) {
-		t.Fatalf("term sets differ: %v vs %v", terms, flatTerms)
+	m.ForEachTerm(func(term string) bool { multiTerms = append(multiTerms, term); return true })
+	if !reflect.DeepEqual(terms, multiTerms) {
+		t.Fatalf("term sets differ: %v vs %v", terms, multiTerms)
 	}
-	for _, term := range terms {
-		if !reflect.DeepEqual(flat.Postings(term), ref.Postings(term)) {
-			t.Fatalf("flattened postings(%s) differ", term)
-		}
+	merged, err := MergeSegments(parts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serialize(t, merged), serialize(t, ref)) {
+		t.Fatal("merged segments differ from the monolithic build")
 	}
 }
 
@@ -116,19 +120,22 @@ func TestMultiForEachTermEarlyStop(t *testing.T) {
 
 func TestMultiWithDiskSegment(t *testing.T) {
 	a := seg("x y", "y z")
-	disk, err := OpenDiskIndex(writeTemp(t, seg("z w")))
+	disk, err := OpenIndex(writeTemp(t, seg("z w")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disk.Close()
 	m := NewMulti(a, disk)
-	pl := m.Postings("z")
+	pl := postings(t, m, "z")
 	want := []Posting{{Doc: 1, TF: 1}, {Doc: 2, TF: 1}}
 	if !reflect.DeepEqual(pl, want) {
 		t.Fatalf("postings(z) = %v", pl)
 	}
-	flat := m.Flatten()
+	flat, err := MergeSegments([]*Index{a, disk}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if flat.NumDocs() != 3 || flat.DF("z") != 2 {
-		t.Fatalf("flatten over disk segment: docs=%d df=%d", flat.NumDocs(), flat.DF("z"))
+		t.Fatalf("merge over disk segment: docs=%d df=%d", flat.NumDocs(), flat.DF("z"))
 	}
 }

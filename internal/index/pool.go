@@ -6,19 +6,18 @@ import "sync"
 //
 // TermCursor hands out a fresh cursor per term per traversal; a fused
 // query touches tens of terms across two indexes. Each cursor also owns
-// decode scratch — a block-sized []Posting and, for disk cursors, a raw
-// read buffer — so letting cursors die with the request throws the scratch
-// away with them. The pools below recycle cursors (scratch attached)
-// across requests; TermCursor implementations draw from them and
-// ReleaseCursor returns them.
+// decode scratch — a block-sized []Posting and, over a file-backed index,
+// a raw read buffer — so letting cursors die with the request throws the
+// scratch away with them. The pools below recycle cursors (scratch
+// attached) across requests; TermCursor implementations draw from them
+// and ReleaseCursor returns them.
 //
 // Reuse is safe because cursors are single-owner by contract (Source.
 // TermCursor: "every call returns an independent cursor") and release
 // clears every reference to the index that produced the cursor, so a
 // pooled cursor pins no segment memory while it waits.
 var (
-	memCursorPool   = sync.Pool{New: func() any { return new(memCursor) }}
-	diskCursorPool  = sync.Pool{New: func() any { return new(diskCursor) }}
+	cursorPool      = sync.Pool{New: func() any { return new(cursor) }}
 	multiCursorPool = sync.Pool{New: func() any { return new(multiCursor) }}
 )
 
@@ -29,12 +28,9 @@ var (
 // callers may release unconditionally; nil is a no-op.
 func ReleaseCursor(c Cursor) {
 	switch c := c.(type) {
-	case *memCursor:
-		c.tl = nil
-		memCursorPool.Put(c)
-	case *diskCursor:
-		c.d, c.te = nil, nil
-		diskCursorPool.Put(c)
+	case *cursor:
+		c.idx, c.tl = nil, nil
+		cursorPool.Put(c)
 	case *multiCursor:
 		for _, p := range c.parts {
 			ReleaseCursor(p)

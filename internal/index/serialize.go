@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"os"
 )
 
 // Binary index format v3 (little endian):
@@ -32,8 +32,8 @@ import (
 // Doc-gap + varint compression shrinks postings ~3-4x versus fixed-width
 // encoding. The directory carries each block's summary (last doc, max TF,
 // byte length), so a reader can compute per-block score upper bounds and
-// fetch exactly the blocks a query touches: DiskIndex issues one ReadAt per
-// decoded block and never reads a whole list.
+// fetch exactly the blocks a query touches: a file-backed Index (OpenIndex)
+// issues one ReadAt per decoded block and never reads a whole list.
 //
 // v2 stored one flat blob per term, which forced whole-list reads; v3 is not
 // backward compatible, and readers reject the old magic.
@@ -42,7 +42,9 @@ const indexMagic = "NLIDX3\n"
 
 // WriteTo serializes the index. Build canonicalizes term IDs and document
 // folding order, so the output is byte-identical across builds of the same
-// corpus.
+// corpus. The postings area goes out as it is held: a resident area in one
+// write, a file-backed one streamed from its file (a short file is an
+// error, never a short copy).
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: bufio.NewWriter(w)}
 	le := func(data any) error { return binary.Write(cw, binary.LittleEndian, data) }
@@ -55,12 +57,7 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	if err := le(idx.docLen); err != nil {
 		return cw.n, err
 	}
-	terms := make([]string, 0, len(idx.terms))
-	for t := range idx.terms {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	if err := le(uint32(len(terms))); err != nil {
+	if err := le(uint32(len(idx.lists))); err != nil {
 		return cw.n, err
 	}
 	var varintBuf [binary.MaxVarintLen64]byte
@@ -69,12 +66,12 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 		_, err := cw.Write(varintBuf[:n])
 		return err
 	}
-	for _, t := range terms {
-		tl := &idx.lists[idx.terms[t]]
-		if err := writeUvarint(uint64(len(t))); err != nil {
+	for i := range idx.lists {
+		tl := &idx.lists[i]
+		if err := writeUvarint(uint64(len(tl.term))); err != nil {
 			return cw.n, err
 		}
-		if _, err := io.WriteString(cw, t); err != nil {
+		if _, err := io.WriteString(cw, tl.term); err != nil {
 			return cw.n, err
 		}
 		if err := writeUvarint(uint64(tl.count)); err != nil {
@@ -98,10 +95,12 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 			}
 		}
 	}
-	for _, t := range terms {
-		if _, err := cw.Write(idx.lists[idx.terms[t]].data); err != nil {
+	if idx.f == nil {
+		if _, err := cw.Write(idx.data); err != nil {
 			return cw.n, err
 		}
+	} else if _, err := io.CopyN(cw, io.NewSectionReader(idx.f, idx.base, idx.areaLen()), idx.areaLen()); err != nil {
+		return cw.n, fmt.Errorf("index: streaming postings: %w", err)
 	}
 	return cw.n, cw.w.(*bufio.Writer).Flush()
 }
@@ -126,145 +125,166 @@ func decodeTF(v uint64) float32 {
 // every block (decode round-trip, monotone doc IDs, summary cross-checks).
 func ReadIndex(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
-	hdr, err := readHeader(br)
+	docLen, lists, err := readHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	idx := &Index{
-		terms:  make(map[string]TermID, len(hdr.terms)),
-		lists:  make([]termList, len(hdr.terms)),
-		docLen: hdr.docLens,
-	}
-	for _, l := range hdr.docLens {
-		idx.totalLen += float64(l)
-	}
-	for i, te := range hdr.terms {
-		data := make([]byte, te.dataLen())
-		if _, err := io.ReadFull(br, data); err != nil {
-			return nil, fmt.Errorf("index: postings of %q: %w", te.term, err)
+	// The area grows as bytes actually arrive, term by term — doubling, but
+	// never past the directory's total — so an honest file ends up in an
+	// allocation of exactly its size, while a forged directory cannot make
+	// the reader allocate much more than the stream really holds.
+	idx := newIndex(docLen, lists, nil)
+	area := idx.areaLen()
+	data := make([]byte, 0, min(area, 1<<20))
+	for i := range lists {
+		tl := &lists[i]
+		start, n := len(data), int(tl.dataLen())
+		if start+n > cap(data) {
+			data = append(make([]byte, 0, min(area, max(2*int64(cap(data)), int64(start+n)))), data...)
 		}
-		tl := termList{count: te.count, maxTF: te.maxTF, blocks: te.blocks, data: data}
-		if err := tl.validate(uint32(len(hdr.docLens))); err != nil {
-			return nil, fmt.Errorf("index: term %q: %w", te.term, err)
+		data = data[:start+n]
+		if _, err := io.ReadFull(br, data[start:]); err != nil {
+			return nil, fmt.Errorf("index: postings of %q: %w", tl.term, err)
 		}
-		idx.terms[te.term] = TermID(i)
-		idx.lists[i] = tl
+		if err := tl.validate(data[start:], uint32(len(docLen))); err != nil {
+			return nil, fmt.Errorf("index: term %q: %w", tl.term, err)
+		}
 	}
+	idx.data = data
 	return idx, nil
 }
 
-// header is the parsed directory shared by ReadIndex and DiskIndex.
-type header struct {
-	docLens []float32
-	terms   []termEntry
-}
-
-// termEntry is one directory row: the term, its block summaries (offsets
-// relative to the term's own data, as in termList), and where the term's
-// data starts within the file's postings area.
-type termEntry struct {
-	term   string
-	count  int
-	maxTF  float32
-	blocks []blockMeta
-	offset int64 // start of this term's data within the postings area
-}
-
-// dataLen returns the total encoded size of the term's blocks.
-func (te *termEntry) dataLen() int64 {
-	if len(te.blocks) == 0 {
-		return 0
+// OpenIndex opens path (a file written by WriteTo) file-backed: only the
+// directory and document lengths are read; postings blocks stay in the
+// file and are fetched on demand, each validated by decodeBlock as it is
+// decoded. Close the index when done.
+func OpenIndex(path string) (*Index, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	return int64(te.blocks[len(te.blocks)-1].end)
+	br := bufio.NewReader(f)
+	docLen, lists, err := readHeader(br)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	// The header reader consumed exactly up to the postings area; its file
+	// position is the current offset minus what is still buffered.
+	pos, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	idx := newIndex(docLen, lists, nil)
+	idx.f, idx.base = f, pos-int64(br.Buffered())
+	return idx, nil
 }
 
-func readHeader(br *bufio.Reader) (*header, error) {
+// Close releases the file behind a file-backed index; a no-op on a
+// resident (or nil) one.
+func (idx *Index) Close() error {
+	if idx == nil || idx.f == nil {
+		return nil
+	}
+	return idx.f.Close()
+}
+
+// BytesRead returns the cumulative number of postings bytes cursors have
+// fetched with ReadAt since the index was opened (always 0 on a resident
+// index). Tests use it to prove queries read only the blocks they touch.
+func (idx *Index) BytesRead() int64 { return idx.bytesRead.Load() }
+
+// readHeader parses everything before the postings area: the document
+// lengths and the directory, with each term's offset into the area.
+func readHeader(br *bufio.Reader) ([]float32, []termList, error) {
 	magic := make([]byte, len(indexMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("index: reading magic: %w", err)
+		return nil, nil, fmt.Errorf("index: reading magic: %w", err)
 	}
 	if string(magic) != indexMagic {
-		return nil, fmt.Errorf("index: bad magic %q", magic)
+		return nil, nil, fmt.Errorf("index: bad magic %q", magic)
 	}
 	var nDocs uint32
 	if err := binary.Read(br, binary.LittleEndian, &nDocs); err != nil {
-		return nil, fmt.Errorf("index: doc count: %w", err)
+		return nil, nil, fmt.Errorf("index: doc count: %w", err)
 	}
 	if nDocs > 1<<28 {
-		return nil, fmt.Errorf("index: implausible doc count %d", nDocs)
+		return nil, nil, fmt.Errorf("index: implausible doc count %d", nDocs)
 	}
-	h := &header{docLens: make([]float32, nDocs)}
-	if err := binary.Read(br, binary.LittleEndian, h.docLens); err != nil {
-		return nil, fmt.Errorf("index: doc lengths: %w", err)
+	docLens := make([]float32, nDocs)
+	if err := binary.Read(br, binary.LittleEndian, docLens); err != nil {
+		return nil, nil, fmt.Errorf("index: doc lengths: %w", err)
 	}
-	for _, l := range h.docLens {
+	for _, l := range docLens {
 		if l < 0 || math.IsNaN(float64(l)) {
-			return nil, fmt.Errorf("index: invalid doc length %v", l)
+			return nil, nil, fmt.Errorf("index: invalid doc length %v", l)
 		}
 	}
 	var nTerms uint32
 	if err := binary.Read(br, binary.LittleEndian, &nTerms); err != nil {
-		return nil, fmt.Errorf("index: term count: %w", err)
+		return nil, nil, fmt.Errorf("index: term count: %w", err)
 	}
 	if nTerms > 1<<28 {
-		return nil, fmt.Errorf("index: implausible term count %d", nTerms)
+		return nil, nil, fmt.Errorf("index: implausible term count %d", nTerms)
 	}
+	var lists []termList
 	offset := int64(0)
 	prev := ""
 	for i := uint32(0); i < nTerms; i++ {
 		tl, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("index: term %d length: %w", i, err)
+			return nil, nil, fmt.Errorf("index: term %d length: %w", i, err)
 		}
 		if tl > 1<<20 {
-			return nil, fmt.Errorf("index: term length %d too large", tl)
+			return nil, nil, fmt.Errorf("index: term length %d too large", tl)
 		}
 		buf := make([]byte, tl)
 		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		term := string(buf)
 		if i > 0 && term <= prev {
-			return nil, fmt.Errorf("index: directory not sorted at %q", term)
+			return nil, nil, fmt.Errorf("index: directory not sorted at %q", term)
 		}
 		prev = term
 		count, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if count > uint64(nDocs) {
-			return nil, fmt.Errorf("index: term %q has %d postings for %d docs", term, count, nDocs)
+			return nil, nil, fmt.Errorf("index: term %q has %d postings for %d docs", term, count, nDocs)
 		}
-		te := termEntry{term: term, count: int(count), offset: offset}
+		te := termList{term: term, count: int(count), offset: offset}
 		te.blocks = make([]blockMeta, numBlocksFor(int(count)))
 		prevLast := DocID(0)
 		dataOff := uint32(0)
 		for bi := range te.blocks {
 			lastDelta, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, fmt.Errorf("index: term %q block %d last: %w", term, bi, err)
+				return nil, nil, fmt.Errorf("index: term %q block %d last: %w", term, bi, err)
 			}
 			if bi > 0 && lastDelta == 0 {
-				return nil, fmt.Errorf("index: term %q block last docs not increasing", term)
+				return nil, nil, fmt.Errorf("index: term %q block last docs not increasing", term)
 			}
 			last := uint64(prevLast) + lastDelta
 			if last >= uint64(nDocs) {
-				return nil, fmt.Errorf("index: term %q block last doc %d out of range", term, last)
+				return nil, nil, fmt.Errorf("index: term %q block last doc %d out of range", term, last)
 			}
 			maxRaw, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, fmt.Errorf("index: term %q block %d max tf: %w", term, bi, err)
+				return nil, nil, fmt.Errorf("index: term %q block %d max tf: %w", term, bi, err)
 			}
 			maxTF := decodeTF(maxRaw)
 			if maxTF < 0 || math.IsNaN(float64(maxTF)) {
-				return nil, fmt.Errorf("index: term %q invalid block max tf %v", term, maxTF)
+				return nil, nil, fmt.Errorf("index: term %q invalid block max tf %v", term, maxTF)
 			}
 			blen, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, fmt.Errorf("index: term %q block %d length: %w", term, bi, err)
+				return nil, nil, fmt.Errorf("index: term %q block %d length: %w", term, bi, err)
 			}
 			if blen == 0 || blen > maxBlockBytes {
-				return nil, fmt.Errorf("index: term %q block length %d out of range", term, blen)
+				return nil, nil, fmt.Errorf("index: term %q block length %d out of range", term, blen)
 			}
 			te.blocks[bi] = blockMeta{
 				last:  DocID(last),
@@ -278,10 +298,10 @@ func readHeader(br *bufio.Reader) (*header, error) {
 				te.maxTF = maxTF
 			}
 		}
-		h.terms = append(h.terms, te)
+		lists = append(lists, te)
 		offset += int64(dataOff)
 	}
-	return h, nil
+	return docLens, lists, nil
 }
 
 // countingWriter tracks bytes written for the io.WriterTo contract.

@@ -29,8 +29,8 @@ func TestIndexRoundTrip(t *testing.T) {
 		t.Fatalf("avg len %v vs %v", got.AvgDocLen(), idx.AvgDocLen())
 	}
 	for _, term := range []string{"taliban", "lahore", "cricket", "absent"} {
-		if !reflect.DeepEqual(got.Postings(term), idx.Postings(term)) {
-			t.Fatalf("postings(%s) differ: %v vs %v", term, got.Postings(term), idx.Postings(term))
+		if !reflect.DeepEqual(postings(t, got, term), postings(t, idx, term)) {
+			t.Fatalf("postings(%s) differ: %v vs %v", term, postings(t, got, term), postings(t, idx, term))
 		}
 	}
 }

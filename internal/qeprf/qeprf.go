@@ -64,7 +64,7 @@ func New(g *kg.Graph, idx *index.Index, docTerms [][]string, cfg Config) *Engine
 }
 
 // Search retrieves the top k documents for the query text.
-func (e *Engine) Search(query string, k int) []search.Hit {
+func (e *Engine) Search(query string, k int) ([]search.Hit, error) {
 	scorer := search.NewBM25(e.Idx)
 	q := search.NewQuery(nlp.Terms(query))
 	// Phase 1: KG expansion from linked entity descriptions.
@@ -73,7 +73,10 @@ func (e *Engine) Search(query string, k int) []search.Hit {
 	}
 	// Phase 2: initial retrieval, then PRF re-ranking.
 	pool := k + e.Cfg.FeedbackDocs
-	initial := search.TopK(e.Idx, scorer, q, pool)
+	initial, err := search.TopK(e.Idx, scorer, q, pool)
+	if err != nil {
+		return nil, err
+	}
 	for term, w := range e.prfExpansion(initial) {
 		q[term] += w
 	}

@@ -6,6 +6,7 @@ import (
 	"newslink/internal/index"
 	"newslink/internal/kg"
 	"newslink/internal/nlp"
+	"newslink/internal/search"
 )
 
 // testWorld builds a tiny KG and corpus exercising vocabulary mismatch: the
@@ -42,7 +43,7 @@ func TestKGExpansionBridgesVocabularyMismatch(t *testing.T) {
 	g, idx, docTerms, _ := testWorld()
 	e := New(g, idx, docTerms, DefaultConfig())
 	// "Khyber" appears in no document; its KG description mentions Peshawar.
-	hits := e.Search("Violence in Khyber", k(3))
+	hits := mustSearch(t, e, "Violence in Khyber", 3)
 	if len(hits) == 0 {
 		t.Fatal("expansion found nothing")
 	}
@@ -51,17 +52,24 @@ func TestKGExpansionBridgesVocabularyMismatch(t *testing.T) {
 	}
 }
 
-func k(v int) int { return v }
+func mustSearch(t *testing.T, e *Engine, query string, k int) []search.Hit {
+	t.Helper()
+	hits, err := e.Search(query, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hits
+}
 
 func TestExpansionDisabled(t *testing.T) {
 	g, idx, docTerms, _ := testWorld()
 	e := New(g, idx, docTerms, Config{})
 	// Without any expansion the Khyber query matches nothing.
-	if hits := e.Search("Khyber", 3); len(hits) != 0 {
+	if hits := mustSearch(t, e, "Khyber", 3); len(hits) != 0 {
 		t.Fatalf("no-expansion hits = %v", hits)
 	}
 	// Plain term queries still work.
-	if hits := e.Search("festival crowds", 3); len(hits) == 0 || hits[0].Doc != 1 {
+	if hits := mustSearch(t, e, "festival crowds", 3); len(hits) == 0 || hits[0].Doc != 1 {
 		t.Fatalf("plain query hits = %v", hits)
 	}
 }
@@ -74,7 +82,7 @@ func TestPRFPullsRelatedDocs(t *testing.T) {
 	cfg.FeedbackTerms = 20
 	cfg.FeedbackWeight = 0.8
 	e := New(g, idx, docTerms, cfg)
-	hits := e.Search("convoy attacked", 4)
+	hits := mustSearch(t, e, "convoy attacked", 4)
 	if len(hits) == 0 || hits[0].Doc != 0 {
 		t.Fatalf("hits = %v, want doc 0 first", hits)
 	}

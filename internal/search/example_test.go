@@ -20,7 +20,11 @@ func Example() {
 		b.Add(strings.Fields(doc))
 	}
 	idx := b.Build()
-	hits := search.TopK(idx, search.NewBM25(idx), search.NewQuery([]string{"lahore", "bomb"}), 2)
+	hits, err := search.TopK(idx, search.NewBM25(idx), search.NewQuery([]string{"lahore", "bomb"}), 2)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	for _, h := range hits {
 		fmt.Printf("doc %d\n", h.Doc)
 	}

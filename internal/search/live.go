@@ -3,7 +3,7 @@ package search
 import "newslink/internal/index"
 
 // LiveSource is the optional interface an index.Source implements when it
-// carries a tombstone mask (index.LiveFiltered). Both retrieval paths — the
+// hides documents (index.Masked). Both retrieval paths — the
 // TopK oracle and the block-max kernel — consult it so a tombstoned
 // document is never scored, admitted to an accumulator, or returned, while
 // the source's corpus statistics (DF, AvgDocLen) keep including tombstoned

@@ -45,7 +45,7 @@ func TestLiveFilteredTraversalsAgree(t *testing.T) {
 			dead.Set(d)
 		}
 	}
-	lf := index.NewLiveFiltered(idx, dead)
+	lf := index.Masked(idx, dead, nil)
 	scorer := NewBM25(idx) // statistics over the FULL corpus, dead included
 	ctx := context.Background()
 	for qi := 0; qi < 20; qi++ {
@@ -54,7 +54,7 @@ func TestLiveFilteredTraversalsAgree(t *testing.T) {
 			q["t"+strconv.Itoa(rng.Intn(60))] = 1
 		}
 		for _, k := range []int{1, 10, nDocs} {
-			want := TopK(lf, scorer, q, k)
+			want := exactTopK(t, lf, scorer, q, k)
 			for _, h := range want {
 				if dead.Get(int(h.Doc)) {
 					t.Fatalf("q%d k=%d: dead doc %d returned", qi, k, h.Doc)
@@ -62,7 +62,7 @@ func TestLiveFilteredTraversalsAgree(t *testing.T) {
 			}
 			// The live ranking is the full ranking minus dead docs: masking
 			// changes which documents are admitted, never how one scores.
-			full := TopK(idx, scorer, q, idx.NumDocs())
+			full := exactTopK(t, idx, scorer, q, idx.NumDocs())
 			var masked []Hit
 			for _, h := range full {
 				if !dead.Get(int(h.Doc)) {
@@ -86,17 +86,39 @@ func TestLiveFilteredTraversalsAgree(t *testing.T) {
 	}
 }
 
-// TestLiveFilteredPassThrough: a LiveFiltered wrapper delegates the Source
-// interface unchanged — statistics keep counting tombstoned documents.
+// keepEven is a DocFilter keeping even DocIDs.
+type keepEven struct{}
+
+func (keepEven) Keep(d index.DocID) bool { return d%2 == 0 }
+
+// TestLiveFilteredPassThrough: a mask delegates the Source interface
+// unchanged — statistics keep counting hidden documents — tombstones and a
+// filter on the same source compose to their conjunction, and masking with
+// neither returns the source itself.
 func TestLiveFilteredPassThrough(t *testing.T) {
 	idx := buildRandIdx(5, 50)
 	dead := index.NewBitmap(50)
 	dead.Set(10)
-	lf := index.NewLiveFiltered(idx, dead)
+	lf := index.Masked(idx, dead, nil).(LiveSource)
 	if lf.NumDocs() != idx.NumDocs() || lf.AvgDocLen() != idx.AvgDocLen() {
-		t.Fatal("LiveFiltered changed corpus statistics")
+		t.Fatal("mask changed corpus statistics")
 	}
 	if lf.Live(10) || !lf.Live(11) {
 		t.Fatal("Live mask wrong")
+	}
+	both := index.Masked(idx, dead, keepEven{}).(LiveSource)
+	for d := index.DocID(0); d < 50; d++ {
+		if want := d != 10 && d%2 == 0; both.Live(d) != want {
+			t.Fatalf("tombstones+filter: Live(%d) = %v, want %v", d, both.Live(d), want)
+		}
+	}
+	if onlyFilter := index.Masked(idx, nil, keepEven{}).(LiveSource); !onlyFilter.Live(10) || onlyFilter.Live(11) {
+		t.Fatal("filter-only mask wrong")
+	}
+	if src := index.Masked(idx, nil, nil); src != index.Source(idx) {
+		t.Fatal("a nil/nil mask must return the source itself")
+	}
+	if liveMask(idx) != nil {
+		t.Fatal("an unmasked index must expose no live mask")
 	}
 }

@@ -82,7 +82,7 @@ func TestPooledReuseIdentityUnderConcurrency(t *testing.T) {
 		// The kernel is bitwise identical to the TAAT oracle (same term
 		// order, same summation order), so the reference comparison below
 		// can demand exact equality, not tolerance.
-		cases[ci] = testCase{idx, s, q, k, TopK(idx, s, q, k)}
+		cases[ci] = testCase{idx, s, q, k, exactTopK(t, idx, s, q, k)}
 	}
 	ctx := context.Background()
 	const goroutines = 8
@@ -150,12 +150,12 @@ func TestPooledHeapAndMapReuse(t *testing.T) {
 			q[vocab[rng.Intn(len(vocab))]] = 0.5 + rng.Float64()
 		}
 		k := 1 + rng.Intn(10)
-		want := TopK(idx, s, q, k)
+		want := exactTopK(t, idx, s, q, k)
 		for rep := 0; rep < 3; rep++ {
 			if got := blockMax(t, idx, s, q, k); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d rep %d: block-max %v want %v", trial, rep, got, want)
 			}
-			if got := TopK(idx, s, q, k); !reflect.DeepEqual(got, want) {
+			if got := exactTopK(t, idx, s, q, k); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d rep %d: TopK drifted on reuse: %v want %v", trial, rep, got, want)
 			}
 		}

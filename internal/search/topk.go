@@ -33,27 +33,32 @@ func NewQuery(terms []string) Query {
 // (ties by ascending DocID). It is the executable specification of the
 // block-max kernel: terms are folded in the kernel's canonical order
 // (orderTerms), so both add the same floats in the same order and their
-// results compare bitwise, not within a tolerance.
-func TopK(idx index.Source, s Scorer, q Query, k int) []Hit {
+// results compare bitwise, not within a tolerance. A postings read error
+// fails the evaluation.
+func TopK(idx index.Source, s Scorer, q Query, k int) ([]Hit, error) {
 	if k <= 0 || len(q) == 0 {
-		return nil
+		return nil, nil
 	}
 	terms, _ := orderIndexTerms(idx, s, q)
 	if len(terms) == 0 {
-		return nil
+		return nil, nil
 	}
 	live := liveMask(idx)
 	acc := acquireMapAcc()
 	defer releaseMapAcc(acc)
 	for _, t := range terms {
-		for _, p := range idx.Postings(t.Term) {
+		pl, err := index.Postings(idx, t.Term)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range pl {
 			if live != nil && !live.Live(p.Doc) {
 				continue
 			}
 			acc[p.Doc] += t.Weight * s.Weight(float64(p.TF), t.DF, idx.DocLen(p.Doc))
 		}
 	}
-	return selectTop(acc, k)
+	return selectTop(acc, k), nil
 }
 
 // RetrievalStats reports how one top-k retrieval traversed the index: how

@@ -48,7 +48,7 @@ func TestBlockMaxAgreesWithExact(t *testing.T) {
 			q[vocab[rng.Intn(len(vocab))]] = 0.5 + rng.Float64()
 		}
 		k := 1 + rng.Intn(12)
-		exact := TopK(idx, s, q, k)
+		exact := exactTopK(t, idx, s, q, k)
 		blockmax, bmStats, err := TopKBlockMaxStats(ctx, idx, s, q, k)
 		if err != nil {
 			t.Fatalf("trial %d: block-max error: %v", trial, err)
@@ -63,8 +63,8 @@ func TestBlockMaxAgreesWithExact(t *testing.T) {
 	}
 }
 
-// TestBlockMaxAgreesOnDisk runs the same equivalence through a DiskIndex, so
-// the disk cursors' block-granular ReadAt path is exercised too.
+// TestBlockMaxAgreesOnDisk runs the same equivalence through a file-backed
+// index, so the cursor's block-granular ReadAt path is exercised too.
 func TestBlockMaxAgreesOnDisk(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	vocab := []string{"a", "b", "c", "d", "e"}
@@ -73,7 +73,7 @@ func TestBlockMaxAgreesOnDisk(t *testing.T) {
 	if err := writeIndexFile(idx, path); err != nil {
 		t.Fatal(err)
 	}
-	d, err := index.OpenDiskIndex(path)
+	d, err := index.OpenIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestBlockMaxAgreesOnDisk(t *testing.T) {
 			q[vocab[rng.Intn(len(vocab))]] = 1
 		}
 		k := 1 + rng.Intn(10)
-		exact := TopK(idx, NewBM25(idx), q, k)
+		exact := exactTopK(t, idx, NewBM25(idx), q, k)
 		if got := blockMax(t, d, NewBM25(d), q, k); !reflect.DeepEqual(got, exact) {
 			t.Fatalf("trial %d: exact %v blockmax %v", trial, exact, got)
 		}

@@ -134,7 +134,7 @@ func TestShardedTopKAgainstExactTopK(t *testing.T) {
 	split := splitDocs(docs, 4)
 	for qi := 0; qi < 6; qi++ {
 		q := randomQuery(rng, 150, 3+qi)
-		want := TopK(idx, scorer, q, idx.NumDocs())
+		want := exactTopK(t, idx, scorer, q, idx.NumDocs())
 		got := split.topK(t, scorer, q, idx.NumDocs())
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("q=%d:\nsplit %v\nexact %v", qi, got, want)

@@ -342,9 +342,8 @@ func retryAfterHint(e *newslink.Engine) string {
 	return "1"
 }
 
-// IntParam parses an optional integer query parameter (def when absent).
-// Exported for the cluster router, which reads the same grammar.
-func IntParam(r *http.Request, name string, def int) (int, error) {
+// intParam parses an optional integer query parameter (def when absent).
+func intParam(r *http.Request, name string, def int) (int, error) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
 		return def, nil
@@ -372,11 +371,10 @@ func int64Param(r *http.Request, name string) (int64, error) {
 // caps on unauthenticated request sizing.
 const maxEntityFilters = 16
 
-// FilterParams parses the shared document-filter query parameters:
+// filterParams parses the shared document-filter query parameters:
 // after=/before= (inclusive Document.Time bounds) and entity= (repeatable
-// must-match entity labels). The cluster router parses the same grammar,
-// so single-process and clustered deployments accept identical requests.
-func FilterParams(r *http.Request) (after, before int64, entities []string, err error) {
+// must-match entity labels).
+func filterParams(r *http.Request) (after, before int64, entities []string, err error) {
 	if after, err = int64Param(r, "after"); err != nil {
 		return 0, 0, nil, err
 	}
@@ -421,16 +419,16 @@ func SearchParams(r *http.Request) (newslink.Query, error) {
 // rankParams parses what search and related requests share — k, pool and
 // the document filters — into q.
 func rankParams(r *http.Request, q *newslink.Query) (err error) {
-	if q.K, err = IntParam(r, "k", 10); err != nil {
+	if q.K, err = intParam(r, "k", 10); err != nil {
 		return err
 	}
 	if q.K <= 0 || q.K > 1000 {
 		return fmt.Errorf("k must be in [1,1000], got %d", q.K)
 	}
-	if q.PoolDepth, err = IntParam(r, "pool", 0); err != nil || q.PoolDepth < 0 || q.PoolDepth > maxPoolDepth {
+	if q.PoolDepth, err = intParam(r, "pool", 0); err != nil || q.PoolDepth < 0 || q.PoolDepth > maxPoolDepth {
 		return fmt.Errorf("parameter \"pool\" must be an integer in [0,%d]", maxPoolDepth)
 	}
-	q.After, q.Before, q.Entities, err = FilterParams(r)
+	q.After, q.Before, q.Entities, err = filterParams(r)
 	return err
 }
 
@@ -507,27 +505,36 @@ func maybeTrace(ctx context.Context, r *http.Request) (context.Context, *obs.Tra
 	return obs.WithTrace(ctx)
 }
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		badRequest(w, "missing query parameter q")
-		return
+// maxExplainPaths caps the paths= parameter of an explain request.
+const maxExplainPaths = 1000
+
+// ExplainParams parses one explain request — q, id, paths and the shared
+// document filters. Like SearchParams it is the only parser of its
+// grammar, called by the single-process server and the cluster router, so
+// both front doors refuse the same requests with the same messages.
+func ExplainParams(r *http.Request) (q newslink.Query, id, paths int, err error) {
+	q.Text = r.URL.Query().Get("q")
+	if q.Text == "" {
+		return q, 0, 0, errors.New("missing query parameter q")
 	}
-	id, err := IntParam(r, "id", -1)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
+	if id, err = intParam(r, "id", -1); err != nil {
+		return q, 0, 0, err
 	}
 	if id < 0 {
-		badRequest(w, "missing or negative parameter id")
-		return
+		return q, 0, 0, errors.New("missing or negative parameter id")
 	}
-	paths, err := IntParam(r, "paths", 5)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
+	if paths, err = intParam(r, "paths", 5); err != nil {
+		return q, 0, 0, err
 	}
-	after, before, entities, err := FilterParams(r)
+	if paths < 0 || paths > maxExplainPaths {
+		return q, 0, 0, fmt.Errorf("parameter \"paths\" must be in [0,%d], got %d", maxExplainPaths, paths)
+	}
+	q.After, q.Before, q.Entities, err = filterParams(r)
+	return q, id, paths, err
+}
+
+func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+	q, id, paths, err := ExplainParams(r)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -535,13 +542,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
 	ctx, tr := maybeTrace(ctx, r)
-	exp, err := s.engine.ExplainQueryContext(ctx, newslink.Query{Text: q, After: after, Before: before, Entities: entities}, id, paths)
+	exp, err := s.engine.ExplainQueryContext(ctx, q, id, paths)
 	if err != nil {
 		s.writeEngineError(w, err)
 		return
 	}
 	s.logTrace(r, tr)
-	writeJSON(w, http.StatusOK, ExplainResponse{Query: q, DocID: id, Explanation: exp, Trace: tr.Spans()})
+	writeJSON(w, http.StatusOK, ExplainResponse{Query: q.Text, DocID: id, Explanation: exp, Trace: tr.Spans()})
 }
 
 // handleDOT returns a Graphviz rendering of the query and document
@@ -552,7 +559,7 @@ func (s *Server) handleDOT(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "missing query parameter q")
 		return
 	}
-	id, err := IntParam(r, "id", -1)
+	id, err := intParam(r, "id", -1)
 	if err != nil || id < 0 {
 		badRequest(w, "missing or invalid parameter id")
 		return

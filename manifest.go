@@ -66,11 +66,6 @@ func SegmentFileNames(id string) []string {
 	return out
 }
 
-// ChecksumFile streams one artifact file through CRC32-C and returns the
-// checksum in the manifest's encoding (8 hex digits), for verifying a
-// fetched artifact before loading it.
-func ChecksumFile(path string) (string, error) { return fileChecksum(path) }
-
 // LoadSegments restores an engine over a subset of a snapshot's segments
 // — a shard worker's slice — reading the artifacts from dir fully into
 // memory. g must match the snapshot's graph fingerprint print; every
@@ -80,42 +75,5 @@ func ChecksumFile(path string) (string, error) { return fileChecksum(path) }
 // armed, matching the immutability of the assignment (a new snapshot
 // means a new assignment).
 func LoadSegments(dir string, g *kg.Graph, print GraphFingerprint, cfg Config, segs []ManifestSegment, checksums map[string]string, opts ...Option) (*Engine, error) {
-	if got := fingerprint(g); got != print {
-		return nil, fmt.Errorf("newslink: knowledge graph mismatch: snapshot %+v, graph %+v", print, got)
-	}
-	verified := make(map[string]bool)
-	for _, sm := range segs {
-		for _, suffix := range segmentSuffixes {
-			name := segFileName(sm.ID, suffix)
-			if verified[name] {
-				continue
-			}
-			want, ok := checksums[name]
-			if !ok {
-				return nil, fmt.Errorf("%w: no checksum for %s", ErrSnapshotCorrupt, name)
-			}
-			got, err := fileChecksum(filepath.Join(dir, name))
-			if err != nil {
-				return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
-			}
-			if got != want {
-				return nil, fmt.Errorf("%w: %s checksum %s, want %s", ErrSnapshotCorrupt, name, got, want)
-			}
-			verified[name] = true
-		}
-	}
-	e := New(g, append([]Option{cfg}, opts...)...)
-	loaded := make([]*segment, 0, len(segs))
-	for _, sm := range segs {
-		seg, err := loadSegment(dir, sm, checksums, g, false)
-		if err != nil {
-			closeSegments(loaded)
-			return nil, err
-		}
-		loaded = append(loaded, seg)
-	}
-	e.mu.Lock()
-	e.publishLocked(loaded)
-	e.mu.Unlock()
-	return e, nil
+	return loadSegments(dir, g, print, cfg, segs, checksums, false, opts)
 }

@@ -118,11 +118,6 @@ type Query struct {
 	Entities []string
 }
 
-// filtered reports whether the request carries any document filter.
-func (q Query) filtered() bool {
-	return q.After != 0 || q.Before != 0 || len(q.Entities) > 0
-}
-
 // BetaOverride returns a per-request β override for Query.Beta.
 func BetaOverride(v float64) *float64 { return &v }
 
@@ -527,7 +522,9 @@ func (e *Engine) upsertLocked(doc Document, emb *core.DocEmbedding, terms []stri
 // length reflect the live corpus again and block-max pruning gets full
 // blocks. A no-op on an already-compacted engine; ErrNotBuilt before
 // Build. Searches proceed concurrently against the pre-compaction set
-// until the swap.
+// until the swap. If a segment's postings cannot be read (LoadOnDisk
+// files gone bad) the error is returned and the pre-compaction set stays
+// published.
 func (e *Engine) Compact() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -539,7 +536,10 @@ func (e *Engine) Compact() error {
 	if len(s.segs) == 0 || (len(s.segs) == 1 && s.deleted == 0) {
 		return nil
 	}
-	merged := mergeRun(s.segs)
+	merged, err := mergeRun(s.segs)
+	if err != nil {
+		return err
+	}
 	e.met.segmentMerges.Inc()
 	e.publishLocked([]*segment{merged})
 	return nil

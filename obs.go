@@ -30,6 +30,7 @@ type engineMetrics struct {
 	embedGroupCacheHits *obs.Counter
 	refreshes           *obs.Counter
 	segmentMerges       *obs.Counter
+	segmentMergeErrors  *obs.Counter
 	blocksDecoded       *obs.Counter
 	blocksSkipped       *obs.Counter
 	// ingest/WAL instrumentation: queue admissions and sheds, applied
@@ -84,6 +85,8 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 			"Entity groups served from the embedder's per-group subgraph cache."),
 		refreshes:     r.Counter("newslink_refreshes_total", "Segment refreshes (explicit and search-triggered)."),
 		segmentMerges: r.Counter("newslink_segment_merges_total", "Segment merges performed by the tiered policy and Compact."),
+		segmentMergeErrors: r.Counter("newslink_segment_merge_errors_total",
+			"Policy merges left undone because a segment's postings could not be read (retried on the next refresh)."),
 		blocksDecoded: r.Counter("newslink_blocks_decoded_total", "Postings blocks decoded by block-max retrieval."),
 		blocksSkipped: r.Counter("newslink_blocks_skipped_total", "Postings blocks pruned undecoded by the block-max bound."),
 		ingestQueued:  r.Counter("newslink_ingest_queued_total", "Writes admitted into the async ingest queue."),

@@ -108,27 +108,14 @@ func fingerprint(g *kg.Graph) graphPrint {
 	return graphPrint{Nodes: g.NumNodes(), Edges: g.NumEdges(), Rels: g.NumRels()}
 }
 
-// asMemoryIndex obtains a serializable in-memory index from any Source:
-// in-memory indexes pass through; segmented and disk-backed sources are
-// compacted via Flatten.
-func asMemoryIndex(src index.Source) (*index.Index, error) {
-	switch s := src.(type) {
-	case *index.Index:
-		return s, nil
-	case *index.Multi:
-		return s.Flatten(), nil
-	case *index.DiskIndex:
-		return index.NewMulti(s).Flatten(), nil
-	default:
-		return nil, fmt.Errorf("newslink: cannot serialize index source %T", src)
-	}
-}
-
 // checksumString renders a CRC32-C value the way meta.json stores it.
 func checksumString(sum uint32) string { return fmt.Sprintf("%08x", sum) }
 
-// fileChecksum streams one file through CRC32-C.
-func fileChecksum(path string) (string, error) {
+// ChecksumFile streams one artifact file through CRC32-C and returns the
+// checksum in the manifest's encoding (8 hex digits) — what the loaders
+// verify against, and what a shard worker checks a fetched artifact with
+// before loading it.
+func ChecksumFile(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return "", err
@@ -165,16 +152,12 @@ type oldSnapshot struct {
 }
 
 func readOldSnapshot(dir string) *oldSnapshot {
-	data, err := os.ReadFile(filepath.Join(dir, "meta.json"))
-	if err != nil {
-		return nil
-	}
-	var m snapshotMeta
 	// Any compatible version may donate artifacts: the binary files are
 	// format-identical across versions 4 and 5, and reuse matches on
 	// content-derived ids plus checksums, so hard links from a v4 snapshot
 	// into a v5 save are exact.
-	if json.Unmarshal(data, &m) != nil || !snapshotCompatible(m.Version) {
+	m, err := ReadManifest(dir)
+	if err != nil {
 		return nil
 	}
 	old := &oldSnapshot{dir: dir, ids: make(map[string]bool, len(m.Segments)), sums: m.Checksums}
@@ -194,7 +177,9 @@ func readOldSnapshot(dir string) *oldSnapshot {
 // Saves are incremental: segment artifacts are content-addressed, so a
 // segment already present in the snapshot being replaced is hard-linked
 // into the new one instead of rewritten — only new and merged segments
-// (and meta.json, which carries the tombstones) cost IO.
+// (and meta.json, which carries the tombstones) cost IO. A segment served
+// from snapshot files (LoadOnDisk) streams its postings from them; if they
+// can no longer be read, Save fails with that error.
 //
 // The write is atomic with respect to crashes and failures: the snapshot
 // is staged in a temporary directory, fsynced, checksummed, and renamed
@@ -346,14 +331,12 @@ func reuseSegment(old *oldSnapshot, art *segmentArtifact, tmp string, sums map[s
 	if old == nil || !old.ids[art.id] {
 		return false
 	}
-	for _, suffix := range segmentSuffixes {
-		name := segFileName(art.id, suffix)
+	for _, name := range SegmentFileNames(art.id) {
 		if old.sums[name] != art.sums[name] || art.sums[name] == "" {
 			return false
 		}
 	}
-	for _, suffix := range segmentSuffixes {
-		name := segFileName(art.id, suffix)
+	for _, name := range SegmentFileNames(art.id) {
 		if _, done := sums[name]; done {
 			continue // an identical segment already staged this file
 		}
@@ -371,21 +354,13 @@ func reuseSegment(old *oldSnapshot, art *segmentArtifact, tmp string, sums map[s
 // their final seg-<id>.* names. The returned artifact identity is memoized
 // on the segment so the next Save can reuse the files via hard links.
 func writeSegment(tmp string, si int, seg *segment, writeArtifact func(string, io.Writer, func(io.Writer) error) error, sums map[string]string) (*segmentArtifact, error) {
-	textMem, err := asMemoryIndex(seg.text)
-	if err != nil {
-		return nil, err
-	}
-	nodeMem, err := asMemoryIndex(seg.node)
-	if err != nil {
-		return nil, err
-	}
 	digest := sha256.New()
 	writers := []struct {
 		suffix string
 		write  func(io.Writer) error
 	}{
-		{"text.idx", func(w io.Writer) error { _, err := textMem.WriteTo(w); return err }},
-		{"node.idx", func(w io.Writer) error { _, err := nodeMem.WriteTo(w); return err }},
+		{"text.idx", func(w io.Writer) error { _, err := seg.text.WriteTo(w); return err }},
+		{"node.idx", func(w io.Writer) error { _, err := seg.node.WriteTo(w); return err }},
 		{"emb.bin", func(w io.Writer) error { return core.WriteEmbeddings(w, seg.embs) }},
 	}
 	staged := make([]string, len(writers))
@@ -464,7 +439,7 @@ func installSnapshot(tmp, dir string) error {
 // acknowledged after the snapshot was taken — before arming the ingest
 // pipeline; a corrupt log fails with ErrWALCorrupt.
 func Load(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
-	return load(dir, g, false, opts)
+	return loadDurable(dir, g, false, opts)
 }
 
 // LoadOnDisk restores a snapshot but serves the inverted indexes directly
@@ -474,7 +449,7 @@ func Load(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
 // once at open time (sequential IO, no resident memory); the same typed
 // errors and option semantics as Load apply.
 func LoadOnDisk(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
-	return load(dir, g, true, opts)
+	return loadDurable(dir, g, true, opts)
 }
 
 // Close shuts the engine's owned resources down: the ingest pipeline is
@@ -490,48 +465,57 @@ func (e *Engine) Close() error {
 		return werr
 	}
 	for _, seg := range s.segs {
-		for _, src := range []index.Source{seg.text, seg.node} {
-			if c, ok := src.(*index.DiskIndex); ok {
-				if err := c.Close(); err != nil {
-					return errors.Join(werr, err)
-				}
-			}
-		}
+		werr = errors.Join(werr, seg.close())
 	}
 	return werr
 }
 
-func load(dir string, g *kg.Graph, onDisk bool, opts []Option) (*Engine, error) {
-	metaBytes, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+// loadDurable is Load and LoadOnDisk: the whole manifest restored, then —
+// with the segment set published — post-snapshot writes recovered from the
+// WAL and the ingest pipeline armed (per the caller's options).
+func loadDurable(dir string, g *kg.Graph, onDisk bool, opts []Option) (*Engine, error) {
+	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	var meta snapshotMeta
-	if err := json.Unmarshal(metaBytes, &meta); err != nil {
-		return nil, fmt.Errorf("%w: parsing meta.json: %v", ErrSnapshotCorrupt, err)
+	e, err := loadSegments(dir, g, m.Graph, m.Config, m.Segments, m.Checksums, onDisk, opts)
+	if err != nil {
+		return nil, err
 	}
-	if !snapshotCompatible(meta.Version) {
-		return nil, fmt.Errorf("%w: snapshot version %d, want %d..%d", ErrSnapshotVersion, meta.Version, minSnapshotVersion, snapshotVersion)
+	loaded := e.set.Load().segs // replay may merge them out of the set
+	e.walMu.Lock()
+	err = e.startDurabilityLocked()
+	e.walMu.Unlock()
+	if err != nil {
+		closeSegments(loaded)
+		return nil, err
 	}
-	if got := fingerprint(g); got != meta.Graph {
-		return nil, fmt.Errorf("newslink: knowledge graph mismatch: snapshot %+v, graph %+v", meta.Graph, got)
+	return e, nil
+}
+
+// loadSegments is the one restore path behind Load, LoadOnDisk and
+// LoadSegments: it checks the graph fingerprint, verifies every referenced
+// artifact against its recorded checksum, and only then builds and
+// publishes the segments (resident, or file-backed when onDisk).
+func loadSegments(dir string, g *kg.Graph, print graphPrint, cfg Config, metas []segmentMeta, checksums map[string]string, onDisk bool, opts []Option) (*Engine, error) {
+	if got := fingerprint(g); got != print {
+		return nil, fmt.Errorf("newslink: knowledge graph mismatch: snapshot %+v, graph %+v", print, got)
 	}
 	// Verify every artifact against its recorded checksum before building
 	// any engine state: a torn write or bit flip must surface as a typed
 	// error, never as a half-built engine. Content-addressed ids may share
 	// files between identical segments; verify each file once.
 	verified := make(map[string]bool)
-	for _, sm := range meta.Segments {
-		for _, suffix := range segmentSuffixes {
-			name := segFileName(sm.ID, suffix)
+	for _, sm := range metas {
+		for _, name := range SegmentFileNames(sm.ID) {
 			if verified[name] {
 				continue
 			}
-			want, ok := meta.Checksums[name]
+			want, ok := checksums[name]
 			if !ok {
-				return nil, fmt.Errorf("%w: meta.json has no checksum for %s", ErrSnapshotCorrupt, name)
+				return nil, fmt.Errorf("%w: no checksum for %s", ErrSnapshotCorrupt, name)
 			}
-			got, err := fileChecksum(filepath.Join(dir, name))
+			got, err := ChecksumFile(filepath.Join(dir, name))
 			if err != nil {
 				return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
 			}
@@ -544,30 +528,19 @@ func load(dir string, g *kg.Graph, onDisk bool, opts []Option) (*Engine, error) 
 	// The snapshot's Config is the base; caller options layer on top, so
 	// runtime knobs (caches, WAL, ingest queue) configure the restored
 	// engine exactly as they would a fresh one.
-	e := New(g, append([]Option{meta.Config}, opts...)...)
-	segs := make([]*segment, 0, len(meta.Segments))
-	fail := func(err error) (*Engine, error) {
-		closeSegments(segs)
-		return nil, err
-	}
-	for _, sm := range meta.Segments {
-		seg, err := loadSegment(dir, sm, meta.Checksums, g, onDisk)
+	e := New(g, append([]Option{cfg}, opts...)...)
+	segs := make([]*segment, 0, len(metas))
+	for _, sm := range metas {
+		seg, err := loadSegment(dir, sm, checksums, g, onDisk)
 		if err != nil {
-			return fail(err)
+			closeSegments(segs)
+			return nil, err
 		}
 		segs = append(segs, seg)
 	}
 	e.mu.Lock()
 	e.publishLocked(segs)
 	e.mu.Unlock()
-	// With the segment set published, recover post-snapshot writes from
-	// the WAL and arm the ingest pipeline (per the caller's options).
-	e.walMu.Lock()
-	err = e.startDurabilityLocked()
-	e.walMu.Unlock()
-	if err != nil {
-		return fail(err)
-	}
 	return e, nil
 }
 
@@ -577,35 +550,16 @@ func load(dir string, g *kg.Graph, onDisk bool, opts []Option) (*Engine, error) 
 func loadSegment(dir string, sm segmentMeta, checksums map[string]string, g *kg.Graph, onDisk bool) (*segment, error) {
 	seg := &segment{docs: sm.Docs, times: timesOf(sm.Docs)}
 	corrupt := func(name string, err error) (*segment, error) {
-		closeSegments([]*segment{seg})
+		seg.close()
 		return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
 	}
-	for _, suffix := range []string{"text.idx", "node.idx"} {
-		name := segFileName(sm.ID, suffix)
-		var src index.Source
-		if onDisk {
-			d, err := index.OpenDiskIndex(filepath.Join(dir, name))
-			if err != nil {
-				return corrupt(name, err)
-			}
-			src = d
-		} else {
-			f, err := os.Open(filepath.Join(dir, name))
-			if err != nil {
-				return corrupt(name, err)
-			}
-			idx, err := index.ReadIndex(f)
-			f.Close()
-			if err != nil {
-				return corrupt(name, err)
-			}
-			src = idx
-		}
-		if suffix == "text.idx" {
-			seg.text = src
-		} else {
-			seg.node = src
-		}
+	var err error
+	textName, nodeName := segFileName(sm.ID, "text.idx"), segFileName(sm.ID, "node.idx")
+	if seg.text, err = readIndexFile(filepath.Join(dir, textName), onDisk); err != nil {
+		return corrupt(textName, err)
+	}
+	if seg.node, err = readIndexFile(filepath.Join(dir, nodeName), onDisk); err != nil {
+		return corrupt(nodeName, err)
 	}
 	embName := segFileName(sm.ID, "emb.bin")
 	f, err := os.Open(filepath.Join(dir, embName))
@@ -636,22 +590,31 @@ func loadSegment(dir string, sm segmentMeta, checksums map[string]string, g *kg.
 			sm.ID, len(sm.Docs), seg.text.NumDocs(), seg.node.NumDocs(), len(seg.embs)))
 	}
 	art := &segmentArtifact{id: sm.ID, sums: make(map[string]string, len(segmentSuffixes))}
-	for _, suffix := range segmentSuffixes {
-		name := segFileName(sm.ID, suffix)
+	for _, name := range SegmentFileNames(sm.ID) {
 		art.sums[name] = checksums[name]
 	}
 	seg.art.Store(art)
 	return seg, nil
 }
 
-// closeSegments releases any disk-backed indexes of partially loaded
+// readIndexFile opens one index artifact: file-backed, or read fully into
+// memory (and fully validated) with the file closed again.
+func readIndexFile(path string, onDisk bool) (*index.Index, error) {
+	if onDisk {
+		return index.OpenIndex(path)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return index.ReadIndex(f)
+}
+
+// closeSegments releases any file-backed indexes of partially loaded
 // segments on the load error path.
 func closeSegments(segs []*segment) {
 	for _, seg := range segs {
-		for _, src := range []index.Source{seg.text, seg.node} {
-			if c, ok := src.(*index.DiskIndex); ok {
-				c.Close()
-			}
-		}
+		seg.close()
 	}
 }

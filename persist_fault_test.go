@@ -1,6 +1,7 @@
 package newslink
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -156,7 +157,7 @@ func TestLoadCorruptionTable(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			sum, err := fileChecksum(path)
+			sum, err := ChecksumFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,6 +182,13 @@ func TestLoadCorruptionTable(t *testing.T) {
 			for loader, loadFn := range map[string]func(string) (*Engine, error){
 				"Load":       func(d string) (*Engine, error) { return Load(d, g) },
 				"LoadOnDisk": func(d string) (*Engine, error) { return LoadOnDisk(d, g) },
+				"LoadSegments": func(d string) (*Engine, error) {
+					m, err := ReadManifest(d)
+					if err != nil {
+						return nil, err
+					}
+					return LoadSegments(d, g, m.Graph, m.Config, m.Segments, m.Checksums)
+				},
 			} {
 				got, err := loadFn(dir)
 				if got != nil {
@@ -192,6 +200,109 @@ func TestLoadCorruptionTable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// truncateArtifacts empties, in place, every snapshot file in dir whose
+// name ends in suffix — a disk going bad under a LoadOnDisk engine after
+// the load-time checksum pass.
+func truncateArtifacts(t *testing.T, dir, suffix string) {
+	t.Helper()
+	matches, err := filepath.Glob(filepath.Join(dir, "seg-*."+suffix))
+	if err != nil || len(matches) == 0 {
+		t.Fatalf("no seg-*.%s under %s (%v)", suffix, dir, err)
+	}
+	for _, path := range matches {
+		if err := os.Truncate(path, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOnDiskReadErrorNeverBecomesEmpty: once the files behind a LoadOnDisk
+// engine can no longer be read, every consumer of postings must report the
+// read error. None may turn it into an empty answer: not a filtered
+// search's entity allowlist, not Compact or a policy merge (which would
+// publish a segment without postings and answer every later search with
+// zero hits), not Save.
+func TestOnDiskReadErrorNeverBecomesEmpty(t *testing.T) {
+	g, _ := corpus.Sample()
+	const query = "Taliban bombing in Lahore"
+	// loadOnDisk saves the sample engine plus extra one-document segments
+	// and reloads it file-backed.
+	loadOnDisk := func(t *testing.T, extra int) (*Engine, string) {
+		e := sampleEngine(t, DefaultConfig())
+		for i := 0; i < extra; i++ {
+			if err := e.Add(Document{ID: 9300 + i, Title: "late", Text: "A late bulletin about the Taliban in Lahore."}); err != nil {
+				t.Fatal(err)
+			}
+			e.Refresh()
+		}
+		dir := filepath.Join(t.TempDir(), "snap")
+		if err := e.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		disk, err := LoadOnDisk(dir, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { disk.Close() })
+		if disk.NumSegments() != extra+1 {
+			t.Fatalf("loaded %d segments, want %d", disk.NumSegments(), extra+1)
+		}
+		if res, err := disk.Search(query, 5); err != nil || len(res) == 0 {
+			t.Fatalf("healthy on-disk search: %v, %v", res, err)
+		}
+		return disk, dir
+	}
+
+	disk, dir := loadOnDisk(t, 1)
+	// Node index gone: a text-only (β = 0) search never touches it except
+	// to build the entity allowlist, which must fail the request rather
+	// than match nothing.
+	truncateArtifacts(t, dir, "node.idx")
+	faceted := Query{Text: query, K: 5, Beta: BetaOverride(0), Entities: []string{"Taliban"}}
+	if res, err := disk.SearchContext(context.Background(), faceted); err == nil {
+		t.Fatalf("entity-filtered search over an unreadable node index returned %v, no error", res)
+	}
+	terms := disk.EntityTerms(faceted.Entities)
+	if _, _, err := disk.FilteredSources(0, 0, terms); err == nil {
+		t.Fatal("FilteredSources over an unreadable node index returned no error")
+	}
+	if _, err := disk.DocVisible(1, 0, 0, terms); err == nil {
+		t.Fatal("DocVisible over an unreadable node index returned no error")
+	}
+	if err := disk.Compact(); err == nil {
+		t.Fatal("Compact over unreadable segments returned no error")
+	}
+	if disk.NumSegments() != 2 {
+		t.Fatalf("failed Compact left %d segments published, want the 2 it started from", disk.NumSegments())
+	}
+	if err := disk.Save(filepath.Join(t.TempDir(), "resave")); err == nil {
+		t.Fatal("Save over unreadable segments returned no error")
+	}
+	truncateArtifacts(t, dir, "text.idx")
+	if res, err := disk.Search(query, 5); err == nil {
+		t.Fatalf("search over unreadable segments returned %v, no error", res)
+	}
+
+	// The tiered policy on refresh has no error return: the eighth
+	// tier-0 segment makes a run, the merge fails, and the run stays
+	// unmerged (and exact) with the failure counted.
+	disk, dir = loadOnDisk(t, mergeFactor-2)
+	truncateArtifacts(t, dir, "text.idx")
+	if err := disk.Add(Document{ID: 9400, Title: "later", Text: "A later bulletin."}); err != nil {
+		t.Fatal(err)
+	}
+	disk.Refresh()
+	if disk.NumSegments() != mergeFactor {
+		t.Fatalf("failed policy merge left %d segments, want %d unmerged", disk.NumSegments(), mergeFactor)
+	}
+	if n := disk.met.segmentMergeErrors.Value(); n != 1 {
+		t.Fatalf("newslink_segment_merge_errors_total = %d, want 1", n)
+	}
+	if n := disk.met.segmentMerges.Value(); n != 0 {
+		t.Fatalf("newslink_segment_merges_total = %d after a failed merge, want 0", n)
 	}
 }
 

@@ -93,9 +93,12 @@ func (e *Engine) relatedContext(ctx context.Context, q RelatedQuery) ([]Result, 
 	// The filter always exists here: self-exclusion is its own clause, so
 	// the source document can never rank against itself even when no
 	// temporal or entity clause was requested.
-	flt := e.compileFilter(e.Graph(), snap, q.After, q.Before, q.Entities, pos)
+	flt, err := newQueryFilter(snap, q.After, q.Before, entityTerms(e.Graph(), q.Entities), pos)
+	if err != nil {
+		return nil, err
+	}
 	sp := obs.FromContext(ctx).Start(obs.StageBON)
-	bon, st, err := bonTopK(ctx, index.NewFiltered(snap.node, flt), emb, pool)
+	bon, st, err := bonTopK(ctx, index.Masked(snap.rawNode, snap.dead, flt), emb, pool)
 	e.met.blocksObserve(st)
 	d := sp.End(retrievalAttrs(len(bon), st)...)
 	e.met.stageObserve(obs.StageBON, d)

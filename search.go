@@ -108,7 +108,10 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (SearchResponse, er
 	// Filter clauses compile once per request into a composed mask the
 	// retrieval tier consults through the live-mask seam; an unfiltered
 	// request compiles to nil and runs the untouched fast path.
-	flt := e.compileFilter(gs.g, snap, q.After, q.Before, q.Entities, -1)
+	flt, err := newQueryFilter(snap, q.After, q.Before, entityTerms(gs.g, q.Entities), -1)
+	if err != nil {
+		return SearchResponse{}, err
+	}
 	ret, err := e.retrieve(ctx, snap, qEmb, qTerms, beta, pool, flt)
 	if err != nil {
 		return SearchResponse{}, err
@@ -168,15 +171,11 @@ func (e *Engine) retrieve(ctx context.Context, snap *segmentSet, qEmb *core.DocE
 	runBOW := beta < 1
 	runBON := beta > 0 && qEmb != nil
 	// A filtered request traverses the same indexes behind a composed mask
-	// (index.Filtered): statistics and block bounds are those of the full
+	// (index.Masked): statistics and block bounds are those of the full
 	// corpus, so scoring and pruning are unchanged; only candidate
-	// admission consults the filter. Unfiltered requests keep the raw
-	// sources.
-	text, node := snap.text, snap.node
-	if flt != nil {
-		text = index.NewFiltered(text, flt)
-		node = index.NewFiltered(node, flt)
-	}
+	// admission consults the filter. Unfiltered requests keep the
+	// published sources.
+	text, node := snap.sources(flt)
 	var bow, bon []search.Hit
 	var bowErr, bonErr error
 	retrieveBOW := func(ctx context.Context) {
@@ -255,19 +254,13 @@ func retrievalAttrs(candidates int, st search.RetrievalStats) []obs.Attr {
 	}
 }
 
-// bonTopK ranks the node index against a subgraph embedding — the BON leg
-// of a search, and all of a related-news request. BON scoring uses BM25
-// with b=0 and a small k1: a subgraph embedding's size is structural, not
-// verbosity (no length penalty), and node frequencies saturate quickly so
-// BON behaves as an idf-weighted node-set match. This keeps Equation 3's
-// text ranking authoritative within clusters of same-event stories.
+// bonTopK ranks the node index against a subgraph embedding with the BON
+// scorer (search.NodeBM25) — the BON leg of a search, and all of a
+// related-news request.
 func bonTopK(ctx context.Context, node index.Source, emb *core.DocEmbedding, k int) ([]search.Hit, search.RetrievalStats, error) {
 	nq := make(search.Query, len(emb.Counts))
 	for n, c := range emb.Counts {
 		nq[nodeTerm(n)] = float64(c)
 	}
-	bonScorer := search.NewBM25(node)
-	bonScorer.B = 0
-	bonScorer.K1 = 0.4
-	return search.TopKBlockMaxStats(ctx, node, bonScorer, nq, k)
+	return search.TopKBlockMaxStats(ctx, node, search.NodeBM25(node.NumDocs(), node.AvgDocLen()), nq, k)
 }

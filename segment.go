@@ -1,6 +1,8 @@
 package newslink
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -34,8 +36,8 @@ type segment struct {
 	docs  []Document
 	embs  []*core.DocEmbedding // aligned with docs; nil if unembeddable
 	times []int64              // columnar Document.Time, aligned with docs
-	text  index.Source         // *index.Index, or *index.DiskIndex when loaded on disk
-	node  index.Source
+	text  *index.Index         // resident, or file-backed when loaded with LoadOnDisk
+	node  *index.Index
 	dead  *index.Bitmap // nil = no deletes
 
 	art atomic.Pointer[segmentArtifact]
@@ -54,6 +56,10 @@ func timesOf(docs []Document) []int64 {
 
 func (s *segment) numDocs() int { return len(s.docs) }
 func (s *segment) numLive() int { return len(s.docs) - s.dead.Count() }
+
+// close releases the snapshot files behind file-backed indexes (a no-op
+// for resident ones, and for the nil ones of a failed partial load).
+func (s *segment) close() error { return errors.Join(s.text.Close(), s.node.Close()) }
 
 // shareArtifact copies the memoized artifact identity from an older
 // incarnation of the same segment (tombstone clones share it).
@@ -84,12 +90,26 @@ type segmentSet struct {
 	docPos  map[int]int // Document.ID -> global position, live documents only
 	times   []int64     // concatenated per-segment time columns, indexed by global position
 
-	// text and node are the sources searches traverse: the single
-	// segment's own index when possible, an index.Multi otherwise, and
-	// wrapped in index.LiveFiltered whenever tombstones exist so deleted
-	// documents are masked out of retrieval.
-	text index.Source
-	node index.Source
+	// rawText and rawNode are the set's indexes: the single segment's own
+	// index when possible, an index.Multi otherwise. dead is the set-wide
+	// tombstone bitmap over global positions (nil when nothing is
+	// deleted). text and node are what unfiltered searches traverse — the
+	// raw sources behind index.Masked(dead), so deleted documents are
+	// masked out of retrieval; sources composes a request filter into the
+	// same single mask.
+	rawText, rawNode index.Source
+	dead             *index.Bitmap
+	text, node       index.Source
+}
+
+// sources returns the text and node sources for one request: the published
+// ones when flt is nil, otherwise the raw indexes behind one mask carrying
+// both the tombstones and the request's filter.
+func (s *segmentSet) sources(flt *queryFilter) (text, node index.Source) {
+	if flt == nil {
+		return s.text, s.node
+	}
+	return index.Masked(s.rawText, s.dead, flt), index.Masked(s.rawNode, s.dead, flt)
 }
 
 // newSegmentSet builds the published view over segs. Cost is O(numDocs)
@@ -109,30 +129,27 @@ func newSegmentSet(segs []*segment) *segmentSet {
 		s.numDocs += len(sg.docs)
 		s.times = append(s.times, sg.times...)
 	}
-	var text, node index.Source
 	if len(segs) == 1 {
 		// Single segment: serve its index directly, so a compacted engine
 		// is indistinguishable — allocation and layout included — from one
 		// built in a single batch.
-		text, node = segs[0].text, segs[0].node
+		s.rawText, s.rawNode = segs[0].text, segs[0].node
 	} else {
 		texts := make([]index.Source, len(segs))
 		nodes := make([]index.Source, len(segs))
 		for i, sg := range segs {
 			texts[i], nodes[i] = sg.text, sg.node
 		}
-		text, node = index.NewMulti(texts...), index.NewMulti(nodes...)
+		s.rawText, s.rawNode = index.NewMulti(texts...), index.NewMulti(nodes...)
 	}
 	if s.deleted > 0 {
-		dead := index.NewBitmap(s.numDocs)
+		s.dead = index.NewBitmap(s.numDocs)
 		for i, sg := range segs {
 			base := s.bases[i]
-			sg.dead.ForEach(func(j int) { dead.Set(base + j) })
+			sg.dead.ForEach(func(j int) { s.dead.Set(base + j) })
 		}
-		text = index.NewLiveFiltered(text, dead)
-		node = index.NewLiveFiltered(node, dead)
 	}
-	s.text, s.node = text, node
+	s.text, s.node = index.Masked(s.rawText, s.dead, nil), index.Masked(s.rawNode, s.dead, nil)
 	return s
 }
 
@@ -210,12 +227,14 @@ func findMergeRun(segs []*segment) (lo, hi int, ok bool) {
 // mergeRun compacts a run of segments into one segment: live documents
 // and embeddings are concatenated in order and the indexes are rewritten
 // tombstone-free (index.MergeSegments), so DF/AvgDocLen tighten to the
-// surviving corpus and block-max summaries regain full blocks.
-func mergeRun(segs []*segment) *segment {
+// surviving corpus and block-max summaries regain full blocks. A segment
+// whose postings cannot be read (a file-backed index whose file went bad)
+// fails the merge; the inputs are untouched and stay exact.
+func mergeRun(segs []*segment) (*segment, error) {
 	var docs []Document
 	var embs []*core.DocEmbedding
-	texts := make([]index.Source, len(segs))
-	nodes := make([]index.Source, len(segs))
+	texts := make([]*index.Index, len(segs))
+	nodes := make([]*index.Index, len(segs))
 	deads := make([]*index.Bitmap, len(segs))
 	for i, sg := range segs {
 		texts[i], nodes[i], deads[i] = sg.text, sg.node, sg.dead
@@ -226,24 +245,32 @@ func mergeRun(segs []*segment) *segment {
 			}
 		}
 	}
-	return &segment{
-		docs:  docs,
-		embs:  embs,
-		times: timesOf(docs),
-		text:  index.MergeSegments(texts, deads),
-		node:  index.MergeSegments(nodes, deads),
+	text, err := index.MergeSegments(texts, deads)
+	if err != nil {
+		return nil, fmt.Errorf("newslink: merging text indexes: %w", err)
 	}
+	node, err := index.MergeSegments(nodes, deads)
+	if err != nil {
+		return nil, fmt.Errorf("newslink: merging node indexes: %w", err)
+	}
+	return &segment{docs: docs, embs: embs, times: timesOf(docs), text: text, node: node}, nil
 }
 
 // applyMergePolicyLocked repeatedly merges qualifying runs until the set
-// is stable. Callers hold e.mu.
+// is stable. A run that fails to merge is left as it is — the unmerged set
+// is exact, and the next refresh retries — and counted in
+// newslink_segment_merge_errors_total. Callers hold e.mu.
 func (e *Engine) applyMergePolicyLocked(segs []*segment) []*segment {
 	for {
 		lo, hi, ok := findMergeRun(segs)
 		if !ok {
 			return segs
 		}
-		merged := mergeRun(segs[lo:hi])
+		merged, err := mergeRun(segs[lo:hi])
+		if err != nil {
+			e.met.segmentMergeErrors.Inc()
+			return segs
+		}
 		e.met.segmentMerges.Inc()
 		out := make([]*segment, 0, len(segs)-(hi-lo)+1)
 		out = append(out, segs[:lo]...)

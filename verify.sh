@@ -1,7 +1,9 @@
 #!/bin/sh
-# Full verification gate: formatting, static checks, build, and the
-# complete test suite under the race detector (the concurrency tests in
-# concurrency_test.go are only meaningful with -race).
+# Full verification gate: formatting, static checks, build, the complete
+# test suite under the race detector (the concurrency tests in
+# concurrency_test.go are only meaningful with -race), and the nested
+# bench/ module, which compiles against internal/ packages but which
+# `go test ./...` at the root never builds.
 #
 # CI (.github/workflows/ci.yml) invokes this same script, so the local and
 # CI gates cannot drift. Strictly POSIX sh: no bashisms, and the repo root
@@ -28,5 +30,9 @@ go build ./...
 
 echo '>> go test -race ./...'
 go test -race ./...
+
+echo '>> go -C bench vet ./... && go -C bench test ./...'
+go -C bench vet ./...
+go -C bench test ./...
 
 echo '>> verify.sh: all checks passed'
