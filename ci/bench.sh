@@ -10,7 +10,9 @@
 # write side: search p99 while the streaming pipeline absorbs ~1k docs/sec;
 # BenchmarkClusterScatterGather covers the serving tier: one warm search
 # through the cluster router and three local shard workers (scatter, merge,
-# document gather); BenchmarkFilteredSearch and BenchmarkRelated cover the
+# document gather) and BenchmarkWireCodec its data-plane codec (encode
+# into a reused buffer must stay at 0 allocs/op, a response decode at 2, so
+# a reflection-based fallback cannot creep back); BenchmarkFilteredSearch and BenchmarkRelated cover the
 # DocFilter plane: fused search under time-window and entity-facet filters
 # (with pruning counters) and related-news search off a stored embedding;
 # BenchmarkGather covers result materialization: k=10 DocAt + snippet with
@@ -28,7 +30,7 @@ cd "$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 
 BENCHTIME="${1:-1s}"
 OUT="${2:-BENCH.json}"
-BENCHES='BenchmarkTopKStrategies|BenchmarkParallelFusedSearch|BenchmarkSnapshotServing|BenchmarkSegmentChurn|BenchmarkQueryEmbed|BenchmarkSustainedIngestServe|BenchmarkClusterScatterGather|BenchmarkFilteredSearch|BenchmarkRelated|BenchmarkGather'
+BENCHES='BenchmarkTopKStrategies|BenchmarkParallelFusedSearch|BenchmarkSnapshotServing|BenchmarkSegmentChurn|BenchmarkQueryEmbed|BenchmarkSustainedIngestServe|BenchmarkClusterScatterGather|BenchmarkWireCodec|BenchmarkFilteredSearch|BenchmarkRelated|BenchmarkGather'
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 

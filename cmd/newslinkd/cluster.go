@@ -42,16 +42,16 @@ func loadGraph(kgPath string) (*kg.Graph, error) {
 // runShard serves one shard worker until SIGINT/SIGTERM. The worker
 // starts empty (readyz answers 503) and becomes ready when a router
 // assigns it a segment slice.
-func runShard(addr, id, dir, kgPath string, logger *slog.Logger) error {
+func runShard(addr, id, dir, kgPath, debugAddr string, logger *slog.Logger) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	return shardMain(ctx, addr, id, dir, kgPath, logger, nil)
+	return shardMain(ctx, addr, id, dir, kgPath, debugAddr, logger, nil)
 }
 
 // shardMain is runShard's context-driven body; bound, when non-nil,
 // receives the listener's address once serving (tests use it to learn
 // the ephemeral port).
-func shardMain(ctx context.Context, addr, id, dir, kgPath string, logger *slog.Logger, bound chan<- string) error {
+func shardMain(ctx context.Context, addr, id, dir, kgPath, debugAddr string, logger *slog.Logger, bound chan<- string) error {
 	g, err := loadGraph(kgPath)
 	if err != nil {
 		return err
@@ -72,6 +72,11 @@ func shardMain(ctx context.Context, addr, id, dir, kgPath string, logger *slog.L
 		id = ln.Addr().String()
 	}
 	w := cluster.NewWorker(id, dir, g, logger)
+	debug, debugLn, err := listenDebug(debugAddr, w.Metrics)
+	if err != nil {
+		ln.Close()
+		return err
+	}
 	srv := hardenServer(&http.Server{Handler: w.Handler()})
 	// Assignments stream segment artifacts from a peer before answering;
 	// give them more room than an interactive query response.
@@ -80,7 +85,7 @@ func shardMain(ctx context.Context, addr, id, dir, kgPath string, logger *slog.L
 	if bound != nil {
 		bound <- ln.Addr().String()
 	}
-	return serveUntilDone(ctx, srv, ln, logger, nil)
+	return serveUntilDone(ctx, srv, ln, debug, debugLn, logger, nil)
 }
 
 // routerConfig carries the router-mode flags.
@@ -90,6 +95,7 @@ type routerConfig struct {
 	kgPath        string
 	shardAddrs    string
 	selfURL       string
+	debugAddr     string // empty = no debug listener
 	hedge         bool
 	probeInterval time.Duration
 	queryTimeout  time.Duration
@@ -141,13 +147,18 @@ func routerMain(ctx context.Context, cfg routerConfig, bound chan<- string) erro
 		return err
 	}
 	defer rt.Close()
+	debug, debugLn, err := listenDebug(cfg.debugAddr, rt.Metrics)
+	if err != nil {
+		ln.Close()
+		return err
+	}
 	srv := hardenServer(&http.Server{Handler: rt.Handler()})
 	log.Printf("cluster router serving %d shards on %s (plan %s)",
 		len(rt.Plan().Shards), ln.Addr(), rt.Plan().ID)
 	if bound != nil {
 		bound <- ln.Addr().String()
 	}
-	return serveUntilDone(ctx, srv, ln, cfg.logger, func(ctx context.Context) {
+	return serveUntilDone(ctx, srv, ln, debug, debugLn, cfg.logger, func(ctx context.Context) {
 		// Assignment needs the blob endpoint above to be live, so it runs
 		// after Serve starts. A failed initial assignment is not fatal —
 		// the probe loop keeps admitting workers as they appear.
@@ -175,17 +186,22 @@ func parseShardAddrs(s string) [][]string {
 	return out
 }
 
-// serveUntilDone runs srv on ln until ctx ends (SIGINT/SIGTERM in
-// production), then shuts down gracefully. after, when non-nil, runs in
-// a goroutine once serving has begun (used for the router's initial
-// assignment).
-func serveUntilDone(ctx context.Context, srv *http.Server, ln net.Listener, logger *slog.Logger, after func(ctx context.Context)) error {
-	errc := make(chan error, 1)
-	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+// serveUntilDone runs srv on ln — and debug on debugLn, when -debug-addr
+// bound one — until ctx ends (SIGINT/SIGTERM in production), then shuts
+// both down gracefully. after, when non-nil, runs in a goroutine once
+// serving has begun (used for the router's initial assignment).
+func serveUntilDone(ctx context.Context, srv *http.Server, ln net.Listener, debug *http.Server, debugLn net.Listener, logger *slog.Logger, after func(ctx context.Context)) error {
+	errc := make(chan error, 2)
+	serve := func(s *http.Server, l net.Listener) {
+		if err := s.Serve(l); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
-	}()
+	}
+	go serve(srv, ln)
+	if debug != nil {
+		logger.Info("debug server listening", "addr", debugLn.Addr().String())
+		go serve(debug, debugLn)
+	}
 	if after != nil {
 		go after(ctx)
 	}
@@ -197,5 +213,9 @@ func serveUntilDone(ctx context.Context, srv *http.Server, ln net.Listener, logg
 	logger.Info("shutting down")
 	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	return srv.Shutdown(sctx)
+	err := srv.Shutdown(sctx)
+	if debug != nil {
+		err = errors.Join(err, debug.Shutdown(sctx))
+	}
+	return err
 }

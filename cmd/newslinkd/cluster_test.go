@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -107,7 +108,7 @@ func TestClusterDaemonEndToEnd(t *testing.T) {
 		id := "shard" + string(rune('0'+i))
 		dir := t.TempDir()
 		go func() {
-			shardErrs <- shardMain(ctx, "127.0.0.1:0", id, dir, "", logger, bound)
+			shardErrs <- shardMain(ctx, "127.0.0.1:0", id, dir, "", "", logger, bound)
 		}()
 		select {
 		case a := <-bound:
@@ -206,10 +207,10 @@ func TestClusterMainErrorPaths(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	ctx := context.Background()
 
-	if err := shardMain(ctx, "127.0.0.1:0", "w", t.TempDir(), filepath.Join(t.TempDir(), "no-such-kg"), logger, nil); err == nil {
+	if err := shardMain(ctx, "127.0.0.1:0", "w", t.TempDir(), filepath.Join(t.TempDir(), "no-such-kg"), "", logger, nil); err == nil {
 		t.Fatal("shardMain with a missing -kg started")
 	}
-	if err := shardMain(ctx, "256.256.256.256:1", "w", t.TempDir(), "", logger, nil); err == nil {
+	if err := shardMain(ctx, "256.256.256.256:1", "w", t.TempDir(), "", "", logger, nil); err == nil {
 		t.Fatal("shardMain bound an impossible address")
 	}
 	if err := routerMain(ctx, routerConfig{
@@ -237,7 +238,7 @@ func TestRunShardSignalShutdown(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	done := make(chan error, 1)
 	go func() {
-		done <- runShard("127.0.0.1:0", "sig-test", t.TempDir(), "", logger)
+		done <- runShard("127.0.0.1:0", "sig-test", t.TempDir(), "", "", logger)
 	}()
 	// Give the worker a moment to install its signal handler and bind.
 	time.Sleep(200 * time.Millisecond)
@@ -255,5 +256,173 @@ func TestRunShardSignalShutdown(t *testing.T) {
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatal("runShard did not shut down on SIGTERM")
+	}
+}
+
+// freeAddr returns a loopback address that was free a moment ago, for
+// listeners whose bound address a test cannot otherwise learn.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// expectDebugSurface asserts the -debug-addr listener answers pprof and
+// both metric expositions.
+func expectDebugSurface(t *testing.T, addr string) {
+	t.Helper()
+	for _, path := range []string{"/debug/pprof/cmdline", "/v1/metrics", "/v1/metrics/prom"} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestClusterModesServeDebugAddr: -debug-addr is honoured under -shard and
+// -router — it used to be parsed and ignored, which is why the cluster
+// tier could not be profiled — and goes down with the main server.
+func TestClusterModesServeDebugAddr(t *testing.T) {
+	e, err := buildEngine("", "", 0.2, "", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := t.TempDir()
+	if err := e.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+
+	shardDebug, routerDebug := freeAddr(t), freeAddr(t)
+	shardBound, routerBound := make(chan string, 1), make(chan string, 1)
+	shardErr, routerErr := make(chan error, 1), make(chan error, 1)
+	go func() {
+		shardErr <- shardMain(ctx, "127.0.0.1:0", "dbg", t.TempDir(), "", shardDebug, logger, shardBound)
+	}()
+	var shardAddr string
+	select {
+	case shardAddr = <-shardBound:
+	case err := <-shardErr:
+		t.Fatalf("shard exited before binding: %v", err)
+	}
+	// Unassigned, the worker's registry is empty but the surface answers.
+	expectDebugSurface(t, shardDebug)
+
+	go func() {
+		routerErr <- routerMain(ctx, routerConfig{
+			addr:          "127.0.0.1:0",
+			snapshot:      snap,
+			shardAddrs:    "http://" + shardAddr,
+			debugAddr:     routerDebug,
+			probeInterval: 50 * time.Millisecond,
+			queryTimeout:  5 * time.Second,
+			logger:        logger,
+		}, routerBound)
+	}()
+	select {
+	case <-routerBound:
+	case err := <-routerErr:
+		t.Fatalf("router exited before binding: %v", err)
+	}
+	expectDebugSurface(t, routerDebug)
+
+	// Once assigned, the shard's debug listener reports the engine's metrics.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get("http://" + shardDebug + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if strings.Contains(string(body), "newslink_") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("assigned shard's debug metrics still empty: %s", body)
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+
+	cancel()
+	for name, errc := range map[string]chan error{"shard": shardErr, "router": routerErr} {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatalf("%s exited with %v", name, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s did not shut down", name)
+		}
+	}
+	for _, addr := range []string{shardDebug, routerDebug} {
+		if conn, err := net.DialTimeout("tcp", addr, 200*time.Millisecond); err == nil {
+			conn.Close()
+			t.Fatalf("debug listener %s still accepting after shutdown", addr)
+		}
+	}
+}
+
+// TestClusterModesDebugBindFailure: an unbindable -debug-addr fails
+// start-up in both cluster modes with the error the single-process daemon
+// gives, and releases the main listener.
+func TestClusterModesDebugBindFailure(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	debugAddr := taken.Addr().String()
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	ctx := context.Background()
+
+	e, err := buildEngine("", "", 0.2, "", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	snap := t.TempDir()
+	if err := e.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	_, want := newDaemon(e, daemonConfig{addr: "127.0.0.1:0", debugAddr: debugAddr})
+	if want == nil {
+		t.Fatal("newDaemon bound a taken debug address")
+	}
+
+	shardAddr, routerAddr := freeAddr(t), freeAddr(t)
+	got := map[string]error{
+		"shard": shardMain(ctx, shardAddr, "w", t.TempDir(), "", debugAddr, logger, nil),
+		"router": routerMain(ctx, routerConfig{
+			addr: routerAddr, snapshot: snap, shardAddrs: "http://x", debugAddr: debugAddr, logger: logger,
+		}, nil),
+	}
+	for mode, err := range got {
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s with a taken -debug-addr: err = %v, want %v", mode, err, want)
+		}
+	}
+	for _, addr := range []string{shardAddr, routerAddr} {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Errorf("main listener %s leaked after the debug bind failure: %v", addr, err)
+			continue
+		}
+		ln.Close()
 	}
 }

@@ -34,8 +34,9 @@
 // access-log line on stderr (-log-level debug additionally logs per-stage
 // trace spans of trace=1 requests); /v1/metrics and /v1/metrics/prom expose
 // the metric registry. -debug-addr starts a second, private listener with
-// net/http/pprof under /debug/pprof/ plus the same metrics endpoints —
-// keep it off public interfaces.
+// net/http/pprof under /debug/pprof/ plus the same metrics endpoints, in
+// all three modes (single process, -shard, -router) — keep it off public
+// interfaces.
 package main
 
 import (
@@ -56,6 +57,7 @@ import (
 	"newslink"
 	"newslink/internal/corpus"
 	"newslink/internal/kg"
+	"newslink/internal/obs"
 	"newslink/internal/server"
 )
 
@@ -100,7 +102,7 @@ func main() {
 		log.Fatal("-shard and -router are mutually exclusive")
 	}
 	if *shardMode {
-		if err := runShard(*addr, *shardID, *shardDir, *kgPath, logger); err != nil {
+		if err := runShard(*addr, *shardID, *shardDir, *kgPath, *debugAddr, logger); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -112,6 +114,7 @@ func main() {
 			kgPath:        *kgPath,
 			shardAddrs:    *shardAddrs,
 			selfURL:       *selfURL,
+			debugAddr:     *debugAddr,
 			hedge:         *hedge,
 			probeInterval: *probeInterval,
 			queryTimeout:  *queryTimeout,
@@ -209,20 +212,31 @@ func newDaemon(engine *newslink.Engine, cfg daemonConfig) (*daemon, error) {
 		return nil, fmt.Errorf("binding %s: %w", cfg.addr, err)
 	}
 	d.mainLn = ln
-	if cfg.debugAddr != "" {
-		dln, err := net.Listen("tcp", cfg.debugAddr)
-		if err != nil {
-			ln.Close()
-			return nil, fmt.Errorf("binding debug address %s: %w", cfg.debugAddr, err)
-		}
-		d.debugLn = dln
-		// The debug server gets its own http.Server (so shutdown reaches
-		// it too) and no WriteTimeout: pprof profile captures legitimately
-		// stream for longer than any sane response deadline.
-		d.debug = hardenServer(&http.Server{Handler: debugHandler(engine)})
-		d.debug.WriteTimeout = 0
+	if d.debug, d.debugLn, err = listenDebug(cfg.debugAddr, engine.Metrics); err != nil {
+		ln.Close()
+		return nil, err
 	}
 	return d, nil
+}
+
+// listenDebug binds the private -debug-addr listener — synchronously, like
+// the main one — and returns it with the server to run on it; both are nil
+// when addr is empty. metrics is asked per request, because a shard
+// worker's registry changes with its assignment. The debug server is its
+// own http.Server (so shutdown reaches it too) with no WriteTimeout: pprof
+// profile captures legitimately stream for longer than any sane response
+// deadline.
+func listenDebug(addr string, metrics func() *obs.Registry) (*http.Server, net.Listener, error) {
+	if addr == "" {
+		return nil, nil, nil
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("binding debug address %s: %w", addr, err)
+	}
+	srv := hardenServer(&http.Server{Handler: debugHandler(metrics)})
+	srv.WriteTimeout = 0
+	return srv, ln, nil
 }
 
 // hardenServer applies the shared protections against slow or abusive
@@ -310,7 +324,7 @@ func parseLogLevel(s string) (slog.Level, error) {
 // debugHandler is the private -debug-addr surface: the standard pprof
 // endpoints (registered explicitly rather than via the package's
 // DefaultServeMux side effect) plus the metric registry in both formats.
-func debugHandler(engine *newslink.Engine) http.Handler {
+func debugHandler(metrics func() *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -319,11 +333,11 @@ func debugHandler(engine *newslink.Engine) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = engine.Metrics().WriteJSON(w)
+		_ = metrics().WriteJSON(w)
 	})
 	mux.HandleFunc("GET /v1/metrics/prom", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = engine.Metrics().WritePrometheus(w)
+		_ = metrics().WritePrometheus(w)
 	})
 	return mux
 }

@@ -11,7 +11,7 @@ import (
 	"newslink/internal/server"
 )
 
-// postForCode posts a JSON body to a worker RPC endpoint and asserts the
+// postForCode posts a body to a worker RPC endpoint and asserts the
 // status and error-envelope code of the reply.
 func postForCode(t *testing.T, url, body string, wantStatus int, wantCode string) {
 	t.Helper()
@@ -33,9 +33,11 @@ func postForCode(t *testing.T, url, body string, wantStatus int, wantCode string
 	}
 }
 
-func mustMarshal(t *testing.T, v any) string {
+// mustMarshal encodes a message the way the router and workers do:
+// data-plane messages as binary frames, control-plane ones as JSON.
+func mustMarshal(t testing.TB, v any) string {
 	t.Helper()
-	data, err := json.Marshal(v)
+	data, err := encodeRPC(nil, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +57,12 @@ func TestWorkerUnassignedErrorPaths(t *testing.T) {
 	for _, ep := range []string{"assign", "stats", "search", "docs", "explain"} {
 		postForCode(t, base+"/v1/shard/"+ep, "{junk", http.StatusBadRequest, "bad_request")
 	}
+
+	// The data plane takes binary frames only: what used to be a valid JSON
+	// request is malformed now, not a second accepted form.
+	postForCode(t, base+"/v1/shard/stats", `{"plan":"p"}`, http.StatusBadRequest, "bad_request")
+	postForCode(t, base+"/v1/shard/search", `{"plan":"p","k":5}`, http.StatusBadRequest, "bad_request")
+	postForCode(t, base+"/v1/shard/docs", `{"plan":"p","positions":[0]}`, http.StatusBadRequest, "bad_request")
 
 	// Valid messages against an unassigned worker: 503 unassigned.
 	postForCode(t, base+"/v1/shard/stats", mustMarshal(t, &StatsRequest{Plan: "p"}),

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -80,7 +79,7 @@ func (rt *Router) probeEndpoint(ctx context.Context, sl *slot, ep *endpoint) {
 	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
 	needAssign := false
-	if _, err := doRequest(pctx, rt.client, ep.url+"/v1/readyz", nil); err != nil {
+	if err := rt.exchange(pctx, ep.url+"/v1/readyz", nil, nil); err != nil {
 		var se *rpcStatusError
 		if !errors.As(err, &se) || se.Status != http.StatusServiceUnavailable {
 			return // not reachable, or broken beyond "unassigned"
@@ -89,8 +88,7 @@ func (rt *Router) probeEndpoint(ctx context.Context, sl *slot, ep *endpoint) {
 	}
 	if !needAssign {
 		var info InfoResponse
-		data, err := doRequest(pctx, rt.client, ep.url+"/v1/shard/info", nil)
-		if err != nil || DecodeRPC(data, &info) != nil {
+		if rt.exchange(pctx, ep.url+"/v1/shard/info", nil, &info) != nil {
 			return
 		}
 		if info.Plan != rt.plan.ID || info.Base != sl.plan.Base {
@@ -110,6 +108,28 @@ func (rt *Router) probeEndpoint(ctx context.Context, sl *slot, ep *endpoint) {
 	}
 }
 
+// exchange is one plain control-plane round trip, outside callSlot's
+// retry/breaker stack: a nil reqBody sends GET, a nil out discards the
+// reply.
+func (rt *Router) exchange(ctx context.Context, url string, reqBody any, out Validator) error {
+	var payload []byte
+	if reqBody != nil {
+		var err error
+		if payload, err = encodeRequest(reqBody); err != nil {
+			return err
+		}
+	}
+	data, err := doRequest(ctx, rt.client, url, payload)
+	if err != nil {
+		return err
+	}
+	defer putBuf(data)
+	if out == nil {
+		return nil
+	}
+	return DecodeRPC(*data, out)
+}
+
 // assignEndpoint installs the slot's segment slice on one worker,
 // pointing it at the router's own blob endpoint for missing artifacts,
 // and records the acknowledged shard statistics.
@@ -123,16 +143,8 @@ func (rt *Router) assignEndpoint(ctx context.Context, sl *slot, ep *endpoint) er
 		Checksums: slotChecksums(rt.plan, sl.plan),
 		FetchFrom: rt.cfg.SelfURL,
 	}
-	payload, err := json.Marshal(&req)
-	if err != nil {
-		return err
-	}
-	data, err := doRequest(ctx, rt.client, ep.url+"/v1/shard/assign", payload)
-	if err != nil {
-		return err
-	}
 	var ack AssignResponse
-	if err := DecodeRPC(data, &ack); err != nil {
+	if err := rt.exchange(ctx, ep.url+"/v1/shard/assign", &req, &ack); err != nil {
 		return err
 	}
 	if ack.Plan != rt.plan.ID {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"newslink"
-	"newslink/internal/index"
 	"newslink/internal/kg"
 	"newslink/internal/obs"
 	"newslink/internal/search"
@@ -87,27 +86,35 @@ func (c Config) withDefaults() Config {
 // slot is one shard of the plan at runtime: its replicas, round-robin
 // cursor, latency history and (assignment-acknowledged) corpus stats.
 type slot struct {
-	idx  int
-	plan ShardPlan
-	eps  []*endpoint
-	next atomic.Int64
-	lat  *obs.Histogram
-	reqs map[string]*obs.Counter // outcome -> request counter
+	idx   int
+	stage string // the slot's span name, obs.StageShard(idx)
+	plan  ShardPlan
+	eps   []*endpoint
+	next  atomic.Int64
+	lat   *obs.Histogram
+	reqs  map[string]*obs.Counter // outcome -> request counter
 
 	mu      sync.Mutex
 	stats   ShardStats
 	statsOK bool
 }
 
-// live returns the slot's currently admitted replicas.
+// live returns the slot's currently admitted replicas, read-only: with
+// every replica admitted it is the slot's own list, not a copy.
 func (sl *slot) live() []*endpoint {
-	out := make([]*endpoint, 0, len(sl.eps))
-	for _, ep := range sl.eps {
+	for i, ep := range sl.eps {
 		if ep.healthy.Load() {
-			out = append(out, ep)
+			continue
 		}
+		out := append(make([]*endpoint, 0, len(sl.eps)-1), sl.eps[:i]...)
+		for _, ep := range sl.eps[i+1:] {
+			if ep.healthy.Load() {
+				out = append(out, ep)
+			}
+		}
+		return out
 	}
-	return out
+	return sl.eps
 }
 
 func (sl *slot) setStats(s ShardStats) {
@@ -223,8 +230,9 @@ func NewRouter(dir string, g *kg.Graph, cfg Config) (*Router, error) {
 	for i, sp := range plan.Shards {
 		shard := strconv.Itoa(i)
 		sl := &slot{
-			idx:  i,
-			plan: sp,
+			idx:   i,
+			stage: obs.StageShard(i),
+			plan:  sp,
 			lat: rt.registry.Histogram("newslink_cluster_shard_seconds",
 				"Per-shard RPC latency.", latencyBounds, obs.L("shard", shard)),
 			reqs: make(map[string]*obs.Counter, 3),
@@ -344,6 +352,10 @@ func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	server.WriteJSON(w, http.StatusOK, st)
 }
+
+// Metrics returns the router's registry: the analyzer engine's metrics
+// plus the cluster counters and per-shard latency histograms.
+func (rt *Router) Metrics() *obs.Registry { return rt.registry }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
@@ -562,13 +574,14 @@ func (rt *Router) searchOnce(ctx context.Context, target []*slot, q string, k, p
 		return nil, lost
 	}
 
-	// Phase 3 — gather: rebase to global positions, merge with the
-	// sharded-merge comparator, fuse, and materialize documents.
+	// Phase 3 — gather: merge the per-slot lists (decoded straight into
+	// global positions) with the sharded-merge comparator, fuse, and
+	// materialize documents.
 	gsp := tr.Start(obs.StageGather)
-	var bowLists, bonLists [][]search.Hit
-	for i, sl := range target {
-		bowLists = append(bowLists, rebase(perSlot[i].Text, sl.plan.Base))
-		bonLists = append(bonLists, rebase(perSlot[i].Node, sl.plan.Base))
+	bowLists := make([][]search.Hit, len(target))
+	bonLists := make([][]search.Hit, len(target))
+	for i := range target {
+		bowLists[i], bonLists[i] = perSlot[i].Text, perSlot[i].Node
 	}
 	bow := search.MergeTopK(pool, bowLists...)
 	bon := search.MergeTopK(pool, bonLists...)
@@ -667,10 +680,8 @@ func (rt *Router) sumTerm(target []*slot, node bool, term string) (search.TermSu
 }
 
 // missingTerms returns the subset of terms with no cache entry for the
-// slot's index.
+// slot's index. The caller holds statsMu.
 func (rt *Router) missingTerms(sl *slot, node bool, terms []string) []string {
-	rt.statsMu.Lock()
-	defer rt.statsMu.Unlock()
 	var out []string
 	for _, t := range terms {
 		if _, ok := rt.statsCache[statsKey{slot: sl.idx, node: node, term: t}]; !ok {
@@ -703,19 +714,25 @@ func (rt *Router) cacheStats(sl *slot, node bool, requested []string, got map[st
 }
 
 // scatter is the router's one fan-out: it runs fn once per target slot,
-// concurrently, and returns the indexes of the slots whose call failed, in
+// concurrently — the last on the calling goroutine, which would otherwise
+// only wait — and returns the indexes of the slots whose call failed, in
 // target order. Statistics, search and document gather are each one call
 // per slot whose failure loses that slot for the pass.
 func (rt *Router) scatter(target []*slot, fn func(i int, sl *slot) error) (lost []int) {
+	if len(target) == 0 {
+		return nil
+	}
 	errs := make([]error, len(target))
 	var wg sync.WaitGroup
-	for i, sl := range target {
+	last := len(target) - 1
+	for i, sl := range target[:last] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			errs[i] = fn(i, sl)
 		}()
 	}
+	errs[last] = fn(last, target[last])
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -725,22 +742,29 @@ func (rt *Router) scatter(target []*slot, fn func(i int, sl *slot) error) (lost 
 	return lost
 }
 
-// scatterStats fetches the uncached term summaries from every target
-// slot in parallel. Returns the slots that failed.
+// scatterStats fetches the uncached term summaries, in parallel, from the
+// target slots that miss any; with a warm cache that is none, decided
+// under one lock without a goroutine. Returns the slots that failed.
 func (rt *Router) scatterStats(ctx context.Context, target []*slot, textTerms, nodeTerms []string) []int {
-	return rt.scatter(target, func(_ int, sl *slot) error {
-		missingText := rt.missingTerms(sl, false, textTerms)
-		missingNode := rt.missingTerms(sl, true, nodeTerms)
-		if len(missingText) == 0 && len(missingNode) == 0 {
-			return nil
+	type miss struct{ text, node []string }
+	var missing []*slot
+	var misses []miss
+	rt.statsMu.Lock()
+	for _, sl := range target {
+		m := miss{rt.missingTerms(sl, false, textTerms), rt.missingTerms(sl, true, nodeTerms)}
+		if len(m.text)+len(m.node) > 0 {
+			missing, misses = append(missing, sl), append(misses, m)
 		}
-		req := StatsRequest{Plan: rt.plan.ID, Text: missingText, Node: missingNode}
+	}
+	rt.statsMu.Unlock()
+	return rt.scatter(missing, func(i int, sl *slot) error {
+		req := StatsRequest{Plan: rt.plan.ID, Text: misses[i].text, Node: misses[i].node}
 		var resp StatsResponse
 		if err := rt.callSlot(ctx, sl, "/v1/shard/stats", &req, &resp); err != nil {
 			return err
 		}
-		rt.cacheStats(sl, false, missingText, resp.Text)
-		rt.cacheStats(sl, true, missingNode, resp.Node)
+		rt.cacheStats(sl, false, misses[i].text, resp.Text)
+		rt.cacheStats(sl, true, misses[i].node, resp.Node)
 		return nil
 	})
 }
@@ -751,19 +775,22 @@ func (rt *Router) scatterStats(ctx context.Context, target []*slot, textTerms, n
 func (rt *Router) scatterSearch(ctx context.Context, target []*slot, pool int, orderedText, orderedNode []search.OrderedTerm, agg aggregated, flt wireFilter) ([]SearchResponse, []int) {
 	tr := obs.FromContext(ctx)
 	perSlot := make([]SearchResponse, len(target))
+	// Every slot evaluates the same request, read-only.
+	req := SearchRequest{
+		Plan:       rt.plan.ID,
+		K:          pool,
+		Text:       orderedText,
+		Node:       orderedNode,
+		TextScorer: scorerParams(agg.textScorer),
+		NodeScorer: scorerParams(agg.nodeScorer),
+		After:      flt.after,
+		Before:     flt.before,
+		Entities:   flt.entities,
+	}
 	lost := rt.scatter(target, func(i int, sl *slot) error {
-		sp := tr.Start(obs.StageShard(sl.idx))
-		req := SearchRequest{
-			Plan:       rt.plan.ID,
-			K:          pool,
-			Text:       orderedText,
-			Node:       orderedNode,
-			TextScorer: scorerParams(agg.textScorer),
-			NodeScorer: scorerParams(agg.nodeScorer),
-			After:      flt.after,
-			Before:     flt.before,
-			Entities:   flt.entities,
-		}
+		sp := tr.Start(sl.stage)
+		// Hits decode straight into global positions.
+		perSlot[i].Base = sl.plan.Base
 		err := rt.callSlot(ctx, sl, "/v1/shard/search", &req, &perSlot[i])
 		sp.End(obs.Int("text_hits", len(perSlot[i].Text)), obs.Int("node_hits", len(perSlot[i].Node)),
 			obs.Bool("failed", err != nil))
@@ -776,16 +803,6 @@ func scorerParams(s search.BM25) ScorerParams {
 	return ScorerParams{K1: s.K1, B: s.B, N: s.N, AvgLen: s.AvgLen}
 }
 
-// rebase converts worker-local hit positions to global positions by the
-// slot's base offset.
-func rebase(hits []WireHit, base int) []search.Hit {
-	out := make([]search.Hit, len(hits))
-	for i, h := range hits {
-		out[i] = search.Hit{Doc: index.DocID(base + h.Pos), Score: h.Score}
-	}
-	return out
-}
-
 // gatherDocs materializes the fused ranking: positions are grouped by
 // owning slot, fetched in parallel, and reassembled in rank order.
 func (rt *Router) gatherDocs(ctx context.Context, target []*slot, fused []search.Hit, terms []string) ([]newslink.Result, []int) {
@@ -793,9 +810,14 @@ func (rt *Router) gatherDocs(ctx context.Context, target []*slot, fused []search
 	if len(fused) == 0 {
 		return results, nil
 	}
-	// ranks[i] lists the fused ranks target[i] serves. A plan has a
+	// ranks[i] lists the fused ranks target[i] serves, each list carved
+	// from one backing array with room for all of them. A plan has a
 	// handful of slots, so finding a hit's slot in target is a short scan.
 	ranks := make([][]int, len(target))
+	store := make([]int, len(target)*len(fused))
+	for i := range ranks {
+		ranks[i] = store[i*len(fused) : i*len(fused) : (i+1)*len(fused)]
+	}
 	var lost []int
 	for rank, h := range fused {
 		idx := rt.plan.slotOfPos(int(h.Doc))

@@ -3,16 +3,21 @@
 // (newslinkd -shard) and serves search/explain by scatter-gather with
 // the exact partial top-k merge semantics of internal/search.
 //
-// The RPC surface is a small HTTP/JSON protocol under the same /v1/
-// envelope the public API uses:
+// The RPC surface is a small HTTP protocol under the same /v1/ prefix and
+// error envelope the public API uses, in two planes. The control plane —
+// per assignment, or carrying nested engine types — is JSON; the data
+// plane — the three RPCs every query pays — is the checksummed binary
+// frame of wire.go, and nothing else is accepted there:
 //
-//	GET  /v1/shard/info         identity, current plan, held artifacts
-//	POST /v1/shard/assign       install a segment slice (fetching blobs)
-//	POST /v1/shard/stats        per-term cursor summaries + corpus stats
-//	POST /v1/shard/search       ordered-term block-max top-k (BOW + BON)
-//	POST /v1/shard/docs         materialize result documents by position
-//	POST /v1/shard/explain      engine Explain for a locally held doc
-//	GET  /v1/shard/blob/{name}  one content-addressed segment artifact
+//	GET  /v1/shard/info         json   identity, current plan, held artifacts
+//	POST /v1/shard/assign       json   install a segment slice (fetching blobs)
+//	POST /v1/shard/stats        frame  per-term cursor summaries + corpus stats
+//	POST /v1/shard/search       frame  ordered-term block-max top-k (BOW + BON)
+//	POST /v1/shard/docs         frame  materialize result documents by position
+//	POST /v1/shard/explain      json   engine Explain for a locally held doc
+//	GET  /v1/shard/blob/{name}  bytes  one content-addressed segment artifact
+//
+// Every non-200 reply, on either plane, is the JSON error envelope.
 //
 // Every stateful request and response carries the plan ID — the version
 // of the conversation. A worker serving a different plan answers 409
@@ -33,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 
 	"newslink"
 	"newslink/internal/search"
@@ -95,28 +101,28 @@ type AssignResponse struct {
 // StatsRequest asks for cursor summaries of the given terms on the text
 // and node indexes.
 type StatsRequest struct {
-	Plan string   `json:"plan"`
-	Text []string `json:"text,omitempty"`
-	Node []string `json:"node,omitempty"`
+	Plan string
+	Text []string
+	Node []string
 }
 
 // StatsResponse carries per-term summaries; terms absent from an index
 // are omitted (the router treats omission as df=0).
 type StatsResponse struct {
-	Plan string                        `json:"plan"`
-	Text map[string]search.TermSummary `json:"text,omitempty"`
-	Node map[string]search.TermSummary `json:"node,omitempty"`
+	Plan string
+	Text map[string]search.TermSummary
+	Node map[string]search.TermSummary
 }
 
 // ScorerParams transports the global BM25 parameters the router computed
-// from aggregated shard stats. float64 survives JSON round-trips exactly
-// (shortest round-trip encoding), so worker-side scoring is bitwise
-// identical to single-process scoring.
+// from aggregated shard stats. Every float64 crosses the wire as its 8 raw
+// bits, so worker-side scoring is bitwise identical to single-process
+// scoring.
 type ScorerParams struct {
-	K1     float64 `json:"k1"`
-	B      float64 `json:"b"`
-	N      int     `json:"n"`
-	AvgLen float64 `json:"avg_len"`
+	K1     float64
+	B      float64
+	N      int
+	AvgLen float64
 }
 
 func (p ScorerParams) scorer() search.BM25 {
@@ -128,12 +134,12 @@ func (p ScorerParams) scorer() search.BM25 {
 // executes them verbatim (TopKBlockMaxOrderedStats), which is what makes
 // per-document scores identical to a single-process evaluation.
 type SearchRequest struct {
-	Plan       string               `json:"plan"`
-	K          int                  `json:"k"`
-	Text       []search.OrderedTerm `json:"text,omitempty"`
-	Node       []search.OrderedTerm `json:"node,omitempty"`
-	TextScorer ScorerParams         `json:"text_scorer"`
-	NodeScorer ScorerParams         `json:"node_scorer"`
+	Plan       string
+	K          int
+	Text       []search.OrderedTerm
+	Node       []search.OrderedTerm
+	TextScorer ScorerParams
+	NodeScorer ScorerParams
 	// After/Before are the inclusive Document.Time bounds (0 = unbounded)
 	// and Entities the router-resolved entity-facet term sets (one set per
 	// requested label, conjunctive across sets; an empty set matches
@@ -141,44 +147,41 @@ type SearchRequest struct {
 	// filter a single process uses, over statistics that stay unfiltered —
 	// which is what keeps filtered cluster rankings DeepEqual to a single
 	// process.
-	After    int64      `json:"after,omitempty"`
-	Before   int64      `json:"before,omitempty"`
-	Entities [][]string `json:"entities,omitempty"`
+	After    int64
+	Before   int64
+	Entities [][]string
 }
 
-// WireHit is one scored document in worker-local position coordinates;
-// the router rebases by the shard's plan base.
-type WireHit struct {
-	Pos   int     `json:"pos"`
-	Score float64 `json:"score"`
-}
-
-// SearchResponse carries the worker-local top k per index.
+// SearchResponse carries the worker-local top k per index. On the wire a
+// hit's position is Doc − Base: a worker encodes with Base 0 (its local
+// coordinates), and the router decodes with Base set to the slot's plan
+// base, so hits arrive already in global positions.
 type SearchResponse struct {
-	Plan string    `json:"plan"`
-	Text []WireHit `json:"text,omitempty"`
-	Node []WireHit `json:"node,omitempty"`
+	Plan string
+	Base int // not on the wire
+	Text []search.Hit
+	Node []search.Hit
 }
 
 // DocsRequest materializes result documents by worker-local position.
 // Terms drive snippet selection, as in the engine's own topk stage.
 type DocsRequest struct {
-	Plan      string   `json:"plan"`
-	Positions []int    `json:"positions"`
-	Terms     []string `json:"terms,omitempty"`
+	Plan      string
+	Positions []int
+	Terms     []string
 }
 
 // WireDoc is one materialized result document.
 type WireDoc struct {
-	ID      int    `json:"id"`
-	Title   string `json:"title"`
-	Snippet string `json:"snippet,omitempty"`
+	ID      int
+	Title   string
+	Snippet string
 }
 
 // DocsResponse answers positions in request order.
 type DocsResponse struct {
-	Plan string    `json:"plan"`
-	Docs []WireDoc `json:"docs"`
+	Plan string
+	Docs []WireDoc
 }
 
 // ExplainRequest forwards an explain to the worker holding the document.
@@ -210,11 +213,17 @@ func decodeErrf(format string, args ...any) error {
 }
 
 // DecodeRPC strictly decodes one RPC message and validates its bounds:
-// unknown fields, trailing data, oversized payloads and out-of-range
-// parameters all fail with a typed error instead of reaching a handler.
+// unknown fields, trailing data, corrupted or oversized payloads and
+// out-of-range parameters all fail with a typed error instead of reaching
+// a handler. The message type fixes the codec — a data-plane message is a
+// binary frame, anything else JSON — so neither end negotiates. Nothing
+// decoded aliases data.
 func DecodeRPC(data []byte, v Validator) error {
 	if len(data) > maxRPCBody {
 		return decodeErrf("body of %d bytes exceeds %d", len(data), maxRPCBody)
+	}
+	if m, ok := v.(wireMessage); ok {
+		return decodeFrame(data, m)
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -227,13 +236,70 @@ func DecodeRPC(data []byte, v Validator) error {
 	return v.Validate()
 }
 
+// encodeRPC appends v's wire form to b, the counterpart of DecodeRPC.
+func encodeRPC(b []byte, v any) ([]byte, error) {
+	if m, ok := v.(wireMessage); ok {
+		return appendFrame(b, m), nil
+	}
+	data, err := json.Marshal(v)
+	return append(b, data...), err
+}
+
+// contentType names what encodeRPC produced, as a header value shared by
+// every message (read-only) rather than built per RPC.
+func contentType(body []byte) []string {
+	if isFrame(body) {
+		return contentTypeFrame
+	}
+	return contentTypeJSON
+}
+
+var (
+	contentTypeFrame = []string{"application/octet-stream"}
+	contentTypeJSON  = []string{"application/json"}
+)
+
+// readBody reads one RPC body into a pooled buffer the caller owns. The
+// buffer is sized once from the announced Content-Length (negative =
+// unknown) instead of grown by doubling — up to maxPooledBuf, so an
+// announcement alone cannot reserve megabytes; bodies past maxRPCBody are
+// refused, announced or not. A body shorter than announced surfaces as
+// net/http's io.ErrUnexpectedEOF.
+func readBody(r io.Reader, announced int64) (*[]byte, error) {
+	if announced > maxRPCBody {
+		return nil, decodeErrf("body of %d bytes exceeds %d", announced, maxRPCBody)
+	}
+	// One spare byte lets the read that returns io.EOF land without growth.
+	buf := getBuf(int(min(max(announced, 511), maxPooledBuf)) + 1)
+	b := *buf
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		*buf = b
+		if len(b) > maxRPCBody {
+			err = decodeErrf("body exceeds %d bytes", maxRPCBody)
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			putBuf(buf)
+			return nil, err
+		}
+	}
+}
+
 // decodeBody reads and decodes one request body.
-func decodeBody(r io.Reader, v Validator) error {
-	data, err := io.ReadAll(io.LimitReader(r, maxRPCBody+1))
+func decodeBody(r *http.Request, v Validator) error {
+	buf, err := readBody(r.Body, r.ContentLength)
 	if err != nil {
 		return decodeErrf("reading body: %v", err)
 	}
-	return DecodeRPC(data, v)
+	defer putBuf(buf)
+	return DecodeRPC(*buf, v)
 }
 
 // Validator is an RPC message that can check its own bounds.
@@ -380,16 +446,12 @@ func (r *StatsResponse) Validate() error {
 	return nil
 }
 
+// Validate bounds the hit lists. Positions need no check here: a hit's
+// Doc is unsigned, and the frame decoder refuses a negative or
+// out-of-space position before one is formed.
 func (r *SearchResponse) Validate() error {
 	if len(r.Text) > maxRPCK || len(r.Node) > maxRPCK {
 		return decodeErrf("search response: hit list exceeds k cap")
-	}
-	for _, hits := range [][]WireHit{r.Text, r.Node} {
-		for _, h := range hits {
-			if h.Pos < 0 {
-				return decodeErrf("search response: negative position")
-			}
-		}
 	}
 	return nil
 }

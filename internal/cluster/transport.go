@@ -39,11 +39,29 @@ func retryable(err error) bool {
 	return true
 }
 
-// doRequest performs one HTTP exchange and returns the raw response
-// body. A nil payload sends GET, otherwise POST. Reading the full body
-// here is what turns a worker crash mid-response (short write against a
-// promised Content-Length) into an unexpected-EOF attempt failure.
-func doRequest(ctx context.Context, client *http.Client, url string, payload []byte) ([]byte, error) {
+// encodeRequest returns v's wire form as an exact-size slice for net/http
+// to read from, encoded through a pooled scratch buffer. The slice itself
+// is left to the collector, not pooled: the transport may still be reading
+// a request body after the exchange it belongs to has returned (a hedged
+// loser certainly is), and only a bytes.Reader body is written in one
+// syscall with its headers.
+func encodeRequest(v any) ([]byte, error) {
+	buf := getBuf(0)
+	defer putBuf(buf)
+	data, err := encodeRPC(*buf, v)
+	if err != nil {
+		return nil, err
+	}
+	*buf = data
+	return bytes.Clone(data), nil
+}
+
+// doRequest performs one HTTP exchange and returns the raw 200 response
+// body in a pooled buffer the caller owns (putBuf once decoded). A nil
+// payload sends GET, otherwise POST. Reading the full body here is what
+// turns a worker crash mid-response (short write against a promised
+// Content-Length) into an unexpected-EOF attempt failure.
+func doRequest(ctx context.Context, client *http.Client, url string, payload []byte) (*[]byte, error) {
 	method, body := http.MethodGet, io.Reader(nil)
 	if payload != nil {
 		method, body = http.MethodPost, bytes.NewReader(payload)
@@ -52,22 +70,25 @@ func doRequest(ctx context.Context, client *http.Client, url string, payload []b
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if payload != nil {
+		req.Header["Content-Type"] = contentType(payload)
+	}
 	resp, err := client.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRPCBody+1))
+	data, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("reading shard response: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		se := &rpcStatusError{Status: resp.StatusCode}
 		var env server.ErrorResponse
-		if json.Unmarshal(data, &env) == nil {
+		if json.Unmarshal(*data, &env) == nil {
 			se.Code, se.Message = env.Error.Code, env.Error.Message
 		}
+		putBuf(data)
 		return nil, se
 	}
 	return data, nil
@@ -75,7 +96,7 @@ func doRequest(ctx context.Context, client *http.Client, url string, payload []b
 
 // attempt performs one request against one endpoint, recording latency,
 // the per-shard outcome counter, and the endpoint's breaker state.
-func (rt *Router) attempt(ctx context.Context, sl *slot, ep *endpoint, path string, payload []byte) ([]byte, error) {
+func (rt *Router) attempt(ctx context.Context, sl *slot, ep *endpoint, path string, payload []byte) (*[]byte, error) {
 	t0 := time.Now()
 	data, err := doRequest(ctx, rt.client, ep.url+path, payload)
 	sl.lat.Observe(time.Since(t0).Seconds())
@@ -88,7 +109,12 @@ func (rt *Router) attempt(ctx context.Context, sl *slot, ep *endpoint, path stri
 		rt.noteFailure(sl, ep, err)
 	default:
 		sl.reqs["error"].Inc()
-		rt.noteFailure(sl, ep, err)
+		// A cancelled attempt — a hedge's loser, a client that went away —
+		// says nothing about the endpoint; counting it would let a run of
+		// lost hedges eject a healthy replica.
+		if !errors.Is(err, context.Canceled) {
+			rt.noteFailure(sl, ep, err)
+		}
 	}
 	return data, err
 }
@@ -116,15 +142,17 @@ func (rt *Router) hedgeDelay(sl *slot) time.Duration {
 // endpoint, plus — when hedging is on and the slot has a second live
 // replica — a duplicate to the next replica once the primary has been
 // quiet past the hedge delay. The first success wins and cancels the
-// loser; requests are idempotent reads, so duplicates are harmless.
-func (rt *Router) attemptHedged(ctx context.Context, sl *slot, eps []*endpoint, idx int, path string, payload []byte) ([]byte, error) {
+// loser; requests are idempotent reads, so duplicates are harmless. A
+// loser's response buffer is never received from ch and goes to the
+// collector, not the pool.
+func (rt *Router) attemptHedged(ctx context.Context, sl *slot, eps []*endpoint, idx int, path string, payload []byte) (*[]byte, error) {
 	if !rt.cfg.Hedge || len(eps) < 2 {
 		return rt.attempt(ctx, sl, eps[idx], path, payload)
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
-		data []byte
+		data *[]byte
 		err  error
 	}
 	ch := make(chan result, 2)
@@ -165,15 +193,13 @@ func (rt *Router) attemptHedged(ctx context.Context, sl *slot, eps []*endpoint, 
 // callSlot performs one idempotent RPC against a slot with the full
 // robustness stack: live-replica rotation, per-attempt deadlines carved
 // from the remaining request budget, bounded retries with jittered
-// exponential backoff, hedging, and strict response decoding (a decoded
-// reply for the wrong plan is a failure, not a result).
+// exponential backoff, hedging, and strict response decoding. The request
+// is encoded once; every attempt — retries and hedges — reads the same
+// bytes.
 func (rt *Router) callSlot(ctx context.Context, sl *slot, path string, reqBody any, out Validator) error {
-	var payload []byte
-	if reqBody != nil {
-		var err error
-		if payload, err = json.Marshal(reqBody); err != nil {
-			return err
-		}
+	payload, err := encodeRequest(reqBody)
+	if err != nil {
+		return err
 	}
 	attempts := rt.cfg.MaxAttempts
 	if attempts < 1 {
@@ -206,7 +232,9 @@ func (rt *Router) callSlot(ctx context.Context, sl *slot, path string, reqBody a
 		data, err := rt.attemptHedged(actx, sl, eps, idx, path, payload)
 		cancel()
 		if err == nil {
-			if err = DecodeRPC(data, out); err == nil {
+			err = DecodeRPC(*data, out)
+			putBuf(data)
+			if err == nil {
 				return nil
 			}
 			// A decodable-but-invalid body is as broken as a transport

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -20,6 +19,7 @@ import (
 	"newslink/internal/index"
 	"newslink/internal/kg"
 	"newslink/internal/nlp"
+	"newslink/internal/obs"
 	"newslink/internal/search"
 	"newslink/internal/server"
 )
@@ -35,6 +35,9 @@ type Worker struct {
 	g      *kg.Graph
 	log    *slog.Logger
 	client *http.Client
+	idle   *obs.Registry // what Metrics reports while unassigned: nothing
+	// The worker's two fault points, built once rather than per RPC.
+	gatePoint, writePoint faults.Point
 
 	mu     sync.Mutex
 	plan   string
@@ -56,6 +59,10 @@ func NewWorker(id, dir string, g *kg.Graph, log *slog.Logger) *Worker {
 		g:      g,
 		log:    log,
 		client: &http.Client{Timeout: 2 * time.Minute},
+		idle:   obs.NewRegistry(),
+
+		gatePoint:  faults.ClusterShard(id),
+		writePoint: faults.ClusterShardWrite(id),
 	}
 }
 
@@ -85,39 +92,41 @@ func (w *Worker) Handler() http.Handler {
 // An injected error answers 500 (a failing shard); an injected delay
 // simply sleeps inside Fire, modelling a slow one.
 func (w *Worker) gate(rw http.ResponseWriter) bool {
-	if err := faults.Fire(faults.ClusterShard(w.id)); err != nil {
+	if err := faults.Fire(w.gatePoint); err != nil {
 		server.WriteError(rw, http.StatusInternalServerError, "fault_injected", "%v", err)
 		return false
 	}
 	return true
 }
 
-// writeRPC marshals and writes one RPC response, routing the bytes
-// through the worker's response-write fault point first. A mutation rule
-// that truncates the payload models a worker crashing mid-response: the
-// full Content-Length is promised, a prefix is written, and the
-// connection is aborted — the router sees a transport error, never a
-// silently short document.
+// writeRPC encodes one RPC response into a pooled buffer and writes it,
+// routing the bytes through the worker's response-write fault point first.
+// A mutation rule that truncates the payload models a worker crashing
+// mid-response: the full Content-Length is promised, a prefix is written,
+// and the connection is aborted — the router sees a transport error, never
+// a silently short document. The length is always announced, so the router
+// sizes its read once.
 func (w *Worker) writeRPC(rw http.ResponseWriter, v any) {
-	data, err := json.Marshal(v)
+	buf := getBuf(0)
+	defer putBuf(buf)
+	data, err := encodeRPC(*buf, v)
 	if err != nil {
 		server.WriteError(rw, http.StatusInternalServerError, "internal", "%v", err)
 		return
 	}
-	mutated, ferr := faults.FireData(faults.ClusterShardWrite(w.id), data)
+	*buf = data
+	mutated, ferr := faults.FireData(w.writePoint, data)
 	if ferr != nil {
 		server.WriteError(rw, http.StatusInternalServerError, "fault_injected", "%v", ferr)
 		return
 	}
-	rw.Header().Set("Content-Type", "application/json")
-	if len(mutated) < len(data) {
-		rw.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		rw.WriteHeader(http.StatusOK)
-		_, _ = rw.Write(mutated)
-		panic(http.ErrAbortHandler)
-	}
+	rw.Header()["Content-Type"] = contentType(data)
+	rw.Header().Set("Content-Length", strconv.Itoa(max(len(data), len(mutated))))
 	rw.WriteHeader(http.StatusOK)
 	_, _ = rw.Write(mutated)
+	if len(mutated) < len(data) {
+		panic(http.ErrAbortHandler)
+	}
 }
 
 // snapshotState returns the worker's current engine, plan and base.
@@ -168,15 +177,19 @@ func (w *Worker) handleReady(rw http.ResponseWriter, _ *http.Request) {
 	server.WriteJSON(rw, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-func (w *Worker) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
-	e, _, _ := w.snapshotState()
-	if e == nil {
-		server.WriteJSON(rw, http.StatusOK, map[string]string{})
-		return
+// Metrics returns the registry of the engine the worker currently serves
+// — it changes with the assignment — or an empty one while unassigned.
+func (w *Worker) Metrics() *obs.Registry {
+	if e, _, _ := w.snapshotState(); e != nil {
+		return e.Metrics()
 	}
+	return w.idle
+}
+
+func (w *Worker) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 	rw.Header().Set("Content-Type", "application/json")
 	rw.WriteHeader(http.StatusOK)
-	_ = e.Metrics().WriteJSON(rw)
+	_ = w.Metrics().WriteJSON(rw)
 }
 
 func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
@@ -184,7 +197,7 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AssignRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		server.WriteError(rw, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
@@ -321,7 +334,7 @@ func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req StatsRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		server.WriteError(rw, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
@@ -346,7 +359,7 @@ func (w *Worker) handleSearch(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SearchRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		server.WriteError(rw, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
@@ -363,43 +376,20 @@ func (w *Worker) handleSearch(rw http.ResponseWriter, r *http.Request) {
 		server.WriteError(rw, http.StatusInternalServerError, "internal", "%v", err)
 		return
 	}
+	// Both legs run here, on the handler goroutine: a spawn and a wake-up
+	// per leg cost more than the overlap returns (DESIGN.md §14).
 	resp := SearchResponse{Plan: req.Plan}
-	var wg sync.WaitGroup
-	var textErr, nodeErr error
 	if len(req.Text) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp.Text, textErr = orderedTopK(r.Context(), text, req.TextScorer, req.Text, req.K)
-		}()
+		resp.Text, _, err = search.TopKBlockMaxOrderedStats(r.Context(), text, req.TextScorer.scorer(), req.Text, req.K)
 	}
-	if len(req.Node) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp.Node, nodeErr = orderedTopK(r.Context(), node, req.NodeScorer, req.Node, req.K)
-		}()
+	if err == nil && len(req.Node) > 0 {
+		resp.Node, _, err = search.TopKBlockMaxOrderedStats(r.Context(), node, req.NodeScorer.scorer(), req.Node, req.K)
 	}
-	wg.Wait()
-	if err := errors.Join(textErr, nodeErr); err != nil {
+	if err != nil {
 		server.WriteError(rw, http.StatusInternalServerError, "internal", "%v", err)
 		return
 	}
 	w.writeRPC(rw, &resp)
-}
-
-// orderedTopK runs the globally ordered block-max evaluation over one
-// local index — the engine's own kernel, given the router's term order.
-func orderedTopK(ctx context.Context, idx index.Source, params ScorerParams, terms []search.OrderedTerm, k int) ([]WireHit, error) {
-	hits, _, err := search.TopKBlockMaxOrderedStats(ctx, idx, params.scorer(), terms, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WireHit, len(hits))
-	for i, h := range hits {
-		out[i] = WireHit{Pos: int(h.Doc), Score: h.Score}
-	}
-	return out, nil
 }
 
 func (w *Worker) handleDocs(rw http.ResponseWriter, r *http.Request) {
@@ -407,7 +397,7 @@ func (w *Worker) handleDocs(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DocsRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		server.WriteError(rw, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
@@ -433,7 +423,7 @@ func (w *Worker) handleExplain(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ExplainRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		server.WriteError(rw, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
