@@ -8,7 +8,7 @@
 # root (rootless: G* exhausts every label's ball, the bench/ search-cold
 # shape); BenchmarkSustainedIngestServe covers the
 # write side: search p99 while the streaming pipeline absorbs ~1k docs/sec;
-# BenchmarkClusterScatterGather covers the serving tier: one warm search
+# BenchmarkClusterScatterGather covers the serving tier: one search
 # through the cluster router and three local shard workers (scatter, merge,
 # document gather) and BenchmarkWireCodec its data-plane codec (encode
 # into a reused buffer must stay at 0 allocs/op, a response decode at 2, so

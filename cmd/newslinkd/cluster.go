@@ -6,7 +6,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"log/slog"
@@ -39,23 +38,36 @@ func loadGraph(kgPath string) (*kg.Graph, error) {
 	return kg.Read(f)
 }
 
+// shardConfig carries the shard-mode flags.
+type shardConfig struct {
+	addr         string
+	id           string // empty = the bound listen address
+	dir          string // empty = a fresh temp directory
+	kgPath       string
+	debugAddr    string // empty = no debug listener
+	drainTimeout time.Duration
+	drainGrace   time.Duration
+	logger       *slog.Logger
+}
+
 // runShard serves one shard worker until SIGINT/SIGTERM. The worker
 // starts empty (readyz answers 503) and becomes ready when a router
 // assigns it a segment slice.
-func runShard(addr, id, dir, kgPath, debugAddr string, logger *slog.Logger) error {
+func runShard(cfg shardConfig) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	return shardMain(ctx, addr, id, dir, kgPath, debugAddr, logger, nil)
+	return shardMain(ctx, cfg, nil)
 }
 
 // shardMain is runShard's context-driven body; bound, when non-nil,
 // receives the listener's address once serving (tests use it to learn
 // the ephemeral port).
-func shardMain(ctx context.Context, addr, id, dir, kgPath, debugAddr string, logger *slog.Logger, bound chan<- string) error {
-	g, err := loadGraph(kgPath)
+func shardMain(ctx context.Context, cfg shardConfig, bound chan<- string) error {
+	g, err := loadGraph(cfg.kgPath)
 	if err != nil {
 		return err
 	}
+	dir := cfg.dir
 	if dir == "" {
 		if dir, err = os.MkdirTemp("", "newslink-shard-*"); err != nil {
 			return err
@@ -64,28 +76,33 @@ func shardMain(ctx context.Context, addr, id, dir, kgPath, debugAddr string, log
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
-		return fmt.Errorf("binding %s: %w", addr, err)
+		return fmt.Errorf("binding %s: %w", cfg.addr, err)
 	}
+	id := cfg.id
 	if id == "" {
 		id = ln.Addr().String()
 	}
-	w := cluster.NewWorker(id, dir, g, logger)
-	debug, debugLn, err := listenDebug(debugAddr, w.Metrics)
-	if err != nil {
-		ln.Close()
-		return err
+	w := cluster.NewWorker(id, dir, g, cfg.logger)
+	d := &daemon{
+		main:         hardenServer(&http.Server{Handler: w.Handler()}),
+		mainLn:       ln,
+		drainTimeout: cfg.drainTimeout,
+		drainGrace:   cfg.drainGrace,
+		logger:       cfg.logger,
 	}
-	srv := hardenServer(&http.Server{Handler: w.Handler()})
 	// Assignments stream segment artifacts from a peer before answering;
 	// give them more room than an interactive query response.
-	srv.WriteTimeout = 2 * time.Minute
+	d.main.WriteTimeout = 2 * time.Minute
+	if err := d.listenDebug(cfg.debugAddr, w.Metrics); err != nil {
+		return err
+	}
 	log.Printf("shard worker %s serving on %s (artifacts in %s)", id, ln.Addr(), dir)
 	if bound != nil {
 		bound <- ln.Addr().String()
 	}
-	return serveUntilDone(ctx, srv, ln, debug, debugLn, logger, nil)
+	return d.run(ctx)
 }
 
 // routerConfig carries the router-mode flags.
@@ -99,6 +116,8 @@ type routerConfig struct {
 	hedge         bool
 	probeInterval time.Duration
 	queryTimeout  time.Duration
+	drainTimeout  time.Duration
+	drainGrace    time.Duration
 	logger        *slog.Logger
 }
 
@@ -147,25 +166,30 @@ func routerMain(ctx context.Context, cfg routerConfig, bound chan<- string) erro
 		return err
 	}
 	defer rt.Close()
-	debug, debugLn, err := listenDebug(cfg.debugAddr, rt.Metrics)
-	if err != nil {
-		ln.Close()
+	d := &daemon{
+		main:         hardenServer(&http.Server{Handler: rt.Handler()}),
+		mainLn:       ln,
+		drainTimeout: cfg.drainTimeout,
+		drainGrace:   cfg.drainGrace,
+		logger:       cfg.logger,
+		// Assignment needs the blob endpoint to be live, so it runs once
+		// the servers are up. A failed initial assignment is not fatal —
+		// the probe loop keeps admitting workers as they appear.
+		serving: func(ctx context.Context) {
+			if err := rt.Start(ctx); err != nil {
+				cfg.logger.Warn("initial cluster assignment incomplete", "err", err)
+			}
+		},
+	}
+	if err := d.listenDebug(cfg.debugAddr, rt.Metrics); err != nil {
 		return err
 	}
-	srv := hardenServer(&http.Server{Handler: rt.Handler()})
 	log.Printf("cluster router serving %d shards on %s (plan %s)",
 		len(rt.Plan().Shards), ln.Addr(), rt.Plan().ID)
 	if bound != nil {
 		bound <- ln.Addr().String()
 	}
-	return serveUntilDone(ctx, srv, ln, debug, debugLn, cfg.logger, func(ctx context.Context) {
-		// Assignment needs the blob endpoint above to be live, so it runs
-		// after Serve starts. A failed initial assignment is not fatal —
-		// the probe loop keeps admitting workers as they appear.
-		if err := rt.Start(ctx); err != nil {
-			cfg.logger.Warn("initial cluster assignment incomplete", "err", err)
-		}
-	})
+	return d.run(ctx)
 }
 
 // parseShardAddrs splits the -shard-addrs grammar: groups by comma, one
@@ -184,38 +208,4 @@ func parseShardAddrs(s string) [][]string {
 		}
 	}
 	return out
-}
-
-// serveUntilDone runs srv on ln — and debug on debugLn, when -debug-addr
-// bound one — until ctx ends (SIGINT/SIGTERM in production), then shuts
-// both down gracefully. after, when non-nil, runs in a goroutine once
-// serving has begun (used for the router's initial assignment).
-func serveUntilDone(ctx context.Context, srv *http.Server, ln net.Listener, debug *http.Server, debugLn net.Listener, logger *slog.Logger, after func(ctx context.Context)) error {
-	errc := make(chan error, 2)
-	serve := func(s *http.Server, l net.Listener) {
-		if err := s.Serve(l); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}
-	go serve(srv, ln)
-	if debug != nil {
-		logger.Info("debug server listening", "addr", debugLn.Addr().String())
-		go serve(debug, debugLn)
-	}
-	if after != nil {
-		go after(ctx)
-	}
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	logger.Info("shutting down")
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	err := srv.Shutdown(sctx)
-	if debug != nil {
-		err = errors.Join(err, debug.Shutdown(sctx))
-	}
-	return err
 }

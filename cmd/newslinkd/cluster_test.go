@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,6 +20,10 @@ import (
 	"newslink/internal/corpus"
 	"newslink/internal/kg"
 )
+
+// drainTimeout is the -drain-timeout the cluster-mode tests run under
+// unless the drain itself is what they test.
+const drainTimeout = 15 * time.Second
 
 func TestParseShardAddrs(t *testing.T) {
 	cases := []struct {
@@ -108,7 +113,7 @@ func TestClusterDaemonEndToEnd(t *testing.T) {
 		id := "shard" + string(rune('0'+i))
 		dir := t.TempDir()
 		go func() {
-			shardErrs <- shardMain(ctx, "127.0.0.1:0", id, dir, "", "", logger, bound)
+			shardErrs <- shardMain(ctx, shardConfig{addr: "127.0.0.1:0", id: id, dir: dir, drainTimeout: drainTimeout, logger: logger}, bound)
 		}()
 		select {
 		case a := <-bound:
@@ -127,6 +132,7 @@ func TestClusterDaemonEndToEnd(t *testing.T) {
 			shardAddrs:    strings.Join(addrs, ","),
 			probeInterval: 50 * time.Millisecond,
 			queryTimeout:  5 * time.Second,
+			drainTimeout:  drainTimeout,
 			logger:        logger,
 		}, routerBound)
 	}()
@@ -207,10 +213,10 @@ func TestClusterMainErrorPaths(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	ctx := context.Background()
 
-	if err := shardMain(ctx, "127.0.0.1:0", "w", t.TempDir(), filepath.Join(t.TempDir(), "no-such-kg"), "", logger, nil); err == nil {
+	if err := shardMain(ctx, shardConfig{addr: "127.0.0.1:0", id: "w", dir: t.TempDir(), kgPath: filepath.Join(t.TempDir(), "no-such-kg"), logger: logger}, nil); err == nil {
 		t.Fatal("shardMain with a missing -kg started")
 	}
-	if err := shardMain(ctx, "256.256.256.256:1", "w", t.TempDir(), "", "", logger, nil); err == nil {
+	if err := shardMain(ctx, shardConfig{addr: "256.256.256.256:1", id: "w", dir: t.TempDir(), logger: logger}, nil); err == nil {
 		t.Fatal("shardMain bound an impossible address")
 	}
 	if err := routerMain(ctx, routerConfig{
@@ -238,7 +244,7 @@ func TestRunShardSignalShutdown(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	done := make(chan error, 1)
 	go func() {
-		done <- runShard("127.0.0.1:0", "sig-test", t.TempDir(), "", "", logger)
+		done <- runShard(shardConfig{addr: "127.0.0.1:0", id: "sig-test", dir: t.TempDir(), drainTimeout: drainTimeout, logger: logger})
 	}()
 	// Give the worker a moment to install its signal handler and bind.
 	time.Sleep(200 * time.Millisecond)
@@ -312,7 +318,7 @@ func TestClusterModesServeDebugAddr(t *testing.T) {
 	shardBound, routerBound := make(chan string, 1), make(chan string, 1)
 	shardErr, routerErr := make(chan error, 1), make(chan error, 1)
 	go func() {
-		shardErr <- shardMain(ctx, "127.0.0.1:0", "dbg", t.TempDir(), "", shardDebug, logger, shardBound)
+		shardErr <- shardMain(ctx, shardConfig{addr: "127.0.0.1:0", id: "dbg", dir: t.TempDir(), debugAddr: shardDebug, drainTimeout: drainTimeout, logger: logger}, shardBound)
 	}()
 	var shardAddr string
 	select {
@@ -331,6 +337,7 @@ func TestClusterModesServeDebugAddr(t *testing.T) {
 			debugAddr:     routerDebug,
 			probeInterval: 50 * time.Millisecond,
 			queryTimeout:  5 * time.Second,
+			drainTimeout:  drainTimeout,
 			logger:        logger,
 		}, routerBound)
 	}()
@@ -407,7 +414,7 @@ func TestClusterModesDebugBindFailure(t *testing.T) {
 
 	shardAddr, routerAddr := freeAddr(t), freeAddr(t)
 	got := map[string]error{
-		"shard": shardMain(ctx, shardAddr, "w", t.TempDir(), "", debugAddr, logger, nil),
+		"shard": shardMain(ctx, shardConfig{addr: shardAddr, id: "w", dir: t.TempDir(), debugAddr: debugAddr, logger: logger}, nil),
 		"router": routerMain(ctx, routerConfig{
 			addr: routerAddr, snapshot: snap, shardAddrs: "http://x", debugAddr: debugAddr, logger: logger,
 		}, nil),
@@ -425,4 +432,131 @@ func TestClusterModesDebugBindFailure(t *testing.T) {
 		}
 		ln.Close()
 	}
+}
+
+// TestClusterModesHonourDrainTimeout: -drain-timeout bounds the drain under
+// -shard and -router — it used to be parsed and ignored there (15 s, hard-
+// coded). Each mode has one request hung in flight when the stop signal
+// arrives and must give up on it after the configured second.
+func TestClusterModesHonourDrainTimeout(t *testing.T) {
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	// drained cancels ctx and returns how long the mode took to come down.
+	drained := func(t *testing.T, cancel context.CancelFunc, done <-chan error) time.Duration {
+		t.Helper()
+		t0 := time.Now()
+		cancel()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "drain") {
+				t.Errorf("exited with %v, want a drain deadline error", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("still draining after 10s with -drain-timeout 1s")
+		}
+		return time.Since(t0)
+	}
+	check := func(t *testing.T, took time.Duration) {
+		t.Helper()
+		if took < 900*time.Millisecond || took > 5*time.Second {
+			t.Fatalf("drain took %v, want about the 1s -drain-timeout", took)
+		}
+	}
+
+	t.Run("shard", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		bound, done := make(chan string, 1), make(chan error, 1)
+		go func() {
+			done <- shardMain(ctx, shardConfig{addr: "127.0.0.1:0", id: "hung", dir: t.TempDir(),
+				drainTimeout: time.Second, logger: logger}, bound)
+		}()
+		var addr string
+		select {
+		case addr = <-bound:
+		case err := <-done:
+			t.Fatalf("shard exited before binding: %v", err)
+		}
+		// A request whose promised body never arrives: the handler is
+		// invoked and blocks reading it.
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, "POST /v1/shard/assign HTTP/1.1\r\nHost: shard\r\nContent-Length: 1000\r\n\r\n{"); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(200 * time.Millisecond)
+		check(t, drained(t, cancel, done))
+	})
+
+	t.Run("router", func(t *testing.T) {
+		e, err := buildEngine("", "", 0.2, "", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := t.TempDir()
+		if err := e.Save(snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// A stand-in worker that acknowledges any assignment and then never
+		// answers a search.
+		release, searching := make(chan struct{}), make(chan struct{}, 1)
+		worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/v1/shard/assign":
+				var req struct {
+					Plan string `json:"plan"`
+				}
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				json.NewEncoder(w).Encode(map[string]any{"plan": req.Plan, "fetched": 0})
+			case "/v1/shard/search":
+				searching <- struct{}{}
+				<-release
+			default:
+				http.NotFound(w, r)
+			}
+		}))
+		defer worker.Close()
+		defer close(release)
+
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		bound, done := make(chan string, 1), make(chan error, 1)
+		go func() {
+			done <- routerMain(ctx, routerConfig{addr: "127.0.0.1:0", snapshot: snap, shardAddrs: worker.URL,
+				probeInterval: 50 * time.Millisecond, queryTimeout: 30 * time.Second,
+				drainTimeout: time.Second, logger: logger}, bound)
+		}()
+		var addr string
+		select {
+		case addr = <-bound:
+		case err := <-done:
+			t.Fatalf("router exited before binding: %v", err)
+		}
+		// Searches answer 503 until the stand-in is assigned and admitted;
+		// the first one that reaches it hangs there.
+		go func() {
+			for ctx.Err() == nil {
+				resp, err := http.Get("http://" + addr + "/v1/search?q=Taliban+bombing+in+Lahore")
+				if err != nil {
+					return
+				}
+				resp.Body.Close()
+				time.Sleep(20 * time.Millisecond)
+			}
+		}()
+		select {
+		case <-searching:
+		case <-time.After(10 * time.Second):
+			t.Fatal("no search reached the worker within 10s")
+		}
+		check(t, drained(t, cancel, done))
+	})
 }

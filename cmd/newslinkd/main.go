@@ -23,7 +23,9 @@
 // process drains: /v1/readyz flips to 503 (liveness /v1/healthz stays
 // 200), -drain-grace lets load balancers observe the flip, in-flight
 // requests run to completion within -drain-timeout, the ingest queue is
-// applied and the write-ahead log closed, and the process exits 0.
+// applied and the write-ahead log closed, and the process exits 0. -shard
+// and -router drain through the same lifecycle: -drain-grace, then
+// in-flight requests within -drain-timeout.
 //
 // Streaming ingestion: -ingest-queue arms the async write pipeline behind
 // POST /v1/docs:stream (a full queue sheds with 429 + Retry-After), and
@@ -78,8 +80,8 @@ func main() {
 	walDir := flag.String("wal", "", "write-ahead log directory: post-startup writes are durably logged and replayed after a crash (empty = disabled)")
 	ingestQueue := flag.Int("ingest-queue", 0, "bounded async ingest queue for POST /v1/docs:stream; a full queue sheds with 429 (0 = synchronous ingestion)")
 	ingestBatch := flag.Int("ingest-batch", 0, "documents per ingest micro-batch (0 = default)")
-	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "shutdown deadline for in-flight requests after SIGINT/SIGTERM")
-	drainGrace := flag.Duration("drain-grace", 0, "pause between flipping /v1/readyz to 503 and closing listeners, for load balancers to observe the flip")
+	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "shutdown deadline for in-flight requests after SIGINT/SIGTERM, in all three modes")
+	drainGrace := flag.Duration("drain-grace", 0, "pause between the stop signal (single process: flipping /v1/readyz to 503) and closing listeners, for load balancers to take the instance out of rotation")
 	debugAddr := flag.String("debug-addr", "", "optional private listen address for net/http/pprof and metrics (empty = disabled)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn or error")
 	shardMode := flag.Bool("shard", false, "run as a cluster shard worker: serve the /v1/shard/ RPC surface and wait for a router assignment")
@@ -102,7 +104,16 @@ func main() {
 		log.Fatal("-shard and -router are mutually exclusive")
 	}
 	if *shardMode {
-		if err := runShard(*addr, *shardID, *shardDir, *kgPath, *debugAddr, logger); err != nil {
+		if err := runShard(shardConfig{
+			addr:         *addr,
+			id:           *shardID,
+			dir:          *shardDir,
+			kgPath:       *kgPath,
+			debugAddr:    *debugAddr,
+			drainTimeout: *drainTimeout,
+			drainGrace:   *drainGrace,
+			logger:       logger,
+		}); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -118,6 +129,8 @@ func main() {
 			hedge:         *hedge,
 			probeInterval: *probeInterval,
 			queryTimeout:  *queryTimeout,
+			drainTimeout:  *drainTimeout,
+			drainGrace:    *drainGrace,
 			logger:        logger,
 		}); err != nil {
 			log.Fatal(err)
@@ -178,20 +191,31 @@ type daemonConfig struct {
 	logger        *slog.Logger
 }
 
-// daemon owns the process's listeners and drives the serve/drain
-// lifecycle. Listeners are bound in newDaemon — synchronously, so a port
-// clash is a startup error instead of a log line from a goroutine racing
-// main.
+// daemon owns a process's listeners and drives the serve → wait → drain
+// lifecycle, one implementation for all three modes (single process,
+// -shard, -router); what a mode does beyond serving HTTP lives in the
+// hooks. Listeners are bound before run — synchronously, so a port clash
+// is a startup error instead of a log line from a goroutine racing main.
 type daemon struct {
-	api     *server.Server
-	engine  *newslink.Engine
-	main    *http.Server
-	mainLn  net.Listener
-	debug   *http.Server // nil when the debug listener is disabled
-	debugLn net.Listener
-	cfg     daemonConfig
+	main         *http.Server
+	mainLn       net.Listener
+	debug        *http.Server // nil when the debug listener is disabled
+	debugLn      net.Listener
+	drainTimeout time.Duration
+	drainGrace   time.Duration
+	logger       *slog.Logger
+
+	// Mode hooks, each optional. serving runs beside the servers once
+	// they are up (the router's initial assignment, which needs its own
+	// blob endpoint live); draining is the drain's first step, before the
+	// grace period (flip readiness); drained its last, once HTTP is quiet
+	// (close the engine).
+	serving  func(ctx context.Context)
+	draining func()
+	drained  func() error
 }
 
+// newDaemon builds the single-process daemon: the public API over engine.
 func newDaemon(engine *newslink.Engine, cfg daemonConfig) (*daemon, error) {
 	if cfg.logger == nil {
 		cfg.logger = slog.Default()
@@ -201,42 +225,52 @@ func newDaemon(engine *newslink.Engine, cfg daemonConfig) (*daemon, error) {
 		server.WithMaxInFlight(cfg.maxInFlight),
 		server.WithAdmissionWait(cfg.admissionWait),
 		server.WithLogger(cfg.logger))
-	d := &daemon{
-		api:    api,
-		engine: engine,
-		main:   hardenServer(&http.Server{Handler: api.Handler()}),
-		cfg:    cfg,
-	}
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return nil, fmt.Errorf("binding %s: %w", cfg.addr, err)
 	}
-	d.mainLn = ln
-	if d.debug, d.debugLn, err = listenDebug(cfg.debugAddr, engine.Metrics); err != nil {
-		ln.Close()
+	d := &daemon{
+		main:         hardenServer(&http.Server{Handler: api.Handler()}),
+		mainLn:       ln,
+		drainTimeout: cfg.drainTimeout,
+		drainGrace:   cfg.drainGrace,
+		logger:       cfg.logger,
+		draining:     func() { api.SetReady(false) },
+		// With HTTP quiet, drain the engine itself — apply everything the
+		// ingest queue accepted and fsync/close the write-ahead log, so a
+		// clean shutdown leaves nothing for the next start to replay-repair.
+		drained: func() error {
+			if err := engine.Close(); err != nil {
+				return fmt.Errorf("closing engine: %w", err)
+			}
+			return nil
+		},
+	}
+	if err := d.listenDebug(cfg.debugAddr, engine.Metrics); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
 // listenDebug binds the private -debug-addr listener — synchronously, like
-// the main one — and returns it with the server to run on it; both are nil
-// when addr is empty. metrics is asked per request, because a shard
-// worker's registry changes with its assignment. The debug server is its
-// own http.Server (so shutdown reaches it too) with no WriteTimeout: pprof
-// profile captures legitimately stream for longer than any sane response
-// deadline.
-func listenDebug(addr string, metrics func() *obs.Registry) (*http.Server, net.Listener, error) {
+// the main one, which it closes again if the bind fails — and the server to
+// run on it; a no-op when addr is empty. metrics is asked per request,
+// because a shard worker's registry changes with its assignment. The debug
+// server is its own http.Server (so shutdown reaches it too) with no
+// WriteTimeout: pprof profile captures legitimately stream for longer than
+// any sane response deadline.
+func (d *daemon) listenDebug(addr string, metrics func() *obs.Registry) error {
 	if addr == "" {
-		return nil, nil, nil
+		return nil
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, nil, fmt.Errorf("binding debug address %s: %w", addr, err)
+		d.mainLn.Close()
+		return fmt.Errorf("binding debug address %s: %w", addr, err)
 	}
-	srv := hardenServer(&http.Server{Handler: debugHandler(metrics)})
-	srv.WriteTimeout = 0
-	return srv, ln, nil
+	d.debug, d.debugLn = hardenServer(&http.Server{Handler: debugHandler(metrics)}), ln
+	d.debug.WriteTimeout = 0
+	return nil
 }
 
 // hardenServer applies the shared protections against slow or abusive
@@ -262,24 +296,25 @@ func (d *daemon) DebugAddr() string {
 }
 
 // run serves until ctx is cancelled (SIGINT/SIGTERM in main) or a
-// listener fails, then drains: readiness flips to 503, the optional
-// grace period lets load balancers take the instance out of rotation,
-// and both servers shut down gracefully — admitted requests complete,
-// bounded by the drain timeout. Returns nil on a clean drain.
+// listener fails, then drains: the draining hook runs (readiness flips to
+// 503), the optional grace period lets load balancers take the instance
+// out of rotation, and both servers shut down gracefully — admitted
+// requests complete, bounded by the drain timeout — before the drained
+// hook. Returns nil on a clean drain.
 func (d *daemon) run(ctx context.Context) error {
 	errc := make(chan error, 2)
-	go func() {
-		if err := d.main.Serve(d.mainLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- fmt.Errorf("api server: %w", err)
+	serve := func(name string, s *http.Server, ln net.Listener) {
+		if err := s.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			errc <- fmt.Errorf("%s server: %w", name, err)
 		}
-	}()
+	}
+	go serve("api", d.main, d.mainLn)
 	if d.debug != nil {
-		d.cfg.logger.Info("debug server listening", "addr", d.DebugAddr())
-		go func() {
-			if err := d.debug.Serve(d.debugLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				errc <- fmt.Errorf("debug server: %w", err)
-			}
-		}()
+		d.logger.Info("debug server listening", "addr", d.DebugAddr())
+		go serve("debug", d.debug, d.debugLn)
+	}
+	if d.serving != nil {
+		go d.serving(ctx)
 	}
 
 	select {
@@ -288,13 +323,14 @@ func (d *daemon) run(ctx context.Context) error {
 	case <-ctx.Done():
 	}
 
-	d.cfg.logger.Info("drain started",
-		"grace", d.cfg.drainGrace, "timeout", d.cfg.drainTimeout)
-	d.api.SetReady(false)
-	if d.cfg.drainGrace > 0 {
-		time.Sleep(d.cfg.drainGrace)
+	d.logger.Info("drain started", "grace", d.drainGrace, "timeout", d.drainTimeout)
+	if d.draining != nil {
+		d.draining()
 	}
-	sctx, cancel := context.WithTimeout(context.Background(), d.cfg.drainTimeout)
+	if d.drainGrace > 0 {
+		time.Sleep(d.drainGrace)
+	}
+	sctx, cancel := context.WithTimeout(context.Background(), d.drainTimeout)
 	defer cancel()
 	err := d.main.Shutdown(sctx)
 	if d.debug != nil {
@@ -303,13 +339,12 @@ func (d *daemon) run(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}
-	// HTTP is quiet; now drain the engine itself — apply everything the
-	// ingest queue accepted and fsync/close the write-ahead log, so a
-	// clean shutdown leaves nothing for the next start to replay-repair.
-	if err := d.engine.Close(); err != nil {
-		return fmt.Errorf("closing engine: %w", err)
+	if d.drained != nil {
+		if err := d.drained(); err != nil {
+			return err
+		}
 	}
-	d.cfg.logger.Info("drain complete")
+	d.logger.Info("drain complete")
 	return nil
 }
 

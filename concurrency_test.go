@@ -154,7 +154,8 @@ func TestSearchRequestOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eDefault.SearchContext(context.Background(), Query{Text: q, K: 5, Beta: BetaOverride(0)})
+	beta := 0.0
+	got, err := eDefault.SearchContext(context.Background(), Query{Text: q, K: 5, Beta: &beta})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,8 @@ func TestDegradeBONError(t *testing.T) {
 
 	// Rank- and score-equal to the same query with β = 0 (pure BOW).
 	faults.Disarm()
-	pure, err := e.SearchContextFull(context.Background(), Query{Text: q, K: 5, Beta: BetaOverride(0)})
+	beta := 0.0
+	pure, err := e.SearchContextFull(context.Background(), Query{Text: q, K: 5, Beta: &beta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +102,9 @@ func TestDegradePureBONFailsHard(t *testing.T) {
 	faults.Arm(faults.New().Fail(faults.BONStage, errInjected))
 	defer faults.Disarm()
 
+	beta := 1.0
 	_, err := e.SearchContextFull(context.Background(),
-		Query{Text: "Taliban attack in Pakistan", K: 3, Beta: BetaOverride(1)})
+		Query{Text: "Taliban attack in Pakistan", K: 3, Beta: &beta})
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("pure-BON search = %v, want the injected error", err)
 	}

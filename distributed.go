@@ -13,9 +13,10 @@ import (
 //
 // A scatter-gather router reproduces searchContext's pipeline across
 // shard-worker processes: it analyzes the query once (the router holds
-// the knowledge graph, exactly like a single-process engine), aggregates
-// global term statistics over the shards, ships globally ordered terms
-// back for local block-max evaluation, and merges. Workers evaluate
+// the knowledge graph, exactly like a single-process engine), reads global
+// term statistics off the segment directories of the snapshot it owns,
+// ships globally ordered terms out for local block-max evaluation, and
+// merges. Workers evaluate
 // against their engine's published index sources and materialize result
 // documents by local position. These exports expose just those seams —
 // analysis, index sources, positional document access and the snippet —
@@ -71,7 +72,7 @@ func (e *Engine) EntityTerms(labels []string) [][]string {
 // facet (term sets from EntityTerms, conjunctive across sets) are masked
 // from retrieval through the same live seam as tombstones. Statistics
 // stay those of the full local corpus — matching the unfiltered global
-// statistics the router aggregates — so filtered shard rankings compose
+// statistics the router scores with — so filtered shard rankings compose
 // exactly. With no clauses set it returns the raw sources.
 func (e *Engine) FilteredSources(after, before int64, entities [][]string) (text, node index.Source, err error) {
 	snap, err := e.acquire()

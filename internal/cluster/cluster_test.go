@@ -439,19 +439,13 @@ func TestBuildPlanPartition(t *testing.T) {
 	}
 }
 
-// BenchmarkClusterScatterGather measures a warm end-to-end search
-// through the router and three local shard workers: stats cache hot, so
-// each iteration is one scatter (search) plus gather (merge + docs).
+// BenchmarkClusterScatterGather measures an end-to-end search through the
+// router and three local shard workers: each iteration is one scatter
+// (search) plus gather (merge + docs).
 func BenchmarkClusterScatterGather(b *testing.B) {
 	_, _, _, rt, _ := startCluster(b, Config{})
 	h := rt.Handler()
 	req := httptest.NewRequest(http.MethodGet, "/v1/search?q="+url.QueryEscape("clashes near the border")+"&k=10", nil)
-	// Warm the per-slot stats cache so steady-state cost is measured.
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		b.Fatalf("warmup status %d: %s", rec.Code, rec.Body)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -54,19 +54,19 @@ func TestWorkerUnassignedErrorPaths(t *testing.T) {
 	base := endpoints[0][0]
 
 	// Decode errors on every RPC: each handler rejects junk with 400.
-	for _, ep := range []string{"assign", "stats", "search", "docs", "explain"} {
+	for _, ep := range []string{"assign", "search", "docs", "explain"} {
 		postForCode(t, base+"/v1/shard/"+ep, "{junk", http.StatusBadRequest, "bad_request")
 	}
 
 	// The data plane takes binary frames only: what used to be a valid JSON
 	// request is malformed now, not a second accepted form.
-	postForCode(t, base+"/v1/shard/stats", `{"plan":"p"}`, http.StatusBadRequest, "bad_request")
 	postForCode(t, base+"/v1/shard/search", `{"plan":"p","k":5}`, http.StatusBadRequest, "bad_request")
 	postForCode(t, base+"/v1/shard/docs", `{"plan":"p","positions":[0]}`, http.StatusBadRequest, "bad_request")
 
+	// No RPC carries statistics any more: the route is gone, not refusing.
+	getJSON(t, base+"/v1/shard/stats", http.StatusNotFound, nil)
+
 	// Valid messages against an unassigned worker: 503 unassigned.
-	postForCode(t, base+"/v1/shard/stats", mustMarshal(t, &StatsRequest{Plan: "p"}),
-		http.StatusServiceUnavailable, "unassigned")
 	postForCode(t, base+"/v1/shard/search", mustMarshal(t, &SearchRequest{Plan: "p", K: 5}),
 		http.StatusServiceUnavailable, "unassigned")
 	postForCode(t, base+"/v1/shard/docs", mustMarshal(t, &DocsRequest{Plan: "p", Positions: []int{0}}),
@@ -99,7 +99,9 @@ func TestWorkerAssignedErrorPaths(t *testing.T) {
 	plan := rt.Plan().ID
 	base := endpoints[0][0]
 
-	postForCode(t, base+"/v1/shard/stats", mustMarshal(t, &StatsRequest{Plan: "bogus"}),
+	postForCode(t, base+"/v1/shard/search", mustMarshal(t, &SearchRequest{Plan: "bogus", K: 5}),
+		http.StatusConflict, "plan_mismatch")
+	postForCode(t, base+"/v1/shard/docs", mustMarshal(t, &DocsRequest{Plan: "bogus", Positions: []int{0}}),
 		http.StatusConflict, "plan_mismatch")
 	postForCode(t, base+"/v1/shard/docs",
 		mustMarshal(t, &DocsRequest{Plan: plan, Positions: []int{999999}}),

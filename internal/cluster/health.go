@@ -91,11 +91,7 @@ func (rt *Router) probeEndpoint(ctx context.Context, sl *slot, ep *endpoint) {
 		if rt.exchange(pctx, ep.url+"/v1/shard/info", nil, &info) != nil {
 			return
 		}
-		if info.Plan != rt.plan.ID || info.Base != sl.plan.Base {
-			needAssign = true
-		} else {
-			sl.setStats(info.ShardStats)
-		}
+		needAssign = info.Plan != rt.plan.ID || info.Base != sl.plan.Base
 	}
 	if needAssign {
 		if err := rt.assignEndpoint(pctx, sl, ep); err != nil {
@@ -131,8 +127,7 @@ func (rt *Router) exchange(ctx context.Context, url string, reqBody any, out Val
 }
 
 // assignEndpoint installs the slot's segment slice on one worker,
-// pointing it at the router's own blob endpoint for missing artifacts,
-// and records the acknowledged shard statistics.
+// pointing it at the router's own blob endpoint for missing artifacts.
 func (rt *Router) assignEndpoint(ctx context.Context, sl *slot, ep *endpoint) error {
 	req := AssignRequest{
 		Plan:      rt.plan.ID,
@@ -150,7 +145,6 @@ func (rt *Router) assignEndpoint(ctx context.Context, sl *slot, ep *endpoint) er
 	if ack.Plan != rt.plan.ID {
 		return fmt.Errorf("worker acknowledged plan %s, want %s", ack.Plan, rt.plan.ID)
 	}
-	sl.setStats(ack.ShardStats)
 	return nil
 }
 

@@ -6,14 +6,15 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"newslink"
+	"newslink/internal/index"
 	"newslink/internal/kg"
 	"newslink/internal/obs"
 	"newslink/internal/search"
@@ -84,7 +85,7 @@ func (c Config) withDefaults() Config {
 }
 
 // slot is one shard of the plan at runtime: its replicas, round-robin
-// cursor, latency history and (assignment-acknowledged) corpus stats.
+// cursor, latency history and the directories of its segment indexes.
 type slot struct {
 	idx   int
 	stage string // the slot's span name, obs.StageShard(idx)
@@ -94,9 +95,70 @@ type slot struct {
 	lat   *obs.Histogram
 	reqs  map[string]*obs.Counter // outcome -> request counter
 
-	mu      sync.Mutex
-	stats   ShardStats
-	statsOK bool
+	// text and node are the slot's segment indexes in plan order, opened
+	// file-backed: term directories and document lengths are resident,
+	// postings stay in the files and the router never reads one.
+	text, node []*index.Index
+}
+
+// open checksum-verifies and opens the text and node index of every
+// segment of the slot. Like the loaders, it answers a missing, torn or
+// flipped artifact with ErrSnapshotCorrupt; what it opened before failing
+// stays on the slot for the caller to close.
+func (sl *slot) open(dir string, checksums map[string]string) error {
+	for _, sm := range sl.plan.Segments {
+		for _, leg := range []struct {
+			suffix string
+			into   *[]*index.Index
+		}{{".text.idx", &sl.text}, {".node.idx", &sl.node}} {
+			name := "seg-" + sm.ID + leg.suffix
+			want, ok := checksums[name]
+			if !ok {
+				return fmt.Errorf("%w: no checksum for %s", newslink.ErrSnapshotCorrupt, name)
+			}
+			path := filepath.Join(dir, name)
+			got, err := newslink.ChecksumFile(path)
+			if err != nil {
+				return fmt.Errorf("%w: %s: %v", newslink.ErrSnapshotCorrupt, name, err)
+			}
+			if got != want {
+				return fmt.Errorf("%w: %s checksum %s, want %s", newslink.ErrSnapshotCorrupt, name, got, want)
+			}
+			idx, err := index.OpenIndex(path)
+			if err != nil {
+				return fmt.Errorf("%w: %s: %v", newslink.ErrSnapshotCorrupt, name, err)
+			}
+			*leg.into = append(*leg.into, idx)
+			if idx.NumDocs() != len(sm.Docs) {
+				return fmt.Errorf("%w: %s indexes %d documents, meta.json lists %d",
+					newslink.ErrSnapshotCorrupt, name, idx.NumDocs(), len(sm.Docs))
+			}
+		}
+	}
+	return nil
+}
+
+// corpusStats is what a pass needs to know about its target corpus before
+// scattering: the merged text and node directories of the target's
+// segments in plan order — index.NewMulti over them, the very object a
+// single process over those segments scores against, so N, avgdl, DF,
+// max-TF and hence the term order are its values by construction — and
+// the live document count for the pool clamp.
+type corpusStats struct {
+	text, node *index.Multi
+	live       int
+}
+
+func statsOf(target []*slot) corpusStats {
+	var text, node []index.Source
+	live := 0
+	for _, sl := range target {
+		for i := range sl.text {
+			text, node = append(text, sl.text[i]), append(node, sl.node[i])
+		}
+		live += sl.plan.Live
+	}
+	return corpusStats{text: index.NewMulti(text...), node: index.NewMulti(node...), live: live}
 }
 
 // live returns the slot's currently admitted replicas, read-only: with
@@ -117,43 +179,14 @@ func (sl *slot) live() []*endpoint {
 	return sl.eps
 }
 
-func (sl *slot) setStats(s ShardStats) {
-	sl.mu.Lock()
-	sl.stats, sl.statsOK = s, true
-	sl.mu.Unlock()
-}
-
-func (sl *slot) getStats() (ShardStats, bool) {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.stats, sl.statsOK
-}
-
-// statsKey caches one term's summary on one slot's index.
-type statsKey struct {
-	slot int
-	node bool
-	term string
-}
-
-// cachedSummary records presence too: a term absent from a shard is a
-// fact worth caching (found=false), not a miss.
-type cachedSummary struct {
-	sum   search.TermSummary
-	found bool
-}
-
-// maxStatsCache bounds the router's per-(slot, index, term) stats cache.
-const maxStatsCache = 1 << 16
-
 // latencyBounds bucket per-shard RPC latencies (seconds).
 var latencyBounds = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5}
 
 // Router serves the public search/explain API by scatter-gather over
 // shard workers. It holds the knowledge graph (for query analysis — the
 // same analysis a single-process engine runs) and the snapshot directory
-// (to seed workers over the blob endpoint), but never loads segment
-// indexes itself.
+// (to seed workers over the blob endpoint, and to read term statistics
+// from): it opens every segment index's directory, never a posting.
 type Router struct {
 	plan     *Plan
 	dir      string
@@ -168,17 +201,20 @@ type Router struct {
 	mHedges  *obs.Counter
 	mPartial *obs.Counter
 
-	statsMu    sync.Mutex
-	statsCache map[statsKey]cachedSummary
+	// full is the statistics view of the healthy target (every slot),
+	// immutable like the snapshot; a degraded pass builds its subset's.
+	full corpusStats
 }
 
-// NewRouter builds a router over the v4 snapshot in dir: it reads the
-// manifest, partitions the segment set into len(cfg.Endpoints) slots
+// NewRouter builds a router over the v4 or v5 snapshot in dir: it reads
+// the manifest, partitions the segment set into len(cfg.Endpoints) slots
 // (fewer when the snapshot has fewer segments; surplus endpoint groups
-// fold into the existing slots as extra replicas), and prepares — but
-// does not start — the serving state. Call Start to assign workers and
+// fold into the existing slots as extra replicas), checksum-verifies and
+// opens the index artifacts of every segment (dir must hold them — every
+// Save output does; a damaged one is ErrSnapshotCorrupt), and prepares —
+// but does not start — the serving state. Call Start to assign workers and
 // begin health probing, and serve Handler over HTTP at cfg.SelfURL
-// before Start so workers can fetch artifacts.
+// before Start so workers can fetch artifacts. Close the router when done.
 func NewRouter(dir string, g *kg.Graph, cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Endpoints) == 0 {
@@ -206,14 +242,13 @@ func NewRouter(dir string, g *kg.Graph, cfg Config) (*Router, error) {
 	}
 	analyzer := newslink.New(g, plan.Config)
 	rt := &Router{
-		plan:       plan,
-		dir:        dir,
-		cfg:        cfg,
-		log:        log,
-		client:     &http.Client{},
-		analyzer:   analyzer,
-		registry:   analyzer.Metrics(),
-		statsCache: make(map[statsKey]cachedSummary),
+		plan:     plan,
+		dir:      dir,
+		cfg:      cfg,
+		log:      log,
+		client:   &http.Client{},
+		analyzer: analyzer,
+		registry: analyzer.Metrics(),
 	}
 	rt.mRetries = rt.registry.Counter("newslink_cluster_retries_total",
 		"Shard RPC retries after a failed attempt.")
@@ -245,7 +280,12 @@ func NewRouter(dir string, g *kg.Graph, cfg Config) (*Router, error) {
 			sl.eps = append(sl.eps, &endpoint{url: url})
 		}
 		rt.slots = append(rt.slots, sl)
+		if err := sl.open(dir, plan.Checksums); err != nil {
+			rt.Close()
+			return nil, err
+		}
 	}
+	rt.full = statsOf(rt.slots)
 	return rt, nil
 }
 
@@ -282,8 +322,15 @@ func (rt *Router) Start(ctx context.Context) error {
 	return nil
 }
 
-// Close releases idle transport connections.
-func (rt *Router) Close() { rt.client.CloseIdleConnections() }
+// Close releases idle transport connections and the index files.
+func (rt *Router) Close() {
+	rt.client.CloseIdleConnections()
+	for _, sl := range rt.slots {
+		for _, idx := range slices.Concat(sl.text, sl.node) {
+			_ = idx.Close()
+		}
+	}
+}
 
 // Handler returns the router's public HTTP surface: the same /v1/search
 // and /v1/explain contract the single-process server exposes (plus the
@@ -442,9 +489,9 @@ func (rt *Router) wireFilterOf(after, before int64, labels []string) wireFilter 
 
 // search runs the scatter-gather pipeline with graceful degradation:
 // shards that fail mid-request are dropped and the pipeline re-runs
-// over the survivors (global statistics re-aggregated, so the ranking
-// over the remaining corpus stays exact). Only zero live shards fail
-// the request.
+// over the survivors (global statistics re-read over their segments, so
+// the ranking over the remaining corpus stays exact). Only zero live
+// shards fail the request.
 func (rt *Router) search(ctx context.Context, q string, k, pool int, betaOverride *float64, flt wireFilter) (*server.SearchResponse, error) {
 	beta := rt.plan.Config.Beta
 	if betaOverride != nil {
@@ -485,7 +532,7 @@ func (rt *Router) search(ctx context.Context, q string, k, pool int, betaOverrid
 			for _, idx := range lost {
 				failed[idx] = true
 			}
-			rt.log.Warn("shards lost mid-request; re-aggregating", "lost", lost)
+			rt.log.Warn("shards lost mid-request; re-running over the survivors", "lost", lost)
 			continue
 		}
 		if len(target) < len(rt.slots) {
@@ -513,52 +560,33 @@ func (rt *Router) liveSlots(failed map[int]bool) []*slot {
 
 // searchOnce runs one pipeline pass over a fixed target set. It returns
 // the response, or the slots lost during the pass (the caller then
-// shrinks the target and re-aggregates). Filter clauses affect only the
-// scatter phase: statistics stay those of the unfiltered target corpus
-// (matching a single process's filtered-statistics semantics), so the
-// stats cache, aggregation and pool clamp are filter-independent.
+// shrinks the target and re-runs). Filter clauses affect only the scatter:
+// statistics stay those of the unfiltered target corpus (matching a single
+// process's filtered-statistics semantics), so scorers, term order and
+// pool clamp are filter-independent.
 func (rt *Router) searchOnce(ctx context.Context, target []*slot, q string, k, pool int, beta float64, runBOW, runBON bool, terms []string, textQuery, nodeQuery search.Query, flt wireFilter) (*server.SearchResponse, []int) {
 	tr := obs.FromContext(ctx)
 
-	// Phase 1 — statistics. Cached (slot, index, term) summaries make
-	// this a no-op for warm query vocabulary.
-	var textTerms, nodeTerms []string
-	if runBOW {
-		textTerms = queryTerms(textQuery)
-	}
-	if runBON {
-		nodeTerms = queryTerms(nodeQuery)
-	}
-	if lost := rt.scatterStats(ctx, target, textTerms, nodeTerms); len(lost) > 0 {
-		return nil, lost
-	}
-
-	// Aggregate global collection + term statistics over the target set.
-	agg, ok := rt.aggregate(target, textTerms, nodeTerms)
-	if !ok {
-		// A slot without acknowledged stats cannot participate.
-		lost := []int{}
-		for _, sl := range target {
-			if _, ok := sl.getStats(); !ok {
-				lost = append(lost, sl.idx)
-			}
-		}
-		return nil, lost
+	// Statistics: read off the target's merged directories, exactly as a
+	// single process over those segments reads them off its own.
+	stats := rt.full
+	if len(target) < len(rt.slots) {
+		stats = statsOf(target)
 	}
 	// The candidate pool never usefully exceeds the live corpus in
 	// target, mirroring the engine's own clamp.
-	if agg.live < pool {
-		pool = agg.live
-	}
+	pool = min(pool, stats.live)
+	textScorer := search.NewBM25(stats.text)
+	nodeScorer := search.NodeBM25(stats.node.NumDocs(), stats.node.AvgDocLen())
 
-	// Canonical global term order: identical to prepareBlockTerms over
-	// the merged index, so every shard accumulates in the same order.
+	// Canonical global term order — the engine's own OrderTerms — so every
+	// shard accumulates in the same order.
 	var orderedText, orderedNode []search.OrderedTerm
 	if runBOW {
-		orderedText, _ = search.OrderTerms(agg.textScorer, textQuery, agg.textStats)
+		orderedText, _ = search.OrderTerms(stats.text, textScorer, textQuery)
 	}
 	if runBON {
-		orderedNode, _ = search.OrderTerms(agg.nodeScorer, nodeQuery, agg.nodeStats)
+		orderedNode, _ = search.OrderTerms(stats.node, nodeScorer, nodeQuery)
 	}
 	if pool == 0 || len(orderedText)+len(orderedNode) == 0 {
 		// Nothing can match (empty live corpus or no query term posted
@@ -566,15 +594,15 @@ func (rt *Router) searchOnce(ctx context.Context, target []*slot, q string, k, p
 		return &server.SearchResponse{Query: q, K: k, Results: []newslink.Result{}}, nil
 	}
 
-	// Phase 2 — scatter the search.
+	// Scatter the search.
 	sp := tr.Start(obs.StageScatter)
-	perSlot, lost := rt.scatterSearch(ctx, target, pool, orderedText, orderedNode, agg, flt)
+	perSlot, lost := rt.scatterSearch(ctx, target, pool, orderedText, orderedNode, textScorer, nodeScorer, flt)
 	sp.End(obs.Int("shards", len(target)), obs.Int("lost", len(lost)))
 	if len(lost) > 0 {
 		return nil, lost
 	}
 
-	// Phase 3 — gather: merge the per-slot lists (decoded straight into
+	// Gather: merge the per-slot lists (decoded straight into
 	// global positions) with the sharded-merge comparator, fuse, and
 	// materialize documents.
 	gsp := tr.Start(obs.StageGather)
@@ -594,130 +622,11 @@ func (rt *Router) searchOnce(ctx context.Context, target []*slot, q string, k, p
 	return &server.SearchResponse{Query: q, K: k, Results: results}, nil
 }
 
-// aggregated holds the globally aggregated statistics of one pass.
-type aggregated struct {
-	live       int
-	textScorer search.BM25
-	nodeScorer search.BM25
-	textStats  map[string]search.TermSummary
-	nodeStats  map[string]search.TermSummary
-}
-
-// queryTerms returns the query's distinct terms, sorted for stable RPC
-// payloads (and therefore stable logs and traces).
-func queryTerms(q search.Query) []string {
-	out := make([]string, 0, len(q))
-	for t := range q {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// aggregate folds per-slot statistics into the global BM25 parameters
-// and term summaries of the target corpus. Sums are exact (integer
-// counts and integer-valued float64 totals), so the parameters equal a
-// single-process engine's over the same documents.
-func (rt *Router) aggregate(target []*slot, textTerms, nodeTerms []string) (aggregated, bool) {
-	agg := aggregated{
-		textStats: make(map[string]search.TermSummary, len(textTerms)),
-		nodeStats: make(map[string]search.TermSummary, len(nodeTerms)),
-	}
-	numDocs := 0
-	textTotal, nodeTotal := 0.0, 0.0
-	for _, sl := range target {
-		st, ok := sl.getStats()
-		if !ok {
-			return agg, false
-		}
-		numDocs += st.NumDocs
-		agg.live += st.LiveDocs
-		textTotal += st.TextTotalLen
-		nodeTotal += st.NodeTotalLen
-	}
-	textAvg, nodeAvg := 0.0, 0.0
-	if numDocs > 0 {
-		textAvg = textTotal / float64(numDocs)
-		nodeAvg = nodeTotal / float64(numDocs)
-	}
-	// The engine's own two scorers, carrying the aggregated corpus-level
-	// N and average length instead of one index's.
-	agg.textScorer = search.TextBM25(numDocs, textAvg)
-	agg.nodeScorer = search.NodeBM25(numDocs, nodeAvg)
-	for _, term := range textTerms {
-		if sum, ok := rt.sumTerm(target, false, term); ok {
-			agg.textStats[term] = sum
-		}
-	}
-	for _, term := range nodeTerms {
-		if sum, ok := rt.sumTerm(target, true, term); ok {
-			agg.nodeStats[term] = sum
-		}
-	}
-	return agg, true
-}
-
-// sumTerm folds one term's cached per-slot summaries: DF sums, MaxTF
-// maxes. Absent everywhere -> not ok (the term has no postings in the
-// target corpus and is dropped, as on a merged index).
-func (rt *Router) sumTerm(target []*slot, node bool, term string) (search.TermSummary, bool) {
-	rt.statsMu.Lock()
-	defer rt.statsMu.Unlock()
-	var out search.TermSummary
-	found := false
-	for _, sl := range target {
-		c, ok := rt.statsCache[statsKey{slot: sl.idx, node: node, term: term}]
-		if !ok || !c.found {
-			continue
-		}
-		found = true
-		out.DF += c.sum.DF
-		if c.sum.MaxTF > out.MaxTF {
-			out.MaxTF = c.sum.MaxTF
-		}
-	}
-	return out, found
-}
-
-// missingTerms returns the subset of terms with no cache entry for the
-// slot's index. The caller holds statsMu.
-func (rt *Router) missingTerms(sl *slot, node bool, terms []string) []string {
-	var out []string
-	for _, t := range terms {
-		if _, ok := rt.statsCache[statsKey{slot: sl.idx, node: node, term: t}]; !ok {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// cacheStats records a stats response, including negative entries for
-// requested terms the shard omitted (absent from that index). The cache
-// is bounded; at capacity an arbitrary chunk is evicted — summaries are
-// cheap to re-fetch.
-func (rt *Router) cacheStats(sl *slot, node bool, requested []string, got map[string]search.TermSummary) {
-	rt.statsMu.Lock()
-	defer rt.statsMu.Unlock()
-	if len(rt.statsCache)+len(requested) > maxStatsCache {
-		evict := maxStatsCache / 8
-		for key := range rt.statsCache {
-			delete(rt.statsCache, key)
-			if evict--; evict <= 0 {
-				break
-			}
-		}
-	}
-	for _, t := range requested {
-		sum, found := got[t]
-		rt.statsCache[statsKey{slot: sl.idx, node: node, term: t}] = cachedSummary{sum: sum, found: found}
-	}
-}
-
 // scatter is the router's one fan-out: it runs fn once per target slot,
 // concurrently — the last on the calling goroutine, which would otherwise
 // only wait — and returns the indexes of the slots whose call failed, in
-// target order. Statistics, search and document gather are each one call
-// per slot whose failure loses that slot for the pass.
+// target order. Search and document gather are each one call per slot
+// whose failure loses that slot for the pass.
 func (rt *Router) scatter(target []*slot, fn func(i int, sl *slot) error) (lost []int) {
 	if len(target) == 0 {
 		return nil
@@ -742,37 +651,10 @@ func (rt *Router) scatter(target []*slot, fn func(i int, sl *slot) error) (lost 
 	return lost
 }
 
-// scatterStats fetches the uncached term summaries, in parallel, from the
-// target slots that miss any; with a warm cache that is none, decided
-// under one lock without a goroutine. Returns the slots that failed.
-func (rt *Router) scatterStats(ctx context.Context, target []*slot, textTerms, nodeTerms []string) []int {
-	type miss struct{ text, node []string }
-	var missing []*slot
-	var misses []miss
-	rt.statsMu.Lock()
-	for _, sl := range target {
-		m := miss{rt.missingTerms(sl, false, textTerms), rt.missingTerms(sl, true, nodeTerms)}
-		if len(m.text)+len(m.node) > 0 {
-			missing, misses = append(missing, sl), append(misses, m)
-		}
-	}
-	rt.statsMu.Unlock()
-	return rt.scatter(missing, func(i int, sl *slot) error {
-		req := StatsRequest{Plan: rt.plan.ID, Text: misses[i].text, Node: misses[i].node}
-		var resp StatsResponse
-		if err := rt.callSlot(ctx, sl, "/v1/shard/stats", &req, &resp); err != nil {
-			return err
-		}
-		rt.cacheStats(sl, false, misses[i].text, resp.Text)
-		rt.cacheStats(sl, true, misses[i].node, resp.Node)
-		return nil
-	})
-}
-
 // scatterSearch fans the ordered-term evaluation out to every target
 // slot, one span per shard leg. Results are indexed like target; lost
 // slots are reported instead of partial lists.
-func (rt *Router) scatterSearch(ctx context.Context, target []*slot, pool int, orderedText, orderedNode []search.OrderedTerm, agg aggregated, flt wireFilter) ([]SearchResponse, []int) {
+func (rt *Router) scatterSearch(ctx context.Context, target []*slot, pool int, orderedText, orderedNode []search.OrderedTerm, textScorer, nodeScorer search.BM25, flt wireFilter) ([]SearchResponse, []int) {
 	tr := obs.FromContext(ctx)
 	perSlot := make([]SearchResponse, len(target))
 	// Every slot evaluates the same request, read-only.
@@ -781,8 +663,8 @@ func (rt *Router) scatterSearch(ctx context.Context, target []*slot, pool int, o
 		K:          pool,
 		Text:       orderedText,
 		Node:       orderedNode,
-		TextScorer: scorerParams(agg.textScorer),
-		NodeScorer: scorerParams(agg.nodeScorer),
+		TextScorer: scorerParams(textScorer),
+		NodeScorer: scorerParams(nodeScorer),
 		After:      flt.after,
 		Before:     flt.before,
 		Entities:   flt.entities,

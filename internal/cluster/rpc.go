@@ -6,12 +6,11 @@
 // The RPC surface is a small HTTP protocol under the same /v1/ prefix and
 // error envelope the public API uses, in two planes. The control plane —
 // per assignment, or carrying nested engine types — is JSON; the data
-// plane — the three RPCs every query pays — is the checksummed binary
+// plane — the two RPCs every query pays — is the checksummed binary
 // frame of wire.go, and nothing else is accepted there:
 //
 //	GET  /v1/shard/info         json   identity, current plan, held artifacts
 //	POST /v1/shard/assign       json   install a segment slice (fetching blobs)
-//	POST /v1/shard/stats        frame  per-term cursor summaries + corpus stats
 //	POST /v1/shard/search       frame  ordered-term block-max top-k (BOW + BON)
 //	POST /v1/shard/docs         frame  materialize result documents by position
 //	POST /v1/shard/explain      json   engine Explain for a locally held doc
@@ -23,6 +22,12 @@
 // of the conversation. A worker serving a different plan answers 409
 // (plan_mismatch) and the router re-assigns rather than merging results
 // computed over the wrong corpus slice.
+//
+// No RPC carries statistics: the router owns the snapshot directory, opens
+// the directory of every segment index in it, and reads N, avgdl, DF and
+// max-TF for any target set off the same index.Multi a single process
+// would score against. What a worker serves is bound to those bytes by the
+// plan ID and the per-artifact checksums of its assignment.
 //
 // Robustness is the point of the layer: per-shard deadlines derived from
 // the request budget, bounded retries with jittered exponential backoff
@@ -49,7 +54,7 @@ import (
 // generously (the router never exceeds them) and malicious bodies hard.
 const (
 	maxRPCBody   = 8 << 20 // bytes per request/response body
-	maxRPCTerms  = 4096    // terms per stats/search request
+	maxRPCTerms  = 4096    // terms per search/docs request
 	maxPositions = 16384   // positions per docs request
 	maxSegments  = 1 << 16 // segments per assignment
 	maxRPCK      = 16384   // top-k per shard search
@@ -64,18 +69,6 @@ type InfoResponse struct {
 	Plan      string   `json:"plan,omitempty"`
 	Base      int      `json:"base"`
 	Artifacts []string `json:"artifacts,omitempty"`
-	ShardStats
-}
-
-// ShardStats are the assignment-static collection statistics the router
-// aggregates into global BM25 parameters. Totals are exact: document
-// lengths are integer-valued, so float64 sums below 2^53 carry no
-// rounding and the aggregated average equals the merged index's own.
-type ShardStats struct {
-	NumDocs      int     `json:"num_docs"`  // including tombstoned documents
-	LiveDocs     int     `json:"live_docs"` // excluding tombstoned documents
-	TextTotalLen float64 `json:"text_total_len"`
-	NodeTotalLen float64 `json:"node_total_len"`
 }
 
 // AssignRequest installs a segment slice on a worker. Artifacts the
@@ -95,27 +88,10 @@ type AssignRequest struct {
 type AssignResponse struct {
 	Plan    string `json:"plan"`
 	Fetched int    `json:"fetched"` // artifact files fetched from the peer
-	ShardStats
 }
 
-// StatsRequest asks for cursor summaries of the given terms on the text
-// and node indexes.
-type StatsRequest struct {
-	Plan string
-	Text []string
-	Node []string
-}
-
-// StatsResponse carries per-term summaries; terms absent from an index
-// are omitted (the router treats omission as df=0).
-type StatsResponse struct {
-	Plan string
-	Text map[string]search.TermSummary
-	Node map[string]search.TermSummary
-}
-
-// ScorerParams transports the global BM25 parameters the router computed
-// from aggregated shard stats. Every float64 crosses the wire as its 8 raw
+// ScorerParams transports the global BM25 parameters the router read off
+// the target corpus's merged index. Every float64 crosses the wire as its 8 raw
 // bits, so worker-side scoring is bitwise identical to single-process
 // scoring.
 type ScorerParams struct {
@@ -367,16 +343,6 @@ func (r *AssignRequest) Validate() error {
 	return nil
 }
 
-func (r *StatsRequest) Validate() error {
-	if r.Plan == "" {
-		return decodeErrf("stats: missing plan")
-	}
-	if err := checkTerms("stats.text", r.Text); err != nil {
-		return err
-	}
-	return checkTerms("stats.node", r.Node)
-}
-
 func (r *SearchRequest) Validate() error {
 	if r.Plan == "" {
 		return decodeErrf("search: missing plan")
@@ -435,13 +401,6 @@ func (r *InfoResponse) Validate() error {
 func (r *AssignResponse) Validate() error {
 	if r.Plan == "" {
 		return decodeErrf("assign response: missing plan")
-	}
-	return nil
-}
-
-func (r *StatsResponse) Validate() error {
-	if len(r.Text) > maxRPCTerms || len(r.Node) > maxRPCTerms {
-		return decodeErrf("stats response: term map too large")
 	}
 	return nil
 }

@@ -24,8 +24,6 @@ func rpcMessages() []Validator {
 		&InfoResponse{},
 		&AssignRequest{},
 		&AssignResponse{},
-		&StatsRequest{},
-		&StatsResponse{},
 		&SearchRequest{},
 		&SearchResponse{},
 		&DocsRequest{},
@@ -36,20 +34,23 @@ func rpcMessages() []Validator {
 }
 
 func TestDecodeRPCRejects(t *testing.T) {
-	stats := mustMarshal(t, &StatsRequest{Plan: "p"})
-	badVersion := []byte(stats)
+	search5 := mustMarshal(t, &SearchRequest{Plan: "p", K: 5})
+	rekind := func(kind byte) string {
+		frame := []byte(search5)
+		frame[2] = kind
+		return string(reseal(frame))
+	}
+	badVersion := []byte(search5)
 	badVersion[3]++
-	badKind := []byte(stats)
-	badKind[2] = kindDocsResponse
 	// One byte between the last field and the trailer, checksum valid.
-	trailing := append([]byte(stats[:len(stats)-4]), 0, 0, 0, 0, 0)
+	trailing := append([]byte(search5[:len(search5)-4]), 0, 0, 0, 0, 0)
 	cases := []struct {
 		name string
 		data string
 		into Validator
 	}{
-		{"empty", "", &StatsRequest{}},
-		{"junk", "not json", &StatsRequest{}},
+		{"empty", "", &SearchRequest{}},
+		{"junk", "not json", &DocsRequest{}},
 		{"unknown field", `{"plan":"p","query":"x","bogus":1}`, &ExplainRequest{}},
 		{"trailing data", `{"plan":"p","query":"x"}{"plan":"q","query":"x"}`, &ExplainRequest{}},
 		{"zero k", mustMarshal(t, &SearchRequest{Plan: "p", K: 0}), &SearchRequest{}},
@@ -57,13 +58,19 @@ func TestDecodeRPCRejects(t *testing.T) {
 		{"negative position", mustMarshal(t, &DocsRequest{Plan: "p", Positions: []int{-1}}), &DocsRequest{}},
 		{"negative doc id", `{"plan":"p","query":"x","doc_id":-2}`, &ExplainRequest{}},
 		{"bad artifact id", `{"plan":"p","segments":[{"id":"../../etc"}]}`, &AssignRequest{}},
-		{"JSON body on a data-plane endpoint", `{"plan":"p"}`, &StatsRequest{}},
+		{"JSON body on a data-plane endpoint", `{"plan":"p","positions":[0]}`, &DocsRequest{}},
 		{"JSON search on a data-plane endpoint", `{"plan":"p","k":5}`, &SearchRequest{}},
-		{"unknown version", string(reseal(badVersion)), &StatsRequest{}},
-		{"another message's magic", string(reseal(badKind)), &StatsRequest{}},
-		{"trailing byte", string(reseal(trailing)), &StatsRequest{}},
-		{"byte after the trailer", stats + "\x00", &StatsRequest{}},
-		{"missing plan", mustMarshal(t, &StatsRequest{}), &StatsRequest{}},
+		{"unknown version", string(reseal(badVersion)), &SearchRequest{}},
+		{"another message's magic", rekind(kindDocsResponse), &SearchRequest{}},
+		// Kinds 1 and 2 carried the retired statistics exchange: reserved,
+		// and refused whatever they are decoded into.
+		{"reserved kind 1", rekind(1), &SearchRequest{}},
+		{"reserved kind 2", rekind(2), &SearchRequest{}},
+		{"reserved kind 2 as a response", rekind(2), &SearchResponse{}},
+		{"trailing byte", string(reseal(trailing)), &SearchRequest{}},
+		{"byte after the trailer", search5 + "\x00", &SearchRequest{}},
+		{"missing plan", mustMarshal(t, &SearchRequest{K: 5}), &SearchRequest{}},
+		{"missing docs plan", mustMarshal(t, &DocsRequest{Positions: []int{0}}), &DocsRequest{}},
 		{"negative df", mustMarshal(t, &SearchRequest{Plan: "p", K: 5,
 			Text: []search.OrderedTerm{{Term: "t", DF: -1}}}), &SearchRequest{}},
 		{"empty term", mustMarshal(t, &SearchRequest{Plan: "p", K: 5,
@@ -72,7 +79,9 @@ func TestDecodeRPCRejects(t *testing.T) {
 			Entities: [][]string{{""}}}), &SearchRequest{}},
 		{"too many entity sets", mustMarshal(t, &SearchRequest{Plan: "p", K: 5,
 			Entities: make([][]string, maxEntitySets+1)}), &SearchRequest{}},
-		{"too many terms", mustMarshal(t, &StatsRequest{Plan: "p", Text: make([]string, maxRPCTerms+1)}), &StatsRequest{}},
+		{"too many terms", mustMarshal(t, &DocsRequest{Plan: "p", Positions: []int{0}, Terms: make([]string, maxRPCTerms+1)}), &DocsRequest{}},
+		{"too many ordered terms", mustMarshal(t, &SearchRequest{Plan: "p", K: 5,
+			Text: make([]search.OrderedTerm, maxRPCTerms+1)}), &SearchRequest{}},
 		{"too many positions", mustMarshal(t, &DocsRequest{Plan: "p", Positions: make([]int, maxPositions+1)}), &DocsRequest{}},
 		{"no positions", mustMarshal(t, &DocsRequest{Plan: "p"}), &DocsRequest{}},
 		{"too many hits", mustMarshal(t, &SearchResponse{Plan: "p", Text: make([]search.Hit, maxRPCK+1)}), &SearchResponse{}},
@@ -86,10 +95,10 @@ func TestDecodeRPCRejects(t *testing.T) {
 		}
 	}
 	// The tampering above is what is refused, not the frame it started from.
-	if err := DecodeRPC([]byte(stats), &StatsRequest{}); err != nil {
+	if err := DecodeRPC([]byte(search5), &SearchRequest{}); err != nil {
 		t.Errorf("DecodeRPC refused a well-formed frame: %v", err)
 	}
-	if err := DecodeRPC(bytes.Repeat([]byte(" "), maxRPCBody+1), &StatsRequest{}); err == nil {
+	if err := DecodeRPC(bytes.Repeat([]byte(" "), maxRPCBody+1), &SearchRequest{}); err == nil {
 		t.Error("DecodeRPC accepted an oversized body")
 	}
 	if err := DecodeRPC(bytes.Repeat([]byte(" "), maxRPCBody+1), &ExplainRequest{}); err == nil {
@@ -123,9 +132,7 @@ func FuzzClusterRPCDecode(f *testing.F) {
 	seeds := []any{
 		&InfoResponse{ID: "w0", Plan: "abcd", Artifacts: []string{"seg-0123456789abcdef.text.idx"}},
 		&AssignRequest{Plan: "abcd", Segments: nil, FetchFrom: "http://peer"},
-		&AssignResponse{Plan: "abcd", Fetched: 2, ShardStats: ShardStats{NumDocs: 10, LiveDocs: 9}},
-		&StatsRequest{Plan: "abcd", Text: []string{"border"}, Node: []string{"n12"}},
-		&StatsResponse{Plan: "abcd", Text: map[string]search.TermSummary{"border": {DF: 3, MaxTF: 2}}},
+		&AssignResponse{Plan: "abcd", Fetched: 2},
 		&SearchRequest{Plan: "abcd", K: 10, Text: []search.OrderedTerm{{Term: "border", Weight: 1, DF: 3, Bound: 2.5}},
 			Entities: [][]string{{"n12"}, {}}},
 		&SearchResponse{Plan: "abcd", Text: []search.Hit{{Doc: 3, Score: 1.5}}},
@@ -138,8 +145,12 @@ func FuzzClusterRPCDecode(f *testing.F) {
 		f.Add(i, []byte(mustMarshal(f, s)))
 	}
 	f.Add(0, []byte(`{"unknown":true}`))
-	f.Add(5, []byte(`{"plan":"p","k":-1}`))
-	f.Add(5, []byte(mustMarshal(f, &SearchRequest{Plan: "p", K: -1})))
+	f.Add(3, []byte(`{"plan":"p","k":-1}`))
+	f.Add(3, []byte(mustMarshal(f, &SearchRequest{Plan: "p", K: -1})))
+	// The retired statistics exchange: well-formed frames of the reserved
+	// kinds 1 and 2, aimed at the messages that took their place.
+	f.Add(3, reseal([]byte("NL\x01\x01\x04abcd\x01\x06border\x01\x03n12\x00\x00\x00\x00")))
+	f.Add(4, reseal([]byte("NL\x02\x01\x04abcd\x00\x00\x00\x00\x00\x00")))
 	f.Fuzz(func(t *testing.T, which int, data []byte) {
 		msgs := rpcMessages()
 		if which < 0 {

@@ -225,7 +225,7 @@ func (rt *Router) callSlot(ctx context.Context, sl *slot, path string, reqBody a
 			}
 			// The +1 reserves one share of the budget beyond the remaining
 			// attempts: even if every attempt times out, the request keeps
-			// enough headroom to re-aggregate over the surviving shards and
+			// enough headroom to re-run over the surviving shards and
 			// answer degraded instead of timing out outright.
 			actx, cancel = context.WithTimeout(ctx, remaining/time.Duration(attempts-a+1))
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -12,7 +11,7 @@ import (
 	"newslink/internal/search"
 )
 
-// The data plane — the three per-query RPCs, requests and 200-replies
+// The data plane — the two per-query RPCs, requests and 200-replies
 // both — travels as one hand-written binary frame:
 //
 //	'N' 'L' kind version | fields ... | CRC-32C (little-endian)
@@ -31,19 +30,19 @@ import (
 //     scorer parameters, bounds and scores arrive bitwise identical by
 //     construction rather than by decimal round-trip.
 //
-// Every value has exactly one encoding (shortest varints, map entries in
-// increasing term order, nothing optional), so decode∘encode and
-// encode∘decode are both identities. Decoding never trusts a count: it is
-// checked against its cap and against the bytes that remain before it
-// sizes an allocation, and every string is copied out of the buffer, which
-// is what lets both ends recycle their buffers.
+// Every value has exactly one encoding (shortest varints, nothing
+// optional), so decode∘encode and encode∘decode are both identities.
+// Decoding never trusts a count: it is checked against its cap and against
+// the bytes that remain before it sizes an allocation, and every string is
+// copied out of the buffer, which is what lets both ends recycle their
+// buffers.
 const wireVersion = 1
 
-// Message kinds, the third magic byte.
+// Message kinds, the third magic byte. Kinds 1 and 2 were the statistics
+// exchange; they stay reserved — refused like any unknown kind, never
+// reused — so the surviving kinds keep their numbers.
 const (
-	kindStatsRequest byte = iota + 1
-	kindStatsResponse
-	kindSearchRequest
+	kindSearchRequest byte = iota + 3
 	kindSearchResponse
 	kindDocsRequest
 	kindDocsResponse
@@ -226,74 +225,6 @@ func (r *wireReader) strings(what string, limit int) []string {
 		out[i] = r.string()
 	}
 	return out
-}
-
-func (m *StatsRequest) wireKind() byte { return kindStatsRequest }
-
-func (m *StatsRequest) appendFields(b []byte) []byte {
-	b = appendString(b, m.Plan)
-	b = appendStrings(b, m.Text)
-	return appendStrings(b, m.Node)
-}
-
-func (m *StatsRequest) readFields(fields []byte) ([]byte, error) {
-	r := wireReader{data: fields}
-	m.Plan = r.plan()
-	m.Text = r.strings("stats.text", maxRPCTerms)
-	m.Node = r.strings("stats.node", maxRPCTerms)
-	return r.data, r.err
-}
-
-// appendSummaries writes a term → summary map in increasing term order,
-// the one order the decoder accepts.
-func appendSummaries(b []byte, sums map[string]search.TermSummary) []byte {
-	terms := make([]string, 0, len(sums))
-	for t := range sums {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	b = binary.AppendUvarint(b, uint64(len(terms)))
-	for _, t := range terms {
-		b = appendString(b, t)
-		b = appendInt(b, sums[t].DF)
-		b = appendFloat(b, sums[t].MaxTF)
-	}
-	return b
-}
-
-func (r *wireReader) summaries(what string) map[string]search.TermSummary {
-	n := r.count(what, 1+1+8, maxRPCTerms)
-	if n == 0 {
-		return nil
-	}
-	out := make(map[string]search.TermSummary, n)
-	prev := ""
-	for i := 0; i < n; i++ {
-		t := r.string()
-		if i > 0 && t <= prev {
-			r.fail("%s: terms out of order", what)
-			return nil
-		}
-		out[t] = search.TermSummary{DF: r.int(), MaxTF: r.float()}
-		prev = t
-	}
-	return out
-}
-
-func (m *StatsResponse) wireKind() byte { return kindStatsResponse }
-
-func (m *StatsResponse) appendFields(b []byte) []byte {
-	b = appendString(b, m.Plan)
-	b = appendSummaries(b, m.Text)
-	return appendSummaries(b, m.Node)
-}
-
-func (m *StatsResponse) readFields(fields []byte) ([]byte, error) {
-	r := wireReader{data: fields}
-	m.Plan = r.plan()
-	m.Text = r.summaries("stats response text")
-	m.Node = r.summaries("stats response node")
-	return r.data, r.err
 }
 
 func appendOrdered(b []byte, terms []search.OrderedTerm) []byte {

@@ -24,7 +24,7 @@ import (
 )
 
 // wireGen draws random data-plane messages. Empty lists are nil — the one
-// form the decoder produces — and maps are never empty-but-allocated.
+// form the decoder produces.
 type wireGen struct{ *rand.Rand }
 
 func (g wireGen) str() string {
@@ -55,18 +55,6 @@ func (g wireGen) float() float64 {
 			return f
 		}
 	}
-}
-
-func (g wireGen) summaries() map[string]search.TermSummary {
-	n := g.Intn(5)
-	if n == 0 {
-		return nil
-	}
-	out := make(map[string]search.TermSummary, n)
-	for i := 0; i < n; i++ {
-		out[g.str()+fmt.Sprint(i)] = search.TermSummary{DF: g.Intn(1 << 20), MaxTF: g.float()}
-	}
-	return out
 }
 
 func (g wireGen) ordered() []search.OrderedTerm {
@@ -103,10 +91,6 @@ func (g wireGen) message(kind int) (msg, into wireMessage) {
 	plan := "p" + g.str()
 	switch kind {
 	case 0:
-		return &StatsRequest{Plan: plan, Text: g.strs(6), Node: g.strs(6)}, &StatsRequest{}
-	case 1:
-		return &StatsResponse{Plan: plan, Text: g.summaries(), Node: g.summaries()}, &StatsResponse{}
-	case 2:
 		m := &SearchRequest{Plan: plan, K: 1 + g.Intn(maxRPCK), Text: g.ordered(), Node: g.ordered(),
 			TextScorer: g.scorer(), NodeScorer: g.scorer(), After: g.Int63() - g.Int63(), Before: g.Int63()}
 		if n := g.Intn(4); n > 0 {
@@ -118,9 +102,9 @@ func (g wireGen) message(kind int) (msg, into wireMessage) {
 			}
 		}
 		return m, &SearchRequest{}
-	case 3:
+	case 1:
 		return &SearchResponse{Plan: plan, Text: g.hits(), Node: g.hits()}, &SearchResponse{}
-	case 4:
+	case 2:
 		m := &DocsRequest{Plan: plan, Positions: make([]int, 1+g.Intn(20)), Terms: g.strs(6)}
 		for i := range m.Positions {
 			m.Positions[i] = g.Intn(1 << 31)
@@ -139,12 +123,12 @@ func (g wireGen) message(kind int) (msg, into wireMessage) {
 }
 
 // TestWireRoundTrip is the codec's defining property, over random messages
-// of all six kinds: decoding an encoding gives the message back, and
+// of all four kinds: decoding an encoding gives the message back, and
 // encoding a decoding gives the bytes back — one canonical form.
 func TestWireRoundTrip(t *testing.T) {
 	g := wireGen{rand.New(rand.NewSource(22))}
 	for i := 0; i < 3000; i++ {
-		msg, into := g.message(i % 6)
+		msg, into := g.message(i % 4)
 		frame := appendFrame(nil, msg)
 		if err := DecodeRPC(frame, into); err != nil {
 			t.Fatalf("message %d (%T) does not decode: %v\n%+v", i, msg, err, msg)
@@ -203,8 +187,8 @@ func realQuery(t *testing.T) (ScorerParams, []search.OrderedTerm, []search.Hit) 
 		t.Fatal(err)
 	}
 	q := search.NewQuery(terms)
-	scorer := search.TextBM25(text.NumDocs(), totalDocLen(text)/float64(text.NumDocs()))
-	ordered, _ := search.OrderTerms(scorer, q, search.TermSummaries(text, queryTerms(q)))
+	scorer := search.NewBM25(text)
+	ordered, _ := search.OrderTerms(text, scorer, q)
 	hits, _, err := search.TopKBlockMaxOrderedStats(context.Background(), text, scorer, ordered, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -341,12 +325,11 @@ func TestWireLengthBomb(t *testing.T) {
 	}{
 		{"hits", kindSearchResponse, nil, func() Validator { return &SearchResponse{} }},
 		{"node hits", kindSearchResponse, []byte{0}, func() Validator { return &SearchResponse{} }},
-		{"terms", kindStatsRequest, nil, func() Validator { return &StatsRequest{} }},
+		{"terms", kindDocsRequest, []byte{1, 0}, func() Validator { return &DocsRequest{} }},
 		{"ordered terms", kindSearchRequest, []byte{5}, func() Validator { return &SearchRequest{} }},
 		{"positions", kindDocsRequest, nil, func() Validator { return &DocsRequest{} }},
 		{"documents", kindDocsResponse, nil, func() Validator { return &DocsResponse{} }},
-		{"summaries", kindStatsResponse, nil, func() Validator { return &StatsResponse{} }},
-		{"term length", kindStatsRequest, []byte{1}, func() Validator { return &StatsRequest{} }},
+		{"term length", kindSearchRequest, []byte{5, 1}, func() Validator { return &SearchRequest{} }},
 	}
 	for _, tc := range cases {
 		refuse := func(count uint64) float64 {
@@ -458,7 +441,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		resp.Node[i] = search.Hit{Doc: index.DocID(g.Intn(10000)), Score: 20 * g.Float64()}
 	}
 	req := &SearchRequest{Plan: "0123456789abcdef", K: 100,
-		TextScorer: scorerParams(search.TextBM25(10000, 212.5)), NodeScorer: scorerParams(search.NodeBM25(10000, 31.25))}
+		TextScorer: ScorerParams{K1: 1.2, B: 0.75, N: 10000, AvgLen: 212.5}, NodeScorer: scorerParams(search.NodeBM25(10000, 31.25))}
 	for i := 0; i < 6; i++ {
 		req.Text = append(req.Text, search.OrderedTerm{Term: fmt.Sprint("term", i), Weight: 1, DF: 40 * (i + 1), Bound: 9.5 - float64(i)})
 		req.Node = append(req.Node, search.OrderedTerm{Term: fmt.Sprint("n", 1000+i), Weight: 0.25, DF: 7 * (i + 1), Bound: 4.5 - float64(i)/2})

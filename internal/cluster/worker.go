@@ -16,7 +16,6 @@ import (
 
 	"newslink"
 	"newslink/internal/faults"
-	"newslink/internal/index"
 	"newslink/internal/kg"
 	"newslink/internal/nlp"
 	"newslink/internal/obs"
@@ -25,7 +24,7 @@ import (
 )
 
 // Worker serves one shard of a partitioned snapshot: it holds the slice
-// of segments a router assigned to it, answers stats/search/docs/explain
+// of segments a router assigned to it, answers search/docs/explain
 // RPCs over that slice, and serves its content-addressed artifacts to
 // peers. A worker is stateless across assignments — the plan ID names
 // the state, and a new assignment atomically replaces the engine.
@@ -43,7 +42,6 @@ type Worker struct {
 	plan   string
 	base   int
 	engine *newslink.Engine
-	ack    AssignResponse // memoized assignment acknowledgment
 }
 
 // NewWorker returns a worker with identity id, storing and serving
@@ -75,7 +73,6 @@ func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/shard/info", w.handleInfo)
 	mux.HandleFunc("POST /v1/shard/assign", w.handleAssign)
-	mux.HandleFunc("POST /v1/shard/stats", w.handleStats)
 	mux.HandleFunc("POST /v1/shard/search", w.handleSearch)
 	mux.HandleFunc("POST /v1/shard/docs", w.handleDocs)
 	mux.HandleFunc("POST /v1/shard/explain", w.handleExplain)
@@ -156,7 +153,7 @@ func (w *Worker) handleInfo(rw http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	w.mu.Lock()
-	info := InfoResponse{ID: w.id, Plan: w.plan, Base: w.base, ShardStats: w.ack.ShardStats}
+	info := InfoResponse{ID: w.id, Plan: w.plan, Base: w.base}
 	w.mu.Unlock()
 	if entries, err := os.ReadDir(w.dir); err == nil {
 		for _, ent := range entries {
@@ -203,11 +200,10 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.mu.Lock()
 	if w.engine != nil && w.plan == req.Plan {
-		// Idempotent re-assignment of the current plan: acknowledge the
-		// memoized stats without reloading anything.
-		ack := w.ack
+		// Idempotent re-assignment of the current plan: acknowledge
+		// without reloading anything.
 		w.mu.Unlock()
-		w.writeRPC(rw, &ack)
+		w.writeRPC(rw, &AssignResponse{Plan: req.Plan})
 		return
 	}
 	w.mu.Unlock()
@@ -221,46 +217,18 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 		server.WriteError(rw, http.StatusInternalServerError, "load_failed", "%v", err)
 		return
 	}
-	text, node, err := engine.Sources()
-	if err != nil {
-		_ = engine.Close()
-		server.WriteError(rw, http.StatusInternalServerError, "load_failed", "%v", err)
-		return
-	}
-	ack := AssignResponse{
-		Plan:    req.Plan,
-		Fetched: fetched,
-		ShardStats: ShardStats{
-			NumDocs:      text.NumDocs(),
-			LiveDocs:     engine.NumDocs(),
-			TextTotalLen: totalDocLen(text),
-			NodeTotalLen: totalDocLen(node),
-		},
-	}
 	w.mu.Lock()
 	old := w.engine
 	w.engine = engine
 	w.plan = req.Plan
 	w.base = req.Base
-	w.ack = ack
 	w.mu.Unlock()
 	if old != nil {
 		_ = old.Close()
 	}
 	w.log.Info("assignment installed", "worker", w.id, "plan", req.Plan,
 		"base", req.Base, "segments", len(req.Segments), "fetched", fetched)
-	w.writeRPC(rw, &ack)
-}
-
-// totalDocLen folds per-document lengths into an exact total. Lengths
-// are integer-valued float64s, so the sum is exact below 2^53 and the
-// router's aggregate average equals the merged index's AvgDocLen.
-func totalDocLen(src index.Source) float64 {
-	total := 0.0
-	for d := 0; d < src.NumDocs(); d++ {
-		total += src.DocLen(index.DocID(d))
-	}
-	return total
+	w.writeRPC(rw, &AssignResponse{Plan: req.Plan, Fetched: fetched})
 }
 
 // ensureArtifacts makes every assigned artifact file present and
@@ -329,31 +297,6 @@ func (w *Worker) fetchArtifact(ctx context.Context, peer, name, want string) err
 	return os.Rename(tmp.Name(), filepath.Join(w.dir, name))
 }
 
-func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
-	if !w.gate(rw) {
-		return
-	}
-	var req StatsRequest
-	if err := decodeBody(r, &req); err != nil {
-		server.WriteError(rw, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	engine, ok := w.requirePlan(rw, req.Plan)
-	if !ok {
-		return
-	}
-	text, node, err := engine.Sources()
-	if err != nil {
-		server.WriteError(rw, http.StatusInternalServerError, "internal", "%v", err)
-		return
-	}
-	w.writeRPC(rw, &StatsResponse{
-		Plan: req.Plan,
-		Text: search.TermSummaries(text, req.Text),
-		Node: search.TermSummaries(node, req.Node),
-	})
-}
-
 func (w *Worker) handleSearch(rw http.ResponseWriter, r *http.Request) {
 	if !w.gate(rw) {
 		return
@@ -369,7 +312,7 @@ func (w *Worker) handleSearch(rw http.ResponseWriter, r *http.Request) {
 	}
 	// Filter clauses mask documents from the local traversal through the
 	// same live seam as tombstones; statistics and scorer parameters stay
-	// the router's unfiltered aggregates, so the filtered shard ranking
+	// the router's unfiltered global values, so the filtered shard ranking
 	// composes into exactly a single process's filtered ranking.
 	text, node, err := engine.FilteredSources(req.After, req.Before, req.Entities)
 	if err != nil {

@@ -10,48 +10,15 @@ import (
 // Term ordering and distributed evaluation support.
 //
 // Every traversal — the block-max kernel and the TAAT oracle — executes
-// its terms in one canonical order computed by orderTerms. A scatter-gather
+// its terms in one canonical order computed by OrderTerms. A scatter-gather
 // router (internal/cluster) reproduces the exact single-process top-k over
 // an RPC boundary the same way: per-doc scores are bitwise identical only
 // if every shard accumulates terms in the same order with the same global
 // BM25 parameters and the same per-term bounds, so the router computes the
-// order once — from globally aggregated TermSummary stats — and ships the
-// ordered terms to every shard; shards execute them verbatim via
+// order once — by calling OrderTerms on the merged directory of the target
+// corpus, the object a single process calls it on — and ships the ordered
+// terms to every shard; shards execute them verbatim via
 // TopKBlockMaxOrderedStats without re-deriving local stats.
-
-// TermSummary is the directory-level summary of one term on one index
-// source: document frequency (tombstoned documents included, matching
-// Cursor.Count) and the maximum term frequency across its postings. A
-// router sums DF and maxes MaxTF across shards to recover the exact
-// global values a single process would read off the merged index.
-type TermSummary struct {
-	DF    int     `json:"df"`
-	MaxTF float64 `json:"max_tf"`
-}
-
-// termSummary reads one term's cursor summary, decoding nothing; ok is
-// false when the term has no postings.
-func termSummary(idx index.Source, term string) (TermSummary, bool) {
-	c := idx.TermCursor(term)
-	if c == nil {
-		return TermSummary{}, false
-	}
-	ts := TermSummary{DF: c.Count(), MaxTF: float64(c.MaxTF())}
-	index.ReleaseCursor(c)
-	return ts, ts.DF > 0
-}
-
-// TermSummaries reads cursor summaries for the given terms. Terms absent
-// from the index are omitted; nothing is decoded.
-func TermSummaries(idx index.Source, terms []string) map[string]TermSummary {
-	out := make(map[string]TermSummary, len(terms))
-	for _, term := range terms {
-		if ts, ok := termSummary(idx, term); ok {
-			out[term] = ts
-		}
-	}
-	return out
-}
 
 // OrderedTerm is one query term with its evaluation parameters, in
 // canonical execution order (decreasing Bound, ties by Term). In a cluster
@@ -59,43 +26,33 @@ func TermSummaries(idx index.Source, terms []string) map[string]TermSummary {
 // pruning decisions and per-posting weights match the merged index
 // exactly.
 type OrderedTerm struct {
-	Term   string  `json:"term"`
-	Weight float64 `json:"weight"`
-	DF     int     `json:"df"`
-	Bound  float64 `json:"bound"`
+	Term   string
+	Weight float64
+	DF     int
+	Bound  float64
 }
 
-// OrderTerms computes the canonical execution order from (global) term
-// stats: bound = weight·MaxWeight(maxTF, df), sorted by decreasing bound
-// with ties broken by term — exactly the order a single process derives
-// over the merged index. Terms missing from stats are dropped (no postings
-// anywhere). The second result is the total posting count.
-func OrderTerms(s Scorer, q Query, stats map[string]TermSummary) ([]OrderedTerm, int) {
-	return orderTerms(s, q, func(term string) (TermSummary, bool) {
-		ts, ok := stats[term]
-		return ts, ok
-	})
-}
-
-// orderIndexTerms is OrderTerms over idx's own cursor summaries.
-func orderIndexTerms(idx index.Source, s Scorer, q Query) ([]OrderedTerm, int) {
-	return orderTerms(s, q, func(term string) (TermSummary, bool) {
-		return termSummary(idx, term)
-	})
-}
-
-// orderTerms is the one term preparation: it drops terms without postings
-// and sorts the rest into canonical order.
-func orderTerms(s Scorer, q Query, summary func(term string) (TermSummary, bool)) ([]OrderedTerm, int) {
+// OrderTerms is the one term preparation: it reads each query term's
+// directory summary on idx — document frequency (tombstoned documents
+// included, matching Cursor.Count) and maximum term frequency; nothing is
+// decoded — drops terms without postings, and sorts the rest into
+// canonical order: bound = weight·MaxWeight(maxTF, df), decreasing, ties
+// broken by term. The second result is the total posting count.
+func OrderTerms(idx index.Source, s Scorer, q Query) ([]OrderedTerm, int) {
 	terms := make([]OrderedTerm, 0, len(q))
 	total := 0
 	for term, qw := range q {
-		ts, ok := summary(term)
-		if !ok || ts.DF == 0 {
+		c := idx.TermCursor(term)
+		if c == nil {
 			continue
 		}
-		total += ts.DF
-		terms = append(terms, OrderedTerm{term, qw, ts.DF, qw * s.MaxWeight(ts.MaxTF, ts.DF)})
+		df, maxTF := c.Count(), float64(c.MaxTF())
+		index.ReleaseCursor(c)
+		if df == 0 {
+			continue
+		}
+		total += df
+		terms = append(terms, OrderedTerm{term, qw, df, qw * s.MaxWeight(maxTF, df)})
 	}
 	if len(terms) == 0 {
 		return nil, 0

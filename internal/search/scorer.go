@@ -32,14 +32,6 @@ type BM25 struct {
 	AvgLen float64 // average document length
 }
 
-// TextBM25 returns the text (BOW) scorer — Lucene's default parameters —
-// over a corpus of n documents of average length avgLen. The statistics
-// are explicit because the cluster router scores with corpus-wide values
-// aggregated over its shards rather than any one index's.
-func TextBM25(n int, avgLen float64) BM25 {
-	return BM25{K1: 1.2, B: 0.75, N: n, AvgLen: avgLen}
-}
-
 // NodeBM25 returns the node (BON) scorer: b=0 and a small k1. A subgraph
 // embedding's size is structural, not verbosity (no length penalty), and
 // node frequencies saturate quickly, so BON behaves as an idf-weighted
@@ -49,9 +41,10 @@ func NodeBM25(n int, avgLen float64) BM25 {
 	return BM25{K1: 0.4, B: 0, N: n, AvgLen: avgLen}
 }
 
-// NewBM25 returns the text scorer over the given index's own statistics.
+// NewBM25 returns the text (BOW) scorer — Lucene's default parameters —
+// over the given index's own statistics.
 func NewBM25(idx index.Source) BM25 {
-	return TextBM25(idx.NumDocs(), idx.AvgDocLen())
+	return BM25{K1: 1.2, B: 0.75, N: idx.NumDocs(), AvgLen: idx.AvgDocLen()}
 }
 
 // idf is Lucene's BM25 idf: ln(1 + (N-df+0.5)/(df+0.5)), always positive.

@@ -100,7 +100,7 @@ func TestPooledReuseIdentityUnderConcurrency(t *testing.T) {
 				if it%2 == 0 {
 					got, _, err = TopKBlockMaxStats(ctx, tc.idx, tc.s, tc.q, tc.k)
 				} else {
-					ordered, _ := OrderTerms(tc.s, tc.q, TermSummaries(tc.idx, queryTerms(tc.q)))
+					ordered, _ := OrderTerms(tc.idx, tc.s, tc.q)
 					got, _, err = TopKBlockMaxOrderedStats(ctx, tc.idx, tc.s, ordered, tc.k)
 				}
 				if err != nil {
@@ -125,15 +125,6 @@ func TestPooledReuseIdentityUnderConcurrency(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
-}
-
-// queryTerms lists a query's terms (helper for the ordered path).
-func queryTerms(q Query) []string {
-	out := make([]string, 0, len(q))
-	for t := range q {
-		out = append(out, t)
-	}
-	return out
 }
 
 // TestPooledHeapAndMapReuse: the exact TAAT oracle's pooled map

@@ -32,14 +32,14 @@ func NewQuery(terms []string) Query {
 // accumulation and returns the k best documents ordered by descending score
 // (ties by ascending DocID). It is the executable specification of the
 // block-max kernel: terms are folded in the kernel's canonical order
-// (orderTerms), so both add the same floats in the same order and their
+// (OrderTerms), so both add the same floats in the same order and their
 // results compare bitwise, not within a tolerance. A postings read error
 // fails the evaluation.
 func TopK(idx index.Source, s Scorer, q Query, k int) ([]Hit, error) {
 	if k <= 0 || len(q) == 0 {
 		return nil, nil
 	}
-	terms, _ := orderIndexTerms(idx, s, q)
+	terms, _ := OrderTerms(idx, s, q)
 	if len(terms) == 0 {
 		return nil, nil
 	}

@@ -36,7 +36,7 @@ import (
 // where a disk read failure looks like an absent term — block decode/IO
 // errors surface as errors, and a done context aborts with ctx.Err().
 func TopKBlockMaxStats(ctx context.Context, idx index.Source, s Scorer, q Query, k int) ([]Hit, RetrievalStats, error) {
-	ordered, _ := orderIndexTerms(idx, s, q)
+	ordered, _ := OrderTerms(idx, s, q)
 	return TopKBlockMaxOrderedStats(ctx, idx, s, ordered, k)
 }
 

@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -64,18 +63,16 @@ func splitDocs(docs [][]string, shards int) splitCorpus {
 }
 
 // topK is the cluster's scatter-gather: the term order comes from the
-// sources' summed summaries, every source runs the ordered kernel under
-// the global scorer, and the rebased shard-local winners are merged.
+// merged directory of the sources (what the router holds), every source
+// runs the ordered kernel under the global scorer, and the rebased
+// shard-local winners are merged.
 func (sc splitCorpus) topK(t *testing.T, global Scorer, q Query, k int) []Hit {
 	t.Helper()
-	stats := map[string]TermSummary{}
-	for _, part := range sc.parts {
-		for term, ts := range TermSummaries(part, queryTerms(q)) {
-			sum := stats[term]
-			stats[term] = TermSummary{DF: sum.DF + ts.DF, MaxTF: math.Max(sum.MaxTF, ts.MaxTF)}
-		}
+	parts := make([]index.Source, len(sc.parts))
+	for w, part := range sc.parts {
+		parts[w] = part
 	}
-	ordered, _ := OrderTerms(global, q, stats)
+	ordered, _ := OrderTerms(index.NewMulti(parts...), global, q)
 	lists := make([][]Hit, len(sc.parts))
 	for w, part := range sc.parts {
 		hits, _, err := TopKBlockMaxOrderedStats(context.Background(), part, global, ordered, k)
@@ -153,7 +150,7 @@ func TestTopKCancellation(t *testing.T) {
 	if _, _, err := TopKBlockMaxStats(ctx, idx, scorer, q, 10); err != context.Canceled {
 		t.Fatalf("local order: err = %v", err)
 	}
-	ordered, _ := OrderTerms(scorer, q, TermSummaries(idx, queryTerms(q)))
+	ordered, _ := OrderTerms(idx, scorer, q)
 	if _, _, err := TopKBlockMaxOrderedStats(ctx, idx, scorer, ordered, 10); err != context.Canceled {
 		t.Fatalf("given order: err = %v", err)
 	}

@@ -28,13 +28,6 @@ func TestVectorOps(t *testing.T) {
 	if got := Normalize(z); got[0] != 0 || got[1] != 0 {
 		t.Fatal("zero vector normalize changed values")
 	}
-	m := Mean([]Vector{{2, 0}, {0, 2}}, 2)
-	if !reflect.DeepEqual(m, Vector{1, 1}) {
-		t.Fatalf("Mean = %v", m)
-	}
-	if Mean(nil, 2) != nil {
-		t.Fatal("Mean(nil) != nil")
-	}
 }
 
 func TestCosineBounds(t *testing.T) {

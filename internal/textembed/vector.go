@@ -61,19 +61,3 @@ func AddScaled(dst, src Vector, s float32) {
 		dst[i] += s * src[i]
 	}
 }
-
-// Mean returns the unnormalized mean of the given vectors (nil if empty).
-func Mean(vs []Vector, dim int) Vector {
-	if len(vs) == 0 {
-		return nil
-	}
-	out := make(Vector, dim)
-	for _, v := range vs {
-		AddScaled(out, v, 1)
-	}
-	inv := float32(1) / float32(len(vs))
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
-}

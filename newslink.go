@@ -25,7 +25,7 @@
 // Servers that need cancellation or per-request parameters use the
 // request-scoped API instead:
 //
-//	results, err := e.SearchContext(ctx, newslink.Query{Text: q, K: 5, Beta: newslink.BetaOverride(1)})
+//	results, err := e.SearchContext(ctx, newslink.Query{Text: q, K: 5, PoolDepth: 200})
 //	exp, err := e.ExplainContext(ctx, q, results[0].ID, 3)
 package newslink
 
@@ -103,7 +103,6 @@ type Query struct {
 	// than the corpus.
 	PoolDepth int
 	// Beta overrides Config.Beta for this request (nil = engine default).
-	// Use BetaOverride to build the pointer inline.
 	Beta *float64
 	// After and Before bound results to documents whose Time lies in the
 	// inclusive range [After, Before]; 0 leaves the corresponding side
@@ -117,9 +116,6 @@ type Query struct {
 	// label that resolves to no KG node matches nothing.
 	Entities []string
 }
-
-// BetaOverride returns a per-request β override for Query.Beta.
-func BetaOverride(v float64) *float64 { return &v }
 
 // Result is one search hit.
 type Result struct {

@@ -261,7 +261,8 @@ func TestOnDiskReadErrorNeverBecomesEmpty(t *testing.T) {
 	// to build the entity allowlist, which must fail the request rather
 	// than match nothing.
 	truncateArtifacts(t, dir, "node.idx")
-	faceted := Query{Text: query, K: 5, Beta: BetaOverride(0), Entities: []string{"Taliban"}}
+	beta := 0.0
+	faceted := Query{Text: query, K: 5, Beta: &beta, Entities: []string{"Taliban"}}
 	if res, err := disk.SearchContext(context.Background(), faceted); err == nil {
 		t.Fatalf("entity-filtered search over an unreadable node index returned %v, no error", res)
 	}
