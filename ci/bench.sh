@@ -16,7 +16,10 @@
 # DocFilter plane: fused search under time-window and entity-facet filters
 # (with pruning counters) and related-news search off a stored embedding;
 # BenchmarkGather covers result materialization: k=10 DocAt + snippet with
-# the query's term set compiled once, which must stay at 0 allocs/op.
+# the query's term set compiled once, which must stay at 0 allocs/op;
+# BenchmarkSnapshotLoad covers cold start from a 6-segment snapshot through
+# Load, LoadSegments and NewRouter (its allocs/op and B/op are the decoding
+# work of the snapshot format).
 # CI uploads the file as an artifact so the performance trajectory has a
 # reproducible, CI-generated source; run locally as
 #
@@ -30,7 +33,7 @@ cd "$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 
 BENCHTIME="${1:-1s}"
 OUT="${2:-BENCH.json}"
-BENCHES='BenchmarkTopKStrategies|BenchmarkParallelFusedSearch|BenchmarkSnapshotServing|BenchmarkSegmentChurn|BenchmarkQueryEmbed|BenchmarkSustainedIngestServe|BenchmarkClusterScatterGather|BenchmarkWireCodec|BenchmarkFilteredSearch|BenchmarkRelated|BenchmarkGather'
+BENCHES='BenchmarkTopKStrategies|BenchmarkParallelFusedSearch|BenchmarkSnapshotServing|BenchmarkSegmentChurn|BenchmarkQueryEmbed|BenchmarkSustainedIngestServe|BenchmarkClusterScatterGather|BenchmarkWireCodec|BenchmarkFilteredSearch|BenchmarkRelated|BenchmarkGather|BenchmarkSnapshotLoad'
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -163,7 +162,7 @@ var filterQueries = []string{
 // TestFilteredSearchMatchesBruteForce: the filtered block-max pipeline
 // must be rank- and score-identical to brute-force-filtered TAAT across
 // tombstones × time-range × entity facets, on the in-memory engine and on
-// a reloaded (snapshot v5) copy of it.
+// a reloaded snapshot of it.
 func TestFilteredSearchMatchesBruteForce(t *testing.T) {
 	e, w, arts := filterFixture(t)
 	dir := t.TempDir()
@@ -513,99 +512,102 @@ func TestWALTimestampBackCompat(t *testing.T) {
 	}
 }
 
-// TestSnapshotV4BackCompat: a v4 snapshot (no time column) loads into the
-// current engine with every document untimestamped, while pre-v4 versions
-// stay rejected with ErrSnapshotVersion.
+// TestSnapshotV4BackCompat: a version-5 snapshot written by the previous
+// build (testdata/snapshot-v5: this file's filter fixture, documents and
+// their time column in meta.json) loads through Load and LoadOnDisk, Time
+// intact, into an engine that answers every filter case DeepEqual to the
+// fixture built in memory; Save rewrites it as version 6, which reloads the
+// same through all three loaders. ReadManifest — the cluster tier's entry —
+// takes version 6 only, and a version-4 manifest is ErrSnapshotVersion
+// everywhere.
 func TestSnapshotV4BackCompat(t *testing.T) {
-	e, w, _ := filterFixture(t)
-	dir := t.TempDir()
-	if err := e.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "meta.json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	var version int
-	if err := json.Unmarshal(m["version"], &version); err != nil {
-		t.Fatal(err)
-	}
-	if version != 5 {
-		t.Fatalf("saved snapshot version %d, want 5", version)
-	}
-	// Rewrite the manifest the way a v4 writer would have: version 4 and
-	// no Time keys in the document lists. Binary artifacts are
-	// format-identical across v4 and v5, so they stay untouched.
-	var segs []map[string]json.RawMessage
-	if err := json.Unmarshal(m["segments"], &segs); err != nil {
-		t.Fatal(err)
-	}
-	for _, sm := range segs {
-		var docs []map[string]json.RawMessage
-		if err := json.Unmarshal(sm["docs"], &docs); err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range docs {
-			delete(d, "Time")
-		}
-		raw, err := json.Marshal(docs)
+	e, w, arts := filterFixture(t)
+	g := w.Graph
+	const v5 = "testdata/snapshot-v5"
+	ctx := context.Background()
+	sameAsFixture := func(name string, got *Engine) {
+		t.Helper()
+		want, err := e.acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sm["docs"] = raw
+		for pos := 0; pos < want.numDocs; pos++ {
+			if doc, err := got.DocAt(pos); err != nil || !reflect.DeepEqual(doc, want.doc(pos)) {
+				t.Fatalf("%s: document at %d is %+v (%v), want %+v", name, pos, doc, err, want.doc(pos))
+			}
+		}
+		for cname, flt := range filterCases(w, arts) {
+			for _, text := range filterQueries {
+				q := flt
+				q.Text, q.K = text, 10
+				wantRes, err := e.SearchContext(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotRes, err := got.SearchContext(ctx, q)
+				if err != nil || !reflect.DeepEqual(gotRes, wantRes) {
+					t.Fatalf("%s, %s %q: %v (%v), want %v", name, cname, text, gotRes, err, wantRes)
+				}
+			}
+		}
 	}
-	rawSegs, err := json.Marshal(segs)
+	if _, err := ReadManifest(v5); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("ReadManifest of a version-5 snapshot: %v, want ErrSnapshotVersion", err)
+	}
+	resaved := t.TempDir()
+	for name, load := range map[string]func(string, *kg.Graph, ...Option) (*Engine, error){
+		"Load": Load, "LoadOnDisk": LoadOnDisk,
+	} {
+		loaded, err := load(v5, g)
+		if err != nil {
+			t.Fatalf("%s of a version-5 snapshot: %v", name, err)
+		}
+		sameAsFixture(name, loaded)
+		if name == "Load" {
+			if err := loaded.Save(resaved); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := loaded.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	m, err := ReadManifest(resaved)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("re-saved snapshot: %v", err)
 	}
-	m["segments"] = rawSegs
-	m["version"] = json.RawMessage("4")
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
+	if m.Version != 6 {
+		t.Fatalf("re-saved snapshot has version %d, want 6", m.Version)
 	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
+	for _, sm := range m.Segments {
+		if _, err := SegmentDocIDs(resaved, sm.ID, m.Checksums); err != nil {
+			t.Fatalf("re-saved segment %s: %v", sm.ID, err)
+		}
 	}
-	if _, err := ReadManifest(dir); err != nil {
-		t.Fatalf("v4 manifest rejected: %v", err)
+	for name, load := range map[string]func() (*Engine, error){
+		"Load":       func() (*Engine, error) { return Load(resaved, g) },
+		"LoadOnDisk": func() (*Engine, error) { return LoadOnDisk(resaved, g) },
+		"LoadSegments": func() (*Engine, error) {
+			return LoadSegments(resaved, g, m.Graph, m.Config, m.Segments, m.Checksums)
+		},
+	} {
+		loaded, err := load()
+		if err != nil {
+			t.Fatalf("%s of the re-saved snapshot: %v", name, err)
+		}
+		sameAsFixture(name+" (re-saved)", loaded)
+		loaded.Close()
 	}
-	loaded, err := Load(dir, w.Graph)
-	if err != nil {
-		t.Fatalf("v4 snapshot rejected: %v", err)
+
+	// Version 4 is outside the window.
+	v4 := filepath.Join(t.TempDir(), "snap")
+	copyDir(t, v5, v4)
+	editMeta(t, v4, func(m map[string]json.RawMessage) { m["version"] = json.RawMessage("4") })
+	if _, err := Load(v4, g); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("v4 load returned %v, want ErrSnapshotVersion", err)
 	}
-	defer loaded.Close()
-	// Every document is untimestamped, so any After bound excludes all.
-	res, err := loaded.SearchContext(context.Background(),
-		Query{Text: "clashes near the border", K: 10, After: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 0 {
-		t.Fatalf("After bound matched %d untimestamped v4 documents", len(res))
-	}
-	if res, err := loaded.SearchContext(context.Background(),
-		Query{Text: "clashes near the border", K: 10, Before: 1}); err != nil || len(res) == 0 {
-		t.Fatalf("Before bound over untimestamped docs: %d results, %v", len(res), err)
-	}
-	// Pre-v4 stays outside the compatibility window.
-	m["version"] = json.RawMessage("3")
-	out, err = json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir, w.Graph); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("v3 load returned %v, want ErrSnapshotVersion", err)
-	}
-	if _, err := ReadManifest(dir); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("v3 manifest returned %v, want ErrSnapshotVersion", err)
+	if _, err := ReadManifest(v4); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("v4 manifest returned %v, want ErrSnapshotVersion", err)
 	}
 }

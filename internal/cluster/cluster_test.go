@@ -398,7 +398,7 @@ func TestBuildPlanPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 2, 3, 7} {
-		plan, err := BuildPlan(m, n)
+		plan, err := BuildPlan(dir, m, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +434,7 @@ func TestBuildPlanPartition(t *testing.T) {
 			t.Fatalf("n=%d ShardOf(40) = %d,%v, want last slot %d", n, idx, ok, len(plan.Shards)-1)
 		}
 	}
-	if _, err := BuildPlan(m, 0); err == nil {
+	if _, err := BuildPlan(dir, m, 0); err == nil {
 		t.Fatal("BuildPlan(0) succeeded")
 	}
 }

@@ -129,17 +129,8 @@ func (rt *Router) exchange(ctx context.Context, url string, reqBody any, out Val
 // assignEndpoint installs the slot's segment slice on one worker,
 // pointing it at the router's own blob endpoint for missing artifacts.
 func (rt *Router) assignEndpoint(ctx context.Context, sl *slot, ep *endpoint) error {
-	req := AssignRequest{
-		Plan:      rt.plan.ID,
-		Base:      sl.plan.Base,
-		Config:    rt.plan.Config,
-		Graph:     rt.plan.Graph,
-		Segments:  sl.plan.Segments,
-		Checksums: slotChecksums(rt.plan, sl.plan),
-		FetchFrom: rt.cfg.SelfURL,
-	}
 	var ack AssignResponse
-	if err := rt.exchange(ctx, ep.url+"/v1/shard/assign", &req, &ack); err != nil {
+	if err := rt.exchange(ctx, ep.url+"/v1/shard/assign", rt.assignRequest(sl), &ack); err != nil {
 		return err
 	}
 	if ack.Plan != rt.plan.ID {
@@ -148,11 +139,26 @@ func (rt *Router) assignEndpoint(ctx context.Context, sl *slot, ep *endpoint) er
 	return nil
 }
 
+// assignRequest is the slot's assignment: segment IDs and tombstones plus
+// the checksums of their artifacts. Documents reach the worker in the
+// artifacts, never in the request.
+func (rt *Router) assignRequest(sl *slot) *AssignRequest {
+	return &AssignRequest{
+		Plan:      rt.plan.ID,
+		Base:      sl.plan.Base,
+		Config:    rt.plan.Config,
+		Graph:     rt.plan.Graph,
+		Segments:  sl.plan.Segments,
+		Checksums: slotChecksums(rt.plan, sl.plan),
+		FetchFrom: rt.cfg.SelfURL,
+	}
+}
+
 // slotChecksums restricts the snapshot's checksum map to the slot's own
 // artifact files, so an assignment carries exactly what the worker needs
 // to verify.
 func slotChecksums(p *Plan, sp ShardPlan) map[string]string {
-	out := make(map[string]string, 3*len(sp.Segments))
+	out := make(map[string]string, 4*len(sp.Segments))
 	for _, sm := range sp.Segments {
 		for _, name := range newslink.SegmentFileNames(sm.ID) {
 			if sum, ok := p.Checksums[name]; ok {

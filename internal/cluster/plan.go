@@ -40,29 +40,40 @@ type ShardPlan struct {
 	Docs     int // documents including tombstoned ones
 	Live     int // documents excluding tombstoned ones
 	Segments []newslink.ManifestSegment
+	// SegmentDocs is each segment's document count, aligned with Segments.
+	SegmentDocs []int
 }
 
-// BuildPlan partitions the manifest's segments into at most shards
-// contiguous, document-balanced slots. Fewer segments than shards yields
-// fewer slots — a slot always holds at least one segment.
-func BuildPlan(m *newslink.Manifest, shards int) (*Plan, error) {
+// BuildPlan partitions the segments of the snapshot in dir, whose manifest
+// is m, into at most shards contiguous, document-balanced slots. Fewer
+// segments than shards yields fewer slots — a slot always holds at least
+// one segment. Document IDs and counts come from the ID column of each
+// segment's checksum-verified documents artifact (newslink.SegmentDocIDs);
+// no document is decoded or kept. A damaged artifact or tombstone bitmap
+// is newslink.ErrSnapshotCorrupt.
+func BuildPlan(dir string, m *newslink.Manifest, shards int) (*Plan, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("cluster: shard count %d < 1", shards)
 	}
 	if len(m.Segments) == 0 {
 		return nil, fmt.Errorf("cluster: snapshot has no segments")
 	}
-	n := min(shards, len(m.Segments))
+	ids := make([][]int, len(m.Segments))
 	total := 0
-	for _, sm := range m.Segments {
-		total += len(sm.Docs)
+	for i, sm := range m.Segments {
+		var err error
+		if ids[i], err = newslink.SegmentDocIDs(dir, sm.ID, m.Checksums); err != nil {
+			return nil, err
+		}
+		total += len(ids[i])
 	}
+	n := min(shards, len(m.Segments))
 	p := &Plan{
 		Config:    m.Config,
 		Graph:     m.Graph,
 		Checksums: m.Checksums,
 		Shards:    make([]ShardPlan, n),
-		docShard:  make(map[int]int),
+		docShard:  make(map[int]int, total),
 	}
 	cum, w := 0, 0
 	for i, sm := range m.Segments {
@@ -76,19 +87,20 @@ func BuildPlan(m *newslink.Manifest, shards int) (*Plan, error) {
 		if len(sp.Segments) == 0 {
 			sp.Base = cum
 		}
-		dead, err := deadBitmap(sm)
+		dead, err := deadBitmap(sm, len(ids[i]))
 		if err != nil {
 			return nil, err
 		}
-		for j, d := range sm.Docs {
+		for j, id := range ids[i] {
 			if dead == nil || !dead.Get(j) {
-				p.docShard[d.ID] = w
+				p.docShard[id] = w
 				sp.Live++
 			}
 		}
 		sp.Segments = append(sp.Segments, sm)
-		sp.Docs += len(sm.Docs)
-		cum += len(sm.Docs)
+		sp.SegmentDocs = append(sp.SegmentDocs, len(ids[i]))
+		sp.Docs += len(ids[i])
+		cum += len(ids[i])
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%+v|%+v|%d", m.Config, m.Graph, n)
@@ -102,19 +114,23 @@ func BuildPlan(m *newslink.Manifest, shards int) (*Plan, error) {
 	return p, nil
 }
 
-// deadBitmap decodes a manifest segment's tombstone bitmap (nil when the
-// segment has none).
-func deadBitmap(sm newslink.ManifestSegment) (*index.Bitmap, error) {
+// deadBitmap decodes a manifest segment's tombstone bitmap over its n
+// documents (nil when the segment has none).
+func deadBitmap(sm newslink.ManifestSegment, n int) (*index.Bitmap, error) {
 	if sm.Dead == "" {
 		return nil, nil
 	}
 	raw, err := base64.StdEncoding.DecodeString(sm.Dead)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: tombstones of segment %s: %v", sm.ID, err)
+		return nil, fmt.Errorf("%w: tombstones of segment %s: %v", newslink.ErrSnapshotCorrupt, sm.ID, err)
 	}
 	b, err := index.DecodeBitmap(raw)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: tombstones of segment %s: %v", sm.ID, err)
+		return nil, fmt.Errorf("%w: tombstones of segment %s: %v", newslink.ErrSnapshotCorrupt, sm.ID, err)
+	}
+	if b.Len() != n {
+		return nil, fmt.Errorf("%w: tombstones of segment %s cover %d documents, it has %d",
+			newslink.ErrSnapshotCorrupt, sm.ID, b.Len(), n)
 	}
 	return b, nil
 }

@@ -103,35 +103,27 @@ type slot struct {
 
 // open checksum-verifies and opens the text and node index of every
 // segment of the slot. Like the loaders, it answers a missing, torn or
-// flipped artifact with ErrSnapshotCorrupt; what it opened before failing
-// stays on the slot for the caller to close.
+// flipped artifact, or one indexing another number of documents than the
+// segment's documents artifact holds, with ErrSnapshotCorrupt; what it
+// opened before failing stays on the slot for the caller to close.
 func (sl *slot) open(dir string, checksums map[string]string) error {
-	for _, sm := range sl.plan.Segments {
+	for i, sm := range sl.plan.Segments {
 		for _, leg := range []struct {
 			suffix string
 			into   *[]*index.Index
 		}{{".text.idx", &sl.text}, {".node.idx", &sl.node}} {
 			name := "seg-" + sm.ID + leg.suffix
-			want, ok := checksums[name]
-			if !ok {
-				return fmt.Errorf("%w: no checksum for %s", newslink.ErrSnapshotCorrupt, name)
+			if err := newslink.VerifyArtifact(dir, name, checksums); err != nil {
+				return err
 			}
-			path := filepath.Join(dir, name)
-			got, err := newslink.ChecksumFile(path)
-			if err != nil {
-				return fmt.Errorf("%w: %s: %v", newslink.ErrSnapshotCorrupt, name, err)
-			}
-			if got != want {
-				return fmt.Errorf("%w: %s checksum %s, want %s", newslink.ErrSnapshotCorrupt, name, got, want)
-			}
-			idx, err := index.OpenIndex(path)
+			idx, err := index.OpenIndex(filepath.Join(dir, name))
 			if err != nil {
 				return fmt.Errorf("%w: %s: %v", newslink.ErrSnapshotCorrupt, name, err)
 			}
 			*leg.into = append(*leg.into, idx)
-			if idx.NumDocs() != len(sm.Docs) {
-				return fmt.Errorf("%w: %s indexes %d documents, meta.json lists %d",
-					newslink.ErrSnapshotCorrupt, name, idx.NumDocs(), len(sm.Docs))
+			if idx.NumDocs() != sl.plan.SegmentDocs[i] {
+				return fmt.Errorf("%w: %s indexes %d documents, the segment holds %d",
+					newslink.ErrSnapshotCorrupt, name, idx.NumDocs(), sl.plan.SegmentDocs[i])
 			}
 		}
 	}
@@ -186,7 +178,8 @@ var latencyBounds = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1,
 // shard workers. It holds the knowledge graph (for query analysis — the
 // same analysis a single-process engine runs) and the snapshot directory
 // (to seed workers over the blob endpoint, and to read term statistics
-// from): it opens every segment index's directory, never a posting.
+// and document IDs from): it opens every segment index's directory, never
+// a posting, and reads every segment's document ID column, never a text.
 type Router struct {
 	plan     *Plan
 	dir      string
@@ -206,15 +199,19 @@ type Router struct {
 	full corpusStats
 }
 
-// NewRouter builds a router over the v4 or v5 snapshot in dir: it reads
-// the manifest, partitions the segment set into len(cfg.Endpoints) slots
+// NewRouter builds a router over the version-6 snapshot in dir (an older
+// one is ErrSnapshotVersion: Load and Save it with this build first): it
+// reads the manifest and the ID column of every segment's documents
+// artifact, partitions the segment set into len(cfg.Endpoints) slots
 // (fewer when the snapshot has fewer segments; surplus endpoint groups
 // fold into the existing slots as extra replicas), checksum-verifies and
-// opens the index artifacts of every segment (dir must hold them — every
-// Save output does; a damaged one is ErrSnapshotCorrupt), and prepares —
-// but does not start — the serving state. Call Start to assign workers and
-// begin health probing, and serve Handler over HTTP at cfg.SelfURL
-// before Start so workers can fetch artifacts. Close the router when done.
+// opens the index artifacts of every segment (dir must hold every
+// segment's documents and index artifacts — every Save output does; a
+// damaged one is ErrSnapshotCorrupt), and prepares — but does not start —
+// the serving state. The router holds no document. Call Start to assign
+// workers and begin health probing, and serve Handler over HTTP at
+// cfg.SelfURL before Start so workers can fetch artifacts. Close the
+// router when done.
 func NewRouter(dir string, g *kg.Graph, cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Endpoints) == 0 {
@@ -229,7 +226,7 @@ func NewRouter(dir string, g *kg.Graph, cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := BuildPlan(m, len(cfg.Endpoints))
+	plan, err := BuildPlan(dir, m, len(cfg.Endpoints))
 	if err != nil {
 		return nil, err
 	}
@@ -292,33 +289,40 @@ func NewRouter(dir string, g *kg.Graph, cfg Config) (*Router, error) {
 // Plan returns the router's partitioning (for tests and status surfaces).
 func (rt *Router) Plan() *Plan { return rt.plan }
 
-// Start performs the initial assignment of every replica and launches
-// the health probe loop. Replicas that cannot be assigned now stay
-// ejected; the probe loop keeps trying, so a late-starting worker is
-// admitted without intervention. Start returns an error only when no
-// replica of any slot could be assigned and the router would be
-// permanently useless until workers appear.
+// Start performs the initial assignment of every replica, all of them
+// concurrently, and launches the health probe loop once every assignment
+// has finished. Replicas that cannot be assigned now stay ejected; the
+// probe loop keeps trying, so a late-starting worker is admitted without
+// intervention. Each replica is admitted the moment its own assignment is
+// acknowledged, so one slow worker delays nobody else's. Start returns an
+// error only when no replica of any slot could be assigned and the router
+// would be permanently useless until workers appear.
 func (rt *Router) Start(ctx context.Context) error {
-	admitted := 0
+	var admitted atomic.Int64
+	var wg sync.WaitGroup
 	for _, sl := range rt.slots {
 		for _, ep := range sl.eps {
-			actx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
-			err := rt.assignEndpoint(actx, sl, ep)
-			cancel()
-			if err != nil {
-				rt.log.Warn("initial assignment failed", "slot", sl.idx, "endpoint", ep.url, "err", err)
-				continue
-			}
-			ep.admit()
-			admitted++
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				actx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+				defer cancel()
+				if err := rt.assignEndpoint(actx, sl, ep); err != nil {
+					rt.log.Warn("initial assignment failed", "slot", sl.idx, "endpoint", ep.url, "err", err)
+					return
+				}
+				ep.admit()
+				admitted.Add(1)
+			}()
 		}
 	}
+	wg.Wait()
 	go rt.probeLoop(ctx)
-	if admitted == 0 {
+	if admitted.Load() == 0 {
 		return fmt.Errorf("cluster: no worker accepted an assignment (probing continues)")
 	}
 	rt.log.Info("cluster router started", "plan", rt.plan.ID,
-		"slots", len(rt.slots), "replicas_admitted", admitted)
+		"slots", len(rt.slots), "replicas_admitted", admitted.Load())
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,9 +14,13 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"newslink"
+	"newslink/internal/faults"
+	"newslink/internal/kg"
 	"newslink/internal/server"
 )
 
@@ -140,10 +146,50 @@ func copySnapshot(t *testing.T, src string) string {
 	return dst
 }
 
-// TestNewRouterCorruptionTable: the router now depends on the index
-// artifacts, so it fails the way the loaders do — every text and node index
-// of the snapshot, missing, truncated, bit-flipped or without a recorded
-// checksum, is ErrSnapshotCorrupt from NewRouter, with no router returned
+// editChecksums rewrites the checksum map of the snapshot's meta.json.
+func editChecksums(t *testing.T, dir string, edit func(sums map[string]string)) {
+	t.Helper()
+	path := filepath.Join(dir, "meta.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]json.RawMessage
+	if err := json.Unmarshal(data, &meta); err != nil {
+		t.Fatal(err)
+	}
+	var sums map[string]string
+	if err := json.Unmarshal(meta["checksums"], &sums); err != nil {
+		t.Fatal(err)
+	}
+	edit(sums)
+	if meta["checksums"], err = json.Marshal(sums); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Layout of a documents artifact (docsfile.go in the root package), as far
+// as the corruption cases below edit one: a 16-byte header (magic, count),
+// the ID and Time columns, then 2n+1 offsets into the text area.
+func docsCount(b []byte) int { return int(binary.LittleEndian.Uint64(b[8:])) }
+
+func docsOffsets(b []byte) []byte {
+	n := docsCount(b)
+	return b[16+16*n : 16+32*n+8]
+}
+
+// TestNewRouterCorruptionTable: the router depends on the documents and
+// index artifacts, so it fails the way the loaders do — every documents,
+// text and node artifact of the snapshot, missing, truncated, bit-flipped
+// or without a recorded checksum, and every documents artifact that passes
+// verification but disagrees with its index (count) or with itself
+// (offsets), is ErrSnapshotCorrupt from NewRouter, with no router returned
 // and no descriptor left open on the snapshot.
 func TestNewRouterCorruptionTable(t *testing.T) {
 	pristine, g := buildSnapshot(t)
@@ -161,10 +207,24 @@ func TestNewRouterCorruptionTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	damages := []struct {
+	// recorded rewrites an artifact and records its new checksum, so the
+	// damage passes verification and reaches the reader.
+	recorded := func(fn func([]byte) []byte) func(dir, artifact string) {
+		return func(dir, artifact string) {
+			path := filepath.Join(dir, artifact)
+			mutate(path, fn)
+			sum, err := newslink.ChecksumFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			editChecksums(t, dir, func(sums map[string]string) { sums[artifact] = sum })
+		}
+	}
+	type damage struct {
 		name  string
 		apply func(dir, artifact string)
-	}{
+	}
+	damages := []damage{
 		{"missing", func(dir, artifact string) {
 			if err := os.Remove(filepath.Join(dir, artifact)); err != nil {
 				t.Fatal(err)
@@ -177,35 +237,46 @@ func TestNewRouterCorruptionTable(t *testing.T) {
 			mutate(filepath.Join(dir, artifact), func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b })
 		}},
 		{"checksum absent from the manifest", func(dir, artifact string) {
-			mutate(filepath.Join(dir, "meta.json"), func(b []byte) []byte {
-				var meta map[string]json.RawMessage
-				if err := json.Unmarshal(b, &meta); err != nil {
-					t.Fatal(err)
-				}
-				var sums map[string]string
-				if err := json.Unmarshal(meta["checksums"], &sums); err != nil {
-					t.Fatal(err)
-				}
+			editChecksums(t, dir, func(sums map[string]string) {
 				if _, ok := sums[artifact]; !ok {
 					t.Fatalf("manifest has no checksum for %s to drop", artifact)
 				}
 				delete(sums, artifact)
-				if meta["checksums"], err = json.Marshal(sums); err != nil {
-					t.Fatal(err)
-				}
-				out, err := json.Marshal(meta)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return out
 			})
 		}},
 	}
+	docsDamages := append(damages,
+		damage{"count other than the index's", recorded(func(b []byte) []byte {
+			// Drop the last document: its ID, time, closing offsets and text.
+			n := docsCount(b)
+			offs := docsOffsets(b)
+			end := binary.LittleEndian.Uint64(offs[8*(2*n-2):])
+			out := binary.LittleEndian.AppendUint64(append([]byte(nil), b[:8]...), uint64(n-1))
+			out = append(out, b[16:16+8*(n-1)]...)
+			out = append(out, b[16+8*n:16+8*n+8*(n-1)]...)
+			out = append(out, offs[:8*(2*n-1)]...)
+			return append(out, b[16+32*n+8:][:end]...)
+		})},
+		damage{"offset past the text area", recorded(func(b []byte) []byte {
+			area := len(b) - (16 + 32*docsCount(b) + 8)
+			binary.LittleEndian.PutUint64(docsOffsets(b)[3*8:], uint64(area+1))
+			return b
+		})},
+		damage{"non-monotone offsets", recorded(func(b []byte) []byte {
+			offs := docsOffsets(b)
+			binary.LittleEndian.PutUint64(offs[1*8:], binary.LittleEndian.Uint64(offs[2*8:])+1)
+			return b
+		})},
+	)
 	cfg := Config{Endpoints: [][]string{{"http://a"}, {"http://b"}, {"http://c"}}, Logger: testLogger()}
 	for _, sm := range m.Segments {
-		for _, suffix := range []string{".text.idx", ".node.idx"} {
+		for _, suffix := range []string{".docs.bin", ".text.idx", ".node.idx"} {
 			artifact := "seg-" + sm.ID + suffix
-			for _, dmg := range damages {
+			dmgs := damages
+			if suffix == ".docs.bin" {
+				dmgs = docsDamages
+			}
+			for _, dmg := range dmgs {
 				dir := copySnapshot(t, pristine)
 				dmg.apply(dir, artifact)
 				rt, err := NewRouter(dir, g, cfg)
@@ -242,5 +313,150 @@ func TestRouterCloseReleasesIndexFiles(t *testing.T) {
 	rt.Close()
 	if got := openUnder(t, dir); got != 0 {
 		t.Errorf("closed router still holds %d descriptors on the snapshot", got)
+	}
+}
+
+// bigTextSnapshot saves the fixture corpus as six segments (two
+// tombstones) with every document's text padded by 200 KiB: 9.4 MiB of
+// document text in all, more than maxRPCBody.
+func bigTextSnapshot(t *testing.T) (string, *kg.Graph) {
+	t.Helper()
+	w, arts := fixtureCorpus()
+	pad := strings.Repeat(" ", 200<<10)
+	e := newslink.New(w.Graph, newslink.DefaultConfig())
+	for i, a := range arts {
+		if err := e.Add(newslink.Document{ID: a.ID, Title: a.Title, Text: a.Text + pad, Time: a.Time}); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%8 != 0 {
+			continue
+		}
+		if i+1 == 8 {
+			if err := e.Build(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			e.Refresh()
+		}
+	}
+	for _, id := range []int{arts[3].ID, arts[20].ID} {
+		if err := e.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := e.NumSegments(); n != 6 {
+		t.Fatalf("fixture produced %d segments, want 6", n)
+	}
+	dir := t.TempDir()
+	if err := e.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	return dir, w.Graph
+}
+
+// TestOneSlotRouterOverMoreThanTheRPCCap: a router with one slot assigns
+// the whole snapshot to one worker. Its document text is larger than any
+// RPC body may be, which must not matter — documents reach the worker in
+// the snapshot's artifacts, not in the assignment — so the router becomes
+// ready and answers exactly like a single process.
+func TestOneSlotRouterOverMoreThanTheRPCCap(t *testing.T) {
+	dir, g := bigTextSnapshot(t)
+	_, endpoints := startWorkers(t, g, 1)
+	_, ts := startRouter(t, dir, g, Config{Endpoints: endpoints})
+	getJSON(t, ts.URL+"/v1/readyz", http.StatusOK, nil)
+	ref := referenceServer(t, dir, g)
+	for _, q := range identityQueries {
+		path := "/v1/search?q=" + url.QueryEscape(q) + "&k=5"
+		var got, want server.SearchResponse
+		getJSON(t, ts.URL+path, http.StatusOK, &got)
+		getJSON(t, ref.URL+path, http.StatusOK, &want)
+		if got.Degraded || !reflect.DeepEqual(got.Results, want.Results) {
+			t.Fatalf("%s: cluster diverges from the single process\ncluster: %+v\nsingle:  %+v", path, got, want.Results)
+		}
+	}
+}
+
+// TestAssignRequestCarriesNoDocuments: an assignment names segments and
+// checksums only, so its encoded size does not grow with the corpus text —
+// a few hundred bytes per segment for the benchmark's plan shape (six
+// segments over three slots), here over 9 MiB of text.
+func TestAssignRequestCarriesNoDocuments(t *testing.T) {
+	dir, g := bigTextSnapshot(t)
+	rt, err := NewRouter(dir, g, Config{Endpoints: [][]string{{"http://a"}, {"http://b"}, {"http://c"}}, Logger: testLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for _, sl := range rt.slots {
+		body, err := encodeRequest(rt.assignRequest(sl))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) >= 4<<10 {
+			t.Errorf("slot %d: assignment of %d segments encodes to %d bytes, want < 4 KiB", sl.idx, len(sl.plan.Segments), len(body))
+		}
+	}
+}
+
+// TestNewRouterRefusesVersion5: a version-5 snapshot keeps its documents in
+// meta.json, which the router no longer reads; it is ErrSnapshotVersion
+// until Load + Save rewrite it as version 6.
+func TestNewRouterRefusesVersion5(t *testing.T) {
+	w, _ := fixtureCorpus()
+	rt, err := NewRouter("../../testdata/snapshot-v5", w.Graph, Config{Endpoints: [][]string{{"http://a"}}, Logger: testLogger()})
+	if !errors.Is(err, newslink.ErrSnapshotVersion) || rt != nil {
+		t.Fatalf("NewRouter over a version-5 snapshot: %v, want ErrSnapshotVersion", err)
+	}
+}
+
+// TestStartAssignsEndpointsConcurrently: initial assignment runs for every
+// endpoint at once. With the first slot's worker stalled in its assign
+// handler, the other two slots are admitted — and the router is ready —
+// while that worker is still unassigned and Start has not returned.
+func TestStartAssignsEndpointsConcurrently(t *testing.T) {
+	dir, g := buildSnapshot(t)
+	workers, endpoints := startWorkers(t, g, 3)
+	const stall = 2 * time.Second
+	faults.Arm(faults.New().Delay(faults.ClusterShard(workers[0].ID()), stall))
+	defer faults.Disarm()
+
+	var h atomic.Pointer[http.Handler]
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { (*h.Load()).ServeHTTP(w, r) }))
+	defer ts.Close()
+	rt, err := NewRouter(dir, g, Config{Endpoints: endpoints, SelfURL: ts.URL, Logger: testLogger(), ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rh := rt.Handler()
+	h.Store(&rh)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	started := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- rt.Start(ctx) }()
+
+	for !rt.slots[1].eps[0].healthy.Load() || !rt.slots[2].eps[0].healthy.Load() {
+		select {
+		case err := <-done:
+			t.Fatalf("Start returned (%v) before the unstalled slots were admitted", err)
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	getJSON(t, ts.URL+"/v1/readyz", http.StatusOK, nil)
+	if e, _, _ := workers[0].snapshotState(); e != nil {
+		t.Fatal("the stalled worker was assigned before the other slots were admitted")
+	}
+	if rt.slots[0].eps[0].healthy.Load() {
+		t.Fatal("the stalled slot was admitted before its worker answered")
+	}
+	if elapsed := time.Since(started); elapsed >= stall {
+		t.Fatalf("the other slots took %v to be admitted, as long as the stall", elapsed)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !rt.slots[0].eps[0].healthy.Load() {
+		t.Fatal("Start returned without admitting the stalled slot")
 	}
 }

@@ -71,9 +71,12 @@ type InfoResponse struct {
 	Artifacts []string `json:"artifacts,omitempty"`
 }
 
-// AssignRequest installs a segment slice on a worker. Artifacts the
-// worker does not hold (by checksum) are fetched from FetchFrom's
-// /v1/shard/blob/ endpoint and verified before anything is loaded.
+// AssignRequest installs a segment slice on a worker. Segments name the
+// slice by content ID and tombstones; documents travel in the segments'
+// docs.bin artifacts, never in the request, so its size does not depend on
+// the corpus text. Artifacts the worker does not hold (by checksum) are
+// fetched from FetchFrom's /v1/shard/blob/ endpoint and verified before
+// anything is loaded.
 type AssignRequest struct {
 	Plan      string                     `json:"plan"`
 	Base      int                        `json:"base"`
@@ -322,9 +325,8 @@ func checkOrdered(field string, terms []search.OrderedTerm) error {
 	return nil
 }
 
-// Validate bounds an assignment: segment count, artifact IDs (which name
-// files — a malformed ID must never reach the filesystem), and document
-// payload sanity.
+// Validate bounds an assignment: segment count and artifact IDs (which
+// name files — a malformed ID must never reach the filesystem).
 func (r *AssignRequest) Validate() error {
 	if r.Plan == "" {
 		return decodeErrf("assign: missing plan")
@@ -392,7 +394,7 @@ func (r *ExplainRequest) Validate() error {
 // mid-response) surfaces as a typed decode error — a shard failure —
 // never as silently wrong results.
 func (r *InfoResponse) Validate() error {
-	if len(r.Artifacts) > 3*maxSegments {
+	if len(r.Artifacts) > 4*maxSegments {
 		return decodeErrf("info: artifact list too long")
 	}
 	return nil
@@ -452,7 +454,7 @@ func validArtifactName(name string) bool {
 		return false
 	}
 	switch rest[dot+1:] {
-	case "text.idx", "node.idx", "emb.bin":
+	case "text.idx", "node.idx", "emb.bin", "docs.bin":
 		return true
 	}
 	return false

@@ -29,11 +29,11 @@ import (
 // changes the bytes.
 func subgraphBytes(t *testing.T, sg *Subgraph) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := writeSubgraph(&buf, sg); err != nil {
-		t.Fatalf("writeSubgraph: %v", err)
+	b, err := appendSubgraph(nil, sg)
+	if err != nil {
+		t.Fatalf("appendSubgraph: %v", err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // checkIdentical fails the test unless got and want are the same embedding

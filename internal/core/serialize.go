@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"newslink/internal/kg"
 )
@@ -22,267 +22,253 @@ import (
 //	    uint32 numArcs;   per arc: from u32, to u32, rel u16, reverse u8
 //	    per label: uint32 count; arcs in the same encoding
 //
-// Counts maps are rebuilt from the subgraph node sets on load.
+// A string is its uint32 byte length and its bytes. Counts maps are rebuilt
+// from the subgraph node sets on load.
+//
+// Both directions work on whole byte slices, the way the cluster wire codec
+// does: the writer appends every field to one buffer and writes it once; the
+// reader checks every count against its cap and against the bytes that
+// remain before the count sizes an allocation.
 
 const embMagic = "NLEMB1\n"
 
+// Smallest encodings, for checking a count against the remaining bytes:
+// a subgraph is at least its root and three counts (labels, nodes, arcs), a
+// label at least its string length, distance and arc count, an arc 11 bytes.
+const (
+	minSubgraphBytes = 4 * 4
+	minLabelBytes    = 4 + 8 + 4
+	arcBytes         = 4 + 4 + 2 + 1
+)
+
 // WriteEmbeddings serializes per-document embeddings (nil entries are
-// preserved as absent).
+// preserved as absent) with a single Write.
 func WriteEmbeddings(w io.Writer, embs []*DocEmbedding) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(embMagic); err != nil {
-		return err
-	}
-	le := func(data any) error { return binary.Write(bw, binary.LittleEndian, data) }
-	if err := le(uint32(len(embs))); err != nil {
-		return err
-	}
+	b := binary.LittleEndian.AppendUint32([]byte(embMagic), uint32(len(embs)))
 	for _, e := range embs {
 		if e == nil {
-			if err := le(uint8(0)); err != nil {
-				return err
-			}
+			b = append(b, 0)
 			continue
 		}
-		if err := le(uint8(1)); err != nil {
-			return err
-		}
-		if err := le(uint32(len(e.Subgraphs))); err != nil {
-			return err
-		}
+		b = append(b, 1)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(e.Subgraphs)))
 		for _, sg := range e.Subgraphs {
-			if err := writeSubgraph(bw, sg); err != nil {
+			var err error
+			if b, err = appendSubgraph(b, sg); err != nil {
 				return err
 			}
 		}
 	}
-	return bw.Flush()
-}
-
-func writeSubgraph(w io.Writer, sg *Subgraph) error {
-	le := func(data any) error { return binary.Write(w, binary.LittleEndian, data) }
-	if err := le(uint32(sg.Root)); err != nil {
-		return err
-	}
-	if len(sg.Labels) != len(sg.Dists) || len(sg.Labels) != len(sg.LabelArcs) {
-		return fmt.Errorf("core: inconsistent subgraph: %d labels, %d dists, %d arc sets",
-			len(sg.Labels), len(sg.Dists), len(sg.LabelArcs))
-	}
-	if err := le(uint32(len(sg.Labels))); err != nil {
-		return err
-	}
-	for i, l := range sg.Labels {
-		if err := writeString(w, l); err != nil {
-			return err
-		}
-		if err := le(sg.Dists[i]); err != nil {
-			return err
-		}
-	}
-	if err := le(uint32(len(sg.Nodes))); err != nil {
-		return err
-	}
-	for _, n := range sg.Nodes {
-		if err := le(uint32(n)); err != nil {
-			return err
-		}
-	}
-	if err := writeArcs(w, sg.Arcs); err != nil {
-		return err
-	}
-	for _, arcs := range sg.LabelArcs {
-		if err := writeArcs(w, arcs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeArcs(w io.Writer, arcs []PathArc) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(arcs))); err != nil {
-		return err
-	}
-	for _, a := range arcs {
-		rev := uint8(0)
-		if a.Reverse {
-			rev = 1
-		}
-		if err := binary.Write(w, binary.LittleEndian, struct {
-			From, To uint32
-			Rel      uint16
-			Rev      uint8
-		}{uint32(a.From), uint32(a.To), uint16(a.Rel), rev}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadEmbeddings parses a snapshot written by WriteEmbeddings, validating
-// node and relation ids against g.
-func ReadEmbeddings(r io.Reader, g *kg.Graph) ([]*DocEmbedding, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(embMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("core: reading magic: %w", err)
-	}
-	if string(magic) != embMagic {
-		return nil, fmt.Errorf("core: bad magic %q", magic)
-	}
-	le := func(data any) error { return binary.Read(br, binary.LittleEndian, data) }
-	var nDocs uint32
-	if err := le(&nDocs); err != nil {
-		return nil, err
-	}
-	if nDocs > 1<<28 {
-		return nil, fmt.Errorf("core: implausible doc count %d", nDocs)
-	}
-	out := make([]*DocEmbedding, nDocs)
-	for i := range out {
-		var present uint8
-		if err := le(&present); err != nil {
-			return nil, fmt.Errorf("core: doc %d: %w", i, err)
-		}
-		if present == 0 {
-			continue
-		}
-		var nSubs uint32
-		if err := le(&nSubs); err != nil {
-			return nil, err
-		}
-		if nSubs > 1<<20 {
-			return nil, fmt.Errorf("core: doc %d: implausible subgraph count %d", i, nSubs)
-		}
-		emb := &DocEmbedding{Counts: make(map[kg.NodeID]int)}
-		for s := uint32(0); s < nSubs; s++ {
-			sg, err := readSubgraph(br, g)
-			if err != nil {
-				return nil, fmt.Errorf("core: doc %d subgraph %d: %w", i, s, err)
-			}
-			emb.Subgraphs = append(emb.Subgraphs, sg)
-			for _, n := range sg.Nodes {
-				emb.Counts[n]++
-			}
-		}
-		out[i] = emb
-	}
-	return out, nil
-}
-
-func readSubgraph(r io.Reader, g *kg.Graph) (*Subgraph, error) {
-	le := func(data any) error { return binary.Read(r, binary.LittleEndian, data) }
-	sg := &Subgraph{}
-	var root uint32
-	if err := le(&root); err != nil {
-		return nil, err
-	}
-	if int(root) >= g.NumNodes() {
-		return nil, fmt.Errorf("root %d out of range", root)
-	}
-	sg.Root = kg.NodeID(root)
-	var nLabels uint32
-	if err := le(&nLabels); err != nil {
-		return nil, err
-	}
-	if nLabels > 1<<16 {
-		return nil, fmt.Errorf("implausible label count %d", nLabels)
-	}
-	for i := uint32(0); i < nLabels; i++ {
-		l, err := readString(r)
-		if err != nil {
-			return nil, err
-		}
-		var d float64
-		if err := le(&d); err != nil {
-			return nil, err
-		}
-		sg.Labels = append(sg.Labels, l)
-		sg.Dists = append(sg.Dists, d)
-	}
-	var nNodes uint32
-	if err := le(&nNodes); err != nil {
-		return nil, err
-	}
-	if int(nNodes) > g.NumNodes() {
-		return nil, fmt.Errorf("node count %d exceeds graph size", nNodes)
-	}
-	for i := uint32(0); i < nNodes; i++ {
-		var n uint32
-		if err := le(&n); err != nil {
-			return nil, err
-		}
-		if int(n) >= g.NumNodes() {
-			return nil, fmt.Errorf("node %d out of range", n)
-		}
-		sg.Nodes = append(sg.Nodes, kg.NodeID(n))
-	}
-	arcs, err := readArcs(r, g)
-	if err != nil {
-		return nil, err
-	}
-	sg.Arcs = arcs
-	sg.LabelArcs = make([][]PathArc, nLabels)
-	for i := range sg.LabelArcs {
-		if sg.LabelArcs[i], err = readArcs(r, g); err != nil {
-			return nil, err
-		}
-	}
-	return sg, nil
-}
-
-func readArcs(r io.Reader, g *kg.Graph) ([]PathArc, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if uint64(n) > uint64(g.NumEdges())*2+1 {
-		return nil, fmt.Errorf("arc count %d exceeds graph size", n)
-	}
-	out := make([]PathArc, n)
-	for i := range out {
-		var raw struct {
-			From, To uint32
-			Rel      uint16
-			Rev      uint8
-		}
-		if err := binary.Read(r, binary.LittleEndian, &raw); err != nil {
-			return nil, err
-		}
-		if int(raw.From) >= g.NumNodes() || int(raw.To) >= g.NumNodes() {
-			return nil, fmt.Errorf("arc endpoint out of range")
-		}
-		if int(raw.Rel) >= g.NumRels() {
-			return nil, fmt.Errorf("relation %d out of range", raw.Rel)
-		}
-		out[i] = PathArc{
-			From:    kg.NodeID(raw.From),
-			To:      kg.NodeID(raw.To),
-			Rel:     kg.RelID(raw.Rel),
-			Reverse: raw.Rev != 0,
-		}
-	}
-	return out, nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
+	_, err := w.Write(b)
 	return err
 }
 
-func readString(r io.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
+// appendSubgraph appends one subgraph's encoding to b.
+func appendSubgraph(b []byte, sg *Subgraph) ([]byte, error) {
+	if len(sg.Labels) != len(sg.Dists) || len(sg.Labels) != len(sg.LabelArcs) {
+		return nil, fmt.Errorf("core: inconsistent subgraph: %d labels, %d dists, %d arc sets",
+			len(sg.Labels), len(sg.Dists), len(sg.LabelArcs))
 	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("string length %d too large", n)
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, uint32(sg.Root))
+	b = le.AppendUint32(b, uint32(len(sg.Labels)))
+	for i, l := range sg.Labels {
+		b = le.AppendUint32(b, uint32(len(l)))
+		b = append(b, l...)
+		b = le.AppendUint64(b, math.Float64bits(sg.Dists[i]))
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
+	b = le.AppendUint32(b, uint32(len(sg.Nodes)))
+	for _, n := range sg.Nodes {
+		b = le.AppendUint32(b, uint32(n))
 	}
-	return string(buf), nil
+	b = appendArcs(b, sg.Arcs)
+	for _, arcs := range sg.LabelArcs {
+		b = appendArcs(b, arcs)
+	}
+	return b, nil
+}
+
+func appendArcs(b []byte, arcs []PathArc) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, uint32(len(arcs)))
+	for _, a := range arcs {
+		b = le.AppendUint32(b, uint32(a.From))
+		b = le.AppendUint32(b, uint32(a.To))
+		b = le.AppendUint16(b, uint16(a.Rel))
+		rev := byte(0)
+		if a.Reverse {
+			rev = 1
+		}
+		b = append(b, rev)
+	}
+	return b
+}
+
+// ReadEmbeddings parses an image written by WriteEmbeddings, validating
+// node and relation ids against g. Trailing bytes are an error. Nothing
+// decoded aliases data.
+func ReadEmbeddings(data []byte, g *kg.Graph) ([]*DocEmbedding, error) {
+	if len(data) < len(embMagic) {
+		return nil, fmt.Errorf("core: reading magic: %w", io.ErrUnexpectedEOF)
+	}
+	if string(data[:len(embMagic)]) != embMagic {
+		return nil, fmt.Errorf("core: bad magic %q", data[:len(embMagic)])
+	}
+	r := embReader{data: data[len(embMagic):], g: g}
+	out := make([]*DocEmbedding, r.count("doc count", 1, 1<<28))
+	for i := range out {
+		if out[i] = r.doc(); r.err != nil {
+			return nil, fmt.Errorf("core: doc %d: %w", i, r.err)
+		}
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("core: %w", r.err)
+	}
+	if len(r.data) != 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes after %d documents", len(r.data), len(out))
+	}
+	return out, nil
+}
+
+// embReader consumes an embeddings image. The first failure sticks and
+// empties the input, so every later read returns zero and every later count
+// is zero: the decoders below need no error handling of their own, and
+// ReadEmbeddings checks r.err after each document.
+type embReader struct {
+	data []byte
+	g    *kg.Graph
+	err  error
+}
+
+func (r *embReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+	r.data = nil
+}
+
+func (r *embReader) take(n int) []byte {
+	if len(r.data) < n {
+		r.fail("%w", io.ErrUnexpectedEOF)
+		return nil
+	}
+	b := r.data[:n]
+	r.data = r.data[n:]
+	return b
+}
+
+func (r *embReader) u8() uint8 {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *embReader) u16() uint16 {
+	if b := r.take(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
+}
+
+func (r *embReader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *embReader) f64() float64 {
+	if b := r.take(8); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return 0
+}
+
+// count reads a uint32 element count and refuses it before anything is
+// sized from it: above limit, or more elements than the remaining bytes
+// could hold at minSize bytes each.
+func (r *embReader) count(what string, minSize int, limit uint64) int {
+	n := r.u32()
+	if uint64(n) > limit {
+		r.fail("implausible %s %d", what, n)
+		return 0
+	}
+	if uint64(n) > uint64(len(r.data)/minSize) {
+		r.fail("%s %d exceeds the %d bytes that remain", what, n, len(r.data))
+		return 0
+	}
+	return int(n)
+}
+
+func (r *embReader) str() string {
+	return string(r.take(r.count("string length", 1, 1<<20)))
+}
+
+// node reads one node ID and checks it against the graph.
+func (r *embReader) node(what string) kg.NodeID {
+	n := r.u32()
+	if int(n) >= r.g.NumNodes() {
+		r.fail("%s %d out of range", what, n)
+		return 0
+	}
+	return kg.NodeID(n)
+}
+
+func (r *embReader) doc() *DocEmbedding {
+	if r.u8() == 0 {
+		return nil
+	}
+	nSubs := r.count("subgraph count", minSubgraphBytes, 1<<20)
+	emb := &DocEmbedding{Counts: make(map[kg.NodeID]int)}
+	if nSubs > 0 {
+		emb.Subgraphs = make([]*Subgraph, 0, nSubs)
+	}
+	for s := 0; s < nSubs && r.err == nil; s++ {
+		sg := r.subgraph()
+		emb.Subgraphs = append(emb.Subgraphs, sg)
+		for _, n := range sg.Nodes {
+			emb.Counts[n]++
+		}
+	}
+	return emb
+}
+
+// subgraph decodes one subgraph. Empty label and node lists stay nil and
+// arc lists are never nil, as the reference decoder builds them, so the
+// two decode to DeepEqual embeddings.
+func (r *embReader) subgraph() *Subgraph {
+	sg := &Subgraph{Root: r.node("root")}
+	nLabels := r.count("label count", minLabelBytes, 1<<16)
+	if nLabels > 0 {
+		sg.Labels, sg.Dists = make([]string, nLabels), make([]float64, nLabels)
+	}
+	for i := 0; i < nLabels; i++ {
+		sg.Labels[i], sg.Dists[i] = r.str(), r.f64()
+	}
+	if nNodes := r.count("node count", 4, uint64(r.g.NumNodes())); nNodes > 0 {
+		sg.Nodes = make([]kg.NodeID, nNodes)
+		for i := range sg.Nodes {
+			sg.Nodes[i] = r.node("node")
+		}
+	}
+	sg.Arcs = r.arcs()
+	sg.LabelArcs = make([][]PathArc, nLabels)
+	for i := range sg.LabelArcs {
+		sg.LabelArcs[i] = r.arcs()
+	}
+	return sg
+}
+
+func (r *embReader) arcs() []PathArc {
+	out := make([]PathArc, r.count("arc count", arcBytes, uint64(r.g.NumEdges())*2+1))
+	for i := range out {
+		from, to := r.node("arc endpoint"), r.node("arc endpoint")
+		rel := r.u16()
+		if int(rel) >= r.g.NumRels() {
+			r.fail("relation %d out of range", rel)
+		}
+		out[i] = PathArc{From: from, To: to, Rel: kg.RelID(rel), Reverse: r.u8() != 0}
+	}
+	return out
 }

@@ -23,7 +23,7 @@ func TestEmbeddingsRoundTrip(t *testing.T) {
 	if err := WriteEmbeddings(&buf, embs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadEmbeddings(bytes.NewReader(buf.Bytes()), g)
+	got, err := ReadEmbeddings(buf.Bytes(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestEmbeddingsSigsRoundTrip(t *testing.T) {
 	if err := WriteEmbeddings(&v1, embs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadEmbeddings(bytes.NewReader(v1.Bytes()), g)
+	got, err := ReadEmbeddings(v1.Bytes(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestEmbeddingsSigsRoundTrip(t *testing.T) {
 	for range embs {
 		v2 = append(v2, 0, 0, 0x80, 0x3f, 3, 0, 1, 2, 3) // scale 1.0, dim 3, data
 	}
-	if _, err := ReadEmbeddings(bytes.NewReader(v2), g); err == nil {
+	if _, err := ReadEmbeddings(v2, g); err == nil {
 		t.Fatal("version-2 snapshot: expected a bad-magic error")
 	}
 }
@@ -128,12 +128,12 @@ func TestReadEmbeddingsRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := ReadEmbeddings(bytes.NewReader(data[:len(data)/2]), g); err == nil {
+	if _, err := ReadEmbeddings(data[:len(data)/2], g); err == nil {
 		t.Error("truncated: expected error")
 	}
 	for _, magic := range []string{"XLEMB1\n", "NLEMB2\n"} {
 		bad := append([]byte(magic), data[len(embMagic):]...)
-		if _, err := ReadEmbeddings(bytes.NewReader(bad), g); err == nil {
+		if _, err := ReadEmbeddings(bad, g); err == nil {
 			t.Errorf("magic %q: expected error", magic)
 		}
 	}
@@ -143,7 +143,7 @@ func TestReadEmbeddingsRejectsCorruption(t *testing.T) {
 	b2 := tb.AddNode("Y", kg.KindGPE, "")
 	tb.AddEdgeByName(a, b2, "r", 1)
 	tiny := tb.Build()
-	if _, err := ReadEmbeddings(bytes.NewReader(data), tiny); err == nil {
+	if _, err := ReadEmbeddings(data, tiny); err == nil {
 		t.Error("wrong graph: expected error")
 	}
 }

@@ -83,10 +83,11 @@ type Document struct {
 	Text  string
 	// Time is the document's event timestamp (Unix seconds, or any
 	// monotone int64 the caller chooses; 0 = unknown). It is stored in the
-	// per-segment time column, persisted with snapshots (v5), replayed
-	// through the WAL, and compared against Query.After/Before temporal
-	// filters as a plain value — an untimestamped document (Time 0) is
-	// excluded by any After bound and kept by any Before bound.
+	// per-segment time column, persisted in each segment's documents
+	// artifact, replayed through the WAL, and compared against
+	// Query.After/Before temporal filters as a plain value — an
+	// untimestamped document (Time 0) is excluded by any After bound and
+	// kept by any Before bound.
 	Time int64 `json:",omitempty"`
 }
 

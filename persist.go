@@ -18,18 +18,20 @@ import (
 	"newslink/internal/kg"
 )
 
-// Snapshot layout (version 5): a directory with
+// Snapshot layout (version 6): a directory with
 //
 //	meta.json             engine config, graph fingerprint, the ordered
-//	                      segment list (documents + tombstone bitmap per
+//	                      segment list (content ID + tombstone bitmap per
 //	                      segment) and a CRC32-C checksum per artifact
 //	seg-<id>.text.idx     BOW inverted index of one segment (binary)
 //	seg-<id>.node.idx     BON inverted index of one segment (binary)
 //	seg-<id>.emb.bin      per-document subgraph embeddings of one segment
+//	seg-<id>.docs.bin     the segment's documents: ID and time columns,
+//	                      titles and texts (docsfile.go)
 //
-// <id> is derived from the artifact contents (truncated SHA-256), which
-// makes saves incremental: a segment that already exists under the target
-// directory with matching checksums is hard-linked into the staged
+// <id> is derived from the four artifacts' contents (truncated SHA-256),
+// which makes saves incremental: a segment that already exists under the
+// target directory with matching checksums is hard-linked into the staged
 // snapshot instead of re-serialized, so saving after an incremental batch
 // rewrites only the new and merged segments plus meta.json. Tombstones
 // live in meta.json — not in the binary artifacts — so deletes never force
@@ -48,19 +50,16 @@ import (
 // Load verifies version and checksums so silent corruption surfaces as
 // ErrSnapshotCorrupt instead of a half-built engine.
 
-// snapshotVersion 5 added the per-segment time column (Document.Time in
-// each segment's meta.json document list; the binary artifacts are
-// byte-identical to version 4, so content-addressed ids — and therefore
-// hard-link reuse across saves — carry over). Version 4 switched to
-// per-segment artifacts with tombstone bitmaps in meta.json
-// (content-addressed, enabling incremental saves); version 3 was the
-// block-compressed single-index layout, version 2 added per-artifact
-// checksums. Snapshots older than minSnapshotVersion are rejected with
-// ErrSnapshotVersion (re-save to upgrade); version-4 snapshots load
-// directly, their documents carrying Time 0.
+// snapshotVersion 6 moved each segment's documents out of meta.json into
+// the seg-<id>.docs.bin artifact, which the content id now covers too.
+// Version 5 (documents with their time column in meta.json, three
+// artifacts per segment) still loads through Load and LoadOnDisk, and the
+// next Save rewrites every segment as version 6; ReadManifest, and so
+// LoadSegments and the cluster router, take version 6 only. Version 4 and
+// older are rejected with ErrSnapshotVersion.
 const (
-	snapshotVersion    = 5
-	minSnapshotVersion = 4
+	snapshotVersion    = 6
+	minSnapshotVersion = 5
 )
 
 // snapshotCompatible reports whether a snapshot format version is loadable
@@ -69,8 +68,11 @@ func snapshotCompatible(v int) bool {
 	return v >= minSnapshotVersion && v <= snapshotVersion
 }
 
-// segmentSuffixes are the binary artifacts every segment owns.
-var segmentSuffixes = [...]string{"text.idx", "node.idx", "emb.bin"}
+// segmentSuffixes are the binary artifacts every segment owns. The
+// documents artifact is last: a version-5 segment has the others only.
+var segmentSuffixes = [...]string{"text.idx", "node.idx", "emb.bin", docsSuffix}
+
+const docsSuffix = "docs.bin"
 
 // segFileName names one segment artifact file inside the snapshot.
 func segFileName(id, suffix string) string { return "seg-" + id + "." + suffix }
@@ -80,12 +82,11 @@ func segFileName(id, suffix string) string { return "seg-" + id + "." + suffix }
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // segmentMeta describes one segment in meta.json: which artifact files it
-// reads (via ID), its documents in segment order, and the tombstone bitmap
-// (index.Bitmap codec, base64; absent when nothing is deleted).
+// reads (via ID) and the tombstone bitmap (index.Bitmap codec, base64;
+// absent when nothing is deleted).
 type segmentMeta struct {
-	ID   string     `json:"id"`
-	Docs []Document `json:"docs"`
-	Dead string     `json:"dead,omitempty"`
+	ID   string `json:"id"`
+	Dead string `json:"dead,omitempty"`
 }
 
 type snapshotMeta struct {
@@ -96,6 +97,19 @@ type snapshotMeta struct {
 	// Checksums maps each artifact file to the CRC32-C of its contents,
 	// rendered as 8 hex digits.
 	Checksums map[string]string `json:"checksums"`
+
+	// legacyDocs holds a version-5 manifest's per-segment document lists,
+	// aligned with Segments (nil for version 6).
+	legacyDocs [][]Document
+}
+
+// segmentFiles names the artifacts a segment of this manifest owns.
+func (m *snapshotMeta) segmentFiles(id string) []string {
+	names := SegmentFileNames(id)
+	if m.Version < snapshotVersion {
+		return names[:len(names)-1]
+	}
+	return names
 }
 
 type graphPrint struct {
@@ -116,13 +130,23 @@ func checksumString(sum uint32) string { return fmt.Sprintf("%08x", sum) }
 // verify against, and what a shard worker checks a fetched artifact with
 // before loading it.
 func ChecksumFile(path string) (string, error) {
+	return checksumFile(path, make([]byte, copyBufSize))
+}
+
+// copyBufSize sizes the buffer artifacts are streamed through when
+// checksummed or read; a load allocates one and reuses it for every file.
+const copyBufSize = 32 << 10
+
+// checksumFile is ChecksumFile streaming through buf.
+func checksumFile(path string, buf []byte) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return "", err
 	}
 	defer f.Close()
 	h := crc32.New(castagnoli)
-	if _, err := io.Copy(h, f); err != nil {
+	// Hide the file's WriteTo, which would allocate a buffer of its own.
+	if _, err := io.CopyBuffer(h, struct{ io.Reader }{f}, buf); err != nil {
 		return "", err
 	}
 	return checksumString(h.Sum32()), nil
@@ -152,10 +176,8 @@ type oldSnapshot struct {
 }
 
 func readOldSnapshot(dir string) *oldSnapshot {
-	// Any compatible version may donate artifacts: the binary files are
-	// format-identical across versions 4 and 5, and reuse matches on
-	// content-derived ids plus checksums, so hard links from a v4 snapshot
-	// into a v5 save are exact.
+	// Only a version-6 snapshot can donate: a version-5 segment id covers
+	// three artifacts, not four, so it never matches a current one.
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil
@@ -274,7 +296,7 @@ func (e *Engine) Save(dir string) error {
 			}
 			seg.art.Store(art)
 		}
-		sm := segmentMeta{ID: art.id, Docs: seg.docs}
+		sm := segmentMeta{ID: art.id}
 		if seg.dead.Any() {
 			sm.Dead = base64.StdEncoding.EncodeToString(seg.dead.Encode())
 		}
@@ -348,7 +370,7 @@ func reuseSegment(old *oldSnapshot, art *segmentArtifact, tmp string, sums map[s
 	return true
 }
 
-// writeSegment serializes one segment's three artifacts into the staging
+// writeSegment serializes one segment's four artifacts into the staging
 // directory. Files are first written under staging names while a running
 // SHA-256 over their concatenation derives the content id, then renamed to
 // their final seg-<id>.* names. The returned artifact identity is memoized
@@ -362,6 +384,7 @@ func writeSegment(tmp string, si int, seg *segment, writeArtifact func(string, i
 		{"text.idx", func(w io.Writer) error { _, err := seg.text.WriteTo(w); return err }},
 		{"node.idx", func(w io.Writer) error { _, err := seg.node.WriteTo(w); return err }},
 		{"emb.bin", func(w io.Writer) error { return core.WriteEmbeddings(w, seg.embs) }},
+		{docsSuffix, func(w io.Writer) error { return writeDocs(w, seg.docs) }},
 	}
 	staged := make([]string, len(writers))
 	for i, a := range writers {
@@ -474,11 +497,11 @@ func (e *Engine) Close() error {
 // with the segment set published — post-snapshot writes recovered from the
 // WAL and the ingest pipeline armed (per the caller's options).
 func loadDurable(dir string, g *kg.Graph, onDisk bool, opts []Option) (*Engine, error) {
-	m, err := ReadManifest(dir)
+	m, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	e, err := loadSegments(dir, g, m.Graph, m.Config, m.Segments, m.Checksums, onDisk, opts)
+	e, err := loadSegments(dir, g, m, onDisk, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -497,30 +520,23 @@ func loadDurable(dir string, g *kg.Graph, onDisk bool, opts []Option) (*Engine, 
 // LoadSegments: it checks the graph fingerprint, verifies every referenced
 // artifact against its recorded checksum, and only then builds and
 // publishes the segments (resident, or file-backed when onDisk).
-func loadSegments(dir string, g *kg.Graph, print graphPrint, cfg Config, metas []segmentMeta, checksums map[string]string, onDisk bool, opts []Option) (*Engine, error) {
-	if got := fingerprint(g); got != print {
-		return nil, fmt.Errorf("newslink: knowledge graph mismatch: snapshot %+v, graph %+v", print, got)
+func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, onDisk bool, opts []Option) (*Engine, error) {
+	if got := fingerprint(g); got != m.Graph {
+		return nil, fmt.Errorf("newslink: knowledge graph mismatch: snapshot %+v, graph %+v", m.Graph, got)
 	}
 	// Verify every artifact against its recorded checksum before building
 	// any engine state: a torn write or bit flip must surface as a typed
 	// error, never as a half-built engine. Content-addressed ids may share
 	// files between identical segments; verify each file once.
 	verified := make(map[string]bool)
-	for _, sm := range metas {
-		for _, name := range SegmentFileNames(sm.ID) {
+	buf := make([]byte, copyBufSize)
+	for _, sm := range m.Segments {
+		for _, name := range m.segmentFiles(sm.ID) {
 			if verified[name] {
 				continue
 			}
-			want, ok := checksums[name]
-			if !ok {
-				return nil, fmt.Errorf("%w: no checksum for %s", ErrSnapshotCorrupt, name)
-			}
-			got, err := ChecksumFile(filepath.Join(dir, name))
-			if err != nil {
-				return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
-			}
-			if got != want {
-				return nil, fmt.Errorf("%w: %s checksum %s, want %s", ErrSnapshotCorrupt, name, got, want)
+			if err := verifyArtifact(dir, name, m.Checksums, buf); err != nil {
+				return nil, err
 			}
 			verified[name] = true
 		}
@@ -528,10 +544,10 @@ func loadSegments(dir string, g *kg.Graph, print graphPrint, cfg Config, metas [
 	// The snapshot's Config is the base; caller options layer on top, so
 	// runtime knobs (caches, WAL, ingest queue) configure the restored
 	// engine exactly as they would a fresh one.
-	e := New(g, append([]Option{cfg}, opts...)...)
-	segs := make([]*segment, 0, len(metas))
-	for _, sm := range metas {
-		seg, err := loadSegment(dir, sm, checksums, g, onDisk)
+	e := New(g, append([]Option{m.Config}, opts...)...)
+	segs := make([]*segment, 0, len(m.Segments))
+	for i := range m.Segments {
+		seg, err := loadSegment(dir, m, i, g, onDisk, buf)
 		if err != nil {
 			closeSegments(segs)
 			return nil, err
@@ -544,11 +560,14 @@ func loadSegments(dir string, g *kg.Graph, print graphPrint, cfg Config, metas [
 	return e, nil
 }
 
-// loadSegment restores one segment from its artifacts (already checksum-
-// verified). The artifact identity from meta.json is memoized on the
-// segment so a later Save can reuse the files without rewriting them.
-func loadSegment(dir string, sm segmentMeta, checksums map[string]string, g *kg.Graph, onDisk bool) (*segment, error) {
-	seg := &segment{docs: sm.Docs, times: timesOf(sm.Docs)}
+// loadSegment restores segment i of the manifest from its artifacts
+// (already checksum-verified), streaming the documents' text through buf. The artifact identity from meta.json is
+// memoized on the segment so a later Save can reuse the files without
+// rewriting them — except for a version-5 segment, whose documents come
+// from meta.json and which the next Save rewrites as version 6.
+func loadSegment(dir string, m *snapshotMeta, i int, g *kg.Graph, onDisk bool, buf []byte) (*segment, error) {
+	sm := m.Segments[i]
+	seg := &segment{}
 	corrupt := func(name string, err error) (*segment, error) {
 		seg.close()
 		return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
@@ -562,15 +581,23 @@ func loadSegment(dir string, sm segmentMeta, checksums map[string]string, g *kg.
 		return corrupt(nodeName, err)
 	}
 	embName := segFileName(sm.ID, "emb.bin")
-	f, err := os.Open(filepath.Join(dir, embName))
+	data, err := os.ReadFile(filepath.Join(dir, embName))
 	if err != nil {
 		return corrupt(embName, err)
 	}
-	seg.embs, err = core.ReadEmbeddings(f, g)
-	f.Close()
-	if err != nil {
+	if seg.embs, err = core.ReadEmbeddings(data, g); err != nil {
 		return corrupt(embName, err)
 	}
+	docsName := "meta.json"
+	if m.Version < snapshotVersion {
+		seg.docs = m.legacyDocs[i]
+	} else {
+		docsName = segFileName(sm.ID, docsSuffix)
+		if seg.docs, err = readDocsFile(filepath.Join(dir, docsName), buf); err != nil {
+			return corrupt(docsName, err)
+		}
+	}
+	seg.times = timesOf(seg.docs)
 	if sm.Dead != "" {
 		raw, err := base64.StdEncoding.DecodeString(sm.Dead)
 		if err != nil {
@@ -580,20 +607,22 @@ func loadSegment(dir string, sm segmentMeta, checksums map[string]string, g *kg.
 		if err != nil {
 			return corrupt("meta.json", fmt.Errorf("tombstones of segment %s: %v", sm.ID, err))
 		}
-		if dead.Len() != len(sm.Docs) {
-			return corrupt("meta.json", fmt.Errorf("tombstone bitmap covers %d docs, segment has %d", dead.Len(), len(sm.Docs)))
+		if dead.Len() != len(seg.docs) {
+			return corrupt("meta.json", fmt.Errorf("tombstone bitmap covers %d docs, segment has %d", dead.Len(), len(seg.docs)))
 		}
 		seg.dead = dead
 	}
-	if seg.text.NumDocs() != len(sm.Docs) || seg.node.NumDocs() != len(sm.Docs) || len(seg.embs) != len(sm.Docs) {
-		return corrupt("meta.json", fmt.Errorf("segment %s: %d docs, %d text-indexed, %d node-indexed, %d embeddings",
-			sm.ID, len(sm.Docs), seg.text.NumDocs(), seg.node.NumDocs(), len(seg.embs)))
+	if n := len(seg.docs); seg.text.NumDocs() != n || seg.node.NumDocs() != n || len(seg.embs) != n {
+		return corrupt(docsName, fmt.Errorf("segment %s: %d docs, %d text-indexed, %d node-indexed, %d embeddings",
+			sm.ID, n, seg.text.NumDocs(), seg.node.NumDocs(), len(seg.embs)))
 	}
-	art := &segmentArtifact{id: sm.ID, sums: make(map[string]string, len(segmentSuffixes))}
-	for _, name := range SegmentFileNames(sm.ID) {
-		art.sums[name] = checksums[name]
+	if m.Version == snapshotVersion {
+		art := &segmentArtifact{id: sm.ID, sums: make(map[string]string, len(segmentSuffixes))}
+		for _, name := range SegmentFileNames(sm.ID) {
+			art.sums[name] = m.Checksums[name]
+		}
+		seg.art.Store(art)
 	}
-	seg.art.Store(art)
 	return seg, nil
 }
 

@@ -1,7 +1,9 @@
 package newslink
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
@@ -68,11 +70,63 @@ func editMeta(t *testing.T, dir string, edit func(m map[string]json.RawMessage))
 	}
 }
 
-// TestLoadCorruptionTable drives Load and LoadOnDisk over every corruption
-// class the snapshot format defends against: truncation, a single bit
-// flip, and outright removal of each binary artifact, plus version skew
-// and a torn meta.json. Each case must return the matching typed error
-// and never a (half-built) engine.
+// rewriteArtifact replaces the snapshot's (single) artifact with the given
+// suffix by fn of its bytes and records the new bytes' checksum, so the
+// damage gets past verification and reaches the decoder.
+func rewriteArtifact(t *testing.T, dir, suffix string, fn func([]byte) []byte) {
+	t.Helper()
+	path := segArtifact(t, dir, suffix)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, fn(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := ChecksumFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	editMeta(t, dir, func(m map[string]json.RawMessage) {
+		var sums map[string]string
+		if err := json.Unmarshal(m["checksums"], &sums); err != nil {
+			t.Fatal(err)
+		}
+		sums[filepath.Base(path)] = sum
+		if m["checksums"], err = json.Marshal(sums); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// openUnder counts this process's open descriptors on files under dir.
+func openUnder(t *testing.T, dir string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open descriptors: %v", err)
+	}
+	// t.TempDir may sit behind a symlink; descriptors name the real path.
+	real, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, real+"/") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLoadCorruptionTable drives Load, LoadOnDisk and LoadSegments over
+// every corruption class the snapshot format defends against: truncation,
+// a single bit flip, and outright removal of each binary artifact, a
+// missing checksum, a documents artifact whose checksum matches but whose
+// count or offsets do not, plus version skew and a torn meta.json. Each
+// case must return the matching typed error, never a (half-built) engine,
+// and leave no descriptor open on the snapshot.
 func TestLoadCorruptionTable(t *testing.T) {
 	g, _ := corpus.Sample()
 	e := sampleEngine(t, DefaultConfig())
@@ -81,7 +135,7 @@ func TestLoadCorruptionTable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	artifacts := []string{"text.idx", "node.idx", "emb.bin"}
+	artifacts := []string{"text.idx", "node.idx", "emb.bin", "docs.bin"}
 	type tc struct {
 		name    string
 		mutate  func(t *testing.T, dir string)
@@ -119,6 +173,15 @@ func TestLoadCorruptionTable(t *testing.T) {
 			}, ErrSnapshotCorrupt, ""},
 		)
 	}
+	// docsOffsets returns the offset column of a documents artifact,
+	// aliasing data, and the length of its text area.
+	docsOffsets := func(data []byte) ([]byte, uint64) {
+		l, err := parseDocsHeader(data, int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data[l.offs:l.area], uint64(l.areaLen)
+	}
 	cases = append(cases,
 		tc{"version-skew", func(t *testing.T, dir string) {
 			editMeta(t, dir, func(m map[string]json.RawMessage) {
@@ -143,35 +206,56 @@ func TestLoadCorruptionTable(t *testing.T) {
 				m["checksums"] = json.RawMessage("{}")
 			})
 		}, ErrSnapshotCorrupt, ""},
-		// The retired int8-signature format: an emb.bin under the NLEMB2
-		// magic whose checksum matches (so verification passes and the
-		// parser sees it) is a corrupt artifact, not a panic and not a
-		// silently empty BON index.
-		tc{"retired-format/emb.bin", func(t *testing.T, dir string) {
-			path := segArtifact(t, dir, "emb.bin")
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			copy(data, "NLEMB2\n")
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			sum, err := ChecksumFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+		tc{"missing-checksum/docs.bin", func(t *testing.T, dir string) {
+			name := filepath.Base(segArtifact(t, dir, "docs.bin"))
 			editMeta(t, dir, func(m map[string]json.RawMessage) {
 				var sums map[string]string
 				if err := json.Unmarshal(m["checksums"], &sums); err != nil {
 					t.Fatal(err)
 				}
-				sums[filepath.Base(path)] = sum
+				delete(sums, name)
+				var err error
 				if m["checksums"], err = json.Marshal(sums); err != nil {
 					t.Fatal(err)
 				}
 			})
+		}, ErrSnapshotCorrupt, "no checksum for seg-"},
+		// The retired int8-signature format: an emb.bin under the NLEMB2
+		// magic whose checksum matches (so verification passes and the
+		// parser sees it) is a corrupt artifact, not a panic and not a
+		// silently empty BON index.
+		tc{"retired-format/emb.bin", func(t *testing.T, dir string) {
+			rewriteArtifact(t, dir, "emb.bin", func(data []byte) []byte {
+				copy(data, "NLEMB2\n")
+				return data
+			})
 		}, ErrSnapshotCorrupt, "emb.bin: core: bad magic"},
+		// Documents artifacts that pass verification but disagree with
+		// the index, or with themselves.
+		tc{"count-mismatch/docs.bin", func(t *testing.T, dir string) {
+			rewriteArtifact(t, dir, "docs.bin", func(data []byte) []byte {
+				docs, err := readDocs(bytes.NewReader(data), int64(len(data)), make([]byte, 512))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return appendDocs(nil, docs[:len(docs)-1])
+			})
+		}, ErrSnapshotCorrupt, "docs.bin: segment"},
+		tc{"offset-past-area/docs.bin", func(t *testing.T, dir string) {
+			rewriteArtifact(t, dir, "docs.bin", func(data []byte) []byte {
+				col, areaLen := docsOffsets(data)
+				binary.LittleEndian.PutUint64(col[3*8:], areaLen+1)
+				return data
+			})
+		}, ErrSnapshotCorrupt, "past the"},
+		tc{"non-monotone-offsets/docs.bin", func(t *testing.T, dir string) {
+			rewriteArtifact(t, dir, "docs.bin", func(data []byte) []byte {
+				// Document 0's text would start after document 1's title.
+				col, _ := docsOffsets(data)
+				binary.LittleEndian.PutUint64(col[1*8:], binary.LittleEndian.Uint64(col[2*8:])+1)
+				return data
+			})
+		}, ErrSnapshotCorrupt, "below the"},
 	)
 
 	for _, c := range cases {
@@ -197,6 +281,9 @@ func TestLoadCorruptionTable(t *testing.T) {
 				}
 				if !errors.Is(err, c.wantErr) || !strings.Contains(err.Error(), c.names) {
 					t.Fatalf("%s error = %v, want %v naming %q", loader, err, c.wantErr, c.names)
+				}
+				if n := openUnder(t, dir); n != 0 {
+					t.Fatalf("%s left %d descriptors open on the snapshot", loader, n)
 				}
 			}
 		})

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"newslink/internal/corpus"
@@ -224,15 +225,15 @@ func TestLoadOnDisk(t *testing.T) {
 	}
 	// A file-backed engine re-saves by streaming its postings out of the
 	// snapshot files: saved to a fresh directory (nothing to hard-link
-	// from), it writes segment artifacts byte-identical to the ones the
-	// in-memory engine wrote.
+	// from), it writes a snapshot byte-identical to the one the in-memory
+	// engine wrote, meta.json included.
 	dir2 := t.TempDir()
 	if err := disk.Save(dir2); err != nil {
 		t.Fatal(err)
 	}
-	segFiles, err := filepath.Glob(filepath.Join(dir, "seg-*"))
-	if err != nil || len(segFiles) == 0 {
-		t.Fatalf("no segment artifacts under %s (%v)", dir, err)
+	segFiles, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(segFiles) != 1+len(segmentSuffixes) {
+		t.Fatalf("snapshot %s holds %v (%v), want meta.json and one segment's artifacts", dir, segFiles, err)
 	}
 	for _, path := range segFiles {
 		want, err := os.ReadFile(path)
@@ -269,5 +270,67 @@ func TestLoadOnDisk(t *testing.T) {
 	// In-memory engines Close as a no-op.
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotRoundTripsDocumentBytes: titles and texts come back from a
+// snapshot byte for byte — invalid UTF-8, NUL and multi-kilobyte text
+// included — through every loader, as they already do through the WAL. A
+// reloaded engine, and so every cluster worker, returns exactly the title
+// and snippet bytes the engine that saved them returned.
+func TestSnapshotRoundTripsDocumentBytes(t *testing.T) {
+	g, _ := corpus.Sample()
+	e := sampleEngine(t, DefaultConfig())
+	for _, d := range []Document{
+		{ID: 9501, Title: "Caf\xe9 bombing in Lahore", Text: "The Taliban claimed the Caf\xe9 attack in Lahore. Witnesses fled.", Time: 1600000000},
+		{ID: 9502, Title: "NUL\x00title", Text: "Pakistan\x00 and the Taliban met in Upper Dir.\x00", Time: -5},
+		{ID: 9503, Title: "Long dispatch", Text: strings.Repeat("Sanders spoke about Clinton and the FBI emails in Iowa. ", 200)},
+		{ID: 9504},
+		{ID: 9505, Title: "\xff\xfe", Text: "\xc3\x28 Taliban in Lahore \xed\xa0\x80 surrogate halves."},
+	} {
+		if err := e.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Refresh()
+	dir := t.TempDir()
+	if err := e.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, load := range map[string]func() (*Engine, error){
+		"Load":       func() (*Engine, error) { return Load(dir, g) },
+		"LoadOnDisk": func() (*Engine, error) { return LoadOnDisk(dir, g) },
+		"LoadSegments": func() (*Engine, error) {
+			return LoadSegments(dir, g, m.Graph, m.Config, m.Segments, m.Checksums)
+		},
+	} {
+		loaded, err := load()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for pos := 0; pos < want.numDocs; pos++ {
+			if got, err := loaded.DocAt(pos); err != nil || !reflect.DeepEqual(got, want.doc(pos)) {
+				t.Fatalf("%s: document at %d is %#v (%v), want %#v", name, pos, got, err, want.doc(pos))
+			}
+		}
+		for _, q := range []string{"Taliban bombing in Lahore", "Caf\xe9 attack", "Sanders Clinton FBI emails", "Pakistan Upper Dir"} {
+			a, err := e.Search(q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := loaded.Search(q, 10)
+			if err != nil || !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: %q answers %#v (%v), want %#v", name, q, b, err, a)
+			}
+		}
+		loaded.Close()
 	}
 }

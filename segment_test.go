@@ -350,17 +350,20 @@ func TestIncrementalSaveReusesSegments(t *testing.T) {
 	if err := e.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	matches, err := filepath.Glob(filepath.Join(dir, "seg-*.text.idx"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("expected one segment, found %v", matches)
+	// The segment's four artifacts: text.idx, node.idx, emb.bin, docs.bin.
+	segFiles, err := filepath.Glob(filepath.Join(dir, "seg-*"))
+	if err != nil || len(segFiles) != len(segmentSuffixes) {
+		t.Fatalf("expected the artifacts of one segment, found %v", segFiles)
 	}
-	segFile := matches[0]
-	before, err := os.Stat(segFile)
-	if err != nil {
-		t.Fatal(err)
+	before := make([]os.FileInfo, len(segFiles))
+	for i, path := range segFiles {
+		if before[i], err = os.Stat(path); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// A new open segment plus a tombstone in the old one: the old
-	// segment's artifacts must survive as hard links of the same inodes.
+	// segment's artifacts — documents included — must survive as hard
+	// links of the same inodes.
 	if err := e.Add(Document{ID: 9301, Title: "late", Text: "A late bulletin about Lahore."}); err != nil {
 		t.Fatal(err)
 	}
@@ -371,12 +374,14 @@ func TestIncrementalSaveReusesSegments(t *testing.T) {
 	if err := e.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	after, err := os.Stat(segFile)
-	if err != nil {
-		t.Fatalf("original segment artifact gone after incremental save: %v", err)
-	}
-	if !os.SameFile(before, after) {
-		t.Fatal("unchanged segment was rewritten, not hard-linked")
+	for i, path := range segFiles {
+		after, err := os.Stat(path)
+		if err != nil {
+			t.Fatalf("original segment artifact gone after incremental save: %v", err)
+		}
+		if !os.SameFile(before[i], after) {
+			t.Fatalf("unchanged segment artifact %s was rewritten, not hard-linked", filepath.Base(path))
+		}
 	}
 	all, err := filepath.Glob(filepath.Join(dir, "seg-*.text.idx"))
 	if err != nil || len(all) != 2 {
