@@ -10,7 +10,8 @@
 # write side: search p99 while the streaming pipeline absorbs ~1k docs/sec;
 # BenchmarkClusterScatterGather covers the serving tier: one search
 # through the cluster router and three local shard workers (scatter, merge,
-# document gather) and BenchmarkWireCodec its data-plane codec (encode
+# and the router engine's fusion, documents and snippets) and
+# BenchmarkWireCodec its data-plane codec (encode
 # into a reused buffer must stay at 0 allocs/op, a response decode at 2, so
 # a reflection-based fallback cannot creep back); BenchmarkFilteredSearch and BenchmarkRelated cover the
 # DocFilter plane: fused search under time-window and entity-facet filters

@@ -1,7 +1,8 @@
-// Cluster modes of newslinkd: -shard runs the process as a scatter-gather
-// shard worker, -router as the router that partitions a snapshot across
-// workers and serves the public API over them. See DESIGN.md §14 and the
-// README's Operations section for the full topology.
+// Cluster modes of newslinkd: -shard runs the process as a shard worker
+// holding the postings of a slice of a snapshot, -router as the router that
+// serves the public API over the whole snapshot and scatters its postings
+// traversals across the workers. See DESIGN.md §14 and the README's
+// Operations section for the full topology.
 package main
 
 import (
@@ -95,7 +96,7 @@ func shardMain(ctx context.Context, cfg shardConfig, bound chan<- string) error 
 	// Assignments stream segment artifacts from a peer before answering;
 	// give them more room than an interactive query response.
 	d.main.WriteTimeout = 2 * time.Minute
-	if err := d.listenDebug(cfg.debugAddr, w.Metrics); err != nil {
+	if err := d.listenDebug(cfg.debugAddr, w.Metrics()); err != nil {
 		return err
 	}
 	log.Printf("shard worker %s serving on %s (artifacts in %s)", id, ln.Addr(), dir)
@@ -181,7 +182,7 @@ func routerMain(ctx context.Context, cfg routerConfig, bound chan<- string) erro
 			}
 		},
 	}
-	if err := d.listenDebug(cfg.debugAddr, rt.Metrics); err != nil {
+	if err := d.listenDebug(cfg.debugAddr, rt.Metrics()); err != nil {
 		return err
 	}
 	log.Printf("cluster router serving %d shards on %s (plan %s)",

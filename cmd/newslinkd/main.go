@@ -87,7 +87,7 @@ func main() {
 	shardMode := flag.Bool("shard", false, "run as a cluster shard worker: serve the /v1/shard/ RPC surface and wait for a router assignment")
 	shardID := flag.String("shard-id", "", "shard worker identity (default: the bound listen address)")
 	shardDir := flag.String("shard-dir", "", "shard worker artifact directory (default: a fresh temp directory)")
-	routerMode := flag.Bool("router", false, "run as a cluster router: partition the -snapshot across -shard-addrs workers and serve search/explain by scatter-gather")
+	routerMode := flag.Bool("router", false, "run as a cluster router: serve the public API over the -snapshot, its postings traversals scattered over the -shard-addrs workers")
 	shardAddrs := flag.String("shard-addrs", "", "router: comma-separated shard endpoint groups, replicas within a group separated by '|' (e.g. http://a,http://b1|http://b2)")
 	selfURL := flag.String("self-url", "", "router: externally reachable base URL of this router; workers fetch missing segment artifacts from it (default: the bound listen address)")
 	hedge := flag.Bool("hedge", false, "router: hedge slow shard requests to a second replica after the shard's p99 latency")
@@ -246,7 +246,7 @@ func newDaemon(engine *newslink.Engine, cfg daemonConfig) (*daemon, error) {
 			return nil
 		},
 	}
-	if err := d.listenDebug(cfg.debugAddr, engine.Metrics); err != nil {
+	if err := d.listenDebug(cfg.debugAddr, engine.Metrics()); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -254,12 +254,11 @@ func newDaemon(engine *newslink.Engine, cfg daemonConfig) (*daemon, error) {
 
 // listenDebug binds the private -debug-addr listener — synchronously, like
 // the main one, which it closes again if the bind fails — and the server to
-// run on it; a no-op when addr is empty. metrics is asked per request,
-// because a shard worker's registry changes with its assignment. The debug
+// run on it; a no-op when addr is empty. The debug
 // server is its own http.Server (so shutdown reaches it too) with no
 // WriteTimeout: pprof profile captures legitimately stream for longer than
 // any sane response deadline.
-func (d *daemon) listenDebug(addr string, metrics func() *obs.Registry) error {
+func (d *daemon) listenDebug(addr string, metrics *obs.Registry) error {
 	if addr == "" {
 		return nil
 	}
@@ -359,7 +358,7 @@ func parseLogLevel(s string) (slog.Level, error) {
 // debugHandler is the private -debug-addr surface: the standard pprof
 // endpoints (registered explicitly rather than via the package's
 // DefaultServeMux side effect) plus the metric registry in both formats.
-func debugHandler(metrics func() *obs.Registry) http.Handler {
+func debugHandler(metrics *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -368,11 +367,11 @@ func debugHandler(metrics func() *obs.Registry) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = metrics().WriteJSON(w)
+		_ = metrics.WriteJSON(w)
 	})
 	mux.HandleFunc("GET /v1/metrics/prom", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = metrics().WritePrometheus(w)
+		_ = metrics.WritePrometheus(w)
 	})
 	return mux
 }

@@ -134,7 +134,7 @@ func TestDebugHandler(t *testing.T) {
 	if _, err := e.Search("Taliban bombing in Lahore", 2); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(debugHandler(e.Metrics))
+	ts := httptest.NewServer(debugHandler(e.Metrics()))
 	defer ts.Close()
 
 	for path, wantBody := range map[string]string{

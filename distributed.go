@@ -3,50 +3,71 @@ package newslink
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"newslink/internal/index"
+	"newslink/internal/kg"
 	"newslink/internal/nlp"
 )
 
-// Engine surface for the cluster tier (internal/cluster).
+// Engine surface for the cluster tier (internal/cluster) and the
+// benchmark.
 //
-// A scatter-gather router reproduces searchContext's pipeline across
-// shard-worker processes: it analyzes the query once (the router holds
-// the knowledge graph, exactly like a single-process engine), reads global
-// term statistics off the segment directories of the snapshot it owns,
-// ships globally ordered terms out for local block-max evaluation, and
-// merges. Workers evaluate
-// against their engine's published index sources and materialize result
-// documents by local position. These exports expose just those seams —
+// A cluster router is an engine over the whole snapshot (LoadRouted): it
+// analyzes, fuses, gathers documents and snippets, relates and explains
+// exactly as a single process does, because it is one. Only the postings
+// traversals of a request (Traversal) leave it: the router reads the
+// statistics of whichever shards are live off SegmentIndexes, ships
+// globally ordered terms to the shard workers — which hold nothing but
+// postings (LoadSegments) — and merges their candidate lists. The other
+// exports here expose the single-process pipeline's steps one by one —
 // analysis, index sources, positional document access and the snippet —
-// without opening the engine's internals.
+// for per-layer measurement.
+
+// LoadRouted restores the snapshot at dir as LoadOnDisk does — documents
+// and embeddings resident, postings left in the index files — for an
+// engine whose postings traversals run elsewhere: every search and
+// related-news request hands its Traversal to traverse instead of reading
+// a posting, and runs everything before and after it locally. The engine
+// is read-only: writes and Compact fail with ErrReadOnly.
+func LoadRouted(dir string, g *kg.Graph, traverse func(context.Context, Traversal) (Retrieval, error)) (*Engine, error) {
+	e, err := loadDurable(dir, g, loadOnDisk, nil)
+	if err != nil {
+		return nil, err
+	}
+	e.remote = traverse
+	return e, nil
+}
+
+// SegmentIndexes returns the text and node index of every published
+// segment, in position order. index.NewMulti over any run of them is the
+// very object a single process over those segments scores against, so a
+// router derives the statistics of its live shards from them.
+func (e *Engine) SegmentIndexes() (text, node []*index.Index) {
+	s := e.set.Load()
+	if s == nil {
+		return nil, nil
+	}
+	for _, seg := range s.segs {
+		text, node = append(text, seg.text), append(node, seg.node)
+	}
+	return text, node
+}
 
 // AnalyzeQuery runs the engine's cache-backed query analysis and returns
 // the analyzed text terms plus the node-term weights of the query's
 // subgraph embedding — the same inputs searchContext feeds BOW and BON
 // retrieval. A nil node map means the query embedded to nothing and BON
-// retrieval does not apply. Analysis needs only the knowledge graph, so
-// it works on an engine that indexed no documents (a router).
+// retrieval does not apply.
 func (e *Engine) AnalyzeQuery(ctx context.Context, text string) (terms []string, nodeWeights map[string]float64, err error) {
 	emb, terms, err := e.analyzeQuery(ctx, e.gs.Load(), text)
 	if err != nil {
 		return nil, nil, err
 	}
 	if emb != nil {
-		nodeWeights = make(map[string]float64, len(emb.Counts))
-		for n, c := range emb.Counts {
-			nodeWeights[NodeTerm(uint64(n))] = float64(c)
-		}
+		nodeWeights = nodeQuery(make(map[string]float64, len(emb.Counts)), emb)
 	}
 	return terms, nodeWeights, nil
 }
-
-// NodeTerm converts a knowledge-graph node ID to the synthetic term under
-// which the node index posts it (base-36, as nodeTerm). Router and
-// workers must agree on this encoding, so it is part of the public
-// surface.
-func NodeTerm(id uint64) string { return strconv.FormatUint(id, 36) }
 
 // Sources returns the engine's published text and node index sources for
 // one read operation. The sources are immutable snapshots — refreshes
@@ -59,9 +80,7 @@ func (e *Engine) Sources() (text, node index.Source, err error) {
 // EntityTerms resolves entity-facet labels against the knowledge graph:
 // labels[i] becomes the node-index terms of every node the folded label
 // maps to (empty when the label resolves to nothing — it then matches no
-// document). The router resolves once per request and ships the term sets
-// to workers, so every shard filters by exactly the terms the router's
-// graph resolved, and the composed facet equals a single process's.
+// document), the term sets Traversal.Entities and FilteredSources take.
 func (e *Engine) EntityTerms(labels []string) [][]string {
 	return entityTerms(e.Graph(), labels)
 }
@@ -71,47 +90,19 @@ func (e *Engine) EntityTerms(labels []string) [][]string {
 // before] time range (0 = unbounded) or failing the entity must-match
 // facet (term sets from EntityTerms, conjunctive across sets) are masked
 // from retrieval through the same live seam as tombstones. Statistics
-// stay those of the full local corpus — matching the unfiltered global
-// statistics the router scores with — so filtered shard rankings compose
-// exactly. With no clauses set it returns the raw sources.
+// stay those of the full corpus. With no clauses set it returns the raw
+// sources.
 func (e *Engine) FilteredSources(after, before int64, entities [][]string) (text, node index.Source, err error) {
 	snap, err := e.acquire()
 	if err != nil {
 		return nil, nil, err
 	}
-	flt, err := newQueryFilter(snap, after, before, entities, -1)
-	if err != nil {
-		return nil, nil, err
-	}
-	text, node = snap.sources(flt)
-	return text, node, nil
-}
-
-// DocVisible reports whether the live document with public ID docID
-// survives the given filter clauses — the check a shard worker runs
-// before explaining a document under a filtered request, so a filtered
-// Explain can never produce evidence for a document the same filtered
-// Search would not return. Unknown and tombstoned IDs are not visible.
-func (e *Engine) DocVisible(docID int, after, before int64, entities [][]string) (bool, error) {
-	snap, err := e.acquire()
-	if err != nil {
-		return false, err
-	}
-	pos, err := e.lookup(snap, docID)
-	if err != nil {
-		return false, nil
-	}
-	flt, err := newQueryFilter(snap, after, before, entities, -1)
-	if err != nil {
-		return false, err
-	}
-	return flt == nil || flt.Keep(index.DocID(pos)), nil
+	return snap.filteredSources(after, before, entities)
 }
 
 // DocAt returns the document at a global position within the engine's
 // published set, tombstoned or not. Position is the coordinate the index
-// sources use (search.Hit.Doc), which is what a worker reports to the
-// router and the router echoes back to fetch result documents.
+// sources use (search.Hit.Doc).
 func (e *Engine) DocAt(pos int) (Document, error) {
 	snap, err := e.acquire()
 	if err != nil {

@@ -5,15 +5,18 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"newslink/internal/corpus"
+	"newslink/internal/index"
+	"newslink/internal/search"
 )
 
-// TestAnalyzeQuery pins the analysis seam the cluster router uses: the
-// text terms and node-term weights must be exactly the inputs the
-// single-process searchContext feeds BOW and BON retrieval.
+// TestAnalyzeQuery pins the analysis seam: the text terms and node-term
+// weights must be exactly the inputs searchContext feeds BOW and BON
+// retrieval.
 func TestAnalyzeQuery(t *testing.T) {
 	e := sampleEngine(t, DefaultConfig())
 	defer e.Close()
@@ -32,7 +35,7 @@ func TestAnalyzeQuery(t *testing.T) {
 		if w <= 0 {
 			t.Fatalf("node term %q has non-positive weight %v", term, w)
 		}
-		// Node terms are base-36 node IDs: NodeTerm must round-trip them.
+		// Node terms are base-36 node IDs.
 		if !strings.ContainsAny(term, "0123456789abcdefghijklmnopqrstuvwxyz") {
 			t.Fatalf("node term %q is not base-36", term)
 		}
@@ -53,17 +56,17 @@ func TestAnalyzeQuery(t *testing.T) {
 }
 
 func TestNodeTerm(t *testing.T) {
-	if got := NodeTerm(0); got != "0" {
-		t.Fatalf("NodeTerm(0) = %q", got)
+	if got := nodeTerm(0); got != "0" {
+		t.Fatalf("nodeTerm(0) = %q", got)
 	}
-	if got := NodeTerm(36); got != "10" {
-		t.Fatalf("NodeTerm(36) = %q, want base-36 encoding", got)
+	if got := nodeTerm(36); got != "10" {
+		t.Fatalf("nodeTerm(36) = %q, want base-36 encoding", got)
 	}
 }
 
-// TestSourcesAndDocAt pins the worker-side seam: index sources expose
-// the published posting lists, and DocAt materializes documents by the
-// same positional coordinate search hits use.
+// TestSourcesAndDocAt pins the per-layer seam: index sources expose the
+// published posting lists, and DocAt materializes documents by the same
+// positional coordinate search hits use.
 func TestSourcesAndDocAt(t *testing.T) {
 	e := sampleEngine(t, DefaultConfig())
 	defer e.Close()
@@ -134,8 +137,8 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatal("manifest has no segments")
 	}
 	g, _ := corpus.Sample()
-	if FingerprintGraph(g) != m.Graph {
-		t.Fatalf("graph fingerprint %+v does not match manifest %+v", FingerprintGraph(g), m.Graph)
+	if fingerprint(g) != m.Graph {
+		t.Fatalf("graph fingerprint %+v does not match manifest %+v", fingerprint(g), m.Graph)
 	}
 	for _, sm := range m.Segments {
 		names := SegmentFileNames(sm.ID)
@@ -169,60 +172,93 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadSegmentsSubset pins the shard-restore path: loading all
-// segments reproduces the full engine's results; loading none yields an
-// empty but serviceable engine; a wrong graph or a damaged artifact is
-// rejected with typed errors before any state is built.
+// TestLoadSegmentsSubset pins the shard-restore path: a Shard over every
+// segment traverses exactly the postings of the full engine — the same
+// top-k on both legs, filtered or not — without reading an embedding; a
+// wrong graph or a damaged artifact it reads is rejected with typed errors
+// before any state is built.
 func TestLoadSegmentsSubset(t *testing.T) {
-	dir, want := snapshotOnDisk(t)
+	dir, _ := snapshotOnDisk(t)
 	m, err := ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g, _ := corpus.Sample()
-
-	full, err := LoadSegments(dir, g, m.Graph, m.Config, m.Segments, m.Checksums)
+	full, err := Load(dir, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer full.Close()
-	got, err := full.Search("Taliban bombing in Lahore", 5)
+	shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("restored engine returned %d results, want %d", len(got), len(want))
+
+	ctx := context.Background()
+	terms, nodes, err := full.AnalyzeQuery(ctx, "Taliban bombing in Lahore")
+	if err != nil || nodes == nil {
+		t.Fatalf("analysis: %v, node weights %v", err, nodes)
 	}
-	for i := range got {
-		if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-			t.Fatalf("result %d: got %+v, want %+v", i, got[i], want[i])
+	topK := func(text, node index.Source) [][]search.Hit {
+		bow, _, err := search.TopKBlockMaxStats(ctx, text, search.NewBM25(text), search.NewQuery(terms), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bon, _, err := search.TopKBlockMaxStats(ctx, node, search.NodeBM25(node.NumDocs(), node.AvgDocLen()), nodes, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [][]search.Hit{bow, bon}
+	}
+	for _, f := range []struct {
+		after, before int64
+		entities      []string
+	}{{}, {entities: []string{"Taliban"}}, {before: 1}, {after: 1}} {
+		entities := full.EntityTerms(f.entities)
+		wantText, wantNode, err := full.FilteredSources(f.after, f.before, entities)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotText, gotNode, err := shard.Sources(f.after, f.before, entities)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := topK(gotText, gotNode), topK(wantText, wantNode); !reflect.DeepEqual(got, want) {
+			t.Fatalf("filter %+v: shard traversal %v, engine %v", f, got, want)
 		}
 	}
 
 	// Graph mismatch: a different fingerprint is rejected up front.
-	if _, err := LoadSegments(dir, g, GraphFingerprint{}, m.Config, m.Segments, m.Checksums); err == nil {
+	if _, err := LoadSegments(dir, g, GraphFingerprint{}, m.Segments, m.Checksums); err == nil {
 		t.Fatal("LoadSegments accepted a mismatched graph fingerprint")
 	}
 
 	// Missing checksum entry.
-	if _, err := LoadSegments(dir, g, m.Graph, m.Config, m.Segments, map[string]string{}); !errors.Is(err, ErrSnapshotCorrupt) {
+	if _, err := LoadSegments(dir, g, m.Graph, m.Segments, map[string]string{}); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("missing checksums: %v, want ErrSnapshotCorrupt", err)
 	}
 
-	// A damaged artifact fails verification.
-	name := SegmentFileNames(m.Segments[0].ID)[0]
-	path := filepath.Join(dir, name)
-	orig, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append([]byte("x"), orig...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSegments(dir, g, m.Graph, m.Config, m.Segments, m.Checksums); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("damaged artifact: %v, want ErrSnapshotCorrupt", err)
-	}
-	if err := os.WriteFile(path, orig, 0o644); err != nil {
-		t.Fatal(err)
+	// A damaged artifact the shard reads fails verification; the
+	// embeddings, which it never reads, do not matter to it.
+	for _, name := range SegmentFileNames(m.Segments[0].ID) {
+		path := filepath.Join(dir, name)
+		orig, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append([]byte("x"), orig...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
+		if strings.HasSuffix(name, ".emb.bin") {
+			if err != nil {
+				t.Fatalf("damaged %s: %v, want no error", name, err)
+			}
+		} else if !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("damaged %s: %v, want ErrSnapshotCorrupt", name, err)
+		}
+		if err := os.WriteFile(path, orig, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

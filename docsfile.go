@@ -22,11 +22,11 @@ import (
 //	byte   area[off[2n]]     titles and texts, byte-exact
 //
 // Fixed-width columns put any one column at a computable offset, so a
-// reader can take the IDs (what a router plans with) without touching the
-// rest. n and off[2n] account for every byte of the file, so nothing is
-// optional and decode∘encode is the identity. Titles and texts are stored
-// as bytes, not re-encoded, so invalid UTF-8 and NUL survive a snapshot the
-// way they survive the WAL.
+// reader can take the times (what a shard worker filters by) without
+// touching the rest. n and off[2n] account for every byte of the file, so
+// nothing is optional and decode∘encode is the identity. Titles and texts
+// are stored as bytes, not re-encoded, so invalid UTF-8 and NUL survive a
+// snapshot the way they survive the WAL.
 const docsMagic = "NLDOCS1\n"
 
 const (
@@ -132,38 +132,45 @@ func readAt(r io.ReaderAt, b []byte, off int64) error {
 	return err
 }
 
-// readDocsIDs reads the documents artifact in r (size bytes) as far as the
-// ID column: it validates the header and the offset column against the
-// size, and returns the layout, the IDs and the offset column.
-func readDocsIDs(r io.ReaderAt, size int64) (docsLayout, []int, []byte, error) {
+// readDocsHead reads the documents artifact in r (size bytes) as far as its
+// layout: it validates the header and the offset column against the size,
+// and returns the layout and the offset column.
+func readDocsHead(r io.ReaderAt, size int64) (docsLayout, []byte, error) {
 	head := make([]byte, docsHeaderSize)
 	if err := readAt(r, head, 0); err != nil {
-		return docsLayout{}, nil, nil, fmt.Errorf("reading header: %w", err)
+		return docsLayout{}, nil, fmt.Errorf("reading header: %w", err)
 	}
 	l, err := parseDocsHeader(head, size)
 	if err != nil {
-		return docsLayout{}, nil, nil, err
+		return docsLayout{}, nil, err
 	}
 	offs := make([]byte, l.area-l.offs)
 	if err := readAt(r, offs, l.offs); err != nil {
-		return docsLayout{}, nil, nil, fmt.Errorf("reading offsets: %w", err)
+		return docsLayout{}, nil, fmt.Errorf("reading offsets: %w", err)
 	}
 	if err := l.checkOffsets(offs); err != nil {
-		return docsLayout{}, nil, nil, err
+		return docsLayout{}, nil, err
 	}
-	col := make([]byte, l.times-l.ids)
-	if err := readAt(r, col, l.ids); err != nil {
-		return docsLayout{}, nil, nil, fmt.Errorf("reading IDs: %w", err)
+	return l, offs, nil
+}
+
+// readTimes reads the time column of the documents artifact in r (size
+// bytes), validating its header and offset column as readDocs does; it
+// never reads the IDs or the text.
+func readTimes(r io.ReaderAt, size int64) ([]int64, error) {
+	l, _, err := readDocsHead(r, size)
+	if err != nil {
+		return nil, err
 	}
-	ids := make([]int, l.n)
-	for i := range ids {
-		id := int64(binary.LittleEndian.Uint64(col[8*i:]))
-		if int64(int(id)) != id {
-			return docsLayout{}, nil, nil, fmt.Errorf("document %d: ID %d overflows int", i, id)
-		}
-		ids[i] = int(id)
+	col := make([]byte, l.offs-l.times)
+	if err := readAt(r, col, l.times); err != nil {
+		return nil, fmt.Errorf("reading times: %w", err)
 	}
-	return l, ids, offs, nil
+	times := make([]int64, l.n)
+	for i := range times {
+		times[i] = int64(binary.LittleEndian.Uint64(col[8*i:]))
+	}
+	return times, nil
 }
 
 // readDocs decodes the documents artifact in r (size bytes), streaming the
@@ -172,9 +179,13 @@ func readDocsIDs(r io.ReaderAt, size int64) (docsLayout, []int, []byte, error) {
 // no copy of the file in between — so a segment's text stays resident
 // while any of its documents does (at most the text the snapshot loaded).
 func readDocs(r io.ReaderAt, size int64, buf []byte) ([]Document, error) {
-	l, ids, offs, err := readDocsIDs(r, size)
+	l, offs, err := readDocsHead(r, size)
 	if err != nil {
 		return nil, err
+	}
+	ids := make([]byte, l.times-l.ids)
+	if err := readAt(r, ids, l.ids); err != nil {
+		return nil, fmt.Errorf("reading IDs: %w", err)
 	}
 	times := make([]byte, l.offs-l.times)
 	if err := readAt(r, times, l.times); err != nil {
@@ -192,8 +203,12 @@ func readDocs(r io.ReaderAt, size int64, buf []byte) ([]Document, error) {
 	le := binary.LittleEndian
 	docs := make([]Document, l.n)
 	for i := range docs {
+		id := int64(le.Uint64(ids[8*i:]))
+		if int64(int(id)) != id {
+			return nil, fmt.Errorf("document %d: ID %d overflows int", i, id)
+		}
 		t0, t1, t2 := le.Uint64(offs[16*i:]), le.Uint64(offs[16*i+8:]), le.Uint64(offs[16*i+16:])
-		docs[i] = Document{ID: ids[i], Title: area[t0:t1], Text: area[t1:t2], Time: int64(le.Uint64(times[8*i:]))}
+		docs[i] = Document{ID: int(id), Title: area[t0:t1], Text: area[t1:t2], Time: int64(le.Uint64(times[8*i:]))}
 	}
 	return docs, nil
 }
@@ -208,15 +223,13 @@ func readDocsFile(path string, buf []byte) (docs []Document, err error) {
 	return docs, err
 }
 
-// readDocIDs reads the ID column of the documents artifact at path,
-// validating its header and offset column as readDocs does; it never
-// reads the time column or the text.
-func readDocIDs(path string) (ids []int, err error) {
+// readTimesFile reads the time column of the documents artifact at path.
+func readTimesFile(path string) (times []int64, err error) {
 	err = withFile(path, func(f *os.File, size int64) (err error) {
-		_, ids, _, err = readDocsIDs(f, size)
+		times, err = readTimes(f, size)
 		return err
 	})
-	return ids, err
+	return times, err
 }
 
 // withFile runs fn over the file at path and its size, and closes it.

@@ -44,4 +44,11 @@ var (
 	// ErrClosed is returned by writes after Close released the ingest
 	// pipeline and the write-ahead log.
 	ErrClosed = errors.New("newslink: engine closed")
+	// ErrReadOnly is returned by every write (and Compact) of a cluster
+	// router's engine (LoadRouted): its shard workers serve a fixed
+	// snapshot.
+	ErrReadOnly = errors.New("newslink: engine is read-only")
+	// ErrShardUnavailable is returned by a cluster router's engine when no
+	// shard worker could run a request's traversals.
+	ErrShardUnavailable = errors.New("newslink: no shard available")
 )

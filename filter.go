@@ -75,11 +75,21 @@ func newQueryFilter(snap *segmentSet, after, before int64, entities [][]string, 
 	return f, nil
 }
 
+// filteredSources is the set's text and node source with a request's
+// filter clauses compiled in: the published sources when there are none.
+func (s *segmentSet) filteredSources(after, before int64, entities [][]string) (text, node index.Source, err error) {
+	flt, err := newQueryFilter(s, after, before, entities, -1)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.textSource(flt), s.nodeSource(flt), nil
+}
+
 // entityTerms resolves entity labels to node-term sets: labels[i] becomes
 // the node-index terms of every KG node the folded label maps to. An
-// unresolvable label yields an empty set — it can match no document. The
-// cluster router ships these sets to workers (EntityTerms), so both tiers
-// share one resolution.
+// unresolvable label yields an empty set — it can match no document. A
+// cluster router's engine ships these sets to its shard workers
+// (Traversal.Entities), so every shard filters by one resolution.
 func entityTerms(g *kg.Graph, labels []string) [][]string {
 	sets := make([][]string, len(labels))
 	for i, l := range labels {

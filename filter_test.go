@@ -131,7 +131,7 @@ func bruteForceSearch(t *testing.T, e *Engine, q Query) []Result {
 		t.Fatal(err)
 	}
 	flt := mustFilter(t, e, snap, q.After, q.Before, q.Entities, -1)
-	text, node := snap.sources(flt)
+	text, node := snap.textSource(flt), snap.nodeSource(flt)
 	var bow, bon []search.Hit
 	if beta < 1 {
 		bow = exactTopK(t, text, search.NewBM25(text), search.NewQuery(qTerms), pool)
@@ -206,7 +206,7 @@ func TestFilteredShardedTraversalAgrees(t *testing.T) {
 	}
 	ctx := context.Background()
 	for name, q := range filterCases(w, arts) {
-		src, _ := snap.sources(mustFilter(t, e, snap, q.After, q.Before, q.Entities, -1))
+		src := snap.textSource(mustFilter(t, e, snap, q.After, q.Before, q.Entities, -1))
 		scorer := search.NewBM25(src)
 		for _, qText := range filterQueries {
 			_, terms, err := e.analyzeQuery(ctx, e.gs.Load(), qText)
@@ -372,7 +372,7 @@ func bruteForceRelated(t *testing.T, e *Engine, q RelatedQuery) []Result {
 	if n := snap.numLive(); pool > n {
 		pool = n
 	}
-	_, node := snap.sources(mustFilter(t, e, snap, q.After, q.Before, q.Entities, pos))
+	node := snap.nodeSource(mustFilter(t, e, snap, q.After, q.Before, q.Entities, pos))
 	nq := make(search.Query, len(emb.Counts))
 	for n, c := range emb.Counts {
 		nq[nodeTerm(n)] = float64(c)
@@ -580,17 +580,12 @@ func TestSnapshotV4BackCompat(t *testing.T) {
 	if m.Version != 6 {
 		t.Fatalf("re-saved snapshot has version %d, want 6", m.Version)
 	}
-	for _, sm := range m.Segments {
-		if _, err := SegmentDocIDs(resaved, sm.ID, m.Checksums); err != nil {
-			t.Fatalf("re-saved segment %s: %v", sm.ID, err)
-		}
+	if _, err := LoadSegments(resaved, g, m.Graph, m.Segments, m.Checksums); err != nil {
+		t.Fatalf("re-saved snapshot's postings: %v", err)
 	}
 	for name, load := range map[string]func() (*Engine, error){
 		"Load":       func() (*Engine, error) { return Load(resaved, g) },
 		"LoadOnDisk": func() (*Engine, error) { return LoadOnDisk(resaved, g) },
-		"LoadSegments": func() (*Engine, error) {
-			return LoadSegments(resaved, g, m.Graph, m.Config, m.Segments, m.Checksums)
-		},
 	} {
 		loaded, err := load()
 		if err != nil {

@@ -210,8 +210,13 @@ func (e *Engine) Ingest(doc Document) error {
 // documented synchronous semantics (ErrDuplicateID, a batch aborting at
 // the offending document, ...) hold at either setting; the applier does
 // the parallel analysis per micro-batch. Otherwise the batch is written
-// synchronously, analyzed on up to workers goroutines.
+// synchronously, analyzed on up to workers goroutines. A cluster router's
+// engine (LoadRouted) takes no write: its documents must stay the ones its
+// shard workers hold postings for.
 func (e *Engine) write(op byte, docs []Document, workers int, wait bool) error {
+	if e.remote != nil {
+		return ErrReadOnly
+	}
 	if p := e.ingest.Load(); p != nil {
 		for _, doc := range docs {
 			if err := p.submit(op, doc, wait); err != nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -389,16 +390,26 @@ func TestRouterReadyAndStats(t *testing.T) {
 }
 
 // TestBuildPlanPartition checks the plan invariants the router relies
-// on: contiguous bases, exhaustive segment coverage, live counts net of
-// tombstones, and ShardOf/slotOfPos agreement.
+// on: contiguous bases that are the segments' positions in the snapshot,
+// exhaustive segment coverage, and live counts net of tombstones.
 func TestBuildPlanPartition(t *testing.T) {
-	dir, _ := buildSnapshot(t)
+	dir, g := buildSnapshot(t)
 	m, err := newslink.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e, err := newslink.Load(dir, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	text, _ := e.SegmentIndexes()
+	docs := make([]int, len(text))
+	for i, idx := range text {
+		docs[i] = idx.NumDocs()
+	}
 	for _, n := range []int{1, 2, 3, 7} {
-		plan, err := BuildPlan(dir, m, n)
+		plan, err := BuildPlan(m, docs, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,14 +421,16 @@ func TestBuildPlanPartition(t *testing.T) {
 			if len(sp.Segments) == 0 {
 				t.Fatalf("n=%d slot %d has no segments", n, i)
 			}
+			docsIn := 0
+			for j := range sp.Segments {
+				docsIn += docs[segs+j]
+			}
+			if sp.Docs != docsIn {
+				t.Fatalf("n=%d slot %d holds %d documents, its segments %d", n, i, sp.Docs, docsIn)
+			}
 			base += sp.Docs
 			segs += len(sp.Segments)
 			live += sp.Live
-			for pos := sp.Base; pos < sp.Base+sp.Docs; pos++ {
-				if got := plan.slotOfPos(pos); got != i {
-					t.Fatalf("n=%d slotOfPos(%d) = %d, want %d", n, pos, got, i)
-				}
-			}
 		}
 		if segs != 3 {
 			t.Fatalf("n=%d covers %d segments, want 3", n, segs)
@@ -425,23 +438,23 @@ func TestBuildPlanPartition(t *testing.T) {
 		if live != 46 { // 48 docs, 2 tombstones
 			t.Fatalf("n=%d live docs %d, want 46", n, live)
 		}
-		for _, dead := range []int{3, 20} {
-			if _, ok := plan.ShardOf(dead); ok {
-				t.Fatalf("n=%d ShardOf(%d) found a tombstoned doc", n, dead)
-			}
-		}
-		if idx, ok := plan.ShardOf(40); !ok || idx != len(plan.Shards)-1 {
-			t.Fatalf("n=%d ShardOf(40) = %d,%v, want last slot %d", n, idx, ok, len(plan.Shards)-1)
-		}
 	}
-	if _, err := BuildPlan(dir, m, 0); err == nil {
+	if _, err := BuildPlan(m, docs, 0); err == nil {
 		t.Fatal("BuildPlan(0) succeeded")
+	}
+	if _, err := BuildPlan(m, docs[1:], 3); err == nil {
+		t.Fatal("BuildPlan without a count for every segment succeeded")
+	}
+	docs[0]++ // a tombstone bitmap no longer covering its segment
+	if _, err := BuildPlan(m, docs, 3); !errors.Is(err, newslink.ErrSnapshotCorrupt) {
+		t.Fatalf("BuildPlan over a miscounted segment: %v, want ErrSnapshotCorrupt", err)
 	}
 }
 
 // BenchmarkClusterScatterGather measures an end-to-end search through the
-// router and three local shard workers: each iteration is one scatter
-// (search) plus gather (merge + docs).
+// router and three local shard workers: each iteration is one scatter of
+// the traversals, the merge, and the router engine's fusion, documents and
+// snippets.
 func BenchmarkClusterScatterGather(b *testing.B) {
 	_, _, _, rt, _ := startCluster(b, Config{})
 	h := rt.Handler()

@@ -54,24 +54,30 @@ func TestWorkerUnassignedErrorPaths(t *testing.T) {
 	base := endpoints[0][0]
 
 	// Decode errors on every RPC: each handler rejects junk with 400.
-	for _, ep := range []string{"assign", "search", "docs", "explain"} {
+	for _, ep := range []string{"assign", "search"} {
 		postForCode(t, base+"/v1/shard/"+ep, "{junk", http.StatusBadRequest, "bad_request")
 	}
 
 	// The data plane takes binary frames only: what used to be a valid JSON
 	// request is malformed now, not a second accepted form.
 	postForCode(t, base+"/v1/shard/search", `{"plan":"p","k":5}`, http.StatusBadRequest, "bad_request")
-	postForCode(t, base+"/v1/shard/docs", `{"plan":"p","positions":[0]}`, http.StatusBadRequest, "bad_request")
 
-	// No RPC carries statistics any more: the route is gone, not refusing.
+	// No RPC carries statistics, documents or explanations any more: those
+	// routes are gone, not refusing.
 	getJSON(t, base+"/v1/shard/stats", http.StatusNotFound, nil)
+	for _, ep := range []string{"stats", "docs", "explain"} {
+		resp, err := http.Post(base+"/v1/shard/"+ep, "application/octet-stream", strings.NewReader("NL"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST /v1/shard/%s: status %d, want 404", ep, resp.StatusCode)
+		}
+	}
 
 	// Valid messages against an unassigned worker: 503 unassigned.
 	postForCode(t, base+"/v1/shard/search", mustMarshal(t, &SearchRequest{Plan: "p", K: 5}),
-		http.StatusServiceUnavailable, "unassigned")
-	postForCode(t, base+"/v1/shard/docs", mustMarshal(t, &DocsRequest{Plan: "p", Positions: []int{0}}),
-		http.StatusServiceUnavailable, "unassigned")
-	postForCode(t, base+"/v1/shard/explain", mustMarshal(t, &ExplainRequest{Plan: "p", Query: "q"}),
 		http.StatusServiceUnavailable, "unassigned")
 
 	// readyz says not ready; healthz and metrics answer regardless.
@@ -90,8 +96,8 @@ func TestWorkerUnassignedErrorPaths(t *testing.T) {
 }
 
 // TestWorkerAssignedErrorPaths exercises the post-assignment error
-// contract: plan mismatches are 409 (re-assign, don't retry), unknown
-// documents are 404, and the metrics endpoint reflects the live engine.
+// contract: plan mismatches are 409 (re-assign, don't retry), and the
+// readiness and metrics endpoints reflect the installed assignment.
 func TestWorkerAssignedErrorPaths(t *testing.T) {
 	dir, g := buildSnapshot(t)
 	_, endpoints := startWorkers(t, g, 3)
@@ -101,14 +107,8 @@ func TestWorkerAssignedErrorPaths(t *testing.T) {
 
 	postForCode(t, base+"/v1/shard/search", mustMarshal(t, &SearchRequest{Plan: "bogus", K: 5}),
 		http.StatusConflict, "plan_mismatch")
-	postForCode(t, base+"/v1/shard/docs", mustMarshal(t, &DocsRequest{Plan: "bogus", Positions: []int{0}}),
-		http.StatusConflict, "plan_mismatch")
-	postForCode(t, base+"/v1/shard/docs",
-		mustMarshal(t, &DocsRequest{Plan: plan, Positions: []int{999999}}),
-		http.StatusNotFound, "unknown_document")
-	postForCode(t, base+"/v1/shard/explain",
-		mustMarshal(t, &ExplainRequest{Plan: plan, Query: "border", DocID: 999999, MaxPaths: 2}),
-		http.StatusNotFound, "unknown_document")
+	postForCode(t, base+"/v1/shard/search", mustMarshal(t, &SearchRequest{Plan: plan, K: 0}),
+		http.StatusBadRequest, "bad_request")
 
 	getJSON(t, base+"/v1/readyz", http.StatusOK, nil)
 	var metrics map[string]any
@@ -140,8 +140,8 @@ func TestRouterParamValidation(t *testing.T) {
 	} {
 		getJSON(t, ts.URL+bad, http.StatusBadRequest, nil)
 	}
-	// A document id outside the plan (or tombstoned) is 404 without any
-	// shard round-trip.
+	// A document id outside the snapshot (or tombstoned) is 404 from the
+	// router's own engine.
 	getJSON(t, ts.URL+"/v1/explain?q=x&id=999999", http.StatusNotFound, nil)
 
 	var metrics map[string]any

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -20,17 +22,38 @@ import (
 
 // liveSlotReference serves the corpus of every slot except the excluded
 // one through a single-process engine: the oracle for degraded results.
-// The excluded slot's documents simply do not exist in this engine, so
-// its ranking is exactly what "merge the live shards" must produce.
+// The excluded slot's documents simply do not exist in this engine — it
+// loads a copy of the snapshot whose manifest lists only the other
+// slots' segments — so its ranking is exactly what "merge the live
+// shards" must produce.
 func liveSlotReference(t *testing.T, dir string, g *kg.Graph, plan *Plan, exclude int) *httptest.Server {
 	t.Helper()
-	var segs []newslink.ManifestSegment
+	m, err := newslink.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Segments = nil
 	for i, sp := range plan.Shards {
 		if i != exclude {
-			segs = append(segs, sp.Segments...)
+			m.Segments = append(m.Segments, sp.Segments...)
 		}
 	}
-	eng, err := newslink.LoadSegments(dir, g, plan.Graph, plan.Config, segs, plan.Checksums)
+	sub := t.TempDir()
+	for _, sm := range m.Segments {
+		for _, name := range newslink.SegmentFileNames(sm.ID) {
+			if err := os.Link(filepath.Join(dir, name), filepath.Join(sub, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	meta, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(sub, "meta.json"), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := newslink.Load(sub, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +130,11 @@ func TestDegradedOnShardError(t *testing.T) {
 		t.Fatalf("partial-results counter did not move: %d", got)
 	}
 
-	// Explain for a document on the dead shard degrades to 503; a live
-	// shard's document still answers.
+	// Explain runs on the router's engine, which holds every document and
+	// embedding: the dead shard's documents still explain; so do a live
+	// shard's.
 	sp := rt.Plan().Shards[1]
-	getJSON(t, ts.URL+fmt.Sprintf("/v1/explain?q=x&id=%d", sp.Base), http.StatusServiceUnavailable, nil)
+	getJSON(t, ts.URL+fmt.Sprintf("/v1/explain?q=x&id=%d", sp.Base), http.StatusOK, nil)
 	getJSON(t, ts.URL+"/v1/explain?q=border&id=0", http.StatusOK, nil)
 
 	faults.Disarm()

@@ -140,13 +140,12 @@ func (rt *Router) assignEndpoint(ctx context.Context, sl *slot, ep *endpoint) er
 }
 
 // assignRequest is the slot's assignment: segment IDs and tombstones plus
-// the checksums of their artifacts. Documents reach the worker in the
+// the checksums of their artifacts. Postings reach the worker in the
 // artifacts, never in the request.
 func (rt *Router) assignRequest(sl *slot) *AssignRequest {
 	return &AssignRequest{
 		Plan:      rt.plan.ID,
 		Base:      sl.plan.Base,
-		Config:    rt.plan.Config,
 		Graph:     rt.plan.Graph,
 		Segments:  sl.plan.Segments,
 		Checksums: slotChecksums(rt.plan, sl.plan),

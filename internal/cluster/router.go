@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"sync"
@@ -51,11 +49,12 @@ type Config struct {
 	// BreakerThreshold is the consecutive-failure count that ejects an
 	// endpoint (default 3).
 	BreakerThreshold int
-	// RequestTimeout is the total budget of one client search/explain
-	// request; per-shard attempt deadlines are carved out of what
-	// remains of it (default 10s).
+	// RequestTimeout is the total budget of one client request (the
+	// front door's query timeout); per-shard attempt deadlines are carved
+	// out of what remains of it (default 10s).
 	RequestTimeout time.Duration
-	// Logger receives structured ejection/re-admission and access events.
+	// Logger receives structured ejection/re-admission events and the
+	// front door's access log.
 	Logger *slog.Logger
 }
 
@@ -85,7 +84,7 @@ func (c Config) withDefaults() Config {
 }
 
 // slot is one shard of the plan at runtime: its replicas, round-robin
-// cursor, latency history and the directories of its segment indexes.
+// cursor, latency history and the indexes of its segments.
 type slot struct {
 	idx   int
 	stage string // the slot's span name, obs.StageShard(idx)
@@ -95,39 +94,11 @@ type slot struct {
 	lat   *obs.Histogram
 	reqs  map[string]*obs.Counter // outcome -> request counter
 
-	// text and node are the slot's segment indexes in plan order, opened
-	// file-backed: term directories and document lengths are resident,
-	// postings stay in the files and the router never reads one.
-	text, node []*index.Index
-}
-
-// open checksum-verifies and opens the text and node index of every
-// segment of the slot. Like the loaders, it answers a missing, torn or
-// flipped artifact, or one indexing another number of documents than the
-// segment's documents artifact holds, with ErrSnapshotCorrupt; what it
-// opened before failing stays on the slot for the caller to close.
-func (sl *slot) open(dir string, checksums map[string]string) error {
-	for i, sm := range sl.plan.Segments {
-		for _, leg := range []struct {
-			suffix string
-			into   *[]*index.Index
-		}{{".text.idx", &sl.text}, {".node.idx", &sl.node}} {
-			name := "seg-" + sm.ID + leg.suffix
-			if err := newslink.VerifyArtifact(dir, name, checksums); err != nil {
-				return err
-			}
-			idx, err := index.OpenIndex(filepath.Join(dir, name))
-			if err != nil {
-				return fmt.Errorf("%w: %s: %v", newslink.ErrSnapshotCorrupt, name, err)
-			}
-			*leg.into = append(*leg.into, idx)
-			if idx.NumDocs() != sl.plan.SegmentDocs[i] {
-				return fmt.Errorf("%w: %s indexes %d documents, the segment holds %d",
-					newslink.ErrSnapshotCorrupt, name, idx.NumDocs(), sl.plan.SegmentDocs[i])
-			}
-		}
-	}
-	return nil
+	// text and node are the slot's segment indexes in plan order — the
+	// router engine's own, file-backed: term directories and document
+	// lengths resident, postings in the files, and the router never reads
+	// one.
+	text, node []index.Source
 }
 
 // corpusStats is what a pass needs to know about its target corpus before
@@ -145,9 +116,7 @@ func statsOf(target []*slot) corpusStats {
 	var text, node []index.Source
 	live := 0
 	for _, sl := range target {
-		for i := range sl.text {
-			text, node = append(text, sl.text[i]), append(node, sl.node[i])
-		}
+		text, node = append(text, sl.text...), append(node, sl.node...)
 		live += sl.plan.Live
 	}
 	return corpusStats{text: index.NewMulti(text...), node: index.NewMulti(node...), live: live}
@@ -174,19 +143,19 @@ func (sl *slot) live() []*endpoint {
 // latencyBounds bucket per-shard RPC latencies (seconds).
 var latencyBounds = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5}
 
-// Router serves the public search/explain API by scatter-gather over
-// shard workers. It holds the knowledge graph (for query analysis — the
-// same analysis a single-process engine runs) and the snapshot directory
-// (to seed workers over the blob endpoint, and to read term statistics
-// and document IDs from): it opens every segment index's directory, never
-// a posting, and reads every segment's document ID column, never a text.
+// Router serves the public API from an engine over the whole snapshot —
+// documents, embeddings and the knowledge graph, so analysis, fusion,
+// documents, snippets, related news and explanations run here exactly as
+// in a single process — while the postings traversals of every request
+// are scattered over the shard workers (traverse). It also serves the
+// snapshot's artifacts to the workers over the blob endpoint.
 type Router struct {
 	plan     *Plan
 	dir      string
 	cfg      Config
 	log      *slog.Logger
 	client   *http.Client
-	analyzer *newslink.Engine
+	engine   *newslink.Engine
 	registry *obs.Registry
 	slots    []*slot
 
@@ -201,17 +170,14 @@ type Router struct {
 
 // NewRouter builds a router over the version-6 snapshot in dir (an older
 // one is ErrSnapshotVersion: Load and Save it with this build first): it
-// reads the manifest and the ID column of every segment's documents
-// artifact, partitions the segment set into len(cfg.Endpoints) slots
-// (fewer when the snapshot has fewer segments; surplus endpoint groups
-// fold into the existing slots as extra replicas), checksum-verifies and
-// opens the index artifacts of every segment (dir must hold every
-// segment's documents and index artifacts — every Save output does; a
-// damaged one is ErrSnapshotCorrupt), and prepares — but does not start —
-// the serving state. The router holds no document. Call Start to assign
-// workers and begin health probing, and serve Handler over HTTP at
-// cfg.SelfURL before Start so workers can fetch artifacts. Close the
-// router when done.
+// restores the snapshot as newslink.LoadRouted (every artifact
+// checksum-verified; a damaged one is ErrSnapshotCorrupt), partitions the
+// segment set into len(cfg.Endpoints) slots (fewer when the snapshot has
+// fewer segments; surplus endpoint groups fold into the existing slots as
+// extra replicas), and prepares — but does not start — the serving state.
+// Call Start to assign workers and begin health probing, and serve Handler
+// over HTTP at cfg.SelfURL before Start so workers can fetch artifacts.
+// Close the router when done.
 func NewRouter(dir string, g *kg.Graph, cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Endpoints) == 0 {
@@ -226,40 +192,38 @@ func NewRouter(dir string, g *kg.Graph, cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := BuildPlan(dir, m, len(cfg.Endpoints))
-	if err != nil {
-		return nil, err
-	}
-	if got, want := plan.Graph, newslink.FingerprintGraph(g); got != want {
-		return nil, fmt.Errorf("cluster: graph fingerprint %+v does not match snapshot %+v", want, got)
-	}
 	log := cfg.Logger
 	if log == nil {
 		log = slog.Default()
 	}
-	analyzer := newslink.New(g, plan.Config)
-	rt := &Router{
-		plan:     plan,
-		dir:      dir,
-		cfg:      cfg,
-		log:      log,
-		client:   &http.Client{},
-		analyzer: analyzer,
-		registry: analyzer.Metrics(),
+	rt := &Router{dir: dir, cfg: cfg, log: log, client: &http.Client{}}
+	if rt.engine, err = newslink.LoadRouted(dir, g, rt.traverse); err != nil {
+		return nil, err
 	}
+	text, node := rt.engine.SegmentIndexes()
+	docs := make([]int, len(text))
+	for i, idx := range text {
+		docs[i] = idx.NumDocs()
+	}
+	if rt.plan, err = BuildPlan(m, docs, len(cfg.Endpoints)); err != nil {
+		rt.engine.Close()
+		return nil, err
+	}
+	rt.registry = rt.engine.Metrics()
 	rt.mRetries = rt.registry.Counter("newslink_cluster_retries_total",
 		"Shard RPC retries after a failed attempt.")
 	rt.mHedges = rt.registry.Counter("newslink_cluster_hedges_total",
 		"Hedged (duplicate) shard requests fired against a second replica.")
 	rt.mPartial = rt.registry.Counter("newslink_cluster_partial_results_total",
-		"Search responses served degraded from a subset of shards.")
+		"Responses served degraded from a subset of shards.")
 	// Surplus endpoint groups (more groups than the snapshot has
 	// segments, hence slots) become extra replicas, round-robin.
-	groups := make([][]string, len(plan.Shards))
+	groups := make([][]string, len(rt.plan.Shards))
 	for i, group := range cfg.Endpoints {
-		groups[i%len(plan.Shards)] = append(groups[i%len(plan.Shards)], group...)
+		groups[i%len(rt.plan.Shards)] = append(groups[i%len(rt.plan.Shards)], group...)
 	}
-	for i, sp := range plan.Shards {
+	seg := 0
+	for i, sp := range rt.plan.Shards {
 		shard := strconv.Itoa(i)
 		sl := &slot{
 			idx:   i,
@@ -276,11 +240,11 @@ func NewRouter(dir string, g *kg.Graph, cfg Config) (*Router, error) {
 		for _, url := range groups[i] {
 			sl.eps = append(sl.eps, &endpoint{url: url})
 		}
-		rt.slots = append(rt.slots, sl)
-		if err := sl.open(dir, plan.Checksums); err != nil {
-			rt.Close()
-			return nil, err
+		for range sp.Segments {
+			sl.text, sl.node = append(sl.text, text[seg]), append(sl.node, node[seg])
+			seg++
 		}
+		rt.slots = append(rt.slots, sl)
 	}
 	rt.full = statsOf(rt.slots)
 	return rt, nil
@@ -326,36 +290,27 @@ func (rt *Router) Start(ctx context.Context) error {
 	return nil
 }
 
-// Close releases idle transport connections and the index files.
+// Close releases idle transport connections and the snapshot's files.
 func (rt *Router) Close() {
 	rt.client.CloseIdleConnections()
-	for _, sl := range rt.slots {
-		for _, idx := range slices.Concat(sl.text, sl.node) {
-			_ = idx.Close()
-		}
-	}
+	_ = rt.engine.Close()
 }
 
-// Handler returns the router's public HTTP surface: the same /v1/search
-// and /v1/explain contract the single-process server exposes (plus the
-// unversioned aliases), the blob endpoint workers fetch artifacts from,
-// and health/metrics.
+// Handler returns the router's public HTTP surface: the single-process
+// server's (internal/server) over the router's engine — every route, with
+// its grammar, errors, access log and metrics — except that readiness and
+// /v1/stats report the cluster (ready while at least one slot has a live
+// replica; ClusterStatus), plus the blob endpoint workers fetch artifacts
+// from.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
+	mux.Handle("/", server.New(rt.engine, server.WithQueryTimeout(rt.cfg.RequestTimeout), server.WithLogger(rt.log)).Handler())
 	for _, prefix := range []string{"/v1", ""} {
-		mux.HandleFunc("GET "+prefix+"/search", rt.handleSearch)
-		mux.HandleFunc("GET "+prefix+"/explain", rt.handleExplain)
-		mux.HandleFunc("GET "+prefix+"/healthz", rt.handleHealth)
 		mux.HandleFunc("GET "+prefix+"/readyz", rt.handleReady)
 		mux.HandleFunc("GET "+prefix+"/stats", rt.handleStats)
-		mux.HandleFunc("GET "+prefix+"/metrics", rt.handleMetrics)
 	}
 	mux.HandleFunc("GET /v1/shard/blob/{name}", blobHandler(rt.dir))
 	return mux
-}
-
-func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReady answers ready while at least one shard can serve; a
@@ -404,134 +359,30 @@ func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 	server.WriteJSON(w, http.StatusOK, st)
 }
 
-// Metrics returns the router's registry: the analyzer engine's metrics
-// plus the cluster counters and per-shard latency histograms.
+// Metrics returns the router's registry: its engine's metrics, the HTTP
+// layer's, and the cluster counters and per-shard latency histograms.
 func (rt *Router) Metrics() *obs.Registry { return rt.registry }
 
-func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = rt.registry.WriteJSON(w)
-}
-
-// httpError carries a status/code pair from the scatter pipeline to the
-// handler's error envelope.
-type httpError struct {
-	Status  int
-	Code    string
-	Message string
-}
-
-func (e *httpError) Error() string { return e.Message }
-
-func httpErrorf(status int, code, format string, args ...any) *httpError {
-	return &httpError{Status: status, Code: code, Message: fmt.Sprintf(format, args...)}
-}
-
-// writeRouterError maps pipeline errors onto the uniform envelope.
-func (rt *Router) writeRouterError(w http.ResponseWriter, err error) {
-	var he *httpError
-	switch {
-	case errors.As(err, &he):
-		server.WriteError(w, he.Status, he.Code, "%s", he.Message)
-	case errors.Is(err, context.Canceled):
-		server.WriteError(w, server.StatusClientClosedRequest, "client_closed_request", "request cancelled")
-	case errors.Is(err, context.DeadlineExceeded):
-		server.WriteError(w, http.StatusGatewayTimeout, "deadline_exceeded", "query deadline exceeded")
-	default:
-		server.WriteError(w, http.StatusInternalServerError, "internal", "%v", err)
-	}
-}
-
-func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q, err := server.SearchParams(r)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
-	defer cancel()
-	var tr *obs.Trace
-	if r.URL.Query().Get("trace") == "1" {
-		ctx, tr = obs.WithTrace(ctx)
-	}
-	resp, err := rt.search(ctx, q.Text, q.K, q.PoolDepth, q.Beta, rt.wireFilterOf(q.After, q.Before, q.Entities))
-	if err != nil {
-		rt.writeRouterError(w, err)
-		return
-	}
-	resp.Trace = tr.Spans()
-	server.WriteJSON(w, http.StatusOK, resp)
-}
-
-// wireFilter is one request's document-filter clauses in the shape the
-// shard RPC carries: time bounds verbatim, entity labels already resolved
-// to node-term sets against the router's graph. Resolving once here means
-// every shard filters by identical terms and the composed facet equals a
-// single process's over the merged corpus.
-type wireFilter struct {
-	after, before int64
-	entities      [][]string
-}
-
-func (f wireFilter) empty() bool {
-	return f.after == 0 && f.before == 0 && len(f.entities) == 0
-}
-
-// wireFilterOf resolves a request's parsed filter clauses (the
-// single-process server's grammar) against the router's knowledge graph. A
-// label that resolves to nothing stays as an empty term set: it must reach
-// the workers so the facet matches no document, exactly as on a single
-// process.
-func (rt *Router) wireFilterOf(after, before int64, labels []string) wireFilter {
-	f := wireFilter{after: after, before: before}
-	if len(labels) > 0 {
-		f.entities = rt.analyzer.EntityTerms(labels)
-	}
-	return f
-}
-
-// search runs the scatter-gather pipeline with graceful degradation:
-// shards that fail mid-request are dropped and the pipeline re-runs
-// over the survivors (global statistics re-read over their segments, so
-// the ranking over the remaining corpus stays exact). Only zero live
-// shards fail the request.
-func (rt *Router) search(ctx context.Context, q string, k, pool int, betaOverride *float64, flt wireFilter) (*server.SearchResponse, error) {
-	beta := rt.plan.Config.Beta
-	if betaOverride != nil {
-		beta = *betaOverride
-	}
-	if pool <= 0 {
-		pool = rt.plan.Config.PoolDepth
-	}
-	if pool == 0 {
-		pool = 100
-	}
-	if pool < k {
-		pool = k
-	}
-	terms, nodeWeights, err := rt.analyzer.AnalyzeQuery(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	textQuery := search.NewQuery(terms)
-	nodeQuery := search.Query(nodeWeights)
-	runBOW := beta < 1
-	runBON := beta > 0 && nodeWeights != nil
-	// failed tracks slots lost during *this* request; each pipeline pass
-	// either completes or adds at least one slot to it, bounding the
-	// degradation loop by the slot count.
+// traverse is the router engine's Traversal step: the request's postings
+// traversals scattered over the live slots, with graceful degradation —
+// shards that fail mid-request are dropped and the pass re-runs over the
+// survivors, statistics re-read over their segments, so the ranking over
+// the remaining corpus stays exact. Only zero live shards fail the
+// request.
+func (rt *Router) traverse(ctx context.Context, t newslink.Traversal) (newslink.Retrieval, error) {
+	// failed tracks slots lost during *this* request; each pass either
+	// completes or adds at least one slot to it, bounding the degradation
+	// loop by the slot count.
 	failed := make(map[int]bool)
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return newslink.Retrieval{}, err
 		}
 		target := rt.liveSlots(failed)
 		if len(target) == 0 {
-			return nil, httpErrorf(http.StatusServiceUnavailable, "shard_unavailable",
-				"no live shard can serve the request")
+			return newslink.Retrieval{}, fmt.Errorf("%w: no live shard can serve the request", newslink.ErrShardUnavailable)
 		}
-		resp, lost := rt.searchOnce(ctx, target, q, k, pool, beta, runBOW, runBON, terms, textQuery, nodeQuery, flt)
+		ret, lost := rt.traverseOnce(ctx, target, t)
 		if len(lost) > 0 {
 			for _, idx := range lost {
 				failed[idx] = true
@@ -540,13 +391,12 @@ func (rt *Router) search(ctx context.Context, q string, k, pool int, betaOverrid
 			continue
 		}
 		if len(target) < len(rt.slots) {
-			resp.Degraded = true
-			resp.DegradedReason = "shard_unavailable"
+			ret.DegradedReason = "shard_unavailable"
 			rt.mPartial.Inc()
 		}
-		resp.ShardsTotal = len(rt.slots)
-		resp.ShardsOK = len(target)
-		return resp, nil
+		ret.ShardsTotal = len(rt.slots)
+		ret.ShardsOK = len(target)
+		return ret, nil
 	}
 }
 
@@ -562,13 +412,13 @@ func (rt *Router) liveSlots(failed map[int]bool) []*slot {
 	return out
 }
 
-// searchOnce runs one pipeline pass over a fixed target set. It returns
-// the response, or the slots lost during the pass (the caller then
-// shrinks the target and re-runs). Filter clauses affect only the scatter:
-// statistics stay those of the unfiltered target corpus (matching a single
-// process's filtered-statistics semantics), so scorers, term order and
-// pool clamp are filter-independent.
-func (rt *Router) searchOnce(ctx context.Context, target []*slot, q string, k, pool int, beta float64, runBOW, runBON bool, terms []string, textQuery, nodeQuery search.Query, flt wireFilter) (*server.SearchResponse, []int) {
+// traverseOnce runs one pass over a fixed target set. It returns the
+// merged candidate lists, or the slots lost during the pass (the caller
+// then shrinks the target and re-runs). Filter clauses affect only the
+// workers' traversals: statistics stay those of the unfiltered target
+// corpus (matching a single process's filtered-statistics semantics), so
+// scorers, term order and pool clamp are filter-independent.
+func (rt *Router) traverseOnce(ctx context.Context, target []*slot, t newslink.Traversal) (newslink.Retrieval, []int) {
 	tr := obs.FromContext(ctx)
 
 	// Statistics: read off the target's merged directories, exactly as a
@@ -579,58 +429,68 @@ func (rt *Router) searchOnce(ctx context.Context, target []*slot, q string, k, p
 	}
 	// The candidate pool never usefully exceeds the live corpus in
 	// target, mirroring the engine's own clamp.
-	pool = min(pool, stats.live)
+	pool := min(t.Pool, stats.live)
 	textScorer := search.NewBM25(stats.text)
 	nodeScorer := search.NodeBM25(stats.node.NumDocs(), stats.node.AvgDocLen())
 
 	// Canonical global term order — the engine's own OrderTerms — so every
 	// shard accumulates in the same order.
 	var orderedText, orderedNode []search.OrderedTerm
-	if runBOW {
-		orderedText, _ = search.OrderTerms(stats.text, textScorer, textQuery)
+	if t.Text != nil {
+		orderedText, _ = search.OrderTerms(stats.text, textScorer, t.Text)
 	}
-	if runBON {
-		orderedNode, _ = search.OrderTerms(stats.node, nodeScorer, nodeQuery)
+	if t.Node != nil {
+		orderedNode, _ = search.OrderTerms(stats.node, nodeScorer, t.Node)
 	}
 	if pool == 0 || len(orderedText)+len(orderedNode) == 0 {
 		// Nothing can match (empty live corpus or no query term posted
 		// anywhere); skip the scatter entirely.
-		return &server.SearchResponse{Query: q, K: k, Results: []newslink.Result{}}, nil
+		return newslink.Retrieval{}, nil
+	}
+	// The workers know no exclusion: ask one candidate deeper and drop the
+	// excluded position from the merged lists. Lists ordered by one total
+	// order lose nothing by it — the top pool of the rest is what remains.
+	depth := pool
+	if t.Exclude >= 0 {
+		depth++
 	}
 
-	// Scatter the search.
 	sp := tr.Start(obs.StageScatter)
-	perSlot, lost := rt.scatterSearch(ctx, target, pool, orderedText, orderedNode, textScorer, nodeScorer, flt)
+	perSlot, lost := rt.scatterSearch(ctx, target, depth, orderedText, orderedNode, textScorer, nodeScorer, t)
 	sp.End(obs.Int("shards", len(target)), obs.Int("lost", len(lost)))
 	if len(lost) > 0 {
-		return nil, lost
+		return newslink.Retrieval{}, lost
 	}
 
-	// Gather: merge the per-slot lists (decoded straight into
-	// global positions) with the sharded-merge comparator, fuse, and
-	// materialize documents.
+	// Gather: merge the per-slot lists (decoded straight into global
+	// positions) with the sharded-merge comparator.
 	gsp := tr.Start(obs.StageGather)
 	bowLists := make([][]search.Hit, len(target))
 	bonLists := make([][]search.Hit, len(target))
 	for i := range target {
 		bowLists[i], bonLists[i] = perSlot[i].Text, perSlot[i].Node
 	}
-	bow := search.MergeTopK(pool, bowLists...)
-	bon := search.MergeTopK(pool, bonLists...)
-	fused := search.Fuse(bow, bon, beta, k)
-	results, lost := rt.gatherDocs(ctx, target, fused, terms)
-	gsp.End(obs.Int("bow_candidates", len(bow)), obs.Int("bon_candidates", len(bon)), obs.Int("fused", len(fused)))
-	if len(lost) > 0 {
-		return nil, lost
+	ret := newslink.Retrieval{
+		BOW: without(search.MergeTopK(depth, bowLists...), t.Exclude, pool),
+		BON: without(search.MergeTopK(depth, bonLists...), t.Exclude, pool),
 	}
-	return &server.SearchResponse{Query: q, K: k, Results: results}, nil
+	gsp.End(obs.Int("bow_candidates", len(ret.BOW)), obs.Int("bon_candidates", len(ret.BON)))
+	return ret, nil
+}
+
+// without drops the hit at position exclude (if any) from a ranked list
+// and truncates it to n.
+func without(hits []search.Hit, exclude, n int) []search.Hit {
+	if exclude >= 0 {
+		hits = slices.DeleteFunc(hits, func(h search.Hit) bool { return int(h.Doc) == exclude })
+	}
+	return hits[:min(len(hits), n)]
 }
 
 // scatter is the router's one fan-out: it runs fn once per target slot,
 // concurrently — the last on the calling goroutine, which would otherwise
 // only wait — and returns the indexes of the slots whose call failed, in
-// target order. Search and document gather are each one call per slot
-// whose failure loses that slot for the pass.
+// target order.
 func (rt *Router) scatter(target []*slot, fn func(i int, sl *slot) error) (lost []int) {
 	if len(target) == 0 {
 		return nil
@@ -658,20 +518,20 @@ func (rt *Router) scatter(target []*slot, fn func(i int, sl *slot) error) (lost 
 // scatterSearch fans the ordered-term evaluation out to every target
 // slot, one span per shard leg. Results are indexed like target; lost
 // slots are reported instead of partial lists.
-func (rt *Router) scatterSearch(ctx context.Context, target []*slot, pool int, orderedText, orderedNode []search.OrderedTerm, textScorer, nodeScorer search.BM25, flt wireFilter) ([]SearchResponse, []int) {
+func (rt *Router) scatterSearch(ctx context.Context, target []*slot, k int, orderedText, orderedNode []search.OrderedTerm, textScorer, nodeScorer search.BM25, t newslink.Traversal) ([]SearchResponse, []int) {
 	tr := obs.FromContext(ctx)
 	perSlot := make([]SearchResponse, len(target))
 	// Every slot evaluates the same request, read-only.
 	req := SearchRequest{
 		Plan:       rt.plan.ID,
-		K:          pool,
+		K:          k,
 		Text:       orderedText,
 		Node:       orderedNode,
 		TextScorer: scorerParams(textScorer),
 		NodeScorer: scorerParams(nodeScorer),
-		After:      flt.after,
-		Before:     flt.before,
-		Entities:   flt.entities,
+		After:      t.After,
+		Before:     t.Before,
+		Entities:   t.Entities,
 	}
 	lost := rt.scatter(target, func(i int, sl *slot) error {
 		sp := tr.Start(sl.stage)
@@ -687,102 +547,4 @@ func (rt *Router) scatterSearch(ctx context.Context, target []*slot, pool int, o
 
 func scorerParams(s search.BM25) ScorerParams {
 	return ScorerParams{K1: s.K1, B: s.B, N: s.N, AvgLen: s.AvgLen}
-}
-
-// gatherDocs materializes the fused ranking: positions are grouped by
-// owning slot, fetched in parallel, and reassembled in rank order.
-func (rt *Router) gatherDocs(ctx context.Context, target []*slot, fused []search.Hit, terms []string) ([]newslink.Result, []int) {
-	results := make([]newslink.Result, len(fused))
-	if len(fused) == 0 {
-		return results, nil
-	}
-	// ranks[i] lists the fused ranks target[i] serves, each list carved
-	// from one backing array with room for all of them. A plan has a
-	// handful of slots, so finding a hit's slot in target is a short scan.
-	ranks := make([][]int, len(target))
-	store := make([]int, len(target)*len(fused))
-	for i := range ranks {
-		ranks[i] = store[i*len(fused) : i*len(fused) : (i+1)*len(fused)]
-	}
-	var lost []int
-	for rank, h := range fused {
-		idx := rt.plan.slotOfPos(int(h.Doc))
-		ti := slices.IndexFunc(target, func(sl *slot) bool { return sl.idx == idx })
-		if ti < 0 {
-			// A merged hit can only come from a target slot; this is a
-			// plan/merge invariant violation, treat the slot as lost.
-			if !slices.Contains(lost, idx) {
-				lost = append(lost, idx)
-			}
-			continue
-		}
-		ranks[ti] = append(ranks[ti], rank)
-	}
-	lost = append(lost, rt.scatter(target, func(ti int, sl *slot) error {
-		ranks := ranks[ti]
-		if len(ranks) == 0 {
-			return nil
-		}
-		req := DocsRequest{Plan: rt.plan.ID, Positions: make([]int, len(ranks)), Terms: terms}
-		for i, rank := range ranks {
-			req.Positions[i] = int(fused[rank].Doc) - sl.plan.Base
-		}
-		var resp DocsResponse
-		if err := rt.callSlot(ctx, sl, "/v1/shard/docs", &req, &resp); err != nil {
-			return err
-		}
-		if len(resp.Docs) != len(ranks) {
-			return fmt.Errorf("cluster: slot %d returned %d documents for %d positions", sl.idx, len(resp.Docs), len(ranks))
-		}
-		for i, rank := range ranks {
-			results[rank] = newslink.Result{
-				ID:      resp.Docs[i].ID,
-				Title:   resp.Docs[i].Title,
-				Score:   fused[rank].Score,
-				Snippet: resp.Docs[i].Snippet,
-			}
-		}
-		return nil
-	})...)
-	return results, lost
-}
-
-func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
-	q, id, paths, err := server.ExplainParams(r)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	flt := rt.wireFilterOf(q.After, q.Before, q.Entities)
-	idx, ok := rt.plan.ShardOf(id)
-	if !ok {
-		server.WriteError(w, http.StatusNotFound, "unknown_document", "no live document %d", id)
-		return
-	}
-	sl := rt.slots[idx]
-	if len(sl.live()) == 0 {
-		server.WriteError(w, http.StatusServiceUnavailable, "shard_unavailable",
-			"the shard holding document %d is unavailable", id)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
-	defer cancel()
-	req := ExplainRequest{Plan: rt.plan.ID, Query: q.Text, DocID: id, MaxPaths: paths,
-		After: flt.after, Before: flt.before, Entities: flt.entities}
-	var resp ExplainResponse
-	if err := rt.callSlot(ctx, sl, "/v1/shard/explain", &req, &resp); err != nil {
-		var se *rpcStatusError
-		switch {
-		case errors.As(err, &se) && se.Status == http.StatusNotFound:
-			server.WriteError(w, http.StatusNotFound, "unknown_document", "%s", se.Message)
-		case errors.Is(err, context.DeadlineExceeded):
-			server.WriteError(w, http.StatusGatewayTimeout, "deadline_exceeded", "query deadline exceeded")
-		case errors.Is(err, context.Canceled):
-			server.WriteError(w, server.StatusClientClosedRequest, "client_closed_request", "request cancelled")
-		default:
-			server.WriteError(w, http.StatusServiceUnavailable, "shard_unavailable", "%v", err)
-		}
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, server.ExplainResponse{Query: q.Text, DocID: id, Explanation: resp.Explanation})
 }

@@ -25,11 +25,13 @@ import (
 )
 
 // TestNewVocabularyCostsTwoRPCsPerShard: the router reads statistics from
-// the snapshot it owns, so a query whose terms it has never seen costs what
-// every query costs — one search per live shard and one docs call per shard
-// owning a result — and nothing is ever sent to the retired /v1/shard/stats,
-// which is no longer a route. The router's indexes serve all of it from
-// their directories: not one postings byte is read.
+// the snapshot it owns and holds every document itself, so any query —
+// one whose terms it has never seen, or an entity-filtered one — costs
+// what every query costs: one search per live shard and nothing else (the
+// docs call that made it two is gone). Nothing is ever sent to the retired
+// /v1/shard/{stats,docs,explain}, which are no longer routes, and the
+// router's indexes serve all of it from their directories: not one
+// postings byte is read.
 func TestNewVocabularyCostsTwoRPCsPerShard(t *testing.T) {
 	dir, g := buildSnapshot(t)
 	var mu sync.Mutex
@@ -49,58 +51,49 @@ func TestNewVocabularyCostsTwoRPCsPerShard(t *testing.T) {
 	rt, ts := startRouter(t, dir, g, Config{Endpoints: endpoints})
 	ref := referenceServer(t, dir, g)
 
-	sixes := 0
+	entity := filteredParams()[3]
+	paths := []string{"/v1/search?q=" + url.QueryEscape(identityQueries[0]) + "&k=10" + entity}
 	for _, q := range identityQueries {
+		paths = append(paths, "/v1/search?q="+url.QueryEscape(q)+"&k=10")
+	}
+	for _, path := range paths {
 		mu.Lock()
 		clear(calls)
 		mu.Unlock()
-		// The first time the router sees any of these terms.
-		path := "/v1/search?q=" + url.QueryEscape(q) + "&k=10"
 		var got, want server.SearchResponse
 		getJSON(t, ts.URL+path, http.StatusOK, &got)
 		getJSON(t, ref.URL+path, http.StatusOK, &want)
 		if got.Degraded || !reflect.DeepEqual(got.Results, want.Results) {
 			t.Fatalf("%s: cluster diverges from the single process\ncluster: %+v\nsingle:  %+v", path, got, want.Results)
 		}
-		owners := map[int]bool{}
-		for _, r := range got.Results {
-			slot, ok := rt.Plan().ShardOf(r.ID)
-			if !ok {
-				t.Fatalf("%s: result %d belongs to no slot", path, r.ID)
-			}
-			owners[slot] = true
-		}
 		wantCalls := map[string]int{}
 		if len(got.Results) > 0 {
-			wantCalls["/v1/shard/search"], wantCalls["/v1/shard/docs"] = 3, len(owners)
+			wantCalls["/v1/shard/search"] = 3
+		} else if path == paths[0] {
+			t.Fatalf("%s: the entity-filtered query matched nothing; the filtered case went unexercised", path)
 		}
 		mu.Lock()
 		if !reflect.DeepEqual(calls, wantCalls) {
 			t.Errorf("%s: shard calls %v, want %v", path, calls, wantCalls)
 		}
 		mu.Unlock()
-		if len(owners) == 3 {
-			sixes++
+	}
+
+	for _, ep := range []string{"stats", "docs", "explain"} {
+		resp, err := http.Post(endpoints[0][0]+"/v1/shard/"+ep, "application/octet-stream", strings.NewReader("NL"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST /v1/shard/%s on a worker: status %d, want 404", ep, resp.StatusCode)
 		}
 	}
-	if sixes == 0 {
-		t.Fatal("no fixture query has results on all three shards; the 2-RPCs-per-shard case went unexercised")
-	}
 
-	resp, err := http.Post(endpoints[0][0]+"/v1/shard/stats", "application/octet-stream", strings.NewReader("NL"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("POST /v1/shard/stats on a worker: status %d, want 404", resp.StatusCode)
-	}
-
-	for _, sl := range rt.slots {
-		for i := range sl.text {
-			if n := sl.text[i].BytesRead() + sl.node[i].BytesRead(); n != 0 {
-				t.Errorf("slot %d segment %d: the router read %d postings bytes, want 0", sl.idx, i, n)
-			}
+	text, node := rt.engine.SegmentIndexes()
+	for i := range text {
+		if n := text[i].BytesRead() + node[i].BytesRead(); n != 0 {
+			t.Errorf("segment %d: the router read %d postings bytes, want 0", i, n)
 		}
 	}
 }

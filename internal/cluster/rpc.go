@@ -1,19 +1,19 @@
 // Package cluster distributes a NewsLink engine across processes: a
-// Router partitions a snapshot's segment set over N shard Workers
-// (newslinkd -shard) and serves search/explain by scatter-gather with
-// the exact partial top-k merge semantics of internal/search.
+// Router serves the public API from an engine over a whole snapshot and
+// scatters every request's postings traversals over N shard Workers
+// (newslinkd -shard), each holding the postings of a contiguous run of the
+// snapshot's segments, with the exact partial top-k merge semantics of
+// internal/search.
 //
 // The RPC surface is a small HTTP protocol under the same /v1/ prefix and
 // error envelope the public API uses, in two planes. The control plane —
-// per assignment, or carrying nested engine types — is JSON; the data
-// plane — the two RPCs every query pays — is the checksummed binary
-// frame of wire.go, and nothing else is accepted there:
+// per assignment — is JSON; the data plane — the one RPC every query pays
+// — is the checksummed binary frame of wire.go, and nothing else is
+// accepted there:
 //
 //	GET  /v1/shard/info         json   identity, current plan, held artifacts
 //	POST /v1/shard/assign       json   install a segment slice (fetching blobs)
 //	POST /v1/shard/search       frame  ordered-term block-max top-k (BOW + BON)
-//	POST /v1/shard/docs         frame  materialize result documents by position
-//	POST /v1/shard/explain      json   engine Explain for a locally held doc
 //	GET  /v1/shard/blob/{name}  bytes  one content-addressed segment artifact
 //
 // Every non-200 reply, on either plane, is the JSON error envelope.
@@ -23,11 +23,12 @@
 // (plan_mismatch) and the router re-assigns rather than merging results
 // computed over the wrong corpus slice.
 //
-// No RPC carries statistics: the router owns the snapshot directory, opens
-// the directory of every segment index in it, and reads N, avgdl, DF and
-// max-TF for any target set off the same index.Multi a single process
-// would score against. What a worker serves is bound to those bytes by the
-// plan ID and the per-artifact checksums of its assignment.
+// No RPC carries statistics, documents or explanations: the router's
+// engine holds the documents and embeddings of the whole snapshot and
+// reads N, avgdl, DF and max-TF for any target set off the same
+// index.Multi a single process would score against. What a worker serves
+// is bound to those bytes by the plan ID and the per-artifact checksums of
+// its assignment.
 //
 // Robustness is the point of the layer: per-shard deadlines derived from
 // the request budget, bounded retries with jittered exponential backoff
@@ -53,11 +54,10 @@ import (
 // request from sizing worker allocations. They bound honest traffic
 // generously (the router never exceeds them) and malicious bodies hard.
 const (
-	maxRPCBody   = 8 << 20 // bytes per request/response body
-	maxRPCTerms  = 4096    // terms per search/docs request
-	maxPositions = 16384   // positions per docs request
-	maxSegments  = 1 << 16 // segments per assignment
-	maxRPCK      = 16384   // top-k per shard search
+	maxRPCBody  = 8 << 20 // bytes per request/response body
+	maxRPCTerms = 4096    // terms per search request leg or entity set
+	maxSegments = 1 << 16 // segments per assignment
+	maxRPCK     = 16384   // top-k per shard search
 )
 
 // InfoResponse answers GET /v1/shard/info: the worker's identity, the
@@ -72,15 +72,14 @@ type InfoResponse struct {
 }
 
 // AssignRequest installs a segment slice on a worker. Segments name the
-// slice by content ID and tombstones; documents travel in the segments'
-// docs.bin artifacts, never in the request, so its size does not depend on
-// the corpus text. Artifacts the worker does not hold (by checksum) are
-// fetched from FetchFrom's /v1/shard/blob/ endpoint and verified before
-// anything is loaded.
+// slice by content ID and tombstones; the postings and time columns the
+// worker reads travel in the segments' artifacts, never in the request, so
+// its size does not depend on the corpus. Artifacts the worker does not
+// hold (by checksum) are fetched from FetchFrom's /v1/shard/blob/ endpoint
+// and verified before anything is loaded.
 type AssignRequest struct {
 	Plan      string                     `json:"plan"`
 	Base      int                        `json:"base"`
-	Config    newslink.Config            `json:"config"`
 	Graph     newslink.GraphFingerprint  `json:"graph"`
 	Segments  []newslink.ManifestSegment `json:"segments"`
 	Checksums map[string]string          `json:"checksums"`
@@ -140,47 +139,6 @@ type SearchResponse struct {
 	Base int // not on the wire
 	Text []search.Hit
 	Node []search.Hit
-}
-
-// DocsRequest materializes result documents by worker-local position.
-// Terms drive snippet selection, as in the engine's own topk stage.
-type DocsRequest struct {
-	Plan      string
-	Positions []int
-	Terms     []string
-}
-
-// WireDoc is one materialized result document.
-type WireDoc struct {
-	ID      int
-	Title   string
-	Snippet string
-}
-
-// DocsResponse answers positions in request order.
-type DocsResponse struct {
-	Plan string
-	Docs []WireDoc
-}
-
-// ExplainRequest forwards an explain to the worker holding the document.
-// The filter fields mirror SearchRequest: a document the filtered search
-// would not return must not be explainable either, so the worker checks
-// them before producing evidence.
-type ExplainRequest struct {
-	Plan     string     `json:"plan"`
-	Query    string     `json:"query"`
-	DocID    int        `json:"doc_id"`
-	MaxPaths int        `json:"max_paths"`
-	After    int64      `json:"after,omitempty"`
-	Before   int64      `json:"before,omitempty"`
-	Entities [][]string `json:"entities,omitempty"`
-}
-
-// ExplainResponse wraps the engine's explanation.
-type ExplainResponse struct {
-	Plan        string               `json:"plan"`
-	Explanation newslink.Explanation `json:"explanation"`
 }
 
 // errDecode marks malformed or out-of-bounds RPC input; handlers map it
@@ -284,13 +242,6 @@ func decodeBody(r *http.Request, v Validator) error {
 // Validator is an RPC message that can check its own bounds.
 type Validator interface{ Validate() error }
 
-func checkTerms(field string, terms []string) error {
-	if len(terms) > maxRPCTerms {
-		return decodeErrf("%s: %d terms exceed %d", field, len(terms), maxRPCTerms)
-	}
-	return nil
-}
-
 // maxEntitySets caps the entity-facet sets per request; each set is
 // additionally bounded like a term list. Empty sets are valid — they are
 // how an unresolvable label's match-nothing semantics reach the workers.
@@ -361,34 +312,6 @@ func (r *SearchRequest) Validate() error {
 	return checkEntitySets("search.entities", r.Entities)
 }
 
-func (r *DocsRequest) Validate() error {
-	if r.Plan == "" {
-		return decodeErrf("docs: missing plan")
-	}
-	if len(r.Positions) == 0 || len(r.Positions) > maxPositions {
-		return decodeErrf("docs: %d positions outside [1,%d]", len(r.Positions), maxPositions)
-	}
-	for _, p := range r.Positions {
-		if p < 0 {
-			return decodeErrf("docs: negative position")
-		}
-	}
-	return checkTerms("docs.terms", r.Terms)
-}
-
-func (r *ExplainRequest) Validate() error {
-	if r.Plan == "" {
-		return decodeErrf("explain: missing plan")
-	}
-	if r.Query == "" {
-		return decodeErrf("explain: missing query")
-	}
-	if r.DocID < 0 || r.MaxPaths < 0 || r.MaxPaths > 1000 {
-		return decodeErrf("explain: parameters out of range")
-	}
-	return checkEntitySets("explain.entities", r.Entities)
-}
-
 // Response validators: the router decodes worker responses through the
 // same strict path, so a corrupted or truncated body (a worker crashing
 // mid-response) surfaces as a typed decode error — a shard failure —
@@ -416,15 +339,6 @@ func (r *SearchResponse) Validate() error {
 	}
 	return nil
 }
-
-func (r *DocsResponse) Validate() error {
-	if len(r.Docs) > maxPositions {
-		return decodeErrf("docs response: too many documents")
-	}
-	return nil
-}
-
-func (r *ExplainResponse) Validate() error { return nil }
 
 // validArtifactID accepts the content-derived segment IDs Save produces:
 // 16 lowercase hex digits. Anything else could smuggle path separators

@@ -26,10 +26,6 @@ func rpcMessages() []Validator {
 		&AssignResponse{},
 		&SearchRequest{},
 		&SearchResponse{},
-		&DocsRequest{},
-		&DocsResponse{},
-		&ExplainRequest{},
-		&ExplainResponse{},
 	}
 }
 
@@ -50,27 +46,30 @@ func TestDecodeRPCRejects(t *testing.T) {
 		into Validator
 	}{
 		{"empty", "", &SearchRequest{}},
-		{"junk", "not json", &DocsRequest{}},
-		{"unknown field", `{"plan":"p","query":"x","bogus":1}`, &ExplainRequest{}},
-		{"trailing data", `{"plan":"p","query":"x"}{"plan":"q","query":"x"}`, &ExplainRequest{}},
+		{"junk", "not json", &AssignRequest{}},
+		{"unknown field", `{"plan":"p","bogus":1}`, &AssignRequest{}},
+		{"trailing data", `{"plan":"p"}{"plan":"q"}`, &AssignResponse{}},
 		{"zero k", mustMarshal(t, &SearchRequest{Plan: "p", K: 0}), &SearchRequest{}},
 		{"huge k", mustMarshal(t, &SearchRequest{Plan: "p", K: 99999}), &SearchRequest{}},
-		{"negative position", mustMarshal(t, &DocsRequest{Plan: "p", Positions: []int{-1}}), &DocsRequest{}},
-		{"negative doc id", `{"plan":"p","query":"x","doc_id":-2}`, &ExplainRequest{}},
+		{"retired explain request", `{"plan":"p","query":"x","doc_id":1,"max_paths":3}`, &AssignRequest{}},
 		{"bad artifact id", `{"plan":"p","segments":[{"id":"../../etc"}]}`, &AssignRequest{}},
-		{"JSON body on a data-plane endpoint", `{"plan":"p","positions":[0]}`, &DocsRequest{}},
+		{"JSON body on a data-plane endpoint", `{"plan":"p","positions":[0]}`, &SearchResponse{}},
 		{"JSON search on a data-plane endpoint", `{"plan":"p","k":5}`, &SearchRequest{}},
 		{"unknown version", string(reseal(badVersion)), &SearchRequest{}},
-		{"another message's magic", rekind(kindDocsResponse), &SearchRequest{}},
-		// Kinds 1 and 2 carried the retired statistics exchange: reserved,
-		// and refused whatever they are decoded into.
+		{"another message's magic", rekind(kindSearchResponse), &SearchRequest{}},
+		// Kinds 1 and 2 carried the retired statistics exchange, kinds 5 and
+		// 6 the retired document gather: reserved, and refused whatever they
+		// are decoded into.
 		{"reserved kind 1", rekind(1), &SearchRequest{}},
 		{"reserved kind 2", rekind(2), &SearchRequest{}},
 		{"reserved kind 2 as a response", rekind(2), &SearchResponse{}},
+		{"reserved kind 5", rekind(5), &SearchRequest{}},
+		{"reserved kind 5 as a response", rekind(5), &SearchResponse{}},
+		{"reserved kind 6", rekind(6), &SearchRequest{}},
+		{"reserved kind 6 as a response", rekind(6), &SearchResponse{}},
 		{"trailing byte", string(reseal(trailing)), &SearchRequest{}},
 		{"byte after the trailer", search5 + "\x00", &SearchRequest{}},
 		{"missing plan", mustMarshal(t, &SearchRequest{K: 5}), &SearchRequest{}},
-		{"missing docs plan", mustMarshal(t, &DocsRequest{Positions: []int{0}}), &DocsRequest{}},
 		{"negative df", mustMarshal(t, &SearchRequest{Plan: "p", K: 5,
 			Text: []search.OrderedTerm{{Term: "t", DF: -1}}}), &SearchRequest{}},
 		{"empty term", mustMarshal(t, &SearchRequest{Plan: "p", K: 5,
@@ -79,13 +78,11 @@ func TestDecodeRPCRejects(t *testing.T) {
 			Entities: [][]string{{""}}}), &SearchRequest{}},
 		{"too many entity sets", mustMarshal(t, &SearchRequest{Plan: "p", K: 5,
 			Entities: make([][]string, maxEntitySets+1)}), &SearchRequest{}},
-		{"too many terms", mustMarshal(t, &DocsRequest{Plan: "p", Positions: []int{0}, Terms: make([]string, maxRPCTerms+1)}), &DocsRequest{}},
+		{"too many entity terms", mustMarshal(t, &SearchRequest{Plan: "p", K: 5,
+			Entities: [][]string{make([]string, maxRPCTerms+1)}}), &SearchRequest{}},
 		{"too many ordered terms", mustMarshal(t, &SearchRequest{Plan: "p", K: 5,
 			Text: make([]search.OrderedTerm, maxRPCTerms+1)}), &SearchRequest{}},
-		{"too many positions", mustMarshal(t, &DocsRequest{Plan: "p", Positions: make([]int, maxPositions+1)}), &DocsRequest{}},
-		{"no positions", mustMarshal(t, &DocsRequest{Plan: "p"}), &DocsRequest{}},
 		{"too many hits", mustMarshal(t, &SearchResponse{Plan: "p", Text: make([]search.Hit, maxRPCK+1)}), &SearchResponse{}},
-		{"too many documents", mustMarshal(t, &DocsResponse{Plan: "p", Docs: make([]WireDoc, maxPositions+1)}), &DocsResponse{}},
 		{"negative hit position", mustMarshal(t, &SearchResponse{Plan: "p", Base: 7,
 			Text: []search.Hit{{Doc: 3, Score: 1}}}), &SearchResponse{}},
 	}
@@ -101,7 +98,7 @@ func TestDecodeRPCRejects(t *testing.T) {
 	if err := DecodeRPC(bytes.Repeat([]byte(" "), maxRPCBody+1), &SearchRequest{}); err == nil {
 		t.Error("DecodeRPC accepted an oversized body")
 	}
-	if err := DecodeRPC(bytes.Repeat([]byte(" "), maxRPCBody+1), &ExplainRequest{}); err == nil {
+	if err := DecodeRPC(bytes.Repeat([]byte(" "), maxRPCBody+1), &AssignRequest{}); err == nil {
 		t.Error("DecodeRPC accepted an oversized control-plane body")
 	}
 }
@@ -136,14 +133,17 @@ func FuzzClusterRPCDecode(f *testing.F) {
 		&SearchRequest{Plan: "abcd", K: 10, Text: []search.OrderedTerm{{Term: "border", Weight: 1, DF: 3, Bound: 2.5}},
 			Entities: [][]string{{"n12"}, {}}},
 		&SearchResponse{Plan: "abcd", Text: []search.Hit{{Doc: 3, Score: 1.5}}},
-		&DocsRequest{Plan: "abcd", Positions: []int{0, 1}, Terms: []string{"border"}},
-		&DocsResponse{Plan: "abcd", Docs: []WireDoc{{ID: 1, Title: "t"}}},
-		&ExplainRequest{Plan: "abcd", Query: "q", DocID: 1, MaxPaths: 3},
-		&ExplainResponse{Plan: "abcd"},
 	}
 	for i, s := range seeds {
 		f.Add(i, []byte(mustMarshal(f, s)))
 	}
+	// The retired document gather and explain forwarding: well-formed
+	// frames of the reserved kinds 5 and 6, and the old JSON explain
+	// messages, aimed at the messages still on the wire.
+	f.Add(3, reseal([]byte("NL\x05\x01\x04abcd\x02\x00\x01\x01\x06border\x00\x00\x00\x00")))
+	f.Add(4, reseal([]byte("NL\x06\x01\x04abcd\x01\x01\x01t\x00\x00\x00\x00\x00")))
+	f.Add(1, []byte(`{"plan":"abcd","query":"q","doc_id":1,"max_paths":3}`))
+	f.Add(2, []byte(`{"plan":"abcd","explanation":{"SharedEntities":null,"Paths":null}}`))
 	f.Add(0, []byte(`{"unknown":true}`))
 	f.Add(3, []byte(`{"plan":"p","k":-1}`))
 	f.Add(3, []byte(mustMarshal(f, &SearchRequest{Plan: "p", K: -1})))

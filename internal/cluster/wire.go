@@ -11,8 +11,8 @@ import (
 	"newslink/internal/search"
 )
 
-// The data plane — the two per-query RPCs, requests and 200-replies
-// both — travels as one hand-written binary frame:
+// The data plane — the one per-query RPC, request and 200-reply both —
+// travels as one hand-written binary frame:
 //
 //	'N' 'L' kind version | fields ... | CRC-32C (little-endian)
 //
@@ -39,13 +39,12 @@ import (
 const wireVersion = 1
 
 // Message kinds, the third magic byte. Kinds 1 and 2 were the statistics
-// exchange; they stay reserved — refused like any unknown kind, never
-// reused — so the surviving kinds keep their numbers.
+// exchange, kinds 5 and 6 the document gather; they stay reserved —
+// refused like any unknown kind, never reused — so the surviving kinds keep
+// their numbers.
 const (
-	kindSearchRequest byte = iota + 3
-	kindSearchResponse
-	kindDocsRequest
-	kindDocsResponse
+	kindSearchRequest  byte = 3
+	kindSearchResponse byte = 4
 )
 
 const frameOverhead = 4 + 4 // magic + CRC trailer
@@ -342,57 +341,6 @@ func (m *SearchResponse) readFields(fields []byte) ([]byte, error) {
 	m.Plan = r.plan()
 	m.Text = r.hits("search response text", m.Base)
 	m.Node = r.hits("search response node", m.Base)
-	return r.data, r.err
-}
-
-func (m *DocsRequest) wireKind() byte { return kindDocsRequest }
-
-func (m *DocsRequest) appendFields(b []byte) []byte {
-	b = appendString(b, m.Plan)
-	b = binary.AppendUvarint(b, uint64(len(m.Positions)))
-	for _, p := range m.Positions {
-		b = appendInt(b, p)
-	}
-	return appendStrings(b, m.Terms)
-}
-
-func (m *DocsRequest) readFields(fields []byte) ([]byte, error) {
-	r := wireReader{data: fields}
-	m.Plan = r.plan()
-	m.Positions = nil
-	if n := r.count("docs.positions", 1, maxPositions); n > 0 {
-		m.Positions = make([]int, n)
-		for i := range m.Positions {
-			m.Positions[i] = r.int()
-		}
-	}
-	m.Terms = r.strings("docs.terms", maxRPCTerms)
-	return r.data, r.err
-}
-
-func (m *DocsResponse) wireKind() byte { return kindDocsResponse }
-
-func (m *DocsResponse) appendFields(b []byte) []byte {
-	b = appendString(b, m.Plan)
-	b = binary.AppendUvarint(b, uint64(len(m.Docs)))
-	for _, d := range m.Docs {
-		b = appendInt(b, d.ID)
-		b = appendString(b, d.Title)
-		b = appendString(b, d.Snippet)
-	}
-	return b
-}
-
-func (m *DocsResponse) readFields(fields []byte) ([]byte, error) {
-	r := wireReader{data: fields}
-	m.Plan = r.plan()
-	m.Docs = nil
-	if n := r.count("docs response", 1+1+1, maxPositions); n > 0 {
-		m.Docs = make([]WireDoc, n)
-		for i := range m.Docs {
-			m.Docs[i] = WireDoc{ID: r.int(), Title: r.string(), Snippet: r.string()}
-		}
-	}
 	return r.data, r.err
 }
 

@@ -102,33 +102,18 @@ func (g wireGen) message(kind int) (msg, into wireMessage) {
 			}
 		}
 		return m, &SearchRequest{}
-	case 1:
-		return &SearchResponse{Plan: plan, Text: g.hits(), Node: g.hits()}, &SearchResponse{}
-	case 2:
-		m := &DocsRequest{Plan: plan, Positions: make([]int, 1+g.Intn(20)), Terms: g.strs(6)}
-		for i := range m.Positions {
-			m.Positions[i] = g.Intn(1 << 31)
-		}
-		return m, &DocsRequest{}
 	default:
-		m := &DocsResponse{Plan: plan}
-		if n := g.Intn(12); n > 0 {
-			m.Docs = make([]WireDoc, n)
-			for i := range m.Docs {
-				m.Docs[i] = WireDoc{ID: g.Intn(1 << 40), Title: g.str(), Snippet: g.str() + g.str()}
-			}
-		}
-		return m, &DocsResponse{}
+		return &SearchResponse{Plan: plan, Text: g.hits(), Node: g.hits()}, &SearchResponse{}
 	}
 }
 
 // TestWireRoundTrip is the codec's defining property, over random messages
-// of all four kinds: decoding an encoding gives the message back, and
-// encoding a decoding gives the bytes back — one canonical form.
+// of both kinds: decoding an encoding gives the message back, and encoding
+// a decoding gives the bytes back — one canonical form.
 func TestWireRoundTrip(t *testing.T) {
 	g := wireGen{rand.New(rand.NewSource(22))}
 	for i := 0; i < 3000; i++ {
-		msg, into := g.message(i % 4)
+		msg, into := g.message(i % 2)
 		frame := appendFrame(nil, msg)
 		if err := DecodeRPC(frame, into); err != nil {
 			t.Fatalf("message %d (%T) does not decode: %v\n%+v", i, msg, err, msg)
@@ -266,19 +251,18 @@ func TestWireFloatExactness(t *testing.T) {
 }
 
 // TestWireCorruptionRejected: every single-bit flip, every whole-byte flip
-// and every proper prefix of an encoded response is a decode error — the
-// router's "shard failure" — never a different, plausible message.
+// and every proper prefix of an encoded message is a decode error — for a
+// response the router's "shard failure" — never a different, plausible
+// message.
 func TestWireCorruptionRejected(t *testing.T) {
-	_, _, hits := realQuery(t)
+	params, ordered, hits := realQuery(t)
 	messages := []struct {
 		msg   wireMessage
 		fresh func() wireMessage
 	}{
 		{&SearchResponse{Plan: "0123456789abcdef", Text: hits, Node: hits[:3]}, func() wireMessage { return &SearchResponse{} }},
-		{&DocsResponse{Plan: "0123456789abcdef", Docs: []WireDoc{
-			{ID: 17, Title: "Ceasefire talks resume", Snippet: "Talks resumed near the border on Tuesday."},
-			{ID: 4, Title: "Markets rally", Snippet: ""},
-		}}, func() wireMessage { return &DocsResponse{} }},
+		{&SearchRequest{Plan: "0123456789abcdef", K: 20, Text: ordered, TextScorer: params,
+			Before: 1700000000, Entities: [][]string{{"n12", "3f"}}}, func() wireMessage { return &SearchRequest{} }},
 	}
 	for _, m := range messages {
 		frame := appendFrame(nil, m.msg)
@@ -325,10 +309,8 @@ func TestWireLengthBomb(t *testing.T) {
 	}{
 		{"hits", kindSearchResponse, nil, func() Validator { return &SearchResponse{} }},
 		{"node hits", kindSearchResponse, []byte{0}, func() Validator { return &SearchResponse{} }},
-		{"terms", kindDocsRequest, []byte{1, 0}, func() Validator { return &DocsRequest{} }},
 		{"ordered terms", kindSearchRequest, []byte{5}, func() Validator { return &SearchRequest{} }},
-		{"positions", kindDocsRequest, nil, func() Validator { return &DocsRequest{} }},
-		{"documents", kindDocsResponse, nil, func() Validator { return &DocsResponse{} }},
+		{"node terms", kindSearchRequest, []byte{5, 0}, func() Validator { return &SearchRequest{} }},
 		{"term length", kindSearchRequest, []byte{5, 1}, func() Validator { return &SearchRequest{} }},
 	}
 	for _, tc := range cases {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -11,53 +10,54 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"newslink"
 	"newslink/internal/faults"
 	"newslink/internal/kg"
-	"newslink/internal/nlp"
 	"newslink/internal/obs"
 	"newslink/internal/search"
 	"newslink/internal/server"
 )
 
-// Worker serves one shard of a partitioned snapshot: it holds the slice
-// of segments a router assigned to it, answers search/docs/explain
-// RPCs over that slice, and serves its content-addressed artifacts to
-// peers. A worker is stateless across assignments — the plan ID names
-// the state, and a new assignment atomically replaces the engine.
+// Worker serves one shard of a partitioned snapshot: it holds the postings
+// of the slice of segments a router assigned to it, answers the search RPC
+// over that slice, and serves its content-addressed artifacts to peers. A
+// worker is stateless across assignments — the plan ID names the state,
+// and a new assignment atomically replaces the slice.
 type Worker struct {
-	id     string
-	dir    string
-	g      *kg.Graph
-	log    *slog.Logger
-	client *http.Client
-	idle   *obs.Registry // what Metrics reports while unassigned: nothing
+	id       string
+	dir      string
+	g        *kg.Graph
+	log      *slog.Logger
+	client   *http.Client
+	registry *obs.Registry // empty until the first assignment
 	// The worker's two fault points, built once rather than per RPC.
 	gatePoint, writePoint faults.Point
 
-	mu     sync.Mutex
-	plan   string
-	base   int
-	engine *newslink.Engine
+	mu    sync.Mutex
+	plan  string
+	base  int
+	shard *newslink.Shard
 }
 
 // NewWorker returns a worker with identity id, storing and serving
-// artifacts under dir, over the knowledge graph g (which must match the
-// snapshot's fingerprint at assignment time).
+// artifacts under dir. The knowledge graph g serves one purpose on a
+// worker: an assignment whose snapshot was built on another graph (by
+// fingerprint) is refused.
 func NewWorker(id, dir string, g *kg.Graph, log *slog.Logger) *Worker {
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	return &Worker{
-		id:     id,
-		dir:    dir,
-		g:      g,
-		log:    log,
-		client: &http.Client{Timeout: 2 * time.Minute},
-		idle:   obs.NewRegistry(),
+		id:       id,
+		dir:      dir,
+		g:        g,
+		log:      log,
+		client:   &http.Client{Timeout: 2 * time.Minute},
+		registry: obs.NewRegistry(),
 
 		gatePoint:  faults.ClusterShard(id),
 		writePoint: faults.ClusterShardWrite(id),
@@ -74,8 +74,6 @@ func (w *Worker) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/shard/info", w.handleInfo)
 	mux.HandleFunc("POST /v1/shard/assign", w.handleAssign)
 	mux.HandleFunc("POST /v1/shard/search", w.handleSearch)
-	mux.HandleFunc("POST /v1/shard/docs", w.handleDocs)
-	mux.HandleFunc("POST /v1/shard/explain", w.handleExplain)
 	mux.HandleFunc("GET /v1/shard/blob/{name}", blobHandler(w.dir))
 	mux.HandleFunc("GET /v1/healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		server.WriteJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
@@ -126,18 +124,18 @@ func (w *Worker) writeRPC(rw http.ResponseWriter, v any) {
 	}
 }
 
-// snapshotState returns the worker's current engine, plan and base.
-func (w *Worker) snapshotState() (*newslink.Engine, string, int) {
+// snapshotState returns the worker's current shard, plan and base.
+func (w *Worker) snapshotState() (*newslink.Shard, string, int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.engine, w.plan, w.base
+	return w.shard, w.plan, w.base
 }
 
 // requirePlan answers plan-mismatch (409) or unassigned (503) states;
 // the router reacts by re-assigning rather than retrying blindly.
-func (w *Worker) requirePlan(rw http.ResponseWriter, plan string) (*newslink.Engine, bool) {
-	e, cur, _ := w.snapshotState()
-	if e == nil {
+func (w *Worker) requirePlan(rw http.ResponseWriter, plan string) (*newslink.Shard, bool) {
+	sh, cur, _ := w.snapshotState()
+	if sh == nil {
 		server.WriteError(rw, http.StatusServiceUnavailable, "unassigned", "worker %s has no assignment", w.id)
 		return nil, false
 	}
@@ -145,7 +143,7 @@ func (w *Worker) requirePlan(rw http.ResponseWriter, plan string) (*newslink.Eng
 		server.WriteError(rw, http.StatusConflict, "plan_mismatch", "worker %s serves plan %s, not %s", w.id, cur, plan)
 		return nil, false
 	}
-	return e, true
+	return sh, true
 }
 
 func (w *Worker) handleInfo(rw http.ResponseWriter, _ *http.Request) {
@@ -167,21 +165,16 @@ func (w *Worker) handleInfo(rw http.ResponseWriter, _ *http.Request) {
 }
 
 func (w *Worker) handleReady(rw http.ResponseWriter, _ *http.Request) {
-	if e, _, _ := w.snapshotState(); e == nil {
+	if sh, _, _ := w.snapshotState(); sh == nil {
 		server.WriteJSON(rw, http.StatusServiceUnavailable, map[string]string{"status": "unassigned"})
 		return
 	}
 	server.WriteJSON(rw, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// Metrics returns the registry of the engine the worker currently serves
-// — it changes with the assignment — or an empty one while unassigned.
-func (w *Worker) Metrics() *obs.Registry {
-	if e, _, _ := w.snapshotState(); e != nil {
-		return e.Metrics()
-	}
-	return w.idle
-}
+// Metrics returns the worker's registry: empty until the first
+// assignment, then the shape of the slice it serves.
+func (w *Worker) Metrics() *obs.Registry { return w.registry }
 
 func (w *Worker) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 	rw.Header().Set("Content-Type", "application/json")
@@ -199,7 +192,7 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.mu.Lock()
-	if w.engine != nil && w.plan == req.Plan {
+	if w.shard != nil && w.plan == req.Plan {
 		// Idempotent re-assignment of the current plan: acknowledge
 		// without reloading anything.
 		w.mu.Unlock()
@@ -212,33 +205,34 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 		server.WriteError(rw, http.StatusBadGateway, "fetch_failed", "%v", err)
 		return
 	}
-	engine, err := newslink.LoadSegments(w.dir, w.g, req.Graph, req.Config, req.Segments, req.Checksums)
+	shard, err := newslink.LoadSegments(w.dir, w.g, req.Graph, req.Segments, req.Checksums)
 	if err != nil {
 		server.WriteError(rw, http.StatusInternalServerError, "load_failed", "%v", err)
 		return
 	}
 	w.mu.Lock()
-	old := w.engine
-	w.engine = engine
+	w.shard = shard
 	w.plan = req.Plan
 	w.base = req.Base
 	w.mu.Unlock()
-	if old != nil {
-		_ = old.Close()
-	}
+	w.registry.Gauge("newslink_segments", "Segments of the assignment the worker serves.").Set(int64(len(req.Segments)))
 	w.log.Info("assignment installed", "worker", w.id, "plan", req.Plan,
 		"base", req.Base, "segments", len(req.Segments), "fetched", fetched)
 	w.writeRPC(rw, &AssignResponse{Plan: req.Plan, Fetched: fetched})
 }
 
-// ensureArtifacts makes every assigned artifact file present and
-// checksum-verified in the worker's directory, fetching missing or
-// mismatched ones from the assignment's peer. Returns how many files
-// were fetched.
+// ensureArtifacts makes every assigned artifact file a worker reads — the
+// two indexes and the documents artifact of each segment, not the
+// embeddings — present and checksum-verified in the worker's directory,
+// fetching missing or mismatched ones from the assignment's peer. Returns
+// how many files were fetched.
 func (w *Worker) ensureArtifacts(ctx context.Context, req *AssignRequest) (int, error) {
 	fetched := 0
 	for _, sm := range req.Segments {
 		for _, name := range newslink.SegmentFileNames(sm.ID) {
+			if strings.HasSuffix(name, ".emb.bin") {
+				continue
+			}
 			want, ok := req.Checksums[name]
 			if !ok {
 				return fetched, fmt.Errorf("assignment has no checksum for %s", name)
@@ -306,7 +300,7 @@ func (w *Worker) handleSearch(rw http.ResponseWriter, r *http.Request) {
 		server.WriteError(rw, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	engine, ok := w.requirePlan(rw, req.Plan)
+	shard, ok := w.requirePlan(rw, req.Plan)
 	if !ok {
 		return
 	}
@@ -314,7 +308,7 @@ func (w *Worker) handleSearch(rw http.ResponseWriter, r *http.Request) {
 	// same live seam as tombstones; statistics and scorer parameters stay
 	// the router's unfiltered global values, so the filtered shard ranking
 	// composes into exactly a single process's filtered ranking.
-	text, node, err := engine.FilteredSources(req.After, req.Before, req.Entities)
+	text, node, err := shard.Sources(req.After, req.Before, req.Entities)
 	if err != nil {
 		server.WriteError(rw, http.StatusInternalServerError, "internal", "%v", err)
 		return
@@ -333,69 +327,6 @@ func (w *Worker) handleSearch(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.writeRPC(rw, &resp)
-}
-
-func (w *Worker) handleDocs(rw http.ResponseWriter, r *http.Request) {
-	if !w.gate(rw) {
-		return
-	}
-	var req DocsRequest
-	if err := decodeBody(r, &req); err != nil {
-		server.WriteError(rw, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	engine, ok := w.requirePlan(rw, req.Plan)
-	if !ok {
-		return
-	}
-	resp := DocsResponse{Plan: req.Plan, Docs: make([]WireDoc, len(req.Positions))}
-	snippets := nlp.NewTermSet(req.Terms)
-	for i, pos := range req.Positions {
-		doc, err := engine.DocAt(pos)
-		if err != nil {
-			server.WriteError(rw, http.StatusNotFound, "unknown_document", "%v", err)
-			return
-		}
-		resp.Docs[i] = WireDoc{ID: doc.ID, Title: doc.Title, Snippet: snippets.BestSentence(doc.Text)}
-	}
-	w.writeRPC(rw, &resp)
-}
-
-func (w *Worker) handleExplain(rw http.ResponseWriter, r *http.Request) {
-	if !w.gate(rw) {
-		return
-	}
-	var req ExplainRequest
-	if err := decodeBody(r, &req); err != nil {
-		server.WriteError(rw, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	engine, ok := w.requirePlan(rw, req.Plan)
-	if !ok {
-		return
-	}
-	if req.After != 0 || req.Before != 0 || len(req.Entities) > 0 {
-		visible, err := engine.DocVisible(req.DocID, req.After, req.Before, req.Entities)
-		if err != nil {
-			server.WriteError(rw, http.StatusInternalServerError, "internal", "%v", err)
-			return
-		}
-		if !visible {
-			server.WriteError(rw, http.StatusNotFound, "unknown_document",
-				"%v: %d (filtered)", newslink.ErrUnknownDoc, req.DocID)
-			return
-		}
-	}
-	exp, err := engine.ExplainContext(r.Context(), req.Query, req.DocID, req.MaxPaths)
-	if err != nil {
-		status, code := http.StatusInternalServerError, "internal"
-		if errors.Is(err, newslink.ErrUnknownDoc) {
-			status, code = http.StatusNotFound, "unknown_document"
-		}
-		server.WriteError(rw, status, code, "%v", err)
-		return
-	}
-	w.writeRPC(rw, &ExplainResponse{Plan: req.Plan, Explanation: exp})
 }
 
 // blobHandler serves content-addressed artifact files from dir. Names

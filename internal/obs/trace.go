@@ -21,7 +21,7 @@ const (
 	StageTopK    = "topk"             // final top-k materialization (titles, snippets)
 	StagePaths   = "path-enumeration" // relationship paths between embeddings
 	StageScatter = "scatter"          // cluster router: fan-out to shard workers
-	StageGather  = "gather"           // cluster router: partial top-k merge + fusion
+	StageGather  = "gather"           // cluster router: partial top-k merge
 )
 
 // StageShard names the span for one shard worker's leg of a scatter:

@@ -27,6 +27,11 @@
 // request whose context is cancelled by the client maps to 499, one that
 // exceeds the server's query deadline to 504.
 //
+// The same handler is a cluster router's front door (internal/cluster):
+// there the engine's postings traversals run on shard workers, writes
+// answer 403 read_only, and a request no shard can serve answers 503
+// shard_unavailable.
+//
 // The query routes (search, explain, dot) sit behind optional weighted
 // admission control (WithMaxInFlight): past capacity a request waits a
 // short bounded time and is then shed with 429 and a Retry-After hint.
@@ -59,9 +64,9 @@ import (
 	"newslink/internal/obs"
 )
 
-// StatusClientClosedRequest is the non-standard (nginx-originated) status
+// statusClientClosedRequest is the non-standard (nginx-originated) status
 // for requests abandoned by the client before a response was produced.
-const StatusClientClosedRequest = 499
+const statusClientClosedRequest = 499
 
 // maxPoolDepth caps the per-request candidate pool. Like the cap on k, it
 // keeps an unauthenticated query parameter from sizing server allocations
@@ -222,12 +227,17 @@ type SearchResponse struct {
 // RelatedResponse is the /related/{id} reply: the SearchResponse envelope
 // with the source document id in place of the query text. Related runs a
 // single pure-BON leg with nothing to degrade to, so the degradation
-// fields never apply.
+// fields apply only on a cluster router, as in SearchResponse: with a
+// shard unavailable, the ranking covers the live shards.
 type RelatedResponse struct {
-	DocID   int               `json:"doc_id"`
-	K       int               `json:"k"`
-	Results []newslink.Result `json:"results"`
-	Trace   []obs.Span        `json:"trace,omitempty"`
+	DocID          int               `json:"doc_id"`
+	K              int               `json:"k"`
+	Results        []newslink.Result `json:"results"`
+	Degraded       bool              `json:"degraded,omitempty"`
+	DegradedReason string            `json:"degraded_reason,omitempty"`
+	ShardsTotal    int               `json:"shards_total,omitempty"`
+	ShardsOK       int               `json:"shards_ok,omitempty"`
+	Trace          []obs.Span        `json:"trace,omitempty"`
 }
 
 // ExplainResponse is the /explain reply. Trace is present only for trace=1
@@ -310,7 +320,7 @@ func badRequest(w http.ResponseWriter, format string, args ...any) {
 func (s *Server) writeEngineError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.Canceled):
-		writeError(w, StatusClientClosedRequest, "client_closed_request", "request cancelled")
+		writeError(w, statusClientClosedRequest, "client_closed_request", "request cancelled")
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, "deadline_exceeded", "query deadline exceeded")
 	case errors.Is(err, newslink.ErrUnknownDoc):
@@ -328,6 +338,11 @@ func (s *Server) writeEngineError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusTooManyRequests, "ingest_overload", "%v", err)
 	case errors.Is(err, newslink.ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, "shutting_down", "%v", err)
+	case errors.Is(err, newslink.ErrReadOnly):
+		// A cluster router serves a fixed snapshot: writes go nowhere.
+		writeError(w, http.StatusForbidden, "read_only", "%v", err)
+	case errors.Is(err, newslink.ErrShardUnavailable):
+		writeError(w, http.StatusServiceUnavailable, "shard_unavailable", "%v", err)
 	default:
 		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
 	}
@@ -393,12 +408,9 @@ func filterParams(r *http.Request) (after, before int64, entities []string, err 
 	return after, before, entities, nil
 }
 
-// SearchParams parses one search request — q, k, pool, beta and the shared
-// document filters — into the engine's Query. It is the only parser of
-// that grammar: the single-process server and the cluster router both
-// call it, so the two front doors accept and reject identical requests
-// with identical messages.
-func SearchParams(r *http.Request) (newslink.Query, error) {
+// searchParams parses one search request — q, k, pool, beta and the shared
+// document filters — into the engine's Query.
+func searchParams(r *http.Request) (newslink.Query, error) {
 	q := newslink.Query{Text: r.URL.Query().Get("q")}
 	if q.Text == "" {
 		return q, errors.New("missing query parameter q")
@@ -433,7 +445,7 @@ func rankParams(r *http.Request, q *newslink.Query) (err error) {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	req, err := SearchParams(r)
+	req, err := searchParams(r)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -457,6 +469,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Results:        results,
 		Degraded:       resp.Degraded,
 		DegradedReason: resp.DegradedReason,
+		ShardsTotal:    resp.ShardsTotal,
+		ShardsOK:       resp.ShardsOK,
 		Trace:          tr.Spans(),
 	})
 }
@@ -480,7 +494,7 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
 	ctx, tr := maybeTrace(ctx, r)
-	results, err := s.engine.RelatedContext(ctx, newslink.RelatedQuery{
+	resp, err := s.engine.RelatedContextFull(ctx, newslink.RelatedQuery{
 		DocID: id, K: q.K, PoolDepth: q.PoolDepth,
 		After: q.After, Before: q.Before, Entities: q.Entities,
 	})
@@ -488,11 +502,14 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 		s.writeEngineError(w, err)
 		return
 	}
+	results := resp.Results
 	if results == nil {
 		results = []newslink.Result{}
 	}
 	s.logTrace(r, tr)
-	writeJSON(w, http.StatusOK, RelatedResponse{DocID: id, K: q.K, Results: results, Trace: tr.Spans()})
+	writeJSON(w, http.StatusOK, RelatedResponse{DocID: id, K: q.K, Results: results,
+		Degraded: resp.Degraded, DegradedReason: resp.DegradedReason,
+		ShardsTotal: resp.ShardsTotal, ShardsOK: resp.ShardsOK, Trace: tr.Spans()})
 }
 
 // maybeTrace attaches a per-request trace to ctx when the request asked for
@@ -508,11 +525,9 @@ func maybeTrace(ctx context.Context, r *http.Request) (context.Context, *obs.Tra
 // maxExplainPaths caps the paths= parameter of an explain request.
 const maxExplainPaths = 1000
 
-// ExplainParams parses one explain request — q, id, paths and the shared
-// document filters. Like SearchParams it is the only parser of its
-// grammar, called by the single-process server and the cluster router, so
-// both front doors refuse the same requests with the same messages.
-func ExplainParams(r *http.Request) (q newslink.Query, id, paths int, err error) {
+// explainParams parses one explain request — q, id, paths and the shared
+// document filters.
+func explainParams(r *http.Request) (q newslink.Query, id, paths int, err error) {
 	q.Text = r.URL.Query().Get("q")
 	if q.Text == "" {
 		return q, 0, 0, errors.New("missing query parameter q")
@@ -534,7 +549,7 @@ func ExplainParams(r *http.Request) (q newslink.Query, id, paths int, err error)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	q, id, paths, err := ExplainParams(r)
+	q, id, paths, err := explainParams(r)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return

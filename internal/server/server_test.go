@@ -316,7 +316,7 @@ func TestEngineErrorMapping(t *testing.T) {
 		}
 		return w.Code, e.Error
 	}
-	if code, e := rec(context.Canceled); code != StatusClientClosedRequest || e.Code != "client_closed_request" {
+	if code, e := rec(context.Canceled); code != statusClientClosedRequest || e.Code != "client_closed_request" {
 		t.Fatalf("canceled -> %d %+v", code, e)
 	}
 	if code, e := rec(context.DeadlineExceeded); code != http.StatusGatewayTimeout || e.Code != "deadline_exceeded" {

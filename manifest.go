@@ -6,19 +6,19 @@ import (
 	"os"
 	"path/filepath"
 
+	"newslink/internal/index"
 	"newslink/internal/kg"
 )
 
 // Manifest access for the cluster tier.
 //
-// A scatter-gather router partitions a snapshot by segment: it reads
-// the manifest (meta.json) and the ID column of every segment's documents
-// artifact, assigns contiguous segment groups to shard workers, and each
-// worker restores only its slice via LoadSegments. Because segments are
+// A cluster router opens the whole snapshot (LoadRouted) and partitions
+// its segments into contiguous groups, one per shard worker; each worker
+// opens only its slice's postings via LoadSegments. Because segments are
 // content-addressed and immutable, a worker can fetch missing artifact
-// files from any peer that holds them and verify them against the
-// manifest checksums before loading — the same guarantees Load gives a
-// whole snapshot, per segment.
+// files from any peer that holds them and verify them against the manifest
+// checksums before loading — the same guarantees Load gives a whole
+// snapshot, per segment.
 
 // Manifest is the snapshot manifest (meta.json) of a version-6 snapshot:
 // the engine config, the graph fingerprint, the ordered segment list and
@@ -34,15 +34,11 @@ type ManifestSegment = segmentMeta
 // the knowledge graph it was built on.
 type GraphFingerprint = graphPrint
 
-// FingerprintGraph computes the structural fingerprint Load and
-// LoadSegments verify against.
-func FingerprintGraph(g *kg.Graph) GraphFingerprint { return fingerprint(g) }
-
 // ReadManifest reads and validates the manifest of the version-6 snapshot
 // at dir. Any other version returns ErrSnapshotVersion — including version
 // 5, which Load still reads: its documents live in meta.json, and a Save
 // with this build rewrites it as version 6. Artifact files are not
-// verified (LoadSegments verifies the ones it loads).
+// verified (the loaders verify the ones they read).
 func ReadManifest(dir string) (*Manifest, error) {
 	m, err := readManifest(dir)
 	if err != nil {
@@ -96,14 +92,10 @@ func SegmentFileNames(id string) []string {
 	return out
 }
 
-// VerifyArtifact checks the artifact file name in dir against its recorded
-// checksum. A file that is missing, unreadable, without a recorded checksum
-// or different from it is ErrSnapshotCorrupt.
-func VerifyArtifact(dir, name string, checksums map[string]string) error {
-	return verifyArtifact(dir, name, checksums, make([]byte, copyBufSize))
-}
-
-// verifyArtifact is VerifyArtifact streaming the file through buf.
+// verifyArtifact checks the artifact file name in dir against its recorded
+// checksum, streaming the file through buf. A file that is missing,
+// unreadable, without a recorded checksum or different from it is
+// ErrSnapshotCorrupt.
 func verifyArtifact(dir, name string, checksums map[string]string, buf []byte) error {
 	want, ok := checksums[name]
 	if !ok {
@@ -119,32 +111,37 @@ func verifyArtifact(dir, name string, checksums map[string]string, buf []byte) e
 	return nil
 }
 
-// SegmentDocIDs checksum-verifies the documents artifact of the segment
-// with content ID id in dir and returns the segment's document IDs in
-// segment order — what a router partitions by. It reads the artifact's ID
-// column, never a title or a text. A damaged artifact is
-// ErrSnapshotCorrupt.
-func SegmentDocIDs(dir, id string, checksums map[string]string) ([]int, error) {
-	name := segFileName(id, docsSuffix)
-	if err := VerifyArtifact(dir, name, checksums); err != nil {
-		return nil, err
-	}
-	ids, err := readDocIDs(filepath.Join(dir, name))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
-	}
-	return ids, nil
+// Shard is the postings of a slice of a snapshot's segments: what a cluster
+// shard worker traverses for the router. It holds the text and node indexes
+// resident (nothing to close), the tombstones and the documents' time
+// column — no document text and no embedding, which stay with the router's
+// engine.
+type Shard struct {
+	set *segmentSet
 }
 
-// LoadSegments restores an engine over a subset of a version-6 snapshot's
-// segments — a shard worker's slice — reading the artifacts from dir fully
-// into memory. g must match the snapshot's graph fingerprint print; every
-// referenced artifact is checksum-verified against checksums before any
-// state is built, with the same typed errors as Load. The restored
-// engine serves reads only: no write-ahead log or ingest pipeline is
-// armed, matching the immutability of the assignment (a new snapshot
-// means a new assignment).
-func LoadSegments(dir string, g *kg.Graph, print GraphFingerprint, cfg Config, segs []ManifestSegment, checksums map[string]string, opts ...Option) (*Engine, error) {
-	m := &snapshotMeta{Version: snapshotVersion, Config: cfg, Graph: print, Segments: segs, Checksums: checksums}
-	return loadSegments(dir, g, m, false, opts)
+// LoadSegments opens the postings of a subset of a version-6 snapshot's
+// segments — a shard worker's slice — from dir. g must match the snapshot's
+// graph fingerprint print; every artifact it reads (the two indexes and the
+// documents artifact of each segment; never the embeddings) is
+// checksum-verified against checksums before any state is built, with the
+// same typed errors as Load. Positions in the returned Shard's sources are
+// local to the slice: the first document of segs[0] is position 0.
+func LoadSegments(dir string, g *kg.Graph, print GraphFingerprint, segs []ManifestSegment, checksums map[string]string) (*Shard, error) {
+	m := &snapshotMeta{Version: snapshotVersion, Graph: print, Segments: segs, Checksums: checksums}
+	loaded, err := loadSegments(dir, g, m, loadPostings)
+	if err != nil {
+		return nil, err
+	}
+	return &Shard{set: newSegmentSet(loaded)}, nil
+}
+
+// Sources returns the shard's text and node index sources for one search,
+// with the request's filter clauses compiled in exactly as
+// Engine.FilteredSources compiles them: tombstoned documents, and those
+// outside the inclusive [after, before] time range (0 = unbounded) or
+// failing the entity facet (term sets, conjunctive across sets), are
+// masked from traversal while the statistics stay the unfiltered slice's.
+func (s *Shard) Sources(after, before int64, entities [][]string) (text, node index.Source, err error) {
+	return s.set.filteredSources(after, before, entities)
 }

@@ -30,6 +30,7 @@
 package newslink
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"sync"
@@ -138,8 +139,8 @@ const (
 	DegradedBONTimeout = "bon_timeout"
 )
 
-// SearchResponse is the full outcome of one search request: the ranked
-// results plus the degradation status of the fused pipeline.
+// SearchResponse is the full outcome of one search (or related-news)
+// request: the ranked results plus the degradation status of the pipeline.
 //
 // Equation 3 fuses two independently useful rankings, and the text (BOW)
 // side carries no graph dependency — so when the subgraph (BON) side
@@ -149,11 +150,16 @@ const (
 type SearchResponse struct {
 	Results []Result
 	// Degraded reports that the BON stage failed or timed out and Results
-	// carry BOW-only ranking.
+	// carry BOW-only ranking — or, on a cluster router's engine, that a
+	// shard was unavailable and Results rank the live shards' documents.
 	Degraded bool
 	// DegradedReason is DegradedBONError or DegradedBONTimeout when
-	// Degraded, empty otherwise.
+	// Degraded, or the router's "shard_unavailable"; empty otherwise.
 	DegradedReason string
+	// ShardsTotal and ShardsOK count the shards a cluster router's engine
+	// scattered the traversals over and the ones that answered; zero
+	// otherwise.
+	ShardsTotal, ShardsOK int
 }
 
 // Path is one relationship path presented as evidence: Nodes holds the
@@ -235,6 +241,11 @@ type Engine struct {
 	// bonTimeout is the per-request BON stage deadline in nanoseconds
 	// (0 = none), read lock-free by searches and settable at any time.
 	bonTimeout atomic.Int64
+
+	// remote, when set (LoadRouted, before the engine is shared), runs
+	// every request's postings traversals in place of the engine's own
+	// indexes, and the engine refuses writes.
+	remote func(context.Context, Traversal) (Retrieval, error)
 }
 
 // SetBONTimeout bounds the BON (subgraph) retrieval stage of every fused
@@ -480,7 +491,7 @@ func (e *Engine) deleteAtLocked(s *segmentSet, pos int) {
 	if old.dead != nil {
 		dead = old.dead.Clone()
 	} else {
-		dead = index.NewBitmap(len(old.docs))
+		dead = index.NewBitmap(old.numDocs())
 	}
 	dead.Set(local)
 	clone := &segment{docs: old.docs, embs: old.embs, times: old.times, text: old.text, node: old.node, dead: dead}
@@ -523,6 +534,9 @@ func (e *Engine) upsertLocked(doc Document, emb *core.DocEmbedding, terms []stri
 // files gone bad) the error is returned and the pre-compaction set stays
 // published.
 func (e *Engine) Compact() error {
+	if e.remote != nil {
+		return ErrReadOnly
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.set.Load() == nil {

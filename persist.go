@@ -11,6 +11,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"newslink/internal/core"
 	"newslink/internal/faults"
@@ -462,7 +465,7 @@ func installSnapshot(tmp, dir string) error {
 // acknowledged after the snapshot was taken — before arming the ingest
 // pipeline; a corrupt log fails with ErrWALCorrupt.
 func Load(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
-	return loadDurable(dir, g, false, opts)
+	return loadDurable(dir, g, loadResident, opts)
 }
 
 // LoadOnDisk restores a snapshot but serves the inverted indexes directly
@@ -472,7 +475,7 @@ func Load(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
 // once at open time (sequential IO, no resident memory); the same typed
 // errors and option semantics as Load apply.
 func LoadOnDisk(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
-	return loadDurable(dir, g, true, opts)
+	return loadDurable(dir, g, loadOnDisk, opts)
 }
 
 // Close shuts the engine's owned resources down: the ingest pipeline is
@@ -493,111 +496,149 @@ func (e *Engine) Close() error {
 	return werr
 }
 
-// loadDurable is Load and LoadOnDisk: the whole manifest restored, then —
-// with the segment set published — post-snapshot writes recovered from the
-// WAL and the ingest pipeline armed (per the caller's options).
-func loadDurable(dir string, g *kg.Graph, onDisk bool, opts []Option) (*Engine, error) {
+// loadMode is what a loader restores of each segment.
+type loadMode int
+
+const (
+	// loadResident reads every artifact fully into memory (Load).
+	loadResident loadMode = iota
+	// loadOnDisk keeps the postings in the index files, read on demand
+	// (LoadOnDisk, LoadRouted).
+	loadOnDisk
+	// loadPostings reads the indexes fully into memory plus the time
+	// column of the documents artifact: no document text and no embedding
+	// (LoadSegments, a shard worker's slice).
+	loadPostings
+)
+
+// loadDurable is Load, LoadOnDisk and LoadRouted: the whole manifest
+// restored and published, then post-snapshot writes recovered from the WAL
+// and the ingest pipeline armed (per the caller's options).
+func loadDurable(dir string, g *kg.Graph, mode loadMode, opts []Option) (*Engine, error) {
 	m, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	e, err := loadSegments(dir, g, m, onDisk, opts)
+	segs, err := loadSegments(dir, g, m, mode)
 	if err != nil {
 		return nil, err
-	}
-	loaded := e.set.Load().segs // replay may merge them out of the set
-	e.walMu.Lock()
-	err = e.startDurabilityLocked()
-	e.walMu.Unlock()
-	if err != nil {
-		closeSegments(loaded)
-		return nil, err
-	}
-	return e, nil
-}
-
-// loadSegments is the one restore path behind Load, LoadOnDisk and
-// LoadSegments: it checks the graph fingerprint, verifies every referenced
-// artifact against its recorded checksum, and only then builds and
-// publishes the segments (resident, or file-backed when onDisk).
-func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, onDisk bool, opts []Option) (*Engine, error) {
-	if got := fingerprint(g); got != m.Graph {
-		return nil, fmt.Errorf("newslink: knowledge graph mismatch: snapshot %+v, graph %+v", m.Graph, got)
-	}
-	// Verify every artifact against its recorded checksum before building
-	// any engine state: a torn write or bit flip must surface as a typed
-	// error, never as a half-built engine. Content-addressed ids may share
-	// files between identical segments; verify each file once.
-	verified := make(map[string]bool)
-	buf := make([]byte, copyBufSize)
-	for _, sm := range m.Segments {
-		for _, name := range m.segmentFiles(sm.ID) {
-			if verified[name] {
-				continue
-			}
-			if err := verifyArtifact(dir, name, m.Checksums, buf); err != nil {
-				return nil, err
-			}
-			verified[name] = true
-		}
 	}
 	// The snapshot's Config is the base; caller options layer on top, so
 	// runtime knobs (caches, WAL, ingest queue) configure the restored
 	// engine exactly as they would a fresh one.
 	e := New(g, append([]Option{m.Config}, opts...)...)
-	segs := make([]*segment, 0, len(m.Segments))
-	for i := range m.Segments {
-		seg, err := loadSegment(dir, m, i, g, onDisk, buf)
+	e.mu.Lock()
+	e.publishLocked(segs)
+	e.mu.Unlock()
+	e.walMu.Lock()
+	err = e.startDurabilityLocked()
+	e.walMu.Unlock()
+	if err != nil {
+		closeSegments(segs)
+		return nil, err
+	}
+	return e, nil
+}
+
+// loadSegments is the one restore path behind every loader: it checks the
+// graph fingerprint, then restores the manifest's segments concurrently —
+// each one checksum-verified against the manifest before anything of it is
+// built — and returns them in manifest order. The first failing segment in
+// that order decides the error, and every segment restored by then is
+// closed again: no loader ever returns, or leaks, a partial set.
+func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, mode loadMode) ([]*segment, error) {
+	if got := fingerprint(g); got != m.Graph {
+		return nil, fmt.Errorf("newslink: knowledge graph mismatch: snapshot %+v, graph %+v", m.Graph, got)
+	}
+	segs := make([]*segment, len(m.Segments))
+	errs := make([]error, len(m.Segments))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(segs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, copyBufSize)
+			for i := int(next.Add(1)) - 1; i < len(segs); i = int(next.Add(1)) - 1 {
+				segs[i], errs[i] = loadSegment(dir, m, i, g, mode, buf)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			closeSegments(segs)
 			return nil, err
 		}
-		segs = append(segs, seg)
 	}
-	e.mu.Lock()
-	e.publishLocked(segs)
-	e.mu.Unlock()
-	return e, nil
+	return segs, nil
 }
 
-// loadSegment restores segment i of the manifest from its artifacts
-// (already checksum-verified), streaming the documents' text through buf. The artifact identity from meta.json is
+// loadSegment restores segment i of the manifest: it verifies the artifacts
+// mode reads against their recorded checksums, then decodes them, streaming
+// the documents' text through buf. The artifact identity from meta.json is
 // memoized on the segment so a later Save can reuse the files without
 // rewriting them — except for a version-5 segment, whose documents come
 // from meta.json and which the next Save rewrites as version 6.
-func loadSegment(dir string, m *snapshotMeta, i int, g *kg.Graph, onDisk bool, buf []byte) (*segment, error) {
+func loadSegment(dir string, m *snapshotMeta, i int, g *kg.Graph, mode loadMode, buf []byte) (*segment, error) {
 	sm := m.Segments[i]
+	textName, nodeName := segFileName(sm.ID, "text.idx"), segFileName(sm.ID, "node.idx")
+	embName, docsName := segFileName(sm.ID, "emb.bin"), "meta.json"
+	if m.Version == snapshotVersion {
+		docsName = segFileName(sm.ID, docsSuffix)
+	}
+	names := m.segmentFiles(sm.ID)
+	if mode == loadPostings {
+		names = []string{textName, nodeName, docsName}
+	}
+	for _, name := range names {
+		if err := verifyArtifact(dir, name, m.Checksums, buf); err != nil {
+			return nil, err
+		}
+	}
 	seg := &segment{}
 	corrupt := func(name string, err error) (*segment, error) {
 		seg.close()
 		return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
 	}
 	var err error
-	textName, nodeName := segFileName(sm.ID, "text.idx"), segFileName(sm.ID, "node.idx")
-	if seg.text, err = readIndexFile(filepath.Join(dir, textName), onDisk); err != nil {
+	if seg.text, err = readIndexFile(filepath.Join(dir, textName), mode == loadOnDisk); err != nil {
 		return corrupt(textName, err)
 	}
-	if seg.node, err = readIndexFile(filepath.Join(dir, nodeName), onDisk); err != nil {
+	if seg.node, err = readIndexFile(filepath.Join(dir, nodeName), mode == loadOnDisk); err != nil {
 		return corrupt(nodeName, err)
 	}
-	embName := segFileName(sm.ID, "emb.bin")
-	data, err := os.ReadFile(filepath.Join(dir, embName))
-	if err != nil {
-		return corrupt(embName, err)
-	}
-	if seg.embs, err = core.ReadEmbeddings(data, g); err != nil {
-		return corrupt(embName, err)
-	}
-	docsName := "meta.json"
-	if m.Version < snapshotVersion {
+	switch {
+	case mode == loadPostings:
+		if seg.times, err = readTimesFile(filepath.Join(dir, docsName)); err != nil {
+			return corrupt(docsName, err)
+		}
+	case m.Version < snapshotVersion:
 		seg.docs = m.legacyDocs[i]
-	} else {
-		docsName = segFileName(sm.ID, docsSuffix)
+	default:
 		if seg.docs, err = readDocsFile(filepath.Join(dir, docsName), buf); err != nil {
 			return corrupt(docsName, err)
 		}
 	}
-	seg.times = timesOf(seg.docs)
+	if mode != loadPostings {
+		seg.times = timesOf(seg.docs)
+	}
+	if n := seg.numDocs(); seg.text.NumDocs() != n || seg.node.NumDocs() != n {
+		return corrupt(docsName, fmt.Errorf("segment %s: %d docs, %d text-indexed, %d node-indexed",
+			sm.ID, n, seg.text.NumDocs(), seg.node.NumDocs()))
+	}
+	if mode != loadPostings {
+		data, err := os.ReadFile(filepath.Join(dir, embName))
+		if err != nil {
+			return corrupt(embName, err)
+		}
+		if seg.embs, err = core.ReadEmbeddings(data, g); err != nil {
+			return corrupt(embName, err)
+		}
+		if len(seg.embs) != seg.numDocs() {
+			return corrupt(embName, fmt.Errorf("segment %s: %d docs, %d embeddings", sm.ID, seg.numDocs(), len(seg.embs)))
+		}
+	}
 	if sm.Dead != "" {
 		raw, err := base64.StdEncoding.DecodeString(sm.Dead)
 		if err != nil {
@@ -607,14 +648,10 @@ func loadSegment(dir string, m *snapshotMeta, i int, g *kg.Graph, onDisk bool, b
 		if err != nil {
 			return corrupt("meta.json", fmt.Errorf("tombstones of segment %s: %v", sm.ID, err))
 		}
-		if dead.Len() != len(seg.docs) {
-			return corrupt("meta.json", fmt.Errorf("tombstone bitmap covers %d docs, segment has %d", dead.Len(), len(seg.docs)))
+		if dead.Len() != seg.numDocs() {
+			return corrupt("meta.json", fmt.Errorf("tombstone bitmap covers %d docs, segment has %d", dead.Len(), seg.numDocs()))
 		}
 		seg.dead = dead
-	}
-	if n := len(seg.docs); seg.text.NumDocs() != n || seg.node.NumDocs() != n || len(seg.embs) != n {
-		return corrupt(docsName, fmt.Errorf("segment %s: %d docs, %d text-indexed, %d node-indexed, %d embeddings",
-			sm.ID, n, seg.text.NumDocs(), seg.node.NumDocs(), len(seg.embs)))
 	}
 	if m.Version == snapshotVersion {
 		art := &segmentArtifact{id: sm.ID, sums: make(map[string]string, len(segmentSuffixes))}
@@ -640,10 +677,12 @@ func readIndexFile(path string, onDisk bool) (*index.Index, error) {
 	return index.ReadIndex(f)
 }
 
-// closeSegments releases any file-backed indexes of partially loaded
-// segments on the load error path.
+// closeSegments releases the file-backed indexes of loaded segments on an
+// error path (nil entries are the segments that never loaded).
 func closeSegments(segs []*segment) {
 	for _, seg := range segs {
-		seg.close()
+		if seg != nil {
+			seg.close()
+		}
 	}
 }

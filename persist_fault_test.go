@@ -126,7 +126,8 @@ func openUnder(t *testing.T, dir string) int {
 // missing checksum, a documents artifact whose checksum matches but whose
 // count or offsets do not, plus version skew and a torn meta.json. Each
 // case must return the matching typed error, never a (half-built) engine,
-// and leave no descriptor open on the snapshot.
+// and leave no descriptor open on the snapshot — except that LoadSegments,
+// which never reads embeddings, loads past a damaged emb.bin.
 func TestLoadCorruptionTable(t *testing.T) {
 	g, _ := corpus.Sample()
 	e := sampleEngine(t, DefaultConfig())
@@ -266,13 +267,6 @@ func TestLoadCorruptionTable(t *testing.T) {
 			for loader, loadFn := range map[string]func(string) (*Engine, error){
 				"Load":       func(d string) (*Engine, error) { return Load(d, g) },
 				"LoadOnDisk": func(d string) (*Engine, error) { return LoadOnDisk(d, g) },
-				"LoadSegments": func(d string) (*Engine, error) {
-					m, err := ReadManifest(d)
-					if err != nil {
-						return nil, err
-					}
-					return LoadSegments(d, g, m.Graph, m.Config, m.Segments, m.Checksums)
-				},
 			} {
 				got, err := loadFn(dir)
 				if got != nil {
@@ -285,6 +279,22 @@ func TestLoadCorruptionTable(t *testing.T) {
 				if n := openUnder(t, dir); n != 0 {
 					t.Fatalf("%s left %d descriptors open on the snapshot", loader, n)
 				}
+			}
+			// A shard worker's load fails the same way on everything it
+			// reads, and never reads the embeddings.
+			m, err := ReadManifest(dir)
+			if err == nil {
+				_, err = LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
+			}
+			if strings.HasSuffix(c.name, "emb.bin") {
+				if err != nil {
+					t.Fatalf("LoadSegments error = %v, want none: it does not read embeddings", err)
+				}
+			} else if !errors.Is(err, c.wantErr) || !strings.Contains(err.Error(), c.names) {
+				t.Fatalf("LoadSegments error = %v, want %v naming %q", err, c.wantErr, c.names)
+			}
+			if n := openUnder(t, dir); n != 0 {
+				t.Fatalf("LoadSegments left %d descriptors open on the snapshot", n)
 			}
 		})
 	}
@@ -357,8 +367,8 @@ func TestOnDiskReadErrorNeverBecomesEmpty(t *testing.T) {
 	if _, _, err := disk.FilteredSources(0, 0, terms); err == nil {
 		t.Fatal("FilteredSources over an unreadable node index returned no error")
 	}
-	if _, err := disk.DocVisible(1, 0, 0, terms); err == nil {
-		t.Fatal("DocVisible over an unreadable node index returned no error")
+	if _, err := disk.ExplainQueryContext(context.Background(), faceted, 1, 3); err == nil {
+		t.Fatal("entity-filtered Explain over an unreadable node index returned no error")
 	}
 	if err := disk.Compact(); err == nil {
 		t.Fatal("Compact over unreadable segments returned no error")

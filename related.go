@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"newslink/internal/index"
-	"newslink/internal/obs"
 	"newslink/internal/search"
 )
 
@@ -53,65 +51,62 @@ func (e *Engine) Related(docID, k int) ([]Result, error) {
 // When ctx carries a trace (obs.WithTrace), the BON retrieval stage
 // records its span with the usual pruning attributes.
 func (e *Engine) RelatedContext(ctx context.Context, q RelatedQuery) ([]Result, error) {
-	out, err := e.relatedContext(ctx, q)
+	resp, err := e.RelatedContextFull(ctx, q)
+	return resp.Results, err
+}
+
+// RelatedContextFull is RelatedContext returning the full response
+// envelope. Only a cluster router's engine ever fills its degradation
+// fields: with a shard down, the ranking covers the live shards' documents
+// and says so.
+func (e *Engine) RelatedContextFull(ctx context.Context, q RelatedQuery) (SearchResponse, error) {
+	resp, err := e.relatedContext(ctx, q)
 	e.met.relateds.Inc()
 	if err != nil {
 		e.met.relatedErrors.Inc()
 	}
-	return out, err
+	return resp, err
 }
 
-func (e *Engine) relatedContext(ctx context.Context, q RelatedQuery) ([]Result, error) {
+func (e *Engine) relatedContext(ctx context.Context, q RelatedQuery) (SearchResponse, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return SearchResponse{}, err
 	}
 	if q.K <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrInvalidK, q.K)
+		return SearchResponse{}, fmt.Errorf("%w: %d", ErrInvalidK, q.K)
 	}
 	snap, err := e.acquire()
 	if err != nil {
-		return nil, err
+		return SearchResponse{}, err
 	}
 	pos, err := e.lookup(snap, q.DocID)
 	if err != nil {
-		return nil, err
+		return SearchResponse{}, err
 	}
 	emb := snap.embedding(pos)
 	if emb == nil || len(emb.Counts) == 0 {
-		return nil, nil
+		return SearchResponse{}, nil
 	}
-	pool := q.PoolDepth
-	if pool <= 0 {
-		pool = e.cfg.PoolDepth
-	}
-	if pool < q.K {
-		pool = q.K
-	}
-	if n := snap.numLive(); pool > n {
-		pool = n
-	}
-	// The filter always exists here: self-exclusion is its own clause, so
-	// the source document can never rank against itself even when no
-	// temporal or entity clause was requested.
-	flt, err := newQueryFilter(snap, q.After, q.Before, entityTerms(e.Graph(), q.Entities), pos)
+	// Self-exclusion is its own clause, so the source document can never
+	// rank against itself even when no temporal or entity clause was
+	// requested.
+	ret, err := e.retrieve(ctx, snap, Traversal{
+		Pool:     e.pool(snap, q.PoolDepth, q.K),
+		After:    q.After,
+		Before:   q.Before,
+		Entities: entityTerms(e.Graph(), q.Entities),
+		Exclude:  pos,
+	}, false, nil, emb)
 	if err != nil {
-		return nil, err
-	}
-	sp := obs.FromContext(ctx).Start(obs.StageBON)
-	bon, st, err := bonTopK(ctx, index.Masked(snap.rawNode, snap.dead, flt), emb, pool)
-	e.met.blocksObserve(st)
-	d := sp.End(retrievalAttrs(len(bon), st)...)
-	e.met.stageObserve(obs.StageBON, d)
-	if err != nil {
-		return nil, err
+		return SearchResponse{}, err
 	}
 	// β = 1 fusion is exactly the documented normalization of a pure-BON
 	// ranking: clip(normalize(bon), k).
-	fused := search.Fuse(nil, bon, 1, q.K)
+	fused := search.Fuse(nil, ret.BON, 1, q.K)
 	out := make([]Result, len(fused))
 	for i, h := range fused {
 		doc := snap.doc(int(h.Doc))
 		out[i] = Result{ID: doc.ID, Title: doc.Title, Score: h.Score}
 	}
-	return out, nil
+	return ret.response(out), nil
 }

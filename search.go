@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"newslink/internal/core"
@@ -15,8 +14,9 @@ import (
 	"newslink/internal/search"
 )
 
-// The search pipeline: compile (parameters, analysis, filter) → retrieve
-// (BOW ∥ BON) → fuse (Equation 3) → gather (documents and snippets).
+// The search pipeline: compile (parameters, analysis) → retrieve (the BOW
+// and BON postings traversals, the one step that may run elsewhere) → fuse
+// (Equation 3) → gather (documents and snippets).
 
 // Search returns the top k documents for the query text, ranked by
 // Equation 3. It is SearchContext with a background context and the
@@ -26,9 +26,8 @@ func (e *Engine) Search(query string, k int) ([]Result, error) {
 }
 
 // SearchContext executes one search request, ranked by Equation 3 with the
-// request's (or the engine's) β and candidate pool. BOW and BON retrieval
-// run in parallel goroutines — they touch disjoint indexes. Cancellation of
-// ctx stops postings traversal cooperatively and returns ctx.Err().
+// request's (or the engine's) β and candidate pool. Cancellation of ctx
+// stops postings traversal cooperatively and returns ctx.Err().
 //
 // When ctx carries a trace (obs.WithTrace), the pipeline records one span
 // per stage — analyze, bow-retrieve, bon-retrieve, fuse, topk — with stage
@@ -77,22 +76,9 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (SearchResponse, er
 	if beta < 0 || beta > 1 {
 		return SearchResponse{}, fmt.Errorf("%w: %g", ErrInvalidBeta, beta)
 	}
-	pool := q.PoolDepth
-	if pool <= 0 {
-		pool = e.cfg.PoolDepth
-	}
-	if pool < q.K {
-		pool = q.K
-	}
 	snap, err := e.acquire()
 	if err != nil {
 		return SearchResponse{}, err
-	}
-	// A candidate pool can never usefully exceed the live corpus, so clamp
-	// it to the set size; this keeps an attacker-sized PoolDepth from
-	// driving pool-sized allocations regardless of the calling path.
-	if n := snap.numLive(); pool > n {
-		pool = n
 	}
 	// One graph view for the whole request: analysis and the entity filter
 	// must resolve labels against the same graph even if SwapGraph lands
@@ -105,28 +91,30 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (SearchResponse, er
 	if err := ctx.Err(); err != nil {
 		return SearchResponse{}, err
 	}
-	// Filter clauses compile once per request into a composed mask the
-	// retrieval tier consults through the live-mask seam; an unfiltered
-	// request compiles to nil and runs the untouched fast path.
-	flt, err := newQueryFilter(snap, q.After, q.Before, entityTerms(gs.g, q.Entities), -1)
-	if err != nil {
-		return SearchResponse{}, err
+	if beta == 0 {
+		qEmb = nil // no BON leg
 	}
-	ret, err := e.retrieve(ctx, snap, qEmb, qTerms, beta, pool, flt)
+	ret, err := e.retrieve(ctx, snap, Traversal{
+		Pool:     e.pool(snap, q.PoolDepth, q.K),
+		After:    q.After,
+		Before:   q.Before,
+		Entities: entityTerms(gs.g, q.Entities),
+		Exclude:  -1,
+	}, beta < 1, qTerms, qEmb)
 	if err != nil {
 		return SearchResponse{}, err
 	}
 	tr := obs.FromContext(ctx)
 	sp := tr.Start(obs.StageFuse)
 	fuseBeta := beta
-	if ret.degraded {
+	if ret.DegradedReason == DegradedBONError || ret.DegradedReason == DegradedBONTimeout {
 		// No BON ranking survived; fuse as pure text so a degraded reply
 		// is score- and rank-identical to a β = 0 query and the documented
 		// normalization (max score = 1) still holds.
 		fuseBeta = 0
 	}
-	fused := search.Fuse(ret.bow, ret.bon, fuseBeta, q.K)
-	d := sp.End(obs.Int("bow_candidates", len(ret.bow)), obs.Int("bon_candidates", len(ret.bon)), obs.Int("fused", len(fused)))
+	fused := search.Fuse(ret.BOW, ret.BON, fuseBeta, q.K)
+	d := sp.End(obs.Int("bow_candidates", len(ret.BOW)), obs.Int("bon_candidates", len(ret.BON)), obs.Int("fused", len(fused)))
 	e.met.stageObserve(obs.StageFuse, d)
 	sp = tr.Start(obs.StageTopK)
 	out := make([]Result, len(fused))
@@ -142,103 +130,161 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (SearchResponse, er
 	}
 	d = sp.End(obs.Int("k", len(out)))
 	e.met.stageObserve(obs.StageTopK, d)
-	return SearchResponse{Results: out, Degraded: ret.degraded, DegradedReason: ret.reason}, nil
+	return ret.response(out), nil
 }
 
-// retrieval is the outcome of the parallel BOW/BON fan-out of one search:
-// the two candidate lists plus whether the request degraded to BOW-only
-// ranking (and why).
-type retrieval struct {
-	bow, bon []search.Hit
-	degraded bool
-	reason   string
+// pool is a request's candidate pool: the request's depth (or the
+// engine's), never below k and never above the live corpus. The clamp keeps
+// an attacker-sized PoolDepth from driving pool-sized allocations
+// regardless of the calling path.
+func (e *Engine) pool(snap *segmentSet, depth, k int) int {
+	if depth <= 0 {
+		depth = e.cfg.PoolDepth
+	}
+	return min(max(depth, k), snap.numLive())
 }
 
-// retrieve runs BOW and BON retrieval for one search request. The two
-// stages touch disjoint indexes and run in parallel goroutines; each is
-// one sequential block-max traversal (DESIGN.md §6 records why the
-// intra-query DocID-range fan-out was removed).
+// nodeQuery fills q with a subgraph embedding as a BON query — one node
+// term per node, weighted by its count — and returns it. The caller sizes
+// q, so a query that does not outlive the call can stay off the heap.
+func nodeQuery(q search.Query, emb *core.DocEmbedding) search.Query {
+	for n, c := range emb.Counts {
+		q[nodeTerm(n)] = float64(c)
+	}
+	return q
+}
+
+// Traversal is the postings-traversal step of one search or related-news
+// request — the seam between the engine's pipeline and whatever traverses
+// its postings. An engine traverses its own indexes; a cluster router's
+// engine (LoadRouted) hands the step to its shard workers. Everything
+// before it (analysis, pool sizing, entity resolution) and after it
+// (fusion, documents, snippets) runs in the engine either way.
+type Traversal struct {
+	// Text and Node are the BOW and BON queries; a nil query skips its leg.
+	Text, Node search.Query
+	// Pool is the candidate-list depth of each leg, already clamped to
+	// the engine's live corpus.
+	Pool int
+	// After, Before and Entities are the request's filter clauses
+	// uncompiled: inclusive time bounds (0 = unbounded) and one node-term
+	// set per entity label (conjunctive across sets; an empty set matches
+	// nothing). Statistics stay those of the unfiltered corpus.
+	After, Before int64
+	Entities      [][]string
+	// Exclude is a global position no candidate list may hold (a related
+	// request's own document), or -1.
+	Exclude int
+}
+
+// Retrieval is what the traversals of one request found: the BOW and BON
+// candidate lists, over global positions, and how the request degraded on
+// the way — the SearchResponse fields of the same names (a non-empty
+// DegradedReason is a degraded request).
+type Retrieval struct {
+	BOW, BON              []search.Hit
+	DegradedReason        string
+	ShardsTotal, ShardsOK int
+}
+
+// response is the SearchResponse of results ranked from r.
+func (r Retrieval) response(results []Result) SearchResponse {
+	return SearchResponse{Results: results, Degraded: r.DegradedReason != "", DegradedReason: r.DegradedReason,
+		ShardsTotal: r.ShardsTotal, ShardsOK: r.ShardsOK}
+}
+
+// retrieve runs one request's traversals — the BOW leg over terms when bow
+// is set, the BON leg over the subgraph embedding emb when it is non-nil,
+// each t.Pool deep under t's filter clauses and exclusion — remotely when
+// the engine was loaded with a traversal (LoadRouted), which receives them
+// as the queries t.Text and t.Node, otherwise over snap's own indexes: the
+// two legs one after the other on the calling goroutine, each one
+// sequential block-max traversal (DESIGN.md §6 records why neither the
+// BOW ∥ BON goroutine nor the intra-query DocID-range fan-out is kept).
 //
-// In the fused case (0 < β < 1) the BON stage is sacrificial: it runs
-// under its own deadline when SetBONTimeout is configured, and a BON
-// error or stage timeout degrades the request to BOW-only ranking
-// instead of failing it — the text ranking is independently useful and a
-// degraded reply beats a 5xx. A request whose own context ended still
-// fails with that context's error, and single-sided requests (β = 0 or
-// β = 1) keep strict error semantics: they have nothing to fall back to.
-func (e *Engine) retrieve(ctx context.Context, snap *segmentSet, qEmb *core.DocEmbedding, qTerms []string, beta float64, pool int, flt *queryFilter) (retrieval, error) {
-	tr := obs.FromContext(ctx)
-	runBOW := beta < 1
-	runBON := beta > 0 && qEmb != nil
-	// A filtered request traverses the same indexes behind a composed mask
-	// (index.Masked): statistics and block bounds are those of the full
-	// corpus, so scoring and pruning are unchanged; only candidate
-	// admission consults the filter. Unfiltered requests keep the
-	// published sources.
-	text, node := snap.sources(flt)
-	var bow, bon []search.Hit
-	var bowErr, bonErr error
-	retrieveBOW := func(ctx context.Context) {
-		sp := tr.Start(obs.StageBOW)
-		var st search.RetrievalStats
-		bow, st, bowErr = search.TopKBlockMaxStats(ctx, text, search.NewBM25(text), search.NewQuery(qTerms), pool)
-		e.met.blocksObserve(st)
-		d := sp.End(retrievalAttrs(len(bow), st)...)
-		e.met.stageObserve(obs.StageBOW, d)
-	}
-	retrieveBON := func(ctx context.Context) {
-		sp := tr.Start(obs.StageBON)
-		var st search.RetrievalStats
-		defer func() {
-			e.met.blocksObserve(st)
-			d := sp.End(retrievalAttrs(len(bon), st)...)
-			e.met.stageObserve(obs.StageBON, d)
-		}()
-		if bonErr = faults.FireCtx(ctx, faults.BONStage); bonErr != nil {
-			return
+// In the fused case (both legs) the BON leg is sacrificial: it runs under
+// its own deadline when SetBONTimeout is configured, and a BON error or
+// stage timeout degrades the request to BOW-only ranking instead of failing
+// it — the text ranking is independently useful and a degraded reply beats
+// a 5xx. A request whose own context ended still fails with that context's
+// error, and single-leg requests (β = 0, β = 1, related news) keep strict
+// error semantics: they have nothing to fall back to.
+func (e *Engine) retrieve(ctx context.Context, snap *segmentSet, t Traversal, bow bool, terms []string, emb *core.DocEmbedding) (Retrieval, error) {
+	if e.remote != nil {
+		if bow {
+			t.Text = search.NewQuery(terms)
 		}
-		bon, st, bonErr = bonTopK(ctx, node, qEmb, pool)
-	}
-	switch {
-	case runBOW && runBON:
-		bctx, bcancel := ctx, context.CancelFunc(func() {})
-		if d := time.Duration(e.bonTimeout.Load()); d > 0 {
-			bctx, bcancel = context.WithTimeout(ctx, d)
+		if emb != nil {
+			t.Node = nodeQuery(make(search.Query, len(emb.Counts)), emb)
 		}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			retrieveBON(bctx)
-		}()
-		retrieveBOW(ctx)
-		wg.Wait()
-		bcancel()
-		if bowErr != nil {
-			return retrieval{}, bowErr
+		return e.remote(ctx, t)
+	}
+	// Filter clauses compile once per request into a composed mask the
+	// traversals consult through the live-mask seam: statistics and block
+	// bounds stay those of the full corpus, so scoring and pruning are
+	// unchanged; only candidate admission consults the filter. An
+	// unfiltered request compiles to nil and keeps the published sources.
+	flt, err := newQueryFilter(snap, t.After, t.Before, t.Entities, t.Exclude)
+	if err != nil {
+		return Retrieval{}, err
+	}
+	var ret Retrieval
+	if bow {
+		if ret.BOW, err = e.bowLeg(ctx, snap.textSource(flt), terms, t.Pool); err != nil {
+			return Retrieval{}, err
 		}
-		if bonErr != nil {
-			if err := ctx.Err(); err != nil {
-				return retrieval{}, err
-			}
-			reason := DegradedBONError
-			if errors.Is(bonErr, context.DeadlineExceeded) {
-				reason = DegradedBONTimeout
-			}
-			return retrieval{bow: bow, degraded: true, reason: reason}, nil
+	}
+	if emb == nil {
+		return ret, nil
+	}
+	node := snap.nodeSource(flt)
+	if !bow {
+		ret.BON, err = e.bonLeg(ctx, node, emb, t.Pool)
+		return ret, err
+	}
+	bctx, cancel := ctx, context.CancelFunc(func() {})
+	if d := time.Duration(e.bonTimeout.Load()); d > 0 {
+		bctx, cancel = context.WithTimeout(ctx, d)
+	}
+	defer cancel()
+	if ret.BON, err = e.bonLeg(bctx, node, emb, t.Pool); err != nil {
+		if err := ctx.Err(); err != nil {
+			return Retrieval{}, err
 		}
-	case runBOW:
-		retrieveBOW(ctx)
-	case runBON:
-		retrieveBON(ctx)
+		ret.BON, ret.DegradedReason = nil, DegradedBONError
+		if errors.Is(err, context.DeadlineExceeded) {
+			ret.DegradedReason = DegradedBONTimeout
+		}
 	}
-	if bowErr != nil {
-		return retrieval{}, bowErr
+	return ret, nil
+}
+
+// bowLeg is the BOW traversal: BM25 over the text index, recorded as the
+// bow-retrieve stage.
+func (e *Engine) bowLeg(ctx context.Context, text index.Source, terms []string, pool int) ([]search.Hit, error) {
+	sp := obs.FromContext(ctx).Start(obs.StageBOW)
+	hits, st, err := search.TopKBlockMaxStats(ctx, text, search.NewBM25(text), search.NewQuery(terms), pool)
+	e.met.blocksObserve(st)
+	e.met.stageObserve(obs.StageBOW, sp.End(retrievalAttrs(len(hits), st)...))
+	return hits, err
+}
+
+// bonLeg is the BON traversal: the node index ranked against a subgraph
+// embedding with the BON scorer (search.NodeBM25), recorded as the
+// bon-retrieve stage. Its fault point stands for a failing or slow
+// graph-side index.
+func (e *Engine) bonLeg(ctx context.Context, node index.Source, emb *core.DocEmbedding, pool int) ([]search.Hit, error) {
+	sp := obs.FromContext(ctx).Start(obs.StageBON)
+	var hits []search.Hit
+	var st search.RetrievalStats
+	err := faults.FireCtx(ctx, faults.BONStage)
+	if err == nil {
+		hits, st, err = search.TopKBlockMaxStats(ctx, node, search.NodeBM25(node.NumDocs(), node.AvgDocLen()),
+			nodeQuery(make(search.Query, len(emb.Counts)), emb), pool)
 	}
-	if bonErr != nil {
-		return retrieval{}, bonErr
-	}
-	return retrieval{bow: bow, bon: bon}, nil
+	e.met.blocksObserve(st)
+	e.met.stageObserve(obs.StageBON, sp.End(retrievalAttrs(len(hits), st)...))
+	return hits, err
 }
 
 // retrievalAttrs converts retrieval statistics into trace span attributes.
@@ -252,15 +298,4 @@ func retrievalAttrs(candidates int, st search.RetrievalStats) []obs.Attr {
 		obs.Int("blocks_decoded", st.BlocksDecoded),
 		obs.Int("blocks_skipped", st.BlocksSkipped),
 	}
-}
-
-// bonTopK ranks the node index against a subgraph embedding with the BON
-// scorer (search.NodeBM25) — the BON leg of a search, and all of a
-// related-news request.
-func bonTopK(ctx context.Context, node index.Source, emb *core.DocEmbedding, k int) ([]search.Hit, search.RetrievalStats, error) {
-	nq := make(search.Query, len(emb.Counts))
-	for n, c := range emb.Counts {
-		nq[nodeTerm(n)] = float64(c)
-	}
-	return search.TopKBlockMaxStats(ctx, node, search.NodeBM25(node.NumDocs(), node.AvgDocLen()), nq, k)
 }

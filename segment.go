@@ -31,11 +31,12 @@ import (
 // a new bitmap — except art, a memoized snapshot-artifact identity that is
 // computed on first Save and carried along (tombstones are not part of the
 // artifact identity: they live in meta.json, so a delete never forces a
-// segment rewrite on disk).
+// segment rewrite on disk). A shard worker's segments (LoadSegments) hold
+// no documents and no embeddings: only what postings traversal reads.
 type segment struct {
 	docs  []Document
 	embs  []*core.DocEmbedding // aligned with docs; nil if unembeddable
-	times []int64              // columnar Document.Time, aligned with docs
+	times []int64              // columnar Document.Time, one per document
 	text  *index.Index         // resident, or file-backed when loaded with LoadOnDisk
 	node  *index.Index
 	dead  *index.Bitmap // nil = no deletes
@@ -54,8 +55,8 @@ func timesOf(docs []Document) []int64 {
 	return times
 }
 
-func (s *segment) numDocs() int { return len(s.docs) }
-func (s *segment) numLive() int { return len(s.docs) - s.dead.Count() }
+func (s *segment) numDocs() int { return len(s.times) }
+func (s *segment) numLive() int { return s.numDocs() - s.dead.Count() }
 
 // close releases the snapshot files behind file-backed indexes (a no-op
 // for resident ones, and for the nil ones of a failed partial load).
@@ -95,21 +96,28 @@ type segmentSet struct {
 	// tombstone bitmap over global positions (nil when nothing is
 	// deleted). text and node are what unfiltered searches traverse — the
 	// raw sources behind index.Masked(dead), so deleted documents are
-	// masked out of retrieval; sources composes a request filter into the
-	// same single mask.
+	// masked out of retrieval; textSource and nodeSource compose a request
+	// filter into the same single mask.
 	rawText, rawNode index.Source
 	dead             *index.Bitmap
 	text, node       index.Source
 }
 
-// sources returns the text and node sources for one request: the published
-// ones when flt is nil, otherwise the raw indexes behind one mask carrying
-// both the tombstones and the request's filter.
-func (s *segmentSet) sources(flt *queryFilter) (text, node index.Source) {
+// textSource and nodeSource return the set's text and node source for one
+// request: the published one when flt is nil, otherwise the raw index
+// behind one mask carrying both the tombstones and the request's filter.
+func (s *segmentSet) textSource(flt *queryFilter) index.Source {
 	if flt == nil {
-		return s.text, s.node
+		return s.text
 	}
-	return index.Masked(s.rawText, s.dead, flt), index.Masked(s.rawNode, s.dead, flt)
+	return index.Masked(s.rawText, s.dead, flt)
+}
+
+func (s *segmentSet) nodeSource(flt *queryFilter) index.Source {
+	if flt == nil {
+		return s.node
+	}
+	return index.Masked(s.rawNode, s.dead, flt)
 }
 
 // newSegmentSet builds the published view over segs. Cost is O(numDocs)
@@ -120,13 +128,12 @@ func newSegmentSet(segs []*segment) *segmentSet {
 	for _, sg := range segs {
 		s.bases = append(s.bases, s.numDocs)
 		for j, d := range sg.docs {
-			if sg.dead.Get(j) {
-				s.deleted++
-			} else {
+			if !sg.dead.Get(j) {
 				s.docPos[d.ID] = s.numDocs + j
 			}
 		}
-		s.numDocs += len(sg.docs)
+		s.deleted += sg.dead.Count()
+		s.numDocs += sg.numDocs()
 		s.times = append(s.times, sg.times...)
 	}
 	if len(segs) == 1 {
