@@ -20,7 +20,9 @@
 # the query's term set compiled once, which must stay at 0 allocs/op;
 # BenchmarkSnapshotLoad covers cold start from a 6-segment snapshot through
 # Load, LoadSegments and NewRouter (its allocs/op and B/op are the decoding
-# work of the snapshot format).
+# work of the snapshot format); BenchmarkPublish covers the write side's
+# publish: a one-document refresh, a delete and an upsert over a 10k-doc,
+# 8-segment engine, whose B/op must follow the write, not the corpus.
 # CI uploads the file as an artifact so the performance trajectory has a
 # reproducible, CI-generated source; run locally as
 #
@@ -34,7 +36,7 @@ cd "$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 
 BENCHTIME="${1:-1s}"
 OUT="${2:-BENCH.json}"
-BENCHES='BenchmarkTopKStrategies|BenchmarkParallelFusedSearch|BenchmarkSnapshotServing|BenchmarkSegmentChurn|BenchmarkQueryEmbed|BenchmarkSustainedIngestServe|BenchmarkClusterScatterGather|BenchmarkWireCodec|BenchmarkFilteredSearch|BenchmarkRelated|BenchmarkGather|BenchmarkSnapshotLoad'
+BENCHES='BenchmarkTopKStrategies|BenchmarkParallelFusedSearch|BenchmarkSnapshotServing|BenchmarkSegmentChurn|BenchmarkQueryEmbed|BenchmarkSustainedIngestServe|BenchmarkClusterScatterGather|BenchmarkWireCodec|BenchmarkFilteredSearch|BenchmarkRelated|BenchmarkGather|BenchmarkSnapshotLoad|BenchmarkPublish'
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 

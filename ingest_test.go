@@ -58,8 +58,12 @@ func liveDocSet(t *testing.T, e *Engine) map[int]string {
 		t.Fatal("engine not built")
 	}
 	out := make(map[int]string)
-	for id, pos := range s.docPos {
-		out[id] = s.doc(pos).Title
+	for _, sg := range s.segs {
+		for j, d := range sg.docs {
+			if !sg.dead.Get(j) {
+				out[d.ID] = d.Title
+			}
+		}
 	}
 	return out
 }

@@ -7,16 +7,23 @@ import "sort"
 // built segments. Document IDs are remapped by concatenation — segment i's
 // documents follow all documents of segments 0..i-1.
 type Multi struct {
-	parts    []Source
-	bases    []DocID // bases[i] = first DocID of parts[i]
-	numDocs  int
-	totalLen float64
+	parts   []Source
+	bases   []DocID   // bases[i] = first DocID of parts[i]
+	ends    []float64 // ends[i] = the length fold after parts[i]
+	numDocs int
 }
 
 // NewMulti combines segments in order. Nested Multis are flattened so long
 // segment chains stay one level deep.
-func NewMulti(parts ...Source) *Multi {
-	m := &Multi{}
+func NewMulti(parts ...Source) *Multi { return NewMultiFrom(nil, parts...) }
+
+// NewMultiFrom is NewMulti(parts...) for a caller that holds the Multi it
+// replaces: the leading parts the two share (pointer-equal, in order) keep
+// prev's length fold up to their last boundary, so only the parts after
+// that common prefix are walked. prev may be nil. The result is the same
+// as NewMulti(parts...), AvgDocLen bits included.
+func NewMultiFrom(prev *Multi, parts ...Source) *Multi {
+	m := &Multi{parts: make([]Source, 0, len(parts)), bases: make([]DocID, 0, len(parts)), ends: make([]float64, 0, len(parts))}
 	var add func(s Source)
 	add = func(s Source) {
 		if inner, ok := s.(*Multi); ok {
@@ -25,22 +32,39 @@ func NewMulti(parts ...Source) *Multi {
 			}
 			return
 		}
+		i := len(m.parts)
 		m.bases = append(m.bases, DocID(m.numDocs))
 		m.parts = append(m.parts, s)
 		m.numDocs += s.NumDocs()
-		// Re-accumulate totalLen as one float64 fold in document order —
-		// bit-identical to what a single Builder over the concatenated
-		// corpus computes — so AvgDocLen (hence BM25 scores) cannot drift
-		// between a segmented and a single-segment build. The O(numDocs)
-		// walk happens once per refresh/swap, never on the query path.
-		for d, n := 0, s.NumDocs(); d < n; d++ {
-			m.totalLen += s.DocLen(DocID(d))
+		// Continue one float64 fold in document order — bit-identical to
+		// what a single Builder over the concatenated corpus computes — so
+		// AvgDocLen (hence BM25 scores) cannot drift between a segmented and
+		// a single-segment build. A part prev held at the same place, after
+		// the same parts, ends where it ended in prev; any other part is
+		// walked, once per publish, never on the query path.
+		if prev != nil && i < len(prev.parts) && prev.parts[i] == s {
+			m.ends = append(m.ends, prev.ends[i])
+			return
 		}
+		prev = nil // past the common prefix: nothing further is shared
+		total := m.totalLen()
+		for d, n := 0, s.NumDocs(); d < n; d++ {
+			total += s.DocLen(DocID(d))
+		}
+		m.ends = append(m.ends, total)
 	}
 	for _, p := range parts {
 		add(p)
 	}
 	return m
+}
+
+// totalLen is the length fold over every part.
+func (m *Multi) totalLen() float64 {
+	if len(m.ends) == 0 {
+		return 0
+	}
+	return m.ends[len(m.ends)-1]
 }
 
 // NumDocs implements Source.
@@ -65,7 +89,7 @@ func (m *Multi) AvgDocLen() float64 {
 	if m.numDocs == 0 {
 		return 0
 	}
-	return m.totalLen / float64(m.numDocs)
+	return m.totalLen() / float64(m.numDocs)
 }
 
 // DF implements Source.

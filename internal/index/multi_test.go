@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -104,6 +105,48 @@ func TestMultiEquivalentToMonolithic(t *testing.T) {
 	if !bytes.Equal(serialize(t, merged), serialize(t, ref)) {
 		t.Fatal("merged segments differ from the monolithic build")
 	}
+}
+
+// TestMultiFromContinuesFold: a Multi built from the one it replaces —
+// appended parts, a part replaced mid-list, a dropped leading part, nested
+// input — has exactly NewMulti's statistics, AvgDocLen bits included, and
+// leaves the Multi it continued untouched. Fractional weights make the
+// float64 fold order-sensitive, so a fold resumed at the wrong boundary
+// would show in the low bits.
+func TestMultiFromContinuesFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	parts := make([]Source, 6)
+	for i := range parts {
+		b := NewBuilder()
+		for d := 0; d < 3+rng.Intn(40); d++ {
+			b.AddWeighted(map[string]float32{"a": rng.Float32() * 7, "b": rng.Float32() / 3})
+		}
+		parts[i] = b.Build()
+	}
+	check := func(step string, m *Multi, want ...Source) {
+		t.Helper()
+		ref := NewMulti(want...)
+		if m.NumDocs() != ref.NumDocs() || math.Float64bits(m.AvgDocLen()) != math.Float64bits(ref.AvgDocLen()) {
+			t.Fatalf("%s: docs %d avg %v, want %d %v", step, m.NumDocs(), m.AvgDocLen(), ref.NumDocs(), ref.AvgDocLen())
+		}
+		for d := 0; d < ref.NumDocs(); d++ {
+			if m.DocLen(DocID(d)) != ref.DocLen(DocID(d)) {
+				t.Fatalf("%s: DocLen(%d) differs", step, d)
+			}
+		}
+	}
+	m0 := NewMultiFrom(nil, parts[:3]...)
+	check("fresh", m0, parts[:3]...)
+	m1 := NewMultiFrom(m0, parts[:5]...)
+	check("appended", m1, parts[:5]...)
+	m2 := NewMultiFrom(m1, parts[0], parts[5], parts[2], parts[3])
+	check("replaced mid-list", m2, parts[0], parts[5], parts[2], parts[3])
+	m3 := NewMultiFrom(m2, parts[5], parts[2], parts[3])
+	check("dropped leading part", m3, parts[5], parts[2], parts[3])
+	m4 := NewMultiFrom(m3, NewMulti(parts[5], parts[2]), parts[3], parts[4])
+	check("nested input", m4, parts[5], parts[2], parts[3], parts[4])
+	check("continued Multi kept", m0, parts[:3]...)
+	check("continued Multi kept", m1, parts[:5]...)
 }
 
 func TestMultiForEachTermEarlyStop(t *testing.T) {

@@ -273,7 +273,11 @@ func blockMaxAccumulate(ctx context.Context, idx index.Source, s Scorer, terms [
 			}
 		}
 		index.ReleaseCursor(cur)
-		acc.refresh(&th, k)
+		// The threshold steers the terms still to come; after the last one
+		// selectTop builds the same heap, so refreshing it is wasted work.
+		if i < len(terms)-1 {
+			acc.refresh(&th, k)
+		}
 	}
 	return acc.selectTop(k), st, nil
 }

@@ -92,6 +92,9 @@ func TestMetricsEndpointPrometheus(t *testing.T) {
 		`newslink_search_degraded_total{reason="bon_error"} 0`,
 		`newslink_search_degraded_total{reason="bon_timeout"} 0`,
 		"newslink_http_panics_total 0",
+		// The sample corpus is one segment: nothing merged yet.
+		"newslink_segment_merges_total 0",
+		"newslink_segment_merged_docs_total 0",
 		"newslink_http_shed_total 0",
 		"newslink_http_in_flight 0",
 	} {

@@ -133,7 +133,7 @@ func LoadSegments(dir string, g *kg.Graph, print GraphFingerprint, segs []Manife
 	if err != nil {
 		return nil, err
 	}
-	return &Shard{set: newSegmentSet(loaded)}, nil
+	return &Shard{set: newSegmentSet(nil, loaded)}, nil
 }
 
 // Sources returns the shard's text and node index sources for one search,

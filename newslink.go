@@ -344,7 +344,7 @@ func (e *Engine) hasDocLocked(id int) bool {
 		return true
 	}
 	if s := e.set.Load(); s != nil {
-		_, ok := s.docPos[id]
+		_, ok := s.position(id)
 		return ok
 	}
 	return false
@@ -391,13 +391,7 @@ func (e *Engine) refreshLocked() {
 // immutable segment and resets the accumulators. Callers hold e.mu and
 // have checked that pending documents exist.
 func (e *Engine) sealPendingLocked() *segment {
-	seg := &segment{
-		docs:  e.pendDocs,
-		embs:  e.pendEmbs,
-		times: timesOf(e.pendDocs),
-		text:  e.textB.Build(),
-		node:  e.nodeB.Build(),
-	}
+	seg := newSegment(e.pendDocs, e.pendEmbs, e.textB.Build(), e.nodeB.Build())
 	e.pendDocs, e.pendEmbs, e.pendPos = nil, nil, nil
 	e.textB, e.nodeB = nil, nil
 	e.pending.Store(0)
@@ -473,7 +467,7 @@ func (e *Engine) deleteLocked(id int) error {
 		e.refreshLocked()
 		s = e.set.Load()
 	}
-	pos, ok := s.docPos[id]
+	pos, ok := s.position(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownDoc, id)
 	}
@@ -494,7 +488,7 @@ func (e *Engine) deleteAtLocked(s *segmentSet, pos int) {
 		dead = index.NewBitmap(old.numDocs())
 	}
 	dead.Set(local)
-	clone := &segment{docs: old.docs, embs: old.embs, times: old.times, text: old.text, node: old.node, dead: dead}
+	clone := &segment{docs: old.docs, embs: old.embs, times: old.times, byID: old.byID, text: old.text, node: old.node, dead: dead}
 	// Tombstones are not part of the artifact identity (they live in
 	// meta.json), so the clone keeps the memoized snapshot artifacts.
 	clone.shareArtifact(old)
@@ -518,7 +512,7 @@ func (e *Engine) upsertLocked(doc Document, emb *core.DocEmbedding, terms []stri
 		e.refreshLocked()
 	}
 	if s = e.set.Load(); s != nil {
-		if pos, ok := s.docPos[doc.ID]; ok {
+		if pos, ok := s.position(doc.ID); ok {
 			e.deleteAtLocked(s, pos)
 		}
 	}
@@ -551,7 +545,7 @@ func (e *Engine) Compact() error {
 	if err != nil {
 		return err
 	}
-	e.met.segmentMerges.Inc()
+	e.met.mergeObserve(merged)
 	e.publishLocked([]*segment{merged})
 	return nil
 }
@@ -572,11 +566,11 @@ func (e *Engine) acquire() (*segmentSet, error) {
 }
 
 // lookup resolves a public document ID to its global position within the
-// set the caller holds. Tombstoned documents are absent from docPos, so a
-// deleted ID is unknown — Explain can never serve evidence for a document
-// Search would no longer return.
+// set the caller holds. Only live documents are found, so a deleted ID is
+// unknown — Explain can never serve evidence for a document Search would
+// no longer return.
 func (e *Engine) lookup(s *segmentSet, docID int) (int, error) {
-	pos, ok := s.docPos[docID]
+	pos, ok := s.position(docID)
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
 	}

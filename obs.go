@@ -30,6 +30,7 @@ type engineMetrics struct {
 	embedGroupCacheHits *obs.Counter
 	refreshes           *obs.Counter
 	segmentMerges       *obs.Counter
+	segmentMergedDocs   *obs.Counter
 	segmentMergeErrors  *obs.Counter
 	blocksDecoded       *obs.Counter
 	blocksSkipped       *obs.Counter
@@ -85,6 +86,8 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 			"Entity groups served from the embedder's per-group subgraph cache."),
 		refreshes:     r.Counter("newslink_refreshes_total", "Segment refreshes (explicit and search-triggered)."),
 		segmentMerges: r.Counter("newslink_segment_merges_total", "Segment merges performed by the tiered policy and Compact."),
+		segmentMergedDocs: r.Counter("newslink_segment_merged_docs_total",
+			"Documents rewritten by segment merges (divided by documents applied: the merge write amplification)."),
 		segmentMergeErrors: r.Counter("newslink_segment_merge_errors_total",
 			"Policy merges left undone because a segment's postings could not be read (retried on the next refresh)."),
 		blocksDecoded: r.Counter("newslink_blocks_decoded_total", "Postings blocks decoded by block-max retrieval."),
@@ -132,6 +135,12 @@ func (m *engineMetrics) blocksObserve(st search.RetrievalStats) {
 	if st.BlocksSkipped > 0 {
 		m.blocksSkipped.Add(int64(st.BlocksSkipped))
 	}
+}
+
+// mergeObserve counts one completed merge and the documents it rewrote.
+func (m *engineMetrics) mergeObserve(merged *segment) {
+	m.segmentMerges.Inc()
+	m.segmentMergedDocs.Add(int64(merged.numDocs()))
 }
 
 // embedObserve folds one query embedding's statistics into the engine-wide

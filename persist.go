@@ -621,7 +621,7 @@ func loadSegment(dir string, m *snapshotMeta, i int, g *kg.Graph, mode loadMode,
 		}
 	}
 	if mode != loadPostings {
-		seg.times = timesOf(seg.docs)
+		seg.times, seg.byID = timesOf(seg.docs), idOrder(seg.docs)
 	}
 	if n := seg.numDocs(); seg.text.NumDocs() != n || seg.node.NumDocs() != n {
 		return corrupt(docsName, fmt.Errorf("segment %s: %d docs, %d text-indexed, %d node-indexed",

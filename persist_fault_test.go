@@ -402,6 +402,9 @@ func TestOnDiskReadErrorNeverBecomesEmpty(t *testing.T) {
 	if n := disk.met.segmentMerges.Value(); n != 0 {
 		t.Fatalf("newslink_segment_merges_total = %d after a failed merge, want 0", n)
 	}
+	if n := disk.met.segmentMergedDocs.Value(); n != 0 {
+		t.Fatalf("newslink_segment_merged_docs_total = %d after a failed merge, want 0", n)
+	}
 }
 
 // parentEntries lists the names in the snapshot's parent directory, the

@@ -1,8 +1,10 @@
 package newslink
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -28,15 +30,17 @@ import (
 // embeddings (local positions 0..n-1), its two inverted indexes over those
 // positions, and the tombstone bitmap marking deleted documents. All
 // fields are immutable after construction — deletes clone the segment with
-// a new bitmap — except art, a memoized snapshot-artifact identity that is
-// computed on first Save and carried along (tombstones are not part of the
-// artifact identity: they live in meta.json, so a delete never forces a
-// segment rewrite on disk). A shard worker's segments (LoadSegments) hold
-// no documents and no embeddings: only what postings traversal reads.
+// a new bitmap, sharing everything else — except art, a memoized
+// snapshot-artifact identity that is computed on first Save and carried
+// along (tombstones are not part of the artifact identity: they live in
+// meta.json, so a delete never forces a segment rewrite on disk). A shard
+// worker's segments (LoadSegments) hold no documents, no embeddings and no
+// ID order: only what postings traversal reads.
 type segment struct {
 	docs  []Document
 	embs  []*core.DocEmbedding // aligned with docs; nil if unembeddable
 	times []int64              // columnar Document.Time, one per document
+	byID  []int32              // local positions sorted by Document.ID
 	text  *index.Index         // resident, or file-backed when loaded with LoadOnDisk
 	node  *index.Index
 	dead  *index.Bitmap // nil = no deletes
@@ -44,15 +48,47 @@ type segment struct {
 	art atomic.Pointer[segmentArtifact]
 }
 
+// newSegment assembles a segment over docs and their indexes, building the
+// two per-document columns — the time column and the ID order — once, at
+// seal, merge or load.
+func newSegment(docs []Document, embs []*core.DocEmbedding, text, node *index.Index) *segment {
+	return &segment{docs: docs, embs: embs, times: timesOf(docs), byID: idOrder(docs), text: text, node: node}
+}
+
 // timesOf extracts the columnar time store from a document slice: one
-// int64 per document, built once at seal/merge/load so temporal filters
-// read a flat column instead of chasing Document structs per candidate.
+// int64 per document, so temporal filters read a flat column instead of
+// chasing Document structs per candidate.
 func timesOf(docs []Document) []int64 {
 	times := make([]int64, len(docs))
 	for i, d := range docs {
 		times[i] = d.Time
 	}
 	return times
+}
+
+// idOrder returns the local positions of docs sorted by Document.ID, ties
+// in position order: what a lookup by ID binary-searches.
+func idOrder(docs []Document) []int32 {
+	order := make([]int32, len(docs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(docs[a].ID, docs[b].ID), cmp.Compare(a, b))
+	})
+	return order
+}
+
+// position returns the local position of the live document with the given
+// ID, if the segment holds one.
+func (s *segment) position(id int) (int, bool) {
+	k, _ := slices.BinarySearchFunc(s.byID, id, func(p int32, id int) int { return cmp.Compare(s.docs[p].ID, id) })
+	for ; k < len(s.byID) && s.docs[s.byID[k]].ID == id; k++ {
+		if local := int(s.byID[k]); !s.dead.Get(local) {
+			return local, true
+		}
+	}
+	return 0, false
 }
 
 func (s *segment) numDocs() int { return len(s.times) }
@@ -85,11 +121,10 @@ type segmentArtifact struct {
 // a consistent view with a single atomic load.
 type segmentSet struct {
 	segs    []*segment
-	bases   []int       // bases[i] = global position of segs[i]'s first document
-	numDocs int         // including tombstoned documents
-	deleted int         // tombstoned documents across all segments
-	docPos  map[int]int // Document.ID -> global position, live documents only
-	times   []int64     // concatenated per-segment time columns, indexed by global position
+	bases   []int   // bases[i] = global position of segs[i]'s first document
+	numDocs int     // including tombstoned documents
+	deleted int     // tombstoned documents across all segments
+	times   []int64 // concatenated per-segment time columns, indexed by global position
 
 	// rawText and rawNode are the set's indexes: the single segment's own
 	// index when possible, an index.Multi otherwise. dead is the set-wide
@@ -120,22 +155,28 @@ func (s *segmentSet) nodeSource(flt *queryFilter) index.Source {
 	return index.Masked(s.rawNode, s.dead, flt)
 }
 
-// newSegmentSet builds the published view over segs. Cost is O(numDocs)
-// (docPos and the exact Multi statistics); it runs on the write path only
-// — build, refresh, delete, merge — never per query.
-func newSegmentSet(segs []*segment) *segmentSet {
-	s := &segmentSet{segs: segs, docPos: make(map[int]int)}
-	for _, sg := range segs {
-		s.bases = append(s.bases, s.numDocs)
-		for j, d := range sg.docs {
-			if !sg.dead.Get(j) {
-				s.docPos[d.ID] = s.numDocs + j
-			}
-		}
+// newSegmentSet builds the published view over segs from prev, the view
+// it replaces (nil for the first one). It runs on the write path only —
+// build, refresh, delete, merge — never per query, and costs O(segments)
+// plus what segs holds that prev did not: lookups by ID search the
+// segments' own ID orders, and the time column and the length folds
+// continue prev's over the segments the two share, so a delete or a
+// one-document refresh never walks the corpus. Only the set-wide
+// tombstone bitmap, one bit per document, is rebuilt every time.
+//
+// Continuing prev.times appends past its length, into spare capacity of
+// the array prev's readers index: nothing they read is written. That holds
+// because sets form one chain — every set is built from the one published
+// before it, under e.mu, and published at once — so no two sets ever
+// append onto the same prev.
+func newSegmentSet(prev *segmentSet, segs []*segment) *segmentSet {
+	s := &segmentSet{segs: segs, bases: make([]int, len(segs))}
+	for i, sg := range segs {
+		s.bases[i] = s.numDocs
 		s.deleted += sg.dead.Count()
 		s.numDocs += sg.numDocs()
-		s.times = append(s.times, sg.times...)
 	}
+	s.times = timesAfter(prev, segs, s.numDocs)
 	if len(segs) == 1 {
 		// Single segment: serve its index directly, so a compacted engine
 		// is indistinguishable — allocation and layout included — from one
@@ -147,7 +188,12 @@ func newSegmentSet(segs []*segment) *segmentSet {
 		for i, sg := range segs {
 			texts[i], nodes[i] = sg.text, sg.node
 		}
-		s.rawText, s.rawNode = index.NewMulti(texts...), index.NewMulti(nodes...)
+		var prevText, prevNode *index.Multi
+		if prev != nil {
+			prevText, _ = prev.rawText.(*index.Multi)
+			prevNode, _ = prev.rawNode.(*index.Multi)
+		}
+		s.rawText, s.rawNode = index.NewMultiFrom(prevText, texts...), index.NewMultiFrom(prevNode, nodes...)
 	}
 	if s.deleted > 0 {
 		s.dead = index.NewBitmap(s.numDocs)
@@ -160,7 +206,45 @@ func newSegmentSet(segs []*segment) *segmentSet {
 	return s
 }
 
+// timesAfter returns the time column of a set over segs. When prev's
+// segments lead segs with the same time columns (a refresh, or a delete,
+// whose tombstone clone shares its column), only the new segments' columns
+// are appended onto prev.times. Any other shape — a merge inside the list,
+// a dropped segment — builds a fresh column, with room for the appends
+// that follow it.
+func timesAfter(prev *segmentSet, segs []*segment, numDocs int) []int64 {
+	if prev != nil && len(prev.segs) <= len(segs) && slices.EqualFunc(prev.segs, segs[:len(prev.segs)], sameTimes) {
+		times := prev.times
+		for _, sg := range segs[len(prev.segs):] {
+			times = append(times, sg.times...)
+		}
+		return times
+	}
+	times := make([]int64, 0, numDocs+numDocs/4)
+	for _, sg := range segs {
+		times = append(times, sg.times...)
+	}
+	return times
+}
+
+// sameTimes reports whether two segments share one time column.
+func sameTimes(a, b *segment) bool {
+	return len(a.times) == len(b.times) && (len(a.times) == 0 || &a.times[0] == &b.times[0])
+}
+
 func (s *segmentSet) numLive() int { return s.numDocs - s.deleted }
+
+// position returns the global position of the live document with the given
+// ID, searching the segments newest first. An ID is live in at most one
+// segment, so the first match is the only one.
+func (s *segmentSet) position(id int) (int, bool) {
+	for si := len(s.segs) - 1; si >= 0; si-- {
+		if local, ok := s.segs[si].position(id); ok {
+			return s.bases[si] + local, true
+		}
+	}
+	return 0, false
+}
 
 // segIndexOf locates the segment containing global position pos.
 func (s *segmentSet) segIndexOf(pos int) (si, local int) {
@@ -260,7 +344,7 @@ func mergeRun(segs []*segment) (*segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("newslink: merging node indexes: %w", err)
 	}
-	return &segment{docs: docs, embs: embs, times: timesOf(docs), text: text, node: node}, nil
+	return newSegment(docs, embs, text, node), nil
 }
 
 // applyMergePolicyLocked repeatedly merges qualifying runs until the set
@@ -278,7 +362,7 @@ func (e *Engine) applyMergePolicyLocked(segs []*segment) []*segment {
 			e.met.segmentMergeErrors.Inc()
 			return segs
 		}
-		e.met.segmentMerges.Inc()
+		e.met.mergeObserve(merged)
 		out := make([]*segment, 0, len(segs)-(hi-lo)+1)
 		out = append(out, segs[:lo]...)
 		out = append(out, merged)
@@ -297,7 +381,7 @@ func (e *Engine) publishLocked(segs []*segment) {
 			kept = append(kept, sg)
 		}
 	}
-	s := newSegmentSet(kept)
+	s := newSegmentSet(e.set.Load(), kept)
 	e.set.Store(s)
 	e.met.segments.Set(int64(len(s.segs)))
 	e.met.liveDocs.Set(int64(s.numLive()))

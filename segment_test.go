@@ -170,11 +170,20 @@ func TestCompactMergesToSingleSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	merges, mergedDocs := e.met.segmentMerges.Value(), e.met.segmentMergedDocs.Value()
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if e.NumSegments() != 1 {
 		t.Fatalf("NumSegments after Compact = %d, want 1", e.NumSegments())
+	}
+	// One merge, rewriting every live document (the tombstoned one is
+	// dropped, not rewritten).
+	if n := e.met.segmentMerges.Value() - merges; n != 1 {
+		t.Fatalf("Compact counted %d merges, want 1", n)
+	}
+	if n := e.met.segmentMergedDocs.Value() - mergedDocs; n != int64(e.NumDocs()) {
+		t.Fatalf("newslink_segment_merged_docs_total rose by %d, want %d", n, e.NumDocs())
 	}
 	if e.NumDeletedDocs() != 0 {
 		t.Fatalf("NumDeletedDocs after Compact = %d, want 0 (tombstones reclaimed)", e.NumDeletedDocs())
