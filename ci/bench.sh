@@ -22,7 +22,9 @@
 # Load, LoadSegments and NewRouter (its allocs/op and B/op are the decoding
 # work of the snapshot format); BenchmarkPublish covers the write side's
 # publish: a one-document refresh, a delete and an upsert over a 10k-doc,
-# 8-segment engine, whose B/op must follow the write, not the corpus.
+# 8-segment engine, whose B/op must follow the write, not the corpus, and
+# a stream of 1,024 one-document refreshes per op over the same engine,
+# whose B/op follows the tiered merges' write amplification.
 # CI uploads the file as an artifact so the performance trajectory has a
 # reproducible, CI-generated source; run locally as
 #

@@ -212,6 +212,14 @@ func (c *cursor) SeekBlock(d DocID) bool {
 }
 
 func (c *cursor) Block() ([]Posting, error) {
+	pl, err := c.decode(c.buf)
+	c.buf = pl
+	return pl, err
+}
+
+// decode decodes the current block into dst, reused when it has room for
+// the block.
+func (c *cursor) decode(dst []Posting) ([]Posting, error) {
 	bm := c.tl.blocks[c.bi]
 	lo, n := c.tl.offset+int64(bm.off), int(bm.end-bm.off)
 	var raw []byte
@@ -231,7 +239,5 @@ func (c *cursor) Block() ([]Posting, error) {
 	if c.bi > 0 {
 		base = c.tl.blocks[c.bi-1].last
 	}
-	pl, err := decodeBlock(raw, c.buf, c.tl.blockLen(c.bi), base, c.bi == 0, uint32(len(c.idx.docLen)), bm.last)
-	c.buf = pl
-	return pl, err
+	return decodeBlock(raw, dst, c.tl.blockLen(c.bi), base, c.bi == 0, uint32(len(c.idx.docLen)), bm.last)
 }

@@ -26,9 +26,6 @@ type Source interface {
 	TermCursor(term string) Cursor
 	// DF returns the document frequency of a term.
 	DF(term string) int
-	// ForEachTerm enumerates the vocabulary in sorted order until fn
-	// returns false.
-	ForEachTerm(fn func(term string) bool)
 }
 
 // Cursor iterates one term's postings block by block. A fresh cursor is
@@ -238,22 +235,12 @@ func (idx *Index) DF(term string) int {
 	return idx.lists[id].count
 }
 
-// ForEachTerm enumerates the vocabulary in sorted order — the directory's
-// own order — until fn returns false.
-func (idx *Index) ForEachTerm(fn func(term string) bool) {
-	for i := range idx.lists {
-		if !fn(idx.lists[i].term) {
-			return
-		}
-	}
-}
-
 // Postings materializes the full postings list of a term, sorted by DocID
-// (nil if the term is absent), by walking its cursor to the end. It is the
-// only full-list decoder: merges, the TopK oracle and tests use it, while
-// the query hot path stays on TermCursor and decodes only the blocks it
-// visits. A read or decode failure is returned, never folded into an empty
-// list.
+// (nil if the term is absent), by walking its cursor to the end. The TopK
+// oracle and tests use it, while the query hot path stays on TermCursor and
+// decodes only the blocks it visits, and MergeSegments decodes each list
+// into its own reused buffer. A read or decode failure is returned, never
+// folded into an empty list.
 func Postings(src Source, term string) ([]Posting, error) {
 	c := src.TermCursor(term)
 	if c == nil {

@@ -2,8 +2,14 @@ package index
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"sort"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -122,5 +128,148 @@ func TestMergeDropsFullyDeadTerm(t *testing.T) {
 	}
 	if merged.NumDocs() != 1 {
 		t.Fatalf("NumDocs = %d, want 1", merged.NumDocs())
+	}
+}
+
+// mergeReference is the merge MergeSegments replaced, kept as the
+// differential oracle: it collects and sorts the union of the parts'
+// vocabularies, materializes each part's list of every term with Postings,
+// and renumbers the concatenation through per-part remaps.
+func mergeReference(parts []*Index, dead []*Bitmap) (*Index, error) {
+	var docLen []float32
+	remaps := make([][]int32, len(parts))
+	seen := map[string]bool{}
+	var terms []string
+	for pi, p := range parts {
+		r := make([]int32, p.NumDocs())
+		for d := range r {
+			if dead != nil && dead[pi].Get(d) {
+				r[d] = -1
+				continue
+			}
+			r[d] = int32(len(docLen))
+			docLen = append(docLen, p.docLen[d])
+		}
+		remaps[pi] = r
+		for _, tl := range p.lists {
+			if !seen[tl.term] {
+				seen[tl.term] = true
+				terms = append(terms, tl.term)
+			}
+		}
+	}
+	sort.Strings(terms)
+	var lists []termList
+	var data []byte
+	for _, t := range terms {
+		var pl []Posting
+		for pi, p := range parts {
+			src, err := Postings(p, t)
+			if err != nil {
+				return nil, err
+			}
+			for _, e := range src {
+				if nd := remaps[pi][e.Doc]; nd >= 0 {
+					pl = append(pl, Posting{Doc: DocID(nd), TF: e.TF})
+				}
+			}
+		}
+		if len(pl) == 0 {
+			continue
+		}
+		var tl termList
+		tl, data = appendBlocks(data, t, pl)
+		lists = append(lists, tl)
+	}
+	return newIndex(docLen, lists, data), nil
+}
+
+// randPart builds a part of n documents over a skewed vocabulary, so the
+// common terms span several blocks and the rare ones appear in few parts;
+// some documents carry a fractional weight (the float TF encoding).
+func randPart(rng *rand.Rand, n int) *Index {
+	b := NewBuilder()
+	for d := 0; d < n; d++ {
+		counts := map[string]float32{}
+		for i := 0; i <= rng.Intn(12); i++ {
+			counts["t"+strconv.Itoa(rng.Intn(60)*rng.Intn(60)/60)]++
+		}
+		if rng.Intn(8) == 0 {
+			counts["frac"+strconv.Itoa(rng.Intn(3))] = 0.25 + rng.Float32()
+		}
+		b.AddWeighted(counts)
+	}
+	return b.Build()
+}
+
+// TestMergeMatchesReference: the one-pass directory merge serializes
+// byte-identically to the Postings-based reference over random parts —
+// empty ones, resident and file-backed ones, with no bitmap, an empty one,
+// scattered tombstones or every document dead — and a file-backed part
+// that goes bad after it was opened fails the merge, naming the first term
+// whose blocks can no longer be read.
+func TestMergeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 40; trial++ {
+		parts := make([]*Index, 1+rng.Intn(9))
+		dead := make([]*Bitmap, len(parts))
+		for pi := range parts {
+			n := rng.Intn(300)
+			if rng.Intn(6) == 0 {
+				n = 0
+			}
+			parts[pi] = randPart(rng, n)
+			switch rng.Intn(4) {
+			case 0: // no bitmap
+			case 1:
+				dead[pi] = NewBitmap(n)
+			case 2:
+				dead[pi] = NewBitmap(n)
+				for d := 0; d < n; d++ {
+					if rng.Intn(5) == 0 {
+						dead[pi].Set(d)
+					}
+				}
+			case 3:
+				dead[pi] = NewBitmap(n)
+				for d := 0; d < n; d++ {
+					dead[pi].Set(d)
+				}
+			}
+			if rng.Intn(2) == 0 {
+				disk, err := OpenIndex(writeTemp(t, parts[pi]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { disk.Close() })
+				parts[pi] = disk
+			}
+		}
+		got, err := MergeSegments(parts, dead)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want, err := mergeReference(parts, dead)
+		if err != nil {
+			t.Fatalf("trial %d: reference: %v", trial, err)
+		}
+		if !bytes.Equal(serialize(t, got), serialize(t, want)) {
+			t.Fatalf("trial %d: merge over %d parts differs from the reference", trial, len(parts))
+		}
+	}
+
+	path := writeTemp(t, randPart(rng, 200))
+	held, err := OpenIndex(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	bad := &held.lists[held.NumTerms()/2]
+	if err := os.Truncate(path, held.base+bad.offset+1); err != nil {
+		t.Fatal(err)
+	}
+	_, err = MergeSegments([]*Index{randPart(rng, 50), held}, nil)
+	if err == nil || !errors.Is(err, io.EOF) || !strings.Contains(err.Error(), fmt.Sprintf("term %q", bad.term)) {
+		t.Fatalf("merge over a truncated part: %v, want an EOF naming term %q", err, bad.term)
 	}
 }

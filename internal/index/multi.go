@@ -101,19 +101,9 @@ func (m *Multi) DF(term string) int {
 	return df
 }
 
-// ForEachTerm implements term enumeration over the union of segments, in
-// sorted order, visiting each term once.
-func (m *Multi) ForEachTerm(fn func(term string) bool) {
-	for _, t := range mergedTerms(m.parts) {
-		if !fn(t) {
-			return
-		}
-	}
-}
-
 // TermCursor implements Source: a cursor that walks each segment's blocks
-// in order with the segment's DocID base applied. ForEachTerm's sorted
-// union and the ascending bases keep the global block sequence sorted.
+// in order with the segment's DocID base applied. The ascending bases keep
+// the global block sequence sorted.
 // Cursors come from a pool (pool.go); ReleaseCursor hands them — and their
 // per-segment sub-cursors — back.
 func (m *Multi) TermCursor(term string) Cursor {

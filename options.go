@@ -95,10 +95,11 @@ func WithIngestQueue(n int) Option {
 
 // WithIngestBatch bounds how many queued writes the ingest applier folds
 // into one micro-batch (default 256): each batch is analyzed in parallel,
-// indexed under one lock acquisition and sealed as one segment, sized so
-// the tiered merge policy (mergeFactor 8) keeps segment counts — and
-// search fan-out — bounded under sustained ingest. n <= 0 keeps the
-// default.
+// indexed under one lock acquisition and sealed as one segment. Whatever
+// the batch size, the tiered merge policy (geometric tiers, mergeFactor 8)
+// keeps segment counts — and search fan-out — logarithmic in the corpus
+// and rewrites each document about once per tier it climbs. n <= 0 keeps
+// the default.
 func WithIngestBatch(n int) Option {
 	return optionFunc(func(o *engineOptions) {
 		if n > 0 {

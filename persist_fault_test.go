@@ -323,7 +323,7 @@ func truncateArtifacts(t *testing.T, dir, suffix string) {
 // publish a segment without postings and answer every later search with
 // zero hits), not Save.
 func TestOnDiskReadErrorNeverBecomesEmpty(t *testing.T) {
-	g, _ := corpus.Sample()
+	g, arts := corpus.Sample()
 	const query = "Taliban bombing in Lahore"
 	// loadOnDisk saves the sample engine plus extra one-document segments
 	// and reloads it file-backed.
@@ -384,17 +384,22 @@ func TestOnDiskReadErrorNeverBecomesEmpty(t *testing.T) {
 		t.Fatalf("search over unreadable segments returned %v, no error", res)
 	}
 
-	// The tiered policy on refresh has no error return: the eighth
-	// tier-0 segment makes a run, the merge fails, and the run stays
-	// unmerged (and exact) with the failure counted.
-	disk, dir = loadOnDisk(t, mergeFactor-2)
+	// The tiered policy on refresh has no error return: the mergeFactor-th
+	// adjacent segment of tier segTier(1) makes a run, the merge fails, and
+	// the run stays unmerged (and exact) with the failure counted. The
+	// sample segment joins the run only if it shares that tier.
+	late := mergeFactor - 1
+	if segTier(len(arts)) == segTier(1) {
+		late--
+	}
+	disk, dir = loadOnDisk(t, late)
 	truncateArtifacts(t, dir, "text.idx")
 	if err := disk.Add(Document{ID: 9400, Title: "later", Text: "A later bulletin."}); err != nil {
 		t.Fatal(err)
 	}
 	disk.Refresh()
-	if disk.NumSegments() != mergeFactor {
-		t.Fatalf("failed policy merge left %d segments, want %d unmerged", disk.NumSegments(), mergeFactor)
+	if disk.NumSegments() != late+2 {
+		t.Fatalf("failed policy merge left %d segments, want %d unmerged", disk.NumSegments(), late+2)
 	}
 	if n := disk.met.segmentMergeErrors.Value(); n != 1 {
 		t.Fatalf("newslink_segment_merge_errors_total = %d, want 1", n)

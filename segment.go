@@ -264,52 +264,59 @@ func (s *segmentSet) embedding(pos int) *core.DocEmbedding {
 	return s.segs[si].embs[local]
 }
 
-// Tiered merge policy. Segments are tiered by live-document count:
-// tier 0 holds up to mergeTier0 documents, and each higher tier is
+// Tiered merge policy. Segments are tiered geometrically by live-document
+// count: a segment's tier is ⌊log_mergeFactor(live)⌋, so tier 0 holds
+// segments of fewer than mergeFactor documents and each higher tier is
 // mergeFactor times larger. When an adjacent run of at least mergeFactor
 // same-tier segments exists, the whole run merges into one tombstone-free
-// segment. Adjacency is required — merging concatenates, and preserving
-// document order is what keeps merged search results bitwise identical to
-// the unmerged set (DESIGN.md §11). The policy bounds the segment count to
-// O(mergeFactor · log_mergeFactor(corpus)), which keeps per-query fan-out
-// flat and postings blocks full enough for block-max pruning to bite.
-const (
-	mergeFactor = 8
-	mergeTier0  = 1024
-)
+// segment, one tier up. Adjacency is required — merging concatenates, and
+// preserving document order is what keeps merged search results bitwise
+// identical to the unmerged set (DESIGN.md §11). A streamed document is
+// therefore rewritten about once per tier it climbs, at most about
+// log_mergeFactor(corpus) times, and after every refresh the set holds at
+// most mergeFactor−1 segments per tier (findMergeRun):
+// (mergeFactor−1)·(segTier(corpus)+1) in all, which keeps per-query
+// fan-out flat and postings blocks full enough for block-max pruning to
+// bite.
+const mergeFactor = 8
 
 // segTier buckets a live-document count into its merge tier.
 func segTier(live int) int {
 	t := 0
-	for ceil := mergeTier0; live >= ceil; ceil *= mergeFactor {
+	for ceil := mergeFactor; live >= ceil; ceil *= mergeFactor {
 		t++
 	}
 	return t
 }
 
-// findMergeRun locates the first (smallest-tier, then leftmost) adjacent
-// run of at least mergeFactor segments of equal tier. Returns ok=false
-// when no run qualifies.
+// findMergeRun locates the smallest-tier adjacent run of at least
+// mergeFactor segments of equal tier. Returns ok=false when no run
+// qualifies.
+//
+// A segment counts at the tier of the largest segment sealed after it.
+// Small segments followed by a larger one — a micro-batch larger than the
+// ones before it, or a segment deletes shrank — would otherwise never sit
+// next to a segment of their own tier again, and the set would grow
+// without bound; promoted, they merge with their neighbours instead. The
+// counted tiers never increase from left to right, so each tier is one
+// contiguous block, and with no run left it holds at most mergeFactor−1
+// segments. A set already in that order — what a stream of equal seals
+// leaves — counts every segment at its own tier.
 func findMergeRun(segs []*segment) (lo, hi int, ok bool) {
-	maxTier := 0
 	tiers := make([]int, len(segs))
-	for i, sg := range segs {
-		tiers[i] = segTier(sg.numLive())
-		if tiers[i] > maxTier {
-			maxTier = tiers[i]
-		}
+	top := 0
+	for i := len(segs) - 1; i >= 0; i-- {
+		top = max(top, segTier(segs[i].numLive()))
+		tiers[i] = top
 	}
-	for t := 0; t <= maxTier; t++ {
-		run := 0
-		for i := 0; i <= len(segs); i++ {
-			if i < len(segs) && tiers[i] == t {
-				run++
-				continue
-			}
-			if run >= mergeFactor {
-				return i - run, i, true
-			}
-			run = 0
+	// Walk the tier blocks from the right, smallest tier first.
+	for hi = len(segs); hi > 0; hi = lo {
+		lo = hi - 1
+		for lo > 0 && tiers[lo-1] == tiers[hi-1] {
+			lo--
+		}
+		if hi-lo >= mergeFactor {
+			return lo, hi, true
 		}
 	}
 	return 0, 0, false

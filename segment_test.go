@@ -506,15 +506,18 @@ func TestChurnSegmentLifecycle(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	// A delete moves a segment's tier without running the policy, and a
+	// Refresh with nothing pending is a no-op: seal one more document so the
+	// final Refresh runs the policy over the churned set.
+	if err := e.Add(Document{ID: nextID, Title: "churn", Text: "A closing churn bulletin about Lahore."}); err != nil {
+		t.Fatal(err)
+	}
+	live[nextID] = true
 	e.Refresh()
 	if got := e.NumDocs(); got != len(live) {
 		t.Fatalf("NumDocs = %d, tracker says %d", got, len(live))
 	}
-	// All churn segments stay in tier 0, so the tiered policy bounds the
-	// count by one unmerged run.
-	if got := e.NumSegments(); got > mergeFactor {
-		t.Fatalf("NumSegments = %d, want <= %d (tiered policy bound)", got, mergeFactor)
-	}
+	checkTierBound(t, e, "after churn")
 	for id := range live {
 		if _, err := e.ExplainDOT(lifecycleQueries[0], id, "x"); err != nil {
 			t.Fatalf("live doc %d unknown after churn: %v", id, err)
@@ -528,5 +531,74 @@ func TestChurnSegmentLifecycle(t *testing.T) {
 		if _, err := Load(dir, g); err != nil {
 			t.Fatalf("mid-churn snapshot %s does not load: %v", dir, err)
 		}
+	}
+}
+
+// checkTierBound asserts the merge policy's invariant after a refresh: no
+// run is left to merge, and the set holds at most mergeFactor-1 segments
+// per tier.
+func checkTierBound(t *testing.T, e *Engine, when string) {
+	t.Helper()
+	if lo, hi, ok := findMergeRun(e.set.Load().segs); ok {
+		t.Fatalf("%s: segments [%d, %d) still form a merge run", when, lo, hi)
+	}
+	if got, bound := e.NumSegments(), (mergeFactor-1)*(segTier(e.NumDocs())+1); got > bound {
+		t.Fatalf("%s: %d segments over %d documents, want <= %d", when, got, e.NumDocs(), bound)
+	}
+}
+
+// TestMergeWriteAmplification streams 2,048 documents over the sample
+// corpus, one per refresh — a news stream sealed as it arrives. Geometric
+// tiers rewrite each streamed document about once per tier it climbs, so
+// the documents merges rewrite, divided by the documents applied, stay
+// within ⌈log_8 2048⌉ = 4; and the tier bound holds after every refresh.
+func TestMergeWriteAmplification(t *testing.T) {
+	const applied = 2048
+	e := sampleEngine(t, DefaultConfig())
+	for i := 0; i < applied; i++ {
+		if err := e.Add(Document{ID: 50000 + i, Title: "stream", Text: fmt.Sprintf("Bulletin %d on the Taliban in Lahore.", i)}); err != nil {
+			t.Fatal(err)
+		}
+		e.Refresh()
+		checkTierBound(t, e, fmt.Sprintf("refresh %d", i))
+	}
+	merged := e.met.segmentMergedDocs.Value()
+	amp := float64(merged) / applied
+	if amp > 4 {
+		t.Fatalf("merges rewrote %d documents for %d applied: amplification %.1f, want <= 4", merged, applied, amp)
+	}
+	t.Logf("merges rewrote %d documents for %d applied: amplification %.2f, %d segments", merged, applied, amp, e.NumSegments())
+}
+
+// TestMergeTiersUnevenBatches seals micro-batches of uneven size, as the
+// ingest applier does under bursty load, so a segment is often sealed
+// right after smaller ones, and deletes shrink segments below their tier.
+// The policy bound must hold after every refresh all the same: without
+// promoting the small segments sealed before a larger one, they would
+// never again sit next to a segment of their own tier.
+func TestMergeTiersUnevenBatches(t *testing.T) {
+	e := sampleEngine(t, DefaultConfig())
+	rng := rand.New(rand.NewSource(29))
+	id := 60000
+	for batch := 0; batch < 300; batch++ {
+		n := 1 + rng.Intn(3)
+		if rng.Intn(4) == 0 {
+			n = 1 + rng.Intn(100)
+		}
+		docs := make([]Document, n)
+		for i := range docs {
+			docs[i] = Document{ID: id, Title: "batch", Text: fmt.Sprintf("Bulletin %d from Peshawar.", id)}
+			id++
+		}
+		if err := e.AddAll(docs, 1); err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(3) == 0 {
+			if err := e.Delete(id - 1 - rng.Intn(n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Refresh()
+		checkTierBound(t, e, fmt.Sprintf("batch %d", batch))
 	}
 }
