@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 	"sync"
@@ -407,13 +408,13 @@ func BenchmarkQueryEmbed(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelFusedSearch compares one fully sequential fused query
-// (BOW top-k, then BON top-k, then Equation 3 fusion — what
-// Engine.SearchContext runs) against the two legs overlapped in two
-// goroutines (Overlapped), each one sequential block-max traversal: the
-// form the engine measured and dropped (DESIGN.md §6).
-// Corpora are synthetic (seeded random postings in a realistic skew) so
-// setup stays cheap at 100k documents; run with -cpu 1,2,4 to see scaling.
+// BenchmarkParallelFusedSearch measures one fully sequential fused query
+// — BOW top-k, then BON top-k, then Equation 3 fusion, what
+// Engine.SearchContext runs — each leg one sequential block-max traversal.
+// (The name predates the removal of its overlapped BOW ∥ BON variant;
+// DESIGN.md §6 keeps that measurement.) Corpora are synthetic (seeded
+// random postings in a realistic skew) so setup stays cheap at 100k
+// documents.
 func BenchmarkParallelFusedSearch(b *testing.B) {
 	build := func(nDocs, vocab, seed int) index.Source {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -482,27 +483,6 @@ func BenchmarkParallelFusedSearch(b *testing.B) {
 				q := i % len(queries)
 				bow, st1, _ := search.TopKBlockMaxStats(ctx, textIdx, textScorer, queries[q], pool)
 				bon, st2, _ := search.TopKBlockMaxStats(ctx, nodeIdx, nodeScorer, nodeQueries[q], pool)
-				search.Fuse(bow, bon, 0.2, 20)
-				scored += int64(st1.Scored + st2.Scored)
-				skipped += int64(st1.BlocksSkipped + st2.BlocksSkipped)
-			}
-			b.ReportMetric(float64(scored)/float64(b.N), "postings_scored/op")
-			b.ReportMetric(float64(skipped)/float64(b.N), "blocks_skipped/op")
-		})
-		b.Run(fmt.Sprintf("Overlapped-%d", nDocs), func(b *testing.B) {
-			var scored, skipped int64
-			for i := 0; i < b.N; i++ {
-				q := i % len(queries)
-				var bon []search.Hit
-				var st2 search.RetrievalStats
-				var wg sync.WaitGroup
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					bon, st2, _ = search.TopKBlockMaxStats(ctx, nodeIdx, nodeScorer, nodeQueries[q], pool)
-				}()
-				bow, st1, _ := search.TopKBlockMaxStats(ctx, textIdx, textScorer, queries[q], pool)
-				wg.Wait()
 				search.Fuse(bow, bon, 0.2, 20)
 				scored += int64(st1.Scored + st2.Scored)
 				skipped += int64(st1.BlocksSkipped + st2.BlocksSkipped)
@@ -671,6 +651,77 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkColdBuild measures a cold build — AddAll and Build of 2,000
+// seeded CNNLike documents, what every newslinkd start-up from a corpus
+// runs. allocs/op and B/op, which the regression gate holds, are the
+// build's allocation work: the timed builds run with the collector off and
+// one forced collection before each, off the clock, so pool refills land
+// at the same points every run. peak-heap-MB is informational: the
+// highest heap-object bytes above the fixture's live heap during one
+// untimed build with the collector on, sampled every millisecond through
+// runtime/metrics — the transient that sets a building server's peak RSS.
+func BenchmarkColdBuild(b *testing.B) {
+	w := kg.Generate(kg.DefaultConfig(3))
+	arts := corpus.Generate(w, corpus.CNNLike(), 2000, 1)
+	docs := make([]newslink.Document, len(arts))
+	for i, a := range arts {
+		docs[i] = newslink.Document{ID: a.ID, Title: a.Title, Text: a.Text, Time: a.Time}
+	}
+	build := func() {
+		e := newslink.New(w.Graph, newslink.DefaultConfig())
+		if err := e.AddAll(docs, 0); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Build(); err != nil {
+			b.Fatal(err)
+		}
+		e.Close()
+	}
+	b.StopTimer()
+	peak := peakHeapMB(build)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+		b.StartTimer()
+		build()
+		b.StopTimer()
+	}
+	b.ReportMetric(peak, "peak-heap-MB")
+}
+
+// peakHeapMB runs fn while a goroutine samples the heap-object bytes every
+// millisecond, and returns the highest sample above the live heap before
+// fn, in MiB.
+func peakHeapMB(fn func()) float64 {
+	runtime.GC()
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	read := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	base, peak := read(), uint64(0)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				peak = max(peak, read())
+			}
+		}
+	}()
+	fn()
+	close(stop)
+	<-done
+	peak = max(peak, read())
+	return float64(peak-min(peak, base)) / (1 << 20)
 }
 
 // BenchmarkPublish measures what a write costs the engine's publish — the

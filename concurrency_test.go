@@ -16,10 +16,13 @@ import (
 // TestConcurrentAddSearchExplain interleaves writer calls (Add, AddAll,
 // Refresh) with reader calls (Search, Explain, ExplainDOT, NumDocs) from
 // many goroutines. Run under -race this is the regression test for the
-// engine's RWMutex: at seed, Add's segment swap raced with Search.
+// engine's RWMutex: at seed, Add's segment swap raced with Search. The
+// AddAll spans five windows of 4, so its analyzer goroutine races the
+// other writer's Adds and Refreshes and the readers' refreshes between
+// its windows.
 func TestConcurrentAddSearchExplain(t *testing.T) {
 	g, arts := corpus.Sample()
-	e := New(g, DefaultConfig())
+	e := New(g, DefaultConfig(), WithIngestBatch(4))
 	for _, a := range arts[:2] {
 		if err := e.Add(Document{ID: a.ID, Title: a.Title, Text: a.Text}); err != nil {
 			t.Fatal(err)
@@ -33,9 +36,10 @@ func TestConcurrentAddSearchExplain(t *testing.T) {
 	var failed atomic.Value
 	fail := func(err error) { failed.CompareAndSwap(nil, err) }
 
-	// Writer: feed the remaining sample docs one by one, then synthetic
-	// filler docs, with explicit Refreshes sprinkled in.
-	wg.Add(1)
+	// Writers: one feeds the remaining sample docs one by one, with
+	// explicit Refreshes sprinkled in; the other adds synthetic filler
+	// docs in one AddAll.
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i, a := range arts[2:] {
@@ -47,18 +51,21 @@ func TestConcurrentAddSearchExplain(t *testing.T) {
 				e.Refresh()
 			}
 		}
-		for i := 0; i < 20; i++ {
+	}()
+	go func() {
+		defer wg.Done()
+		fillers := make([]Document, 20)
+		for i := range fillers {
 			// A unique alphabetic token per doc so each is individually
 			// retrievable (digits are not index terms).
-			err := e.Add(Document{
+			fillers[i] = Document{
 				ID:    1000 + i,
 				Title: fmt.Sprintf("filler %d", i),
 				Text:  fmt.Sprintf("Taliban activity report fillerdoc%c near Peshawar and Lahore.", 'a'+i),
-			})
-			if err != nil {
-				fail(err)
-				return
 			}
+		}
+		if err := e.AddAll(fillers, 2); err != nil {
+			fail(err)
 		}
 	}()
 

@@ -160,12 +160,20 @@ func (e *Engine) Add(doc Document) error {
 // concurrently across workers (Section VII-G of the paper: "for processing
 // corpus data, we can easily parallelize the process"). Results are
 // identical to sequential Add calls in the same order; only wall-clock time
-// changes. workers <= 0 selects GOMAXPROCS. After Build, the batch lands in
-// the open segment like individual Adds, WAL-logged first under one
-// group-commit fsync, so every document of an acknowledged batch survives a
-// crash. A duplicate document ID aborts the batch at the offending
-// document; documents before it stay indexed (replay skips the duplicate
-// the same way, converging to the state this call left behind).
+// changes. workers <= 0 selects GOMAXPROCS.
+//
+// The batch is indexed in windows of the WithIngestBatch bound (default
+// 256), the same bound the ingest queue's micro-batches use: one window is
+// applied while the next is analyzed, so memory holds at most two windows
+// of analysis, not the whole batch. After Build, the batch lands in the
+// open segment like individual Adds, each window WAL-logged first under
+// one group-commit fsync, so every document of an acknowledged batch
+// survives a crash. Between two windows the call lets go of the log, so
+// another writer or a Save may land there; log order still equals apply
+// order, which is all replay needs. A duplicate document ID aborts the
+// batch at the offending document; documents before it stay indexed and
+// nothing after it is logged or applied (replay skips the duplicate the
+// same way, converging to the state this call left behind).
 func (e *Engine) AddAll(docs []Document, workers int) error {
 	return e.write(walOpAdd, docs, workers, true)
 }
@@ -232,17 +240,56 @@ func (e *Engine) write(op byte, docs []Document, workers int, wait bool) error {
 	return e.writeSync(ops, workers)
 }
 
-// writeSync is the direct write path. Analysis reads only immutable engine
-// state, so it runs outside every lock: concurrent writers embed in
-// parallel and searches are not blocked. Then, under walMu (log order is
-// apply order): post-Build writes are logged and made durable with one
-// group-commit wait for the whole batch — pre-Build writes are not logged,
-// the initial corpus is covered by Build/Save — and applied under mu.
-// Indexing is order-dependent (DocIDs are positional), so apply is
-// sequential; it is a tiny fraction of the embedding cost (Figure 7). The
-// first failing op aborts the batch; ops before it stay applied.
+// writeSync is the direct write path. It works in windows of at most
+// opts.ingestBatch ops — the bound the ingest applier's micro-batches
+// share — so a batch never holds more than two windows of analyzed
+// documents: while window i is logged and applied (writeWindow), one
+// goroutine analyzes window i+1 outside every lock. A batch of one window
+// is analyzed and applied on the caller's goroutine alone. The first
+// failing op aborts the batch: earlier windows stay applied, no later
+// window is logged or applied, and the in-flight analysis is waited for
+// and discarded, so no goroutine outlives the call.
 func (e *Engine) writeSync(ops []writeOp, workers int) error {
-	analyzed := e.analyzeBatch(ops, workers)
+	size := e.opts.ingestBatch
+	if len(ops) <= size {
+		return e.writeWindow(ops, e.analyzeBatch(ops, workers))
+	}
+	analyzed := make(chan []analyzedDoc)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for lo := 0; lo < len(ops); lo += size {
+			an := e.analyzeBatch(ops[lo:min(lo+size, len(ops))], workers)
+			select {
+			case analyzed <- an:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	for lo := 0; lo < len(ops); lo += size {
+		if err := e.writeWindow(ops[lo:min(lo+size, len(ops))], <-analyzed); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeWindow logs and applies one window of analyzed ops. Analysis reads
+// only immutable engine state, so it ran outside every lock: concurrent
+// writers embed in parallel and searches are not blocked. Then, under
+// walMu (log order is apply order): post-Build writes are logged and made
+// durable with one group-commit wait for the window — pre-Build writes are
+// not logged, the initial corpus is covered by Build/Save — and applied
+// under mu. Indexing is order-dependent (DocIDs are positional), so apply
+// is sequential; it is a tiny fraction of the embedding cost (Figure 7).
+// The first failing op aborts the window; ops before it stay applied.
+func (e *Engine) writeWindow(ops []writeOp, analyzed []analyzedDoc) error {
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
 	built := e.set.Load() != nil

@@ -124,6 +124,7 @@ type Builder struct {
 	terms    map[string]TermID
 	postings [][]Posting
 	docLen   []float32
+	scratch  []string // Add's sorted copy of one document's terms, reused
 }
 
 // NewBuilder returns an empty Builder.
@@ -132,13 +133,27 @@ func NewBuilder() *Builder {
 }
 
 // Add indexes a document given its (already analyzed) terms and returns the
-// assigned DocID. Duplicate terms raise the term frequency.
+// assigned DocID. Duplicate terms raise the term frequency: the terms are
+// sorted into a reused scratch slice and each run of equal terms is one
+// posting, so the fold order is AddWeighted's and the index is the same
+// bytes either way.
 func (b *Builder) Add(terms []string) DocID {
-	counts := make(map[string]float32, len(terms))
-	for _, t := range terms {
-		counts[t]++
+	b.scratch = append(b.scratch[:0], terms...)
+	sort.Strings(b.scratch)
+	doc := b.nextDoc()
+	var total float32
+	for i := 0; i < len(b.scratch); {
+		j := i + 1
+		for j < len(b.scratch) && b.scratch[j] == b.scratch[i] {
+			j++
+		}
+		c := float32(j - i)
+		b.post(b.scratch[i], doc, c)
+		total += c
+		i = j
 	}
-	return b.AddWeighted(counts)
+	b.docLen = append(b.docLen, total)
+	return doc
 }
 
 // AddWeighted indexes a document from explicit term weights (the BON model
@@ -147,10 +162,7 @@ func (b *Builder) Add(terms []string) DocID {
 // order — is identical across runs; together with Build's canonical TermID
 // assignment this makes serialized indexes byte-deterministic.
 func (b *Builder) AddWeighted(counts map[string]float32) DocID {
-	if b.terms == nil {
-		b.terms = make(map[string]TermID)
-	}
-	doc := DocID(len(b.docLen))
+	doc := b.nextDoc()
 	keys := make([]string, 0, len(counts))
 	for t := range counts {
 		keys = append(keys, t)
@@ -159,17 +171,31 @@ func (b *Builder) AddWeighted(counts map[string]float32) DocID {
 	var total float32
 	for _, t := range keys {
 		c := counts[t]
-		id, ok := b.terms[t]
-		if !ok {
-			id = TermID(len(b.postings))
-			b.terms[t] = id
-			b.postings = append(b.postings, nil)
-		}
-		b.postings[id] = append(b.postings[id], Posting{Doc: doc, TF: c})
+		b.post(t, doc, c)
 		total += c
 	}
 	b.docLen = append(b.docLen, total)
 	return doc
+}
+
+// nextDoc returns the DocID the next document receives.
+func (b *Builder) nextDoc() DocID {
+	if b.terms == nil {
+		b.terms = make(map[string]TermID)
+	}
+	return DocID(len(b.docLen))
+}
+
+// post appends one posting to a term's list. Documents arrive in DocID
+// order, so every list stays sorted without a sort at Build.
+func (b *Builder) post(t string, doc DocID, tf float32) {
+	id, ok := b.terms[t]
+	if !ok {
+		id = TermID(len(b.postings))
+		b.terms[t] = id
+		b.postings = append(b.postings, nil)
+	}
+	b.postings[id] = append(b.postings[id], Posting{Doc: doc, TF: tf})
 }
 
 // Build finalizes the index: term IDs are canonicalized to sorted term
@@ -188,12 +214,10 @@ func (b *Builder) Build() *Index {
 	lists := make([]termList, len(names))
 	data := make([]byte, 0, total*3)
 	for i, t := range names {
-		pl := b.postings[b.terms[t]]
-		sort.Slice(pl, func(a, c int) bool { return pl[a].Doc < pl[c].Doc })
-		lists[i], data = appendBlocks(data, t, pl)
+		lists[i], data = appendBlocks(data, t, b.postings[b.terms[t]])
 	}
 	idx := newIndex(b.docLen, lists, data)
-	b.terms, b.postings, b.docLen = nil, nil, nil
+	b.terms, b.postings, b.docLen, b.scratch = nil, nil, nil, nil
 	return idx
 }
 

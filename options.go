@@ -30,8 +30,9 @@ type engineOptions struct {
 	// ingestQueue bounds the async ingest queue (Ingest); 0 disables the
 	// pipeline and Ingest degrades to a synchronous upsert.
 	ingestQueue int
-	// ingestBatch bounds how many queued writes one applier pass analyzes,
-	// indexes and seals as a single segment.
+	// ingestBatch bounds how many writes are analyzed at once on either
+	// write path: one applier pass of the ingest queue (indexed and sealed
+	// as a single segment), or one window of a direct AddAll.
 	ingestBatch int
 }
 
@@ -93,13 +94,16 @@ func WithIngestQueue(n int) Option {
 	return optionFunc(func(o *engineOptions) { o.ingestQueue = n })
 }
 
-// WithIngestBatch bounds how many queued writes the ingest applier folds
-// into one micro-batch (default 256): each batch is analyzed in parallel,
-// indexed under one lock acquisition and sealed as one segment. Whatever
-// the batch size, the tiered merge policy (geometric tiers, mergeFactor 8)
-// keeps segment counts — and search fan-out — logarithmic in the corpus
-// and rewrites each document about once per tier it climbs. n <= 0 keeps
-// the default.
+// WithIngestBatch bounds how many writes are analyzed at once (default
+// 256), one bound for both write paths. The ingest applier folds up to n
+// queued writes into one micro-batch: analyzed in parallel, indexed under
+// one lock acquisition and sealed as one segment. Whatever the batch size,
+// the tiered merge policy (geometric tiers, mergeFactor 8) keeps segment
+// counts — and search fan-out — logarithmic in the corpus and rewrites
+// each document about once per tier it climbs. Without the queue, AddAll
+// indexes its batch in windows of n, applying one while analyzing the
+// next, so a cold build holds at most two windows of analysis at once.
+// n <= 0 keeps the default.
 func WithIngestBatch(n int) Option {
 	return optionFunc(func(o *engineOptions) {
 		if n > 0 {
