@@ -23,9 +23,9 @@ import (
 // analysis, index sources, positional document access and the snippet —
 // for per-layer measurement.
 
-// LoadRouted restores the snapshot at dir as LoadOnDisk does — documents
-// and embeddings resident, postings left in the index files — for an
-// engine whose postings traversals run elsewhere: every search and
+// LoadRouted restores the snapshot at dir as LoadOnDisk does — postings,
+// documents and embeddings left in the snapshot files, read on demand —
+// for an engine whose postings traversals run elsewhere: every search and
 // related-news request hands its Traversal to traverse instead of reading
 // a posting, and runs everything before and after it locally. The engine
 // is read-only: writes and Compact fail with ErrReadOnly.
@@ -111,7 +111,7 @@ func (e *Engine) DocAt(pos int) (Document, error) {
 	if pos < 0 || pos >= snap.numDocs {
 		return Document{}, fmt.Errorf("%w: position %d of %d", ErrUnknownDoc, pos, snap.numDocs)
 	}
-	return snap.doc(pos), nil
+	return snap.doc(pos)
 }
 
 // Snippet picks the sentence of text with the highest query-term overlap

@@ -66,7 +66,10 @@ func (e *Engine) explainContext(ctx context.Context, q Query, docID int, maxPath
 	if err != nil {
 		return Explanation{}, err
 	}
-	dEmb := snap.embedding(pos)
+	dEmb, err := snap.embedding(pos)
+	if err != nil {
+		return Explanation{}, err
+	}
 	if qEmb == nil || dEmb == nil {
 		return Explanation{}, nil
 	}
@@ -177,7 +180,10 @@ func (e *Engine) ExplainDOTContext(ctx context.Context, query string, docID int,
 	if err != nil {
 		return "", err
 	}
-	dEmb := snap.embedding(pos)
+	dEmb, err := snap.embedding(pos)
+	if err != nil {
+		return "", err
+	}
 	if qEmb == nil || dEmb == nil {
 		return "", nil
 	}

@@ -96,7 +96,7 @@ func mustFilter(t *testing.T, e *Engine, snap *segmentSet, after, before int64, 
 }
 
 // exactTopK is the TAAT oracle with a read error failing the test.
-func exactTopK(t *testing.T, src index.Source, s search.Scorer, q search.Query, k int) []search.Hit {
+func exactTopK(t *testing.T, src index.Source, s search.BM25, q search.Query, k int) []search.Hit {
 	t.Helper()
 	hits, err := search.TopK(src, s, q, k)
 	if err != nil {
@@ -146,7 +146,7 @@ func bruteForceSearch(t *testing.T, e *Engine, q Query) []Result {
 	fused := search.Fuse(bow, bon, beta, q.K)
 	out := make([]Result, len(fused))
 	for i, h := range fused {
-		doc := snap.doc(int(h.Doc))
+		doc := docAt(t, snap, int(h.Doc))
 		out[i] = Result{ID: doc.ID, Title: doc.Title, Score: h.Score, Snippet: referenceSnippet(doc.Text, qTerms)}
 	}
 	return out
@@ -267,7 +267,7 @@ func TestFilteredResultsRespectPredicate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		emb := snap.embedding(pos)
+		emb := embeddingAt(t, snap, pos)
 		if emb == nil {
 			t.Fatalf("doc %d passed the entity facet without an embedding", r.ID)
 		}
@@ -358,7 +358,7 @@ func bruteForceRelated(t *testing.T, e *Engine, q RelatedQuery) []Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emb := snap.embedding(pos)
+	emb := embeddingAt(t, snap, pos)
 	if emb == nil || len(emb.Counts) == 0 {
 		return nil
 	}
@@ -381,7 +381,7 @@ func bruteForceRelated(t *testing.T, e *Engine, q RelatedQuery) []Result {
 	fused := search.Fuse(nil, bon, 1, q.K)
 	out := make([]Result, len(fused))
 	for i, h := range fused {
-		doc := snap.doc(int(h.Doc))
+		doc := docAt(t, snap, int(h.Doc))
 		out[i] = Result{ID: doc.ID, Title: doc.Title, Score: h.Score}
 	}
 	return out
@@ -478,10 +478,10 @@ func TestRelatedSemantics(t *testing.T) {
 			}
 			// A document that embedded to nothing relates to nothing.
 			for pos := 0; pos < snap.numDocs; pos++ {
-				if snap.embedding(pos) != nil {
+				if embeddingAt(t, snap, pos) != nil {
 					continue
 				}
-				doc := snap.doc(pos)
+				doc := docAt(t, snap, pos)
 				res, err := e.Related(doc.ID, 5)
 				if err != nil || len(res) != 0 {
 					t.Fatalf("embedding-less doc %d: got %v, %v; want empty, nil", doc.ID, res, err)
@@ -532,8 +532,8 @@ func TestSnapshotV4BackCompat(t *testing.T) {
 			t.Fatal(err)
 		}
 		for pos := 0; pos < want.numDocs; pos++ {
-			if doc, err := got.DocAt(pos); err != nil || !reflect.DeepEqual(doc, want.doc(pos)) {
-				t.Fatalf("%s: document at %d is %+v (%v), want %+v", name, pos, doc, err, want.doc(pos))
+			if doc, err := got.DocAt(pos); err != nil || !reflect.DeepEqual(doc, docAt(t, want, pos)) {
+				t.Fatalf("%s: document at %d is %+v (%v), want %+v", name, pos, doc, err, docAt(t, want, pos))
 			}
 		}
 		for cname, flt := range filterCases(w, arts) {

@@ -59,8 +59,12 @@ func liveDocSet(t *testing.T, e *Engine) map[int]string {
 	}
 	out := make(map[int]string)
 	for _, sg := range s.segs {
-		for j, d := range sg.docs {
+		for j := range sg.numDocs() {
 			if !sg.dead.Get(j) {
+				d, err := sg.doc(j)
+				if err != nil {
+					t.Fatal(err)
+				}
 				out[d.ID] = d.Title
 			}
 		}

@@ -463,7 +463,8 @@ func (rt *Router) traverseOnce(ctx context.Context, target []*slot, t newslink.T
 	}
 
 	// Gather: merge the per-slot lists (decoded straight into global
-	// positions) with the sharded-merge comparator.
+	// positions, each ranked as the worker's kernel returned it) with the
+	// sharded-merge comparator.
 	gsp := tr.Start(obs.StageGather)
 	bowLists := make([][]search.Hit, len(target))
 	bonLists := make([][]search.Hit, len(target))

@@ -177,13 +177,15 @@ func docsOffsets(b []byte) []byte {
 	return b[16+16*n : 16+32*n+8]
 }
 
-// TestNewRouterCorruptionTable: the router depends on the documents and
-// index artifacts, so it fails the way the loaders do — every documents,
-// text and node artifact of the snapshot, missing, truncated, bit-flipped
-// or without a recorded checksum, and every documents artifact that passes
+// TestNewRouterCorruptionTable: the router depends on every artifact, so
+// it fails the way the loaders do — every documents, text, node and
+// embeddings artifact of the snapshot, missing, truncated, bit-flipped or
+// without a recorded checksum, every documents artifact that passes
 // verification but disagrees with its index (count) or with itself
-// (offsets), is ErrSnapshotCorrupt from NewRouter, with no router returned
-// and no descriptor left open on the snapshot.
+// (offsets), and every embeddings artifact that passes verification but
+// does not parse, is ErrSnapshotCorrupt naming the artifact from
+// NewRouter, with no router returned and no descriptor left open on the
+// snapshot.
 func TestNewRouterCorruptionTable(t *testing.T) {
 	pristine, g := buildSnapshot(t)
 	m, err := newslink.ReadManifest(pristine)
@@ -261,20 +263,29 @@ func TestNewRouterCorruptionTable(t *testing.T) {
 			return b
 		})},
 	)
+	// The embeddings are read on demand, but the one pass that records
+	// where each record starts validates them all at load.
+	embDamages := append(damages,
+		damage{"one byte short, under a recorded checksum", recorded(func(b []byte) []byte { return b[:len(b)-1] })},
+		damage{"one trailing byte, under a recorded checksum", recorded(func(b []byte) []byte { return append(b, 0) })},
+	)
 	cfg := Config{Endpoints: [][]string{{"http://a"}, {"http://b"}, {"http://c"}}, Logger: testLogger()}
 	for _, sm := range m.Segments {
-		for _, suffix := range []string{".docs.bin", ".text.idx", ".node.idx"} {
+		for _, suffix := range []string{".docs.bin", ".text.idx", ".node.idx", ".emb.bin"} {
 			artifact := "seg-" + sm.ID + suffix
 			dmgs := damages
-			if suffix == ".docs.bin" {
+			switch suffix {
+			case ".docs.bin":
 				dmgs = docsDamages
+			case ".emb.bin":
+				dmgs = embDamages
 			}
 			for _, dmg := range dmgs {
 				dir := copySnapshot(t, pristine)
 				dmg.apply(dir, artifact)
 				rt, err := NewRouter(dir, g, cfg)
-				if !errors.Is(err, newslink.ErrSnapshotCorrupt) {
-					t.Errorf("%s %s: err = %v, want ErrSnapshotCorrupt", artifact, dmg.name, err)
+				if !errors.Is(err, newslink.ErrSnapshotCorrupt) || !strings.Contains(err.Error(), artifact) {
+					t.Errorf("%s %s: err = %v, want ErrSnapshotCorrupt naming the artifact", artifact, dmg.name, err)
 				}
 				if rt != nil {
 					t.Errorf("%s %s: NewRouter returned a router", artifact, dmg.name)
@@ -289,7 +300,9 @@ func TestNewRouterCorruptionTable(t *testing.T) {
 }
 
 // TestRouterCloseReleasesIndexFiles: a router holds one descriptor per
-// index artifact of its plan, and Close gives every one of them back.
+// artifact of its plan — the two indexes, the documents and the
+// embeddings of every segment, all read on demand — and Close gives every
+// one of them back.
 func TestRouterCloseReleasesIndexFiles(t *testing.T) {
 	dir, g := buildSnapshot(t)
 	rt, err := NewRouter(dir, g, Config{Endpoints: [][]string{{"http://a"}, {"http://b"}}, Logger: testLogger()})
@@ -300,8 +313,8 @@ func TestRouterCloseReleasesIndexFiles(t *testing.T) {
 	for _, sp := range rt.Plan().Shards {
 		segments += len(sp.Segments)
 	}
-	if got := openUnder(t, dir); got != 2*segments {
-		t.Errorf("open router holds %d descriptors on the snapshot, want %d (text + node of %d segments)", got, 2*segments, segments)
+	if got := openUnder(t, dir); got != 4*segments {
+		t.Errorf("open router holds %d descriptors on the snapshot, want %d (the four artifacts of %d segments)", got, 4*segments, segments)
 	}
 	rt.Close()
 	if got := openUnder(t, dir); got != 0 {
@@ -452,4 +465,50 @@ func TestStartAssignsEndpointsConcurrently(t *testing.T) {
 	if !rt.slots[0].eps[0].healthy.Load() {
 		t.Fatal("Start returned without admitting the stalled slot")
 	}
+}
+
+// TestRouterStoredFieldReadErrors: the router reads documents and
+// embeddings from its snapshot on demand, so a disk going bad under it
+// fails the requests that read them — never a 200 with empty or missing
+// results — while the others keep answering exactly.
+func TestRouterStoredFieldReadErrors(t *testing.T) {
+	dir, g, _, _, ts := startCluster(t, Config{})
+	ref := referenceServer(t, dir, g)
+	q := url.QueryEscape(identityQueries[0])
+	var res server.SearchResponse
+	getJSON(t, ts.URL+"/v1/search?q="+q+"&k=5", http.StatusOK, &res)
+	if len(res.Results) == 0 {
+		t.Fatal("no results to read")
+	}
+	id := res.Results[0].ID
+	explain := fmt.Sprintf("/v1/explain?q=%s&id=%d&paths=3", q, id)
+	dot := fmt.Sprintf("/v1/dot?q=%s&id=%d", q, id)
+	related := fmt.Sprintf("/v1/related/%d?k=5", id)
+	truncate := func(suffix string) {
+		t.Helper()
+		matches, err := filepath.Glob(filepath.Join(dir, "seg-*."+suffix))
+		if err != nil || len(matches) == 0 {
+			t.Fatalf("no seg-*.%s under %s (%v)", suffix, dir, err)
+		}
+		for _, path := range matches {
+			if err := os.Truncate(path, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	truncate("docs.bin")
+	getJSON(t, ts.URL+"/v1/search?q="+q+"&k=5", http.StatusInternalServerError, nil)
+	getJSON(t, ts.URL+related, http.StatusInternalServerError, nil)
+	var got, want server.ExplainResponse
+	getJSON(t, ts.URL+explain, http.StatusOK, &got)
+	getJSON(t, ref.URL+explain, http.StatusOK, &want)
+	if !reflect.DeepEqual(got.Explanation, want.Explanation) {
+		t.Fatalf("explain without reading a document diverges\ncluster: %+v\nsingle:  %+v", got.Explanation, want.Explanation)
+	}
+
+	truncate("emb.bin")
+	getJSON(t, ts.URL+explain, http.StatusInternalServerError, nil)
+	getJSON(t, ts.URL+dot, http.StatusInternalServerError, nil)
+	getJSON(t, ts.URL+related, http.StatusInternalServerError, nil)
 }

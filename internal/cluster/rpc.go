@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 
 	"newslink"
 	"newslink/internal/search"
@@ -330,12 +331,16 @@ func (r *AssignResponse) Validate() error {
 	return nil
 }
 
-// Validate bounds the hit lists. Positions need no check here: a hit's
-// Doc is unsigned, and the frame decoder refuses a negative or
-// out-of-space position before one is formed.
+// Validate bounds the hit lists and checks that each is ranked, which
+// is how the router's merge (search.MergeTopK) reads them. Positions need
+// no check here: a hit's Doc is unsigned, and the frame decoder refuses a
+// negative or out-of-space position before one is formed.
 func (r *SearchResponse) Validate() error {
 	if len(r.Text) > maxRPCK || len(r.Node) > maxRPCK {
 		return decodeErrf("search response: hit list exceeds k cap")
+	}
+	if !slices.IsSortedFunc(r.Text, search.RankOrder) || !slices.IsSortedFunc(r.Node, search.RankOrder) {
+		return decodeErrf("search response: hit list out of rank order")
 	}
 	return nil
 }

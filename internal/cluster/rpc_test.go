@@ -85,6 +85,11 @@ func TestDecodeRPCRejects(t *testing.T) {
 		{"too many hits", mustMarshal(t, &SearchResponse{Plan: "p", Text: make([]search.Hit, maxRPCK+1)}), &SearchResponse{}},
 		{"negative hit position", mustMarshal(t, &SearchResponse{Plan: "p", Base: 7,
 			Text: []search.Hit{{Doc: 3, Score: 1}}}), &SearchResponse{}},
+		// The router merges each list as ranked (search.MergeTopK).
+		{"hits out of score order", mustMarshal(t, &SearchResponse{Plan: "p",
+			Node: []search.Hit{{Doc: 3, Score: 1}, {Doc: 4, Score: 2}}}), &SearchResponse{}},
+		{"tied hits out of doc order", mustMarshal(t, &SearchResponse{Plan: "p",
+			Text: []search.Hit{{Doc: 4, Score: 1}, {Doc: 3, Score: 1}}}), &SearchResponse{}},
 	}
 	for _, tc := range cases {
 		if err := DecodeRPC([]byte(tc.data), tc.into); err == nil {

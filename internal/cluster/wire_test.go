@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/url"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -82,6 +83,7 @@ func (g wireGen) hits() []search.Hit {
 	for i := range out {
 		out[i] = search.Hit{Doc: index.DocID(g.Uint32()), Score: g.float()}
 	}
+	slices.SortFunc(out, search.RankOrder) // a valid response's lists are ranked
 	return out
 }
 
@@ -209,6 +211,7 @@ func TestWireFloatExactness(t *testing.T) {
 		resp.Text = append(resp.Text, search.Hit{Doc: index.DocID(i), Score: f})
 	}
 	req.TextScorer = ScorerParams{K1: awkward[0], B: awkward[1], N: 1, AvgLen: awkward[2]}
+	slices.SortFunc(resp.Text, search.RankOrder) // a response's hit lists are ranked
 
 	var gotReq SearchRequest
 	if err := DecodeRPC(appendFrame(nil, req), &gotReq); err != nil {
@@ -227,7 +230,10 @@ func TestWireFloatExactness(t *testing.T) {
 	for i, f := range values {
 		same("weight", gotReq.Text[i].Weight, f)
 		same("bound", gotReq.Text[i].Bound, f)
-		same("score", gotResp.Text[i].Score, f)
+		same("score", gotResp.Text[i].Score, resp.Text[i].Score)
+		if gotResp.Text[i].Doc != resp.Text[i].Doc {
+			t.Errorf("hit %d: doc %d arrived as %d", i, resp.Text[i].Doc, gotResp.Text[i].Doc)
+		}
 	}
 	same("text k1", gotReq.TextScorer.K1, awkward[0])
 	same("text b", gotReq.TextScorer.B, awkward[1])
@@ -422,6 +428,8 @@ func BenchmarkWireCodec(b *testing.B) {
 		resp.Text[i] = search.Hit{Doc: index.DocID(g.Intn(10000)), Score: 20 * g.Float64()}
 		resp.Node[i] = search.Hit{Doc: index.DocID(g.Intn(10000)), Score: 20 * g.Float64()}
 	}
+	slices.SortFunc(resp.Text, search.RankOrder) // a valid response's lists are ranked
+	slices.SortFunc(resp.Node, search.RankOrder)
 	req := &SearchRequest{Plan: "0123456789abcdef", K: 100,
 		TextScorer: ScorerParams{K1: 1.2, B: 0.75, N: 10000, AvgLen: 212.5}, NodeScorer: scorerParams(search.NodeBM25(10000, 31.25))}
 	for i := 0; i < 6; i++ {

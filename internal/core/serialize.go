@@ -130,24 +130,85 @@ func ReadEmbeddings(data []byte, g *kg.Graph) ([]*DocEmbedding, error) {
 	return out, nil
 }
 
-// embReader consumes an embeddings image. The first failure sticks and
-// empties the input, so every later read returns zero and every later count
-// is zero: the decoders below need no error handling of their own, and
-// ReadEmbeddings checks r.err after each document.
+// ScanEmbeddings validates the image in src (size bytes) exactly as
+// ReadEmbeddings would — magic, every count against its cap and against
+// the bytes that remain, every node and relation id against g, trailing
+// bytes — without decoding it, reading src sequentially through buf (at
+// least 16 bytes). It returns where each document's record starts, and
+// size last: document i is the record [offs[i], offs[i+1]), which
+// ReadEmbedding decodes. Apart from the offsets it allocates nothing.
+func ScanEmbeddings(src io.ReaderAt, size int64, g *kg.Graph, buf []byte) (offs []int64, err error) {
+	r := embReader{src: src, end: size, buf: buf, g: g}
+	if magic := r.take(len(embMagic)); r.err != nil {
+		return nil, fmt.Errorf("core: reading magic: %w", r.err)
+	} else if string(magic) != embMagic {
+		return nil, fmt.Errorf("core: bad magic %q", magic)
+	}
+	offs = make([]int64, r.count("doc count", 1, 1<<28)+1)
+	for i := range offs[1:] {
+		offs[i] = r.offset()
+		if r.skipDoc(); r.err != nil {
+			return nil, fmt.Errorf("core: doc %d: %w", i, r.err)
+		}
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("core: %w", r.err)
+	}
+	if rest := r.remaining(); rest != 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes after %d documents", rest, len(offs)-1)
+	}
+	offs[len(offs)-1] = size
+	return offs, nil
+}
+
+// ReadEmbedding decodes one document's record — a range ScanEmbeddings
+// returned — as ReadEmbeddings decodes it, with the same checks; bytes
+// left over after the record are an error. Nothing decoded aliases rec.
+func ReadEmbedding(rec []byte, g *kg.Graph) (*DocEmbedding, error) {
+	r := embReader{data: rec, g: g}
+	emb := r.doc()
+	if r.err != nil {
+		return nil, fmt.Errorf("core: %w", r.err)
+	}
+	if len(r.data) != 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes after the record", len(r.data))
+	}
+	return emb, nil
+}
+
+// embReader consumes an embeddings image: all of it in data (a decode), or
+// — for ScanEmbeddings — a window of src that take refills through buf.
+// The first failure sticks and empties the input, so every later read
+// returns zero and every later count is zero: the decoders below need no
+// error handling of their own, and their callers check r.err after each
+// document.
 type embReader struct {
 	data []byte
 	g    *kg.Graph
 	err  error
+
+	src       io.ReaderAt // nil: data is the whole input
+	next, end int64       // src offset just past data, and src's size
+	buf       []byte      // the window data is refilled into
 }
 
 func (r *embReader) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf(format, args...)
 	}
-	r.data = nil
+	r.data, r.next = nil, r.end
 }
 
+// remaining is how many input bytes are left.
+func (r *embReader) remaining() int64 { return int64(len(r.data)) + r.end - r.next }
+
+// offset is the position in src of the next unread byte.
+func (r *embReader) offset() int64 { return r.next - int64(len(r.data)) }
+
 func (r *embReader) take(n int) []byte {
+	if len(r.data) < n && r.next < r.end {
+		r.refill()
+	}
 	if len(r.data) < n {
 		r.fail("%w", io.ErrUnexpectedEOF)
 		return nil
@@ -155,6 +216,31 @@ func (r *embReader) take(n int) []byte {
 	b := r.data[:n]
 	r.data = r.data[n:]
 	return b
+}
+
+// refill moves the unread bytes to the front of the window and fills the
+// rest of it from src.
+func (r *embReader) refill() {
+	have := copy(r.buf, r.data)
+	n := int(min(int64(len(r.buf)-have), r.end-r.next))
+	if got, err := r.src.ReadAt(r.buf[have:have+n], r.next); got < n {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		r.fail("reading at %d: %w", r.next, err)
+		return
+	}
+	r.data, r.next = r.buf[:have+n], r.next+int64(n)
+}
+
+// skip consumes n bytes that count has already checked against the input.
+func (r *embReader) skip(n int) {
+	if n <= len(r.data) {
+		r.data = r.data[n:]
+		return
+	}
+	r.next += int64(n - len(r.data))
+	r.data = r.data[:0]
 }
 
 func (r *embReader) u8() uint8 {
@@ -194,8 +280,8 @@ func (r *embReader) count(what string, minSize int, limit uint64) int {
 		r.fail("implausible %s %d", what, n)
 		return 0
 	}
-	if uint64(n) > uint64(len(r.data)/minSize) {
-		r.fail("%s %d exceeds the %d bytes that remain", what, n, len(r.data))
+	if rest := r.remaining(); uint64(n) > uint64(rest/int64(minSize)) {
+		r.fail("%s %d exceeds the %d bytes that remain", what, n, rest)
 		return 0
 	}
 	return int(n)
@@ -271,4 +357,34 @@ func (r *embReader) arcs() []PathArc {
 		out[i] = PathArc{From: from, To: to, Rel: kg.RelID(rel), Reverse: r.u8() != 0}
 	}
 	return out
+}
+
+// skipDoc walks one document's record as doc decodes it — the same
+// counts, caps and id checks in the same order — and builds nothing.
+func (r *embReader) skipDoc() {
+	if r.u8() == 0 {
+		return
+	}
+	nSubs := r.count("subgraph count", minSubgraphBytes, 1<<20)
+	for s := 0; s < nSubs && r.err == nil; s++ {
+		r.node("root")
+		nLabels := r.count("label count", minLabelBytes, 1<<16)
+		for i := 0; i < nLabels; i++ {
+			r.skip(r.count("string length", 1, 1<<20))
+			r.f64()
+		}
+		for i := r.count("node count", 4, uint64(r.g.NumNodes())); i > 0; i-- {
+			r.node("node")
+		}
+		for i := 0; i <= nLabels; i++ { // the subgraph's arcs, then each label's
+			for j := r.count("arc count", arcBytes, uint64(r.g.NumEdges())*2+1); j > 0; j-- {
+				r.node("arc endpoint")
+				r.node("arc endpoint")
+				if rel := r.u16(); int(rel) >= r.g.NumRels() {
+					r.fail("relation %d out of range", rel)
+				}
+				r.u8()
+			}
+		}
+	}
 }

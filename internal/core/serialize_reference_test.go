@@ -318,8 +318,9 @@ func TestEmbeddingsCodecMatchesReference(t *testing.T) {
 	checkCodecMatchesReference(t, "sample corpus", g, embs)
 }
 
-// FuzzReadEmbeddings: whatever the decoder accepts, the reference decoder
-// accepts too and decodes identically — the same bytes through either
+// FuzzReadEmbeddings: whatever the decoder accepts, the scan accepts too,
+// with records that decode alone to the same embeddings, and vice versa;
+// and the reference decoder accepts it too and decodes identically — the same bytes through either
 // encoder (a distance may be NaN, which DeepEqual never equates) and the
 // same node counts. The decoder never panics and never sizes an
 // allocation from an unchecked count.
@@ -339,6 +340,7 @@ func FuzzReadEmbeddings(f *testing.F) {
 	f.Add([]byte(embMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadEmbeddings(data, g)
+		checkScanMatchesDecode(t, data, g, got, err)
 		if err != nil {
 			// The reference is not asked: it sizes allocations from counts
 			// it has not checked against the input.

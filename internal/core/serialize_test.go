@@ -147,3 +147,72 @@ func TestReadEmbeddingsRejectsCorruption(t *testing.T) {
 		t.Error("wrong graph: expected error")
 	}
 }
+
+// checkScanMatchesDecode asserts that ScanEmbeddings accepts data exactly
+// when ReadEmbeddings did (decoded, err), through a window small enough to
+// refill many times, and that each record it finds decodes alone
+// (ReadEmbedding) to the same encoding as the whole-image decode.
+func checkScanMatchesDecode(t *testing.T, data []byte, g *kg.Graph, decoded []*DocEmbedding, err error) {
+	t.Helper()
+	offs, serr := ScanEmbeddings(bytes.NewReader(data), int64(len(data)), g, make([]byte, 16))
+	if (serr == nil) != (err == nil) {
+		t.Fatalf("scan error %v, decode error %v", serr, err)
+	}
+	if err != nil {
+		return
+	}
+	if len(offs) != len(decoded)+1 || offs[len(offs)-1] != int64(len(data)) {
+		t.Fatalf("scan found %d record offsets ending at %d, want %d ending at %d", len(offs), offs[len(offs)-1], len(decoded)+1, len(data))
+	}
+	for i, want := range decoded {
+		got, err := ReadEmbedding(data[offs[i]:offs[i+1]], g)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		var a, b bytes.Buffer
+		if err := WriteEmbeddings(&a, []*DocEmbedding{got}); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteEmbeddings(&b, []*DocEmbedding{want}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("record %d decodes differently alone", i)
+		}
+	}
+}
+
+// TestScanEmbeddingsAgreesWithReadEmbeddings: over an image of the sample
+// corpus, every truncation and every single-byte corruption is accepted or
+// refused by the scan exactly as by the decoder, and the records of an
+// accepted image decode alone to what the decoder built.
+func TestScanEmbeddingsAgreesWithReadEmbeddings(t *testing.T) {
+	g := figure1Graph()
+	e := NewEmbedder(g, Options{})
+	var buf bytes.Buffer
+	if err := WriteEmbeddings(&buf, []*DocEmbedding{
+		e.EmbedGroups([][]string{{"upper dir", "swat valley", "pakistan", "taliban"}, {"pakistan", "taliban"}}),
+		nil,
+		e.EmbedGroups([][]string{{"taliban"}}),
+		e.EmbedGroups(nil),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	check := func(b []byte) {
+		got, err := ReadEmbeddings(b, g)
+		checkScanMatchesDecode(t, b, g, got, err)
+	}
+	check(data)
+	for n := range data {
+		check(data[:n])
+	}
+	for i := range data {
+		for _, v := range []byte{0, 1, 0xff, data[i] ^ 0x80} {
+			bad := bytes.Clone(data)
+			bad[i] = v
+			check(bad)
+		}
+	}
+	check(append(bytes.Clone(data), 0))
+}

@@ -14,7 +14,7 @@ import (
 // delta is >= 1) and term frequencies use the compact encodeTF varint. Each
 // block carries a summary — its last doc ID and its maximum TF — kept
 // outside the encoded bytes, so the query processor can compute a per-block
-// BM25/TF-IDF upper bound and skip whole blocks without decoding them
+// BM25 upper bound and skip whole blocks without decoding them
 // (Block-Max pruning), and a file-backed Index can read exactly the blocks
 // a query touches.
 const blockSize = 128

@@ -2,7 +2,7 @@
 // (Section VI). The same index structure serves both the Bag-Of-Words model
 // over text terms and the Bag-Of-Node model over knowledge-graph node ids
 // ("scoring compatibility": BON replaces words with nodes, everything else —
-// postings, TF-IDF/BM25 weighting, top-k — is shared).
+// postings, BM25 weighting, top-k — is shared).
 package index
 
 import (

@@ -38,7 +38,7 @@ type OrderedTerm struct {
 // decoded — drops terms without postings, and sorts the rest into
 // canonical order: bound = weight·MaxWeight(maxTF, df), decreasing, ties
 // broken by term. The second result is the total posting count.
-func OrderTerms(idx index.Source, s Scorer, q Query) ([]OrderedTerm, int) {
+func OrderTerms(idx index.Source, s BM25, q Query) ([]OrderedTerm, int) {
 	terms := make([]OrderedTerm, 0, len(q))
 	total := 0
 	for term, qw := range q {
@@ -70,17 +70,18 @@ func OrderTerms(idx index.Source, s Scorer, q Query) ([]OrderedTerm, int) {
 // pruning, preserving the given order instead of re-deriving it from
 // local cursors. The scorer must carry the global collection parameters
 // (see BM25's exported fields).
-func TopKBlockMaxOrderedStats(ctx context.Context, idx index.Source, s Scorer, ordered []OrderedTerm, k int) ([]Hit, RetrievalStats, error) {
+func TopKBlockMaxOrderedStats(ctx context.Context, idx index.Source, s BM25, ordered []OrderedTerm, k int) ([]Hit, RetrievalStats, error) {
 	if k <= 0 || len(ordered) == 0 {
 		return nil, RetrievalStats{}, ctx.Err()
 	}
 	return blockMaxAccumulate(ctx, idx, s, ordered, k)
 }
 
-// MergeTopK merges pre-ranked hit lists into a global top k with the same
-// comparator the per-shard selection used (score descending, ties by
-// ascending Doc), so merging shard-local winners equals selecting over
-// the union. Lists need not be sorted.
+// MergeTopK merges ranked hit lists — each in rank order, as every top-k
+// retrieval returns it: descending score, ties by ascending Doc — into a
+// global top k in that same order, so merging shard-local winners equals
+// selecting over the union. It walks the lists' heads and allocates only
+// the returned slice.
 func MergeTopK(k int, lists ...[]Hit) []Hit {
 	if k <= 0 {
 		return nil
@@ -89,11 +90,22 @@ func MergeTopK(k int, lists ...[]Hit) []Hit {
 	for _, hits := range lists {
 		total += len(hits)
 	}
-	h := make(hitHeap, 0, min(k, total))
-	for _, hits := range lists {
-		for _, hit := range hits {
-			pushTop(&h, hit, k)
-		}
+	var heads [16]int // next unmerged hit of each list
+	next := heads[:0]
+	if len(lists) > len(heads) {
+		next = make([]int, len(lists))
 	}
-	return drainHeap(h)
+	next = next[:len(lists)]
+	out := make([]Hit, 0, min(k, total))
+	for len(out) < cap(out) {
+		best := -1
+		for i, hits := range lists {
+			if next[i] < len(hits) && (best < 0 || RankOrder(hits[next[i]], lists[best][next[best]]) < 0) {
+				best = i
+			}
+		}
+		out = append(out, lists[best][next[best]])
+		next[best]++
+	}
+	return out
 }

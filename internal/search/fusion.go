@@ -1,7 +1,8 @@
 package search
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"newslink/internal/index"
 )
@@ -16,59 +17,86 @@ import (
 // with max normalization); with beta=0 or beta=1 Fuse degenerates to the
 // single normalized ranking, so the "β=0 reduces to Lucene" property of
 // Table VII holds by construction. Both input rankings should be retrieved
-// with depth >= k (a fusion candidate pool); the fused top k are returned.
+// with depth >= k (a fusion candidate pool), each holding a document at
+// most once; the fused top k are returned, ordered by descending score,
+// ties by ascending DocID. A fused document's score is its BOW
+// contribution plus its BON contribution, in that order.
+//
+// Fuse allocates the returned slice and nothing else.
 func Fuse(bow, bon []Hit, beta float64, k int) []Hit {
 	switch {
 	case beta <= 0:
-		return clip(normalize(bow), k)
+		return normalized(bow, k)
 	case beta >= 1:
-		return clip(normalize(bon), k)
+		return normalized(bon, k)
 	}
-	acc := make(map[index.DocID]float64, len(bow)+len(bon))
-	for _, h := range normalize(bow) {
-		acc[h.Doc] += (1 - beta) * h.Score
+	maxBOW, maxBON := maxScore(bow), maxScore(bon)
+	out := make([]Hit, len(bow), len(bow)+len(bon))
+	for i, h := range bow {
+		out[i] = Hit{Doc: h.Doc, Score: (1 - beta) * scaled(h.Score, maxBOW)}
 	}
-	for _, h := range normalize(bon) {
-		acc[h.Doc] += beta * h.Score
+	// The BOW hits in DocID order are what each BON hit looks its document
+	// up in; documents BON alone found go after them.
+	slices.SortFunc(out, func(a, b Hit) int { return cmp.Compare(a.Doc, b.Doc) })
+	both := out[:len(bow)]
+	for _, h := range bon {
+		s := beta * scaled(h.Score, maxBON)
+		if j, ok := slices.BinarySearchFunc(both, h.Doc, func(a Hit, d index.DocID) int { return cmp.Compare(a.Doc, d) }); ok {
+			both[j].Score += s
+		} else {
+			out = append(out, Hit{Doc: h.Doc, Score: s})
+		}
 	}
-	out := make([]Hit, 0, len(acc))
-	for d, s := range acc {
-		out = append(out, Hit{Doc: d, Score: s})
-	}
-	sortHits(out)
+	slices.SortFunc(out, RankOrder)
 	return clip(out, k)
 }
 
-// normalize divides scores by the maximum score of the ranking, mapping
-// them into (0, 1]. Empty or all-zero rankings pass through unchanged.
-func normalize(hits []Hit) []Hit {
-	if len(hits) == 0 {
-		return hits
+// normalized returns the first k hits of a ranking (all of them for a
+// negative k) with their scores divided by the ranking's maximum score,
+// mapping them into (0, 1]. An empty or all-zero ranking passes through
+// unchanged.
+func normalized(hits []Hit, k int) []Hit {
+	m := maxScore(hits)
+	if m == 0 {
+		return clip(hits, k)
 	}
-	maxScore := 0.0
-	for _, h := range hits {
-		if h.Score > maxScore {
-			maxScore = h.Score
-		}
-	}
-	if maxScore == 0 {
-		return hits
-	}
-	out := make([]Hit, len(hits))
-	for i, h := range hits {
-		out[i] = Hit{Doc: h.Doc, Score: h.Score / maxScore}
+	out := make([]Hit, len(clip(hits, k)))
+	for i := range out {
+		out[i] = Hit{Doc: hits[i].Doc, Score: hits[i].Score / m}
 	}
 	return out
 }
 
-// sortHits orders by descending score, ties by ascending DocID.
-func sortHits(hits []Hit) {
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
+// maxScore is the largest score of a ranking, 0 for an empty one.
+func maxScore(hits []Hit) float64 {
+	m := 0.0
+	for _, h := range hits {
+		if h.Score > m {
+			m = h.Score
 		}
-		return hits[i].Doc < hits[j].Doc
-	})
+	}
+	return m
+}
+
+// scaled is a score normalized by its ranking's maximum m (unchanged when
+// m is 0: an all-zero ranking stays as it is).
+func scaled(score, m float64) float64 {
+	if m == 0 {
+		return score
+	}
+	return score / m
+}
+
+// RankOrder is the order of every ranking: descending score, ties by
+// ascending DocID.
+func RankOrder(a, b Hit) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.Doc, b.Doc)
 }
 
 func clip(hits []Hit, k int) []Hit {

@@ -1,7 +1,7 @@
 // Package search implements the query-processing half of the NS component
-// (Section VI): VSM scoring over an inverted index (BM25 as in the paper's
-// Lucene setup, plus classic TF-IDF cosine), exact and pruned top-k
-// retrieval, and the BOW/BON score fusion of Equation 3.
+// (Section VI): BM25 scoring over an inverted index, as in the paper's
+// Lucene setup, exact and pruned top-k retrieval, and the BOW/BON score
+// fusion of Equation 3.
 package search
 
 import (
@@ -9,19 +9,6 @@ import (
 
 	"newslink/internal/index"
 )
-
-// Scorer computes a per-term, per-document partial score. Implementations
-// must be pure functions of their arguments so evaluation strategies can
-// reorder term processing freely.
-type Scorer interface {
-	// Weight returns the contribution of one matched term occurrence.
-	// tf is the term frequency in the document, df the term's document
-	// frequency, docLen the document length.
-	Weight(tf float64, df int, docLen float64) float64
-	// MaxWeight returns an upper bound of Weight over all documents in the
-	// postings list, used by max-score pruning.
-	MaxWeight(maxTF float64, df int) float64
-}
 
 // BM25 is the probabilistic relevance scorer used by the paper's Lucene
 // baseline and by NewsLink's NS component (Robertson & Zaragoza; Lucene
@@ -52,47 +39,33 @@ func (s BM25) idf(df int) float64 {
 	return math.Log(1 + (float64(s.N)-float64(df)+0.5)/(float64(df)+0.5))
 }
 
-// Weight implements Scorer.
+// Weight returns the contribution of one matched term occurrence: tf is
+// the term frequency in the document, df the term's document frequency,
+// docLen the document length.
 func (s BM25) Weight(tf float64, df int, docLen float64) float64 {
+	return s.weight(s.idf(df), tf, docLen)
+}
+
+// MaxWeight returns an upper bound of Weight over every document of a
+// postings list whose largest term frequency is maxTF — what max-score
+// pruning bounds a term or a block by. tf*(k1+1)/(tf+k1*(1-b)) is
+// increasing in tf and maximal at minimal length norm.
+func (s BM25) MaxWeight(maxTF float64, df int) float64 {
+	return s.maxWeight(s.idf(df), maxTF)
+}
+
+// weight and maxWeight are Weight and MaxWeight with the term's idf
+// computed once by the caller: the same operations in the same order, so
+// the same bits.
+func (s BM25) weight(idf, tf, docLen float64) float64 {
 	if tf <= 0 {
 		return 0
 	}
 	norm := s.K1 * (1 - s.B + s.B*docLen/s.AvgLen)
-	return s.idf(df) * tf * (s.K1 + 1) / (tf + norm)
+	return idf * tf * (s.K1 + 1) / (tf + norm)
 }
 
-// MaxWeight implements Scorer: tf*(k1+1)/(tf+k1*(1-b)) is increasing in tf
-// and maximal at minimal length norm.
-func (s BM25) MaxWeight(maxTF float64, df int) float64 {
+func (s BM25) maxWeight(idf, maxTF float64) float64 {
 	norm := s.K1 * (1 - s.B) // docLen -> 0 lower-bounds the length norm
-	return s.idf(df) * maxTF * (s.K1 + 1) / (maxTF + norm)
-}
-
-// TFIDF is the classic log-TF/IDF weighting with document-length
-// normalization by sqrt(len) (Lucene classic similarity flavour).
-type TFIDF struct {
-	N int
-}
-
-// NewTFIDF returns a TFIDF scorer for the given index.
-func NewTFIDF(idx index.Source) TFIDF { return TFIDF{N: idx.NumDocs()} }
-
-func (s TFIDF) idf(df int) float64 {
-	if df == 0 {
-		return 0
-	}
-	return 1 + math.Log(float64(s.N)/float64(df))
-}
-
-// Weight implements Scorer.
-func (s TFIDF) Weight(tf float64, df int, docLen float64) float64 {
-	if tf <= 0 || docLen <= 0 {
-		return 0
-	}
-	return (1 + math.Log(tf)) * s.idf(df) / math.Sqrt(docLen)
-}
-
-// MaxWeight implements Scorer.
-func (s TFIDF) MaxWeight(maxTF float64, df int) float64 {
-	return (1 + math.Log(math.Max(maxTF, 1))) * s.idf(df) // docLen>=tf>=1
+	return idf * maxTF * (s.K1 + 1) / (maxTF + norm)
 }

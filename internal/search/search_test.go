@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -22,7 +23,7 @@ func buildIdx(docs ...string) *index.Index {
 }
 
 // exactTopK runs the TAAT oracle; a resident index cannot fail a read.
-func exactTopK(t testing.TB, idx index.Source, s Scorer, q Query, k int) []Hit {
+func exactTopK(t testing.TB, idx index.Source, s BM25, q Query, k int) []Hit {
 	t.Helper()
 	hits, err := TopK(idx, s, q, k)
 	if err != nil {
@@ -88,26 +89,9 @@ func TestBM25Properties(t *testing.T) {
 	}
 }
 
-func TestTFIDFProperties(t *testing.T) {
-	idx := buildIdx("a b", "a c", "d d")
-	s := NewTFIDF(idx)
-	if s.Weight(1, 0, 2) != 0 {
-		t.Fatal("df=0 should score 0")
-	}
-	if s.Weight(2, 1, 4) <= s.Weight(1, 1, 4) {
-		t.Fatal("TFIDF not increasing in tf")
-	}
-	if s.Weight(1, 1, 2) <= s.Weight(1, 2, 2) {
-		t.Fatal("TFIDF idf not decreasing in df")
-	}
-	if s.Weight(1, 1, 1) > s.MaxWeight(1, 1)+1e-12 {
-		t.Fatal("MaxWeight not an upper bound")
-	}
-}
-
 // blockMax runs the block-max kernel to completion, failing the test on
 // error.
-func blockMax(t *testing.T, idx index.Source, s Scorer, q Query, k int) []Hit {
+func blockMax(t *testing.T, idx index.Source, s BM25, q Query, k int) []Hit {
 	t.Helper()
 	hits, _, err := TopKBlockMaxStats(context.Background(), idx, s, q, k)
 	if err != nil {
@@ -200,8 +184,8 @@ func TestFuseProperty(t *testing.T) {
 		beta := float64(betaRaw%99+1) / 100
 		bow := []Hit{{0, float64(scores[0])}, {1, float64(scores[1])}, {2, float64(scores[2])}}
 		bon := []Hit{{0, float64(scores[3])}, {1, float64(scores[4])}, {2, float64(scores[5])}}
-		sortHits(bow)
-		sortHits(bon)
+		slices.SortFunc(bow, RankOrder)
+		slices.SortFunc(bon, RankOrder)
 		got := Fuse(bow, bon, beta, 3)
 		maxBow := math.Max(math.Max(bow[0].Score, bow[1].Score), bow[2].Score)
 		maxBon := math.Max(math.Max(bon[0].Score, bon[1].Score), bon[2].Score)
@@ -308,5 +292,116 @@ func TestTopKMatchesNaiveReference(t *testing.T) {
 				t.Fatalf("trial %d rank %d: %v vs reference %v", trial, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// fuseReference is the map-accumulator fusion Fuse replaced: normalized
+// copies of both rankings summed per document, BOW first, then sorted.
+func fuseReference(bow, bon []Hit, beta float64, k int) []Hit {
+	normalize := func(hits []Hit) []Hit {
+		m := maxScore(hits)
+		if len(hits) == 0 || m == 0 {
+			return hits
+		}
+		out := make([]Hit, len(hits))
+		for i, h := range hits {
+			out[i] = Hit{h.Doc, h.Score / m}
+		}
+		return out
+	}
+	switch {
+	case beta <= 0:
+		return clip(normalize(bow), k)
+	case beta >= 1:
+		return clip(normalize(bon), k)
+	}
+	acc := map[index.DocID]float64{}
+	for _, h := range normalize(bow) {
+		acc[h.Doc] += (1 - beta) * h.Score
+	}
+	for _, h := range normalize(bon) {
+		acc[h.Doc] += beta * h.Score
+	}
+	out := make([]Hit, 0, len(acc))
+	for d, s := range acc {
+		out = append(out, Hit{d, s})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].Doc < out[j].Doc
+	})
+	return clip(out, k)
+}
+
+// mergeReference is the heap selection MergeTopK replaced.
+func mergeReference(k int, lists ...[]Hit) []Hit {
+	var h hitHeap
+	for _, hits := range lists {
+		for _, hit := range hits {
+			pushTop(&h, hit, k)
+		}
+	}
+	return drainHeap(h)
+}
+
+// TestFuseAndMergeMatchReferences: the allocation-lean Fuse and MergeTopK
+// return exactly — bit for bit, order included — what the map and heap
+// implementations they replaced returned, over random rankings with
+// overlapping documents, tied scores, empty lists and every k.
+func TestFuseAndMergeMatchReferences(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ranking := func(n, docs int) []Hit {
+		hits := make([]Hit, 0, n)
+		for _, d := range rng.Perm(docs)[:n] {
+			hits = append(hits, Hit{index.DocID(d), float64(rng.Intn(6)) * rng.Float64()})
+		}
+		slices.SortFunc(hits, RankOrder)
+		return hits
+	}
+	for trial := 0; trial < 2000; trial++ {
+		docs := 1 + rng.Intn(40)
+		bow, bon := ranking(rng.Intn(docs+1), docs), ranking(rng.Intn(docs+1), docs)
+		k := rng.Intn(docs+2) - 1
+		for _, beta := range []float64{0, 0.2, 0.5, rng.Float64(), 1} {
+			if got, want := Fuse(bow, bon, beta, k), fuseReference(bow, bon, beta, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Fuse(%v, %v, %g, %d) = %v, want %v", bow, bon, beta, k, got, want)
+			}
+		}
+		// Shard lists: disjoint document ranges, each in rank order.
+		lists := make([][]Hit, rng.Intn(20))
+		for i := range lists {
+			lists[i] = ranking(rng.Intn(docs+1), docs)
+			for j := range lists[i] {
+				lists[i][j].Doc += index.DocID(i * docs)
+			}
+		}
+		if k > 0 {
+			if got, want := MergeTopK(k, lists...), mergeReference(k, lists...); !reflect.DeepEqual(got, want) {
+				t.Fatalf("MergeTopK(%d, %v) = %v, want %v", k, lists, got, want)
+			}
+		}
+	}
+}
+
+// TestFuseAndMergeAllocateOnlyTheResult: Fuse and MergeTopK allocate the
+// slice they return and nothing else.
+func TestFuseAndMergeAllocateOnlyTheResult(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var bow, bon []Hit
+	for d := 0; d < 100; d++ {
+		bow = append(bow, Hit{index.DocID(d), rng.Float64()})
+		bon = append(bon, Hit{index.DocID(d + 50), rng.Float64()})
+	}
+	slices.SortFunc(bow, RankOrder)
+	slices.SortFunc(bon, RankOrder)
+	for _, beta := range []float64{0, 0.2, 1} {
+		if n := testing.AllocsPerRun(20, func() { Fuse(bow, bon, beta, 20) }); n != 1 {
+			t.Errorf("Fuse with beta %g allocates %v times, want 1", beta, n)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { MergeTopK(20, bow[:40], bow[40:70], bon) }); n != 1 {
+		t.Errorf("MergeTopK allocates %v times, want 1", n)
 	}
 }

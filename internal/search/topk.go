@@ -35,7 +35,7 @@ func NewQuery(terms []string) Query {
 // (OrderTerms), so both add the same floats in the same order and their
 // results compare bitwise, not within a tolerance. A postings read error
 // fails the evaluation.
-func TopK(idx index.Source, s Scorer, q Query, k int) ([]Hit, error) {
+func TopK(idx index.Source, s BM25, q Query, k int) ([]Hit, error) {
 	if k <= 0 || len(q) == 0 {
 		return nil, nil
 	}

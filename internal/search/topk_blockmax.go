@@ -35,7 +35,7 @@ import (
 // statistics. Results equal TopK exactly. Unlike Postings-based traversal —
 // where a disk read failure looks like an absent term — block decode/IO
 // errors surface as errors, and a done context aborts with ctx.Err().
-func TopKBlockMaxStats(ctx context.Context, idx index.Source, s Scorer, q Query, k int) ([]Hit, RetrievalStats, error) {
+func TopKBlockMaxStats(ctx context.Context, idx index.Source, s BM25, q Query, k int) ([]Hit, RetrievalStats, error) {
 	ordered, _ := OrderTerms(idx, s, q)
 	return TopKBlockMaxOrderedStats(ctx, idx, s, ordered, k)
 }
@@ -126,9 +126,12 @@ func (a *bmAcc) sweep(suffix, min float64) {
 	}
 }
 
-// refresh recomputes the k-th best score over all seen documents, reusing
-// the accumulator's heap scratch so per-term refreshes allocate nothing
-// once the heap has grown to k.
+// refresh recomputes the k-th best score, reusing the accumulator's heap
+// scratch so per-term refreshes allocate nothing once the heap has grown
+// to k. It walks the viable documents only: a swept one scores strictly
+// below the threshold it was swept under, which never falls, while at
+// least k viable documents score at or above it — so the k best seen
+// documents are all viable (DESIGN.md §10).
 func (a *bmAcc) refresh(t *threshold, k int) {
 	t.n = a.n
 	if a.n < k {
@@ -136,7 +139,7 @@ func (a *bmAcc) refresh(t *threshold, k int) {
 		return
 	}
 	h := a.h[:0]
-	a.forEachSeen(func(d index.DocID, s float64) {
+	a.forEachViable(func(d index.DocID, s float64) {
 		pushTop(&h, Hit{d, s}, k)
 	})
 	a.h = h
@@ -145,8 +148,8 @@ func (a *bmAcc) refresh(t *threshold, k int) {
 	}
 }
 
-func (a *bmAcc) forEachSeen(fn func(index.DocID, float64)) {
-	for w, word := range a.seen {
+func (a *bmAcc) forEachViable(fn func(index.DocID, float64)) {
+	for w, word := range a.viable {
 		for word != 0 {
 			b := word & (-word)
 			word &^= b
@@ -157,11 +160,13 @@ func (a *bmAcc) forEachSeen(fn func(index.DocID, float64)) {
 }
 
 // selectTop extracts the k best hits, identically to selectTop on a map
-// accumulator: same heap, same (score, DocID) tie-break. Only the returned
-// slice is freshly allocated; the heap reuses the accumulator's scratch.
+// accumulator over every seen document: same heap, same (score, DocID)
+// tie-break, and — for refresh's reason — the same k documents. Only the
+// returned slice is freshly allocated; the heap reuses the accumulator's
+// scratch.
 func (a *bmAcc) selectTop(k int) []Hit {
 	h := a.h[:0]
-	a.forEachSeen(func(d index.DocID, s float64) {
+	a.forEachViable(func(d index.DocID, s float64) {
 		pushTop(&h, Hit{d, s}, k)
 	})
 	out := make([]Hit, len(h))
@@ -182,7 +187,7 @@ func (a *bmAcc) selectTop(k int) []Hit {
 // source's LiveSource mask) are dropped before the seen/admission check,
 // so they are never scored and never influence the threshold. On error
 // the statistics cover the work done before the abort.
-func blockMaxAccumulate(ctx context.Context, idx index.Source, s Scorer, terms []OrderedTerm, k int) ([]Hit, RetrievalStats, error) {
+func blockMaxAccumulate(ctx context.Context, idx index.Source, s BM25, terms []OrderedTerm, k int) ([]Hit, RetrievalStats, error) {
 	st := RetrievalStats{Terms: len(terms)}
 	// suffixBound[i] = sum of the bounds of terms[i:].
 	suffixBound := make([]float64, len(terms)+1)
@@ -205,6 +210,7 @@ func blockMaxAccumulate(ctx context.Context, idx index.Source, s Scorer, terms [
 		if err := ctx.Err(); err != nil {
 			return nil, st, err
 		}
+		idf := s.idf(t.DF) // once per term, not per block bound and posting
 		// >= keeps tie-breaking exact: a new doc bounded at exactly the
 		// current threshold could still win a tie on DocID.
 		newDocsAllowed := suffixBound[i] >= th.min()
@@ -225,7 +231,7 @@ func blockMaxAccumulate(ctx context.Context, idx index.Source, s Scorer, terms [
 			// Its score is at most this block's bound plus the remaining
 			// terms' bounds.
 			blockNewOK := newDocsAllowed &&
-				t.Weight*s.MaxWeight(float64(cur.BlockMaxTF()), t.DF)+suffixBound[i+1] >= th.min()
+				t.Weight*s.maxWeight(idf, float64(cur.BlockMaxTF()))+suffixBound[i+1] >= th.min()
 			from = blockLast + 1
 			// Neither pruning reason requires the block's contents: skip it
 			// undecoded. Its postings count toward neither Scored nor
@@ -269,7 +275,7 @@ func blockMaxAccumulate(ctx context.Context, idx index.Source, s Scorer, terms [
 					acc.admit(p.Doc)
 				}
 				st.Scored++
-				acc.add(p.Doc, t.Weight*s.Weight(float64(p.TF), t.DF, idx.DocLen(p.Doc)))
+				acc.add(p.Doc, t.Weight*s.weight(idf, float64(p.TF), idx.DocLen(p.Doc)))
 			}
 		}
 		index.ReleaseCursor(cur)

@@ -66,7 +66,7 @@ func splitDocs(docs [][]string, shards int) splitCorpus {
 // merged directory of the sources (what the router holds), every source
 // runs the ordered kernel under the global scorer, and the rebased
 // shard-local winners are merged.
-func (sc splitCorpus) topK(t *testing.T, global Scorer, q Query, k int) []Hit {
+func (sc splitCorpus) topK(t *testing.T, global BM25, q Query, k int) []Hit {
 	t.Helper()
 	parts := make([]index.Source, len(sc.parts))
 	for w, part := range sc.parts {

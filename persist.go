@@ -386,8 +386,8 @@ func writeSegment(tmp string, si int, seg *segment, writeArtifact func(string, i
 	}{
 		{"text.idx", func(w io.Writer) error { _, err := seg.text.WriteTo(w); return err }},
 		{"node.idx", func(w io.Writer) error { _, err := seg.node.WriteTo(w); return err }},
-		{"emb.bin", func(w io.Writer) error { return core.WriteEmbeddings(w, seg.embs) }},
-		{docsSuffix, func(w io.Writer) error { return writeDocs(w, seg.docs) }},
+		{"emb.bin", seg.embs.writeTo},
+		{docsSuffix, seg.docs.writeTo},
 	}
 	staged := make([]string, len(writers))
 	for i, a := range writers {
@@ -468,12 +468,18 @@ func Load(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
 	return loadDurable(dir, g, loadResident, opts)
 }
 
-// LoadOnDisk restores a snapshot but serves the inverted indexes directly
-// from the snapshot files (postings are read on demand), so startup cost
-// and resident memory stay flat as the corpus grows. The engine holds the
-// files open until Close. Integrity verification streams each artifact
-// once at open time (sequential IO, no resident memory); the same typed
-// errors and option semantics as Load apply.
+// LoadOnDisk restores a snapshot but serves it directly from the snapshot
+// files: postings, document titles and texts, and embeddings are read on
+// demand — one ReadAt per postings block, per result document and per
+// embedding a request needs — so startup cost and resident memory stay
+// flat as the corpus grows. What stays resident is the index directories
+// and document lengths, the documents' ID, time and offset columns and
+// each embedding's offset. The engine holds the four files of every
+// segment open until Close. Integrity verification streams each artifact
+// once at open time (sequential IO, no resident memory), and one more
+// pass validates the embeddings as Load decodes them; the same typed
+// errors and option semantics as Load apply. A segment that a write or
+// merge creates after the load is resident, as in any engine.
 func LoadOnDisk(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
 	return loadDurable(dir, g, loadOnDisk, opts)
 }
@@ -502,8 +508,8 @@ type loadMode int
 const (
 	// loadResident reads every artifact fully into memory (Load).
 	loadResident loadMode = iota
-	// loadOnDisk keeps the postings in the index files, read on demand
-	// (LoadOnDisk, LoadRouted).
+	// loadOnDisk keeps the postings, the document text and the
+	// embeddings in their files, read on demand (LoadOnDisk, LoadRouted).
 	loadOnDisk
 	// loadPostings reads the indexes fully into memory plus the time
 	// column of the documents artifact: no document text and no embedding
@@ -576,7 +582,8 @@ func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, mode loadMode) ([]*s
 
 // loadSegment restores segment i of the manifest: it verifies the artifacts
 // mode reads against their recorded checksums, then decodes them, streaming
-// the documents' text through buf. The artifact identity from meta.json is
+// the documents' text through buf — or, file-backed, opens them and reads
+// only their columns and offsets, validating the embeddings through buf. The artifact identity from meta.json is
 // memoized on the segment so a later Save can reuse the files without
 // rewriting them — except for a version-5 segment, whose documents come
 // from meta.json and which the next Save rewrites as version 6.
@@ -614,30 +621,41 @@ func loadSegment(dir string, m *snapshotMeta, i int, g *kg.Graph, mode loadMode,
 			return corrupt(docsName, err)
 		}
 	case m.Version < snapshotVersion:
-		seg.docs = m.legacyDocs[i]
-	default:
-		if seg.docs, err = readDocsFile(filepath.Join(dir, docsName), buf); err != nil {
+		seg.docs.docs = m.legacyDocs[i]
+		seg.times = timesOf(seg.docs.docs)
+	case mode == loadOnDisk:
+		if seg.docs, seg.times, err = openDocs(filepath.Join(dir, docsName)); err != nil {
 			return corrupt(docsName, err)
 		}
+	default:
+		if seg.docs.docs, err = readDocsFile(filepath.Join(dir, docsName), buf); err != nil {
+			return corrupt(docsName, err)
+		}
+		seg.times = timesOf(seg.docs.docs)
 	}
 	if mode != loadPostings {
-		seg.times, seg.byID = timesOf(seg.docs), idOrder(seg.docs)
+		seg.byID = idOrder(&seg.docs, seg.numDocs())
 	}
 	if n := seg.numDocs(); seg.text.NumDocs() != n || seg.node.NumDocs() != n {
 		return corrupt(docsName, fmt.Errorf("segment %s: %d docs, %d text-indexed, %d node-indexed",
 			sm.ID, n, seg.text.NumDocs(), seg.node.NumDocs()))
 	}
-	if mode != loadPostings {
+	switch mode {
+	case loadOnDisk:
+		if seg.embs, err = openEmbeddings(filepath.Join(dir, embName), g, buf); err != nil {
+			return corrupt(embName, err)
+		}
+	case loadResident:
 		data, err := os.ReadFile(filepath.Join(dir, embName))
 		if err != nil {
 			return corrupt(embName, err)
 		}
-		if seg.embs, err = core.ReadEmbeddings(data, g); err != nil {
+		if seg.embs.embs, err = core.ReadEmbeddings(data, g); err != nil {
 			return corrupt(embName, err)
 		}
-		if len(seg.embs) != seg.numDocs() {
-			return corrupt(embName, fmt.Errorf("segment %s: %d docs, %d embeddings", sm.ID, seg.numDocs(), len(seg.embs)))
-		}
+	}
+	if mode != loadPostings && seg.embs.len() != seg.numDocs() {
+		return corrupt(embName, fmt.Errorf("segment %s: %d docs, %d embeddings", sm.ID, seg.numDocs(), seg.embs.len()))
 	}
 	if sm.Dead != "" {
 		raw, err := base64.StdEncoding.DecodeString(sm.Dead)

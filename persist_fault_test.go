@@ -9,11 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"newslink/internal/corpus"
 	"newslink/internal/faults"
+	"newslink/internal/index"
+	"newslink/internal/search"
 )
 
 // copyDir clones a flat snapshot directory into dst.
@@ -231,6 +234,23 @@ func TestLoadCorruptionTable(t *testing.T) {
 				return data
 			})
 		}, ErrSnapshotCorrupt, "emb.bin: core: bad magic"},
+		// Embeddings artifacts that pass verification but do not parse:
+		// LoadOnDisk reads no embedding at load, yet its one validating
+		// pass refuses them as Load's decode does, naming the artifact.
+		tc{"short-record/emb.bin", func(t *testing.T, dir string) {
+			rewriteArtifact(t, dir, "emb.bin", func(data []byte) []byte { return data[:len(data)-1] })
+		}, ErrSnapshotCorrupt, "emb.bin: core: doc"},
+		tc{"trailing-byte/emb.bin", func(t *testing.T, dir string) {
+			rewriteArtifact(t, dir, "emb.bin", func(data []byte) []byte { return append(data, 0) })
+		}, ErrSnapshotCorrupt, "emb.bin: core: 1 trailing bytes"},
+		tc{"count-mismatch/emb.bin", func(t *testing.T, dir string) {
+			rewriteArtifact(t, dir, "emb.bin", func(data []byte) []byte {
+				// One more document than the segment holds, embedded to nothing.
+				n := binary.LittleEndian.Uint32(data[len("NLEMB1\n"):])
+				binary.LittleEndian.PutUint32(data[len("NLEMB1\n"):], n+1)
+				return append(data, 0)
+			})
+		}, ErrSnapshotCorrupt, "emb.bin: segment"},
 		// Documents artifacts that pass verification but disagree with
 		// the index, or with themselves.
 		tc{"count-mismatch/docs.bin", func(t *testing.T, dir string) {
@@ -409,6 +429,166 @@ func TestOnDiskReadErrorNeverBecomesEmpty(t *testing.T) {
 	}
 	if n := disk.met.segmentMergedDocs.Value(); n != 0 {
 		t.Fatalf("newslink_segment_merged_docs_total = %d after a failed merge, want 0", n)
+	}
+
+	storedFieldReadErrors(t)
+}
+
+// localTraverse runs a routed engine's traversals over shard, a
+// LoadSegments slice of the whole snapshot, the way a cluster router's
+// workers do: one candidate deeper, the excluded position dropped.
+func localTraverse(shard *Shard) func(context.Context, Traversal) (Retrieval, error) {
+	return func(ctx context.Context, tr Traversal) (Retrieval, error) {
+		text, node, err := shard.Sources(tr.After, tr.Before, tr.Entities)
+		if err != nil {
+			return Retrieval{}, err
+		}
+		leg := func(src index.Source, s search.BM25, q search.Query) ([]search.Hit, error) {
+			if q == nil {
+				return nil, nil
+			}
+			hits, _, err := search.TopKBlockMaxStats(ctx, src, s, q, tr.Pool+1)
+			hits = slices.DeleteFunc(hits, func(h search.Hit) bool { return int(h.Doc) == tr.Exclude })
+			return hits[:min(len(hits), tr.Pool)], err
+		}
+		var r Retrieval
+		if r.BOW, err = leg(text, search.NewBM25(text), tr.Text); err != nil {
+			return Retrieval{}, err
+		}
+		r.BON, err = leg(node, search.NodeBM25(node.NumDocs(), node.AvgDocLen()), tr.Node)
+		return r, err
+	}
+}
+
+// storedFieldReadErrors is TestOnDiskReadErrorNeverBecomesEmpty's
+// guarantee for the stored fields a file-backed engine — LoadOnDisk, and
+// LoadRouted, the cluster router's engine — reads on demand: the documents (docs.bin: Search, Related, DocAt) and
+// the embeddings (emb.bin: Related, Explain, ExplainDOT). Truncated under
+// the engine, every request that reads the artifact fails, Save to a
+// fresh directory included, and every other request answers exactly as
+// before. Removed under it, nothing changes at all: the engine holds its
+// files open, so it keeps answering exactly, and re-saves byte for byte.
+func storedFieldReadErrors(t *testing.T) {
+	g, arts := corpus.Sample()
+	const query = "Taliban bombing in Lahore"
+	id := arts[1].ID
+	type answers struct {
+		search  []Result
+		related []Result
+		explain Explanation
+		dot     string
+		doc     Document
+	}
+	ask := func(e *Engine) (a answers, errs map[string]error) {
+		errs = map[string]error{}
+		a.search, errs["Search"] = e.Search(query, 5)
+		a.related, errs["Related"] = e.Related(id, 5)
+		a.explain, errs["Explain"] = e.Explain(query, id, 3)
+		a.dot, errs["ExplainDOT"] = e.ExplainDOT(query, id, "t")
+		a.doc, errs["DocAt"] = e.DocAt(1)
+		return a, errs
+	}
+	readers := map[string][]string{
+		"docs.bin": {"Search", "Related", "DocAt"},
+		"emb.bin":  {"Related", "Explain", "ExplainDOT"},
+	}
+	loaders := map[string]func(t *testing.T, dir string) *Engine{
+		"LoadOnDisk": func(t *testing.T, dir string) *Engine {
+			e, err := LoadOnDisk(dir, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		},
+		"LoadRouted": func(t *testing.T, dir string) *Engine {
+			m, err := ReadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := LoadRouted(dir, g, localTraverse(shard))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		},
+	}
+	for lname, load := range loaders {
+		for artifact, reads := range readers {
+			for _, damage := range []string{"truncated", "removed"} {
+				t.Run(lname+"/"+damage+"/"+artifact, func(t *testing.T) {
+					pristine, dir := filepath.Join(t.TempDir(), "pristine"), filepath.Join(t.TempDir(), "snap")
+					if err := sampleEngine(t, DefaultConfig()).Save(pristine); err != nil {
+						t.Fatal(err)
+					}
+					copyDir(t, pristine, dir)
+					e := load(t, dir)
+					defer e.Close()
+					want, errs := ask(e)
+					for op, err := range errs {
+						if err != nil {
+							t.Fatalf("healthy %s: %v", op, err)
+						}
+					}
+					if len(want.search) == 0 || len(want.related) == 0 || len(want.explain.Paths) == 0 || want.dot == "" {
+						t.Fatalf("healthy answers leave a read unexercised: %+v", want)
+					}
+					if damage == "truncated" {
+						truncateArtifacts(t, dir, artifact)
+					} else if err := os.Remove(segArtifact(t, dir, artifact)); err != nil {
+						t.Fatal(err)
+					}
+					got, errs := ask(e)
+					failed := map[string]bool{}
+					for _, op := range reads {
+						failed[op] = damage == "truncated"
+					}
+					for op, err := range errs {
+						if (err != nil) != failed[op] {
+							t.Errorf("%s after the artifact was %s: error %v, want one: %v", op, damage, err, failed[op])
+						}
+					}
+					for op, same := range map[string]bool{
+						"Search":     reflect.DeepEqual(got.search, want.search),
+						"Related":    reflect.DeepEqual(got.related, want.related),
+						"Explain":    reflect.DeepEqual(got.explain, want.explain),
+						"ExplainDOT": got.dot == want.dot,
+						"DocAt":      reflect.DeepEqual(got.doc, want.doc),
+					} {
+						if !failed[op] && !same {
+							t.Errorf("%s after the artifact was %s answers differently", op, damage)
+						}
+					}
+					fresh := filepath.Join(t.TempDir(), "resave")
+					err := e.Save(fresh)
+					if damage == "truncated" {
+						if err == nil {
+							t.Fatal("Save over a truncated artifact returned no error")
+						}
+						return
+					}
+					if err != nil {
+						t.Fatalf("Save over a removed (still open) artifact: %v", err)
+					}
+					names, err := filepath.Glob(filepath.Join(pristine, "*"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, path := range names {
+						a, err := os.ReadFile(path)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if b, err := os.ReadFile(filepath.Join(fresh, filepath.Base(path))); err != nil || !bytes.Equal(a, b) {
+							t.Fatalf("re-saved %s differs from the saved one (%v)", filepath.Base(path), err)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

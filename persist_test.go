@@ -2,6 +2,7 @@ package newslink
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -319,8 +320,8 @@ func TestSnapshotRoundTripsDocumentBytes(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for pos := 0; pos < want.numDocs; pos++ {
-			if got, err := loaded.DocAt(pos); err != nil || !reflect.DeepEqual(got, want.doc(pos)) {
-				t.Fatalf("%s: document at %d is %#v (%v), want %#v", name, pos, got, err, want.doc(pos))
+			if got, err := loaded.DocAt(pos); err != nil || !reflect.DeepEqual(got, docAt(t, want, pos)) {
+				t.Fatalf("%s: document at %d is %#v (%v), want %#v", name, pos, got, err, docAt(t, want, pos))
 			}
 		}
 		for _, q := range []string{"Taliban bombing in Lahore", "Caf\xe9 attack", "Sanders Clinton FBI emails", "Pakistan Upper Dir"} {
@@ -334,5 +335,120 @@ func TestSnapshotRoundTripsDocumentBytes(t *testing.T) {
 			}
 		}
 		loaded.Close()
+	}
+}
+
+// TestStoredFieldsAgreeAcrossLoaders: an engine restored by Load holds its
+// documents and embeddings in memory; one restored by LoadOnDisk or
+// LoadRouted (the cluster router's engine) reads them from the snapshot
+// per request. Over a three-segment snapshot with tombstones, all three
+// answer DeepEqual to the engine that saved it — every document, every
+// filtered search with its snippets, every live document's related news,
+// explanation and DOT rendering — and a file-backed engine re-saves the
+// snapshot byte for byte.
+func TestStoredFieldsAgreeAcrossLoaders(t *testing.T) {
+	e, w, arts := filterFixture(t)
+	g := w.Graph
+	ctx := context.Background()
+	dir := t.TempDir()
+	if err := e.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameErr := func(a, b error) bool { return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error()) }
+	for name, load := range map[string]func() (*Engine, error){
+		"Load":       func() (*Engine, error) { return Load(dir, g) },
+		"LoadOnDisk": func() (*Engine, error) { return LoadOnDisk(dir, g) },
+		"LoadRouted": func() (*Engine, error) { return LoadRouted(dir, g, localTraverse(shard)) },
+	} {
+		got, err := load()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		snap, err := got.acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range snap.segs {
+			if fileBacked := name != "Load"; (seg.docs.f != nil) != fileBacked || (seg.embs.f != nil) != fileBacked ||
+				(seg.docs.docs == nil) != fileBacked || (seg.embs.embs == nil) != fileBacked {
+				t.Fatalf("%s: segment stores documents %v / embeddings %v file-backed, want %v", name, seg.docs.f != nil, seg.embs.f != nil, fileBacked)
+			}
+		}
+		for pos := 0; pos < want.numDocs; pos++ {
+			if doc, err := got.DocAt(pos); err != nil || !reflect.DeepEqual(doc, docAt(t, want, pos)) {
+				t.Fatalf("%s: document at %d is %+v (%v), want %+v", name, pos, doc, err, docAt(t, want, pos))
+			}
+		}
+		for cname, flt := range filterCases(w, arts) {
+			for _, text := range filterQueries {
+				q := flt
+				q.Text, q.K = text, 10
+				a, err := e.SearchContext(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b, err := got.SearchContext(ctx, q); err != nil || !reflect.DeepEqual(b, a) {
+					t.Fatalf("%s, %s %q: %v (%v), want %v", name, cname, text, b, err, a)
+				}
+			}
+		}
+		explained := 0
+		for i, a := range arts {
+			if i%3 != 0 && i != 40 { // 40 is tombstoned
+				continue
+			}
+			rw, werr := e.Related(a.ID, 5)
+			rg, gerr := got.Related(a.ID, 5)
+			if !sameErr(gerr, werr) || !reflect.DeepEqual(rg, rw) {
+				t.Fatalf("%s: related to %d is %v (%v), want %v (%v)", name, a.ID, rg, gerr, rw, werr)
+			}
+			q := arts[(i+1)%len(arts)].Title
+			xw, werr := e.Explain(q, a.ID, 4)
+			xg, gerr := got.Explain(q, a.ID, 4)
+			if !sameErr(gerr, werr) || !reflect.DeepEqual(xg, xw) {
+				t.Fatalf("%s: explanation of %d is %+v (%v), want %+v (%v)", name, a.ID, xg, gerr, xw, werr)
+			}
+			explained += len(xw.SharedEntities)
+			dw, werr := e.ExplainDOT(q, a.ID, "t")
+			dg, gerr := got.ExplainDOT(q, a.ID, "t")
+			if !sameErr(gerr, werr) || dg != dw {
+				t.Fatalf("%s: DOT of %d differs (%v, want %v)", name, a.ID, gerr, werr)
+			}
+		}
+		if explained == 0 {
+			t.Fatal("no explanation shared an entity; the comparison went unexercised")
+		}
+		if name != "Load" {
+			resaved := t.TempDir()
+			if err := got.Save(resaved); err != nil {
+				t.Fatalf("%s: re-save: %v", name, err)
+			}
+			files, err := filepath.Glob(filepath.Join(dir, "*"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range files {
+				a, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b, err := os.ReadFile(filepath.Join(resaved, filepath.Base(path))); err != nil || !bytes.Equal(a, b) {
+					t.Fatalf("%s: re-saved %s differs (%v)", name, filepath.Base(path), err)
+				}
+			}
+		}
+		got.Close()
 	}
 }

@@ -64,7 +64,7 @@ func TestPublishDifferential(t *testing.T) {
 			}
 			s := cur.Load()
 			for pos, tm := range s.times {
-				if d := s.doc(pos); d.Time != tm {
+				if d, err := s.doc(pos); err != nil || d.Time != tm {
 					t.Errorf("reader: times[%d] = %d, document %d has %d", pos, tm, d.ID, d.Time)
 					return
 				}
@@ -83,7 +83,7 @@ func TestPublishDifferential(t *testing.T) {
 			if s.bases[si] != len(times) {
 				t.Fatalf("%s: segment %d based at %d, want %d", step, si, s.bases[si], len(times))
 			}
-			for j, d := range sg.docs {
+			for j, d := range sg.docs.docs {
 				if sg.times[j] != d.Time {
 					t.Fatalf("%s: segment %d time column differs from its document %d", step, si, d.ID)
 				}

@@ -83,7 +83,10 @@ func (e *Engine) relatedContext(ctx context.Context, q RelatedQuery) (SearchResp
 	if err != nil {
 		return SearchResponse{}, err
 	}
-	emb := snap.embedding(pos)
+	emb, err := snap.embedding(pos)
+	if err != nil {
+		return SearchResponse{}, err
+	}
 	if emb == nil || len(emb.Counts) == 0 {
 		return SearchResponse{}, nil
 	}
@@ -102,11 +105,9 @@ func (e *Engine) relatedContext(ctx context.Context, q RelatedQuery) (SearchResp
 	}
 	// β = 1 fusion is exactly the documented normalization of a pure-BON
 	// ranking: clip(normalize(bon), k).
-	fused := search.Fuse(nil, ret.BON, 1, q.K)
-	out := make([]Result, len(fused))
-	for i, h := range fused {
-		doc := snap.doc(int(h.Doc))
-		out[i] = Result{ID: doc.ID, Title: doc.Title, Score: h.Score}
+	out, err := gather(snap, search.Fuse(nil, ret.BON, 1, q.K), nil)
+	if err != nil {
+		return SearchResponse{}, err
 	}
 	return ret.response(out), nil
 }

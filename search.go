@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"newslink/internal/core"
@@ -117,20 +118,36 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (SearchResponse, er
 	d := sp.End(obs.Int("bow_candidates", len(ret.BOW)), obs.Int("bon_candidates", len(ret.BON)), obs.Int("fused", len(fused)))
 	e.met.stageObserve(obs.StageFuse, d)
 	sp = tr.Start(obs.StageTopK)
-	out := make([]Result, len(fused))
-	snippets := nlp.NewTermSet(qTerms) // compiled once, probed by every result document
-	for i, h := range fused {
-		doc := snap.doc(int(h.Doc))
-		out[i] = Result{
-			ID:      doc.ID,
-			Title:   doc.Title,
-			Score:   h.Score,
-			Snippet: snippets.BestSentence(doc.Text),
-		}
-	}
+	out, err := gather(snap, fused, nlp.NewTermSet(qTerms))
 	d = sp.End(obs.Int("k", len(out)))
 	e.met.stageObserve(obs.StageTopK, d)
+	if err != nil {
+		return SearchResponse{}, err
+	}
 	return ret.response(out), nil
+}
+
+// gatherScratch recycles the buffer a gather reads file-backed documents
+// into, one request at a time.
+var gatherScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// gather materializes the results of a fused ranking: each hit's ID,
+// title and score, and its snippet when snippets (compiled once, probed by
+// every result document) is set. A document that cannot be read fails the
+// whole gather.
+func gather(snap *segmentSet, fused []search.Hit, snippets *nlp.TermSet) ([]Result, error) {
+	scratch := gatherScratch.Get().(*[]byte)
+	defer gatherScratch.Put(scratch)
+	out := make([]Result, len(fused))
+	for i, h := range fused {
+		r, err := snap.result(int(h.Doc), snippets, scratch)
+		if err != nil {
+			return nil, err
+		}
+		r.Score = h.Score
+		out[i] = r
+	}
+	return out, nil
 }
 
 // pool is a request's candidate pool: the request's depth (or the

@@ -10,6 +10,7 @@ import (
 
 	"newslink/internal/core"
 	"newslink/internal/index"
+	"newslink/internal/nlp"
 )
 
 // The engine's searchable state is a set of immutable segments, the
@@ -28,31 +29,36 @@ import (
 
 // segment owns one immutable slice of the corpus: its documents and
 // embeddings (local positions 0..n-1), its two inverted indexes over those
-// positions, and the tombstone bitmap marking deleted documents. All
-// fields are immutable after construction — deletes clone the segment with
-// a new bitmap, sharing everything else — except art, a memoized
-// snapshot-artifact identity that is computed on first Save and carried
-// along (tombstones are not part of the artifact identity: they live in
-// meta.json, so a delete never forces a segment rewrite on disk). A shard
-// worker's segments (LoadSegments) hold no documents, no embeddings and no
-// ID order: only what postings traversal reads.
+// positions, and the tombstone bitmap marking deleted documents. The
+// documents, embeddings and postings are resident, or read on demand from
+// the segment's snapshot artifacts when it was loaded with LoadOnDisk or
+// LoadRouted (stored.go). All fields are immutable after construction —
+// deletes clone the segment with a new bitmap, sharing everything else,
+// open files included — except art, a memoized snapshot-artifact identity
+// that is computed on first Save and carried along (tombstones are not
+// part of the artifact identity: they live in meta.json, so a delete never
+// forces a segment rewrite on disk). A shard worker's segments
+// (LoadSegments) hold no documents, no embeddings and no ID order: only
+// what postings traversal reads.
 type segment struct {
-	docs  []Document
-	embs  []*core.DocEmbedding // aligned with docs; nil if unembeddable
-	times []int64              // columnar Document.Time, one per document
-	byID  []int32              // local positions sorted by Document.ID
-	text  *index.Index         // resident, or file-backed when loaded with LoadOnDisk
+	docs  docStore
+	embs  embStore
+	times []int64      // columnar Document.Time, one per document
+	byID  []int32      // local positions sorted by Document.ID
+	text  *index.Index // resident, or file-backed when loaded with LoadOnDisk
 	node  *index.Index
 	dead  *index.Bitmap // nil = no deletes
 
 	art atomic.Pointer[segmentArtifact]
 }
 
-// newSegment assembles a segment over docs and their indexes, building the
-// two per-document columns — the time column and the ID order — once, at
-// seal, merge or load.
+// newSegment assembles a resident segment over docs and their indexes,
+// building the two per-document columns — the time column and the ID
+// order — once, at seal or merge.
 func newSegment(docs []Document, embs []*core.DocEmbedding, text, node *index.Index) *segment {
-	return &segment{docs: docs, embs: embs, times: timesOf(docs), byID: idOrder(docs), text: text, node: node}
+	s := &segment{docs: docStore{docs: docs}, embs: embStore{embs: embs}, times: timesOf(docs), text: text, node: node}
+	s.byID = idOrder(&s.docs, len(docs))
+	return s
 }
 
 // timesOf extracts the columnar time store from a document slice: one
@@ -66,15 +72,16 @@ func timesOf(docs []Document) []int64 {
 	return times
 }
 
-// idOrder returns the local positions of docs sorted by Document.ID, ties
-// in position order: what a lookup by ID binary-searches.
-func idOrder(docs []Document) []int32 {
-	order := make([]int32, len(docs))
+// idOrder returns the local positions of the n documents of d sorted by
+// Document.ID, ties in position order: what a lookup by ID
+// binary-searches.
+func idOrder(d *docStore, n int) []int32 {
+	order := make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
 	}
 	slices.SortFunc(order, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(docs[a].ID, docs[b].ID), cmp.Compare(a, b))
+		return cmp.Or(cmp.Compare(d.id(int(a)), d.id(int(b))), cmp.Compare(a, b))
 	})
 	return order
 }
@@ -82,8 +89,8 @@ func idOrder(docs []Document) []int32 {
 // position returns the local position of the live document with the given
 // ID, if the segment holds one.
 func (s *segment) position(id int) (int, bool) {
-	k, _ := slices.BinarySearchFunc(s.byID, id, func(p int32, id int) int { return cmp.Compare(s.docs[p].ID, id) })
-	for ; k < len(s.byID) && s.docs[s.byID[k]].ID == id; k++ {
+	k, _ := slices.BinarySearchFunc(s.byID, id, func(p int32, id int) int { return cmp.Compare(s.docs.id(int(p)), id) })
+	for ; k < len(s.byID) && s.docs.id(int(s.byID[k])) == id; k++ {
 		if local := int(s.byID[k]); !s.dead.Get(local) {
 			return local, true
 		}
@@ -91,12 +98,27 @@ func (s *segment) position(id int) (int, bool) {
 	return 0, false
 }
 
+// doc returns the document at local position i; a file-backed segment
+// reads its title and text.
+func (s *segment) doc(i int) (Document, error) {
+	if s.docs.f == nil {
+		return s.docs.docs[i], nil
+	}
+	title, text, err := s.docs.text(i, nil)
+	if err != nil {
+		return Document{}, err
+	}
+	return Document{ID: s.docs.ids[i], Title: title, Text: text, Time: s.times[i]}, nil
+}
+
 func (s *segment) numDocs() int { return len(s.times) }
 func (s *segment) numLive() int { return s.numDocs() - s.dead.Count() }
 
-// close releases the snapshot files behind file-backed indexes (a no-op
-// for resident ones, and for the nil ones of a failed partial load).
-func (s *segment) close() error { return errors.Join(s.text.Close(), s.node.Close()) }
+// close releases the snapshot files behind a file-backed segment (a no-op
+// for resident parts, and for the nil ones of a failed partial load).
+func (s *segment) close() error {
+	return errors.Join(s.text.Close(), s.node.Close(), s.docs.close(), s.embs.close())
+}
 
 // shareArtifact copies the memoized artifact identity from an older
 // incarnation of the same segment (tombstone clones share it).
@@ -252,16 +274,25 @@ func (s *segmentSet) segIndexOf(pos int) (si, local int) {
 	return si, pos - s.bases[si]
 }
 
-// doc returns the document at a global position.
-func (s *segmentSet) doc(pos int) Document {
+// doc returns the document at a global position. A read error is
+// returned, never an empty document.
+func (s *segmentSet) doc(pos int) (Document, error) {
 	si, local := s.segIndexOf(pos)
-	return s.segs[si].docs[local]
+	return s.segs[si].doc(local)
 }
 
-// embedding returns the subgraph embedding at a global position.
-func (s *segmentSet) embedding(pos int) *core.DocEmbedding {
+// result is the search result at a global position (segment.result).
+func (s *segmentSet) result(pos int, snippets *nlp.TermSet, scratch *[]byte) (Result, error) {
 	si, local := s.segIndexOf(pos)
-	return s.segs[si].embs[local]
+	return s.segs[si].result(local, snippets, scratch)
+}
+
+// embedding returns the subgraph embedding at a global position (nil for
+// an unembeddable document). A read error is returned, never a nil
+// embedding.
+func (s *segmentSet) embedding(pos int) (*core.DocEmbedding, error) {
+	si, local := s.segIndexOf(pos)
+	return s.segs[si].embs.embedding(local)
 }
 
 // Tiered merge policy. Segments are tiered geometrically by live-document
@@ -327,7 +358,8 @@ func findMergeRun(segs []*segment) (lo, hi int, ok bool) {
 // tombstone-free (index.MergeSegments), so DF/AvgDocLen tighten to the
 // surviving corpus and block-max summaries regain full blocks. A segment
 // whose postings cannot be read (a file-backed index whose file went bad)
-// fails the merge; the inputs are untouched and stay exact.
+// fails the merge, and so does a document or embedding that cannot be
+// read; the inputs are untouched and stay exact.
 func mergeRun(segs []*segment) (*segment, error) {
 	var docs []Document
 	var embs []*core.DocEmbedding
@@ -336,11 +368,19 @@ func mergeRun(segs []*segment) (*segment, error) {
 	deads := make([]*index.Bitmap, len(segs))
 	for i, sg := range segs {
 		texts[i], nodes[i], deads[i] = sg.text, sg.node, sg.dead
-		for j, d := range sg.docs {
-			if !sg.dead.Get(j) {
-				docs = append(docs, d)
-				embs = append(embs, sg.embs[j])
+		for j := range sg.numDocs() {
+			if sg.dead.Get(j) {
+				continue
 			}
+			d, err := sg.doc(j)
+			if err != nil {
+				return nil, err
+			}
+			emb, err := sg.embs.embedding(j)
+			if err != nil {
+				return nil, err
+			}
+			docs, embs = append(docs, d), append(embs, emb)
 		}
 	}
 	text, err := index.MergeSegments(texts, deads)

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"newslink/internal/core"
 	"newslink/internal/corpus"
 )
 
@@ -601,4 +602,24 @@ func TestMergeTiersUnevenBatches(t *testing.T) {
 		e.Refresh()
 		checkTierBound(t, e, fmt.Sprintf("batch %d", batch))
 	}
+}
+
+// docAt and embeddingAt read the document and the embedding at a global
+// position of s, failing the test on a read error.
+func docAt(t testing.TB, s *segmentSet, pos int) Document {
+	t.Helper()
+	doc, err := s.doc(pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+func embeddingAt(t testing.TB, s *segmentSet, pos int) *core.DocEmbedding {
+	t.Helper()
+	emb, err := s.embedding(pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return emb
 }

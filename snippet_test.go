@@ -83,7 +83,11 @@ func TestGatherSnippetScanDoesNotAllocate(t *testing.T) {
 	found := 0
 	allocs := testing.AllocsPerRun(50, func() {
 		for pos := 0; pos < 10; pos++ {
-			if set.BestSentence(snap.doc(pos).Text) != "" {
+			doc, err := snap.doc(pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if set.BestSentence(doc.Text) != "" {
 				found++
 			}
 		}
