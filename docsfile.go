@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 )
 
 // The documents artifact seg-<id>.docs.bin (snapshot version 6), little
@@ -21,12 +19,13 @@ import (
 //	                         decreasing, off[2n] = the area's length
 //	byte   area[off[2n]]     titles and texts, byte-exact
 //
-// Fixed-width columns put any one column at a computable offset, so a
-// reader can take the times (what a shard worker filters by) without
-// touching the rest. n and off[2n] account for every byte of the file, so
-// nothing is optional and decode∘encode is the identity. Titles and texts
-// are stored as bytes, not re-encoded, so invalid UTF-8 and NUL survive a
-// snapshot the way they survive the WAL.
+// Fixed-width columns put every column at a computable offset, so the one
+// reader, openDocs, takes the ID, time and offset columns without touching
+// the text, which it reads per document or, for Load, in one piece. n and
+// off[2n] account for every byte of the file, so nothing is optional and
+// decode∘encode is the identity. Titles and texts are stored as bytes, not
+// re-encoded, so invalid UTF-8 and NUL survive a snapshot the way they
+// survive the WAL.
 const docsMagic = "NLDOCS1\n"
 
 const (
@@ -73,9 +72,9 @@ func appendDocs(b []byte, docs []Document) []byte {
 // columns, from its header. Counts are checked against the size before
 // anything is read or allocated.
 type docsLayout struct {
-	n                      int
-	ids, times, offs, area int64 // where each column starts in the file
-	areaLen                int64
+	n               int
+	ids, offs, area int64 // where the ID, offset and text columns start; times follow the IDs
+	areaLen         int64
 }
 
 func parseDocsHeader(head []byte, size int64) (docsLayout, error) {
@@ -88,8 +87,7 @@ func parseDocsHeader(head []byte, size int64) (docsLayout, error) {
 		return docsLayout{}, fmt.Errorf("document count %d exceeds the %d bytes of the artifact", n, size)
 	}
 	l := docsLayout{n: int(n), ids: int64(docsHeaderSize)}
-	l.times = l.ids + 8*int64(n)
-	l.offs = l.times + 8*int64(n)
+	l.offs = l.ids + 16*int64(n)
 	l.area = l.offs + 8*(2*int64(n)+1)
 	l.areaLen = size - l.area
 	return l, nil
@@ -152,96 +150,4 @@ func readDocsHead(r io.ReaderAt, size int64) (docsLayout, []byte, error) {
 		return docsLayout{}, nil, err
 	}
 	return l, offs, nil
-}
-
-// readTimes reads the time column of the documents artifact in r (size
-// bytes), validating its header and offset column as readDocs does; it
-// never reads the IDs or the text.
-func readTimes(r io.ReaderAt, size int64) ([]int64, error) {
-	l, _, err := readDocsHead(r, size)
-	if err != nil {
-		return nil, err
-	}
-	col := make([]byte, l.offs-l.times)
-	if err := readAt(r, col, l.times); err != nil {
-		return nil, fmt.Errorf("reading times: %w", err)
-	}
-	times := make([]int64, l.n)
-	for i := range times {
-		times[i] = int64(binary.LittleEndian.Uint64(col[8*i:]))
-	}
-	return times, nil
-}
-
-// readDocs decodes the documents artifact in r (size bytes), streaming the
-// text through buf. The titles and texts are read straight into one string
-// they all slice — one allocation per segment, not two per document, and
-// no copy of the file in between — so a segment's text stays resident
-// while any of its documents does (at most the text the snapshot loaded).
-func readDocs(r io.ReaderAt, size int64, buf []byte) ([]Document, error) {
-	l, offs, err := readDocsHead(r, size)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]byte, l.times-l.ids)
-	if err := readAt(r, ids, l.ids); err != nil {
-		return nil, fmt.Errorf("reading IDs: %w", err)
-	}
-	times := make([]byte, l.offs-l.times)
-	if err := readAt(r, times, l.times); err != nil {
-		return nil, fmt.Errorf("reading times: %w", err)
-	}
-	var sb strings.Builder
-	sb.Grow(int(l.areaLen))
-	if _, err := io.CopyBuffer(&sb, io.NewSectionReader(r, l.area, l.areaLen), buf); err != nil {
-		return nil, fmt.Errorf("reading text: %w", err)
-	}
-	if int64(sb.Len()) != l.areaLen {
-		return nil, fmt.Errorf("reading text: %w", io.ErrUnexpectedEOF)
-	}
-	area := sb.String()
-	le := binary.LittleEndian
-	docs := make([]Document, l.n)
-	for i := range docs {
-		id := int64(le.Uint64(ids[8*i:]))
-		if int64(int(id)) != id {
-			return nil, fmt.Errorf("document %d: ID %d overflows int", i, id)
-		}
-		t0, t1, t2 := le.Uint64(offs[16*i:]), le.Uint64(offs[16*i+8:]), le.Uint64(offs[16*i+16:])
-		docs[i] = Document{ID: int(id), Title: area[t0:t1], Text: area[t1:t2], Time: int64(le.Uint64(times[8*i:]))}
-	}
-	return docs, nil
-}
-
-// readDocsFile decodes the documents artifact at path, streaming through
-// buf.
-func readDocsFile(path string, buf []byte) (docs []Document, err error) {
-	err = withFile(path, func(f *os.File, size int64) (err error) {
-		docs, err = readDocs(f, size, buf)
-		return err
-	})
-	return docs, err
-}
-
-// readTimesFile reads the time column of the documents artifact at path.
-func readTimesFile(path string) (times []int64, err error) {
-	err = withFile(path, func(f *os.File, size int64) (err error) {
-		times, err = readTimes(f, size)
-		return err
-	})
-	return times, err
-}
-
-// withFile runs fn over the file at path and its size, and closes it.
-func withFile(path string, fn func(f *os.File, size int64) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	return fn(f, st.Size())
 }

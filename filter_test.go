@@ -2,10 +2,8 @@ package newslink
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -509,100 +507,5 @@ func TestWALTimestampBackCompat(t *testing.T) {
 	}
 	if got.Time != 0 || got.ID != 7 || got.Text != "body text" {
 		t.Fatalf("old record decoded to %+v, want Time 0", got)
-	}
-}
-
-// TestSnapshotV4BackCompat: a version-5 snapshot written by the previous
-// build (testdata/snapshot-v5: this file's filter fixture, documents and
-// their time column in meta.json) loads through Load and LoadOnDisk, Time
-// intact, into an engine that answers every filter case DeepEqual to the
-// fixture built in memory; Save rewrites it as version 6, which reloads the
-// same through all three loaders. ReadManifest — the cluster tier's entry —
-// takes version 6 only, and a version-4 manifest is ErrSnapshotVersion
-// everywhere.
-func TestSnapshotV4BackCompat(t *testing.T) {
-	e, w, arts := filterFixture(t)
-	g := w.Graph
-	const v5 = "testdata/snapshot-v5"
-	ctx := context.Background()
-	sameAsFixture := func(name string, got *Engine) {
-		t.Helper()
-		want, err := e.acquire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pos := 0; pos < want.numDocs; pos++ {
-			if doc, err := got.DocAt(pos); err != nil || !reflect.DeepEqual(doc, docAt(t, want, pos)) {
-				t.Fatalf("%s: document at %d is %+v (%v), want %+v", name, pos, doc, err, docAt(t, want, pos))
-			}
-		}
-		for cname, flt := range filterCases(w, arts) {
-			for _, text := range filterQueries {
-				q := flt
-				q.Text, q.K = text, 10
-				wantRes, err := e.SearchContext(ctx, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotRes, err := got.SearchContext(ctx, q)
-				if err != nil || !reflect.DeepEqual(gotRes, wantRes) {
-					t.Fatalf("%s, %s %q: %v (%v), want %v", name, cname, text, gotRes, err, wantRes)
-				}
-			}
-		}
-	}
-	if _, err := ReadManifest(v5); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("ReadManifest of a version-5 snapshot: %v, want ErrSnapshotVersion", err)
-	}
-	resaved := t.TempDir()
-	for name, load := range map[string]func(string, *kg.Graph, ...Option) (*Engine, error){
-		"Load": Load, "LoadOnDisk": LoadOnDisk,
-	} {
-		loaded, err := load(v5, g)
-		if err != nil {
-			t.Fatalf("%s of a version-5 snapshot: %v", name, err)
-		}
-		sameAsFixture(name, loaded)
-		if name == "Load" {
-			if err := loaded.Save(resaved); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := loaded.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	m, err := ReadManifest(resaved)
-	if err != nil {
-		t.Fatalf("re-saved snapshot: %v", err)
-	}
-	if m.Version != 6 {
-		t.Fatalf("re-saved snapshot has version %d, want 6", m.Version)
-	}
-	if _, err := LoadSegments(resaved, g, m.Graph, m.Segments, m.Checksums); err != nil {
-		t.Fatalf("re-saved snapshot's postings: %v", err)
-	}
-	for name, load := range map[string]func() (*Engine, error){
-		"Load":       func() (*Engine, error) { return Load(resaved, g) },
-		"LoadOnDisk": func() (*Engine, error) { return LoadOnDisk(resaved, g) },
-	} {
-		loaded, err := load()
-		if err != nil {
-			t.Fatalf("%s of the re-saved snapshot: %v", name, err)
-		}
-		sameAsFixture(name+" (re-saved)", loaded)
-		loaded.Close()
-	}
-
-	// Version 4 is outside the window.
-	v4 := filepath.Join(t.TempDir(), "snap")
-	copyDir(t, v5, v4)
-	editMeta(t, v4, func(m map[string]json.RawMessage) { m["version"] = json.RawMessage("4") })
-	if _, err := Load(v4, g); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("v4 load returned %v, want ErrSnapshotVersion", err)
-	}
-	if _, err := ReadManifest(v4); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("v4 manifest returned %v, want ErrSnapshotVersion", err)
 	}
 }

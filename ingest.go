@@ -254,7 +254,7 @@ func (e *Engine) writeSync(ops []writeOp, workers int) error {
 	if len(ops) <= size {
 		return e.writeWindow(ops, e.analyzeBatch(ops, workers))
 	}
-	analyzed := make(chan []analyzedDoc)
+	analyzed := make(chan []indexedDoc)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -289,7 +289,7 @@ func (e *Engine) writeSync(ops []writeOp, workers int) error {
 // under mu. Indexing is order-dependent (DocIDs are positional), so apply
 // is sequential; it is a tiny fraction of the embedding cost (Figure 7).
 // The first failing op aborts the window; ops before it stay applied.
-func (e *Engine) writeWindow(ops []writeOp, analyzed []analyzedDoc) error {
+func (e *Engine) writeWindow(ops []writeOp, analyzed []indexedDoc) error {
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
 	built := e.set.Load() != nil
@@ -352,12 +352,15 @@ func (e *Engine) cutAfterRejectedAdd(ops []writeOp) []writeOp {
 // applyLocked applies one analyzed write to the open segment and the
 // published set — the single op switch behind the direct path, the ingest
 // applier and WAL replay. Callers hold e.mu.
-func (e *Engine) applyLocked(op byte, doc Document, an analyzedDoc) error {
+func (e *Engine) applyLocked(op byte, doc Document, an indexedDoc) error {
+	if an.err != nil {
+		return an.err
+	}
 	switch op {
 	case walOpAdd:
-		return e.addLocked(doc, an.emb, an.terms)
+		return e.addLocked(doc, an)
 	case walOpUpsert:
-		return e.upsertLocked(doc, an.emb, an.terms)
+		return e.upsertLocked(doc, an)
 	case walOpDelete:
 		return e.deleteLocked(doc.ID)
 	}
@@ -569,13 +572,22 @@ type analyzedDoc struct {
 	terms []string
 }
 
-// analyzeBatch runs the NLP and NE components over a batch of writes on up
-// to workers goroutines (<= 0 selects GOMAXPROCS; deletes need no
-// analysis) — the one fan-out behind AddAll and the ingest applier.
+// indexedDoc is a document's analysis plus its embedding's record
+// (core.AppendEmbedding) and the error, if any, of encoding it.
+type indexedDoc struct {
+	analyzedDoc
+	rec []byte
+	err error
+}
+
+// analyzeBatch runs the NLP and NE components over a batch of writes, and
+// encodes each document's embedding record (analyze), on up to workers
+// goroutines (<= 0 selects GOMAXPROCS; deletes need no analysis) — the one
+// fan-out behind AddAll and the ingest applier.
 // Analysis reads only immutable engine state, so searches and queue
 // admissions proceed concurrently.
-func (e *Engine) analyzeBatch(batch []writeOp, workers int) []analyzedDoc {
-	out := make([]analyzedDoc, len(batch))
+func (e *Engine) analyzeBatch(batch []writeOp, workers int) []indexedDoc {
+	out := make([]indexedDoc, len(batch))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

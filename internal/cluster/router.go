@@ -168,8 +168,8 @@ type Router struct {
 	full corpusStats
 }
 
-// NewRouter builds a router over the version-6 snapshot in dir (an older
-// one is ErrSnapshotVersion: Load and Save it with this build first): it
+// NewRouter builds a router over the version-6 snapshot in dir (any other
+// version is ErrSnapshotVersion, as for every loader): it
 // restores the snapshot as newslink.LoadRouted (every artifact
 // checksum-verified; a damaged one is ErrSnapshotCorrupt), partitions the
 // segment set into len(cfg.Endpoints) slots (fewer when the snapshot has

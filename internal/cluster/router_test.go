@@ -404,14 +404,58 @@ func TestAssignRequestCarriesNoDocuments(t *testing.T) {
 	}
 }
 
-// TestNewRouterRefusesVersion5: a version-5 snapshot keeps its documents in
-// meta.json, which the router no longer reads; it is ErrSnapshotVersion
-// until Load + Save rewrite it as version 6.
-func TestNewRouterRefusesVersion5(t *testing.T) {
-	w, _ := fixtureCorpus()
-	rt, err := NewRouter("../../testdata/snapshot-v5", w.Graph, Config{Endpoints: [][]string{{"http://a"}}, Logger: testLogger()})
-	if !errors.Is(err, newslink.ErrSnapshotVersion) || rt != nil {
-		t.Fatalf("NewRouter over a version-5 snapshot: %v, want ErrSnapshotVersion", err)
+// TestLoadersRefuseSnapshotVersions: version 6 is the one snapshot format.
+// A snapshot whose meta.json names another version — 4 and 5 from before,
+// 7 from a later build — is ErrSnapshotVersion on every entry that reads a
+// manifest: the three loaders, ReadManifest and the router. The message
+// names the version, and no engine or router comes back.
+func TestLoadersRefuseSnapshotVersions(t *testing.T) {
+	src, g := buildSnapshot(t)
+	routed := func(dir string, g *kg.Graph, _ ...newslink.Option) (*newslink.Engine, error) {
+		return newslink.LoadRouted(dir, g, func(context.Context, newslink.Traversal) (newslink.Retrieval, error) {
+			return newslink.Retrieval{}, nil
+		})
+	}
+	for _, v := range []int{4, 5, 7} {
+		dir := copySnapshot(t, src)
+		metaPath := filepath.Join(dir, "meta.json")
+		data, err := os.ReadFile(metaPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var meta map[string]json.RawMessage
+		if err := json.Unmarshal(data, &meta); err != nil {
+			t.Fatal(err)
+		}
+		meta["version"] = json.RawMessage(fmt.Sprint(v))
+		if data, err = json.Marshal(meta); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(metaPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused := func(what string, err error) {
+			t.Helper()
+			if !errors.Is(err, newslink.ErrSnapshotVersion) || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", v)) {
+				t.Fatalf("version %d: %s: %v, want ErrSnapshotVersion naming the version", v, what, err)
+			}
+		}
+		for name, load := range map[string]func(string, *kg.Graph, ...newslink.Option) (*newslink.Engine, error){
+			"Load": newslink.Load, "LoadOnDisk": newslink.LoadOnDisk, "LoadRouted": routed,
+		} {
+			e, err := load(dir, g)
+			refused(name, err)
+			if e != nil {
+				t.Fatalf("version %d: %s returned an engine", v, name)
+			}
+		}
+		m, err := newslink.ReadManifest(dir)
+		refused("ReadManifest", err)
+		rt, err := NewRouter(dir, g, Config{Endpoints: [][]string{{"http://a"}}, Logger: testLogger()})
+		refused("NewRouter", err)
+		if m != nil || rt != nil {
+			t.Fatalf("version %d: a manifest or a router came back", v)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"newslink/internal/kg"
 )
@@ -42,25 +43,64 @@ const (
 )
 
 // WriteEmbeddings serializes per-document embeddings (nil entries are
-// preserved as absent) with a single Write.
+// preserved as absent) with a single Write: the header, then each
+// document's record (AppendEmbedding).
 func WriteEmbeddings(w io.Writer, embs []*DocEmbedding) error {
-	b := binary.LittleEndian.AppendUint32([]byte(embMagic), uint32(len(embs)))
+	b := AppendEmbeddingsHeader(nil, len(embs))
 	for _, e := range embs {
-		if e == nil {
-			b = append(b, 0)
-			continue
-		}
-		b = append(b, 1)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(e.Subgraphs)))
-		for _, sg := range e.Subgraphs {
-			var err error
-			if b, err = appendSubgraph(b, sg); err != nil {
-				return err
-			}
+		var err error
+		if b, err = AppendEmbedding(b, e); err != nil {
+			return err
 		}
 	}
 	_, err := w.Write(b)
 	return err
+}
+
+// AppendEmbeddingsHeader appends the header of an image of n documents:
+// the magic and the count. It has the same length for every n, so a
+// caller that builds an image record by record can start from the header
+// of 0 and later rewrite the count in place with
+// AppendEmbeddingsHeader(image[:0], n).
+func AppendEmbeddingsHeader(b []byte, n int) []byte {
+	b = append(slices.Grow(b, len(embMagic)+4), embMagic...)
+	return binary.LittleEndian.AppendUint32(b, uint32(n))
+}
+
+// AppendEmbedding appends one document's record to b (e nil: absent). A
+// record it wrote decodes (ReadEmbedding) to an embedding that re-encodes
+// to the same bytes, so a record can be copied from one image to another
+// instead of decoded and re-encoded.
+func AppendEmbedding(b []byte, e *DocEmbedding) ([]byte, error) {
+	if e == nil {
+		return append(b, 0), nil
+	}
+	b = slices.Grow(b, recordSize(e))
+	b = append(b, 1)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(e.Subgraphs)))
+	for _, sg := range e.Subgraphs {
+		var err error
+		if b, err = appendSubgraph(b, sg); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// recordSize is the length of e's record, so that encoding it grows the
+// buffer once.
+func recordSize(e *DocEmbedding) int {
+	n := 1 + 4
+	for _, sg := range e.Subgraphs {
+		n += minSubgraphBytes + 4*len(sg.Nodes) + arcBytes*len(sg.Arcs)
+		for i, l := range sg.Labels {
+			n += minLabelBytes + len(l)
+			if i < len(sg.LabelArcs) {
+				n += arcBytes * len(sg.LabelArcs[i])
+			}
+		}
+	}
+	return n
 }
 
 // appendSubgraph appends one subgraph's encoding to b.
@@ -106,7 +146,8 @@ func appendArcs(b []byte, arcs []PathArc) []byte {
 
 // ReadEmbeddings parses an image written by WriteEmbeddings, validating
 // node and relation ids against g. Trailing bytes are an error. Nothing
-// decoded aliases data.
+// decoded aliases data. It is the whole-image reference decoder that the
+// scan and the per-record decode are tested against.
 func ReadEmbeddings(data []byte, g *kg.Graph) ([]*DocEmbedding, error) {
 	if len(data) < len(embMagic) {
 		return nil, fmt.Errorf("core: reading magic: %w", io.ErrUnexpectedEOF)

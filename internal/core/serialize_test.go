@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -215,4 +216,57 @@ func TestScanEmbeddingsAgreesWithReadEmbeddings(t *testing.T) {
 		}
 	}
 	check(append(bytes.Clone(data), 0))
+}
+
+// TestEmbeddingRecordsCanonical: a record is canonical. For embedder
+// output over random groups (with unembeddable documents between them),
+// decoding a record with ReadEmbedding and appending the result again
+// gives back the same bytes, and an image is its header followed by the
+// records. recordSize, which sizes the encoder's buffer, is exact. This is what lets a merge copy records from one image into
+// another: the copy equals decoding and re-encoding them.
+func TestEmbeddingRecordsCanonical(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		w := kg.Generate(kg.DefaultConfig(seed))
+		rng := rand.New(rand.NewSource(seed * 104729))
+		for _, opts := range []Options{{MaxDepth: 6}, {Model: ModelTree, MaxDepth: 6}} {
+			e := NewEmbedder(w.Graph, opts)
+			var embs []*DocEmbedding
+			image := AppendEmbeddingsHeader(nil, 0)
+			for d := 0; d < 20; d++ {
+				var groups [][]string
+				for n := rng.Intn(4); n > 0; n-- {
+					groups = append(groups, randomLabelSet(rng, w))
+				}
+				for _, emb := range []*DocEmbedding{e.EmbedGroups(groups), nil} {
+					rec, err := AppendEmbedding(nil, emb)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if emb != nil && len(rec) != recordSize(emb) {
+						t.Fatalf("world %d %+v, document %d: a %d-byte record, sized as %d", seed, opts, d, len(rec), recordSize(emb))
+					}
+					dec, err := ReadEmbedding(rec, w.Graph)
+					if err != nil {
+						t.Fatal(err)
+					}
+					again, err := AppendEmbedding(nil, dec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(again, rec) {
+						t.Fatalf("world %d %+v, document %d: a decoded record re-encodes to %d bytes, not its %d", seed, opts, d, len(again), len(rec))
+					}
+					embs, image = append(embs, emb), append(image, rec...)
+				}
+			}
+			var want bytes.Buffer
+			if err := WriteEmbeddings(&want, embs); err != nil {
+				t.Fatal(err)
+			}
+			AppendEmbeddingsHeader(image[:0], len(embs)) // the count, in place
+			if !bytes.Equal(image, want.Bytes()) {
+				t.Fatalf("world %d %+v: header and records differ from WriteEmbeddings", seed, opts)
+			}
+		}
+	}
 }

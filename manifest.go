@@ -35,25 +35,11 @@ type ManifestSegment = segmentMeta
 type GraphFingerprint = graphPrint
 
 // ReadManifest reads and validates the manifest of the version-6 snapshot
-// at dir. Any other version returns ErrSnapshotVersion — including version
-// 5, which Load still reads: its documents live in meta.json, and a Save
-// with this build rewrites it as version 6. Artifact files are not
-// verified (the loaders verify the ones they read).
+// at dir: what every loader reads first. Any other version returns
+// ErrSnapshotVersion, naming it; such a snapshot is rebuilt from its
+// corpus. Artifact files are not verified (the loaders verify the ones
+// they read).
 func ReadManifest(dir string) (*Manifest, error) {
-	m, err := readManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	if m.Version != snapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot version %d keeps its documents in meta.json; Load and Save it with this build to rewrite it as version %d",
-			ErrSnapshotVersion, m.Version, snapshotVersion)
-	}
-	return m, nil
-}
-
-// readManifest reads the manifest of any snapshot version Load reads. For
-// version 5 it also collects each segment's document list.
-func readManifest(dir string) (*snapshotMeta, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "meta.json"))
 	if err != nil {
 		return nil, err
@@ -62,22 +48,9 @@ func readManifest(dir string) (*snapshotMeta, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("%w: parsing meta.json: %v", ErrSnapshotCorrupt, err)
 	}
-	if !snapshotCompatible(m.Version) {
-		return nil, fmt.Errorf("%w: snapshot version %d, want %d..%d", ErrSnapshotVersion, m.Version, minSnapshotVersion, snapshotVersion)
-	}
-	if m.Version < snapshotVersion {
-		var v5 struct {
-			Segments []struct {
-				Docs []Document `json:"docs"`
-			} `json:"segments"`
-		}
-		if err := json.Unmarshal(data, &v5); err != nil {
-			return nil, fmt.Errorf("%w: parsing meta.json: %v", ErrSnapshotCorrupt, err)
-		}
-		m.legacyDocs = make([][]Document, len(v5.Segments))
-		for i, sm := range v5.Segments {
-			m.legacyDocs[i] = sm.Docs
-		}
+	if m.Version != snapshotVersion {
+		return nil, fmt.Errorf("%w: snapshot version %d, want %d; rebuild it from the corpus with this build",
+			ErrSnapshotVersion, m.Version, snapshotVersion)
 	}
 	return &m, nil
 }

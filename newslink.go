@@ -227,8 +227,9 @@ type Engine struct {
 	// after construction and need no lock.
 	mu       sync.Mutex
 	pendDocs []Document
-	pendEmbs []*core.DocEmbedding // aligned with pendDocs; nil if unembeddable
-	pendPos  map[int]int          // Document.ID -> position in pendDocs
+	pendEmb  []byte      // the open segment's embeddings image (stored.go)
+	pendOffs []int64     // where each pending document's record starts in pendEmb
+	pendPos  map[int]int // Document.ID -> position in pendDocs
 	textB    *index.Builder
 	nodeB    *index.Builder
 
@@ -273,12 +274,10 @@ func New(g *kg.Graph, opts ...Option) *Engine {
 	e := &Engine{
 		cfg:     cfg,
 		opts:    o,
-		pendPos: make(map[int]int),
-		textB:   index.NewBuilder(),
-		nodeB:   index.NewBuilder(),
 		metrics: registry,
 		met:     met,
 	}
+	e.ensureSegment()
 	e.gs.Store(e.newGraphState(g))
 	return e
 }
@@ -314,10 +313,12 @@ func (e *Engine) NumDeletedDocs() int {
 	return 0
 }
 
-// addLocked appends one analyzed document to the open segment. A document
-// ID is a duplicate when it is pending or live; a tombstoned ID may be
-// re-added (that is what Update does). Callers hold e.mu.
-func (e *Engine) addLocked(doc Document, emb *core.DocEmbedding, terms []string) error {
+// addLocked appends one analyzed document to the open segment: the
+// document, its embedding record and its postings (the decoded embedding
+// is read for its BON weights and not kept). A document ID is a duplicate
+// when it is pending or live; a tombstoned ID may be re-added (that is
+// what Update does). Callers hold e.mu.
+func (e *Engine) addLocked(doc Document, an indexedDoc) error {
 	if e.hasDocLocked(doc.ID) {
 		return fmt.Errorf("%w: %d", ErrDuplicateID, doc.ID)
 	}
@@ -325,9 +326,13 @@ func (e *Engine) addLocked(doc Document, emb *core.DocEmbedding, terms []string)
 	e.ensureSegment()
 	e.pendPos[doc.ID] = len(e.pendDocs)
 	e.pendDocs = append(e.pendDocs, doc)
-	e.pendEmbs = append(e.pendEmbs, emb)
-	e.textB.Add(terms)
-	e.nodeB.AddWeighted(nodeWeights(emb))
+	if len(e.pendEmb) == 0 { // the open segment's first document
+		e.pendEmb = core.AppendEmbeddingsHeader(e.pendEmb, 0)
+	}
+	e.pendOffs = append(e.pendOffs, int64(len(e.pendEmb)))
+	e.pendEmb = append(e.pendEmb, an.rec...)
+	e.textB.Add(an.terms)
+	e.nodeB.AddWeighted(nodeWeights(an.emb))
 	live := 0
 	if s != nil {
 		e.pending.Add(1)
@@ -391,8 +396,8 @@ func (e *Engine) refreshLocked() {
 // immutable segment and resets the accumulators. Callers hold e.mu and
 // have checked that pending documents exist.
 func (e *Engine) sealPendingLocked() *segment {
-	seg := newSegment(e.pendDocs, e.pendEmbs, e.textB.Build(), e.nodeB.Build())
-	e.pendDocs, e.pendEmbs, e.pendPos = nil, nil, nil
+	seg := newSegment(e.pendDocs, e.pendEmb, e.pendOffs, e.gs.Load().g, e.textB.Build(), e.nodeB.Build())
+	e.pendDocs, e.pendEmb, e.pendOffs, e.pendPos = nil, nil, nil, nil
 	e.textB, e.nodeB = nil, nil
 	e.pending.Store(0)
 	return seg
@@ -400,9 +405,10 @@ func (e *Engine) sealPendingLocked() *segment {
 
 // analyze runs the NLP and NE components on a document text (the indexing
 // path: no query-side caches, so paper-faithful per-document embedding
-// cost measurements stay meaningful). It reads only immutable engine state
-// and is safe to call without holding e.mu.
-func (e *Engine) analyze(text string) analyzedDoc {
+// cost measurements stay meaningful) and encodes the embedding's record.
+// It reads only immutable engine state and is safe to call without
+// holding e.mu.
+func (e *Engine) analyze(text string) indexedDoc {
 	gs := e.gs.Load()
 	doc := gs.pipe.Process(text)
 	var terms []string
@@ -410,7 +416,9 @@ func (e *Engine) analyze(text string) analyzedDoc {
 		terms = append(terms, s.Terms...)
 	}
 	groups := nlp.MaximalSets(doc.EntityGroups())
-	return analyzedDoc{emb: gs.embedder.EmbedGroups(groups), terms: terms}
+	emb := gs.embedder.EmbedGroups(groups)
+	rec, err := core.AppendEmbedding(nil, emb)
+	return indexedDoc{analyzedDoc{emb: emb, terms: terms}, rec, err}
 }
 
 // nodeWeights converts a document embedding into BON term weights.
@@ -501,7 +509,7 @@ func (e *Engine) deleteAtLocked(s *segmentSet, pos int) {
 // upsertLocked replaces (or adds) one analyzed document: tombstone any
 // previous version, then add the new one (applyLocked's upsert case).
 // Callers hold e.mu.
-func (e *Engine) upsertLocked(doc Document, emb *core.DocEmbedding, terms []string) error {
+func (e *Engine) upsertLocked(doc Document, an indexedDoc) error {
 	s := e.set.Load()
 	if s == nil {
 		return ErrNotBuilt
@@ -516,7 +524,7 @@ func (e *Engine) upsertLocked(doc Document, emb *core.DocEmbedding, terms []stri
 			e.deleteAtLocked(s, pos)
 		}
 	}
-	return e.addLocked(doc, emb, terms)
+	return e.addLocked(doc, an)
 }
 
 // Compact merges every segment into a single tombstone-free segment,
@@ -541,7 +549,7 @@ func (e *Engine) Compact() error {
 	if len(s.segs) == 0 || (len(s.segs) == 1 && s.deleted == 0) {
 		return nil
 	}
-	merged, err := mergeRun(s.segs)
+	merged, err := mergeRun(s.segs, e.gs.Load().g)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"newslink/internal/core"
 	"newslink/internal/faults"
 	"newslink/internal/index"
 	"newslink/internal/kg"
@@ -55,24 +54,11 @@ import (
 
 // snapshotVersion 6 moved each segment's documents out of meta.json into
 // the seg-<id>.docs.bin artifact, which the content id now covers too.
-// Version 5 (documents with their time column in meta.json, three
-// artifacts per segment) still loads through Load and LoadOnDisk, and the
-// next Save rewrites every segment as version 6; ReadManifest, and so
-// LoadSegments and the cluster router, take version 6 only. Version 4 and
-// older are rejected with ErrSnapshotVersion.
-const (
-	snapshotVersion    = 6
-	minSnapshotVersion = 5
-)
+// Every loader reads version 6 only; any other version is
+// ErrSnapshotVersion, and such a snapshot is rebuilt from its corpus.
+const snapshotVersion = 6
 
-// snapshotCompatible reports whether a snapshot format version is loadable
-// by this build.
-func snapshotCompatible(v int) bool {
-	return v >= minSnapshotVersion && v <= snapshotVersion
-}
-
-// segmentSuffixes are the binary artifacts every segment owns. The
-// documents artifact is last: a version-5 segment has the others only.
+// segmentSuffixes are the binary artifacts every segment owns.
 var segmentSuffixes = [...]string{"text.idx", "node.idx", "emb.bin", docsSuffix}
 
 const docsSuffix = "docs.bin"
@@ -100,19 +86,6 @@ type snapshotMeta struct {
 	// Checksums maps each artifact file to the CRC32-C of its contents,
 	// rendered as 8 hex digits.
 	Checksums map[string]string `json:"checksums"`
-
-	// legacyDocs holds a version-5 manifest's per-segment document lists,
-	// aligned with Segments (nil for version 6).
-	legacyDocs [][]Document
-}
-
-// segmentFiles names the artifacts a segment of this manifest owns.
-func (m *snapshotMeta) segmentFiles(id string) []string {
-	names := SegmentFileNames(id)
-	if m.Version < snapshotVersion {
-		return names[:len(names)-1]
-	}
-	return names
 }
 
 type graphPrint struct {
@@ -179,8 +152,6 @@ type oldSnapshot struct {
 }
 
 func readOldSnapshot(dir string) *oldSnapshot {
-	// Only a version-6 snapshot can donate: a version-5 segment id covers
-	// three artifacts, not four, so it never matches a current one.
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil
@@ -474,22 +445,22 @@ func Load(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
 // embedding a request needs — so startup cost and resident memory stay
 // flat as the corpus grows. What stays resident is the index directories
 // and document lengths, the documents' ID, time and offset columns and
-// each embedding's offset. The engine holds the four files of every
+// each embedding record's offset. The engine holds the four files of every
 // segment open until Close. Integrity verification streams each artifact
 // once at open time (sequential IO, no resident memory), and one more
-// pass validates the embeddings as Load decodes them; the same typed
-// errors and option semantics as Load apply. A segment that a write or
-// merge creates after the load is resident, as in any engine.
+// pass validates the embeddings image, with the same checks Load applies;
+// the same typed errors and option semantics as Load apply. A segment that
+// a write or merge creates after the load is resident, as in any engine.
 func LoadOnDisk(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
 	return loadDurable(dir, g, loadOnDisk, opts)
 }
 
 // Close shuts the engine's owned resources down: the ingest pipeline is
 // drained and stopped, the write-ahead log is fsynced and closed, and any
-// snapshot files held open by LoadOnDisk are released. After Close,
-// writes on a WAL-armed engine fail with ErrClosed; searches keep working
-// against the in-memory state (in-memory engines) or fail on file access
-// (on-disk ones).
+// snapshot files held open by LoadOnDisk or LoadRouted are released. After
+// Close, writes on a WAL-armed engine fail with ErrClosed; searches keep
+// working against the in-memory state (in-memory engines) or fail on file
+// access (on-disk ones).
 func (e *Engine) Close() error {
 	werr := e.stopIngest()
 	s := e.set.Load()
@@ -521,7 +492,7 @@ const (
 // restored and published, then post-snapshot writes recovered from the WAL
 // and the ingest pipeline armed (per the caller's options).
 func loadDurable(dir string, g *kg.Graph, mode loadMode, opts []Option) (*Engine, error) {
-	m, err := readManifest(dir)
+	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -580,21 +551,20 @@ func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, mode loadMode) ([]*s
 	return segs, nil
 }
 
-// loadSegment restores segment i of the manifest: it verifies the artifacts
-// mode reads against their recorded checksums, then decodes them, streaming
-// the documents' text through buf — or, file-backed, opens them and reads
-// only their columns and offsets, validating the embeddings through buf. The artifact identity from meta.json is
-// memoized on the segment so a later Save can reuse the files without
-// rewriting them — except for a version-5 segment, whose documents come
-// from meta.json and which the next Save rewrites as version 6.
+// loadSegment restores segment i of the manifest. It verifies the
+// artifacts mode reads against their recorded checksums, then opens them:
+// Load reads the indexes, the documents' text and the embeddings image
+// into memory, LoadOnDisk and LoadRouted keep the files open and read only
+// the columns, offsets and index directories, and LoadSegments reads the
+// indexes and the time column. The embeddings are validated through buf
+// but not decoded, and Load streams the text through buf. The artifact
+// identity from meta.json is memoized on the segment so a later Save can
+// reuse the files without rewriting them.
 func loadSegment(dir string, m *snapshotMeta, i int, g *kg.Graph, mode loadMode, buf []byte) (*segment, error) {
 	sm := m.Segments[i]
 	textName, nodeName := segFileName(sm.ID, "text.idx"), segFileName(sm.ID, "node.idx")
-	embName, docsName := segFileName(sm.ID, "emb.bin"), "meta.json"
-	if m.Version == snapshotVersion {
-		docsName = segFileName(sm.ID, docsSuffix)
-	}
-	names := m.segmentFiles(sm.ID)
+	embName, docsName := segFileName(sm.ID, "emb.bin"), segFileName(sm.ID, docsSuffix)
+	names := SegmentFileNames(sm.ID)
 	if mode == loadPostings {
 		names = []string{textName, nodeName, docsName}
 	}
@@ -608,54 +578,39 @@ func loadSegment(dir string, m *snapshotMeta, i int, g *kg.Graph, mode loadMode,
 		seg.close()
 		return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
 	}
+	onDisk := mode == loadOnDisk
 	var err error
-	if seg.text, err = readIndexFile(filepath.Join(dir, textName), mode == loadOnDisk); err != nil {
+	if seg.text, err = readIndexFile(filepath.Join(dir, textName), onDisk); err != nil {
 		return corrupt(textName, err)
 	}
-	if seg.node, err = readIndexFile(filepath.Join(dir, nodeName), mode == loadOnDisk); err != nil {
+	if seg.node, err = readIndexFile(filepath.Join(dir, nodeName), onDisk); err != nil {
 		return corrupt(nodeName, err)
 	}
-	switch {
-	case mode == loadPostings:
-		if seg.times, err = readTimesFile(filepath.Join(dir, docsName)); err != nil {
-			return corrupt(docsName, err)
-		}
-	case m.Version < snapshotVersion:
-		seg.docs.docs = m.legacyDocs[i]
-		seg.times = timesOf(seg.docs.docs)
-	case mode == loadOnDisk:
-		if seg.docs, seg.times, err = openDocs(filepath.Join(dir, docsName)); err != nil {
-			return corrupt(docsName, err)
-		}
-	default:
-		if seg.docs.docs, err = readDocsFile(filepath.Join(dir, docsName), buf); err != nil {
-			return corrupt(docsName, err)
-		}
-		seg.times = timesOf(seg.docs.docs)
+	if seg.docs, seg.times, err = openDocs(filepath.Join(dir, docsName)); err != nil {
+		return corrupt(docsName, err)
 	}
-	if mode != loadPostings {
-		seg.byID = idOrder(&seg.docs, seg.numDocs())
+	switch mode {
+	case loadPostings:
+		err = seg.docs.close()
+		seg.docs = docStore{}
+	case loadResident:
+		err = seg.docs.readIn(seg.times, buf)
+	}
+	if err != nil {
+		return corrupt(docsName, err)
 	}
 	if n := seg.numDocs(); seg.text.NumDocs() != n || seg.node.NumDocs() != n {
 		return corrupt(docsName, fmt.Errorf("segment %s: %d docs, %d text-indexed, %d node-indexed",
 			sm.ID, n, seg.text.NumDocs(), seg.node.NumDocs()))
 	}
-	switch mode {
-	case loadOnDisk:
-		if seg.embs, err = openEmbeddings(filepath.Join(dir, embName), g, buf); err != nil {
+	if mode != loadPostings {
+		seg.byID = idOrder(&seg.docs, seg.numDocs())
+		if seg.embs, err = openEmbeddings(filepath.Join(dir, embName), g, onDisk, buf); err != nil {
 			return corrupt(embName, err)
 		}
-	case loadResident:
-		data, err := os.ReadFile(filepath.Join(dir, embName))
-		if err != nil {
-			return corrupt(embName, err)
+		if seg.embs.len() != seg.numDocs() {
+			return corrupt(embName, fmt.Errorf("segment %s: %d docs, %d embeddings", sm.ID, seg.numDocs(), seg.embs.len()))
 		}
-		if seg.embs.embs, err = core.ReadEmbeddings(data, g); err != nil {
-			return corrupt(embName, err)
-		}
-	}
-	if mode != loadPostings && seg.embs.len() != seg.numDocs() {
-		return corrupt(embName, fmt.Errorf("segment %s: %d docs, %d embeddings", sm.ID, seg.numDocs(), seg.embs.len()))
 	}
 	if sm.Dead != "" {
 		raw, err := base64.StdEncoding.DecodeString(sm.Dead)
@@ -671,13 +626,11 @@ func loadSegment(dir string, m *snapshotMeta, i int, g *kg.Graph, mode loadMode,
 		}
 		seg.dead = dead
 	}
-	if m.Version == snapshotVersion {
-		art := &segmentArtifact{id: sm.ID, sums: make(map[string]string, len(segmentSuffixes))}
-		for _, name := range SegmentFileNames(sm.ID) {
-			art.sums[name] = m.Checksums[name]
-		}
-		seg.art.Store(art)
+	art := &segmentArtifact{id: sm.ID, sums: make(map[string]string, len(segmentSuffixes))}
+	for _, name := range SegmentFileNames(sm.ID) {
+		art.sums[name] = m.Checksums[name]
 	}
+	seg.art.Store(art)
 	return seg, nil
 }
 

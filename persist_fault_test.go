@@ -255,10 +255,7 @@ func TestLoadCorruptionTable(t *testing.T) {
 		// the index, or with themselves.
 		tc{"count-mismatch/docs.bin", func(t *testing.T, dir string) {
 			rewriteArtifact(t, dir, "docs.bin", func(data []byte) []byte {
-				docs, err := readDocs(bytes.NewReader(data), int64(len(data)), make([]byte, 512))
-				if err != nil {
-					t.Fatal(err)
-				}
+				docs := readDocsIn(t, writeTemp(t, data))
 				return appendDocs(nil, docs[:len(docs)-1])
 			})
 		}, ErrSnapshotCorrupt, "docs.bin: segment"},

@@ -3,12 +3,15 @@ package newslink
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"newslink/internal/core"
 	"newslink/internal/corpus"
 	"newslink/internal/kg"
 )
@@ -174,12 +177,19 @@ func TestLoadRejectsVersionSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := []byte(`{"version": 99` + string(meta[len(`{"version": 1`):]))
-	if err := os.WriteFile(filepath.Join(dir, "meta.json"), bad, 0o644); err != nil {
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(meta, &m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir, g); err == nil {
-		t.Fatal("future version must fail")
+	m["version"] = json.RawMessage("99")
+	if meta, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "meta.json"), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := Load(dir, g); !errors.Is(err, ErrSnapshotVersion) || !strings.Contains(err.Error(), "version 99,") || e != nil {
+		t.Fatalf("future version: %v, want ErrSnapshotVersion naming version 99", err)
 	}
 }
 
@@ -338,18 +348,22 @@ func TestSnapshotRoundTripsDocumentBytes(t *testing.T) {
 	}
 }
 
-// TestStoredFieldsAgreeAcrossLoaders: an engine restored by Load holds its
-// documents and embeddings in memory; one restored by LoadOnDisk or
-// LoadRouted (the cluster router's engine) reads them from the snapshot
-// per request. Over a three-segment snapshot with tombstones, all three
-// answer DeepEqual to the engine that saved it — every document, every
-// filtered search with its snippets, every live document's related news,
-// explanation and DOT rendering — and a file-backed engine re-saves the
-// snapshot byte for byte.
+// TestStoredFieldsAgreeAcrossLoaders: every engine holds its embeddings as
+// an emb.bin image — in memory when built, merged or restored by Load, the
+// snapshot's own file under LoadOnDisk and LoadRouted (the cluster
+// router's engine) — and its documents in memory or in the file the same
+// way. Over a three-segment snapshot with tombstones, a second engine built
+// the same way (never saved) and all three loaders answer DeepEqual to the
+// engine that saved it — every document, every filtered search with its
+// snippets, every live document's related news, explanation and DOT
+// rendering — every stored embedding decodes to what the reference decoder
+// reads from the snapshot, and every engine re-saves the snapshot byte for
+// byte. After Compact, which copies the stored records into one merged
+// segment, each engine that takes writes still agrees with a compacted
+// built engine, down to the bytes of its snapshot.
 func TestStoredFieldsAgreeAcrossLoaders(t *testing.T) {
 	e, w, arts := filterFixture(t)
 	g := w.Graph
-	ctx := context.Background()
 	dir := t.TempDir()
 	if err := e.Save(dir); err != nil {
 		t.Fatal(err)
@@ -362,12 +376,19 @@ func TestStoredFieldsAgreeAcrossLoaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.acquire()
-	if err != nil {
+	compacted, _, _ := filterFixture(t)
+	if err := compacted.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	sameErr := func(a, b error) bool { return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error()) }
+	compactedDir := t.TempDir()
+	if err := compacted.Save(compactedDir); err != nil {
+		t.Fatal(err)
+	}
 	for name, load := range map[string]func() (*Engine, error){
+		"Built": func() (*Engine, error) {
+			built, _, _ := filterFixture(t)
+			return built, nil
+		},
 		"Load":       func() (*Engine, error) { return Load(dir, g) },
 		"LoadOnDisk": func() (*Engine, error) { return LoadOnDisk(dir, g) },
 		"LoadRouted": func() (*Engine, error) { return LoadRouted(dir, g, localTraverse(shard)) },
@@ -376,79 +397,161 @@ func TestStoredFieldsAgreeAcrossLoaders(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		fileBacked := name == "LoadOnDisk" || name == "LoadRouted"
+		checkStores(t, name, got, fileBacked)
+		checkAgree(t, name, got, e, w, arts)
 		snap, err := got.acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, seg := range snap.segs {
-			if fileBacked := name != "Load"; (seg.docs.f != nil) != fileBacked || (seg.embs.f != nil) != fileBacked ||
-				(seg.docs.docs == nil) != fileBacked || (seg.embs.embs == nil) != fileBacked {
-				t.Fatalf("%s: segment stores documents %v / embeddings %v file-backed, want %v", name, seg.docs.f != nil, seg.embs.f != nil, fileBacked)
+		for pos := range snap.numDocs {
+			if want := e.analyze(docAt(t, snap, pos).Text).rec; !bytes.Equal(appendRecord(t, embeddingAt(t, snap, pos)), want) {
+				t.Fatalf("%s: the embedding at %d is not the embedder's", name, pos)
 			}
 		}
-		for pos := 0; pos < want.numDocs; pos++ {
-			if doc, err := got.DocAt(pos); err != nil || !reflect.DeepEqual(doc, docAt(t, want, pos)) {
-				t.Fatalf("%s: document at %d is %+v (%v), want %+v", name, pos, doc, err, docAt(t, want, pos))
+		checkResave(t, name, got, dir)
+		if name == "LoadRouted" {
+			if err := got.Compact(); !errors.Is(err, ErrReadOnly) {
+				t.Fatalf("%s: Compact: %v, want ErrReadOnly", name, err)
+			}
+		} else {
+			if err := got.Compact(); err != nil {
+				t.Fatalf("%s: Compact: %v", name, err)
+			}
+			checkStores(t, name+" compacted", got, false)
+			checkAgree(t, name+" compacted", got, compacted, w, arts)
+			checkResave(t, name+" compacted", got, compactedDir)
+		}
+		got.Close()
+	}
+}
+
+// appendRecord is emb's embeddings record.
+func appendRecord(t testing.TB, emb *core.DocEmbedding) []byte {
+	t.Helper()
+	rec, err := core.AppendEmbedding(nil, emb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// checkStores checks the one shape of a segment's stores: an embeddings
+// image in memory or in the open artifact, covering every document, and
+// documents resident or file-backed alike; and that the embeddings decode
+// to what the reference decoder, core.ReadEmbeddings, reads from the
+// image.
+func checkStores(t *testing.T, name string, e *Engine, fileBacked bool) {
+	t.Helper()
+	snap, err := e.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si, seg := range snap.segs {
+		_, inFile := seg.embs.image.(*os.File)
+		if inFile != fileBacked || (seg.docs.f != nil) != fileBacked || (seg.docs.docs == nil) != fileBacked {
+			t.Fatalf("%s: segment %d holds embeddings in a file %v, documents in a file %v, want %v",
+				name, si, inFile, seg.docs.f != nil, fileBacked)
+		}
+		if seg.embs.len() != seg.numDocs() {
+			t.Fatalf("%s: segment %d has %d embeddings for %d documents", name, si, seg.embs.len(), seg.numDocs())
+		}
+		var image bytes.Buffer
+		if err := seg.embs.writeTo(&image); err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.ReadEmbeddings(image.Bytes(), e.Graph())
+		if err != nil {
+			t.Fatalf("%s: segment %d: %v", name, si, err)
+		}
+		for i := range want {
+			if emb, err := seg.embs.embedding(i); err != nil || !reflect.DeepEqual(emb, want[i]) {
+				t.Fatalf("%s: segment %d: embedding %d decodes to %+v (%v), the reference to %+v", name, si, i, emb, err, want[i])
 			}
 		}
-		for cname, flt := range filterCases(w, arts) {
-			for _, text := range filterQueries {
-				q := flt
-				q.Text, q.K = text, 10
-				a, err := e.SearchContext(ctx, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if b, err := got.SearchContext(ctx, q); err != nil || !reflect.DeepEqual(b, a) {
-					t.Fatalf("%s, %s %q: %v (%v), want %v", name, cname, text, b, err, a)
-				}
-			}
+	}
+}
+
+// checkAgree asserts that got answers DeepEqual to want over the filter
+// fixture: every document, every filtered search with its snippets, and
+// the related news, explanation and DOT rendering of every third document
+// and of a tombstoned one.
+func checkAgree(t *testing.T, name string, got, want *Engine, w *kg.World, arts []corpus.Article) {
+	t.Helper()
+	ctx := context.Background()
+	sameErr := func(a, b error) bool { return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error()) }
+	ws, err := want.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos := 0; pos < ws.numDocs; pos++ {
+		if doc, err := got.DocAt(pos); err != nil || !reflect.DeepEqual(doc, docAt(t, ws, pos)) {
+			t.Fatalf("%s: document at %d is %+v (%v), want %+v", name, pos, doc, err, docAt(t, ws, pos))
 		}
-		explained := 0
-		for i, a := range arts {
-			if i%3 != 0 && i != 40 { // 40 is tombstoned
-				continue
-			}
-			rw, werr := e.Related(a.ID, 5)
-			rg, gerr := got.Related(a.ID, 5)
-			if !sameErr(gerr, werr) || !reflect.DeepEqual(rg, rw) {
-				t.Fatalf("%s: related to %d is %v (%v), want %v (%v)", name, a.ID, rg, gerr, rw, werr)
-			}
-			q := arts[(i+1)%len(arts)].Title
-			xw, werr := e.Explain(q, a.ID, 4)
-			xg, gerr := got.Explain(q, a.ID, 4)
-			if !sameErr(gerr, werr) || !reflect.DeepEqual(xg, xw) {
-				t.Fatalf("%s: explanation of %d is %+v (%v), want %+v (%v)", name, a.ID, xg, gerr, xw, werr)
-			}
-			explained += len(xw.SharedEntities)
-			dw, werr := e.ExplainDOT(q, a.ID, "t")
-			dg, gerr := got.ExplainDOT(q, a.ID, "t")
-			if !sameErr(gerr, werr) || dg != dw {
-				t.Fatalf("%s: DOT of %d differs (%v, want %v)", name, a.ID, gerr, werr)
-			}
-		}
-		if explained == 0 {
-			t.Fatal("no explanation shared an entity; the comparison went unexercised")
-		}
-		if name != "Load" {
-			resaved := t.TempDir()
-			if err := got.Save(resaved); err != nil {
-				t.Fatalf("%s: re-save: %v", name, err)
-			}
-			files, err := filepath.Glob(filepath.Join(dir, "*"))
+	}
+	for cname, flt := range filterCases(w, arts) {
+		for _, text := range filterQueries {
+			q := flt
+			q.Text, q.K = text, 10
+			a, err := want.SearchContext(ctx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, path := range files {
-				a, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if b, err := os.ReadFile(filepath.Join(resaved, filepath.Base(path))); err != nil || !bytes.Equal(a, b) {
-					t.Fatalf("%s: re-saved %s differs (%v)", name, filepath.Base(path), err)
-				}
+			if b, err := got.SearchContext(ctx, q); err != nil || !reflect.DeepEqual(b, a) {
+				t.Fatalf("%s, %s %q: %v (%v), want %v", name, cname, text, b, err, a)
 			}
 		}
-		got.Close()
+	}
+	explained := 0
+	for i, a := range arts {
+		if i%3 != 0 && i != 40 { // 40 is tombstoned
+			continue
+		}
+		rw, werr := want.Related(a.ID, 5)
+		rg, gerr := got.Related(a.ID, 5)
+		if !sameErr(gerr, werr) || !reflect.DeepEqual(rg, rw) {
+			t.Fatalf("%s: related to %d is %v (%v), want %v (%v)", name, a.ID, rg, gerr, rw, werr)
+		}
+		q := arts[(i+1)%len(arts)].Title
+		xw, werr := want.Explain(q, a.ID, 4)
+		xg, gerr := got.Explain(q, a.ID, 4)
+		if !sameErr(gerr, werr) || !reflect.DeepEqual(xg, xw) {
+			t.Fatalf("%s: explanation of %d is %+v (%v), want %+v (%v)", name, a.ID, xg, gerr, xw, werr)
+		}
+		explained += len(xw.SharedEntities)
+		dw, werr := want.ExplainDOT(q, a.ID, "t")
+		dg, gerr := got.ExplainDOT(q, a.ID, "t")
+		if !sameErr(gerr, werr) || dg != dw {
+			t.Fatalf("%s: DOT of %d differs (%v, want %v)", name, a.ID, gerr, werr)
+		}
+	}
+	if explained == 0 {
+		t.Fatal("no explanation shared an entity; the comparison went unexercised")
+	}
+}
+
+// checkResave asserts that e saves a snapshot identical, file for file,
+// to the one in dir.
+func checkResave(t *testing.T, name string, e *Engine, dir string) {
+	t.Helper()
+	resaved := t.TempDir()
+	if err := e.Save(resaved); err != nil {
+		t.Fatalf("%s: re-save: %v", name, err)
+	}
+	want, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadDir(resaved); err != nil || len(got) != len(want) {
+		t.Fatalf("%s: re-saved %d files (%v), want %d", name, len(got), err, len(want))
+	}
+	for _, ent := range want {
+		a, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err := os.ReadFile(filepath.Join(resaved, ent.Name())); err != nil || !bytes.Equal(a, b) {
+			t.Fatalf("%s: re-saved %s differs (%v)", name, ent.Name(), err)
+		}
 	}
 }

@@ -1,10 +1,12 @@
 package newslink
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"unsafe"
 
@@ -14,15 +16,24 @@ import (
 )
 
 // A segment's stored fields — its documents and their subgraph embeddings
-// — live in one of two places, the way its postings do (index.Index): in
-// memory, for a segment built or merged by the engine and for one restored
-// by Load; or in the segment's own snapshot artifacts, for one restored by
-// LoadOnDisk or LoadRouted. A file-backed store keeps only what lookups,
-// filters and reads need resident — the ID, time and offset columns of
-// seg-<id>.docs.bin and each embedding record's offset in seg-<id>.emb.bin
-// — and reads a document's title and text, or an embedding, with one
-// ReadAt when a request asks for it. A read that fails fails the request:
-// it never turns into an empty document or embedding (DESIGN.md §9).
+// — live in memory or in the segment's own snapshot artifacts, the way its
+// postings do (index.Index).
+//
+// Embeddings have one representation either way: the emb.bin image
+// (core.WriteEmbeddings). A segment built, merged or restored by Load holds
+// the image in memory; one restored by LoadOnDisk or LoadRouted leaves it
+// in the file. The store keeps where each document's record starts and
+// decodes a record only when Explain, ExplainDOT or Related asks for it; a
+// merge copies records without decoding them, and Save writes the image as
+// it is.
+//
+// Documents are resident ([]Document) in a segment built, merged or
+// restored by Load. A file-backed store (LoadOnDisk, LoadRouted) keeps only
+// the ID, time and offset columns of seg-<id>.docs.bin resident, and reads
+// a document's title and text with one ReadAt when a request asks for it.
+//
+// A read that fails fails the request: it never turns into an empty
+// document or embedding (DESIGN.md §9).
 
 // docStore is a segment's documents: resident in docs, or file-backed.
 type docStore struct {
@@ -35,10 +46,11 @@ type docStore struct {
 	area int64    // where the text area starts in the file
 }
 
-// openDocs opens the documents artifact at path file-backed: its header
-// and offset column are validated as readDocs validates them, and the ID
-// and time columns are read; the titles and texts stay in the file. It
-// returns the store and the time column.
+// openDocs is the one reader of the documents artifact. It opens the
+// artifact at path file-backed: the header and the offset column are
+// validated against the file's size, and the ID and time columns are read;
+// the titles and texts stay in the file (readIn reads them). It returns
+// the store and the time column.
 func openDocs(path string) (d docStore, times []int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -72,6 +84,32 @@ func openDocs(path string) (d docStore, times []int64, err error) {
 		d.ids[i], times[i] = int(id), int64(le.Uint64(cols[8*(l.n+i):]))
 	}
 	return d, times, nil
+}
+
+// readIn makes a file-backed store resident: the text area is read,
+// streaming through buf, into one string that every title and text slices
+// — one allocation per segment, not two per document — and the file is
+// closed. times is the column openDocs returned.
+func (d *docStore) readIn(times []int64, buf []byte) error {
+	areaLen := d.size - d.area
+	var sb strings.Builder
+	sb.Grow(int(areaLen))
+	if _, err := io.CopyBuffer(&sb, io.NewSectionReader(d.f, d.area, areaLen), buf); err != nil {
+		return fmt.Errorf("reading text: %w", err)
+	}
+	if int64(sb.Len()) != areaLen {
+		return fmt.Errorf("reading text: %w", io.ErrUnexpectedEOF)
+	}
+	area := sb.String()
+	le := binary.LittleEndian
+	docs := make([]Document, len(d.ids))
+	for i := range docs {
+		t0, t1, t2 := le.Uint64(d.offs[16*i:]), le.Uint64(d.offs[16*i+8:]), le.Uint64(d.offs[16*i+16:])
+		docs[i] = Document{ID: d.ids[i], Title: area[t0:t1], Text: area[t1:t2], Time: times[i]}
+	}
+	err := d.close()
+	*d = docStore{docs: docs}
+	return err
 }
 
 func (d *docStore) id(i int) int {
@@ -117,59 +155,68 @@ func (d *docStore) writeTo(w io.Writer) error {
 	if d.f == nil {
 		return writeDocs(w, d.docs)
 	}
-	return copyFile(w, d.f, d.size)
+	return copyAt(w, d.f, d.size)
 }
 
 func (d *docStore) close() error { return closeFile(d.f) }
 
-// embStore is a segment's subgraph embeddings, aligned with its documents
-// (nil entries for unembeddable documents): resident in embs, or
-// file-backed.
+// embStore is a segment's subgraph embeddings, aligned with its documents:
+// an emb.bin image and where each document's record starts in it.
 type embStore struct {
-	embs []*core.DocEmbedding
-
-	f    *os.File  // the embeddings artifact; nil when resident
-	offs []int64   // document i's record is [offs[i], offs[i+1]) of f
-	g    *kg.Graph // what the records were validated against
+	image io.ReaderAt // in memory (*bytes.Reader), or the open artifact
+	offs  []int64     // document i's record is [offs[i], offs[i+1]) of image
+	g     *kg.Graph   // what the records decode against
 }
 
-// openEmbeddings opens the embeddings artifact at path file-backed: one
-// sequential pass through buf validates it as core.ReadEmbeddings would
-// and records where each document's record starts; nothing is decoded.
-func openEmbeddings(path string, g *kg.Graph, buf []byte) (s embStore, err error) {
+// openEmbeddings opens the embeddings artifact at path: left in the file
+// when onDisk, read into memory otherwise. One sequential pass through buf
+// validates the image as core.ReadEmbeddings would and records where each
+// document's record starts; nothing is decoded.
+func openEmbeddings(path string, g *kg.Graph, onDisk bool, buf []byte) (embStore, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return embStore{}, err
 	}
+	s := embStore{image: f, g: g}
 	st, err := f.Stat()
+	if err == nil && !onDisk {
+		data := make([]byte, st.Size())
+		err = readAt(f, data, 0)
+		f.Close()
+		s.image = bytes.NewReader(data)
+	}
 	if err == nil {
-		s = embStore{f: f, g: g}
-		s.offs, err = core.ScanEmbeddings(f, st.Size(), g, buf)
+		s.offs, err = core.ScanEmbeddings(s.image, st.Size(), g, buf)
 	}
 	if err != nil {
-		f.Close()
+		s.close()
 		return embStore{}, err
 	}
 	return s, nil
 }
 
 // len is how many documents the store covers.
-func (s *embStore) len() int {
-	if s.f == nil {
-		return len(s.embs)
+func (s *embStore) len() int { return len(s.offs) - 1 }
+
+// recordLen is the length of document i's record.
+func (s *embStore) recordLen(i int) int64 { return s.offs[i+1] - s.offs[i] }
+
+// appendRecord appends document i's record to b.
+func (s *embStore) appendRecord(b []byte, i int) ([]byte, error) {
+	n := int(s.recordLen(i))
+	b = slices.Grow(b, n)
+	if err := readAt(s.image, b[len(b):len(b)+n], s.offs[i]); err != nil {
+		return nil, fmt.Errorf("newslink: reading embedding at %d: %w", s.offs[i], err)
 	}
-	return len(s.offs) - 1
+	return b[:len(b)+n], nil
 }
 
-// embedding returns document i's embedding; a file-backed store reads and
-// decodes its record.
+// embedding reads and decodes document i's embedding (nil for an
+// unembeddable document).
 func (s *embStore) embedding(i int) (*core.DocEmbedding, error) {
-	if s.f == nil {
-		return s.embs[i], nil
-	}
-	rec := make([]byte, s.offs[i+1]-s.offs[i])
-	if err := readAt(s.f, rec, s.offs[i]); err != nil {
-		return nil, fmt.Errorf("newslink: reading embedding at %d: %w", s.offs[i], err)
+	rec, err := s.appendRecord(nil, i)
+	if err != nil {
+		return nil, err
 	}
 	emb, err := core.ReadEmbedding(rec, s.g)
 	if err != nil {
@@ -178,26 +225,25 @@ func (s *embStore) embedding(i int) (*core.DocEmbedding, error) {
 	return emb, nil
 }
 
-// writeTo writes the embeddings artifact: encoded from a resident store,
-// copied byte for byte from a file-backed one's file.
-func (s *embStore) writeTo(w io.Writer) error {
-	if s.f == nil {
-		return core.WriteEmbeddings(w, s.embs)
+// writeTo writes the embeddings artifact: the image, byte for byte.
+func (s *embStore) writeTo(w io.Writer) error { return copyAt(w, s.image, s.offs[len(s.offs)-1]) }
+
+func (s *embStore) close() error {
+	if c, ok := s.image.(io.Closer); ok {
+		return c.Close()
 	}
-	return copyFile(w, s.f, s.offs[len(s.offs)-1])
+	return nil
 }
 
-func (s *embStore) close() error { return closeFile(s.f) }
-
-// copyFile writes the first size bytes of f to w; a file that has become
-// shorter is an error.
-func copyFile(w io.Writer, f *os.File, size int64) error {
-	n, err := io.Copy(w, io.NewSectionReader(f, 0, size))
+// copyAt writes the first size bytes of r to w; an r that has become
+// shorter (a truncated file) is an error.
+func copyAt(w io.Writer, r io.ReaderAt, size int64) error {
+	n, err := io.Copy(w, io.NewSectionReader(r, 0, size))
 	if err == nil && n < size { // a short file ends the section early, without an error
 		err = io.ErrUnexpectedEOF
 	}
 	if err != nil {
-		return fmt.Errorf("newslink: copying %s: %w", f.Name(), err)
+		return fmt.Errorf("copying: %w", err)
 	}
 	return nil
 }
