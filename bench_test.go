@@ -6,6 +6,7 @@
 package newslink_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -658,6 +659,43 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkGraphLoad measures kg.Read of the 1250-country world's TSV
+// (seed 7: 101,407 nodes, 315,432 arcs), the knowledge graph a
+// search-cold server reads at start-up. allocs/op and B/op, which the
+// regression gate holds, are the parse and build work: the loop runs with
+// the collector off and collects at fixed iterations, off the clock, so
+// they repeat exactly. retained-heap-MB is informational: the heap one
+// loaded graph holds after a forced collection.
+func BenchmarkGraphLoad(b *testing.B) {
+	cfg := kg.DefaultConfig(7)
+	cfg.Countries = 1250
+	var buf bytes.Buffer
+	if err := kg.Write(&buf, kg.Generate(cfg).Graph); err != nil {
+		b.Fatal(err)
+	}
+	tsv := buf.Bytes()
+	load := func() (func(), error) {
+		g, err := kg.Read(bytes.NewReader(tsv))
+		return func() { runtime.KeepAlive(g) }, err
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%4 == 0 {
+			b.StopTimer()
+			runtime.GC()
+			b.StartTimer()
+		}
+		if _, err := load(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(retainedHeapMB(b, load), "retained-heap-MB")
+	runtime.KeepAlive(tsv) // in the baseline, not in the graph's share
 }
 
 // retainedHeapMB runs load and returns the heap-object bytes it left live,

@@ -28,7 +28,10 @@
 # BenchmarkColdBuild covers the cold build (AddAll + Build of 2,000
 # documents): its allocs/op and B/op are the build's allocation work, and
 # its informational peak-heap-MB the transient that sets a building
-# server's peak RSS.
+# server's peak RSS; BenchmarkGraphLoad covers the knowledge graph's
+# start-up: kg.Read of the 101k-node world's TSV, whose allocs/op and B/op
+# are the parse and build work and whose informational retained-heap-MB is
+# what the loaded graph keeps resident.
 # CI uploads the file as an artifact so the performance trajectory has a
 # reproducible, CI-generated source; run locally as
 #
@@ -42,7 +45,7 @@ cd "$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 
 BENCHTIME="${1:-1s}"
 OUT="${2:-BENCH.json}"
-BENCHES='BenchmarkTopKStrategies|BenchmarkParallelFusedSearch|BenchmarkSnapshotServing|BenchmarkSegmentChurn|BenchmarkQueryEmbed|BenchmarkSustainedIngestServe|BenchmarkClusterScatterGather|BenchmarkWireCodec|BenchmarkFilteredSearch|BenchmarkRelated|BenchmarkGather|BenchmarkSnapshotLoad|BenchmarkPublish|BenchmarkColdBuild'
+BENCHES='BenchmarkTopKStrategies|BenchmarkParallelFusedSearch|BenchmarkSnapshotServing|BenchmarkSegmentChurn|BenchmarkQueryEmbed|BenchmarkSustainedIngestServe|BenchmarkClusterScatterGather|BenchmarkWireCodec|BenchmarkFilteredSearch|BenchmarkRelated|BenchmarkGather|BenchmarkSnapshotLoad|BenchmarkPublish|BenchmarkColdBuild|BenchmarkGraphLoad'
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 

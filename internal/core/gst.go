@@ -109,7 +109,8 @@ func dijkstraRelax(g *kg.Graph, row []float64) {
 		if it.d > row[it.v] {
 			continue
 		}
-		for _, a := range g.Neighbors(it.v) {
+		for k := range g.Degree(it.v) {
+			a := g.Arc(it.v, k)
 			nd := it.d + a.Weight
 			if nd < row[a.To] {
 				row[a.To] = nd
@@ -133,8 +134,8 @@ func TreeWeight(g *kg.Graph, sg *Subgraph) float64 {
 
 // arcWeight looks up the weight of the KG edge an arc traverses.
 func arcWeight(g *kg.Graph, arc PathArc) float64 {
-	for _, a := range g.Neighbors(arc.From) {
-		if a.To == arc.To && a.Rel == arc.Rel && a.Reverse == arc.Reverse {
+	for k := range g.Degree(arc.From) {
+		if a := g.Arc(arc.From, k); a.To == arc.To && a.Rel == arc.Rel && a.Reverse == arc.Reverse {
 			return a.Weight
 		}
 	}

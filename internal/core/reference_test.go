@@ -215,7 +215,8 @@ func (st *refState) run() {
 		}
 		ls.settled[it.v] = true
 		st.expansions++
-		for _, a := range st.g.Neighbors(it.v) {
+		for k := range st.g.Degree(it.v) {
+			a := st.g.Arc(it.v, k)
 			nd := it.d + a.Weight
 			if st.opts.MaxDepth > 0 && nd > st.opts.MaxDepth {
 				continue

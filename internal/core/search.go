@@ -11,19 +11,17 @@ import (
 // concurrent use: traversal states are recycled through an internal
 // sync.Pool, so concurrent Find calls each borrow an independent state and
 // a steady-state query allocates nothing in the enumeration loop.
+//
+// The traversal reads g's adjacency in place and keeps no copy of it: a
+// node's neighbours are g.Targets(v), a slice of the graph's 4-byte target
+// column, so a cold query that touches thousands of adjacency lists once
+// each pays 4 bytes an arc in cache misses. Weights are read from
+// g.Weights(v) only when g.WeightRange says the arcs do not all weigh the
+// same.
 type Searcher struct {
 	g    *kg.Graph
 	opts Options
 	pool sync.Pool // of *state
-
-	// What the traversal reads of g, 4 bytes an arc where kg.Arc is 24:
-	// v's neighbours are adjTo[adjOff[v]:adjOff[v+1]], in g.Neighbors(v)
-	// order. A cold query touches thousands of adjacency lists once each,
-	// so their size is its cache-miss bill. Weights stay in g; a graph
-	// whose arcs all weigh the same (minW == maxW) never needs them.
-	adjOff     []uint64
-	adjTo      []kg.NodeID
-	minW, maxW float64
 }
 
 // NewSearcher returns a Searcher over g with the given options.
@@ -32,28 +30,8 @@ func NewSearcher(g *kg.Graph, opts Options) *Searcher {
 		opts.MaxExpansions = DefaultMaxExpansions
 	}
 	s := &Searcher{g: g, opts: opts}
-	s.scanArcs()
 	s.pool.New = func() any { return newState(s) }
 	return s
-}
-
-// scanArcs copies g's adjacency into the searcher's compact form and notes
-// the smallest and largest arc weight (0, 0 for a graph without arcs).
-func (s *Searcher) scanArcs() {
-	n := s.g.NumNodes()
-	s.adjOff = make([]uint64, n+1)
-	s.adjTo = make([]kg.NodeID, 0, 2*s.g.NumEdges())
-	s.minW = inf
-	for v := 0; v < n; v++ {
-		for _, a := range s.g.Neighbors(kg.NodeID(v)) {
-			s.adjTo = append(s.adjTo, a.To)
-			s.minW, s.maxW = min(s.minW, a.Weight), max(s.maxW, a.Weight)
-		}
-		s.adjOff[v+1] = uint64(len(s.adjTo))
-	}
-	if len(s.adjTo) == 0 {
-		s.minW = 0
-	}
 }
 
 // Graph returns the knowledge graph the searcher operates on.

@@ -247,7 +247,8 @@ func refDistances(g *kg.Graph, label string) map[kg.NodeID]float64 {
 		if it.d > dist[it.v] {
 			continue
 		}
-		for _, a := range g.Neighbors(it.v) {
+		for k := range g.Degree(it.v) {
+			a := g.Arc(it.v, k)
 			nd := it.d + a.Weight
 			if cur, ok := dist[a.To]; !ok || nd < cur {
 				dist[a.To] = nd

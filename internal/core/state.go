@@ -59,10 +59,8 @@ type slotRec struct {
 type state struct {
 	g       *kg.Graph
 	opts    Options
-	adjOff  []uint64    // the Searcher's compact adjacency
-	adjTo   []kg.NodeID //
-	minW    float64     // smallest arc weight of g
-	uniform bool        // every arc of g has the same weight
+	minW    float64 // smallest arc weight of g
+	uniform bool    // every arc of g has the same weight
 
 	epoch  uint32
 	idx    []uint64 // node → epoch<<32 | slot
@@ -104,8 +102,8 @@ type state struct {
 const ctxPollMask = 255
 
 func newState(s *Searcher) *state {
-	return &state{g: s.g, opts: s.opts, adjOff: s.adjOff, adjTo: s.adjTo, minW: s.minW, uniform: s.minW == s.maxW,
-		idx: make([]uint64, s.g.NumNodes())}
+	lo, hi := s.g.WeightRange()
+	return &state{g: s.g, opts: s.opts, minW: lo, uniform: lo == hi, idx: make([]uint64, s.g.NumNodes())}
 }
 
 // begin readies a (possibly recycled) state for one query: the epoch bump
@@ -349,14 +347,13 @@ func (st *state) run() {
 			if rim {
 				continue
 			}
-			var arcs []kg.Arc // read for their weights only where weights differ
-			if !st.uniform {
-				arcs = st.g.Neighbors(it.v)
-			}
-			for k, to := range st.adjTo[st.adjOff[it.v]:st.adjOff[it.v+1]] {
+			// The graph's own target column; weights are read only where
+			// they differ (ws is nil on a uniform-weight graph).
+			ws := st.g.Weights(it.v)
+			for k, to := range st.g.Targets(it.v) {
 				w := st.minW
-				if arcs != nil {
-					w = arcs[k].Weight
+				if ws != nil {
+					w = ws[k]
 				}
 				nd := d + w
 				if maxDepth > 0 && nd > maxDepth {
@@ -522,7 +519,8 @@ func (st *state) appendParents(li int, s uint32) {
 	m := st.m
 	v, dv := st.slots[s].node, st.dist[int(s)*m+li]
 	var first, firstOrd uint32 // ModelTree: the earliest-settled parent's slot and ord
-	for _, a := range st.g.Neighbors(v) {
+	for k := range st.g.Degree(v) {
+		a := st.g.Arc(v, k)
 		us, ok := st.slotOf(a.To)
 		if !ok {
 			continue
@@ -539,8 +537,8 @@ func (st *state) appendParents(li int, s uint32) {
 	}
 	if firstOrd != 0 {
 		u, du := st.slots[first].node, st.dist[int(first)*m+li]
-		for _, a := range st.g.Neighbors(u) {
-			if a.To == v && du+a.Weight == dv {
+		for k := range st.g.Degree(u) {
+			if a := st.g.Arc(u, k); a.To == v && du+a.Weight == dv {
 				st.arcBuf = append(st.arcBuf, PathArc{From: u, To: v, Rel: a.Rel, Reverse: a.Reverse})
 				return
 			}

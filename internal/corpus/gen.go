@@ -106,14 +106,11 @@ func entityPool(g *kg.Graph, ev kg.Event) (core, context []string) {
 	add(&core, ev.Location)
 	add(&context, ev.Country)
 	for _, p := range append([]kg.NodeID{ev.Location}, ev.Participants...) {
-		for i, a := range g.Neighbors(p) {
-			if i >= 4 {
-				break
-			}
-			if g.Node(a.To).Kind == kg.KindEvent {
+		for _, to := range g.Targets(p)[:min(g.Degree(p), 4)] {
+			if g.Node(to).Kind == kg.KindEvent {
 				continue // event nodes have unwieldy generated labels
 			}
-			add(&context, a.To)
+			add(&context, to)
 		}
 	}
 	return core, context

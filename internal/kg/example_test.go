@@ -17,7 +17,8 @@ func Example() {
 	g := b.Build()
 
 	fmt.Println(g.NumNodes(), "nodes,", g.NumEdges(), "edges")
-	for _, a := range g.Neighbors(khyber) {
+	for k := range g.Degree(khyber) {
+		a := g.Arc(khyber, k)
 		dir := "->"
 		if a.Reverse {
 			dir = "<-"

@@ -2,6 +2,8 @@ package kg
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -39,8 +41,8 @@ func TestBidirectedArcs(t *testing.T) {
 	g := buildTiny(t)
 	// Node 1 (Beta GPE) should see the reversed arc from Alpha and from Gamma.
 	var fwd, rev int
-	for _, a := range g.Neighbors(1) {
-		if a.Reverse {
+	for k := range g.Degree(1) {
+		if g.Arc(1, k).Reverse {
 			rev++
 		} else {
 			fwd++
@@ -81,6 +83,21 @@ func TestLabelIndexExactAndAmbiguous(t *testing.T) {
 	}
 }
 
+// TestLookupAllocatesNothing: probing the index with an ASCII label folds
+// it on the stack — the NER pipeline probes every candidate span — and
+// Fold of an already-folded label returns it as is.
+func TestLookupAllocatesNothing(t *testing.T) {
+	idx := buildTiny(t).Index()
+	for _, probe := range []string{"Alpha", "  BETA  ", "Nope", "gamma", ""} {
+		if n := testing.AllocsPerRun(100, func() { idx.Lookup(probe); idx.Contains(probe) }); n != 0 {
+			t.Errorf("Lookup+Contains(%q): %v allocs, want 0", probe, n)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Fold("beta gamma") }); n != 0 {
+		t.Errorf("Fold of a folded label: %v allocs, want 0", n)
+	}
+}
+
 func TestFold(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"Upper  Dir", "upper dir"},
@@ -99,7 +116,36 @@ func TestAddEdgePanics(t *testing.T) {
 	b := NewBuilder(1)
 	n := b.AddNode("X", KindGPE, "")
 	mustPanic(t, "zero weight", func() { b.AddEdge(n, n, 0, 0) })
+	mustPanic(t, "negative weight", func() { b.AddEdge(n, n, 0, -1) })
+	mustPanic(t, "NaN weight", func() { b.AddEdge(n, n, 0, math.NaN()) })
+	mustPanic(t, "+Inf weight", func() { b.AddEdge(n, n, 0, math.Inf(1)) })
+	mustPanic(t, "-Inf weight", func() { b.AddEdge(n, n, 0, math.Inf(-1)) })
 	mustPanic(t, "bad endpoint", func() { b.AddEdge(n, 99, 0, 1) })
+}
+
+// badWeights are edge weights that are not finite and > 0, as TSV text;
+// FuzzRead seeds its corpus with them too.
+var badWeights = []string{"0", "-0", "-1", "1e-400", "NaN", "nan", "Inf", "+Inf", "-Inf", "1e400"}
+
+// TestReadRejectsBadWeights: Read answers every weight that is not finite
+// and positive with an error naming the line, where it used to panic in
+// AddEdge (0, negatives, underflow to 0) or accept a weight that poisons
+// G*'s float-keyed bucket queue (NaN, ±Inf).
+func TestReadRejectsBadWeights(t *testing.T) {
+	for _, w := range badWeights {
+		in := "N\t0\tgpe\tA\td\n# comment\nN\t1\tgpe\tB\td\nE\t0\tr\t1\t" + w + "\n"
+		g, err := Read(strings.NewReader(in))
+		if err == nil || g != nil {
+			t.Errorf("weight %q: Read = %v, %v; want an error", w, g, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "line 4:") || !strings.Contains(err.Error(), "weight") {
+			t.Errorf("weight %q: error %q does not name line 4's weight", w, err)
+		}
+	}
+	if _, err := Read(strings.NewReader("N\t0\tgpe\tA\td\nE\t0\tr\t0\t1e-300\n")); err != nil {
+		t.Errorf("tiny positive weight rejected: %v", err)
+	}
 }
 
 func mustPanic(t *testing.T, name string, fn func()) {

@@ -2,9 +2,9 @@ package kg
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -30,7 +30,8 @@ func Write(w io.Writer, g *Graph) error {
 		}
 	}
 	for i := 0; i < g.NumNodes(); i++ {
-		for _, a := range g.Neighbors(NodeID(i)) {
+		for k := range g.Degree(NodeID(i)) {
+			a := g.Arc(NodeID(i), k)
 			if a.Reverse {
 				continue // only original edges are serialized
 			}
@@ -40,20 +41,10 @@ func Write(w io.Writer, g *Graph) error {
 			}
 		}
 	}
-	// Aliases, sorted for byte-stable output.
-	var aliasNames []string
-	g.Aliases(func(alias string, _ []NodeID) bool {
-		aliasNames = append(aliasNames, alias)
-		return true
-	})
-	sort.Strings(aliasNames)
-	for _, alias := range aliasNames {
-		nodes := append([]NodeID(nil), g.aliases[alias]...)
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		for _, n := range nodes {
-			if _, err := fmt.Fprintf(bw, "A\t%d\t%s\n", n, sanitize(alias)); err != nil {
-				return err
-			}
+	// Aliases, sorted by (alias, node) for byte-stable output.
+	for i := range g.aliases.len() {
+		if _, err := fmt.Fprintf(bw, "A\t%d\t%s\n", g.aliases.nodes[i], sanitize(g.aliases.key(i))); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
@@ -64,64 +55,74 @@ func sanitize(s string) string {
 	return strings.ReplaceAll(s, "\n", " ")
 }
 
-// Read parses a TSV graph dump produced by Write.
+// Read parses a TSV graph dump produced by Write. It works on the scanner's
+// line buffer: a node or edge line costs no allocation of its own, only
+// its share of the Builder's arenas and columns.
 func Read(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	b := NewBuilder(0)
 	lineno := 0
+	var f [5][]byte
 	for sc.Scan() {
 		lineno++
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := sc.Bytes()
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		f := strings.Split(line, "\t")
-		switch f[0] {
-		case "N":
-			if len(f) != 5 {
-				return nil, fmt.Errorf("kg: line %d: node line needs 5 fields, got %d", lineno, len(f))
+		nf := splitFields(line, &f)
+		typ := byte(0)
+		if len(f[0]) == 1 {
+			typ = f[0][0]
+		}
+		switch typ {
+		case 'N':
+			if nf != 5 {
+				return nil, fmt.Errorf("kg: line %d: node line needs 5 fields, got %d", lineno, nf)
 			}
-			id, err := strconv.Atoi(f[1])
+			id, err := strconv.Atoi(string(f[1]))
 			if err != nil {
 				return nil, fmt.Errorf("kg: line %d: bad node id: %v", lineno, err)
 			}
 			if id != b.NumNodes() {
 				return nil, fmt.Errorf("kg: line %d: node ids must be dense and ordered; want %d got %d", lineno, b.NumNodes(), id)
 			}
-			b.AddNode(f[3], KindFromString(f[2]), f[4])
-		case "A":
-			if len(f) != 3 {
-				return nil, fmt.Errorf("kg: line %d: alias line needs 3 fields, got %d", lineno, len(f))
+			addNode(b, f[3], kindOf(f[2]), f[4])
+		case 'A':
+			if nf != 3 {
+				return nil, fmt.Errorf("kg: line %d: alias line needs 3 fields, got %d", lineno, nf)
 			}
-			node, err := strconv.Atoi(f[1])
+			node, err := strconv.Atoi(string(f[1]))
 			if err != nil {
 				return nil, fmt.Errorf("kg: line %d: bad alias node: %v", lineno, err)
 			}
 			if node < 0 || node >= b.NumNodes() {
 				return nil, fmt.Errorf("kg: line %d: alias node out of range", lineno)
 			}
-			b.AddAlias(NodeID(node), f[2])
-		case "E":
-			if len(f) != 5 {
-				return nil, fmt.Errorf("kg: line %d: edge line needs 5 fields, got %d", lineno, len(f))
+			addAlias(b, NodeID(node), f[2])
+		case 'E':
+			if nf != 5 {
+				return nil, fmt.Errorf("kg: line %d: edge line needs 5 fields, got %d", lineno, nf)
 			}
-			from, err := strconv.Atoi(f[1])
+			from, err := strconv.Atoi(string(f[1]))
 			if err != nil {
 				return nil, fmt.Errorf("kg: line %d: bad edge source: %v", lineno, err)
 			}
-			to, err := strconv.Atoi(f[3])
+			to, err := strconv.Atoi(string(f[3]))
 			if err != nil {
 				return nil, fmt.Errorf("kg: line %d: bad edge target: %v", lineno, err)
 			}
-			w, err := strconv.ParseFloat(f[4], 64)
+			w, err := strconv.ParseFloat(string(f[4]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("kg: line %d: bad edge weight: %v", lineno, err)
+			}
+			if !validWeight(w) {
+				return nil, fmt.Errorf("kg: line %d: bad edge weight %q: not finite and positive", lineno, f[4])
 			}
 			if from < 0 || from >= b.NumNodes() || to < 0 || to >= b.NumNodes() {
 				return nil, fmt.Errorf("kg: line %d: edge endpoint out of range", lineno)
 			}
-			b.AddEdgeByName(NodeID(from), NodeID(to), f[2], w)
+			b.AddEdge(NodeID(from), NodeID(to), internRel(b, f[2]), w)
 		default:
 			return nil, fmt.Errorf("kg: line %d: unknown record type %q", lineno, f[0])
 		}
@@ -130,4 +131,25 @@ func Read(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	return b.Build(), nil
+}
+
+// splitFields splits line at tabs into f, all but the last of len(f)
+// fields, and returns how many fields the line has.
+func splitFields(line []byte, f *[5][]byte) int {
+	n := 0
+	for {
+		i := bytes.IndexByte(line, '\t')
+		if i < 0 {
+			break
+		}
+		if n < len(f) {
+			f[n] = line[:i]
+		}
+		n++
+		line = line[i+1:]
+	}
+	if n < len(f) {
+		f[n] = line
+	}
+	return n + 1
 }

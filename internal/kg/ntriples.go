@@ -67,11 +67,11 @@ func ParseNTriples(r io.Reader, lang string, strict bool) (*Graph, error) {
 			}
 			switch localName(pred) {
 			case "label", "prefLabel", "name":
-				b.nodes[s].Label = text
+				b.setLabel(s, text)
 			case "altLabel", "alias":
 				b.AddAlias(s, text)
 			case "description":
-				b.nodes[s].Desc = text
+				b.setDesc(s, text)
 			}
 		}
 	}

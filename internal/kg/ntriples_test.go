@@ -47,8 +47,8 @@ func TestParseNTriples(t *testing.T) {
 	// Edge relation name is the predicate's local name.
 	peshawar := g.Lookup("Peshawar")[0]
 	found := false
-	for _, a := range g.Neighbors(peshawar) {
-		if !a.Reverse && g.RelName(a.Rel) == "P131" && g.Label(a.To) == "Khyber" {
+	for k := range g.Degree(peshawar) {
+		if a := g.Arc(peshawar, k); !a.Reverse && g.RelName(a.Rel) == "P131" && g.Label(a.To) == "Khyber" {
 			found = true
 		}
 	}

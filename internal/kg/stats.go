@@ -70,10 +70,10 @@ func components(g *Graph) (count, largest int) {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			size++
-			for _, a := range g.Neighbors(v) {
-				if !seen[a.To] {
-					seen[a.To] = true
-					stack = append(stack, a.To)
+			for _, to := range g.Targets(v) {
+				if !seen[to] {
+					seen[to] = true
+					stack = append(stack, to)
 				}
 			}
 		}

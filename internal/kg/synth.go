@@ -237,7 +237,7 @@ func (g *gen) events(c *country, all []country) []Event {
 	var out []Event
 	year := 2010 + g.rng.Intn(10)
 	for e := 0; e < g.cfg.EventsPerCountry; e++ {
-		cname := g.b.nodes[c.node].Label
+		cname := g.b.label(c.node)
 		switch e % 5 {
 		case 0: // election (politics)
 			ev := g.b.AddNode(fmt.Sprintf("%s general election %d", cname, year+e),
@@ -254,7 +254,7 @@ func (g *gen) events(c *country, all []country) []Event {
 			}
 			prov := c.provinces[g.rng.Intn(len(c.provinces))]
 			grp := c.groups[g.rng.Intn(len(c.groups))]
-			ev := g.b.AddNode(fmt.Sprintf("%s insurgency", g.b.nodes[prov].Label),
+			ev := g.b.AddNode(fmt.Sprintf("%s insurgency", g.b.label(prov)),
 				KindEvent, "an armed conflict in "+cname)
 			g.b.AddEdgeByName(ev, prov, "held in", 1)
 			g.b.AddEdgeByName(grp, ev, "participant in", 1)
@@ -272,7 +272,7 @@ func (g *gen) events(c *country, all []country) []Event {
 			}
 			away := other.teams[g.rng.Intn(len(other.teams))]
 			city := c.cities[g.rng.Intn(len(c.cities))]
-			ev := g.b.AddNode(fmt.Sprintf("%s Cup %d", g.b.nodes[city].Label, year+e),
+			ev := g.b.AddNode(fmt.Sprintf("%s Cup %d", g.b.label(city), year+e),
 				KindEvent, "a sports tournament")
 			g.b.AddEdgeByName(ev, city, "held in", 1)
 			g.b.AddEdgeByName(home, ev, "participant in", 1)
@@ -284,7 +284,7 @@ func (g *gen) events(c *country, all []country) []Event {
 			}
 			artist := c.artists[g.rng.Intn(len(c.artists))]
 			work := c.works[g.rng.Intn(len(c.works))]
-			ev := g.b.AddNode(fmt.Sprintf("%s Film Awards %d", g.b.nodes[c.capital].Label, year+e),
+			ev := g.b.AddNode(fmt.Sprintf("%s Film Awards %d", g.b.label(c.capital), year+e),
 				KindEvent, "an award ceremony")
 			g.b.AddEdgeByName(ev, c.capital, "held in", 1)
 			g.b.AddEdgeByName(artist, ev, "nominated in", 1)
@@ -296,7 +296,7 @@ func (g *gen) events(c *country, all []country) []Event {
 			}
 			co := c.companies[g.rng.Intn(len(c.companies))]
 			ag := c.agencies[g.rng.Intn(len(c.agencies))]
-			ev := g.b.AddNode(fmt.Sprintf("%s probe %d", g.b.nodes[co].Label, year+e),
+			ev := g.b.AddNode(fmt.Sprintf("%s probe %d", g.b.label(co), year+e),
 				KindEvent, "a regulatory investigation")
 			g.b.AddEdgeByName(co, ev, "subject of", 1)
 			g.b.AddEdgeByName(ag, ev, "investigator of", 1)

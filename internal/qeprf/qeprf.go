@@ -97,12 +97,9 @@ func (e *Engine) kgExpansion(query string) map[string]float64 {
 			for _, node := range e.G.Lookup(label) {
 				var sb strings.Builder
 				sb.WriteString(e.G.Node(node).Desc)
-				for i, a := range e.G.Neighbors(node) {
-					if i >= 8 {
-						break
-					}
+				for _, to := range e.G.Targets(node)[:min(e.G.Degree(node), 8)] {
 					sb.WriteByte(' ')
-					sb.WriteString(e.G.Label(a.To))
+					sb.WriteString(e.G.Label(to))
 				}
 				for _, t := range nlp.Terms(sb.String()) {
 					counts[t]++
