@@ -15,7 +15,8 @@
 # into a reused buffer must stay at 0 allocs/op, a response decode at 2, so
 # a reflection-based fallback cannot creep back); BenchmarkFilteredSearch and BenchmarkRelated cover the
 # DocFilter plane: fused search under time-window and entity-facet filters
-# (with pruning counters) and related-news search off a stored embedding;
+# (with pruning counters) and related-news search off the source document's
+# embedding, re-derived from its text;
 # BenchmarkGather covers result materialization: k=10 DocAt + snippet with
 # the query's term set compiled once, which must stay at 0 allocs/op;
 # BenchmarkSnapshotLoad covers cold start from a 6-segment snapshot through

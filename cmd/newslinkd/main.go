@@ -69,7 +69,7 @@ func main() {
 	corpusPath := flag.String("corpus", "", "corpus JSONL (default: built-in sample)")
 	beta := flag.Float64("beta", 0.2, "Equation 3 fusion weight")
 	snapshot := flag.String("snapshot", "", "engine snapshot directory (load if present, save after indexing otherwise)")
-	onDisk := flag.Bool("ondisk", false, "serve snapshot postings, documents and embeddings from disk instead of loading them into memory")
+	onDisk := flag.Bool("ondisk", false, "serve snapshot postings and documents from disk instead of loading them into memory")
 	workers := flag.Int("workers", 0, "indexing workers (0 = GOMAXPROCS)")
 	queryTimeout := flag.Duration("querytimeout", 20*time.Second, "per-request search deadline (0 = unbounded); expired requests return 504")
 	maxInFlight := flag.Int("max-inflight", 256, "admission-control capacity for the query routes (0 = unlimited)")

@@ -23,8 +23,8 @@ import (
 // analysis, index sources, positional document access and the snippet —
 // for per-layer measurement.
 
-// LoadRouted restores the snapshot at dir as LoadOnDisk does — postings,
-// documents and embeddings left in the snapshot files, read on demand —
+// LoadRouted restores the snapshot at dir as LoadOnDisk does — postings
+// and documents left in the snapshot files, read on demand —
 // for an engine whose postings traversals run elsewhere: every search and
 // related-news request hands its Traversal to traverse instead of reading
 // a posting, and runs everything before and after it locally. The engine
@@ -59,7 +59,7 @@ func (e *Engine) SegmentIndexes() (text, node []*index.Index) {
 // retrieval. A nil node map means the query embedded to nothing and BON
 // retrieval does not apply.
 func (e *Engine) AnalyzeQuery(ctx context.Context, text string) (terms []string, nodeWeights map[string]float64, err error) {
-	emb, terms, err := e.analyzeQuery(ctx, e.gs.Load(), text)
+	emb, terms, err := e.analyzeQuery(ctx, text)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -238,8 +238,7 @@ func TestLoadSegmentsSubset(t *testing.T) {
 		t.Fatalf("missing checksums: %v, want ErrSnapshotCorrupt", err)
 	}
 
-	// A damaged artifact the shard reads fails verification; the
-	// embeddings, which it never reads, do not matter to it.
+	// A damaged artifact fails verification.
 	for _, name := range SegmentFileNames(m.Segments[0].ID) {
 		path := filepath.Join(dir, name)
 		orig, err := os.ReadFile(path)
@@ -250,11 +249,7 @@ func TestLoadSegmentsSubset(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
-		if strings.HasSuffix(name, ".emb.bin") {
-			if err != nil {
-				t.Fatalf("damaged %s: %v, want no error", name, err)
-			}
-		} else if !errors.Is(err, ErrSnapshotCorrupt) {
+		if !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Fatalf("damaged %s: %v, want ErrSnapshotCorrupt", name, err)
 		}
 		if err := os.WriteFile(path, orig, 0o644); err != nil {

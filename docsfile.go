@@ -6,7 +6,7 @@ import (
 	"io"
 )
 
-// The documents artifact seg-<id>.docs.bin (snapshot version 6), little
+// The documents artifact seg-<id>.docs.bin (since snapshot version 6), little
 // endian:
 //
 //	magic "NLDOCS1\n"

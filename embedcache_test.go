@@ -1,10 +1,8 @@
 package newslink
 
 import (
-	"context"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"newslink/internal/corpus"
@@ -28,7 +26,7 @@ func TestQueryCacheKeyCanonicalization(t *testing.T) {
 			t.Fatalf("Search(%q): %v", q, err)
 		}
 	}
-	if n := e.gs.Load().queries.Len(); n != 1 {
+	if n := e.gs.queries.Len(); n != 1 {
 		t.Fatalf("query cache holds %d entries for one canonical query, want 1", n)
 	}
 	if hits := e.met.cacheHits.Value(); hits != int64(len(variants)-1) {
@@ -57,10 +55,10 @@ func TestEntitySetCacheSharesEmbeddings(t *testing.T) {
 	if got := e.met.embedCacheHits.Value(); got != 1 {
 		t.Fatalf("embed cache hits after rephrased query = %d, want 1", got)
 	}
-	if n := e.gs.Load().queries.Len(); n != 2 {
+	if n := e.gs.queries.Len(); n != 2 {
 		t.Fatalf("query cache holds %d entries, want 2 (texts differ)", n)
 	}
-	if n := e.gs.Load().embeds.Len(); n != 1 {
+	if n := e.gs.embeds.Len(); n != 1 {
 		t.Fatalf("embed cache holds %d entries, want 1 (entity sets equal)", n)
 	}
 }
@@ -97,89 +95,6 @@ func TestEntitySetKeyCanonical(t *testing.T) {
 	}
 }
 
-// TestSwapGraphPurgesEmbedCaches is the invalidation test: entries of both
-// query-cache tiers die on graph swap — including entries a request that
-// started before the swap puts after it — so no request can be served a
-// subgraph of an unpublished graph.
-func TestSwapGraphPurgesEmbedCaches(t *testing.T) {
-	e := sampleEngine(t, DefaultConfig())
-	const query = "Military conflicts between Pakistan and Taliban"
-	if _, err := e.Search(query, 3); err != nil {
-		t.Fatal(err)
-	}
-	old := e.gs.Load()
-	if old.queries.Len() == 0 || old.embeds.Len() == 0 {
-		t.Fatalf("expected warm caches before swap (queries=%d embeds=%d)", old.queries.Len(), old.embeds.Len())
-	}
-	g2, _ := corpus.Sample() // a fresh snapshot of the same entity universe
-	e.SwapGraph(g2)
-	gs := e.gs.Load()
-	if gs == old {
-		t.Fatal("graph state not republished")
-	}
-	if gs.queries.Len() != 0 || gs.embeds.Len() != 0 {
-		t.Fatalf("caches survived SwapGraph (queries=%d embeds=%d)", gs.queries.Len(), gs.embeds.Len())
-	}
-	if e.Graph() != g2 {
-		t.Fatal("Graph() does not return the swapped graph")
-	}
-	// A request that loaded the old state before the swap finishes its
-	// analysis now and caches it — into the old state, which nothing reads.
-	stale, _, err := e.analyzeQuery(context.Background(), old, query+" again")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The engine keeps serving — and re-embeds against the new graph.
-	fresh, _, err := e.analyzeQuery(context.Background(), e.gs.Load(), query+" again")
-	if err != nil {
-		t.Fatalf("analysis after SwapGraph: %v", err)
-	}
-	if fresh == stale {
-		t.Fatal("an embedding cached after the swap by a pre-swap request was served")
-	}
-	if gs.queries.Len() != 1 || gs.embeds.Len() != 1 {
-		t.Fatalf("caches not repopulated by exactly the post-swap query (queries=%d embeds=%d)", gs.queries.Len(), gs.embeds.Len())
-	}
-}
-
-// TestSwapGraphConcurrentWithSearches exercises the atomic graph-state
-// publication under the race detector: readers always see a consistent
-// (graph, pipeline, embedder) bundle while swaps happen mid-flight.
-func TestSwapGraphConcurrentWithSearches(t *testing.T) {
-	e := sampleEngine(t, DefaultConfig())
-	queries := []string{
-		"Military conflicts between Pakistan and Taliban",
-		"US presidential election",
-		"earthquake relief",
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := e.Search(queries[rng.Intn(len(queries))], 3); err != nil {
-					t.Errorf("search during swaps: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	for i := 0; i < 20; i++ {
-		g2, _ := corpus.Sample()
-		e.SwapGraph(g2)
-	}
-	close(stop)
-	wg.Wait()
-}
-
 // TestEngineOptions covers the functional-options constructor: Config
 // stays a valid option, and the cache/fan-out knobs take effect.
 func TestEngineOptions(t *testing.T) {
@@ -198,10 +113,10 @@ func TestEngineOptions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := e.gs.Load().queries.Len(); n != 1 {
+	if n := e.gs.queries.Len(); n != 1 {
 		t.Fatalf("query cache holds %d entries for one repeated query, want 1", n)
 	}
-	if n := e.gs.Load().embeds.Len(); n != 0 {
+	if n := e.gs.embeds.Len(); n != 0 {
 		t.Fatalf("disabled embed cache stored %d entries", n)
 	}
 	// New(g) alone must behave like DefaultConfig.

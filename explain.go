@@ -53,8 +53,7 @@ func (e *Engine) explainContext(ctx context.Context, q Query, docID int, maxPath
 	if err != nil {
 		return Explanation{}, err
 	}
-	gs := e.gs.Load() // one graph view: filter, analysis and labels agree
-	g := gs.g
+	g := e.Graph()
 	flt, err := newQueryFilter(snap, q.After, q.Before, entityTerms(g, q.Entities), -1)
 	if err != nil {
 		return Explanation{}, err
@@ -62,11 +61,11 @@ func (e *Engine) explainContext(ctx context.Context, q Query, docID int, maxPath
 	if flt != nil && !flt.Keep(index.DocID(pos)) {
 		return Explanation{}, fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
 	}
-	qEmb, _, err := e.analyzeQuery(ctx, gs, q.Text)
+	qEmb, _, err := e.analyzeQuery(ctx, q.Text)
 	if err != nil {
 		return Explanation{}, err
 	}
-	dEmb, err := snap.embedding(pos)
+	dEmb, err := e.docEmbedding(snap, pos)
 	if err != nil {
 		return Explanation{}, err
 	}
@@ -175,19 +174,18 @@ func (e *Engine) ExplainDOTContext(ctx context.Context, query string, docID int,
 	if err != nil {
 		return "", err
 	}
-	gs := e.gs.Load()
-	qEmb, _, err := e.analyzeQuery(ctx, gs, query)
+	qEmb, _, err := e.analyzeQuery(ctx, query)
 	if err != nil {
 		return "", err
 	}
-	dEmb, err := snap.embedding(pos)
+	dEmb, err := e.docEmbedding(snap, pos)
 	if err != nil {
 		return "", err
 	}
 	if qEmb == nil || dEmb == nil {
 		return "", nil
 	}
-	return core.DOT(gs.g, title, qEmb, dEmb), nil
+	return core.DOT(e.Graph(), title, qEmb, dEmb), nil
 }
 
 // embeddingLabels returns the distinct entity labels a document embedding

@@ -124,7 +124,7 @@ func bruteForceSearch(t *testing.T, e *Engine, q Query) []Result {
 	if n := snap.numLive(); pool > n {
 		pool = n
 	}
-	qEmb, qTerms, err := e.analyzeQuery(ctx, e.gs.Load(), q.Text)
+	qEmb, qTerms, err := e.analyzeQuery(ctx, q.Text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestFilteredShardedTraversalAgrees(t *testing.T) {
 		src := snap.textSource(mustFilter(t, e, snap, q.After, q.Before, q.Entities, -1))
 		scorer := search.NewBM25(src)
 		for _, qText := range filterQueries {
-			_, terms, err := e.analyzeQuery(ctx, e.gs.Load(), qText)
+			_, terms, err := e.analyzeQuery(ctx, qText)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +265,7 @@ func TestFilteredResultsRespectPredicate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		emb := embeddingAt(t, snap, pos)
+		emb := embeddingAt(t, e, snap, pos)
 		if emb == nil {
 			t.Fatalf("doc %d passed the entity facet without an embedding", r.ID)
 		}
@@ -356,7 +356,7 @@ func bruteForceRelated(t *testing.T, e *Engine, q RelatedQuery) []Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emb := embeddingAt(t, snap, pos)
+	emb := embeddingAt(t, e, snap, pos)
 	if emb == nil || len(emb.Counts) == 0 {
 		return nil
 	}
@@ -476,7 +476,7 @@ func TestRelatedSemantics(t *testing.T) {
 			}
 			// A document that embedded to nothing relates to nothing.
 			for pos := 0; pos < snap.numDocs; pos++ {
-				if embeddingAt(t, snap, pos) != nil {
+				if embeddingAt(t, e, snap, pos) != nil {
 					continue
 				}
 				doc := docAt(t, snap, pos)

@@ -254,7 +254,7 @@ func (e *Engine) writeSync(ops []writeOp, workers int) error {
 	if len(ops) <= size {
 		return e.writeWindow(ops, e.analyzeBatch(ops, workers))
 	}
-	analyzed := make(chan []indexedDoc)
+	analyzed := make(chan []analyzedDoc)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -289,7 +289,7 @@ func (e *Engine) writeSync(ops []writeOp, workers int) error {
 // under mu. Indexing is order-dependent (DocIDs are positional), so apply
 // is sequential; it is a tiny fraction of the embedding cost (Figure 7).
 // The first failing op aborts the window; ops before it stay applied.
-func (e *Engine) writeWindow(ops []writeOp, analyzed []indexedDoc) error {
+func (e *Engine) writeWindow(ops []writeOp, analyzed []analyzedDoc) error {
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
 	built := e.set.Load() != nil
@@ -352,10 +352,7 @@ func (e *Engine) cutAfterRejectedAdd(ops []writeOp) []writeOp {
 // applyLocked applies one analyzed write to the open segment and the
 // published set — the single op switch behind the direct path, the ingest
 // applier and WAL replay. Callers hold e.mu.
-func (e *Engine) applyLocked(op byte, doc Document, an indexedDoc) error {
-	if an.err != nil {
-		return an.err
-	}
+func (e *Engine) applyLocked(op byte, doc Document, an analyzedDoc) error {
 	switch op {
 	case walOpAdd:
 		return e.addLocked(doc, an)
@@ -572,22 +569,13 @@ type analyzedDoc struct {
 	terms []string
 }
 
-// indexedDoc is a document's analysis plus its embedding's record
-// (core.AppendEmbedding) and the error, if any, of encoding it.
-type indexedDoc struct {
-	analyzedDoc
-	rec []byte
-	err error
-}
-
-// analyzeBatch runs the NLP and NE components over a batch of writes, and
-// encodes each document's embedding record (analyze), on up to workers
-// goroutines (<= 0 selects GOMAXPROCS; deletes need no analysis) — the one
-// fan-out behind AddAll and the ingest applier.
+// analyzeBatch runs the NLP and NE components over a batch of writes
+// (analyze), on up to workers goroutines (<= 0 selects GOMAXPROCS; deletes
+// need no analysis) — the one fan-out behind AddAll and the ingest applier.
 // Analysis reads only immutable engine state, so searches and queue
 // admissions proceed concurrently.
-func (e *Engine) analyzeBatch(batch []writeOp, workers int) []indexedDoc {
-	out := make([]indexedDoc, len(batch))
+func (e *Engine) analyzeBatch(batch []writeOp, workers int) []analyzedDoc {
+	out := make([]analyzedDoc, len(batch))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

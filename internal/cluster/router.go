@@ -144,7 +144,7 @@ func (sl *slot) live() []*endpoint {
 var latencyBounds = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5}
 
 // Router serves the public API from an engine over the whole snapshot —
-// documents, embeddings and the knowledge graph, so analysis, fusion,
+// documents and the knowledge graph, so analysis, fusion,
 // documents, snippets, related news and explanations run here exactly as
 // in a single process — while the postings traversals of every request
 // are scattered over the shard workers (traverse). It also serves the
@@ -168,7 +168,7 @@ type Router struct {
 	full corpusStats
 }
 
-// NewRouter builds a router over the version-6 snapshot in dir (any other
+// NewRouter builds a router over the version-7 snapshot in dir (any other
 // version is ErrSnapshotVersion, as for every loader): it
 // restores the snapshot as newslink.LoadRouted (every artifact
 // checksum-verified; a damaged one is ErrSnapshotCorrupt), partitions the

@@ -263,22 +263,13 @@ func TestNewRouterCorruptionTable(t *testing.T) {
 			return b
 		})},
 	)
-	// The embeddings are read on demand, but the one pass that records
-	// where each record starts validates them all at load.
-	embDamages := append(damages,
-		damage{"one byte short, under a recorded checksum", recorded(func(b []byte) []byte { return b[:len(b)-1] })},
-		damage{"one trailing byte, under a recorded checksum", recorded(func(b []byte) []byte { return append(b, 0) })},
-	)
 	cfg := Config{Endpoints: [][]string{{"http://a"}, {"http://b"}, {"http://c"}}, Logger: testLogger()}
 	for _, sm := range m.Segments {
-		for _, suffix := range []string{".docs.bin", ".text.idx", ".node.idx", ".emb.bin"} {
+		for _, suffix := range []string{".docs.bin", ".text.idx", ".node.idx"} {
 			artifact := "seg-" + sm.ID + suffix
 			dmgs := damages
-			switch suffix {
-			case ".docs.bin":
+			if suffix == ".docs.bin" {
 				dmgs = docsDamages
-			case ".emb.bin":
-				dmgs = embDamages
 			}
 			for _, dmg := range dmgs {
 				dir := copySnapshot(t, pristine)
@@ -300,9 +291,8 @@ func TestNewRouterCorruptionTable(t *testing.T) {
 }
 
 // TestRouterCloseReleasesIndexFiles: a router holds one descriptor per
-// artifact of its plan — the two indexes, the documents and the
-// embeddings of every segment, all read on demand — and Close gives every
-// one of them back.
+// artifact of its plan — the two indexes and the documents of every
+// segment, all read on demand — and Close gives every one of them back.
 func TestRouterCloseReleasesIndexFiles(t *testing.T) {
 	dir, g := buildSnapshot(t)
 	rt, err := NewRouter(dir, g, Config{Endpoints: [][]string{{"http://a"}, {"http://b"}}, Logger: testLogger()})
@@ -313,8 +303,8 @@ func TestRouterCloseReleasesIndexFiles(t *testing.T) {
 	for _, sp := range rt.Plan().Shards {
 		segments += len(sp.Segments)
 	}
-	if got := openUnder(t, dir); got != 4*segments {
-		t.Errorf("open router holds %d descriptors on the snapshot, want %d (the four artifacts of %d segments)", got, 4*segments, segments)
+	if got := openUnder(t, dir); got != 3*segments {
+		t.Errorf("open router holds %d descriptors on the snapshot, want %d (the three artifacts of %d segments)", got, 3*segments, segments)
 	}
 	rt.Close()
 	if got := openUnder(t, dir); got != 0 {
@@ -404,9 +394,9 @@ func TestAssignRequestCarriesNoDocuments(t *testing.T) {
 	}
 }
 
-// TestLoadersRefuseSnapshotVersions: version 6 is the one snapshot format.
-// A snapshot whose meta.json names another version — 4 and 5 from before,
-// 7 from a later build — is ErrSnapshotVersion on every entry that reads a
+// TestLoadersRefuseSnapshotVersions: version 7 is the one snapshot format.
+// A snapshot whose meta.json names another version — 4, 5 and 6 from
+// before, 8 from a later build — is ErrSnapshotVersion on every entry that reads a
 // manifest: the three loaders, ReadManifest and the router. The message
 // names the version, and no engine or router comes back.
 func TestLoadersRefuseSnapshotVersions(t *testing.T) {
@@ -416,7 +406,7 @@ func TestLoadersRefuseSnapshotVersions(t *testing.T) {
 			return newslink.Retrieval{}, nil
 		})
 	}
-	for _, v := range []int{4, 5, 7} {
+	for _, v := range []int{4, 5, 6, 8} {
 		dir := copySnapshot(t, src)
 		metaPath := filepath.Join(dir, "meta.json")
 		data, err := os.ReadFile(metaPath)
@@ -511,10 +501,12 @@ func TestStartAssignsEndpointsConcurrently(t *testing.T) {
 	}
 }
 
-// TestRouterStoredFieldReadErrors: the router reads documents and
-// embeddings from its snapshot on demand, so a disk going bad under it
-// fails the requests that read them — never a 200 with empty or missing
-// results — while the others keep answering exactly.
+// TestRouterStoredFieldReadErrors: the router reads documents from its
+// snapshot on demand — search and related to gather results, explain, dot
+// and related to re-derive a document's embedding from its text — so a
+// disk going bad under it fails the requests that read them, never a 200
+// with empty or missing results. Before the damage, explain answers
+// exactly as a single process does.
 func TestRouterStoredFieldReadErrors(t *testing.T) {
 	dir, g, _, _, ts := startCluster(t, Config{})
 	ref := referenceServer(t, dir, g)
@@ -541,18 +533,16 @@ func TestRouterStoredFieldReadErrors(t *testing.T) {
 		}
 	}
 
-	truncate("docs.bin")
-	getJSON(t, ts.URL+"/v1/search?q="+q+"&k=5", http.StatusInternalServerError, nil)
-	getJSON(t, ts.URL+related, http.StatusInternalServerError, nil)
 	var got, want server.ExplainResponse
 	getJSON(t, ts.URL+explain, http.StatusOK, &got)
 	getJSON(t, ref.URL+explain, http.StatusOK, &want)
 	if !reflect.DeepEqual(got.Explanation, want.Explanation) {
-		t.Fatalf("explain without reading a document diverges\ncluster: %+v\nsingle:  %+v", got.Explanation, want.Explanation)
+		t.Fatalf("explain diverges\ncluster: %+v\nsingle:  %+v", got.Explanation, want.Explanation)
 	}
 
-	truncate("emb.bin")
+	truncate("docs.bin")
+	getJSON(t, ts.URL+"/v1/search?q="+q+"&k=5", http.StatusInternalServerError, nil)
+	getJSON(t, ts.URL+related, http.StatusInternalServerError, nil)
 	getJSON(t, ts.URL+explain, http.StatusInternalServerError, nil)
 	getJSON(t, ts.URL+dot, http.StatusInternalServerError, nil)
-	getJSON(t, ts.URL+related, http.StatusInternalServerError, nil)
 }

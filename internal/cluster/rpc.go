@@ -24,7 +24,7 @@
 // computed over the wrong corpus slice.
 //
 // No RPC carries statistics, documents or explanations: the router's
-// engine holds the documents and embeddings of the whole snapshot and
+// engine holds the documents of the whole snapshot and
 // reads N, avgdl, DF and max-TF for any target set off the same
 // index.Multi a single process would score against. What a worker serves
 // is bound to those bytes by the plan ID and the per-artifact checksums of
@@ -373,7 +373,7 @@ func validArtifactName(name string) bool {
 		return false
 	}
 	switch rest[dot+1:] {
-	case "text.idx", "node.idx", "emb.bin", "docs.bin":
+	case "text.idx", "node.idx", "docs.bin":
 		return true
 	}
 	return false

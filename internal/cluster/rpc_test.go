@@ -110,7 +110,7 @@ func TestDecodeRPCRejects(t *testing.T) {
 
 func TestValidArtifactNames(t *testing.T) {
 	id := strings.Repeat("ab", 8)
-	for _, good := range []string{"seg-" + id + ".text.idx", "seg-" + id + ".node.idx", "seg-" + id + ".emb.bin"} {
+	for _, good := range []string{"seg-" + id + ".text.idx", "seg-" + id + ".node.idx", "seg-" + id + ".docs.bin"} {
 		if !validArtifactName(good) {
 			t.Errorf("rejected valid artifact name %q", good)
 		}
@@ -119,6 +119,7 @@ func TestValidArtifactNames(t *testing.T) {
 		"", "seg-" + id, "seg-" + id + ".text.IDX", "seg-../x.text.idx",
 		"seg-" + strings.ToUpper(id) + ".text.idx", "seg-" + id + ".wal", "manifest.json",
 		"seg-" + id[:15] + ".text.idx", "/etc/passwd", "seg-" + id + ".text.idx/..",
+		"seg-" + id + ".emb.bin", // the embeddings artifact of snapshot version 6
 	} {
 		if validArtifactName(bad) {
 			t.Errorf("accepted invalid artifact name %q", bad)

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -221,18 +220,15 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 	w.writeRPC(rw, &AssignResponse{Plan: req.Plan, Fetched: fetched})
 }
 
-// ensureArtifacts makes every assigned artifact file a worker reads — the
-// two indexes and the documents artifact of each segment, not the
-// embeddings — present and checksum-verified in the worker's directory,
+// ensureArtifacts makes every assigned artifact file — the two indexes
+// and the documents artifact of each segment — present and
+// checksum-verified in the worker's directory,
 // fetching missing or mismatched ones from the assignment's peer. Returns
 // how many files were fetched.
 func (w *Worker) ensureArtifacts(ctx context.Context, req *AssignRequest) (int, error) {
 	fetched := 0
 	for _, sm := range req.Segments {
 		for _, name := range newslink.SegmentFileNames(sm.ID) {
-			if strings.HasSuffix(name, ".emb.bin") {
-				continue
-			}
 			want, ok := req.Checksums[name]
 			if !ok {
 				return fetched, fmt.Errorf("assignment has no checksum for %s", name)

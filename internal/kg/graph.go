@@ -11,11 +11,15 @@ package kg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/crc32"
 	"math"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // NodeID identifies an entity node. IDs are dense, starting at 0, so they
@@ -119,6 +123,9 @@ type Graph struct {
 	index   LabelIndex
 	aliases aliasList // every AddAlias, sorted for serialization
 	edges   int       // number of original (pre-reversal) edges
+
+	sumOnce sync.Once
+	sum     uint32 // Checksum, computed on first use
 }
 
 // NumNodes returns the number of entity nodes.
@@ -189,6 +196,73 @@ func (g *Graph) Index() *LabelIndex { return &g.index }
 // Lookup returns S(l): the set of nodes whose label exactly matches l after
 // case folding (Section V-A, Example 3).
 func (g *Graph) Lookup(label string) []NodeID { return g.index.Lookup(label) }
+
+// Checksum is the CRC32-C of every column entity linking and the G*
+// traversal read: kinds, the label arena and its offsets, the folded
+// aliases, the relation names, and the CSR's offset, target, relation,
+// reverse-bit and weight columns. Descriptions are left out: no embedding
+// reads them. Two graphs that differ in any weight, label or arc differ
+// in their checksum (but for a CRC collision), which is what binds an
+// engine snapshot to the graph it was indexed under. It is computed once
+// per graph, on first use.
+func (g *Graph) Checksum() uint32 {
+	g.sumOnce.Do(func() {
+		w := sumWriter{h: crc32.New(crc32.MakeTable(crc32.Castagnoli)), buf: make([]byte, 0, 4096)}
+		w.column(len(g.kinds), func(i int) uint64 { return uint64(g.kinds[i]) })
+		w.str(g.labels)
+		w.column(len(g.labelOff), func(i int) uint64 { return uint64(g.labelOff[i]) })
+		w.str(g.aliases.keys)
+		w.column(len(g.aliases.off), func(i int) uint64 { return uint64(g.aliases.off[i]) })
+		w.column(len(g.aliases.nodes), func(i int) uint64 { return uint64(g.aliases.nodes[i]) })
+		w.u64(uint64(len(g.rels)))
+		for _, r := range g.rels {
+			w.str(r)
+		}
+		w.column(len(g.arcOff), func(i int) uint64 { return uint64(g.arcOff[i]) })
+		w.column(len(g.arcTo), func(i int) uint64 { return uint64(g.arcTo[i]) })
+		w.column(len(g.arcRel), func(i int) uint64 { return uint64(g.arcRel[i]) })
+		w.column(len(g.arcRev), func(i int) uint64 { return g.arcRev[i] })
+		w.column(len(g.arcW), func(i int) uint64 { return math.Float64bits(g.arcW[i]) })
+		w.u64(math.Float64bits(g.minW))
+		w.u64(math.Float64bits(g.maxW))
+		w.flush()
+		g.sum = w.h.Sum32()
+	})
+	return g.sum
+}
+
+// sumWriter feeds Checksum's hash: integers little-endian through buf,
+// strings as their length and their bytes.
+type sumWriter struct {
+	h   hash.Hash32
+	buf []byte
+}
+
+func (w *sumWriter) u64(v uint64) {
+	if len(w.buf)+8 > cap(w.buf) {
+		w.flush()
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+}
+
+// column writes a column's length, then its n values.
+func (w *sumWriter) column(n int, at func(int) uint64) {
+	w.u64(uint64(n))
+	for i := range n {
+		w.u64(at(i))
+	}
+}
+
+func (w *sumWriter) str(s string) {
+	w.u64(uint64(len(s)))
+	w.flush()
+	w.h.Write([]byte(s))
+}
+
+func (w *sumWriter) flush() {
+	w.h.Write(w.buf)
+	w.buf = w.buf[:0]
+}
 
 // aliasList holds (folded alias, node) pairs, sorted by alias then node,
 // duplicates kept: what Write serializes.

@@ -315,3 +315,55 @@ func TestFoldIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChecksum: the checksum is a function of what entity linking and G*
+// read. Two builds of the same graph, and a TSV round trip of it, agree;
+// changing one weight, label, kind, relation name or alias, or adding one
+// edge, changes it — a description does not.
+func TestChecksum(t *testing.T) {
+	build := func(edit func(b *Builder, n []NodeID)) *Graph {
+		b := NewBuilder(4)
+		n := []NodeID{
+			b.AddNode("Alpha", KindGPE, "a place"),
+			b.AddNode("Beta", KindGPE, "another place"),
+			b.AddNode("Gamma", KindPerson, "a person"),
+		}
+		b.AddEdgeByName(n[0], n[1], "located in", 1)
+		b.AddEdgeByName(n[2], n[1], "citizen of", 2)
+		b.AddAlias(n[2], "G.")
+		if edit != nil {
+			edit(b, n)
+		}
+		return b.Build()
+	}
+	base := build(nil)
+	if build(nil).Checksum() != base.Checksum() {
+		t.Fatal("two builds of one graph differ")
+	}
+	var tsv bytes.Buffer
+	if err := Write(&tsv, base); err != nil {
+		t.Fatal(err)
+	}
+	read, err := Read(&tsv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if read.Checksum() != base.Checksum() {
+		t.Fatal("a TSV round trip changed the checksum")
+	}
+	if build(func(b *Builder, n []NodeID) { b.setDesc(n[0], "elsewhere") }).Checksum() != base.Checksum() {
+		t.Fatal("a description changed the checksum")
+	}
+	for name, edit := range map[string]func(b *Builder, n []NodeID){
+		"weight":   func(b *Builder, n []NodeID) { b.w[0] = 1.5 },
+		"label":    func(b *Builder, n []NodeID) { b.setLabel(n[0], "Alpha II") },
+		"kind":     func(b *Builder, n []NodeID) { b.kinds[n[0]] = KindLocation },
+		"relation": func(b *Builder, n []NodeID) { b.rels[0] = "situated in" },
+		"alias":    func(b *Builder, n []NodeID) { b.AddAlias(n[0], "A.") },
+		"edge":     func(b *Builder, n []NodeID) { b.AddEdgeByName(n[0], n[2], "near", 1) },
+	} {
+		if build(edit).Checksum() == base.Checksum() {
+			t.Errorf("changing the %s left the checksum as it was", name)
+		}
+	}
+}

@@ -4,7 +4,7 @@
 // spellings are kept as aliases for old clients:
 //
 //	GET    /v1/search?q=<text>&k=<n>[&beta=<b>][&pool=<d>][&after=<t>][&before=<t>][&entity=<label>...][&trace=1]  ranked results (Equation 3)
-//	GET    /v1/related/{id}?k=<n>[&pool=<d>][&after=<t>][&before=<t>][&entity=<label>...][&trace=1]                related news by stored BON embedding
+//	GET    /v1/related/{id}?k=<n>[&pool=<d>][&after=<t>][&before=<t>][&entity=<label>...][&trace=1]                related news by the document's BON embedding
 //	GET    /v1/explain?q=<text>&id=<doc>&paths=<n>[&after=<t>][&before=<t>][&entity=<label>...][&trace=1]          overlap + relationship paths
 //	GET    /v1/dot?q=<text>&id=<doc>                                  Graphviz rendering of the pair
 //	POST   /v1/docs                                                   add or replace one document (upsert)

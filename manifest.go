@@ -20,7 +20,7 @@ import (
 // checksums before loading — the same guarantees Load gives a whole
 // snapshot, per segment.
 
-// Manifest is the snapshot manifest (meta.json) of a version-6 snapshot:
+// Manifest is the snapshot manifest (meta.json) of a version-7 snapshot:
 // the engine config, the graph fingerprint, the ordered segment list and
 // per-artifact checksums. It holds no document.
 type Manifest = snapshotMeta
@@ -30,11 +30,11 @@ type Manifest = snapshotMeta
 // codec, base64; empty when nothing is deleted).
 type ManifestSegment = segmentMeta
 
-// GraphFingerprint is the structural fingerprint binding a snapshot to
-// the knowledge graph it was built on.
+// GraphFingerprint binds a snapshot to the knowledge graph it was built
+// on: the graph's counts and the checksum of its columns.
 type GraphFingerprint = graphPrint
 
-// ReadManifest reads and validates the manifest of the version-6 snapshot
+// ReadManifest reads and validates the manifest of the version-7 snapshot
 // at dir: what every loader reads first. Any other version returns
 // ErrSnapshotVersion, naming it; such a snapshot is rebuilt from its
 // corpus. Artifact files are not verified (the loaders verify the ones
@@ -87,18 +87,16 @@ func verifyArtifact(dir, name string, checksums map[string]string, buf []byte) e
 // Shard is the postings of a slice of a snapshot's segments: what a cluster
 // shard worker traverses for the router. It holds the text and node indexes
 // resident (nothing to close), the tombstones and the documents' time
-// column — no document text and no embedding, which stay with the router's
-// engine.
+// column — no document text, which stays with the router's engine.
 type Shard struct {
 	set *segmentSet
 }
 
-// LoadSegments opens the postings of a subset of a version-6 snapshot's
+// LoadSegments opens the postings of a subset of a version-7 snapshot's
 // segments — a shard worker's slice — from dir. g must match the snapshot's
 // graph fingerprint print; every artifact it reads (the two indexes and the
-// documents artifact of each segment; never the embeddings) is
-// checksum-verified against checksums before any state is built, with the
-// same typed errors as Load. Positions in the returned Shard's sources are
+// documents artifact of each segment) is checksum-verified against
+// checksums before any state is built, with the same typed errors as Load. Positions in the returned Shard's sources are
 // local to the slice: the first document of segs[0] is position 0.
 func LoadSegments(dir string, g *kg.Graph, print GraphFingerprint, segs []ManifestSegment, checksums map[string]string) (*Shard, error) {
 	m := &snapshotMeta{Version: snapshotVersion, Graph: print, Segments: segs, Checksums: checksums}

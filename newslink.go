@@ -40,7 +40,6 @@ import (
 	"newslink/internal/core"
 	"newslink/internal/index"
 	"newslink/internal/kg"
-	"newslink/internal/nlp"
 	"newslink/internal/obs"
 	"newslink/internal/wal"
 )
@@ -195,11 +194,12 @@ type Engine struct {
 	cfg  Config
 	opts engineOptions
 
-	// gs is the atomically-published graph-side state (querycache.go): the
-	// knowledge graph with its NLP pipeline, embedder and query-analysis
-	// caches. Queries load it once per request and work against that view;
-	// SwapGraph publishes a fresh one.
-	gs atomic.Pointer[graphState]
+	// gs is the graph-side state (querycache.go): the knowledge graph with
+	// its NLP pipeline, embedder and query-analysis caches. It is set once,
+	// in New: every document the engine holds was indexed under this one
+	// graph, which is what lets Explain, ExplainDOT and Related re-derive a
+	// document's embedding from its text.
+	gs *graphState
 
 	// set is the published, immutable segment set (segment.go); nil until
 	// Build. Readers load it atomically; writers rebuild and swap it under
@@ -227,8 +227,6 @@ type Engine struct {
 	// after construction and need no lock.
 	mu       sync.Mutex
 	pendDocs []Document
-	pendEmb  []byte      // the open segment's embeddings image (stored.go)
-	pendOffs []int64     // where each pending document's record starts in pendEmb
 	pendPos  map[int]int // Document.ID -> position in pendDocs
 	textB    *index.Builder
 	nodeB    *index.Builder
@@ -278,7 +276,7 @@ func New(g *kg.Graph, opts ...Option) *Engine {
 		met:     met,
 	}
 	e.ensureSegment()
-	e.gs.Store(e.newGraphState(g))
+	e.gs = e.newGraphState(g)
 	return e
 }
 
@@ -314,11 +312,11 @@ func (e *Engine) NumDeletedDocs() int {
 }
 
 // addLocked appends one analyzed document to the open segment: the
-// document, its embedding record and its postings (the decoded embedding
-// is read for its BON weights and not kept). A document ID is a duplicate
-// when it is pending or live; a tombstoned ID may be re-added (that is
-// what Update does). Callers hold e.mu.
-func (e *Engine) addLocked(doc Document, an indexedDoc) error {
+// document and its postings (the embedding is read for its BON weights and
+// not kept). A document ID is a duplicate when it is pending or live; a
+// tombstoned ID may be re-added (that is what Update does). Callers hold
+// e.mu.
+func (e *Engine) addLocked(doc Document, an analyzedDoc) error {
 	if e.hasDocLocked(doc.ID) {
 		return fmt.Errorf("%w: %d", ErrDuplicateID, doc.ID)
 	}
@@ -326,11 +324,6 @@ func (e *Engine) addLocked(doc Document, an indexedDoc) error {
 	e.ensureSegment()
 	e.pendPos[doc.ID] = len(e.pendDocs)
 	e.pendDocs = append(e.pendDocs, doc)
-	if len(e.pendEmb) == 0 { // the open segment's first document
-		e.pendEmb = core.AppendEmbeddingsHeader(e.pendEmb, 0)
-	}
-	e.pendOffs = append(e.pendOffs, int64(len(e.pendEmb)))
-	e.pendEmb = append(e.pendEmb, an.rec...)
 	e.textB.Add(an.terms)
 	e.nodeB.AddWeighted(nodeWeights(an.emb))
 	live := 0
@@ -396,8 +389,8 @@ func (e *Engine) refreshLocked() {
 // immutable segment and resets the accumulators. Callers hold e.mu and
 // have checked that pending documents exist.
 func (e *Engine) sealPendingLocked() *segment {
-	seg := newSegment(e.pendDocs, e.pendEmb, e.pendOffs, e.gs.Load().g, e.textB.Build(), e.nodeB.Build())
-	e.pendDocs, e.pendEmb, e.pendOffs, e.pendPos = nil, nil, nil, nil
+	seg := newSegment(e.pendDocs, e.textB.Build(), e.nodeB.Build())
+	e.pendDocs, e.pendPos = nil, nil
 	e.textB, e.nodeB = nil, nil
 	e.pending.Store(0)
 	return seg
@@ -405,20 +398,28 @@ func (e *Engine) sealPendingLocked() *segment {
 
 // analyze runs the NLP and NE components on a document text (the indexing
 // path: no query-side caches, so paper-faithful per-document embedding
-// cost measurements stay meaningful) and encodes the embedding's record.
-// It reads only immutable engine state and is safe to call without
-// holding e.mu.
-func (e *Engine) analyze(text string) indexedDoc {
-	gs := e.gs.Load()
-	doc := gs.pipe.Process(text)
+// cost measurements stay meaningful). It reads only immutable engine state
+// and is safe to call without holding e.mu.
+func (e *Engine) analyze(text string) analyzedDoc {
+	doc := e.gs.pipe.Process(text)
 	var terms []string
 	for _, s := range doc.Sentences {
 		terms = append(terms, s.Terms...)
 	}
-	groups := nlp.MaximalSets(doc.EntityGroups())
-	emb := gs.embedder.EmbedGroups(groups)
-	rec, err := core.AppendEmbedding(nil, emb)
-	return indexedDoc{analyzedDoc{emb: emb, terms: terms}, rec, err}
+	return analyzedDoc{emb: e.gs.embedDoc(doc), terms: terms}
+}
+
+// docEmbedding re-derives the subgraph embedding of the document at a
+// global position of s from its text, through the very path analyze
+// indexed it by (nil for an unembeddable document). A read error is
+// returned, never a nil embedding.
+func (e *Engine) docEmbedding(s *segmentSet, pos int) (*core.DocEmbedding, error) {
+	si, local := s.segIndexOf(pos)
+	_, text, err := s.segs[si].docs.text(local, nil)
+	if err != nil {
+		return nil, err
+	}
+	return e.gs.embedDoc(e.gs.pipe.Process(text)), nil
 }
 
 // nodeWeights converts a document embedding into BON term weights.
@@ -496,7 +497,7 @@ func (e *Engine) deleteAtLocked(s *segmentSet, pos int) {
 		dead = index.NewBitmap(old.numDocs())
 	}
 	dead.Set(local)
-	clone := &segment{docs: old.docs, embs: old.embs, times: old.times, byID: old.byID, text: old.text, node: old.node, dead: dead}
+	clone := &segment{docs: old.docs, times: old.times, byID: old.byID, text: old.text, node: old.node, dead: dead}
 	// Tombstones are not part of the artifact identity (they live in
 	// meta.json), so the clone keeps the memoized snapshot artifacts.
 	clone.shareArtifact(old)
@@ -509,7 +510,7 @@ func (e *Engine) deleteAtLocked(s *segmentSet, pos int) {
 // upsertLocked replaces (or adds) one analyzed document: tombstone any
 // previous version, then add the new one (applyLocked's upsert case).
 // Callers hold e.mu.
-func (e *Engine) upsertLocked(doc Document, an indexedDoc) error {
+func (e *Engine) upsertLocked(doc Document, an analyzedDoc) error {
 	s := e.set.Load()
 	if s == nil {
 		return ErrNotBuilt
@@ -549,7 +550,7 @@ func (e *Engine) Compact() error {
 	if len(s.segs) == 0 || (len(s.segs) == 1 && s.deleted == 0) {
 		return nil
 	}
-	merged, err := mergeRun(s.segs, e.gs.Load().g)
+	merged, err := mergeRun(s.segs)
 	if err != nil {
 		return err
 	}

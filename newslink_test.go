@@ -305,8 +305,8 @@ func TestQueryCacheSharedAcrossSearchAndExplain(t *testing.T) {
 	if _, err := e.Search(q, 3); err != nil {
 		t.Fatal(err)
 	}
-	if e.gs.Load().queries.Len() != 1 {
-		t.Fatalf("cache len = %d after Search", e.gs.Load().queries.Len())
+	if e.gs.queries.Len() != 1 {
+		t.Fatalf("cache len = %d after Search", e.gs.queries.Len())
 	}
 	if _, err := e.Explain(q, 0, 2); err != nil {
 		t.Fatal(err)
@@ -314,8 +314,8 @@ func TestQueryCacheSharedAcrossSearchAndExplain(t *testing.T) {
 	if _, err := e.ExplainDOT(q, 0, "t"); err != nil {
 		t.Fatal(err)
 	}
-	if e.gs.Load().queries.Len() != 1 {
-		t.Fatalf("cache len = %d, query re-analyzed", e.gs.Load().queries.Len())
+	if e.gs.queries.Len() != 1 {
+		t.Fatalf("cache len = %d, query re-analyzed", e.gs.queries.Len())
 	}
 }
 

@@ -20,18 +20,20 @@ import (
 	"newslink/internal/kg"
 )
 
-// Snapshot layout (version 6): a directory with
+// Snapshot layout (version 7): a directory with
 //
 //	meta.json             engine config, graph fingerprint, the ordered
 //	                      segment list (content ID + tombstone bitmap per
 //	                      segment) and a CRC32-C checksum per artifact
 //	seg-<id>.text.idx     BOW inverted index of one segment (binary)
 //	seg-<id>.node.idx     BON inverted index of one segment (binary)
-//	seg-<id>.emb.bin      per-document subgraph embeddings of one segment
 //	seg-<id>.docs.bin     the segment's documents: ID and time columns,
 //	                      titles and texts (docsfile.go)
 //
-// <id> is derived from the four artifacts' contents (truncated SHA-256),
+// No subgraph embedding is stored: a document's is a function of its
+// text and the graph, and the read paths that need one re-derive it.
+//
+// <id> is derived from the three artifacts' contents (truncated SHA-256),
 // which makes saves incremental: a segment that already exists under the
 // target directory with matching checksums is hard-linked into the staged
 // snapshot instead of re-serialized, so saving after an incremental batch
@@ -40,7 +42,8 @@ import (
 // a segment rewrite either.
 //
 // A snapshot is only valid together with the knowledge graph it was built
-// on; Load verifies a structural fingerprint and rejects mismatches.
+// on; every loader verifies the graph's fingerprint — its counts and the
+// checksum of its columns (kg.Graph.Checksum) — and rejects a mismatch.
 //
 // Crash safety is unchanged from version 3: Save never touches the target
 // directory until the whole snapshot is durable. It stages everything in a
@@ -52,14 +55,14 @@ import (
 // Load verifies version and checksums so silent corruption surfaces as
 // ErrSnapshotCorrupt instead of a half-built engine.
 
-// snapshotVersion 6 moved each segment's documents out of meta.json into
-// the seg-<id>.docs.bin artifact, which the content id now covers too.
-// Every loader reads version 6 only; any other version is
-// ErrSnapshotVersion, and such a snapshot is rebuilt from its corpus.
-const snapshotVersion = 6
+// snapshotVersion 7 dropped each segment's stored-embeddings artifact and
+// added the graph checksum to the fingerprint. Every loader reads version
+// 7 only; any other version is ErrSnapshotVersion, and such a snapshot is
+// rebuilt from its corpus.
+const snapshotVersion = 7
 
 // segmentSuffixes are the binary artifacts every segment owns.
-var segmentSuffixes = [...]string{"text.idx", "node.idx", "emb.bin", docsSuffix}
+var segmentSuffixes = [...]string{"text.idx", "node.idx", docsSuffix}
 
 const docsSuffix = "docs.bin"
 
@@ -88,14 +91,18 @@ type snapshotMeta struct {
 	Checksums map[string]string `json:"checksums"`
 }
 
+// graphPrint binds a snapshot to its graph: the counts, and the checksum
+// of the graph's columns, so that a graph of the same shape re-weighted or
+// relabelled is refused too.
 type graphPrint struct {
-	Nodes int `json:"nodes"`
-	Edges int `json:"edges"`
-	Rels  int `json:"rels"`
+	Nodes    int    `json:"nodes"`
+	Edges    int    `json:"edges"`
+	Rels     int    `json:"rels"`
+	Checksum uint32 `json:"crc32c"`
 }
 
 func fingerprint(g *kg.Graph) graphPrint {
-	return graphPrint{Nodes: g.NumNodes(), Edges: g.NumEdges(), Rels: g.NumRels()}
+	return graphPrint{Nodes: g.NumNodes(), Edges: g.NumEdges(), Rels: g.NumRels(), Checksum: g.Checksum()}
 }
 
 // checksumString renders a CRC32-C value the way meta.json stores it.
@@ -344,7 +351,7 @@ func reuseSegment(old *oldSnapshot, art *segmentArtifact, tmp string, sums map[s
 	return true
 }
 
-// writeSegment serializes one segment's four artifacts into the staging
+// writeSegment serializes one segment's three artifacts into the staging
 // directory. Files are first written under staging names while a running
 // SHA-256 over their concatenation derives the content id, then renamed to
 // their final seg-<id>.* names. The returned artifact identity is memoized
@@ -357,7 +364,6 @@ func writeSegment(tmp string, si int, seg *segment, writeArtifact func(string, i
 	}{
 		{"text.idx", func(w io.Writer) error { _, err := seg.text.WriteTo(w); return err }},
 		{"node.idx", func(w io.Writer) error { _, err := seg.node.WriteTo(w); return err }},
-		{"emb.bin", seg.embs.writeTo},
 		{docsSuffix, seg.docs.writeTo},
 	}
 	staged := make([]string, len(writers))
@@ -440,17 +446,16 @@ func Load(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
 }
 
 // LoadOnDisk restores a snapshot but serves it directly from the snapshot
-// files: postings, document titles and texts, and embeddings are read on
-// demand — one ReadAt per postings block, per result document and per
-// embedding a request needs — so startup cost and resident memory stay
-// flat as the corpus grows. What stays resident is the index directories
-// and document lengths, the documents' ID, time and offset columns and
-// each embedding record's offset. The engine holds the four files of every
-// segment open until Close. Integrity verification streams each artifact
-// once at open time (sequential IO, no resident memory), and one more
-// pass validates the embeddings image, with the same checks Load applies;
-// the same typed errors and option semantics as Load apply. A segment that
-// a write or merge creates after the load is resident, as in any engine.
+// files: postings and document titles and texts are read on demand — one
+// ReadAt per postings block and per document a request needs — so startup
+// cost and resident memory stay flat as the corpus grows. What stays
+// resident is the index directories and document lengths and the
+// documents' ID, time and offset columns. The engine holds the three files
+// of every segment open until Close. Integrity verification streams each
+// artifact once at open time (sequential IO, no resident memory), with the
+// same checks Load applies; the same typed errors and option semantics as
+// Load apply. A segment that a write or merge creates after the load is
+// resident, as in any engine.
 func LoadOnDisk(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
 	return loadDurable(dir, g, loadOnDisk, opts)
 }
@@ -479,12 +484,12 @@ type loadMode int
 const (
 	// loadResident reads every artifact fully into memory (Load).
 	loadResident loadMode = iota
-	// loadOnDisk keeps the postings, the document text and the
-	// embeddings in their files, read on demand (LoadOnDisk, LoadRouted).
+	// loadOnDisk keeps the postings and the document text in their
+	// files, read on demand (LoadOnDisk, LoadRouted).
 	loadOnDisk
 	// loadPostings reads the indexes fully into memory plus the time
-	// column of the documents artifact: no document text and no embedding
-	// (LoadSegments, a shard worker's slice).
+	// column of the documents artifact: no document text (LoadSegments, a
+	// shard worker's slice).
 	loadPostings
 )
 
@@ -537,7 +542,7 @@ func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, mode loadMode) ([]*s
 			defer wg.Done()
 			buf := make([]byte, copyBufSize)
 			for i := int(next.Add(1)) - 1; i < len(segs); i = int(next.Add(1)) - 1 {
-				segs[i], errs[i] = loadSegment(dir, m, i, g, mode, buf)
+				segs[i], errs[i] = loadSegment(dir, m, i, mode, buf)
 			}
 		}()
 	}
@@ -552,23 +557,18 @@ func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, mode loadMode) ([]*s
 }
 
 // loadSegment restores segment i of the manifest. It verifies the
-// artifacts mode reads against their recorded checksums, then opens them:
-// Load reads the indexes, the documents' text and the embeddings image
-// into memory, LoadOnDisk and LoadRouted keep the files open and read only
-// the columns, offsets and index directories, and LoadSegments reads the
-// indexes and the time column. The embeddings are validated through buf
-// but not decoded, and Load streams the text through buf. The artifact
-// identity from meta.json is memoized on the segment so a later Save can
-// reuse the files without rewriting them.
-func loadSegment(dir string, m *snapshotMeta, i int, g *kg.Graph, mode loadMode, buf []byte) (*segment, error) {
+// segment's artifacts against their recorded checksums, streaming them
+// through buf, then opens them: Load reads the indexes and the documents'
+// text into memory (the text streamed through buf), LoadOnDisk and
+// LoadRouted keep the files open and read only the columns, offsets and
+// index directories, and LoadSegments reads the indexes and the time
+// column. The artifact identity from meta.json is memoized on the segment
+// so a later Save can reuse the files without rewriting them.
+func loadSegment(dir string, m *snapshotMeta, i int, mode loadMode, buf []byte) (*segment, error) {
 	sm := m.Segments[i]
 	textName, nodeName := segFileName(sm.ID, "text.idx"), segFileName(sm.ID, "node.idx")
-	embName, docsName := segFileName(sm.ID, "emb.bin"), segFileName(sm.ID, docsSuffix)
-	names := SegmentFileNames(sm.ID)
-	if mode == loadPostings {
-		names = []string{textName, nodeName, docsName}
-	}
-	for _, name := range names {
+	docsName := segFileName(sm.ID, docsSuffix)
+	for _, name := range SegmentFileNames(sm.ID) {
 		if err := verifyArtifact(dir, name, m.Checksums, buf); err != nil {
 			return nil, err
 		}
@@ -605,12 +605,6 @@ func loadSegment(dir string, m *snapshotMeta, i int, g *kg.Graph, mode loadMode,
 	}
 	if mode != loadPostings {
 		seg.byID = idOrder(&seg.docs, seg.numDocs())
-		if seg.embs, err = openEmbeddings(filepath.Join(dir, embName), g, onDisk, buf); err != nil {
-			return corrupt(embName, err)
-		}
-		if seg.embs.len() != seg.numDocs() {
-			return corrupt(embName, fmt.Errorf("segment %s: %d docs, %d embeddings", sm.ID, seg.numDocs(), seg.embs.len()))
-		}
 	}
 	if sm.Dead != "" {
 		raw, err := base64.StdEncoding.DecodeString(sm.Dead)

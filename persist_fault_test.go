@@ -127,10 +127,10 @@ func openUnder(t *testing.T, dir string) int {
 // every corruption class the snapshot format defends against: truncation,
 // a single bit flip, and outright removal of each binary artifact, a
 // missing checksum, a documents artifact whose checksum matches but whose
-// count or offsets do not, plus version skew and a torn meta.json. Each
-// case must return the matching typed error, never a (half-built) engine,
-// and leave no descriptor open on the snapshot — except that LoadSegments,
-// which never reads embeddings, loads past a damaged emb.bin.
+// count or offsets do not, plus version skew — a retired version 6
+// included — and a torn meta.json. Each case must return the matching
+// typed error, never a (half-built) engine, and leave no descriptor open
+// on the snapshot.
 func TestLoadCorruptionTable(t *testing.T) {
 	g, _ := corpus.Sample()
 	e := sampleEngine(t, DefaultConfig())
@@ -139,7 +139,7 @@ func TestLoadCorruptionTable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	artifacts := []string{"text.idx", "node.idx", "emb.bin", "docs.bin"}
+	artifacts := []string{"text.idx", "node.idx", "docs.bin"}
 	type tc struct {
 		name    string
 		mutate  func(t *testing.T, dir string)
@@ -200,6 +200,12 @@ func TestLoadCorruptionTable(t *testing.T) {
 				m["version"] = json.RawMessage("2")
 			})
 		}, ErrSnapshotVersion, ""},
+		// Version 6, the last format with an emb.bin per segment.
+		tc{"v6-meta", func(t *testing.T, dir string) {
+			editMeta(t, dir, func(m map[string]json.RawMessage) {
+				m["version"] = json.RawMessage("6")
+			})
+		}, ErrSnapshotVersion, "version 6,"},
 		tc{"torn-meta", func(t *testing.T, dir string) {
 			if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte(`{"version": 2, "conf`), 0o644); err != nil {
 				t.Fatal(err)
@@ -224,33 +230,6 @@ func TestLoadCorruptionTable(t *testing.T) {
 				}
 			})
 		}, ErrSnapshotCorrupt, "no checksum for seg-"},
-		// The retired int8-signature format: an emb.bin under the NLEMB2
-		// magic whose checksum matches (so verification passes and the
-		// parser sees it) is a corrupt artifact, not a panic and not a
-		// silently empty BON index.
-		tc{"retired-format/emb.bin", func(t *testing.T, dir string) {
-			rewriteArtifact(t, dir, "emb.bin", func(data []byte) []byte {
-				copy(data, "NLEMB2\n")
-				return data
-			})
-		}, ErrSnapshotCorrupt, "emb.bin: core: bad magic"},
-		// Embeddings artifacts that pass verification but do not parse:
-		// LoadOnDisk reads no embedding at load, yet its one validating
-		// pass refuses them as Load's decode does, naming the artifact.
-		tc{"short-record/emb.bin", func(t *testing.T, dir string) {
-			rewriteArtifact(t, dir, "emb.bin", func(data []byte) []byte { return data[:len(data)-1] })
-		}, ErrSnapshotCorrupt, "emb.bin: core: doc"},
-		tc{"trailing-byte/emb.bin", func(t *testing.T, dir string) {
-			rewriteArtifact(t, dir, "emb.bin", func(data []byte) []byte { return append(data, 0) })
-		}, ErrSnapshotCorrupt, "emb.bin: core: 1 trailing bytes"},
-		tc{"count-mismatch/emb.bin", func(t *testing.T, dir string) {
-			rewriteArtifact(t, dir, "emb.bin", func(data []byte) []byte {
-				// One more document than the segment holds, embedded to nothing.
-				n := binary.LittleEndian.Uint32(data[len("NLEMB1\n"):])
-				binary.LittleEndian.PutUint32(data[len("NLEMB1\n"):], n+1)
-				return append(data, 0)
-			})
-		}, ErrSnapshotCorrupt, "emb.bin: segment"},
 		// Documents artifacts that pass verification but disagree with
 		// the index, or with themselves.
 		tc{"count-mismatch/docs.bin", func(t *testing.T, dir string) {
@@ -297,17 +276,12 @@ func TestLoadCorruptionTable(t *testing.T) {
 					t.Fatalf("%s left %d descriptors open on the snapshot", loader, n)
 				}
 			}
-			// A shard worker's load fails the same way on everything it
-			// reads, and never reads the embeddings.
+			// A shard worker's load fails the same way.
 			m, err := ReadManifest(dir)
 			if err == nil {
 				_, err = LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
 			}
-			if strings.HasSuffix(c.name, "emb.bin") {
-				if err != nil {
-					t.Fatalf("LoadSegments error = %v, want none: it does not read embeddings", err)
-				}
-			} else if !errors.Is(err, c.wantErr) || !strings.Contains(err.Error(), c.names) {
+			if !errors.Is(err, c.wantErr) || !strings.Contains(err.Error(), c.names) {
 				t.Fatalf("LoadSegments error = %v, want %v naming %q", err, c.wantErr, c.names)
 			}
 			if n := openUnder(t, dir); n != 0 {
@@ -459,8 +433,10 @@ func localTraverse(shard *Shard) func(context.Context, Traversal) (Retrieval, er
 
 // storedFieldReadErrors is TestOnDiskReadErrorNeverBecomesEmpty's
 // guarantee for the stored fields a file-backed engine — LoadOnDisk, and
-// LoadRouted, the cluster router's engine — reads on demand: the documents (docs.bin: Search, Related, DocAt) and
-// the embeddings (emb.bin: Related, Explain, ExplainDOT). Truncated under
+// LoadRouted, the cluster router's engine — reads on demand: the
+// documents (docs.bin), which Search and DocAt read, and Related, Explain
+// and ExplainDOT too, to re-derive the source document's embedding from
+// its text. Truncated under
 // the engine, every request that reads the artifact fails, Save to a
 // fresh directory included, and every other request answers exactly as
 // before. Removed under it, nothing changes at all: the engine holds its
@@ -486,8 +462,7 @@ func storedFieldReadErrors(t *testing.T) {
 		return a, errs
 	}
 	readers := map[string][]string{
-		"docs.bin": {"Search", "Related", "DocAt"},
-		"emb.bin":  {"Related", "Explain", "ExplainDOT"},
+		"docs.bin": {"Search", "Related", "Explain", "ExplainDOT", "DocAt"},
 	}
 	loaders := map[string]func(t *testing.T, dir string) *Engine{
 		"LoadOnDisk": func(t *testing.T, dir string) *Engine {

@@ -11,8 +11,8 @@ import (
 	"strings"
 	"testing"
 
-	"newslink/internal/core"
 	"newslink/internal/corpus"
+	"newslink/internal/index"
 	"newslink/internal/kg"
 )
 
@@ -133,6 +133,92 @@ func TestLoadRejectsWrongGraph(t *testing.T) {
 	if _, err := Load(dir, other); err == nil {
 		t.Fatal("Load with a different graph must fail")
 	}
+}
+
+// TestLoadRejectsReweightedGraph: a snapshot binds to its graph's columns,
+// not only to its counts. A graph with as many nodes, edges and relations
+// but one edge re-weighted, or one node relabelled, is refused by every
+// loader and by a shard worker's LoadSegments — Explain and Related would
+// otherwise re-derive embeddings under a graph the documents were not
+// indexed under — while the same graph read again loads.
+func TestLoadRejectsReweightedGraph(t *testing.T) {
+	sample, arts := corpus.Sample()
+	var tsv bytes.Buffer
+	if err := kg.Write(&tsv, sample); err != nil {
+		t.Fatal(err)
+	}
+	// read parses the sample graph's dump with the first line of the given
+	// kind rewritten by edit (nil: unchanged).
+	read := func(kind string, edit func(fields []string)) *kg.Graph {
+		t.Helper()
+		lines := strings.Split(tsv.String(), "\n")
+		for i, l := range lines {
+			if edit != nil && strings.HasPrefix(l, kind+"\t") {
+				f := strings.Split(l, "\t")
+				edit(f)
+				lines[i] = strings.Join(f, "\t")
+				break
+			}
+		}
+		g, err := kg.Read(strings.NewReader(strings.Join(lines, "\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	e := New(read("", nil), DefaultConfig())
+	for _, a := range arts {
+		if err := e.Add(Document{ID: a.ID, Title: a.Title, Text: a.Text}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := e.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaders := map[string]func(g *kg.Graph) error{
+		"Load":       func(g *kg.Graph) error { return closed(Load(dir, g)) },
+		"LoadOnDisk": func(g *kg.Graph) error { return closed(LoadOnDisk(dir, g)) },
+		"LoadRouted": func(g *kg.Graph) error { return closed(LoadRouted(dir, g, nil)) },
+		"LoadSegments": func(g *kg.Graph) error {
+			_, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
+			return err
+		},
+	}
+	for name, load := range loaders {
+		if err := load(read("", nil)); err != nil {
+			t.Fatalf("%s under the same graph read again: %v", name, err)
+		}
+	}
+	for change, g := range map[string]*kg.Graph{
+		"re-weighted": read("E", func(f []string) { f[4] += "5" }),
+		"relabelled":  read("N", func(f []string) { f[3] += " II" }),
+	} {
+		if g.NumNodes() != sample.NumNodes() || g.NumEdges() != sample.NumEdges() || g.NumRels() != sample.NumRels() {
+			t.Fatalf("%s graph: the counts changed", change)
+		}
+		for name, load := range loaders {
+			if err := load(g); err == nil || !strings.Contains(err.Error(), "knowledge graph mismatch") {
+				t.Fatalf("%s under a %s graph: %v, want a graph mismatch", name, change, err)
+			}
+		}
+	}
+}
+
+// closed closes the engine a loader returned, if any, and passes its
+// error on.
+func closed(e *Engine, err error) error {
+	if e != nil {
+		e.Close()
+	}
+	return err
 }
 
 func TestLoadRejectsCorruptSnapshot(t *testing.T) {
@@ -348,19 +434,18 @@ func TestSnapshotRoundTripsDocumentBytes(t *testing.T) {
 	}
 }
 
-// TestStoredFieldsAgreeAcrossLoaders: every engine holds its embeddings as
-// an emb.bin image — in memory when built, merged or restored by Load, the
-// snapshot's own file under LoadOnDisk and LoadRouted (the cluster
-// router's engine) — and its documents in memory or in the file the same
-// way. Over a three-segment snapshot with tombstones, a second engine built
-// the same way (never saved) and all three loaders answer DeepEqual to the
-// engine that saved it — every document, every filtered search with its
-// snippets, every live document's related news, explanation and DOT
-// rendering — every stored embedding decodes to what the reference decoder
-// reads from the snapshot, and every engine re-saves the snapshot byte for
-// byte. After Compact, which copies the stored records into one merged
-// segment, each engine that takes writes still agrees with a compacted
-// built engine, down to the bytes of its snapshot.
+// TestStoredFieldsAgreeAcrossLoaders: every engine holds its documents in
+// memory when built, merged or restored by Load, and in the snapshot's own
+// file under LoadOnDisk and LoadRouted (the cluster router's engine). Over
+// a three-segment snapshot with tombstones, a second engine built the same
+// way (never saved) and all three loaders answer DeepEqual to the engine
+// that saved it — every document, every filtered search with its snippets,
+// every live document's related news, explanation and DOT rendering, whose
+// embeddings each engine re-derives from the text it holds — and every
+// engine re-saves the snapshot byte for byte. After Compact, which copies
+// the live documents into one merged segment, each engine that takes
+// writes still agrees with a compacted built engine, down to the bytes of
+// its snapshot.
 func TestStoredFieldsAgreeAcrossLoaders(t *testing.T) {
 	e, w, arts := filterFixture(t)
 	g := w.Graph
@@ -400,15 +485,6 @@ func TestStoredFieldsAgreeAcrossLoaders(t *testing.T) {
 		fileBacked := name == "LoadOnDisk" || name == "LoadRouted"
 		checkStores(t, name, got, fileBacked)
 		checkAgree(t, name, got, e, w, arts)
-		snap, err := got.acquire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pos := range snap.numDocs {
-			if want := e.analyze(docAt(t, snap, pos).Text).rec; !bytes.Equal(appendRecord(t, embeddingAt(t, snap, pos)), want) {
-				t.Fatalf("%s: the embedding at %d is not the embedder's", name, pos)
-			}
-		}
 		checkResave(t, name, got, dir)
 		if name == "LoadRouted" {
 			if err := got.Compact(); !errors.Is(err, ErrReadOnly) {
@@ -426,21 +502,8 @@ func TestStoredFieldsAgreeAcrossLoaders(t *testing.T) {
 	}
 }
 
-// appendRecord is emb's embeddings record.
-func appendRecord(t testing.TB, emb *core.DocEmbedding) []byte {
-	t.Helper()
-	rec, err := core.AppendEmbedding(nil, emb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec
-}
-
-// checkStores checks the one shape of a segment's stores: an embeddings
-// image in memory or in the open artifact, covering every document, and
-// documents resident or file-backed alike; and that the embeddings decode
-// to what the reference decoder, core.ReadEmbeddings, reads from the
-// image.
+// checkStores checks the one shape of a segment's documents: resident,
+// or file-backed alike.
 func checkStores(t *testing.T, name string, e *Engine, fileBacked bool) {
 	t.Helper()
 	snap, err := e.acquire()
@@ -448,26 +511,8 @@ func checkStores(t *testing.T, name string, e *Engine, fileBacked bool) {
 		t.Fatal(err)
 	}
 	for si, seg := range snap.segs {
-		_, inFile := seg.embs.image.(*os.File)
-		if inFile != fileBacked || (seg.docs.f != nil) != fileBacked || (seg.docs.docs == nil) != fileBacked {
-			t.Fatalf("%s: segment %d holds embeddings in a file %v, documents in a file %v, want %v",
-				name, si, inFile, seg.docs.f != nil, fileBacked)
-		}
-		if seg.embs.len() != seg.numDocs() {
-			t.Fatalf("%s: segment %d has %d embeddings for %d documents", name, si, seg.embs.len(), seg.numDocs())
-		}
-		var image bytes.Buffer
-		if err := seg.embs.writeTo(&image); err != nil {
-			t.Fatal(err)
-		}
-		want, err := core.ReadEmbeddings(image.Bytes(), e.Graph())
-		if err != nil {
-			t.Fatalf("%s: segment %d: %v", name, si, err)
-		}
-		for i := range want {
-			if emb, err := seg.embs.embedding(i); err != nil || !reflect.DeepEqual(emb, want[i]) {
-				t.Fatalf("%s: segment %d: embedding %d decodes to %+v (%v), the reference to %+v", name, si, i, emb, err, want[i])
-			}
+		if (seg.docs.f != nil) != fileBacked || (seg.docs.docs == nil) != fileBacked {
+			t.Fatalf("%s: segment %d holds documents in a file %v, want %v", name, si, seg.docs.f != nil, fileBacked)
 		}
 	}
 }
@@ -553,5 +598,130 @@ func checkResave(t *testing.T, name string, e *Engine, dir string) {
 		if b, err := os.ReadFile(filepath.Join(resaved, ent.Name())); err != nil || !bytes.Equal(a, b) {
 			t.Fatalf("%s: re-saved %s differs (%v)", name, ent.Name(), err)
 		}
+	}
+}
+
+// TestRederivedEmbeddingMatchesPostings: Explain, ExplainDOT and Related
+// re-derive a document's embedding from its text; the BON postings hold
+// the embedding it was indexed with. Over an engine churned by adds, an
+// update, deletes, refreshes, a tier merge and Compact, every live
+// document's re-derived node weights equal its postings — term → tf, read
+// by walking its segment's node index — in the built engine and after
+// Load, LoadOnDisk and LoadRouted, before and after the compaction.
+func TestRederivedEmbeddingMatchesPostings(t *testing.T) {
+	w := kg.Generate(kg.DefaultConfig(19))
+	arts := corpus.Generate(w, corpus.CNNLike(), 100, 23)
+	docs := make([]Document, len(arts))
+	for i, a := range arts {
+		docs[i] = Document{ID: a.ID, Title: a.Title, Text: a.Text, Time: a.Time}
+	}
+	e := New(w.Graph, DefaultConfig())
+	defer e.Close()
+	if err := e.AddAll(docs[:40], 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	for lo := 40; lo < 85; lo += 5 {
+		if err := e.AddAll(docs[lo:lo+5], 2); err != nil {
+			t.Fatal(err)
+		}
+		e.Refresh()
+	}
+	if e.met.segmentMerges.Value() == 0 {
+		t.Fatal("the churn merged no tier")
+	}
+	updated := docs[3]
+	updated.Text = docs[90].Text
+	if err := e.Update(updated); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []Document{docs[7], docs[45], docs[84]} {
+		if err := e.Delete(d.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.AddAll(docs[85:], 2); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, e *Engine) {
+		t.Helper()
+		dir := t.TempDir()
+		if err := e.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard, err := LoadSegments(dir, w.Graph, m.Graph, m.Segments, m.Checksums)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRederivedMatchesPostings(t, stage+" built", e)
+		for name, load := range map[string]func() (*Engine, error){
+			"Load":       func() (*Engine, error) { return Load(dir, w.Graph) },
+			"LoadOnDisk": func() (*Engine, error) { return LoadOnDisk(dir, w.Graph) },
+			"LoadRouted": func() (*Engine, error) { return LoadRouted(dir, w.Graph, localTraverse(shard)) },
+		} {
+			loaded, err := load()
+			if err != nil {
+				t.Fatalf("%s %s: %v", stage, name, err)
+			}
+			checkRederivedMatchesPostings(t, stage+" "+name, loaded)
+			loaded.Close()
+		}
+	}
+	check("churned", e)
+	if n := e.NumSegments(); n < 2 || e.NumDeletedDocs() == 0 {
+		t.Fatalf("churned engine has %d segments and %d tombstones, want several and some", n, e.NumDeletedDocs())
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted", e)
+}
+
+// checkRederivedMatchesPostings asserts that every live document of e
+// re-derives to the node weights its segment's node index holds for it.
+func checkRederivedMatchesPostings(t *testing.T, name string, e *Engine) {
+	t.Helper()
+	snap, err := e.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := e.Graph()
+	embedded := 0
+	for si, seg := range snap.segs {
+		postings := make([]map[string]float32, seg.numDocs())
+		for n := range g.NumNodes() {
+			term := nodeTerm(kg.NodeID(n))
+			ps, err := index.Postings(seg.node, term)
+			if err != nil {
+				t.Fatalf("%s: segment %d, term %s: %v", name, si, term, err)
+			}
+			for _, p := range ps {
+				if postings[p.Doc] == nil {
+					postings[p.Doc] = map[string]float32{}
+				}
+				postings[p.Doc][term] = p.TF
+			}
+		}
+		for local := range seg.numDocs() {
+			if seg.dead.Get(local) {
+				continue
+			}
+			got := nodeWeights(embeddingAt(t, e, snap, snap.bases[si]+local))
+			if want := postings[local]; len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: document %d re-derives to node weights %v, its postings are %v", name, seg.docs.id(local), got, want)
+			}
+			if len(got) > 0 {
+				embedded++
+			}
+		}
+	}
+	if embedded == 0 {
+		t.Fatalf("%s: no live document has an embedding to compare", name)
 	}
 }

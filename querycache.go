@@ -27,10 +27,7 @@ const groupCacheSize = 256
 // the NLP pipeline (entity recognition against the graph's label index),
 // the subgraph embedder (with its pooled traversal states and per-group
 // cache) and the two query-analysis cache tiers, whose entries are
-// embeddings of this graph. It is immutable once published; SwapGraph
-// replaces the whole bundle atomically, so a request that loaded one
-// graphState keeps a consistent graph view for its entire lifetime and
-// whatever it caches dies with that view.
+// embeddings of this graph. An engine has one, for its whole life.
 type graphState struct {
 	g        *kg.Graph
 	pipe     *nlp.Pipeline
@@ -68,48 +65,36 @@ func (e *Engine) newGraphState(g *kg.Graph) *graphState {
 	}
 }
 
-// Graph returns the underlying knowledge graph.
-func (e *Engine) Graph() *kg.Graph { return e.gs.Load().g }
-
-// SwapGraph atomically replaces the knowledge graph with an updated
-// snapshot — a re-weighted or extended export of the same entity universe.
-// Every embedding cache derived from the old graph dies with it: the
-// text-keyed query cache, the entity-set embedding cache and the
-// embedder's per-group cache all belong to the replaced graphState (the
-// new one starts cold), so no query can ever be served a subgraph of a
-// graph that is no longer published — a request still running against the
-// old state caches into the old state, which nothing reads any more.
-//
-// Document embeddings indexed in sealed segments are NOT recomputed; they
-// keep describing the graph they were built against. Swapping in a graph
-// whose node IDs are incompatible with the indexed corpus calls for
-// re-indexing (or persist.Load of a matching snapshot) instead.
-func (e *Engine) SwapGraph(g *kg.Graph) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.gs.Store(e.newGraphState(g))
+// embedDoc embeds an analyzed document: the G* of each of its maximal
+// entity groups (Section VI), with no query cache and no query-stage
+// metric. Indexing and the re-derivation behind Explain, ExplainDOT and
+// Related both embed through it, so they agree.
+func (gs *graphState) embedDoc(doc *nlp.Document) *core.DocEmbedding {
+	return gs.embedder.EmbedGroups(nlp.MaximalSets(doc.EntityGroups()))
 }
 
-// analyzeQuery is query analysis with two-tier LRU memoization against one
-// graphState; Search, Explain and ExplainDOT on the same query text share
-// one NLP + NE pass. Tier one keys on the folded query text (lowercased,
-// whitespace collapsed — "Trump  Putin" and "trump putin" are one entry);
-// tier two, consulted on a text miss, keys on the canonicalized resolved
-// entity set. It records the "analyze" stage span into the request trace
+// Graph returns the underlying knowledge graph.
+func (e *Engine) Graph() *kg.Graph { return e.gs.g }
+
+// analyzeQuery is query analysis with two-tier LRU memoization; Search,
+// Explain and ExplainDOT on the same query text share one NLP + NE pass.
+// Tier one keys on the folded query text (lowercased, whitespace collapsed
+// — "Trump  Putin" and "trump putin" are one entry); tier two, consulted
+// on a text miss, keys on the canonicalized resolved entity set. It records the "analyze" stage span into the request trace
 // (cache hits included: a hit still shows up in the breakdown, just with a
 // near-zero duration). A non-nil error is ctx's: nothing is cached then.
-func (e *Engine) analyzeQuery(ctx context.Context, gs *graphState, text string) (*core.DocEmbedding, []string, error) {
+func (e *Engine) analyzeQuery(ctx context.Context, text string) (*core.DocEmbedding, []string, error) {
 	sp := obs.FromContext(ctx).Start(obs.StageAnalyze)
 	key := kg.Fold(text)
-	an, hit := gs.queries.Get(key)
+	an, hit := e.gs.queries.Get(key)
 	var err error
 	if hit {
 		e.met.cacheHits.Inc()
 	} else {
 		e.met.cacheMisses.Inc()
-		an, err = e.analyzeQueryMiss(ctx, gs, text)
+		an, err = e.analyzeQueryMiss(ctx, text)
 		if err == nil {
-			gs.queries.Put(key, an)
+			e.gs.queries.Put(key, an)
 		}
 	}
 	d := sp.End(obs.Bool("cache_hit", hit), obs.Int("terms", len(an.terms)))
@@ -121,7 +106,8 @@ func (e *Engine) analyzeQuery(ctx context.Context, gs *graphState, text string) 
 // through the entity-set cache, embedding the groups only on a full miss.
 // The embed stage span and the newslink_embed_* counters record what
 // happened either way.
-func (e *Engine) analyzeQueryMiss(ctx context.Context, gs *graphState, text string) (analyzedDoc, error) {
+func (e *Engine) analyzeQueryMiss(ctx context.Context, text string) (analyzedDoc, error) {
+	gs := e.gs
 	doc := gs.pipe.Process(text)
 	var terms []string
 	for _, s := range doc.Sentences {

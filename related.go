@@ -8,12 +8,13 @@ import (
 )
 
 // Related-news search: rank the corpus against one indexed document,
-// re-using its stored subgraph embedding as the query vector ("Content
-// based News Recommendation via Shortest Entity Distance over Knowledge
-// Graphs" ranks by entity-graph distance; NewsLink's BON leg is the same
-// signal in Equation 3's fusion frame, so Related is a pure-BON (β = 1)
-// search whose query embedding is read from the segment instead of
-// computed from text).
+// using its subgraph embedding as the query vector ("Content based News
+// Recommendation via Shortest Entity Distance over Knowledge Graphs" ranks
+// by entity-graph distance; NewsLink's BON leg is the same signal in
+// Equation 3's fusion frame, so Related is a pure-BON (β = 1) search whose
+// query embedding is the source document's own, re-derived from its stored
+// text through the indexing path — no query cache — rather than from a
+// query text).
 
 // RelatedQuery is one related-news request for RelatedContext. DocID and K
 // are required; zero values of the remaining fields select the engine's
@@ -41,12 +42,13 @@ func (e *Engine) Related(docID, k int) ([]Result, error) {
 }
 
 // RelatedContext executes one related-news request. The source document's
-// stored BON embedding is the query vector; results are ranked by the
-// engine's BON scorer, max-normalized into (0,1] like every other ranking, and never include
-// the source document. A tombstoned or never-added DocID returns
-// ErrUnknownDoc; a document that embedded to nothing has no graph
-// neighbourhood and returns empty results. Unlike fused search there is
-// no BOW leg to degrade to, so retrieval errors fail the request.
+// embedding, re-derived from its text, is the query vector; results are
+// ranked by the engine's BON scorer, max-normalized into (0,1] like every
+// other ranking, and never include the source document. A tombstoned or
+// never-added DocID returns ErrUnknownDoc; a document that embedded to
+// nothing has no graph neighbourhood and returns empty results. Unlike
+// fused search there is no BOW leg to degrade to, so retrieval and
+// document read errors fail the request.
 //
 // When ctx carries a trace (obs.WithTrace), the BON retrieval stage
 // records its span with the usual pruning attributes.
@@ -83,7 +85,7 @@ func (e *Engine) relatedContext(ctx context.Context, q RelatedQuery) (SearchResp
 	if err != nil {
 		return SearchResponse{}, err
 	}
-	emb, err := snap.embedding(pos)
+	emb, err := e.docEmbedding(snap, pos)
 	if err != nil {
 		return SearchResponse{}, err
 	}

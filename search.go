@@ -81,11 +81,7 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (SearchResponse, er
 	if err != nil {
 		return SearchResponse{}, err
 	}
-	// One graph view for the whole request: analysis and the entity filter
-	// must resolve labels against the same graph even if SwapGraph lands
-	// mid-request.
-	gs := e.gs.Load()
-	qEmb, qTerms, err := e.analyzeQuery(ctx, gs, q.Text)
+	qEmb, qTerms, err := e.analyzeQuery(ctx, q.Text)
 	if err != nil {
 		return SearchResponse{}, err
 	}
@@ -99,7 +95,7 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (SearchResponse, er
 		Pool:     e.pool(snap, q.PoolDepth, q.K),
 		After:    q.After,
 		Before:   q.Before,
-		Entities: entityTerms(gs.g, q.Entities),
+		Entities: entityTerms(e.Graph(), q.Entities),
 		Exclude:  -1,
 	}, beta < 1, qTerms, qEmb)
 	if err != nil {

@@ -1,7 +1,6 @@
 package newslink
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -9,9 +8,7 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"newslink/internal/core"
 	"newslink/internal/index"
-	"newslink/internal/kg"
 	"newslink/internal/nlp"
 )
 
@@ -29,23 +26,22 @@ import (
 // Readers never lock: they load the published *segmentSet atomically and
 // work against it for the whole request.
 
-// segment owns one immutable slice of the corpus: its documents and
-// embeddings (local positions 0..n-1), its two inverted indexes over those
-// positions, and the tombstone bitmap marking deleted documents. The
-// embeddings are an emb.bin image and the documents a []Document or the
-// docs.bin columns (stored.go); both, and the postings, are resident or
-// read on demand from the segment's snapshot artifacts when it was loaded
-// with LoadOnDisk or LoadRouted. All fields are immutable after
+// segment owns one immutable slice of the corpus: its documents (local
+// positions 0..n-1), its two inverted indexes over those positions, and
+// the tombstone bitmap marking deleted documents. The documents are a
+// []Document or the docs.bin columns (stored.go); they and the postings
+// are resident, or read on demand from the segment's snapshot artifacts
+// when it was loaded with LoadOnDisk or LoadRouted. All fields are
+// immutable after
 // construction — deletes clone the segment with a new bitmap, sharing
 // everything else, open files included — except art, a memoized
 // snapshot-artifact identity that is computed on first Save and carried
 // along (tombstones are not part of the artifact identity: they live in
 // meta.json, so a delete never forces a segment rewrite on disk). A shard
-// worker's segments (LoadSegments) hold no documents, no embeddings and no
-// ID order: only what postings traversal reads.
+// worker's segments (LoadSegments) hold no documents and no ID order: only
+// what postings traversal reads.
 type segment struct {
 	docs  docStore
-	embs  embStore
 	times []int64      // columnar Document.Time, one per document
 	byID  []int32      // local positions sorted by Document.ID
 	text  *index.Index // resident, or file-backed (LoadOnDisk, LoadRouted)
@@ -55,21 +51,11 @@ type segment struct {
 	art atomic.Pointer[segmentArtifact]
 }
 
-// newSegment assembles a resident segment over docs, the embeddings image
-// built record by record from core.AppendEmbeddingsHeader(nil, 0) (offs[i]
-// is where document i's record starts), and the two indexes. It writes the
-// image's document count and builds the two per-document columns — the
-// time column and the ID order — once, at seal or merge. The records
-// decode against g.
-func newSegment(docs []Document, image []byte, offs []int64, g *kg.Graph, text, node *index.Index) *segment {
-	core.AppendEmbeddingsHeader(image[:0], len(docs)) // the count, in place
-	s := &segment{
-		docs:  docStore{docs: docs},
-		embs:  embStore{image: bytes.NewReader(image), offs: append(offs, int64(len(image))), g: g},
-		times: timesOf(docs),
-		text:  text,
-		node:  node,
-	}
+// newSegment assembles a resident segment over docs and the two indexes,
+// and builds the two per-document columns — the time column and the ID
+// order — once, at seal or merge.
+func newSegment(docs []Document, text, node *index.Index) *segment {
+	s := &segment{docs: docStore{docs: docs}, times: timesOf(docs), text: text, node: node}
 	s.byID = idOrder(&s.docs, len(docs))
 	return s
 }
@@ -130,7 +116,7 @@ func (s *segment) numLive() int { return s.numDocs() - s.dead.Count() }
 // close releases the snapshot files behind a file-backed segment (a no-op
 // for resident parts, and for the nil ones of a failed partial load).
 func (s *segment) close() error {
-	return errors.Join(s.text.Close(), s.node.Close(), s.docs.close(), s.embs.close())
+	return errors.Join(s.text.Close(), s.node.Close(), s.docs.close())
 }
 
 // shareArtifact copies the memoized artifact identity from an older
@@ -300,14 +286,6 @@ func (s *segmentSet) result(pos int, snippets *nlp.TermSet, scratch *[]byte) (Re
 	return s.segs[si].result(local, snippets, scratch)
 }
 
-// embedding decodes the subgraph embedding at a global position from its
-// record (nil for an unembeddable document). A read or decode error is
-// returned, never a nil embedding.
-func (s *segmentSet) embedding(pos int) (*core.DocEmbedding, error) {
-	si, local := s.segIndexOf(pos)
-	return s.segs[si].embs.embedding(local)
-}
-
 // Tiered merge policy. Segments are tiered geometrically by live-document
 // count: a segment's tier is ⌊log_mergeFactor(live)⌋, so tier 0 holds
 // segments of fewer than mergeFactor documents and each higher tier is
@@ -367,27 +345,17 @@ func findMergeRun(segs []*segment) (lo, hi int, ok bool) {
 }
 
 // mergeRun compacts a run of segments into one segment: live documents
-// and their embedding records are concatenated in order — the records are
-// copied, not decoded — and the indexes are rewritten tombstone-free
+// are concatenated in order and the indexes are rewritten tombstone-free
 // (index.MergeSegments), so DF/AvgDocLen tighten to the surviving corpus
-// and block-max summaries regain full blocks. The merged records decode
-// against g. A segment whose postings cannot be read (a file-backed index
-// whose file went bad) fails the merge, and so does a document or
-// embedding record that cannot be read; the inputs are untouched and stay
-// exact.
-func mergeRun(segs []*segment, g *kg.Graph) (*segment, error) {
-	live, size := 0, int64(0)
+// and block-max summaries regain full blocks. A segment whose postings or
+// documents cannot be read (a file-backed segment whose files went bad)
+// fails the merge; the inputs are untouched and stay exact.
+func mergeRun(segs []*segment) (*segment, error) {
+	live := 0
 	for _, sg := range segs {
 		live += sg.numLive()
-		for j := range sg.numDocs() {
-			if !sg.dead.Get(j) {
-				size += sg.embs.recordLen(j)
-			}
-		}
 	}
 	docs := make([]Document, 0, live)
-	image := slices.Grow(core.AppendEmbeddingsHeader(nil, 0), int(size))
-	offs := make([]int64, 0, live+1) // newSegment appends the end of the last record
 	texts := make([]*index.Index, len(segs))
 	nodes := make([]*index.Index, len(segs))
 	deads := make([]*index.Bitmap, len(segs))
@@ -401,10 +369,7 @@ func mergeRun(segs []*segment, g *kg.Graph) (*segment, error) {
 			if err != nil {
 				return nil, err
 			}
-			docs, offs = append(docs, d), append(offs, int64(len(image)))
-			if image, err = sg.embs.appendRecord(image, j); err != nil {
-				return nil, err
-			}
+			docs = append(docs, d)
 		}
 	}
 	text, err := index.MergeSegments(texts, deads)
@@ -415,7 +380,7 @@ func mergeRun(segs []*segment, g *kg.Graph) (*segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("newslink: merging node indexes: %w", err)
 	}
-	return newSegment(docs, image, offs, g, text, node), nil
+	return newSegment(docs, text, node), nil
 }
 
 // applyMergePolicyLocked repeatedly merges qualifying runs until the set
@@ -428,7 +393,7 @@ func (e *Engine) applyMergePolicyLocked(segs []*segment) []*segment {
 		if !ok {
 			return segs
 		}
-		merged, err := mergeRun(segs[lo:hi], e.gs.Load().g)
+		merged, err := mergeRun(segs[lo:hi])
 		if err != nil {
 			e.met.segmentMergeErrors.Inc()
 			return segs

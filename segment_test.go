@@ -360,7 +360,7 @@ func TestIncrementalSaveReusesSegments(t *testing.T) {
 	if err := e.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	// The segment's four artifacts: text.idx, node.idx, emb.bin, docs.bin.
+	// The segment's three artifacts: text.idx, node.idx, docs.bin.
 	segFiles, err := filepath.Glob(filepath.Join(dir, "seg-*"))
 	if err != nil || len(segFiles) != len(segmentSuffixes) {
 		t.Fatalf("expected the artifacts of one segment, found %v", segFiles)
@@ -604,8 +604,8 @@ func TestMergeTiersUnevenBatches(t *testing.T) {
 	}
 }
 
-// docAt and embeddingAt read the document and the embedding at a global
-// position of s, failing the test on a read error.
+// docAt reads the document at a global position of s, and embeddingAt
+// re-derives its embedding through e, failing the test on a read error.
 func docAt(t testing.TB, s *segmentSet, pos int) Document {
 	t.Helper()
 	doc, err := s.doc(pos)
@@ -615,9 +615,9 @@ func docAt(t testing.TB, s *segmentSet, pos int) Document {
 	return doc
 }
 
-func embeddingAt(t testing.TB, s *segmentSet, pos int) *core.DocEmbedding {
+func embeddingAt(t testing.TB, e *Engine, s *segmentSet, pos int) *core.DocEmbedding {
 	t.Helper()
-	emb, err := s.embedding(pos)
+	emb, err := e.docEmbedding(s, pos)
 	if err != nil {
 		t.Fatal(err)
 	}

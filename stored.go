@@ -1,39 +1,30 @@
 package newslink
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
 	"unsafe"
 
-	"newslink/internal/core"
-	"newslink/internal/kg"
 	"newslink/internal/nlp"
 )
 
-// A segment's stored fields — its documents and their subgraph embeddings
-// — live in memory or in the segment's own snapshot artifacts, the way its
-// postings do (index.Index).
+// A segment's stored fields are its documents. They live in memory or in
+// the segment's own snapshot artifact, the way its postings do
+// (index.Index): resident ([]Document) in a segment built, merged or
+// restored by Load; file-backed in one restored by LoadOnDisk or
+// LoadRouted, which keeps only the ID, time and offset columns of
+// seg-<id>.docs.bin resident and reads a document's title and text with
+// one ReadAt when a request asks for it.
 //
-// Embeddings have one representation either way: the emb.bin image
-// (core.WriteEmbeddings). A segment built, merged or restored by Load holds
-// the image in memory; one restored by LoadOnDisk or LoadRouted leaves it
-// in the file. The store keeps where each document's record starts and
-// decodes a record only when Explain, ExplainDOT or Related asks for it; a
-// merge copies records without decoding them, and Save writes the image as
-// it is.
-//
-// Documents are resident ([]Document) in a segment built, merged or
-// restored by Load. A file-backed store (LoadOnDisk, LoadRouted) keeps only
-// the ID, time and offset columns of seg-<id>.docs.bin resident, and reads
-// a document's title and text with one ReadAt when a request asks for it.
+// A document's subgraph embedding is not stored: it is a function of the
+// document's text and the engine's graph, and Explain, ExplainDOT and
+// Related re-derive it from the text (Engine.docEmbedding).
 //
 // A read that fails fails the request: it never turns into an empty
-// document or embedding (DESIGN.md §9).
+// document (DESIGN.md §9).
 
 // docStore is a segment's documents: resident in docs, or file-backed.
 type docStore struct {
@@ -159,81 +150,6 @@ func (d *docStore) writeTo(w io.Writer) error {
 }
 
 func (d *docStore) close() error { return closeFile(d.f) }
-
-// embStore is a segment's subgraph embeddings, aligned with its documents:
-// an emb.bin image and where each document's record starts in it.
-type embStore struct {
-	image io.ReaderAt // in memory (*bytes.Reader), or the open artifact
-	offs  []int64     // document i's record is [offs[i], offs[i+1]) of image
-	g     *kg.Graph   // what the records decode against
-}
-
-// openEmbeddings opens the embeddings artifact at path: left in the file
-// when onDisk, read into memory otherwise. One sequential pass through buf
-// validates the image as core.ReadEmbeddings would and records where each
-// document's record starts; nothing is decoded.
-func openEmbeddings(path string, g *kg.Graph, onDisk bool, buf []byte) (embStore, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return embStore{}, err
-	}
-	s := embStore{image: f, g: g}
-	st, err := f.Stat()
-	if err == nil && !onDisk {
-		data := make([]byte, st.Size())
-		err = readAt(f, data, 0)
-		f.Close()
-		s.image = bytes.NewReader(data)
-	}
-	if err == nil {
-		s.offs, err = core.ScanEmbeddings(s.image, st.Size(), g, buf)
-	}
-	if err != nil {
-		s.close()
-		return embStore{}, err
-	}
-	return s, nil
-}
-
-// len is how many documents the store covers.
-func (s *embStore) len() int { return len(s.offs) - 1 }
-
-// recordLen is the length of document i's record.
-func (s *embStore) recordLen(i int) int64 { return s.offs[i+1] - s.offs[i] }
-
-// appendRecord appends document i's record to b.
-func (s *embStore) appendRecord(b []byte, i int) ([]byte, error) {
-	n := int(s.recordLen(i))
-	b = slices.Grow(b, n)
-	if err := readAt(s.image, b[len(b):len(b)+n], s.offs[i]); err != nil {
-		return nil, fmt.Errorf("newslink: reading embedding at %d: %w", s.offs[i], err)
-	}
-	return b[:len(b)+n], nil
-}
-
-// embedding reads and decodes document i's embedding (nil for an
-// unembeddable document).
-func (s *embStore) embedding(i int) (*core.DocEmbedding, error) {
-	rec, err := s.appendRecord(nil, i)
-	if err != nil {
-		return nil, err
-	}
-	emb, err := core.ReadEmbedding(rec, s.g)
-	if err != nil {
-		return nil, fmt.Errorf("newslink: decoding embedding at %d: %w", s.offs[i], err)
-	}
-	return emb, nil
-}
-
-// writeTo writes the embeddings artifact: the image, byte for byte.
-func (s *embStore) writeTo(w io.Writer) error { return copyAt(w, s.image, s.offs[len(s.offs)-1]) }
-
-func (s *embStore) close() error {
-	if c, ok := s.image.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
 
 // copyAt writes the first size bytes of r to w; an r that has become
 // shorter (a truncated file) is an error.
