@@ -10,7 +10,8 @@
 // Without -kg/-corpus the built-in sample corpus is served. With -snapshot,
 // a previously saved engine snapshot is loaded (or written after indexing
 // if the directory does not exist yet), so restarts skip the corpus
-// embedding cost.
+// embedding cost; a start that loads a snapshot reads only the -kg file,
+// never the -corpus one.
 //
 // The API is served under /v1/ (unversioned paths remain as aliases).
 // -querytimeout bounds each query server-side; an exceeded deadline is
@@ -404,15 +405,6 @@ func buildEngineMode(kgPath, corpusPath string, beta float64, snapshot string, w
 		if err != nil {
 			return nil, err
 		}
-		cf, err := os.Open(corpusPath)
-		if err != nil {
-			return nil, err
-		}
-		arts, err = corpus.ReadJSONL(cf)
-		cf.Close()
-		if err != nil {
-			return nil, err
-		}
 	}
 	if snapshot != "" {
 		if _, err := os.Stat(snapshot); err == nil {
@@ -421,6 +413,17 @@ func buildEngineMode(kgPath, corpusPath string, beta float64, snapshot string, w
 				return newslink.LoadOnDisk(snapshot, g, engineOpts...)
 			}
 			return newslink.Load(snapshot, g, engineOpts...)
+		}
+	}
+	if corpusPath != "" {
+		cf, err := os.Open(corpusPath)
+		if err != nil {
+			return nil, err
+		}
+		arts, err = corpus.ReadJSONL(cf)
+		cf.Close()
+		if err != nil {
+			return nil, err
 		}
 	}
 	cfg := newslink.DefaultConfig()

@@ -66,12 +66,14 @@ func TestBuildEngineSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBuildEngineFileInputs(t *testing.T) {
-	dir := t.TempDir()
+// writeInputs writes a small world's graph and a 20-article corpus into
+// dir, as the -kg and -corpus files.
+func writeInputs(t *testing.T, dir string) (kgPath, corpusPath string) {
+	t.Helper()
 	w := kg.Generate(kg.Config{Seed: 1, Countries: 3, ProvincesPerCountry: 2,
 		CitiesPerProvince: 2, PersonsPerCountry: 4, OrgsPerCountry: 5, EventsPerCountry: 5})
 	arts := corpus.Generate(w, corpus.CNNLike(), 20, 1)
-	kgPath := filepath.Join(dir, "kg.tsv")
+	kgPath = filepath.Join(dir, "kg.tsv")
 	f, err := os.Create(kgPath)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +82,7 @@ func TestBuildEngineFileInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	corpusPath := filepath.Join(dir, "corpus.jsonl")
+	corpusPath = filepath.Join(dir, "corpus.jsonl")
 	cf, err := os.Create(corpusPath)
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +91,11 @@ func TestBuildEngineFileInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cf.Close()
+	return kgPath, corpusPath
+}
+
+func TestBuildEngineFileInputs(t *testing.T) {
+	kgPath, corpusPath := writeInputs(t, t.TempDir())
 	e, err := buildEngine(kgPath, corpusPath, 0.5, "", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +109,31 @@ func TestBuildEngineFileInputs(t *testing.T) {
 	}
 	if _, err := buildEngine("/nonexistent", corpusPath, 0.2, "", 0); err == nil {
 		t.Fatal("missing kg must fail")
+	}
+}
+
+// TestBuildEngineSnapshotSkipsCorpus: a start whose -snapshot exists loads
+// it without reading -corpus, so it succeeds with the corpus file gone;
+// the -kg/-corpus pairing is still checked.
+func TestBuildEngineSnapshotSkipsCorpus(t *testing.T) {
+	dir := t.TempDir()
+	kgPath, corpusPath := writeInputs(t, dir)
+	snap := filepath.Join(dir, "snap")
+	if _, err := buildEngine(kgPath, corpusPath, 0.5, snap, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(corpusPath); err != nil {
+		t.Fatal(err)
+	}
+	e, err := buildEngine(kgPath, corpusPath, 0.5, snap, 0)
+	if err != nil {
+		t.Fatalf("loading the snapshot read the removed corpus: %v", err)
+	}
+	if e.NumDocs() != 20 {
+		t.Fatalf("docs = %d", e.NumDocs())
+	}
+	if _, err := buildEngine(kgPath, "", 0.5, snap, 0); err == nil {
+		t.Fatal("unpaired -kg must fail even with a snapshot")
 	}
 }
 

@@ -58,15 +58,15 @@ func (e *Engine) SegmentIndexes() (text, node []*index.Index) {
 // subgraph embedding — the same inputs searchContext feeds BOW and BON
 // retrieval. A nil node map means the query embedded to nothing and BON
 // retrieval does not apply.
-func (e *Engine) AnalyzeQuery(ctx context.Context, text string) (terms []string, nodeWeights map[string]float64, err error) {
+func (e *Engine) AnalyzeQuery(ctx context.Context, text string) (terms []string, nodes map[string]float64, err error) {
 	emb, terms, err := e.analyzeQuery(ctx, text)
 	if err != nil {
 		return nil, nil, err
 	}
 	if emb != nil {
-		nodeWeights = nodeQuery(make(map[string]float64, len(emb.Counts)), emb)
+		nodes = nodeQuery(make(map[string]float64, len(emb.Counts)), emb)
 	}
-	return terms, nodeWeights, nil
+	return terms, nodes, nil
 }
 
 // Sources returns the engine's published text and node index sources for

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"newslink/internal/core"
 	"newslink/internal/corpus"
 	"newslink/internal/index"
 	"newslink/internal/search"
@@ -56,11 +57,11 @@ func TestAnalyzeQuery(t *testing.T) {
 }
 
 func TestNodeTerm(t *testing.T) {
-	if got := nodeTerm(0); got != "0" {
-		t.Fatalf("nodeTerm(0) = %q", got)
+	if got := core.NodeTerm(0); got != "0" {
+		t.Fatalf("NodeTerm(0) = %q", got)
 	}
-	if got := nodeTerm(36); got != "10" {
-		t.Fatalf("nodeTerm(36) = %q, want base-36 encoding", got)
+	if got := core.NodeTerm(36); got != "10" {
+		t.Fatalf("NodeTerm(36) = %q, want base-36 encoding", got)
 	}
 }
 

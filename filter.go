@@ -3,6 +3,7 @@ package newslink
 import (
 	"fmt"
 
+	"newslink/internal/core"
 	"newslink/internal/index"
 	"newslink/internal/kg"
 )
@@ -96,7 +97,7 @@ func entityTerms(g *kg.Graph, labels []string) [][]string {
 		nodes := g.Lookup(kg.Fold(l))
 		terms := make([]string, len(nodes))
 		for j, n := range nodes {
-			terms[j] = nodeTerm(n)
+			terms[j] = core.NodeTerm(n)
 		}
 		sets[i] = terms
 	}

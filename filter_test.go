@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"newslink/internal/core"
 	"newslink/internal/corpus"
 	"newslink/internal/index"
 	"newslink/internal/kg"
@@ -137,7 +138,7 @@ func bruteForceSearch(t *testing.T, e *Engine, q Query) []Result {
 	if beta > 0 && qEmb != nil {
 		nq := make(search.Query, len(qEmb.Counts))
 		for n, c := range qEmb.Counts {
-			nq[nodeTerm(n)] = float64(c)
+			nq[core.NodeTerm(n)] = float64(c)
 		}
 		bon = exactTopK(t, node, search.NodeBM25(node.NumDocs(), node.AvgDocLen()), nq, pool)
 	}
@@ -228,8 +229,8 @@ func TestFilteredShardedTraversalAgrees(t *testing.T) {
 
 // TestFilteredResultsRespectPredicate: every filtered result must be
 // live, inside the requested window, and carry every requested entity in
-// its stored embedding; an unresolvable label matches nothing; adding a
-// second facet can only shrink the result set.
+// its embedding, re-derived from its text; an unresolvable label matches
+// nothing; adding a second facet can only shrink the result set.
 func TestFilteredResultsRespectPredicate(t *testing.T) {
 	e, w, arts := filterFixture(t)
 	snap, err := e.acquire()
@@ -344,8 +345,9 @@ func TestFilteredExplain(t *testing.T) {
 }
 
 // bruteForceRelated replicates relatedContext's float leg with exact TAAT:
-// the stored embedding becomes the node query, scored over the
-// self-excluding composed filter, normalized as a pure-BON ranking.
+// the source document's embedding, re-derived from its text, becomes the
+// node query, scored over the self-excluding composed filter, normalized
+// as a pure-BON ranking.
 func bruteForceRelated(t *testing.T, e *Engine, q RelatedQuery) []Result {
 	t.Helper()
 	snap, err := e.acquire()
@@ -373,7 +375,7 @@ func bruteForceRelated(t *testing.T, e *Engine, q RelatedQuery) []Result {
 	node := snap.nodeSource(mustFilter(t, e, snap, q.After, q.Before, q.Entities, pos))
 	nq := make(search.Query, len(emb.Counts))
 	for n, c := range emb.Counts {
-		nq[nodeTerm(n)] = float64(c)
+		nq[core.NodeTerm(n)] = float64(c)
 	}
 	bon := exactTopK(t, node, search.NodeBM25(node.NumDocs(), node.AvgDocLen()), nq, pool)
 	fused := search.Fuse(nil, bon, 1, q.K)

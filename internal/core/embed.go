@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,33 @@ import (
 type DocEmbedding struct {
 	Subgraphs []*Subgraph
 	Counts    map[kg.NodeID]int
+}
+
+// NodeTerm names a KG node in the Bag-Of-Node vocabulary: its ID in base
+// 36. The BON index, BON queries and entity facets all spell a node this
+// way.
+func NodeTerm(n kg.NodeID) string { return strconv.FormatUint(uint64(n), 36) }
+
+// NodeTerms returns the embedding as a BON document, in the form
+// index.Builder.Add takes: the sorted multiset of its node terms, node n
+// repeated Counts[n] times. A nil embedding has no terms.
+func (d *DocEmbedding) NodeTerms() []string {
+	if d == nil {
+		return nil
+	}
+	total := 0
+	for _, c := range d.Counts {
+		total += c
+	}
+	terms := make([]string, 0, total)
+	for n, c := range d.Counts {
+		t := NodeTerm(n)
+		for range c {
+			terms = append(terms, t)
+		}
+	}
+	sort.Strings(terms)
+	return terms
 }
 
 // EmbedStats reports what one EmbedGroups call did, replacing the old

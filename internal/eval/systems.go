@@ -3,6 +3,8 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 
 	"newslink"
 	"newslink/internal/corpus"
@@ -74,11 +76,20 @@ type LuceneSystem struct {
 
 // NewLucene indexes the dataset's text.
 func NewLucene(d *Dataset) *LuceneSystem {
+	return &LuceneSystem{idx: textIndex(d.AllTexts())}
+}
+
+// textIndex indexes analyzed texts through a sorted copy of each, so the
+// texts stay in document order for the systems that share them (QEPRF's
+// feedback, LDA).
+func textIndex(texts [][]string) *index.Index {
 	b := index.NewBuilder()
-	for _, terms := range d.AllTexts() {
-		b.Add(terms)
+	for _, terms := range texts {
+		sorted := slices.Clone(terms)
+		sort.Strings(sorted)
+		b.Add(sorted)
 	}
-	return &LuceneSystem{idx: b.Build()}
+	return b.Build()
 }
 
 // topK ranks an in-memory index with default BM25 through the engine's
@@ -226,11 +237,7 @@ type QEPRFSystem struct {
 // NewQEPRF indexes the dataset and wires the expansion engine.
 func NewQEPRF(d *Dataset) *QEPRFSystem {
 	texts := d.AllTexts()
-	b := index.NewBuilder()
-	for _, terms := range texts {
-		b.Add(terms)
-	}
-	return &QEPRFSystem{eng: qeprf.New(d.World.Graph, b.Build(), texts, qeprf.DefaultConfig())}
+	return &QEPRFSystem{eng: qeprf.New(d.World.Graph, textIndex(texts), texts, qeprf.DefaultConfig())}
 }
 
 // Name implements System.

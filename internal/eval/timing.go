@@ -2,7 +2,7 @@ package eval
 
 import (
 	"fmt"
-	"strconv"
+	"sort"
 	"strings"
 	"time"
 
@@ -91,14 +91,9 @@ func RunFigure7(scale Scale) Figure7Result {
 		r.NETreeBound += time.Since(t0)
 
 		t0 = time.Now()
+		sort.Strings(terms)
 		textB.Add(terms)
-		w := make(map[string]float32)
-		if emb != nil {
-			for n, c := range emb.Counts {
-				w[strconv.FormatUint(uint64(n), 36)] = float32(c)
-			}
-		}
-		nodeB.AddWeighted(w)
+		nodeB.Add(emb.NodeTerms())
 		r.NSIndex += time.Since(t0)
 	}
 	t0 := time.Now()
@@ -149,14 +144,9 @@ func RunTable8(scale Scale) Table8Result {
 		for _, s := range doc.Sentences {
 			terms = append(terms, s.Terms...)
 		}
+		sort.Strings(terms)
 		textB.Add(terms)
-		w := make(map[string]float32)
-		if emb := embedder.EmbedGroups(nlp.MaximalSets(doc.EntityGroups())); emb != nil {
-			for n, c := range emb.Counts {
-				w[strconv.FormatUint(uint64(n), 36)] = float32(c)
-			}
-		}
-		nodeB.AddWeighted(w)
+		nodeB.Add(embedder.EmbedGroups(nlp.MaximalSets(doc.EntityGroups())).NodeTerms())
 	}
 	textIdx, nodeIdx := textB.Build(), nodeB.Build()
 
@@ -182,7 +172,7 @@ func RunTable8(scale Scale) Table8Result {
 		if emb != nil {
 			nq := make(search.Query, len(emb.Counts))
 			for n, c := range emb.Counts {
-				nq[strconv.FormatUint(uint64(n), 36)] = float64(c)
+				nq[core.NodeTerm(n)] = float64(c)
 			}
 			bon = topK(nodeIdx, nq, 100)
 		}

@@ -7,24 +7,23 @@ import (
 )
 
 // TestSerializeDeterministic: two builds of the same corpus must serialize
-// byte-identically. This pins both determinism fixes — Build canonicalizes
-// TermIDs in sorted term order, and AddWeighted folds a document's term
-// weights in sorted order so the float32 docLen sum (addition-order
-// sensitive) comes out the same regardless of map iteration. Reproducible
-// bytes make snapshot CRCs comparable across hosts for ops diffing.
+// byte-identically. Build canonicalizes TermIDs in sorted term order, so
+// map iteration shuffles neither them nor the directory, and Add takes a
+// document's terms sorted, so its float32 length (addition-order
+// sensitive) has one fold order. Reproducible bytes make snapshot CRCs
+// comparable across hosts for ops diffing.
 func TestSerializeDeterministic(t *testing.T) {
 	build := func() *Index {
 		// Fixed corpus, but wide documents so map-iteration order would
-		// shuffle both TermID assignment and docLen summation if either
-		// were order-sensitive.
+		// shuffle TermID assignment if it were order-sensitive.
 		rng := rand.New(rand.NewSource(42))
 		b := NewBuilder()
 		for d := 0; d < 300; d++ {
-			counts := make(map[string]float32)
-			for i := 0; i < 40; i++ {
-				counts[string(rune('a'+rng.Intn(26)))+string(rune('a'+rng.Intn(26)))] += float32(rng.Intn(12)) / 4.0
+			terms := make([]string, 40)
+			for i := range terms {
+				terms[i] = string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26)))
 			}
-			b.AddWeighted(counts)
+			add(b, terms)
 		}
 		return b.Build()
 	}

@@ -40,10 +40,10 @@ func TestDiskIndexMatchesMemory(t *testing.T) {
 		for i := 0; i <= rng.Intn(12); i++ {
 			terms = append(terms, vocab[rng.Intn(len(vocab))])
 		}
-		b.Add(terms)
+		add(b, terms)
 	}
 	// One fractional-weight document exercises the float TF encoding.
-	b.AddWeighted(map[string]float32{"t0": 2.5, "frac": 0.25})
+	addCounts(b, map[string]float32{"t0": 2.5, "frac": 0.25})
 	idx := b.Build()
 	disk, err := OpenIndex(writeTemp(t, idx))
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // interface the query processor consumes.
 func Example() {
 	b := index.NewBuilder()
-	b.Add(strings.Fields("taliban attack lahore"))
+	b.Add(strings.Fields("attack lahore taliban")) // terms in sorted order
 	b.Add(strings.Fields("cricket final lahore"))
 	idx := b.Build()
 
@@ -44,7 +44,7 @@ func Example() {
 	defer disk.Close()
 
 	late := index.NewBuilder()
-	late.Add(strings.Fields("election results lahore"))
+	late.Add(strings.Fields("election lahore results"))
 	combined := index.NewMulti(disk, late.Build())
 
 	fmt.Println("docs:", combined.NumDocs())

@@ -2,6 +2,9 @@ package index
 
 import (
 	"bytes"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -30,4 +33,43 @@ func FuzzReadIndex(f *testing.F) {
 			t.Fatalf("WriteTo after successful read: %v", err)
 		}
 	})
+}
+
+// FuzzBuilderAdd: for any documents (";"-separated lists of ","-separated
+// terms), Add of each list's sorted copy builds the bytes the map-count
+// reference addCounts builds — the same postings and the same float32
+// lengths — and Add of a list out of order panics.
+func FuzzBuilderAdd(f *testing.F) {
+	f.Add("b,a,b,c,a,b")
+	f.Add("lahore,taliban,lahore;;cricket,lahore,final,lahore")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		got, want := NewBuilder(), NewBuilder()
+		for _, doc := range strings.Split(s, ";") {
+			terms := strings.Split(doc, ",")
+			counts := make(map[string]float32, len(terms))
+			for _, term := range terms {
+				counts[term]++
+			}
+			sort.Strings(terms)
+			got.Add(terms)
+			addCounts(want, counts)
+			if terms[0] != terms[len(terms)-1] {
+				slices.Reverse(terms)
+				if !panics(func() { NewBuilder().Add(terms) }) {
+					t.Fatalf("Add(%q) of a list out of order did not panic", terms)
+				}
+			}
+		}
+		if !bytes.Equal(serialize(t, got.Build()), serialize(t, want.Build())) {
+			t.Fatalf("Add of %q builds an index unlike the map-count reference", s)
+		}
+	})
+}
+
+// panics reports whether fn panics.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
 }

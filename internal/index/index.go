@@ -124,7 +124,6 @@ type Builder struct {
 	terms    map[string]TermID
 	postings [][]Posting
 	docLen   []float32
-	scratch  []string // Add's sorted copy of one document's terms, reused
 }
 
 // NewBuilder returns an empty Builder.
@@ -132,70 +131,42 @@ func NewBuilder() *Builder {
 	return &Builder{terms: make(map[string]TermID)}
 }
 
-// Add indexes a document given its (already analyzed) terms and returns the
-// assigned DocID. Duplicate terms raise the term frequency: the terms are
-// sorted into a reused scratch slice and each run of equal terms is one
-// posting, so the fold order is AddWeighted's and the index is the same
-// bytes either way.
-func (b *Builder) Add(terms []string) DocID {
-	b.scratch = append(b.scratch[:0], terms...)
-	sort.Strings(b.scratch)
-	doc := b.nextDoc()
+// Add indexes a document given its analyzed terms in sorted order and
+// returns the assigned DocID. A run of k equal terms is one posting with
+// TF k, and the document length is the float32 sum of those TFs folded in
+// term order, so the index depends only on the document's term multiset
+// and serializes byte-identically however the terms were produced. Add
+// panics on a term out of order, which would post the document twice
+// under one term.
+func (b *Builder) Add(sorted []string) DocID {
+	if b.terms == nil {
+		b.terms = make(map[string]TermID)
+	}
+	doc := DocID(len(b.docLen))
 	var total float32
-	for i := 0; i < len(b.scratch); {
+	for i := 0; i < len(sorted); {
 		j := i + 1
-		for j < len(b.scratch) && b.scratch[j] == b.scratch[i] {
+		for j < len(sorted) && sorted[j] == sorted[i] {
 			j++
 		}
+		if j < len(sorted) && sorted[j] < sorted[i] {
+			panic(fmt.Sprintf("index: Builder.Add: term %q after %q", sorted[j], sorted[i]))
+		}
+		// Documents arrive in DocID order, so every list stays sorted
+		// without a sort at Build.
+		id, ok := b.terms[sorted[i]]
+		if !ok {
+			id = TermID(len(b.postings))
+			b.terms[sorted[i]] = id
+			b.postings = append(b.postings, nil)
+		}
 		c := float32(j - i)
-		b.post(b.scratch[i], doc, c)
+		b.postings[id] = append(b.postings[id], Posting{Doc: doc, TF: c})
 		total += c
 		i = j
 	}
 	b.docLen = append(b.docLen, total)
 	return doc
-}
-
-// AddWeighted indexes a document from explicit term weights (the BON model
-// supplies node-frequency weights directly). Terms are folded in sorted
-// order so the document length — a float32 sum, sensitive to addition
-// order — is identical across runs; together with Build's canonical TermID
-// assignment this makes serialized indexes byte-deterministic.
-func (b *Builder) AddWeighted(counts map[string]float32) DocID {
-	doc := b.nextDoc()
-	keys := make([]string, 0, len(counts))
-	for t := range counts {
-		keys = append(keys, t)
-	}
-	sort.Strings(keys)
-	var total float32
-	for _, t := range keys {
-		c := counts[t]
-		b.post(t, doc, c)
-		total += c
-	}
-	b.docLen = append(b.docLen, total)
-	return doc
-}
-
-// nextDoc returns the DocID the next document receives.
-func (b *Builder) nextDoc() DocID {
-	if b.terms == nil {
-		b.terms = make(map[string]TermID)
-	}
-	return DocID(len(b.docLen))
-}
-
-// post appends one posting to a term's list. Documents arrive in DocID
-// order, so every list stays sorted without a sort at Build.
-func (b *Builder) post(t string, doc DocID, tf float32) {
-	id, ok := b.terms[t]
-	if !ok {
-		id = TermID(len(b.postings))
-		b.terms[t] = id
-		b.postings = append(b.postings, nil)
-	}
-	b.postings[id] = append(b.postings[id], Posting{Doc: doc, TF: tf})
 }
 
 // Build finalizes the index: term IDs are canonicalized to sorted term
@@ -217,7 +188,7 @@ func (b *Builder) Build() *Index {
 		lists[i], data = appendBlocks(data, t, b.postings[b.terms[t]])
 	}
 	idx := newIndex(b.docLen, lists, data)
-	b.terms, b.postings, b.docLen, b.scratch = nil, nil, nil, nil
+	b.terms, b.postings, b.docLen = nil, nil, nil
 	return idx
 }
 

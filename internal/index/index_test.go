@@ -1,9 +1,44 @@
 package index
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
+
+// add indexes a document from an unsorted term list through Add, which
+// takes its terms sorted: the one way these tests feed a Builder.
+func add(b *Builder, terms []string) DocID {
+	sorted := append([]string(nil), terms...)
+	sort.Strings(sorted)
+	return b.Add(sorted)
+}
+
+// addCounts is the map-count reference for Add: it posts every term with
+// its weight, folding the weights into the length in sorted term order.
+// Weights may be fractional, a shape only the float TF encoding and the
+// order-sensitive length folds see.
+func addCounts(b *Builder, counts map[string]float32) DocID {
+	keys := make([]string, 0, len(counts))
+	for t := range counts {
+		keys = append(keys, t)
+	}
+	sort.Strings(keys)
+	doc := b.Add(nil) // an empty document, filled in below
+	var total float32
+	for _, t := range keys {
+		id, ok := b.terms[t]
+		if !ok {
+			id = TermID(len(b.postings))
+			b.terms[t] = id
+			b.postings = append(b.postings, nil)
+		}
+		b.postings[id] = append(b.postings[id], Posting{Doc: doc, TF: counts[t]})
+		total += counts[t]
+	}
+	b.docLen[doc] = total
+	return doc
+}
 
 func buildSmall() *Index {
 	b := NewBuilder()
@@ -14,7 +49,7 @@ func buildSmall() *Index {
 		"lahore lahore lahore cricket",
 	}
 	for _, d := range docs {
-		b.Add(strings.Fields(d))
+		add(b, strings.Fields(d))
 	}
 	return b.Build()
 }
@@ -58,13 +93,15 @@ func TestIndexBasics(t *testing.T) {
 	}
 }
 
-func TestAddWeighted(t *testing.T) {
+// TestAddFoldsRuns: a run of k equal terms is one posting with TF k, and
+// the document length is the sum of the TFs.
+func TestAddFoldsRuns(t *testing.T) {
 	b := NewBuilder()
-	d := b.AddWeighted(map[string]float32{"n1": 2, "n2": 1})
+	d := b.Add([]string{"n1", "n1", "n2"})
 	if d != 0 {
 		t.Fatalf("first doc id = %d", d)
 	}
-	b.AddWeighted(map[string]float32{"n2": 5})
+	b.Add([]string{"n2", "n2", "n2", "n2", "n2"})
 	idx := b.Build()
 	if idx.DF("n2") != 2 || idx.DF("n1") != 1 {
 		t.Fatalf("DFs: %d %d", idx.DF("n2"), idx.DF("n1"))
@@ -103,7 +140,7 @@ func TestEmptyIndex(t *testing.T) {
 
 func TestZeroValueBuilder(t *testing.T) {
 	var b Builder
-	b.Add([]string{"a", "b", "a"})
+	add(&b, []string{"a", "b", "a"})
 	idx := b.Build()
 	if idx.NumDocs() != 1 || idx.DF("a") != 1 {
 		t.Fatal("zero-value Builder broken")

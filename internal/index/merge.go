@@ -24,7 +24,7 @@ import (
 //   - docLen values are copied, not recomputed, so the float32 sums the
 //     Builder folded in sorted-term order survive bit-for-bit;
 //   - totalLen is re-accumulated as one float64 fold in document order —
-//     the same order Builder.AddWeighted used across consecutive Adds;
+//     the order newIndex folds a built index's lengths in;
 //   - postings concatenate in (segment, local DocID) order, so each term's
 //     list is already DocID-sorted and appendBlocks produces the same
 //     block layout a single build would;

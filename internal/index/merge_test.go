@@ -30,7 +30,7 @@ func randDocs(seed int64, n int) [][]string {
 func buildFrom(docs [][]string) *Index {
 	b := NewBuilder()
 	for _, d := range docs {
-		b.Add(d)
+		add(b, d)
 	}
 	return b.Build()
 }
@@ -197,7 +197,7 @@ func randPart(rng *rand.Rand, n int) *Index {
 		if rng.Intn(8) == 0 {
 			counts["frac"+strconv.Itoa(rng.Intn(3))] = 0.25 + rng.Float32()
 		}
-		b.AddWeighted(counts)
+		addCounts(b, counts)
 	}
 	return b.Build()
 }

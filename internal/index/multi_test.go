@@ -12,7 +12,7 @@ import (
 func seg(docs ...string) *Index {
 	b := NewBuilder()
 	for _, d := range docs {
-		b.Add(strings.Fields(d))
+		add(b, strings.Fields(d))
 	}
 	return b.Build()
 }
@@ -66,8 +66,8 @@ func TestMultiEquivalentToMonolithic(t *testing.T) {
 				terms = append(terms, vocab[rng.Intn(len(vocab))])
 			}
 			all = append(all, terms)
-			sb.Add(terms)
-			mono.Add(terms)
+			add(sb, terms)
+			add(mono, terms)
 		}
 		parts = append(parts, sb.Build())
 		segments = append(segments, parts[s])
@@ -112,7 +112,7 @@ func TestMultiFromContinuesFold(t *testing.T) {
 	for i := range parts {
 		b := NewBuilder()
 		for d := 0; d < 3+rng.Intn(40); d++ {
-			b.AddWeighted(map[string]float32{"a": rng.Float32() * 7, "b": rng.Float32() / 3})
+			addCounts(b, map[string]float32{"a": rng.Float32() * 7, "b": rng.Float32() / 3})
 		}
 		parts[i] = b.Build()
 	}

@@ -1,6 +1,8 @@
 package qeprf
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"newslink/internal/index"
@@ -34,7 +36,9 @@ func testWorld() (*kg.Graph, *index.Index, [][]string, []string) {
 	for _, d := range docs {
 		terms := nlp.Terms(d)
 		docTerms = append(docTerms, terms)
-		ib.Add(terms)
+		sorted := slices.Clone(terms)
+		sort.Strings(sorted)
+		ib.Add(sorted)
 	}
 	return g, ib.Build(), docTerms, docs
 }

@@ -13,9 +13,9 @@ import (
 func Example() {
 	b := index.NewBuilder()
 	for _, doc := range []string{
-		"taliban attack lahore bomb",
+		"attack bomb lahore taliban", // terms in sorted order
 		"cricket final lahore stadium",
-		"election results announced",
+		"announced election results",
 	} {
 		b.Add(strings.Fields(doc))
 	}

@@ -25,7 +25,7 @@ func buildRandIdx(seed int64, nDocs int) *index.Index {
 			t := rng.Intn(60)
 			terms[i] = "t" + strconv.Itoa(t*rng.Intn(60)/60)
 		}
-		b.Add(terms)
+		add(b, terms)
 	}
 	return b.Build()
 }

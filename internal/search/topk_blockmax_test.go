@@ -11,21 +11,22 @@ import (
 )
 
 // randomCorpus builds an index large enough that frequent terms span many
-// postings blocks, with a mix of integral and fractional term weights.
+// postings blocks, with some terms repeated so term frequencies vary.
 func randomCorpus(rng *rand.Rand, nDocs int, vocab []string) *index.Index {
 	b := index.NewBuilder()
 	for d := 0; d < nDocs; d++ {
 		n := 1 + rng.Intn(8)
-		counts := make(map[string]float32, n)
+		var terms []string
 		for i := 0; i < n; i++ {
 			t := vocab[rng.Intn(len(vocab))]
+			terms = append(terms, t)
 			if rng.Intn(4) == 0 {
-				counts[t] += float32(rng.Intn(8)) / 4.0 // fractional weights (BON path)
-			} else {
-				counts[t]++
+				for range rng.Intn(3) {
+					terms = append(terms, t)
+				}
 			}
 		}
-		b.AddWeighted(counts)
+		add(b, terms)
 	}
 	return b.Build()
 }
@@ -120,7 +121,7 @@ func TestBlockMaxPrunesBlocks(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			terms = append(terms, "filler")
 		}
-		b.Add(terms)
+		add(b, terms)
 	}
 	idx := b.Build()
 	sc := NewBM25(idx)

@@ -33,7 +33,7 @@ func randomDocs(nDocs, vocab int, seed int64) [][]string {
 func buildDocs(docs [][]string) *index.Index {
 	b := index.NewBuilder()
 	for _, terms := range docs {
-		b.Add(terms)
+		add(b, terms)
 	}
 	return b.Build()
 }

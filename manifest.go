@@ -96,8 +96,9 @@ type Shard struct {
 // segments — a shard worker's slice — from dir. g must match the snapshot's
 // graph fingerprint print; every artifact it reads (the two indexes and the
 // documents artifact of each segment) is checksum-verified against
-// checksums before any state is built, with the same typed errors as Load. Positions in the returned Shard's sources are
-// local to the slice: the first document of segs[0] is position 0.
+// checksums before any state is built, with the same typed errors as Load.
+// Positions in the returned Shard's sources are local to the slice: the
+// first document of segs[0] is position 0.
 func LoadSegments(dir string, g *kg.Graph, print GraphFingerprint, segs []ManifestSegment, checksums map[string]string) (*Shard, error) {
 	m := &snapshotMeta{Version: snapshotVersion, Graph: print, Segments: segs, Checksums: checksums}
 	loaded, err := loadSegments(dir, g, m, loadPostings)

@@ -32,7 +32,7 @@ package newslink
 import (
 	"context"
 	"fmt"
-	"strconv"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -312,11 +312,11 @@ func (e *Engine) NumDeletedDocs() int {
 }
 
 // addLocked appends one analyzed document to the open segment: the
-// document and its postings (the embedding is read for its BON weights and
-// not kept). A document ID is a duplicate when it is pending or live; a
-// tombstoned ID may be re-added (that is what Update does). Callers hold
-// e.mu.
-func (e *Engine) addLocked(doc Document, an analyzedDoc) error {
+// document and the postings of its sorted terms, which analysis produced
+// outside the lock. A document ID is a duplicate when it is pending or
+// live; a tombstoned ID may be re-added (that is what Update does).
+// Callers hold e.mu.
+func (e *Engine) addLocked(doc Document, terms docTerms) error {
 	if e.hasDocLocked(doc.ID) {
 		return fmt.Errorf("%w: %d", ErrDuplicateID, doc.ID)
 	}
@@ -324,8 +324,8 @@ func (e *Engine) addLocked(doc Document, an analyzedDoc) error {
 	e.ensureSegment()
 	e.pendPos[doc.ID] = len(e.pendDocs)
 	e.pendDocs = append(e.pendDocs, doc)
-	e.textB.Add(an.terms)
-	e.nodeB.AddWeighted(nodeWeights(an.emb))
+	e.textB.Add(terms.text)
+	e.nodeB.Add(terms.node)
 	live := 0
 	if s != nil {
 		e.pending.Add(1)
@@ -398,15 +398,17 @@ func (e *Engine) sealPendingLocked() *segment {
 
 // analyze runs the NLP and NE components on a document text (the indexing
 // path: no query-side caches, so paper-faithful per-document embedding
-// cost measurements stay meaningful). It reads only immutable engine state
-// and is safe to call without holding e.mu.
-func (e *Engine) analyze(text string) analyzedDoc {
+// cost measurements stay meaningful) and returns the document's terms in
+// the sorted form the index builders take. It reads only immutable engine
+// state and is safe to call without holding e.mu.
+func (e *Engine) analyze(text string) docTerms {
 	doc := e.gs.pipe.Process(text)
 	var terms []string
 	for _, s := range doc.Sentences {
 		terms = append(terms, s.Terms...)
 	}
-	return analyzedDoc{emb: e.gs.embedDoc(doc), terms: terms}
+	sort.Strings(terms)
+	return docTerms{text: terms, node: e.gs.embedDoc(doc).NodeTerms()}
 }
 
 // docEmbedding re-derives the subgraph embedding of the document at a
@@ -421,21 +423,6 @@ func (e *Engine) docEmbedding(s *segmentSet, pos int) (*core.DocEmbedding, error
 	}
 	return e.gs.embedDoc(e.gs.pipe.Process(text)), nil
 }
-
-// nodeWeights converts a document embedding into BON term weights.
-func nodeWeights(emb *core.DocEmbedding) map[string]float32 {
-	if emb == nil {
-		return map[string]float32{}
-	}
-	out := make(map[string]float32, len(emb.Counts))
-	for n, c := range emb.Counts {
-		out[nodeTerm(n)] = float32(c)
-	}
-	return out
-}
-
-// nodeTerm names a KG node in the BON index vocabulary.
-func nodeTerm(n kg.NodeID) string { return strconv.FormatUint(uint64(n), 36) }
 
 // Build finalizes the inverted indexes. It must be called once, after the
 // initial Add calls and before Search.
@@ -510,7 +497,7 @@ func (e *Engine) deleteAtLocked(s *segmentSet, pos int) {
 // upsertLocked replaces (or adds) one analyzed document: tombstone any
 // previous version, then add the new one (applyLocked's upsert case).
 // Callers hold e.mu.
-func (e *Engine) upsertLocked(doc Document, an analyzedDoc) error {
+func (e *Engine) upsertLocked(doc Document, terms docTerms) error {
 	s := e.set.Load()
 	if s == nil {
 		return ErrNotBuilt
@@ -525,7 +512,7 @@ func (e *Engine) upsertLocked(doc Document, an analyzedDoc) error {
 			e.deleteAtLocked(s, pos)
 		}
 	}
-	return e.addLocked(doc, an)
+	return e.addLocked(doc, terms)
 }
 
 // Compact merges every segment into a single tombstone-free segment,

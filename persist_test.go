@@ -8,9 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
+	"newslink/internal/core"
 	"newslink/internal/corpus"
 	"newslink/internal/index"
 	"newslink/internal/kg"
@@ -684,7 +687,9 @@ func TestRederivedEmbeddingMatchesPostings(t *testing.T) {
 }
 
 // checkRederivedMatchesPostings asserts that every live document of e
-// re-derives to the node weights its segment's node index holds for it.
+// re-derives to the node terms its segment's node index holds for it: the
+// embedding's NodeTerms equal the postings unfolded, term t of TF k
+// repeated k times.
 func checkRederivedMatchesPostings(t *testing.T, name string, e *Engine) {
 	t.Helper()
 	snap, err := e.acquire()
@@ -694,27 +699,28 @@ func checkRederivedMatchesPostings(t *testing.T, name string, e *Engine) {
 	g := e.Graph()
 	embedded := 0
 	for si, seg := range snap.segs {
-		postings := make([]map[string]float32, seg.numDocs())
+		postings := make([][]string, seg.numDocs())
 		for n := range g.NumNodes() {
-			term := nodeTerm(kg.NodeID(n))
+			term := core.NodeTerm(kg.NodeID(n))
 			ps, err := index.Postings(seg.node, term)
 			if err != nil {
 				t.Fatalf("%s: segment %d, term %s: %v", name, si, term, err)
 			}
 			for _, p := range ps {
-				if postings[p.Doc] == nil {
-					postings[p.Doc] = map[string]float32{}
+				for range int(p.TF) {
+					postings[p.Doc] = append(postings[p.Doc], term)
 				}
-				postings[p.Doc][term] = p.TF
 			}
 		}
 		for local := range seg.numDocs() {
 			if seg.dead.Get(local) {
 				continue
 			}
-			got := nodeWeights(embeddingAt(t, e, snap, snap.bases[si]+local))
-			if want := postings[local]; len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: document %d re-derives to node weights %v, its postings are %v", name, seg.docs.id(local), got, want)
+			got := embeddingAt(t, e, snap, snap.bases[si]+local).NodeTerms()
+			want := postings[local]
+			sort.Strings(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: document %d re-derives to node terms %v, its postings are %v", name, seg.docs.id(local), got, want)
 			}
 			if len(got) > 0 {
 				embedded++

@@ -47,6 +47,13 @@ type graphState struct {
 	embeds *lru.Cache[*core.DocEmbedding]
 }
 
+// analyzedDoc is the NLP/NE output for one query text, the value type of
+// the query cache: its terms, in text order, and its subgraph embedding.
+type analyzedDoc struct {
+	emb   *core.DocEmbedding
+	terms []string
+}
+
 // newGraphState derives the graph-side components from g under the
 // engine's configuration, with cold caches.
 func (e *Engine) newGraphState(g *kg.Graph) *graphState {

@@ -162,7 +162,7 @@ func (e *Engine) pool(snap *segmentSet, depth, k int) int {
 // q, so a query that does not outlive the call can stay off the heap.
 func nodeQuery(q search.Query, emb *core.DocEmbedding) search.Query {
 	for n, c := range emb.Counts {
-		q[nodeTerm(n)] = float64(c)
+		q[core.NodeTerm(n)] = float64(c)
 	}
 	return q
 }
