@@ -82,7 +82,7 @@ func TestAddAllMatchesSequentialAdd(t *testing.T) {
 		docs = append(docs, Document{ID: a.ID, Title: a.Title, Text: a.Text, Time: a.Time})
 	}
 	initial, late := docs[:30], docs[30:]
-	seq := New(w.Graph, DefaultConfig(), WithIngestBatch(8), WithWAL(t.TempDir()))
+	seq := New(w.Graph, DefaultConfig(), withWriteBatch(8), WithWAL(t.TempDir()))
 	defer seq.Close()
 	for _, d := range initial {
 		if err := seq.Add(d); err != nil {
@@ -97,7 +97,7 @@ func TestAddAllMatchesSequentialAdd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	par := New(w.Graph, DefaultConfig(), WithIngestBatch(8), WithWAL(t.TempDir()))
+	par := New(w.Graph, DefaultConfig(), withWriteBatch(8), WithWAL(t.TempDir()))
 	defer par.Close()
 	if err := par.AddAll(initial, 4); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestAddAllMatchesSequentialAdd(t *testing.T) {
 func TestAddAllAbortsAcrossWindows(t *testing.T) {
 	_, arts := corpus.Sample()
 	walDir := t.TempDir()
-	e := walEngine(t, walDir, WithIngestBatch(4))
+	e := walEngine(t, walDir, withWriteBatch(4))
 	defer e.Close()
 	batch := make([]Document, 20)
 	for i := range batch {
@@ -173,7 +173,7 @@ func TestAddAllAbortsAcrossWindows(t *testing.T) {
 	// Crash: replay a copy of the log over the same starting corpus.
 	replayDir := t.TempDir()
 	copyDir(t, walDir, replayDir)
-	replayed := walEngine(t, replayDir, WithIngestBatch(4))
+	replayed := walEngine(t, replayDir, withWriteBatch(4))
 	defer replayed.Close()
 	if got, want := replayed.NumDocs(), e.NumDocs(); got != want {
 		t.Fatalf("replayed NumDocs = %d, want %d", got, want)

@@ -3,7 +3,7 @@
 //	newslinkd [-addr :8080] [-kg kg.tsv -corpus corpus.jsonl]
 //	          [-beta 0.2] [-snapshot dir] [-workers 0] [-querytimeout 20s]
 //	          [-max-inflight 256] [-admission-wait 100ms] [-bon-timeout 0]
-//	          [-wal dir] [-ingest-queue 0] [-ingest-batch 0]
+//	          [-wal dir] [-ingest-queue 0]
 //	          [-drain-timeout 15s] [-drain-grace 0]
 //	          [-debug-addr :6060] [-log-level info]
 //
@@ -29,7 +29,9 @@
 // in-flight requests within -drain-timeout.
 //
 // Streaming ingestion: -ingest-queue arms the async write pipeline behind
-// POST /v1/docs:stream (a full queue sheds with 429 + Retry-After), and
+// POST /v1/docs:stream (a full queue sheds with 429 + Retry-After; POST
+// /v1/docs and DELETE /v1/docs/{id} stay synchronous, bounded by admission
+// control like the queries), and
 // -wal makes every acknowledged post-startup write durable — after a
 // crash the next start with the same -wal directory replays the log.
 //
@@ -80,7 +82,6 @@ func main() {
 	embedCache := flag.Int("embed-cache", 128, "entity-set embedding cache capacity (0 disables the tier)")
 	walDir := flag.String("wal", "", "write-ahead log directory: post-startup writes are durably logged and replayed after a crash (empty = disabled)")
 	ingestQueue := flag.Int("ingest-queue", 0, "bounded async ingest queue for POST /v1/docs:stream; a full queue sheds with 429 (0 = synchronous ingestion)")
-	ingestBatch := flag.Int("ingest-batch", 0, "documents per ingest micro-batch (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "shutdown deadline for in-flight requests after SIGINT/SIGTERM, in all three modes")
 	drainGrace := flag.Duration("drain-grace", 0, "pause between the stop signal (single process: flipping /v1/readyz to 503) and closing listeners, for load balancers to take the instance out of rotation")
 	debugAddr := flag.String("debug-addr", "", "optional private listen address for net/http/pprof and metrics (empty = disabled)")
@@ -148,9 +149,6 @@ func main() {
 	}
 	if *ingestQueue > 0 {
 		engineOpts = append(engineOpts, newslink.WithIngestQueue(*ingestQueue))
-	}
-	if *ingestBatch > 0 {
-		engineOpts = append(engineOpts, newslink.WithIngestBatch(*ingestBatch))
 	}
 	engine, err := buildEngineMode(*kgPath, *corpusPath, *beta, *snapshot, *workers, *onDisk)
 	if err != nil {

@@ -22,7 +22,7 @@ import (
 // its windows.
 func TestConcurrentAddSearchExplain(t *testing.T) {
 	g, arts := corpus.Sample()
-	e := New(g, DefaultConfig(), WithIngestBatch(4))
+	e := New(g, DefaultConfig(), withWriteBatch(4))
 	for _, a := range arts[:2] {
 		if err := e.Add(Document{ID: a.ID, Title: a.Title, Text: a.Text}); err != nil {
 			t.Fatal(err)

@@ -29,10 +29,11 @@ var (
 	// ErrSnapshotVersion is returned by Load/LoadOnDisk when the snapshot
 	// was written by an incompatible format version.
 	ErrSnapshotVersion = errors.New("newslink: snapshot version mismatch")
-	// ErrIngestOverload is returned by writes when the bounded ingest
-	// queue (WithIngestQueue) is full. The write was not logged, not
-	// queued and will not be applied; callers should retry after a
-	// backoff — the HTTP layer maps it to 429 + Retry-After.
+	// ErrIngestOverload is returned by Ingest when the bounded ingest
+	// queue (WithIngestQueue) is full; the synchronous writes never see
+	// it. The write was not logged, not queued and will not be applied;
+	// callers should retry after a backoff — the HTTP layer maps it to
+	// 429 + Retry-After.
 	ErrIngestOverload = errors.New("newslink: ingest queue full")
 	// ErrWALCorrupt is returned by Build/Load when the write-ahead log
 	// fails validation: a fully-written record with a checksum mismatch,

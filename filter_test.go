@@ -492,22 +492,18 @@ func TestRelatedSemantics(t *testing.T) {
 	}
 }
 
-// TestWALTimestampBackCompat: records written before the timestamp existed
-// (no trailing varint) decode with Time 0; new records roundtrip it.
+// TestWALTimestampBackCompat: a record roundtrips its timestamp, and a
+// record that ends at the text — the layout written before the timestamp
+// existed, against snapshots every loader now refuses — is corrupt.
 func TestWALTimestampBackCompat(t *testing.T) {
 	doc := Document{ID: 7, Title: "t", Text: "body text", Time: 1600000000}
 	op, got, err := decodeWALOp(encodeWALOp(walOpAdd, doc))
 	if err != nil || op != walOpAdd || !reflect.DeepEqual(got, doc) {
 		t.Fatalf("roundtrip: op=%d doc=%+v err=%v", op, got, err)
 	}
-	// Hand-craft the pre-timestamp record layout: it simply ends at the text.
 	old := encodeWALOp(walOpAdd, Document{ID: 7, Title: "t", Text: "body text"})
 	old = old[:len(old)-1] // drop the encoded zero timestamp byte
-	op, got, err = decodeWALOp(old)
-	if err != nil || op != walOpAdd {
-		t.Fatalf("old record: op=%d err=%v", op, err)
-	}
-	if got.Time != 0 || got.ID != 7 || got.Text != "body text" {
-		t.Fatalf("old record decoded to %+v, want Time 0", got)
+	if _, _, err := decodeWALOp(old); !errors.Is(err, ErrWALCorrupt) {
+		t.Fatalf("record without a timestamp: %v, want ErrWALCorrupt", err)
 	}
 }

@@ -23,30 +23,31 @@ import (
 //     survive a crash between snapshots, and Save rotates + prunes it so
 //     the log never grows past one snapshot interval.
 //
-//   - WithIngestQueue(n) arms the async pipeline: Ingest acknowledges
-//     after durability and queueing, and a single applier goroutine folds
-//     queued writes into micro-batches — NLP/NER analysis fans out across
-//     cores outside the engine lock, then the whole batch is indexed under
-//     one lock acquisition and sealed as one segment, which the PR 5
-//     tiered merge policy keeps compacted. A full queue sheds writes with
-//     ErrIngestOverload instead of building an unbounded backlog.
+//   - WithIngestQueue(n) arms the async pipeline for Ingest alone: Ingest
+//     acknowledges after durability and queueing, and a single applier
+//     goroutine folds queued upserts into micro-batches — NLP/NER analysis
+//     fans out across cores outside the engine lock, then the whole batch
+//     is indexed under one lock acquisition and sealed as one segment,
+//     which the tiered merge policy keeps compacted. A full queue sheds
+//     Ingest with ErrIngestOverload instead of building an unbounded
+//     backlog.
 //
-// Every mutation is a writeOp and takes one path: write decides queued
-// (ingestPipeline.submit) or direct (writeSync); both log before they
-// apply and acknowledge only what is durable, and both — like WAL replay —
-// land in applyLocked.
+// Every synchronous mutation (Add, AddAll, Update, Delete, and Ingest
+// without a queue) takes one path, write → writeSync → writeWindow, at
+// every setting; a queued Ingest takes ingestPipeline.submit. Both log
+// before they apply and acknowledge only what is durable, and both — like
+// WAL replay — land in applyLocked.
 //
-// Lock order: walMu strictly before e.mu, everywhere. A write assigns its
-// WAL record and its queue slot (or its direct apply) under walMu, so WAL
-// order, queue order and apply order are one total order — replaying the
-// log over the same starting state converges to the same searchable state
-// as the original run.
+// Lock order: walMu strictly before e.mu, everywhere. A queued Ingest
+// takes its WAL record and its queue slot under walMu; a synchronous write
+// first drains the queue under walMu, then logs and applies its window
+// there. So WAL order, queue order and apply order are one total order —
+// replaying the log over the same starting state converges to the same
+// searchable state as the original run.
 
 // WAL record ops. A record is [op byte][zigzag-varint doc ID] followed,
 // for document-carrying ops, by two length-prefixed strings (title, text)
-// and a zigzag-varint event timestamp (Document.Time). Records written
-// before the timestamp existed simply end after the text; decode treats
-// the absent field as Time 0, so pre-existing logs replay unchanged.
+// and a zigzag-varint event timestamp (Document.Time).
 const (
 	walOpAdd    byte = 1 // strict add: replay skips duplicates, as Add errors on them
 	walOpUpsert byte = 2 // tombstone any previous version, then add
@@ -112,17 +113,12 @@ func decodeWALOp(p []byte) (byte, Document, error) {
 	if doc.Text, ok = readString(); !ok {
 		return fail("truncated text")
 	}
-	if len(p) > 0 {
-		// The event timestamp; absent in records written before it existed
-		// (those end at the text), so only decode it when bytes remain.
-		t, n := binary.Varint(p)
-		if n <= 0 {
-			return fail("truncated timestamp")
-		}
-		doc.Time = t
-		p = p[n:]
+	t, n := binary.Varint(p)
+	if n <= 0 {
+		return fail("truncated timestamp")
 	}
-	if len(p) != 0 {
+	doc.Time = t
+	if len(p) != n {
 		return fail("trailing bytes after document")
 	}
 	return op, doc, nil
@@ -133,13 +129,12 @@ func decodeWALOp(p []byte) (byte, Document, error) {
 type writeOp struct {
 	op  byte
 	doc Document
-	// res is set only on queued ops whose caller waits: the synchronous
-	// APIs (Add, Update, Delete, AddAll) route through the queue while the
-	// pipeline is armed — preserving the single total order — and receive
-	// their documented return value here. Ingest leaves it nil and
-	// acknowledges at durability instead.
-	res chan error
 }
+
+// writeBatch bounds how many writes are analyzed at once on either path:
+// one window of a synchronous batch, or one micro-batch of the ingest
+// applier (indexed and sealed as a single segment).
+const writeBatch = 256
 
 // Add processes and indexes one document: NLP (Section IV), subgraph
 // embedding (Section V) and both inverted indexes (Section VI). Documents
@@ -152,7 +147,7 @@ type writeOp struct {
 // next Search or an explicit Refresh. Add is safe to call concurrently with
 // searches and other Adds.
 func (e *Engine) Add(doc Document) error {
-	return e.write(walOpAdd, []Document{doc}, 1, true)
+	return e.write(walOpAdd, []Document{doc}, 1)
 }
 
 // AddAll indexes a batch of documents, running the NLP and NE components
@@ -161,20 +156,21 @@ func (e *Engine) Add(doc Document) error {
 // identical to sequential Add calls in the same order; only wall-clock time
 // changes. workers <= 0 selects GOMAXPROCS.
 //
-// The batch is indexed in windows of the WithIngestBatch bound (default
-// 256), the same bound the ingest queue's micro-batches use: one window is
-// applied while the next is analyzed, so memory holds at most two windows
-// of analysis, not the whole batch. After Build, the batch lands in the
-// open segment like individual Adds, each window WAL-logged first under
-// one group-commit fsync, so every document of an acknowledged batch
-// survives a crash. Between two windows the call lets go of the log, so
-// another writer or a Save may land there; log order still equals apply
-// order, which is all replay needs. A duplicate document ID aborts the
-// batch at the offending document; documents before it stay indexed and
-// nothing after it is logged or applied (replay skips the duplicate the
-// same way, converging to the state this call left behind).
+// The batch is indexed in windows of 256 documents, the bound the ingest
+// queue's micro-batches use: one window is applied while the next is
+// analyzed, so memory holds at most two windows of analysis, not the
+// whole batch. After Build, the batch lands in the open segment like
+// individual Adds — sealed by the next Search or Refresh, whether or not
+// WithIngestQueue is armed — each window WAL-logged first under one
+// group-commit fsync, so every document of an acknowledged batch survives
+// a crash. Between two windows the call lets go of the log, so another
+// writer, a queued Ingest or a Save may land there; log order still
+// equals apply order, which is all replay needs. A duplicate document ID
+// aborts the batch at the offending document; documents before it stay
+// indexed and nothing after it is logged or applied (replay skips the
+// duplicate the same way, converging to the state this call left behind).
 func (e *Engine) AddAll(docs []Document, workers int) error {
-	return e.write(walOpAdd, docs, workers, true)
+	return e.write(walOpAdd, docs, workers)
 }
 
 // Update replaces the document with doc.ID by tombstoning the old version
@@ -183,7 +179,7 @@ func (e *Engine) AddAll(docs []Document, workers int) error {
 // view: any search sees either the old version or the new one, never both.
 // Returns ErrNotBuilt before Build; use Add for initial corpus loading.
 func (e *Engine) Update(doc Document) error {
-	return e.write(walOpUpsert, []Document{doc}, 1, true)
+	return e.write(walOpUpsert, []Document{doc}, 1)
 }
 
 // Delete tombstones a document by ID: it disappears from Search, Explain
@@ -194,7 +190,7 @@ func (e *Engine) Update(doc Document) error {
 // returns ErrNotBuilt. Safe to call concurrently with searches — the
 // tombstone is a copy-on-write swap of the published segment set.
 func (e *Engine) Delete(id int) error {
-	return e.write(walOpDelete, []Document{{ID: id}}, 1, true)
+	return e.write(walOpDelete, []Document{{ID: id}}, 1)
 }
 
 // Ingest enqueues one document upsert for asynchronous indexing and
@@ -202,35 +198,28 @@ func (e *Engine) Delete(id int) error {
 // armed) and admitted to the bounded queue. The document becomes
 // searchable when its micro-batch is applied — typically milliseconds;
 // FlushIngest waits for everything admitted so far. A full queue returns
-// ErrIngestOverload without logging or queueing anything.
+// ErrIngestOverload without logging or queueing anything; Ingest is the
+// only write that sheds — the synchronous APIs never touch the queue.
 //
 // Without WithIngestQueue, Ingest is a synchronous upsert (Update), so
 // callers can treat it as the streaming write API at either setting.
 // Like Update it requires a built engine.
 func (e *Engine) Ingest(doc Document) error {
-	return e.write(walOpUpsert, []Document{doc}, 1, false)
+	if p := e.ingest.Load(); p != nil {
+		return p.submit(doc)
+	}
+	return e.Update(doc)
 }
 
-// write is the one entry of every mutation. While the ingest pipeline is
-// armed each document goes through its queue — one total order with the
-// WAL — and, when wait is set, blocks for its apply result, so the
-// documented synchronous semantics (ErrDuplicateID, a batch aborting at
-// the offending document, ...) hold at either setting; the applier does
-// the parallel analysis per micro-batch. Otherwise the batch is written
-// synchronously, analyzed on up to workers goroutines. A cluster router's
-// engine (LoadRouted) takes no write: its documents must stay the ones its
-// shard workers hold postings for.
-func (e *Engine) write(op byte, docs []Document, workers int, wait bool) error {
+// write is the one entry of every synchronous mutation: the batch is
+// written directly, analyzed on up to workers goroutines, whether or not
+// the ingest pipeline is armed (writeWindow drains it first). A cluster
+// router's engine (LoadRouted, which never arms the pipeline) takes no
+// write: its documents must stay the ones its shard workers hold postings
+// for.
+func (e *Engine) write(op byte, docs []Document, workers int) error {
 	if e.remote != nil {
 		return ErrReadOnly
-	}
-	if p := e.ingest.Load(); p != nil {
-		for _, doc := range docs {
-			if err := p.submit(op, doc, wait); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	ops := make([]writeOp, len(docs))
 	for i, doc := range docs {
@@ -240,8 +229,8 @@ func (e *Engine) write(op byte, docs []Document, workers int, wait bool) error {
 }
 
 // writeSync is the direct write path. It works in windows of at most
-// opts.ingestBatch ops — the bound the ingest applier's micro-batches
-// share — so a batch never holds more than two windows of analyzed
+// opts.batch ops (writeBatch; the bound the ingest applier's micro-batches
+// share), so a batch never holds more than two windows of analyzed
 // documents: while window i is logged and applied (writeWindow), one
 // goroutine analyzes window i+1 outside every lock. A batch of one window
 // is analyzed and applied on the caller's goroutine alone. The first
@@ -249,7 +238,7 @@ func (e *Engine) write(op byte, docs []Document, workers int, wait bool) error {
 // window is logged or applied, and the in-flight analysis is waited for
 // and discarded, so no goroutine outlives the call.
 func (e *Engine) writeSync(ops []writeOp, workers int) error {
-	size := e.opts.ingestBatch
+	size := e.opts.batch
 	if len(ops) <= size {
 		return e.writeWindow(ops, e.analyzeBatch(ops, workers))
 	}
@@ -282,14 +271,18 @@ func (e *Engine) writeSync(ops []writeOp, workers int) error {
 // writeWindow logs and applies one window of analyzed ops. Analysis reads
 // only immutable engine state, so it ran outside every lock: concurrent
 // writers embed in parallel and searches are not blocked. Then, under
-// walMu (log order is apply order): post-Build writes are logged and made
-// durable with one group-commit wait for the window — pre-Build writes are
-// not logged, the initial corpus is covered by Build/Save — and applied
-// under mu. Indexing is order-dependent (DocIDs are positional), so apply
-// is sequential; analysis handed it each document's terms sorted, so it
-// only appends postings — 3 to 6 % of build CPU in GOMAXPROCS=1 profiles
-// of BenchmarkColdBuild on a 2-core host. The first failing op aborts the
-// window; ops before it stay applied.
+// walMu (log order is apply order): an armed ingest queue is drained
+// first, so every Ingest logged before this window is applied before it;
+// post-Build writes are logged and made durable with one group-commit
+// wait for the window — pre-Build writes are not logged, the initial
+// corpus is covered by Build/Save — and applied under mu. The window
+// holds walMu through its own fsync, so queue admissions wait that fsync
+// out, as every other writer does. Indexing is order-dependent (DocIDs
+// are positional), so apply is sequential; analysis handed it each
+// document's terms sorted, so it only appends postings — 3 to 6 % of
+// build CPU in GOMAXPROCS=1 profiles of BenchmarkColdBuild on a 2-core
+// host. The first failing op aborts the window; ops before it stay
+// applied.
 func (e *Engine) writeWindow(ops []writeOp, analyzed []docTerms) error {
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
@@ -301,9 +294,15 @@ func (e *Engine) writeWindow(ops []writeOp, analyzed []docTerms) error {
 	}
 	if e.walClosed {
 		// A closed log can no longer make the write durable; failing is
-		// honest, silently-not-logging is not. Engines that never armed a
-		// WAL keep accepting writes after Close as before.
+		// honest, silently-not-logging is not. Engines that armed neither a
+		// WAL nor a queue keep accepting writes after Close as before.
 		return ErrClosed
+	}
+	if p := e.ingest.Load(); p != nil {
+		if p.closed {
+			return ErrClosed
+		}
+		p.drainLocked()
 	}
 	if e.wal != nil && built {
 		ops = e.cutAfterRejectedAdd(ops)
@@ -366,13 +365,13 @@ func (e *Engine) applyLocked(op byte, doc Document, terms docTerms) error {
 }
 
 // ingestPipeline is the armed async ingest machinery: the bounded queue
-// and its single applier goroutine. Queue admission (and WAL logging)
-// happens under e.walMu; the applier applies under e.mu only, so Save can
-// block admissions and wait for the queue to drain without deadlock.
+// of Ingest upserts and its single applier goroutine. Queue admission (and
+// WAL logging) happens under e.walMu; the applier applies under e.mu only,
+// so Save and the synchronous writes can block admissions and wait for
+// the queue to drain without deadlock.
 type ingestPipeline struct {
-	e     *Engine
-	ch    chan writeOp
-	batch int
+	e  *Engine
+	ch chan writeOp
 
 	// closed and enqueued are guarded by e.walMu (admission order is WAL
 	// order); applied is guarded by mu, with cond broadcast per batch so
@@ -394,27 +393,21 @@ type ingestPipeline struct {
 	done chan struct{}
 }
 
-func newIngestPipeline(e *Engine, queue, batch int) *ingestPipeline {
+func newIngestPipeline(e *Engine, queue int) *ingestPipeline {
 	p := &ingestPipeline{
-		e:     e,
-		ch:    make(chan writeOp, queue),
-		batch: batch,
-		done:  make(chan struct{}),
+		e:    e,
+		ch:   make(chan writeOp, queue),
+		done: make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-// submit is the single entry of every write while the pipeline is armed:
-// admission check, WAL logging and queueing under one walMu critical
-// section (one total order), then — outside the lock — the durability
-// wait (group commit batches it with concurrent submitters) and, for
-// synchronous callers, the apply result.
-func (p *ingestPipeline) submit(op byte, doc Document, wait bool) error {
-	var res chan error
-	if wait {
-		res = make(chan error, 1)
-	}
+// submit is Ingest's entry while the pipeline is armed: admission check,
+// WAL logging and queueing of one upsert under one walMu critical section
+// (one total order), then — outside the lock — the durability wait (group
+// commit batches it with concurrent submitters).
+func (p *ingestPipeline) submit(doc Document) error {
 	e := p.e
 	e.walMu.Lock()
 	if p.closed {
@@ -430,7 +423,7 @@ func (p *ingestPipeline) submit(op byte, doc Document, wait bool) error {
 	logged := false
 	if e.wal != nil {
 		var err error
-		if pos, err = e.wal.Write(encodeWALOp(op, doc)); err != nil {
+		if pos, err = e.wal.Write(encodeWALOp(walOpUpsert, doc)); err != nil {
 			e.walMu.Unlock()
 			return err
 		}
@@ -438,24 +431,19 @@ func (p *ingestPipeline) submit(op byte, doc Document, wait bool) error {
 	}
 	p.enqueued++
 	// Cannot block: capacity was checked above and walMu serializes senders.
-	p.ch <- writeOp{op: op, doc: doc, res: res}
+	p.ch <- writeOp{op: walOpUpsert, doc: doc}
 	e.met.ingestQueued.Inc()
 	e.met.ingestDepth.Set(int64(len(p.ch)))
 	e.walMu.Unlock()
 	if logged {
-		if err := e.wal.WaitDurable(pos); err != nil {
-			return err
-		}
-	}
-	if res != nil {
-		return <-res
+		return e.wal.WaitDurable(pos)
 	}
 	return nil
 }
 
-// run is the applier goroutine: collect up to batch queued writes, apply
-// them as one micro-batch, repeat until the queue is closed (Close drains
-// it first, so a closed channel is an empty one).
+// run is the applier goroutine: collect up to opts.batch (writeBatch)
+// queued writes, apply them as one micro-batch, repeat until the queue is
+// closed (Close drains it first, so a closed channel is an empty one).
 func (p *ingestPipeline) run() {
 	defer close(p.done)
 	for {
@@ -463,10 +451,11 @@ func (p *ingestPipeline) run() {
 		if !ok {
 			return
 		}
-		batch := make([]writeOp, 1, p.batch)
+		size := p.e.opts.batch
+		batch := make([]writeOp, 1, size)
 		batch[0] = first
 	collect:
-		for len(batch) < p.batch {
+		for len(batch) < size {
 			select {
 			case it, ok := <-p.ch:
 				if !ok {
@@ -491,20 +480,13 @@ func (p *ingestPipeline) run() {
 // tests prove the WAL replays it.
 func (p *ingestPipeline) apply(batch []writeOp) {
 	e := p.e
-	if err := faults.Fire(faults.IngestApply); err != nil {
-		for _, it := range batch {
-			if it.res != nil {
-				it.res <- err
-			}
-		}
-	} else {
+	if faults.Fire(faults.IngestApply) == nil {
 		analyzed := e.analyzeBatch(batch, 0)
 		e.mu.Lock()
 		for i, it := range batch {
-			ierr := e.applyLocked(it.op, it.doc, analyzed[i])
-			if it.res != nil {
-				it.res <- ierr
-			}
+			// An upsert fails only before Build, and the pipeline is armed
+			// only after it.
+			_ = e.applyLocked(it.op, it.doc, analyzed[i])
 		}
 		e.refreshLocked()
 		e.mu.Unlock()
@@ -622,7 +604,9 @@ func (p *ingestPipeline) waitApplied(target int64) {
 // e.walMu, which blocks new admissions — the applier needs only e.mu, so
 // it keeps draining. Save runs this before capturing the segment set and
 // rotating the log: anything admitted (and logged to the old generation)
-// must be in the capture, or pruning the old generation would lose it.
+// must be in the capture, or pruning the old generation would lose it. A
+// synchronous write runs it before logging its window, so the queued
+// writes logged ahead of it are applied ahead of it.
 func (p *ingestPipeline) drainLocked() {
 	p.waitApplied(p.enqueued)
 }
@@ -664,7 +648,7 @@ func (e *Engine) startDurabilityLocked() error {
 		e.wal = l
 	}
 	if e.opts.ingestQueue > 0 {
-		p := newIngestPipeline(e, e.opts.ingestQueue, e.opts.ingestBatch)
+		p := newIngestPipeline(e, e.opts.ingestQueue)
 		e.ingest.Store(p)
 		go p.run()
 	}

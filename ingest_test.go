@@ -10,6 +10,7 @@ import (
 
 	"newslink/internal/corpus"
 	"newslink/internal/faults"
+	"newslink/internal/kg"
 )
 
 // Crash-recovery and backpressure tests for the streaming ingest pipeline
@@ -29,6 +30,13 @@ func streamDoc(arts []corpus.Article, i int) Document {
 		Title: fmt.Sprintf("stream %d: %s", i, a.Title),
 		Text:  a.Text,
 	}
+}
+
+// withWriteBatch lowers the write batch bound (writeBatch, 256) to n, so
+// a test gets many synchronous windows and ingest micro-batches out of a
+// few documents.
+func withWriteBatch(n int) Option {
+	return optionFunc(func(o *engineOptions) { o.batch = n })
 }
 
 // walEngine builds an engine over the sample corpus with the WAL (and
@@ -133,7 +141,7 @@ func walSegments(t *testing.T, dir string) []string {
 // FlushIngest, and the metrics account for every write.
 func TestIngestPipelineServes(t *testing.T) {
 	dir := t.TempDir()
-	e := walEngine(t, dir, WithIngestQueue(64), WithIngestBatch(8))
+	e := walEngine(t, dir, WithIngestQueue(64), withWriteBatch(8))
 	defer e.Close()
 	_, arts := corpus.Sample()
 	const n = 40
@@ -185,6 +193,30 @@ func TestIngestCrashRecoveryConverges(t *testing.T) {
 				}
 			}
 		},
+		// Queued and synchronous writes on one ID: each synchronous write
+		// must see every Ingest logged before it applied, or Delete finds
+		// nothing to delete and AddAll no duplicate to stop at.
+		"ingest-delete-update-interleaved": func(t *testing.T, e *Engine) {
+			d := streamDoc(arts, 0)
+			if err := e.Ingest(d); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Delete(d.ID); err != nil {
+				t.Fatalf("Delete after Ingest: %v", err)
+			}
+			d.Title = "reingested " + d.Title
+			if err := e.Ingest(d); err != nil {
+				t.Fatal(err)
+			}
+			d.Title, d.Text = "updated "+d.Title, arts[5].Text
+			if err := e.Update(d); err != nil {
+				t.Fatal(err)
+			}
+			batch := []Document{streamDoc(arts, 1), d, streamDoc(arts, 2)}
+			if err := e.AddAll(batch, 2); !errors.Is(err, ErrDuplicateID) {
+				t.Fatalf("AddAll carrying an ingested ID: %v", err)
+			}
+		},
 		"batch-duplicate-update-delete": func(t *testing.T, e *Engine) {
 			batch := []Document{streamDoc(arts, 0), streamDoc(arts, 1), streamDoc(arts, 2),
 				streamDoc(arts, 1), streamDoc(arts, 3)}
@@ -201,13 +233,18 @@ func TestIngestCrashRecoveryConverges(t *testing.T) {
 			}
 		},
 	}
+	defer faults.Disarm()
 	for name, run := range histories {
 		t.Run(name, func(t *testing.T) {
 			dirD, dirQ := t.TempDir(), t.TempDir()
 			direct := walEngine(t, dirD)
 			run(t, direct)
-			queued := walEngine(t, dirQ, WithIngestQueue(64), WithIngestBatch(4))
+			queued := walEngine(t, dirQ, WithIngestQueue(64), withWriteBatch(4))
+			// A slow applier keeps acknowledged Ingests queued when the
+			// synchronous writes behind them arrive.
+			faults.Arm(faults.New().Delay(faults.IngestApply, 5*time.Millisecond))
 			run(t, queued)
+			faults.Disarm()
 			queued.FlushIngest()
 			// Crash: no Close, no Save. The WALs are the only durable record.
 			replayedD := walEngine(t, dirD)
@@ -218,6 +255,49 @@ func TestIngestCrashRecoveryConverges(t *testing.T) {
 			assertConverged(t, replayedD, direct)
 			assertConverged(t, replayedQ, direct)
 		})
+	}
+}
+
+// TestQueuedEngineAddAllKeepsWindows: arming the ingest queue does not
+// change how a synchronous batch is written. A post-Build AddAll of 500
+// documents lands in the open segment in windows of 256 — one group-commit
+// fsync per window, no seal until Refresh — as it does without the queue.
+func TestQueuedEngineAddAllKeepsWindows(t *testing.T) {
+	w := kg.Generate(kg.DefaultConfig(23))
+	const initial, n = 20, 500
+	arts := corpus.Generate(w, corpus.CNNLike(), initial+n, 23)
+	docs := make([]Document, len(arts))
+	for i, a := range arts {
+		docs[i] = Document{ID: a.ID, Title: a.Title, Text: a.Text, Time: a.Time}
+	}
+	e := New(w.Graph, DefaultConfig(), WithWAL(t.TempDir()), WithIngestQueue(64))
+	defer e.Close()
+	if err := e.AddAll(docs[:initial], 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	segs, refreshes := e.NumSegments(), e.met.refreshes.Value()
+	fsyncs := e.met.walFsyncSeconds.Count()
+	if err := e.AddAll(docs[initial:], 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.NumSegments(); got != segs {
+		t.Fatalf("NumSegments = %d after AddAll, want %d until Refresh", got, segs)
+	}
+	if got := e.met.refreshes.Value() - refreshes; got != 0 {
+		t.Fatalf("AddAll sealed %d times, want 0", got)
+	}
+	if got, max := e.met.walFsyncSeconds.Count()-fsyncs, int64((n+writeBatch-1)/writeBatch); got > max {
+		t.Fatalf("AddAll of %d documents waited for %d fsyncs, want at most %d", n, got, max)
+	}
+	if got := e.NumDocs(); got != initial+n {
+		t.Fatalf("NumDocs = %d, want %d", got, initial+n)
+	}
+	e.Refresh()
+	if got := e.met.refreshes.Value() - refreshes; got != 1 {
+		t.Fatalf("Refresh sealed %d times, want 1", got)
 	}
 }
 
@@ -433,7 +513,7 @@ func TestIngestAckedNeverLost(t *testing.T) {
 	dir := t.TempDir()
 	_, arts := corpus.Sample()
 
-	crashed := walEngine(t, dir, WithIngestQueue(16), WithIngestBatch(4))
+	crashed := walEngine(t, dir, WithIngestQueue(16), withWriteBatch(4))
 	inj := faults.New().Fail(faults.IngestApply, errors.New("injected: crash before apply"))
 	faults.Arm(inj)
 	const n = 8
@@ -474,7 +554,7 @@ func TestReplaySnapshotReplay(t *testing.T) {
 	snapDir := filepath.Join(t.TempDir(), "snap")
 	g, arts := corpus.Sample()
 
-	e1 := walEngine(t, walDir, WithIngestQueue(32), WithIngestBatch(4))
+	e1 := walEngine(t, walDir, WithIngestQueue(32), withWriteBatch(4))
 	for i := 0; i < 10; i++ {
 		if err := e1.Ingest(streamDoc(arts, i)); err != nil {
 			t.Fatal(err)
@@ -523,7 +603,7 @@ func TestReplaySnapshotReplay(t *testing.T) {
 func TestIngestBackpressure(t *testing.T) {
 	dir := t.TempDir()
 	_, arts := corpus.Sample()
-	e := walEngine(t, dir, WithIngestQueue(2), WithIngestBatch(2))
+	e := walEngine(t, dir, WithIngestQueue(2), withWriteBatch(2))
 	defer e.Close()
 
 	// Stall the applier so the queue can only drain slowly.

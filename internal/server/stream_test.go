@@ -81,7 +81,7 @@ func TestDocStreamEndpoint(t *testing.T) {
 func TestDocStreamBackpressure(t *testing.T) {
 	faults.Arm(faults.New().Delay(faults.IngestApply, 50*time.Millisecond))
 	defer faults.Disarm()
-	ts, e := streamServer(t, newslink.WithIngestQueue(1), newslink.WithIngestBatch(1))
+	ts, e := streamServer(t, newslink.WithIngestQueue(1))
 
 	shed := 0
 	for i := 0; i < 30; i++ {

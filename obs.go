@@ -94,7 +94,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		blocksSkipped: r.Counter("newslink_blocks_skipped_total", "Postings blocks pruned undecoded by the block-max bound."),
 		ingestQueued:  r.Counter("newslink_ingest_queued_total", "Writes admitted into the async ingest queue."),
 		ingestApplied: r.Counter("newslink_ingest_applied_total", "Queued writes applied to the engine by the ingest applier."),
-		ingestShed:    r.Counter("newslink_ingest_shed_total", "Writes rejected with ErrIngestOverload because the ingest queue was full."),
+		ingestShed:    r.Counter("newslink_ingest_shed_total", "Ingests rejected with ErrIngestOverload because the ingest queue was full."),
 		ingestDepth:   r.Gauge("newslink_ingest_queue_depth", "Writes currently queued and not yet applied."),
 		walAppends:    r.Counter("newslink_wal_appends_total", "Records appended to the write-ahead log."),
 		walBytes:      r.Counter("newslink_wal_appended_bytes_total", "Framed bytes appended to the write-ahead log."),

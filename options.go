@@ -30,10 +30,9 @@ type engineOptions struct {
 	// ingestQueue bounds the async ingest queue (Ingest); 0 disables the
 	// pipeline and Ingest degrades to a synchronous upsert.
 	ingestQueue int
-	// ingestBatch bounds how many writes are analyzed at once on either
-	// write path: one applier pass of the ingest queue (indexed and sealed
-	// as a single segment), or one window of a direct AddAll.
-	ingestBatch int
+	// batch is writeBatch; only tests lower it, to get small windows and
+	// micro-batches (withWriteBatch).
+	batch int
 }
 
 func defaultEngineOptions() engineOptions {
@@ -41,7 +40,7 @@ func defaultEngineOptions() engineOptions {
 		cfg:            DefaultConfig(),
 		embedCacheSize: 128,
 		embedWorkers:   0, // GOMAXPROCS
-		ingestBatch:    256,
+		batch:          writeBatch,
 	}
 }
 
@@ -82,32 +81,16 @@ func WithWAL(dir string) Option {
 }
 
 // WithIngestQueue arms the async ingest pipeline with a queue of n
-// pending writes. Ingest acknowledges a document once it is durably
-// logged (when WithWAL is set) and queued; a single applier goroutine
-// then batch-analyzes and indexes queued writes outside callers' critical
-// paths. When the queue is full, writes are shed with ErrIngestOverload —
-// the HTTP layer turns that into 429 + Retry-After. While the pipeline is
-// armed, the synchronous write APIs route through the same queue (waiting
-// for their result), so the log order and apply order stay identical.
-// n <= 0 disables the pipeline.
+// pending Ingest upserts. Ingest acknowledges a document once it is
+// durably logged (when WithWAL is set) and queued; a single applier
+// goroutine then folds up to 256 queued writes into one micro-batch —
+// analyzed in parallel, indexed under one lock acquisition and sealed as
+// one segment — outside callers' critical paths. When the queue is full,
+// Ingest is shed with ErrIngestOverload — the HTTP layer turns that into
+// 429 + Retry-After. The synchronous write APIs (Add, AddAll, Update,
+// Delete) do not use the queue: each drains it under the log lock before
+// it logs, so log order and apply order stay identical, and none of them
+// is ever shed. n <= 0 disables the pipeline.
 func WithIngestQueue(n int) Option {
 	return optionFunc(func(o *engineOptions) { o.ingestQueue = n })
-}
-
-// WithIngestBatch bounds how many writes are analyzed at once (default
-// 256), one bound for both write paths. The ingest applier folds up to n
-// queued writes into one micro-batch: analyzed in parallel, indexed under
-// one lock acquisition and sealed as one segment. Whatever the batch size,
-// the tiered merge policy (geometric tiers, mergeFactor 8) keeps segment
-// counts — and search fan-out — logarithmic in the corpus and rewrites
-// each document about once per tier it climbs. Without the queue, AddAll
-// indexes its batch in windows of n, applying one while analyzing the
-// next, so a cold build holds at most two windows of analysis at once.
-// n <= 0 keeps the default.
-func WithIngestBatch(n int) Option {
-	return optionFunc(func(o *engineOptions) {
-		if n > 0 {
-			o.ingestBatch = n
-		}
-	})
 }
