@@ -11,7 +11,9 @@
 // a previously saved engine snapshot is loaded (or written after indexing
 // if the directory does not exist yet), so restarts skip the corpus
 // embedding cost; a start that loads a snapshot reads only the -kg file,
-// never the -corpus one.
+// never the -corpus one. A loaded snapshot is served from its files:
+// each artifact is mapped read-only and read in place, so only the pages
+// requests touch become resident.
 //
 // The API is served under /v1/ (unversioned paths remain as aliases).
 // -querytimeout bounds each query server-side; an exceeded deadline is
@@ -72,7 +74,6 @@ func main() {
 	corpusPath := flag.String("corpus", "", "corpus JSONL (default: built-in sample)")
 	beta := flag.Float64("beta", 0.2, "Equation 3 fusion weight")
 	snapshot := flag.String("snapshot", "", "engine snapshot directory (load if present, save after indexing otherwise)")
-	onDisk := flag.Bool("ondisk", false, "serve snapshot postings and documents from disk instead of loading them into memory")
 	workers := flag.Int("workers", 0, "indexing workers (0 = GOMAXPROCS)")
 	queryTimeout := flag.Duration("querytimeout", 20*time.Second, "per-request search deadline (0 = unbounded); expired requests return 504")
 	maxInFlight := flag.Int("max-inflight", 256, "admission-control capacity for the query routes (0 = unlimited)")
@@ -150,7 +151,7 @@ func main() {
 	if *ingestQueue > 0 {
 		engineOpts = append(engineOpts, newslink.WithIngestQueue(*ingestQueue))
 	}
-	engine, err := buildEngineMode(*kgPath, *corpusPath, *beta, *snapshot, *workers, *onDisk)
+	engine, err := buildEngine(*kgPath, *corpusPath, *beta, *snapshot, *workers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -382,10 +383,6 @@ func debugHandler(metrics *obs.Registry) http.Handler {
 var engineOpts []newslink.Option
 
 func buildEngine(kgPath, corpusPath string, beta float64, snapshot string, workers int) (*newslink.Engine, error) {
-	return buildEngineMode(kgPath, corpusPath, beta, snapshot, workers, false)
-}
-
-func buildEngineMode(kgPath, corpusPath string, beta float64, snapshot string, workers int, onDisk bool) (*newslink.Engine, error) {
 	var g *kg.Graph
 	var arts []corpus.Article
 	if kgPath == "" && corpusPath == "" {
@@ -406,10 +403,7 @@ func buildEngineMode(kgPath, corpusPath string, beta float64, snapshot string, w
 	}
 	if snapshot != "" {
 		if _, err := os.Stat(snapshot); err == nil {
-			log.Printf("loading snapshot from %s (ondisk=%v)", snapshot, onDisk)
-			if onDisk {
-				return newslink.LoadOnDisk(snapshot, g, engineOpts...)
-			}
+			log.Printf("loading snapshot from %s", snapshot)
 			return newslink.Load(snapshot, g, engineOpts...)
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"log/slog"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"newslink"
 	"newslink/internal/corpus"
 	"newslink/internal/kg"
 	"newslink/internal/server"
@@ -137,22 +139,31 @@ func TestBuildEngineSnapshotSkipsCorpus(t *testing.T) {
 	}
 }
 
+// TestBuildEngineOnDisk: a start over an existing snapshot serves it from
+// the snapshot's mapped files, and Close releases them.
 func TestBuildEngineOnDisk(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "snap")
-	if _, err := buildEngine("", "", 0.2, snap, 2); err != nil {
-		t.Fatal(err)
-	}
-	e, err := buildEngineMode("", "", 0.2, snap, 2, true)
+	built, err := buildEngine("", "", 0.2, snap, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
+	defer built.Close()
+	e, err := buildEngine("", "", 0.2, snap, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := e.Search("Taliban bombing in Lahore", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) == 0 || res[0].ID != 1 {
-		t.Fatalf("on-disk search: %+v", res)
+		t.Fatalf("search over the loaded snapshot: %+v", res)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Search("Taliban bombing in Lahore", 2); !errors.Is(err, newslink.ErrClosed) {
+		t.Fatalf("search after Close: %v, want ErrClosed", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"newslink/internal/index"
 	"newslink/internal/kg"
+	"newslink/internal/mmap"
 	"newslink/internal/nlp"
 )
 
@@ -23,14 +24,13 @@ import (
 // analysis, index sources, positional document access and the snippet —
 // for per-layer measurement.
 
-// LoadRouted restores the snapshot at dir as LoadOnDisk does — postings
-// and documents left in the snapshot files, read on demand —
-// for an engine whose postings traversals run elsewhere: every search and
+// LoadRouted restores the snapshot at dir as Load does, for an engine
+// whose postings traversals run elsewhere: every search and
 // related-news request hands its Traversal to traverse instead of reading
 // a posting, and runs everything before and after it locally. The engine
 // is read-only: writes and Compact fail with ErrReadOnly.
 func LoadRouted(dir string, g *kg.Graph, traverse func(context.Context, Traversal) (Retrieval, error)) (*Engine, error) {
-	e, err := loadDurable(dir, g, loadOnDisk, nil)
+	e, err := Load(dir, g)
 	if err != nil {
 		return nil, err
 	}
@@ -91,19 +91,24 @@ func (e *Engine) EntityTerms(labels []string) [][]string {
 // facet (term sets from EntityTerms, conjunctive across sets) are masked
 // from retrieval through the same live seam as tombstones. Statistics
 // stay those of the full corpus. With no clauses set it returns the raw
-// sources.
+// sources. A loaded engine's sources read its mappings: a caller that
+// traverses them runs the traversal under mmap.Guard, and not after Close.
 func (e *Engine) FilteredSources(after, before int64, entities [][]string) (text, node index.Source, err error) {
 	snap, err := e.acquire()
 	if err != nil {
 		return nil, nil, err
 	}
-	return snap.filteredSources(after, before, entities)
+	err = mmap.Guard(func() (err error) {
+		text, node, err = snap.filteredSources(after, before, entities)
+		return err
+	})
+	return text, node, err
 }
 
 // DocAt returns the document at a global position within the engine's
 // published set, tombstoned or not. Position is the coordinate the index
 // sources use (search.Hit.Doc).
-func (e *Engine) DocAt(pos int) (Document, error) {
+func (e *Engine) DocAt(pos int) (doc Document, err error) {
 	snap, err := e.acquire()
 	if err != nil {
 		return Document{}, err
@@ -111,7 +116,11 @@ func (e *Engine) DocAt(pos int) (Document, error) {
 	if pos < 0 || pos >= snap.numDocs {
 		return Document{}, fmt.Errorf("%w: position %d of %d", ErrUnknownDoc, pos, snap.numDocs)
 	}
-	return snap.doc(pos)
+	err = mmap.Guard(func() error {
+		doc = snap.doc(pos)
+		return nil
+	})
+	return doc, err
 }
 
 // Snippet picks the sentence of text with the highest query-term overlap

@@ -20,8 +20,9 @@ import (
 //	byte   area[off[2n]]     titles and texts, byte-exact
 //
 // Fixed-width columns put every column at a computable offset, so the one
-// reader, openDocs, takes the ID, time and offset columns without touching
-// the text, which it reads per document or, for Load, in one piece. n and
+// reader, openDocs, takes the ID, time and offset columns out of the
+// mapped artifact without touching the text, which stays in the mapping
+// and is read per document. n and
 // off[2n] account for every byte of the file, so nothing is optional and
 // decode∘encode is the identity. Titles and texts are stored as bytes, not
 // re-encoded, so invalid UTF-8 and NUL survive a snapshot the way they
@@ -112,42 +113,4 @@ func (l docsLayout) checkOffsets(col []byte) error {
 		return fmt.Errorf("offsets end at %d, the text area holds %d bytes", prev, l.areaLen)
 	}
 	return nil
-}
-
-// readAt fills b from r at off; reaching the end of r exactly is not an
-// error, stopping short of it is.
-func readAt(r io.ReaderAt, b []byte, off int64) error {
-	if len(b) == 0 {
-		return nil
-	}
-	n, err := r.ReadAt(b, off)
-	if n == len(b) {
-		return nil
-	}
-	if err == nil || err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// readDocsHead reads the documents artifact in r (size bytes) as far as its
-// layout: it validates the header and the offset column against the size,
-// and returns the layout and the offset column.
-func readDocsHead(r io.ReaderAt, size int64) (docsLayout, []byte, error) {
-	head := make([]byte, docsHeaderSize)
-	if err := readAt(r, head, 0); err != nil {
-		return docsLayout{}, nil, fmt.Errorf("reading header: %w", err)
-	}
-	l, err := parseDocsHeader(head, size)
-	if err != nil {
-		return docsLayout{}, nil, err
-	}
-	offs := make([]byte, l.area-l.offs)
-	if err := readAt(r, offs, l.offs); err != nil {
-		return docsLayout{}, nil, fmt.Errorf("reading offsets: %w", err)
-	}
-	if err := l.checkOffsets(offs); err != nil {
-		return docsLayout{}, nil, err
-	}
-	return l, offs, nil
 }

@@ -21,12 +21,13 @@ var (
 	ErrInvalidBeta = errors.New("newslink: invalid beta")
 	// ErrDuplicateID is returned by Add for a document ID already indexed.
 	ErrDuplicateID = errors.New("newslink: duplicate document id")
-	// ErrSnapshotCorrupt is returned by Load/LoadOnDisk when a snapshot
-	// fails integrity verification: an unparsable meta.json, a missing or
-	// truncated artifact, a checksum mismatch, or internally inconsistent
-	// document counts. A corrupt snapshot never yields a partial engine.
+	// ErrSnapshotCorrupt is returned by the loaders (Load, LoadRouted,
+	// LoadSegments) when a snapshot fails integrity verification: an
+	// unparsable meta.json, a missing or truncated artifact, a checksum
+	// mismatch, or internally inconsistent document counts. A corrupt
+	// snapshot never yields a partial engine.
 	ErrSnapshotCorrupt = errors.New("newslink: snapshot corrupt")
-	// ErrSnapshotVersion is returned by Load/LoadOnDisk when the snapshot
+	// ErrSnapshotVersion is returned by the loaders when the snapshot
 	// was written by an incompatible format version.
 	ErrSnapshotVersion = errors.New("newslink: snapshot version mismatch")
 	// ErrIngestOverload is returned by Ingest when the bounded ingest
@@ -42,8 +43,8 @@ var (
 	// than silently dropping them; the operator decides whether to
 	// restore a snapshot or discard the log.
 	ErrWALCorrupt = errors.New("newslink: write-ahead log corrupt")
-	// ErrClosed is returned by writes after Close released the ingest
-	// pipeline and the write-ahead log.
+	// ErrClosed is returned by every read and write after Close released
+	// the ingest pipeline, the write-ahead log and the snapshot mappings.
 	ErrClosed = errors.New("newslink: engine closed")
 	// ErrReadOnly is returned by every write (and Compact) of a cluster
 	// router's engine (LoadRouted): its shard workers serve a fixed

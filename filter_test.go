@@ -145,7 +145,7 @@ func bruteForceSearch(t *testing.T, e *Engine, q Query) []Result {
 	fused := search.Fuse(bow, bon, beta, q.K)
 	out := make([]Result, len(fused))
 	for i, h := range fused {
-		doc := docAt(t, snap, int(h.Doc))
+		doc := snap.doc(int(h.Doc))
 		out[i] = Result{ID: doc.ID, Title: doc.Title, Score: h.Score, Snippet: referenceSnippet(doc.Text, qTerms)}
 	}
 	return out
@@ -266,7 +266,7 @@ func TestFilteredResultsRespectPredicate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		emb := embeddingAt(t, e, snap, pos)
+		emb := e.docEmbedding(snap, pos)
 		if emb == nil {
 			t.Fatalf("doc %d passed the entity facet without an embedding", r.ID)
 		}
@@ -358,7 +358,7 @@ func bruteForceRelated(t *testing.T, e *Engine, q RelatedQuery) []Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emb := embeddingAt(t, e, snap, pos)
+	emb := e.docEmbedding(snap, pos)
 	if emb == nil || len(emb.Counts) == 0 {
 		return nil
 	}
@@ -381,7 +381,7 @@ func bruteForceRelated(t *testing.T, e *Engine, q RelatedQuery) []Result {
 	fused := search.Fuse(nil, bon, 1, q.K)
 	out := make([]Result, len(fused))
 	for i, h := range fused {
-		doc := docAt(t, snap, int(h.Doc))
+		doc := snap.doc(int(h.Doc))
 		out[i] = Result{ID: doc.ID, Title: doc.Title, Score: h.Score}
 	}
 	return out
@@ -478,10 +478,10 @@ func TestRelatedSemantics(t *testing.T) {
 			}
 			// A document that embedded to nothing relates to nothing.
 			for pos := 0; pos < snap.numDocs; pos++ {
-				if embeddingAt(t, e, snap, pos) != nil {
+				if e.docEmbedding(snap, pos) != nil {
 					continue
 				}
-				doc := docAt(t, snap, pos)
+				doc := snap.doc(pos)
 				res, err := e.Related(doc.ID, 5)
 				if err != nil || len(res) != 0 {
 					t.Fatalf("embedding-less doc %d: got %v, %v; want empty, nil", doc.ID, res, err)

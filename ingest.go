@@ -293,9 +293,8 @@ func (e *Engine) writeWindow(ops []writeOp, analyzed []docTerms) error {
 		}
 	}
 	if e.walClosed {
-		// A closed log can no longer make the write durable; failing is
-		// honest, silently-not-logging is not. Engines that armed neither a
-		// WAL nor a queue keep accepting writes after Close as before.
+		// A closed engine takes no write: its log can no longer make one
+		// durable, and its loaded segments are unmapped.
 		return ErrClosed
 	}
 	if p := e.ingest.Load(); p != nil {
@@ -712,10 +711,10 @@ func (e *Engine) stopIngest() error {
 	}
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
+	e.walClosed = true
 	if e.wal != nil {
 		err := e.wal.Close()
 		e.wal = nil
-		e.walClosed = true
 		return err
 	}
 	return nil

@@ -95,9 +95,8 @@ type slot struct {
 	reqs  map[string]*obs.Counter // outcome -> request counter
 
 	// text and node are the slot's segment indexes in plan order — the
-	// router engine's own, file-backed: term directories and document
-	// lengths resident, postings in the files, and the router never reads
-	// one.
+	// router engine's own: term directories and document lengths on the
+	// heap, postings mapped, and the router never decodes a block.
 	text, node []index.Source
 }
 
@@ -290,7 +289,7 @@ func (rt *Router) Start(ctx context.Context) error {
 	return nil
 }
 
-// Close releases idle transport connections and the snapshot's files.
+// Close releases idle transport connections and the snapshot's mappings.
 func (rt *Router) Close() {
 	rt.client.CloseIdleConnections()
 	_ = rt.engine.Close()

@@ -90,33 +90,40 @@ func TestNewVocabularyCostsTwoRPCsPerShard(t *testing.T) {
 		}
 	}
 
-	text, node := rt.engine.SegmentIndexes()
-	for i := range text {
-		if n := text[i].BytesRead() + node[i].BytesRead(); n != 0 {
-			t.Errorf("segment %d: the router read %d postings bytes, want 0", i, n)
-		}
+	if n := rt.Metrics().Counter("newslink_blocks_decoded_total", "").Value(); n != 0 {
+		t.Errorf("the router decoded %d postings blocks, want 0: its workers traverse them", n)
 	}
 }
 
-// openUnder counts this process's open descriptors on files under dir.
-func openUnder(t *testing.T, dir string) int {
+// openUnder counts what this process holds on files under dir: open
+// descriptors and memory mappings.
+func openUnder(t *testing.T, dir string) (fds, maps int) {
 	t.Helper()
-	fds, err := os.ReadDir("/proc/self/fd")
+	ents, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
 		t.Skipf("cannot list open descriptors: %v", err)
 	}
-	// t.TempDir may sit behind a symlink; descriptors name the real path.
+	mapped, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("cannot list mappings: %v", err)
+	}
+	// t.TempDir may sit behind a symlink; descriptors and mappings name
+	// the real path.
 	real, err := filepath.EvalSymlinks(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for _, fd := range fds {
+	for _, fd := range ents {
 		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, real+"/") {
-			n++
+			fds++
 		}
 	}
-	return n
+	for _, line := range strings.Split(string(mapped), "\n") {
+		if strings.Contains(line, " "+real+"/") {
+			maps++
+		}
+	}
+	return fds, maps
 }
 
 // copySnapshot copies the (flat) snapshot directory src into a fresh one.
@@ -282,17 +289,17 @@ func TestNewRouterCorruptionTable(t *testing.T) {
 					t.Errorf("%s %s: NewRouter returned a router", artifact, dmg.name)
 					rt.Close()
 				}
-				if n := openUnder(t, dir); n != 0 {
-					t.Errorf("%s %s: %d descriptors left open on the snapshot", artifact, dmg.name, n)
+				if fds, maps := openUnder(t, dir); fds+maps != 0 {
+					t.Errorf("%s %s: %d descriptors and %d mappings left on the snapshot", artifact, dmg.name, fds, maps)
 				}
 			}
 		}
 	}
 }
 
-// TestRouterCloseReleasesIndexFiles: a router holds one descriptor per
-// artifact of its plan — the two indexes and the documents of every
-// segment, all read on demand — and Close gives every one of them back.
+// TestRouterCloseReleasesIndexFiles: a router maps every artifact of its
+// plan once — the two indexes and the documents of every segment — holds
+// no descriptor on any, and Close releases every mapping.
 func TestRouterCloseReleasesIndexFiles(t *testing.T) {
 	dir, g := buildSnapshot(t)
 	rt, err := NewRouter(dir, g, Config{Endpoints: [][]string{{"http://a"}, {"http://b"}}, Logger: testLogger()})
@@ -303,12 +310,13 @@ func TestRouterCloseReleasesIndexFiles(t *testing.T) {
 	for _, sp := range rt.Plan().Shards {
 		segments += len(sp.Segments)
 	}
-	if got := openUnder(t, dir); got != 3*segments {
-		t.Errorf("open router holds %d descriptors on the snapshot, want %d (the three artifacts of %d segments)", got, 3*segments, segments)
+	if fds, maps := openUnder(t, dir); fds != 0 || maps != 3*segments {
+		t.Errorf("open router holds %d descriptors and %d mappings on the snapshot, want 0 and %d (the three artifacts of %d segments)",
+			fds, maps, 3*segments, segments)
 	}
 	rt.Close()
-	if got := openUnder(t, dir); got != 0 {
-		t.Errorf("closed router still holds %d descriptors on the snapshot", got)
+	if fds, maps := openUnder(t, dir); fds+maps != 0 {
+		t.Errorf("closed router still holds %d descriptors and %d mappings on the snapshot", fds, maps)
 	}
 }
 
@@ -431,7 +439,7 @@ func TestLoadersRefuseSnapshotVersions(t *testing.T) {
 			}
 		}
 		for name, load := range map[string]func(string, *kg.Graph, ...newslink.Option) (*newslink.Engine, error){
-			"Load": newslink.Load, "LoadOnDisk": newslink.LoadOnDisk, "LoadRouted": routed,
+			"Load": newslink.Load, "LoadRouted": routed,
 		} {
 			e, err := load(dir, g)
 			refused(name, err)

@@ -16,6 +16,7 @@ import (
 	"newslink"
 	"newslink/internal/faults"
 	"newslink/internal/kg"
+	"newslink/internal/mmap"
 	"newslink/internal/obs"
 	"newslink/internal/search"
 	"newslink/internal/server"
@@ -209,6 +210,9 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 		server.WriteError(rw, http.StatusInternalServerError, "load_failed", "%v", err)
 		return
 	}
+	// A replaced shard stays mapped: a search in flight may still be
+	// traversing it, and nothing tracks when the last one ends (DESIGN.md
+	// §11). Only the Close of a Shard releases its mappings.
 	w.mu.Lock()
 	w.shard = shard
 	w.plan = req.Plan
@@ -303,21 +307,21 @@ func (w *Worker) handleSearch(rw http.ResponseWriter, r *http.Request) {
 	// Filter clauses mask documents from the local traversal through the
 	// same live seam as tombstones; statistics and scorer parameters stay
 	// the router's unfiltered global values, so the filtered shard ranking
-	// composes into exactly a single process's filtered ranking.
-	text, node, err := shard.Sources(req.After, req.Before, req.Entities)
-	if err != nil {
-		server.WriteError(rw, http.StatusInternalServerError, "internal", "%v", err)
-		return
-	}
-	// Both legs run here, on the handler goroutine: a spawn and a wake-up
-	// per leg cost more than the overlap returns (DESIGN.md §14).
+	// composes into exactly a single process's filtered ranking. Both legs
+	// run here, on the handler goroutine (a spawn and a wake-up per leg
+	// cost more than the overlap returns, DESIGN.md §14), under the guard
+	// that turns a fault on the shard's mappings into an error.
 	resp := SearchResponse{Plan: req.Plan}
-	if len(req.Text) > 0 {
-		resp.Text, _, err = search.TopKBlockMaxOrderedStats(r.Context(), text, req.TextScorer.scorer(), req.Text, req.K)
-	}
-	if err == nil && len(req.Node) > 0 {
-		resp.Node, _, err = search.TopKBlockMaxOrderedStats(r.Context(), node, req.NodeScorer.scorer(), req.Node, req.K)
-	}
+	err := mmap.Guard(func() error {
+		text, node, err := shard.Sources(req.After, req.Before, req.Entities)
+		if err == nil && len(req.Text) > 0 {
+			resp.Text, _, err = search.TopKBlockMaxOrderedStats(r.Context(), text, req.TextScorer.scorer(), req.Text, req.K)
+		}
+		if err == nil && len(req.Node) > 0 {
+			resp.Node, _, err = search.TopKBlockMaxOrderedStats(r.Context(), node, req.NodeScorer.scorer(), req.Node, req.K)
+		}
+		return err
+	})
 	if err != nil {
 		server.WriteError(rw, http.StatusInternalServerError, "internal", "%v", err)
 		return

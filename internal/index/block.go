@@ -15,8 +15,8 @@ import (
 // block carries a summary — its last doc ID and its maximum TF — kept
 // outside the encoded bytes, so the query processor can compute a per-block
 // BM25 upper bound and skip whole blocks without decoding them
-// (Block-Max pruning), and a file-backed Index can read exactly the blocks
-// a query touches.
+// (Block-Max pruning), and a query over a mapped index reads exactly the
+// pages of the blocks it decodes.
 const blockSize = 128
 
 // maxBlockBytes bounds one encoded block: each posting is at most two
@@ -137,7 +137,11 @@ func decodeBlock(data []byte, dst []Posting, n int, base DocID, firstBlock bool,
 			return nil, fmt.Errorf("index: truncated tf %d", i)
 		}
 		pos += w
-		dst = append(dst, Posting{Doc: DocID(doc), TF: decodeTF(tfRaw)})
+		tf, ok := decodeTF(tfRaw)
+		if !ok {
+			return nil, fmt.Errorf("index: tf %d of posting %d is untagged", tfRaw, i)
+		}
+		dst = append(dst, Posting{Doc: DocID(doc), TF: tf})
 	}
 	if pos != len(data) {
 		return nil, fmt.Errorf("index: %d trailing bytes in block", len(data)-pos)
@@ -176,14 +180,12 @@ func (tl *termList) validate(data []byte, numDocs uint32) error {
 	return nil
 }
 
-// cursor iterates one term of an Index block by block. Block decodes from
-// the resident postings area, or — for a file-backed index — fetches the
-// block with a single ReadAt into the cursor-owned raw buffer first.
+// cursor iterates one term of an Index block by block, decoding each
+// block it is asked for straight from the postings area.
 type cursor struct {
 	idx *Index
 	tl  *termList
 	bi  int // current block; -1 before the first NextBlock
-	raw []byte
 	buf []Posting
 }
 
@@ -221,20 +223,8 @@ func (c *cursor) Block() ([]Posting, error) {
 // the block.
 func (c *cursor) decode(dst []Posting) ([]Posting, error) {
 	bm := c.tl.blocks[c.bi]
-	lo, n := c.tl.offset+int64(bm.off), int(bm.end-bm.off)
-	var raw []byte
-	if c.idx.f == nil {
-		raw = c.idx.data[lo : lo+int64(n)]
-	} else {
-		if cap(c.raw) < n {
-			c.raw = make([]byte, maxBlockBytes)
-		}
-		raw = c.raw[:n]
-		if _, err := c.idx.f.ReadAt(raw, c.idx.base+lo); err != nil {
-			return nil, fmt.Errorf("index: reading block %d: %w", c.bi, err)
-		}
-		c.idx.bytesRead.Add(int64(n))
-	}
+	lo := c.tl.offset + int64(bm.off)
+	raw := c.idx.data[lo : lo+int64(bm.end-bm.off)]
 	base := DocID(0)
 	if c.bi > 0 {
 		base = c.tl.blocks[c.bi-1].last

@@ -9,23 +9,29 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"newslink/internal/mmap"
 )
 
-// writeTemp serializes idx to a temp file and returns the path.
-func writeTemp(t *testing.T, idx *Index) string {
+// mapIndex serializes idx to a file and parses it back through a
+// read-only mapping of that file, as a snapshot load does. The mapping is
+// released when the test ends. It returns the mapped index and the path.
+func mapIndex(t *testing.T, idx *Index) (*Index, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "test.idx")
-	f, err := os.Create(path)
+	if err := os.WriteFile(path, serialize(t, idx), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data, err := mmap.Map(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.WriteTo(f); err != nil {
+	t.Cleanup(func() { mmap.Unmap(data) })
+	got, err := ReadIndex(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return got, path
 }
 
 func TestDiskIndexMatchesMemory(t *testing.T) {
@@ -42,21 +48,17 @@ func TestDiskIndexMatchesMemory(t *testing.T) {
 		}
 		add(b, terms)
 	}
-	// One fractional-weight document exercises the float TF encoding.
-	addCounts(b, map[string]float32{"t0": 2.5, "frac": 0.25})
+	// One heavy document exercises multi-byte TF varints.
+	addCounts(b, map[string]float32{"t0": 300, "heavy": 70000})
 	idx := b.Build()
-	disk, err := OpenIndex(writeTemp(t, idx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
+	disk, _ := mapIndex(t, idx)
 	if disk.NumDocs() != idx.NumDocs() || disk.NumTerms() != idx.NumTerms() {
 		t.Fatalf("sizes: %d/%d vs %d/%d", disk.NumDocs(), disk.NumTerms(), idx.NumDocs(), idx.NumTerms())
 	}
 	if disk.AvgDocLen() != idx.AvgDocLen() {
 		t.Fatalf("avg len %v vs %v", disk.AvgDocLen(), idx.AvgDocLen())
 	}
-	for _, term := range append(vocab, "frac", "absent") {
+	for _, term := range append(vocab, "heavy", "absent") {
 		if disk.DF(term) != idx.DF(term) {
 			t.Fatalf("DF(%s): %d vs %d", term, disk.DF(term), idx.DF(term))
 		}
@@ -80,11 +82,7 @@ func TestDiskIndexMatchesMemory(t *testing.T) {
 
 func TestDiskIndexConcurrentReads(t *testing.T) {
 	idx := buildSmall()
-	disk, err := OpenIndex(writeTemp(t, idx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
+	disk, _ := mapIndex(t, idx)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -102,69 +100,43 @@ func TestDiskIndexConcurrentReads(t *testing.T) {
 	wg.Wait()
 }
 
+// TestDiskIndexErrors: a short artifact fails to parse, and one truncated
+// under its mapping after the parse faults in every consumer of its
+// postings — which mmap.Guard turns into an error: an unreadable list is
+// never an empty one.
 func TestDiskIndexErrors(t *testing.T) {
-	if _, err := OpenIndex("/nonexistent/idx"); err == nil {
-		t.Fatal("missing file must fail")
-	}
-	// Truncated file.
 	idx := buildSmall()
-	path := writeTemp(t, idx)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	short := filepath.Join(t.TempDir(), "short.idx")
-	if err := os.WriteFile(short, data[:len(data)/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenIndex(short); err == nil {
-		t.Fatal("truncated header must fail to open")
-	}
-	// Truncated postings area: opens (directory intact) but reads fail.
-	almost := filepath.Join(t.TempDir(), "almost.idx")
-	if err := os.WriteFile(almost, data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := OpenIndex(almost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	failed := false
-	for term := range d.terms {
-		if _, err := Postings(d, term); err != nil {
-			failed = true
+	data := serialize(t, idx)
+	for _, short := range [][]byte{data[:len(data)/3], data[:len(data)-3]} {
+		if _, err := ReadIndex(short); err == nil {
+			t.Fatalf("a %d-byte prefix of a %d-byte index parsed", len(short), len(data))
 		}
 	}
-	if !failed {
-		t.Fatal("no term read failed on truncated postings")
-	}
-	// A file that goes bad after it was opened: every consumer of the
-	// postings must report the read error — an unreadable list is never an
-	// empty one.
-	held, err := OpenIndex(path)
-	if err != nil {
+	held, path := mapIndex(t, idx)
+	if err := os.Truncate(path, 0); err != nil {
 		t.Fatal(err)
 	}
-	defer held.Close()
-	if err := os.Truncate(path, held.base); err != nil {
-		t.Fatal(err)
+	if err := mmap.Guard(func() error { _, err := Postings(held, "taliban"); return err }); err == nil {
+		t.Fatal("Postings over a truncated mapping returned no error")
 	}
-	if pl, err := Postings(held, "taliban"); err == nil {
-		t.Fatalf("Postings over a truncated file returned %v, no error", pl)
+	if err := mmap.Guard(func() error { _, err := MergeSegments([]*Index{idx, held}, nil); return err }); err == nil {
+		t.Fatal("MergeSegments over a truncated mapping returned no error")
 	}
-	if _, err := MergeSegments([]*Index{idx, held}, nil); err == nil {
-		t.Fatal("MergeSegments over a truncated file returned no error")
-	}
-	if _, err := held.WriteTo(io.Discard); err == nil {
-		t.Fatal("WriteTo over a truncated file returned no error")
+	if err := mmap.Guard(func() error { _, err := held.WriteTo(io.Discard); return err }); err == nil {
+		t.Fatal("WriteTo over a truncated mapping returned no error")
 	}
 }
 
 func TestEncodeTFRoundTrip(t *testing.T) {
-	for _, tf := range []float32{0, 1, 2, 3, 255, 1 << 20, 0.5, 2.5, 0.125, 1e9, 1e-9} {
-		if got := decodeTF(encodeTF(tf)); got != tf {
-			t.Fatalf("tf %v round-tripped to %v", tf, got)
+	for _, tf := range []float32{0, 1, 2, 3, 255, 1 << 20, 1 << 30, 1 << 31} {
+		if got, ok := decodeTF(encodeTF(tf)); !ok || got != tf {
+			t.Fatalf("tf %v round-tripped to %v (tagged %v)", tf, got, ok)
+		}
+	}
+	// The float encoding of earlier writers, untagged, is corruption.
+	for _, v := range []uint64{0, 2, 1 << 40} {
+		if _, ok := decodeTF(v); ok {
+			t.Fatalf("untagged tf %#x decoded", v)
 		}
 	}
 }

@@ -1,47 +1,33 @@
 package index_test
 
 import (
+	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"newslink/internal/index"
 )
 
-// Example shows the index lifecycle: build in memory, serialize, reopen
-// file-backed, and extend with a segment — all behind the same Source
-// interface the query processor consumes.
+// Example shows the index lifecycle: build in memory, serialize, parse the
+// bytes back (a snapshot load parses a mapped file the same way), and
+// extend with a segment — all behind the same Source interface the query
+// processor consumes.
 func Example() {
 	b := index.NewBuilder()
 	b.Add(strings.Fields("attack lahore taliban")) // terms in sorted order
 	b.Add(strings.Fields("cricket final lahore"))
 	idx := b.Build()
 
-	dir, err := os.MkdirTemp("", "idx")
+	var buf bytes.Buffer
+	if _, err := idx.WriteTo(&buf); err != nil {
+		fmt.Println(err)
+		return
+	}
+	disk, err := index.ReadIndex(buf.Bytes())
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "text.idx")
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	if _, err := idx.WriteTo(f); err != nil {
-		fmt.Println(err)
-		return
-	}
-	f.Close()
-
-	disk, err := index.OpenIndex(path)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	defer disk.Close()
 
 	late := index.NewBuilder()
 	late.Add(strings.Fields("election lahore results"))

@@ -20,7 +20,7 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add([]byte(indexMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadIndex(bytes.NewReader(data))
+		got, err := ReadIndex(data)
 		if err != nil {
 			return
 		}
@@ -28,9 +28,10 @@ func FuzzReadIndex(f *testing.F) {
 		if got.NumDocs() < 0 || got.AvgDocLen() < 0 {
 			t.Fatal("negative sizes")
 		}
+		// An accepted input is exactly one index's serialization.
 		var out bytes.Buffer
-		if _, err := got.WriteTo(&out); err != nil {
-			t.Fatalf("WriteTo after successful read: %v", err)
+		if _, err := got.WriteTo(&out); err != nil || !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("WriteTo after successful read: %d bytes (%v), want the %d read", out.Len(), err, len(data))
 		}
 	})
 }

@@ -7,13 +7,11 @@ package index
 
 import (
 	"fmt"
-	"os"
 	"sort"
-	"sync/atomic"
 )
 
 // Source is the read interface the query processor consumes; Index
-// (resident or file-backed), the segmented Multi and the Masked decorator
+// (built, merged or parsed from a mapped artifact), the segmented Multi and the Masked decorator
 // all satisfy it, so searches run unchanged over any of them.
 type Source interface {
 	NumDocs() int
@@ -32,9 +30,8 @@ type Source interface {
 // positioned before the first block; NextBlock or SeekBlock must succeed
 // before the Block* accessors are used. Block summaries (BlockLast,
 // BlockMaxTF, BlockLen) are available without decoding, which is what makes
-// block-max pruning and block-granular disk reads possible: a block whose
-// score upper bound cannot matter is skipped without ever touching its
-// bytes.
+// block-max pruning possible: a block whose score upper bound cannot
+// matter is skipped without ever touching its bytes.
 type Cursor interface {
 	// Count returns the total number of postings in the list (the DF).
 	Count() int
@@ -74,24 +71,19 @@ type Posting struct {
 // Index is an immutable inverted index storing block-compressed postings
 // (see block.go for the layout). The in-memory format is the file format
 // (serialize.go): the directory — sorted terms with their per-block
-// summaries — and the document lengths are always resident, and the block
-// bytes form one postings area laid out exactly as WriteTo writes it. That
-// area is either resident (Builder.Build, MergeSegments, ReadIndex) or left
-// in the file OpenIndex holds, in which case a cursor fetches each block it
-// decodes with one ReadAt: a query that prunes a block never reads its
-// bytes, so IO tracks the blocks scored rather than the lists touched, and
-// a snapshot is searchable without a load phase. Safe for concurrent use:
-// cursors carry their own read and decode buffers.
+// summaries — and the document lengths are resident, and the block bytes
+// form one postings area laid out exactly as WriteTo writes it. The area
+// is a heap buffer (Builder.Build, MergeSegments) or the tail of the bytes
+// ReadIndex parsed, a mapped snapshot artifact when a snapshot is loaded:
+// a cursor decodes each block it is asked for in place, so a query that
+// prunes a block never reads its pages. Safe for concurrent use: cursors
+// carry their own decode buffers.
 type Index struct {
 	terms    map[string]TermID
 	lists    []termList // the directory, in sorted term order (TermID order)
 	docLen   []float32
 	totalLen float64
-
-	data      []byte   // the postings area when resident
-	f         *os.File // the file holding it otherwise (OpenIndex)
-	base      int64    // file offset of the postings area
-	bytesRead atomic.Int64
+	data     []byte // the postings area
 }
 
 // newIndex assembles an Index around a finished directory. totalLen is one

@@ -15,9 +15,7 @@ func add(b *Builder, terms []string) DocID {
 }
 
 // addCounts is the map-count reference for Add: it posts every term with
-// its weight, folding the weights into the length in sorted term order.
-// Weights may be fractional, a shape only the float TF encoding and the
-// order-sensitive length folds see.
+// its count, folding the counts into the length in sorted term order.
 func addCounts(b *Builder, counts map[string]float32) DocID {
 	keys := make([]string, 0, len(counts))
 	for t := range counts {

@@ -5,9 +5,9 @@ import (
 	"slices"
 )
 
-// MergeSegments compacts an ordered sequence of segments (resident or
-// file-backed) into a single resident Index, dropping documents marked dead
-// in the per-segment tombstone bitmaps (dead may be nil, or hold nil
+// MergeSegments compacts an ordered sequence of segments (built, merged or
+// parsed from mapped artifacts) into a single heap-resident Index, dropping
+// documents marked dead in the per-segment tombstone bitmaps (dead may be nil, or hold nil
 // entries, meaning no deletes in that segment). Surviving documents keep
 // their relative order and are renumbered densely from 0.
 //
@@ -37,7 +37,7 @@ import (
 //
 // This is the only function that rewrites postings, so any change to how
 // documents are numbered inside a segment lands here. A part whose postings
-// cannot be read fails the merge, naming the term: an unreadable list is
+// fail to decode fails the merge, naming the term: an undecodable list is
 // never merged as an empty one.
 func MergeSegments(parts []*Index, dead []*Bitmap) (*Index, error) {
 	var docLen []float32

@@ -103,8 +103,8 @@ func TestMultiEquivalentToMonolithic(t *testing.T) {
 // TestMultiFromContinuesFold: a Multi built from the one it replaces —
 // appended parts, a part replaced mid-list, a dropped leading part, nested
 // input — has exactly NewMulti's statistics, AvgDocLen bits included, and
-// leaves the Multi it continued untouched. Fractional weights make the
-// float64 fold order-sensitive, so a fold resumed at the wrong boundary
+// leaves the Multi it continued untouched. Fractional document lengths
+// (set directly: TFs are counts) make the float64 fold order-sensitive, so a fold resumed at the wrong boundary
 // would show in the low bits.
 func TestMultiFromContinuesFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
@@ -112,7 +112,8 @@ func TestMultiFromContinuesFold(t *testing.T) {
 	for i := range parts {
 		b := NewBuilder()
 		for d := 0; d < 3+rng.Intn(40); d++ {
-			addCounts(b, map[string]float32{"a": rng.Float32() * 7, "b": rng.Float32() / 3})
+			doc := addCounts(b, map[string]float32{"a": float32(1 + rng.Intn(7)), "b": float32(1 + rng.Intn(3))})
+			b.docLen[doc] += rng.Float32() / 3
 		}
 		parts[i] = b.Build()
 	}
@@ -144,11 +145,7 @@ func TestMultiFromContinuesFold(t *testing.T) {
 
 func TestMultiWithDiskSegment(t *testing.T) {
 	a := seg("x y", "y z")
-	disk, err := OpenIndex(writeTemp(t, seg("z w")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
+	disk, _ := mapIndex(t, seg("z w"))
 	m := NewMulti(a, disk)
 	pl := postings(t, m, "z")
 	want := []Posting{{Doc: 1, TF: 1}, {Doc: 2, TF: 1}}

@@ -6,9 +6,8 @@ import "sync"
 //
 // TermCursor hands out a fresh cursor per term per traversal; a fused
 // query touches tens of terms across two indexes. Each cursor also owns
-// decode scratch — a block-sized []Posting and, over a file-backed index,
-// a raw read buffer — so letting cursors die with the request throws the
-// scratch away with them. The pools below recycle cursors (scratch
+// decode scratch — a block-sized []Posting — so letting cursors die with
+// the request throws the scratch away with them. The pools below recycle cursors (scratch
 // attached) across requests; TermCursor implementations draw from them
 // and ReleaseCursor returns them.
 //

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 )
 
 // Binary index format v3 (little endian):
@@ -26,14 +25,13 @@ import (
 //	    uvarint block data length in bytes
 //	block data, concatenated in directory order:
 //	  per posting: uvarint docID delta (list-first = docID; gaps thereafter),
-//	               tf: uvarint (v<<1|1) when tf is a small integer,
-//	                   uvarint (float32bits<<1) otherwise
+//	               uvarint encodeTF(tf)
 //
 // Doc-gap + varint compression shrinks postings ~3-4x versus fixed-width
 // encoding. The directory carries each block's summary (last doc, max TF,
 // byte length), so a reader can compute per-block score upper bounds and
-// fetch exactly the blocks a query touches: a file-backed Index (OpenIndex)
-// issues one ReadAt per decoded block and never reads a whole list.
+// decode exactly the blocks a query touches: over a mapped file, the pages
+// of a block a query prunes are never read.
 //
 // v2 stored one flat blob per term, which forced whole-list reads; v3 is not
 // backward compatible, and readers reject the old magic.
@@ -42,9 +40,7 @@ const indexMagic = "NLIDX3\n"
 
 // WriteTo serializes the index. Build canonicalizes term IDs and document
 // folding order, so the output is byte-identical across builds of the same
-// corpus. The postings area goes out as it is held: a resident area in one
-// write, a file-backed one streamed from its file (a short file is an
-// error, never a short copy).
+// corpus; the postings area goes out in one write, as it is held.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: bufio.NewWriter(w)}
 	le := func(data any) error { return binary.Write(cw, binary.LittleEndian, data) }
@@ -95,172 +91,162 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 			}
 		}
 	}
-	if idx.f == nil {
-		if _, err := cw.Write(idx.data); err != nil {
-			return cw.n, err
-		}
-	} else if _, err := io.CopyN(cw, io.NewSectionReader(idx.f, idx.base, idx.areaLen()), idx.areaLen()); err != nil {
-		return cw.n, fmt.Errorf("index: streaming postings: %w", err)
+	if _, err := cw.Write(idx.data); err != nil {
+		return cw.n, err
 	}
 	return cw.n, cw.w.(*bufio.Writer).Flush()
 }
 
-// encodeTF packs a term frequency: small integral frequencies (the common
-// case by far) go as (v<<1)|1; anything else carries raw float32 bits.
-func encodeTF(tf float32) uint64 {
-	if tf >= 0 && tf < 1<<30 && tf == float32(uint32(tf)) {
-		return uint64(uint32(tf))<<1 | 1
-	}
-	return uint64(math.Float32bits(tf)) << 1
-}
+// encodeTF packs a term frequency, a count, as (v<<1)|1. The tag bit is a
+// relic of a float encoding no writer produces any more; it keeps the
+// bytes of every existing index valid, and decodeTF rejects a value
+// without it.
+func encodeTF(tf float32) uint64 { return uint64(uint32(tf))<<1 | 1 }
 
-func decodeTF(v uint64) float32 {
-	if v&1 == 1 {
-		return float32(v >> 1)
-	}
-	return math.Float32frombits(uint32(v >> 1))
-}
+// decodeTF reverses encodeTF; ok is false for an untagged value, which is
+// corruption.
+func decodeTF(v uint64) (tf float32, ok bool) { return float32(v >> 1), v&1 == 1 }
 
-// ReadIndex parses an index written by WriteTo into memory, fully validating
+// ReadIndex parses an index written by WriteTo from data, which must hold
+// exactly that output. The document lengths and the directory are copied
+// out of data; the postings area is not: the index aliases data, a
+// resident buffer or a mapped snapshot artifact, which must stay unchanged
+// for the index's lifetime. Everything is validated before the index is
+// returned: the directory's account of the area against len(data), and
 // every block (decode round-trip, monotone doc IDs, summary cross-checks).
-func ReadIndex(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
-	docLen, lists, err := readHeader(br)
+func ReadIndex(data []byte) (*Index, error) {
+	r := &byteReader{b: data}
+	docLen, lists, err := readHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	// The area grows as bytes actually arrive, term by term — doubling, but
-	// never past the directory's total — so an honest file ends up in an
-	// allocation of exactly its size, while a forged directory cannot make
-	// the reader allocate much more than the stream really holds.
-	idx := newIndex(docLen, lists, nil)
-	area := idx.areaLen()
-	data := make([]byte, 0, min(area, 1<<20))
+	area := data[r.pos:]
+	idx := newIndex(docLen, lists, area)
+	if n := idx.areaLen(); n != int64(len(area)) {
+		return nil, fmt.Errorf("index: the directory accounts for %d postings bytes, %d follow it", n, len(area))
+	}
 	for i := range lists {
 		tl := &lists[i]
-		start, n := len(data), int(tl.dataLen())
-		if start+n > cap(data) {
-			data = append(make([]byte, 0, min(area, max(2*int64(cap(data)), int64(start+n)))), data...)
-		}
-		data = data[:start+n]
-		if _, err := io.ReadFull(br, data[start:]); err != nil {
-			return nil, fmt.Errorf("index: postings of %q: %w", tl.term, err)
-		}
-		if err := tl.validate(data[start:], uint32(len(docLen))); err != nil {
+		if err := tl.validate(area[tl.offset:tl.offset+tl.dataLen()], uint32(len(docLen))); err != nil {
 			return nil, fmt.Errorf("index: term %q: %w", tl.term, err)
 		}
 	}
-	idx.data = data
 	return idx, nil
 }
 
-// OpenIndex opens path (a file written by WriteTo) file-backed: only the
-// directory and document lengths are read; postings blocks stay in the
-// file and are fetched on demand, each validated by decodeBlock as it is
-// decoded. Close the index when done.
-func OpenIndex(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	br := bufio.NewReader(f)
-	docLen, lists, err := readHeader(br)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	// The header reader consumed exactly up to the postings area; its file
-	// position is the current offset minus what is still buffered.
-	pos, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	idx := newIndex(docLen, lists, nil)
-	idx.f, idx.base = f, pos-int64(br.Buffered())
-	return idx, nil
+// byteReader walks a serialized index; a read past the end of b is
+// io.ErrUnexpectedEOF.
+type byteReader struct {
+	b   []byte
+	pos int
 }
 
-// Close releases the file behind a file-backed index; a no-op on a
-// resident (or nil) one.
-func (idx *Index) Close() error {
-	if idx == nil || idx.f == nil {
-		return nil
+func (r *byteReader) take(n uint64) ([]byte, error) {
+	if n > uint64(len(r.b)-r.pos) {
+		return nil, io.ErrUnexpectedEOF
 	}
-	return idx.f.Close()
+	b := r.b[r.pos : r.pos+int(n)]
+	r.pos += int(n)
+	return b, nil
 }
 
-// BytesRead returns the cumulative number of postings bytes cursors have
-// fetched with ReadAt since the index was opened (always 0 on a resident
-// index). Tests use it to prove queries read only the blocks they touch.
-func (idx *Index) BytesRead() int64 { return idx.bytesRead.Load() }
+func (r *byteReader) uint32() (uint32, error) {
+	b, err := r.take(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
+}
+
+func (r *byteReader) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.b[r.pos:])
+	if n == 0 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("varint overflows 64 bits")
+	}
+	r.pos += n
+	return v, nil
+}
 
 // readHeader parses everything before the postings area: the document
 // lengths and the directory, with each term's offset into the area.
-func readHeader(br *bufio.Reader) ([]float32, []termList, error) {
-	magic := make([]byte, len(indexMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+// Counts are checked against the bytes left before anything is allocated
+// for them.
+func readHeader(r *byteReader) ([]float32, []termList, error) {
+	magic, err := r.take(uint64(len(indexMagic)))
+	if err != nil {
 		return nil, nil, fmt.Errorf("index: reading magic: %w", err)
 	}
 	if string(magic) != indexMagic {
 		return nil, nil, fmt.Errorf("index: bad magic %q", magic)
 	}
-	var nDocs uint32
-	if err := binary.Read(br, binary.LittleEndian, &nDocs); err != nil {
+	nDocs, err := r.uint32()
+	if err != nil {
 		return nil, nil, fmt.Errorf("index: doc count: %w", err)
 	}
 	if nDocs > 1<<28 {
 		return nil, nil, fmt.Errorf("index: implausible doc count %d", nDocs)
 	}
-	docLens := make([]float32, nDocs)
-	if err := binary.Read(br, binary.LittleEndian, docLens); err != nil {
+	raw, err := r.take(4 * uint64(nDocs))
+	if err != nil {
 		return nil, nil, fmt.Errorf("index: doc lengths: %w", err)
 	}
-	for _, l := range docLens {
+	docLens := make([]float32, nDocs)
+	for i := range docLens {
+		l := math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		if l < 0 || math.IsNaN(float64(l)) {
 			return nil, nil, fmt.Errorf("index: invalid doc length %v", l)
 		}
+		docLens[i] = l
 	}
-	var nTerms uint32
-	if err := binary.Read(br, binary.LittleEndian, &nTerms); err != nil {
+	nTerms, err := r.uint32()
+	if err != nil {
 		return nil, nil, fmt.Errorf("index: term count: %w", err)
 	}
 	if nTerms > 1<<28 {
 		return nil, nil, fmt.Errorf("index: implausible term count %d", nTerms)
 	}
-	var lists []termList
+	// A directory row takes at least two bytes.
+	lists := make([]termList, 0, min(int(nTerms), (len(r.b)-r.pos)/2))
 	offset := int64(0)
 	prev := ""
 	for i := uint32(0); i < nTerms; i++ {
-		tl, err := binary.ReadUvarint(br)
+		tl, err := r.uvarint()
 		if err != nil {
 			return nil, nil, fmt.Errorf("index: term %d length: %w", i, err)
 		}
 		if tl > 1<<20 {
 			return nil, nil, fmt.Errorf("index: term length %d too large", tl)
 		}
-		buf := make([]byte, tl)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, nil, err
+		buf, err := r.take(tl)
+		if err != nil {
+			return nil, nil, fmt.Errorf("index: term %d: %w", i, err)
 		}
 		term := string(buf)
 		if i > 0 && term <= prev {
 			return nil, nil, fmt.Errorf("index: directory not sorted at %q", term)
 		}
 		prev = term
-		count, err := binary.ReadUvarint(br)
+		count, err := r.uvarint()
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("index: term %q count: %w", term, err)
 		}
 		if count > uint64(nDocs) {
 			return nil, nil, fmt.Errorf("index: term %q has %d postings for %d docs", term, count, nDocs)
 		}
+		// A block summary takes at least three bytes.
+		nBlocks := numBlocksFor(int(count))
+		if 3*nBlocks > len(r.b)-r.pos {
+			return nil, nil, fmt.Errorf("index: term %q: %d block summaries: %w", term, nBlocks, io.ErrUnexpectedEOF)
+		}
 		te := termList{term: term, count: int(count), offset: offset}
-		te.blocks = make([]blockMeta, numBlocksFor(int(count)))
+		te.blocks = make([]blockMeta, nBlocks)
 		prevLast := DocID(0)
 		dataOff := uint32(0)
 		for bi := range te.blocks {
-			lastDelta, err := binary.ReadUvarint(br)
+			lastDelta, err := r.uvarint()
 			if err != nil {
 				return nil, nil, fmt.Errorf("index: term %q block %d last: %w", term, bi, err)
 			}
@@ -271,19 +257,19 @@ func readHeader(br *bufio.Reader) ([]float32, []termList, error) {
 			if last >= uint64(nDocs) {
 				return nil, nil, fmt.Errorf("index: term %q block last doc %d out of range", term, last)
 			}
-			maxRaw, err := binary.ReadUvarint(br)
+			maxRaw, err := r.uvarint()
 			if err != nil {
 				return nil, nil, fmt.Errorf("index: term %q block %d max tf: %w", term, bi, err)
 			}
-			maxTF := decodeTF(maxRaw)
-			if maxTF < 0 || math.IsNaN(float64(maxTF)) {
-				return nil, nil, fmt.Errorf("index: term %q invalid block max tf %v", term, maxTF)
+			maxTF, ok := decodeTF(maxRaw)
+			if !ok {
+				return nil, nil, fmt.Errorf("index: term %q block %d max tf %d is untagged", term, bi, maxRaw)
 			}
-			blen, err := binary.ReadUvarint(br)
+			blen, err := r.uvarint()
 			if err != nil {
 				return nil, nil, fmt.Errorf("index: term %q block %d length: %w", term, bi, err)
 			}
-			if blen == 0 || blen > maxBlockBytes {
+			if blen == 0 || blen > maxBlockBytes || uint64(dataOff)+blen > uint64(len(r.b)) {
 				return nil, nil, fmt.Errorf("index: term %q block length %d out of range", term, blen)
 			}
 			te.blocks[bi] = blockMeta{

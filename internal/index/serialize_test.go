@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,7 +17,7 @@ func TestIndexRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
-	got, err := ReadIndex(bytes.NewReader(buf.Bytes()))
+	got, err := ReadIndex(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +47,7 @@ func TestIndexSerializationStable(t *testing.T) {
 		t.Fatal("serialization not byte-stable")
 	}
 	// Round trip re-serializes identically.
-	got, err := ReadIndex(bytes.NewReader(a.Bytes()))
+	got, err := ReadIndex(a.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,16 +74,29 @@ func TestReadIndexRejectsCorruption(t *testing.T) {
 		{"bad magic", func(b []byte) []byte { b = clone(b); b[0] = 'X'; return b }},
 		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
 		{"empty", func(b []byte) []byte { return nil }},
+		{"trailing byte", func(b []byte) []byte { return append(clone(b), 0) }},
+		{"untagged block max tf", func(b []byte) []byte {
+			// buildSmall's first term, "attack", has one posting: its
+			// directory row is 6 bytes of term, then count, last doc, max
+			// TF and length, one byte each.
+			b = clone(b)
+			at := len(indexMagic) + 4 + 4*4 + 4 + 1 + len("attack") + 2
+			if b[at] != 3 {
+				panic("buildSmall's directory moved")
+			}
+			b[at] = 2
+			return b
+		}},
 	}
 	for _, c := range cases {
-		if _, err := ReadIndex(bytes.NewReader(c.mutate(data))); err == nil {
+		if _, err := ReadIndex(c.mutate(data)); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
 	// Implausible doc count.
 	huge := clone(data)
 	copy(huge[len(indexMagic):], []byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadIndex(bytes.NewReader(huge)); err == nil {
+	if _, err := ReadIndex(huge); err == nil {
 		t.Error("huge doc count: expected error")
 	}
 }
@@ -97,7 +109,7 @@ func TestEmptyIndexRoundTrip(t *testing.T) {
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadIndex(&buf)
+	got, err := ReadIndex(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +132,7 @@ func TestLargeIndexRoundTrip(t *testing.T) {
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadIndex(io.LimitReader(&buf, 1<<30))
+	got, err := ReadIndex(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 // 128-posting block, which yields a much tighter per-block upper bound:
 // qw·MaxWeight(blockMaxTF, df) + suffixBound[i+1]. A block whose bound
 // cannot reach the threshold and that contains no already-accumulated
-// document is skipped without being decoded — on a file-backed index its bytes are
-// never read at all.
+// document is skipped without being decoded — on a mapped index its pages
+// are never read at all.
 //
 // The result is provably rank- and score-identical to TopK (exact TAAT) —
 // see DESIGN.md §10 for the safety argument; the short form: a document's

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"newslink/internal/index"
+	"newslink/internal/mmap"
 )
 
 // randomCorpus builds an index large enough that frequent terms span many
@@ -64,8 +65,8 @@ func TestBlockMaxAgreesWithExact(t *testing.T) {
 	}
 }
 
-// TestBlockMaxAgreesOnDisk runs the same equivalence through a file-backed
-// index, so the cursor's block-granular ReadAt path is exercised too.
+// TestBlockMaxAgreesOnDisk runs the same equivalence through an index
+// parsed from a read-only mapping of its file, as a snapshot load does.
 func TestBlockMaxAgreesOnDisk(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	vocab := []string{"a", "b", "c", "d", "e"}
@@ -74,11 +75,15 @@ func TestBlockMaxAgreesOnDisk(t *testing.T) {
 	if err := writeIndexFile(idx, path); err != nil {
 		t.Fatal(err)
 	}
-	d, err := index.OpenIndex(path)
+	data, err := mmap.Map(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
+	defer mmap.Unmap(data)
+	d, err := index.ReadIndex(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for trial := 0; trial < 10; trial++ {
 		q := Query{}
 		for i := 0; i <= rng.Intn(3); i++ {

@@ -8,6 +8,7 @@ import (
 
 	"newslink/internal/index"
 	"newslink/internal/kg"
+	"newslink/internal/mmap"
 )
 
 // Manifest access for the cluster tier.
@@ -85,9 +86,9 @@ func verifyArtifact(dir, name string, checksums map[string]string, buf []byte) e
 }
 
 // Shard is the postings of a slice of a snapshot's segments: what a cluster
-// shard worker traverses for the router. It holds the text and node indexes
-// resident (nothing to close), the tombstones and the documents' time
-// column — no document text, which stays with the router's engine.
+// shard worker traverses for the router. Its segments are loaded as Load
+// loads them, mapped until Close; it reads their indexes, tombstones and
+// time columns, never a document's text, which the router's engine serves.
 type Shard struct {
 	set *segmentSet
 }
@@ -101,7 +102,7 @@ type Shard struct {
 // first document of segs[0] is position 0.
 func LoadSegments(dir string, g *kg.Graph, print GraphFingerprint, segs []ManifestSegment, checksums map[string]string) (*Shard, error) {
 	m := &snapshotMeta{Version: snapshotVersion, Graph: print, Segments: segs, Checksums: checksums}
-	loaded, err := loadSegments(dir, g, m, loadPostings)
+	loaded, err := loadSegments(dir, g, m)
 	if err != nil {
 		return nil, err
 	}
@@ -114,6 +115,17 @@ func LoadSegments(dir string, g *kg.Graph, print GraphFingerprint, segs []Manife
 // outside the inclusive [after, before] time range (0 = unbounded) or
 // failing the entity facet (term sets, conjunctive across sets), are
 // masked from traversal while the statistics stay the unfiltered slice's.
+//
+// The sources read the shard's mappings: a caller that traverses them
+// runs the traversal under mmap.Guard, as a cluster worker does.
 func (s *Shard) Sources(after, before int64, entities [][]string) (text, node index.Source, err error) {
-	return s.set.filteredSources(after, before, entities)
+	err = mmap.Guard(func() (err error) {
+		text, node, err = s.set.filteredSources(after, before, entities)
+		return err
+	})
+	return text, node, err
 }
+
+// Close releases the shard's mappings. Nothing may read the shard, or the
+// sources it returned, afterwards.
+func (s *Shard) Close() error { return unmapSegments(s.set.segs) }

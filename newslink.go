@@ -241,6 +241,12 @@ type Engine struct {
 	// (0 = none), read lock-free by searches and settable at any time.
 	bonTimeout atomic.Int64
 
+	// loaded is the segments the engine's loader restored, the owners of
+	// its snapshot mappings, which Close releases; closed is set by Close,
+	// after which reads and writes fail with ErrClosed.
+	loaded []*segment
+	closed atomic.Bool
+
 	// remote, when set (LoadRouted, before the engine is shared), runs
 	// every request's postings traversals in place of the engine's own
 	// indexes, and the engine refuses writes.
@@ -374,7 +380,8 @@ func (e *Engine) Refresh() {
 // e.mu.
 func (e *Engine) refreshLocked() {
 	s := e.set.Load()
-	if s == nil || len(e.pendDocs) == 0 {
+	// A closed engine merges nothing: its loaded segments are unmapped.
+	if s == nil || len(e.pendDocs) == 0 || e.closed.Load() {
 		return
 	}
 	seg := e.sealPendingLocked()
@@ -413,15 +420,11 @@ func (e *Engine) analyze(text string) docTerms {
 
 // docEmbedding re-derives the subgraph embedding of the document at a
 // global position of s from its text, through the very path analyze
-// indexed it by (nil for an unembeddable document). A read error is
-// returned, never a nil embedding.
-func (e *Engine) docEmbedding(s *segmentSet, pos int) (*core.DocEmbedding, error) {
-	si, local := s.segIndexOf(pos)
-	_, text, err := s.segs[si].docs.text(local, nil)
-	if err != nil {
-		return nil, err
-	}
-	return e.gs.embedDoc(e.gs.pipe.Process(text)), nil
+// indexed it by (nil for an unembeddable document). The text of a mapped
+// document is a copy (segmentSet.doc): the pipeline's tokens, which the
+// embedder's group cache may keep, never alias the mapping.
+func (e *Engine) docEmbedding(s *segmentSet, pos int) *core.DocEmbedding {
+	return e.gs.embedDoc(e.gs.pipe.Process(s.doc(pos).Text))
 }
 
 // Build finalizes the inverted indexes. It must be called once, after the
@@ -520,12 +523,15 @@ func (e *Engine) upsertLocked(doc Document, terms docTerms) error {
 // length reflect the live corpus again and block-max pruning gets full
 // blocks. A no-op on an already-compacted engine; ErrNotBuilt before
 // Build. Searches proceed concurrently against the pre-compaction set
-// until the swap. If a segment's postings cannot be read (LoadOnDisk
-// files gone bad) the error is returned and the pre-compaction set stays
-// published.
+// until the swap. If a segment cannot be read (a loaded segment's artifact
+// truncated under the engine) the error is returned and the
+// pre-compaction set stays published. After Close it is ErrClosed.
 func (e *Engine) Compact() error {
 	if e.remote != nil {
 		return ErrReadOnly
+	}
+	if e.closed.Load() {
+		return ErrClosed
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -547,10 +553,14 @@ func (e *Engine) Compact() error {
 }
 
 // acquire returns the published segment set for one read operation, or
-// ErrNotBuilt. When pending documents exist it refreshes first, so a
-// search always sees everything added before it started. The returned set
-// is immutable: the read runs lock-free against it for its full duration.
+// ErrNotBuilt, or ErrClosed once Close has run (its mappings may be gone).
+// When pending documents exist it refreshes first, so a search always sees
+// everything added before it started. The returned set is immutable: the
+// read runs lock-free against it for its full duration.
 func (e *Engine) acquire() (*segmentSet, error) {
+	if e.closed.Load() {
+		return nil, ErrClosed
+	}
 	if e.pending.Load() > 0 {
 		e.Refresh()
 	}

@@ -18,6 +18,7 @@ import (
 	"newslink/internal/faults"
 	"newslink/internal/index"
 	"newslink/internal/kg"
+	"newslink/internal/mmap"
 )
 
 // Snapshot layout (version 7): a directory with
@@ -117,7 +118,7 @@ func ChecksumFile(path string) (string, error) {
 }
 
 // copyBufSize sizes the buffer artifacts are streamed through when
-// checksummed or read; a load allocates one and reuses it for every file.
+// checksummed; a load allocates one and reuses it for every file.
 const copyBufSize = 32 << 10
 
 // checksumFile is ChecksumFile streaming through buf.
@@ -180,9 +181,9 @@ func readOldSnapshot(dir string) *oldSnapshot {
 // Saves are incremental: segment artifacts are content-addressed, so a
 // segment already present in the snapshot being replaced is hard-linked
 // into the new one instead of rewritten — only new and merged segments
-// (and meta.json, which carries the tombstones) cost IO. A segment served
-// from snapshot files (LoadOnDisk) streams its postings from them; if they
-// can no longer be read, Save fails with that error.
+// (and meta.json, which carries the tombstones) cost IO. A loaded segment
+// is written from its mapped artifacts; if one was truncated under the
+// engine, Save fails with that error. After Close, Save is ErrClosed.
 //
 // The write is atomic with respect to crashes and failures: the snapshot
 // is staged in a temporary directory, fsynced, checksummed, and renamed
@@ -190,6 +191,13 @@ func readOldSnapshot(dir string) *oldSnapshot {
 // dir (if one exists) stays intact and loadable, and the staging
 // directory is removed.
 func (e *Engine) Save(dir string) error {
+	if e.closed.Load() {
+		return ErrClosed
+	}
+	return mmap.Guard(func() error { return e.save(dir) })
+}
+
+func (e *Engine) save(dir string) error {
 	// Seal and capture in one critical section: an Add landing between a
 	// separate Refresh and the capture would leave documents behind that
 	// are absent from the serialized segments, silently losing them on
@@ -425,16 +433,25 @@ func installSnapshot(tmp, dir string) error {
 	return syncDir(filepath.Dir(filepath.Clean(dir)))
 }
 
-// Load restores an engine snapshot written by Save, reading all segment
-// indexes fully into memory. g must be the same knowledge graph the
-// snapshot was built on (verified by fingerprint).
+// Load restores an engine snapshot written by Save. g must be the same
+// knowledge graph the snapshot was built on (verified by fingerprint).
+//
+// Every artifact is checksum-verified (streamed through read(2), so
+// verification makes nothing resident) and then mapped read-only, its
+// descriptor closed: a request reads the postings blocks and the documents
+// it touches in place, at memory speed, and only those pages become
+// resident (DESIGN.md §11). The index directories, the document lengths
+// and the documents' ID, time and offset columns are parsed out, with
+// every postings block validated, before Load returns; the engine keeps
+// the mappings until Close. A segment that a write or merge creates after
+// the load is heap resident, as in any engine.
 //
 // Load verifies the snapshot before building any state: a format-version
 // mismatch returns ErrSnapshotVersion, and an unparsable meta.json, a
 // missing or truncated artifact, a checksum mismatch, a corrupt tombstone
 // bitmap, or inconsistent document counts return ErrSnapshotCorrupt
 // (match both with errors.Is). On any error no engine is returned — never
-// a partially loaded one.
+// a partially loaded one — and nothing stays mapped.
 //
 // Runtime options (cache sizes, WithWAL, WithIngestQueue, ...) apply on
 // top of the snapshot's persisted Config. With WithWAL set, Load replays
@@ -442,66 +459,11 @@ func installSnapshot(tmp, dir string) error {
 // acknowledged after the snapshot was taken — before arming the ingest
 // pipeline; a corrupt log fails with ErrWALCorrupt.
 func Load(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
-	return loadDurable(dir, g, loadResident, opts)
-}
-
-// LoadOnDisk restores a snapshot but serves it directly from the snapshot
-// files: postings and document titles and texts are read on demand — one
-// ReadAt per postings block and per document a request needs — so startup
-// cost and resident memory stay flat as the corpus grows. What stays
-// resident is the index directories and document lengths and the
-// documents' ID, time and offset columns. The engine holds the three files
-// of every segment open until Close. Integrity verification streams each
-// artifact once at open time (sequential IO, no resident memory), with the
-// same checks Load applies; the same typed errors and option semantics as
-// Load apply. A segment that a write or merge creates after the load is
-// resident, as in any engine.
-func LoadOnDisk(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
-	return loadDurable(dir, g, loadOnDisk, opts)
-}
-
-// Close shuts the engine's owned resources down: the ingest pipeline is
-// drained and stopped, the write-ahead log is fsynced and closed, and any
-// snapshot files held open by LoadOnDisk or LoadRouted are released. After
-// Close, writes on a WAL-armed engine fail with ErrClosed; searches keep
-// working against the in-memory state (in-memory engines) or fail on file
-// access (on-disk ones).
-func (e *Engine) Close() error {
-	werr := e.stopIngest()
-	s := e.set.Load()
-	if s == nil {
-		return werr
-	}
-	for _, seg := range s.segs {
-		werr = errors.Join(werr, seg.close())
-	}
-	return werr
-}
-
-// loadMode is what a loader restores of each segment.
-type loadMode int
-
-const (
-	// loadResident reads every artifact fully into memory (Load).
-	loadResident loadMode = iota
-	// loadOnDisk keeps the postings and the document text in their
-	// files, read on demand (LoadOnDisk, LoadRouted).
-	loadOnDisk
-	// loadPostings reads the indexes fully into memory plus the time
-	// column of the documents artifact: no document text (LoadSegments, a
-	// shard worker's slice).
-	loadPostings
-)
-
-// loadDurable is Load, LoadOnDisk and LoadRouted: the whole manifest
-// restored and published, then post-snapshot writes recovered from the WAL
-// and the ingest pipeline armed (per the caller's options).
-func loadDurable(dir string, g *kg.Graph, mode loadMode, opts []Option) (*Engine, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	segs, err := loadSegments(dir, g, m, mode)
+	segs, err := loadSegments(dir, g, m)
 	if err != nil {
 		return nil, err
 	}
@@ -509,6 +471,7 @@ func loadDurable(dir string, g *kg.Graph, mode loadMode, opts []Option) (*Engine
 	// runtime knobs (caches, WAL, ingest queue) configure the restored
 	// engine exactly as they would a fresh one.
 	e := New(g, append([]Option{m.Config}, opts...)...)
+	e.loaded = segs
 	e.mu.Lock()
 	e.publishLocked(segs)
 	e.mu.Unlock()
@@ -516,19 +479,34 @@ func loadDurable(dir string, g *kg.Graph, mode loadMode, opts []Option) (*Engine
 	err = e.startDurabilityLocked()
 	e.walMu.Unlock()
 	if err != nil {
-		closeSegments(segs)
+		unmapSegments(segs)
 		return nil, err
 	}
 	return e, nil
 }
 
+// Close shuts the engine's owned resources down: the ingest pipeline is
+// drained and stopped, the write-ahead log is fsynced and closed, and
+// every snapshot mapping the engine's loader made is released — those of
+// segments a merge has since retired included. Afterwards every read,
+// write, Compact and Save fails with ErrClosed. Close must not race
+// reads: a server closes the engine only after it stopped serving
+// (http.Server.Shutdown). A second Close is a no-op.
+func (e *Engine) Close() error {
+	err := e.stopIngest()
+	if e.closed.Swap(true) {
+		return err
+	}
+	return errors.Join(err, unmapSegments(e.loaded))
+}
+
 // loadSegments is the one restore path behind every loader: it checks the
 // graph fingerprint, then restores the manifest's segments concurrently —
 // each one checksum-verified against the manifest before anything of it is
-// built — and returns them in manifest order. The first failing segment in
-// that order decides the error, and every segment restored by then is
-// closed again: no loader ever returns, or leaks, a partial set.
-func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, mode loadMode) ([]*segment, error) {
+// mapped — and returns them in manifest order. The first failing segment
+// in that order decides the error, and every segment restored by then is
+// unmapped again: no loader ever returns, or leaks, a partial set.
+func loadSegments(dir string, g *kg.Graph, m *snapshotMeta) ([]*segment, error) {
 	if got := fingerprint(g); got != m.Graph {
 		return nil, fmt.Errorf("newslink: knowledge graph mismatch: snapshot %+v, graph %+v", m.Graph, got)
 	}
@@ -542,14 +520,14 @@ func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, mode loadMode) ([]*s
 			defer wg.Done()
 			buf := make([]byte, copyBufSize)
 			for i := int(next.Add(1)) - 1; i < len(segs); i = int(next.Add(1)) - 1 {
-				segs[i], errs[i] = loadSegment(dir, m, i, mode, buf)
+				segs[i], errs[i] = loadSegment(dir, m, i, buf)
 			}
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			closeSegments(segs)
+			unmapSegments(segs)
 			return nil, err
 		}
 	}
@@ -558,54 +536,47 @@ func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, mode loadMode) ([]*s
 
 // loadSegment restores segment i of the manifest. It verifies the
 // segment's artifacts against their recorded checksums, streaming them
-// through buf, then opens them: Load reads the indexes and the documents'
-// text into memory (the text streamed through buf), LoadOnDisk and
-// LoadRouted keep the files open and read only the columns, offsets and
-// index directories, and LoadSegments reads the indexes and the time
-// column. The artifact identity from meta.json is memoized on the segment
-// so a later Save can reuse the files without rewriting them.
-func loadSegment(dir string, m *snapshotMeta, i int, mode loadMode, buf []byte) (*segment, error) {
+// through buf, then maps each one and parses it: the indexes' directories
+// and every postings block (index.ReadIndex), and the documents' columns
+// (openDocs). A file truncated between the two faults on its mapping
+// while it is parsed, which fails the load like any other corruption. The
+// artifact identity from meta.json is memoized on the segment so a later
+// Save can reuse the files without rewriting them.
+func loadSegment(dir string, m *snapshotMeta, i int, buf []byte) (*segment, error) {
 	sm := m.Segments[i]
-	textName, nodeName := segFileName(sm.ID, "text.idx"), segFileName(sm.ID, "node.idx")
-	docsName := segFileName(sm.ID, docsSuffix)
-	for _, name := range SegmentFileNames(sm.ID) {
+	names := SegmentFileNames(sm.ID)
+	for _, name := range names {
 		if err := verifyArtifact(dir, name, m.Checksums, buf); err != nil {
 			return nil, err
 		}
 	}
 	seg := &segment{}
 	corrupt := func(name string, err error) (*segment, error) {
-		seg.close()
+		seg.unmap()
 		return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
 	}
-	onDisk := mode == loadOnDisk
-	var err error
-	if seg.text, err = readIndexFile(filepath.Join(dir, textName), onDisk); err != nil {
-		return corrupt(textName, err)
+	// One parser per artifact, in segmentSuffixes order.
+	parse := [...]func(data []byte) error{
+		func(data []byte) (err error) { seg.text, err = index.ReadIndex(data); return err },
+		func(data []byte) (err error) { seg.node, err = index.ReadIndex(data); return err },
+		func(data []byte) (err error) { seg.docs, seg.times, err = openDocs(data); return err },
 	}
-	if seg.node, err = readIndexFile(filepath.Join(dir, nodeName), onDisk); err != nil {
-		return corrupt(nodeName, err)
+	for k, name := range names {
+		data, err := mmap.Map(filepath.Join(dir, name))
+		if err == nil {
+			seg.maps = append(seg.maps, data)
+			err = mmap.Guard(func() error { return parse[k](data) })
+		}
+		if err != nil {
+			return corrupt(name, err)
+		}
 	}
-	if seg.docs, seg.times, err = openDocs(filepath.Join(dir, docsName)); err != nil {
-		return corrupt(docsName, err)
-	}
-	switch mode {
-	case loadPostings:
-		err = seg.docs.close()
-		seg.docs = docStore{}
-	case loadResident:
-		err = seg.docs.readIn(seg.times, buf)
-	}
-	if err != nil {
-		return corrupt(docsName, err)
-	}
+	docsName := names[len(names)-1]
 	if n := seg.numDocs(); seg.text.NumDocs() != n || seg.node.NumDocs() != n {
 		return corrupt(docsName, fmt.Errorf("segment %s: %d docs, %d text-indexed, %d node-indexed",
 			sm.ID, n, seg.text.NumDocs(), seg.node.NumDocs()))
 	}
-	if mode != loadPostings {
-		seg.byID = idOrder(&seg.docs, seg.numDocs())
-	}
+	seg.byID = idOrder(&seg.docs, seg.numDocs())
 	if sm.Dead != "" {
 		raw, err := base64.StdEncoding.DecodeString(sm.Dead)
 		if err != nil {
@@ -621,33 +592,21 @@ func loadSegment(dir string, m *snapshotMeta, i int, mode loadMode, buf []byte) 
 		seg.dead = dead
 	}
 	art := &segmentArtifact{id: sm.ID, sums: make(map[string]string, len(segmentSuffixes))}
-	for _, name := range SegmentFileNames(sm.ID) {
+	for _, name := range names {
 		art.sums[name] = m.Checksums[name]
 	}
 	seg.art.Store(art)
 	return seg, nil
 }
 
-// readIndexFile opens one index artifact: file-backed, or read fully into
-// memory (and fully validated) with the file closed again.
-func readIndexFile(path string, onDisk bool) (*index.Index, error) {
-	if onDisk {
-		return index.OpenIndex(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return index.ReadIndex(f)
-}
-
-// closeSegments releases the file-backed indexes of loaded segments on an
-// error path (nil entries are the segments that never loaded).
-func closeSegments(segs []*segment) {
+// unmapSegments releases the mappings of loaded segments (nil entries are
+// the segments of a failed load that never loaded).
+func unmapSegments(segs []*segment) error {
+	var err error
 	for _, seg := range segs {
 		if seg != nil {
-			seg.close()
+			err = errors.Join(err, seg.unmap())
 		}
 	}
+	return err
 }

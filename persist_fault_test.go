@@ -102,35 +102,45 @@ func rewriteArtifact(t *testing.T, dir, suffix string, fn func([]byte) []byte) {
 	})
 }
 
-// openUnder counts this process's open descriptors on files under dir.
-func openUnder(t *testing.T, dir string) int {
+// openUnder counts what this process holds on files under dir: open
+// descriptors and memory mappings.
+func openUnder(t *testing.T, dir string) (fds, maps int) {
 	t.Helper()
-	fds, err := os.ReadDir("/proc/self/fd")
+	ents, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
 		t.Skipf("cannot list open descriptors: %v", err)
 	}
-	// t.TempDir may sit behind a symlink; descriptors name the real path.
+	mapped, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("cannot list mappings: %v", err)
+	}
+	// t.TempDir may sit behind a symlink; descriptors and mappings name
+	// the real path.
 	real, err := filepath.EvalSymlinks(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for _, fd := range fds {
+	for _, fd := range ents {
 		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, real+"/") {
-			n++
+			fds++
 		}
 	}
-	return n
+	for _, line := range strings.Split(string(mapped), "\n") {
+		if strings.Contains(line, " "+real+"/") {
+			maps++
+		}
+	}
+	return fds, maps
 }
 
-// TestLoadCorruptionTable drives Load, LoadOnDisk and LoadSegments over
+// TestLoadCorruptionTable drives Load and LoadSegments over
 // every corruption class the snapshot format defends against: truncation,
 // a single bit flip, and outright removal of each binary artifact, a
 // missing checksum, a documents artifact whose checksum matches but whose
 // count or offsets do not, plus version skew — a retired version 6
 // included — and a torn meta.json. Each case must return the matching
 // typed error, never a (half-built) engine, and leave no descriptor open
-// on the snapshot.
+// and nothing mapped on the snapshot.
 func TestLoadCorruptionTable(t *testing.T) {
 	g, _ := corpus.Sample()
 	e := sampleEngine(t, DefaultConfig())
@@ -234,7 +244,7 @@ func TestLoadCorruptionTable(t *testing.T) {
 		// the index, or with themselves.
 		tc{"count-mismatch/docs.bin", func(t *testing.T, dir string) {
 			rewriteArtifact(t, dir, "docs.bin", func(data []byte) []byte {
-				docs := readDocsIn(t, writeTemp(t, data))
+				docs := readDocsIn(t, data)
 				return appendDocs(nil, docs[:len(docs)-1])
 			})
 		}, ErrSnapshotCorrupt, "docs.bin: segment"},
@@ -260,21 +270,16 @@ func TestLoadCorruptionTable(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "snap")
 			copyDir(t, pristine, dir)
 			c.mutate(t, dir)
-			for loader, loadFn := range map[string]func(string) (*Engine, error){
-				"Load":       func(d string) (*Engine, error) { return Load(d, g) },
-				"LoadOnDisk": func(d string) (*Engine, error) { return LoadOnDisk(d, g) },
-			} {
-				got, err := loadFn(dir)
-				if got != nil {
-					got.Close()
-					t.Fatalf("%s returned an engine from a corrupt snapshot", loader)
-				}
-				if !errors.Is(err, c.wantErr) || !strings.Contains(err.Error(), c.names) {
-					t.Fatalf("%s error = %v, want %v naming %q", loader, err, c.wantErr, c.names)
-				}
-				if n := openUnder(t, dir); n != 0 {
-					t.Fatalf("%s left %d descriptors open on the snapshot", loader, n)
-				}
+			got, err := Load(dir, g)
+			if got != nil {
+				got.Close()
+				t.Fatal("Load returned an engine from a corrupt snapshot")
+			}
+			if !errors.Is(err, c.wantErr) || !strings.Contains(err.Error(), c.names) {
+				t.Fatalf("Load error = %v, want %v naming %q", err, c.wantErr, c.names)
+			}
+			if fds, maps := openUnder(t, dir); fds+maps != 0 {
+				t.Fatalf("Load left %d descriptors and %d mappings on the snapshot", fds, maps)
 			}
 			// A shard worker's load fails the same way.
 			m, err := ReadManifest(dir)
@@ -284,16 +289,16 @@ func TestLoadCorruptionTable(t *testing.T) {
 			if !errors.Is(err, c.wantErr) || !strings.Contains(err.Error(), c.names) {
 				t.Fatalf("LoadSegments error = %v, want %v naming %q", err, c.wantErr, c.names)
 			}
-			if n := openUnder(t, dir); n != 0 {
-				t.Fatalf("LoadSegments left %d descriptors open on the snapshot", n)
+			if fds, maps := openUnder(t, dir); fds+maps != 0 {
+				t.Fatalf("LoadSegments left %d descriptors and %d mappings on the snapshot", fds, maps)
 			}
 		})
 	}
 }
 
 // truncateArtifacts empties, in place, every snapshot file in dir whose
-// name ends in suffix — a disk going bad under a LoadOnDisk engine after
-// the load-time checksum pass.
+// name ends in suffix — a disk going bad under a loaded engine after the
+// load-time checksum pass, which its mappings fault on.
 func truncateArtifacts(t *testing.T, dir, suffix string) {
 	t.Helper()
 	matches, err := filepath.Glob(filepath.Join(dir, "seg-*."+suffix))
@@ -307,30 +312,20 @@ func truncateArtifacts(t *testing.T, dir, suffix string) {
 	}
 }
 
-// TestOnDiskReadErrorNeverBecomesEmpty: once the files behind a LoadOnDisk
-// engine can no longer be read, every consumer of postings must report the
-// read error. None may turn it into an empty answer: not a filtered
+// TestOnDiskReadErrorNeverBecomesEmpty: once the files behind a loaded
+// engine's mappings are truncated, every consumer of postings must report
+// the fault as an error. None may turn it into an empty answer: not a filtered
 // search's entity allowlist, not Compact or a policy merge (which would
 // publish a segment without postings and answer every later search with
 // zero hits), not Save.
 func TestOnDiskReadErrorNeverBecomesEmpty(t *testing.T) {
 	g, arts := corpus.Sample()
 	const query = "Taliban bombing in Lahore"
-	// loadOnDisk saves the sample engine plus extra one-document segments
-	// and reloads it file-backed.
-	loadOnDisk := func(t *testing.T, extra int) (*Engine, string) {
-		e := sampleEngine(t, DefaultConfig())
-		for i := 0; i < extra; i++ {
-			if err := e.Add(Document{ID: 9300 + i, Title: "late", Text: "A late bulletin about the Taliban in Lahore."}); err != nil {
-				t.Fatal(err)
-			}
-			e.Refresh()
-		}
-		dir := filepath.Join(t.TempDir(), "snap")
-		if err := e.Save(dir); err != nil {
-			t.Fatal(err)
-		}
-		disk, err := LoadOnDisk(dir, g)
+	// load saves the sample engine plus extra one-document segments and
+	// loads it back.
+	load := func(t *testing.T, extra int) (*Engine, string) {
+		dir := savedWithSegments(t, extra)
+		disk, err := Load(dir, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,12 +334,12 @@ func TestOnDiskReadErrorNeverBecomesEmpty(t *testing.T) {
 			t.Fatalf("loaded %d segments, want %d", disk.NumSegments(), extra+1)
 		}
 		if res, err := disk.Search(query, 5); err != nil || len(res) == 0 {
-			t.Fatalf("healthy on-disk search: %v, %v", res, err)
+			t.Fatalf("healthy search: %v, %v", res, err)
 		}
 		return disk, dir
 	}
 
-	disk, dir := loadOnDisk(t, 1)
+	disk, dir := load(t, 1)
 	// Node index gone: a text-only (β = 0) search never touches it except
 	// to build the entity allowlist, which must fail the request rather
 	// than match nothing.
@@ -383,7 +378,7 @@ func TestOnDiskReadErrorNeverBecomesEmpty(t *testing.T) {
 	if segTier(len(arts)) == segTier(1) {
 		late--
 	}
-	disk, dir = loadOnDisk(t, late)
+	disk, dir = load(t, late)
 	truncateArtifacts(t, dir, "text.idx")
 	if err := disk.Add(Document{ID: 9400, Title: "later", Text: "A later bulletin."}); err != nil {
 		t.Fatal(err)
@@ -403,6 +398,118 @@ func TestOnDiskReadErrorNeverBecomesEmpty(t *testing.T) {
 	}
 
 	storedFieldReadErrors(t)
+}
+
+// savedWithSegments saves the sample engine plus extra one-document
+// segments and returns the snapshot directory.
+func savedWithSegments(t *testing.T, extra int) string {
+	t.Helper()
+	e := sampleEngine(t, DefaultConfig())
+	for i := 0; i < extra; i++ {
+		if err := e.Add(Document{ID: 9300 + i, Title: "late", Text: "A late bulletin about the Taliban in Lahore."}); err != nil {
+			t.Fatal(err)
+		}
+		e.Refresh()
+	}
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := e.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestCloseReleasesEveryMapping: a loaded engine maps the three artifacts
+// of each segment and holds no descriptor on them. The segments a merge
+// retires — by Compact, or by the tiered policy on refresh — stay mapped
+// while the engine is open, and Close releases every mapping, theirs
+// included.
+func TestCloseReleasesEveryMapping(t *testing.T) {
+	g, arts := corpus.Sample()
+	// The policy case: the mergeFactor-th adjacent segment of tier
+	// segTier(1) makes a run; the sample segment joins it only if it
+	// shares that tier.
+	late := mergeFactor - 1
+	if segTier(len(arts)) == segTier(1) {
+		late--
+	}
+	for _, c := range []struct {
+		name  string
+		extra int
+		merge func(e *Engine) error
+	}{
+		{"compact", 2, (*Engine).Compact},
+		{"policy-merge", late, func(e *Engine) error {
+			if err := e.Add(Document{ID: 9400, Title: "later", Text: "A later bulletin."}); err != nil {
+				return err
+			}
+			e.Refresh()
+			return nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := savedWithSegments(t, c.extra)
+			e, err := Load(dir, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded := e.NumSegments()
+			if fds, maps := openUnder(t, dir); fds != 0 || maps != 3*loaded {
+				t.Fatalf("loaded engine holds %d descriptors and %d mappings, want 0 and %d", fds, maps, 3*loaded)
+			}
+			if err := c.merge(e); err != nil {
+				t.Fatal(err)
+			}
+			if n := e.NumSegments(); n >= loaded {
+				t.Fatalf("%s left %d segments of the %d loaded: nothing retired", c.name, n, loaded)
+			}
+			if fds, maps := openUnder(t, dir); fds != 0 || maps != 3*loaded {
+				t.Fatalf("after %s: %d descriptors and %d mappings, want 0 and %d", c.name, fds, maps, 3*loaded)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if fds, maps := openUnder(t, dir); fds+maps != 0 {
+				t.Fatalf("closed engine still holds %d descriptors and %d mappings", fds, maps)
+			}
+		})
+	}
+}
+
+// TestReadsAfterCloseFail: once Close has run, every read — and Save and
+// Compact, which read too — fails with ErrClosed, so none touches a
+// released mapping.
+func TestReadsAfterCloseFail(t *testing.T) {
+	g, arts := corpus.Sample()
+	e, err := Load(savedWithSegments(t, 1), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const query = "Taliban bombing in Lahore"
+	id := arts[1].ID
+	_, searchErr := e.Search(query, 5)
+	_, relatedErr := e.Related(id, 5)
+	_, explainErr := e.Explain(query, id, 3)
+	_, dotErr := e.ExplainDOT(query, id, "t")
+	_, docErr := e.DocAt(0)
+	_, _, sourcesErr := e.Sources()
+	for op, err := range map[string]error{
+		"Search":     searchErr,
+		"Related":    relatedErr,
+		"Explain":    explainErr,
+		"ExplainDOT": dotErr,
+		"DocAt":      docErr,
+		"Sources":    sourcesErr,
+		"Save":       e.Save(filepath.Join(t.TempDir(), "resave")),
+		"Compact":    e.Compact(),
+		"Add":        e.Add(Document{ID: 9500, Text: "After the close."}),
+	} {
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close: %v, want ErrClosed", op, err)
+		}
+	}
 }
 
 // localTraverse runs a routed engine's traversals over shard, a
@@ -432,15 +539,21 @@ func localTraverse(shard *Shard) func(context.Context, Traversal) (Retrieval, er
 }
 
 // storedFieldReadErrors is TestOnDiskReadErrorNeverBecomesEmpty's
-// guarantee for the stored fields a file-backed engine — LoadOnDisk, and
-// LoadRouted, the cluster router's engine — reads on demand: the
-// documents (docs.bin), which Search and DocAt read, and Related, Explain
-// and ExplainDOT too, to re-derive the source document's embedding from
-// its text. Truncated under
-// the engine, every request that reads the artifact fails, Save to a
-// fresh directory included, and every other request answers exactly as
-// before. Removed under it, nothing changes at all: the engine holds its
-// files open, so it keeps answering exactly, and re-saves byte for byte.
+// guarantee for the stored fields a loaded engine — Load, and LoadRouted,
+// the cluster router's engine — reads in place from its mapped documents
+// artifact (docs.bin): Search and DocAt read it, and Related, Explain and
+// ExplainDOT too, to re-derive the source document's embedding from its
+// text. Truncated under the engine, every request that reads the artifact
+// fails, Save to a fresh directory included, and every other request
+// answers exactly as before. Removed under it, nothing changes at all: the
+// mapping keeps the file's contents, so the engine keeps answering
+// exactly, and re-saves byte for byte.
+//
+// Then nothing the engine answered may alias its mappings: with every
+// artifact truncated and the engine closed, the answers taken while it was
+// healthy still read back equal to their copies. A mapped string that
+// escaped a request would fault here, outside any guard, and crash the
+// test.
 func storedFieldReadErrors(t *testing.T) {
 	g, arts := corpus.Sample()
 	const query = "Taliban bombing in Lahore"
@@ -461,12 +574,35 @@ func storedFieldReadErrors(t *testing.T) {
 		a.doc, errs["DocAt"] = e.DocAt(1)
 		return a, errs
 	}
+	cloneResults := func(rs []Result) []Result {
+		out := make([]Result, len(rs))
+		for i, r := range rs {
+			out[i] = Result{ID: r.ID, Title: strings.Clone(r.Title), Score: r.Score, Snippet: strings.Clone(r.Snippet)}
+		}
+		return out
+	}
+	cloneStrings := func(ss []string) []string {
+		out := make([]string, len(ss))
+		for i, s := range ss {
+			out[i] = strings.Clone(s)
+		}
+		return out
+	}
+	clone := func(a answers) answers {
+		c := answers{search: cloneResults(a.search), related: cloneResults(a.related), dot: strings.Clone(a.dot), doc: a.doc}
+		c.explain.SharedEntities = cloneStrings(a.explain.SharedEntities)
+		for _, p := range a.explain.Paths {
+			c.explain.Paths = append(c.explain.Paths, Path{Nodes: cloneStrings(p.Nodes), Relations: cloneStrings(p.Relations), Rendered: strings.Clone(p.Rendered)})
+		}
+		c.doc.Title, c.doc.Text = strings.Clone(a.doc.Title), strings.Clone(a.doc.Text)
+		return c
+	}
 	readers := map[string][]string{
 		"docs.bin": {"Search", "Related", "Explain", "ExplainDOT", "DocAt"},
 	}
 	loaders := map[string]func(t *testing.T, dir string) *Engine{
-		"LoadOnDisk": func(t *testing.T, dir string) *Engine {
-			e, err := LoadOnDisk(dir, g)
+		"Load": func(t *testing.T, dir string) *Engine {
+			e, err := Load(dir, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -481,6 +617,7 @@ func storedFieldReadErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(func() { shard.Close() })
 			e, err := LoadRouted(dir, g, localTraverse(shard))
 			if err != nil {
 				t.Fatal(err)
@@ -508,6 +645,7 @@ func storedFieldReadErrors(t *testing.T) {
 					if len(want.search) == 0 || len(want.related) == 0 || len(want.explain.Paths) == 0 || want.dot == "" {
 						t.Fatalf("healthy answers leave a read unexercised: %+v", want)
 					}
+					kept := clone(want)
 					if damage == "truncated" {
 						truncateArtifacts(t, dir, artifact)
 					} else if err := os.Remove(segArtifact(t, dir, artifact)); err != nil {
@@ -536,27 +674,44 @@ func storedFieldReadErrors(t *testing.T) {
 					}
 					fresh := filepath.Join(t.TempDir(), "resave")
 					err := e.Save(fresh)
-					if damage == "truncated" {
-						if err == nil {
-							t.Fatal("Save over a truncated artifact returned no error")
-						}
-						return
-					}
-					if err != nil {
-						t.Fatalf("Save over a removed (still open) artifact: %v", err)
-					}
-					names, err := filepath.Glob(filepath.Join(pristine, "*"))
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, path := range names {
-						a, err := os.ReadFile(path)
+					switch {
+					case damage == "truncated" && err == nil:
+						t.Fatal("Save over a truncated artifact returned no error")
+					case damage == "removed" && err != nil:
+						t.Fatalf("Save over a removed (still mapped) artifact: %v", err)
+					case damage == "removed":
+						names, err := filepath.Glob(filepath.Join(pristine, "*"))
 						if err != nil {
 							t.Fatal(err)
 						}
-						if b, err := os.ReadFile(filepath.Join(fresh, filepath.Base(path))); err != nil || !bytes.Equal(a, b) {
-							t.Fatalf("re-saved %s differs from the saved one (%v)", filepath.Base(path), err)
+						for _, path := range names {
+							a, err := os.ReadFile(path)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if b, err := os.ReadFile(filepath.Join(fresh, filepath.Base(path))); err != nil || !bytes.Equal(a, b) {
+								t.Fatalf("re-saved %s differs from the saved one (%v)", filepath.Base(path), err)
+							}
 						}
+					}
+
+					paths, err := filepath.Glob(filepath.Join(dir, "seg-*"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, path := range paths {
+						if err := os.Truncate(path, 0); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if !reflect.DeepEqual(want, kept) {
+						t.Fatal("answers taken before the damage changed after every artifact was truncated")
+					}
+					if err := e.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(want, kept) {
+						t.Fatal("answers taken before the damage changed after Close")
 					}
 				})
 			}

@@ -188,10 +188,12 @@ func TestLoadRejectsReweightedGraph(t *testing.T) {
 	}
 	loaders := map[string]func(g *kg.Graph) error{
 		"Load":       func(g *kg.Graph) error { return closed(Load(dir, g)) },
-		"LoadOnDisk": func(g *kg.Graph) error { return closed(LoadOnDisk(dir, g)) },
 		"LoadRouted": func(g *kg.Graph) error { return closed(LoadRouted(dir, g, nil)) },
 		"LoadSegments": func(g *kg.Graph) error {
-			_, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
+			shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
+			if shard != nil {
+				shard.Close()
+			}
 			return err
 		},
 	}
@@ -282,6 +284,8 @@ func TestLoadRejectsVersionSkew(t *testing.T) {
 	}
 }
 
+// TestLoadOnDisk: an engine Load serves from its snapshot's mapped files
+// answers, explains and re-saves exactly as the engine that saved it.
 func TestLoadOnDisk(t *testing.T) {
 	g, _ := corpus.Sample()
 	e := sampleEngine(t, DefaultConfig())
@@ -289,7 +293,7 @@ func TestLoadOnDisk(t *testing.T) {
 	if err := e.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	disk, err := LoadOnDisk(dir, g)
+	disk, err := Load(dir, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +315,7 @@ func TestLoadOnDisk(t *testing.T) {
 			t.Fatalf("disk engine disagrees for %q:\n%v\nvs\n%v", q, a, b)
 		}
 	}
-	// Explanations work too (embeddings are in memory either way).
+	// Explanations work too (re-derived from the mapped text).
 	expA, err := e.Explain(queries[0], 1, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -323,10 +327,10 @@ func TestLoadOnDisk(t *testing.T) {
 	if !reflect.DeepEqual(expA, expB) {
 		t.Fatal("explanations differ on disk engine")
 	}
-	// A file-backed engine re-saves by streaming its postings out of the
-	// snapshot files: saved to a fresh directory (nothing to hard-link
-	// from), it writes a snapshot byte-identical to the one the in-memory
-	// engine wrote, meta.json included.
+	// A loaded engine re-saves by writing its mapped artifacts out: saved
+	// to a fresh directory (nothing to hard-link from), it writes a
+	// snapshot byte-identical to the one the built engine wrote, meta.json
+	// included.
 	dir2 := t.TempDir()
 	if err := disk.Save(dir2); err != nil {
 		t.Fatal(err)
@@ -345,7 +349,7 @@ func TestLoadOnDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s differs between the in-memory save and the on-disk re-save", filepath.Base(path))
+			t.Fatalf("%s differs between the built engine's save and the loaded one's re-save", filepath.Base(path))
 		}
 	}
 	reloaded, err := Load(dir2, g)
@@ -367,7 +371,7 @@ func TestLoadOnDisk(t *testing.T) {
 	if err := disk.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// In-memory engines Close as a no-op.
+	// Built engines have nothing mapped to release.
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -405,22 +409,22 @@ func TestSnapshotRoundTripsDocumentBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A shard worker's load reads the time column alone of the documents.
+	// Of the documents, a shard worker reads the time column alone.
 	shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
 	if err != nil || !reflect.DeepEqual(shard.set.times, want.times) {
 		t.Fatalf("LoadSegments: times %v (%v), want %v", shard.set.times, err, want.times)
 	}
+	defer shard.Close()
 	for name, load := range map[string]func() (*Engine, error){
-		"Load":       func() (*Engine, error) { return Load(dir, g) },
-		"LoadOnDisk": func() (*Engine, error) { return LoadOnDisk(dir, g) },
+		"Load": func() (*Engine, error) { return Load(dir, g) },
 	} {
 		loaded, err := load()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for pos := 0; pos < want.numDocs; pos++ {
-			if got, err := loaded.DocAt(pos); err != nil || !reflect.DeepEqual(got, docAt(t, want, pos)) {
-				t.Fatalf("%s: document at %d is %#v (%v), want %#v", name, pos, got, err, docAt(t, want, pos))
+			if got, err := loaded.DocAt(pos); err != nil || !reflect.DeepEqual(got, want.doc(pos)) {
+				t.Fatalf("%s: document at %d is %#v (%v), want %#v", name, pos, got, err, want.doc(pos))
 			}
 		}
 		for _, q := range []string{"Taliban bombing in Lahore", "Caf\xe9 attack", "Sanders Clinton FBI emails", "Pakistan Upper Dir"} {
@@ -437,11 +441,11 @@ func TestSnapshotRoundTripsDocumentBytes(t *testing.T) {
 	}
 }
 
-// TestStoredFieldsAgreeAcrossLoaders: every engine holds its documents in
-// memory when built, merged or restored by Load, and in the snapshot's own
-// file under LoadOnDisk and LoadRouted (the cluster router's engine). Over
-// a three-segment snapshot with tombstones, a second engine built the same
-// way (never saved) and all three loaders answer DeepEqual to the engine
+// TestStoredFieldsAgreeAcrossLoaders: every engine holds its documents on
+// the heap when built or merged, and in the snapshot's mapped file when
+// restored by Load or LoadRouted (the cluster router's engine). Over a
+// three-segment snapshot with tombstones, a second engine built the same
+// way (never saved) and both loaders answer DeepEqual to the engine
 // that saved it — every document, every filtered search with its snippets,
 // every live document's related news, explanation and DOT rendering, whose
 // embeddings each engine re-derives from the text it holds — and every
@@ -464,6 +468,7 @@ func TestStoredFieldsAgreeAcrossLoaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer shard.Close()
 	compacted, _, _ := filterFixture(t)
 	if err := compacted.Compact(); err != nil {
 		t.Fatal(err)
@@ -478,15 +483,13 @@ func TestStoredFieldsAgreeAcrossLoaders(t *testing.T) {
 			return built, nil
 		},
 		"Load":       func() (*Engine, error) { return Load(dir, g) },
-		"LoadOnDisk": func() (*Engine, error) { return LoadOnDisk(dir, g) },
 		"LoadRouted": func() (*Engine, error) { return LoadRouted(dir, g, localTraverse(shard)) },
 	} {
 		got, err := load()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		fileBacked := name == "LoadOnDisk" || name == "LoadRouted"
-		checkStores(t, name, got, fileBacked)
+		checkStores(t, name, got, name != "Built")
 		checkAgree(t, name, got, e, w, arts)
 		checkResave(t, name, got, dir)
 		if name == "LoadRouted" {
@@ -505,17 +508,17 @@ func TestStoredFieldsAgreeAcrossLoaders(t *testing.T) {
 	}
 }
 
-// checkStores checks the one shape of a segment's documents: resident,
-// or file-backed alike.
-func checkStores(t *testing.T, name string, e *Engine, fileBacked bool) {
+// checkStores checks the one shape of a segment's documents: on the
+// heap, or mapped alike.
+func checkStores(t *testing.T, name string, e *Engine, mapped bool) {
 	t.Helper()
 	snap, err := e.acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for si, seg := range snap.segs {
-		if (seg.docs.f != nil) != fileBacked || (seg.docs.docs == nil) != fileBacked {
-			t.Fatalf("%s: segment %d holds documents in a file %v, want %v", name, si, seg.docs.f != nil, fileBacked)
+		if seg.docs.mapped() != mapped || (seg.docs.docs == nil) != mapped {
+			t.Fatalf("%s: segment %d holds mapped documents %v, want %v", name, si, seg.docs.mapped(), mapped)
 		}
 	}
 }
@@ -533,8 +536,8 @@ func checkAgree(t *testing.T, name string, got, want *Engine, w *kg.World, arts 
 		t.Fatal(err)
 	}
 	for pos := 0; pos < ws.numDocs; pos++ {
-		if doc, err := got.DocAt(pos); err != nil || !reflect.DeepEqual(doc, docAt(t, ws, pos)) {
-			t.Fatalf("%s: document at %d is %+v (%v), want %+v", name, pos, doc, err, docAt(t, ws, pos))
+		if doc, err := got.DocAt(pos); err != nil || !reflect.DeepEqual(doc, ws.doc(pos)) {
+			t.Fatalf("%s: document at %d is %+v (%v), want %+v", name, pos, doc, err, ws.doc(pos))
 		}
 	}
 	for cname, flt := range filterCases(w, arts) {
@@ -610,7 +613,7 @@ func checkResave(t *testing.T, name string, e *Engine, dir string) {
 // update, deletes, refreshes, a tier merge and Compact, every live
 // document's re-derived node weights equal its postings — term → tf, read
 // by walking its segment's node index — in the built engine and after
-// Load, LoadOnDisk and LoadRouted, before and after the compaction.
+// Load and LoadRouted, before and after the compaction.
 func TestRederivedEmbeddingMatchesPostings(t *testing.T) {
 	w := kg.Generate(kg.DefaultConfig(19))
 	arts := corpus.Generate(w, corpus.CNNLike(), 100, 23)
@@ -662,10 +665,10 @@ func TestRederivedEmbeddingMatchesPostings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer shard.Close()
 		checkRederivedMatchesPostings(t, stage+" built", e)
 		for name, load := range map[string]func() (*Engine, error){
 			"Load":       func() (*Engine, error) { return Load(dir, w.Graph) },
-			"LoadOnDisk": func() (*Engine, error) { return LoadOnDisk(dir, w.Graph) },
 			"LoadRouted": func() (*Engine, error) { return LoadRouted(dir, w.Graph, localTraverse(shard)) },
 		} {
 			loaded, err := load()
@@ -716,7 +719,7 @@ func checkRederivedMatchesPostings(t *testing.T, name string, e *Engine) {
 			if seg.dead.Get(local) {
 				continue
 			}
-			got := embeddingAt(t, e, snap, snap.bases[si]+local).NodeTerms()
+			got := e.docEmbedding(snap, snap.bases[si]+local).NodeTerms()
 			want := postings[local]
 			sort.Strings(want)
 			if !slices.Equal(got, want) {

@@ -64,7 +64,7 @@ func TestPublishDifferential(t *testing.T) {
 			}
 			s := cur.Load()
 			for pos, tm := range s.times {
-				if d, err := s.doc(pos); err != nil || d.Time != tm {
+				if d := s.doc(pos); d.Time != tm {
 					t.Errorf("reader: times[%d] = %d, document %d has %d", pos, tm, d.ID, d.Time)
 					return
 				}
@@ -83,7 +83,8 @@ func TestPublishDifferential(t *testing.T) {
 			if s.bases[si] != len(times) {
 				t.Fatalf("%s: segment %d based at %d, want %d", step, si, s.bases[si], len(times))
 			}
-			for j, d := range sg.docs.docs {
+			for j := range sg.numDocs() {
+				d := sg.doc(j)
 				if sg.times[j] != d.Time {
 					t.Fatalf("%s: segment %d time column differs from its document %d", step, si, d.ID)
 				}
@@ -272,6 +273,7 @@ func TestPublishDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(func() { loaded.Close() })
 			countMerges()
 			e = loaded
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"newslink/internal/mmap"
 	"newslink/internal/search"
 )
 
@@ -62,7 +63,11 @@ func (e *Engine) RelatedContext(ctx context.Context, q RelatedQuery) ([]Result, 
 // fields: with a shard down, the ranking covers the live shards' documents
 // and says so.
 func (e *Engine) RelatedContextFull(ctx context.Context, q RelatedQuery) (SearchResponse, error) {
-	resp, err := e.relatedContext(ctx, q)
+	var resp SearchResponse
+	err := mmap.Guard(func() (err error) {
+		resp, err = e.relatedContext(ctx, q)
+		return err
+	})
 	e.met.relateds.Inc()
 	if err != nil {
 		e.met.relatedErrors.Inc()
@@ -85,10 +90,7 @@ func (e *Engine) relatedContext(ctx context.Context, q RelatedQuery) (SearchResp
 	if err != nil {
 		return SearchResponse{}, err
 	}
-	emb, err := e.docEmbedding(snap, pos)
-	if err != nil {
-		return SearchResponse{}, err
-	}
+	emb := e.docEmbedding(snap, pos)
 	if emb == nil || len(emb.Counts) == 0 {
 		return SearchResponse{}, nil
 	}
@@ -107,9 +109,5 @@ func (e *Engine) relatedContext(ctx context.Context, q RelatedQuery) (SearchResp
 	}
 	// β = 1 fusion is exactly the documented normalization of a pure-BON
 	// ranking: clip(normalize(bon), k).
-	out, err := gather(snap, search.Fuse(nil, ret.BON, 1, q.K), nil)
-	if err != nil {
-		return SearchResponse{}, err
-	}
-	return ret.response(out), nil
+	return ret.response(gather(snap, search.Fuse(nil, ret.BON, 1, q.K), nil)), nil
 }

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"newslink/internal/core"
 	"newslink/internal/faults"
 	"newslink/internal/index"
+	"newslink/internal/mmap"
 	"newslink/internal/nlp"
 	"newslink/internal/obs"
 	"newslink/internal/search"
@@ -49,7 +49,11 @@ func (e *Engine) SearchContext(ctx context.Context, q Query) ([]Result, error) {
 // (β = 1) have no text ranking to fall back to and still fail hard.
 func (e *Engine) SearchContextFull(ctx context.Context, q Query) (SearchResponse, error) {
 	start := time.Now()
-	resp, err := e.searchContext(ctx, q)
+	var resp SearchResponse
+	err := mmap.Guard(func() (err error) {
+		resp, err = e.searchContext(ctx, q)
+		return err
+	})
 	e.met.searches.Inc()
 	e.met.searchSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
@@ -114,36 +118,22 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (SearchResponse, er
 	d := sp.End(obs.Int("bow_candidates", len(ret.BOW)), obs.Int("bon_candidates", len(ret.BON)), obs.Int("fused", len(fused)))
 	e.met.stageObserve(obs.StageFuse, d)
 	sp = tr.Start(obs.StageTopK)
-	out, err := gather(snap, fused, nlp.NewTermSet(qTerms))
+	out := gather(snap, fused, nlp.NewTermSet(qTerms))
 	d = sp.End(obs.Int("k", len(out)))
 	e.met.stageObserve(obs.StageTopK, d)
-	if err != nil {
-		return SearchResponse{}, err
-	}
 	return ret.response(out), nil
 }
 
-// gatherScratch recycles the buffer a gather reads file-backed documents
-// into, one request at a time.
-var gatherScratch = sync.Pool{New: func() any { return new([]byte) }}
-
 // gather materializes the results of a fused ranking: each hit's ID,
 // title and score, and its snippet when snippets (compiled once, probed by
-// every result document) is set. A document that cannot be read fails the
-// whole gather.
-func gather(snap *segmentSet, fused []search.Hit, snippets *nlp.TermSet) ([]Result, error) {
-	scratch := gatherScratch.Get().(*[]byte)
-	defer gatherScratch.Put(scratch)
+// every result document) is set.
+func gather(snap *segmentSet, fused []search.Hit, snippets *nlp.TermSet) []Result {
 	out := make([]Result, len(fused))
 	for i, h := range fused {
-		r, err := snap.result(int(h.Doc), snippets, scratch)
-		if err != nil {
-			return nil, err
-		}
-		r.Score = h.Score
-		out[i] = r
+		out[i] = snap.result(int(h.Doc), snippets)
+		out[i].Score = h.Score
 	}
-	return out, nil
+	return out
 }
 
 // pool is a request's candidate pool: the request's depth (or the

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"newslink/internal/index"
+	"newslink/internal/mmap"
 	"newslink/internal/nlp"
 )
 
@@ -29,24 +30,27 @@ import (
 // segment owns one immutable slice of the corpus: its documents (local
 // positions 0..n-1), its two inverted indexes over those positions, and
 // the tombstone bitmap marking deleted documents. The documents are a
-// []Document or the docs.bin columns (stored.go); they and the postings
-// are resident, or read on demand from the segment's snapshot artifacts
-// when it was loaded with LoadOnDisk or LoadRouted. All fields are
-// immutable after
-// construction — deletes clone the segment with a new bitmap, sharing
-// everything else, open files included — except art, a memoized
-// snapshot-artifact identity that is computed on first Save and carried
-// along (tombstones are not part of the artifact identity: they live in
-// meta.json, so a delete never forces a segment rewrite on disk). A shard
-// worker's segments (LoadSegments) hold no documents and no ID order: only
-// what postings traversal reads.
+// []Document or the docs.bin columns (stored.go). A segment built or
+// merged in this process holds everything on the heap; one restored from
+// a snapshot views its three artifacts through read-only mappings, which
+// only the Close of the engine or Shard that loaded it releases. All
+// fields are immutable after construction — deletes clone the segment
+// with a new bitmap, sharing everything else, mapped bytes included —
+// except art, a memoized snapshot-artifact identity that is computed on
+// first Save and carried along (tombstones are not part of the artifact
+// identity: they live in meta.json, so a delete never forces a segment
+// rewrite on disk).
 type segment struct {
 	docs  docStore
-	times []int64      // columnar Document.Time, one per document
-	byID  []int32      // local positions sorted by Document.ID
-	text  *index.Index // resident, or file-backed (LoadOnDisk, LoadRouted)
+	times []int64 // columnar Document.Time, one per document
+	byID  []int32 // local positions sorted by Document.ID
+	text  *index.Index
 	node  *index.Index
 	dead  *index.Bitmap // nil = no deletes
+	// maps holds the mapped artifacts a loaded segment views; its
+	// tombstone clones view them too but leave maps nil, so each mapping
+	// has one owner to release it.
+	maps [][]byte
 
 	art atomic.Pointer[segmentArtifact]
 }
@@ -97,26 +101,18 @@ func (s *segment) position(id int) (int, bool) {
 	return 0, false
 }
 
-// doc returns the document at local position i; a file-backed segment
-// reads its title and text.
-func (s *segment) doc(i int) (Document, error) {
-	if s.docs.f == nil {
-		return s.docs.docs[i], nil
-	}
-	title, text, err := s.docs.text(i, nil)
-	if err != nil {
-		return Document{}, err
-	}
-	return Document{ID: s.docs.ids[i], Title: title, Text: text, Time: s.times[i]}, nil
-}
-
 func (s *segment) numDocs() int { return len(s.times) }
 func (s *segment) numLive() int { return s.numDocs() - s.dead.Count() }
 
-// close releases the snapshot files behind a file-backed segment (a no-op
-// for resident parts, and for the nil ones of a failed partial load).
-func (s *segment) close() error {
-	return errors.Join(s.text.Close(), s.node.Close(), s.docs.close())
+// unmap releases the mappings a loaded segment owns (a no-op for the
+// others). Nothing may read the segment afterwards.
+func (s *segment) unmap() error {
+	var err error
+	for _, b := range s.maps {
+		err = errors.Join(err, mmap.Unmap(b))
+	}
+	s.maps = nil
+	return err
 }
 
 // shareArtifact copies the memoized artifact identity from an older
@@ -273,17 +269,16 @@ func (s *segmentSet) segIndexOf(pos int) (si, local int) {
 	return si, pos - s.bases[si]
 }
 
-// doc returns the document at a global position. A read error is
-// returned, never an empty document.
-func (s *segmentSet) doc(pos int) (Document, error) {
+// doc returns the document at a global position (segment.doc).
+func (s *segmentSet) doc(pos int) Document {
 	si, local := s.segIndexOf(pos)
 	return s.segs[si].doc(local)
 }
 
 // result is the search result at a global position (segment.result).
-func (s *segmentSet) result(pos int, snippets *nlp.TermSet, scratch *[]byte) (Result, error) {
+func (s *segmentSet) result(pos int, snippets *nlp.TermSet) Result {
 	si, local := s.segIndexOf(pos)
-	return s.segs[si].result(local, snippets, scratch)
+	return s.segs[si].result(local, snippets)
 }
 
 // Tiered merge policy. Segments are tiered geometrically by live-document
@@ -347,40 +342,41 @@ func findMergeRun(segs []*segment) (lo, hi int, ok bool) {
 // mergeRun compacts a run of segments into one segment: live documents
 // are concatenated in order and the indexes are rewritten tombstone-free
 // (index.MergeSegments), so DF/AvgDocLen tighten to the surviving corpus
-// and block-max summaries regain full blocks. A segment whose postings or
-// documents cannot be read (a file-backed segment whose files went bad)
-// fails the merge; the inputs are untouched and stay exact.
-func mergeRun(segs []*segment) (*segment, error) {
-	live := 0
-	for _, sg := range segs {
-		live += sg.numLive()
-	}
-	docs := make([]Document, 0, live)
-	texts := make([]*index.Index, len(segs))
-	nodes := make([]*index.Index, len(segs))
-	deads := make([]*index.Bitmap, len(segs))
-	for i, sg := range segs {
-		texts[i], nodes[i], deads[i] = sg.text, sg.node, sg.dead
-		for j := range sg.numDocs() {
-			if sg.dead.Get(j) {
-				continue
-			}
-			d, err := sg.doc(j)
-			if err != nil {
-				return nil, err
-			}
-			docs = append(docs, d)
+// and block-max summaries regain full blocks. The merged segment is heap
+// resident: a mapped segment's documents are copied out. A segment whose
+// postings do not decode or whose mapping faults (an artifact truncated
+// under the engine) fails the merge; the inputs are untouched and stay
+// exact. It runs under e.mu, so it must not panic: the guard is here.
+func mergeRun(segs []*segment) (merged *segment, err error) {
+	err = mmap.Guard(func() error {
+		live := 0
+		for _, sg := range segs {
+			live += sg.numLive()
 		}
-	}
-	text, err := index.MergeSegments(texts, deads)
-	if err != nil {
-		return nil, fmt.Errorf("newslink: merging text indexes: %w", err)
-	}
-	node, err := index.MergeSegments(nodes, deads)
-	if err != nil {
-		return nil, fmt.Errorf("newslink: merging node indexes: %w", err)
-	}
-	return newSegment(docs, text, node), nil
+		docs := make([]Document, 0, live)
+		texts := make([]*index.Index, len(segs))
+		nodes := make([]*index.Index, len(segs))
+		deads := make([]*index.Bitmap, len(segs))
+		for i, sg := range segs {
+			texts[i], nodes[i], deads[i] = sg.text, sg.node, sg.dead
+			for j := range sg.numDocs() {
+				if !sg.dead.Get(j) {
+					docs = append(docs, sg.doc(j))
+				}
+			}
+		}
+		text, err := index.MergeSegments(texts, deads)
+		if err != nil {
+			return fmt.Errorf("newslink: merging text indexes: %w", err)
+		}
+		node, err := index.MergeSegments(nodes, deads)
+		if err != nil {
+			return fmt.Errorf("newslink: merging node indexes: %w", err)
+		}
+		merged = newSegment(docs, text, node)
+		return nil
+	})
+	return merged, err
 }
 
 // applyMergePolicyLocked repeatedly merges qualifying runs until the set

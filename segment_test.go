@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"newslink/internal/core"
 	"newslink/internal/corpus"
 )
 
@@ -319,18 +318,13 @@ func TestDeletedNeverReturned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer loaded.Close()
 	if loaded.NumDocs() != e.NumDocs() || loaded.NumDeletedDocs() != e.NumDeletedDocs() {
 		t.Fatalf("round trip changed counts: %d/%d vs %d/%d",
 			loaded.NumDocs(), loaded.NumDeletedDocs(), e.NumDocs(), e.NumDeletedDocs())
 	}
 	assertHidden("loaded", loaded)
-	disk, err := LoadOnDisk(dir, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
-	assertHidden("loaded-on-disk", disk)
-	// Tombstoned search results must agree across memory and disk engines.
+	// Tombstoned search results must agree across built and loaded engines.
 	for _, q := range lifecycleQueries {
 		a, err := e.Search(q, 5)
 		if err != nil {
@@ -602,24 +596,4 @@ func TestMergeTiersUnevenBatches(t *testing.T) {
 		e.Refresh()
 		checkTierBound(t, e, fmt.Sprintf("batch %d", batch))
 	}
-}
-
-// docAt reads the document at a global position of s, and embeddingAt
-// re-derives its embedding through e, failing the test on a read error.
-func docAt(t testing.TB, s *segmentSet, pos int) Document {
-	t.Helper()
-	doc, err := s.doc(pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return doc
-}
-
-func embeddingAt(t testing.TB, e *Engine, s *segmentSet, pos int) *core.DocEmbedding {
-	t.Helper()
-	emb, err := e.docEmbedding(s, pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return emb
 }
