@@ -207,8 +207,8 @@ func TestRouterMainValidatesFlags(t *testing.T) {
 }
 
 // TestClusterMainErrorPaths pins the startup failures: a bad graph
-// path, an unbindable address, and a snapshot the router cannot load
-// all surface as errors rather than hung processes.
+// path, an unbindable address, a snapshot the router cannot load and a
+// worker listed twice all surface as errors rather than hung processes.
 func TestClusterMainErrorPaths(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	ctx := context.Background()
@@ -234,6 +234,12 @@ func TestClusterMainErrorPaths(t *testing.T) {
 		addr: "256.256.256.256:1", snapshot: t.TempDir(), shardAddrs: "http://x", logger: logger,
 	}, nil); err == nil {
 		t.Fatal("routerMain bound an impossible address")
+	}
+	// A worker serves one slot: one listed twice is a start-up error.
+	if err := routerMain(ctx, routerConfig{
+		addr: "127.0.0.1:0", snapshot: t.TempDir(), shardAddrs: "http://x,http://y|http://x", logger: logger,
+	}, nil); err == nil || !strings.Contains(err.Error(), "http://x is listed more than once") {
+		t.Fatalf("routerMain with a worker under two slots: %v", err)
 	}
 }
 

@@ -91,10 +91,10 @@ func main() {
 	shardID := flag.String("shard-id", "", "shard worker identity (default: the bound listen address)")
 	shardDir := flag.String("shard-dir", "", "shard worker artifact directory (default: a fresh temp directory)")
 	routerMode := flag.Bool("router", false, "run as a cluster router: serve the public API over the -snapshot, its postings traversals scattered over the -shard-addrs workers")
-	shardAddrs := flag.String("shard-addrs", "", "router: comma-separated shard endpoint groups, replicas within a group separated by '|' (e.g. http://a,http://b1|http://b2)")
-	selfURL := flag.String("self-url", "", "router: externally reachable base URL of this router; workers fetch missing segment artifacts from it (default: the bound listen address)")
+	shardAddrs := flag.String("shard-addrs", "", "router: comma-separated shard endpoint groups, replicas within a group separated by '|', each worker URL once (e.g. http://a,http://b1|http://b2)")
+	selfURL := flag.String("self-url", "", "router: externally reachable base URL of this router; workers fetch missing or damaged segment artifacts from it (default: the bound listen address)")
 	hedge := flag.Bool("hedge", false, "router: hedge slow shard requests to a second replica after the shard's p99 latency")
-	probeInterval := flag.Duration("probe-interval", 2*time.Second, "router: health-probe interval for ejected shard endpoints")
+	probeInterval := flag.Duration("probe-interval", 2*time.Second, "router: interval at which ejected shard endpoints are re-assigned their slot")
 	flag.Parse()
 
 	level, err := parseLogLevel(*logLevel)

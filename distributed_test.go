@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"newslink/internal/core"
@@ -151,7 +152,7 @@ func TestManifestRoundTrip(t *testing.T) {
 			if !ok {
 				t.Fatalf("manifest has no checksum for %s", name)
 			}
-			got, err := ChecksumFile(filepath.Join(dir, name))
+			got, err := checksumFile(filepath.Join(dir, name), make([]byte, copyBufSize))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +191,7 @@ func TestLoadSegmentsSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer full.Close()
-	shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
+	shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,28 +231,62 @@ func TestLoadSegmentsSubset(t *testing.T) {
 	}
 
 	// Graph mismatch: a different fingerprint is rejected up front.
-	if _, err := LoadSegments(dir, g, GraphFingerprint{}, m.Segments, m.Checksums); err == nil {
+	if _, err := LoadSegments(dir, g, GraphFingerprint{}, m.Segments, m.Checksums, nil); err == nil {
 		t.Fatal("LoadSegments accepted a mismatched graph fingerprint")
 	}
 
 	// Missing checksum entry.
-	if _, err := LoadSegments(dir, g, m.Graph, m.Segments, map[string]string{}); !errors.Is(err, ErrSnapshotCorrupt) {
+	if _, err := LoadSegments(dir, g, m.Graph, m.Segments, map[string]string{}, nil); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("missing checksums: %v, want ErrSnapshotCorrupt", err)
 	}
 
-	// A damaged artifact fails verification.
+	// A damaged artifact fails verification without a fetch hook. With
+	// one, the hook is asked for exactly that artifact, and what it writes
+	// is verified in turn: garbage is as corrupt as the damage it replaced,
+	// the original bytes load, and the hook's own error fails the load.
 	for _, name := range SegmentFileNames(m.Segments[0].ID) {
 		path := filepath.Join(dir, name)
 		orig, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, append([]byte("x"), orig...), 0o644); err != nil {
-			t.Fatal(err)
+		damage := func() {
+			t.Helper()
+			if err := os.WriteFile(path, append([]byte("x"), orig...), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		_, err = LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
+		damage()
+		_, err = LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums, nil)
 		if !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Fatalf("damaged %s: %v, want ErrSnapshotCorrupt", name, err)
+		}
+		var asked []string
+		var mu sync.Mutex
+		installing := func(data []byte) func(string) error {
+			return func(got string) error {
+				mu.Lock()
+				asked = append(asked, got)
+				mu.Unlock()
+				return os.WriteFile(filepath.Join(dir, got), data, 0o644)
+			}
+		}
+		if _, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums, installing([]byte("garbage"))); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("damaged %s fetched as garbage: %v, want ErrSnapshotCorrupt", name, err)
+		}
+		damage()
+		repaired, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums, installing(orig))
+		if err != nil {
+			t.Fatalf("damaged %s with a fetch of the original: %v", name, err)
+		}
+		repaired.Close()
+		if want := []string{name, name}; !reflect.DeepEqual(asked, want) {
+			t.Fatalf("fetch asked for %v, want %v", asked, want)
+		}
+		damage()
+		refused := errors.New("peer refused")
+		if _, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums, func(string) error { return refused }); !errors.Is(err, refused) {
+			t.Fatalf("damaged %s with a failing fetch: %v, want %v", name, err, refused)
 		}
 		if err := os.WriteFile(path, orig, 0o644); err != nil {
 			t.Fatal(err)

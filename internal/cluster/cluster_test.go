@@ -103,8 +103,8 @@ func startRouter(t testing.TB, dir string, g *kg.Graph, cfg Config) (*Router, *h
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 50 * time.Millisecond
 	}
-	if cfg.RetryBase == 0 {
-		cfg.RetryBase = time.Millisecond
+	if cfg.retryBase == 0 {
+		cfg.retryBase = time.Millisecond
 	}
 	rt, err := NewRouter(dir, g, cfg)
 	if err != nil {

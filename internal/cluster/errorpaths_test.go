@@ -47,7 +47,8 @@ func mustMarshal(t testing.TB, v any) string {
 // TestWorkerUnassignedErrorPaths pins the RPC error contract of a
 // worker that has no assignment yet: malformed bodies are 400s with a
 // typed code, well-formed requests are 503 unassigned (the router's
-// signal to re-assign), and the read-only endpoints stay serviceable.
+// signal to re-assign), the read-only endpoints stay serviceable, and
+// the worker serves neither an info route nor artifacts.
 func TestWorkerUnassignedErrorPaths(t *testing.T) {
 	_, g := buildSnapshot(t)
 	_, endpoints := startWorkers(t, g, 1)
@@ -89,9 +90,9 @@ func TestWorkerUnassignedErrorPaths(t *testing.T) {
 		t.Fatalf("unassigned worker reported metrics %v, want none", metrics)
 	}
 
-	// Blob endpoint: names outside the artifact grammar are rejected
-	// before touching the filesystem; well-formed but absent names 404.
-	getJSON(t, base+"/v1/shard/blob/manifest.json", http.StatusBadRequest, nil)
+	// The assignment is the whole control plane, and only the router
+	// serves artifacts: neither route exists on a worker.
+	getJSON(t, base+"/v1/shard/info", http.StatusNotFound, nil)
 	getJSON(t, base+"/v1/shard/blob/seg-0123456789abcdef.text.idx", http.StatusNotFound, nil)
 }
 
@@ -151,7 +152,9 @@ func TestRouterParamValidation(t *testing.T) {
 	}
 
 	// The router's blob endpoint serves every plan artifact by its
-	// content-addressed name and rejects everything else.
+	// content-addressed name. Names outside the artifact grammar are
+	// rejected before touching the filesystem; well-formed but absent
+	// names are 404.
 	var served bool
 	for name := range rt.Plan().Checksums {
 		getJSON(t, ts.URL+"/v1/shard/blob/"+name, http.StatusOK, nil)
@@ -162,6 +165,8 @@ func TestRouterParamValidation(t *testing.T) {
 		t.Fatal("plan has no checksummed artifacts")
 	}
 	getJSON(t, ts.URL+"/v1/shard/blob/..%2Fmanifest.json", http.StatusBadRequest, nil)
+	getJSON(t, ts.URL+"/v1/shard/blob/manifest.json", http.StatusBadRequest, nil)
+	getJSON(t, ts.URL+"/v1/shard/blob/seg-0123456789abcdef.text.idx", http.StatusNotFound, nil)
 }
 
 // TestRouterDeadlineExceeded pins the 504 mapping: a request budget too

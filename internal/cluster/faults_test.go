@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -177,7 +179,7 @@ func TestDegradedFilteredMatchesLiveSlots(t *testing.T) {
 func TestDegradedOnShardTimeout(t *testing.T) {
 	dir, g, workers, rt, ts := startCluster(t, Config{
 		RequestTimeout: 800 * time.Millisecond,
-		MaxAttempts:    2,
+		maxAttempts:    2,
 	})
 	ref := liveSlotReference(t, dir, g, rt.Plan(), 1)
 	q := "ceasefire talks resume"
@@ -193,7 +195,7 @@ func TestDegradedOnShardTimeout(t *testing.T) {
 // wire shape of a worker crashing while streaming: the router must see
 // a transport error, not a short document, and degrade gracefully.
 func TestDegradedOnShardCrashMidStream(t *testing.T) {
-	dir, g, workers, rt, ts := startCluster(t, Config{MaxAttempts: 2})
+	dir, g, workers, rt, ts := startCluster(t, Config{maxAttempts: 2})
 	ref := liveSlotReference(t, dir, g, rt.Plan(), 1)
 	q := "markets rally on earnings"
 
@@ -227,7 +229,7 @@ func TestWorkerCrashAndRecovery(t *testing.T) {
 	go srv.Serve(ln)
 	endpoints = append(endpoints, []string{"http://" + addr})
 
-	rt, ts := startRouter(t, dir, g, Config{Endpoints: endpoints, MaxAttempts: 2})
+	rt, ts := startRouter(t, dir, g, Config{Endpoints: endpoints, maxAttempts: 2})
 	ref := liveSlotReference(t, dir, g, rt.Plan(), 2)
 	full := referenceServer(t, dir, g)
 	q := "championship final"
@@ -260,14 +262,30 @@ func TestWorkerCrashAndRecovery(t *testing.T) {
 
 	waitRecovered(t, ts.URL, full.URL, q)
 
-	// The replacement really was seeded over the wire.
-	var info InfoResponse
-	getJSON(t, "http://"+addr+"/v1/shard/info", http.StatusOK, &info)
-	if len(info.Artifacts) == 0 {
-		t.Fatalf("restarted worker advertises no artifacts after recovery")
+	// The replacement really was seeded over the wire: its directory holds
+	// exactly the slot's artifacts — three per segment — each with the
+	// plan's checksum, and it serves the router's plan.
+	var want []string
+	for _, sm := range rt.Plan().Shards[2].Segments {
+		want = append(want, newslink.SegmentFileNames(sm.ID)...)
 	}
-	if info.Plan != rt.Plan().ID {
-		t.Fatalf("restarted worker serves plan %s, want %s", info.Plan, rt.Plan().ID)
+	slices.Sort(want)
+	entries, err := os.ReadDir(freshDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ent := range entries {
+		got = append(got, ent.Name())
+		if sum := fileChecksum(t, filepath.Join(freshDir, ent.Name())); sum != rt.Plan().Checksums[ent.Name()] {
+			t.Fatalf("seeded %s has checksum %s, want %s", ent.Name(), sum, rt.Plan().Checksums[ent.Name()])
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("restarted worker holds %v, want the slot's artifacts %v", got, want)
+	}
+	if _, plan, _ := w2b.snapshotState(); plan != rt.Plan().ID {
+		t.Fatalf("restarted worker serves plan %s, want %s", plan, rt.Plan().ID)
 	}
 }
 
@@ -310,7 +328,7 @@ func TestHedgedRequests(t *testing.T) {
 	rt, ts := startRouter(t, dir, g, Config{
 		Endpoints: endpoints,
 		Hedge:     true,
-		HedgeMin:  2 * time.Millisecond,
+		hedgeMin:  2 * time.Millisecond,
 	})
 	full := referenceServer(t, dir, g)
 
@@ -339,7 +357,7 @@ func TestHedgedRequests(t *testing.T) {
 // TestAllShardsDown is the one legitimate failure: with every shard
 // unreachable the router answers 503 shard_unavailable, never a 500.
 func TestAllShardsDown(t *testing.T) {
-	_, _, workers, _, ts := startCluster(t, Config{MaxAttempts: 1})
+	_, _, workers, _, ts := startCluster(t, Config{maxAttempts: 1})
 	inj := faults.New()
 	for _, w := range workers {
 		inj.Fail(faults.ClusterShard(w.ID()), errors.New("down"))
@@ -364,5 +382,145 @@ func TestAllShardsDown(t *testing.T) {
 	}
 	if env.Error.Code != "shard_unavailable" {
 		t.Fatalf("error code %q, want shard_unavailable", env.Error.Code)
+	}
+}
+
+// TestRestartedRouterServesNewTombstones: deletes change only a snapshot's
+// manifest, never a segment ID, so the plan ID covers the tombstones. A
+// router restarted over the re-saved snapshot therefore assigns the
+// workers that outlived the old router a new plan; they reload their
+// slices with the new tombstones, and the deleted document is gone from
+// the cluster's rankings as from a single process's.
+func TestRestartedRouterServesNewTombstones(t *testing.T) {
+	dir, g := buildSnapshot(t)
+	_, endpoints := startWorkers(t, g, 3)
+	rt1, ts1 := startRouter(t, dir, g, Config{Endpoints: endpoints})
+	path := "/v1/search?q=" + url.QueryEscape("minister parliament vote") + "&k=10"
+	var before server.SearchResponse
+	getJSON(t, ts1.URL+path, http.StatusOK, &before)
+	if len(before.Results) == 0 {
+		t.Fatal("no result to delete")
+	}
+	rt1.Close()
+
+	victim := before.Results[0].ID
+	e, err := newslink.Load(dir, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Delete(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rt2, ts2 := startRouter(t, dir, g, Config{Endpoints: endpoints})
+	if rt2.Plan().ID == rt1.Plan().ID {
+		t.Fatalf("plan %s unchanged by a delete", rt2.Plan().ID)
+	}
+	full := referenceServer(t, dir, g)
+	var got, want server.SearchResponse
+	getJSON(t, ts2.URL+path, http.StatusOK, &got)
+	getJSON(t, full.URL+path, http.StatusOK, &want)
+	if got.Degraded || !reflect.DeepEqual(got.Results, want.Results) {
+		t.Fatalf("restarted router diverges from the single process\ncluster: %+v\nsingle:  %+v", got, want.Results)
+	}
+	for _, r := range got.Results {
+		if r.ID == victim {
+			t.Fatalf("deleted document %d served after the router restarted", victim)
+		}
+	}
+}
+
+// TestWorkerRefetchesCorruptArtifact: a worker verifies each artifact of an
+// assignment once, as it loads it. One damaged in its directory — a bit
+// flipped while the worker was down — is fetched again from the router,
+// and only that one, and the restarted worker serves rankings identical
+// to a single process's.
+func TestWorkerRefetchesCorruptArtifact(t *testing.T) {
+	dir, g := buildSnapshot(t)
+	workers, endpoints := startWorkers(t, g, 3)
+	rt, _ := startRouter(t, dir, g, Config{Endpoints: endpoints})
+	sl := rt.slots[1]
+	name := newslink.SegmentFileNames(sl.plan.Segments[0].ID)[0]
+	path := filepath.Join(workers[1].dir, name)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x10
+	// A new file, so the running worker's mapping keeps the good bytes.
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The worker restarts over its directory and is assigned its slot.
+	restarted := NewWorker("w1", workers[1].dir, g, testLogger())
+	wts := httptest.NewServer(restarted.Handler())
+	t.Cleanup(wts.Close)
+	if ack := assignDirect(t, wts.URL, rt.assignRequest(sl)); ack.Plan != rt.Plan().ID || ack.Fetched != 1 {
+		t.Fatalf("assignment acknowledged %+v, want plan %s with 1 artifact fetched", ack, rt.Plan().ID)
+	}
+	if sum := fileChecksum(t, path); sum != rt.Plan().Checksums[name] {
+		t.Fatalf("re-fetched %s has checksum %s, want %s", name, sum, rt.Plan().Checksums[name])
+	}
+
+	endpoints[1] = []string{wts.URL}
+	_, ts := startRouter(t, dir, g, Config{Endpoints: endpoints})
+	full := referenceServer(t, dir, g)
+	for _, q := range identityQueries {
+		path := "/v1/search?q=" + url.QueryEscape(q) + "&k=10"
+		var got, want server.SearchResponse
+		getJSON(t, ts.URL+path, http.StatusOK, &got)
+		getJSON(t, full.URL+path, http.StatusOK, &want)
+		if got.Degraded || got.ShardsOK != 3 || !reflect.DeepEqual(got.Results, want.Results) {
+			t.Fatalf("%s: cluster over the repaired worker diverges\ncluster: %+v\nsingle:  %+v", path, got, want.Results)
+		}
+	}
+}
+
+// assignDirect posts an assignment to a worker and returns its
+// acknowledgement.
+func assignDirect(t *testing.T, workerURL string, req *AssignRequest) AssignResponse {
+	t.Helper()
+	payload, err := encodeRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := doRequest(context.Background(), http.DefaultClient, workerURL+"/v1/shard/assign", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer putBuf(body)
+	var ack AssignResponse
+	if err := DecodeRPC(*body, &ack); err != nil {
+		t.Fatal(err)
+	}
+	return ack
+}
+
+// TestEmptyWorkerFetchesEveryArtifact: segments restore concurrently, so
+// the worker's fetch hook runs on several goroutines at once. An empty
+// worker assigned a slot of every segment fetches each artifact once, and
+// its acknowledgement counts them all; the same assignment again is
+// acknowledged without a reload or a fetch.
+func TestEmptyWorkerFetchesEveryArtifact(t *testing.T) {
+	dir, g := buildSnapshot(t)
+	_, endpoints := startWorkers(t, g, 1)
+	rt, _ := startRouter(t, dir, g, Config{Endpoints: endpoints})
+	req := rt.assignRequest(rt.slots[0])
+	_, fresh := startWorkers(t, g, 1)
+	if ack := assignDirect(t, fresh[0][0], req); ack.Fetched != len(req.Checksums) || len(req.Segments) < 2 {
+		t.Fatalf("empty worker acknowledged %+v for %d segments, want %d artifacts fetched", ack, len(req.Segments), len(req.Checksums))
+	}
+	if ack := assignDirect(t, fresh[0][0], req); ack.Fetched != 0 {
+		t.Fatalf("repeated assignment acknowledged %+v, want nothing fetched", ack)
 	}
 }

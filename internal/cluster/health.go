@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -12,11 +10,10 @@ import (
 )
 
 // endpoint is one worker replica of a slot, with its circuit-breaker
-// state: consecutive request failures past the configured threshold
-// eject it (healthy=false), and only the probe loop re-admits it.
-// Endpoints start ejected — admission always flows through a successful
-// assignment or probe, so a replica is never scattered to before it has
-// proven it serves the right plan.
+// state: breakerThreshold consecutive request failures eject it
+// (healthy=false), and only an acknowledged assignment admits it.
+// Endpoints start ejected, so a replica is never scattered to before it
+// has acknowledged the router's plan.
 type endpoint struct {
 	url     string
 	healthy atomic.Bool
@@ -29,12 +26,9 @@ func (ep *endpoint) ok() { ep.fails.Store(0) }
 // fail counts one failure; it reports true exactly once per ejection,
 // when the consecutive count crosses the threshold on a healthy
 // endpoint.
-func (ep *endpoint) fail(threshold int) bool {
-	if threshold < 1 {
-		threshold = 1
-	}
+func (ep *endpoint) fail() bool {
 	n := ep.fails.Add(1)
-	return int(n) >= threshold && ep.healthy.CompareAndSwap(true, false)
+	return n >= breakerThreshold && ep.healthy.CompareAndSwap(true, false)
 }
 
 // admit marks the endpoint live again; true when the state flipped.
@@ -43,10 +37,9 @@ func (ep *endpoint) admit() bool {
 	return ep.healthy.CompareAndSwap(false, true)
 }
 
-// probeLoop periodically re-examines every ejected endpoint and
-// re-admits those that pass readiness and serve (or accept) the
-// router's plan. This is the sole re-admission path: request traffic
-// can only eject.
+// probeLoop periodically assigns every ejected endpoint its slot again,
+// re-admitting those that acknowledge. This is the sole re-admission
+// path: request traffic can only eject.
 func (rt *Router) probeLoop(ctx context.Context) {
 	ticker := time.NewTicker(rt.cfg.ProbeInterval)
 	defer ticker.Stop()
@@ -55,82 +48,51 @@ func (rt *Router) probeLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			rt.probeAll(ctx)
-		}
-	}
-}
-
-// probeAll probes every ejected endpoint once.
-func (rt *Router) probeAll(ctx context.Context) {
-	for _, sl := range rt.slots {
-		for _, ep := range sl.eps {
-			if !ep.healthy.Load() {
-				rt.probeEndpoint(ctx, sl, ep)
+			for _, sl := range rt.slots {
+				for _, ep := range sl.eps {
+					if !ep.healthy.Load() {
+						rt.assign(ctx, sl, ep)
+					}
+				}
 			}
 		}
 	}
 }
 
-// probeEndpoint runs the admission sequence against one ejected
-// endpoint: readiness probe, identity check, re-assignment when the
-// worker is unassigned or on another plan, then admission. Any step
-// failing leaves the endpoint ejected for the next probe round.
-func (rt *Router) probeEndpoint(ctx context.Context, sl *slot, ep *endpoint) {
-	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+// assign is the one admission exchange, at start-up and in the probe
+// loop: it posts the slot's assignment to the endpoint and admits it on
+// an acknowledgement of the router's plan. A worker that already serves
+// that plan and base acknowledges without reloading; any other one
+// installs the slice first, fetching the artifacts it lacks. It reports
+// whether the endpoint is admitted; a failure leaves it ejected for the
+// next probe round.
+func (rt *Router) assign(ctx context.Context, sl *slot, ep *endpoint) bool {
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
-	needAssign := false
-	if err := rt.exchange(pctx, ep.url+"/v1/readyz", nil, nil); err != nil {
-		var se *rpcStatusError
-		if !errors.As(err, &se) || se.Status != http.StatusServiceUnavailable {
-			return // not reachable, or broken beyond "unassigned"
-		}
-		needAssign = true // alive but unassigned
-	}
-	if !needAssign {
-		var info InfoResponse
-		if rt.exchange(pctx, ep.url+"/v1/shard/info", nil, &info) != nil {
-			return
-		}
-		needAssign = info.Plan != rt.plan.ID || info.Base != sl.plan.Base
-	}
-	if needAssign {
-		if err := rt.assignEndpoint(pctx, sl, ep); err != nil {
-			rt.log.Warn("probe re-assignment failed", "slot", sl.idx, "endpoint", ep.url, "err", err)
-			return
-		}
+	if err := rt.assignEndpoint(ctx, sl, ep); err != nil {
+		rt.log.Warn("shard assignment failed", "slot", sl.idx, "endpoint", ep.url, "err", err)
+		return false
 	}
 	if ep.admit() {
-		rt.log.Info("re-admitting shard endpoint", "slot", sl.idx, "endpoint", ep.url)
+		rt.log.Info("admitting shard endpoint", "slot", sl.idx, "endpoint", ep.url)
 	}
+	return true
 }
 
-// exchange is one plain control-plane round trip, outside callSlot's
-// retry/breaker stack: a nil reqBody sends GET, a nil out discards the
-// reply.
-func (rt *Router) exchange(ctx context.Context, url string, reqBody any, out Validator) error {
-	var payload []byte
-	if reqBody != nil {
-		var err error
-		if payload, err = encodeRequest(reqBody); err != nil {
-			return err
-		}
+// assignEndpoint posts the slot's assignment to one worker, outside
+// callSlot's retry/breaker stack, and checks the acknowledgement.
+func (rt *Router) assignEndpoint(ctx context.Context, sl *slot, ep *endpoint) error {
+	payload, err := encodeRequest(rt.assignRequest(sl))
+	if err != nil {
+		return err
 	}
-	data, err := doRequest(ctx, rt.client, url, payload)
+	data, err := doRequest(ctx, rt.client, ep.url+"/v1/shard/assign", payload)
 	if err != nil {
 		return err
 	}
 	defer putBuf(data)
-	if out == nil {
-		return nil
-	}
-	return DecodeRPC(*data, out)
-}
-
-// assignEndpoint installs the slot's segment slice on one worker,
-// pointing it at the router's own blob endpoint for missing artifacts.
-func (rt *Router) assignEndpoint(ctx context.Context, sl *slot, ep *endpoint) error {
 	var ack AssignResponse
-	if err := rt.exchange(ctx, ep.url+"/v1/shard/assign", rt.assignRequest(sl), &ack); err != nil {
+	if err := DecodeRPC(*data, &ack); err != nil {
 		return err
 	}
 	if ack.Plan != rt.plan.ID {
@@ -140,8 +102,9 @@ func (rt *Router) assignEndpoint(ctx context.Context, sl *slot, ep *endpoint) er
 }
 
 // assignRequest is the slot's assignment: segment IDs and tombstones plus
-// the checksums of their artifacts. Postings reach the worker in the
-// artifacts, never in the request.
+// the checksums of their artifacts, and the router's URL to fetch missing
+// ones from. Postings reach the worker in the artifacts, never in the
+// request.
 func (rt *Router) assignRequest(sl *slot) *AssignRequest {
 	return &AssignRequest{
 		Plan:      rt.plan.ID,

@@ -20,8 +20,8 @@ import (
 // merge them with the engine's own comparator (search.MergeTopK).
 type Plan struct {
 	// ID identifies the plan: a digest of the config, graph fingerprint
-	// and per-slot segment assignment. Every RPC carries it; workers
-	// reject requests for a plan they do not serve.
+	// and per-slot segment assignment, tombstones included. Every RPC
+	// carries it; workers reject requests for a plan they do not serve.
 	ID        string
 	Graph     newslink.GraphFingerprint
 	Checksums map[string]string
@@ -88,7 +88,12 @@ func BuildPlan(m *newslink.Manifest, segmentDocs []int, shards int) (*Plan, erro
 	for _, sp := range p.Shards {
 		fmt.Fprintf(h, "|%d", sp.Base)
 		for _, sm := range sp.Segments {
-			io.WriteString(h, ":"+sm.ID)
+			// Deletes change only the manifest, not a segment ID.
+			if sm.Dead == "" {
+				io.WriteString(h, ":"+sm.ID)
+			} else {
+				io.WriteString(h, ":"+sm.ID+"#"+sm.Dead)
+			}
 		}
 	}
 	p.ID = hex.EncodeToString(h.Sum(nil))[:16]

@@ -3,8 +3,11 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"sync"
@@ -23,32 +26,19 @@ import (
 // documented defaults.
 type Config struct {
 	// Endpoints lists, per shard slot, the base URLs of the worker
-	// replicas serving that slot. Required, one non-empty group per slot.
+	// replicas serving that slot. Required, one non-empty group per slot,
+	// and no URL twice: a worker serves one slot.
 	Endpoints [][]string
 	// SelfURL is the router's own externally reachable base URL; workers
-	// fetch missing segment artifacts from it. Empty disables peer
-	// fetching (workers must already hold their artifacts).
+	// fetch missing or damaged segment artifacts from its blob endpoint.
+	// Empty, workers must already hold their artifacts.
 	SelfURL string
-	// MaxAttempts bounds the tries of one idempotent RPC across a slot's
-	// replicas (default 3).
-	MaxAttempts int
-	// RetryBase is the first retry's backoff; later retries double it,
-	// jittered (default 10ms).
-	RetryBase time.Duration
 	// Hedge enables tail-latency hedging: a duplicate request to a second
 	// replica once the first has been quiet past the slot's p99.
 	Hedge bool
-	// HedgeMin floors the hedge delay while latency history is thin
-	// (default 20ms).
-	HedgeMin time.Duration
-	// ProbeInterval paces the health probe loop (default 2s).
+	// ProbeInterval paces the loop that re-assigns ejected endpoints
+	// (default 2s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round-trip, including a re-assignment
-	// with blob fetches (default 15s).
-	ProbeTimeout time.Duration
-	// BreakerThreshold is the consecutive-failure count that ejects an
-	// endpoint (default 3).
-	BreakerThreshold int
 	// RequestTimeout is the total budget of one client request (the
 	// front door's query timeout); per-shard attempt deadlines are carved
 	// out of what remains of it (default 10s).
@@ -56,26 +46,43 @@ type Config struct {
 	// Logger receives structured ejection/re-admission events and the
 	// front door's access log.
 	Logger *slog.Logger
+
+	// Test seams; zero selects the constant of the same name.
+	maxAttempts int
+	retryBase   time.Duration
+	hedgeMin    time.Duration
 }
 
+// The robustness policy's fixed parameters.
+const (
+	// maxAttempts bounds the tries of one idempotent RPC across a slot's
+	// replicas.
+	maxAttempts = 3
+	// retryBase is the first retry's backoff; later retries double it,
+	// jittered.
+	retryBase = 10 * time.Millisecond
+	// hedgeMin floors the hedge delay while latency history is thin.
+	hedgeMin = 20 * time.Millisecond
+	// probeTimeout bounds one assignment round trip, artifact fetches
+	// included.
+	probeTimeout = 15 * time.Second
+	// breakerThreshold is the consecutive-failure count that ejects an
+	// endpoint.
+	breakerThreshold = 3
+)
+
 func (c Config) withDefaults() Config {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
+	if c.maxAttempts <= 0 {
+		c.maxAttempts = maxAttempts
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 10 * time.Millisecond
+	if c.retryBase <= 0 {
+		c.retryBase = retryBase
 	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 20 * time.Millisecond
+	if c.hedgeMin <= 0 {
+		c.hedgeMin = hedgeMin
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 15 * time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
@@ -182,9 +189,18 @@ func NewRouter(dir string, g *kg.Graph, cfg Config) (*Router, error) {
 	if len(cfg.Endpoints) == 0 {
 		return nil, fmt.Errorf("cluster: no shard endpoints configured")
 	}
+	// A search RPC does not name its slot, so a worker listed twice would
+	// serve one slot's postings for the other's.
+	seen := make(map[string]bool)
 	for i, group := range cfg.Endpoints {
 		if len(group) == 0 {
 			return nil, fmt.Errorf("cluster: endpoint group %d is empty", i)
+		}
+		for _, url := range group {
+			if seen[url] {
+				return nil, fmt.Errorf("cluster: endpoint %s is listed more than once; a worker serves one slot", url)
+			}
+			seen[url] = true
 		}
 	}
 	m, err := newslink.ReadManifest(dir)
@@ -255,11 +271,12 @@ func (rt *Router) Plan() *Plan { return rt.plan }
 // Start performs the initial assignment of every replica, all of them
 // concurrently, and launches the health probe loop once every assignment
 // has finished. Replicas that cannot be assigned now stay ejected; the
-// probe loop keeps trying, so a late-starting worker is admitted without
-// intervention. Each replica is admitted the moment its own assignment is
-// acknowledged, so one slow worker delays nobody else's. Start returns an
-// error only when no replica of any slot could be assigned and the router
-// would be permanently useless until workers appear.
+// probe loop keeps assigning them, so a late-starting worker is admitted
+// without intervention. Each replica is admitted the moment its own
+// assignment is acknowledged, so one slow worker delays nobody else's.
+// Start returns an error only when no replica of any slot could be
+// assigned and the router would be permanently useless until workers
+// appear.
 func (rt *Router) Start(ctx context.Context) error {
 	var admitted atomic.Int64
 	var wg sync.WaitGroup
@@ -268,14 +285,9 @@ func (rt *Router) Start(ctx context.Context) error {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				actx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
-				defer cancel()
-				if err := rt.assignEndpoint(actx, sl, ep); err != nil {
-					rt.log.Warn("initial assignment failed", "slot", sl.idx, "endpoint", ep.url, "err", err)
-					return
+				if rt.assign(ctx, sl, ep) {
+					admitted.Add(1)
 				}
-				ep.admit()
-				admitted.Add(1)
 			}()
 		}
 	}
@@ -310,6 +322,28 @@ func (rt *Router) Handler() http.Handler {
 	}
 	mux.HandleFunc("GET /v1/shard/blob/{name}", blobHandler(rt.dir))
 	return mux
+}
+
+// blobHandler serves content-addressed artifact files from dir. Names
+// are validated against the exact artifact grammar, so the handler can
+// never be steered outside its directory.
+func blobHandler(dir string) http.HandlerFunc {
+	return func(rw http.ResponseWriter, r *http.Request) {
+		name := r.PathValue("name")
+		if !validArtifactName(name) {
+			server.WriteError(rw, http.StatusBadRequest, "bad_request", "invalid artifact name")
+			return
+		}
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			server.WriteError(rw, http.StatusNotFound, "not_found", "artifact %s not held here", name)
+			return
+		}
+		defer f.Close()
+		rw.Header().Set("Content-Type", "application/octet-stream")
+		rw.WriteHeader(http.StatusOK)
+		_, _ = io.Copy(rw, f)
+	}
 }
 
 // handleReady answers ready while at least one shard can serve; a

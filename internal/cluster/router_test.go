@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -174,6 +175,16 @@ func editChecksums(t *testing.T, dir string, edit func(sums map[string]string)) 
 	}
 }
 
+// fileChecksum is a file's CRC32-C in the manifest's encoding.
+func fileChecksum(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%08x", crc32.Checksum(data, castagnoli))
+}
+
 // Layout of a documents artifact (docsfile.go in the root package), as far
 // as the corruption cases below edit one: a 16-byte header (magic, count),
 // the ID and Time columns, then 2n+1 offsets into the text area.
@@ -215,10 +226,7 @@ func TestNewRouterCorruptionTable(t *testing.T) {
 		return func(dir, artifact string) {
 			path := filepath.Join(dir, artifact)
 			mutate(path, fn)
-			sum, err := newslink.ChecksumFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sum := fileChecksum(t, path)
 			editChecksums(t, dir, func(sums map[string]string) { sums[artifact] = sum })
 		}
 	}
@@ -553,4 +561,27 @@ func TestRouterStoredFieldReadErrors(t *testing.T) {
 	getJSON(t, ts.URL+related, http.StatusInternalServerError, nil)
 	getJSON(t, ts.URL+explain, http.StatusInternalServerError, nil)
 	getJSON(t, ts.URL+dot, http.StatusInternalServerError, nil)
+}
+
+// TestNewRouterRejectsDuplicateEndpoint: a worker holds one slot, and a
+// search RPC does not name its slot, so a worker listed under two slots
+// would answer both with one slot's postings — silently wrong rankings.
+// NewRouter refuses a URL listed twice, within a group or across groups
+// (a surplus group folds into a slot as replicas), and names it.
+func TestNewRouterRejectsDuplicateEndpoint(t *testing.T) {
+	dir, g := buildSnapshot(t)
+	for _, eps := range [][][]string{
+		{{"http://w0"}, {"http://w0"}, {"http://w2"}},
+		{{"http://w0", "http://w0"}, {"http://w1"}},
+		{{"http://w1"}, {"http://w0"}, {"http://w2"}, {"http://w0"}},
+	} {
+		rt, err := NewRouter(dir, g, Config{Endpoints: eps, Logger: testLogger()})
+		if err == nil || !strings.Contains(err.Error(), "http://w0 ") {
+			t.Errorf("endpoints %v: err = %v, want one naming http://w0", eps, err)
+		}
+		if rt != nil {
+			rt.Close()
+			t.Errorf("endpoints %v: NewRouter returned a router", eps)
+		}
+	}
 }

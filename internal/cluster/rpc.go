@@ -7,11 +7,11 @@
 //
 // The RPC surface is a small HTTP protocol under the same /v1/ prefix and
 // error envelope the public API uses, in two planes. The control plane —
-// per assignment — is JSON; the data plane — the one RPC every query pays
-// — is the checksummed binary frame of wire.go, and nothing else is
-// accepted there:
+// one exchange per assignment — is JSON; the data plane — the one RPC
+// every query pays — is the checksummed binary frame of wire.go, and
+// nothing else is accepted there. Workers serve the first two, the router
+// the third:
 //
-//	GET  /v1/shard/info         json   identity, current plan, held artifacts
 //	POST /v1/shard/assign       json   install a segment slice (fetching blobs)
 //	POST /v1/shard/search       frame  ordered-term block-max top-k (BOW + BON)
 //	GET  /v1/shard/blob/{name}  bytes  one content-addressed segment artifact
@@ -33,7 +33,7 @@
 // Robustness is the point of the layer: per-shard deadlines derived from
 // the request budget, bounded retries with jittered exponential backoff
 // across replicas, optional tail-latency hedging, a consecutive-failure
-// circuit breaker with readiness-probe re-admission, and graceful
+// circuit breaker with re-admission through the assignment, and graceful
 // partial results (Degraded=true, never a 500 while one shard answers).
 // See DESIGN.md §14.
 package cluster
@@ -61,23 +61,13 @@ const (
 	maxRPCK     = 16384   // top-k per shard search
 )
 
-// InfoResponse answers GET /v1/shard/info: the worker's identity, the
-// plan it currently serves (empty while unassigned), and the
-// content-addressed artifacts present in its directory — what the worker
-// "advertises" for assignment and peer fetches.
-type InfoResponse struct {
-	ID        string   `json:"id"`
-	Plan      string   `json:"plan,omitempty"`
-	Base      int      `json:"base"`
-	Artifacts []string `json:"artifacts,omitempty"`
-}
-
 // AssignRequest installs a segment slice on a worker. Segments name the
 // slice by content ID and tombstones; the postings and time columns the
 // worker reads travel in the segments' artifacts, never in the request, so
 // its size does not depend on the corpus. Artifacts the worker does not
 // hold (by checksum) are fetched from FetchFrom's /v1/shard/blob/ endpoint
-// and verified before anything is loaded.
+// — the router's — and verified before anything is loaded. A worker that
+// already serves Plan at Base acknowledges without reloading.
 type AssignRequest struct {
 	Plan      string                     `json:"plan"`
 	Base      int                        `json:"base"`
@@ -90,7 +80,7 @@ type AssignRequest struct {
 // AssignResponse acknowledges an installed assignment.
 type AssignResponse struct {
 	Plan    string `json:"plan"`
-	Fetched int    `json:"fetched"` // artifact files fetched from the peer
+	Fetched int    `json:"fetched"` // artifact files fetched from the router
 }
 
 // ScorerParams transports the global BM25 parameters the router read off
@@ -317,13 +307,6 @@ func (r *SearchRequest) Validate() error {
 // same strict path, so a corrupted or truncated body (a worker crashing
 // mid-response) surfaces as a typed decode error — a shard failure —
 // never as silently wrong results.
-func (r *InfoResponse) Validate() error {
-	if len(r.Artifacts) > 4*maxSegments {
-		return decodeErrf("info: artifact list too long")
-	}
-	return nil
-}
-
 func (r *AssignResponse) Validate() error {
 	if r.Plan == "" {
 		return decodeErrf("assign response: missing plan")

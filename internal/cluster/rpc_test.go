@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"newslink"
 	"newslink/internal/search"
 )
 
@@ -21,7 +22,6 @@ func reseal(frame []byte) []byte {
 // selector the fuzzer mutates.
 func rpcMessages() []Validator {
 	return []Validator{
-		&InfoResponse{},
 		&AssignRequest{},
 		&AssignResponse{},
 		&SearchRequest{},
@@ -133,12 +133,14 @@ func TestValidArtifactNames(t *testing.T) {
 // accepted frame must be the one encoding of its message.
 func FuzzClusterRPCDecode(f *testing.F) {
 	seeds := []any{
-		&InfoResponse{ID: "w0", Plan: "abcd", Artifacts: []string{"seg-0123456789abcdef.text.idx"}},
 		&AssignRequest{Plan: "abcd", Segments: nil, FetchFrom: "http://peer"},
 		&AssignResponse{Plan: "abcd", Fetched: 2},
 		&SearchRequest{Plan: "abcd", K: 10, Text: []search.OrderedTerm{{Term: "border", Weight: 1, DF: 3, Bound: 2.5}},
 			Entities: [][]string{{"n12"}, {}}},
 		&SearchResponse{Plan: "abcd", Text: []search.Hit{{Doc: 3, Score: 1.5}}},
+		// Index 4 selects rpcMessages()[0] again: a complete assignment.
+		&AssignRequest{Plan: "abcd", Base: 7, Segments: []newslink.ManifestSegment{{ID: "0123456789abcdef"}},
+			Checksums: map[string]string{"seg-0123456789abcdef.text.idx": "0badf00d"}, FetchFrom: "http://router"},
 	}
 	for i, s := range seeds {
 		f.Add(i, []byte(mustMarshal(f, s)))
@@ -146,17 +148,17 @@ func FuzzClusterRPCDecode(f *testing.F) {
 	// The retired document gather and explain forwarding: well-formed
 	// frames of the reserved kinds 5 and 6, and the old JSON explain
 	// messages, aimed at the messages still on the wire.
-	f.Add(3, reseal([]byte("NL\x05\x01\x04abcd\x02\x00\x01\x01\x06border\x00\x00\x00\x00")))
-	f.Add(4, reseal([]byte("NL\x06\x01\x04abcd\x01\x01\x01t\x00\x00\x00\x00\x00")))
-	f.Add(1, []byte(`{"plan":"abcd","query":"q","doc_id":1,"max_paths":3}`))
-	f.Add(2, []byte(`{"plan":"abcd","explanation":{"SharedEntities":null,"Paths":null}}`))
+	f.Add(2, reseal([]byte("NL\x05\x01\x04abcd\x02\x00\x01\x01\x06border\x00\x00\x00\x00")))
+	f.Add(3, reseal([]byte("NL\x06\x01\x04abcd\x01\x01\x01t\x00\x00\x00\x00\x00")))
+	f.Add(0, []byte(`{"plan":"abcd","query":"q","doc_id":1,"max_paths":3}`))
+	f.Add(1, []byte(`{"plan":"abcd","explanation":{"SharedEntities":null,"Paths":null}}`))
 	f.Add(0, []byte(`{"unknown":true}`))
-	f.Add(3, []byte(`{"plan":"p","k":-1}`))
-	f.Add(3, []byte(mustMarshal(f, &SearchRequest{Plan: "p", K: -1})))
+	f.Add(2, []byte(`{"plan":"p","k":-1}`))
+	f.Add(2, []byte(mustMarshal(f, &SearchRequest{Plan: "p", K: -1})))
 	// The retired statistics exchange: well-formed frames of the reserved
 	// kinds 1 and 2, aimed at the messages that took their place.
-	f.Add(3, reseal([]byte("NL\x01\x01\x04abcd\x01\x06border\x01\x03n12\x00\x00\x00\x00")))
-	f.Add(4, reseal([]byte("NL\x02\x01\x04abcd\x00\x00\x00\x00\x00\x00")))
+	f.Add(2, reseal([]byte("NL\x01\x01\x04abcd\x01\x06border\x01\x03n12\x00\x00\x00\x00")))
+	f.Add(3, reseal([]byte("NL\x02\x01\x04abcd\x00\x00\x00\x00\x00\x00")))
 	f.Fuzz(func(t *testing.T, which int, data []byte) {
 		msgs := rpcMessages()
 		if which < 0 {

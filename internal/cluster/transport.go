@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"time"
@@ -56,23 +55,16 @@ func encodeRequest(v any) ([]byte, error) {
 	return bytes.Clone(data), nil
 }
 
-// doRequest performs one HTTP exchange and returns the raw 200 response
-// body in a pooled buffer the caller owns (putBuf once decoded). A nil
-// payload sends GET, otherwise POST. Reading the full body here is what
-// turns a worker crash mid-response (short write against a promised
-// Content-Length) into an unexpected-EOF attempt failure.
+// doRequest POSTs one RPC and returns the raw 200 response body in a
+// pooled buffer the caller owns (putBuf once decoded). Reading the full
+// body here is what turns a worker crash mid-response (short write against
+// a promised Content-Length) into an unexpected-EOF attempt failure.
 func doRequest(ctx context.Context, client *http.Client, url string, payload []byte) (*[]byte, error) {
-	method, body := http.MethodGet, io.Reader(nil)
-	if payload != nil {
-		method, body = http.MethodPost, bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
 	if err != nil {
 		return nil, err
 	}
-	if payload != nil {
-		req.Header["Content-Type"] = contentType(payload)
-	}
+	req.Header["Content-Type"] = contentType(payload)
 	resp, err := client.Do(req)
 	if err != nil {
 		return nil, err
@@ -123,17 +115,17 @@ func (rt *Router) attempt(ctx context.Context, sl *slot, ep *endpoint, path stri
 // consecutive-failure threshold ejects the endpoint until the probe loop
 // re-admits it.
 func (rt *Router) noteFailure(sl *slot, ep *endpoint, err error) {
-	if ep.fail(rt.cfg.BreakerThreshold) {
+	if ep.fail() {
 		rt.log.Warn("ejecting shard endpoint", "slot", sl.idx, "endpoint", ep.url, "err", err)
 	}
 }
 
 // hedgeDelay is the latency past which a second replica is tried: the
-// slot's observed p99, floored by the configured minimum.
+// slot's observed p99, floored by hedgeMin.
 func (rt *Router) hedgeDelay(sl *slot) time.Duration {
 	d := time.Duration(sl.lat.Quantile(0.99) * float64(time.Second))
-	if d < rt.cfg.HedgeMin {
-		d = rt.cfg.HedgeMin
+	if d < rt.cfg.hedgeMin {
+		d = rt.cfg.hedgeMin
 	}
 	return d
 }
@@ -201,10 +193,7 @@ func (rt *Router) callSlot(ctx context.Context, sl *slot, path string, reqBody a
 	if err != nil {
 		return err
 	}
-	attempts := rt.cfg.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
+	attempts := rt.cfg.maxAttempts
 	deadline, hasDeadline := ctx.Deadline()
 	start := int(sl.next.Add(1) - 1)
 	var lastErr error
@@ -247,7 +236,7 @@ func (rt *Router) callSlot(ctx context.Context, sl *slot, path string, reqBody a
 		}
 		if a < attempts-1 {
 			rt.mRetries.Inc()
-			if err := backoffSleep(ctx, rt.cfg.RetryBase, a); err != nil {
+			if err := backoffSleep(ctx, rt.cfg.retryBase, a); err != nil {
 				return errJoin(err, lastErr)
 			}
 		}
@@ -272,9 +261,6 @@ func errJoin(primary, secondary error) error {
 // retry storms: a burst of failures does not re-converge on the
 // recovering worker in lockstep.
 func backoffSleep(ctx context.Context, base time.Duration, attempt int) error {
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
 	d := base << uint(attempt)
 	d = d/2 + time.Duration(rand.Int63n(int64(d)))
 	timer := time.NewTimer(d)

@@ -357,7 +357,7 @@ func TestHedgedConcurrentMatchesSingleProcess(t *testing.T) {
 	workers, endpoints := startWorkers(t, g, 4)
 	endpoints[0] = append(endpoints[0], endpoints[3][0])
 	endpoints = endpoints[:3]
-	rt, ts := startRouter(t, dir, g, Config{Endpoints: endpoints, Hedge: true, HedgeMin: time.Millisecond})
+	rt, ts := startRouter(t, dir, g, Config{Endpoints: endpoints, Hedge: true, hedgeMin: time.Millisecond})
 	full := referenceServer(t, dir, g)
 
 	want := make(map[string]server.SearchResponse)

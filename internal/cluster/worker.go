@@ -8,9 +8,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"newslink"
@@ -23,10 +23,9 @@ import (
 )
 
 // Worker serves one shard of a partitioned snapshot: it holds the postings
-// of the slice of segments a router assigned to it, answers the search RPC
-// over that slice, and serves its content-addressed artifacts to peers. A
-// worker is stateless across assignments — the plan ID names the state,
-// and a new assignment atomically replaces the slice.
+// of the slice of segments a router assigned to it and answers the search
+// RPC over that slice. A worker is stateless across assignments — the plan
+// ID names the state, and a new assignment atomically replaces the slice.
 type Worker struct {
 	id       string
 	dir      string
@@ -43,10 +42,10 @@ type Worker struct {
 	shard *newslink.Shard
 }
 
-// NewWorker returns a worker with identity id, storing and serving
-// artifacts under dir. The knowledge graph g serves one purpose on a
-// worker: an assignment whose snapshot was built on another graph (by
-// fingerprint) is refused.
+// NewWorker returns a worker with identity id, storing artifacts under
+// dir. The knowledge graph g serves one purpose on a worker: an
+// assignment whose snapshot was built on another graph (by fingerprint)
+// is refused.
 func NewWorker(id, dir string, g *kg.Graph, log *slog.Logger) *Worker {
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -71,10 +70,8 @@ func (w *Worker) ID() string { return w.id }
 // /v1/shard/, plus health, readiness and metrics probes.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/shard/info", w.handleInfo)
 	mux.HandleFunc("POST /v1/shard/assign", w.handleAssign)
 	mux.HandleFunc("POST /v1/shard/search", w.handleSearch)
-	mux.HandleFunc("GET /v1/shard/blob/{name}", blobHandler(w.dir))
 	mux.HandleFunc("GET /v1/healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		server.WriteJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -146,24 +143,6 @@ func (w *Worker) requirePlan(rw http.ResponseWriter, plan string) (*newslink.Sha
 	return sh, true
 }
 
-func (w *Worker) handleInfo(rw http.ResponseWriter, _ *http.Request) {
-	if !w.gate(rw) {
-		return
-	}
-	w.mu.Lock()
-	info := InfoResponse{ID: w.id, Plan: w.plan, Base: w.base}
-	w.mu.Unlock()
-	if entries, err := os.ReadDir(w.dir); err == nil {
-		for _, ent := range entries {
-			if validArtifactName(ent.Name()) {
-				info.Artifacts = append(info.Artifacts, ent.Name())
-			}
-		}
-		sort.Strings(info.Artifacts)
-	}
-	w.writeRPC(rw, &info)
-}
-
 func (w *Worker) handleReady(rw http.ResponseWriter, _ *http.Request) {
 	if sh, _, _ := w.snapshotState(); sh == nil {
 		server.WriteJSON(rw, http.StatusServiceUnavailable, map[string]string{"status": "unassigned"})
@@ -192,20 +171,25 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.mu.Lock()
-	if w.shard != nil && w.plan == req.Plan {
-		// Idempotent re-assignment of the current plan: acknowledge
+	if w.shard != nil && w.plan == req.Plan && w.base == req.Base {
+		// Idempotent re-assignment of what the worker serves: acknowledge
 		// without reloading anything.
 		w.mu.Unlock()
 		w.writeRPC(rw, &AssignResponse{Plan: req.Plan})
 		return
 	}
 	w.mu.Unlock()
-	fetched, err := w.ensureArtifacts(r.Context(), &req)
-	if err != nil {
-		server.WriteError(rw, http.StatusBadGateway, "fetch_failed", "%v", err)
-		return
+	// The loader verifies every artifact once and hands the missing or
+	// damaged ones to fetch; segments restore concurrently.
+	var fetched atomic.Int64
+	fetch := func(name string) error {
+		if err := w.fetchArtifact(r.Context(), req.FetchFrom, name); err != nil {
+			return err
+		}
+		fetched.Add(1)
+		return nil
 	}
-	shard, err := newslink.LoadSegments(w.dir, w.g, req.Graph, req.Segments, req.Checksums)
+	shard, err := newslink.LoadSegments(w.dir, w.g, req.Graph, req.Segments, req.Checksums, fetch)
 	if err != nil {
 		server.WriteError(rw, http.StatusInternalServerError, "load_failed", "%v", err)
 		return
@@ -220,44 +204,15 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Unlock()
 	w.registry.Gauge("newslink_segments", "Segments of the assignment the worker serves.").Set(int64(len(req.Segments)))
 	w.log.Info("assignment installed", "worker", w.id, "plan", req.Plan,
-		"base", req.Base, "segments", len(req.Segments), "fetched", fetched)
-	w.writeRPC(rw, &AssignResponse{Plan: req.Plan, Fetched: fetched})
+		"base", req.Base, "segments", len(req.Segments), "fetched", fetched.Load())
+	w.writeRPC(rw, &AssignResponse{Plan: req.Plan, Fetched: int(fetched.Load())})
 }
 
-// ensureArtifacts makes every assigned artifact file — the two indexes
-// and the documents artifact of each segment — present and
-// checksum-verified in the worker's directory,
-// fetching missing or mismatched ones from the assignment's peer. Returns
-// how many files were fetched.
-func (w *Worker) ensureArtifacts(ctx context.Context, req *AssignRequest) (int, error) {
-	fetched := 0
-	for _, sm := range req.Segments {
-		for _, name := range newslink.SegmentFileNames(sm.ID) {
-			want, ok := req.Checksums[name]
-			if !ok {
-				return fetched, fmt.Errorf("assignment has no checksum for %s", name)
-			}
-			path := filepath.Join(w.dir, name)
-			if got, err := newslink.ChecksumFile(path); err == nil && got == want {
-				continue
-			}
-			if req.FetchFrom == "" {
-				return fetched, fmt.Errorf("missing artifact %s and no fetch peer", name)
-			}
-			if err := w.fetchArtifact(ctx, req.FetchFrom, name, want); err != nil {
-				return fetched, err
-			}
-			fetched++
-		}
-	}
-	return fetched, nil
-}
-
-// fetchArtifact downloads one content-addressed artifact from a peer's
-// blob endpoint, verifies its checksum, and installs it atomically.
-func (w *Worker) fetchArtifact(ctx context.Context, peer, name, want string) error {
-	url := peer + "/v1/shard/blob/" + name
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// fetchArtifact downloads one content-addressed artifact from the router's
+// blob endpoint at peer and installs it in the worker's directory through
+// a temporary file and a rename. The loader verifies what it installed.
+func (w *Worker) fetchArtifact(ctx context.Context, peer, name string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/shard/blob/"+name, nil)
 	if err != nil {
 		return err
 	}
@@ -280,13 +235,6 @@ func (w *Worker) fetchArtifact(ctx context.Context, peer, name, want string) err
 	}
 	if err := tmp.Close(); err != nil {
 		return err
-	}
-	got, err := newslink.ChecksumFile(tmp.Name())
-	if err != nil {
-		return err
-	}
-	if got != want {
-		return fmt.Errorf("fetched %s has checksum %s, want %s", name, got, want)
 	}
 	return os.Rename(tmp.Name(), filepath.Join(w.dir, name))
 }
@@ -327,26 +275,4 @@ func (w *Worker) handleSearch(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.writeRPC(rw, &resp)
-}
-
-// blobHandler serves content-addressed artifact files from dir. Names
-// are validated against the exact artifact grammar, so the handler can
-// never be steered outside its directory.
-func blobHandler(dir string) http.HandlerFunc {
-	return func(rw http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		if !validArtifactName(name) {
-			server.WriteError(rw, http.StatusBadRequest, "bad_request", "invalid artifact name")
-			return
-		}
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			server.WriteError(rw, http.StatusNotFound, "not_found", "artifact %s not held here", name)
-			return
-		}
-		defer f.Close()
-		rw.Header().Set("Content-Type", "application/octet-stream")
-		rw.WriteHeader(http.StatusOK)
-		_, _ = io.Copy(rw, f)
-	}
 }

@@ -16,9 +16,9 @@ import (
 // A cluster router opens the whole snapshot (LoadRouted) and partitions
 // its segments into contiguous groups, one per shard worker; each worker
 // opens only its slice's postings via LoadSegments. Because segments are
-// content-addressed and immutable, a worker can fetch missing artifact
-// files from any peer that holds them and verify them against the manifest
-// checksums before loading — the same guarantees Load gives a whole
+// content-addressed and immutable, a worker can fetch a missing or damaged
+// artifact file from the router and verify it against the manifest
+// checksum before loading — the same guarantees Load gives a whole
 // snapshot, per segment.
 
 // Manifest is the snapshot manifest (meta.json) of a version-7 snapshot:
@@ -98,11 +98,15 @@ type Shard struct {
 // graph fingerprint print; every artifact it reads (the two indexes and the
 // documents artifact of each segment) is checksum-verified against
 // checksums before any state is built, with the same typed errors as Load.
-// Positions in the returned Shard's sources are local to the slice: the
-// first document of segs[0] is position 0.
-func LoadSegments(dir string, g *kg.Graph, print GraphFingerprint, segs []ManifestSegment, checksums map[string]string) (*Shard, error) {
+// An artifact that is missing or fails verification is passed to fetch,
+// when fetch is not nil: fetch installs the file named in dir (through a
+// temporary file and a rename), and the file is then verified once more.
+// fetch is called concurrently, one segment's artifacts per goroutine, and
+// its error fails the load. Positions in the returned Shard's sources are
+// local to the slice: the first document of segs[0] is position 0.
+func LoadSegments(dir string, g *kg.Graph, print GraphFingerprint, segs []ManifestSegment, checksums map[string]string, fetch func(name string) error) (*Shard, error) {
 	m := &snapshotMeta{Version: snapshotVersion, Graph: print, Segments: segs, Checksums: checksums}
-	loaded, err := loadSegments(dir, g, m)
+	loaded, err := loadSegments(dir, g, m, fetch)
 	if err != nil {
 		return nil, err
 	}

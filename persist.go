@@ -109,19 +109,13 @@ func fingerprint(g *kg.Graph) graphPrint {
 // checksumString renders a CRC32-C value the way meta.json stores it.
 func checksumString(sum uint32) string { return fmt.Sprintf("%08x", sum) }
 
-// ChecksumFile streams one artifact file through CRC32-C and returns the
-// checksum in the manifest's encoding (8 hex digits) — what the loaders
-// verify against, and what a shard worker checks a fetched artifact with
-// before loading it.
-func ChecksumFile(path string) (string, error) {
-	return checksumFile(path, make([]byte, copyBufSize))
-}
-
 // copyBufSize sizes the buffer artifacts are streamed through when
 // checksummed; a load allocates one and reuses it for every file.
 const copyBufSize = 32 << 10
 
-// checksumFile is ChecksumFile streaming through buf.
+// checksumFile streams one artifact file through CRC32-C, reading through
+// buf, and returns the checksum in the manifest's encoding (8 hex digits):
+// what the loaders verify against.
 func checksumFile(path string, buf []byte) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -463,7 +457,7 @@ func Load(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	segs, err := loadSegments(dir, g, m)
+	segs, err := loadSegments(dir, g, m, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -503,10 +497,12 @@ func (e *Engine) Close() error {
 // loadSegments is the one restore path behind every loader: it checks the
 // graph fingerprint, then restores the manifest's segments concurrently —
 // each one checksum-verified against the manifest before anything of it is
-// mapped — and returns them in manifest order. The first failing segment
-// in that order decides the error, and every segment restored by then is
+// mapped — and returns them in manifest order. fetch, when not nil,
+// repairs an artifact that is missing or fails verification (see
+// LoadSegments); it is called concurrently. The first failing segment in
+// that order decides the error, and every segment restored by then is
 // unmapped again: no loader ever returns, or leaks, a partial set.
-func loadSegments(dir string, g *kg.Graph, m *snapshotMeta) ([]*segment, error) {
+func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, fetch func(name string) error) ([]*segment, error) {
 	if got := fingerprint(g); got != m.Graph {
 		return nil, fmt.Errorf("newslink: knowledge graph mismatch: snapshot %+v, graph %+v", m.Graph, got)
 	}
@@ -520,7 +516,7 @@ func loadSegments(dir string, g *kg.Graph, m *snapshotMeta) ([]*segment, error) 
 			defer wg.Done()
 			buf := make([]byte, copyBufSize)
 			for i := int(next.Add(1)) - 1; i < len(segs); i = int(next.Add(1)) - 1 {
-				segs[i], errs[i] = loadSegment(dir, m, i, buf)
+				segs[i], errs[i] = loadSegment(dir, m, i, buf, fetch)
 			}
 		}()
 	}
@@ -536,17 +532,25 @@ func loadSegments(dir string, g *kg.Graph, m *snapshotMeta) ([]*segment, error) 
 
 // loadSegment restores segment i of the manifest. It verifies the
 // segment's artifacts against their recorded checksums, streaming them
-// through buf, then maps each one and parses it: the indexes' directories
-// and every postings block (index.ReadIndex), and the documents' columns
-// (openDocs). A file truncated between the two faults on its mapping
-// while it is parsed, which fails the load like any other corruption. The
-// artifact identity from meta.json is memoized on the segment so a later
-// Save can reuse the files without rewriting them.
-func loadSegment(dir string, m *snapshotMeta, i int, buf []byte) (*segment, error) {
+// through buf — an artifact that fails is handed to fetch, when there is
+// one, and the file it wrote verified in turn — then maps each one and
+// parses it: the indexes' directories and every postings block
+// (index.ReadIndex), and the documents' columns (openDocs). A file
+// truncated between the two faults on its mapping while it is parsed,
+// which fails the load like any other corruption. The artifact identity
+// from meta.json is memoized on the segment so a later Save can reuse the
+// files without rewriting them.
+func loadSegment(dir string, m *snapshotMeta, i int, buf []byte, fetch func(name string) error) (*segment, error) {
 	sm := m.Segments[i]
 	names := SegmentFileNames(sm.ID)
 	for _, name := range names {
-		if err := verifyArtifact(dir, name, m.Checksums, buf); err != nil {
+		err := verifyArtifact(dir, name, m.Checksums, buf)
+		if err != nil && fetch != nil {
+			if err = fetch(name); err == nil {
+				err = verifyArtifact(dir, name, m.Checksums, buf)
+			}
+		}
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -86,7 +86,7 @@ func rewriteArtifact(t *testing.T, dir, suffix string, fn func([]byte) []byte) {
 	if err := os.WriteFile(path, fn(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := ChecksumFile(path)
+	sum, err := checksumFile(path, make([]byte, copyBufSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestLoadCorruptionTable(t *testing.T) {
 			// A shard worker's load fails the same way.
 			m, err := ReadManifest(dir)
 			if err == nil {
-				_, err = LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
+				_, err = LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums, nil)
 			}
 			if !errors.Is(err, c.wantErr) || !strings.Contains(err.Error(), c.names) {
 				t.Fatalf("LoadSegments error = %v, want %v naming %q", err, c.wantErr, c.names)
@@ -613,7 +613,7 @@ func storedFieldReadErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
+			shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -190,7 +190,7 @@ func TestLoadRejectsReweightedGraph(t *testing.T) {
 		"Load":       func(g *kg.Graph) error { return closed(Load(dir, g)) },
 		"LoadRouted": func(g *kg.Graph) error { return closed(LoadRouted(dir, g, nil)) },
 		"LoadSegments": func(g *kg.Graph) error {
-			shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
+			shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums, nil)
 			if shard != nil {
 				shard.Close()
 			}
@@ -410,7 +410,7 @@ func TestSnapshotRoundTripsDocumentBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Of the documents, a shard worker reads the time column alone.
-	shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
+	shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums, nil)
 	if err != nil || !reflect.DeepEqual(shard.set.times, want.times) {
 		t.Fatalf("LoadSegments: times %v (%v), want %v", shard.set.times, err, want.times)
 	}
@@ -464,7 +464,7 @@ func TestStoredFieldsAgreeAcrossLoaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums)
+	shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +661,7 @@ func TestRederivedEmbeddingMatchesPostings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shard, err := LoadSegments(dir, w.Graph, m.Graph, m.Segments, m.Checksums)
+		shard, err := LoadSegments(dir, w.Graph, m.Graph, m.Segments, m.Checksums, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
