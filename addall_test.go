@@ -1,18 +1,14 @@
 package newslink
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"newslink/internal/corpus"
-	"newslink/internal/kg"
 )
 
 // assertSameSnapshot saves both engines and requires the two snapshot
@@ -26,29 +22,8 @@ func assertSameSnapshot(t *testing.T, got, want *Engine) {
 	if err := want.Save(wantDir); err != nil {
 		t.Fatal(err)
 	}
-	wantFiles, err := os.ReadDir(wantDir)
-	if err != nil {
+	if err := diffDirs(gotDir, wantDir); err != nil {
 		t.Fatal(err)
-	}
-	gotFiles, err := os.ReadDir(gotDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotFiles) != len(wantFiles) {
-		t.Fatalf("snapshots hold %d vs %d files", len(gotFiles), len(wantFiles))
-	}
-	for _, f := range wantFiles {
-		w, err := os.ReadFile(filepath.Join(wantDir, f.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := os.ReadFile(filepath.Join(gotDir, f.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(g, w) {
-			t.Fatalf("snapshot file %s differs", f.Name())
-		}
 	}
 }
 
@@ -71,49 +46,12 @@ func assertSameRankings(t *testing.T, got, want *Engine, queries []string) {
 	}
 }
 
-// TestAddAllMatchesSequentialAdd: AddAll in windows of 8 — 60 documents,
-// half before Build and half after it with a WAL armed, so 8 windows in
-// all — searches and saves exactly as one Add per document does.
+// TestAddAllMatchesSequentialAdd: AddAll — in one window on the reloaded
+// execution, in windows of 3 with the WAL armed on the wal execution — of
+// 60 documents, half before Build and half after it, searches and saves
+// byte for byte as the memory execution's one Add per document.
 func TestAddAllMatchesSequentialAdd(t *testing.T) {
-	w := kg.Generate(kg.DefaultConfig(19))
-	arts := corpus.Generate(w, corpus.CNNLike(), 60, 19)
-	var docs []Document
-	for _, a := range arts {
-		docs = append(docs, Document{ID: a.ID, Title: a.Title, Text: a.Text, Time: a.Time})
-	}
-	initial, late := docs[:30], docs[30:]
-	seq := New(w.Graph, DefaultConfig(), withWriteBatch(8), WithWAL(t.TempDir()))
-	defer seq.Close()
-	for _, d := range initial {
-		if err := seq.Add(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := seq.Build(); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range late {
-		if err := seq.Add(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	par := New(w.Graph, DefaultConfig(), withWriteBatch(8), WithWAL(t.TempDir()))
-	defer par.Close()
-	if err := par.AddAll(initial, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.AddAll(late, 4); err != nil {
-		t.Fatal(err)
-	}
-	assertSameRankings(t, par, seq, []string{
-		arts[3].Text[:80],
-		arts[40].Title,
-		"clashes near the border",
-	})
-	assertSameSnapshot(t, par, seq)
+	runHistory(t, "addall 0-29; build; addall 30-59; search q=4; search q=2 k=50; save")
 }
 
 // TestAddAllAbortsAcrossWindows: a post-Build AddAll of five windows of 4
@@ -186,40 +124,11 @@ func TestAddAllAbortsAcrossWindows(t *testing.T) {
 	assertSameSnapshot(t, replayed, e)
 }
 
+// TestAddAllWorkerEdgeCases: AddAll analyzes on GOMAXPROCS workers for 0
+// (the reloaded execution), clamps a worker count above the batch (the wal
+// execution's 100), and after Build lands in the open segment.
 func TestAddAllWorkerEdgeCases(t *testing.T) {
-	g, arts := corpus.Sample()
-	var docs []Document
-	for _, a := range arts {
-		docs = append(docs, Document{ID: a.ID, Title: a.Title, Text: a.Text})
-	}
-	// workers <= 0 defaults to GOMAXPROCS; workers > len(docs) is clamped.
-	for _, workers := range []int{0, 1, 100} {
-		e := New(g, DefaultConfig())
-		if err := e.AddAll(docs, workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if e.NumDocs() != len(docs) {
-			t.Fatalf("workers=%d: NumDocs=%d", workers, e.NumDocs())
-		}
-		if err := e.Build(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// AddAll after Build opens a late segment; the new docs become
-	// searchable on the next Search.
-	e := New(g, DefaultConfig())
-	if err := e.AddAll(docs[:1], 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddAll(docs[1:], 2); err != nil {
-		t.Fatal(err)
-	}
-	if e.NumDocs() != len(docs) {
-		t.Fatalf("NumDocs = %d", e.NumDocs())
-	}
+	runHistory(t, "addall 0; build; addall 1-7; search q=4")
 }
 
 func ExampleEngine_Search() {

@@ -304,7 +304,7 @@ func expectDebugSurface(t *testing.T, addr string) {
 // -router — it used to be parsed and ignored, which is why the cluster
 // tier could not be profiled — and goes down with the main server.
 func TestClusterModesServeDebugAddr(t *testing.T) {
-	e, err := buildEngine("", "", 0.2, "", 2)
+	e, err := buildEngine("", "", 0.2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestClusterModesDebugBindFailure(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	ctx := context.Background()
 
-	e, err := buildEngine("", "", 0.2, "", 2)
+	e, err := buildEngine("", "", 0.2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func TestClusterModesHonourDrainTimeout(t *testing.T) {
 	})
 
 	t.Run("router", func(t *testing.T) {
-		e, err := buildEngine("", "", 0.2, "", 2)
+		e, err := buildEngine("", "", 0.2, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ import (
 
 func testDaemon(t *testing.T, cfg daemonConfig) *daemon {
 	t.Helper()
-	e, err := buildEngine("", "", 0.2, "", 2)
+	e, err := buildEngine("", "", 0.2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestDaemonBindFailureIsSynchronous(t *testing.T) {
 	defer ln.Close()
 	taken := ln.Addr().String()
 
-	e, err := buildEngine("", "", 0.2, "", 2)
+	e, err := buildEngine("", "", 0.2, "")
 	if err != nil {
 		t.Fatal(err)
 	}

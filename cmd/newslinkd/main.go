@@ -1,7 +1,7 @@
 // Command newslinkd serves NewsLink search over HTTP.
 //
 //	newslinkd [-addr :8080] [-kg kg.tsv -corpus corpus.jsonl]
-//	          [-beta 0.2] [-snapshot dir] [-workers 0] [-querytimeout 20s]
+//	          [-beta 0.2] [-snapshot dir] [-querytimeout 20s]
 //	          [-max-inflight 256] [-admission-wait 100ms] [-bon-timeout 0]
 //	          [-wal dir] [-ingest-queue 0]
 //	          [-drain-timeout 15s] [-drain-grace 0]
@@ -74,7 +74,6 @@ func main() {
 	corpusPath := flag.String("corpus", "", "corpus JSONL (default: built-in sample)")
 	beta := flag.Float64("beta", 0.2, "Equation 3 fusion weight")
 	snapshot := flag.String("snapshot", "", "engine snapshot directory (load if present, save after indexing otherwise)")
-	workers := flag.Int("workers", 0, "indexing workers (0 = GOMAXPROCS)")
 	queryTimeout := flag.Duration("querytimeout", 20*time.Second, "per-request search deadline (0 = unbounded); expired requests return 504")
 	maxInFlight := flag.Int("max-inflight", 256, "admission-control capacity for the query routes (0 = unlimited)")
 	admissionWait := flag.Duration("admission-wait", 100*time.Millisecond, "how long an over-capacity request may wait before it is shed with 429")
@@ -151,7 +150,7 @@ func main() {
 	if *ingestQueue > 0 {
 		engineOpts = append(engineOpts, newslink.WithIngestQueue(*ingestQueue))
 	}
-	engine, err := buildEngine(*kgPath, *corpusPath, *beta, *snapshot, *workers)
+	engine, err := buildEngine(*kgPath, *corpusPath, *beta, *snapshot)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -382,7 +381,7 @@ func debugHandler(metrics *obs.Registry) http.Handler {
 // ingest queue are per-deployment, not part of the snapshot.
 var engineOpts []newslink.Option
 
-func buildEngine(kgPath, corpusPath string, beta float64, snapshot string, workers int) (*newslink.Engine, error) {
+func buildEngine(kgPath, corpusPath string, beta float64, snapshot string) (*newslink.Engine, error) {
 	var g *kg.Graph
 	var arts []corpus.Article
 	if kgPath == "" && corpusPath == "" {
@@ -426,7 +425,7 @@ func buildEngine(kgPath, corpusPath string, beta float64, snapshot string, worke
 		docs[i] = newslink.Document{ID: a.ID, Title: a.Title, Text: a.Text, Time: a.Time}
 	}
 	t0 := time.Now()
-	if err := engine.AddAll(docs, workers); err != nil {
+	if err := engine.AddAll(docs, 0); err != nil {
 		return nil, err
 	}
 	if err := engine.Build(); err != nil {

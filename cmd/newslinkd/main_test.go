@@ -17,7 +17,7 @@ import (
 )
 
 func TestBuildEngineSample(t *testing.T) {
-	e, err := buildEngine("", "", 0.2, "", 2)
+	e, err := buildEngine("", "", 0.2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestBuildEngineSample(t *testing.T) {
 func TestBuildEngineSnapshotRoundTrip(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "snap")
 	// First run: indexes and saves.
-	e1, err := buildEngine("", "", 0.2, snap, 2)
+	e1, err := buildEngine("", "", 0.2, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestBuildEngineSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot not written: %v", err)
 	}
 	// Second run: loads the snapshot.
-	e2, err := buildEngine("", "", 0.2, snap, 2)
+	e2, err := buildEngine("", "", 0.2, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func writeInputs(t *testing.T, dir string) (kgPath, corpusPath string) {
 
 func TestBuildEngineFileInputs(t *testing.T) {
 	kgPath, corpusPath := writeInputs(t, t.TempDir())
-	e, err := buildEngine(kgPath, corpusPath, 0.5, "", 0)
+	e, err := buildEngine(kgPath, corpusPath, 0.5, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +106,10 @@ func TestBuildEngineFileInputs(t *testing.T) {
 		t.Fatalf("docs = %d", e.NumDocs())
 	}
 	// Unpaired flags fail.
-	if _, err := buildEngine(kgPath, "", 0.2, "", 0); err == nil {
+	if _, err := buildEngine(kgPath, "", 0.2, ""); err == nil {
 		t.Fatal("unpaired -kg must fail")
 	}
-	if _, err := buildEngine("/nonexistent", corpusPath, 0.2, "", 0); err == nil {
+	if _, err := buildEngine("/nonexistent", corpusPath, 0.2, ""); err == nil {
 		t.Fatal("missing kg must fail")
 	}
 }
@@ -121,20 +121,20 @@ func TestBuildEngineSnapshotSkipsCorpus(t *testing.T) {
 	dir := t.TempDir()
 	kgPath, corpusPath := writeInputs(t, dir)
 	snap := filepath.Join(dir, "snap")
-	if _, err := buildEngine(kgPath, corpusPath, 0.5, snap, 0); err != nil {
+	if _, err := buildEngine(kgPath, corpusPath, 0.5, snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(corpusPath); err != nil {
 		t.Fatal(err)
 	}
-	e, err := buildEngine(kgPath, corpusPath, 0.5, snap, 0)
+	e, err := buildEngine(kgPath, corpusPath, 0.5, snap)
 	if err != nil {
 		t.Fatalf("loading the snapshot read the removed corpus: %v", err)
 	}
 	if e.NumDocs() != 20 {
 		t.Fatalf("docs = %d", e.NumDocs())
 	}
-	if _, err := buildEngine(kgPath, "", 0.5, snap, 0); err == nil {
+	if _, err := buildEngine(kgPath, "", 0.5, snap); err == nil {
 		t.Fatal("unpaired -kg must fail even with a snapshot")
 	}
 }
@@ -143,12 +143,12 @@ func TestBuildEngineSnapshotSkipsCorpus(t *testing.T) {
 // the snapshot's mapped files, and Close releases them.
 func TestBuildEngineOnDisk(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "snap")
-	built, err := buildEngine("", "", 0.2, snap, 2)
+	built, err := buildEngine("", "", 0.2, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer built.Close()
-	e, err := buildEngine("", "", 0.2, snap, 2)
+	e, err := buildEngine("", "", 0.2, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestBuildEngineOnDisk(t *testing.T) {
 // TestDebugHandler exercises the -debug-addr surface: pprof endpoints and
 // both metric expositions, served off the engine's registry.
 func TestDebugHandler(t *testing.T) {
-	e, err := buildEngine("", "", 0.2, "", 2)
+	e, err := buildEngine("", "", 0.2, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,52 +77,6 @@ func liveDocSet(t *testing.T, e *Engine) map[int]string {
 	return out
 }
 
-// assertConverged asserts two engines hold identical live corpora and
-// rank identically on a set of probe queries after compaction (Compact
-// normalizes DF/segment history, so any divergence left is real state
-// divergence, not merge-timing noise).
-func assertConverged(t *testing.T, got, want *Engine) {
-	t.Helper()
-	if err := got.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	gd, wd := liveDocSet(t, got), liveDocSet(t, want)
-	if len(gd) != len(wd) {
-		t.Fatalf("live docs diverged: got %d, want %d", len(gd), len(wd))
-	}
-	for id, title := range wd {
-		if gd[id] != title {
-			t.Fatalf("doc %d diverged: got %q, want %q", id, gd[id], title)
-		}
-	}
-	for _, q := range []string{
-		"Military conflicts between Pakistan and Taliban in Upper Dir",
-		"Clinton and Trump in the US presidential election",
-		"bombing in Lahore",
-	} {
-		gr, err := got.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wr, err := want.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gr) != len(wr) {
-			t.Fatalf("query %q: %d vs %d results", q, len(gr), len(wr))
-		}
-		for i := range wr {
-			if gr[i].ID != wr[i].ID || gr[i].Score != wr[i].Score {
-				t.Fatalf("query %q rank %d diverged: got (%d, %g), want (%d, %g)",
-					q, i, gr[i].ID, gr[i].Score, wr[i].ID, wr[i].Score)
-			}
-		}
-	}
-}
-
 // walSegments lists the wal-*.log files at dir.
 func walSegments(t *testing.T, dir string) []string {
 	t.Helper()
@@ -175,83 +129,20 @@ func TestIngestPipelineServes(t *testing.T) {
 	}
 }
 
-// TestIngestCrashRecoveryConverges: one operation history run through the
-// direct write path, through the ingest queue, and replayed from either
-// WAL after an abandon-without-Close crash leaves the same searchable
-// state — every acknowledged write survives, and nothing that was not
-// applied (the tail of a batch behind a rejected document) comes back.
+// TestIngestCrashRecoveryConverges: histories of queued and synchronous
+// writes — each synchronous write must see every Ingest logged before it
+// applied, or a Delete finds nothing to delete and an AddAll no duplicate
+// to stop at — leave the same state on the wal execution, through its
+// queue and after a crash replays its log, as on the others; every
+// acknowledged write survives, and nothing behind a rejected document
+// comes back.
 func TestIngestCrashRecoveryConverges(t *testing.T) {
-	_, arts := corpus.Sample()
-	histories := map[string]func(t *testing.T, e *Engine){
-		"ingest": func(t *testing.T, e *Engine) {
-			for i := 0; i < 25; i++ {
-				if err := e.Ingest(streamDoc(arts, i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		},
-		// Queued and synchronous writes on one ID: each synchronous write
-		// must see every Ingest logged before it applied, or Delete finds
-		// nothing to delete and AddAll no duplicate to stop at.
-		"ingest-delete-update-interleaved": func(t *testing.T, e *Engine) {
-			d := streamDoc(arts, 0)
-			if err := e.Ingest(d); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Delete(d.ID); err != nil {
-				t.Fatalf("Delete after Ingest: %v", err)
-			}
-			d.Title = "reingested " + d.Title
-			if err := e.Ingest(d); err != nil {
-				t.Fatal(err)
-			}
-			d.Title, d.Text = "updated "+d.Title, arts[5].Text
-			if err := e.Update(d); err != nil {
-				t.Fatal(err)
-			}
-			batch := []Document{streamDoc(arts, 1), d, streamDoc(arts, 2)}
-			if err := e.AddAll(batch, 2); !errors.Is(err, ErrDuplicateID) {
-				t.Fatalf("AddAll carrying an ingested ID: %v", err)
-			}
-		},
-		"batch-duplicate-update-delete": func(t *testing.T, e *Engine) {
-			batch := []Document{streamDoc(arts, 0), streamDoc(arts, 1), streamDoc(arts, 2),
-				streamDoc(arts, 1), streamDoc(arts, 3)}
-			if err := e.AddAll(batch, 2); !errors.Is(err, ErrDuplicateID) {
-				t.Fatalf("AddAll with a mid-batch duplicate: %v", err)
-			}
-			upd := streamDoc(arts, 0)
-			upd.Title, upd.Text = "updated "+upd.Title, arts[5].Text
-			if err := e.Update(upd); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Delete(streamDoc(arts, 2).ID); err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	defer faults.Disarm()
-	for name, run := range histories {
-		t.Run(name, func(t *testing.T) {
-			dirD, dirQ := t.TempDir(), t.TempDir()
-			direct := walEngine(t, dirD)
-			run(t, direct)
-			queued := walEngine(t, dirQ, WithIngestQueue(64), withWriteBatch(4))
-			// A slow applier keeps acknowledged Ingests queued when the
-			// synchronous writes behind them arrive.
-			faults.Arm(faults.New().Delay(faults.IngestApply, 5*time.Millisecond))
-			run(t, queued)
-			faults.Disarm()
-			queued.FlushIngest()
-			// Crash: no Close, no Save. The WALs are the only durable record.
-			replayedD := walEngine(t, dirD)
-			defer replayedD.Close()
-			replayedQ := walEngine(t, dirQ, WithIngestQueue(64))
-			defer replayedQ.Close()
-			assertConverged(t, queued, direct)
-			assertConverged(t, replayedD, direct)
-			assertConverged(t, replayedQ, direct)
-		})
+	for name, h := range map[string]string{
+		"ingest":                           "addall 0-7; build; ingest 8-32; crash 33; compact",
+		"ingest-delete-update-interleaved": "addall 0-7; build; ingest 8, delete 8, ingest 8, update 8, addall 9 8 10; crash 11; compact",
+		"batch-duplicate-update-delete":    "addall 0-7; build; addall 8 9 10 9 11; update 8, delete 10; crash 12; compact",
+	} {
+		t.Run(name, func(t *testing.T) { runHistory(t, h) })
 	}
 }
 
@@ -298,61 +189,11 @@ func TestQueuedEngineAddAllKeepsWindows(t *testing.T) {
 	}
 }
 
-// TestWALSyncPathRecovery: without an ingest queue the synchronous write
-// APIs log through the WAL directly; Add, Update and Delete all replay
-// with their original semantics.
+// TestWALSyncPathRecovery: the synchronous writes log through the WAL
+// directly, and Add, a rejected duplicate Add, Update, Delete and a
+// rejected Delete all replay with their original semantics.
 func TestWALSyncPathRecovery(t *testing.T) {
-	dir := t.TempDir()
-	_, arts := corpus.Sample()
-
-	crashed := walEngine(t, dir)
-	for i := 0; i < 6; i++ {
-		if err := crashed.Add(streamDoc(arts, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A duplicate add: rejected now, skipped at replay.
-	if err := crashed.Add(streamDoc(arts, 2)); !errors.Is(err, ErrDuplicateID) {
-		t.Fatalf("duplicate Add: %v", err)
-	}
-	// An update and a delete, both logged.
-	upd := streamDoc(arts, 1)
-	upd.Title = "updated " + upd.Title
-	if err := crashed.Update(upd); err != nil {
-		t.Fatal(err)
-	}
-	if err := crashed.Delete(1003); err != nil {
-		t.Fatal(err)
-	}
-	// A delete of an unknown ID: rejected now, skipped at replay.
-	if err := crashed.Delete(99999); !errors.Is(err, ErrUnknownDoc) {
-		t.Fatalf("unknown Delete: %v", err)
-	}
-	// Crash.
-
-	recovered := walEngine(t, dir)
-	defer recovered.Close()
-	docs := liveDocSet(t, recovered)
-	if _, ok := docs[1003]; ok {
-		t.Fatal("deleted doc 1003 came back after replay")
-	}
-	if got := docs[1001]; got != upd.Title {
-		t.Fatalf("update lost: doc 1001 title %q, want %q", got, upd.Title)
-	}
-	clean := walEngine(t, t.TempDir())
-	defer clean.Close()
-	for i := 0; i < 6; i++ {
-		if err := clean.Add(streamDoc(arts, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := clean.Update(upd); err != nil {
-		t.Fatal(err)
-	}
-	if err := clean.Delete(1003); err != nil {
-		t.Fatal(err)
-	}
-	assertConverged(t, recovered, clean)
+	runHistory(t, "addall 0-7; build; add 8-13; add 10, update 9, delete 11, delete 99; crash 12; search q=4 k=50")
 }
 
 // TestWALTornWriteRecovery: a write torn mid-record by a crash (simulated
@@ -503,95 +344,19 @@ func TestWALPartialFsyncRecovery(t *testing.T) {
 }
 
 // TestIngestAckedNeverLost: the acknowledged-but-unapplied window — WAL
-// durable, ack returned, crash before the applier indexed the batch — is
-// exactly what the WAL exists for. The IngestApply fault drops the batch
-// from memory; recovery replays it.
+// durable, ack returned, the micro-batch dropped before the applier
+// indexed it — is exactly what the WAL exists for: the crashed engine
+// does not hold the documents, and recovery replays them.
 func TestIngestAckedNeverLost(t *testing.T) {
-	dir := t.TempDir()
-	_, arts := corpus.Sample()
-
-	crashed := walEngine(t, dir, WithIngestQueue(16), withWriteBatch(4))
-	inj := faults.New().Fail(faults.IngestApply, errors.New("injected: crash before apply"))
-	faults.Arm(inj)
-	const n = 8
-	for i := 0; i < n; i++ {
-		// Ingest acks on durability; the applier then drops the batch.
-		if err := crashed.Ingest(streamDoc(arts, i)); err != nil {
-			faults.Disarm()
-			t.Fatalf("Ingest %d: %v", i, err)
-		}
-	}
-	crashed.FlushIngest()
-	faults.Disarm()
-	if inj.Hits(faults.IngestApply) == 0 {
-		t.Fatal("IngestApply fault point not reached")
-	}
-	// The crashed engine never indexed them.
-	if got := crashed.NumDocs(); got != len(arts) {
-		t.Fatalf("crashed engine indexed %d docs, want %d (batches dropped)", got, len(arts))
-	}
-
-	recovered := walEngine(t, dir)
-	defer recovered.Close()
-	docs := liveDocSet(t, recovered)
-	for i := 0; i < n; i++ {
-		want := streamDoc(arts, i)
-		if docs[want.ID] != want.Title {
-			t.Fatalf("acknowledged doc %d lost in the acked-but-unapplied window", want.ID)
-		}
-	}
+	runHistory(t, "addall 0-7; build; ingest 8-11, crash 12; search q=4 k=50")
 }
 
 // TestReplaySnapshotReplay: the full durability cycle — ingest, snapshot
 // (rotating and pruning the log), more ingest, crash, Load over the
-// snapshot (replaying only the post-snapshot generation), more ingest —
-// converges with a clean run of the same writes.
+// snapshot replaying only the post-snapshot generation, more ingest —
+// converges with the executions that never crashed.
 func TestReplaySnapshotReplay(t *testing.T) {
-	walDir := t.TempDir()
-	snapDir := filepath.Join(t.TempDir(), "snap")
-	g, arts := corpus.Sample()
-
-	e1 := walEngine(t, walDir, WithIngestQueue(32), withWriteBatch(4))
-	for i := 0; i < 10; i++ {
-		if err := e1.Ingest(streamDoc(arts, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e1.Save(snapDir); err != nil {
-		t.Fatal(err)
-	}
-	// Save rotated and pruned: one fresh, empty-or-small segment remains.
-	if segs := walSegments(t, walDir); len(segs) != 1 {
-		t.Fatalf("wal segments after Save: %v", segs)
-	}
-	for i := 10; i < 20; i++ {
-		if err := e1.Ingest(streamDoc(arts, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e1.FlushIngest()
-	// Crash.
-
-	e2, err := Load(snapDir, g, WithWAL(walDir), WithIngestQueue(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	for i := 20; i < 25; i++ {
-		if err := e2.Ingest(streamDoc(arts, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e2.FlushIngest()
-
-	clean := walEngine(t, t.TempDir())
-	defer clean.Close()
-	for i := 0; i < 25; i++ {
-		if err := clean.Update(streamDoc(arts, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	assertConverged(t, e2, clean)
+	runHistory(t, "addall 0-7; build; ingest 8-17; save; ingest 18-26; crash 27; ingest 28-32; compact")
 }
 
 // TestIngestBackpressure: a full queue sheds with ErrIngestOverload
@@ -646,21 +411,7 @@ func TestIngestBackpressure(t *testing.T) {
 // TestIngestWithoutQueueIsSynchronousUpsert: Ingest without
 // WithIngestQueue behaves exactly like Update.
 func TestIngestWithoutQueueIsSynchronousUpsert(t *testing.T) {
-	e := sampleEngine(t, DefaultConfig())
-	doc := Document{ID: 500, Title: "t", Text: "Taliban attacked Peshawar."}
-	if err := e.Ingest(doc); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.NumDocs(); got == 0 {
-		t.Fatal("ingested doc not indexed")
-	}
-	doc.Title = "t2"
-	if err := e.Ingest(doc); err != nil {
-		t.Fatal(err)
-	}
-	if docs := liveDocSet(t, e); docs[500] != "t2" {
-		t.Fatalf("upsert semantics violated: %q", docs[500])
-	}
+	runHistory(t, "addall 0-7; build; ingest 20, search q=4; ingest 20, ingest 3; search q=4 k=50")
 }
 
 // TestWriteAfterCloseFails: once Close released the WAL, writes fail with

@@ -11,13 +11,16 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"newslink"
 	"newslink/internal/corpus"
+	"newslink/internal/faults"
 	"newslink/internal/kg"
 	"newslink/internal/server"
 )
@@ -175,32 +178,180 @@ var identityQueries = []string{
 	"xyzzy nosuchterm anywhere",
 }
 
-// TestRouterMatchesSingleProcess is the merge-identity property: the
-// router's scatter-gather over three shard workers returns results
-// rank- and score-identical to a single-process engine over the same
-// snapshot — tombstones included — across queries, k, pool and beta.
-func TestRouterMatchesSingleProcess(t *testing.T) {
-	dir, g, _, _, ts := startCluster(t, Config{})
-	ref := referenceServer(t, dir, g)
+// parityCell is one cell of the router-parity table: a request kind, over
+// unfiltered or filtered parameters. runParity runs its cells against a
+// router with hedging off or on.
+type parityCell struct {
+	kind     string // "search", "related" or "explain"
+	filtered bool
+}
 
-	for _, q := range identityQueries {
-		for _, params := range []string{"", "&k=3", "&k=25", "&pool=12", "&beta=0", "&beta=1", "&beta=0.5"} {
-			path := "/v1/search?q=" + url.QueryEscape(q) + params
-			var got, want server.SearchResponse
-			getJSON(t, ts.URL+path, http.StatusOK, &got)
-			getJSON(t, ref.URL+path, http.StatusOK, &want)
-			if got.Degraded {
-				t.Fatalf("%s: degraded response with all shards live: %+v", path, got)
+// parityCluster is what runParity ran against: the snapshot and its
+// graph, the workers, the router and its server, and the single process
+// over the same snapshot.
+type parityCluster struct {
+	dir     string
+	g       *kg.Graph
+	workers []*Worker
+	rt      *Router
+	ts, ref *httptest.Server
+}
+
+var (
+	parityLive       = []int{0, 10, 17, 33, 47} // one per segment edge, none tombstoned
+	parityTombstoned = []int{3, 20}
+	parityEdges      = []string{"", "&k=1", "&k=3", "&k=25", "&k=46", "&k=100", "&pool=1", "&pool=12", "&k=3&pool=3", "&k=5&pool=10000"}
+)
+
+// parityPaths lists the requests of one cell: every query, document and
+// parameter edge of its kind, tombstoned documents included.
+func parityPaths(c parityCell) []string {
+	var paths []string
+	ids := append(append([]int(nil), parityLive...), parityTombstoned...)
+	switch {
+	case c.kind == "search" && !c.filtered:
+		for _, q := range identityQueries {
+			for _, p := range append(parityEdges, "&beta=0", "&beta=1", "&beta=0.5", "&beta=0.5&k=7") {
+				paths = append(paths, "/v1/search?q="+url.QueryEscape(q)+p)
 			}
-			if got.ShardsTotal != 3 || got.ShardsOK != 3 {
-				t.Fatalf("%s: shards %d/%d, want 3/3", path, got.ShardsOK, got.ShardsTotal)
+		}
+	case c.kind == "search":
+		for _, q := range identityQueries[:4] {
+			for _, flt := range filteredParams() {
+				for _, p := range []string{"", "&k=3", "&beta=0", "&beta=1"} {
+					paths = append(paths, "/v1/search?q="+url.QueryEscape(q)+flt+p)
+				}
 			}
-			if !reflect.DeepEqual(got.Results, want.Results) {
-				t.Fatalf("%s: cluster and single-process results diverge\ncluster: %+v\nsingle:  %+v",
-					path, got.Results, want.Results)
+		}
+	case c.kind == "related":
+		params := parityEdges
+		if c.filtered {
+			params = filteredParams()
+		}
+		for _, id := range ids {
+			for _, p := range params {
+				paths = append(paths, fmt.Sprintf("/v1/related/%d?%s", id, strings.TrimPrefix(p, "&")))
+			}
+		}
+	default:
+		params := []string{""}
+		if c.filtered {
+			params = filteredParams()
+		}
+		for _, id := range ids {
+			for _, q := range identityQueries[:2] {
+				for _, p := range params {
+					paths = append(paths, fmt.Sprintf("/v1/explain?q=%s&id=%d&paths=4%s", url.QueryEscape(q), id, p))
+				}
 			}
 		}
 	}
+	return paths
+}
+
+// runParity asserts the merge-identity property over the given cells: the
+// router's scatter-gather over three shard workers answers every request
+// of every cell — status, ranking, scores, explanation — as a single
+// process over the same snapshot, tombstones included, with no shard
+// reported missing. With hedge on, slot 0 has a second, persistently
+// slow replica, and the requests run 20 at a time, so every payload is
+// read by two in-flight attempts and losers' buffers are abandoned; a
+// hedge must fire.
+func runParity(t *testing.T, hedge bool, cells ...parityCell) parityCluster {
+	t.Helper()
+	var c parityCluster
+	c.dir, c.g = buildSnapshot(t)
+	cfg := Config{}
+	if hedge {
+		workers, endpoints := startWorkers(t, c.g, 4)
+		endpoints[0] = append(endpoints[0], endpoints[3][0])
+		c.workers, cfg = workers, Config{Endpoints: endpoints[:3], Hedge: true, hedgeMin: time.Millisecond}
+	} else {
+		c.workers, cfg.Endpoints = startWorkers(t, c.g, 3)
+	}
+	c.rt, c.ts = startRouter(t, c.dir, c.g, cfg)
+	c.ref = referenceServer(t, c.dir, c.g)
+	var paths []string
+	for _, cell := range cells {
+		paths = append(paths, parityPaths(cell)...)
+	}
+	type answer struct {
+		status int
+		body   map[string]any
+	}
+	fetch := func(rawurl string) (answer, error) {
+		resp, err := http.Get(rawurl)
+		if err != nil {
+			return answer{}, err
+		}
+		defer resp.Body.Close()
+		a := answer{status: resp.StatusCode}
+		return a, json.NewDecoder(resp.Body).Decode(&a.body)
+	}
+	want := make([]answer, len(paths))
+	for i, path := range paths {
+		var err error
+		if want[i], err = fetch(c.ref.URL + path); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	clients := 1
+	if hedge {
+		faults.Arm(faults.New().Delay(faults.ClusterShard(c.workers[0].ID()), 5*time.Millisecond))
+		defer faults.Disarm()
+		clients = 20
+	}
+	var nonEmpty atomic.Int64
+	var wg sync.WaitGroup
+	for w := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(paths); i += clients {
+				got, err := fetch(c.ts.URL + paths[i])
+				if _, ranked := got.body["results"]; err == nil && got.status == http.StatusOK && ranked {
+					if got.body["shards_total"] != float64(3) || got.body["shards_ok"] != float64(3) || got.body["degraded"] != nil {
+						err = fmt.Errorf("all shards live, got %v", got.body)
+					}
+					delete(got.body, "shards_total")
+					delete(got.body, "shards_ok")
+					if res, _ := got.body["results"].([]any); len(res) > 0 {
+						nonEmpty.Add(1)
+					}
+				}
+				if err == nil && !reflect.DeepEqual(got, want[i]) {
+					err = fmt.Errorf("cluster and single process diverge\ncluster: %+v\nsingle:  %+v", got, want[i])
+				}
+				if err != nil {
+					t.Errorf("%s: %v", paths[i], err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	ranked := slices.ContainsFunc(cells, func(c parityCell) bool { return c.kind != "explain" })
+	if ranked && nonEmpty.Load() == 0 {
+		t.Error("no request had results; the comparison went unexercised")
+	}
+	if hedge && c.rt.mHedges.Value() == 0 {
+		t.Error("no hedge fired against a persistently slow replica")
+	}
+	return c
+}
+
+func TestRouterMatchesSingleProcess(t *testing.T) { runParity(t, false, parityCell{kind: "search"}) }
+
+func TestRouterFilteredMatchesSingleProcess(t *testing.T) {
+	runParity(t, false, parityCell{kind: "search", filtered: true})
+}
+
+func TestRouterExplainMatchesSingleProcess(t *testing.T) {
+	runParity(t, false, parityCell{kind: "explain"})
+}
+
+func TestRouterFilteredExplain(t *testing.T) {
+	runParity(t, false, parityCell{kind: "explain", filtered: true})
 }
 
 // fixtureCorpus regenerates the deterministic fixture corpus and world
@@ -224,34 +375,6 @@ func filteredParams() []string {
 		"&entity=" + url.QueryEscape(label),
 		fmt.Sprintf("&entity=%s&before=%d", url.QueryEscape(label), mid),
 		"&entity=" + url.QueryEscape("No Such Entity Anywhere"),
-	}
-}
-
-// TestRouterFilteredMatchesSingleProcess is the merge-identity property
-// under document filters: the router resolves entity labels once, ships
-// term sets and time bounds to every worker, re-uses unfiltered global
-// statistics, and must still produce results DeepEqual to a single
-// process over the same snapshot for every filter combination.
-func TestRouterFilteredMatchesSingleProcess(t *testing.T) {
-	dir, g, _, _, ts := startCluster(t, Config{})
-	ref := referenceServer(t, dir, g)
-
-	for _, q := range identityQueries[:4] {
-		for _, flt := range filteredParams() {
-			for _, extra := range []string{"", "&k=3", "&beta=0", "&beta=1"} {
-				path := "/v1/search?q=" + url.QueryEscape(q) + flt + extra
-				var got, want server.SearchResponse
-				getJSON(t, ts.URL+path, http.StatusOK, &got)
-				getJSON(t, ref.URL+path, http.StatusOK, &want)
-				if got.Degraded {
-					t.Fatalf("%s: degraded response with all shards live: %+v", path, got)
-				}
-				if !reflect.DeepEqual(got.Results, want.Results) {
-					t.Fatalf("%s: filtered cluster and single-process results diverge\ncluster: %+v\nsingle:  %+v",
-						path, got.Results, want.Results)
-				}
-			}
-		}
 	}
 }
 
@@ -298,56 +421,6 @@ func TestMalformedSearchSameOnBothFrontDoors(t *testing.T) {
 			t.Errorf("%s: front doors disagree\nrouter: %d %s\nsingle: %d %s", path, gotStatus, gotBody, wantStatus, wantBody)
 		}
 	}
-}
-
-// TestRouterFilteredExplain: a filtered explanation is served only for
-// documents the same filtered search could return — in-window documents
-// explain identically to a single process, out-of-window ones are 404 on
-// both tiers.
-func TestRouterFilteredExplain(t *testing.T) {
-	dir, g, _, _, ts := startCluster(t, Config{})
-	ref := referenceServer(t, dir, g)
-	_, arts := fixtureCorpus()
-
-	const id = 10
-	q := url.QueryEscape(identityQueries[0])
-	inWindow := fmt.Sprintf("/v1/explain?q=%s&id=%d&paths=3&before=%d", q, id, arts[20].Time)
-	var got, want server.ExplainResponse
-	getJSON(t, ts.URL+inWindow, http.StatusOK, &got)
-	getJSON(t, ref.URL+inWindow, http.StatusOK, &want)
-	if !reflect.DeepEqual(got.Explanation, want.Explanation) {
-		t.Fatalf("%s: filtered explanations diverge\ncluster: %+v\nsingle:  %+v",
-			inWindow, got.Explanation, want.Explanation)
-	}
-	outOfWindow := fmt.Sprintf("/v1/explain?q=%s&id=%d&paths=3&after=%d", q, id, arts[40].Time)
-	getJSON(t, ts.URL+outOfWindow, http.StatusNotFound, nil)
-	getJSON(t, ref.URL+outOfWindow, http.StatusNotFound, nil)
-}
-
-// TestRouterExplainMatchesSingleProcess routes /v1/explain to the shard
-// owning the document and must reproduce the single-process explanation.
-func TestRouterExplainMatchesSingleProcess(t *testing.T) {
-	dir, g, _, _, ts := startCluster(t, Config{})
-	ref := referenceServer(t, dir, g)
-
-	var res server.SearchResponse
-	getJSON(t, ts.URL+"/v1/search?q="+url.QueryEscape(identityQueries[0])+"&k=5", http.StatusOK, &res)
-	if len(res.Results) == 0 {
-		t.Fatal("no results to explain")
-	}
-	for _, r := range res.Results {
-		path := fmt.Sprintf("/v1/explain?q=%s&id=%d&paths=3", url.QueryEscape(identityQueries[0]), r.ID)
-		var got, want server.ExplainResponse
-		getJSON(t, ts.URL+path, http.StatusOK, &got)
-		getJSON(t, ref.URL+path, http.StatusOK, &want)
-		if !reflect.DeepEqual(got.Explanation, want.Explanation) {
-			t.Fatalf("%s: explanations diverge\ncluster: %+v\nsingle:  %+v", path, got.Explanation, want.Explanation)
-		}
-	}
-
-	// A tombstoned document is unknown cluster-wide, as on one process.
-	getJSON(t, ts.URL+"/v1/explain?q=x&id=3", http.StatusNotFound, nil)
-	getJSON(t, ref.URL+"/v1/explain?q=x&id=3", http.StatusNotFound, nil)
 }
 
 // TestRouterTraceSpans asserts the scatter/shard/gather span structure

@@ -24,78 +24,22 @@ func sameStatus(t *testing.T, routerURL, refURL, path string, want int, got, ref
 }
 
 // TestRouterRelatedMatchesSingleProcess: the router's front door is the
-// single-process server over the router's own engine, so search, explain
-// and related — a route the router used to lack — answer DeepEqual to a
-// single process over the same snapshot: filtered, at k and pool edges,
-// and with tombstoned documents unknown on both. With one shard down,
-// search and related equal a single process over the surviving slots and
-// say so (degraded, shard_unavailable, 2/3). Explain needs no shard: it
-// still answers exactly with one shard down and with every shard down.
+// single-process server over the router's own engine, so related news
+// answers DeepEqual to a single process over the same snapshot, filtered,
+// at k and pool edges, with tombstoned documents unknown on both
+// (runParity). With one shard down, search and related equal a single
+// process over the surviving slots and say so (degraded,
+// shard_unavailable, 2/3). Explain needs no shard: it still answers
+// exactly with one shard down and with every shard down.
 func TestRouterRelatedMatchesSingleProcess(t *testing.T) {
-	dir, g, workers, rt, ts := startCluster(t, Config{})
-	full := referenceServer(t, dir, g)
-
-	edges := []string{"", "&k=1", "&k=46", "&k=100", "&pool=1", "&k=3&pool=3", "&k=5&pool=10000"}
-	params := append(append([]string(nil), edges...), filteredParams()...)
-	live := []int{0, 10, 17, 33, 47} // one per segment edge, none tombstoned
-	tombstoned := []int{3, 20}
-
+	c := runParity(t, false, parityCell{kind: "related"}, parityCell{kind: "related", filtered: true})
+	dir, g, workers, rt, ts, full := c.dir, c.g, c.workers, c.rt, c.ts, c.ref
+	params := append(append([]string(nil), parityEdges...), filteredParams()...)
+	live := parityLive
 	search := func(q, p string) string { return "/v1/search?q=" + url.QueryEscape(q) + p }
 	related := func(id int, p string) string { return fmt.Sprintf("/v1/related/%d?%s", id, strings.TrimPrefix(p, "&")) }
 	explain := func(q string, id int, p string) string {
 		return fmt.Sprintf("/v1/explain?q=%s&id=%d&paths=4%s", url.QueryEscape(q), id, p)
-	}
-
-	for _, q := range identityQueries {
-		for _, p := range append(params, "&beta=0", "&beta=1", "&beta=0.5&k=7") {
-			var got, want server.SearchResponse
-			sameStatus(t, ts.URL, full.URL, search(q, p), http.StatusOK, &got, &want)
-			if got.Degraded || got.ShardsOK != 3 || got.ShardsTotal != 3 {
-				t.Fatalf("%s: all shards live, got %+v", search(q, p), got)
-			}
-			if !reflect.DeepEqual(got.Results, want.Results) {
-				t.Fatalf("%s: search diverges\ncluster: %+v\nsingle:  %+v", search(q, p), got.Results, want.Results)
-			}
-		}
-	}
-	nonEmpty := 0
-	for _, id := range live {
-		for _, p := range params {
-			var got, want server.RelatedResponse
-			sameStatus(t, ts.URL, full.URL, related(id, p), http.StatusOK, &got, &want)
-			if got.Degraded || got.ShardsOK != 3 || got.ShardsTotal != 3 {
-				t.Fatalf("%s: all shards live, got %+v", related(id, p), got)
-			}
-			if got.DocID != want.DocID || got.K != want.K || !reflect.DeepEqual(got.Results, want.Results) {
-				t.Fatalf("%s: related diverges\ncluster: %+v\nsingle:  %+v", related(id, p), got.Results, want.Results)
-			}
-			if len(got.Results) > 0 {
-				nonEmpty++
-			}
-		}
-	}
-	if nonEmpty == 0 {
-		t.Fatal("no related request had results; the comparison went unexercised")
-	}
-	for _, id := range live {
-		for _, p := range append(edges[:1], filteredParams()...) {
-			// A filter may hide the document: 404 on both, then.
-			path := explain(identityQueries[0], id, p)
-			resp, err := http.Get(full.URL + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			var got, want server.ExplainResponse
-			sameStatus(t, ts.URL, full.URL, path, resp.StatusCode, &got, &want)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: explain diverges\ncluster: %+v\nsingle:  %+v", path, got, want)
-			}
-		}
-	}
-	for _, id := range tombstoned {
-		sameStatus(t, ts.URL, full.URL, related(id, ""), http.StatusNotFound, nil, nil)
-		sameStatus(t, ts.URL, full.URL, explain("border", id, ""), http.StatusNotFound, nil, nil)
 	}
 
 	// One shard down: the ranked routes cover the survivors and say so.

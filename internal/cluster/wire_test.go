@@ -4,24 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"net/http"
-	"net/url"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
-	"time"
 
 	"newslink"
-	"newslink/internal/faults"
 	"newslink/internal/index"
 	"newslink/internal/search"
-	"newslink/internal/server"
 )
 
 // wireGen draws random data-plane messages. Empty lists are nil — the one
@@ -347,73 +340,15 @@ func TestWireLengthBomb(t *testing.T) {
 }
 
 // TestHedgedConcurrentMatchesSingleProcess hammers the buffer-sharing
-// paths under the race detector: with hedging on and one replica of slot 0
-// slow, every request's payload is read by two in-flight attempts, losers'
-// response buffers are abandoned, and winners' go back to the pool — while
-// 200 queries run concurrently and must each equal the single process's
-// answer.
+// paths under the race detector: every parity request, of every kind,
+// plain and filtered, through a hedging router with one replica of slot 0
+// slow, 20 at a time (runParity).
 func TestHedgedConcurrentMatchesSingleProcess(t *testing.T) {
-	dir, g := buildSnapshot(t)
-	workers, endpoints := startWorkers(t, g, 4)
-	endpoints[0] = append(endpoints[0], endpoints[3][0])
-	endpoints = endpoints[:3]
-	rt, ts := startRouter(t, dir, g, Config{Endpoints: endpoints, Hedge: true, hedgeMin: time.Millisecond})
-	full := referenceServer(t, dir, g)
-
-	want := make(map[string]server.SearchResponse)
-	var paths []string
-	for _, q := range identityQueries {
-		for _, params := range []string{"&k=10", "&k=3&beta=0.5"} {
-			path := "/v1/search?q=" + url.QueryEscape(q) + params
-			var resp server.SearchResponse
-			getJSON(t, full.URL+path, http.StatusOK, &resp)
-			want[path] = resp
-			paths = append(paths, path)
-		}
+	var cells []parityCell
+	for _, kind := range []string{"search", "related", "explain"} {
+		cells = append(cells, parityCell{kind, false}, parityCell{kind, true})
 	}
-
-	faults.Arm(faults.New().Delay(faults.ClusterShard(workers[0].ID()), 5*time.Millisecond))
-	defer faults.Disarm()
-
-	const clients, perClient = 20, 10
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				path := paths[(c*perClient+i)%len(paths)]
-				var got server.SearchResponse
-				if err := fetchJSON(ts.URL+path, &got); err != nil {
-					t.Errorf("%s: %v", path, err)
-					return
-				}
-				if got.Degraded || !reflect.DeepEqual(got.Results, want[path].Results) {
-					t.Errorf("%s: hedged cluster diverges from the single process\ncluster: %+v\nsingle:  %+v",
-						path, got, want[path].Results)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if rt.mHedges.Value() == 0 {
-		t.Error("no hedge fired against a persistently slow replica")
-	}
-}
-
-// fetchJSON is getJSON for goroutines other than the test's own: it
-// returns the failure instead of calling t.Fatal.
-func fetchJSON(rawurl string, out any) error {
-	resp, err := http.Get(rawurl)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	runParity(t, true, cells...)
 }
 
 // BenchmarkWireCodec pins the data plane's cost in counts at the default

@@ -7,21 +7,15 @@ import (
 	"newslink/internal/kg"
 )
 
-// CrossPaths finds relationship paths linking an entity of one document to
-// an entity of another through the overlap of their subgraph embeddings —
-// the inter-document evidence of Table II ("Upper Dir -> Khyber <- Lahore").
-// The search runs a BFS over the union of both embeddings' arcs (treated
-// bidirected, as the underlying KG is), from the nodes labeled la to the
-// nodes labeled lb, and enumerates up to limit shortest paths.
-func CrossPaths(g *kg.Graph, a, b *DocEmbedding, la, lb string, limit int) []RelPath {
-	paths, _ := CrossPathsContext(context.Background(), g, a, b, la, lb, limit)
-	return paths
-}
-
-// CrossPathsContext is CrossPaths with cooperative cancellation: the BFS
-// polls the context once per frontier level (embedding arc sets are small,
-// so levels are the natural granularity) and a done context aborts with
-// ctx.Err().
+// CrossPathsContext finds relationship paths linking an entity of one
+// document to an entity of another through the overlap of their subgraph
+// embeddings — the inter-document evidence of Table II ("Upper Dir ->
+// Khyber <- Lahore"). The search runs a BFS over the union of both
+// embeddings' arcs (treated bidirected, as the underlying KG is), from the
+// nodes labeled la to the nodes labeled lb, and enumerates up to limit
+// shortest paths. It polls ctx once per frontier level (embedding arc sets
+// are small, so levels are the natural granularity), and a done context
+// aborts with ctx.Err().
 func CrossPathsContext(ctx context.Context, g *kg.Graph, a, b *DocEmbedding, la, lb string, limit int) ([]RelPath, error) {
 	if a == nil || b == nil || limit <= 0 {
 		return nil, ctx.Err()

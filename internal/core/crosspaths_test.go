@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -17,12 +18,18 @@ func embed(t *testing.T, g *kg.Graph, groups ...[]string) *DocEmbedding {
 	return d
 }
 
+// crossPaths is CrossPathsContext without a deadline.
+func crossPaths(g *kg.Graph, a, b *DocEmbedding, la, lb string, limit int) []RelPath {
+	paths, _ := CrossPathsContext(context.Background(), g, a, b, la, lb, limit)
+	return paths
+}
+
 func TestCrossPathsTableII(t *testing.T) {
 	g := figure1Graph()
 	q := embed(t, g, []string{"upper dir", "swat valley", "pakistan", "taliban"})
 	r := embed(t, g, []string{"lahore", "peshawar", "pakistan", "taliban"})
 	// Table II: Upper Dir (from Tq) links to Lahore (from Tr) via Khyber.
-	paths := CrossPaths(g, q, r, "upper dir", "lahore", 5)
+	paths := crossPaths(g, q, r, "upper dir", "lahore", 5)
 	if len(paths) == 0 {
 		t.Fatal("no cross paths")
 	}
@@ -43,7 +50,7 @@ func TestCrossPathsShortestFirstAndLimit(t *testing.T) {
 	g := figure1Graph()
 	q := embed(t, g, []string{"upper dir", "taliban"})
 	r := embed(t, g, []string{"peshawar", "taliban"})
-	paths := CrossPaths(g, q, r, "taliban", "peshawar", 10)
+	paths := crossPaths(g, q, r, "taliban", "peshawar", 10)
 	if len(paths) == 0 {
 		t.Fatal("no paths")
 	}
@@ -52,13 +59,13 @@ func TestCrossPathsShortestFirstAndLimit(t *testing.T) {
 			t.Fatal("paths not sorted shortest-first")
 		}
 	}
-	if got := CrossPaths(g, q, r, "taliban", "peshawar", 1); len(got) != 1 {
+	if got := crossPaths(g, q, r, "taliban", "peshawar", 1); len(got) != 1 {
 		t.Fatalf("limit ignored: %d", len(got))
 	}
-	if CrossPaths(g, q, r, "taliban", "peshawar", 0) != nil {
+	if crossPaths(g, q, r, "taliban", "peshawar", 0) != nil {
 		t.Fatal("limit 0 should be nil")
 	}
-	if CrossPaths(g, nil, r, "a", "b", 3) != nil {
+	if crossPaths(g, nil, r, "a", "b", 3) != nil {
 		t.Fatal("nil embedding should be nil")
 	}
 }
@@ -68,7 +75,7 @@ func TestCrossPathsDisjointEmbeddings(t *testing.T) {
 	q := embed(t, g, []string{"upper dir", "swat valley"})
 	r := embed(t, g, []string{"lahore", "pakistan"})
 	// Labels that are not in the union at all.
-	if got := CrossPaths(g, q, r, "atlantis", "lahore", 3); got != nil {
+	if got := crossPaths(g, q, r, "atlantis", "lahore", 3); got != nil {
 		t.Fatalf("unknown label produced paths: %v", got)
 	}
 }
@@ -76,16 +83,16 @@ func TestCrossPathsDisjointEmbeddings(t *testing.T) {
 func TestCrossPathsSingleNodeSubgraph(t *testing.T) {
 	g := figure1Graph()
 	// A one-label group embeds as a single root node with no arcs. It is
-	// part of the union, but CrossPaths is scoped to the embeddings' arcs:
+	// part of the union, but the search is scoped to the embeddings' arcs:
 	// with no arc touching Taliban the union is disconnected and no path
 	// exists (and the search must not crash on the isolated node).
 	q := embed(t, g, []string{"taliban"})
 	r := embed(t, g, []string{"kunar", "pakistan"})
-	if got := CrossPaths(g, q, r, "taliban", "pakistan", 3); got != nil {
+	if got := crossPaths(g, q, r, "taliban", "pakistan", 3); got != nil {
 		t.Fatalf("disconnected union produced paths: %v", got)
 	}
 	// Within the connected part, paths still work.
-	paths := CrossPaths(g, q, r, "kunar", "pakistan", 3)
+	paths := crossPaths(g, q, r, "kunar", "pakistan", 3)
 	if len(paths) == 0 {
 		t.Fatal("no path between connected labels")
 	}
@@ -99,7 +106,7 @@ func TestCrossPathsDirectionRendering(t *testing.T) {
 	g := figure1Graph()
 	q := embed(t, g, []string{"upper dir", "swat valley", "pakistan", "taliban"})
 	r := embed(t, g, []string{"lahore", "peshawar", "pakistan", "taliban"})
-	paths := CrossPaths(g, q, r, "taliban", "upper dir", 3)
+	paths := crossPaths(g, q, r, "taliban", "upper dir", 3)
 	if len(paths) == 0 {
 		t.Fatal("no paths")
 	}

@@ -63,12 +63,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// KindFromString parses the name produced by Kind.String. It returns
-// KindUnknown for unrecognized names.
-func KindFromString(s string) Kind { return kindOf(s) }
-
-// kindOf is KindFromString for either text type, so Read parses a kind
-// straight from its line buffer.
+// kindOf parses the name Kind.String produces, from either text type, so
+// Read parses a kind straight from its line buffer. It returns KindUnknown
+// for unrecognized names.
 func kindOf[S string | []byte](s S) Kind {
 	for i, n := range kindNames {
 		if string(s) == n {

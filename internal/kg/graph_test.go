@@ -160,11 +160,11 @@ func mustPanic(t *testing.T, name string, fn func()) {
 
 func TestKindRoundTrip(t *testing.T) {
 	for k := KindUnknown; k <= KindLanguage; k++ {
-		if got := KindFromString(k.String()); got != k {
-			t.Errorf("KindFromString(%q) = %v, want %v", k.String(), got, k)
+		if got := kindOf(k.String()); got != k {
+			t.Errorf("kindOf(%q) = %v, want %v", k.String(), got, k)
 		}
 	}
-	if KindFromString("bogus") != KindUnknown {
+	if kindOf("bogus") != KindUnknown {
 		t.Error("unknown kind name should map to KindUnknown")
 	}
 }

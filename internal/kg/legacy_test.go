@@ -128,7 +128,7 @@ func legacyRead(t *testing.T, r io.Reader) *legacyGraph {
 		f := strings.Split(sc.Text(), "\t")
 		switch f[0] {
 		case "N":
-			b.AddNode(f[3], KindFromString(f[2]), f[4])
+			b.AddNode(f[3], kindOf(f[2]), f[4])
 		case "A":
 			b.AddAlias(NodeID(atoi(f[1])), f[2])
 		case "E":

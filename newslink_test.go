@@ -3,7 +3,6 @@ package newslink
 import (
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -56,24 +55,11 @@ func TestEndToEndSearch(t *testing.T) {
 	}
 }
 
+// TestOversizedPoolDepthClamped: library callers can pass any PoolDepth;
+// the engine clamps it to the corpus, so an attacker-sized value cannot
+// drive pool-sized allocations, and ranks as the reference does.
 func TestOversizedPoolDepthClamped(t *testing.T) {
-	// Library callers can pass any PoolDepth; the engine clamps it to the
-	// corpus size so an attacker-sized value cannot drive pool-sized
-	// allocations. Beyond-corpus pools are all equivalent, so the results
-	// must match a default search exactly.
-	e := sampleEngine(t, DefaultConfig())
-	const q = "Military conflicts between Pakistan and Taliban in Upper Dir"
-	want, err := e.Search(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.SearchContext(context.Background(), Query{Text: q, K: 5, PoolDepth: 1 << 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("oversized pool changed results:\n%v\nvs\n%v", got, want)
-	}
+	runHistory(t, "addall 0-7; build; search q=4 k=5 pool=1099511627776")
 }
 
 func TestPureEmbeddingSearchBridgesVocabularyMismatch(t *testing.T) {
@@ -319,62 +305,11 @@ func TestQueryCacheSharedAcrossSearchAndExplain(t *testing.T) {
 	}
 }
 
-// TestIncrementalAddMatchesBatchBuild: documents added after Build become
-// searchable on the next query, and the segmented engine ranks exactly like
-// one built from the full corpus in a single pass.
+// TestIncrementalAddMatchesBatchBuild: documents added after Build over
+// several segments rank exactly as the reference's single batch build, and
+// a late document is explained.
 func TestIncrementalAddMatchesBatchBuild(t *testing.T) {
-	g, arts := corpus.Sample()
-	batch := sampleEngine(t, DefaultConfig())
-
-	inc := New(g, DefaultConfig())
-	for _, a := range arts[:3] {
-		if err := inc.Add(Document{ID: a.ID, Title: a.Title, Text: a.Text}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := inc.Build(); err != nil {
-		t.Fatal(err)
-	}
-	// Interleave searches with incremental adds across several segments.
-	if _, err := inc.Search("Taliban", 2); err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range arts[3:6] {
-		if err := inc.Add(Document{ID: a.ID, Title: a.Title, Text: a.Text}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := inc.Search("Clinton", 2); err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range arts[6:] {
-		if err := inc.Add(Document{ID: a.ID, Title: a.Title, Text: a.Text}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, q := range []string{
-		"Taliban bombing in Lahore and Peshawar",
-		"Sanders said voters were tired of hearing about Clinton and the FBI emails.",
-		"quarterly earnings beat expectations",
-	} {
-		a, err := batch.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := inc.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("segmented engine disagrees for %q:\n%v\nvs\n%v", q, a, b)
-		}
-	}
-	// Explanations for late documents work too.
-	exp, err := inc.Explain("Taliban fighting in Upper Dir Pakistan", 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exp.SharedEntities) == 0 {
-		t.Fatal("no explanation for late-added document")
+	if r := runHistory(t, "add 0-2; build; search; add 3-5; search q=1; add 6-11; search q=4 k=5; explain 10 q=5"); r.shared == 0 {
+		t.Fatal("the late document's explanation shares no entity")
 	}
 }

@@ -9,14 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
 	"newslink/internal/corpus"
 	"newslink/internal/faults"
-	"newslink/internal/index"
-	"newslink/internal/search"
 )
 
 // copyDir clones a flat snapshot directory into dst.
@@ -509,32 +506,6 @@ func TestReadsAfterCloseFail(t *testing.T) {
 		if !errors.Is(err, ErrClosed) {
 			t.Errorf("%s after Close: %v, want ErrClosed", op, err)
 		}
-	}
-}
-
-// localTraverse runs a routed engine's traversals over shard, a
-// LoadSegments slice of the whole snapshot, the way a cluster router's
-// workers do: one candidate deeper, the excluded position dropped.
-func localTraverse(shard *Shard) func(context.Context, Traversal) (Retrieval, error) {
-	return func(ctx context.Context, tr Traversal) (Retrieval, error) {
-		text, node, err := shard.Sources(tr.After, tr.Before, tr.Entities)
-		if err != nil {
-			return Retrieval{}, err
-		}
-		leg := func(src index.Source, s search.BM25, q search.Query) ([]search.Hit, error) {
-			if q == nil {
-				return nil, nil
-			}
-			hits, _, err := search.TopKBlockMaxStats(ctx, src, s, q, tr.Pool+1)
-			hits = slices.DeleteFunc(hits, func(h search.Hit) bool { return int(h.Doc) == tr.Exclude })
-			return hits[:min(len(hits), tr.Pool)], err
-		}
-		var r Retrieval
-		if r.BOW, err = leg(text, search.NewBM25(text), tr.Text); err != nil {
-			return Retrieval{}, err
-		}
-		r.BON, err = leg(node, search.NodeBM25(node.NumDocs(), node.AvgDocLen()), tr.Node)
-		return r, err
 	}
 }
 

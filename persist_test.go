@@ -2,78 +2,23 @@ package newslink
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
-	"sort"
 	"strings"
 	"testing"
 
-	"newslink/internal/core"
 	"newslink/internal/corpus"
-	"newslink/internal/index"
 	"newslink/internal/kg"
 )
 
+// TestSaveLoadRoundTrip: a loaded engine searches and explains as the one
+// that saved it, and takes further documents.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	g, arts := corpus.Sample()
-	e := sampleEngine(t, DefaultConfig())
-	dir := t.TempDir()
-	if err := e.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(dir, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumDocs() != len(arts) {
-		t.Fatalf("NumDocs = %d", loaded.NumDocs())
-	}
-	queries := []string{
-		"Military conflicts between Pakistan and Taliban in Upper Dir",
-		"Sanders said voters were tired of hearing about Clinton and the FBI emails.",
-		"quarterly earnings beat expectations",
-	}
-	for _, q := range queries {
-		a, err := e.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := loaded.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("loaded engine disagrees for %q:\n%v\nvs\n%v", q, a, b)
-		}
-	}
-	// Explanations (which read the persisted embeddings) survive the trip.
-	expA, err := e.Explain(queries[0], 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expB, err := loaded.Explain(queries[0], 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(expA, expB) {
-		t.Fatalf("explanations differ:\n%+v\nvs\n%+v", expA, expB)
-	}
-	// A loaded engine accepts further documents (late segment).
-	if err := loaded.Add(Document{ID: 999, Title: "late", Text: "A late bulletin about Lahore."}); err != nil {
-		t.Fatal(err)
-	}
-	late, err := loaded.Search("late bulletin", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(late) == 0 || late[0].ID != 999 {
-		t.Fatalf("late doc not searchable: %+v", late)
-	}
+	runHistory(t, "addall 0-7; build; save; search q=5; search q=4 k=5; explain 2 q=5; add 8; search q=4")
 }
 
 // TestSaveConcurrentWithAdd exercises the seal-and-capture critical section
@@ -119,11 +64,7 @@ func TestSaveConcurrentWithAdd(t *testing.T) {
 }
 
 func TestSaveBeforeBuildFails(t *testing.T) {
-	g, _ := corpus.Sample()
-	e := New(g, DefaultConfig())
-	if err := e.Save(t.TempDir()); err == nil {
-		t.Fatal("Save before Build must fail")
-	}
+	runHistory(t, "add 0; save; build; save")
 }
 
 func TestLoadRejectsWrongGraph(t *testing.T) {
@@ -285,96 +226,10 @@ func TestLoadRejectsVersionSkew(t *testing.T) {
 }
 
 // TestLoadOnDisk: an engine Load serves from its snapshot's mapped files
-// answers, explains and re-saves exactly as the engine that saved it.
+// answers and explains as the engine that saved it, and re-saves the
+// snapshot byte for byte.
 func TestLoadOnDisk(t *testing.T) {
-	g, _ := corpus.Sample()
-	e := sampleEngine(t, DefaultConfig())
-	dir := t.TempDir()
-	if err := e.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	disk, err := Load(dir, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
-	queries := []string{
-		"Taliban bombing in Lahore and Peshawar",
-		"Sanders said voters were tired of hearing about Clinton and the FBI emails.",
-	}
-	for _, q := range queries {
-		a, err := e.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := disk.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("disk engine disagrees for %q:\n%v\nvs\n%v", q, a, b)
-		}
-	}
-	// Explanations work too (re-derived from the mapped text).
-	expA, err := e.Explain(queries[0], 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expB, err := disk.Explain(queries[0], 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(expA, expB) {
-		t.Fatal("explanations differ on disk engine")
-	}
-	// A loaded engine re-saves by writing its mapped artifacts out: saved
-	// to a fresh directory (nothing to hard-link from), it writes a
-	// snapshot byte-identical to the one the built engine wrote, meta.json
-	// included.
-	dir2 := t.TempDir()
-	if err := disk.Save(dir2); err != nil {
-		t.Fatal(err)
-	}
-	segFiles, err := filepath.Glob(filepath.Join(dir, "*"))
-	if err != nil || len(segFiles) != 1+len(segmentSuffixes) {
-		t.Fatalf("snapshot %s holds %v (%v), want meta.json and one segment's artifacts", dir, segFiles, err)
-	}
-	for _, path := range segFiles {
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(dir2, filepath.Base(path)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s differs between the built engine's save and the loaded one's re-save", filepath.Base(path))
-		}
-	}
-	reloaded, err := Load(dir2, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, err := reloaded.Search(queries[0], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := e.Search(queries[0], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ra, rb) {
-		t.Fatal("re-saved disk engine disagrees")
-	}
-	// Close is idempotent enough for the double-call pattern.
-	if err := disk.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Built engines have nothing mapped to release.
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
+	runHistory(t, "addall 0-7; build; save; search q=4; search q=5 k=5; explain 2 q=5; save")
 }
 
 // TestSnapshotRoundTripsDocumentBytes: titles and texts come back from a
@@ -444,293 +299,36 @@ func TestSnapshotRoundTripsDocumentBytes(t *testing.T) {
 // TestStoredFieldsAgreeAcrossLoaders: every engine holds its documents on
 // the heap when built or merged, and in the snapshot's mapped file when
 // restored by Load or LoadRouted (the cluster router's engine). Over a
-// three-segment snapshot with tombstones, a second engine built the same
-// way (never saved) and both loaders answer DeepEqual to the engine
-// that saved it — every document, every filtered search with its snippets,
-// every live document's related news, explanation and DOT rendering, whose
-// embeddings each engine re-derives from the text it holds — and every
-// engine re-saves the snapshot byte for byte. After Compact, which copies
-// the live documents into one merged segment, each engine that takes
-// writes still agrees with a compacted built engine, down to the bytes of
-// its snapshot.
+// three-segment snapshot with tombstones, the loaded and routed engines
+// answer every filtered search with its snippets, and the related news,
+// explanation and DOT rendering of every third document and of a
+// tombstoned one, as the engine that saved it, and re-save it byte for
+// byte — before and after Compact copies the live documents into one
+// merged segment.
 func TestStoredFieldsAgreeAcrossLoaders(t *testing.T) {
-	e, w, arts := filterFixture(t)
-	g := w.Graph
-	dir := t.TempDir()
-	if err := e.Save(dir); err != nil {
-		t.Fatal(err)
+	reads := filterReads("search", "q=4 k=10")
+	for id := 0; id < 64; id += 3 {
+		reads += fmt.Sprintf("; related %d k=5; explain %d q=5", id, id)
 	}
-	m, err := ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shard.Close()
-	compacted, _, _ := filterFixture(t)
-	if err := compacted.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	compactedDir := t.TempDir()
-	if err := compacted.Save(compactedDir); err != nil {
-		t.Fatal(err)
-	}
-	for name, load := range map[string]func() (*Engine, error){
-		"Built": func() (*Engine, error) {
-			built, _, _ := filterFixture(t)
-			return built, nil
-		},
-		"Load":       func() (*Engine, error) { return Load(dir, g) },
-		"LoadRouted": func() (*Engine, error) { return LoadRouted(dir, g, localTraverse(shard)) },
-	} {
-		got, err := load()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		checkStores(t, name, got, name != "Built")
-		checkAgree(t, name, got, e, w, arts)
-		checkResave(t, name, got, dir)
-		if name == "LoadRouted" {
-			if err := got.Compact(); !errors.Is(err, ErrReadOnly) {
-				t.Fatalf("%s: Compact: %v, want ErrReadOnly", name, err)
-			}
-		} else {
-			if err := got.Compact(); err != nil {
-				t.Fatalf("%s: Compact: %v", name, err)
-			}
-			checkStores(t, name+" compacted", got, false)
-			checkAgree(t, name+" compacted", got, compacted, w, arts)
-			checkResave(t, name+" compacted", got, compactedDir)
-		}
-		got.Close()
-	}
-}
-
-// checkStores checks the one shape of a segment's documents: on the
-// heap, or mapped alike.
-func checkStores(t *testing.T, name string, e *Engine, mapped bool) {
-	t.Helper()
-	snap, err := e.acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for si, seg := range snap.segs {
-		if seg.docs.mapped() != mapped || (seg.docs.docs == nil) != mapped {
-			t.Fatalf("%s: segment %d holds mapped documents %v, want %v", name, si, seg.docs.mapped(), mapped)
-		}
-	}
-}
-
-// checkAgree asserts that got answers DeepEqual to want over the filter
-// fixture: every document, every filtered search with its snippets, and
-// the related news, explanation and DOT rendering of every third document
-// and of a tombstoned one.
-func checkAgree(t *testing.T, name string, got, want *Engine, w *kg.World, arts []corpus.Article) {
-	t.Helper()
-	ctx := context.Background()
-	sameErr := func(a, b error) bool { return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error()) }
-	ws, err := want.acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pos := 0; pos < ws.numDocs; pos++ {
-		if doc, err := got.DocAt(pos); err != nil || !reflect.DeepEqual(doc, ws.doc(pos)) {
-			t.Fatalf("%s: document at %d is %+v (%v), want %+v", name, pos, doc, err, ws.doc(pos))
-		}
-	}
-	for cname, flt := range filterCases(w, arts) {
-		for _, text := range filterQueries {
-			q := flt
-			q.Text, q.K = text, 10
-			a, err := want.SearchContext(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b, err := got.SearchContext(ctx, q); err != nil || !reflect.DeepEqual(b, a) {
-				t.Fatalf("%s, %s %q: %v (%v), want %v", name, cname, text, b, err, a)
-			}
-		}
-	}
-	explained := 0
-	for i, a := range arts {
-		if i%3 != 0 && i != 40 { // 40 is tombstoned
-			continue
-		}
-		rw, werr := want.Related(a.ID, 5)
-		rg, gerr := got.Related(a.ID, 5)
-		if !sameErr(gerr, werr) || !reflect.DeepEqual(rg, rw) {
-			t.Fatalf("%s: related to %d is %v (%v), want %v (%v)", name, a.ID, rg, gerr, rw, werr)
-		}
-		q := arts[(i+1)%len(arts)].Title
-		xw, werr := want.Explain(q, a.ID, 4)
-		xg, gerr := got.Explain(q, a.ID, 4)
-		if !sameErr(gerr, werr) || !reflect.DeepEqual(xg, xw) {
-			t.Fatalf("%s: explanation of %d is %+v (%v), want %+v (%v)", name, a.ID, xg, gerr, xw, werr)
-		}
-		explained += len(xw.SharedEntities)
-		dw, werr := want.ExplainDOT(q, a.ID, "t")
-		dg, gerr := got.ExplainDOT(q, a.ID, "t")
-		if !sameErr(gerr, werr) || dg != dw {
-			t.Fatalf("%s: DOT of %d differs (%v, want %v)", name, a.ID, gerr, werr)
-		}
-	}
-	if explained == 0 {
+	reads += "; related 40; explain 40 q=4"
+	if r := runHistory(t, filterHistory+"; save"+reads+"; compact; save"+reads); r.shared == 0 {
 		t.Fatal("no explanation shared an entity; the comparison went unexercised")
-	}
-}
-
-// checkResave asserts that e saves a snapshot identical, file for file,
-// to the one in dir.
-func checkResave(t *testing.T, name string, e *Engine, dir string) {
-	t.Helper()
-	resaved := t.TempDir()
-	if err := e.Save(resaved); err != nil {
-		t.Fatalf("%s: re-save: %v", name, err)
-	}
-	want, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := os.ReadDir(resaved); err != nil || len(got) != len(want) {
-		t.Fatalf("%s: re-saved %d files (%v), want %d", name, len(got), err, len(want))
-	}
-	for _, ent := range want {
-		a, err := os.ReadFile(filepath.Join(dir, ent.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b, err := os.ReadFile(filepath.Join(resaved, ent.Name())); err != nil || !bytes.Equal(a, b) {
-			t.Fatalf("%s: re-saved %s differs (%v)", name, ent.Name(), err)
-		}
 	}
 }
 
 // TestRederivedEmbeddingMatchesPostings: Explain, ExplainDOT and Related
 // re-derive a document's embedding from its text; the BON postings hold
 // the embedding it was indexed with. Over an engine churned by adds, an
-// update, deletes, refreshes, a tier merge and Compact, every live
-// document's re-derived node weights equal its postings — term → tf, read
-// by walking its segment's node index — in the built engine and after
-// Load and LoadRouted, before and after the compaction.
+// update, deletes, a tier merge and Compact, every segment's indexes —
+// built, loaded and routed — equal a build over its documents' analysis
+// (the model's checkIndexes).
 func TestRederivedEmbeddingMatchesPostings(t *testing.T) {
-	w := kg.Generate(kg.DefaultConfig(19))
-	arts := corpus.Generate(w, corpus.CNNLike(), 100, 23)
-	docs := make([]Document, len(arts))
-	for i, a := range arts {
-		docs[i] = Document{ID: a.ID, Title: a.Title, Text: a.Text, Time: a.Time}
-	}
-	e := New(w.Graph, DefaultConfig())
-	defer e.Close()
-	if err := e.AddAll(docs[:40], 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Build(); err != nil {
-		t.Fatal(err)
-	}
+	h := "addall 0-39; build"
 	for lo := 40; lo < 85; lo += 5 {
-		if err := e.AddAll(docs[lo:lo+5], 2); err != nil {
-			t.Fatal(err)
-		}
-		e.Refresh()
+		h += fmt.Sprintf("; addall %d-%d", lo, lo+4)
 	}
-	if e.met.segmentMerges.Value() == 0 {
-		t.Fatal("the churn merged no tier")
-	}
-	updated := docs[3]
-	updated.Text = docs[90].Text
-	if err := e.Update(updated); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []Document{docs[7], docs[45], docs[84]} {
-		if err := e.Delete(d.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.AddAll(docs[85:], 2); err != nil {
-		t.Fatal(err)
-	}
-	check := func(stage string, e *Engine) {
-		t.Helper()
-		dir := t.TempDir()
-		if err := e.Save(dir); err != nil {
-			t.Fatal(err)
-		}
-		m, err := ReadManifest(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shard, err := LoadSegments(dir, w.Graph, m.Graph, m.Segments, m.Checksums, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer shard.Close()
-		checkRederivedMatchesPostings(t, stage+" built", e)
-		for name, load := range map[string]func() (*Engine, error){
-			"Load":       func() (*Engine, error) { return Load(dir, w.Graph) },
-			"LoadRouted": func() (*Engine, error) { return LoadRouted(dir, w.Graph, localTraverse(shard)) },
-		} {
-			loaded, err := load()
-			if err != nil {
-				t.Fatalf("%s %s: %v", stage, name, err)
-			}
-			checkRederivedMatchesPostings(t, stage+" "+name, loaded)
-			loaded.Close()
-		}
-	}
-	check("churned", e)
-	if n := e.NumSegments(); n < 2 || e.NumDeletedDocs() == 0 {
-		t.Fatalf("churned engine has %d segments and %d tombstones, want several and some", n, e.NumDeletedDocs())
-	}
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	check("compacted", e)
-}
-
-// checkRederivedMatchesPostings asserts that every live document of e
-// re-derives to the node terms its segment's node index holds for it: the
-// embedding's NodeTerms equal the postings unfolded, term t of TF k
-// repeated k times.
-func checkRederivedMatchesPostings(t *testing.T, name string, e *Engine) {
-	t.Helper()
-	snap, err := e.acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := e.Graph()
-	embedded := 0
-	for si, seg := range snap.segs {
-		postings := make([][]string, seg.numDocs())
-		for n := range g.NumNodes() {
-			term := core.NodeTerm(kg.NodeID(n))
-			ps, err := index.Postings(seg.node, term)
-			if err != nil {
-				t.Fatalf("%s: segment %d, term %s: %v", name, si, term, err)
-			}
-			for _, p := range ps {
-				for range int(p.TF) {
-					postings[p.Doc] = append(postings[p.Doc], term)
-				}
-			}
-		}
-		for local := range seg.numDocs() {
-			if seg.dead.Get(local) {
-				continue
-			}
-			got := e.docEmbedding(snap, snap.bases[si]+local).NodeTerms()
-			want := postings[local]
-			sort.Strings(want)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: document %d re-derives to node terms %v, its postings are %v", name, seg.docs.id(local), got, want)
-			}
-			if len(got) > 0 {
-				embedded++
-			}
-		}
-	}
-	if embedded == 0 {
-		t.Fatalf("%s: no live document has an embedding to compare", name)
+	h += "; update 3; delete 7, delete 45, delete 84; addall 85-99; save; related 3; compact; save; related 3"
+	if r := runHistory(t, h); r.merges < 2 {
+		t.Fatalf("the churn ran %d merges, want a tier merge and Compact", r.merges)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -20,395 +19,68 @@ var lifecycleQueries = []string{
 	"quarterly earnings beat expectations",
 }
 
+// TestDeleteBasics: a tombstoned document leaves NumDocs, Search and
+// Explain at once and counts in NumDeletedDocs; deleting it again, or an ID
+// never added, is ErrUnknownDoc; and its ID may be added again.
 func TestDeleteBasics(t *testing.T) {
-	e := sampleEngine(t, DefaultConfig())
-	before := e.NumDocs()
-	res, err := e.Search(lifecycleQueries[0], 3)
-	if err != nil || len(res) == 0 {
-		t.Fatalf("seed search: %v %v", res, err)
-	}
-	victim := res[0].ID
-	if err := e.Delete(victim); err != nil {
-		t.Fatal(err)
-	}
-	if e.NumDocs() != before-1 {
-		t.Fatalf("NumDocs = %d, want %d", e.NumDocs(), before-1)
-	}
-	if e.NumDeletedDocs() != 1 {
-		t.Fatalf("NumDeletedDocs = %d, want 1", e.NumDeletedDocs())
-	}
-	after, err := e.Search(lifecycleQueries[0], e.NumDocs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range after {
-		if r.ID == victim {
-			t.Fatal("deleted document still returned by Search")
-		}
-	}
-	if _, err := e.Explain(lifecycleQueries[0], victim, 3); !errors.Is(err, ErrUnknownDoc) {
-		t.Fatalf("Explain of deleted doc = %v, want ErrUnknownDoc", err)
-	}
-	// Deleting again, or deleting a never-added ID, is unknown.
-	if err := e.Delete(victim); !errors.Is(err, ErrUnknownDoc) {
-		t.Fatalf("double Delete = %v, want ErrUnknownDoc", err)
-	}
-	if err := e.Delete(987654); !errors.Is(err, ErrUnknownDoc) {
-		t.Fatalf("Delete of unknown id = %v, want ErrUnknownDoc", err)
-	}
-	// A tombstoned ID is re-addable (that is what Update builds on).
-	if err := e.Add(Document{ID: victim, Title: "reborn", Text: "A reborn bulletin about Lahore."}); err != nil {
-		t.Fatalf("re-Add of tombstoned id: %v", err)
-	}
-	if e.NumDocs() != before {
-		t.Fatalf("NumDocs after re-add = %d, want %d", e.NumDocs(), before)
-	}
+	runHistory(t, "addall 0-7; build; search q=4; delete 4; explain 4 q=4; search q=4 k=50; delete 4; delete 987; add 4; search q=4")
 }
 
+// TestDeletePendingDocument: a document still in the open segment is
+// sealed, then tombstoned.
 func TestDeletePendingDocument(t *testing.T) {
-	e := sampleEngine(t, DefaultConfig())
-	if err := e.Add(Document{ID: 7001, Title: "late", Text: "A late bulletin about Lahore."}); err != nil {
-		t.Fatal(err)
-	}
-	// The document is still in the open segment; Delete must seal it first
-	// and then tombstone it.
-	if err := e.Delete(7001); err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Search("late bulletin about Lahore", e.NumDocs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res {
-		if r.ID == 7001 {
-			t.Fatal("deleted pending document surfaced")
-		}
-	}
+	runHistory(t, "addall 0-7; build; add 8, delete 8; search q=4 k=50")
 }
 
 func TestWritesBeforeBuildFail(t *testing.T) {
-	g, _ := corpus.Sample()
-	e := New(g, DefaultConfig())
-	if err := e.Delete(1); !errors.Is(err, ErrNotBuilt) {
-		t.Fatalf("Delete before Build = %v", err)
-	}
-	if err := e.Update(Document{ID: 1, Text: "x"}); !errors.Is(err, ErrNotBuilt) {
-		t.Fatalf("Update before Build = %v", err)
-	}
-	if err := e.Compact(); !errors.Is(err, ErrNotBuilt) {
-		t.Fatalf("Compact before Build = %v", err)
-	}
+	runHistory(t, "delete 1, update 1, ingest 1, compact; add 0; build")
 }
 
+// TestUpdateReplacesDocument: an update keeps NumDocs and serves only the
+// new version; an update of a new ID adds it.
 func TestUpdateReplacesDocument(t *testing.T) {
-	e := sampleEngine(t, DefaultConfig())
-	before := e.NumDocs()
-	res, err := e.Search(lifecycleQueries[1], 1)
-	if err != nil || len(res) == 0 {
-		t.Fatalf("seed search: %v %v", res, err)
-	}
-	id := res[0].ID
-	if err := e.Update(Document{ID: id, Title: "corrected", Text: "A corrected wire story about volcanic eruptions in Iceland."}); err != nil {
-		t.Fatal(err)
-	}
-	if e.NumDocs() != before {
-		t.Fatalf("Update changed NumDocs: %d, want %d", e.NumDocs(), before)
-	}
-	got, err := e.Search("volcanic eruptions in Iceland", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 || got[0].ID != id || got[0].Title != "corrected" {
-		t.Fatalf("updated doc not found under new text: %+v", got)
-	}
-	// The old version must be gone: searching its distinctive old text at
-	// full depth never returns the ID with the old title.
-	old, err := e.Search(lifecycleQueries[1], e.NumDocs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range old {
-		if r.ID == id && r.Title != "corrected" {
-			t.Fatal("stale version of updated doc still served")
-		}
-	}
-	// Upsert semantics: a fresh ID is simply added.
-	if err := e.Update(Document{ID: 8123, Title: "new", Text: "A brand new bulletin about Reykjavik."}); err != nil {
-		t.Fatal(err)
-	}
-	if e.NumDocs() != before+1 {
-		t.Fatalf("upsert of new id: NumDocs = %d, want %d", e.NumDocs(), before+1)
-	}
+	runHistory(t, "addall 0-7; build; search q=4; update 5; search q=4 k=50; search q=2; update 40; search q=4 k=50")
 }
 
+// TestCompactMergesToSingleSegment: Compact over several segments and a
+// tombstone counts one merge of every live document and leaves one
+// tombstone-free segment; a second Compact is a no-op.
 func TestCompactMergesToSingleSegment(t *testing.T) {
-	e := sampleEngine(t, DefaultConfig())
-	for i := 0; i < 3; i++ {
-		if err := e.Add(Document{ID: 9100 + i, Title: "late", Text: fmt.Sprintf("Late bulletin %d about Lahore and Peshawar.", i)}); err != nil {
-			t.Fatal(err)
-		}
-		e.Refresh()
-	}
-	if e.NumSegments() < 2 {
-		t.Fatalf("expected multiple segments, got %d", e.NumSegments())
-	}
-	// Tombstone a document inside the (multi-document) initial segment, so
-	// the tombstone stays resident until Compact reclaims it. (Deleting a
-	// single-doc segment's only document would instead drop the whole
-	// segment at publish time.)
-	seed, err := e.Search(lifecycleQueries[1], 1)
-	if err != nil || len(seed) == 0 {
-		t.Fatalf("seed search: %v %v", seed, err)
-	}
-	if err := e.Delete(seed[0].ID); err != nil {
-		t.Fatal(err)
-	}
-	if e.NumDeletedDocs() != 1 {
-		t.Fatalf("NumDeletedDocs = %d", e.NumDeletedDocs())
-	}
-	want, err := e.Search(lifecycleQueries[0], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merges, mergedDocs := e.met.segmentMerges.Value(), e.met.segmentMergedDocs.Value()
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if e.NumSegments() != 1 {
-		t.Fatalf("NumSegments after Compact = %d, want 1", e.NumSegments())
-	}
-	// One merge, rewriting every live document (the tombstoned one is
-	// dropped, not rewritten).
-	if n := e.met.segmentMerges.Value() - merges; n != 1 {
-		t.Fatalf("Compact counted %d merges, want 1", n)
-	}
-	if n := e.met.segmentMergedDocs.Value() - mergedDocs; n != int64(e.NumDocs()) {
-		t.Fatalf("newslink_segment_merged_docs_total rose by %d, want %d", n, e.NumDocs())
-	}
-	if e.NumDeletedDocs() != 0 {
-		t.Fatalf("NumDeletedDocs after Compact = %d, want 0 (tombstones reclaimed)", e.NumDeletedDocs())
-	}
-	got, err := e.Search(lifecycleQueries[0], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i].ID != want[i].ID {
-			t.Fatalf("Compact changed ranking:\n%v\nvs\n%v", got, want)
-		}
-	}
-	// Compacting an already-compacted engine is a no-op.
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if e.NumSegments() != 1 {
-		t.Fatalf("NumSegments = %d after idempotent Compact", e.NumSegments())
-	}
+	runHistory(t, "addall 0-7; build; add 8; add 9; add 10; delete 2; compact; search q=4; compact")
 }
 
-// TestSegmentScheduleIdentity is the merge-identity property test of
-// DESIGN.md §11: for random add/refresh/compact schedules WITHOUT deletes,
-// search results must be identical — scores included — to an engine built
-// in a single batch. Per-segment indexes serialize to the same bytes as a
-// monolithic build (TestMergeIdentityNoDeletes), Multi statistics are
-// exact per-doc folds, and block-max traversal visits terms in a
-// deterministic order, so this holds bitwise.
+// TestSegmentScheduleIdentity is the merge-identity property of DESIGN.md
+// §11: under add, refresh and compact schedules without deletes, every
+// search equals, scores included, the reference's single batch build.
 func TestSegmentScheduleIdentity(t *testing.T) {
-	g, arts := corpus.Sample()
-	batch := New(g, DefaultConfig())
-	for _, a := range arts {
-		if err := batch.Add(Document{ID: a.ID, Title: a.Title, Text: a.Text}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := batch.Build(); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 3; trial++ {
-		e := New(g, DefaultConfig())
-		cut := 1 + rng.Intn(len(arts)-1)
-		for _, a := range arts[:cut] {
-			if err := e.Add(Document{ID: a.ID, Title: a.Title, Text: a.Text}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.Build(); err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range arts[cut:] {
-			if err := e.Add(Document{ID: a.ID, Title: a.Title, Text: a.Text}); err != nil {
-				t.Fatal(err)
-			}
-			if rng.Intn(3) == 0 {
-				e.Refresh()
-			}
-		}
-		check := func(stage string) {
-			for _, q := range lifecycleQueries {
-				want, err := batch.Search(q, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := e.Search(q, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d %s (segments=%d): %q diverged\n%v\nvs\n%v",
-						trial, stage, e.NumSegments(), q, got, want)
-				}
-			}
-		}
-		check("segmented")
-		if err := e.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		if e.NumSegments() != 1 {
-			t.Fatalf("NumSegments after Compact = %d", e.NumSegments())
-		}
-		check("compacted")
-	}
+	runHistory(t, "addall 0-2; build; add 3, add 4; add 5-7; search q=5; add 8, refresh, add 9; add 10-13; search q=4 beta=1; compact; search q=4")
 }
 
-// TestDeletedNeverReturned: under random delete schedules, a tombstoned
-// document must never surface from Search or Explain — before or after
-// compaction, and across a snapshot round trip.
+// TestDeletedNeverReturned: tombstoned documents never surface from Search
+// or Explain — tombstoned, across a snapshot round trip, and compacted.
 func TestDeletedNeverReturned(t *testing.T) {
-	g, arts := corpus.Sample()
-	e := sampleEngine(t, DefaultConfig())
-	rng := rand.New(rand.NewSource(17))
-	deleted := map[int]bool{}
-	for _, a := range arts {
-		if rng.Intn(3) == 0 && len(deleted) < len(arts)-2 {
-			if err := e.Delete(a.ID); err != nil {
-				t.Fatal(err)
-			}
-			deleted[a.ID] = true
-		}
-	}
-	if e.NumDeletedDocs() != len(deleted) {
-		t.Fatalf("NumDeletedDocs = %d, want %d", e.NumDeletedDocs(), len(deleted))
-	}
-	assertHidden := func(stage string, eng *Engine) {
-		t.Helper()
-		for _, q := range lifecycleQueries {
-			res, err := eng.Search(q, eng.NumDocs())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range res {
-				if deleted[r.ID] {
-					t.Fatalf("%s: deleted doc %d surfaced for %q", stage, r.ID, q)
-				}
-			}
-		}
-		for id := range deleted {
-			if _, err := eng.Explain(lifecycleQueries[0], id, 2); !errors.Is(err, ErrUnknownDoc) {
-				t.Fatalf("%s: Explain(deleted %d) = %v, want ErrUnknownDoc", stage, id, err)
-			}
-		}
-	}
-	assertHidden("tombstoned", e)
-	dir := filepath.Join(t.TempDir(), "snap")
-	if err := e.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(dir, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close()
-	if loaded.NumDocs() != e.NumDocs() || loaded.NumDeletedDocs() != e.NumDeletedDocs() {
-		t.Fatalf("round trip changed counts: %d/%d vs %d/%d",
-			loaded.NumDocs(), loaded.NumDeletedDocs(), e.NumDocs(), e.NumDeletedDocs())
-	}
-	assertHidden("loaded", loaded)
-	// Tombstoned search results must agree across built and loaded engines.
-	for _, q := range lifecycleQueries {
-		a, err := e.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := loaded.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("loaded engine diverged for %q:\n%v\nvs\n%v", q, a, b)
-		}
-	}
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	assertHidden("compacted", e)
+	runHistory(t, "addall 0-11; build; delete 1, delete 4, delete 5, delete 9; search q=4 k=50; explain 5 q=4; save; search q=4 k=50; explain 4 q=4; compact; search q=5 k=50; explain 1 q=5")
 }
 
 // TestIncrementalSaveReusesSegments: re-saving over an existing snapshot
-// must hard-link unchanged segment artifacts instead of rewriting them
-// (content-addressed reuse), including for segments whose only change is a
-// new tombstone — those live in meta.json.
+// hard-links the artifacts of unchanged segments instead of rewriting them
+// (content-addressed reuse), those of segments whose only change is a new
+// tombstone included — tombstones live in meta.json.
 func TestIncrementalSaveReusesSegments(t *testing.T) {
-	e := sampleEngine(t, DefaultConfig())
-	dir := filepath.Join(t.TempDir(), "snap")
-	if err := e.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	// The segment's three artifacts: text.idx, node.idx, docs.bin.
-	segFiles, err := filepath.Glob(filepath.Join(dir, "seg-*"))
-	if err != nil || len(segFiles) != len(segmentSuffixes) {
-		t.Fatalf("expected the artifacts of one segment, found %v", segFiles)
-	}
-	before := make([]os.FileInfo, len(segFiles))
-	for i, path := range segFiles {
-		if before[i], err = os.Stat(path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A new open segment plus a tombstone in the old one: the old
-	// segment's artifacts — documents included — must survive as hard
-	// links of the same inodes.
-	if err := e.Add(Document{ID: 9301, Title: "late", Text: "A late bulletin about Lahore."}); err != nil {
-		t.Fatal(err)
-	}
-	e.Refresh()
-	if err := e.Delete(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	for i, path := range segFiles {
-		after, err := os.Stat(path)
-		if err != nil {
-			t.Fatalf("original segment artifact gone after incremental save: %v", err)
-		}
-		if !os.SameFile(before[i], after) {
-			t.Fatalf("unchanged segment artifact %s was rewritten, not hard-linked", filepath.Base(path))
-		}
-	}
-	all, err := filepath.Glob(filepath.Join(dir, "seg-*.text.idx"))
-	if err != nil || len(all) != 2 {
-		t.Fatalf("expected two segments after incremental save, found %v", all)
-	}
-	// And the incremental snapshot is fully valid.
-	g, _ := corpus.Sample()
-	loaded, err := Load(dir, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumDocs() != e.NumDocs() || loaded.NumDeletedDocs() != 1 {
-		t.Fatalf("incremental snapshot counts: %d/%d", loaded.NumDocs(), loaded.NumDeletedDocs())
-	}
+	runHistory(t, "addall 0-7; build; save; add 8; delete 1; save")
 }
 
-// TestChurnSegmentLifecycle drives the full segment lifecycle under
-// concurrency: interleaved Add/Update/Delete/Refresh from a writer while
-// searchers and a snapshotter run. Run under -race in CI (resilience job).
-// Invariants: a delete is immediately invisible to the deleting goroutine,
-// the tiered policy keeps the segment count bounded, bookkeeping matches
-// the surviving corpus, and every snapshot written mid-churn loads.
+// TestChurnSegmentLifecycle drives the segment lifecycle under
+// concurrency, for the race detector (the CI resilience job): a writer's
+// Add, Update, Delete and Refresh while searchers, explainers and a
+// snapshotter run. The same writes in sequence are a fixed history of the
+// model; what only concurrency shows is checked here: no read or save
+// fails, a delete is invisible to the deleting goroutine as soon as it
+// returns, the state the churn leaves (NumDocs, the tier bound, every live
+// document explainable) matches the writer's tracker, and every snapshot
+// written mid-churn loads.
 func TestChurnSegmentLifecycle(t *testing.T) {
+	runHistory(t, "addall 0-7; build; add 8, update 3, delete 5; update 8, add 9; delete 9, refresh; save; add 10, delete 3; compact")
 	g, arts := corpus.Sample()
 	e := sampleEngine(t, DefaultConfig())
 	live := map[int]bool{}
@@ -477,8 +149,6 @@ func TestChurnSegmentLifecycle(t *testing.T) {
 					t.Fatal(err)
 				}
 				delete(live, id)
-				// Sequential consistency for the deleting goroutine: the
-				// tombstone is published before Delete returns.
 				res, err := e.Search("Lahore Peshawar bulletin", e.NumDocs())
 				if err != nil {
 					t.Fatal(err)
@@ -518,7 +188,6 @@ func TestChurnSegmentLifecycle(t *testing.T) {
 			t.Fatalf("live doc %d unknown after churn: %v", id, err)
 		}
 	}
-	// Both mid-churn snapshot targets hold loadable snapshots.
 	for _, dir := range snapDirs {
 		if _, err := os.Stat(filepath.Join(dir, "meta.json")); err != nil {
 			continue // saver may not have reached this dir
