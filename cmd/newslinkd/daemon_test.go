@@ -1,180 +1,273 @@
 package main
 
 import (
+	"bufio"
+	"cmp"
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
-	"newslink/internal/faults"
+	"newslink"
 )
 
 func testDaemon(t *testing.T, cfg daemonConfig) *daemon {
 	t.Helper()
-	e, err := buildEngine("", "", 0.2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.addr == "" {
-		cfg.addr = "127.0.0.1:0"
-	}
-	if cfg.logger == nil {
-		cfg.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	d, err := newDaemon(e, cfg)
+	cfg.addr = cmp.Or(cfg.addr, "127.0.0.1:0")
+	cfg.logger = cmp.Or(cfg.logger, quietLogger)
+	d, err := newDaemon(sampleEngine(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
 }
 
-// TestDrainCompletesInFlightRequests is the shutdown e2e: concurrent
-// slow searches are in flight when the stop signal arrives; readiness
-// flips to 503 while they finish, every admitted request completes with
-// 200, run returns nil, and afterwards the listeners are closed.
-func TestDrainCompletesInFlightRequests(t *testing.T) {
-	d := testDaemon(t, daemonConfig{
-		debugAddr:    "127.0.0.1:0",
-		queryTimeout: 10 * time.Second,
-		drainTimeout: 10 * time.Second,
-		drainGrace:   300 * time.Millisecond,
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	runErr := make(chan error, 1)
-	go func() { runErr <- d.run(ctx) }()
+// quietLogger discards what the modes log.
+var quietLogger = slog.New(slog.NewTextHandler(io.Discard, nil))
 
-	// Slow every search down in the BON stage so requests are reliably
-	// still in flight when the drain starts.
-	faults.Arm(faults.New().Delay(faults.BONStage, 400*time.Millisecond))
-	defer faults.Disarm()
+// sampleEngine is the engine newslinkd serves without -kg and -corpus.
+func sampleEngine(t *testing.T) *newslink.Engine {
+	t.Helper()
+	e, err := buildEngine("", "", 0.2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
 
-	base := "http://" + d.Addr()
-	const n = 6
-	statuses := make([]int, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
+// startMode starts newslinkd in mode "single", "shard" or "router" as main
+// does, over the sample corpus, and returns once its main listener is
+// bound, with the channel run's result arrives on; or the start-up error.
+// A router is given the workers at shardAddrs, or one that never answers.
+func startMode(t *testing.T, ctx context.Context, mode string, cfg daemonConfig, shardAddrs string) (<-chan error, error) {
+	done, bound := make(chan error, 1), make(chan string, 1)
+	switch mode {
+	case "single":
+		d, err := newDaemon(sampleEngine(t), cfg)
+		if err != nil {
+			return nil, err
+		}
+		go func() { done <- d.run(ctx) }()
+		return done, nil
+	case "shard":
 		go func() {
-			defer wg.Done()
-			resp, err := http.Get(base + "/v1/search?q=Taliban+Pakistan&k=3")
-			if err != nil {
-				statuses[i] = -1
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			statuses[i] = resp.StatusCode
+			done <- shardMain(ctx, shardConfig{addr: cfg.addr, dir: t.TempDir(), debugAddr: cfg.debugAddr,
+				drainTimeout: cfg.drainTimeout, drainGrace: cfg.drainGrace, logger: cfg.logger}, bound)
+		}()
+	default:
+		snap, e := t.TempDir(), sampleEngine(t)
+		if err := errors.Join(e.Save(snap), e.Close()); err != nil {
+			t.Fatal(err)
+		}
+		if shardAddrs == "" {
+			shardAddrs = "http://" + freeAddr(t)
+		}
+		go func() {
+			done <- routerMain(ctx, routerConfig{addr: cfg.addr, snapshot: snap, shardAddrs: shardAddrs, probeInterval: 50 * time.Millisecond,
+				debugAddr: cfg.debugAddr, drainTimeout: cfg.drainTimeout, drainGrace: cfg.drainGrace, logger: cfg.logger}, bound)
 		}()
 	}
-	time.Sleep(100 * time.Millisecond) // let the requests get admitted
-	cancel()                           // "SIGTERM"
-
-	// During the drain grace the listener still answers and readiness
-	// reports draining.
-	readyStatus := 0
-	for deadline := time.Now().Add(250 * time.Millisecond); time.Now().Before(deadline); {
-		resp, err := http.Get(base + "/v1/readyz")
-		if err != nil {
-			break // grace elapsed and the listener closed; rely on readyStatus
-		}
-		readyStatus = resp.StatusCode
-		resp.Body.Close()
-		if readyStatus == http.StatusServiceUnavailable {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if readyStatus != http.StatusServiceUnavailable {
-		t.Fatalf("readyz during drain = %d, want 503", readyStatus)
-	}
-
-	wg.Wait()
-	for i, st := range statuses {
-		if st != http.StatusOK {
-			t.Fatalf("in-flight request %d finished with %d, want 200", i, st)
-		}
-	}
 	select {
-	case err := <-runErr:
-		if err != nil {
-			t.Fatalf("run returned %v, want nil after clean drain", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("run did not return after drain")
-	}
-
-	// Both listeners are down.
-	for _, addr := range []string{d.Addr(), d.DebugAddr()} {
-		if conn, err := net.DialTimeout("tcp", addr, 200*time.Millisecond); err == nil {
-			conn.Close()
-			t.Fatalf("listener %s still accepting after drain", addr)
-		}
+	case <-bound:
+		return done, nil
+	case err := <-done:
+		return nil, errors.Join(errors.New("exited before binding"), err)
 	}
 }
 
-// TestDebugListenerServes: the debug server binds synchronously and
-// serves pprof and metrics from its own http.Server.
-func TestDebugListenerServes(t *testing.T) {
-	d := testDaemon(t, daemonConfig{
-		debugAddr:    "127.0.0.1:0",
-		drainTimeout: 2 * time.Second,
-	})
+// running starts mode and fails the test if it cannot; the function it
+// returns stops it.
+func running(t *testing.T, mode string, cfg daemonConfig, shardAddrs string) (<-chan error, context.CancelFunc) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	runErr := make(chan error, 1)
-	go func() { runErr <- d.run(ctx) }()
-
-	for _, path := range []string{"/debug/pprof/cmdline", "/v1/metrics", "/v1/metrics/prom"} {
-		resp, err := http.Get("http://" + d.DebugAddr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
+	t.Cleanup(cancel)
+	done, err := startMode(t, ctx, mode, cfg, shardAddrs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cancel()
-	if err := <-runErr; err != nil {
-		t.Fatalf("run returned %v", err)
+	return done, cancel
+}
+
+// inFlight is, per mode, a route that reads a JSON body before it answers,
+// and the status inFlightDoc posted to it gets: the lifecycle tests hold
+// requests in flight on it.
+var inFlight = map[string]struct {
+	path   string
+	status int
+}{"single": {"/v1/docs", http.StatusOK}, "shard": {"/v1/shard/assign", http.StatusBadRequest}, "router": {"/v1/docs", http.StatusForbidden}}
+
+const inFlightDoc = `{"id":9001,"title":"Bulletin","text":"A bulletin about Lahore."}`
+
+// runModes runs a lifecycle behaviour once per mode, as a subtest.
+func runModes(t *testing.T, behaviour func(t *testing.T, mode string), modes ...string) {
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) { behaviour(t, mode) })
 	}
 }
 
-// TestDaemonBindFailureIsSynchronous: a port clash surfaces as a
-// newDaemon error, not a background log line after startup.
-func TestDaemonBindFailureIsSynchronous(t *testing.T) {
+func TestDebugListenerServes(t *testing.T)            { runModes(t, debugServes, "single") }
+func TestClusterModesServeDebugAddr(t *testing.T)     { runModes(t, debugServes, "shard", "router") }
+func TestDaemonBindFailureIsSynchronous(t *testing.T) { runModes(t, bindFailure, "single") }
+func TestClusterModesDebugBindFailure(t *testing.T)   { runModes(t, bindFailure, "shard", "router") }
+func TestDrainCompletesInFlightRequests(t *testing.T) { runModes(t, drainBounded, "single") }
+func TestClusterModesHonourDrainTimeout(t *testing.T) { runModes(t, drainBounded, "shard", "router") }
+
+// debugServes: the -debug-addr listener serves pprof and both metric
+// expositions from its own server, and a clean drain — one that a request
+// in flight at the stop signal finishes within — answers that request and
+// takes the debug listener down with the main one.
+func debugServes(t *testing.T, mode string) {
+	cfg := daemonConfig{addr: freeAddr(t), debugAddr: freeAddr(t), drainTimeout: 2 * time.Second, logger: quietLogger}
+	done, cancel := running(t, mode, cfg, "")
+	expectDebugSurface(t, "http://"+cfg.debugAddr, nil)
+	finish := openRequest(t, cfg.addr, inFlight[mode].path, len(inFlightDoc), inFlightDoc[:1])
+	time.Sleep(100 * time.Millisecond) // the handler is reading its body
+	cancel()                           // "SIGTERM"
+	time.Sleep(100 * time.Millisecond) // the drain has begun
+	if got := finish(inFlightDoc[1:]); got != inFlight[mode].status {
+		t.Fatalf("the request in flight was answered %d, want %d", got, inFlight[mode].status)
+	}
+	if err := exited(t, done, cfg.addr, cfg.debugAddr); err != nil {
+		t.Fatalf("run returned %v after a clean drain", err)
+	}
+}
+
+// bindFailure: start-up binds synchronously. A taken address fails it,
+// and so does a taken -debug-addr, with the single process's error and
+// the main listener released.
+func bindFailure(t *testing.T, mode string) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	if _, err := startMode(t, context.Background(), mode, daemonConfig{addr: taken.Addr().String(), logger: quietLogger}, ""); err == nil {
+		t.Fatal("started on a taken address")
+	}
+	addr := freeAddr(t)
+	_, err = startMode(t, context.Background(), mode, daemonConfig{addr: addr, debugAddr: taken.Addr().String(), logger: quietLogger}, "")
+	if want := fmt.Sprintf("binding debug address %s: ", taken.Addr()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("a taken -debug-addr: err = %v, want %q", err, want)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("main listener %s leaked after the debug bind failure: %v", addr, err)
+	}
+	ln.Close()
+}
+
+// drainBounded: on the stop signal a mode drains. Through -drain-grace its
+// listener still answers, a request in flight is answered, and one hung in
+// flight is given up on after -drain-timeout, which run reports.
+func drainBounded(t *testing.T, mode string) {
+	cfg := daemonConfig{addr: freeAddr(t), debugAddr: freeAddr(t), drainTimeout: 500 * time.Millisecond,
+		drainGrace: 150 * time.Millisecond, logger: quietLogger}
+	done, cancel := running(t, mode, cfg, "")
+	finish := openRequest(t, cfg.addr, inFlight[mode].path, len(inFlightDoc), inFlightDoc[:1])
+	openRequest(t, cfg.addr, inFlight[mode].path, 1000, "{")
+	time.Sleep(100 * time.Millisecond) // both handlers are reading their bodies
+	t0 := time.Now()
+	cancel() // "SIGTERM"
+
+	// The single process flips readiness to 503 as the drain starts; an
+	// unassigned worker and a router without a live shard answer 503 all
+	// along.
+	ready := 0
+	for deadline := time.Now().Add(cfg.drainGrace); ready != http.StatusServiceUnavailable && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if resp, err := http.Get("http://" + cfg.addr + "/v1/readyz"); err == nil {
+			ready = resp.StatusCode
+			resp.Body.Close()
+		}
+	}
+	if ready != http.StatusServiceUnavailable {
+		t.Fatalf("readyz during the drain grace = %d, want 503", ready)
+	}
+	if got := finish(inFlightDoc[1:]); got != inFlight[mode].status {
+		t.Fatalf("the request in flight was answered %d, want %d", got, inFlight[mode].status)
+	}
+	if err := exited(t, done, cfg.addr, cfg.debugAddr); err == nil || !strings.Contains(err.Error(), "drain") {
+		t.Errorf("exited with %v, want a drain deadline error", err)
+	}
+	if took, want := time.Since(t0), cfg.drainGrace+cfg.drainTimeout; took < want-100*time.Millisecond || took > want+4*time.Second {
+		t.Fatalf("drain took %v, want about the %v of -drain-grace and -drain-timeout", took, want)
+	}
+}
+
+// openRequest posts to path a JSON body of n bytes of which only sent has
+// arrived, so its handler is running, blocked reading the rest. The
+// function it returns sends rest and returns the response's status.
+func openRequest(t *testing.T, addr, path string, n int, sent string) func(rest string) int {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: newslinkd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", path, n, sent); err != nil {
+		t.Fatal(err)
+	}
+	return func(rest string) int {
+		t.Helper()
+		_, err := io.WriteString(conn, rest)
+		resp, rerr := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err = errors.Join(err, rerr); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+}
+
+// exited waits for a mode's run to return, asserts nothing accepts on
+// addrs any more, and returns run's error.
+func exited(t *testing.T, done <-chan error, addrs ...string) (err error) {
+	t.Helper()
+	select {
+	case err = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("still running 20s after the stop signal")
+	}
+	for _, addr := range addrs {
+		if conn, derr := net.DialTimeout("tcp", addr, 200*time.Millisecond); derr == nil {
+			conn.Close()
+			t.Fatalf("listener %s still accepting after the drain", addr)
+		}
+	}
+	return err
+}
+
+// freeAddr returns a loopback address that was free a moment ago, for
+// listeners whose bound address a test cannot otherwise learn.
+func freeAddr(t *testing.T) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	taken := ln.Addr().String()
+	return ln.Addr().String()
+}
 
-	e, err := buildEngine("", "", 0.2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := newDaemon(e, daemonConfig{addr: taken}); err == nil {
-		t.Fatal("newDaemon bound an already-taken address")
-	}
-	// A debug-address clash must also fail and release the main listener.
-	free, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mainAddr := free.Addr().String()
-	free.Close()
-	if _, err := newDaemon(e, daemonConfig{addr: mainAddr, debugAddr: taken}); err == nil {
-		t.Fatal("newDaemon bound a taken debug address")
-	}
-	if ln2, err := net.Listen("tcp", mainAddr); err != nil {
-		t.Fatalf("main listener leaked after debug bind failure: %v", err)
-	} else {
-		ln2.Close()
+// expectDebugSurface asserts the debug listener at base answers pprof and
+// both metric expositions, each body holding want's text for its path.
+func expectDebugSurface(t *testing.T, base string, want map[string]string) {
+	t.Helper()
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/v1/metrics", "/v1/metrics/prom"} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want[path]) {
+			t.Fatalf("GET %s: status %d (%v), want 200 and %q in:\n%s", path, resp.StatusCode, err, want[path], body)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@
 // each artifact is mapped read-only and read in place, so only the pages
 // requests touch become resident.
 //
-// The API is served under /v1/ (unversioned paths remain as aliases).
+// The API is served under /v1/.
 // -querytimeout bounds each query server-side; an exceeded deadline is
 // reported as 504 in the JSON error envelope, a client disconnect as 499.
 //

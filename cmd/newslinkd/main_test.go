@@ -2,12 +2,10 @@ package main
 
 import (
 	"errors"
-	"io"
 	"log/slog"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"newslink"
@@ -17,16 +15,13 @@ import (
 )
 
 func TestBuildEngineSample(t *testing.T) {
-	e, err := buildEngine("", "", 0.2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := sampleEngine(t)
 	if e.NumDocs() == 0 {
 		t.Fatal("no documents")
 	}
 	ts := httptest.NewServer(server.New(e).Handler())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/healthz")
+	resp, err := ts.Client().Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,38 +165,17 @@ func TestBuildEngineOnDisk(t *testing.T) {
 // TestDebugHandler exercises the -debug-addr surface: pprof endpoints and
 // both metric expositions, served off the engine's registry.
 func TestDebugHandler(t *testing.T) {
-	e, err := buildEngine("", "", 0.2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := sampleEngine(t)
 	if _, err := e.Search("Taliban bombing in Lahore", 2); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(debugHandler(e.Metrics()))
 	defer ts.Close()
-
-	for path, wantBody := range map[string]string{
-		"/debug/pprof/":        "profiles",
-		"/debug/pprof/cmdline": "",
-		"/v1/metrics":          "newslink_searches_total",
-		"/v1/metrics/prom":     "# TYPE newslink_search_seconds histogram",
-	} {
-		resp, err := ts.Client().Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		if wantBody != "" && !strings.Contains(string(body), wantBody) {
-			t.Fatalf("GET %s: body missing %q:\n%s", path, wantBody, body)
-		}
-	}
+	expectDebugSurface(t, ts.URL, map[string]string{
+		"/debug/pprof/":    "profiles",
+		"/v1/metrics":      "newslink_searches_total",
+		"/v1/metrics/prom": "# TYPE newslink_search_seconds histogram",
+	})
 }
 
 func TestParseLogLevel(t *testing.T) {

@@ -59,7 +59,7 @@ func (e *Engine) explainContext(ctx context.Context, q Query, docID int, maxPath
 		return Explanation{}, err
 	}
 	g := e.Graph()
-	flt, err := newQueryFilter(snap, q.After, q.Before, entityTerms(g, q.Entities), -1)
+	flt, err := newQueryFilter(snap, q.After, q.Before, entityTerms(g, q.Entities))
 	if err != nil {
 		return Explanation{}, err
 	}

@@ -9,13 +9,13 @@ import (
 )
 
 // The engine's query-filter plane (DESIGN.md §16). A request's filter
-// clauses — temporal range, entity must-match facets, and Related's
-// self-exclusion — compile into one queryFilter, an index.DocFilter the
-// retrieval tier consults through the same live-mask seam as tombstones
-// (search.LiveSource via index.Masked). Filters mask candidates; they
-// never alter the corpus statistics the scorers read, so every block-max
-// bound computed over the unfiltered postings stays a valid upper bound
-// and pruning remains exact under any filter combination.
+// clauses — temporal range and entity must-match facets — compile into
+// one queryFilter, an index.DocFilter the retrieval tier consults through
+// the same live-mask seam as tombstones (search.LiveSource via
+// index.Masked). Filters mask candidates; they never alter the corpus
+// statistics the scorers read, so every block-max bound computed over the
+// unfiltered postings stays a valid upper bound and pruning remains exact
+// under any filter combination.
 
 // queryFilter is one compiled, request-scoped document filter over a
 // segment set's global position space. All fields are immutable after
@@ -31,18 +31,12 @@ type queryFilter struct {
 	// over requested labels of the union of node-postings per label. A
 	// document must be set here to survive.
 	allow *index.Bitmap
-	// exclude is one global position to drop (Related's own document), or
-	// -1 for none.
-	exclude int
 }
 
 // Keep reports whether the document at global position d survives every
 // clause. It runs inside the retrieval hot loops.
 func (f *queryFilter) Keep(d index.DocID) bool {
 	i := int(d)
-	if i == f.exclude {
-		return false
-	}
 	if f.after != 0 && f.times[i] < f.after {
 		return false
 	}
@@ -55,17 +49,16 @@ func (f *queryFilter) Keep(d index.DocID) bool {
 // newQueryFilter builds a request's queryFilter over snap, or returns nil
 // when the request carries no filter clause (the unfiltered fast path:
 // retrieval then runs on the published sources, paying nothing). entities
-// holds one node-term set per requested label (entityTerms); exclude is a
-// global position to hide, or -1. The entity facet materializes the
-// allowlist bitmap by walking node postings — O(total matching postings),
-// paid once per request, never per candidate — and a postings read error
-// fails the request rather than yielding an allowlist that matches
-// nothing.
-func newQueryFilter(snap *segmentSet, after, before int64, entities [][]string, exclude int) (*queryFilter, error) {
-	if after == 0 && before == 0 && len(entities) == 0 && exclude < 0 {
+// holds one node-term set per requested label (entityTerms). The entity
+// facet materializes the allowlist bitmap by walking node postings —
+// O(total matching postings), paid once per request, never per candidate
+// — and a postings read error fails the request rather than yielding an
+// allowlist that matches nothing.
+func newQueryFilter(snap *segmentSet, after, before int64, entities [][]string) (*queryFilter, error) {
+	if after == 0 && before == 0 && len(entities) == 0 {
 		return nil, nil
 	}
-	f := &queryFilter{times: snap.times, after: after, before: before, exclude: exclude}
+	f := &queryFilter{times: snap.times, after: after, before: before}
 	if len(entities) > 0 {
 		allow, err := allowBitmap(snap.rawNode, snap.numDocs, entities)
 		if err != nil {
@@ -79,7 +72,7 @@ func newQueryFilter(snap *segmentSet, after, before int64, entities [][]string, 
 // filteredSources is the set's text and node source with a request's
 // filter clauses compiled in: the published sources when there are none.
 func (s *segmentSet) filteredSources(after, before int64, entities [][]string) (text, node index.Source, err error) {
-	flt, err := newQueryFilter(s, after, before, entities, -1)
+	flt, err := newQueryFilter(s, after, before, entities)
 	if err != nil {
 		return nil, nil, err
 	}

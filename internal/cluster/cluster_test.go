@@ -1,26 +1,23 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"reflect"
-	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"newslink"
 	"newslink/internal/corpus"
-	"newslink/internal/faults"
 	"newslink/internal/kg"
 	"newslink/internal/server"
 )
@@ -48,7 +45,7 @@ func buildSnapshot(t testing.TB) (string, *kg.Graph) {
 			e.Refresh()
 		}
 	}
-	for _, id := range []int{arts[3].ID, arts[20].ID} {
+	for _, id := range fixtureTombstones { // IDs are positions
 		if err := e.Delete(id); err != nil {
 			t.Fatal(err)
 		}
@@ -70,51 +67,65 @@ func testLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// startWorkers launches n shard workers over httptest servers, returning
-// both the workers (for fault-point IDs) and their endpoint groups in
-// slot order: worker i serves slot i.
-func startWorkers(t testing.TB, g *kg.Graph, n int) ([]*Worker, [][]string) {
+// workerProc is a shard worker served on a fixed loopback address, so a
+// test can kill it — close its listener and connections — and bring a new
+// worker up where the router expects it.
+type workerProc struct {
+	*Worker
+	addr string
+	ln   net.Listener
+	srv  *http.Server
+}
+
+// serve brings a worker with identity id up on the process's address,
+// storing artifacts under dir.
+func (p *workerProc) serve(t testing.TB, id, dir string, g *kg.Graph) {
 	t.Helper()
-	workers := make([]*Worker, n)
+	var err error
+	if p.ln, err = net.Listen("tcp", p.addr); err != nil {
+		t.Fatal(err)
+	}
+	p.Worker, p.addr = NewWorker(id, dir, g, testLogger()), p.ln.Addr().String()
+	p.srv = &http.Server{Handler: p.Handler()}
+	go p.srv.Serve(p.ln)
+}
+
+// kill closes the listener (itself, as Serve may not have tracked it yet) and connections.
+func (p *workerProc) kill() { p.ln.Close(); p.srv.Close() }
+
+// startWorkers launches n shard workers, returning them and their endpoint
+// groups in slot order: worker i serves slot i.
+func startWorkers(t testing.TB, g *kg.Graph, n int) ([]*workerProc, [][]string) {
+	t.Helper()
+	workers := make([]*workerProc, n)
 	endpoints := make([][]string, n)
 	for i := range workers {
-		w := NewWorker(fmt.Sprintf("w%d", i), t.TempDir(), g, testLogger())
-		ts := httptest.NewServer(w.Handler())
-		t.Cleanup(ts.Close)
-		workers[i] = w
-		endpoints[i] = []string{ts.URL}
+		p := &workerProc{addr: "127.0.0.1:0"}
+		p.serve(t, fmt.Sprintf("w%d", i), t.TempDir(), g)
+		t.Cleanup(func() { p.kill() })
+		workers[i], endpoints[i] = p, []string{"http://" + p.addr}
 	}
 	return workers, endpoints
 }
 
-// startRouter serves a router over an httptest server. The handler is
-// installed through an indirection so the server's URL (the router's
-// SelfURL, which workers fetch artifacts from) exists before NewRouter.
+// startRouter serves a router over an httptest server, whose URL (the
+// router's SelfURL, which workers fetch artifacts from) exists before
+// NewRouter and which serves before Start assigns the workers.
 func startRouter(t testing.TB, dir string, g *kg.Graph, cfg Config) (*Router, *httptest.Server) {
 	t.Helper()
-	type handlerBox struct{ h http.Handler }
-	var h atomic.Value
-	h.Store(handlerBox{http.NotFoundHandler()})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h.Load().(handlerBox).h.ServeHTTP(w, r)
-	}))
+	ts := httptest.NewUnstartedServer(nil)
 	t.Cleanup(ts.Close)
-	cfg.SelfURL = ts.URL
-	if cfg.Logger == nil {
-		cfg.Logger = testLogger()
-	}
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = 50 * time.Millisecond
-	}
-	if cfg.retryBase == 0 {
-		cfg.retryBase = time.Millisecond
-	}
+	cfg.SelfURL = "http://" + ts.Listener.Addr().String()
+	cfg.Logger = cmp.Or(cfg.Logger, testLogger())
+	cfg.ProbeInterval = cmp.Or(cfg.ProbeInterval, 50*time.Millisecond)
+	cfg.retryBase = cmp.Or(cfg.retryBase, time.Millisecond)
 	rt, err := NewRouter(dir, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	h.Store(handlerBox{rt.Handler()})
+	ts.Config.Handler = rt.Handler()
+	ts.Start()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	if err := rt.Start(ctx); err != nil {
@@ -123,12 +134,20 @@ func startRouter(t testing.TB, dir string, g *kg.Graph, cfg Config) (*Router, *h
 	return rt, ts
 }
 
-// startCluster is the full three-worker harness most tests use.
-func startCluster(t testing.TB, cfg Config) (string, *kg.Graph, []*Worker, *Router, *httptest.Server) {
+// startCluster is the three-slot harness most tests use: worker i serves
+// slot i. With cfg.Hedge set, a fourth worker is slot 0's second replica.
+func startCluster(t testing.TB, cfg Config) (string, *kg.Graph, []*workerProc, *Router, *httptest.Server) {
 	t.Helper()
 	dir, g := buildSnapshot(t)
-	workers, endpoints := startWorkers(t, g, 3)
-	cfg.Endpoints = endpoints
+	n := 3
+	if cfg.Hedge {
+		n = 4
+	}
+	workers, endpoints := startWorkers(t, g, n)
+	if cfg.Hedge {
+		endpoints[0] = append(endpoints[0], endpoints[3]...)
+	}
+	cfg.Endpoints = endpoints[:3]
 	rt, ts := startRouter(t, dir, g, cfg)
 	return dir, g, workers, rt, ts
 }
@@ -136,22 +155,12 @@ func startCluster(t testing.TB, cfg Config) (string, *kg.Graph, []*Worker, *Rout
 // getJSON asserts the status and decodes the body.
 func getJSON(t testing.TB, rawurl string, wantStatus int, out any) {
 	t.Helper()
-	resp, err := http.Get(rawurl)
-	if err != nil {
-		t.Fatalf("GET %s: %v", rawurl, err)
+	rep, err := fetch(http.MethodGet, rawurl, "")
+	if err != nil || rep.status != wantStatus {
+		t.Fatalf("GET %s: status %d (%v), want %d\nbody: %s", rawurl, rep.status, err, wantStatus, rep.raw)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("GET %s: reading body: %v", rawurl, err)
-	}
-	if resp.StatusCode != wantStatus {
-		t.Fatalf("GET %s: status %d, want %d\nbody: %s", rawurl, resp.StatusCode, wantStatus, body)
-	}
-	if out != nil {
-		if err := json.Unmarshal(body, out); err != nil {
-			t.Fatalf("GET %s: decoding: %v\nbody: %s", rawurl, err, body)
-		}
+	if err := json.Unmarshal([]byte(rep.raw), out); out != nil && err != nil {
+		t.Fatalf("GET %s: decoding: %v\nbody: %s", rawurl, err, rep.raw)
 	}
 }
 
@@ -178,204 +187,11 @@ var identityQueries = []string{
 	"xyzzy nosuchterm anywhere",
 }
 
-// parityCell is one cell of the router-parity table: a request kind, over
-// unfiltered or filtered parameters. runParity runs its cells against a
-// router with hedging off or on.
-type parityCell struct {
-	kind     string // "search", "related" or "explain"
-	filtered bool
-}
-
-// parityCluster is what runParity ran against: the snapshot and its
-// graph, the workers, the router and its server, and the single process
-// over the same snapshot.
-type parityCluster struct {
-	dir     string
-	g       *kg.Graph
-	workers []*Worker
-	rt      *Router
-	ts, ref *httptest.Server
-}
-
-var (
-	parityLive       = []int{0, 10, 17, 33, 47} // one per segment edge, none tombstoned
-	parityTombstoned = []int{3, 20}
-	parityEdges      = []string{"", "&k=1", "&k=3", "&k=25", "&k=46", "&k=100", "&pool=1", "&pool=12", "&k=3&pool=3", "&k=5&pool=10000"}
-)
-
-// parityPaths lists the requests of one cell: every query, document and
-// parameter edge of its kind, tombstoned documents included.
-func parityPaths(c parityCell) []string {
-	var paths []string
-	ids := append(append([]int(nil), parityLive...), parityTombstoned...)
-	switch {
-	case c.kind == "search" && !c.filtered:
-		for _, q := range identityQueries {
-			for _, p := range append(parityEdges, "&beta=0", "&beta=1", "&beta=0.5", "&beta=0.5&k=7") {
-				paths = append(paths, "/v1/search?q="+url.QueryEscape(q)+p)
-			}
-		}
-	case c.kind == "search":
-		for _, q := range identityQueries[:4] {
-			for _, flt := range filteredParams() {
-				for _, p := range []string{"", "&k=3", "&beta=0", "&beta=1"} {
-					paths = append(paths, "/v1/search?q="+url.QueryEscape(q)+flt+p)
-				}
-			}
-		}
-	case c.kind == "related":
-		params := parityEdges
-		if c.filtered {
-			params = filteredParams()
-		}
-		for _, id := range ids {
-			for _, p := range params {
-				paths = append(paths, fmt.Sprintf("/v1/related/%d?%s", id, strings.TrimPrefix(p, "&")))
-			}
-		}
-	default:
-		params := []string{""}
-		if c.filtered {
-			params = filteredParams()
-		}
-		for _, id := range ids {
-			for _, q := range identityQueries[:2] {
-				for _, p := range params {
-					paths = append(paths, fmt.Sprintf("/v1/explain?q=%s&id=%d&paths=4%s", url.QueryEscape(q), id, p))
-				}
-			}
-		}
-	}
-	return paths
-}
-
-// runParity asserts the merge-identity property over the given cells: the
-// router's scatter-gather over three shard workers answers every request
-// of every cell — status, ranking, scores, explanation — as a single
-// process over the same snapshot, tombstones included, with no shard
-// reported missing. With hedge on, slot 0 has a second, persistently
-// slow replica, and the requests run 20 at a time, so every payload is
-// read by two in-flight attempts and losers' buffers are abandoned; a
-// hedge must fire.
-func runParity(t *testing.T, hedge bool, cells ...parityCell) parityCluster {
-	t.Helper()
-	var c parityCluster
-	c.dir, c.g = buildSnapshot(t)
-	cfg := Config{}
-	if hedge {
-		workers, endpoints := startWorkers(t, c.g, 4)
-		endpoints[0] = append(endpoints[0], endpoints[3][0])
-		c.workers, cfg = workers, Config{Endpoints: endpoints[:3], Hedge: true, hedgeMin: time.Millisecond}
-	} else {
-		c.workers, cfg.Endpoints = startWorkers(t, c.g, 3)
-	}
-	c.rt, c.ts = startRouter(t, c.dir, c.g, cfg)
-	c.ref = referenceServer(t, c.dir, c.g)
-	var paths []string
-	for _, cell := range cells {
-		paths = append(paths, parityPaths(cell)...)
-	}
-	type answer struct {
-		status int
-		body   map[string]any
-	}
-	fetch := func(rawurl string) (answer, error) {
-		resp, err := http.Get(rawurl)
-		if err != nil {
-			return answer{}, err
-		}
-		defer resp.Body.Close()
-		a := answer{status: resp.StatusCode}
-		return a, json.NewDecoder(resp.Body).Decode(&a.body)
-	}
-	want := make([]answer, len(paths))
-	for i, path := range paths {
-		var err error
-		if want[i], err = fetch(c.ref.URL + path); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-	}
-	clients := 1
-	if hedge {
-		faults.Arm(faults.New().Delay(faults.ClusterShard(c.workers[0].ID()), 5*time.Millisecond))
-		defer faults.Disarm()
-		clients = 20
-	}
-	var nonEmpty atomic.Int64
-	var wg sync.WaitGroup
-	for w := range clients {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := w; i < len(paths); i += clients {
-				got, err := fetch(c.ts.URL + paths[i])
-				if _, ranked := got.body["results"]; err == nil && got.status == http.StatusOK && ranked {
-					if got.body["shards_total"] != float64(3) || got.body["shards_ok"] != float64(3) || got.body["degraded"] != nil {
-						err = fmt.Errorf("all shards live, got %v", got.body)
-					}
-					delete(got.body, "shards_total")
-					delete(got.body, "shards_ok")
-					if res, _ := got.body["results"].([]any); len(res) > 0 {
-						nonEmpty.Add(1)
-					}
-				}
-				if err == nil && !reflect.DeepEqual(got, want[i]) {
-					err = fmt.Errorf("cluster and single process diverge\ncluster: %+v\nsingle:  %+v", got, want[i])
-				}
-				if err != nil {
-					t.Errorf("%s: %v", paths[i], err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	ranked := slices.ContainsFunc(cells, func(c parityCell) bool { return c.kind != "explain" })
-	if ranked && nonEmpty.Load() == 0 {
-		t.Error("no request had results; the comparison went unexercised")
-	}
-	if hedge && c.rt.mHedges.Value() == 0 {
-		t.Error("no hedge fired against a persistently slow replica")
-	}
-	return c
-}
-
-func TestRouterMatchesSingleProcess(t *testing.T) { runParity(t, false, parityCell{kind: "search"}) }
-
-func TestRouterFilteredMatchesSingleProcess(t *testing.T) {
-	runParity(t, false, parityCell{kind: "search", filtered: true})
-}
-
-func TestRouterExplainMatchesSingleProcess(t *testing.T) {
-	runParity(t, false, parityCell{kind: "explain"})
-}
-
-func TestRouterFilteredExplain(t *testing.T) {
-	runParity(t, false, parityCell{kind: "explain", filtered: true})
-}
-
 // fixtureCorpus regenerates the deterministic fixture corpus and world
 // behind buildSnapshot, for tests that need entity labels and timestamps.
 func fixtureCorpus() (*kg.World, []corpus.Article) {
 	w := kg.Generate(kg.DefaultConfig(19))
 	return w, corpus.Generate(w, corpus.CNNLike(), 48, 19)
-}
-
-// filteredParams enumerates filter query-parameter combinations over the
-// fixture corpus: each temporal bound, a closed window, an entity facet
-// (resolved and unresolvable), and a composition.
-func filteredParams() []string {
-	w, arts := fixtureCorpus()
-	label := w.Graph.Label(w.Events[0].Participants[0])
-	mid, late := arts[24].Time, arts[36].Time
-	return []string{
-		fmt.Sprintf("&after=%d", mid),
-		fmt.Sprintf("&before=%d", mid),
-		fmt.Sprintf("&after=%d&before=%d", mid, late),
-		"&entity=" + url.QueryEscape(label),
-		fmt.Sprintf("&entity=%s&before=%d", url.QueryEscape(label), mid),
-		"&entity=" + url.QueryEscape("No Such Entity Anywhere"),
-	}
 }
 
 // TestMalformedSearchSameOnBothFrontDoors: the router and a single process
@@ -384,20 +200,8 @@ func filteredParams() []string {
 func TestMalformedSearchSameOnBothFrontDoors(t *testing.T) {
 	dir, g, _, _, ts := startCluster(t, Config{})
 	ref := referenceServer(t, dir, g)
-	body := func(base, path string) (int, string) {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: reading body: %v", path, err)
-		}
-		return resp.StatusCode, string(b)
-	}
 	paths := []string{
-		"/v1/explain?id=1", "/v1/explain?q=x", "/v1/explain?q=x&id=abc", "/v1/explain?q=x&id=-1",
+		"/v1/explain", "/v1/explain?id=1", "/v1/explain?q=x", "/v1/explain?q=x&id=abc", "/v1/explain?q=x&id=-1",
 		"/v1/explain?q=x&id=1&paths=abc", "/v1/explain?q=x&id=1&paths=-1", "/v1/explain?q=x&id=1&paths=1001",
 		"/v1/explain?q=x&id=1&entity=", "/v1/explain?q=x&id=1&after=soon",
 	}
@@ -412,13 +216,13 @@ func TestMalformedSearchSameOnBothFrontDoors(t *testing.T) {
 		paths = append(paths, "/v1/search?"+params)
 	}
 	for _, path := range paths {
-		gotStatus, gotBody := body(ts.URL, path)
-		wantStatus, wantBody := body(ref.URL, path)
-		if wantStatus != http.StatusBadRequest {
-			t.Fatalf("%s: single process answered %d, want 400\n%s", path, wantStatus, wantBody)
+		got, err := fetch(http.MethodGet, ts.URL+path, "")
+		want, werr := fetch(http.MethodGet, ref.URL+path, "")
+		if err = errors.Join(err, werr); err != nil || want.status != http.StatusBadRequest {
+			t.Fatalf("%s: single process answered %d (%v), want 400\n%s", path, want.status, err, want.raw)
 		}
-		if gotStatus != wantStatus || gotBody != wantBody {
-			t.Errorf("%s: front doors disagree\nrouter: %d %s\nsingle: %d %s", path, gotStatus, gotBody, wantStatus, wantBody)
+		if got.status != want.status || got.raw != want.raw {
+			t.Errorf("%s: front doors disagree\nrouter: %d %s\nsingle: %d %s", path, got.status, got.raw, want.status, want.raw)
 		}
 	}
 }
@@ -521,6 +325,45 @@ func TestBuildPlanPartition(t *testing.T) {
 	docs[0]++ // a tombstone bitmap no longer covering its segment
 	if _, err := BuildPlan(m, docs, 3); !errors.Is(err, newslink.ErrSnapshotCorrupt) {
 		t.Fatalf("BuildPlan over a miscounted segment: %v, want ErrSnapshotCorrupt", err)
+	}
+}
+
+// assignDirect posts an assignment to a worker and returns its
+// acknowledgement.
+func assignDirect(t *testing.T, workerURL string, req *AssignRequest) AssignResponse {
+	t.Helper()
+	payload, err := encodeRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := doRequest(context.Background(), http.DefaultClient, workerURL+"/v1/shard/assign", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer putBuf(body)
+	var ack AssignResponse
+	if err := DecodeRPC(*body, &ack); err != nil {
+		t.Fatal(err)
+	}
+	return ack
+}
+
+// TestEmptyWorkerFetchesEveryArtifact: segments restore concurrently, so
+// the worker's fetch hook runs on several goroutines at once. An empty
+// worker assigned a slot of every segment fetches each artifact once, and
+// its acknowledgement counts them all; the same assignment again is
+// acknowledged without a reload or a fetch.
+func TestEmptyWorkerFetchesEveryArtifact(t *testing.T) {
+	dir, g := buildSnapshot(t)
+	_, endpoints := startWorkers(t, g, 1)
+	rt, _ := startRouter(t, dir, g, Config{Endpoints: endpoints})
+	req := rt.assignRequest(rt.slots[0])
+	_, fresh := startWorkers(t, g, 1)
+	if ack := assignDirect(t, fresh[0][0], req); ack.Fetched != len(req.Checksums) || len(req.Segments) < 2 {
+		t.Fatalf("empty worker acknowledged %+v for %d segments, want %d artifacts fetched", ack, len(req.Segments), len(req.Checksums))
+	}
+	if ack := assignDirect(t, fresh[0][0], req); ack.Fetched != 0 {
+		t.Fatalf("repeated assignment acknowledged %+v, want nothing fetched", ack)
 	}
 }
 

@@ -1,36 +1,26 @@
 package cluster
 
 import (
-	"encoding/json"
-	"io"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
-
-	"newslink/internal/server"
 )
 
 // postForCode posts a body to a worker RPC endpoint and asserts the
 // status and error-envelope code of the reply.
 func postForCode(t *testing.T, url, body string, wantStatus int, wantCode string) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
+	rep, err := fetch(http.MethodPost, url, body)
+	if err != nil || rep.status != wantStatus || rep.code() != wantCode {
+		t.Fatalf("POST %s: %d %s (%v), want %d %s", url, rep.status, rep.raw, err, wantStatus, wantCode)
 	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != wantStatus {
-		t.Fatalf("POST %s: status %d, want %d\nbody: %s", url, resp.StatusCode, wantStatus, raw)
-	}
-	var env server.ErrorResponse
-	if err := json.Unmarshal(raw, &env); err != nil {
-		t.Fatalf("POST %s: decoding envelope: %v\nbody: %s", url, err, raw)
-	}
-	if env.Error.Code != wantCode {
-		t.Fatalf("POST %s: error code %q, want %q", url, env.Error.Code, wantCode)
-	}
+}
+
+// code is the error envelope's code in a reply, "" if it carries none.
+func (rep reply) code() string {
+	env, _ := rep.body["error"].(map[string]any)
+	code, _ := env["code"].(string)
+	return code
 }
 
 // mustMarshal encodes a message the way the router and workers do:
@@ -67,14 +57,7 @@ func TestWorkerUnassignedErrorPaths(t *testing.T) {
 	// routes are gone, not refusing.
 	getJSON(t, base+"/v1/shard/stats", http.StatusNotFound, nil)
 	for _, ep := range []string{"stats", "docs", "explain"} {
-		resp, err := http.Post(base+"/v1/shard/"+ep, "application/octet-stream", strings.NewReader("NL"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("POST /v1/shard/%s: status %d, want 404", ep, resp.StatusCode)
-		}
+		postForCode(t, base+"/v1/shard/"+ep, "NL", http.StatusNotFound, "")
 	}
 
 	// Valid messages against an unassigned worker: 503 unassigned.
@@ -119,30 +102,12 @@ func TestWorkerAssignedErrorPaths(t *testing.T) {
 	}
 }
 
-// TestRouterParamValidation pins the public-facing 400s: they must fire
-// before any shard RPC, with the same envelope the single-process server
-// uses.
+// TestRouterParamValidation pins the router's own answers beyond the 400s
+// TestMalformedSearchSameOnBothFrontDoors covers: a document id outside
+// the snapshot (or tombstoned) is 404 from the router's own engine, and
+// the blob endpoint refuses names outside the artifact grammar.
 func TestRouterParamValidation(t *testing.T) {
-	_, _, _, rt, ts := startCluster(t, Config{})
-
-	for _, bad := range []string{
-		"/v1/search",
-		"/v1/search?q=x&k=0",
-		"/v1/search?q=x&k=abc",
-		"/v1/search?q=x&k=5000",
-		"/v1/search?q=x&pool=-1",
-		"/v1/search?q=x&pool=abc",
-		"/v1/search?q=x&beta=2",
-		"/v1/search?q=x&beta=abc",
-		"/v1/explain",
-		"/v1/explain?q=x",
-		"/v1/explain?q=x&id=abc",
-		"/v1/explain?q=x&id=0&paths=5000",
-	} {
-		getJSON(t, ts.URL+bad, http.StatusBadRequest, nil)
-	}
-	// A document id outside the snapshot (or tombstoned) is 404 from the
-	// router's own engine.
+	_, _, _, _, ts := startCluster(t, Config{})
 	getJSON(t, ts.URL+"/v1/explain?q=x&id=999999", http.StatusNotFound, nil)
 
 	var metrics map[string]any
@@ -152,18 +117,9 @@ func TestRouterParamValidation(t *testing.T) {
 	}
 
 	// The router's blob endpoint serves every plan artifact by its
-	// content-addressed name. Names outside the artifact grammar are
-	// rejected before touching the filesystem; well-formed but absent
-	// names are 404.
-	var served bool
-	for name := range rt.Plan().Checksums {
-		getJSON(t, ts.URL+"/v1/shard/blob/"+name, http.StatusOK, nil)
-		served = true
-		break
-	}
-	if !served {
-		t.Fatal("plan has no checksummed artifacts")
-	}
+	// content-addressed name (TestEmptyWorkerFetchesEveryArtifact fetches
+	// them all). Names outside the artifact grammar are rejected before
+	// touching the filesystem; well-formed but absent names are 404.
 	getJSON(t, ts.URL+"/v1/shard/blob/..%2Fmanifest.json", http.StatusBadRequest, nil)
 	getJSON(t, ts.URL+"/v1/shard/blob/manifest.json", http.StatusBadRequest, nil)
 	getJSON(t, ts.URL+"/v1/shard/blob/seg-0123456789abcdef.text.idx", http.StatusNotFound, nil)
@@ -174,22 +130,9 @@ func TestRouterParamValidation(t *testing.T) {
 // a 500 or a degraded 200.
 func TestRouterDeadlineExceeded(t *testing.T) {
 	_, _, _, _, ts := startCluster(t, Config{RequestTimeout: time.Nanosecond})
-
-	resp, err := http.Get(ts.URL + "/v1/search?q=border")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504\nbody: %s", resp.StatusCode, raw)
-	}
-	var env server.ErrorResponse
-	if err := json.Unmarshal(raw, &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Error.Code != "deadline_exceeded" {
-		t.Fatalf("error code %q, want deadline_exceeded", env.Error.Code)
+	rep, err := fetch(http.MethodGet, ts.URL+"/v1/search?q=border", "")
+	if err != nil || rep.status != http.StatusGatewayTimeout || rep.code() != "deadline_exceeded" {
+		t.Fatalf("%d %s (%v), want 504 deadline_exceeded", rep.status, rep.raw, err)
 	}
 }
 

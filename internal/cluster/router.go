@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -316,10 +315,8 @@ func (rt *Router) Close() {
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", server.New(rt.engine, server.WithQueryTimeout(rt.cfg.RequestTimeout), server.WithLogger(rt.log)).Handler())
-	for _, prefix := range []string{"/v1", ""} {
-		mux.HandleFunc("GET "+prefix+"/readyz", rt.handleReady)
-		mux.HandleFunc("GET "+prefix+"/stats", rt.handleStats)
-	}
+	mux.HandleFunc("GET /v1/readyz", rt.handleReady)
+	mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	mux.HandleFunc("GET /v1/shard/blob/{name}", blobHandler(rt.dir))
 	return mux
 }
@@ -480,16 +477,8 @@ func (rt *Router) traverseOnce(ctx context.Context, target []*slot, t newslink.T
 		// anywhere); skip the scatter entirely.
 		return newslink.Retrieval{}, nil
 	}
-	// The workers know no exclusion: ask one candidate deeper and drop the
-	// excluded position from the merged lists. Lists ordered by one total
-	// order lose nothing by it — the top pool of the rest is what remains.
-	depth := pool
-	if t.Exclude >= 0 {
-		depth++
-	}
-
 	sp := tr.Start(obs.StageScatter)
-	perSlot, lost := rt.scatterSearch(ctx, target, depth, orderedText, orderedNode, textScorer, nodeScorer, t)
+	perSlot, lost := rt.scatterSearch(ctx, target, pool, orderedText, orderedNode, textScorer, nodeScorer, t)
 	sp.End(obs.Int("shards", len(target)), obs.Int("lost", len(lost)))
 	if len(lost) > 0 {
 		return newslink.Retrieval{}, lost
@@ -505,20 +494,11 @@ func (rt *Router) traverseOnce(ctx context.Context, target []*slot, t newslink.T
 		bowLists[i], bonLists[i] = perSlot[i].Text, perSlot[i].Node
 	}
 	ret := newslink.Retrieval{
-		BOW: without(search.MergeTopK(depth, bowLists...), t.Exclude, pool),
-		BON: without(search.MergeTopK(depth, bonLists...), t.Exclude, pool),
+		BOW: search.MergeTopK(pool, bowLists...),
+		BON: search.MergeTopK(pool, bonLists...),
 	}
 	gsp.End(obs.Int("bow_candidates", len(ret.BOW)), obs.Int("bon_candidates", len(ret.BON)))
 	return ret, nil
-}
-
-// without drops the hit at position exclude (if any) from a ranked list
-// and truncates it to n.
-func without(hits []search.Hit, exclude, n int) []search.Hit {
-	if exclude >= 0 {
-		hits = slices.DeleteFunc(hits, func(h search.Hit) bool { return int(h.Doc) == exclude })
-	}
-	return hits[:min(len(hits), n)]
 }
 
 // scatter is the router's one fan-out: it runs fn once per target slot,

@@ -30,9 +30,9 @@ import (
 // one whose terms it has never seen, or an entity-filtered one — costs
 // what every query costs: one search per live shard and nothing else (the
 // docs call that made it two is gone). Nothing is ever sent to the retired
-// /v1/shard/{stats,docs,explain}, which are no longer routes, and the
-// router's indexes serve all of it from their directories: not one
-// postings byte is read.
+// /v1/shard/{stats,docs,explain} (no longer routes: see
+// TestWorkerUnassignedErrorPaths), and the router's indexes serve all of
+// it from their directories: not one postings byte is read.
 func TestNewVocabularyCostsTwoRPCsPerShard(t *testing.T) {
 	dir, g := buildSnapshot(t)
 	var mu sync.Mutex
@@ -52,7 +52,7 @@ func TestNewVocabularyCostsTwoRPCsPerShard(t *testing.T) {
 	rt, ts := startRouter(t, dir, g, Config{Endpoints: endpoints})
 	ref := referenceServer(t, dir, g)
 
-	entity := filteredParams()[3]
+	entity := "&entity=" + url.QueryEscape(clusterWorld().labels[1])
 	paths := []string{"/v1/search?q=" + url.QueryEscape(identityQueries[0]) + "&k=10" + entity}
 	for _, q := range identityQueries {
 		paths = append(paths, "/v1/search?q="+url.QueryEscape(q)+"&k=10")
@@ -78,17 +78,6 @@ func TestNewVocabularyCostsTwoRPCsPerShard(t *testing.T) {
 			t.Errorf("%s: shard calls %v, want %v", path, calls, wantCalls)
 		}
 		mu.Unlock()
-	}
-
-	for _, ep := range []string{"stats", "docs", "explain"} {
-		resp, err := http.Post(endpoints[0][0]+"/v1/shard/"+ep, "application/octet-stream", strings.NewReader("NL"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("POST /v1/shard/%s on a worker: status %d, want 404", ep, resp.StatusCode)
-		}
 	}
 
 	if n := rt.Metrics().Counter("newslink_blocks_decoded_total", "").Value(); n != 0 {

@@ -339,18 +339,6 @@ func TestWireLengthBomb(t *testing.T) {
 	}
 }
 
-// TestHedgedConcurrentMatchesSingleProcess hammers the buffer-sharing
-// paths under the race detector: every parity request, of every kind,
-// plain and filtered, through a hedging router with one replica of slot 0
-// slow, 20 at a time (runParity).
-func TestHedgedConcurrentMatchesSingleProcess(t *testing.T) {
-	var cells []parityCell
-	for _, kind := range []string{"search", "related", "explain"} {
-		cells = append(cells, parityCell{kind, false}, parityCell{kind, true})
-	}
-	runParity(t, true, cells...)
-}
-
 // BenchmarkWireCodec pins the data plane's cost in counts at the default
 // candidate pool (100 hits per leg): encoding into a reused buffer
 // allocates nothing, and a response decodes in two allocations — the two

@@ -132,9 +132,9 @@ func TestDocDeleteEndpoint(t *testing.T) {
 	if e.Error.Code != "bad_request" {
 		t.Fatalf("junk id error: %+v", e)
 	}
-	// The legacy unversioned alias works for writes too.
-	do(t, ts, "POST", "/docs", `{"id": 5150, "text": "An unversioned bulletin about Peshawar."}`, http.StatusOK, &ack)
-	do(t, ts, "DELETE", "/docs/5150", "", http.StatusOK, &ack)
+	// Routes live under /v1/ only: an unversioned write finds no route.
+	do(t, ts, "POST", "/docs", `{"id": 5150, "text": "An unversioned bulletin about Peshawar."}`, http.StatusNotFound, nil)
+	do(t, ts, "DELETE", "/docs/1", "", http.StatusNotFound, nil)
 }
 
 func itoa(v int) string { return strconv.Itoa(v) }

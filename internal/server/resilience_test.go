@@ -93,30 +93,7 @@ func TestPanicRecovery(t *testing.T) {
 // Retry-After hint; capacity freed readmits immediately.
 func TestAdmissionControlSheds(t *testing.T) {
 	e, _, ts := newslinkServer(t, WithMaxInFlight(1))
-	// Hold the only slot: a search slowed down via the BON stage.
-	faults.Arm(faults.New().Delay(faults.BONStage, 400*time.Millisecond))
-	defer faults.Disarm()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		resp, err := http.Get(ts.URL + "/v1/search?q=Taliban&k=2")
-		if err == nil {
-			resp.Body.Close()
-		}
-	}()
-
-	// Wait until the slow request is admitted.
-	inFlight := e.Metrics().Gauge("newslink_http_in_flight", "")
-	deadline := time.Now().Add(2 * time.Second)
-	for inFlight.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
+	wait := holdSlot(t, e, ts.URL)
 	resp, err := http.Get(ts.URL + "/v1/search?q=Taliban&k=2")
 	if err != nil {
 		t.Fatal(err)
@@ -131,15 +108,41 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if got := e.Metrics().Counter("newslink_http_shed_total", "").Value(); got < 1 {
 		t.Fatalf("newslink_http_shed_total = %d", got)
 	}
-	wg.Wait()
+	wait()
 
 	// Capacity is back: the next request is served.
 	faults.Disarm()
 	var sr SearchResponse
 	get(t, ts, "/v1/search?q=Taliban&k=2", http.StatusOK, &sr)
-	if inFlight.Value() != 0 {
-		t.Fatalf("in-flight gauge = %d after idle", inFlight.Value())
+	if n := e.Metrics().Gauge("newslink_http_in_flight", "").Value(); n != 0 {
+		t.Fatalf("in-flight gauge = %d after idle", n)
 	}
+}
+
+// holdSlot takes the only admission slot of the server at base with a
+// search that the BON stage holds for 400ms, and returns once it is in
+// flight; the function it returns waits for that search to finish.
+func holdSlot(t *testing.T, e *newslink.Engine, base string) (wait func()) {
+	t.Helper()
+	faults.Arm(faults.New().Delay(faults.BONStage, 400*time.Millisecond))
+	t.Cleanup(faults.Disarm)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, err := http.Get(base + "/v1/search?q=Taliban&k=2")
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	inFlight := e.Metrics().Gauge("newslink_http_in_flight", "")
+	deadline := time.Now().Add(2 * time.Second)
+	for inFlight.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("first request never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return func() { <-done }
 }
 
 // TestAdmissionWaitAdmits: a bounded admission wait turns a would-be
@@ -179,26 +182,7 @@ func TestAdmissionWaitAdmits(t *testing.T) {
 // when the query routes are saturated.
 func TestProbesBypassAdmission(t *testing.T) {
 	e, _, ts := newslinkServer(t, WithMaxInFlight(1))
-	faults.Arm(faults.New().Delay(faults.BONStage, 400*time.Millisecond))
-	defer faults.Disarm()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		resp, err := http.Get(ts.URL + "/v1/search?q=Taliban&k=2")
-		if err == nil {
-			resp.Body.Close()
-		}
-	}()
-	inFlight := e.Metrics().Gauge("newslink_http_in_flight", "")
-	deadline := time.Now().Add(2 * time.Second)
-	for inFlight.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	wait := holdSlot(t, e, ts.URL)
 	for _, path := range []string{"/v1/healthz", "/v1/readyz", "/v1/metrics"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -209,7 +193,7 @@ func TestProbesBypassAdmission(t *testing.T) {
 			t.Fatalf("%s: status %d while saturated", path, resp.StatusCode)
 		}
 	}
-	wg.Wait()
+	wait()
 }
 
 // TestSemaphoreFIFO exercises the weighted semaphore directly: grants

@@ -1,7 +1,6 @@
 // Package server exposes a NewsLink engine over HTTP with a small JSON API
 // (the paper's NE component "runs as a backend server"; this serves the
-// whole search pipeline). Routes are versioned under /v1/; the unversioned
-// spellings are kept as aliases for old clients:
+// whole search pipeline). Routes are served under /v1/ only:
 //
 //	GET    /v1/search?q=<text>&k=<n>[&beta=<b>][&pool=<d>][&after=<t>][&before=<t>][&entity=<label>...][&trace=1]  ranked results (Equation 3)
 //	GET    /v1/related/{id}?k=<n>[&pool=<d>][&after=<t>][&before=<t>][&entity=<label>...][&trace=1]                related news by the document's BON embedding
@@ -156,12 +155,12 @@ func New(e *newslink.Engine, opts ...Option) *Server {
 // sending new work while in-flight requests complete.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// Handler returns the HTTP handler with all routes registered, each under
-// /v1/ and as a legacy unversioned alias. Every route is wrapped with
-// request-ID assignment, panic recovery, access logging and HTTP metrics;
-// the query routes additionally pass weighted admission control when it
-// is enabled. Health, readiness and metrics are never subject to
-// admission — an overloaded server must still answer its probes.
+// Handler returns the HTTP handler with all routes registered under /v1/.
+// Every route is wrapped with request-ID assignment, panic recovery,
+// access logging and HTTP metrics; the query routes additionally pass
+// weighted admission control when it is enabled. Health, readiness and
+// metrics are never subject to admission — an overloaded server must
+// still answer its probes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	routes := []struct {
@@ -189,10 +188,7 @@ func (s *Server) Handler() http.Handler {
 		if rt.weight > 0 {
 			h = s.limiter.admit(rt.weight, h)
 		}
-		h = s.instrument(rt.name, h)
-		for _, prefix := range []string{"/v1", ""} {
-			mux.HandleFunc(rt.method+" "+prefix+"/"+rt.pattern, h)
-		}
+		mux.HandleFunc(rt.method+" /v1/"+rt.pattern, s.instrument(rt.name, h))
 	}
 	return mux
 }

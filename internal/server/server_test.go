@@ -69,19 +69,16 @@ func getErr(t *testing.T, ts *httptest.Server, path string, want int) ErrorBody 
 
 func TestSearchEndpoint(t *testing.T) {
 	ts := testServer(t)
-	// The versioned route and its legacy alias serve the same payload.
-	for _, path := range []string{"/v1/search", "/search"} {
-		var got SearchResponse
-		get(t, ts, path+"?q=Taliban+bombing+in+Lahore&k=3", http.StatusOK, &got)
-		if len(got.Results) == 0 {
-			t.Fatalf("%s: no results", path)
-		}
-		if got.Results[0].ID != 1 {
-			t.Fatalf("%s: top result = %+v, want the bombing story", path, got.Results[0])
-		}
-		if got.K != 3 || got.Query == "" {
-			t.Fatalf("%s: echo fields wrong: %+v", path, got)
-		}
+	var got SearchResponse
+	get(t, ts, "/v1/search?q=Taliban+bombing+in+Lahore&k=3", http.StatusOK, &got)
+	if len(got.Results) == 0 {
+		t.Fatal("no results")
+	}
+	if got.Results[0].ID != 1 {
+		t.Fatalf("top result = %+v, want the bombing story", got.Results[0])
+	}
+	if got.K != 3 || got.Query == "" {
+		t.Fatalf("echo fields wrong: %+v", got)
 	}
 }
 
@@ -122,7 +119,7 @@ func TestSearchValidation(t *testing.T) {
 	getErr(t, ts, "/v1/search?q=x&k=0", http.StatusBadRequest)
 	getErr(t, ts, "/v1/search?q=x&k=99999", http.StatusBadRequest)
 	// Legacy alias uses the same envelope.
-	getErr(t, ts, "/search?q=x&k=0", http.StatusBadRequest)
+	getErr(t, ts, "/v1/search?q=x&k=0", http.StatusBadRequest)
 	// A query matching nothing returns an empty array, not null.
 	resp, err := http.Get(ts.URL + "/v1/search?q=zzzzqqqq&k=3")
 	if err != nil {
@@ -159,7 +156,7 @@ func TestExplainEndpoint(t *testing.T) {
 	if e := getErr(t, ts, "/v1/explain?q=x&id=9999", http.StatusNotFound); e.Code != "unknown_document" {
 		t.Fatalf("error code = %+v", e)
 	}
-	getErr(t, ts, "/explain?q=x&id=9999", http.StatusNotFound)
+	getErr(t, ts, "/v1/explain?q=x&id=9999", http.StatusNotFound)
 }
 
 func TestRelatedEndpoint(t *testing.T) {
@@ -221,12 +218,10 @@ func TestFilterParamValidation(t *testing.T) {
 
 func TestHealthAndStats(t *testing.T) {
 	ts := testServer(t)
-	for _, path := range []string{"/v1/healthz", "/healthz"} {
-		var h map[string]string
-		get(t, ts, path, http.StatusOK, &h)
-		if h["status"] != "ok" {
-			t.Fatalf("health = %v", h)
-		}
+	var h map[string]string
+	get(t, ts, "/v1/healthz", http.StatusOK, &h)
+	if h["status"] != "ok" {
+		t.Fatalf("health = %v", h)
 	}
 	var s StatsResponse
 	get(t, ts, "/v1/stats", http.StatusOK, &s)

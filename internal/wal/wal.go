@@ -65,10 +65,9 @@ const headerSize = 8
 // the same polynomial the snapshot artifacts use.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// AppendRecord appends the framed form of payload to dst and returns the
-// extended slice. Exported for the record-codec fuzz target; the log uses
-// it internally for every append.
-func AppendRecord(dst, payload []byte) []byte {
+// appendRecord appends the framed form of payload to dst and returns the
+// extended slice: the one encoder, used for every append.
+func appendRecord(dst, payload []byte) []byte {
 	var hdr [headerSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
@@ -107,30 +106,6 @@ func readRecord(r *bufio.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: checksum %08x, want %08x", ErrCorrupt, got, want)
 	}
 	return payload, nil
-}
-
-// DecodeRecord parses the first framed record of b, returning its payload
-// and the remaining bytes. Exported for the record-codec fuzz target. The
-// error is ErrCorrupt for a checksum or framing violation and errTorn
-// (reported as ErrCorrupt to callers outside the package via errors.Is
-// returning false for both io.EOF cases) — fuzzing only needs "error or
-// valid", so incomplete input returns io.ErrUnexpectedEOF.
-func DecodeRecord(b []byte) (payload, rest []byte, err error) {
-	if len(b) < headerSize {
-		return nil, nil, io.ErrUnexpectedEOF
-	}
-	n := binary.LittleEndian.Uint32(b[0:4])
-	if n > MaxRecord {
-		return nil, nil, fmt.Errorf("%w: record length %d exceeds %d", ErrCorrupt, n, MaxRecord)
-	}
-	if uint64(len(b)-headerSize) < uint64(n) {
-		return nil, nil, io.ErrUnexpectedEOF
-	}
-	payload = b[headerSize : headerSize+int(n)]
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(b[4:8]); got != want {
-		return nil, nil, fmt.Errorf("%w: checksum %08x, want %08x", ErrCorrupt, got, want)
-	}
-	return payload, b[headerSize+int(n):], nil
 }
 
 // Options configures a Log. The zero value is ready to use.
@@ -357,7 +332,7 @@ func (l *Log) Write(payload []byte) (Pos, error) {
 	if len(payload) > MaxRecord {
 		return Pos{}, fmt.Errorf("wal: payload of %d bytes exceeds MaxRecord", len(payload))
 	}
-	rec := AppendRecord(nil, payload)
+	rec := appendRecord(nil, payload)
 	if mutated, err := faults.FireData(faults.WALAppend, rec); err != nil {
 		return Pos{}, err
 	} else {

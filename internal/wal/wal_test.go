@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -468,46 +470,39 @@ func TestOnAppendHook(t *testing.T) {
 	}
 }
 
-// FuzzWALRecord fuzzes the record codec both directions: every payload
-// must round-trip byte-identically through AppendRecord/DecodeRecord, and
-// any single-byte corruption of the frame must be rejected — decode
-// either errors or, for a corrupted length prefix that still frames a
-// record, yields a payload that fails to match (the CRC must catch it).
+// FuzzWALRecord fuzzes the record codec both directions, through the
+// decoder replay reads with: every payload must round-trip
+// byte-identically through appendRecord/readRecord, two frames back to
+// back must read as two records and then a clean end, and any single-byte
+// corruption of the frame must be rejected — readRecord either errors or,
+// for a corrupted length prefix that still frames a record, yields a
+// payload that fails to match (the CRC must catch it).
 func FuzzWALRecord(f *testing.F) {
 	f.Add([]byte(nil), uint16(0), byte(0))
 	f.Add([]byte("hello"), uint16(2), byte(0x01))
 	f.Add(make([]byte, 300), uint16(9), byte(0x80))
 	f.Fuzz(func(t *testing.T, payload []byte, pos uint16, flip byte) {
-		frame := AppendRecord(nil, payload)
-		got, rest, err := DecodeRecord(frame)
-		if err != nil {
-			t.Fatalf("round-trip decode failed: %v", err)
+		frame := appendRecord(nil, payload)
+		r := bufio.NewReader(bytes.NewReader(appendRecord(bytes.Clone(frame), payload)))
+		for i := range 2 {
+			got, err := readRecord(r)
+			if err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("frame %d: read %d bytes (%v), want the %d-byte payload", i, len(got), err, len(payload))
+			}
 		}
-		if !bytes.Equal(got, payload) || len(rest) != 0 {
-			t.Fatalf("round-trip mismatch: %d bytes, %d rest", len(got), len(rest))
+		if _, err := readRecord(r); err != io.EOF {
+			t.Fatalf("after two frames: err=%v, want io.EOF", err)
 		}
-		// Two frames back-to-back: rest must hand off exactly.
-		double := AppendRecord(bytes.Clone(frame), payload)
-		_, rest, err = DecodeRecord(double)
-		if err != nil || len(rest) != len(frame) {
-			t.Fatalf("two-frame decode: err=%v rest=%d", err, len(rest))
-		}
-		// Corruption rejection: flip one byte anywhere in the frame.
+		// Corruption rejection: flip one byte anywhere in the frame. A
+		// corrupted length prefix may still frame a decodable record, but
+		// never the original payload.
+		mut := bytes.Clone(frame)
 		if flip == 0 {
 			flip = 0xFF
 		}
-		mut := bytes.Clone(frame)
 		mut[int(pos)%len(mut)] ^= flip
-		if p, rest, err := DecodeRecord(mut); err == nil {
-			// A corrupted length prefix may still frame a decodable record
-			// (e.g. shortening the length re-frames a prefix whose CRC can't
-			// match). The CRC must guarantee we never return the original
-			// payload from a damaged frame as if nothing happened — and any
-			// accepted decode must still be internally CRC-consistent.
-			if bytes.Equal(p, payload) && len(rest) == 0 {
-				t.Fatalf("corrupted frame decoded as pristine")
-			}
-			_ = rest
+		if p, err := readRecord(bufio.NewReader(bytes.NewReader(mut))); err == nil && bytes.Equal(p, payload) {
+			t.Fatalf("corrupted frame decoded as pristine")
 		}
 	})
 }

@@ -1345,8 +1345,8 @@ func (ref *reference) related(r *modelRun, q RelatedQuery) ([]Result, error) {
 // localTraverse runs a routed engine's traversals over shards, LoadSegments
 // slices of the whole snapshot in order, the way a cluster router and its
 // workers do: the statistics and the canonical term order of the whole
-// snapshot, each slice traversed with them and its hits rebased, the lists
-// merged one candidate deeper and the excluded position dropped.
+// snapshot, each slice traversed with them and its hits rebased, and the
+// lists merged.
 func localTraverse(shards ...*Shard) func(context.Context, Traversal) (Retrieval, error) {
 	var texts, nodes []index.Source
 	bases := make([]int, len(shards))
@@ -1374,7 +1374,7 @@ func localTraverse(shards ...*Shard) func(context.Context, Traversal) (Retrieval
 					src = node
 				}
 				if err == nil {
-					lists[i], _, err = search.TopKBlockMaxOrderedStats(ctx, src, scorer, ordered, tr.Pool+1)
+					lists[i], _, err = search.TopKBlockMaxOrderedStats(ctx, src, scorer, ordered, tr.Pool)
 				}
 				if err != nil {
 					return nil, err
@@ -1383,8 +1383,7 @@ func localTraverse(shards ...*Shard) func(context.Context, Traversal) (Retrieval
 					lists[i][j].Doc += index.DocID(bases[i])
 				}
 			}
-			hits := slices.DeleteFunc(search.MergeTopK(tr.Pool+1, lists...), func(h search.Hit) bool { return int(h.Doc) == tr.Exclude })
-			return hits[:min(len(hits), tr.Pool)], nil
+			return search.MergeTopK(tr.Pool, lists...), nil
 		}
 		var r Retrieval
 		var err error

@@ -3,6 +3,7 @@ package newslink
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"newslink/internal/mmap"
 	"newslink/internal/search"
@@ -29,7 +30,7 @@ type RelatedQuery struct {
 	// default), with the same clamping as Query.PoolDepth.
 	PoolDepth int
 	// After/Before/Entities filter candidates exactly as in Query. The
-	// source document itself is always excluded.
+	// source document itself is never a result.
 	After    int64
 	Before   int64
 	Entities []string
@@ -94,19 +95,22 @@ func (e *Engine) relatedContext(ctx context.Context, q RelatedQuery) (SearchResp
 	if emb == nil || len(emb.Counts) == 0 {
 		return SearchResponse{}, nil
 	}
-	// Self-exclusion is its own clause, so the source document can never
-	// rank against itself even when no temporal or entity clause was
-	// requested.
+	// The source document ranks against itself like any other: ask one
+	// candidate deeper and drop it. The traversal returns the exact top of
+	// one total order, local or routed, so the top pool of the rest is what
+	// remains.
+	pool := e.pool(snap, q.PoolDepth, q.K)
 	ret, err := e.retrieve(ctx, snap, Traversal{
-		Pool:     e.pool(snap, q.PoolDepth, q.K),
+		Pool:     pool + 1,
 		After:    q.After,
 		Before:   q.Before,
 		Entities: entityTerms(e.Graph(), q.Entities),
-		Exclude:  pos,
 	}, false, nil, emb)
 	if err != nil {
 		return SearchResponse{}, err
 	}
+	ret.BON = slices.DeleteFunc(ret.BON, func(h search.Hit) bool { return int(h.Doc) == pos })
+	ret.BON = ret.BON[:min(len(ret.BON), pool)]
 	// β = 1 fusion is exactly the documented normalization of a pure-BON
 	// ranking: clip(normalize(bon), k).
 	return ret.response(gather(snap, search.Fuse(nil, ret.BON, 1, q.K), nil)), nil

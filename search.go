@@ -100,7 +100,6 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (SearchResponse, er
 		After:    q.After,
 		Before:   q.Before,
 		Entities: entityTerms(e.Graph(), q.Entities),
-		Exclude:  -1,
 	}, beta < 1, qTerms, qEmb)
 	if err != nil {
 		return SearchResponse{}, err
@@ -175,9 +174,6 @@ type Traversal struct {
 	// nothing). Statistics stay those of the unfiltered corpus.
 	After, Before int64
 	Entities      [][]string
-	// Exclude is a global position no candidate list may hold (a related
-	// request's own document), or -1.
-	Exclude int
 }
 
 // Retrieval is what the traversals of one request found: the BOW and BON
@@ -198,11 +194,11 @@ func (r Retrieval) response(results []Result) SearchResponse {
 
 // retrieve runs one request's traversals — the BOW leg over terms when bow
 // is set, the BON leg over the subgraph embedding emb when it is non-nil,
-// each t.Pool deep under t's filter clauses and exclusion — remotely when
-// the engine was loaded with a traversal (LoadRouted), which receives them
-// as the queries t.Text and t.Node, otherwise over snap's own indexes: the
-// two legs one after the other on the calling goroutine, each one
-// sequential block-max traversal (DESIGN.md §6 records why neither the
+// each t.Pool deep under t's filter clauses — remotely when the engine was
+// loaded with a traversal (LoadRouted), which receives them as the queries
+// t.Text and t.Node, otherwise over snap's own indexes: the two legs one
+// after the other on the calling goroutine, each one sequential block-max
+// traversal (DESIGN.md §6 records why neither the
 // BOW ∥ BON goroutine nor the intra-query DocID-range fan-out is kept).
 //
 // In the fused case (both legs) the BON leg is sacrificial: it runs under
@@ -227,7 +223,7 @@ func (e *Engine) retrieve(ctx context.Context, snap *segmentSet, t Traversal, bo
 	// bounds stay those of the full corpus, so scoring and pruning are
 	// unchanged; only candidate admission consults the filter. An
 	// unfiltered request compiles to nil and keeps the published sources.
-	flt, err := newQueryFilter(snap, t.After, t.Before, t.Entities, t.Exclude)
+	flt, err := newQueryFilter(snap, t.After, t.Before, t.Entities)
 	if err != nil {
 		return Retrieval{}, err
 	}
