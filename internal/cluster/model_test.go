@@ -228,6 +228,7 @@ type workerModel struct {
 	rule    string // the fault it is under, "" for none
 	killed  bool
 	settled bool                   // the router's view of it is known
+	fresh   bool                   // restarted beside a serving replica, not awaited since: it may answer unassigned
 	shot    bool                   // a flake's failure has not fired yet
 	kept    map[string]os.FileInfo // from a restart until await checks it: the files not to fetch again
 }
@@ -318,7 +319,11 @@ func (r *clusterRun) apply(s cstep) {
 			}
 		}
 		p.serve(r.t, p.ID(), dir, r.rt.engine.Graph())
-		w.killed, w.settled = false, false
+		// Slot 0's other replica serves a hedged history throughout, and the
+		// router tries it on whichever read finds this one unassigned, so
+		// reads need not wait for this one's assignment.
+		w.fresh = r.h.hedged() && s.arg == 0
+		w.killed, w.settled = false, w.fresh
 	case "fail", "flake", "lag", "slow", "cut", "heal":
 		first := r.inj == nil
 		if !first {
@@ -397,11 +402,11 @@ func corrupt(dir string) (map[string]os.FileInfo, error) {
 
 // resave deletes document id from the snapshot and restarts the router over
 // it: the plan ID must change, a delete changing only the manifest. The old
-// router's endpoints are marked admitted, so its probe loop never assigns
-// its plan again. It is never drawn: a router that can assign no worker
-// fails to start.
+// router is closed first, so its probe loop never assigns its plan again.
+// It is never drawn: a router that can assign no worker fails to start.
 func (r *clusterRun) resave(id int) {
 	old := r.rt
+	old.Close()
 	e, err := newslink.Load(r.dir, old.engine.Graph())
 	if err != nil {
 		r.fatalf("%v", err)
@@ -414,9 +419,6 @@ func (r *clusterRun) resave(id int) {
 	}
 	if err := e.Close(); err != nil {
 		r.fatalf("%v", err)
-	}
-	for _, ep := range slices.Concat(old.slots[0].eps, old.slots[1].eps, old.slots[2].eps) {
-		ep.healthy.Store(true)
 	}
 	var ts *httptest.Server
 	r.rt, ts = startRouter(r.t, r.dir, old.engine.Graph(), old.cfg)
@@ -443,11 +445,11 @@ func (r *clusterRun) spent() (n int) {
 }
 
 // await polls until every worker that can serve is admitted, with no
-// failure counted, and holds the router's plan, and no other live one can
-// answer unassigned (a 503 no attempt retries) unless a fault fires first.
-// A search per poll drives the breaker: only an ejected worker is assigned
-// again. A restarted worker then holds exactly its slot's artifacts, with
-// the plan's checksums, having fetched only what was missing or damaged.
+// failure counted, and holds the router's plan. A search per poll drives
+// the breaker: only an ejected worker is assigned again, and one that
+// answers unassigned is ejected at once. A restarted worker then holds
+// exactly its slot's artifacts, with the plan's checksums, having fetched
+// only what was missing or damaged.
 func (r *clusterRun) await() {
 	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(20 * time.Millisecond) {
 		ready := true
@@ -458,12 +460,7 @@ func (r *clusterRun) await() {
 			// A serving worker is ready once it holds the plan, is admitted and
 			// has no failure counted against it.
 			serves := w.serving() && assigned && admitted && ep.fails.Load() == 0
-			// A cut worker's fault strikes only a reply's body: admitted
-			// without the plan, it would answer unassigned first, a 503 that
-			// no attempt retries. Every other worker that cannot serve fails
-			// at its fault point or its closed listener.
-			unassigned := w.rule == "cut" && !w.killed && admitted && !assigned
-			ready = ready && (serves || !w.serving() && !unassigned)
+			ready = ready && (serves || !w.serving())
 		}
 		if ready {
 			break
@@ -475,7 +472,7 @@ func (r *clusterRun) await() {
 	}
 	for i := range r.w {
 		w, dir := &r.w[i], r.procs[i].dir
-		w.settled = true
+		w.settled, w.fresh = true, false
 		if w.kept == nil || !w.serving() {
 			continue
 		}
@@ -601,7 +598,7 @@ func (r *clusterRun) reads(s cstep) {
 		if w.serving() {
 			up |= 1 << (i % numSlots)
 		}
-		clean = clean && w.serving()
+		clean = clean && w.serving() && !w.fresh
 	}
 	steps, clients := []cstep{s}, 1
 	if s.kind == "burst" {
@@ -644,7 +641,8 @@ func (r *clusterRun) reads(s cstep) {
 	case !hedged && after[1] != before[1]:
 		r.fatalf("hedge counter moved by %d without a second replica", after[1]-before[1])
 	case !hedged && clean && after[0]-before[0] != int64(spent):
-		// With every worker serving, the only retries are the flakes'.
+		// With every worker serving and assigned, the only retries are the
+		// flakes'.
 		r.fatalf("retry counter moved by %d over %d transient failures", after[0]-before[0], spent)
 	case s.kind == "burst" && hedged && (r.w[0].rule == "slow" || r.w[0].rule == "lag") && after[1] == before[1]:
 		r.fatalf("no hedge fired against a persistently %s replica", r.w[0].rule)
@@ -827,6 +825,7 @@ var fixedHistories = map[string]string{
 	"TestRouterRelatedMatchesSingleProcess": readSteps("related", docArgs, append(edgeParams, fltParams...)...) + "; fail 1" +
 		readSteps("search", queryArgs[:4], downParams...) + readSteps("related", []string{"0", "33", "47", "17", "20"}, downParams...) +
 		readSteps("explain", []string{"0", "17"}, "q=0", "q=1") + "; fail 0; fail 2; explain 17 q=1; related 17",
+	"TestUnassignedReplicaCostsOneAttempt":   "hedged; restart 0; search; search q=1; related 5; search q=2 k=3; related 17; burst; await; search",
 	"TestRestartedRouterServesNewTombstones": "search q=4; related 17; resave 0; search q=4; related 17; fail 1; resave 31; search q=4; related 1",
 	"TestRouterRefusesWrites":                "search; related 5; write 5; write 3; write 4; search; related 5",
 }
@@ -849,4 +848,5 @@ func TestRouterFilteredExplain(t *testing.T)                { runFixed(t) }
 func TestHedgedConcurrentMatchesSingleProcess(t *testing.T) { runFixed(t) }
 func TestRouterRelatedMatchesSingleProcess(t *testing.T)    { runFixed(t) }
 func TestRestartedRouterServesNewTombstones(t *testing.T)   { runFixed(t) }
+func TestUnassignedReplicaCostsOneAttempt(t *testing.T)     { runFixed(t) }
 func TestRouterRefusesWrites(t *testing.T)                  { runFixed(t) }

@@ -171,6 +171,11 @@ type Router struct {
 	// full is the statistics view of the healthy target (every slot),
 	// immutable like the snapshot; a degraded pass builds its subset's.
 	full corpusStats
+
+	// stopProbe ends the probe loop Start launched, and probing waits
+	// for it to return: a closed router assigns no worker.
+	stopProbe context.CancelFunc
+	probing   sync.WaitGroup
 }
 
 // NewRouter builds a router over the version-7 snapshot in dir (any other
@@ -291,7 +296,12 @@ func (rt *Router) Start(ctx context.Context) error {
 		}
 	}
 	wg.Wait()
-	go rt.probeLoop(ctx)
+	ctx, rt.stopProbe = context.WithCancel(ctx)
+	rt.probing.Add(1)
+	go func() {
+		defer rt.probing.Done()
+		rt.probeLoop(ctx)
+	}()
 	if admitted.Load() == 0 {
 		return fmt.Errorf("cluster: no worker accepted an assignment (probing continues)")
 	}
@@ -300,8 +310,13 @@ func (rt *Router) Start(ctx context.Context) error {
 	return nil
 }
 
-// Close releases idle transport connections and the snapshot's mappings.
+// Close stops the probe loop, waiting for it to return, and releases idle
+// transport connections and the snapshot's mappings.
 func (rt *Router) Close() {
+	if rt.stopProbe != nil {
+		rt.stopProbe()
+	}
+	rt.probing.Wait()
 	rt.client.CloseIdleConnections()
 	_ = rt.engine.Close()
 }

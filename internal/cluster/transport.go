@@ -27,15 +27,24 @@ func (e *rpcStatusError) Error() string {
 
 // retryable reports whether an attempt failure may be retried on a
 // replica: transport errors, timeouts, truncated/corrupt responses and
-// 5xx replies are transient; 4xx replies are ours to fix, and 503
-// (unassigned) or 409 (plan_mismatch) need the probe loop's
-// re-assignment, not another identical request.
+// 5xx replies are transient, and so is a replica that lacks the router's
+// plan (unassigned), which attempt has ejected, so the retry goes to the
+// slot's next live replica. Other 4xx replies are ours to fix, and any
+// other 503 is the worker's refusal to serve.
 func retryable(err error) bool {
 	var se *rpcStatusError
 	if errors.As(err, &se) {
-		return se.Status >= 500 && se.Status != http.StatusServiceUnavailable
+		return unassigned(se) || se.Status >= 500 && se.Status != http.StatusServiceUnavailable
 	}
 	return true
+}
+
+// unassigned reports a replica that cannot serve until the probe loop
+// assigns it the router's plan: it has none (503 unassigned) or another
+// one (409 plan_mismatch).
+func unassigned(se *rpcStatusError) bool {
+	return se.Status == http.StatusServiceUnavailable && se.Code == "unassigned" ||
+		se.Status == http.StatusConflict && se.Code == "plan_mismatch"
 }
 
 // encodeRequest returns v's wire form as an exact-size slice for net/http
@@ -101,10 +110,18 @@ func (rt *Router) attempt(ctx context.Context, sl *slot, ep *endpoint, path stri
 		rt.noteFailure(sl, ep, err)
 	default:
 		sl.reqs["error"].Inc()
-		// A cancelled attempt — a hedge's loser, a client that went away —
-		// says nothing about the endpoint; counting it would let a run of
-		// lost hedges eject a healthy replica.
-		if !errors.Is(err, context.Canceled) {
+		var se *rpcStatusError
+		switch {
+		case errors.As(err, &se) && unassigned(se):
+			// It fails every request until re-assigned, and only the probe
+			// loop assigns, only to an ejected endpoint: eject it now.
+			if ep.healthy.CompareAndSwap(true, false) {
+				rt.log.Warn("ejecting unassigned shard endpoint", "slot", sl.idx, "endpoint", ep.url, "err", err)
+			}
+		case !errors.Is(err, context.Canceled):
+			// A cancelled attempt — a hedge's loser, a client that went away —
+			// says nothing about the endpoint; counting it would let a run of
+			// lost hedges eject a healthy replica.
 			rt.noteFailure(sl, ep, err)
 		}
 	}

@@ -129,7 +129,8 @@ func (w *Worker) snapshotState() (*newslink.Shard, string, int) {
 }
 
 // requirePlan answers plan-mismatch (409) or unassigned (503) states;
-// the router reacts by re-assigning rather than retrying blindly.
+// the router ejects the replica for its probe loop to re-assign, and
+// tries the request on the slot's next live replica.
 func (w *Worker) requirePlan(rw http.ResponseWriter, plan string) (*newslink.Shard, bool) {
 	sh, cur, _ := w.snapshotState()
 	if sh == nil {

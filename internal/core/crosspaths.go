@@ -67,6 +67,9 @@ func CrossPathsContext(ctx context.Context, g *kg.Graph, a, b *DocEmbedding, la,
 		}
 	}
 	sources, targets = dedupeIDs(sources), dedupeIDs(targets)
+	// sources follow adj's map order; sorted, they fix the BFS frontier,
+	// each node's parent list and so which limit paths survive.
+	sortNodeIDs(sources)
 	if len(sources) == 0 || len(targets) == 0 {
 		return nil, ctx.Err()
 	}

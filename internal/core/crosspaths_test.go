@@ -68,6 +68,29 @@ func TestCrossPathsShortestFirstAndLimit(t *testing.T) {
 	if crossPaths(g, nil, r, "a", "b", 3) != nil {
 		t.Fatal("nil embedding should be nil")
 	}
+
+	// One label names two nodes one hop from the target, and the limit
+	// keeps one of the two paths: the lower node ID's, on every call.
+	b := kg.NewBuilder(5)
+	city := b.AddNode("Wahaor", kg.KindGPE, "a city")
+	province := b.AddNode("Wahaor", kg.KindGPE, "a province")
+	country := b.AddNode("Fornoinstan", kg.KindGPE, "a country")
+	port, lake := b.AddNode("Port", kg.KindGPE, "a port"), b.AddNode("Lake", kg.KindGPE, "a lake")
+	b.AddEdgeByName(city, country, "capital of", 1)
+	b.AddEdgeByName(province, country, "located in", 1)
+	b.AddEdgeByName(port, city, "located in", 1)
+	b.AddEdgeByName(lake, province, "located in", 1)
+	g = b.Build()
+	q, r = embed(t, g, []string{"port", "fornoinstan"}), embed(t, g, []string{"lake", "fornoinstan"})
+	if got := crossPaths(g, q, r, "wahaor", "fornoinstan", 2); len(got) != 2 {
+		t.Fatalf("want both one-hop paths, got %d", len(got))
+	}
+	for i := 0; i < 20; i++ {
+		got := crossPaths(g, q, r, "wahaor", "fornoinstan", 1)
+		if len(got) != 1 || got[0].Hops[0].From != city {
+			t.Fatalf("call %d: %v, want the path from node %d", i, got, city)
+		}
+	}
 }
 
 func TestCrossPathsDisjointEmbeddings(t *testing.T) {

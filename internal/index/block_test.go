@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -106,76 +105,6 @@ func TestDecodeBlockRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := decodeBlock(data, nil, blockSize+1, 0, true, 1<<12, 0); err == nil {
 		t.Fatal("oversized posting count accepted")
-	}
-}
-
-// TestCursorParity: memory, mapped and segmented cursors must agree
-// block-for-block with the flat list, sequentially (NextBlock) and at
-// random seek targets (SeekBlock).
-func TestCursorParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	b := NewBuilder()
-	numDocs := 4000
-	for d := 0; d < numDocs; d++ {
-		terms := []string{"common"}
-		if rng.Intn(3) == 0 {
-			terms = append(terms, "mid")
-		}
-		if rng.Intn(200) == 0 {
-			terms = append(terms, "rare")
-		}
-		b.Add(terms)
-	}
-	idx := b.Build()
-	d, _ := mapIndex(t, idx)
-
-	for _, term := range []string{"common", "mid", "rare"} {
-		want := postings(t, idx, term)
-		for _, src := range []Source{idx, d, NewMulti(idx), NewMulti(d)} {
-			c := src.TermCursor(term)
-			if c == nil {
-				t.Fatalf("%T: nil cursor for %q", src, term)
-			}
-			if c.Count() != len(want) {
-				t.Fatalf("%T %q: count %d want %d", src, term, c.Count(), len(want))
-			}
-			var got []Posting
-			for c.NextBlock() {
-				pl, err := c.Block()
-				if err != nil {
-					t.Fatalf("%T %q: %v", src, term, err)
-				}
-				if pl[len(pl)-1].Doc != c.BlockLast() {
-					t.Fatalf("%T %q: block last %d, summary %d", src, term, pl[len(pl)-1].Doc, c.BlockLast())
-				}
-				got = append(got, pl...)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%T %q: cursor traversal differs from Postings", src, term)
-			}
-			// SeekBlock from a fresh cursor at random targets: it lands on
-			// the block holding the first posting >= target, if one exists.
-			for trial := 0; trial < 50; trial++ {
-				target := DocID(rng.Intn(numDocs + 10))
-				c := src.TermCursor(term)
-				wantIdx := sort.Search(len(want), func(i int) bool { return want[i].Doc >= target })
-				if ok := c.SeekBlock(target); ok != (wantIdx < len(want)) {
-					t.Fatalf("%T %q: SeekBlock(%d) = %v, want %v", src, term, target, ok, wantIdx < len(want))
-				} else if ok {
-					pl, err := c.Block()
-					if err != nil {
-						t.Fatalf("%T %q: %v", src, term, err)
-					}
-					i := sort.Search(len(pl), func(i int) bool { return pl[i].Doc >= target })
-					if i == len(pl) || pl[i] != want[wantIdx] {
-						t.Fatalf("%T %q: SeekBlock(%d) block %v..%v misses posting %v", src, term, target, pl[0].Doc, pl[len(pl)-1].Doc, want[wantIdx])
-					}
-				}
-			}
-		}
-		if idx.TermCursor("absent") != nil || d.TermCursor("absent") != nil || NewMulti(idx).TermCursor("absent") != nil {
-			t.Fatal("absent term should yield nil cursor")
-		}
 	}
 }
 

@@ -1,12 +1,12 @@
 package index
 
 import (
+	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,52 +32,6 @@ func mapIndex(t *testing.T, idx *Index) (*Index, string) {
 		t.Fatal(err)
 	}
 	return got, path
-}
-
-func TestDiskIndexMatchesMemory(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	b := NewBuilder()
-	vocab := make([]string, 30)
-	for i := range vocab {
-		vocab[i] = "t" + strconv.Itoa(i)
-	}
-	for d := 0; d < 200; d++ {
-		var terms []string
-		for i := 0; i <= rng.Intn(12); i++ {
-			terms = append(terms, vocab[rng.Intn(len(vocab))])
-		}
-		add(b, terms)
-	}
-	// One heavy document exercises multi-byte TF varints.
-	addCounts(b, map[string]float32{"t0": 300, "heavy": 70000})
-	idx := b.Build()
-	disk, _ := mapIndex(t, idx)
-	if disk.NumDocs() != idx.NumDocs() || disk.NumTerms() != idx.NumTerms() {
-		t.Fatalf("sizes: %d/%d vs %d/%d", disk.NumDocs(), disk.NumTerms(), idx.NumDocs(), idx.NumTerms())
-	}
-	if disk.AvgDocLen() != idx.AvgDocLen() {
-		t.Fatalf("avg len %v vs %v", disk.AvgDocLen(), idx.AvgDocLen())
-	}
-	for _, term := range append(vocab, "heavy", "absent") {
-		if disk.DF(term) != idx.DF(term) {
-			t.Fatalf("DF(%s): %d vs %d", term, disk.DF(term), idx.DF(term))
-		}
-		got := postings(t, disk, term)
-		want := postings(t, idx, term)
-		if len(got) != len(want) {
-			t.Fatalf("postings(%s) lengths %d vs %d", term, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("postings(%s)[%d] = %v, want %v", term, i, got[i], want[i])
-			}
-		}
-	}
-	for d := 0; d < idx.NumDocs(); d++ {
-		if disk.DocLen(DocID(d)) != idx.DocLen(DocID(d)) {
-			t.Fatalf("DocLen(%d) differs", d)
-		}
-	}
 }
 
 func TestDiskIndexConcurrentReads(t *testing.T) {
@@ -124,6 +78,19 @@ func TestDiskIndexErrors(t *testing.T) {
 	}
 	if err := mmap.Guard(func() error { _, err := held.WriteTo(io.Discard); return err }); err == nil {
 		t.Fatal("WriteTo over a truncated mapping returned no error")
+	}
+	// A part whose bytes were damaged after the parse fails a merge, which
+	// names the first term whose blocks no longer decode: zeroed, its first
+	// block opens with an untagged TF.
+	damaged, err := ReadIndex(serialize(t, idx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &damaged.lists[damaged.NumTerms()/2]
+	clear(damaged.data[bad.offset : bad.offset+int64(bad.blocks[0].end)])
+	_, err = MergeSegments([]*Index{idx, damaged}, nil)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("term %q", bad.term)) {
+		t.Fatalf("merge over a damaged part: %v, want an error naming term %q", err, bad.term)
 	}
 }
 

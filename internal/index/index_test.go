@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"sort"
 	"strings"
 	"testing"
@@ -50,6 +51,15 @@ func buildSmall() *Index {
 		add(b, strings.Fields(d))
 	}
 	return b.Build()
+}
+
+func serialize(t testing.TB, idx *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := idx.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // postings materializes a term's full list through the one decoder.

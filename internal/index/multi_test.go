@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -49,57 +48,6 @@ func TestMultiFlattensNesting(t *testing.T) {
 	}
 }
 
-// TestMultiEquivalentToMonolithic: a Multi over segments must behave exactly
-// like one index built from the concatenated corpus.
-func TestMultiEquivalentToMonolithic(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	vocab := []string{"a", "b", "c", "d", "e"}
-	var all [][]string
-	var segments []Source
-	var parts []*Index
-	mono := NewBuilder()
-	for s := 0; s < 4; s++ {
-		sb := NewBuilder()
-		for d := 0; d < 5+rng.Intn(10); d++ {
-			var terms []string
-			for i := 0; i <= rng.Intn(6); i++ {
-				terms = append(terms, vocab[rng.Intn(len(vocab))])
-			}
-			all = append(all, terms)
-			add(sb, terms)
-			add(mono, terms)
-		}
-		parts = append(parts, sb.Build())
-		segments = append(segments, parts[s])
-	}
-	m := NewMulti(segments...)
-	ref := mono.Build()
-	if m.NumDocs() != ref.NumDocs() {
-		t.Fatalf("doc counts differ")
-	}
-	if m.AvgDocLen() != ref.AvgDocLen() {
-		t.Fatalf("avg len %v vs %v", m.AvgDocLen(), ref.AvgDocLen())
-	}
-	for _, term := range vocab {
-		if !reflect.DeepEqual(postings(t, m, term), postings(t, ref, term)) {
-			t.Fatalf("postings(%s): %v vs %v", term, postings(t, m, term), postings(t, ref, term))
-		}
-	}
-	for d := 0; d < ref.NumDocs(); d++ {
-		if m.DocLen(DocID(d)) != ref.DocLen(DocID(d)) {
-			t.Fatalf("DocLen(%d) differs", d)
-		}
-	}
-	// Merging the segments reproduces the monolithic index byte for byte.
-	merged, err := MergeSegments(parts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serialize(t, merged), serialize(t, ref)) {
-		t.Fatal("merged segments differ from the monolithic build")
-	}
-}
-
 // TestMultiFromContinuesFold: a Multi built from the one it replaces —
 // appended parts, a part replaced mid-list, a dropped leading part, nested
 // input — has exactly NewMulti's statistics, AvgDocLen bits included, and
@@ -141,22 +89,4 @@ func TestMultiFromContinuesFold(t *testing.T) {
 	check("nested input", m4, parts[5], parts[2], parts[3], parts[4])
 	check("continued Multi kept", m0, parts[:3]...)
 	check("continued Multi kept", m1, parts[:5]...)
-}
-
-func TestMultiWithDiskSegment(t *testing.T) {
-	a := seg("x y", "y z")
-	disk, _ := mapIndex(t, seg("z w"))
-	m := NewMulti(a, disk)
-	pl := postings(t, m, "z")
-	want := []Posting{{Doc: 1, TF: 1}, {Doc: 2, TF: 1}}
-	if !reflect.DeepEqual(pl, want) {
-		t.Fatalf("postings(z) = %v", pl)
-	}
-	flat, err := MergeSegments([]*Index{a, disk}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.NumDocs() != 3 || flat.DF("z") != 2 {
-		t.Fatalf("merge over disk segment: docs=%d df=%d", flat.NumDocs(), flat.DF("z"))
-	}
 }

@@ -61,7 +61,6 @@ func TestScratchReleaseScrubs(t *testing.T) {
 // for pooled reuse.
 func TestPooledReuseIdentityUnderConcurrency(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
-	vocab := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
 	type testCase struct {
 		idx  *index.Index
 		s    BM25
@@ -72,11 +71,11 @@ func TestPooledReuseIdentityUnderConcurrency(t *testing.T) {
 	cases := make([]testCase, 12)
 	for ci := range cases {
 		nDocs := 200 + rng.Intn(3000)
-		idx := randomCorpus(rng, nDocs, vocab)
+		idx := build(kernelDocs(nDocs, rng.Intn(256)))
 		s := NewBM25(idx)
 		q := Query{}
 		for i, nq := 0, 1+rng.Intn(4); i < nq; i++ {
-			q[vocab[rng.Intn(len(vocab))]] = 0.5 + rng.Float64()
+			q[termName(rng.Intn(10))] = 0.5 + rng.Float64()
 		}
 		k := 1 + rng.Intn(15)
 		// The kernel is bitwise identical to the TAAT oracle (same term
@@ -132,13 +131,12 @@ func TestPooledReuseIdentityUnderConcurrency(t *testing.T) {
 // recycled between calls; interleaving them must not corrupt results.
 func TestPooledHeapAndMapReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
-	vocab := []string{"x", "y", "z", "w", "v"}
 	for trial := 0; trial < 20; trial++ {
-		idx := randomCorpus(rng, 100+rng.Intn(1500), vocab)
+		idx := build(kernelDocs(100+rng.Intn(1500), rng.Intn(256)))
 		s := NewBM25(idx)
 		q := Query{}
 		for i, nq := 0, 1+rng.Intn(3); i < nq; i++ {
-			q[vocab[rng.Intn(len(vocab))]] = 0.5 + rng.Float64()
+			q[termName(rng.Intn(5))] = 0.5 + rng.Float64()
 		}
 		k := 1 + rng.Intn(10)
 		want := exactTopK(t, idx, s, q, k)

@@ -3,112 +3,10 @@ package search
 import (
 	"context"
 	"math/rand"
-	"os"
-	"reflect"
 	"testing"
 
 	"newslink/internal/index"
-	"newslink/internal/mmap"
 )
-
-// randomCorpus builds an index large enough that frequent terms span many
-// postings blocks, with some terms repeated so term frequencies vary.
-func randomCorpus(rng *rand.Rand, nDocs int, vocab []string) *index.Index {
-	b := index.NewBuilder()
-	for d := 0; d < nDocs; d++ {
-		n := 1 + rng.Intn(8)
-		var terms []string
-		for i := 0; i < n; i++ {
-			t := vocab[rng.Intn(len(vocab))]
-			terms = append(terms, t)
-			if rng.Intn(4) == 0 {
-				for range rng.Intn(3) {
-					terms = append(terms, t)
-				}
-			}
-		}
-		add(b, terms)
-	}
-	return b.Build()
-}
-
-// TestBlockMaxAgreesWithExact: the block-pruned evaluation must return
-// exactly the same ranking and scores as exhaustive accumulation, on random
-// corpora sized to span many blocks. Both sum in the same term order over
-// the same documents, so equality is bitwise.
-func TestBlockMaxAgreesWithExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(1234))
-	vocab := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	ctx := context.Background()
-	for trial := 0; trial < 25; trial++ {
-		nDocs := 50 + rng.Intn(2000)
-		idx := randomCorpus(rng, nDocs, vocab)
-		s := NewBM25(idx)
-		nq := 1 + rng.Intn(4)
-		q := Query{}
-		for i := 0; i < nq; i++ {
-			q[vocab[rng.Intn(len(vocab))]] = 0.5 + rng.Float64()
-		}
-		k := 1 + rng.Intn(12)
-		exact := exactTopK(t, idx, s, q, k)
-		blockmax, bmStats, err := TopKBlockMaxStats(ctx, idx, s, q, k)
-		if err != nil {
-			t.Fatalf("trial %d: block-max error: %v", trial, err)
-		}
-		if !reflect.DeepEqual(blockmax, exact) {
-			t.Fatalf("trial %d: exact %v blockmax %v (query %v k=%d)", trial, exact, blockmax, q, k)
-		}
-		if bmStats.Scored+bmStats.Skipped > bmStats.Postings {
-			t.Fatalf("trial %d: scored %d + skipped %d > postings %d",
-				trial, bmStats.Scored, bmStats.Skipped, bmStats.Postings)
-		}
-	}
-}
-
-// TestBlockMaxAgreesOnDisk runs the same equivalence through an index
-// parsed from a read-only mapping of its file, as a snapshot load does.
-func TestBlockMaxAgreesOnDisk(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	vocab := []string{"a", "b", "c", "d", "e"}
-	idx := randomCorpus(rng, 3000, vocab)
-	path := t.TempDir() + "/idx.bin"
-	if err := writeIndexFile(idx, path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := mmap.Map(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mmap.Unmap(data)
-	d, err := index.ReadIndex(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 10; trial++ {
-		q := Query{}
-		for i := 0; i <= rng.Intn(3); i++ {
-			q[vocab[rng.Intn(len(vocab))]] = 1
-		}
-		k := 1 + rng.Intn(10)
-		exact := exactTopK(t, idx, NewBM25(idx), q, k)
-		if got := blockMax(t, d, NewBM25(d), q, k); !reflect.DeepEqual(got, exact) {
-			t.Fatalf("trial %d: exact %v blockmax %v", trial, exact, got)
-		}
-	}
-}
-
-// writeIndexFile serializes idx to path.
-func writeIndexFile(idx *index.Index, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := idx.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 // TestBlockMaxPrunesBlocks: the realistic skewed query shape — a rare,
 // high-IDF term plus a frequent, low-IDF one — must skip most of the
@@ -167,12 +65,24 @@ func TestBlockMaxEdgeCases(t *testing.T) {
 
 // TestBlockMaxCancellation: a canceled context aborts the traversal.
 func TestBlockMaxCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	idx := randomCorpus(rng, 5000, []string{"x", "y"})
+	idx := build(kernelDocs(5000, 9))
 	sc := NewBM25(idx)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := TopKBlockMaxStats(ctx, idx, sc, Query{"x": 1, "y": 1}, 10); err != context.Canceled {
+	if _, _, err := TopKBlockMaxStats(ctx, idx, sc, Query{"t0": 1, "t1": 1}, 10); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestTopKCancellation: the ordered entry point, which shards run, aborts
+// with ctx.Err() on an already-cancelled context too.
+func TestTopKCancellation(t *testing.T) {
+	idx := build(kernelDocs(200, 5))
+	scorer := NewBM25(idx)
+	ordered, _ := OrderTerms(idx, scorer, Query{"t0": 1, "t1": 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := TopKBlockMaxOrderedStats(ctx, idx, scorer, ordered, 10); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
