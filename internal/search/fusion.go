@@ -18,11 +18,13 @@ import (
 // single normalized ranking, so the "β=0 reduces to Lucene" property of
 // Table VII holds by construction. Both input rankings should be retrieved
 // with depth >= k (a fusion candidate pool), each holding a document at
-// most once; the fused top k are returned, ordered by descending score,
-// ties by ascending DocID. A fused document's score is its BOW
-// contribution plus its BON contribution, in that order.
+// most once; the fused top k are returned (every fused hit for a negative
+// k), ordered by descending score, ties by ascending DocID. A fused
+// document's score is its BOW contribution plus its BON contribution, in
+// that order.
 //
-// Fuse allocates the returned slice and nothing else.
+// The top k are selected in place among the joined hits (topHits). Fuse
+// allocates the returned slice and nothing else.
 func Fuse(bow, bon []Hit, beta float64, k int) []Hit {
 	switch {
 	case beta <= 0:
@@ -47,8 +49,7 @@ func Fuse(bow, bon []Hit, beta float64, k int) []Hit {
 			out = append(out, Hit{Doc: h.Doc, Score: s})
 		}
 	}
-	slices.SortFunc(out, RankOrder)
-	return clip(out, k)
+	return topHits(out, k, true)
 }
 
 // normalized returns the first k hits of a ranking (all of them for a

@@ -12,9 +12,11 @@ import (
 // One fused query at 100k documents used to allocate ~1.6 MB before this
 // file existed: every blockMaxAccumulate call built a fresh dense
 // accumulator (8 bytes per document) plus two bitmaps, and every
-// per-term threshold refresh built a fresh top-k heap. None of that
+// per-term threshold refresh built fresh top-k scratch. None of that
 // state outlives the request, so it is recycled through a sync.Pool
-// instead: acquire hands out an accumulator whose arrays are guaranteed
+// instead — the candidate list that refresh and selectTop select from
+// (at most 16 bytes per viable document) rides along with the
+// accumulator: acquire hands out an accumulator whose arrays are guaranteed
 // all-zero, and release scrubs exactly the words the request dirtied
 // before returning it — the dirty-word analogue of internal/core/state.go's
 // epoch reset, chosen here because the seen bitmap already records every
@@ -27,8 +29,9 @@ import (
 // of seen — admit sets both, sweep only clears viable); and growth
 // allocates fresh zeroed arrays. By induction the entire capacity of every
 // pooled array is zero at Put time, so a later acquire that reslices
-// larger within capacity still sees zeros. No score can leak between
-// requests.
+// larger within capacity still sees zeros. The candidate list is not
+// scrubbed: every use truncates it to length 0 and reads only what that
+// use appended. No score can leak between requests.
 
 // bmAccPool recycles dense accumulators across requests. Entries arrive
 // fully scrubbed (see bmAcc.release); GC may drop them at any time, which

@@ -55,7 +55,7 @@ func TestScratchReleaseScrubs(t *testing.T) {
 // TestPooledReuseIdentityUnderConcurrency mirrors core/identity_test.go for
 // the retrieval scratch: many goroutines run the pooled block-max kernel
 // (through both entry points) concurrently over shared immutable indexes, recycling accumulators,
-// heaps and cursors through the pools at high frequency, and every single
+// candidate lists and cursors through the pools at high frequency, and every single
 // result must stay bitwise identical to the sequential exact reference
 // computed up front. Run under -race this doubles as the data-race proof
 // for pooled reuse.
@@ -127,8 +127,9 @@ func TestPooledReuseIdentityUnderConcurrency(t *testing.T) {
 }
 
 // TestPooledHeapAndMapReuse: the exact TAAT oracle's pooled map
-// accumulator and the kernel's pooled dense accumulator and heap are
-// recycled between calls; interleaving them must not corrupt results.
+// accumulator and the kernel's pooled dense accumulator and candidate
+// list (the top-k heap before it) are recycled between calls;
+// interleaving them must not corrupt results.
 func TestPooledHeapAndMapReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
 	for trial := 0; trial < 20; trial++ {

@@ -136,6 +136,76 @@ func TestTopKEdgeCases(t *testing.T) {
 	}
 }
 
+// TestSelectMatchesSort: the one selection of the read path equals a full
+// RankOrder sort clipped to k — on heavy score ties, on inputs already in
+// rank order, in reverse and all equal, for every length up to 300 and k
+// at, around and inside its edges — and unsorted, it still leaves the k
+// best in front with the k-th best at k-1, which is all the kernel's
+// threshold refresh reads.
+func TestSelectMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	shapes := []struct {
+		name string
+		gen  func(n int) []Hit
+	}{
+		{"ties", func(n int) []Hit {
+			hits := make([]Hit, n)
+			for i, d := range rng.Perm(n) {
+				hits[i] = Hit{index.DocID(d), []float64{0.5, 1, 2}[rng.Intn(3)]}
+			}
+			return hits
+		}},
+		{"ascending", func(n int) []Hit {
+			hits := make([]Hit, n)
+			for i := range hits {
+				hits[i] = Hit{index.DocID(i), float64(i)}
+			}
+			return hits
+		}},
+		{"descending", func(n int) []Hit {
+			hits := make([]Hit, n)
+			for i := range hits {
+				hits[i] = Hit{index.DocID(n - i), float64(n - i)}
+			}
+			return hits
+		}},
+		{"equal-scores", func(n int) []Hit {
+			hits := make([]Hit, n)
+			for i, d := range rng.Perm(n) {
+				hits[i] = Hit{index.DocID(d), 1}
+			}
+			return hits
+		}},
+		{"identical", func(n int) []Hit {
+			hits := make([]Hit, n)
+			for i := range hits {
+				hits[i] = Hit{7, 1}
+			}
+			return hits
+		}},
+	}
+	for _, shape := range shapes {
+		for n := 0; n <= 300; n++ {
+			in := shape.gen(n)
+			want := slices.Clone(in)
+			slices.SortFunc(want, RankOrder)
+			for _, k := range []int{-1, 0, 1, n / 2, rng.Intn(n + 1), n - 1, n, n + 7} {
+				if got := topHits(slices.Clone(in), k, true); !slices.Equal(got, clip(want, k)) {
+					t.Fatalf("%s n=%d k=%d: topHits = %v, want %v", shape.name, n, k, got, clip(want, k))
+				}
+				front := topHits(slices.Clone(in), k, false)
+				if len(front) > 0 && front[len(front)-1] != want[len(front)-1] {
+					t.Fatalf("%s n=%d k=%d: unsorted topHits put %v last, want %v", shape.name, n, k, front[len(front)-1], want[len(front)-1])
+				}
+				slices.SortFunc(front, RankOrder)
+				if !slices.Equal(front, clip(want, k)) {
+					t.Fatalf("%s n=%d k=%d: unsorted topHits = %v, want %v", shape.name, n, k, front, clip(want, k))
+				}
+			}
+		}
+	}
+}
+
 func TestFuseEquation3(t *testing.T) {
 	bow := []Hit{{Doc: 0, Score: 10}, {Doc: 1, Score: 5}}
 	bon := []Hit{{Doc: 1, Score: 2}, {Doc: 2, Score: 1}}

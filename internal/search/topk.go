@@ -1,6 +1,9 @@
 package search
 
 import (
+	"math/bits"
+	"slices"
+
 	"newslink/internal/index"
 )
 
@@ -58,7 +61,11 @@ func TopK(idx index.Source, s BM25, q Query, k int) ([]Hit, error) {
 			acc[p.Doc] += t.Weight * s.Weight(float64(p.TF), t.DF, idx.DocLen(p.Doc))
 		}
 	}
-	return selectTop(acc, k), nil
+	hits := make([]Hit, 0, len(acc))
+	for d, s := range acc {
+		hits = append(hits, Hit{d, s})
+	}
+	return topHits(hits, k, true), nil
 }
 
 // RetrievalStats reports how one top-k retrieval traversed the index: how
@@ -91,95 +98,91 @@ func (t *threshold) min() float64 {
 	return t.v
 }
 
-// selectTop extracts the k best hits from an accumulator. The heap holds at
-// most len(acc) hits, so the capacity is clamped defensively in case an
-// oversized (e.g. request-supplied) k reaches this point.
-func selectTop(acc map[index.DocID]float64, k int) []Hit {
-	h := make(hitHeap, 0, min(k, len(acc)))
-	for d, s := range acc {
-		pushTop(&h, Hit{d, s}, k)
+// topHits is the read path's one top-k selection: it reorders hits in
+// place so that its first k (all, for a negative k) are the k best by
+// RankOrder, the k-th best at k-1, and returns them — in rank order when
+// sorted is set; only those k are ever sorted.
+func topHits(hits []Hit, k int, sorted bool) []Hit {
+	if k < 0 || k > len(hits) {
+		k = len(hits)
 	}
-	return drainHeap(h)
+	selectRank(hits, k, sorted, 2*bits.Len(uint(len(hits))))
+	return hits[:k]
 }
 
-// drainHeap pops a hitHeap into descending rank order (score descending,
-// ties by ascending DocID). The heap is consumed.
-func drainHeap(h hitHeap) []Hit {
-	out := make([]Hit, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		out[i] = h.pop()
-	}
-	return out
-}
-
-// hitHeap is a min-heap by (score, then descending DocID) so the weakest
-// hit is on top and ties prefer smaller DocIDs in the final ranking. The
-// sift operations are hand-rolled rather than going through container/heap
-// because heap.Push(any)/heap.Pop() any box every Hit — on the hot path
-// that was two allocations per candidate considered, dwarfing everything
-// else once the accumulators were pooled.
-type hitHeap []Hit
-
-// less orders the heap: weakest (lowest score, then largest DocID) first.
-func (h hitHeap) less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
-	}
-	return h[i].Doc > h[j].Doc
-}
-
-// up restores the heap property after appending at index i.
-func (h hitHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// down restores the heap property after replacing the element at index i.
-func (h hitHeap) down(i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
+// selectRank is topHits' quickselect, a partial quicksort when sorted is
+// set. Short ranges are insertion-sorted; limit is the partitions left
+// before a range whose pivots keep landing near its ends is sorted instead.
+func selectRank(hits []Hit, k int, sorted bool, limit int) {
+	for k > 0 && len(hits) > insertionMax {
+		if limit == 0 {
+			slices.SortFunc(hits, RankOrder)
 			return
 		}
-		m := l
-		if r := l + 1; r < n && h.less(r, l) {
-			m = r
+		limit--
+		p := partition(hits)
+		if p >= k {
+			hits = hits[:p]
+			continue
 		}
-		if !h.less(m, i) {
+		// hits[:p] and the pivot are all among the k best.
+		if sorted {
+			selectRank(hits[:p], p, true, limit)
+		} else if p == k-1 {
 			return
 		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		hits, k = hits[p+1:], k-p-1
 	}
-}
-
-// pop removes and returns the weakest hit.
-func (h *hitHeap) pop() Hit {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	it := old[n]
-	*h = old[:n]
-	(*h).down(0)
-	return it
-}
-
-func pushTop(h *hitHeap, hit Hit, k int) {
-	if len(*h) < k {
-		*h = append(*h, hit)
-		h.up(len(*h) - 1)
+	if k == 0 {
 		return
 	}
-	worst := (*h)[0]
-	if hit.Score > worst.Score || hit.Score == worst.Score && hit.Doc < worst.Doc {
-		(*h)[0] = hit
-		h.down(0)
+	for i := 1; i < len(hits); i++ {
+		for j := i; j > 0 && before(hits[j], hits[j-1]); j-- {
+			hits[j], hits[j-1] = hits[j-1], hits[j]
+		}
 	}
+}
+
+// insertionMax is the range length selectRank insertion-sorts.
+const insertionMax = 12
+
+// partition moves a median-of-three pivot to its rank position p in hits
+// and returns p: no hit of hits[:p] ranks after it, none of hits[p+1:]
+// before it. Scans stop on equal hits, so equal runs split evenly.
+func partition(hits []Hit) int {
+	n := len(hits)
+	a, b, c := 0, n/2, n-1
+	if before(hits[b], hits[a]) {
+		a, b = b, a
+	}
+	if before(hits[c], hits[b]) {
+		b = c
+		if before(hits[b], hits[a]) {
+			b = a
+		}
+	}
+	hits[0], hits[b] = hits[b], hits[0]
+	pivot := hits[0]
+	i, j := 1, n-1
+	for {
+		for i <= j && before(hits[i], pivot) {
+			i++
+		}
+		for i <= j && before(pivot, hits[j]) {
+			j--
+		}
+		if i >= j {
+			break
+		}
+		hits[i], hits[j] = hits[j], hits[i]
+		i++
+		j--
+	}
+	hits[0], hits[j] = hits[j], hits[0]
+	return j
+}
+
+// before reports whether a ranks ahead of b in RankOrder, inline.
+func before(a, b Hit) bool {
+	return a.Score > b.Score || a.Score == b.Score && a.Doc < b.Doc
 }

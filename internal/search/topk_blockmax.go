@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"math/bits"
+	"slices"
 
 	"newslink/internal/index"
 )
@@ -50,14 +51,14 @@ func TopKBlockMaxStats(ctx context.Context, idx index.Source, s BM25, q Query, k
 //
 // Accumulators are pooled across requests (scratch.go): obtain one with
 // acquireBMAcc and return it with release once the winners are copied out.
-// h is the request-owned top-k heap scratch shared by refresh and
-// selectTop, recycled with the accumulator.
+// cand is the request-owned candidate list that refresh and selectTop
+// collect into and select from, recycled with the accumulator.
 type bmAcc struct {
 	score  []float64
 	seen   []uint64
 	viable []uint64
 	n      int // number of seen documents
-	h      hitHeap
+	cand   []Hit
 }
 
 func (a *bmAcc) isSeen(d index.DocID) bool {
@@ -126,55 +127,44 @@ func (a *bmAcc) sweep(suffix, min float64) {
 	}
 }
 
-// refresh recomputes the k-th best score, reusing the accumulator's heap
-// scratch so per-term refreshes allocate nothing once the heap has grown
-// to k. It walks the viable documents only: a swept one scores strictly
-// below the threshold it was swept under, which never falls, while at
-// least k viable documents score at or above it — so the k best seen
-// documents are all viable (DESIGN.md §10).
+// refresh recomputes the k-th best score from the viable documents
+// scoring at least the current threshold. That drops no winner (DESIGN.md
+// §10): the threshold never falls, and the previous top k are still viable
+// and only gained score, so the new top k score at least as much.
 func (a *bmAcc) refresh(t *threshold, k int) {
+	min := t.min()
 	t.n = a.n
 	if a.n < k {
 		t.v = 0
 		return
 	}
-	h := a.h[:0]
-	a.forEachViable(func(d index.DocID, s float64) {
-		pushTop(&h, Hit{d, s}, k)
-	})
-	a.h = h
-	if len(h) == k {
-		t.v = h[0].Score
-	}
+	t.v = topHits(a.candidates(min), k, false)[k-1].Score
 }
 
-func (a *bmAcc) forEachViable(fn func(index.DocID, float64)) {
+// candidates collects the viable documents scoring at least min into the
+// accumulator's candidate list, which it reuses across calls.
+func (a *bmAcc) candidates(min float64) []Hit {
+	c := a.cand[:0]
 	for w, word := range a.viable {
 		for word != 0 {
 			b := word & (-word)
 			word &^= b
 			i := uint32(w)<<6 | uint32(bits.TrailingZeros64(b))
-			fn(index.DocID(i), a.score[i])
+			if s := a.score[i]; s >= min {
+				c = append(c, Hit{index.DocID(i), s})
+			}
 		}
 	}
+	a.cand = c
+	return c
 }
 
-// selectTop extracts the k best hits, identically to selectTop on a map
-// accumulator over every seen document: same heap, same (score, DocID)
-// tie-break, and — for refresh's reason — the same k documents. Only the
-// returned slice is freshly allocated; the heap reuses the accumulator's
-// scratch.
-func (a *bmAcc) selectTop(k int) []Hit {
-	h := a.h[:0]
-	a.forEachViable(func(d index.DocID, s float64) {
-		pushTop(&h, Hit{d, s}, k)
-	})
-	out := make([]Hit, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		out[i] = h.pop()
-	}
-	a.h = h[:0]
-	return out
+// selectTop extracts the k best hits, identically to TopK's selection over
+// every seen document: for refresh's reason the viable documents scoring
+// at least the last threshold, min, hold the same k. Only the returned
+// slice is allocated; the candidates reuse the accumulator's list.
+func (a *bmAcc) selectTop(min float64, k int) []Hit {
+	return slices.Clone(topHits(a.candidates(min), k, true))
 }
 
 // blockMaxAccumulate is the one postings traversal: the block-max
@@ -280,10 +270,11 @@ func blockMaxAccumulate(ctx context.Context, idx index.Source, s BM25, terms []O
 		}
 		index.ReleaseCursor(cur)
 		// The threshold steers the terms still to come; after the last one
-		// selectTop builds the same heap, so refreshing it is wasted work.
+		// selectTop makes the same selection, so refreshing it is wasted
+		// work.
 		if i < len(terms)-1 {
 			acc.refresh(&th, k)
 		}
 	}
-	return acc.selectTop(k), st, nil
+	return acc.selectTop(th.min(), k), st, nil
 }
