@@ -118,6 +118,12 @@ func TestClusterDaemonEndToEnd(t *testing.T) {
 			t.Fatalf("cluster never served full results (%v, %+v) or its worker's metrics (%s)", err, sr, metrics)
 		}
 	}
+	// The test's polls, the router's client and the workers' artifact
+	// fetches share http.DefaultTransport in this process. A dial that
+	// lost a race to a freed connection can leave a connection to the
+	// router in its pool that never carried a request, and Shutdown waits
+	// up to five seconds for such a new connection to send one.
+	http.DefaultClient.CloseIdleConnections()
 	for _, stop := range append(stops, stop) {
 		stop()
 	}

@@ -19,8 +19,8 @@ import (
 
 // queryFilter is one compiled, request-scoped document filter over a
 // segment set's global position space. All fields are immutable after
-// newQueryFilter, so the concurrent BOW and BON traversals share it
-// lock-free.
+// newQueryFilter: the request's BOW and BON traversals, which run one
+// after the other (Engine.retrieve), read the same one.
 type queryFilter struct {
 	// times is the set's concatenated time column; consulted only when a
 	// temporal bound is set.

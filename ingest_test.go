@@ -3,7 +3,6 @@ package newslink
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -196,151 +195,30 @@ func TestWALSyncPathRecovery(t *testing.T) {
 	runHistory(t, "addall 0-7; build; add 8-13; add 10, update 9, delete 11, delete 99; crash 12; search q=4 k=50")
 }
 
-// TestWALTornWriteRecovery: a write torn mid-record by a crash (simulated
-// by truncating the framed bytes of the final record on their way to
-// disk) is dropped at recovery — it was the unacknowledged tail — and
-// every earlier acknowledged write survives. The repaired log keeps
-// accepting writes.
+// TestWALTornWriteRecovery: a write torn mid-record by a crash — its
+// framed bytes halved on their way to disk — is dropped at recovery, as
+// the unacknowledged tail, over the initial corpus and over a snapshot;
+// every earlier acknowledged write survives, and the repaired log takes
+// the next write, which the next crash replays.
 func TestWALTornWriteRecovery(t *testing.T) {
-	dir := t.TempDir()
-	_, arts := corpus.Sample()
-
-	crashed := walEngine(t, dir)
-	const n = 5
-	for i := 0; i < n; i++ {
-		if err := crashed.Add(streamDoc(arts, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The final record's bytes are cut in half in flight — the crash hits
-	// mid-write, after which the process is gone: nothing else appends.
-	inj := faults.New().MutateN(faults.WALAppend, 1, func(b []byte) []byte {
-		return b[:len(b)/2]
-	})
-	faults.Arm(inj)
-	_ = crashed.Add(streamDoc(arts, n)) // fate ambiguous: torn on disk
-	faults.Disarm()
-	if inj.Hits(faults.WALAppend) == 0 {
-		t.Fatal("WALAppend fault point not reached")
-	}
-
-	recovered := walEngine(t, dir)
-	defer recovered.Close()
-	docs := liveDocSet(t, recovered)
-	for i := 0; i < n; i++ {
-		want := streamDoc(arts, i)
-		if docs[want.ID] != want.Title {
-			t.Fatalf("acknowledged doc %d lost after torn-write recovery", want.ID)
-		}
-	}
-	if _, ok := docs[1000+n]; ok {
-		t.Fatal("torn (unacknowledged) doc present after recovery")
-	}
-	// The log must keep working at the repaired boundary.
-	late := streamDoc(arts, n+1)
-	if err := recovered.Add(late); err != nil {
-		t.Fatalf("Add after torn-tail repair: %v", err)
-	}
-	third := walEngine(t, dir)
-	defer third.Close()
-	if docs := liveDocSet(t, third); docs[late.ID] != late.Title {
-		t.Fatal("post-repair write lost")
-	}
+	runHistory(t, "addall 0-7; build; add 8-12; torn 13; add 14; crash 15; search q=4 k=50; save; update 3, torn 3; ingest 16; torn 17; crash 18; search q=4 k=50")
 }
 
-// TestWALBitflipRefusesStart: a bit flipped under a fully-written,
-// acknowledged record must surface as ErrWALCorrupt at recovery — never
-// be dropped like a torn tail, which would silently lose the write.
+// TestWALBitflipRefusesStart: a bit flipped under a fully written,
+// acknowledged record surfaces as ErrWALCorrupt at recovery, with nothing
+// published — never dropped like a torn tail, which would lose the
+// write — whether the recovery builds the initial corpus or loads a
+// snapshot; with the bit restored it recovers every write.
 func TestWALBitflipRefusesStart(t *testing.T) {
-	dir := t.TempDir()
-	_, arts := corpus.Sample()
-
-	crashed := walEngine(t, dir)
-	for i := 0; i < 4; i++ {
-		if err := crashed.Add(streamDoc(arts, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segs := walSegments(t, dir)
-	if len(segs) != 1 {
-		t.Fatalf("wal segments: %v", segs)
-	}
-	data, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a payload byte of the final (fully written) record. The record's
-	// bytes are all present, so replay must fail its checksum — unlike a
-	// flipped length header, which is indistinguishable from a torn tail.
-	data[len(data)-2] ^= 0x10
-	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	g, _ := corpus.Sample()
-	e := New(g, DefaultConfig(), WithWAL(dir))
-	for _, a := range arts {
-		if err := e.Add(Document{ID: a.ID, Title: a.Title, Text: a.Text}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Build(); !errors.Is(err, ErrWALCorrupt) {
-		t.Fatalf("Build over bitflipped WAL: %v, want ErrWALCorrupt", err)
-	}
+	runHistory(t, "addall 0-7; build; add 8-11; flip; add 12; save; update 3, delete 9; flip; search q=4 k=50")
 }
 
-// TestWALPartialFsyncRecovery: a failing fsync refuses the ack (the
-// write's fate is ambiguous) and the log goes sticky-failed; a crash that
-// additionally tears the unacknowledged tail off the file still recovers
-// every acknowledged write.
+// TestWALPartialFsyncRecovery: a failing fsync refuses the ack — the
+// write's fate is ambiguous — and the log stays failed, refusing the next
+// write; a crash that also tears the unsynced record off the file still
+// recovers every acknowledged write.
 func TestWALPartialFsyncRecovery(t *testing.T) {
-	dir := t.TempDir()
-	_, arts := corpus.Sample()
-
-	crashed := walEngine(t, dir)
-	const n = 4
-	for i := 0; i < n; i++ {
-		if err := crashed.Add(streamDoc(arts, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	errDisk := errors.New("injected: disk gone")
-	inj := faults.New().Fail(faults.WALSync, errDisk)
-	faults.Arm(inj)
-	if err := crashed.Add(streamDoc(arts, n)); !errors.Is(err, errDisk) {
-		faults.Disarm()
-		t.Fatalf("Add with failing fsync: %v, want injected error", err)
-	}
-	faults.Disarm()
-	// The log is poisoned: later writes fail too, rather than pretending
-	// durability recovered.
-	if err := crashed.Add(streamDoc(arts, n+1)); err == nil {
-		t.Fatal("write accepted on a poisoned log")
-	}
-	// Crash + partial write: the unsynced tail record half-reaches disk.
-	segs := walSegments(t, dir)
-	if len(segs) != 1 {
-		t.Fatalf("wal segments: %v", segs)
-	}
-	fi, err := os.Stat(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(segs[0], fi.Size()-7); err != nil {
-		t.Fatal(err)
-	}
-
-	recovered := walEngine(t, dir)
-	defer recovered.Close()
-	docs := liveDocSet(t, recovered)
-	for i := 0; i < n; i++ {
-		want := streamDoc(arts, i)
-		if docs[want.ID] != want.Title {
-			t.Fatalf("acknowledged doc %d lost after partial-fsync crash", want.ID)
-		}
-	}
-	if _, ok := docs[1000+n]; ok {
-		t.Fatal("unacknowledged doc survived — it was never owed durability, and its tail was torn")
-	}
+	runHistory(t, "addall 0-7; build; add 8-11; fsync 12; search q=4 k=50; add 12; save; ingest 13; fsync 3; crash 14; search q=4 k=50")
 }
 
 // TestIngestAckedNeverLost: the acknowledged-but-unapplied window — WAL
@@ -393,14 +271,7 @@ func TestIngestBackpressure(t *testing.T) {
 	}
 	faults.Disarm()
 	e.FlushIngest()
-	docs := liveDocSet(t, e)
-	got := 0
-	for id := range docs {
-		if id >= 1000 {
-			got++
-		}
-	}
-	if got != acked {
+	if got := e.NumDocs() - len(arts); got != acked { // the stream's IDs are fresh
 		t.Fatalf("%d acked writes, %d present after flush", acked, got)
 	}
 	if got := e.met.ingestShed.Value(); got != int64(shed) {
@@ -414,30 +285,12 @@ func TestIngestWithoutQueueIsSynchronousUpsert(t *testing.T) {
 	runHistory(t, "addall 0-7; build; ingest 20, search q=4; ingest 20, ingest 3; search q=4 k=50")
 }
 
-// TestWriteAfterCloseFails: once Close released the WAL, writes fail with
-// ErrClosed instead of silently losing durability.
+// TestWriteAfterCloseFails: Close drains the ingest queue and releases
+// the WAL; after it every write fails with ErrClosed instead of silently
+// losing durability, and a second Close is a no-op. Every write flushed
+// before it is durable: the recovery holds it.
 func TestWriteAfterCloseFails(t *testing.T) {
-	dir := t.TempDir()
-	_, arts := corpus.Sample()
-	e := walEngine(t, dir, WithIngestQueue(8))
-	if err := e.Ingest(streamDoc(arts, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Ingest(streamDoc(arts, 1)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Ingest after Close: %v, want ErrClosed", err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatalf("double Close: %v", err)
-	}
-	// The flushed write is durable: a recovery sees it.
-	recovered := walEngine(t, dir)
-	defer recovered.Close()
-	if docs := liveDocSet(t, recovered); docs[1000] == "" {
-		t.Fatal("pre-Close write lost")
-	}
+	runHistory(t, "addall 0-7; build; ingest 8, ingest 9, close; search q=4 k=50; save; ingest 10, update 3, close; search q=4 k=50")
 }
 
 // TestLoadAppliesRuntimeOptions: Load now honors runtime options — the

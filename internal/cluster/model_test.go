@@ -682,8 +682,7 @@ func (r *clusterRun) check(s cstep, set int) (reply, error) {
 		}
 		return got, err
 	}
-	shardsOK, _ := got.body["shards_ok"].(float64)
-	n, ok := bits.OnesCount(uint(set)), int(shardsOK)
+	n := bits.OnesCount(uint(set))
 	// The source of a related read lives on a slot that does not serve, so
 	// no oracle over the serving slots holds it.
 	elsewhere := s.kind == "related" && s.arg < numSlots*slotDocs && set&(1<<(s.arg/slotDocs)) == 0 &&
@@ -692,20 +691,8 @@ func (r *clusterRun) check(s cstep, set int) (reply, error) {
 		want, werr = fetch(http.MethodGet, r.oracle(set)+path, "")
 		err = errors.Join(err, werr)
 	}
-	// A pass over admitted slots that hold no posting of the read scatters
-	// nothing, so it never learns which of them are down: it answers []
-	// over every slot still admitted. That reply is right only if no
-	// serving slot holds a posting and ok slots without one exist.
-	unscattered := err == nil && got.status == http.StatusOK && len(got.results()) == 0 && ok > n
-	if unscattered {
-		var posted int
-		posted, err = r.posted(s)
-		unscattered = posted&set == 0 && ok <= numSlots-bits.OnesCount(uint(posted))
-	}
 	switch {
 	case err != nil:
-	case unscattered:
-		want = envelope(got, ok)
 	case n == 0:
 		want = reply{status: http.StatusServiceUnavailable, raw: `"shard_unavailable"`}
 	case elsewhere:
@@ -721,31 +708,6 @@ func (r *clusterRun) check(s cstep, set int) (reply, error) {
 		err = fmt.Errorf("router %d %s\nwant %d %v %s", got.status, got.raw, want.status, want.body, want.raw)
 	}
 	return got, err
-}
-
-// posted returns the slots holding a posting of s's query, in the legs
-// its β runs: the slot of every result of its unfiltered, unbounded read
-// over the full snapshot and, for related, the source's own.
-func (r *clusterRun) posted(s cstep) (int, error) {
-	all := cstep{kind: s.kind, arg: s.arg, params: []string{"k=100", "pool=10000"}}
-	for _, p := range s.params {
-		if p[0] == 'q' || strings.HasPrefix(p, "beta") {
-			all.params = append(all.params, p)
-		}
-	}
-	rep, err := fetch(http.MethodGet, r.oracle(allSlots)+all.path(), "")
-	if err == nil && rep.status != http.StatusOK {
-		err = fmt.Errorf("%s: %d %s", all, rep.status, rep.raw)
-	}
-	slots := 0
-	if s.kind == "related" {
-		slots = 1 << (s.arg / slotDocs)
-	}
-	for _, res := range rep.results() {
-		id, _ := res.(map[string]any)["ID"].(float64)
-		slots |= 1 << (int(id) / slotDocs)
-	}
-	return slots, err
 }
 
 // envelope is a ranked reply of a router with ok of its slots serving.
@@ -812,7 +774,7 @@ var fixedHistories = map[string]string{
 	"TestDegradedFilteredMatchesLiveSlots":     "fail 1" + readSteps("search", []string{"q=0"}, "after=2", "after=1 before=5", "ent=1"),
 	"TestDegradedOnShardTimeout":               "slow 1; search q=1; search q=1 k=3",
 	"TestDegradedOnShardCrashMidStream":        "cut 1; search q=2; search q=2",
-	"TestWorkerCrashAndRecovery":               "search q=3; kill 2; search q=3; related 5; restart 2; await; search q=3; related 40",
+	"TestWorkerCrashAndRecovery":               "search q=3; kill 2; search q=3; search q=5; related 5; restart 2; await; search q=3; related 40",
 	"TestRetryOnTransientFailure":              "flake 0; search q=4; flake 2; related 40; search q=4",
 	"TestHedgedRequests":                       "hedged; slow 0; search; search; burst; kill 0; search q=1; restart 0; await; search q=1",
 	"TestAllShardsDown":                        "fail 0; fail 1; fail 2; search; related 5; explain 5; dot 5; heal; await; search",

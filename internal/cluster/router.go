@@ -487,9 +487,8 @@ func (rt *Router) traverseOnce(ctx context.Context, target []*slot, t newslink.T
 	if t.Node != nil {
 		orderedNode, _ = search.OrderTerms(stats.node, nodeScorer, t.Node)
 	}
-	if pool == 0 || len(orderedText)+len(orderedNode) == 0 {
-		// Nothing can match (empty live corpus or no query term posted
-		// anywhere); skip the scatter entirely.
+	if pool == 0 {
+		// The target serves no live document: nothing can match.
 		return newslink.Retrieval{}, nil
 	}
 	sp := tr.Start(obs.StageScatter)

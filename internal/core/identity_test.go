@@ -15,7 +15,7 @@ import (
 	"newslink/internal/nlp"
 )
 
-// These tests gate the G* search: Find and FindK (node-major epoch-stamped
+// These tests gate the G* search: Find (node-major epoch-stamped
 // state, bucket queue, parents derived at reconstruction, pooled) must
 // produce embeddings identical to the reference (reference_test.go, the
 // original map-based implementation kept as an executable specification) —
@@ -58,18 +58,10 @@ func sameEmbedding(a, b *DocEmbedding) bool {
 	return true
 }
 
-// checkSearcher compares Find and the first k ranks of FindK with the
-// reference.
-func checkSearcher(t *testing.T, s *Searcher, labels []string, k int) {
+// checkSearcher compares Find with the reference.
+func checkSearcher(t *testing.T, s *Searcher, labels []string) {
 	t.Helper()
 	checkIdentical(t, labels, s.Find(labels), s.FindReference(labels))
-	got, want := s.FindK(labels, k), s.findKReference(labels, k)
-	if len(got) != len(want) {
-		t.Fatalf("labels %q: FindK ranked %d roots, reference %d", labels, len(got), len(want))
-	}
-	for i := range got {
-		checkIdentical(t, labels, got[i], want[i])
-	}
 }
 
 // randomLabelSet draws an entity group the way real queries look: labels
@@ -121,32 +113,9 @@ func TestFlatStateMatchesReference(t *testing.T) {
 			// leak anything from query to query.
 			for q := 0; q < 25; q++ {
 				labels := randomLabelSet(rng, w)
-				checkSearcher(t, s, labels, 4)
+				checkSearcher(t, s, labels)
 			}
 		}
-	}
-}
-
-// TestFindKMatchesReferenceRank0 pins FindK's contract that rank 0 equals
-// Find (and therefore FindReference) after the state rewrite.
-func TestFindKMatchesReferenceRank0(t *testing.T) {
-	w := kg.Generate(kg.DefaultConfig(11))
-	rng := rand.New(rand.NewSource(99))
-	s := NewSearcher(w.Graph, Options{MaxDepth: 6})
-	for q := 0; q < 15; q++ {
-		labels := randomLabelSet(rng, w)
-		ranked := s.FindK(labels, 3)
-		want := s.FindReference(labels)
-		if want == nil {
-			if len(ranked) != 0 {
-				t.Fatalf("labels %q: FindK returned %d results, reference found none", labels, len(ranked))
-			}
-			continue
-		}
-		if len(ranked) == 0 {
-			t.Fatalf("labels %q: FindK empty, reference found %v", labels, want.Root)
-		}
-		checkIdentical(t, labels, ranked[0], want)
 	}
 }
 
@@ -431,7 +400,7 @@ func TestAdversarialGraphsMatchReference(t *testing.T) {
 			for _, opts := range identityVariants {
 				s := NewSearcher(c.g, opts)
 				for _, q := range c.queries {
-					checkSearcher(t, s, q, math.MaxInt)
+					checkSearcher(t, s, q)
 				}
 			}
 			for _, model := range []Model{ModelLCAG, ModelTree} {
@@ -446,7 +415,7 @@ func TestAdversarialGraphsMatchReference(t *testing.T) {
 					}
 					for budget := 1; budget <= n; budget++ {
 						for _, noStop := range []bool{false, true} {
-							checkSearcher(t, NewSearcher(c.g, Options{Model: model, MaxExpansions: budget, NoEarlyStop: noStop}), q, math.MaxInt)
+							checkSearcher(t, NewSearcher(c.g, Options{Model: model, MaxExpansions: budget, NoEarlyStop: noStop}), q)
 						}
 					}
 				}
@@ -473,7 +442,7 @@ func TestSearchColdShapeFindsNoRoot(t *testing.T) {
 		if s.FindReference(labels) == nil {
 			none++
 		}
-		checkSearcher(t, s, labels, math.MaxInt)
+		checkSearcher(t, s, labels)
 	}
 	if none == 0 {
 		t.Fatal("no root-less query among the cold-shaped label sets; the test no longer covers that path")
@@ -583,7 +552,7 @@ func fuzzCase(data []byte) (*kg.Graph, []string, Options) {
 }
 
 // FuzzFindMatchesReference: on any small weighted graph, label set and
-// option set, Find and every FindK rank equal the reference.
+// option set, Find equals the reference.
 func FuzzFindMatchesReference(f *testing.F) {
 	f.Add([]byte{6, 3, 0, 2, 0, 1, 0, 1, 0, 1, 2, 4, 2, 3, 8, 3, 4, 12, 4, 5, 16})
 	f.Add([]byte{9, 4, 1, 3, 0, 1, 2, 0, 1, 24, 1, 2, 24, 2, 3, 24, 3, 0, 0, 4, 5, 1, 5, 6, 2})
@@ -591,7 +560,7 @@ func FuzzFindMatchesReference(f *testing.F) {
 	f.Add([]byte{5, 5, 4 | 16, 2, 0, 4, 0, 1, 24, 1, 2, 24, 2, 3, 0, 3, 4, 24, 1, 1, 25})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, labels, opts := fuzzCase(data)
-		checkSearcher(t, NewSearcher(g, opts), labels, math.MaxInt)
+		checkSearcher(t, NewSearcher(g, opts), labels)
 	})
 }
 
@@ -603,7 +572,7 @@ func TestRandomGraphsMatchReference(t *testing.T) {
 		data := make([]byte, 12+rng.Intn(90))
 		rng.Read(data)
 		g, labels, opts := fuzzCase(data)
-		checkSearcher(t, NewSearcher(g, opts), labels, math.MaxInt)
+		checkSearcher(t, NewSearcher(g, opts), labels)
 		if t.Failed() {
 			t.Fatalf("case %d: data %v", i, data)
 		}

@@ -28,50 +28,6 @@ func (s *Searcher) FindReference(labels []string) *Subgraph {
 	return st.best()
 }
 
-// findKReference is FindK over the reference traversal's candidate set.
-func (s *Searcher) findKReference(labels []string, k int) []*Subgraph {
-	st := newRefState(s.g, s.opts, labels)
-	if st == nil || k <= 0 {
-		return nil
-	}
-	st.run()
-	type ranked struct {
-		v   kg.NodeID
-		vec []float64
-	}
-	var all []ranked
-	for _, v := range st.candidates {
-		vec := make([]float64, len(st.ls))
-		for i := range st.ls {
-			vec[i] = st.ls[i].dist[v]
-		}
-		sort.Sort(sort.Reverse(sort.Float64Slice(vec)))
-		all = append(all, ranked{v, vec})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		switch {
-		case st.opts.Model == ModelTree:
-			si, sj := sumVec(all[i].vec), sumVec(all[j].vec)
-			if si != sj {
-				return si < sj
-			}
-		case st.opts.DepthOnly:
-			if all[i].vec[0] != all[j].vec[0] {
-				return all[i].vec[0] < all[j].vec[0]
-			}
-		}
-		if c := CompareCompactness(all[i].vec, all[j].vec); c != 0 {
-			return c < 0
-		}
-		return all[i].v < all[j].v
-	})
-	var out []*Subgraph
-	for _, r := range all[:min(k, len(all))] {
-		out = append(out, st.reconstruct(r.v))
-	}
-	return out
-}
-
 // refLabelState is the per-label Dijkstra state (the paper's F_i plus the
 // distance map and shortest-path DAG parents for reconstruction).
 type refLabelState struct {

@@ -54,8 +54,8 @@ type slotRec struct {
 	mark  uint32 // reconstruct's visit stamp
 }
 
-// state is one pooled G* traversal. It is owned by a single Find/FindK
-// call at a time and recycled through the Searcher's pool.
+// state is one pooled G* traversal. It is owned by a single Find call at a
+// time and recycled through the Searcher's pool.
 type state struct {
 	g       *kg.Graph
 	opts    Options

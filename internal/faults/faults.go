@@ -39,7 +39,8 @@ const (
 	// SaveWrite fires before each snapshot artifact is written.
 	SaveWrite Point = "persist.write"
 	// SaveRename fires before the atomic rename that installs a finished
-	// snapshot.
+	// snapshot, after a previous snapshot at the target was parked, so an
+	// error rule runs the roll-back of a failed install.
 	SaveRename Point = "persist.rename"
 	// Handler fires inside the HTTP middleware, before the route handler
 	// runs. A panic rule simulates a crashing handler.

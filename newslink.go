@@ -435,11 +435,17 @@ func (e *Engine) docEmbedding(s *segmentSet, pos int) *core.DocEmbedding {
 // corpus plus the replayed writes become the starting state — and with
 // WithIngestQueue it arms the async ingest pipeline. A corrupt log fails
 // Build with ErrWALCorrupt rather than silently dropping acknowledged
-// writes.
+// writes. A Build that fails there closes the engine, whose replay stopped
+// part-way: it serves nothing and every later call, Build included,
+// returns ErrClosed. After Close, Build is ErrClosed.
 func (e *Engine) Build() error {
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
 	e.mu.Lock()
+	if e.closed.Load() {
+		e.mu.Unlock()
+		return ErrClosed
+	}
 	if e.set.Load() != nil {
 		e.mu.Unlock()
 		return ErrAlreadyBuilt
@@ -450,7 +456,15 @@ func (e *Engine) Build() error {
 	}
 	e.publishLocked([]*segment{e.sealPendingLocked()})
 	e.mu.Unlock()
-	return e.startDurabilityLocked()
+	err := e.startDurabilityLocked()
+	if err != nil {
+		e.closed.Store(true)
+		e.set.Store(nil)
+		for _, g := range []*obs.Gauge{e.met.segments, e.met.liveDocs, e.met.deletedDocs, e.met.docs} {
+			g.Set(0)
+		}
+	}
+	return err
 }
 
 // deleteLocked tombstones one document by public ID (applyLocked's delete

@@ -175,7 +175,8 @@ func readOldSnapshot(dir string) *oldSnapshot {
 // Saves are incremental: segment artifacts are content-addressed, so a
 // segment already present in the snapshot being replaced is hard-linked
 // into the new one instead of rewritten — only new and merged segments
-// (and meta.json, which carries the tombstones) cost IO. A loaded segment
+// (and meta.json, which carries the tombstones) cost writes, and a linked
+// file is read once to verify its checksum. A loaded segment
 // is written from its mapped artifacts; if one was truncated under the
 // engine, Save fails with that error. After Close, Save is ErrClosed.
 //
@@ -271,9 +272,10 @@ func (e *Engine) save(dir string) error {
 		return nil
 	}
 	segMetas := make([]segmentMeta, 0, len(set.segs))
+	buf := make([]byte, copyBufSize)
 	for si, seg := range set.segs {
 		art := seg.art.Load()
-		if art == nil || !reuseSegment(old, art, tmp, sums) {
+		if art == nil || !reuseSegment(old, art, tmp, sums, buf) {
 			if art, err = writeSegment(tmp, si, seg, writeArtifact, sums); err != nil {
 				return err
 			}
@@ -329,10 +331,12 @@ func (e *Engine) save(dir string) error {
 
 // reuseSegment hard-links a segment's artifacts from the existing snapshot
 // into the staging directory when the old snapshot provably holds the same
-// content (same content-derived id, same recorded checksums). Returns
+// content: the same content-derived id, the same recorded checksums, and
+// linked files whose bytes still hash to them (a file truncated or damaged
+// since is written afresh, never carried into the new snapshot). Returns
 // false — and leaves any partial links to be overwritten by a fresh
 // serialization — when reuse is not possible.
-func reuseSegment(old *oldSnapshot, art *segmentArtifact, tmp string, sums map[string]string) bool {
+func reuseSegment(old *oldSnapshot, art *segmentArtifact, tmp string, sums map[string]string, buf []byte) bool {
 	if old == nil || !old.ids[art.id] {
 		return false
 	}
@@ -345,7 +349,11 @@ func reuseSegment(old *oldSnapshot, art *segmentArtifact, tmp string, sums map[s
 		if _, done := sums[name]; done {
 			continue // an identical segment already staged this file
 		}
-		if err := os.Link(filepath.Join(old.dir, name), filepath.Join(tmp, name)); err != nil {
+		link := filepath.Join(tmp, name)
+		if err := os.Link(filepath.Join(old.dir, name), link); err != nil {
+			return false
+		}
+		if sum, err := checksumFile(link, buf); err != nil || sum != art.sums[name] {
 			return false
 		}
 		sums[name] = art.sums[name]
@@ -395,9 +403,6 @@ func writeSegment(tmp string, si int, seg *segment, writeArtifact func(string, i
 // after the rename succeeded (and restored if it failed). The parent
 // directory is fsynced so the swap itself is durable.
 func installSnapshot(tmp, dir string) error {
-	if err := faults.Fire(faults.SaveRename); err != nil {
-		return fmt.Errorf("newslink: installing snapshot: %w", err)
-	}
 	old := dir + ".old"
 	// A leftover parked copy from a crashed earlier install is dead weight.
 	if err := os.RemoveAll(old); err != nil {
@@ -410,7 +415,13 @@ func installSnapshot(tmp, dir string) error {
 		}
 		moved = true
 	}
-	if err := os.Rename(tmp, dir); err != nil {
+	err := faults.Fire(faults.SaveRename)
+	if err == nil {
+		err = os.Rename(tmp, dir)
+	} else {
+		err = fmt.Errorf("newslink: installing snapshot: %w", err)
+	}
+	if err != nil {
 		if moved {
 			// Roll the previous snapshot back into place.
 			if rerr := os.Rename(old, dir); rerr != nil {

@@ -1,39 +1,31 @@
 package newslink
 
 import (
-	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
 	"newslink/internal/corpus"
-	"newslink/internal/faults"
 )
 
 // copyDir clones a flat snapshot directory into dst.
 func copyDir(t *testing.T, src, dst string) {
 	t.Helper()
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Fatal(err)
+	files, err := readFiles(src)
+	if err == nil {
+		err = os.MkdirAll(dst, 0o755)
 	}
-	entries, err := os.ReadDir(src)
+	for name, data := range files {
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, name), data, 0o644)
+		}
+	}
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, ent := range entries {
-		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, ent.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -293,108 +285,33 @@ func TestLoadCorruptionTable(t *testing.T) {
 	}
 }
 
-// truncateArtifacts empties, in place, every snapshot file in dir whose
-// name ends in suffix — a disk going bad under a loaded engine after the
-// load-time checksum pass, which its mappings fault on.
-func truncateArtifacts(t *testing.T, dir, suffix string) {
-	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dir, "seg-*."+suffix))
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no seg-*.%s under %s (%v)", suffix, dir, err)
-	}
-	for _, path := range matches {
-		if err := os.Truncate(path, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestOnDiskReadErrorNeverBecomesEmpty: once the files behind a loaded
-// engine's mappings are truncated, every consumer of postings must report
-// the fault as an error. None may turn it into an empty answer: not a filtered
-// search's entity allowlist, not Compact or a policy merge (which would
-// publish a segment without postings and answer every later search with
-// zero hits), not Save.
+// engine's mappings (Load, and LoadRouted with its shards) are truncated,
+// every read answers exactly or fails. None may turn the fault into an
+// empty answer: not a filtered search's entity allowlist, not Compact, a
+// policy merge or Save. The snapshot's twelve documents and seven
+// one-document segments make the eighth, sealed with the damage, a merge
+// run the policy must fail and count.
 func TestOnDiskReadErrorNeverBecomesEmpty(t *testing.T) {
-	g, arts := corpus.Sample()
-	const query = "Taliban bombing in Lahore"
-	// load saves the sample engine plus extra one-document segments and
-	// loads it back.
-	load := func(t *testing.T, extra int) (*Engine, string) {
-		dir := savedWithSegments(t, extra)
-		disk, err := Load(dir, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { disk.Close() })
-		if disk.NumSegments() != extra+1 {
-			t.Fatalf("loaded %d segments, want %d", disk.NumSegments(), extra+1)
-		}
-		if res, err := disk.Search(query, 5); err != nil || len(res) == 0 {
-			t.Fatalf("healthy search: %v, %v", res, err)
-		}
-		return disk, dir
+	r := runHistory(t, "addall 0-11; build; add 12; add 13; add 14; add 15; add 16; add 17; add 18; save; "+
+		"add 19, truncate text.idx, search q=4 k=50, related 3; truncate node.idx, search q=4 beta=0 ent=1, explain 3 q=4; "+
+		"truncate docs.bin, delete 5, related 4; save; truncate docs.bin; compact; save")
+	if r.failed != 1 || r.counted != 0 {
+		t.Fatalf("%d policy merges met the truncated artifacts and %d merges or merged documents were counted; want 1 failure and none counted",
+			r.failed, r.counted)
 	}
-
-	disk, dir := load(t, 1)
-	// Node index gone: a text-only (β = 0) search never touches it except
-	// to build the entity allowlist, which must fail the request rather
-	// than match nothing.
-	truncateArtifacts(t, dir, "node.idx")
-	beta := 0.0
-	faceted := Query{Text: query, K: 5, Beta: &beta, Entities: []string{"Taliban"}}
-	if res, err := disk.SearchContext(context.Background(), faceted); err == nil {
-		t.Fatalf("entity-filtered search over an unreadable node index returned %v, no error", res)
+	// The stored fields, truncated under the mappings and then removed by
+	// the repair. A compact before the damage leaves the reloaded (Load)
+	// execution resident, so only the sharded (LoadRouted) one maps it.
+	for name, h := range map[string]string{
+		"Load/truncated/docs.bin":       "addall 0-11; build; save; truncate docs.bin, search q=4, related 3, explain 3 q=4; save",
+		"Load/removed/docs.bin":         "addall 0-11; build; save; truncate docs.bin; search q=4, related 3, explain 3 q=4; delete 5; save",
+		"LoadRouted/truncated/docs.bin": "addall 0-11; build; delete 2; save; compact; truncate docs.bin, search q=4, related 3, explain 3 q=4",
+		"LoadRouted/removed/docs.bin":   "addall 0-11; build; delete 2; save; compact; truncate docs.bin; search q=4, related 3, explain 3 q=4",
+		"WAL/truncated/text.idx":        "addall 0-11; build; add 12; save; crash 13; truncate text.idx, search q=4 k=50; truncate text.idx; search q=4",
+	} {
+		t.Run(name, func(t *testing.T) { runHistory(t, h) })
 	}
-	terms := disk.EntityTerms(faceted.Entities)
-	if _, _, err := disk.FilteredSources(0, 0, terms); err == nil {
-		t.Fatal("FilteredSources over an unreadable node index returned no error")
-	}
-	if _, err := disk.ExplainQueryContext(context.Background(), faceted, 1, 3); err == nil {
-		t.Fatal("entity-filtered Explain over an unreadable node index returned no error")
-	}
-	if err := disk.Compact(); err == nil {
-		t.Fatal("Compact over unreadable segments returned no error")
-	}
-	if disk.NumSegments() != 2 {
-		t.Fatalf("failed Compact left %d segments published, want the 2 it started from", disk.NumSegments())
-	}
-	if err := disk.Save(filepath.Join(t.TempDir(), "resave")); err == nil {
-		t.Fatal("Save over unreadable segments returned no error")
-	}
-	truncateArtifacts(t, dir, "text.idx")
-	if res, err := disk.Search(query, 5); err == nil {
-		t.Fatalf("search over unreadable segments returned %v, no error", res)
-	}
-
-	// The tiered policy on refresh has no error return: the mergeFactor-th
-	// adjacent segment of tier segTier(1) makes a run, the merge fails, and
-	// the run stays unmerged (and exact) with the failure counted. The
-	// sample segment joins the run only if it shares that tier.
-	late := mergeFactor - 1
-	if segTier(len(arts)) == segTier(1) {
-		late--
-	}
-	disk, dir = load(t, late)
-	truncateArtifacts(t, dir, "text.idx")
-	if err := disk.Add(Document{ID: 9400, Title: "later", Text: "A later bulletin."}); err != nil {
-		t.Fatal(err)
-	}
-	disk.Refresh()
-	if disk.NumSegments() != late+2 {
-		t.Fatalf("failed policy merge left %d segments, want %d unmerged", disk.NumSegments(), late+2)
-	}
-	if n := disk.met.segmentMergeErrors.Value(); n != 1 {
-		t.Fatalf("newslink_segment_merge_errors_total = %d, want 1", n)
-	}
-	if n := disk.met.segmentMerges.Value(); n != 0 {
-		t.Fatalf("newslink_segment_merges_total = %d after a failed merge, want 0", n)
-	}
-	if n := disk.met.segmentMergedDocs.Value(); n != 0 {
-		t.Fatalf("newslink_segment_merged_docs_total = %d after a failed merge, want 0", n)
-	}
-
-	storedFieldReadErrors(t)
 }
 
 // savedWithSegments saves the sample engine plus extra one-document
@@ -473,327 +390,25 @@ func TestCloseReleasesEveryMapping(t *testing.T) {
 }
 
 // TestReadsAfterCloseFail: once Close has run, every read — and Save and
-// Compact, which read too — fails with ErrClosed, so none touches a
-// released mapping.
+// Compact, which read too — fails with ErrClosed, on engines that hold
+// their documents and on engines that map them, so none touches a released
+// mapping; each reopens with every write it held.
 func TestReadsAfterCloseFail(t *testing.T) {
-	g, arts := corpus.Sample()
-	e, err := Load(savedWithSegments(t, 1), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	const query = "Taliban bombing in Lahore"
-	id := arts[1].ID
-	_, searchErr := e.Search(query, 5)
-	_, relatedErr := e.Related(id, 5)
-	_, explainErr := e.Explain(query, id, 3)
-	_, dotErr := e.ExplainDOT(query, id, "t")
-	_, docErr := e.DocAt(0)
-	_, _, sourcesErr := e.Sources()
-	for op, err := range map[string]error{
-		"Search":     searchErr,
-		"Related":    relatedErr,
-		"Explain":    explainErr,
-		"ExplainDOT": dotErr,
-		"DocAt":      docErr,
-		"Sources":    sourcesErr,
-		"Save":       e.Save(filepath.Join(t.TempDir(), "resave")),
-		"Compact":    e.Compact(),
-		"Add":        e.Add(Document{ID: 9500, Text: "After the close."}),
-	} {
-		if !errors.Is(err, ErrClosed) {
-			t.Errorf("%s after Close: %v, want ErrClosed", op, err)
-		}
-	}
-}
-
-// storedFieldReadErrors is TestOnDiskReadErrorNeverBecomesEmpty's
-// guarantee for the stored fields a loaded engine — Load, and LoadRouted,
-// the cluster router's engine — reads in place from its mapped documents
-// artifact (docs.bin): Search and DocAt read it, and Related, Explain and
-// ExplainDOT too, to re-derive the source document's embedding from its
-// text. Truncated under the engine, every request that reads the artifact
-// fails, Save to a fresh directory included, and every other request
-// answers exactly as before. Removed under it, nothing changes at all: the
-// mapping keeps the file's contents, so the engine keeps answering
-// exactly, and re-saves byte for byte.
-//
-// Then nothing the engine answered may alias its mappings: with every
-// artifact truncated and the engine closed, the answers taken while it was
-// healthy still read back equal to their copies. A mapped string that
-// escaped a request would fault here, outside any guard, and crash the
-// test.
-func storedFieldReadErrors(t *testing.T) {
-	g, arts := corpus.Sample()
-	const query = "Taliban bombing in Lahore"
-	id := arts[1].ID
-	type answers struct {
-		search  []Result
-		related []Result
-		explain Explanation
-		dot     string
-		doc     Document
-	}
-	ask := func(e *Engine) (a answers, errs map[string]error) {
-		errs = map[string]error{}
-		a.search, errs["Search"] = e.Search(query, 5)
-		a.related, errs["Related"] = e.Related(id, 5)
-		a.explain, errs["Explain"] = e.Explain(query, id, 3)
-		a.dot, errs["ExplainDOT"] = e.ExplainDOT(query, id, "t")
-		a.doc, errs["DocAt"] = e.DocAt(1)
-		return a, errs
-	}
-	cloneResults := func(rs []Result) []Result {
-		out := make([]Result, len(rs))
-		for i, r := range rs {
-			out[i] = Result{ID: r.ID, Title: strings.Clone(r.Title), Score: r.Score, Snippet: strings.Clone(r.Snippet)}
-		}
-		return out
-	}
-	cloneStrings := func(ss []string) []string {
-		out := make([]string, len(ss))
-		for i, s := range ss {
-			out[i] = strings.Clone(s)
-		}
-		return out
-	}
-	clone := func(a answers) answers {
-		c := answers{search: cloneResults(a.search), related: cloneResults(a.related), dot: strings.Clone(a.dot), doc: a.doc}
-		c.explain.SharedEntities = cloneStrings(a.explain.SharedEntities)
-		for _, p := range a.explain.Paths {
-			c.explain.Paths = append(c.explain.Paths, Path{Nodes: cloneStrings(p.Nodes), Relations: cloneStrings(p.Relations), Rendered: strings.Clone(p.Rendered)})
-		}
-		c.doc.Title, c.doc.Text = strings.Clone(a.doc.Title), strings.Clone(a.doc.Text)
-		return c
-	}
-	readers := map[string][]string{
-		"docs.bin": {"Search", "Related", "Explain", "ExplainDOT", "DocAt"},
-	}
-	loaders := map[string]func(t *testing.T, dir string) *Engine{
-		"Load": func(t *testing.T, dir string) *Engine {
-			e, err := Load(dir, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		},
-		"LoadRouted": func(t *testing.T, dir string) *Engine {
-			m, err := ReadManifest(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { shard.Close() })
-			e, err := LoadRouted(dir, g, localTraverse(shard))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		},
-	}
-	for lname, load := range loaders {
-		for artifact, reads := range readers {
-			for _, damage := range []string{"truncated", "removed"} {
-				t.Run(lname+"/"+damage+"/"+artifact, func(t *testing.T) {
-					pristine, dir := filepath.Join(t.TempDir(), "pristine"), filepath.Join(t.TempDir(), "snap")
-					if err := sampleEngine(t, DefaultConfig()).Save(pristine); err != nil {
-						t.Fatal(err)
-					}
-					copyDir(t, pristine, dir)
-					e := load(t, dir)
-					defer e.Close()
-					want, errs := ask(e)
-					for op, err := range errs {
-						if err != nil {
-							t.Fatalf("healthy %s: %v", op, err)
-						}
-					}
-					if len(want.search) == 0 || len(want.related) == 0 || len(want.explain.Paths) == 0 || want.dot == "" {
-						t.Fatalf("healthy answers leave a read unexercised: %+v", want)
-					}
-					kept := clone(want)
-					if damage == "truncated" {
-						truncateArtifacts(t, dir, artifact)
-					} else if err := os.Remove(segArtifact(t, dir, artifact)); err != nil {
-						t.Fatal(err)
-					}
-					got, errs := ask(e)
-					failed := map[string]bool{}
-					for _, op := range reads {
-						failed[op] = damage == "truncated"
-					}
-					for op, err := range errs {
-						if (err != nil) != failed[op] {
-							t.Errorf("%s after the artifact was %s: error %v, want one: %v", op, damage, err, failed[op])
-						}
-					}
-					for op, same := range map[string]bool{
-						"Search":     reflect.DeepEqual(got.search, want.search),
-						"Related":    reflect.DeepEqual(got.related, want.related),
-						"Explain":    reflect.DeepEqual(got.explain, want.explain),
-						"ExplainDOT": got.dot == want.dot,
-						"DocAt":      reflect.DeepEqual(got.doc, want.doc),
-					} {
-						if !failed[op] && !same {
-							t.Errorf("%s after the artifact was %s answers differently", op, damage)
-						}
-					}
-					fresh := filepath.Join(t.TempDir(), "resave")
-					err := e.Save(fresh)
-					switch {
-					case damage == "truncated" && err == nil:
-						t.Fatal("Save over a truncated artifact returned no error")
-					case damage == "removed" && err != nil:
-						t.Fatalf("Save over a removed (still mapped) artifact: %v", err)
-					case damage == "removed":
-						names, err := filepath.Glob(filepath.Join(pristine, "*"))
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, path := range names {
-							a, err := os.ReadFile(path)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if b, err := os.ReadFile(filepath.Join(fresh, filepath.Base(path))); err != nil || !bytes.Equal(a, b) {
-								t.Fatalf("re-saved %s differs from the saved one (%v)", filepath.Base(path), err)
-							}
-						}
-					}
-
-					paths, err := filepath.Glob(filepath.Join(dir, "seg-*"))
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, path := range paths {
-						if err := os.Truncate(path, 0); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if !reflect.DeepEqual(want, kept) {
-						t.Fatal("answers taken before the damage changed after every artifact was truncated")
-					}
-					if err := e.Close(); err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(want, kept) {
-						t.Fatal("answers taken before the damage changed after Close")
-					}
-				})
-			}
-		}
-	}
-}
-
-// parentEntries lists the names in the snapshot's parent directory, the
-// debris check of the Save failure tests.
-func parentEntries(t *testing.T, parent string) []string {
-	t.Helper()
-	ents, err := os.ReadDir(parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, len(ents))
-	for i, e := range ents {
-		names[i] = e.Name()
-	}
-	return names
+	runHistory(t, "addall 0-7; build; add 8; close; search q=4; save; update 3; close; search q=4 k=50; related 2; explain 2 q=4")
 }
 
 // TestSaveRenameFaultKeepsPreviousSnapshot: a failure at the install
-// rename must leave the previously saved snapshot fully loadable and no
-// staging or parking debris in the parent directory.
+// rename leaves no snapshot where there was none, rolls a previous one
+// back into place unchanged, and leaves no staging or parked copy; the
+// WAL keeps the generation the failed snapshot would have covered, so a
+// crash replays it over the previous snapshot.
 func TestSaveRenameFaultKeepsPreviousSnapshot(t *testing.T) {
-	g, _ := corpus.Sample()
-	e := sampleEngine(t, DefaultConfig())
-	parent := t.TempDir()
-	dir := filepath.Join(parent, "snap")
-	if err := e.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	before, err := Load(dir, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDocs := before.NumDocs()
-	wantRes, err := before.Search("Taliban bombing in Lahore", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Change the engine so a successful save would alter the snapshot,
-	// then fail the install.
-	if err := e.Add(Document{ID: 4242, Title: "late", Text: "A late bulletin about Lahore."}); err != nil {
-		t.Fatal(err)
-	}
-	errInjected := errors.New("injected rename failure")
-	faults.Arm(faults.New().Fail(faults.SaveRename, errInjected))
-	defer faults.Disarm()
-	if err := e.Save(dir); !errors.Is(err, errInjected) {
-		t.Fatalf("Save under rename fault = %v, want the injected error", err)
-	}
-	faults.Disarm()
-
-	if got := parentEntries(t, parent); len(got) != 1 || got[0] != "snap" {
-		t.Fatalf("staging debris left behind: %v", got)
-	}
-	after, err := Load(dir, g)
-	if err != nil {
-		t.Fatalf("previous snapshot no longer loads: %v", err)
-	}
-	if after.NumDocs() != wantDocs {
-		t.Fatalf("previous snapshot changed: %d docs, want %d", after.NumDocs(), wantDocs)
-	}
-	gotRes, err := after.Search("Taliban bombing in Lahore", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotRes, wantRes) {
-		t.Fatalf("previous snapshot ranking changed:\n%v\nvs\n%v", gotRes, wantRes)
-	}
+	runHistory(t, "addall 0-7; build; installfail; save; add 8, delete 2; installfail; crash 9; search q=4 k=50; save; search q=4")
 }
 
-// TestSaveWriteFaultCleansUp: a failure while writing any artifact must
-// abort the save, leave no staging directory, and keep a pre-existing
-// snapshot untouched.
+// TestSaveWriteFaultCleansUp: a failure while writing an artifact aborts
+// the save, leaves no staging directory, and keeps the target absent or
+// its previous snapshot untouched, which a crash still recovers over.
 func TestSaveWriteFaultCleansUp(t *testing.T) {
-	g, _ := corpus.Sample()
-	e := sampleEngine(t, DefaultConfig())
-	errInjected := errors.New("injected write failure")
-
-	// Fresh target: nothing must appear at all.
-	parent := t.TempDir()
-	dir := filepath.Join(parent, "snap")
-	faults.Arm(faults.New().FailN(faults.SaveWrite, 1, errInjected))
-	if err := e.Save(dir); !errors.Is(err, errInjected) {
-		t.Fatalf("Save under write fault = %v", err)
-	}
-	faults.Disarm()
-	if got := parentEntries(t, parent); len(got) != 0 {
-		t.Fatalf("failed save left debris: %v", got)
-	}
-
-	// Existing target: a mid-save write failure must leave the previous
-	// snapshot loadable. (A failure after all writes — at install time —
-	// is covered by TestSaveRenameFaultKeepsPreviousSnapshot.)
-	if err := e.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	faults.Arm(faults.New().FailN(faults.SaveWrite, 1, errInjected))
-	err := e.Save(dir)
-	faults.Disarm()
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("Save under write fault = %v", err)
-	}
-	if got := parentEntries(t, parent); len(got) != 1 || got[0] != "snap" {
-		t.Fatalf("failed save left debris: %v", got)
-	}
-	if _, err := Load(dir, g); err != nil {
-		t.Fatalf("previous snapshot no longer loads: %v", err)
-	}
+	runHistory(t, "addall 0-7; build; savefail; save; add 8, update 4; savefail; crash 9; search q=4 k=50; save; search q=4")
 }
