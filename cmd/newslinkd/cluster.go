@@ -61,9 +61,9 @@ func runShard(cfg shardConfig) error {
 }
 
 // shardMain is runShard's context-driven body; bound, when non-nil,
-// receives the listener's address once serving (tests use it to learn
-// the ephemeral port).
-func shardMain(ctx context.Context, cfg shardConfig, bound chan<- string) error {
+// receives the daemon once its listeners are bound (tests use it to learn
+// the ephemeral ports).
+func shardMain(ctx context.Context, cfg shardConfig, bound chan<- *daemon) error {
 	g, err := loadGraph(cfg.kgPath)
 	if err != nil {
 		return err
@@ -101,7 +101,7 @@ func shardMain(ctx context.Context, cfg shardConfig, bound chan<- string) error 
 	}
 	log.Printf("shard worker %s serving on %s (artifacts in %s)", id, ln.Addr(), dir)
 	if bound != nil {
-		bound <- ln.Addr().String()
+		bound <- d
 	}
 	return d.run(ctx)
 }
@@ -133,8 +133,8 @@ func runRouter(cfg routerConfig) error {
 }
 
 // routerMain is runRouter's context-driven body; bound, when non-nil,
-// receives the listener's address once serving.
-func routerMain(ctx context.Context, cfg routerConfig, bound chan<- string) error {
+// receives the daemon once its listeners are bound.
+func routerMain(ctx context.Context, cfg routerConfig, bound chan<- *daemon) error {
 	if cfg.snapshot == "" {
 		return fmt.Errorf("-router requires -snapshot (the partitioned corpus)")
 	}
@@ -188,7 +188,7 @@ func routerMain(ctx context.Context, cfg routerConfig, bound chan<- string) erro
 	log.Printf("cluster router serving %d shards on %s (plan %s)",
 		len(rt.Plan().Shards), ln.Addr(), rt.Plan().ID)
 	if bound != nil {
-		bound <- ln.Addr().String()
+		bound <- d
 	}
 	return d.run(ctx)
 }

@@ -80,19 +80,23 @@ func TestClusterDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs, debug := []string{freeAddr(t), freeAddr(t)}, freeAddr(t)
+	var addrs []string
+	var debug string
 	dones, stops := []<-chan error{}, []context.CancelFunc{}
-	for i, addr := range addrs {
-		cfg := daemonConfig{addr: addr, drainTimeout: drainTimeout, logger: quietLogger}
+	for i := range 2 {
+		cfg := daemonConfig{drainTimeout: drainTimeout, logger: quietLogger}
 		if i == 0 {
-			cfg.debugAddr = debug
+			cfg.debugAddr = "127.0.0.1:0"
 		}
-		done, stop := running(t, "shard", cfg, "")
-		dones, stops = append(dones, done), append(stops, stop)
+		d, done, stop := running(t, "shard", cfg, "")
+		if i == 0 {
+			debug = d.DebugAddr()
+		}
+		addrs, dones, stops = append(addrs, d.Addr()), append(dones, done), append(stops, stop)
 	}
-	base := freeAddr(t)
-	done, stop := running(t, "router", daemonConfig{addr: base, drainTimeout: drainTimeout, logger: quietLogger},
+	router, done, stop := running(t, "router", daemonConfig{drainTimeout: drainTimeout, logger: quietLogger},
 		"http://"+addrs[0]+",http://"+addrs[1])
+	base := router.Addr()
 	// The sample corpus is a single segment, so both workers serve slot 0
 	// as replicas; poll until assignment completes and results match the
 	// single-process engine, and until the first worker's debug listener,
@@ -118,12 +122,6 @@ func TestClusterDaemonEndToEnd(t *testing.T) {
 			t.Fatalf("cluster never served full results (%v, %+v) or its worker's metrics (%s)", err, sr, metrics)
 		}
 	}
-	// The test's polls, the router's client and the workers' artifact
-	// fetches share http.DefaultTransport in this process. A dial that
-	// lost a race to a freed connection can leave a connection to the
-	// router in its pool that never carried a request, and Shutdown waits
-	// up to five seconds for such a new connection to send one.
-	http.DefaultClient.CloseIdleConnections()
 	for _, stop := range append(stops, stop) {
 		stop()
 	}

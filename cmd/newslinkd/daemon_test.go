@@ -10,6 +10,8 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -42,19 +44,21 @@ func sampleEngine(t *testing.T) *newslink.Engine {
 }
 
 // startMode starts newslinkd in mode "single", "shard" or "router" as main
-// does, over the sample corpus, and returns once its main listener is
-// bound, with the channel run's result arrives on; or the start-up error.
-// A router is given the workers at shardAddrs, or one that never answers.
-func startMode(t *testing.T, ctx context.Context, mode string, cfg daemonConfig, shardAddrs string) (<-chan error, error) {
-	done, bound := make(chan error, 1), make(chan string, 1)
+// does, over the sample corpus, and returns once its listeners are bound,
+// with the daemon (its bound addresses) and the channel run's result
+// arrives on; or the start-up error. A router is given the workers at
+// shardAddrs, or one that never answers.
+func startMode(t *testing.T, ctx context.Context, mode string, cfg daemonConfig, shardAddrs string) (*daemon, <-chan error, error) {
+	cfg.addr = cmp.Or(cfg.addr, "127.0.0.1:0")
+	done, bound := make(chan error, 1), make(chan *daemon, 1)
 	switch mode {
 	case "single":
 		d, err := newDaemon(sampleEngine(t), cfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		go func() { done <- d.run(ctx) }()
-		return done, nil
+		return d, done, nil
 	case "shard":
 		go func() {
 			done <- shardMain(ctx, shardConfig{addr: cfg.addr, dir: t.TempDir(), debugAddr: cfg.debugAddr,
@@ -66,7 +70,7 @@ func startMode(t *testing.T, ctx context.Context, mode string, cfg daemonConfig,
 			t.Fatal(err)
 		}
 		if shardAddrs == "" {
-			shardAddrs = "http://" + freeAddr(t)
+			shardAddrs = "http://" + silentWorker(t)
 		}
 		go func() {
 			done <- routerMain(ctx, routerConfig{addr: cfg.addr, snapshot: snap, shardAddrs: shardAddrs, probeInterval: 50 * time.Millisecond,
@@ -74,24 +78,46 @@ func startMode(t *testing.T, ctx context.Context, mode string, cfg daemonConfig,
 		}()
 	}
 	select {
-	case <-bound:
-		return done, nil
+	case d := <-bound:
+		return d, done, nil
 	case err := <-done:
-		return nil, errors.Join(errors.New("exited before binding"), err)
+		return nil, nil, errors.Join(errors.New("exited before binding"), err)
 	}
 }
 
-// running starts mode and fails the test if it cannot; the function it
-// returns stops it.
-func running(t *testing.T, mode string, cfg daemonConfig, shardAddrs string) (<-chan error, context.CancelFunc) {
+// silentWorker returns the address of a listener that closes every
+// connection it accepts: a shard worker that never answers. The test
+// holds it open until it ends, so no other listener can take its port.
+func silentWorker(t *testing.T) string {
 	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	done, err := startMode(t, ctx, mode, cfg, shardAddrs)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return done, cancel
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn.Close()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// running starts mode and fails the test if it cannot; it returns the
+// daemon and the function that stops it.
+func running(t *testing.T, mode string, cfg daemonConfig, shardAddrs string) (*daemon, <-chan error, context.CancelFunc) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	d, done, err := startMode(t, ctx, mode, cfg, shardAddrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, done, cancel
 }
 
 // inFlight is, per mode, a route that reads a JSON body before it answers,
@@ -123,54 +149,83 @@ func TestClusterModesHonourDrainTimeout(t *testing.T) { runModes(t, drainBounded
 // in flight at the stop signal finishes within — answers that request and
 // takes the debug listener down with the main one.
 func debugServes(t *testing.T, mode string) {
-	cfg := daemonConfig{addr: freeAddr(t), debugAddr: freeAddr(t), drainTimeout: 2 * time.Second, logger: quietLogger}
-	done, cancel := running(t, mode, cfg, "")
-	expectDebugSurface(t, "http://"+cfg.debugAddr, nil)
-	finish := openRequest(t, cfg.addr, inFlight[mode].path, len(inFlightDoc), inFlightDoc[:1])
+	cfg := daemonConfig{debugAddr: "127.0.0.1:0", drainTimeout: 2 * time.Second, logger: quietLogger}
+	d, done, cancel := running(t, mode, cfg, "")
+	expectDebugSurface(t, "http://"+d.DebugAddr(), nil)
+	finish := openRequest(t, d.Addr(), inFlight[mode].path, len(inFlightDoc), inFlightDoc[:1])
 	time.Sleep(100 * time.Millisecond) // the handler is reading its body
 	cancel()                           // "SIGTERM"
 	time.Sleep(100 * time.Millisecond) // the drain has begun
 	if got := finish(inFlightDoc[1:]); got != inFlight[mode].status {
 		t.Fatalf("the request in flight was answered %d, want %d", got, inFlight[mode].status)
 	}
-	if err := exited(t, done, cfg.addr, cfg.debugAddr); err != nil {
+	if err := exited(t, done, d.Addr(), d.DebugAddr()); err != nil {
 		t.Fatalf("run returned %v after a clean drain", err)
 	}
 }
 
 // bindFailure: start-up binds synchronously. A taken address fails it,
-// and so does a taken -debug-addr, with the single process's error and
-// the main listener released.
+// and so does a taken -debug-addr, with the single process's error; either
+// way the mode leaves no socket open behind it, its main listener included.
 func bindFailure(t *testing.T, mode string) {
 	taken, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer taken.Close()
-	if _, err := startMode(t, context.Background(), mode, daemonConfig{addr: taken.Addr().String(), logger: quietLogger}, ""); err == nil {
+	shard := "http://" + silentWorker(t)
+	http.DefaultClient.CloseIdleConnections()
+	before := sockets(t)
+	if _, _, err := startMode(t, context.Background(), mode, daemonConfig{addr: taken.Addr().String(), logger: quietLogger}, shard); err == nil {
 		t.Fatal("started on a taken address")
 	}
-	addr := freeAddr(t)
-	_, err = startMode(t, context.Background(), mode, daemonConfig{addr: addr, debugAddr: taken.Addr().String(), logger: quietLogger}, "")
-	if want := fmt.Sprintf("binding debug address %s: ", taken.Addr()); err == nil || !strings.Contains(err.Error(), want) {
+	_, _, err = startMode(t, context.Background(), mode, daemonConfig{debugAddr: taken.Addr().String(), logger: quietLogger}, shard)
+	want := fmt.Sprintf("binding debug address %s: ", taken.Addr())
+	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("a taken -debug-addr: err = %v, want %q", err, want)
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("main listener %s leaked after the debug bind failure: %v", addr, err)
+	// A router's probes of the silent worker may still be closing.
+	after := sockets(t)
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); after = sockets(t) {
+		time.Sleep(20 * time.Millisecond)
 	}
-	ln.Close()
+	if after > before {
+		t.Fatalf("%d sockets open after the failed starts, %d before: a listener was not released", after, before)
+	}
+}
+
+// sockets counts this process's open socket descriptors.
+func sockets(t *testing.T) (n int) {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open descriptors: %v", err)
+	}
+	for _, fd := range ents {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, "socket:[") {
+			n++
+		}
+	}
+	return n
 }
 
 // drainBounded: on the stop signal a mode drains. Through -drain-grace its
-// listener still answers, a request in flight is answered, and one hung in
-// flight is given up on after -drain-timeout, which run reports.
+// listener still answers, a request in flight is answered, one hung in
+// flight is given up on after -drain-timeout, which run reports, and a
+// client that dialed and never sent a request is hung up on within a
+// second rather than waited for.
 func drainBounded(t *testing.T, mode string) {
-	cfg := daemonConfig{addr: freeAddr(t), debugAddr: freeAddr(t), drainTimeout: 500 * time.Millisecond,
+	cfg := daemonConfig{debugAddr: "127.0.0.1:0", drainTimeout: 500 * time.Millisecond,
 		drainGrace: 150 * time.Millisecond, logger: quietLogger}
-	done, cancel := running(t, mode, cfg, "")
-	finish := openRequest(t, cfg.addr, inFlight[mode].path, len(inFlightDoc), inFlightDoc[:1])
-	openRequest(t, cfg.addr, inFlight[mode].path, 1000, "{")
+	d, done, cancel := running(t, mode, cfg, "")
+	addr := d.Addr()
+	finish := openRequest(t, addr, inFlight[mode].path, len(inFlightDoc), inFlightDoc[:1])
+	openRequest(t, addr, inFlight[mode].path, 1000, "{")
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
 	time.Sleep(100 * time.Millisecond) // both handlers are reading their bodies
 	t0 := time.Now()
 	cancel() // "SIGTERM"
@@ -180,7 +235,7 @@ func drainBounded(t *testing.T, mode string) {
 	// along.
 	ready := 0
 	for deadline := time.Now().Add(cfg.drainGrace); ready != http.StatusServiceUnavailable && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
-		if resp, err := http.Get("http://" + cfg.addr + "/v1/readyz"); err == nil {
+		if resp, err := http.Get("http://" + addr + "/v1/readyz"); err == nil {
 			ready = resp.StatusCode
 			resp.Body.Close()
 		}
@@ -191,10 +246,14 @@ func drainBounded(t *testing.T, mode string) {
 	if got := finish(inFlightDoc[1:]); got != inFlight[mode].status {
 		t.Fatalf("the request in flight was answered %d, want %d", got, inFlight[mode].status)
 	}
-	if err := exited(t, done, cfg.addr, cfg.debugAddr); err == nil || !strings.Contains(err.Error(), "drain") {
+	silent.SetReadDeadline(t0.Add(time.Second))
+	if n, err := silent.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Errorf("the silent client read %d bytes, %v; want the drain to hang up on it within a second", n, err)
+	}
+	if err := exited(t, done, addr, d.DebugAddr()); err == nil || !strings.Contains(err.Error(), "drain") {
 		t.Errorf("exited with %v, want a drain deadline error", err)
 	}
-	if took, want := time.Since(t0), cfg.drainGrace+cfg.drainTimeout; took < want-100*time.Millisecond || took > want+4*time.Second {
+	if took, want := time.Since(t0), cfg.drainGrace+cfg.drainTimeout; took < want-100*time.Millisecond || took >= want+time.Second {
 		t.Fatalf("drain took %v, want about the %v of -drain-grace and -drain-timeout", took, want)
 	}
 }
@@ -240,18 +299,6 @@ func exited(t *testing.T, done <-chan error, addrs ...string) (err error) {
 		}
 	}
 	return err
-}
-
-// freeAddr returns a loopback address that was free a moment ago, for
-// listeners whose bound address a test cannot otherwise learn.
-func freeAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	return ln.Addr().String()
 }
 
 // expectDebugSurface asserts the debug listener at base answers pprof and

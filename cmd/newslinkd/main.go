@@ -11,9 +11,10 @@
 // a previously saved engine snapshot is loaded (or written after indexing
 // if the directory does not exist yet), so restarts skip the corpus
 // embedding cost; a start that loads a snapshot reads only the -kg file,
-// never the -corpus one. A loaded snapshot is served from its files:
-// each artifact is mapped read-only and read in place, so only the pages
-// requests touch become resident.
+// never the -corpus one. A loaded snapshot is served from its files: the
+// indexes are mapped read-only and read in place, so only the pages
+// requests touch become resident, and each returned document is read from
+// its segment's documents artifact with one pread.
 //
 // The API is served under /v1/.
 // -querytimeout bounds each query server-side; an exceeded deadline is
@@ -24,11 +25,12 @@
 // a stage deadline on the graph side of fused search, past which results
 // degrade to BOW-only ranking instead of blocking. On SIGINT/SIGTERM the
 // process drains: /v1/readyz flips to 503 (liveness /v1/healthz stays
-// 200), -drain-grace lets load balancers observe the flip, in-flight
-// requests run to completion within -drain-timeout, the ingest queue is
-// applied and the write-ahead log closed, and the process exits 0. -shard
-// and -router drain through the same lifecycle: -drain-grace, then
-// in-flight requests within -drain-timeout.
+// 200), -drain-grace lets load balancers observe the flip, connections
+// that have sent no request are closed, in-flight requests run to
+// completion within -drain-timeout, the ingest queue is applied and the
+// write-ahead log closed, and the process exits 0. -shard and -router
+// drain through the same lifecycle: -drain-grace, then in-flight requests
+// within -drain-timeout.
 //
 // Streaming ingestion: -ingest-queue arms the async write pipeline behind
 // POST /v1/docs:stream (a full queue sheds with 429 + Retry-After; POST
@@ -58,6 +60,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -296,20 +299,25 @@ func (d *daemon) DebugAddr() string {
 // run serves until ctx is cancelled (SIGINT/SIGTERM in main) or a
 // listener fails, then drains: the draining hook runs (readiness flips to
 // 503), the optional grace period lets load balancers take the instance
-// out of rotation, and both servers shut down gracefully — admitted
-// requests complete, bounded by the drain timeout — before the drained
-// hook. Returns nil on a clean drain.
+// out of rotation, connections that have sent no request are closed, and
+// both servers shut down gracefully — admitted requests complete, bounded
+// by the drain timeout — before the drained hook. Returns nil on a clean
+// drain.
 func (d *daemon) run(ctx context.Context) error {
 	errc := make(chan error, 2)
+	var gates []*connGate
 	serve := func(name string, s *http.Server, ln net.Listener) {
-		if err := s.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- fmt.Errorf("%s server: %w", name, err)
-		}
+		gates = append(gates, gateConns(s))
+		go func() {
+			if err := s.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				errc <- fmt.Errorf("%s server: %w", name, err)
+			}
+		}()
 	}
-	go serve("api", d.main, d.mainLn)
+	serve("api", d.main, d.mainLn)
 	if d.debug != nil {
 		d.logger.Info("debug server listening", "addr", d.DebugAddr())
-		go serve("debug", d.debug, d.debugLn)
+		serve("debug", d.debug, d.debugLn)
 	}
 	if d.serving != nil {
 		go d.serving(ctx)
@@ -328,6 +336,9 @@ func (d *daemon) run(ctx context.Context) error {
 	if d.drainGrace > 0 {
 		time.Sleep(d.drainGrace)
 	}
+	for _, g := range gates {
+		g.drain()
+	}
 	sctx, cancel := context.WithTimeout(context.Background(), d.drainTimeout)
 	defer cancel()
 	err := d.main.Shutdown(sctx)
@@ -344,6 +355,48 @@ func (d *daemon) run(ctx context.Context) error {
 	}
 	d.logger.Info("drain complete")
 	return nil
+}
+
+// connGate tracks the connections of a server that have sent no request
+// yet. http.Server.Shutdown counts such a connection as active for up to
+// five seconds, so a client that dialed and stayed silent would hold the
+// drain for that long; the drain closes them instead.
+type connGate struct {
+	mu       sync.Mutex
+	silent   map[net.Conn]struct{}
+	draining bool
+}
+
+// gateConns installs a connGate as s's ConnState hook.
+func gateConns(s *http.Server) *connGate {
+	g := &connGate{silent: make(map[net.Conn]struct{})}
+	s.ConnState = g.state
+	return g
+}
+
+func (g *connGate) state(c net.Conn, st http.ConnState) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(g.silent, c)
+	case g.draining:
+		c.Close()
+	default:
+		g.silent[c] = struct{}{}
+	}
+}
+
+// drain closes every connection that has sent no request, and every one
+// accepted from now on.
+func (g *connGate) drain() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.draining = true
+	for c := range g.silent {
+		c.Close()
+	}
+	clear(g.silent)
 }
 
 func parseLogLevel(s string) (slog.Level, error) {

@@ -116,11 +116,7 @@ func (e *Engine) DocAt(pos int) (doc Document, err error) {
 	if pos < 0 || pos >= snap.numDocs {
 		return Document{}, fmt.Errorf("%w: position %d of %d", ErrUnknownDoc, pos, snap.numDocs)
 	}
-	err = mmap.Guard(func() error {
-		doc = snap.doc(pos)
-		return nil
-	})
-	return doc, err
+	return snap.doc(pos)
 }
 
 // Snippet picks the sentence of text with the highest query-term overlap

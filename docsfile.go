@@ -21,7 +21,7 @@ import (
 //
 // Fixed-width columns put every column at a computable offset, so the one
 // reader, openDocs, takes the ID, time and offset columns out of the
-// mapped artifact without touching the text, which stays in the mapping
+// artifact's prefix without touching the text, which stays in the file
 // and is read per document. n and
 // off[2n] account for every byte of the file, so nothing is optional and
 // decode∘encode is the identity. Titles and texts are stored as bytes, not

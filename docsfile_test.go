@@ -14,7 +14,7 @@ func FuzzReadDocs(f *testing.F) {
 	f.Add(appendDocs(nil, nil))
 	f.Add([]byte(docsMagic + "\xff\xff\xff\xff\xff\xff\xff\x0f"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, times, err := openDocs(data)
+		d, times, err := openDocs(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}
@@ -36,14 +36,16 @@ func FuzzReadDocs(f *testing.F) {
 // openDocs, the way a loaded segment's doc does.
 func readDocsIn(t testing.TB, data []byte) []Document {
 	t.Helper()
-	d, times, err := openDocs(data)
+	d, times, err := openDocs(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := &segment{docs: d, times: times}
 	docs := make([]Document, len(times))
 	for i := range docs {
-		docs[i] = s.doc(i)
+		if docs[i], err = s.doc(i); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return docs
 }

@@ -70,9 +70,9 @@ func (e *Engine) explainContext(ctx context.Context, q Query, docID int, maxPath
 	if err != nil {
 		return Explanation{}, err
 	}
-	dEmb := e.docEmbedding(snap, pos)
-	if qEmb == nil || dEmb == nil {
-		return Explanation{}, nil
+	dEmb, err := e.docEmbedding(snap, pos)
+	if err != nil || qEmb == nil || dEmb == nil {
+		return Explanation{}, err
 	}
 	var exp Explanation
 	for _, n := range qEmb.Overlap(dEmb) {
@@ -188,9 +188,9 @@ func (e *Engine) explainDOT(ctx context.Context, query string, docID int, title 
 	if err != nil {
 		return "", err
 	}
-	dEmb := e.docEmbedding(snap, pos)
-	if qEmb == nil || dEmb == nil {
-		return "", nil
+	dEmb, err := e.docEmbedding(snap, pos)
+	if err != nil || qEmb == nil || dEmb == nil {
+		return "", err
 	}
 	return core.DOT(e.Graph(), title, qEmb, dEmb), nil
 }

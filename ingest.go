@@ -286,16 +286,16 @@ func (e *Engine) writeSync(ops []writeOp, workers int) error {
 func (e *Engine) writeWindow(ops []writeOp, analyzed []docTerms) error {
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
+	if e.walClosed {
+		// A closed engine takes no write, built or not: its log can no
+		// longer make one durable, and its loaded segments are released.
+		return ErrClosed
+	}
 	built := e.set.Load() != nil
 	for _, w := range ops {
 		if w.op != walOpAdd && !built {
 			return ErrNotBuilt
 		}
-	}
-	if e.walClosed {
-		// A closed engine takes no write: its log can no longer make one
-		// durable, and its loaded segments are unmapped.
-		return ErrClosed
 	}
 	if p := e.ingest.Load(); p != nil {
 		if p.closed {

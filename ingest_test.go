@@ -68,7 +68,10 @@ func liveDocSet(t *testing.T, e *Engine) map[int]string {
 	for _, sg := range s.segs {
 		for j := range sg.numDocs() {
 			if !sg.dead.Get(j) {
-				d := sg.doc(j)
+				d, err := sg.doc(j)
+				if err != nil {
+					t.Fatal(err)
+				}
 				out[d.ID] = d.Title
 			}
 		}
@@ -291,6 +294,27 @@ func TestIngestWithoutQueueIsSynchronousUpsert(t *testing.T) {
 // before it is durable: the recovery holds it.
 func TestWriteAfterCloseFails(t *testing.T) {
 	runHistory(t, "addall 0-7; build; ingest 8, ingest 9, close; search q=4 k=50; save; ingest 10, update 3, close; search q=4 k=50")
+}
+
+// TestClosedUnbuiltEngineRefusesWrites: an engine closed before it was
+// built refuses every write with ErrClosed, not ErrNotBuilt: closed is the
+// state it can never leave.
+func TestClosedUnbuiltEngineRefusesWrites(t *testing.T) {
+	g, _ := corpus.Sample()
+	e := New(g, DefaultConfig())
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	doc := Document{ID: 1, Title: "Taliban", Text: "The Taliban in Lahore."}
+	for name, write := range map[string]func() error{
+		"Update": func() error { return e.Update(doc) },
+		"Delete": func() error { return e.Delete(doc.ID) },
+		"Ingest": func() error { return e.Ingest(doc) },
+	} {
+		if err := write(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s on a closed, never-built engine: %v, want ErrClosed", name, err)
+		}
+	}
 }
 
 // TestLoadAppliesRuntimeOptions: Load now honors runtime options — the

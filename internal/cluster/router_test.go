@@ -292,9 +292,10 @@ func TestNewRouterCorruptionTable(t *testing.T) {
 	}
 }
 
-// TestRouterCloseReleasesIndexFiles: a router maps every artifact of its
-// plan once — the two indexes and the documents of every segment — holds
-// no descriptor on any, and Close releases every mapping.
+// TestRouterCloseReleasesIndexFiles: a router maps the two indexes of
+// every segment of its plan once and holds one descriptor on each
+// segment's documents, which it never maps; Close releases every mapping
+// and descriptor.
 func TestRouterCloseReleasesIndexFiles(t *testing.T) {
 	dir, g := buildSnapshot(t)
 	rt, err := NewRouter(dir, g, Config{Endpoints: [][]string{{"http://a"}, {"http://b"}}, Logger: testLogger()})
@@ -305,9 +306,9 @@ func TestRouterCloseReleasesIndexFiles(t *testing.T) {
 	for _, sp := range rt.Plan().Shards {
 		segments += len(sp.Segments)
 	}
-	if fds, maps := openUnder(t, dir); fds != 0 || maps != 3*segments {
-		t.Errorf("open router holds %d descriptors and %d mappings on the snapshot, want 0 and %d (the three artifacts of %d segments)",
-			fds, maps, 3*segments, segments)
+	if fds, maps := openUnder(t, dir); fds != segments || maps != 2*segments {
+		t.Errorf("open router holds %d descriptors and %d mappings on the snapshot, want %d and %d (the documents and the two indexes of %d segments)",
+			fds, maps, segments, 2*segments, segments)
 	}
 	rt.Close()
 	if fds, maps := openUnder(t, dir); fds+maps != 0 {

@@ -87,7 +87,7 @@ func verifyArtifact(dir, name string, checksums map[string]string, buf []byte) e
 
 // Shard is the postings of a slice of a snapshot's segments: what a cluster
 // shard worker traverses for the router. Its segments are loaded as Load
-// loads them, mapped until Close; it reads their indexes, tombstones and
+// loads them, held until Close; it reads their indexes, tombstones and
 // time columns, never a document's text, which the router's engine serves.
 type Shard struct {
 	set *segmentSet
@@ -130,6 +130,6 @@ func (s *Shard) Sources(after, before int64, entities [][]string) (text, node in
 	return text, node, err
 }
 
-// Close releases the shard's mappings. Nothing may read the shard, or the
-// sources it returned, afterwards.
+// Close releases the shard's mappings and descriptors. Nothing may read
+// the shard, or the sources it returned, afterwards.
 func (s *Shard) Close() error { return unmapSegments(s.set.segs) }

@@ -543,8 +543,8 @@ func newModelRun(t *testing.T) *modelRun {
 		for range r.wake {
 			s := r.cur.Load()
 			for pos, tm := range s.times {
-				if d := s.doc(pos); d.Time != tm {
-					t.Errorf("reader: times[%d] = %d, document %d has %d", pos, tm, d.ID, d.Time)
+				if d, err := s.doc(pos); err != nil || d.Time != tm {
+					t.Errorf("reader: times[%d] = %d, document %d has %d (%v)", pos, tm, d.ID, d.Time, err)
 					return
 				}
 			}
@@ -748,7 +748,7 @@ func (r *modelRun) crash(doc Document) {
 		r.fatalf("crash: the applier never reached the fault point")
 	}
 	if s := x.e.set.Load(); s != nil {
-		if pos, ok := s.position(doc.ID); ok && s.doc(pos) == doc {
+		if pos, ok := s.position(doc.ID); ok && r.stored(s.doc(pos)) == doc {
 			r.fatalf("crash: the dropped micro-batch was applied")
 		}
 	}
@@ -903,18 +903,19 @@ type damage struct {
 }
 
 // damaged reports whether x may fail a read: the truncate step emptied
-// files it maps.
+// files it reads.
 func (r *modelRun) damaged(x *execution) bool {
 	return r.damage != nil && slices.Contains(r.damage.xs, x)
 }
 
 // unreadable reports whether a read of every segment of s on x must fail.
 func (r *modelRun) unreadable(x *execution, s *segmentSet) bool {
-	return r.damaged(x) && anyMapped(s)
+	return r.damaged(x) && anyLoaded(s)
 }
 
-func anyMapped(s *segmentSet) bool {
-	return slices.ContainsFunc(s.segs, func(sg *segment) bool { return sg.docs.mapped() })
+// anyLoaded reports whether a segment of s reads its snapshot's artifacts.
+func anyLoaded(s *segmentSet) bool {
+	return slices.ContainsFunc(s.segs, func(sg *segment) bool { return sg.docs.onDisk() })
 }
 
 // truncate empties one artifact kind under every execution that maps it —
@@ -927,7 +928,7 @@ func anyMapped(s *segmentSet) bool {
 // the execution's own snapshot (failingSave) fail, publishing nothing.
 func (r *modelRun) truncate(art int) {
 	xs := slices.DeleteFunc([]*execution{r.rld, r.shd, r.wal}, func(x *execution) bool {
-		return x == nil || x.moved[art] || !anyMapped(x.e.set.Load())
+		return x == nil || x.moved[art] || !anyLoaded(x.e.set.Load())
 	})
 	if len(xs) == 0 {
 		return
@@ -938,10 +939,10 @@ func (r *modelRun) truncate(art int) {
 	var kept []kept
 	for _, x := range xs {
 		for _, sg := range x.e.set.Load().segs {
-			if sg.docs.mapped() {
+			if sg.docs.onDisk() {
 				docs := make([]Document, sg.numDocs())
 				for j := range docs {
-					docs[j] = sg.doc(j)
+					docs[j] = r.stored(sg.doc(j))
 				}
 				d.docs[sg.text] = docs
 			}
@@ -1013,16 +1014,17 @@ func (r *modelRun) truncate(art int) {
 // its node index: reading the term's postings reads the mapping.
 func (r *modelRun) postsMapped(s *segmentSet, terms []string) bool {
 	return slices.ContainsFunc(s.segs, func(sg *segment) bool {
-		return sg.docs.mapped() && slices.ContainsFunc(r.damage.docs[sg.text], func(d Document) bool {
+		return sg.docs.onDisk() && slices.ContainsFunc(r.damage.docs[sg.text], func(d Document) bool {
 			return slices.ContainsFunc(r.analysis(d.Text).node, func(t string) bool { return slices.Contains(terms, t) })
 		})
 	})
 }
 
 // repair ends the truncate step's damage: the bytes go back into the same
-// files, which the mappings share, and each file is then replaced by a
-// copy — removed under the engines that map it, which keep reading what
-// they mapped, exactly (the step's checks) and into byte-identical saves.
+// files, which the mappings and descriptors share, and each file is then
+// replaced by a copy — removed under the engines that read it, which keep
+// reading what they loaded, exactly (the step's checks) and into
+// byte-identical saves.
 // It counts the merges the damage made fail, and the merges counted
 // meanwhile.
 func (r *modelRun) repair() {
@@ -1247,8 +1249,8 @@ func (r *modelRun) save() {
 	}
 	r.rld.e.Close()
 	r.rld.reopen(loaded)
-	r.checkMapped(r.mem, false)
-	r.checkMapped(r.rld, true)
+	r.checkLoaded(r.mem, false)
+	r.checkLoaded(r.rld, true)
 	r.closeSharded()
 	r.openSharded(maps.Clone(r.live))
 }
@@ -1275,7 +1277,7 @@ func (r *modelRun) openSharded(live map[int]Document) {
 		r.fatalf("sharded: %v", err)
 	}
 	r.shd = x
-	r.checkMapped(x, true)
+	r.checkLoaded(x, true)
 	if err := x.e.Save(r.scratch); err != nil {
 		r.fatalf("sharded: re-save: %v", err)
 	}
@@ -1293,12 +1295,12 @@ func (r *modelRun) closeSharded() {
 	r.shd = nil
 }
 
-// checkMapped asserts the one shape of x's documents: every segment on
-// the heap, or every one mapped.
-func (r *modelRun) checkMapped(x *execution, mapped bool) {
+// checkLoaded asserts the one shape of x's documents: every segment on
+// the heap, or every one read from its snapshot's documents artifact.
+func (r *modelRun) checkLoaded(x *execution, loaded bool) {
 	for si, sg := range x.e.set.Load().segs {
-		if sg.docs.mapped() != mapped || (sg.docs.docs == nil) != mapped {
-			r.fatalf("%s: segment %d holds mapped documents %v, want %v", x.name, si, sg.docs.mapped(), mapped)
+		if sg.docs.onDisk() != loaded || (sg.docs.docs == nil) != loaded {
+			r.fatalf("%s: segment %d reads its documents from disk %v, want %v", x.name, si, sg.docs.onDisk(), loaded)
 		}
 	}
 }
@@ -1360,7 +1362,7 @@ func (r *modelRun) sameStructure(a, b *execution) bool {
 			return false
 		}
 		for j := range ga.numDocs() {
-			if ga.doc(j) != gb.doc(j) || ga.dead.Get(j) != gb.dead.Get(j) {
+			if r.stored(ga.doc(j)) != r.stored(gb.doc(j)) || ga.dead.Get(j) != gb.dead.Get(j) {
 				return false
 			}
 		}
@@ -1434,7 +1436,7 @@ func (r *modelRun) checkSet(x *execution) {
 		}
 		r.checkIndexes(x, sg)
 		for j := range sg.numDocs() {
-			if d := sg.doc(j); sg.times[j] != d.Time {
+			if d := r.stored(sg.doc(j)); sg.times[j] != d.Time {
 				r.fatalf("%s: segment %d time column differs from its document %d", x.name, si, d.ID)
 			} else {
 				last[d.ID] = len(times) + j
@@ -1449,7 +1451,7 @@ func (r *modelRun) checkSet(x *execution) {
 	dead := 0
 	for pos := range s.numDocs {
 		si, local := s.segIndexOf(pos)
-		d := s.doc(pos)
+		d := r.stored(s.doc(pos))
 		_, inPending := pending[d.ID]
 		want, live := x.live[d.ID]
 		live = live && !inPending && last[d.ID] == pos
@@ -1507,7 +1509,7 @@ func (r *modelRun) checkIndexes(x *execution, sg *segment) {
 	r.checked[sg.text] = true
 	tb, nb := index.NewBuilder(), index.NewBuilder()
 	for j := range sg.numDocs() {
-		a := r.analysis(sg.doc(j).Text)
+		a := r.analysis(r.stored(sg.doc(j)).Text)
 		tb.Add(a.text)
 		nb.Add(a.node)
 	}
@@ -1792,7 +1794,17 @@ func (r *modelRun) setDoc(s *segmentSet, pos int) Document {
 			return docs[local]
 		}
 	}
-	return s.segs[si].doc(local)
+	return r.stored(s.segs[si].doc(local))
+}
+
+// stored is a document read for a check that no damage reaches (the
+// truncate step's reads go through setDoc): a read that fails fails the
+// run.
+func (r *modelRun) stored(d Document, err error) Document {
+	if err != nil {
+		r.fatalf("reading a stored document: %v", err)
+	}
+	return d
 }
 
 // keepFunc is a request filter of the reference.

@@ -242,8 +242,8 @@ type Engine struct {
 	bonTimeout atomic.Int64
 
 	// loaded is the segments the engine's loader restored, the owners of
-	// its snapshot mappings, which Close releases; closed is set by Close,
-	// after which reads and writes fail with ErrClosed.
+	// its snapshot mappings and descriptors, which Close releases; closed
+	// is set by Close, after which reads and writes fail with ErrClosed.
 	loaded []*segment
 	closed atomic.Bool
 
@@ -420,11 +420,14 @@ func (e *Engine) analyze(text string) docTerms {
 
 // docEmbedding re-derives the subgraph embedding of the document at a
 // global position of s from its text, through the very path analyze
-// indexed it by (nil for an unembeddable document). The text of a mapped
-// document is a copy (segmentSet.doc): the pipeline's tokens, which the
-// embedder's group cache may keep, never alias the mapping.
-func (e *Engine) docEmbedding(s *segmentSet, pos int) *core.DocEmbedding {
-	return e.gs.embedDoc(e.gs.pipe.Process(s.doc(pos).Text))
+// indexed it by (nil for an unembeddable document). A stored document
+// that does not read fails it.
+func (e *Engine) docEmbedding(s *segmentSet, pos int) (*core.DocEmbedding, error) {
+	d, err := s.doc(pos)
+	if err != nil {
+		return nil, err
+	}
+	return e.gs.embedDoc(e.gs.pipe.Process(d.Text)), nil
 }
 
 // Build finalizes the inverted indexes. It must be called once, after the

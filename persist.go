@@ -176,9 +176,10 @@ func readOldSnapshot(dir string) *oldSnapshot {
 // segment already present in the snapshot being replaced is hard-linked
 // into the new one instead of rewritten — only new and merged segments
 // (and meta.json, which carries the tombstones) cost writes, and a linked
-// file is read once to verify its checksum. A loaded segment
-// is written from its mapped artifacts; if one was truncated under the
-// engine, Save fails with that error. After Close, Save is ErrClosed.
+// file is read once to verify its checksum. A loaded segment is written
+// from its artifacts, the mapped indexes and the open documents file; if
+// one was truncated under the engine, Save fails with that error. After
+// Close, Save is ErrClosed.
 //
 // The write is atomic with respect to crashes and failures: the snapshot
 // is staged in a temporary directory, fsynced, checksummed, and renamed
@@ -442,21 +443,23 @@ func installSnapshot(tmp, dir string) error {
 // knowledge graph the snapshot was built on (verified by fingerprint).
 //
 // Every artifact is checksum-verified (streamed through read(2), so
-// verification makes nothing resident) and then mapped read-only, its
-// descriptor closed: a request reads the postings blocks and the documents
+// verification makes nothing resident). The two indexes are then mapped
+// read-only, their descriptors closed: a request reads the postings blocks
 // it touches in place, at memory speed, and only those pages become
-// resident (DESIGN.md §11). The index directories, the document lengths
-// and the documents' ID, time and offset columns are parsed out, with
-// every postings block validated, before Load returns; the engine keeps
-// the mappings until Close. A segment that a write or merge creates after
-// the load is heap resident, as in any engine.
+// resident (DESIGN.md §11). The documents artifact is kept open, not
+// mapped, and a request reads each document it returns with one pread.
+// The index directories, the document lengths and the documents' ID, time
+// and offset columns are parsed out, with every postings block validated,
+// before Load returns; the engine keeps the mappings and the descriptors
+// until Close. A segment that a write or merge creates after the load is
+// heap resident, as in any engine.
 //
 // Load verifies the snapshot before building any state: a format-version
 // mismatch returns ErrSnapshotVersion, and an unparsable meta.json, a
 // missing or truncated artifact, a checksum mismatch, a corrupt tombstone
 // bitmap, or inconsistent document counts return ErrSnapshotCorrupt
 // (match both with errors.Is). On any error no engine is returned — never
-// a partially loaded one — and nothing stays mapped.
+// a partially loaded one — and nothing stays mapped or open.
 //
 // Runtime options (cache sizes, WithWAL, WithIngestQueue, ...) apply on
 // top of the snapshot's persisted Config. With WithWAL set, Load replays
@@ -492,11 +495,11 @@ func Load(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
 
 // Close shuts the engine's owned resources down: the ingest pipeline is
 // drained and stopped, the write-ahead log is fsynced and closed, and
-// every snapshot mapping the engine's loader made is released — those of
-// segments a merge has since retired included. Afterwards every read,
-// write, Compact and Save fails with ErrClosed. Close must not race
-// reads: a server closes the engine only after it stopped serving
-// (http.Server.Shutdown). A second Close is a no-op.
+// every snapshot mapping and descriptor the engine's loader made is
+// released — those of segments a merge has since retired included.
+// Afterwards every read, write, Compact and Save fails with ErrClosed.
+// Close must not race reads: a server closes the engine only after it
+// stopped serving (http.Server.Shutdown). A second Close is a no-op.
 func (e *Engine) Close() error {
 	err := e.stopIngest()
 	if e.closed.Swap(true) {
@@ -508,11 +511,11 @@ func (e *Engine) Close() error {
 // loadSegments is the one restore path behind every loader: it checks the
 // graph fingerprint, then restores the manifest's segments concurrently —
 // each one checksum-verified against the manifest before anything of it is
-// mapped — and returns them in manifest order. fetch, when not nil,
+// opened — and returns them in manifest order. fetch, when not nil,
 // repairs an artifact that is missing or fails verification (see
 // LoadSegments); it is called concurrently. The first failing segment in
 // that order decides the error, and every segment restored by then is
-// unmapped again: no loader ever returns, or leaks, a partial set.
+// released again: no loader ever returns, or leaks, a partial set.
 func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, fetch func(name string) error) ([]*segment, error) {
 	if got := fingerprint(g); got != m.Graph {
 		return nil, fmt.Errorf("newslink: knowledge graph mismatch: snapshot %+v, graph %+v", m.Graph, got)
@@ -544,13 +547,13 @@ func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, fetch func(name stri
 // loadSegment restores segment i of the manifest. It verifies the
 // segment's artifacts against their recorded checksums, streaming them
 // through buf — an artifact that fails is handed to fetch, when there is
-// one, and the file it wrote verified in turn — then maps each one and
-// parses it: the indexes' directories and every postings block
-// (index.ReadIndex), and the documents' columns (openDocs). A file
-// truncated between the two faults on its mapping while it is parsed,
-// which fails the load like any other corruption. The artifact identity
-// from meta.json is memoized on the segment so a later Save can reuse the
-// files without rewriting them.
+// one, and the file it wrote verified in turn — then maps each index and
+// parses its directories and every postings block (index.ReadIndex), and
+// opens the documents artifact and reads its columns (openDocs). A file
+// truncated between the two faults on its mapping or reads short while it
+// is parsed, which fails the load like any other corruption. The artifact
+// identity from meta.json is memoized on the segment so a later Save can
+// reuse the files without rewriting them.
 func loadSegment(dir string, m *snapshotMeta, i int, buf []byte, fetch func(name string) error) (*segment, error) {
 	sm := m.Segments[i]
 	names := SegmentFileNames(sm.ID)
@@ -570,23 +573,30 @@ func loadSegment(dir string, m *snapshotMeta, i int, buf []byte, fetch func(name
 		seg.unmap()
 		return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
 	}
-	// One parser per artifact, in segmentSuffixes order.
-	parse := [...]func(data []byte) error{
-		func(data []byte) (err error) { seg.text, err = index.ReadIndex(data); return err },
-		func(data []byte) (err error) { seg.node, err = index.ReadIndex(data); return err },
-		func(data []byte) (err error) { seg.docs, seg.times, err = openDocs(data); return err },
-	}
-	for k, name := range names {
-		data, err := mmap.Map(filepath.Join(dir, name))
+	// The two indexes, first in segmentSuffixes order, are mapped.
+	for k, idx := range [...]**index.Index{&seg.text, &seg.node} {
+		data, err := mmap.Map(filepath.Join(dir, names[k]))
 		if err == nil {
 			seg.maps = append(seg.maps, data)
-			err = mmap.Guard(func() error { return parse[k](data) })
+			err = mmap.Guard(func() (err error) { *idx, err = index.ReadIndex(data); return err })
 		}
 		if err != nil {
-			return corrupt(name, err)
+			return corrupt(names[k], err)
 		}
 	}
+	// The documents are read, never mapped (stored.go).
 	docsName := names[len(names)-1]
+	f, err := os.Open(filepath.Join(dir, docsName))
+	if err == nil {
+		seg.file = f
+		var st os.FileInfo
+		if st, err = f.Stat(); err == nil {
+			seg.docs, seg.times, err = openDocs(f, st.Size())
+		}
+	}
+	if err != nil {
+		return corrupt(docsName, err)
+	}
 	if n := seg.numDocs(); seg.text.NumDocs() != n || seg.node.NumDocs() != n {
 		return corrupt(docsName, fmt.Errorf("segment %s: %d docs, %d text-indexed, %d node-indexed",
 			sm.ID, n, seg.text.NumDocs(), seg.node.NumDocs()))
@@ -614,8 +624,8 @@ func loadSegment(dir string, m *snapshotMeta, i int, buf []byte, fetch func(name
 	return seg, nil
 }
 
-// unmapSegments releases the mappings of loaded segments (nil entries are
-// the segments of a failed load that never loaded).
+// unmapSegments releases the mappings and descriptors of loaded segments
+// (nil entries are the segments of a failed load that never loaded).
 func unmapSegments(segs []*segment) error {
 	var err error
 	for _, seg := range segs {

@@ -278,8 +278,9 @@ func TestSnapshotRoundTripsDocumentBytes(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for pos := 0; pos < want.numDocs; pos++ {
-			if got, err := loaded.DocAt(pos); err != nil || !reflect.DeepEqual(got, want.doc(pos)) {
-				t.Fatalf("%s: document at %d is %#v (%v), want %#v", name, pos, got, err, want.doc(pos))
+			wd, _ := want.doc(pos)
+			if got, err := loaded.DocAt(pos); err != nil || !reflect.DeepEqual(got, wd) {
+				t.Fatalf("%s: document at %d is %#v (%v), want %#v", name, pos, got, err, wd)
 			}
 		}
 		for _, q := range []string{"Taliban bombing in Lahore", "Caf\xe9 attack", "Sanders Clinton FBI emails", "Pakistan Upper Dir"} {

@@ -91,9 +91,9 @@ func (e *Engine) relatedContext(ctx context.Context, q RelatedQuery) (SearchResp
 	if err != nil {
 		return SearchResponse{}, err
 	}
-	emb := e.docEmbedding(snap, pos)
-	if emb == nil || len(emb.Counts) == 0 {
-		return SearchResponse{}, nil
+	emb, err := e.docEmbedding(snap, pos)
+	if err != nil || emb == nil || len(emb.Counts) == 0 {
+		return SearchResponse{}, err
 	}
 	// The source document ranks against itself like any other: ask one
 	// candidate deeper and drop it. The traversal returns the exact top of
@@ -113,5 +113,6 @@ func (e *Engine) relatedContext(ctx context.Context, q RelatedQuery) (SearchResp
 	ret.BON = ret.BON[:min(len(ret.BON), pool)]
 	// β = 1 fusion is exactly the documented normalization of a pure-BON
 	// ranking: clip(normalize(bon), k).
-	return ret.response(gather(snap, search.Fuse(nil, ret.BON, 1, q.K), nil)), nil
+	out, err := gather(snap, search.Fuse(nil, ret.BON, 1, q.K), nil)
+	return ret.response(out), err
 }

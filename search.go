@@ -117,22 +117,30 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (SearchResponse, er
 	d := sp.End(obs.Int("bow_candidates", len(ret.BOW)), obs.Int("bon_candidates", len(ret.BON)), obs.Int("fused", len(fused)))
 	e.met.stageObserve(obs.StageFuse, d)
 	sp = tr.Start(obs.StageTopK)
-	out := gather(snap, fused, nlp.NewTermSet(qTerms))
+	out, err := gather(snap, fused, nlp.NewTermSet(qTerms))
 	d = sp.End(obs.Int("k", len(out)))
 	e.met.stageObserve(obs.StageTopK, d)
+	if err != nil {
+		return SearchResponse{}, err
+	}
 	return ret.response(out), nil
 }
 
 // gather materializes the results of a fused ranking: each hit's ID,
 // title and score, and its snippet when snippets (compiled once, probed by
-// every result document) is set.
-func gather(snap *segmentSet, fused []search.Hit, snippets *nlp.TermSet) []Result {
+// every result document) is set. A stored document that does not read
+// fails it.
+func gather(snap *segmentSet, fused []search.Hit, snippets *nlp.TermSet) ([]Result, error) {
 	out := make([]Result, len(fused))
 	for i, h := range fused {
-		out[i] = snap.result(int(h.Doc), snippets)
+		r, err := snap.result(int(h.Doc), snippets)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
 		out[i].Score = h.Score
 	}
-	return out
+	return out, nil
 }
 
 // pool is a request's candidate pool: the request's depth (or the

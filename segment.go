@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -32,14 +33,14 @@ import (
 // the tombstone bitmap marking deleted documents. The documents are a
 // []Document or the docs.bin columns (stored.go). A segment built or
 // merged in this process holds everything on the heap; one restored from
-// a snapshot views its three artifacts through read-only mappings, which
-// only the Close of the engine or Shard that loaded it releases. All
-// fields are immutable after construction — deletes clone the segment
-// with a new bitmap, sharing everything else, mapped bytes included —
-// except art, a memoized snapshot-artifact identity that is computed on
-// first Save and carried along (tombstones are not part of the artifact
-// identity: they live in meta.json, so a delete never forces a segment
-// rewrite on disk).
+// a snapshot views its two indexes through read-only mappings and reads
+// its documents through an open descriptor, which only the Close of the
+// engine or Shard that loaded it releases. All fields are immutable after
+// construction — deletes clone the segment with a new bitmap, sharing
+// everything else, mappings and descriptor included — except art, a
+// memoized snapshot-artifact identity that is computed on first Save and
+// carried along (tombstones are not part of the artifact identity: they
+// live in meta.json, so a delete never forces a segment rewrite on disk).
 type segment struct {
 	docs  docStore
 	times []int64 // columnar Document.Time, one per document
@@ -47,10 +48,11 @@ type segment struct {
 	text  *index.Index
 	node  *index.Index
 	dead  *index.Bitmap // nil = no deletes
-	// maps holds the mapped artifacts a loaded segment views; its
-	// tombstone clones view them too but leave maps nil, so each mapping
-	// has one owner to release it.
+	// maps and file are the index mappings and the documents artifact a
+	// loaded segment reads; its tombstone clones read them too but leave
+	// both nil, so each has one owner to release it.
 	maps [][]byte
+	file *os.File
 
 	art atomic.Pointer[segmentArtifact]
 }
@@ -104,14 +106,17 @@ func (s *segment) position(id int) (int, bool) {
 func (s *segment) numDocs() int { return len(s.times) }
 func (s *segment) numLive() int { return s.numDocs() - s.dead.Count() }
 
-// unmap releases the mappings a loaded segment owns (a no-op for the
-// others). Nothing may read the segment afterwards.
+// unmap releases the mappings and the descriptor a loaded segment owns (a
+// no-op for the others). Nothing may read the segment afterwards.
 func (s *segment) unmap() error {
 	var err error
 	for _, b := range s.maps {
 		err = errors.Join(err, mmap.Unmap(b))
 	}
-	s.maps = nil
+	if s.file != nil {
+		err = errors.Join(err, s.file.Close())
+	}
+	s.maps, s.file = nil, nil
 	return err
 }
 
@@ -270,13 +275,13 @@ func (s *segmentSet) segIndexOf(pos int) (si, local int) {
 }
 
 // doc returns the document at a global position (segment.doc).
-func (s *segmentSet) doc(pos int) Document {
+func (s *segmentSet) doc(pos int) (Document, error) {
 	si, local := s.segIndexOf(pos)
 	return s.segs[si].doc(local)
 }
 
 // result is the search result at a global position (segment.result).
-func (s *segmentSet) result(pos int, snippets *nlp.TermSet) Result {
+func (s *segmentSet) result(pos int, snippets *nlp.TermSet) (Result, error) {
 	si, local := s.segIndexOf(pos)
 	return s.segs[si].result(local, snippets)
 }
@@ -343,10 +348,11 @@ func findMergeRun(segs []*segment) (lo, hi int, ok bool) {
 // are concatenated in order and the indexes are rewritten tombstone-free
 // (index.MergeSegments), so DF/AvgDocLen tighten to the surviving corpus
 // and block-max summaries regain full blocks. The merged segment is heap
-// resident: a mapped segment's documents are copied out. A segment whose
-// postings do not decode or whose mapping faults (an artifact truncated
-// under the engine) fails the merge; the inputs are untouched and stay
-// exact. It runs under e.mu, so it must not panic: the guard is here.
+// resident: a loaded segment's documents are read out (segment.doc). A
+// segment whose postings do not decode, whose mapping faults or whose
+// documents do not read (an artifact truncated under the engine) fails
+// the merge; the inputs are untouched and stay exact. It runs under e.mu,
+// so it must not panic: the guard is here.
 func mergeRun(segs []*segment) (merged *segment, err error) {
 	err = mmap.Guard(func() error {
 		live := 0
@@ -360,9 +366,14 @@ func mergeRun(segs []*segment) (merged *segment, err error) {
 		for i, sg := range segs {
 			texts[i], nodes[i], deads[i] = sg.text, sg.node, sg.dead
 			for j := range sg.numDocs() {
-				if !sg.dead.Get(j) {
-					docs = append(docs, sg.doc(j))
+				if sg.dead.Get(j) {
+					continue
 				}
+				d, err := sg.doc(j)
+				if err != nil {
+					return err
+				}
+				docs = append(docs, d)
 			}
 		}
 		text, err := index.MergeSegments(texts, deads)
