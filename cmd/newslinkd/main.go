@@ -11,10 +11,9 @@
 // a previously saved engine snapshot is loaded (or written after indexing
 // if the directory does not exist yet), so restarts skip the corpus
 // embedding cost; a start that loads a snapshot reads only the -kg file,
-// never the -corpus one. A loaded snapshot is served from its files: the
-// indexes are mapped read-only and read in place, so only the pages
-// requests touch become resident, and each returned document is read from
-// its segment's documents artifact with one pread.
+// never the -corpus one. A loaded snapshot's indexes are read onto the
+// heap at start-up, and each returned document is read from its segment's
+// documents artifact with one pread; no snapshot file is mapped.
 //
 // The API is served under /v1/.
 // -querytimeout bounds each query server-side; an exceeded deadline is

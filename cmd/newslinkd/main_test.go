@@ -135,7 +135,7 @@ func TestBuildEngineSnapshotSkipsCorpus(t *testing.T) {
 }
 
 // TestBuildEngineOnDisk: a start over an existing snapshot serves it from
-// the snapshot's mapped files, and Close releases them.
+// the snapshot's files, and Close releases them.
 func TestBuildEngineOnDisk(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "snap")
 	built, err := buildEngine("", "", 0.2, snap)

@@ -6,7 +6,6 @@ import (
 
 	"newslink/internal/index"
 	"newslink/internal/kg"
-	"newslink/internal/mmap"
 	"newslink/internal/nlp"
 )
 
@@ -91,18 +90,13 @@ func (e *Engine) EntityTerms(labels []string) [][]string {
 // facet (term sets from EntityTerms, conjunctive across sets) are masked
 // from retrieval through the same live seam as tombstones. Statistics
 // stay those of the full corpus. With no clauses set it returns the raw
-// sources. A loaded engine's sources read its mappings: a caller that
-// traverses them runs the traversal under mmap.Guard, and not after Close.
+// sources.
 func (e *Engine) FilteredSources(after, before int64, entities [][]string) (text, node index.Source, err error) {
 	snap, err := e.acquire()
 	if err != nil {
 		return nil, nil, err
 	}
-	err = mmap.Guard(func() (err error) {
-		text, node, err = snap.filteredSources(after, before, entities)
-		return err
-	})
-	return text, node, err
+	return snap.filteredSources(after, before, entities)
 }
 
 // DocAt returns the document at a global position within the engine's

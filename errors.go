@@ -44,7 +44,8 @@ var (
 	// restore a snapshot or discard the log.
 	ErrWALCorrupt = errors.New("newslink: write-ahead log corrupt")
 	// ErrClosed is returned by every read and write after Close released
-	// the ingest pipeline, the write-ahead log and the snapshot mappings.
+	// the ingest pipeline, the write-ahead log and the snapshot's open
+	// documents files.
 	ErrClosed = errors.New("newslink: engine closed")
 	// ErrReadOnly is returned by every write (and Compact) of a cluster
 	// router's engine (LoadRouted): its shard workers serve a fixed

@@ -7,7 +7,6 @@ import (
 	"newslink/internal/core"
 	"newslink/internal/index"
 	"newslink/internal/kg"
-	"newslink/internal/mmap"
 	"newslink/internal/obs"
 )
 
@@ -34,11 +33,7 @@ func (e *Engine) ExplainContext(ctx context.Context, query string, docID int, ma
 // filtered Search would never return cannot be explained either — it
 // returns ErrUnknownDoc, exactly like a tombstoned document.
 func (e *Engine) ExplainQueryContext(ctx context.Context, q Query, docID int, maxPaths int) (Explanation, error) {
-	var exp Explanation
-	err := mmap.Guard(func() (err error) {
-		exp, err = e.explainContext(ctx, q, docID, maxPaths)
-		return err
-	})
+	exp, err := e.explainContext(ctx, q, docID, maxPaths)
 	e.met.explains.Inc()
 	if err != nil {
 		e.met.explainErrors.Inc()
@@ -164,15 +159,7 @@ func (e *Engine) ExplainDOT(query string, docID int, title string) (string, erro
 }
 
 // ExplainDOTContext is ExplainDOT with a cancellable context.
-func (e *Engine) ExplainDOTContext(ctx context.Context, query string, docID int, title string) (dot string, err error) {
-	err = mmap.Guard(func() (err error) {
-		dot, err = e.explainDOT(ctx, query, docID, title)
-		return err
-	})
-	return dot, err
-}
-
-func (e *Engine) explainDOT(ctx context.Context, query string, docID int, title string) (string, error) {
+func (e *Engine) ExplainDOTContext(ctx context.Context, query string, docID int, title string) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}

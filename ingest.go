@@ -288,7 +288,7 @@ func (e *Engine) writeWindow(ops []writeOp, analyzed []docTerms) error {
 	defer e.walMu.Unlock()
 	if e.walClosed {
 		// A closed engine takes no write, built or not: its log can no
-		// longer make one durable, and its loaded segments are released.
+		// longer make one durable, and its documents files are closed.
 		return ErrClosed
 	}
 	built := e.set.Load() != nil

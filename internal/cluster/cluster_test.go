@@ -12,12 +12,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"newslink"
 	"newslink/internal/corpus"
+	"newslink/internal/index"
 	"newslink/internal/kg"
 	"newslink/internal/server"
 )
@@ -364,6 +367,61 @@ func TestEmptyWorkerFetchesEveryArtifact(t *testing.T) {
 	}
 	if ack := assignDirect(t, fresh[0][0], req); ack.Fetched != 0 {
 		t.Fatalf("repeated assignment acknowledged %+v, want nothing fetched", ack)
+	}
+}
+
+// TestWorkerReassignmentClosesReplacedShard: a worker assigned one slot
+// and then another closes the shard it replaced as it installs the new
+// one: afterwards it holds one descriptor per segment of the new slot, on
+// its documents, and maps nothing. A traversal reads only heap state, so
+// one still running on the replaced shard reads the same postings before,
+// during and after that Close.
+func TestWorkerReassignmentClosesReplacedShard(t *testing.T) {
+	_, g, _, rt, _ := startCluster(t, Config{})
+	workers, endpoints := startWorkers(t, g, 1)
+	a, b := rt.assignRequest(rt.slots[0]), rt.assignRequest(rt.slots[1])
+	assignDirect(t, endpoints[0][0], a)
+	replaced, _, _ := workers[0].snapshotState()
+	terms, _, err := rt.engine.AnalyzeQuery(context.Background(), "clashes near the border")
+	if err != nil || len(terms) == 0 {
+		t.Fatalf("analyzed %v, %v", terms, err)
+	}
+	traverse := func() [][]index.Posting {
+		text, _, err := replaced.Sources(0, 0, nil)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		lists := make([][]index.Posting, len(terms))
+		for i, term := range terms {
+			if lists[i], err = index.Postings(text, term); err != nil {
+				t.Error(err)
+			}
+		}
+		return lists
+	}
+	want := traverse()
+	if slices.IndexFunc(want, func(l []index.Posting) bool { return len(l) > 0 }) < 0 {
+		t.Fatalf("no term of %v posts in the replaced slot", terms)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			if got := traverse(); !reflect.DeepEqual(got, want) {
+				t.Errorf("a traversal of the replaced shard read other postings while it closed")
+				return
+			}
+		}
+	}()
+	assignDirect(t, endpoints[0][0], b)
+	<-done
+	if got := traverse(); !reflect.DeepEqual(got, want) {
+		t.Fatal("a traversal of the replaced shard read other postings after it closed")
+	}
+	if fds, maps := openUnder(t, workers[0].dir); fds != len(b.Segments) || maps != 0 {
+		t.Fatalf("worker re-assigned from %d segments to %d holds %d descriptors and %d mappings, want %d and 0",
+			len(a.Segments), len(b.Segments), fds, maps, len(b.Segments))
 	}
 }
 

@@ -369,8 +369,8 @@ func (r *clusterRun) apply(s cstep) {
 }
 
 // corrupt flips a bit in the middle one of dir's files, rewriting it as a
-// new file so no mapping of the old one sees it, and returns the others'
-// file information.
+// new file so no descriptor open on the old one sees it, and returns the
+// others' file information.
 func corrupt(dir string) (map[string]os.FileInfo, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -101,8 +101,7 @@ type slot struct {
 	reqs  map[string]*obs.Counter // outcome -> request counter
 
 	// text and node are the slot's segment indexes in plan order — the
-	// router engine's own: term directories and document lengths on the
-	// heap, postings mapped, and the router never decodes a block.
+	// router engine's own, on the heap; the router never decodes a block.
 	text, node []index.Source
 }
 
@@ -311,7 +310,7 @@ func (rt *Router) Start(ctx context.Context) error {
 }
 
 // Close stops the probe loop, waiting for it to return, and releases idle
-// transport connections and the snapshot's mappings.
+// transport connections and the snapshot's open documents files.
 func (rt *Router) Close() {
 	if rt.stopProbe != nil {
 		rt.stopProbe()

@@ -292,10 +292,10 @@ func TestNewRouterCorruptionTable(t *testing.T) {
 	}
 }
 
-// TestRouterCloseReleasesIndexFiles: a router maps the two indexes of
-// every segment of its plan once and holds one descriptor on each
-// segment's documents, which it never maps; Close releases every mapping
-// and descriptor.
+// TestRouterCloseReleasesIndexFiles: a router maps nothing of its
+// snapshot and holds one descriptor per segment of its plan, on the
+// segment's documents (its indexes were read onto the heap); Close
+// releases every descriptor.
 func TestRouterCloseReleasesIndexFiles(t *testing.T) {
 	dir, g := buildSnapshot(t)
 	rt, err := NewRouter(dir, g, Config{Endpoints: [][]string{{"http://a"}, {"http://b"}}, Logger: testLogger()})
@@ -306,9 +306,9 @@ func TestRouterCloseReleasesIndexFiles(t *testing.T) {
 	for _, sp := range rt.Plan().Shards {
 		segments += len(sp.Segments)
 	}
-	if fds, maps := openUnder(t, dir); fds != segments || maps != 2*segments {
-		t.Errorf("open router holds %d descriptors and %d mappings on the snapshot, want %d and %d (the documents and the two indexes of %d segments)",
-			fds, maps, segments, 2*segments, segments)
+	if fds, maps := openUnder(t, dir); fds != segments || maps != 0 {
+		t.Errorf("open router holds %d descriptors and %d mappings on the snapshot, want %d and 0 (the documents of %d segments)",
+			fds, maps, segments, segments)
 	}
 	rt.Close()
 	if fds, maps := openUnder(t, dir); fds+maps != 0 {

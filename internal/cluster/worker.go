@@ -16,7 +16,6 @@ import (
 	"newslink"
 	"newslink/internal/faults"
 	"newslink/internal/kg"
-	"newslink/internal/mmap"
 	"newslink/internal/obs"
 	"newslink/internal/search"
 	"newslink/internal/server"
@@ -195,14 +194,20 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 		server.WriteError(rw, http.StatusInternalServerError, "load_failed", "%v", err)
 		return
 	}
-	// A replaced shard stays mapped: a search in flight may still be
-	// traversing it, and nothing tracks when the last one ends (DESIGN.md
-	// §11). Only the Close of a Shard releases its mappings.
+	// The replaced shard is closed at once: a search still traversing it
+	// reads only its heap state (postings, tombstones, time columns), never
+	// the documents descriptors Close releases (DESIGN.md §11).
 	w.mu.Lock()
+	old := w.shard
 	w.shard = shard
 	w.plan = req.Plan
 	w.base = req.Base
 	w.mu.Unlock()
+	if old != nil {
+		if err := old.Close(); err != nil {
+			w.log.Warn("closing the replaced assignment", "worker", w.id, "err", err)
+		}
+	}
 	w.registry.Gauge("newslink_segments", "Segments of the assignment the worker serves.").Set(int64(len(req.Segments)))
 	w.log.Info("assignment installed", "worker", w.id, "plan", req.Plan,
 		"base", req.Base, "segments", len(req.Segments), "fetched", fetched.Load())
@@ -258,19 +263,15 @@ func (w *Worker) handleSearch(rw http.ResponseWriter, r *http.Request) {
 	// the router's unfiltered global values, so the filtered shard ranking
 	// composes into exactly a single process's filtered ranking. Both legs
 	// run here, on the handler goroutine (a spawn and a wake-up per leg
-	// cost more than the overlap returns, DESIGN.md §14), under the guard
-	// that turns a fault on the shard's mappings into an error.
+	// cost more than the overlap returns, DESIGN.md §14).
 	resp := SearchResponse{Plan: req.Plan}
-	err := mmap.Guard(func() error {
-		text, node, err := shard.Sources(req.After, req.Before, req.Entities)
-		if err == nil && len(req.Text) > 0 {
-			resp.Text, _, err = search.TopKBlockMaxOrderedStats(r.Context(), text, req.TextScorer.scorer(), req.Text, req.K)
-		}
-		if err == nil && len(req.Node) > 0 {
-			resp.Node, _, err = search.TopKBlockMaxOrderedStats(r.Context(), node, req.NodeScorer.scorer(), req.Node, req.K)
-		}
-		return err
-	})
+	text, node, err := shard.Sources(req.After, req.Before, req.Entities)
+	if err == nil && len(req.Text) > 0 {
+		resp.Text, _, err = search.TopKBlockMaxOrderedStats(r.Context(), text, req.TextScorer.scorer(), req.Text, req.K)
+	}
+	if err == nil && len(req.Node) > 0 {
+		resp.Node, _, err = search.TopKBlockMaxOrderedStats(r.Context(), node, req.NodeScorer.scorer(), req.Node, req.K)
+	}
 	if err != nil {
 		server.WriteError(rw, http.StatusInternalServerError, "internal", "%v", err)
 		return

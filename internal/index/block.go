@@ -15,8 +15,7 @@ import (
 // block carries a summary — its last doc ID and its maximum TF — kept
 // outside the encoded bytes, so the query processor can compute a per-block
 // BM25 upper bound and skip whole blocks without decoding them
-// (Block-Max pruning), and a query over a mapped index reads exactly the
-// pages of the blocks it decodes.
+// (Block-Max pruning).
 const blockSize = 128
 
 // maxBlockBytes bounds one encoded block: each posting is at most two

@@ -2,41 +2,26 @@ package index
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
-
-	"newslink/internal/mmap"
 )
 
-// mapIndex serializes idx to a file and parses it back through a
-// read-only mapping of that file, as a snapshot load does. The mapping is
-// released when the test ends. It returns the mapped index and the path.
-func mapIndex(t *testing.T, idx *Index) (*Index, string) {
+// readBack serializes idx and parses the bytes back, as a snapshot load
+// does.
+func readBack(t *testing.T, idx *Index) *Index {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "test.idx")
-	if err := os.WriteFile(path, serialize(t, idx), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	data, err := mmap.Map(path)
+	got, err := ReadIndex(serialize(t, idx))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { mmap.Unmap(data) })
-	got, err := ReadIndex(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got, path
+	return got
 }
 
 func TestDiskIndexConcurrentReads(t *testing.T) {
 	idx := buildSmall()
-	disk, _ := mapIndex(t, idx)
+	disk := readBack(t, idx)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -54,10 +39,9 @@ func TestDiskIndexConcurrentReads(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDiskIndexErrors: a short artifact fails to parse, and one truncated
-// under its mapping after the parse faults in every consumer of its
-// postings — which mmap.Guard turns into an error: an unreadable list is
-// never an empty one.
+// TestDiskIndexErrors: a short artifact fails to parse, and a part whose
+// postings no longer decode fails a merge: an unreadable list is never an
+// empty one.
 func TestDiskIndexErrors(t *testing.T) {
 	idx := buildSmall()
 	data := serialize(t, idx)
@@ -65,19 +49,6 @@ func TestDiskIndexErrors(t *testing.T) {
 		if _, err := ReadIndex(short); err == nil {
 			t.Fatalf("a %d-byte prefix of a %d-byte index parsed", len(short), len(data))
 		}
-	}
-	held, path := mapIndex(t, idx)
-	if err := os.Truncate(path, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := mmap.Guard(func() error { _, err := Postings(held, "taliban"); return err }); err == nil {
-		t.Fatal("Postings over a truncated mapping returned no error")
-	}
-	if err := mmap.Guard(func() error { _, err := MergeSegments([]*Index{idx, held}, nil); return err }); err == nil {
-		t.Fatal("MergeSegments over a truncated mapping returned no error")
-	}
-	if err := mmap.Guard(func() error { _, err := held.WriteTo(io.Discard); return err }); err == nil {
-		t.Fatal("WriteTo over a truncated mapping returned no error")
 	}
 	// A part whose bytes were damaged after the parse fails a merge, which
 	// names the first term whose blocks no longer decode: zeroed, its first

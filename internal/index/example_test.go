@@ -9,7 +9,7 @@ import (
 )
 
 // Example shows the index lifecycle: build in memory, serialize, parse the
-// bytes back (a snapshot load parses a mapped file the same way), and
+// bytes back (a snapshot load parses an artifact it read the same way), and
 // extend with a segment — all behind the same Source interface the query
 // processor consumes.
 func Example() {

@@ -11,7 +11,7 @@ import (
 )
 
 // Source is the read interface the query processor consumes; Index
-// (built, merged or parsed from a mapped artifact), the segmented Multi and the Masked decorator
+// (built, merged or parsed from a snapshot artifact), the segmented Multi and the Masked decorator
 // all satisfy it, so searches run unchanged over any of them.
 type Source interface {
 	NumDocs() int
@@ -73,10 +73,10 @@ type Posting struct {
 // (serialize.go): the directory — sorted terms with their per-block
 // summaries — and the document lengths are resident, and the block bytes
 // form one postings area laid out exactly as WriteTo writes it. The area
-// is a heap buffer (Builder.Build, MergeSegments) or the tail of the bytes
-// ReadIndex parsed, a mapped snapshot artifact when a snapshot is loaded:
-// a cursor decodes each block it is asked for in place, so a query that
-// prunes a block never reads its pages. Safe for concurrent use: cursors
+// is a heap buffer: built (Builder.Build, MergeSegments), or the tail of
+// the bytes ReadIndex parsed, which a snapshot load read the artifact
+// into. A cursor decodes each block it is asked for in place, so a query
+// that prunes a block never decodes it. Safe for concurrent use: cursors
 // carry their own decode buffers.
 type Index struct {
 	terms    map[string]TermID

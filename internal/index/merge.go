@@ -6,7 +6,7 @@ import (
 )
 
 // MergeSegments compacts an ordered sequence of segments (built, merged or
-// parsed from mapped artifacts) into a single heap-resident Index, dropping
+// parsed from snapshot artifacts) into a single Index, dropping
 // documents marked dead in the per-segment tombstone bitmaps (dead may be nil, or hold nil
 // entries, meaning no deletes in that segment). Surviving documents keep
 // their relative order and are renumbered densely from 0.

@@ -30,8 +30,8 @@ import (
 // Doc-gap + varint compression shrinks postings ~3-4x versus fixed-width
 // encoding. The directory carries each block's summary (last doc, max TF,
 // byte length), so a reader can compute per-block score upper bounds and
-// decode exactly the blocks a query touches: over a mapped file, the pages
-// of a block a query prunes are never read.
+// decode exactly the blocks a query touches. ReadIndex still decodes every
+// block once, to validate it, so a parsed index is wholly resident.
 //
 // v2 stored one flat blob per term, which forced whole-list reads; v3 is not
 // backward compatible, and readers reject the old magic.
@@ -109,9 +109,9 @@ func decodeTF(v uint64) (tf float32, ok bool) { return float32(v >> 1), v&1 == 1
 
 // ReadIndex parses an index written by WriteTo from data, which must hold
 // exactly that output. The document lengths and the directory are copied
-// out of data; the postings area is not: the index aliases data, a
-// resident buffer or a mapped snapshot artifact, which must stay unchanged
-// for the index's lifetime. Everything is validated before the index is
+// out of data; the postings area is not: the index aliases data, a heap
+// buffer (a snapshot load reads the artifact into one), which must stay
+// unchanged for the index's lifetime. Everything is validated before the index is
 // returned: the directory's account of the area against len(data), and
 // every block (decode round-trip, monotone doc IDs, summary cross-checks).
 func ReadIndex(data []byte) (*Index, error) {

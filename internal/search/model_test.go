@@ -15,14 +15,13 @@ import (
 	"testing"
 
 	"newslink/internal/index"
-	"newslink/internal/mmap"
 )
 
 // The kernel model (DESIGN.md §7). A kernel history is one line of text,
 // "part 300 7; part 40 2 map; del 0 17; query q=0+5*2 k=3 pool=10 f=2 sh=2; merge 0 1",
 // of steps over an ordered list of parts, the segments of one index: part
 // appends a part of documents drawn from a seed, kept as built or written
-// with WriteTo and read back through a mapping of its file (map); del
+// with WriteTo and parsed back from those bytes (map); del
 // tombstones one document of a part; merge replaces a run of adjacent
 // parts by MergeSegments over them and their tombstones; query runs one
 // query through every retrieval path production keeps. The source a query
@@ -51,11 +50,12 @@ import (
 const kernelVocab = 40
 
 // kstep is one step: its kind, its positional arguments, whether its part
-// is read back through a mapping, and a query's parameters as key=value.
+// is parsed back from its serialized bytes, and a query's parameters as
+// key=value.
 type kstep struct {
 	kind   string
 	args   []int // part: documents and seed; del: part and document; merge: first and last part
-	mapped bool
+	read   bool
 	params []string
 }
 
@@ -66,7 +66,7 @@ func (s kstep) String() string {
 	for _, a := range s.args {
 		f = append(f, strconv.Itoa(a))
 	}
-	if s.mapped {
+	if s.read {
 		f = append(f, "map")
 	}
 	return strings.Join(append(f, s.params...), " ")
@@ -107,7 +107,7 @@ func parseKernelHistory(text string) (kernelHistory, error) {
 		}
 		rest := f[n+1:]
 		if len(rest) > 0 && rest[0] == "map" && (s.kind == "part" || s.kind == "merge") {
-			s.mapped, rest = true, rest[1:]
+			s.read, rest = true, rest[1:]
 		}
 		s.params = rest
 		if s.kind != "query" && len(rest) > 0 {
@@ -290,7 +290,7 @@ func (r *kernelRun) apply(s kstep) {
 	switch s.kind {
 	case "part":
 		docs := kernelDocs(s.args[0], s.args[1])
-		r.parts = append(r.parts, kpart{docs: docs, idx: r.keep(build(docs), s.mapped)})
+		r.parts = append(r.parts, kpart{docs: docs, idx: r.keep(build(docs), s.read)})
 	case "del":
 		if s.args[0] >= len(r.parts) || s.args[1] >= len(r.parts[s.args[0]].docs) {
 			r.fatalf("no such part or document")
@@ -323,7 +323,7 @@ func (r *kernelRun) apply(s kstep) {
 		if !bytes.Equal(serialize(r.t, merged), serialize(r.t, build(survivors))) {
 			r.fatalf("the merge is not the bytes of a build over the surviving documents")
 		}
-		r.parts = slices.Replace(r.parts, lo, hi+1, kpart{docs: survivors, idx: r.keep(merged, s.mapped)})
+		r.parts = slices.Replace(r.parts, lo, hi+1, kpart{docs: survivors, idx: r.keep(merged, s.read)})
 	case "query":
 		r.query(s)
 	}
@@ -338,23 +338,13 @@ func (r *kernelRun) apply(s kstep) {
 	}
 }
 
-// keep returns idx, or when mapped the index read back from its bytes
-// through a mapping of the file they were written to, as a snapshot load
-// reads a segment.
-func (r *kernelRun) keep(idx *index.Index, mapped bool) *index.Index {
-	if !mapped {
+// keep returns idx, or when read the index parsed back from its
+// serialized bytes, as a snapshot load parses a segment's.
+func (r *kernelRun) keep(idx *index.Index, read bool) *index.Index {
+	if !read {
 		return idx
 	}
-	path := filepath.Join(r.t.TempDir(), "part.idx")
-	if err := os.WriteFile(path, serialize(r.t, idx), 0o644); err != nil {
-		r.fatalf("%v", err)
-	}
-	data, err := mmap.Map(path)
-	if err != nil {
-		r.fatalf("%v", err)
-	}
-	r.t.Cleanup(func() { mmap.Unmap(data) })
-	got, err := index.ReadIndex(data)
+	got, err := index.ReadIndex(serialize(r.t, idx))
 	if err != nil {
 		r.fatalf("%v", err)
 	}
@@ -693,7 +683,7 @@ func genKernelHistory(data []byte) kernelHistory {
 	docs := 0 // in every part, dead ones included
 	part := func() {
 		n := []int{0, 1, 6, 40, 130, 300}[g.intn(6)]
-		h = append(h, kstep{kind: "part", args: []int{n, g.intn(256)}, mapped: g.intn(2) == 0})
+		h = append(h, kstep{kind: "part", args: []int{n, g.intn(256)}, read: g.intn(2) == 0})
 		parts = append(parts, genPart{n, map[int]bool{}})
 		docs += n
 	}
@@ -716,7 +706,7 @@ func genKernelHistory(data []byte) kernelHistory {
 			}
 		case 3:
 			hi := p + g.intn(min(3, len(parts)-p))
-			h = append(h, kstep{kind: "merge", args: []int{p, hi}, mapped: g.intn(2) == 0})
+			h = append(h, kstep{kind: "merge", args: []int{p, hi}, read: g.intn(2) == 0})
 			merged := genPart{0, map[int]bool{}}
 			for _, gp := range parts[p : hi+1] {
 				merged.n += gp.n - len(gp.dead)
@@ -787,16 +777,16 @@ func FuzzKernelHistory(f *testing.F) {
 // fixedHistories holds, by test name, the fixed histories of the
 // equivalence cases the model replaced; runFixed runs its test's.
 var fixedHistories = map[string]string{
-	// Parts read back through a mapping, heavy TFs among them, hold the
+	// Parts parsed back from their bytes, heavy TFs among them, hold the
 	// postings, lengths and DF of the documents they were built from.
 	"TestDiskIndexMatchesMemory": "part 200 42 map; part 130 8 map; query q=0+39 k=3; merge 0 1 map; query q=0+39*2 k=3",
-	// Built, mapped and segmented cursors walk and seek lists of many blocks.
+	// Built, parsed and segmented cursors walk and seek lists of many blocks.
 	"TestCursorParity": "part 1000 3; part 300 4 map; part 1 5; query q=0 k=5 pool=5; del 0 7; query q=1+0 k=5 pool=5",
 	"TestMultiEquivalentToMonolithic": "part 9 8; part 14 9; part 5 10; part 12 11; query q=0+1+2 k=10 pool=40 sh=3; " +
 		"merge 0 3; query q=0+1+2 k=10 pool=40",
 	"TestMultiWithDiskSegment": "part 2 1; part 1 2 map; query q=0+1 k=3; merge 0 1; query q=0+1 k=3",
-	// Runs of built and mapped parts, empty ones, scattered tombstones and a
-	// part whose every document is dead, merged into built and mapped parts.
+	// Runs of built and parsed parts, empty ones, scattered tombstones and a
+	// part whose every document is dead, merged into built and parsed parts.
 	"TestMergeMatchesReference": "part 300 29; part 0 30 map; part 130 31 map; part 40 32; part 6 33 map; " +
 		"del 0 5; del 0 77; del 0 299; del 2 0; del 2 129; del 4 0; del 4 1; del 4 2; del 4 3; del 4 4; del 4 5; " +
 		"query q=0+7 k=10 f=3 sh=3; merge 2 4 map; merge 0 1; query q=0+7 k=10 sh=2; merge 0 1 map; query q=0+7 k=10",

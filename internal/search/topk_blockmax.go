@@ -18,8 +18,7 @@ import (
 // 128-posting block, which yields a much tighter per-block upper bound:
 // qw·MaxWeight(blockMaxTF, df) + suffixBound[i+1]. A block whose bound
 // cannot reach the threshold and that contains no already-accumulated
-// document is skipped without being decoded — on a mapped index its pages
-// are never read at all.
+// document is skipped without being decoded.
 //
 // The result is provably rank- and score-identical to TopK (exact TAAT) —
 // see DESIGN.md §10 for the safety argument; the short form: a document's

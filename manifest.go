@@ -3,12 +3,12 @@ package newslink
 import (
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 
 	"newslink/internal/index"
 	"newslink/internal/kg"
-	"newslink/internal/mmap"
 )
 
 // Manifest access for the cluster tier.
@@ -67,15 +67,31 @@ func SegmentFileNames(id string) []string {
 }
 
 // verifyArtifact checks the artifact file name in dir against its recorded
-// checksum, streaming the file through buf. A file that is missing,
-// unreadable, without a recorded checksum or different from it is
-// ErrSnapshotCorrupt.
+// checksum, streaming the file through buf.
 func verifyArtifact(dir, name string, checksums map[string]string, buf []byte) error {
+	got, err := checksumFile(filepath.Join(dir, name), buf)
+	return checkArtifact(name, checksums, got, err)
+}
+
+// readArtifact reads the artifact file name in dir whole and checks the
+// bytes read against its recorded checksum: what it returns is what was
+// verified.
+func readArtifact(dir, name string, checksums map[string]string) ([]byte, error) {
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err := checkArtifact(name, checksums, checksumString(crc32.Checksum(data, castagnoli)), err); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// checkArtifact compares the checksum got of artifact name, or the error
+// reading it, with the recorded one. A file that is missing, unreadable,
+// without a recorded checksum or different from it is ErrSnapshotCorrupt.
+func checkArtifact(name string, checksums map[string]string, got string, err error) error {
 	want, ok := checksums[name]
 	if !ok {
 		return fmt.Errorf("%w: no checksum for %s", ErrSnapshotCorrupt, name)
 	}
-	got, err := checksumFile(filepath.Join(dir, name), buf)
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
 	}
@@ -87,10 +103,12 @@ func verifyArtifact(dir, name string, checksums map[string]string, buf []byte) e
 
 // Shard is the postings of a slice of a snapshot's segments: what a cluster
 // shard worker traverses for the router. Its segments are loaded as Load
-// loads them, held until Close; it reads their indexes, tombstones and
-// time columns, never a document's text, which the router's engine serves.
+// loads them; it reads their indexes, tombstones and time columns, all on
+// the heap, never a document's text, which the router's engine serves. It
+// holds the segments' documents descriptors until Close.
 type Shard struct {
-	set *segmentSet
+	set   *segmentSet
+	files []*os.File
 }
 
 // LoadSegments opens the postings of a subset of a version-7 snapshot's
@@ -106,11 +124,11 @@ type Shard struct {
 // local to the slice: the first document of segs[0] is position 0.
 func LoadSegments(dir string, g *kg.Graph, print GraphFingerprint, segs []ManifestSegment, checksums map[string]string, fetch func(name string) error) (*Shard, error) {
 	m := &snapshotMeta{Version: snapshotVersion, Graph: print, Segments: segs, Checksums: checksums}
-	loaded, err := loadSegments(dir, g, m, fetch)
+	loaded, files, err := loadSegments(dir, g, m, fetch)
 	if err != nil {
 		return nil, err
 	}
-	return &Shard{set: newSegmentSet(nil, loaded)}, nil
+	return &Shard{set: newSegmentSet(nil, loaded), files: files}, nil
 }
 
 // Sources returns the shard's text and node index sources for one search,
@@ -119,17 +137,10 @@ func LoadSegments(dir string, g *kg.Graph, print GraphFingerprint, segs []Manife
 // outside the inclusive [after, before] time range (0 = unbounded) or
 // failing the entity facet (term sets, conjunctive across sets), are
 // masked from traversal while the statistics stay the unfiltered slice's.
-//
-// The sources read the shard's mappings: a caller that traverses them
-// runs the traversal under mmap.Guard, as a cluster worker does.
 func (s *Shard) Sources(after, before int64, entities [][]string) (text, node index.Source, err error) {
-	err = mmap.Guard(func() (err error) {
-		text, node, err = s.set.filteredSources(after, before, entities)
-		return err
-	})
-	return text, node, err
+	return s.set.filteredSources(after, before, entities)
 }
 
-// Close releases the shard's mappings and descriptors. Nothing may read
-// the shard, or the sources it returned, afterwards.
-func (s *Shard) Close() error { return unmapSegments(s.set.segs) }
+// Close closes the shard's documents descriptors. Its sources, which read
+// only heap state, stay usable: a traversal in flight may finish.
+func (s *Shard) Close() error { return closeFiles(s.files) }

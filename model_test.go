@@ -409,17 +409,17 @@ func seedHistory(seed int64) history { return genHistory(seedBytes(seed)) }
 type execution struct {
 	name   string
 	e      *Engine
-	live   map[int]Document           // the documents it must serve, by ID
-	dir    string                     // where it saves; the sharded one maps memory's
-	shards []*Shard                   // the sharded execution's slices
-	moved  [len(segmentSuffixes)]bool // artifact kinds repair replaced under e's mappings
+	live   map[int]Document // the documents it must serve, by ID
+	dir    string           // where it saves; the sharded one maps memory's
+	shards []*Shard         // the sharded execution's slices
+	moved  bool             // repair replaced the documents artifacts e reads
 
 	ref    *reference // the reference over set, at model generation gen
 	refGen int
 }
 
 // reopen gives x a new engine, which maps the files now in x.dir.
-func (x *execution) reopen(e *Engine) { x.e, x.moved = e, [len(segmentSuffixes)]bool{} }
+func (x *execution) reopen(e *Engine) { x.e, x.moved = e, false }
 
 // modelRun is one history in progress.
 type modelRun struct {
@@ -573,7 +573,7 @@ func (r *modelRun) execs() []*execution {
 
 func (r *modelRun) apply(o op) {
 	if o.kind >= opTorn && !r.built {
-		return // nothing is logged, saved or mapped before Build
+		return // nothing is logged, saved or loaded before Build
 	}
 	if o.kind == opCompact || o.kind == opSave || o.kind == opCrash || o.kind >= opTorn {
 		r.repair() // these merge, save, recover or replace what the truncate step damaged
@@ -891,26 +891,21 @@ func (r *modelRun) failingSave(x *execution, what string) error {
 	return err
 }
 
-// damage is what the truncate step emptied: the bytes of each file, and
-// the documents of every segment mapping one, which the reference reads
-// instead (keyed by the text index that tombstone clones share).
+// damage is what the truncate step emptied of the documents artifacts:
+// the bytes of each file, and the documents of every segment reading one,
+// which the reference reads instead (keyed by the text index that
+// tombstone clones share).
 type damage struct {
-	art          int          // the artifact kind
-	xs           []*execution // the executions that map the emptied files
+	xs           []*execution // the executions that read the emptied files
 	files        map[string][]byte
 	docs         map[*index.Index][]Document
 	errs, merges int64 // the reloaded execution's failed and counted merges before
 }
 
 // damaged reports whether x may fail a read: the truncate step emptied
-// files it reads.
+// documents artifacts it reads.
 func (r *modelRun) damaged(x *execution) bool {
 	return r.damage != nil && slices.Contains(r.damage.xs, x)
-}
-
-// unreadable reports whether a read of every segment of s on x must fail.
-func (r *modelRun) unreadable(x *execution, s *segmentSet) bool {
-	return r.damaged(x) && anyLoaded(s)
 }
 
 // anyLoaded reports whether a segment of s reads its snapshot's artifacts.
@@ -918,33 +913,41 @@ func anyLoaded(s *segmentSet) bool {
 	return slices.ContainsFunc(s.segs, func(sg *segment) bool { return sg.docs.onDisk() })
 }
 
-// truncate empties one artifact kind under every execution that maps it —
-// reloaded (Load), sharded (LoadRouted) and, recovered over its snapshot,
-// wal — until the step ends or an operation merges, saves, recovers or
-// faults (repair; DESIGN.md §7). Their reads may then fail but never answer
-// differently; its first read seals what the step wrote, so the merge
-// policy may meet the damage. FilteredSources over a truncated node index
-// that posts the facet, Compact, a Save to a fresh directory and one over
-// the execution's own snapshot (failingSave) fail, publishing nothing.
+// truncate empties one artifact kind under every execution that loaded it
+// — reloaded (Load), sharded (LoadRouted) and, recovered over its
+// snapshot, wal — and reads them all; its first read seals what the step
+// wrote, so the merge policy may meet the damage. A loaded segment parsed
+// its indexes onto the heap, so an emptied index changes no answer and
+// fails nothing (indexTruncated). Its documents artifact is read per
+// request: until the step ends or an operation merges, saves, recovers or
+// faults (repair; DESIGN.md §7), reads of an emptied one may fail but
+// never answer differently, and Compact, a Save to a fresh directory and
+// one over the execution's own snapshot (failingSave) fail, publishing
+// nothing.
 func (r *modelRun) truncate(art int) {
+	docs := segmentSuffixes[art] == docsSuffix
 	xs := slices.DeleteFunc([]*execution{r.rld, r.shd, r.wal}, func(x *execution) bool {
-		return x == nil || x.moved[art] || !anyLoaded(x.e.set.Load())
+		return x == nil || docs && x.moved || !anyLoaded(x.e.set.Load())
 	})
 	if len(xs) == 0 {
 		return
 	}
+	var served map[string][]byte // the memory execution's last save, which the sharded one serves
+	if !docs {
+		served, _ = readFiles(r.mem.dir)
+	}
 	met := &r.rld.e.met
-	d := &damage{art: art, xs: xs, files: map[string][]byte{}, docs: map[*index.Index][]Document{},
+	d := &damage{xs: xs, files: map[string][]byte{}, docs: map[*index.Index][]Document{},
 		errs: met.segmentMergeErrors.Value(), merges: met.segmentMerges.Value() + met.segmentMergedDocs.Value()}
 	var kept []kept
 	for _, x := range xs {
 		for _, sg := range x.e.set.Load().segs {
-			if sg.docs.onDisk() {
-				docs := make([]Document, sg.numDocs())
-				for j := range docs {
-					docs[j] = r.stored(sg.doc(j))
+			if docs && sg.docs.onDisk() {
+				stored := make([]Document, sg.numDocs())
+				for j := range stored {
+					stored[j] = r.stored(sg.doc(j))
 				}
-				d.docs[sg.text] = docs
+				d.docs[sg.text] = stored
 			}
 		}
 		if x.e.pending.Load() == 0 { // a read would seal what the step wrote before the damage
@@ -961,7 +964,9 @@ func (r *modelRun) truncate(art int) {
 			}
 		}
 	}
-	r.damage = d
+	if docs {
+		r.damage = d
+	}
 	labels := r.mw.labels[1:]
 	for i, q := range r.mw.queries {
 		r.compareSearch(Query{Text: q, K: 10})
@@ -982,15 +987,22 @@ func (r *modelRun) truncate(art int) {
 			}
 		}
 	}
-	terms := r.an.EntityTerms(labels[:1])[0]
+	if docs {
+		r.docsTruncated(xs)
+	} else {
+		r.indexTruncated(xs, served)
+	}
+	r.checkKept(kept, "the truncation")
+}
+
+// docsTruncated checks that Compact and both Saves of xs fail over their
+// emptied documents artifacts, publishing nothing.
+func (r *modelRun) docsTruncated(xs []*execution) {
 	for _, x := range xs {
 		x.e.FlushIngest()
 		x.e.Refresh() // a failed Compact or Save then publishes nothing
 		s := x.e.set.Load()
-		bad := r.unreadable(x, s)
-		if _, _, err := x.e.FilteredSources(0, 0, [][]string{terms}); err == nil && bad && segmentSuffixes[art] == "node.idx" && r.postsMapped(s, terms) {
-			r.fatalf("%s: FilteredSources over a truncated node index that posts %v returned no error", x.name, terms)
-		}
+		bad := anyLoaded(s)
 		if x != r.shd && bad && (len(s.segs) > 1 || s.deleted > 0) && x.e.Compact() == nil {
 			r.fatalf("%s: Compact over a truncated artifact returned no error", x.name)
 		}
@@ -1007,24 +1019,47 @@ func (r *modelRun) truncate(art int) {
 			r.fatalf("%s: a failed Compact or Save published a new set", x.name)
 		}
 	}
-	r.checkKept(kept, "the truncation")
 }
 
-// postsMapped reports whether a mapped segment of s posts one of terms in
-// its node index: reading the term's postings reads the mapping.
-func (r *modelRun) postsMapped(s *segmentSet, terms []string) bool {
-	return slices.ContainsFunc(s.segs, func(sg *segment) bool {
-		return sg.docs.onDisk() && slices.ContainsFunc(r.damage.docs[sg.text], func(d Document) bool {
-			return slices.ContainsFunc(r.analysis(d.Text).node, func(t string) bool { return slices.Contains(terms, t) })
-		})
-	})
+// indexTruncated checks that emptied indexes fail nothing: each of xs
+// saves to a fresh directory (all but wal, whose Save prunes the log its
+// own snapshot still needs) and over its own snapshot, rewriting the
+// emptied artifacts, into the files the memory execution saves — the
+// sharded one into served, the memory execution's last save — and then
+// every execution compacts. A rewritten segment is rewritten whole, so the
+// documents artifacts xs read are replaced under them too (moved).
+func (r *modelRun) indexTruncated(xs []*execution, served map[string][]byte) {
+	r.expectErr(r.mem, "truncate: save", r.mem.e.Save(r.scratch), nil)
+	saved, _ := readFiles(r.scratch)
+	for _, x := range xs {
+		x.e.FlushIngest()
+		save := func(dir, what string) {
+			r.expectErr(x, what, x.e.Save(dir), nil)
+			want := saved
+			switch {
+			case x == r.shd:
+				want = served
+			case !r.sameStructure(x, r.mem):
+				return
+			}
+			if got, _ := readFiles(dir); !maps.EqualFunc(got, want, bytes.Equal) {
+				r.fatalf("%s: %s over a truncated index wrote other files than the memory execution's save", x.name, what)
+			}
+		}
+		if x != r.wal {
+			save(r.resave, "save to a fresh directory")
+			os.RemoveAll(r.resave)
+		}
+		save(x.dir, "save over its own snapshot")
+		x.moved = true
+	}
+	r.compact()
 }
 
 // repair ends the truncate step's damage: the bytes go back into the same
-// files, which the mappings and descriptors share, and each file is then
-// replaced by a copy — removed under the engines that read it, which keep
-// reading what they loaded, exactly (the step's checks) and into
-// byte-identical saves.
+// files, which the descriptors share, and each file is then replaced by a
+// copy — removed under the engines that read it, which keep reading what
+// they loaded, exactly (the step's checks) and into byte-identical saves.
 // It counts the merges the damage made fail, and the merges counted
 // meanwhile.
 func (r *modelRun) repair() {
@@ -1046,7 +1081,7 @@ func (r *modelRun) repair() {
 		}
 	}
 	for _, x := range d.xs {
-		x.moved[d.art] = true
+		x.moved = true
 	}
 	met := &r.rld.e.met
 	r.failed += int(met.segmentMergeErrors.Value() - d.errs)
@@ -1060,7 +1095,7 @@ func (r *modelRun) repair() {
 
 // kept is what an execution answered and a printed copy of it: truncate
 // and close print the answers again after the damage, and one that
-// aliased a mapping would print other bytes, or fault.
+// aliased a pooled read buffer or a released file would print other bytes.
 type kept struct {
 	x       *execution
 	answers answers
@@ -1137,8 +1172,8 @@ func (r *modelRun) close() {
 
 // checkClosed asserts that every read and write of a closed engine, Save
 // and Compact included, fails with ErrClosed — a routed engine refuses
-// writes and Compact first, with ErrReadOnly — so none touches a released
-// mapping.
+// writes and Compact first, with ErrReadOnly — so none reads a closed
+// descriptor.
 func (r *modelRun) checkClosed(x *execution) {
 	q, doc := r.mw.queries[4], Document{ID: modelIDs, Title: "after close", Text: r.mw.arts[0].Text}
 	_, search := x.e.Search(q, 5)

@@ -32,6 +32,7 @@ package newslink
 import (
 	"context"
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -241,10 +242,12 @@ type Engine struct {
 	// (0 = none), read lock-free by searches and settable at any time.
 	bonTimeout atomic.Int64
 
-	// loaded is the segments the engine's loader restored, the owners of
-	// its snapshot mappings and descriptors, which Close releases; closed
-	// is set by Close, after which reads and writes fail with ErrClosed.
-	loaded []*segment
+	// loaded is the documents descriptors of the segments the engine's
+	// loader restored, which Close releases — those of segments a merge
+	// has since retired included, whose postings are garbage by then;
+	// closed is set by Close, after which reads and writes fail with
+	// ErrClosed.
+	loaded []*os.File
 	closed atomic.Bool
 
 	// remote, when set (LoadRouted, before the engine is shared), runs
@@ -380,7 +383,7 @@ func (e *Engine) Refresh() {
 // e.mu.
 func (e *Engine) refreshLocked() {
 	s := e.set.Load()
-	// A closed engine merges nothing: its loaded segments are unmapped.
+	// A closed engine merges nothing: its documents descriptors are closed.
 	if s == nil || len(e.pendDocs) == 0 || e.closed.Load() {
 		return
 	}
@@ -570,7 +573,7 @@ func (e *Engine) Compact() error {
 }
 
 // acquire returns the published segment set for one read operation, or
-// ErrNotBuilt, or ErrClosed once Close has run (its mappings may be gone).
+// ErrNotBuilt, or ErrClosed once Close has run (its descriptors are closed).
 // When pending documents exist it refreshes first, so a search always sees
 // everything added before it started. The returned set is immutable: the
 // read runs lock-free against it for its full duration.

@@ -18,7 +18,6 @@ import (
 	"newslink/internal/faults"
 	"newslink/internal/index"
 	"newslink/internal/kg"
-	"newslink/internal/mmap"
 )
 
 // Snapshot layout (version 7): a directory with
@@ -177,9 +176,9 @@ func readOldSnapshot(dir string) *oldSnapshot {
 // into the new one instead of rewritten — only new and merged segments
 // (and meta.json, which carries the tombstones) cost writes, and a linked
 // file is read once to verify its checksum. A loaded segment is written
-// from its artifacts, the mapped indexes and the open documents file; if
-// one was truncated under the engine, Save fails with that error. After
-// Close, Save is ErrClosed.
+// from its heap indexes and its open documents file; if that file was
+// truncated under the engine, Save fails with that error. After Close,
+// Save is ErrClosed.
 //
 // The write is atomic with respect to crashes and failures: the snapshot
 // is staged in a temporary directory, fsynced, checksummed, and renamed
@@ -190,10 +189,6 @@ func (e *Engine) Save(dir string) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	return mmap.Guard(func() error { return e.save(dir) })
-}
-
-func (e *Engine) save(dir string) error {
 	// Seal and capture in one critical section: an Add landing between a
 	// separate Refresh and the capture would leave documents behind that
 	// are absent from the serialized segments, silently losing them on
@@ -442,24 +437,21 @@ func installSnapshot(tmp, dir string) error {
 // Load restores an engine snapshot written by Save. g must be the same
 // knowledge graph the snapshot was built on (verified by fingerprint).
 //
-// Every artifact is checksum-verified (streamed through read(2), so
-// verification makes nothing resident). The two indexes are then mapped
-// read-only, their descriptors closed: a request reads the postings blocks
-// it touches in place, at memory speed, and only those pages become
-// resident (DESIGN.md §11). The documents artifact is kept open, not
-// mapped, and a request reads each document it returns with one pread.
-// The index directories, the document lengths and the documents' ID, time
-// and offset columns are parsed out, with every postings block validated,
-// before Load returns; the engine keeps the mappings and the descriptors
-// until Close. A segment that a write or merge creates after the load is
-// heap resident, as in any engine.
+// No artifact is mapped (DESIGN.md §11). Each index is read whole into a
+// buffer the segment owns, checksum-verified there, and parsed out of it
+// with every postings block validated: the bytes parsed are the bytes
+// verified, and the postings live on the heap as a built segment's do.
+// The documents artifact is checksum-verified by streaming it, then kept
+// open: its ID, time and offset columns are read out, and a request reads
+// each document it returns with one pread. The engine keeps the
+// descriptors until Close.
 //
 // Load verifies the snapshot before building any state: a format-version
 // mismatch returns ErrSnapshotVersion, and an unparsable meta.json, a
 // missing or truncated artifact, a checksum mismatch, a corrupt tombstone
 // bitmap, or inconsistent document counts return ErrSnapshotCorrupt
 // (match both with errors.Is). On any error no engine is returned — never
-// a partially loaded one — and nothing stays mapped or open.
+// a partially loaded one — and nothing stays open.
 //
 // Runtime options (cache sizes, WithWAL, WithIngestQueue, ...) apply on
 // top of the snapshot's persisted Config. With WithWAL set, Load replays
@@ -471,7 +463,7 @@ func Load(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	segs, err := loadSegments(dir, g, m, nil)
+	segs, files, err := loadSegments(dir, g, m, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -479,7 +471,7 @@ func Load(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
 	// runtime knobs (caches, WAL, ingest queue) configure the restored
 	// engine exactly as they would a fresh one.
 	e := New(g, append([]Option{m.Config}, opts...)...)
-	e.loaded = segs
+	e.loaded = files
 	e.mu.Lock()
 	e.publishLocked(segs)
 	e.mu.Unlock()
@@ -487,7 +479,7 @@ func Load(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
 	err = e.startDurabilityLocked()
 	e.walMu.Unlock()
 	if err != nil {
-		unmapSegments(segs)
+		closeFiles(files)
 		return nil, err
 	}
 	return e, nil
@@ -495,8 +487,8 @@ func Load(dir string, g *kg.Graph, opts ...Option) (*Engine, error) {
 
 // Close shuts the engine's owned resources down: the ingest pipeline is
 // drained and stopped, the write-ahead log is fsynced and closed, and
-// every snapshot mapping and descriptor the engine's loader made is
-// released — those of segments a merge has since retired included.
+// every documents descriptor the engine's loader opened is closed — those
+// of segments a merge has since retired included.
 // Afterwards every read, write, Compact and Save fails with ErrClosed.
 // Close must not race reads: a server closes the engine only after it
 // stopped serving (http.Server.Shutdown). A second Close is a no-op.
@@ -505,22 +497,24 @@ func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return err
 	}
-	return errors.Join(err, unmapSegments(e.loaded))
+	return errors.Join(err, closeFiles(e.loaded))
 }
 
 // loadSegments is the one restore path behind every loader: it checks the
 // graph fingerprint, then restores the manifest's segments concurrently —
 // each one checksum-verified against the manifest before anything of it is
-// opened — and returns them in manifest order. fetch, when not nil,
+// parsed — and returns them in manifest order, with the documents
+// descriptor each one reads, which the caller owns. fetch, when not nil,
 // repairs an artifact that is missing or fails verification (see
 // LoadSegments); it is called concurrently. The first failing segment in
-// that order decides the error, and every segment restored by then is
-// released again: no loader ever returns, or leaks, a partial set.
-func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, fetch func(name string) error) ([]*segment, error) {
+// that order decides the error, and every descriptor opened by then is
+// closed again: no loader ever returns, or leaks, a partial set.
+func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, fetch func(name string) error) ([]*segment, []*os.File, error) {
 	if got := fingerprint(g); got != m.Graph {
-		return nil, fmt.Errorf("newslink: knowledge graph mismatch: snapshot %+v, graph %+v", m.Graph, got)
+		return nil, nil, fmt.Errorf("newslink: knowledge graph mismatch: snapshot %+v, graph %+v", m.Graph, got)
 	}
 	segs := make([]*segment, len(m.Segments))
+	files := make([]*os.File, len(m.Segments))
 	errs := make([]error, len(m.Segments))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -530,65 +524,72 @@ func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, fetch func(name stri
 			defer wg.Done()
 			buf := make([]byte, copyBufSize)
 			for i := int(next.Add(1)) - 1; i < len(segs); i = int(next.Add(1)) - 1 {
-				segs[i], errs[i] = loadSegment(dir, m, i, buf, fetch)
+				segs[i], files[i], errs[i] = loadSegment(dir, m, i, buf, fetch)
 			}
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			unmapSegments(segs)
-			return nil, err
+			closeFiles(files)
+			return nil, nil, err
 		}
 	}
-	return segs, nil
+	return segs, files, nil
 }
 
-// loadSegment restores segment i of the manifest. It verifies the
-// segment's artifacts against their recorded checksums, streaming them
-// through buf — an artifact that fails is handed to fetch, when there is
-// one, and the file it wrote verified in turn — then maps each index and
-// parses its directories and every postings block (index.ReadIndex), and
-// opens the documents artifact and reads its columns (openDocs). A file
-// truncated between the two faults on its mapping or reads short while it
-// is parsed, which fails the load like any other corruption. The artifact
-// identity from meta.json is memoized on the segment so a later Save can
-// reuse the files without rewriting them.
-func loadSegment(dir string, m *snapshotMeta, i int, buf []byte, fetch func(name string) error) (*segment, error) {
+// loadSegment restores segment i of the manifest and returns it with the
+// documents descriptor it reads. Each index is read whole into a buffer,
+// verified against its recorded checksum and parsed out of that buffer
+// (index.ReadIndex), which the segment's index then owns; the documents
+// artifact is verified by streaming it through buf, then opened and its
+// columns read (openDocs). An artifact that fails verification is handed
+// to fetch, when there is one, and the file it wrote read or verified in
+// turn. A documents artifact truncated between its check and its open
+// reads short, which fails the load like any other corruption. The
+// artifact identity from meta.json is memoized on the segment so a later
+// Save can reuse the files without rewriting them.
+func loadSegment(dir string, m *snapshotMeta, i int, buf []byte, fetch func(name string) error) (*segment, *os.File, error) {
 	sm := m.Segments[i]
 	names := SegmentFileNames(sm.ID)
-	for _, name := range names {
-		err := verifyArtifact(dir, name, m.Checksums, buf)
+	// The two indexes come first in segmentSuffixes order.
+	var data [2][]byte
+	for k, name := range names {
+		verify := func() (err error) {
+			if k < len(data) {
+				data[k], err = readArtifact(dir, name, m.Checksums)
+				return err
+			}
+			return verifyArtifact(dir, name, m.Checksums, buf)
+		}
+		err := verify()
 		if err != nil && fetch != nil {
 			if err = fetch(name); err == nil {
-				err = verifyArtifact(dir, name, m.Checksums, buf)
+				err = verify()
 			}
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	seg := &segment{}
-	corrupt := func(name string, err error) (*segment, error) {
-		seg.unmap()
-		return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
-	}
-	// The two indexes, first in segmentSuffixes order, are mapped.
-	for k, idx := range [...]**index.Index{&seg.text, &seg.node} {
-		data, err := mmap.Map(filepath.Join(dir, names[k]))
-		if err == nil {
-			seg.maps = append(seg.maps, data)
-			err = mmap.Guard(func() (err error) { *idx, err = index.ReadIndex(data); return err })
+	var f *os.File
+	corrupt := func(name string, err error) (*segment, *os.File, error) {
+		if f != nil {
+			f.Close()
 		}
-		if err != nil {
+		return nil, nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
+	}
+	for k, idx := range [...]**index.Index{&seg.text, &seg.node} {
+		var err error
+		if *idx, err = index.ReadIndex(data[k]); err != nil {
 			return corrupt(names[k], err)
 		}
 	}
-	// The documents are read, never mapped (stored.go).
+	// The documents stay in their file, read per request (stored.go).
 	docsName := names[len(names)-1]
 	f, err := os.Open(filepath.Join(dir, docsName))
 	if err == nil {
-		seg.file = f
 		var st os.FileInfo
 		if st, err = f.Stat(); err == nil {
 			seg.docs, seg.times, err = openDocs(f, st.Size())
@@ -621,16 +622,16 @@ func loadSegment(dir string, m *snapshotMeta, i int, buf []byte, fetch func(name
 		art.sums[name] = m.Checksums[name]
 	}
 	seg.art.Store(art)
-	return seg, nil
+	return seg, f, nil
 }
 
-// unmapSegments releases the mappings and descriptors of loaded segments
-// (nil entries are the segments of a failed load that never loaded).
-func unmapSegments(segs []*segment) error {
+// closeFiles closes the documents descriptors of loaded segments (nil
+// entries are the segments of a failed load that never opened one).
+func closeFiles(files []*os.File) error {
 	var err error
-	for _, seg := range segs {
-		if seg != nil {
-			err = errors.Join(err, seg.unmap())
+	for _, f := range files {
+		if f != nil {
+			err = errors.Join(err, f.Close())
 		}
 	}
 	return err

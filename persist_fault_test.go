@@ -292,18 +292,19 @@ func TestLoadCorruptionTable(t *testing.T) {
 }
 
 // TestOnDiskReadErrorNeverBecomesEmpty: once the files behind a loaded
-// engine's mappings (Load, and LoadRouted with its shards) are truncated,
-// every read answers exactly or fails. None may turn the fault into an
-// empty answer: not a filtered search's entity allowlist, not Compact, a
-// policy merge or Save. The snapshot's twelve documents and seven
-// one-document segments make the eighth, sealed with the damage, a merge
-// run the policy must fail and count.
+// engine (Load, and LoadRouted with its shards) are truncated, every read
+// answers exactly or fails. None may turn the fault into an empty answer:
+// not a filtered search's entity allowlist, not Compact, a policy merge or
+// Save. A loaded segment's indexes are on the heap, so an emptied index
+// fails nothing: the snapshot's twelve documents and seven one-document
+// segments make the eighth, sealed while text.idx is empty, a merge run
+// the policy completes, and the step's Compact and Saves succeed.
 func TestOnDiskReadErrorNeverBecomesEmpty(t *testing.T) {
 	r := runHistory(t, "addall 0-11; build; add 12; add 13; add 14; add 15; add 16; add 17; add 18; save; "+
 		"add 19, truncate text.idx, search q=4 k=50, related 3; truncate node.idx, search q=4 beta=0 ent=1, explain 3 q=4; "+
 		"truncate docs.bin, delete 5, related 4; save; truncate docs.bin; compact; save")
-	if r.failed != 1 || r.counted != 0 {
-		t.Fatalf("%d policy merges met the truncated artifacts and %d merges or merged documents were counted; want 1 failure and none counted",
+	if r.failed != 0 || r.counted != 0 {
+		t.Fatalf("%d policy merges met the truncated artifacts and %d merges or merged documents were counted; want no failure and none counted",
 			r.failed, r.counted)
 	}
 	// The stored fields, truncated under the mappings and then removed by
@@ -338,11 +339,11 @@ func savedWithSegments(t *testing.T, extra int) string {
 	return dir
 }
 
-// TestCloseReleasesEveryMapping: a loaded engine maps the two indexes of
-// each segment and holds one descriptor, on its documents artifact, which
-// it never maps. The segments a merge retires — by Compact, or by the
-// tiered policy on refresh — stay mapped and open while the engine is
-// open, and Close releases every mapping and descriptor, theirs included.
+// TestCloseReleasesEveryMapping: a loaded engine maps nothing and holds
+// one descriptor per segment, on its documents artifact. The segments a
+// merge retires — by Compact, or by the tiered policy on refresh — keep
+// theirs open while the engine is open, and Close releases every
+// descriptor, theirs included.
 func TestCloseReleasesEveryMapping(t *testing.T) {
 	g, arts := corpus.Sample()
 	// The policy case: the mergeFactor-th adjacent segment of tier
@@ -373,8 +374,8 @@ func TestCloseReleasesEveryMapping(t *testing.T) {
 				t.Fatal(err)
 			}
 			loaded := e.NumSegments()
-			if fds, maps := openUnder(t, dir); fds != loaded || maps != 2*loaded {
-				t.Fatalf("loaded engine holds %d descriptors and %d mappings, want %d and %d", fds, maps, loaded, 2*loaded)
+			if fds, maps := openUnder(t, dir); fds != loaded || maps != 0 {
+				t.Fatalf("loaded engine holds %d descriptors and %d mappings, want %d and 0", fds, maps, loaded)
 			}
 			if err := c.merge(e); err != nil {
 				t.Fatal(err)
@@ -382,8 +383,8 @@ func TestCloseReleasesEveryMapping(t *testing.T) {
 			if n := e.NumSegments(); n >= loaded {
 				t.Fatalf("%s left %d segments of the %d loaded: nothing retired", c.name, n, loaded)
 			}
-			if fds, maps := openUnder(t, dir); fds != loaded || maps != 2*loaded {
-				t.Fatalf("after %s: %d descriptors and %d mappings, want %d and %d", c.name, fds, maps, loaded, 2*loaded)
+			if fds, maps := openUnder(t, dir); fds != loaded || maps != 0 {
+				t.Fatalf("after %s: %d descriptors and %d mappings, want %d and 0", c.name, fds, maps, loaded)
 			}
 			if err := e.Close(); err != nil {
 				t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"newslink/internal/mmap"
 	"newslink/internal/search"
 )
 
@@ -64,11 +63,7 @@ func (e *Engine) RelatedContext(ctx context.Context, q RelatedQuery) ([]Result, 
 // fields: with a shard down, the ranking covers the live shards' documents
 // and says so.
 func (e *Engine) RelatedContextFull(ctx context.Context, q RelatedQuery) (SearchResponse, error) {
-	var resp SearchResponse
-	err := mmap.Guard(func() (err error) {
-		resp, err = e.relatedContext(ctx, q)
-		return err
-	})
+	resp, err := e.relatedContext(ctx, q)
 	e.met.relateds.Inc()
 	if err != nil {
 		e.met.relatedErrors.Inc()

@@ -9,7 +9,6 @@ import (
 	"newslink/internal/core"
 	"newslink/internal/faults"
 	"newslink/internal/index"
-	"newslink/internal/mmap"
 	"newslink/internal/nlp"
 	"newslink/internal/obs"
 	"newslink/internal/search"
@@ -49,11 +48,7 @@ func (e *Engine) SearchContext(ctx context.Context, q Query) ([]Result, error) {
 // (β = 1) have no text ranking to fall back to and still fail hard.
 func (e *Engine) SearchContextFull(ctx context.Context, q Query) (SearchResponse, error) {
 	start := time.Now()
-	var resp SearchResponse
-	err := mmap.Guard(func() (err error) {
-		resp, err = e.searchContext(ctx, q)
-		return err
-	})
+	resp, err := e.searchContext(ctx, q)
 	e.met.searches.Inc()
 	e.met.searchSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {

@@ -2,15 +2,12 @@ package newslink
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
-	"os"
 	"slices"
 	"sort"
 	"sync/atomic"
 
 	"newslink/internal/index"
-	"newslink/internal/mmap"
 	"newslink/internal/nlp"
 )
 
@@ -31,13 +28,13 @@ import (
 // segment owns one immutable slice of the corpus: its documents (local
 // positions 0..n-1), its two inverted indexes over those positions, and
 // the tombstone bitmap marking deleted documents. The documents are a
-// []Document or the docs.bin columns (stored.go). A segment built or
-// merged in this process holds everything on the heap; one restored from
-// a snapshot views its two indexes through read-only mappings and reads
-// its documents through an open descriptor, which only the Close of the
-// engine or Shard that loaded it releases. All fields are immutable after
-// construction — deletes clone the segment with a new bitmap, sharing
-// everything else, mappings and descriptor included — except art, a
+// []Document or the docs.bin columns (stored.go). Its indexes are on the
+// heap whether it was built, merged or loaded: a segment restored from a
+// snapshot parsed each index out of a buffer it read the artifact into,
+// and reads its documents through an open descriptor, which the engine or
+// Shard that loaded it owns and its Close releases. All fields are
+// immutable after construction — deletes clone the segment with a new
+// bitmap, sharing everything else, the descriptor included — except art, a
 // memoized snapshot-artifact identity that is computed on first Save and
 // carried along (tombstones are not part of the artifact identity: they
 // live in meta.json, so a delete never forces a segment rewrite on disk).
@@ -48,11 +45,6 @@ type segment struct {
 	text  *index.Index
 	node  *index.Index
 	dead  *index.Bitmap // nil = no deletes
-	// maps and file are the index mappings and the documents artifact a
-	// loaded segment reads; its tombstone clones read them too but leave
-	// both nil, so each has one owner to release it.
-	maps [][]byte
-	file *os.File
 
 	art atomic.Pointer[segmentArtifact]
 }
@@ -105,20 +97,6 @@ func (s *segment) position(id int) (int, bool) {
 
 func (s *segment) numDocs() int { return len(s.times) }
 func (s *segment) numLive() int { return s.numDocs() - s.dead.Count() }
-
-// unmap releases the mappings and the descriptor a loaded segment owns (a
-// no-op for the others). Nothing may read the segment afterwards.
-func (s *segment) unmap() error {
-	var err error
-	for _, b := range s.maps {
-		err = errors.Join(err, mmap.Unmap(b))
-	}
-	if s.file != nil {
-		err = errors.Join(err, s.file.Close())
-	}
-	s.maps, s.file = nil, nil
-	return err
-}
 
 // shareArtifact copies the memoized artifact identity from an older
 // incarnation of the same segment (tombstone clones share it).
@@ -349,45 +327,40 @@ func findMergeRun(segs []*segment) (lo, hi int, ok bool) {
 // (index.MergeSegments), so DF/AvgDocLen tighten to the surviving corpus
 // and block-max summaries regain full blocks. The merged segment is heap
 // resident: a loaded segment's documents are read out (segment.doc). A
-// segment whose postings do not decode, whose mapping faults or whose
-// documents do not read (an artifact truncated under the engine) fails
-// the merge; the inputs are untouched and stay exact. It runs under e.mu,
-// so it must not panic: the guard is here.
-func mergeRun(segs []*segment) (merged *segment, err error) {
-	err = mmap.Guard(func() error {
-		live := 0
-		for _, sg := range segs {
-			live += sg.numLive()
-		}
-		docs := make([]Document, 0, live)
-		texts := make([]*index.Index, len(segs))
-		nodes := make([]*index.Index, len(segs))
-		deads := make([]*index.Bitmap, len(segs))
-		for i, sg := range segs {
-			texts[i], nodes[i], deads[i] = sg.text, sg.node, sg.dead
-			for j := range sg.numDocs() {
-				if sg.dead.Get(j) {
-					continue
-				}
-				d, err := sg.doc(j)
-				if err != nil {
-					return err
-				}
-				docs = append(docs, d)
+// segment whose postings do not decode or whose documents do not read (a
+// documents artifact truncated under the engine) fails the merge; the
+// inputs are untouched and stay exact.
+func mergeRun(segs []*segment) (*segment, error) {
+	live := 0
+	for _, sg := range segs {
+		live += sg.numLive()
+	}
+	docs := make([]Document, 0, live)
+	texts := make([]*index.Index, len(segs))
+	nodes := make([]*index.Index, len(segs))
+	deads := make([]*index.Bitmap, len(segs))
+	for i, sg := range segs {
+		texts[i], nodes[i], deads[i] = sg.text, sg.node, sg.dead
+		for j := range sg.numDocs() {
+			if sg.dead.Get(j) {
+				continue
 			}
+			d, err := sg.doc(j)
+			if err != nil {
+				return nil, err
+			}
+			docs = append(docs, d)
 		}
-		text, err := index.MergeSegments(texts, deads)
-		if err != nil {
-			return fmt.Errorf("newslink: merging text indexes: %w", err)
-		}
-		node, err := index.MergeSegments(nodes, deads)
-		if err != nil {
-			return fmt.Errorf("newslink: merging node indexes: %w", err)
-		}
-		merged = newSegment(docs, text, node)
-		return nil
-	})
-	return merged, err
+	}
+	text, err := index.MergeSegments(texts, deads)
+	if err != nil {
+		return nil, fmt.Errorf("newslink: merging text indexes: %w", err)
+	}
+	node, err := index.MergeSegments(nodes, deads)
+	if err != nil {
+		return nil, fmt.Errorf("newslink: merging node indexes: %w", err)
+	}
+	return newSegment(docs, text, node), nil
 }
 
 // applyMergePolicyLocked repeatedly merges qualifying runs until the set

@@ -31,9 +31,10 @@ func storedFixture(t *testing.T) (*Engine, string, *kg.Graph, []string) {
 }
 
 // TestLoadersNeverMapDocuments: every loader — Load, LoadRouted and a
-// shard worker's LoadSegments — holds one descriptor on each segment's
-// documents artifact and maps none of it, also after requests have read
-// every document; Close releases the descriptors.
+// shard worker's LoadSegments — maps no snapshot artifact and holds one
+// descriptor on each segment's documents artifact and none on its
+// indexes, also after requests have read every document; Close releases
+// the descriptors.
 func TestLoadersNeverMapDocuments(t *testing.T) {
 	_, dir, g, queries := storedFixture(t)
 	m, err := ReadManifest(dir)
@@ -43,8 +44,14 @@ func TestLoadersNeverMapDocuments(t *testing.T) {
 	segs := len(m.Segments)
 	held := func(what string, want int) {
 		t.Helper()
-		if fds, maps := heldUnder(t, dir, "."+docsSuffix); fds != want || maps != 0 {
-			t.Fatalf("%s: %d descriptors and %d mappings on the documents artifacts, want %d and 0", what, fds, maps, want)
+		for _, suffix := range segmentSuffixes {
+			wantFDs := 0
+			if suffix == docsSuffix {
+				wantFDs = want
+			}
+			if fds, maps := heldUnder(t, dir, "."+suffix); fds != wantFDs || maps != 0 {
+				t.Fatalf("%s: %d descriptors and %d mappings on the %s artifacts, want %d and 0", what, fds, maps, suffix, wantFDs)
+			}
 		}
 	}
 	shard, err := LoadSegments(dir, g, m.Graph, m.Segments, m.Checksums, nil)
