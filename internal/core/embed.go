@@ -59,8 +59,10 @@ type EmbedStats struct {
 	// ResolvedLabels is the total number of labels (deduplicated per group)
 	// that resolved to at least one KG node across embedded groups.
 	ResolvedLabels int
-	// Expansions is the total number of path enumerations performed (for a
-	// group served from the cache, the expansions its original search paid).
+	// Expansions is the total number of path enumerations of the groups
+	// that found a root, cached ones included (for a group served from the
+	// cache, the expansions its original search paid). A search that finds
+	// no root reports nothing: its count is not even computed.
 	Expansions int
 	// GroupCacheHits counts groups served from the embedder's per-group
 	// subgraph cache.

@@ -346,6 +346,33 @@ func adversarialCases() []struct {
 		wideEdges = append(wideEdges, testEdge{len(wide) - 1, i % 2, "on", 1})
 	}
 	const tiny = 1e-17 // 1 + tiny == 1 in float64
+	// The last level before the rim (state.lastLevel) at MaxDepth 3, unit
+	// weights: level 2 is drained label by label, the rim at 3 is counted.
+	// Node names say which label's source they hang off.
+	//
+	// survivor-root: r is the only root, 1 from a0 and 3 from b0 and c0. At
+	// level 2 b0 has one entry, a0 two and c0 four (the y leaves), so c0
+	// is the later label and r reaches it only through the survivor test
+	// (its neighbour c2 sits at 2 from c0): finding r forces the completion.
+	// z2 is a rim node the second label (a0) reaches without a slot, which
+	// the completion must still count.
+	survivor := []string{"a0", "b0", "c0", "r", "b1", "b2", "c1", "c2", "y1", "y2", "y3", "z2"}
+	survivorEdges := []testEdge{{0, 3, "r", 1}, {1, 4, "r", 1}, {4, 5, "r", 1}, {5, 3, "r", 1}, {2, 6, "r", 1},
+		{6, 7, "r", 1}, {7, 3, "r", 1}, {6, 8, "r", 1}, {6, 9, "r", 1}, {6, 10, "r", 1}, {7, 11, "r", 1}}
+	// survivors-empty: a0 and b0 share m1 (with d0), so the first two balls
+	// overlap; c0 is a separate component with three level-2 entries, d0
+	// has five (the f leaves), so c0 is tested third, empties the survivor
+	// set and d0 is never tested.
+	empty := []string{"a0", "b0", "c0", "d0", "m1", "e1", "f1", "f2", "f3", "c1", "g1", "g2", "g3"}
+	emptyEdges := []testEdge{{0, 4, "r", 1}, {1, 4, "r", 1}, {3, 4, "r", 1}, {3, 5, "r", 1}, {5, 6, "r", 1},
+		{5, 7, "r", 1}, {5, 8, "r", 1}, {2, 9, "r", 1}, {9, 10, "r", 1}, {9, 11, "r", 1}, {9, 12, "r", 1}}
+	// fan-over-budget: a0's fan puts three entries in level 2 and the root
+	// r at 3 behind the last of them, so every budget that ends inside
+	// level 2 must keep the level sorted (TestAdversarialGraphsMatchReference
+	// sweeps every budget at MaxDepth 3).
+	fan := []string{"a0", "b0", "a1", "a2", "a3", "p1", "p2", "p3", "b1", "b2", "r"}
+	fanEdges := []testEdge{{0, 2, "r", 1}, {0, 3, "r", 1}, {0, 4, "r", 1}, {2, 5, "r", 1}, {3, 6, "r", 1},
+		{4, 7, "r", 1}, {7, 10, "r", 1}, {1, 8, "r", 1}, {8, 9, "r", 1}, {9, 10, "r", 1}}
 	return []c{
 		{"grid-ties", buildGraph(grid, gridEdges), [][]string{
 			{"g0", "g15"}, {"g0", "g3", "g12", "g15"}, {"g5", "g6", "g9"}, {"g0"}, {"g0", "g0", "nope", "g10"},
@@ -387,13 +414,21 @@ func adversarialCases() []struct {
 				{2, 1, "q", 1}, {2, 3, "r", 1}, {3, 2, "r", 1}, {2, 4, "r", 1}, {0, 2, "r", 2}, {2, 0, "r", 2}, {2, 2, "self", 1}}),
 			[][]string{{"a", "b"}, {"a", "b", "c"}, {"a", "v"}, {"u", "c"}}},
 		{"seventy-labels", buildGraph(wide, wideEdges), [][]string{wideLabels, wideLabels[:65], {"leaf0", "leaf1"}}},
+		{"survivor-root", buildGraph(survivor, survivorEdges), [][]string{
+			{"a0", "b0", "c0"}, {"c0", "b0", "a0"}, {"a0", "b0", "c0", "z2"}, {"a0", "c0"},
+		}},
+		{"survivors-empty", buildGraph(empty, emptyEdges), [][]string{
+			{"a0", "b0", "c0", "d0"}, {"d0", "c0", "b0", "a0"}, {"a0", "b0", "d0"},
+		}},
+		{"fan-over-budget", buildGraph(fan, fanEdges), [][]string{{"a0", "b0"}, {"b0", "a0"}, {"a1", "b0"}}},
 	}
 }
 
 // TestAdversarialGraphsMatchReference searches every adversarial graph under
 // every option variant, and under every expansion budget from 1 up to the
 // point where the budget no longer binds (which pins where a cut lands
-// inside a level).
+// inside a level), unbounded and at MaxDepth 3 (where a cut can land in
+// the last level before the rim).
 func TestAdversarialGraphsMatchReference(t *testing.T) {
 	for _, c := range adversarialCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -404,18 +439,21 @@ func TestAdversarialGraphsMatchReference(t *testing.T) {
 				}
 			}
 			for _, model := range []Model{ModelLCAG, ModelTree} {
-				for _, q := range c.queries {
-					if len(q) > 8 {
-						continue // ranking 70-label candidates under hundreds of budgets is slow and adds nothing
-					}
-					full := NewSearcher(c.g, Options{Model: model, NoEarlyStop: true}).FindReference(q)
-					n := 2
-					if full != nil {
-						n = full.Expansions + 1
-					}
-					for budget := 1; budget <= n; budget++ {
-						for _, noStop := range []bool{false, true} {
-							checkSearcher(t, NewSearcher(c.g, Options{Model: model, MaxExpansions: budget, NoEarlyStop: noStop}), q)
+				for _, depth := range []float64{0, 3} {
+					for _, q := range c.queries {
+						if len(q) > 8 {
+							continue // ranking 70-label candidates under hundreds of budgets is slow and adds nothing
+						}
+						full := NewSearcher(c.g, Options{Model: model, MaxDepth: depth, NoEarlyStop: true}).FindReference(q)
+						n := 2
+						if full != nil {
+							n = full.Expansions + 1
+						}
+						for budget := 1; budget <= n; budget++ {
+							for _, noStop := range []bool{false, true} {
+								opts := Options{Model: model, MaxDepth: depth, MaxExpansions: budget, NoEarlyStop: noStop}
+								checkSearcher(t, NewSearcher(c.g, opts), q)
+							}
 						}
 					}
 				}
@@ -427,7 +465,11 @@ func TestAdversarialGraphsMatchReference(t *testing.T) {
 // TestSearchColdShapeFindsNoRoot pins the case that dominates the
 // search-cold benchmark workload: four labels from events a quarter of the
 // catalogue apart have no common root within MaxDepth, so the search
-// exhausts every ball and both implementations return nil.
+// exhausts every ball and both implementations return nil. It runs at
+// MaxDepth 2 on the 20-country KG, then at the benchmark's own shape:
+// MaxDepth 6 on the 1,250-country KG, over search-cold's first 48 label
+// sets at seed 11, where the last level before the rim is drained label
+// by label and two of the sets do have a root.
 func TestSearchColdShapeFindsNoRoot(t *testing.T) {
 	w := kg.Generate(kg.DefaultConfig(9))
 	g, evs := w.Graph, w.Events
@@ -446,6 +488,18 @@ func TestSearchColdShapeFindsNoRoot(t *testing.T) {
 	}
 	if none == 0 {
 		t.Fatal("no root-less query among the cold-shaped label sets; the test no longer covers that path")
+	}
+	w, sets := coldLabelSets(11, 48)
+	s = NewSearcher(w.Graph, Options{MaxDepth: 6})
+	rooted := 0
+	for _, labels := range sets {
+		if s.FindReference(labels) != nil {
+			rooted++
+		}
+		checkSearcher(t, s, labels)
+	}
+	if rooted == 0 || rooted == len(sets) {
+		t.Fatalf("%d of %d benchmark-shaped label sets have a root; the test no longer covers both outcomes", rooted, len(sets))
 	}
 }
 
@@ -558,6 +612,12 @@ func FuzzFindMatchesReference(f *testing.F) {
 	f.Add([]byte{9, 4, 1, 3, 0, 1, 2, 0, 1, 24, 1, 2, 24, 2, 3, 24, 3, 0, 0, 4, 5, 1, 5, 6, 2})
 	f.Add([]byte{12, 12, 8 | 64, 5, 0, 4, 0, 3, 6, 9, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 0, 4, 5, 0})
 	f.Add([]byte{5, 5, 4 | 16, 2, 0, 4, 0, 1, 24, 1, 2, 24, 2, 3, 0, 3, 4, 24, 1, 1, 25})
+	// adversarialCases' survivor-root and survivors-empty at MaxDepth 3.5
+	// (unit weights: level 2 is the last before the rim).
+	f.Add([]byte{10, 11, 8 | 32, 0, 2, 0, 1, 2, 0, 3, 0, 1, 4, 0, 4, 5, 0, 5, 3, 0, 2, 6, 0,
+		6, 7, 0, 7, 3, 0, 6, 8, 0, 6, 9, 0, 6, 10, 0, 7, 11, 0})
+	f.Add([]byte{11, 12, 8 | 32, 0, 3, 0, 1, 2, 3, 0, 4, 0, 1, 4, 0, 3, 4, 0, 3, 5, 0, 5, 6, 0,
+		5, 7, 0, 5, 8, 0, 2, 9, 0, 9, 10, 0, 9, 11, 0, 9, 12, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, labels, opts := fuzzCase(data)
 		checkSearcher(t, NewSearcher(g, opts), labels)

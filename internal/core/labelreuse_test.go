@@ -26,29 +26,18 @@ import (
 // 6 (Config.MaxDepth) of a label's nodes, over the first 256 distinct
 // labels.
 //
-// The query construction is a hand copy of bench/workloads.go (coldQuery,
-// coprimeStride) and nothing keeps the two in step: if either changes,
-// re-check the copy. Against the bench as it stands it reports nodes
+// The label sets come from coldLabelSets, a hand copy of bench/workloads.go
+// (coldQuery, coprimeStride) that nothing keeps in step: if either
+// changes, re-check the copy. Against the bench as it stands it reports nodes
 // 101407, events 15000, recur256_pct 0.0, recur1024_pct 3.9,
 // recur4096_pct 24.8, distinct4096 3619 and ball_pairs 1583; a different
 // figure means the copy has drifted or the KG generator changed.
 func BenchmarkColdLabelRecurrence(b *testing.B) {
-	const seed, queries = 61, 11 * 200
-	cfg := kg.DefaultConfig(seed)
-	cfg.Countries = 1250
-	w := kg.Generate(cfg)
+	w, sets := coldLabelSets(61, 11*200)
 	evs, g := w.Events, w.Graph
-	stride := coldStride(len(evs), seed)
 	var labels []string
-	for n := range queries {
-		for j := range 4 {
-			ev := evs[(n*stride+j*len(evs)/4)%len(evs)]
-			node := ev.Location
-			if j%2 == 0 && len(ev.Participants) > 0 {
-				node = ev.Participants[(n/len(evs))%len(ev.Participants)]
-			}
-			labels = append(labels, g.Label(node))
-		}
+	for _, set := range sets {
+		labels = append(labels, set...)
 	}
 	b.ReportMetric(float64(g.NumNodes()), "nodes")
 	b.ReportMetric(float64(len(evs)), "events")
@@ -78,6 +67,31 @@ func BenchmarkColdLabelRecurrence(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(pairs)/float64(len(seen)), "ball_pairs")
+}
+
+// coldLabelSets generates search-cold's world at seed (the 1,250-country
+// KG) and the label sets of its first n queries: four entities from events
+// a quarter of the catalogue apart, as bench/workloads.go's coldQuery
+// builds them. It and coldStride are hand copies of that file, kept in
+// step by hand.
+func coldLabelSets(seed int64, n int) (*kg.World, [][]string) {
+	cfg := kg.DefaultConfig(seed)
+	cfg.Countries = 1250
+	w := kg.Generate(cfg)
+	evs, g := w.Events, w.Graph
+	stride := coldStride(len(evs), seed)
+	sets := make([][]string, n)
+	for q := range sets {
+		for j := range 4 {
+			ev := evs[(q*stride+j*len(evs)/4)%len(evs)]
+			node := ev.Location
+			if j%2 == 0 && len(ev.Participants) > 0 {
+				node = ev.Participants[(q/len(evs))%len(ev.Participants)]
+			}
+			sets[q] = append(sets[q], g.Label(node))
+		}
+	}
+	return w, sets
 }
 
 // coldStride is bench/workloads.go's coprimeStride.

@@ -46,6 +46,14 @@ import (
 // argument does not apply: non-uniform weights, ModelTree (its sum bound
 // can stop inside a level) and a level longer than the remaining
 // MaxExpansions budget. DESIGN.md §12 has the full argument.
+//
+// The level whose children lie on the rim of the MaxDepth ball (lastLevel)
+// is, on that same uniform-weight unsorted path, drained label by label:
+// the rim is counted, never queued, and labels after the first two only
+// test the nodes that both first labels reach. A search that can no
+// longer find a root returns without the rest of the work, which no
+// result reports; one that can finishes it first, so every Subgraph,
+// Expansions included, is the one the level-order drain returns.
 
 // slotRec is the per-node part of a touched node's record.
 type slotRec struct {
@@ -82,6 +90,14 @@ type state struct {
 	minDepth   float64  // min over candidates of depth at insertion (C2)
 	minSum     float64  // min over candidates of distance sum (ModelTree)
 	expansions int
+
+	// lastLevel scratch: the (label, node) pairs set on the rim, labels
+	// ordered by their entry count in the level, and the surviving slots.
+	rim   int
+	cnt   []int
+	order []int32
+	surv  []uint32
+	srcs  [][]kg.NodeID // init: each registered label's source nodes
 
 	// reconstruction scratch, reused across calls
 	stamp   uint32
@@ -122,7 +138,8 @@ func (st *state) begin(ctx context.Context) {
 	st.last, st.pos, st.sorted = 0, 0, false
 	st.cands = st.cands[:0]
 	st.minDepth, st.minSum = inf, inf
-	st.expansions = 0
+	st.expansions, st.rim = 0, 0
+	st.srcs = st.srcs[:0]
 	st.stamp = 0
 	st.ctx = ctx
 	st.err = nil
@@ -175,18 +192,20 @@ func (st *state) init(labels []string) bool {
 		if st.hasLabel(key) {
 			continue
 		}
-		if len(st.g.Lookup(key)) == 0 {
+		src := st.g.Lookup(key)
+		if len(src) == 0 {
 			continue
 		}
 		st.labels = append(st.labels, key)
+		st.srcs = append(st.srcs, src)
 	}
 	st.m = len(st.labels)
 	if st.m == 0 {
 		return false
 	}
 	// Second pass: seed the per-label frontiers F_i (Algorithm 1 lines 1-5).
-	for li, key := range st.labels {
-		for _, v := range st.g.Lookup(key) {
+	for li, src := range st.srcs {
+		for _, v := range src {
 			s, ok := st.slotOf(v)
 			if !ok {
 				s = st.newSlot(v)
@@ -309,6 +328,13 @@ func (st *state) run() {
 		// At the rim of the MaxDepth ball no arc can pass the depth test, so
 		// the level's adjacency lists are not even read.
 		rim := maxDepth > 0 && d+st.minW > maxDepth
+		if !rim && !st.sorted && maxDepth > 0 && len(st.cands) == 0 {
+			// The rim test's own expression, on the children's distance.
+			if nd := d + st.minW; nd+st.minW > maxDepth {
+				st.lastLevel(st.buckets[0][st.pos:], d, nd)
+				return
+			}
+		}
 		for ; st.pos < len(st.buckets[0]); st.pos++ {
 			it := st.buckets[0][st.pos]
 			li := int(it.li)
@@ -319,11 +345,8 @@ func (st *state) run() {
 			if st.expansions >= st.opts.MaxExpansions {
 				return
 			}
-			if st.ctx != nil && st.expansions&ctxPollMask == 0 {
-				if err := st.ctx.Err(); err != nil {
-					st.err = err
-					return
-				}
+			if st.cancelled(st.expansions) {
+				return
 			}
 			// Termination. G* stops under C1 (a candidate exists) and C2 (the
 			// next frontier distance exceeds the collected depth). ModelTree
@@ -375,6 +398,173 @@ func (st *state) run() {
 			}
 		}
 	}
+}
+
+// cancelled polls ctx on every ctxPollMask+1-th step n and records why the
+// search must stop.
+func (st *state) cancelled(n int) bool {
+	if st.ctx == nil || n&ctxPollMask != 0 {
+		return false
+	}
+	st.err = st.ctx.Err()
+	return st.err != nil
+}
+
+// lastLevel drains the level at distance d whose children, at nd, lie on
+// the rim. It runs only where the level order is unobservable (uniform
+// weights, not ModelTree, the level inside the budget) and no candidate
+// exists yet, so C2 cannot stop inside the level and each label's ball
+// does not depend on the others: the candidates this level makes are the
+// nodes every label reaches by nd, whatever order finds them.
+//
+// The label with the fewest entries settles and relaxes as run does, but
+// counts the rim pairs it sets instead of queueing them. The next label
+// relaxes only into nodes that already have a slot: a node without one is
+// out of the first label's ball and cannot become a root. Each later
+// label only tests the survivors, the nodes both first labels reach. If
+// none is left, the search returns with no candidate and the skipped work
+// (later labels' settles, the slot-less rim pairs, the rim's pops) is never
+// observed. Otherwise it is done, so that the candidates, the ord stamps
+// reconstruct reads and the expansion count are exactly run's.
+func (st *state) lastLevel(level []item, d, nd float64) {
+	m := st.m // >= 2: with one label every source is a candidate
+	if cap(st.cnt) < m {
+		st.cnt, st.order = make([]int, m), make([]int32, m)
+	}
+	cnt, order := st.cnt[:m], st.order[:m]
+	clear(cnt)
+	for _, it := range level {
+		cnt[it.li]++
+	}
+	for i := range order {
+		order[i] = int32(i)
+		for j := i; j > 0 && cnt[order[j]] < cnt[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	a, b := order[0], order[1]
+	for _, it := range level {
+		if it.li == a && !st.settle(it, nd, true) {
+			return
+		}
+	}
+	for _, it := range level {
+		if it.li == b && !st.settle(it, nd, false) {
+			return
+		}
+	}
+	if len(st.cands) == 0 && !st.survive(a, b, order[2:], d) {
+		return
+	}
+	for _, it := range level {
+		switch it.li {
+		case a:
+		case b:
+			st.relaxRim(it, nd, true)
+		default:
+			if !st.settle(it, nd, true) {
+				return
+			}
+		}
+	}
+	// Every candidate's depth is nd, so C2 does not stop at the rim: run
+	// would pop each rim pair while the budget lasts.
+	for ; st.rim > 0 && st.expansions < st.opts.MaxExpansions; st.rim-- {
+		if st.cancelled(st.expansions) {
+			return
+		}
+		st.expansions++
+	}
+}
+
+// settle is run's settle of a lastLevel entry (a uniform-weight level
+// holds no stale entry), with relaxRim for its arcs. It reports false if
+// ctx ended the search.
+func (st *state) settle(it item, nd float64, open bool) bool {
+	if st.cancelled(st.expansions) {
+		return false
+	}
+	s, _ := st.slotOf(it.v)
+	st.expansions++
+	st.ord[int(s)*st.m+int(it.li)] = uint32(st.expansions)
+	st.relaxRim(it, nd, open)
+	return true
+}
+
+// relaxRim gives every neighbour of it.v that has no distance for label
+// it.li the distance nd, and counts the pair as a rim entry. Unless open,
+// it leaves out neighbours without a slot.
+func (st *state) relaxRim(it item, nd float64, open bool) {
+	m, li, idx, epoch := st.m, int(it.li), st.idx, st.epoch
+	for _, to := range st.g.Targets(it.v) {
+		e := idx[to]
+		t := uint32(e)
+		if uint32(e>>32) != epoch {
+			if !open {
+				continue
+			}
+			t = st.newSlot(to)
+		}
+		if i := int(t)*m + li; st.dist[i] == inf {
+			st.dist[i] = nd
+			st.rim++
+			st.noteReached(t)
+		}
+	}
+}
+
+// survive reports whether some node can still collect every label by nd,
+// starting from the slots labels a and b reach and testing the later
+// labels one at a time. A survivor joins label c if it already has a
+// distance for c or a neighbour at distance d from c (whose settle would
+// give it nd); otherwise it drops out. ctx is polled every ctxPollMask+1
+// probes.
+func (st *state) survive(a, b int32, later []int32, d float64) bool {
+	if len(later) == 0 {
+		return false // with two labels every survivor is already a candidate
+	}
+	m := st.m
+	surv := st.surv[:0]
+	for s := range st.slots {
+		if r := st.dist[s*m:][:m]; r[a] != inf && r[b] != inf {
+			surv = append(surv, uint32(s))
+		}
+	}
+	probes := 0
+	for _, c := range later {
+		keep := surv[:0]
+		for _, s := range surv {
+			if st.cancelled(probes) {
+				st.surv = surv
+				return false
+			}
+			probes++
+			if st.reaches(s, int(c), d) {
+				keep = append(keep, s)
+			}
+		}
+		surv = keep
+		if len(surv) == 0 {
+			break
+		}
+	}
+	st.surv = surv
+	return len(surv) > 0
+}
+
+// reaches reports whether label c has slot s within nd once its level at
+// d is settled.
+func (st *state) reaches(s uint32, c int, d float64) bool {
+	m := st.m
+	if st.dist[int(s)*m+c] != inf {
+		return true
+	}
+	for _, to := range st.g.Targets(st.slots[s].node) {
+		if t, ok := st.slotOf(to); ok && st.dist[int(t)*m+c] == d {
+			return true
+		}
+	}
+	return false
 }
 
 // sortDescending orders a compactness vector in place, largest first —

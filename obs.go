@@ -81,7 +81,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		embedGroups: r.Counter("newslink_embed_groups_total",
 			"Entity groups submitted for query-side subgraph embedding."),
 		embedExpansions: r.Counter("newslink_embed_expansions_total",
-			"Path enumerations performed by query-side G* searches."),
+			"Path enumerations of query-side entity groups that found a root, cached groups included (a rootless search adds nothing)."),
 		embedGroupCacheHits: r.Counter("newslink_embed_group_cache_hits_total",
 			"Entity groups served from the embedder's per-group subgraph cache."),
 		refreshes:     r.Counter("newslink_refreshes_total", "Segment refreshes (explicit and search-triggered)."),
