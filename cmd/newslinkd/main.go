@@ -453,6 +453,9 @@ func buildEngine(kgPath, corpusPath string, beta float64, snapshot string) (*new
 		}
 	}
 	if snapshot != "" {
+		if err := newslink.RecoverSnapshot(snapshot); err != nil {
+			return nil, err
+		}
 		if _, err := os.Stat(snapshot); err == nil {
 			log.Printf("loading snapshot from %s", snapshot)
 			return newslink.Load(snapshot, g, engineOpts...)

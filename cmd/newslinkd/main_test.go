@@ -111,7 +111,9 @@ func TestBuildEngineFileInputs(t *testing.T) {
 
 // TestBuildEngineSnapshotSkipsCorpus: a start whose -snapshot exists loads
 // it without reading -corpus, so it succeeds with the corpus file gone;
-// the -kg/-corpus pairing is still checked.
+// the -kg/-corpus pairing is still checked. The snapshot is found parked
+// at <snap>.old, as a crash between an install's two renames leaves it,
+// and put back.
 func TestBuildEngineSnapshotSkipsCorpus(t *testing.T) {
 	dir := t.TempDir()
 	kgPath, corpusPath := writeInputs(t, dir)
@@ -119,7 +121,7 @@ func TestBuildEngineSnapshotSkipsCorpus(t *testing.T) {
 	if _, err := buildEngine(kgPath, corpusPath, 0.5, snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(corpusPath); err != nil {
+	if err := errors.Join(os.Remove(corpusPath), os.Rename(snap, snap+".old")); err != nil {
 		t.Fatal(err)
 	}
 	e, err := buildEngine(kgPath, corpusPath, 0.5, snap)

@@ -36,11 +36,15 @@ type ManifestSegment = segmentMeta
 type GraphFingerprint = graphPrint
 
 // ReadManifest reads and validates the manifest of the version-7 snapshot
-// at dir: what every loader reads first. Any other version returns
-// ErrSnapshotVersion, naming it; such a snapshot is rebuilt from its
-// corpus. Artifact files are not verified (the loaders verify the ones
+// at dir: what every loader reads first. A snapshot a crash left parked
+// mid-install is put back first (RecoverSnapshot). Any other version
+// returns ErrSnapshotVersion, naming it; such a snapshot is rebuilt from
+// its corpus. Artifact files are not verified (the loaders verify the ones
 // they read).
 func ReadManifest(dir string) (*Manifest, error) {
+	if err := RecoverSnapshot(dir); err != nil {
+		return nil, err
+	}
 	data, err := os.ReadFile(filepath.Join(dir, "meta.json"))
 	if err != nil {
 		return nil, err

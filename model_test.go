@@ -62,8 +62,8 @@ import (
 // their results must be one the execution serves (checkServed). Executions
 // that hold a document explain it, and draw it (ExplainDOT), alike, twice
 // in a row; executions that share a segment structure save byte-identical
-// snapshots, a save keeps every artifact that survives it as the same
-// file, and Compact makes the wal execution converge to the memory one's
+// snapshots, a save keeps the bytes of every artifact that survives it,
+// and Compact makes the wal execution converge to the memory one's
 // structure. A fault step leaves every execution checkable exactly again
 // by the end of its step.
 
@@ -412,7 +412,7 @@ type execution struct {
 	live   map[int]Document // the documents it must serve, by ID
 	dir    string           // where it saves; the sharded one maps memory's
 	shards []*Shard         // the sharded execution's slices
-	moved  bool             // repair replaced the documents artifacts e reads
+	moved  bool             // a save over dir or a repair replaced the documents artifacts e reads
 
 	ref    *reference // the reference over set, at model generation gen
 	refGen int
@@ -445,6 +445,7 @@ type modelRun struct {
 	slow     *faults.Injector
 	resave   string  // where a fault step saves to a fresh directory
 	damage   *damage // the truncate step's fault while its step lasts
+	survived int     // artifacts the memory execution's saves kept under their names
 	failed   int     // merges the truncate steps made fail
 	counted  int     // merges and merged documents counted meanwhile
 
@@ -1026,8 +1027,8 @@ func (r *modelRun) docsTruncated(xs []*execution) {
 // own snapshot still needs) and over its own snapshot, rewriting the
 // emptied artifacts, into the files the memory execution saves — the
 // sharded one into served, the memory execution's last save — and then
-// every execution compacts. A rewritten segment is rewritten whole, so the
-// documents artifacts xs read are replaced under them too (moved).
+// every execution compacts. A save over its own snapshot replaces the
+// documents artifacts xs read too (moved).
 func (r *modelRun) indexTruncated(xs []*execution, served map[string][]byte) {
 	r.expectErr(r.mem, "truncate: save", r.mem.e.Save(r.scratch), nil)
 	saved, _ := readFiles(r.scratch)
@@ -1239,27 +1240,35 @@ func (r *modelRun) compact() {
 // reloaded one by Load of its snapshot, and the sharded one by a routed
 // engine over the memory one's. The snapshots of executions that share a
 // structure are byte-identical, and the routed engine re-saves its
-// snapshot byte for byte.
+// snapshot byte for byte. A save writes every file anew, so the wal
+// execution, which keeps its engine, no longer reads the files of its
+// directory (moved).
 func (r *modelRun) save() {
 	for _, x := range []*execution{r.mem, r.rld, r.wal} {
-		before, _ := filepath.Glob(filepath.Join(x.dir, "seg-*"))
-		stats := make([]os.FileInfo, len(before))
-		for i, path := range before {
-			stats[i], _ = os.Stat(path)
-		}
+		before, _ := readFiles(x.dir) // none where there is no snapshot yet
 		err := x.e.Save(x.dir)
 		if !r.built {
 			r.expectErr(x, "save", err, ErrNotBuilt)
 			continue
 		}
 		r.expectErr(x, "save", err, nil)
-		// Artifacts are content-addressed: one that outlives a save is the
-		// same file, hard-linked rather than rewritten.
-		for i, path := range before {
-			if now, err := os.Stat(path); err == nil && !os.SameFile(stats[i], now) {
-				r.fatalf("%s: save rewrote %s", x.name, filepath.Base(path))
+		// Artifacts are content-addressed: one that outlives a save keeps
+		// its bytes.
+		now, _ := readFiles(x.dir)
+		for name, data := range before {
+			saved, ok := now[name]
+			if !ok || !strings.HasPrefix(name, "seg-") {
+				continue
+			}
+			if !bytes.Equal(saved, data) {
+				r.fatalf("%s: save changed the bytes of %s", x.name, name)
+			}
+			if x == r.mem {
+				r.survived++
 			}
 		}
+		// The save replaced the files a loaded engine reads.
+		x.moved = true
 	}
 	if !r.built {
 		return

@@ -210,6 +210,9 @@ type Engine struct {
 	// lock-free by acquire to decide whether a search must refresh first.
 	pending atomic.Int64
 
+	// saveMu runs one Save at a time, from its capture through its WAL
+	// prune; it is taken before walMu.
+	saveMu sync.Mutex
 	// walMu orders durability: it is taken strictly before mu, and every
 	// write path holds it while assigning its write-ahead-log record and
 	// its queue slot (or applying directly), so log order, queue order and
@@ -508,9 +511,6 @@ func (e *Engine) deleteAtLocked(s *segmentSet, pos int) {
 	}
 	dead.Set(local)
 	clone := &segment{docs: old.docs, times: old.times, byID: old.byID, text: old.text, node: old.node, dead: dead}
-	// Tombstones are not part of the artifact identity (they live in
-	// meta.json), so the clone keeps the memoized snapshot artifacts.
-	clone.shareArtifact(old)
 	segs := make([]*segment, len(s.segs))
 	copy(segs, s.segs)
 	segs[si] = clone

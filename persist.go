@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -34,12 +35,10 @@ import (
 // text and the graph, and the read paths that need one re-derive it.
 //
 // <id> is derived from the three artifacts' contents (truncated SHA-256),
-// which makes saves incremental: a segment that already exists under the
-// target directory with matching checksums is hard-linked into the staged
-// snapshot instead of re-serialized, so saving after an incremental batch
-// rewrites only the new and merged segments plus meta.json. Tombstones
-// live in meta.json — not in the binary artifacts — so deletes never force
-// a segment rewrite either.
+// so a segment saved twice gets the same file names and bytes. Every Save
+// writes every segment whole (DESIGN.md §11). Tombstones live in
+// meta.json — not in the binary artifacts — so a delete changes no
+// segment file.
 //
 // A snapshot is only valid together with the knowledge graph it was built
 // on; every loader verifies the graph's fingerprint — its counts and the
@@ -50,8 +49,10 @@ import (
 // temporary sibling directory, fsyncs each file and the directory itself,
 // records a CRC32-C checksum per artifact in meta.json (written last), and
 // only then renames the directory into place (parking any previous
-// snapshot and rolling it back if the install fails). A crash at any point
-// leaves either the old snapshot or the new one — never a torn mix — and
+// snapshot at <dir>.old and rolling it back if the install fails). A crash
+// at any point leaves either the old snapshot or the new one — never a
+// torn mix: a crash between the two renames leaves only the parked copy,
+// which RecoverSnapshot, called by every loader and by Save, renames back.
 // Load verifies version and checksums so silent corruption surfaces as
 // ErrSnapshotCorrupt instead of a half-built engine.
 
@@ -143,27 +144,6 @@ func syncDir(dir string) error {
 	return cerr
 }
 
-// oldSnapshot is what Save learns about an existing snapshot at the target
-// directory, for content-addressed artifact reuse. nil when the target has
-// no readable same-version snapshot (then everything is re-serialized).
-type oldSnapshot struct {
-	dir  string
-	ids  map[string]bool
-	sums map[string]string
-}
-
-func readOldSnapshot(dir string) *oldSnapshot {
-	m, err := ReadManifest(dir)
-	if err != nil {
-		return nil
-	}
-	old := &oldSnapshot{dir: dir, ids: make(map[string]bool, len(m.Segments)), sums: m.Checksums}
-	for _, sm := range m.Segments {
-		old.ids[sm.ID] = true
-	}
-	return old
-}
-
 // Save writes a snapshot of the built engine to dir (created if needed).
 // Adding documents to the corpus requires rebuilding; snapshots make the
 // expensive part — embedding the corpus (Figure 7) — a one-time cost.
@@ -171,14 +151,13 @@ func readOldSnapshot(dir string) *oldSnapshot {
 // any pending segment first and serializes a consistent capture of the
 // published segment set.
 //
-// Saves are incremental: segment artifacts are content-addressed, so a
-// segment already present in the snapshot being replaced is hard-linked
-// into the new one instead of rewritten — only new and merged segments
-// (and meta.json, which carries the tombstones) cost writes, and a linked
-// file is read once to verify its checksum. A loaded segment is written
-// from its heap indexes and its open documents file; if that file was
-// truncated under the engine, Save fails with that error. After Close,
-// Save is ErrClosed.
+// Every segment is written whole: its indexes from the heap, its
+// documents from memory or, for a loaded segment, from its open documents
+// file; if that file was truncated under the engine, Save fails with that
+// error. A segment saved before is written under the same file names with
+// the same bytes, and a delete changes only meta.json, which carries the
+// tombstones. Saves of one engine run one at a time. After Close, Save is
+// ErrClosed.
 //
 // The write is atomic with respect to crashes and failures: the snapshot
 // is staged in a temporary directory, fsynced, checksummed, and renamed
@@ -189,6 +168,13 @@ func (e *Engine) Save(dir string) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
+	// One Save at a time, from the capture through the prune: a later
+	// capture that rotated the log and pruned the generation an earlier
+	// one holds must not be replaced by that earlier capture installing
+	// last, which would leave the directory without the writes of the
+	// pruned generation.
+	e.saveMu.Lock()
+	defer e.saveMu.Unlock()
 	// Seal and capture in one critical section: an Add landing between a
 	// separate Refresh and the capture would leave documents behind that
 	// are absent from the serialized segments, silently losing them on
@@ -222,7 +208,6 @@ func (e *Engine) Save(dir string) error {
 	if rotErr != nil {
 		return rotErr
 	}
-	old := readOldSnapshot(dir)
 	parent := filepath.Dir(filepath.Clean(dir))
 	if err := os.MkdirAll(parent, 0o755); err != nil {
 		return err
@@ -268,16 +253,12 @@ func (e *Engine) Save(dir string) error {
 		return nil
 	}
 	segMetas := make([]segmentMeta, 0, len(set.segs))
-	buf := make([]byte, copyBufSize)
 	for si, seg := range set.segs {
-		art := seg.art.Load()
-		if art == nil || !reuseSegment(old, art, tmp, sums, buf) {
-			if art, err = writeSegment(tmp, si, seg, writeArtifact, sums); err != nil {
-				return err
-			}
-			seg.art.Store(art)
+		id, err := writeSegment(tmp, si, seg, writeArtifact, sums)
+		if err != nil {
+			return err
 		}
-		sm := segmentMeta{ID: art.id}
+		sm := segmentMeta{ID: id}
 		if seg.dead.Any() {
 			sm.Dead = base64.StdEncoding.EncodeToString(seg.dead.Encode())
 		}
@@ -325,44 +306,11 @@ func (e *Engine) Save(dir string) error {
 	return nil
 }
 
-// reuseSegment hard-links a segment's artifacts from the existing snapshot
-// into the staging directory when the old snapshot provably holds the same
-// content: the same content-derived id, the same recorded checksums, and
-// linked files whose bytes still hash to them (a file truncated or damaged
-// since is written afresh, never carried into the new snapshot). Returns
-// false — and leaves any partial links to be overwritten by a fresh
-// serialization — when reuse is not possible.
-func reuseSegment(old *oldSnapshot, art *segmentArtifact, tmp string, sums map[string]string, buf []byte) bool {
-	if old == nil || !old.ids[art.id] {
-		return false
-	}
-	for _, name := range SegmentFileNames(art.id) {
-		if old.sums[name] != art.sums[name] || art.sums[name] == "" {
-			return false
-		}
-	}
-	for _, name := range SegmentFileNames(art.id) {
-		if _, done := sums[name]; done {
-			continue // an identical segment already staged this file
-		}
-		link := filepath.Join(tmp, name)
-		if err := os.Link(filepath.Join(old.dir, name), link); err != nil {
-			return false
-		}
-		if sum, err := checksumFile(link, buf); err != nil || sum != art.sums[name] {
-			return false
-		}
-		sums[name] = art.sums[name]
-	}
-	return true
-}
-
 // writeSegment serializes one segment's three artifacts into the staging
-// directory. Files are first written under staging names while a running
-// SHA-256 over their concatenation derives the content id, then renamed to
-// their final seg-<id>.* names. The returned artifact identity is memoized
-// on the segment so the next Save can reuse the files via hard links.
-func writeSegment(tmp string, si int, seg *segment, writeArtifact func(string, io.Writer, func(io.Writer) error) error, sums map[string]string) (*segmentArtifact, error) {
+// directory and returns the segment's content id. Files are first written
+// under staging names while a running SHA-256 over their concatenation
+// derives the id, then renamed to their final seg-<id>.* names.
+func writeSegment(tmp string, si int, seg *segment, writeArtifact func(string, io.Writer, func(io.Writer) error) error, sums map[string]string) (string, error) {
 	digest := sha256.New()
 	writers := []struct {
 		suffix string
@@ -376,21 +324,19 @@ func writeSegment(tmp string, si int, seg *segment, writeArtifact func(string, i
 	for i, a := range writers {
 		staged[i] = fmt.Sprintf("stage-%d.%s", si, a.suffix)
 		if err := writeArtifact(staged[i], digest, a.write); err != nil {
-			return nil, err
+			return "", err
 		}
 	}
 	id := hex.EncodeToString(digest.Sum(nil))[:16]
-	art := &segmentArtifact{id: id, sums: make(map[string]string, len(writers))}
 	for i, a := range writers {
 		name := segFileName(id, a.suffix)
 		if err := os.Rename(filepath.Join(tmp, staged[i]), filepath.Join(tmp, name)); err != nil {
-			return nil, err
+			return "", err
 		}
-		art.sums[name] = sums[staged[i]]
+		sums[name] = sums[staged[i]]
 		delete(sums, staged[i])
-		sums[name] = art.sums[name]
 	}
-	return art, nil
+	return id, nil
 }
 
 // installSnapshot atomically replaces dir with the staged snapshot in
@@ -399,8 +345,12 @@ func writeSegment(tmp string, si int, seg *segment, writeArtifact func(string, i
 // after the rename succeeded (and restored if it failed). The parent
 // directory is fsynced so the swap itself is durable.
 func installSnapshot(tmp, dir string) error {
-	old := dir + ".old"
-	// A leftover parked copy from a crashed earlier install is dead weight.
+	// A parked copy is put back where a crash left no dir; one beside a
+	// dir was left by a crash after the second rename and is dead weight.
+	if err := RecoverSnapshot(dir); err != nil {
+		return err
+	}
+	old := parkedDir(dir)
 	if err := os.RemoveAll(old); err != nil {
 		return err
 	}
@@ -430,6 +380,28 @@ func installSnapshot(tmp, dir string) error {
 		if err := os.RemoveAll(old); err != nil {
 			return err
 		}
+	}
+	return syncDir(filepath.Dir(filepath.Clean(dir)))
+}
+
+// parkedDir is where an install parks the snapshot it replaces.
+func parkedDir(dir string) string { return filepath.Clean(dir) + ".old" }
+
+// RecoverSnapshot undoes what a crash between an install's two renames
+// leaves: no dir, and the snapshot it held parked at <dir>.old. It renames
+// the parked snapshot back to dir, and does nothing when dir exists or
+// nothing is parked. ReadManifest, and so every loader, and Save call it;
+// a caller that chooses between loading dir and building anew by whether
+// dir exists calls it first.
+func RecoverSnapshot(dir string) error {
+	if _, err := os.Lstat(dir); !errors.Is(err, fs.ErrNotExist) {
+		return nil // dir exists, or fails a stat that reading it reports
+	}
+	if err := os.Rename(parkedDir(dir), dir); err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		return err
 	}
 	return syncDir(filepath.Dir(filepath.Clean(dir)))
 }
@@ -546,9 +518,7 @@ func loadSegments(dir string, g *kg.Graph, m *snapshotMeta, fetch func(name stri
 // columns read (openDocs). An artifact that fails verification is handed
 // to fetch, when there is one, and the file it wrote read or verified in
 // turn. A documents artifact truncated between its check and its open
-// reads short, which fails the load like any other corruption. The
-// artifact identity from meta.json is memoized on the segment so a later
-// Save can reuse the files without rewriting them.
+// reads short, which fails the load like any other corruption.
 func loadSegment(dir string, m *snapshotMeta, i int, buf []byte, fetch func(name string) error) (*segment, *os.File, error) {
 	sm := m.Segments[i]
 	names := SegmentFileNames(sm.ID)
@@ -617,11 +587,6 @@ func loadSegment(dir string, m *snapshotMeta, i int, buf []byte, fetch func(name
 		}
 		seg.dead = dead
 	}
-	art := &segmentArtifact{id: sm.ID, sums: make(map[string]string, len(segmentSuffixes))}
-	for _, name := range names {
-		art.sums[name] = m.Checksums[name]
-	}
-	seg.art.Store(art)
 	return seg, f, nil
 }
 

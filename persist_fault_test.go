@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"newslink/internal/corpus"
+	"newslink/internal/faults"
 )
 
 // copyDir clones a flat snapshot directory into dst.
@@ -418,4 +420,85 @@ func TestSaveRenameFaultKeepsPreviousSnapshot(t *testing.T) {
 // its previous snapshot untouched, which a crash still recovers over.
 func TestSaveWriteFaultCleansUp(t *testing.T) {
 	runHistory(t, "addall 0-7; build; savefail; save; add 8, update 4; savefail; crash 9; search q=4 k=50; save; search q=4")
+}
+
+// TestOverlappingSavesKeepAckedWrites: a Save held after its capture (a
+// one-shot delay at its first artifact write), a write acknowledged
+// meanwhile, and a second Save to the same directory, which captures that
+// write. Saves run one at a time, so the second installs last and the
+// write survives a Load with the log. Overlapping, the second one pruned
+// the log generation holding the write and the first installed its older
+// capture over it, and the write was lost.
+func TestOverlappingSavesKeepAckedWrites(t *testing.T) {
+	g, arts := corpus.Sample()
+	walDir, dir := filepath.Join(t.TempDir(), "wal"), filepath.Join(t.TempDir(), "snap")
+	e := New(g, DefaultConfig(), WithWAL(walDir))
+	for _, a := range arts {
+		if err := e.Add(Document{ID: a.ID, Title: a.Title, Text: a.Text}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	inj := faults.New().Delay(faults.SaveWrite, 300*time.Millisecond).FailN(faults.SaveWrite, 1, nil)
+	faults.Arm(inj)
+	defer faults.Disarm()
+	first := make(chan error, 1)
+	go func() { first <- e.Save(dir) }()
+	for inj.Hits(faults.SaveWrite) == 0 {
+		select {
+		case err := <-first:
+			t.Fatalf("the first save returned %v before writing", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	x := Document{ID: 9600, Title: "between the saves", Text: "A bulletin about the Taliban in Lahore."}
+	if err := e.Add(x); err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(e.Save(dir), <-first, e.Close()); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(dir, g, WithWAL(walDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	loaded.Refresh()
+	if _, ok := loaded.set.Load().position(x.ID); !ok {
+		t.Fatalf("document %d, acknowledged between the two saves, is lost", x.ID)
+	}
+}
+
+// TestLoadRollsBackInterruptedInstall: a crash between an install's two
+// renames leaves the previous snapshot parked at <dir>.old and no dir.
+// Load puts it back and restores the engine that saved it; leaving it
+// parked made a restarted daemon rebuild from its corpus, and the next
+// Save remove the parked snapshot. The parked name comes from the cleaned
+// path, so a re-save over "snap/" parks the snapshot beside the directory,
+// not inside it.
+func TestLoadRollsBackInterruptedInstall(t *testing.T) {
+	g, _ := corpus.Sample()
+	e := sampleEngine(t, DefaultConfig())
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := e.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(dir, dir+".old"); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(dir, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if _, err := os.Stat(dir + ".old"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the parked snapshot is still there: %v", err)
+	}
+	if err := loaded.Save(dir + string(filepath.Separator)); err != nil {
+		t.Fatal(err)
+	}
+	assertSameSnapshot(t, loaded, e)
+	assertSameRankings(t, loaded, e, lifecycleQueries)
 }

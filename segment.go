@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"newslink/internal/index"
 	"newslink/internal/nlp"
@@ -34,10 +33,7 @@ import (
 // and reads its documents through an open descriptor, which the engine or
 // Shard that loaded it owns and its Close releases. All fields are
 // immutable after construction — deletes clone the segment with a new
-// bitmap, sharing everything else, the descriptor included — except art, a
-// memoized snapshot-artifact identity that is computed on first Save and
-// carried along (tombstones are not part of the artifact identity: they
-// live in meta.json, so a delete never forces a segment rewrite on disk).
+// bitmap, sharing everything else, the descriptor included.
 type segment struct {
 	docs  docStore
 	times []int64 // columnar Document.Time, one per document
@@ -45,8 +41,6 @@ type segment struct {
 	text  *index.Index
 	node  *index.Index
 	dead  *index.Bitmap // nil = no deletes
-
-	art atomic.Pointer[segmentArtifact]
 }
 
 // newSegment assembles a resident segment over docs and the two indexes,
@@ -97,22 +91,6 @@ func (s *segment) position(id int) (int, bool) {
 
 func (s *segment) numDocs() int { return len(s.times) }
 func (s *segment) numLive() int { return s.numDocs() - s.dead.Count() }
-
-// shareArtifact copies the memoized artifact identity from an older
-// incarnation of the same segment (tombstone clones share it).
-func (s *segment) shareArtifact(from *segment) {
-	if a := from.art.Load(); a != nil {
-		s.art.Store(a)
-	}
-}
-
-// segmentArtifact names a segment's on-disk artifacts: a content-derived
-// id plus the CRC32-C of each file, enabling content-addressed reuse
-// across incremental saves (persist.go).
-type segmentArtifact struct {
-	id   string
-	sums map[string]string // artifact file name -> CRC32-C hex
-}
 
 // segmentSet is one published, immutable view of the searchable corpus:
 // the ordered segments, the global-position bookkeeping over their

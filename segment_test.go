@@ -62,12 +62,14 @@ func TestDeletedNeverReturned(t *testing.T) {
 	runHistory(t, "addall 0-11; build; delete 1, delete 4, delete 5, delete 9; search q=4 k=50; explain 5 q=4; save; search q=4 k=50; explain 4 q=4; compact; search q=5 k=50; explain 1 q=5")
 }
 
-// TestIncrementalSaveReusesSegments: re-saving over an existing snapshot
-// hard-links the artifacts of unchanged segments instead of rewriting them
-// (content-addressed reuse), those of segments whose only change is a new
-// tombstone included — tombstones live in meta.json.
-func TestIncrementalSaveReusesSegments(t *testing.T) {
-	runHistory(t, "addall 0-7; build; save; add 8; delete 1; save")
+// TestResaveKeepsSegmentFiles: re-saving over an existing snapshot writes
+// every segment anew under its content-derived names, so the artifacts of
+// a segment whose only change is a new tombstone keep their names and
+// bytes — tombstones live in meta.json.
+func TestResaveKeepsSegmentFiles(t *testing.T) {
+	if r := runHistory(t, "addall 0-7; build; save; add 8; delete 1; save"); r.survived != len(segmentSuffixes) {
+		t.Fatalf("the re-save kept %d artifacts under their names, want the tombstoned segment's %d", r.survived, len(segmentSuffixes))
+	}
 }
 
 // TestChurnSegmentLifecycle drives the segment lifecycle under
